@@ -183,8 +183,6 @@ func main() {
 		httpSrv.Close()
 	}
 	st := srv.Stats()
-	snap := sink.Snapshot()
-	flows := snap.TrackedFlows()
 	if durable != nil {
 		if err := durable.Close(); err != nil {
 			log.Fatalf("pintd: durable: %v", err)
@@ -192,6 +190,8 @@ func main() {
 	} else if err := sink.Close(); err != nil {
 		log.Fatalf("pintd: sink: %v", err)
 	}
+	// Close has retired the workers, so the shards can be counted in place.
+	flows := sink.TrackedFlows()
 	fmt.Printf("pintd: drained: %d packets in %d frames from %d sessions (%d conn errors), %d flows tracked\n",
 		st.Packets, st.Frames, st.Sessions, st.ConnErrors, flows)
 }

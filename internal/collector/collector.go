@@ -271,14 +271,18 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve accepts exporter sessions on ln until Shutdown (which returns
-// nil here) or a listener error. One Serve per Server.
+// Serve accepts exporter sessions on ln until Shutdown or a listener
+// error. Shutdown makes Serve return nil whether it arrives during Serve
+// or before it — a Serve that loses the race to Shutdown closes ln and
+// returns nil at once, the counterpart of net/http's ErrServerClosed —
+// so a daemon that signals a drain while still starting up exits clean.
+// One Serve per Server.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
 		ln.Close()
-		return fmt.Errorf("collector: server already shut down")
+		return nil
 	}
 	if s.ln != nil {
 		s.mu.Unlock()

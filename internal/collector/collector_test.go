@@ -259,7 +259,7 @@ func jsonNumber(v uint64) string {
 	return string(b)
 }
 
-// TestShutdownIdempotent double-shuts the server and re-listens errors.
+// TestShutdownIdempotent double-shuts the server.
 func TestShutdownIdempotent(t *testing.T) {
 	tb := mustTestbench(t, 13)
 	_, srv := newServedSink(t, tb, 1)
@@ -267,8 +267,41 @@ func TestShutdownIdempotent(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err == nil {
-		t.Fatal("Serve after shutdown accepted")
+}
+
+// TestServeAfterShutdown is the start-up race a daemon can lose: the
+// drain signal arrives before `go srv.Serve(ln)` is scheduled. Serve must
+// then return nil (net/http's ErrServerClosed contract — a clean drain,
+// not a failure), at once, with the listener closed and no session
+// accepted, and the drained sink must stay queryable.
+func TestServeAfterShutdown(t *testing.T) {
+	tb := mustTestbench(t, 13)
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	srv, err := New(tb.Engine, WithSink(sink), WithQueries(tb.Queries()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdownServer(t, srv)
+	if err := srv.Serve(ln); err != nil {
+		t.Fatalf("Serve after Shutdown = %v, want nil", err)
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		conn.Close()
+		t.Fatal("listener still accepting after Serve returned")
+	}
+	if got := srv.Stats().Sessions; got != 0 {
+		t.Fatalf("%d sessions accepted by a server shut down before Serve", got)
+	}
+	if sink.Snapshot().TrackedFlows() != 0 {
+		t.Fatal("empty drained sink reports flows")
 	}
 }
 

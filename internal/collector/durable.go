@@ -210,7 +210,14 @@ func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) (
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	return SnapshotAnswers(sink.Snapshot(), d.queries, flows)
+	// The sink is private, closed and single-shard: its one Recording
+	// holds the whole window and nobody else will read it, so answer from
+	// it directly instead of from a copy.
+	rec := sink.Recording(0)
+	if flows == nil {
+		flows = rec.Flows()
+	}
+	return Answers(rec, d.queries, flows), nil
 }
 
 // VerifyAgainstLive proves the headline guarantee on a quiescent durable

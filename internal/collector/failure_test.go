@@ -67,8 +67,12 @@ func sendHealthyFlow(t *testing.T, tb *Testbench, srv *Server, exp uint64) {
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Packets counts a frame when it is decoded, before its hand-off to
+	// the sink; only the session's end (its deferred Flush runs before
+	// Active drops) means everything counted has reached the workers.
 	waitFor(t, "healthy flow ingest", func() bool {
-		return srv.Stats().Packets >= before+600
+		st := srv.Stats()
+		return st.Packets >= before+600 && st.Active == 0
 	})
 	answers, err := SnapshotAnswers(srv.cfg.Sink.Snapshot(), tb.Queries(), []core.FlowKey{tb.FlowKeyFor(exp, 0)})
 	if err != nil {
@@ -170,7 +174,14 @@ func TestCollectorFailureModes(t *testing.T) {
 			conn := dialRaw(t, srv, HelloFor(tb.Engine, 100, "hostile"))
 			before := srv.Stats()
 			tc.send(t, conn)
-			waitFor(t, "session teardown", func() bool { return srv.Stats().Active == 0 })
+			// The handler counts the session (the server's first) only after
+			// the ack dialRaw read, possibly after `before` was taken: wait
+			// for it to open before waiting for it to end.
+			waitFor(t, "session teardown", func() bool {
+				st := srv.Stats()
+				return st.Sessions == 1 && st.Active == 0 &&
+					(!tc.wantConnErr || st.ConnErrors > before.ConnErrors)
+			})
 			st := srv.Stats()
 			if tc.wantConnErr && st.ConnErrors != before.ConnErrors+1 {
 				t.Fatalf("want 1 connection error, got %d", st.ConnErrors-before.ConnErrors)
@@ -196,7 +207,10 @@ func TestPlanHashMismatchRefused(t *testing.T) {
 		!strings.Contains(err.Error(), "plan hash mismatch") {
 		t.Fatalf("want plan-hash refusal, got %v", err)
 	}
-	if st := srv.Stats(); st.Rejected != 1 || st.Sessions != 0 {
+	// The refusal is counted after the ack is written, i.e. possibly after
+	// Dial has already returned.
+	waitFor(t, "refusal counted", func() bool { return srv.Stats().Rejected == 1 })
+	if st := srv.Stats(); st.Sessions != 0 {
 		t.Fatalf("stats after refusal: %+v", st)
 	}
 	sendHealthyFlow(t, tb, srv, 42)

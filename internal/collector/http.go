@@ -1,8 +1,10 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -64,9 +66,11 @@ const maxAnswerHops = wire.MaxPathLen
 
 // Answers evaluates every query for every listed flow against one
 // quiescent Recording (a merged snapshot). Queries run in a fixed order
-// — flows as given, queries as given, hops ascending — so two Recordings
-// holding the same state produce byte-identical JSON (sketch queries
-// advance RNG state, making answer order part of the contract).
+// — flows as given, queries as given, hops ascending, p50 before p99 —
+// so two Recordings holding the same state produce byte-identical JSON.
+// The order is part of the contract for one reason only: a latency
+// quantile over sliding-window storage (sketch.SlidingKLL.Quantile)
+// draws from its store's RNG; every other query only reads.
 func Answers(rec *core.Recording, queries []core.Query, flows []core.FlowKey) []FlowAnswers {
 	out := make([]FlowAnswers, 0, len(flows))
 	for _, flow := range flows {
@@ -83,12 +87,11 @@ func Answers(rec *core.Recording, queries []core.Query, flows []core.FlowKey) []
 					if n == 0 {
 						continue
 					}
-					p50, err1 := rec.LatencyQuantile(q, flow, hop, 0.5)
-					p99, err2 := rec.LatencyQuantile(q, flow, hop, 0.99)
-					if err1 != nil || err2 != nil {
+					ps, err := rec.LatencyQuantiles(q, flow, hop, 0.5, 0.99)
+					if err != nil {
 						continue
 					}
-					a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n, P50: p50, P99: p99})
+					a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n, P50: ps[0], P99: ps[1]})
 				}
 			case *core.FreqQuery:
 				for hop := 1; hop <= maxAnswerHops; hop++ {
@@ -136,8 +139,10 @@ func SnapshotAnswers(snap *pipeline.Snapshot, queries []core.Query, flows []core
 //	GET /snapshot        all flows' query answers from a fresh snapshot
 //	GET /snapshot?flow=N one flow (repeatable)
 //
-// Snapshots run concurrently with ingestion (the sink's copy-on-read
-// contract), so querying a live collector never pauses exporters.
+// Snapshots run concurrently with ingestion (the sink's snapshot
+// contract), so querying a live collector never pauses exporters, and a
+// ?flow= query asks only the listed flows' home shards for only those
+// flows: its cost follows the flows asked for, not the packets held.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Every response carries the member's current cluster epoch in a
@@ -205,12 +210,12 @@ func (s *Server) Handler() http.Handler {
 			s.serveWindow(w, r, flows)
 			return
 		}
-		answers, err := SnapshotAnswers(s.cfg.Sink.Snapshot(), s.cfg.Queries, flows)
+		answers, err := SnapshotAnswers(s.cfg.Sink.SnapshotFlows(flows), s.cfg.Queries, flows)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		WriteJSON(w, map[string]any{"flows": answers})
+		WriteSnapshot(w, answers)
 	}))
 	return mux
 }
@@ -297,7 +302,7 @@ func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []cor
 		// say so, the same contract a degraded federated fleet serves.
 		w.Header().Set(PartialHeader, "1")
 	}
-	WriteJSON(w, map[string]any{"flows": answers})
+	WriteSnapshot(w, answers)
 }
 
 // WithProfiling layers net/http/pprof's endpoints under /debug/pprof/ on
@@ -345,6 +350,49 @@ func HardenedHTTPServer(h http.Handler) *http.Server {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 		MaxHeaderBytes:    1 << 16,
+	}
+}
+
+// WriteSnapshot writes the /snapshot document {"flows": [...]} one flow
+// at a time: each FlowAnswers is encoded into a reused buffer and handed
+// to w, so the response never exists whole in memory. The bytes are
+// exactly WriteJSON(w, map[string]any{"flows": flows}) — a nil list is
+// null, an empty one [] — which the conformance goldens and the
+// benchmark's oracle compare against. The collector and the federated
+// query frontend's healthy path both answer through it.
+func WriteSnapshot(w http.ResponseWriter, flows []FlowAnswers) {
+	w.Header().Set("Content-Type", "application/json")
+	switch {
+	case flows == nil:
+		io.WriteString(w, "{\n  \"flows\": null\n}\n")
+		return
+	case len(flows) == 0:
+		io.WriteString(w, "{\n  \"flows\": []\n}\n")
+		return
+	}
+	// Elements sit two levels deep in the document: the encoder indents
+	// every line after an element's first by that prefix, and the first
+	// is written here.
+	const elemIndent = "    "
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent(elemIndent, "  ")
+	buf.WriteString("{\n  \"flows\": [\n")
+	for i := range flows {
+		buf.WriteString(elemIndent)
+		if err := enc.Encode(&flows[i]); err != nil {
+			return // plain structs: cannot happen; leave the body cut short
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		if i < len(flows)-1 {
+			buf.WriteString(",\n")
+		} else {
+			buf.WriteString("\n  ]\n}\n")
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return // the client went away
+		}
+		buf.Reset()
 	}
 }
 

@@ -223,3 +223,35 @@ func TestEpochMismatchRefused(t *testing.T) {
 		t.Fatalf("rejected sessions %d, want 1", st.Rejected)
 	}
 }
+
+// TestWriteSnapshotMatchesWholeDocumentEncoder pins the streaming
+// /snapshot writer to the bytes of the encoder it replaced — one
+// json.Encoder pass over map{"flows": …} — for a nil list, an empty one,
+// one flow, and many flows of every answer shape, including strings the
+// encoder HTML-escapes.
+func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
+	many := []FlowAnswers{
+		{Flow: 1, Tracked: true, Answers: []QueryAnswer{
+			{Query: "path", Kind: "static", Path: []uint64{7, 8, 9}, Done: true, Inconsistencies: 2},
+			{Query: "lat<&>", Kind: "dynamic", Hops: []HopAnswer{{Hop: 1, Samples: 3, P50: 1.5, P99: 1e21}, {Hop: 4, Samples: 1}}},
+			{Query: "freq", Kind: "dynamic", Hops: []HopAnswer{{Hop: 2, Samples: 9}}, Heavy: [][]uint64{{1, 2}, nil, {}}},
+			{Query: "util", Kind: "per-packet", Series: []float64{0.25, 3, 1e-9}},
+		}},
+		{Flow: 1 << 63, Answers: []QueryAnswer{}},
+		{Flow: 3, Tracked: true, Answers: []QueryAnswer{{Query: "cnt", Kind: "per-packet", Series: []float64{}}}},
+	}
+	for name, flows := range map[string][]FlowAnswers{
+		"nil": nil, "empty": {}, "one": many[:1], "many": many,
+	} {
+		want := httptest.NewRecorder()
+		WriteJSON(want, map[string]any{"flows": flows})
+		got := httptest.NewRecorder()
+		WriteSnapshot(got, flows)
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("%s: streamed body differs from the whole-document encoding:\n got: %q\nwant: %q", name, got.Body.String(), want.Body.String())
+		}
+		if ct := got.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", name, ct)
+		}
+	}
+}

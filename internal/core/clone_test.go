@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hash"
@@ -25,23 +26,25 @@ func cloneWorkload(t *testing.T, eng *Engine, seed uint64, nFlows, n, k int) []P
 	return pkts
 }
 
+// storageVariants are the three latency storages a Recording can run.
+var storageVariants = []struct {
+	name        string
+	sketchItems int
+	winBuckets  int
+	winSpan     uint64
+}{
+	{name: "raw"},
+	{name: "sketched", sketchItems: 24},
+	{name: "windowed", sketchItems: 24, winBuckets: 4, winSpan: 16},
+}
+
 // TestRecordingCloneIsIndependentAndIdentical is the contract snapshot
 // queries rely on: a clone answers bit-identically at the copy point, and
 // recording into the original afterwards leaves the clone untouched while
 // the clone, fed the same continuation, stays bit-identical to the
 // original — for raw, sketched, and sliding-window latency storage.
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
-	type variant struct {
-		name        string
-		sketchItems int
-		winBuckets  int
-		winSpan     uint64
-	}
-	for _, v := range []variant{
-		{name: "raw"},
-		{name: "sketched", sketchItems: 24},
-		{name: "windowed", sketchItems: 24, winBuckets: 4, winSpan: 64},
-	} {
+	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
 			eng, path, lat, util, freq, cnt := combinedTestPlan(t, 37)
 			const (
@@ -232,5 +235,248 @@ func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 	}
 	if err := a.Merge(c); err == nil {
 		t.Fatal("merge accepted a recording from a different engine")
+	}
+}
+
+// randomWorkload is cloneWorkload with flows drawn at random instead of
+// round-robin, so streams differ in how flows interleave and how many
+// packets each gets.
+func randomWorkload(eng *Engine, rng *hash.RNG, nFlows, n, k int) []PacketDigest {
+	pkts := make([]PacketDigest, n)
+	vals := make([]HopValues, n)
+	for i := range pkts {
+		pkts[i] = PacketDigest{Flow: FlowKey(rng.Intn(nFlows) + 1), PktID: rng.Uint64(), PathLen: k}
+	}
+	for hop := 1; hop <= k; hop++ {
+		for i := range pkts {
+			vals[i] = hopValuesFor(pkts[i].PktID, hop, 0xAB00)
+		}
+		eng.EncodeHopBatch(hop, pkts, vals)
+	}
+	return pkts
+}
+
+// TestClonePrefixProperty is the sharing invariant stated as a property:
+// for random digest streams, at EVERY prefix, a Clone — and a flow-scoped
+// CloneFlows — of the live state answers exactly like a Recording rebuilt
+// from scratch from that prefix. The rebuilt Recording never shares an
+// array with anything, so it is an independent oracle: a clone that saw
+// a later append, or lost a sample to one, diverges from it. The live
+// state is spread over 1, 2 and 4 Recordings by the sink's routing
+// function and the clones are folded with Merge, which is exactly what a
+// pipeline snapshot does; shards a scoped clone does not ask contribute
+// an empty Recording. Every recording is queried once, in one order, so
+// sliding-window RNG draws line up.
+func TestClonePrefixProperty(t *testing.T) {
+	const k = 6
+	for _, v := range storageVariants {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
+				eng, path, lat, util, freq, cnt := combinedTestPlan(t, 59)
+				mk := func() *Recording {
+					rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec.WindowBuckets = v.winBuckets
+					rec.WindowSpan = v.winSpan
+					return rec
+				}
+				rebuilt := func(prefix []PacketDigest) *Recording {
+					rec := mk()
+					if err := rec.RecordBatch(prefix); err != nil {
+						t.Fatal(err)
+					}
+					return rec
+				}
+				rng := hash.NewRNG(uint64(7919*shards + len(v.name)))
+				for trial := 0; trial < 3; trial++ {
+					nFlows := 2 + rng.Intn(6)
+					pkts := randomWorkload(eng, rng, nFlows, 64+rng.Intn(96), k)
+					live := make([]*Recording, shards)
+					for i := range live {
+						live[i] = mk()
+					}
+					home := func(f FlowKey) int { return int(hash.ShardOf(uint64(f), uint64(shards))) }
+					for n := 0; n <= len(pkts); n++ {
+						if n > 0 {
+							if err := live[home(pkts[n-1].Flow)].RecordBatch(pkts[n-1 : n]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						// Every flow, from full clones.
+						full := mk()
+						for _, rec := range live {
+							if err := full.Merge(rec.Clone()); err != nil {
+								t.Fatal(err)
+							}
+						}
+						ref := rebuilt(pkts[:n])
+						if got, want := full.TrackedFlows(), ref.TrackedFlows(); got != want {
+							t.Fatalf("prefix %d: clone tracks %d flows, rebuilt %d", n, got, want)
+						}
+						for f := 1; f <= nFlows; f++ {
+							assertSameAnswers(t, ref, full, FlowKey(f), k, path, lat, util, freq, cnt)
+						}
+						// A random subset (plus one flow nobody ever sent), from
+						// flow-scoped clones of only the shards that own them.
+						asked := []FlowKey{FlowKey(nFlows + 100)}
+						for f := 1; f <= nFlows; f++ {
+							if rng.Intn(2) == 0 {
+								asked = append(asked, FlowKey(f))
+							}
+						}
+						byShard := make([][]FlowKey, shards)
+						for _, f := range asked {
+							byShard[home(f)] = append(byShard[home(f)], f)
+						}
+						scoped := mk()
+						for i, rec := range live {
+							if len(byShard[i]) == 0 {
+								continue
+							}
+							if err := scoped.Merge(rec.CloneFlows(byShard[i])); err != nil {
+								t.Fatal(err)
+							}
+						}
+						ref = rebuilt(pkts[:n])
+						tracked := 0
+						for _, f := range asked {
+							if ref.HasFlow(f) {
+								tracked++
+							}
+							if scoped.HasFlow(f) != ref.HasFlow(f) {
+								t.Fatalf("prefix %d flow %d: scoped clone tracked=%v, rebuilt %v", n, f, scoped.HasFlow(f), ref.HasFlow(f))
+							}
+							assertSameAnswers(t, ref, scoped, f, k, path, lat, util, freq, cnt)
+						}
+						if got := scoped.TrackedFlows(); got != tracked {
+							t.Fatalf("prefix %d: scoped clone tracks %d flows, asked for %d tracked ones", n, got, tracked)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCloneAppendsStayPrivate pins the capacity clamp. A clone shares the
+// origin's series arrays, and those arrays have spare capacity past the
+// shared prefix; an append through a clone must reallocate instead of
+// writing there, or it would show through to the origin's next append
+// and to every sibling clone. Origin and two sibling clones each record a
+// different continuation; each must equal a Recording rebuilt from
+// scratch from the prefix plus its own continuation.
+func TestCloneAppendsStayPrivate(t *testing.T) {
+	const (
+		nFlows = 4
+		k      = 6
+	)
+	for _, v := range storageVariants {
+		t.Run(v.name, func(t *testing.T) {
+			eng, path, lat, util, freq, cnt := combinedTestPlan(t, 61)
+			mk := func() *Recording {
+				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.WindowBuckets = v.winBuckets
+				rec.WindowSpan = v.winSpan
+				return rec
+			}
+			prefix := cloneWorkload(t, eng, 107, nFlows, 1200, k)
+			conts := [][]PacketDigest{
+				cloneWorkload(t, eng, 109, nFlows, 800, k),
+				cloneWorkload(t, eng, 113, nFlows, 800, k),
+				cloneWorkload(t, eng, 127, nFlows, 800, k),
+			}
+			orig := mk()
+			if err := orig.RecordBatch(prefix); err != nil {
+				t.Fatal(err)
+			}
+			// The test means something only if an append could land in
+			// shared memory: some origin series must have room to spare.
+			spare := false
+			for _, byFlow := range orig.utils {
+				for _, vs := range byFlow {
+					spare = spare || cap(vs) > len(vs)
+				}
+			}
+			if !spare {
+				t.Fatal("no origin series has spare capacity; pick another prefix length")
+			}
+			holders := []*Recording{orig, orig.Clone(), orig.Clone()}
+			for _, c := range holders[1:] {
+				for _, byFlow := range c.utils {
+					for f, vs := range byFlow {
+						if cap(vs) != len(vs) {
+							t.Fatalf("flow %d: clone's util series has cap %d > len %d", f, cap(vs), len(vs))
+						}
+					}
+				}
+			}
+			// Interleave the three continuations chunk by chunk, so every
+			// holder appends while the others' arrays are still live.
+			for off := 0; off < 800; off += 50 {
+				for i, h := range holders {
+					if err := h.RecordBatch(conts[i][off : off+50]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i, h := range holders {
+				ref := mk()
+				if err := ref.RecordBatch(prefix); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.RecordBatch(conts[i]); err != nil {
+					t.Fatal(err)
+				}
+				for f := 1; f <= nFlows; f++ {
+					assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util, freq, cnt)
+				}
+			}
+		})
+	}
+}
+
+// TestLatencyQuantilesMatchesSingleCalls pins the batched form to the
+// single-phi one it now backs: for every storage, LatencyQuantiles(phis)
+// on one clone equals LatencyQuantile per phi, in the same order, on a
+// sibling clone (siblings, because windowed quantiles draw from the
+// store's RNG and the draws must line up).
+func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
+	const (
+		nFlows = 3
+		k      = 6
+	)
+	phis := []float64{0.5, 0.99, 0, 1, 0.5}
+	for _, v := range storageVariants {
+		t.Run(v.name, func(t *testing.T) {
+			eng, _, lat, _, _, _ := combinedTestPlan(t, 67)
+			rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
+			if err := rec.RecordBatch(cloneWorkload(t, eng, 131, nFlows, 1500, k)); err != nil {
+				t.Fatal(err)
+			}
+			batched, single := rec.Clone(), rec.Clone()
+			for f := 1; f <= nFlows; f++ {
+				for hop := 0; hop <= k+1; hop++ {
+					got, gerr := batched.LatencyQuantiles(lat, FlowKey(f), hop, phis...)
+					for i, phi := range phis {
+						want, werr := single.LatencyQuantile(lat, FlowKey(f), hop, phi)
+						if (gerr == nil) != (werr == nil) {
+							t.Fatalf("flow %d hop %d: batched err %v, single err %v", f, hop, gerr, werr)
+						}
+						if gerr == nil && got[i] != want {
+							t.Fatalf("flow %d hop %d phi %v: batched %v, single %v", f, hop, phi, got[i], want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -296,14 +296,50 @@ func (r *Recording) HasFlow(flow FlowKey) bool {
 	return ok
 }
 
-// Clone deep-copies the Recording — decoders, sketches, sample lists, and
-// recency state — sharing only the immutable engine and configuration.
-// The clone answers every query bit-identically to the original at the
-// moment of the copy, and both sides can keep recording (or be queried)
-// independently afterwards. This is what makes the pipeline's snapshot
-// queries race-free: a shard worker clones its Recording between batches
-// and hands the copy to concurrent readers.
+// Clone copies the Recording so that the copy answers every query
+// bit-identically to the original at the moment of the copy, and both
+// sides can keep recording (or be queried) independently afterwards. This
+// is what makes the pipeline's snapshot queries race-free: a shard worker
+// clones between batches and hands the copy to concurrent readers.
+//
+// What is copied and what is shared follows from how each piece of state
+// changes. Decoders, KLL/SlidingKLL sketches and Space Saving summaries
+// are bounded in size and mutated in place, so the clone gets its own.
+// The three per-packet series — raw latency samples, util values, count
+// values — grow with every packet and are append-only: nothing in the
+// repository writes an element once it is appended. The clone therefore
+// takes each series as s[:len(s):len(s)], a prefix clamped in length AND
+// capacity over the same backing array. The owner's later appends land
+// beyond the clone's length (or in a fresh array once the old one is
+// full), so they never touch an element the clone can see; the clone's
+// own appends find no spare capacity and reallocate, so they never write
+// into the owner's array. Neither side observes the other, a clone costs
+// O(flows) rather than O(packets), and a held clone keeps alive only the
+// backing arrays that existed when it was taken.
 func (r *Recording) Clone() *Recording {
+	c := r.cloneShell(len(r.flowSeq))
+	for f := range r.flowSeq {
+		r.cloneFlowInto(c, f)
+	}
+	return c
+}
+
+// CloneFlows is Clone restricted to the listed flows: the copy tracks
+// exactly those of them that r tracks, and costs nothing for any other
+// flow. A flow-scoped snapshot is built from it.
+func (r *Recording) CloneFlows(flows []FlowKey) *Recording {
+	c := r.cloneShell(len(flows))
+	for _, f := range flows {
+		if r.HasFlow(f) {
+			r.cloneFlowInto(c, f)
+		}
+	}
+	return c
+}
+
+// cloneShell returns a Recording with r's engine, configuration, recency
+// clock and per-query tables sized for nFlows flows, and no flows.
+func (r *Recording) cloneShell(nFlows int) *Recording {
 	c := &Recording{
 		engine:        r.engine,
 		SketchItems:   r.SketchItems,
@@ -313,72 +349,84 @@ func (r *Recording) Clone() *Recording {
 		MaxFlows:      r.MaxFlows,
 		seq:           r.seq,
 		base:          r.base,
-		flowSeq:       make(map[FlowKey]uint64, len(r.flowSeq)),
+		flowSeq:       make(map[FlowKey]uint64, nFlows),
 		paths:         make(map[*PathQuery]map[FlowKey]*coding.Decoder, len(r.paths)),
 		lats:          make(map[*LatencyQuery]map[FlowKey][]*latStore, len(r.lats)),
 		utils:         make(map[*UtilQuery]map[FlowKey][]float64, len(r.utils)),
 		freqs:         make(map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving, len(r.freqs)),
 		cnts:          make(map[*CountQuery]map[FlowKey][]float64, len(r.cnts)),
 	}
-	for f, s := range r.flowSeq {
-		c.flowSeq[f] = s
-	}
 	for q, byFlow := range r.paths {
-		m := make(map[FlowKey]*coding.Decoder, len(byFlow))
-		for f, dec := range byFlow {
-			m[f] = dec.Clone()
-		}
-		c.paths[q] = m
+		c.paths[q] = make(map[FlowKey]*coding.Decoder, min(nFlows, len(byFlow)))
 	}
 	for q, byFlow := range r.lats {
-		m := make(map[FlowKey][]*latStore, len(byFlow))
-		for f, hops := range byFlow {
-			cp := make([]*latStore, len(hops))
-			for i, st := range hops {
-				if st == nil {
-					continue
-				}
-				cst := &latStore{raw: append([]uint64(nil), st.raw...)}
-				if st.kll != nil {
-					cst.kll = st.kll.Clone()
-				}
-				if st.win != nil {
-					cst.win = st.win.Clone()
-				}
-				cp[i] = cst
-			}
-			m[f] = cp
-		}
-		c.lats[q] = m
+		c.lats[q] = make(map[FlowKey][]*latStore, min(nFlows, len(byFlow)))
 	}
 	for q, byFlow := range r.utils {
-		m := make(map[FlowKey][]float64, len(byFlow))
-		for f, vs := range byFlow {
-			m[f] = append([]float64(nil), vs...)
-		}
-		c.utils[q] = m
+		c.utils[q] = make(map[FlowKey][]float64, min(nFlows, len(byFlow)))
 	}
 	for q, byFlow := range r.freqs {
-		m := make(map[FlowKey][]*sketch.SpaceSaving, len(byFlow))
-		for f, hops := range byFlow {
-			cp := make([]*sketch.SpaceSaving, len(hops))
-			for i, ss := range hops {
-				if ss != nil {
-					cp[i] = ss.Clone()
-				}
-			}
-			m[f] = cp
-		}
-		c.freqs[q] = m
+		c.freqs[q] = make(map[FlowKey][]*sketch.SpaceSaving, min(nFlows, len(byFlow)))
 	}
 	for q, byFlow := range r.cnts {
-		m := make(map[FlowKey][]float64, len(byFlow))
-		for f, vs := range byFlow {
-			m[f] = append([]float64(nil), vs...)
-		}
-		c.cnts[q] = m
+		c.cnts[q] = make(map[FlowKey][]float64, min(nFlows, len(byFlow)))
 	}
 	return c
+}
+
+// cloneFlowInto copies one tracked flow's state into c, a cloneShell of
+// r (see Clone for what is copied and what is shared).
+func (r *Recording) cloneFlowInto(c *Recording, f FlowKey) {
+	c.flowSeq[f] = r.flowSeq[f]
+	for q, byFlow := range r.paths {
+		if dec := byFlow[f]; dec != nil {
+			c.paths[q][f] = dec.Clone()
+		}
+	}
+	for q, byFlow := range r.lats {
+		hops := byFlow[f]
+		if hops == nil {
+			continue
+		}
+		cp := make([]*latStore, len(hops))
+		for i, st := range hops {
+			if st == nil {
+				continue
+			}
+			cst := &latStore{raw: st.raw[:len(st.raw):len(st.raw)]}
+			if st.kll != nil {
+				cst.kll = st.kll.Clone()
+			}
+			if st.win != nil {
+				cst.win = st.win.Clone()
+			}
+			cp[i] = cst
+		}
+		c.lats[q][f] = cp
+	}
+	for q, byFlow := range r.utils {
+		if vs, ok := byFlow[f]; ok {
+			c.utils[q][f] = vs[:len(vs):len(vs)]
+		}
+	}
+	for q, byFlow := range r.freqs {
+		hops := byFlow[f]
+		if hops == nil {
+			continue
+		}
+		cp := make([]*sketch.SpaceSaving, len(hops))
+		for i, ss := range hops {
+			if ss != nil {
+				cp[i] = ss.Clone()
+			}
+		}
+		c.freqs[q][f] = cp
+	}
+	for q, byFlow := range r.cnts {
+		if vs, ok := byFlow[f]; ok {
+			c.cnts[q][f] = vs[:len(vs):len(vs)]
+		}
+	}
 }
 
 // Merge adopts every flow of o into r. The two recordings must serve the
@@ -513,37 +561,62 @@ func (r *Recording) RouteChanged(q *PathQuery, flow FlowKey, threshold int) bool
 // `hop` (1-based) for the flow, decoded back to value units. The result
 // carries both sampling error (Theorem 1) and compression error (§4.3).
 func (r *Recording) LatencyQuantile(q *LatencyQuery, flow FlowKey, hop int, phi float64) (float64, error) {
+	out, err := r.LatencyQuantiles(q, flow, hop, phi)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
+// LatencyQuantiles answers several quantiles of one (flow, hop) at once,
+// each exactly what LatencyQuantile returns for it, doing the per-store
+// preparation once: raw storage copies and sorts its samples once, a KLL
+// sketch builds its weighted list once. A sliding-window store still runs
+// one SlidingKLL.Quantile per phi, in the order given — the only query in
+// the repository that draws from an RNG, so the order is part of the
+// answer.
+func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
 	hops := r.lats[q][flow]
 	if hops == nil || hop < 1 || hop > len(hops) {
-		return 0, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
+		return nil, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
 	}
 	st := hops[hop-1]
-	var code float64
+	var codes []float64
 	if st.win != nil {
 		if st.win.WindowCount() == 0 {
-			return 0, fmt.Errorf("core: empty window for hop %d", hop)
+			return nil, fmt.Errorf("core: empty window for hop %d", hop)
 		}
-		q2, err := st.win.Quantile(phi)
-		if err != nil {
-			return 0, err
+		codes = make([]float64, len(phis))
+		for i, phi := range phis {
+			code, err := st.win.Quantile(phi)
+			if err != nil {
+				return nil, err
+			}
+			codes[i] = code
 		}
-		code = q2
 	} else if st.kll != nil {
 		if st.kll.Count() == 0 {
-			return 0, fmt.Errorf("core: empty sketch for hop %d", hop)
+			return nil, fmt.Errorf("core: empty sketch for hop %d", hop)
 		}
-		code = st.kll.Quantile(phi)
+		codes = st.kll.Quantiles(phis...)
 	} else {
 		if len(st.raw) == 0 {
-			return 0, fmt.Errorf("core: no samples for hop %d", hop)
+			return nil, fmt.Errorf("core: no samples for hop %d", hop)
 		}
 		fs := make([]float64, len(st.raw))
 		for i, c := range st.raw {
 			fs[i] = float64(c)
 		}
-		code = sketch.ExactQuantile(fs, phi)
+		sort.Float64s(fs)
+		codes = make([]float64, len(phis))
+		for i, phi := range phis {
+			codes[i] = sketch.SortedQuantile(fs, phi)
+		}
 	}
-	return q.Decode(uint64(code + 0.5)), nil
+	for i, code := range codes {
+		codes[i] = q.Decode(uint64(code + 0.5))
+	}
+	return codes, nil
 }
 
 // LatencySamples returns how many samples hop `hop` has accumulated.

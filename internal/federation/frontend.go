@@ -497,8 +497,9 @@ func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 		collector.WriteJSON(w, map[string]any{"errors": errs, "flows": merged})
 		return
 	}
-	// Healthy path: the body is byte-identical to a single collector's.
-	collector.WriteJSON(w, map[string]any{"flows": merged})
+	// Healthy path: the body is byte-identical to a single collector's,
+	// written by the same streaming writer.
+	collector.WriteSnapshot(w, merged)
 }
 
 // mergeDisjoint k-way-merges per-node flow lists by ascending flow key.

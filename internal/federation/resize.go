@@ -28,8 +28,9 @@ import (
 //     members. A nudged exporter flushes and closes cleanly, so a clean
 //     quiesce means everything sent is ingested and (sessions closed ⇒
 //     deferred sink flush ran) visible to snapshots.
-//  4. Plan: collect every live flow and run Rebalance — exactly the
-//     flows whose rendezvous home changed, nothing else.
+//  4. Plan: list every member's flow keys (Sink.Flows — keys only, no
+//     flow's state is copied) and run Rebalance — exactly the flows
+//     whose rendezvous home changed, nothing else.
 //  5. Migrate: each losing member drains the moving flows' states
 //     (ExportFlows — drain + evict, atomic per flow) and ships them to
 //     the new homes over hand-off sessions at the new epoch
@@ -90,15 +91,12 @@ func (f *Fleet) Resize(ctx context.Context, n int) ([]Move, error) {
 	flowsAt := make(map[string]map[core.FlowKey]bool, oldN)
 	var allFlows []core.FlowKey
 	for _, m := range f.Members[:oldN] {
-		rec, err := m.Sink.Snapshot().Merged()
-		if err != nil {
-			return nil, fmt.Errorf("federation: resize: snapshotting %s: %w", m.Name, err)
-		}
-		set := make(map[core.FlowKey]bool)
-		for _, flow := range rec.Flows() {
+		flows := m.Sink.Flows()
+		set := make(map[core.FlowKey]bool, len(flows))
+		for _, flow := range flows {
 			set[flow] = true
-			allFlows = append(allFlows, flow)
 		}
+		allFlows = append(allFlows, flows...)
 		flowsAt[m.Name] = set
 	}
 	moves, err := Rebalance(oldMap, newMap, allFlows)

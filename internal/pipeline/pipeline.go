@@ -8,8 +8,10 @@
 //     pluggable EvictionPolicy (LRU, admission-order cap, idle timeout),
 //     and every evicted flow is surfaced through Config.OnEvict before
 //     its state is dropped, so finalized answers are never silently lost;
-//   - snapshot queries: Sink.Snapshot() returns a copy-on-read view whose
-//     queries run concurrently with ingestion, without a global flush;
+//   - snapshot queries: Sink.Snapshot() (every flow) and SnapshotFlows
+//     (the listed ones) return a view whose queries run concurrently with
+//     ingestion, without a global flush, at a cost in the flows asked for
+//     rather than the packets ingested;
 //   - a wire-friendly shape: Ingest consumes the same core.PacketDigest
 //     batches internal/wire marshals, so a remote tap's stream replays
 //     into the sink unchanged.
@@ -29,6 +31,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -115,7 +118,6 @@ type shard struct {
 	idx  int
 	ch   chan []core.PacketDigest
 	free chan []core.PacketDigest
-	snap chan chan *core.Recording
 	sync chan chan<- struct{}
 	ckpt chan ckptReq
 	exec chan execReq
@@ -170,23 +172,14 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	s := &Sink{engine: engine, cfg: cfg, shards: make([]*shard, cfg.Shards),
 		barrier: make(chan struct{}, cfg.Shards)}
 	for i := range s.shards {
-		rec, err := core.NewRecordingSeeded(engine, cfg.SketchItems, cfg.Base)
+		rec, err := newRecording(engine, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.WindowBuckets > 0 {
-			rec.WindowBuckets = cfg.WindowBuckets
-			rec.WindowSpan = cfg.WindowSpan
-		}
-		if cfg.FreqCounters > 0 {
-			rec.FreqCounters = cfg.FreqCounters
-		}
-		rec.MaxFlows = cfg.MaxFlows
 		sh := &shard{
 			idx:  i,
 			ch:   make(chan []core.PacketDigest, cfg.QueueDepth),
 			free: make(chan []core.PacketDigest, cfg.QueueDepth+1),
-			snap: make(chan chan *core.Recording),
 			sync: make(chan chan<- struct{}),
 			ckpt: make(chan ckptReq),
 			exec: make(chan execReq),
@@ -201,6 +194,25 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	s.istage = s.NewStage()
 	s.start()
 	return s, nil
+}
+
+// newRecording builds an empty Recording configured as cfg says — what
+// every shard starts from, and what stands in for a shard a flow-scoped
+// snapshot did not ask.
+func newRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
+	rec, err := core.NewRecordingSeeded(engine, cfg.SketchItems, cfg.Base)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.WindowBuckets > 0 {
+		rec.WindowBuckets = cfg.WindowBuckets
+		rec.WindowSpan = cfg.WindowSpan
+	}
+	if cfg.FreqCounters > 0 {
+		rec.FreqCounters = cfg.FreqCounters
+	}
+	rec.MaxFlows = cfg.MaxFlows
+	return rec, nil
 }
 
 // ShardCount returns the number of shards/workers.
@@ -328,9 +340,10 @@ func (s *Sink) Barrier() {
 
 // execReq asks a shard worker to run a callback against its live
 // Recording, on the worker goroutine, after draining everything queued.
+// It is the one worker-side request behind WithFlow, Snapshot and Flows.
 type execReq struct {
 	fn    func(*core.Recording) error
-	reply chan error
+	reply chan<- error
 }
 
 // WithFlow runs fn against the live Recording of the shard that owns
@@ -350,9 +363,43 @@ func (s *Sink) WithFlow(flow core.FlowKey, fn func(*core.Recording) error) error
 		return fn(sh.rec)
 	}
 	s.mu.Unlock()
-	req := execReq{fn: fn, reply: make(chan error)}
-	sh.exec <- req
-	return <-req.reply
+	reply := make(chan error)
+	sh.exec <- execReq{fn: fn, reply: reply}
+	return <-reply
+}
+
+// readShards runs fn(i, rec) for every shard i with want(i), against the
+// shard's live Recording on its worker goroutine at a batch boundary,
+// after the worker has drained its queue, and returns once all have run.
+// The requests fan out first, so the workers run concurrently: the wait
+// is the slowest shard's fn, not the sum. fn must only read rec (the
+// copies it takes are its own). Sink.mu is held throughout, which keeps
+// Close from retiring the workers under a request; after Close the
+// shards are quiescent and fn runs inline.
+func (s *Sink) readShards(want func(i int) bool, fn func(i int, rec *core.Recording)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		for i, sh := range s.shards {
+			if want(i) {
+				fn(i, sh.rec)
+			}
+		}
+		return
+	}
+	// One reply slot per shard: no worker waits on the requester.
+	reply := make(chan error, len(s.shards))
+	asked := 0
+	for i, sh := range s.shards {
+		if !want(i) {
+			continue
+		}
+		sh.exec <- execReq{fn: func(rec *core.Recording) error { fn(i, rec); return nil }, reply: reply}
+		asked++
+	}
+	for ; asked > 0; asked-- {
+		<-reply
+	}
 }
 
 // start launches one worker goroutine per shard.
@@ -372,19 +419,13 @@ func (s *Sink) start() {
 					case sh.free <- b[:0]:
 					default:
 					}
-				case req := <-sh.snap:
-					// Serve the snapshot only after draining everything
-					// already queued, so a snapshot taken after
-					// Ingest+Flush (from the ingester, or synchronized
-					// with it) observes all of it.
-					sh.drainPending(s.cfg.OnEvict, s.persister())
-					req <- sh.rec.Clone()
 				case req := <-sh.sync:
 					sh.drainPending(s.cfg.OnEvict, s.persister())
 					req <- struct{}{}
 				case req := <-sh.exec:
-					// Same discipline as snapshots: the callback must see a
-					// shard that has recorded everything dispatched to it.
+					// Serve the request only after draining everything already
+					// queued, so a snapshot taken after Ingest+Flush (from the
+					// ingester, or synchronized with it) observes all of it.
 					sh.drainPending(s.cfg.OnEvict, s.persister())
 					req.reply <- req.fn(sh.rec)
 				case req := <-sh.ckpt:
@@ -414,8 +455,8 @@ func (sh *shard) drainPending(onEvict func(Eviction, *core.Recording), p Persist
 		select {
 		case b, ok := <-sh.ch:
 			if !ok {
-				// Close is serialized against Snapshot by Sink.mu, so the
-				// channel cannot close mid-snapshot; guard anyway.
+				// Close is serialized against readShards by Sink.mu, so the
+				// channel cannot close mid-request; guard anyway.
 				return
 			}
 			sh.consume(b, onEvict, p)
@@ -466,34 +507,64 @@ func (sh *shard) consume(b []core.PacketDigest, onEvict func(Eviction, *core.Rec
 	}
 }
 
-// Snapshot returns a copy-on-read view of every shard's Recording, safe
+// Snapshot returns a view of every flow of every shard's Recording, safe
 // to take from any goroutine while ingestion continues. Each worker
 // clones at a batch boundary after draining its queue, so the snapshot
 // includes at least every packet dispatched (Ingest of a full batch, or
 // Flush) before the call, happens-before respected. See Snapshot's doc
-// for its own concurrency contract.
-func (s *Sink) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// for what the view shares with the live shards and its own concurrency
+// contract.
+func (s *Sink) Snapshot() *Snapshot { return s.SnapshotFlows(nil) }
+
+// SnapshotFlows is Snapshot restricted to the listed flows (nil means
+// every flow): only the shards that own a listed flow are asked, and each
+// clones only its listed flows, so the cost follows the flows asked for —
+// a point query touches one flow on one shard however much the sink
+// holds. The view answers for the listed flows exactly as a full
+// snapshot taken at the same instant would, and reports every other flow
+// as untracked.
+func (s *Sink) SnapshotFlows(flows []core.FlowKey) *Snapshot {
 	recs := make([]*core.Recording, len(s.shards))
-	if s.closed {
-		// Workers are gone; their Recordings are quiescent.
-		for i, sh := range s.shards {
-			recs[i] = sh.rec.Clone()
+	var byShard [][]core.FlowKey
+	if flows != nil {
+		byShard = make([][]core.FlowKey, len(s.shards))
+		for _, f := range flows {
+			i := s.shardOf(f).idx
+			byShard[i] = append(byShard[i], f)
 		}
-		return &Snapshot{recs: recs}
 	}
-	// Fan the requests out first so the workers clone concurrently;
-	// snapshot latency is then the slowest shard's clone, not the sum.
-	replies := make([]chan *core.Recording, len(s.shards))
-	for i, sh := range s.shards {
-		replies[i] = make(chan *core.Recording, 1)
-		sh.snap <- replies[i]
-	}
-	for i := range replies {
-		recs[i] = <-replies[i]
+	s.readShards(
+		func(i int) bool { return flows == nil || len(byShard[i]) > 0 },
+		func(i int, rec *core.Recording) {
+			if flows == nil {
+				recs[i] = rec.Clone()
+			} else {
+				recs[i] = rec.CloneFlows(byShard[i])
+			}
+		})
+	for i := range recs {
+		if recs[i] == nil {
+			// A shard nobody asked contributes no flows. An empty Recording
+			// in its slot keeps routing, Merged and every accessor uniform.
+			// The configuration built the shards, so it cannot fail here.
+			recs[i], _ = newRecording(s.engine, s.cfg)
+		}
 	}
 	return &Snapshot{recs: recs}
+}
+
+// Flows lists every tracked flow in sorted key order without copying any
+// flow's state — what a resize planner needs, and all it needs. Like
+// Snapshot it may be called from any goroutine while ingestion continues
+// and reflects everything dispatched before the call.
+func (s *Sink) Flows() []core.FlowKey {
+	perShard := make([][]core.FlowKey, len(s.shards))
+	s.readShards(
+		func(int) bool { return true },
+		func(i int, rec *core.Recording) { perShard[i] = rec.Flows() })
+	out := slices.Concat(perShard...)
+	slices.Sort(out)
+	return out
 }
 
 // ShardStats is one shard's ingest counters.

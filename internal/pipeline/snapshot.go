@@ -6,25 +6,44 @@ import (
 	"repro/internal/sketch"
 )
 
-// Snapshot is a copy-on-read view of the sink's per-shard Recordings: the
-// answer methods of Sink, answerable while ingestion keeps running. Each
-// shard worker deep-clones its Recording at a batch boundary, so a
-// snapshot is internally consistent per flow (never mid-packet) and
-// reflects every packet dispatched to the workers before Snapshot was
-// called from the ingesting goroutine (Flush first to include buffered
-// packets). Packets ingested after the call may or may not be visible.
+// Snapshot is a point-in-time view of the sink's per-shard Recordings:
+// the answer methods of Sink, answerable while ingestion keeps running.
+// Each shard worker clones its Recording (core.Recording.Clone) at a
+// batch boundary, so a snapshot is internally consistent per flow (never
+// mid-packet) and reflects every packet dispatched to the workers before
+// Snapshot was called from the ingesting goroutine (Flush first to
+// include buffered packets). Packets ingested after the call may or may
+// not be visible.
 //
-// A Snapshot is immutable from the sink's point of view — it shares no
-// mutable state with the workers — but its own query methods are not safe
-// for concurrent use with each other (sketch queries advance RNG state);
-// give each querying goroutine its own Snapshot.
+// What a snapshot shares with the live shard: the backing arrays of the
+// three per-packet series (raw latency samples, util values, count
+// values), which it holds as length-and-capacity-clamped prefixes. That
+// is safe because those series are append-only — the worker writes only
+// past the prefix, and an append through the snapshot reallocates — so
+// neither side can see the other's writes; everything that is mutated in
+// place (path decoders, KLL and sliding-window sketches, Space Saving
+// summaries) the snapshot owns outright. Taking one therefore costs in
+// the flows it covers, not in the packets they carried.
+//
+// A flow-scoped snapshot (Sink.SnapshotFlows) covers only the flows it
+// was asked for; any other flow reads as untracked, and a shard that
+// owns none of them contributes an empty Recording.
+//
+// Every query method only reads the snapshot, with one exception: a
+// latency quantile over sliding-window storage (sketch.SlidingKLL.
+// Quantile) draws from that (flow, hop) store's RNG. Goroutines may
+// therefore share a Snapshot freely unless the sink uses WindowBuckets
+// and they ask latency quantiles of the same flow; give such readers a
+// Snapshot each (and expect a repeated windowed quantile on one Snapshot
+// to differ within the sketch's error, as the draws advance).
 type Snapshot struct {
 	recs []*core.Recording
 }
 
-// shardOf mirrors Sink.shardOf so a flow resolves to the same Recording.
+// shardOf resolves a flow to the Recording of its shard by the sink's
+// own routing function.
 func (s *Snapshot) shardOf(flow core.FlowKey) *core.Recording {
-	return s.recs[hash.Mix64(uint64(flow))%uint64(len(s.recs))]
+	return s.recs[hash.ShardOf(uint64(flow), uint64(len(s.recs)))]
 }
 
 // Recording exposes the cloned Recording that owns a flow's state.
@@ -46,7 +65,10 @@ func (s *Snapshot) TrackedFlows() int {
 
 // Merged folds the snapshot's per-shard Recordings into one, consuming
 // the snapshot — the form to ship to a single downstream store. Shards
-// hold disjoint flows, so the merge is pure adoption.
+// hold disjoint flows, so the merge is pure adoption; a shard that a
+// flow-scoped snapshot did not ask is an empty Recording and adds
+// nothing. Afterwards the snapshot holds the one merged Recording and
+// its per-flow accessors keep answering from it.
 func (s *Snapshot) Merged() (*core.Recording, error) {
 	merged := s.recs[0]
 	for _, rec := range s.recs[1:] {

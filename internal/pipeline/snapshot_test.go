@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -144,5 +146,107 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
 		compareFlow(t, 4, sink, snap, flow, k, path, lat, util, freq, cnt)
+	}
+}
+
+// TestSnapshotFlowsMatchesRebuilt pins the flow-scoped snapshot against
+// an independent oracle: at several prefixes of a stream, for shards
+// {1,2,4} and raw / KLL / sliding-window storage, SnapshotFlows(subset)
+// answers every listed flow exactly like a serial Recording rebuilt from
+// scratch from the same prefix, reports every other flow as untracked,
+// and — with most shards contributing nothing — still routes, merges and
+// counts correctly. Sink.Flows must list what the rebuilt Recording
+// tracks.
+func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
+	const (
+		nFlows = 12
+		k      = 6
+	)
+	flowKey := func(f int) core.FlowKey { return core.FlowKey(uint64(f)*2654435761 + 1) }
+	for _, v := range []struct {
+		name          string
+		sketch, win   int
+		span          uint64
+		flowsInSubset []int
+	}{
+		{name: "raw", flowsInSubset: []int{3}},
+		{name: "sketched", sketch: 24, flowsInSubset: []int{0, 5, 7}},
+		{name: "windowed", sketch: 24, win: 4, span: 32, flowsInSubset: []int{11, 2}},
+	} {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
+				eng, path, lat, util, freq, cnt := testPlan(t, 701)
+				pkts := encodeWorkload(eng, 29, nFlows, 120, k)
+				cfg := Config{Shards: shards, BatchSize: 16, SketchItems: v.sketch,
+					WindowBuckets: v.win, WindowSpan: v.span, Base: 0x5EED}
+				sink, err := NewSink(eng, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sink.Close()
+				rebuilt := func(n int) *core.Recording {
+					rec, err := newRecording(eng, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := rec.RecordBatch(pkts[:n]); err != nil {
+						t.Fatal(err)
+					}
+					return rec
+				}
+				// An unknown flow rides along in every request.
+				asked := []core.FlowKey{0xDEAD0000BEEF}
+				for _, f := range v.flowsInSubset {
+					asked = append(asked, flowKey(f))
+				}
+				fed := 0
+				for _, n := range []int{0, 5, 100, 101, 700, len(pkts)} {
+					sink.Ingest(pkts[fed:n])
+					sink.Flush()
+					fed = n
+
+					ref := rebuilt(n)
+					if got, want := sink.Flows(), ref.Flows(); !slices.Equal(got, want) {
+						t.Fatalf("prefix %d: Flows() = %v, rebuilt tracks %v", n, got, want)
+					}
+					snap := sink.SnapshotFlows(asked)
+					if got := snap.ShardCount(); got != shards {
+						t.Fatalf("prefix %d: scoped snapshot has %d shard slots, want %d", n, got, shards)
+					}
+					tracked := 0
+					for _, flow := range asked {
+						if ref.HasFlow(flow) {
+							tracked++
+						}
+						compareFlow(t, shards, ref, snap, flow, k, path, lat, util, freq, cnt)
+					}
+					if got := snap.TrackedFlows(); got != tracked {
+						t.Fatalf("prefix %d: scoped snapshot tracks %d flows, want %d", n, got, tracked)
+					}
+					// A flow outside the list reads as untracked, wherever it lives.
+					if other := flowKey(1); snap.Recording(other).HasFlow(other) {
+						t.Fatalf("prefix %d: unlisted flow %d visible in a scoped snapshot", n, other)
+					}
+
+					// Merged over a second scoped snapshot (the first has been
+					// queried, and windowed quantiles draw): same answers.
+					merged, err := sink.SnapshotFlows(asked).Merged()
+					if err != nil {
+						t.Fatalf("prefix %d: merging a scoped snapshot: %v", n, err)
+					}
+					ref = rebuilt(n)
+					for _, flow := range asked {
+						compareFlow(t, shards, ref, merged, flow, k, path, lat, util, freq, cnt)
+					}
+					if got := merged.TrackedFlows(); got != tracked {
+						t.Fatalf("prefix %d: merged scoped snapshot tracks %d flows, want %d", n, got, tracked)
+					}
+				}
+				// An empty, non-nil list asks nobody and yields an empty view.
+				if got := sink.SnapshotFlows([]core.FlowKey{}).TrackedFlows(); got != 0 {
+					t.Fatalf("empty flow list: snapshot tracks %d flows", got)
+				}
+			})
+		}
 	}
 }

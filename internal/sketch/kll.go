@@ -144,7 +144,28 @@ func (s *KLL) weighted() ([]float64, []uint64) {
 // Quantile returns an estimate of the phi-quantile (phi in [0,1]).
 // It returns NaN on an empty sketch.
 func (s *KLL) Quantile(phi float64) float64 {
+	return s.Quantiles(phi)[0]
+}
+
+// Quantiles estimates several quantiles from one pass over the sketch:
+// the sorted weighted list is built once and each phi reads it. Every
+// result equals Quantile's for the same phi.
+func (s *KLL) Quantiles(phis ...float64) []float64 {
 	vs, ws := s.weighted()
+	var totalW uint64
+	for _, w := range ws {
+		totalW += w
+	}
+	out := make([]float64, len(phis))
+	for i, phi := range phis {
+		out[i] = weightedQuantile(vs, ws, totalW, phi)
+	}
+	return out
+}
+
+// weightedQuantile reads the phi-quantile off a value-sorted weighted
+// list whose weights sum to totalW (NaN when the list is empty).
+func weightedQuantile(vs []float64, ws []uint64, totalW uint64, phi float64) float64 {
 	if len(vs) == 0 {
 		return math.NaN()
 	}
@@ -153,10 +174,6 @@ func (s *KLL) Quantile(phi float64) float64 {
 	}
 	if phi > 1 {
 		phi = 1
-	}
-	var totalW uint64
-	for _, w := range ws {
-		totalW += w
 	}
 	target := phi * float64(totalW)
 	var cum float64
@@ -230,22 +247,29 @@ func (s *KLL) Merge(o *KLL) {
 // ExactQuantile computes the phi-quantile of a slice exactly (for ground
 // truth in tests and experiment error reporting). It does not modify vs.
 func ExactQuantile(vs []float64, phi float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
 	cp := append([]float64(nil), vs...)
 	sort.Float64s(cp)
+	return SortedQuantile(cp, phi)
+}
+
+// SortedQuantile is ExactQuantile over a slice that is already sorted
+// ascending: no copy, no sort, so a caller wanting several quantiles of
+// one sample set sorts once.
+func SortedQuantile(sorted []float64, phi float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
 	if phi <= 0 {
-		return cp[0]
+		return sorted[0]
 	}
 	if phi >= 1 {
-		return cp[len(cp)-1]
+		return sorted[len(sorted)-1]
 	}
-	idx := int(math.Ceil(phi*float64(len(cp)))) - 1
+	idx := int(math.Ceil(phi*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return cp[idx]
+	return sorted[idx]
 }
 
 // ExactRank returns the number of elements <= v.

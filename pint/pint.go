@@ -57,6 +57,7 @@
 //	sink.Ingest(pkts)           // from the tap, forever
 //	snap := sink.Snapshot()     // from any goroutine, no flush needed
 //	ids, done := snap.Path(q, flow)
+//	one := sink.SnapshotFlows([]pint.FlowKey{flow}) // cost of one flow, not of the sink
 //
 // # Collector daemon and multi-tenant QoS
 //
@@ -243,8 +244,15 @@ func NewShardedSink(engine *Engine, cfg ShardConfig) (*ShardedSink, error) {
 	return pipeline.NewSink(engine, cfg)
 }
 
-// Snapshot is a copy-on-read view of a ShardedSink's state: its query
+// Snapshot is a point-in-time view of a ShardedSink's state: its query
 // methods answer concurrently with ingestion, without a global flush.
+// It owns everything that is mutated in place (decoders, sketches) and
+// shares with the live shards only the append-only per-packet series, as
+// length-and-capacity-clamped prefixes neither side can write through —
+// so taking one costs in flows, not packets (SnapshotFlows: in the flows
+// asked for). Queries only read the snapshot, except latency quantiles
+// over sliding-window storage, which draw from the queried (flow, hop)
+// store's RNG: do not ask those of one flow from two goroutines at once.
 type Snapshot = pipeline.Snapshot
 
 // EvictionPolicy bounds a ShardedSink shard's flow table; see NewLRU,
