@@ -1,10 +1,9 @@
-// Per-figure benchmark harness: one Benchmark per table/figure of the
-// paper (see README.md for the index). Each benchmark runs the full
-// experiment at bench scale and reports the figure's headline quantities
-// through b.ReportMetric, so `go test -bench=. -benchmem` regenerates the
-// whole evaluation. Absolute numbers differ from the paper's testbed; the
-// shapes (who wins, by what factor, where crossovers fall) are what is
-// reproduced.
+// Benchmarks of the system's layers — encode hot path, sink ingest, wire
+// codec, collector sockets, admission, fleet hand-off — the numbers the
+// bench gate (cmd/benchgate, bench_baseline.txt) reads, plus the §4
+// ablations and Appendix A.4's loop-detector trade-off, which no scenario
+// owns yet. The paper's figures and tables are not here: the scenario
+// registry owns them (`go run ./cmd/pintfig -run all`).
 package repro
 
 import (
@@ -24,202 +23,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/segstore"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
-
-func benchScale() experiments.Scale {
-	s := experiments.Bench()
-	s.Trials = 100
-	return s
-}
-
-// BenchmarkFig01_02_FCTvsOverhead regenerates Figures 1 and 2: normalized
-// FCT and long-flow goodput as the per-packet overhead sweeps 28..108B at
-// 30% and 70% load.
-func BenchmarkFig01_02_FCTvsOverhead(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig01_02(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Load == 0.7 && p.OverheadBytes == 108 {
-				b.ReportMetric(p.NormFCT, "normFCT@108B,70%")
-				b.ReportMetric(p.NormGoodput, "normGoodput@108B,70%")
-			}
-		}
-	}
-}
-
-// BenchmarkFig05_CodingSchemes regenerates Figure 5: Baseline vs XOR vs
-// Hybrid decode progress for k=d=25.
-func BenchmarkFig05_CodingSchemes(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		curves, err := experiments.Fig05(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Decode probability at the 100-packet mark, per scheme.
-		idx := len(curves[0].Packets) * 96 / 200
-		for _, c := range curves {
-			b.ReportMetric(c.DecodeProb[idx], metric("P(dec)@100pkts:", c.Scheme))
-		}
-	}
-}
-
-// BenchmarkTab42_CodingMedians regenerates the §4.2 packets-to-decode
-// order statistics (Baseline median ~89, Hybrid ~41 for k=25) plus the
-// LNC comparator.
-func BenchmarkTab42_CodingMedians(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.CodingMedians(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 5 {
-			b.Fatal("missing schemes")
-		}
-	}
-}
-
-// BenchmarkFig07a_GoodputGain regenerates Figure 7(a): HPCC(PINT) vs
-// HPCC(INT) long-flow goodput across loads.
-func BenchmarkFig07a_GoodputGain(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig07a(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Load == 0.7 {
-				b.ReportMetric(p.GainPercent, "gain%@70%load")
-			}
-		}
-	}
-}
-
-// BenchmarkFig07b_SlowdownWebSearch regenerates Figure 7(b).
-func BenchmarkFig07b_SlowdownWebSearch(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		sr, err := experiments.Fig07bc(s, workload.WebSearch())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLastBin(b, sr)
-	}
-}
-
-// BenchmarkFig07c_SlowdownHadoop regenerates Figure 7(c).
-func BenchmarkFig07c_SlowdownHadoop(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		sr, err := experiments.Fig07bc(s, workload.Hadoop())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLastBin(b, sr)
-	}
-}
-
-func reportLastBin(b *testing.B, sr []experiments.SlowdownSeries) {
-	b.Helper()
-	for _, s := range sr {
-		last := s.P95[len(s.P95)-1]
-		b.ReportMetric(last, metric("p95slowdown-long:", s.Name))
-	}
-}
-
-// BenchmarkFig08_FeedbackFraction regenerates Figure 8: PINT-HPCC at
-// p = 1, 1/16, 1/256.
-func BenchmarkFig08_FeedbackFraction(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		sr, err := experiments.Fig08(s, workload.Hadoop())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLastBin(b, sr)
-	}
-}
-
-// BenchmarkFig09_LatencyQuantiles regenerates Figure 9 (the Hadoop median
-// panel of each row; cmd/pintfig prints all six).
-func BenchmarkFig09_LatencyQuantiles(b *testing.B) {
-	s := benchScale()
-	s.Trials = 20
-	for i := 0; i < b.N; i++ {
-		bySample, err := experiments.Fig09(s, experiments.Fig09Panel{
-			Workload: "hadoop", Quantile: 0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range bySample {
-			b.ReportMetric(sr.Points[len(sr.Points)-1].RelErr, metric("err%@1000pkts:", sr.Name))
-		}
-		bySketch, err := experiments.Fig09(s, experiments.Fig09Panel{
-			Workload: "hadoop", Quantile: 0.5, BySketch: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range bySketch {
-			b.ReportMetric(sr.Points[1].RelErr, metric("err%@100B:", sr.Name))
-		}
-	}
-}
-
-// BenchmarkFig10a_PathTracingKentucky regenerates Figure 10(a)/(d).
-func BenchmarkFig10a_PathTracingKentucky(b *testing.B) {
-	benchFig10(b, experiments.TopoKentucky, 54)
-}
-
-// BenchmarkFig10b_PathTracingUSCarrier regenerates Figure 10(b)/(e).
-func BenchmarkFig10b_PathTracingUSCarrier(b *testing.B) {
-	benchFig10(b, experiments.TopoUSCarrier, 36)
-}
-
-// BenchmarkFig10c_PathTracingFatTree regenerates Figure 10(c)/(f).
-func BenchmarkFig10c_PathTracingFatTree(b *testing.B) {
-	benchFig10(b, experiments.TopoFatTree, 5)
-}
-
-func benchFig10(b *testing.B, topo experiments.Fig10Topology, maxLen int) {
-	b.Helper()
-	s := benchScale()
-	s.Trials = 30
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig10(s, topo)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.PathLen == maxLen {
-				b.ReportMetric(p.Mean, metric("meanPkts@", itoa(maxLen), ":", p.Scheme))
-			}
-		}
-	}
-}
-
-// BenchmarkFig11_Combined regenerates Figure 11: the three-query
-// 16-bit-budget execution plan vs solo baselines.
-func BenchmarkFig11_Combined(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.MeanSlowdown, "meanSlowdown:"+r.Name)
-			b.ReportMetric(r.PathMeanPackets, "pathPkts:"+r.Name)
-			b.ReportMetric(r.MedianLatErrPct, "medLatErr%:"+r.Name)
-		}
-	}
-}
 
 // BenchmarkAppA4_LoopDetect regenerates Appendix A.4's false-positive
 // trade-off.
@@ -938,7 +742,7 @@ func BenchmarkFleetHandoff(b *testing.B) {
 
 	// Seed the source through a normal exporter session, then wait for
 	// the read loop to drain it.
-	ex, err := collector.Dial(src.Addr().String(), collector.HelloFor(eng, 1, "seed"))
+	ex, err := collector.Connect(eng, 1, "seed", collector.WithAddrs(src.Addr().String()))
 	if err != nil {
 		b.Fatal(err)
 	}

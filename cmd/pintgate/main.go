@@ -7,21 +7,30 @@
 //
 // Usage:
 //
-//	pintgate -nodes 127.0.0.1:9778,127.0.0.1:9878        front two pintd HTTP endpoints
-//	pintgate -http 127.0.0.1:9700                        explicit listen address
-//	pintgate -timeout 5s                                 per-node fan-out bound
+//	pintgate -fleetmap fleet.json                        front the fleet the map describes
+//	pintgate -fleetmap fleet.json -http 127.0.0.1:9700   explicit listen address
+//	pintgate -fleetmap fleet.json -timeout 5s            per-node fan-out bound
+//
+// The fleet map is the one description of the deployment — the epoch and,
+// per member, a stable name, the exporter ingest address and the query
+// URL:
+//
+//	{"epoch": 7, "members": [
+//	  {"name": "pintd-a", "ingest": "127.0.0.1:9777", "query": "http://127.0.0.1:9778"},
+//	  {"name": "pintd-b", "ingest": "127.0.0.1:9877", "query": "http://127.0.0.1:9878"}]}
+//
+// The gate fans queries out to the members' query URLs, serves the map on
+// GET /fleetmap (exporters — cmd/pintload -gate — fetch it for addresses,
+// routing and epoch, and again to follow a live resize), accepts the next
+// epoch's map on POST /fleetmap from a resize coordinator, and excludes
+// any member answering from a different epoch ("epoch_stale" in the error
+// list) instead of merging across two partitionings.
 //
 // The fleet members hold disjoint flow sets (exporters route each flow to
-// its consistent-hash home; see cmd/pintload -addr a,b,c and the README's
+// the home the map derives from the member names; see the README's
 // federated-deployment section), so the /snapshot merge is a k-way merge
 // by flow key — byte-identical to one collector that ingested everything.
 // On SIGTERM/SIGINT the gate stops serving and exits 0.
-//
-// With -fleetmap the gate also serves the fleet's epoch-versioned map on
-// GET /fleetmap (exporters fetch it to follow a live resize), accepts
-// the next epoch's map on POST /fleetmap from a resize coordinator, and
-// excludes any member answering from a different epoch ("epoch_stale" in
-// the error list) instead of merging across two partitionings.
 package main
 
 import (
@@ -33,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,53 +51,36 @@ import (
 
 func main() {
 	httpAddr := flag.String("http", "127.0.0.1:9700", "HTTP address for the merged /healthz, /stats, /snapshot")
-	nodes := flag.String("nodes", "", "comma-separated fleet member HTTP endpoints (host:port or http://host:port)")
-	mapFile := flag.String("fleetmap", "", "JSON fleet map file (epoch + members); enables /fleetmap and epoch staleness checks")
+	mapFile := flag.String("fleetmap", "", "JSON fleet map file (epoch + members): the fleet to front, served on /fleetmap")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-node fan-out request bound")
 	grace := flag.Duration("grace", 5*time.Second, "drain grace period on SIGTERM/SIGINT")
 	flag.Parse()
 
 	log.SetFlags(0)
-	opts := []federation.FrontendOption{federation.WithTimeout(*timeout)}
-	var urls []string
-	for _, n := range strings.Split(*nodes, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if !strings.HasPrefix(n, "http://") && !strings.HasPrefix(n, "https://") {
-			n = "http://" + n
-		}
-		urls = append(urls, n)
+	if *mapFile == "" {
+		log.Fatalf("pintgate: -fleetmap is required (a JSON fleet map: epoch + members)")
 	}
-	if len(urls) > 0 {
-		opts = append(opts, federation.WithMembers(urls...))
-	}
-	if *mapFile != "" {
-		raw, err := os.ReadFile(*mapFile)
-		if err != nil {
-			log.Fatalf("pintgate: %v", err)
-		}
-		fm, err := federation.ParseFleetMap(raw)
-		if err != nil {
-			log.Fatalf("pintgate: %s: %v", *mapFile, err)
-		}
-		opts = append(opts, federation.WithFleetMap(fm))
-	}
-	fe, err := federation.NewFrontend(opts...)
+	raw, err := os.ReadFile(*mapFile)
 	if err != nil {
-		log.Fatalf("pintgate: %v (pass the fleet's HTTP endpoints via -nodes, or a map via -fleetmap)", err)
+		log.Fatalf("pintgate: %v", err)
 	}
-	urls = fe.Nodes
+	fm, err := federation.ParseFleetMap(raw)
+	if err != nil {
+		log.Fatalf("pintgate: %s: %v", *mapFile, err)
+	}
+	fe, err := federation.NewFrontend(federation.WithFleetMap(fm), federation.WithTimeout(*timeout))
+	if err != nil {
+		log.Fatalf("pintgate: %v", err)
+	}
 
 	ln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
 		log.Fatalf("pintgate: %v", err)
 	}
 	srv := collector.HardenedHTTPServer(fe.Handler())
-	fmt.Printf("pintgate: serving on %s, fronting %d nodes\n", ln.Addr(), len(urls))
-	for i, u := range urls {
-		fmt.Printf("pintgate: node %d: %s\n", i, u)
+	fmt.Printf("pintgate: serving on %s, fronting %d nodes (epoch %d)\n", ln.Addr(), len(fm.Members), fm.Epoch)
+	for i, m := range fm.Members {
+		fmt.Printf("pintgate: node %d: %s %s\n", i, m.Name, m.Query)
 	}
 
 	serveErr := make(chan error, 1)

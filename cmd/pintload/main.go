@@ -10,25 +10,22 @@
 //	pintload -addr :9777 -exporters 16 -flows 64       16 switches, 64 flows each
 //	pintload -addr :9777 -pkts 5000 -batch 512         5000 pkts/flow, 512/frame
 //	pintload -addr :9777 -seed 3 -k 7                  must match pintd's -seed/-k
-//	pintload -addr 127.0.0.1:9777,127.0.0.1:9877 -epoch 7
-//	                                                   federated: route each flow to its
-//	                                                   consistent-hash home; all daemons
-//	                                                   must run the same -epoch
-//	pintload -gate http://127.0.0.1:9700               elastic: fetch the fleet map from
-//	                                                   pintgate's /fleetmap, route by its
-//	                                                   epoch, and re-home live on resize
+//	pintload -gate http://127.0.0.1:9700               a fleet: fetch its map from
+//	                                                   pintgate's /fleetmap, route by it,
+//	                                                   and re-home live on resize
 //	pintload -addr :9777 -duration 10s                 steady state: replay at full rate
 //	                                                   for 10s, report per-connection and
 //	                                                   aggregate Mpkt/s
 //	pintload -addr :9777 -duration 10s -coalesce 16384 coalesce frames into >=16kB writes
 //	pintload -addr :9777 -tenant team-a                label every session with a QoS tenant
 //
-// With a comma-separated -addr list every simulated switch opens one
-// session per fleet member and routes each flow to its home collector by
-// consistent hash over the address list — so all of a flow's digests land
-// on one node and per-flow decode state never splits. Every component of
-// one deployment must pass the identical list (order included) and the
-// same -epoch; a daemon on a different epoch refuses the session.
+// -addr names one standalone pintd (no -epoch on the daemon). A fleet is
+// described only by its fleet map, which -gate fetches: every simulated
+// switch opens one session per member at the map's epoch and routes each
+// flow to the home the map derives from the member names — so all of a
+// flow's digests land on one node and per-flow decode state never
+// splits, and every exporter and the gate agree on the homes because
+// they hold the same document.
 //
 // It reports wall clock, pkts/s, and wire bytes/pkt when every exporter
 // has finished. The plan seed and hop count must match the daemons' —
@@ -49,16 +46,23 @@ import (
 	"repro/internal/federation"
 )
 
+// standalone is the roster of -addr: one pintd outside any fleet, home
+// of every flow, at epoch 0.
+type standalone string
+
+func (a standalone) FleetEpoch() uint64        { return 0 }
+func (a standalone) IngestAddrs() []string     { return []string{string(a)} }
+func (a standalone) FlowHome(core.FlowKey) int { return 0 }
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9777", "pintd exporter-session address, or a comma-separated fleet list")
-	gate := flag.String("gate", "", "pintgate base URL: fetch the fleet map from its /fleetmap and follow live resizes (overrides -addr and -epoch)")
+	addr := flag.String("addr", "127.0.0.1:9777", "exporter-session address of one standalone pintd")
+	gate := flag.String("gate", "", "pintgate base URL: fetch the fleet map from its /fleetmap and follow live resizes (overrides -addr)")
 	exporters := flag.Int("exporters", 4, "simulated switches (one TCP connection each, per fleet member)")
 	flows := flag.Int("flows", 8, "flows per exporter")
 	pkts := flag.Int("pkts", 1000, "packets per flow")
 	batch := flag.Int("batch", 256, "packets per frame")
 	seed := flag.Uint64("seed", 1, "testbench plan seed (must match pintd)")
 	k := flag.Int("k", 5, "flow hop count (must match pintd)")
-	epoch := flag.Uint64("epoch", 0, "cluster partitioning epoch (must match every pintd; 0 = standalone)")
 	duration := flag.Duration("duration", 0, "steady-state mode: replay the pre-encoded deployment at full rate for this long (0 = one-shot)")
 	coalesce := flag.Int("coalesce", 0, "write-coalescing threshold in bytes per session (0 = TCP_NODELAY immediate writes)")
 	tenant := flag.String("tenant", "", "QoS tenant label carried in every session handshake ('' = default tenant, v2 handshake)")
@@ -70,42 +74,24 @@ func main() {
 		log.Fatalf("pintload: %v", err)
 	}
 	tb.Tenant = *tenant
-	var (
-		addrs  []string
-		route  func(core.FlowKey) int
-		epochV = *epoch
-	)
+	var roster collector.FleetRoster = standalone(*addr)
 	if *gate != "" {
 		// Gate mode: the fleet map is the source of truth — addresses,
 		// routing, and epoch come from it, and the fetch stays installed
 		// so every session follows a mid-run resize.
-		fetch := fleetMapFetch(*gate)
-		tb.Fetch = fetch
-		roster, err := fetch()
-		if err != nil {
+		tb.Fetch = fleetMapFetch(*gate, fetchTimeout)
+		if roster, err = tb.Fetch(); err != nil {
 			log.Fatalf("pintload: fetching fleet map: %v", err)
 		}
-		addrs, route, epochV = roster.IngestAddrs(), roster.FlowHome, roster.FleetEpoch()
-	} else {
-		for _, a := range strings.Split(*addr, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		part, err := federation.NewPartitioner(addrs)
-		if err != nil {
-			log.Fatalf("pintload: %v", err)
-		}
-		route = part.Home
 	}
 	fmt.Printf("pintload: %d exporters x %d flows x %d packets -> %s (plan 0x%016x, epoch %d)\n",
-		*exporters, *flows, *pkts, strings.Join(addrs, " + "), tb.Engine.PlanHash(), epochV)
+		*exporters, *flows, *pkts, strings.Join(roster.IngestAddrs(), " + "), tb.Engine.PlanHash(), roster.FleetEpoch())
 	if *duration > 0 {
-		runSteadyState(tb, addrs, route, epochV, *exporters, *flows, *pkts, *batch, *coalesce, *duration)
+		runSteadyState(tb, roster, *exporters, *flows, *pkts, *batch, *coalesce, *duration)
 		return
 	}
 	start := time.Now()
-	packets, bytes, err := tb.StreamFleetDeployment(addrs, route, epochV, *exporters, *flows, *pkts, *batch)
+	packets, bytes, err := tb.StreamDeployment(roster, *exporters, *flows, *pkts, *batch)
 	if err != nil {
 		log.Fatalf("pintload: %v", err)
 	}
@@ -115,15 +101,10 @@ func main() {
 		float64(packets)/elapsed.Seconds(), float64(bytes)/float64(packets))
 }
 
-// runSteadyState is -duration mode: every exporter replays its
-// pre-encoded flows at full rate until the deadline, and the report
-// breaks the aggregate down per connection — the numbers that show
-// whether the collector's parallel ingest keeps every pipe busy or one
-// hot shard is back-pressuring a subset of them.
-func runSteadyState(tb *collector.Testbench, addrs []string, route func(core.FlowKey) int, epoch uint64,
+func runSteadyState(tb *collector.Testbench, roster collector.FleetRoster,
 	exporters, flows, pkts, batch, coalesce int, duration time.Duration) {
 	fmt.Printf("pintload: steady state for %v (coalesce %d bytes)\n", duration, coalesce)
-	loads, err := tb.StreamSteadyState(addrs, route, epoch, exporters, flows, pkts, batch, coalesce, duration)
+	loads, err := tb.StreamSteadyState(roster, exporters, flows, pkts, batch, coalesce, duration)
 	if err != nil {
 		log.Fatalf("pintload: %v", err)
 	}
@@ -144,15 +125,23 @@ func runSteadyState(tb *collector.Testbench, addrs []string, route func(core.Flo
 		float64(packets)/longest.Seconds()/1e6, float64(bytes)/float64(packets))
 }
 
+// fetchTimeout bounds one /fleetmap GET. A rerouting session polls the
+// fetch until collector's reroute deadline (60s) and checks that deadline
+// only between fetches, so a gate that accepts and never answers must
+// cost one short attempt, not the whole wait.
+const fetchTimeout = 5 * time.Second
+
 // fleetMapFetch returns a roster fetch that GETs the gate's /fleetmap —
-// the closure the exporter sessions poll when a resize fences them out.
-func fleetMapFetch(gate string) func() (collector.FleetRoster, error) {
+// the closure the exporter sessions poll when a resize fences them out —
+// giving each attempt at most timeout.
+func fleetMapFetch(gate string, timeout time.Duration) func() (collector.FleetRoster, error) {
 	base := strings.TrimRight(gate, "/")
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 		base = "http://" + base
 	}
+	client := &http.Client{Timeout: timeout}
 	return func() (collector.FleetRoster, error) {
-		resp, err := http.Get(base + "/fleetmap")
+		resp, err := client.Get(base + "/fleetmap")
 		if err != nil {
 			return nil, err
 		}

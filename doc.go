@@ -18,8 +18,8 @@
 // section — handshake-guarded plans, HTTP/JSON snapshots with
 // per-connection counters, graceful drain), the federated collector
 // tier (internal/federation, fronted by cmd/pintgate — a fleet of
-// daemons behind a consistent-hash flow partitioner with epoch-fenced
-// sessions and a merging query frontend whose answers stay byte-identical
+// daemons described by one epoch-versioned fleet map, which exporters
+// route by and carry the epoch of, and a merging query frontend whose answers stay byte-identical
 // to a single collector, degrading to explicit partial results when
 // members die — and, since the elastic-fleet layer, resizable live: an
 // epoch-versioned fleet map on /fleetmap, a minimal-move rebalance

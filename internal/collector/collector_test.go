@@ -126,7 +126,7 @@ func TestLoopbackBitIdentical(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	tb := mustTestbench(t, 11)
 	sink, srv := newServedSink(t, tb, 2)
-	ex, err := Dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "http-test"))
+	ex, err := dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "http-test"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestHTTPEndpoints(t *testing.T) {
 func TestPerConnStats(t *testing.T) {
 	tb := mustTestbench(t, 17)
 	_, srv := newServedSink(t, tb, 2)
-	exA, err := Dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "conn-a"))
+	exA, err := dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "conn-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exB, err := Dial(srv.Addr().String(), HelloFor(tb.Engine, 2, "conn-b"))
+	exB, err := dial(srv.Addr().String(), HelloFor(tb.Engine, 2, "conn-b"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Connect is the one options-based entry point for exporter-session
-// construction: single-node and fleet exporters share it, mirroring the
-// server side's collector.New(engine, WithSink(...)) pattern. The older
-// constructors (Dial, NewExporter, DialFleet) remain as thin
-// compatibility paths delegating to the same internals — new code should
-// use Connect:
+// Connect is the one way to open exporter sessions: a standalone
+// collector and a fleet share it, mirroring the server side's
+// collector.New(engine, WithSink(...)) pattern. Where the sessions go is
+// described once, by a FleetRoster — WithAddrs is the one-member roster
+// of a collector outside any fleet, WithFleetMap takes a fleet's map:
 //
 //	fe, err := collector.Connect(tb.Engine, 7, "tor-7",
 //	        collector.WithFleetMap(fm),          // addrs + routing + epoch from the map
@@ -27,8 +26,8 @@ import (
 // (wire.NudgeReroute) or refuses the next dial (wire.ErrEpochMismatch —
 // the recoverable ack); either way the exporter flushes what it sent,
 // closes cleanly (so nothing in flight is lost), polls the fetch until a
-// newer fleet map appears, re-partitions its unsent routing buffers
-// under the new map, and re-handshakes at the new epoch.
+// newer fleet map appears, re-handshakes at the new epoch, and
+// re-partitions its unsent routing buffers under the new map.
 
 // FleetRoster is the collector-tier view of a fleet configuration: an
 // epoch, the members' ingest addresses, and the flow→member routing.
@@ -46,39 +45,31 @@ type FleetRoster interface {
 	FlowHome(core.FlowKey) int
 }
 
+// standalone is the roster of one collector outside any fleet: every
+// flow is at home there, and the epoch is 0 (what a pintd started
+// without -epoch accepts).
+type standalone string
+
+func (a standalone) FleetEpoch() uint64        { return 0 }
+func (a standalone) IngestAddrs() []string     { return []string{string(a)} }
+func (a standalone) FlowHome(core.FlowKey) int { return 0 }
+
 // dialConfig is the resolved form of Connect's options.
 type dialConfig struct {
-	addrs    []string
-	route    func(core.FlowKey) int
-	epoch    uint64
-	epochSet bool
+	roster   FleetRoster
+	fetch    func() (FleetRoster, error)
 	tenant   string
 	coalesce int
 	batch    int
-	roster   FleetRoster
-	fetch    func() (FleetRoster, error)
 }
 
 // DialOption configures Connect.
 type DialOption func(*dialConfig)
 
-// WithAddrs sets the collector addresses explicitly (one address = a
-// standalone collector; several require WithRoute or WithFleetMap for
-// the flow routing).
-func WithAddrs(addrs ...string) DialOption {
-	return func(c *dialConfig) { c.addrs = append([]string(nil), addrs...) }
-}
-
-// WithRoute sets the flow→member routing function explicitly.
-func WithRoute(route func(core.FlowKey) int) DialOption {
-	return func(c *dialConfig) { c.route = route }
-}
-
-// WithSessionEpoch sets the cluster epoch the session handshake carries
-// (wire.Hello.Epoch); it overrides the roster's epoch when both are
-// given. The server side's counterpart is collector.WithEpoch.
-func WithSessionEpoch(epoch uint64) DialOption {
-	return func(c *dialConfig) { c.epoch, c.epochSet = epoch, true }
+// WithAddrs points the session at one standalone collector (epoch 0).
+// A fleet is described by its map: see WithFleetMap.
+func WithAddrs(addr string) DialOption {
+	return func(c *dialConfig) { c.roster = standalone(addr) }
 }
 
 // WithTenant labels the session with a QoS tenant (wire.Hello.Tenant).
@@ -98,9 +89,8 @@ func WithFrameBatch(n int) DialOption {
 	return func(c *dialConfig) { c.batch = n }
 }
 
-// WithFleetMap derives addresses, routing, and epoch from a fleet map
-// (federation.FleetMap implements FleetRoster). Explicit WithAddrs /
-// WithRoute / WithSessionEpoch options override individual pieces.
+// WithFleetMap takes addresses, routing, and epoch from a fleet map
+// (federation.FleetMap implements FleetRoster).
 func WithFleetMap(roster FleetRoster) DialOption {
 	return func(c *dialConfig) { c.roster = roster }
 }
@@ -116,6 +106,11 @@ func WithRosterFetch(fetch func() (FleetRoster, error)) DialOption {
 // Connect opens exporter sessions to a collector fleet (or a single
 // collector) and returns the routing exporter. See the file comment for
 // the option surface; engine supplies the plan hash the handshake pins.
+// Any member refusing the handshake fails the whole dial — a fleet where
+// some members reject the epoch would silently drop those members'
+// flows — except that with WithRosterFetch a stale epoch on first
+// contact (the fleet resized between the caller obtaining its map and
+// this dial) is recovered exactly like a live session would.
 func Connect(engine *core.Engine, exporterID uint64, name string, opts ...DialOption) (*FleetExporter, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("collector: nil engine")
@@ -126,30 +121,26 @@ func Connect(engine *core.Engine, exporterID uint64, name string, opts ...DialOp
 			o(&cfg)
 		}
 	}
-	if cfg.roster != nil {
-		if cfg.addrs == nil {
-			cfg.addrs = cfg.roster.IngestAddrs()
-		}
-		if cfg.route == nil {
-			cfg.route = cfg.roster.FlowHome
-		}
-		if !cfg.epochSet {
-			cfg.epoch = cfg.roster.FleetEpoch()
-		}
+	if cfg.roster == nil {
+		return nil, fmt.Errorf("collector: Connect needs a collector to dial (WithAddrs or WithFleetMap)")
 	}
-	if len(cfg.addrs) == 0 {
-		return nil, fmt.Errorf("collector: Connect needs collector addresses (WithAddrs or WithFleetMap)")
+	if cfg.batch < 1 {
+		cfg.batch = 256
 	}
-	if cfg.route == nil {
-		if len(cfg.addrs) != 1 {
-			return nil, fmt.Errorf("collector: %d-member fleet needs routing (WithFleetMap or WithRoute)", len(cfg.addrs))
-		}
-		cfg.route = func(core.FlowKey) int { return 0 }
+	f := &FleetExporter{
+		roster:   cfg.roster,
+		batch:    cfg.batch,
+		hello:    HelloFor(engine, exporterID, name),
+		coalesce: cfg.coalesce,
+		fetch:    cfg.fetch,
+		patience: rerouteDeadline,
 	}
-	hello := HelloFor(engine, exporterID, name)
-	hello.Epoch = cfg.epoch
-	hello.Tenant = cfg.tenant
-	return dialFleet(cfg.addrs, hello, cfg.route, cfg.batch, cfg.coalesce, cfg.fetch)
+	f.hello.Tenant = cfg.tenant
+	if err := f.redial(time.Now().Add(f.patience)); err != nil {
+		return nil, err
+	}
+	f.bufs = f.newBufs()
+	return f, nil
 }
 
 // rerouteDeadline bounds how long a rerouting exporter polls the roster
@@ -158,68 +149,44 @@ func Connect(engine *core.Engine, exporterID uint64, name string, opts ...DialOp
 // hand-off.
 const rerouteDeadline = 60 * time.Second
 
-// dialFleet is the shared constructor behind Connect and the DialFleet
-// compatibility path. With a non-nil fetch an initial epoch refusal is
-// recovered by fetching a newer map and retrying.
-func dialFleet(addrs []string, hello wire.Hello, route func(core.FlowKey) int, batch, coalesce int,
-	fetch func() (FleetRoster, error)) (*FleetExporter, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("collector: empty fleet address list")
-	}
-	if route == nil {
-		return nil, fmt.Errorf("collector: nil fleet route function")
-	}
-	if batch < 1 {
-		batch = 256
-	}
-	f := &FleetExporter{
-		route:    route,
-		batch:    batch,
-		hello:    hello,
-		addrs:    append([]string(nil), addrs...),
-		coalesce: coalesce,
-		fetch:    fetch,
-	}
-	deadline := time.Now().Add(rerouteDeadline)
+// redial opens the sessions of f.roster. With a roster fetch, an epoch
+// refusal (this exporter raced a resize) fetches a newer map and tries
+// again until the deadline.
+func (f *FleetExporter) redial(deadline time.Time) error {
 	for {
 		err := f.dialAll()
 		if err == nil {
-			return f, nil
+			return nil
 		}
 		if f.fetch == nil || !errors.Is(err, wire.ErrEpochMismatch) || !time.Now().Before(deadline) {
-			return nil, err
+			return err
 		}
-		// Stale epoch on first contact: the fleet resized between the
-		// caller obtaining its map and this dial. Recover exactly like a
-		// live session would.
 		if perr := f.pollRoster(deadline); perr != nil {
-			return nil, fmt.Errorf("%w (and fetching a newer fleet map failed: %v)", err, perr)
+			return fmt.Errorf("%w (and fetching a newer fleet map failed: %v)", err, perr)
 		}
 	}
 }
 
-// dialAll opens one session per member address under the exporter's
-// current hello/epoch, replacing f.exps. Any refusal closes what was
-// opened and fails the dial.
+// dialAll opens one session per member of f.roster at its epoch,
+// replacing f.exps. Any refusal closes what was opened and fails the
+// dial.
 func (f *FleetExporter) dialAll() error {
-	f.exps = make([]*Exporter, len(f.addrs))
-	if len(f.bufs) != len(f.addrs) {
-		f.bufs = make([][]core.PacketDigest, len(f.addrs))
-		for i := range f.bufs {
-			f.bufs[i] = make([]core.PacketDigest, 0, f.batch)
-		}
+	addrs := f.roster.IngestAddrs()
+	if len(addrs) == 0 {
+		return fmt.Errorf("collector: fleet map (epoch %d) has no members", f.roster.FleetEpoch())
 	}
+	hello := f.hello
+	hello.Epoch = f.roster.FleetEpoch()
+	f.exps = make([]*Exporter, len(addrs))
 	gen := f.gen.Add(1)
-	for i, addr := range f.addrs {
-		ex, err := Dial(addr, f.hello)
+	for i, addr := range addrs {
+		ex, err := dial(addr, hello)
 		if err != nil {
 			f.closeSessions()
 			return fmt.Errorf("collector: fleet member %d (%s): %w", i, addr, err)
 		}
 		f.exps[i] = ex
-		if f.coalesce > 0 {
-			ex.SetCoalesce(f.coalesce)
-		}
+		ex.SetCoalesce(f.coalesce)
 		if f.fetch != nil {
 			go f.watch(ex, gen)
 		}
@@ -256,11 +223,14 @@ func (f *FleetExporter) watch(ex *Exporter, gen uint64) {
 
 // RerouteRequested reports whether a collector has signalled that the
 // exporter's epoch went stale (the next Send, or an explicit Poke, will
-// re-route).
-func (f *FleetExporter) RerouteRequested() bool { return f.rerouteRequested() }
+// re-route): a nudge from the *current* session generation is pending.
+func (f *FleetExporter) RerouteRequested() bool {
+	g := f.gen.Load()
+	return g != 0 && f.nudgedGen.Load() == g
+}
 
 // Epoch returns the cluster epoch the live sessions were handshaked at.
-func (f *FleetExporter) Epoch() uint64 { return f.hello.Epoch }
+func (f *FleetExporter) Epoch() uint64 { return f.roster.FleetEpoch() }
 
 // Poke services a pending reroute without sending anything: if a nudge
 // arrived, the exporter flushes, closes, fetches the new fleet map, and
@@ -268,103 +238,99 @@ func (f *FleetExporter) Epoch() uint64 { return f.hello.Epoch }
 // pause between sends call this so a mid-stream resize can finish while
 // they wait (the resize coordinator waits for stale sessions to close).
 func (f *FleetExporter) Poke() error {
-	if f.fetch != nil && f.rerouteRequested() {
-		return f.rehome()
+	if f.err == nil && f.fetch != nil && f.RerouteRequested() {
+		f.err = f.rehome()
 	}
-	return nil
+	return f.err
 }
 
 // rehome is the live re-routing path: flush and cleanly close every
 // session (a clean close means the collector ingested every byte sent —
 // zero loss), poll the roster fetch until a map with a *newer* epoch
 // appears (the coordinator publishes it only after state hand-off
-// completes), re-partition the unsent routing buffers under the new map,
-// and re-handshake everywhere at the new epoch.
+// completes), re-handshake everywhere at the new epoch, and only then
+// re-partition the unsent routing buffers under the new map. Until that
+// last step the unsent packets stay in f.bufs, so a failure on the way
+// strands nothing silently: Poke records it in f.err, every later call
+// returns it, and Close reports the packets still held.
+//
+// The pending nudge is consumed implicitly: dialAll bumps the session
+// generation, which invalidates every nudge recorded against the
+// sessions closed here.
 func (f *FleetExporter) rehome() error {
-	// The pending nudge is consumed implicitly: dialAll below bumps the
-	// session generation, which invalidates every nudge recorded against
-	// the sessions being closed here.
-	// Unsent routed packets move to the new partitioning; drain them out
-	// of the per-member buffers first.
-	var pending []core.PacketDigest
-	for n := range f.bufs {
-		pending = append(pending, f.bufs[n]...)
-		f.bufs[n] = f.bufs[n][:0]
-	}
 	// Close cleanly: each session's coalescing buffer is flushed before
 	// the FIN, so everything already handed to a session is ingested.
 	if err := f.closeSessions(); err != nil {
 		return fmt.Errorf("collector: reroute: closing stale sessions: %w", err)
 	}
-	deadline := time.Now().Add(rerouteDeadline)
+	deadline := time.Now().Add(f.patience)
 	if err := f.pollRoster(deadline); err != nil {
 		return err
 	}
-	for {
-		err := f.dialAll()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, wire.ErrEpochMismatch) || !time.Now().Before(deadline) {
-			return err
-		}
-		// Raced with yet another resize — fetch again.
-		if perr := f.pollRoster(deadline); perr != nil {
-			return fmt.Errorf("%w (and fetching a newer fleet map failed: %v)", err, perr)
-		}
+	if err := f.redial(deadline); err != nil {
+		return err
 	}
 	// Re-partition: conservation, not loss — every unsent packet is
 	// re-routed to its (possibly new) home under the new map.
-	for i := range pending {
-		n := f.route(pending[i].Flow)
-		if n < 0 || n >= len(f.exps) {
-			return fmt.Errorf("collector: reroute sent flow %v to member %d of %d", pending[i].Flow, n, len(f.exps))
+	unsent := f.bufs
+	f.bufs = f.newBufs()
+	for _, buf := range unsent {
+		for i := range buf {
+			n := f.roster.FlowHome(buf[i].Flow)
+			if n < 0 || n >= len(f.exps) {
+				f.bufs = unsent
+				return fmt.Errorf("collector: reroute sent flow %v to member %d of %d", buf[i].Flow, n, len(f.exps))
+			}
+			f.bufs[n] = append(f.bufs[n], buf[i])
 		}
-		f.bufs[n] = append(f.bufs[n], pending[i])
 	}
 	return nil
 }
 
-// pollRoster fetches the fleet map until its epoch moves past the
-// sessions' current epoch, then installs the new addresses, routing, and
-// epoch on the exporter.
+// pollRoster fetches the fleet map until its epoch differs from the one
+// the exporter holds, then installs it.
 func (f *FleetExporter) pollRoster(deadline time.Time) error {
 	for {
 		roster, err := f.fetch()
-		if err == nil && roster != nil && roster.FleetEpoch() != f.hello.Epoch {
-			addrs := roster.IngestAddrs()
-			if len(addrs) == 0 {
-				return fmt.Errorf("collector: fetched fleet map (epoch %d) has no members", roster.FleetEpoch())
-			}
-			f.addrs = append(f.addrs[:0], addrs...)
-			f.route = roster.FlowHome
-			f.hello.Epoch = roster.FleetEpoch()
-			// Member count may have changed; dialAll rebuilds the buffers.
-			f.bufs = nil
+		if err == nil && roster != nil && roster.FleetEpoch() != f.roster.FleetEpoch() {
+			f.roster = roster
 			return nil
 		}
 		if !time.Now().Before(deadline) {
 			if err != nil {
 				return fmt.Errorf("collector: reroute: fleet map fetch: %w", err)
 			}
-			return fmt.Errorf("collector: reroute: no newer fleet map appeared within %v", rerouteDeadline)
+			return fmt.Errorf("collector: reroute: no newer fleet map appeared within %v", f.patience)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
+// newBufs allocates one empty routing buffer per live session.
+func (f *FleetExporter) newBufs() [][]core.PacketDigest {
+	bufs := make([][]core.PacketDigest, len(f.exps))
+	for i := range bufs {
+		bufs[i] = make([]core.PacketDigest, 0, f.batch)
+	}
+	return bufs
+}
+
 // closeSessions ends every member session (flushing their coalescing
-// buffers) without touching the routing buffers.
+// buffers) without touching the routing buffers, and folds the closed
+// sessions' counters into the exporter's totals so Packets and Bytes
+// span session generations.
 func (f *FleetExporter) closeSessions() error {
 	var err error
-	for i, ex := range f.exps {
-		if ex == nil {
+	for _, ex := range f.exps {
+		if ex == nil { // a dialAll that failed part-way
 			continue
 		}
 		if cerr := ex.Close(); err == nil {
 			err = cerr
 		}
-		f.exps[i] = nil
+		f.closedPackets += ex.Packets()
+		f.closedBytes += ex.Bytes()
 	}
+	f.exps = nil
 	return err
 }

@@ -38,29 +38,24 @@ func HelloFor(eng *core.Engine, exporterID uint64, name string) wire.Hello {
 	return wire.Hello{Exporter: exporterID, PlanHash: eng.PlanHash(), Name: name}
 }
 
-// Dial connects to a collector at addr and performs the handshake.
-func Dial(addr string, hello wire.Hello) (*Exporter, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	e, err := NewExporter(conn, hello)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// handshakeTimeout bounds the exporter-side handshake, mirroring the
-// server's Config.HandshakeTimeout: dialing something that is not a
-// collector (the HTTP port, say) must error, not hang waiting for an
-// ack that will never come.
+// handshakeTimeout bounds the exporter-side connect and handshake,
+// mirroring the server's Config.HandshakeTimeout: dialing something that
+// is not a collector (the HTTP port, say) must error, not hang waiting
+// for an ack that will never come.
 const handshakeTimeout = 10 * time.Second
 
-// NewExporter performs the handshake over an existing connection and
-// takes ownership of it (Close closes it).
-func NewExporter(conn net.Conn, hello wire.Hello) (*Exporter, error) {
+// dial connects to a collector at addr and performs the handshake. It is
+// the per-session step under Connect and SendHandoff.
+func dial(addr string, hello wire.Hello) (_ *Exporter, err error) {
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	// Go's net.TCPConn disables Nagle by default, but the exporter's
 	// latency story depends on it, so set it explicitly rather than
 	// inheriting a default that a custom dialer or future runtime could

@@ -3,8 +3,6 @@ package collector
 import (
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestExporterCoalesce pins the write-coalescing contract: below the
@@ -15,7 +13,7 @@ import (
 func TestExporterCoalesce(t *testing.T) {
 	tb := mustTestbench(t, 23)
 	_, srv := newServedSink(t, tb, 2)
-	ex, err := Dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "coalesce-test"))
+	ex, err := dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "coalesce-test"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +72,7 @@ func TestStreamSteadyState(t *testing.T) {
 		pktsPer  = 100
 	)
 	_, srv := newServedSink(t, tb, 4)
-	route := func(core.FlowKey) int { return 0 }
-	loads, err := tb.StreamSteadyState([]string{srv.Addr().String()}, route, 0,
+	loads, err := tb.StreamSteadyState(standalone(srv.Addr().String()),
 		conns, flowsPer, pktsPer, 64, 4096, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func sendHealthyFlow(t *testing.T, tb *Testbench, srv *Server, exp uint64) {
 	t.Helper()
 	before := srv.Stats().Packets
-	ex, err := Dial(srv.Addr().String(), HelloFor(tb.Engine, exp, "healthy"))
+	ex, err := dial(srv.Addr().String(), HelloFor(tb.Engine, exp, "healthy"))
 	if err != nil {
 		t.Fatalf("healthy exporter refused after failure: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestPlanHashMismatchRefused(t *testing.T) {
 	_, srv := newServedSink(t, tb, 1)
 	hello := HelloFor(tb.Engine, 1, "drifted")
 	hello.PlanHash ^= 1
-	if _, err := Dial(srv.Addr().String(), hello); err == nil ||
+	if _, err := dial(srv.Addr().String(), hello); err == nil ||
 		!strings.Contains(err.Error(), "plan hash mismatch") {
 		t.Fatalf("want plan-hash refusal, got %v", err)
 	}
@@ -274,7 +274,7 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	const total = 2000
-	ex, err := Dial(ln.Addr().String(), HelloFor(tb.Engine, 5, "firehose"))
+	ex, err := dial(ln.Addr().String(), HelloFor(tb.Engine, 5, "firehose"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestShutdownForceClosesHungExporter(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	ex, err := Dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "hung"))
+	ex, err := dial(srv.Addr().String(), HelloFor(tb.Engine, 1, "hung"))
 	if err != nil {
 		t.Fatal(err)
 	}

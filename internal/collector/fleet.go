@@ -13,26 +13,35 @@ import (
 // This file is the exporter side of a federated collector fleet: one
 // logical switch session fanned out over N collector daemons, each digest
 // routed to its flow's home collector so per-flow decode state never
-// splits across nodes. The routing function is injected (the fleet
-// partitioner lives in internal/federation, which builds on this
-// package), keeping the dependency arrow pointing one way.
+// splits across nodes. Membership, routing and epoch come from one
+// FleetRoster (the fleet map lives in internal/federation, which builds
+// on this package), keeping the dependency arrow pointing one way.
 
 // FleetExporter streams digest batches to a fleet of collectors, routing
 // every packet to its flow's home node. It owns one Exporter session per
 // fleet member, all opened with the same Hello (exporter ID, plan hash,
-// and — critically — cluster epoch; a member on a different epoch refuses
-// the whole fleet session). Like Exporter it is single-goroutine.
+// and — critically — the roster's epoch; a member on a different epoch
+// refuses the whole fleet session). Like Exporter it is single-goroutine.
 type FleetExporter struct {
-	exps  []*Exporter
-	route func(core.FlowKey) int
+	// roster says where the sessions go: member addresses, the flow→member
+	// routing, and the epoch the handshakes carry (rehome replaces it).
+	roster FleetRoster
+	exps   []*Exporter
+	// bufs holds the routed packets not yet handed to a session, one
+	// buffer per member.
 	bufs  [][]core.PacketDigest
 	batch int
-	// hello is the template every member session handshakes with; its
-	// Epoch field tracks the fleet epoch the sessions are currently at
-	// (rehome advances it).
+	// hello is the template every member session handshakes with; dialAll
+	// stamps the roster's epoch on it.
 	hello    wire.Hello
-	addrs    []string
 	coalesce int
+	// closedPackets and closedBytes total what earlier session
+	// generations sent (see closeSessions).
+	closedPackets, closedBytes uint64
+	// err is the failed rehome that left the exporter without sessions.
+	// It is sticky: bufs may still hold packets no session will ever
+	// take, so Send, Flush, Poke and Close all keep returning it.
+	err error
 	// fetch, when non-nil, enables live re-routing across fleet resizes
 	// (see Connect's WithRosterFetch). gen counts session generations
 	// (dialAll bumps it); nudgedGen latches the generation a collector's
@@ -43,55 +52,24 @@ type FleetExporter struct {
 	fetch     func() (FleetRoster, error)
 	gen       atomic.Uint64
 	nudgedGen atomic.Uint64
+	// patience is how long a reroute polls fetch for a newer map:
+	// rerouteDeadline, except in tests of a fetch that never delivers.
+	patience time.Duration
 }
 
-// rerouteRequested reports whether a nudge from the *current* session
-// generation is pending.
-func (f *FleetExporter) rerouteRequested() bool {
-	g := f.gen.Load()
-	return g != 0 && f.nudgedGen.Load() == g
-}
-
-// DialFleet opens one exporter session per fleet member address. route
-// maps a flow key to an index into addrs (the fleet partitioner); batch
-// is the per-member frame size in packets (values < 1 mean 256). Any
-// member refusing the handshake fails the whole dial — a fleet where some
-// members reject the epoch would silently drop those members' flows.
-//
-// DialFleet is the static compatibility path: the sessions are pinned to
-// addrs and hello.Epoch for their whole life. Connect is the options
-// entry point that subsumes it (and adds live re-routing).
-func DialFleet(addrs []string, hello wire.Hello, route func(core.FlowKey) int, batch int) (*FleetExporter, error) {
-	return dialFleet(addrs, hello, route, batch, 0, nil)
-}
-
-// Members returns the fleet size.
-func (f *FleetExporter) Members() int { return len(f.exps) }
-
-// SetCoalesce sets every member session's write-coalescing threshold
-// (see Exporter.SetCoalesce for the latency/throughput trade-off).
-// Fleet Flush and Close drain member coalescing buffers too.
-func (f *FleetExporter) SetCoalesce(n int) {
-	f.coalesce = n
-	for _, ex := range f.exps {
-		if ex != nil {
-			ex.SetCoalesce(n)
-		}
-	}
-}
+// Members returns the size of the fleet the exporter routes over.
+func (f *FleetExporter) Members() int { return len(f.bufs) }
 
 // Send routes every packet of batch to its flow's home member, framing
 // and transmitting each member's buffer whenever it fills. Packet order
 // is preserved per flow (a flow has exactly one home and one TCP stream),
 // which is all the recording tier's determinism needs.
 func (f *FleetExporter) Send(batch []core.PacketDigest) error {
-	if f.fetch != nil && f.rerouteRequested() {
-		if err := f.rehome(); err != nil {
-			return err
-		}
+	if err := f.Poke(); err != nil {
+		return err
 	}
 	for i := range batch {
-		n := f.route(batch[i].Flow)
+		n := f.roster.FlowHome(batch[i].Flow)
 		if n < 0 || n >= len(f.exps) {
 			return fmt.Errorf("collector: route sent flow %v to member %d of %d", batch[i].Flow, n, len(f.exps))
 		}
@@ -110,56 +88,50 @@ func (f *FleetExporter) Send(batch []core.PacketDigest) error {
 // each session's coalescing buffer, so everything routed so far is on
 // the wire when Flush returns.
 func (f *FleetExporter) Flush() error {
-	for n := range f.bufs {
-		if f.exps[n] == nil {
-			continue
-		}
+	if f.err != nil {
+		return f.err
+	}
+	for n, ex := range f.exps {
 		if len(f.bufs[n]) > 0 {
-			if err := f.exps[n].Send(f.bufs[n]); err != nil {
+			if err := ex.Send(f.bufs[n]); err != nil {
 				return err
 			}
 			f.bufs[n] = f.bufs[n][:0]
 		}
-		if err := f.exps[n].Flush(); err != nil {
+		if err := ex.Flush(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Packets sums the packets sent across all member sessions.
+// Packets returns the packets sent over every session this exporter has
+// held, across rehomes.
 func (f *FleetExporter) Packets() uint64 {
-	var n uint64
+	n := f.closedPackets
 	for _, ex := range f.exps {
-		if ex != nil {
-			n += ex.Packets()
-		}
+		n += ex.Packets()
 	}
 	return n
 }
 
-// Bytes sums the wire bytes sent across all member sessions.
+// Bytes returns the wire bytes sent over every session this exporter has
+// held, across rehomes.
 func (f *FleetExporter) Bytes() uint64 {
-	var n uint64
+	n := f.closedBytes
 	for _, ex := range f.exps {
-		if ex != nil {
-			n += ex.Bytes()
-		}
+		n += ex.Bytes()
 	}
 	return n
 }
 
 // Close flushes the buffers and ends every member session, returning the
-// first error.
+// first error — after a failed rehome, that failure: the packets it
+// stranded were never delivered.
 func (f *FleetExporter) Close() error {
 	err := f.Flush()
-	for _, ex := range f.exps {
-		if ex == nil {
-			continue
-		}
-		if cerr := ex.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := f.closeSessions(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -182,24 +154,21 @@ func (l ExporterLoad) Mpkts() float64 {
 	return float64(l.Packets) / l.Elapsed.Seconds() / 1e6
 }
 
-// StreamSteadyState drives nExporters connections at full rate for (at
-// least) the given duration: each exporter pre-encodes its flows' digest
-// batches once, then replays them over its fleet session until the
-// deadline, so the timed loop measures the transmit + ingest path, not
-// encoding. coalesce > 0 sets each session's write-coalescing threshold
-// in bytes (see Exporter.SetCoalesce). Every exporter finishes its
-// current sweep before stopping — the deadline is checked between
-// frames — and flushes before its counters are read, so the returned
-// loads are exact. Results are ordered by exporter ID.
-func (tb *Testbench) StreamSteadyState(addrs []string, route func(core.FlowKey) int, epoch uint64,
-	nExporters, flowsPer, pktsPer, batch, coalesce int, duration time.Duration) ([]ExporterLoad, error) {
+// stream is the exporter fan-out under the testbench's streaming helpers:
+// one concurrent simulated switch per exporter, each with its own
+// Connect session to roster (one per member, routed by the roster's
+// FlowHome under its epoch, frames of batch packets). drive sends the
+// exporter's traffic and returns when its clock started; stream flushes
+// before reading the counters, so the returned loads (ordered by
+// exporter ID) are exact.
+func (tb *Testbench) stream(roster FleetRoster, nExporters, flowsPer, pktsPer, batch, coalesce int,
+	drive func(exp uint64, fe *FleetExporter) (start time.Time, err error)) ([]ExporterLoad, error) {
 	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
 		return nil, err
 	}
 	if batch < 1 || batch > pktsPer {
 		batch = pktsPer
 	}
-	deadline := time.Now().Add(duration)
 	loads := make([]ExporterLoad, nExporters)
 	expErrs := make([]error, nExporters)
 	var wg sync.WaitGroup
@@ -210,27 +179,16 @@ func (tb *Testbench) StreamSteadyState(addrs []string, route func(core.FlowKey) 
 			expErrs[e] = func() error {
 				exp := uint64(e) + 1
 				fe, err := Connect(tb.Engine, exp, fmt.Sprintf("load-%d", exp),
-					WithAddrs(addrs...), WithRoute(route), WithSessionEpoch(epoch),
-					WithTenant(tb.Tenant), WithFrameBatch(batch), WithCoalesce(coalesce),
-					WithRosterFetch(tb.Fetch))
+					WithFleetMap(roster), WithRosterFetch(tb.Fetch),
+					WithTenant(tb.Tenant), WithFrameBatch(batch), WithCoalesce(coalesce))
 				if err != nil {
 					return err
 				}
-				flows := make([][]core.PacketDigest, flowsPer)
-				vals := make([]core.HopValues, pktsPer)
-				for f := 0; f < flowsPer; f++ {
-					flows[f] = tb.FlowBatch(exp, f, pktsPer, nil, vals)
+				start, err := drive(exp, fe)
+				if err == nil {
+					err = fe.Flush()
 				}
-				start := time.Now()
-				for ok := true; ok; ok = time.Now().Before(deadline) {
-					for _, pkts := range flows {
-						if err := fe.Send(pkts); err != nil {
-							fe.Close()
-							return err
-						}
-					}
-				}
-				if err := fe.Flush(); err != nil {
+				if err != nil {
 					fe.Close()
 					return err
 				}
@@ -253,63 +211,61 @@ func (tb *Testbench) StreamSteadyState(addrs []string, route func(core.FlowKey) 
 	return loads, nil
 }
 
-// StreamFleetDeployment is the fleet mode of StreamDeployment: the same
-// (nExporters × flowsPer × pktsPer) testbench deployment, but every
-// simulated switch opens one session per fleet member and routes each
-// flow to route(flow)'s collector under the given cluster epoch. With one
-// address and a constant route it degenerates to StreamDeployment.
-// cmd/pintload in -addr a,b,c form is this function plus flags.
-func (tb *Testbench) StreamFleetDeployment(addrs []string, route func(core.FlowKey) int, epoch uint64,
-	nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
-		return 0, 0, err
-	}
-	if batch < 1 || batch > pktsPer {
-		batch = pktsPer
-	}
-	var wg sync.WaitGroup
-	expErrs := make([]error, nExporters)
-	var statMu sync.Mutex
-	for e := 0; e < nExporters; e++ {
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			expErrs[e] = func() error {
-				exp := uint64(e) + 1
-				fe, err := Connect(tb.Engine, exp, fmt.Sprintf("load-%d", exp),
-					WithAddrs(addrs...), WithRoute(route), WithSessionEpoch(epoch),
-					WithTenant(tb.Tenant), WithFrameBatch(batch), WithRosterFetch(tb.Fetch))
-				if err != nil {
-					return err
-				}
-				var pkts []core.PacketDigest
-				vals := make([]core.HopValues, pktsPer)
-				for f := 0; f < flowsPer; f++ {
-					pkts = tb.FlowBatch(exp, f, pktsPer, pkts, vals)
+// StreamSteadyState drives nExporters connections at full rate for (at
+// least) the given duration: each exporter pre-encodes its flows' digest
+// batches once, then replays them over its fleet session until the
+// deadline, so the timed loop measures the transmit + ingest path, not
+// encoding. roster says where the sessions go, as for StreamDeployment;
+// coalesce > 0 sets each session's write-coalescing threshold in bytes
+// (see Exporter.SetCoalesce). Every exporter finishes its current sweep
+// before stopping — the deadline is checked between frames.
+func (tb *Testbench) StreamSteadyState(roster FleetRoster,
+	nExporters, flowsPer, pktsPer, batch, coalesce int, duration time.Duration) ([]ExporterLoad, error) {
+	deadline := time.Now().Add(duration)
+	return tb.stream(roster, nExporters, flowsPer, pktsPer, batch, coalesce,
+		func(exp uint64, fe *FleetExporter) (time.Time, error) {
+			flows := make([][]core.PacketDigest, flowsPer)
+			vals := make([]core.HopValues, pktsPer)
+			for f := 0; f < flowsPer; f++ {
+				flows[f] = tb.FlowBatch(exp, f, pktsPer, nil, vals)
+			}
+			start := time.Now()
+			for ok := true; ok; ok = time.Now().Before(deadline) {
+				for _, pkts := range flows {
 					if err := fe.Send(pkts); err != nil {
-						fe.Close()
-						return err
+						return start, err
 					}
 				}
-				// Flush before reading the counters so the tail buffers
-				// are part of the reported totals.
-				if err := fe.Flush(); err != nil {
-					fe.Close()
-					return err
+			}
+			return start, nil
+		})
+}
+
+// StreamDeployment streams the full (nExporters × flowsPer × pktsPer)
+// testbench deployment to the collectors of roster: one concurrent
+// exporter per simulated switch, each opening one session per member and
+// routing every flow to its home under the roster's epoch, digests
+// framed in chunks of batch packets. It returns the packet and wire-byte
+// totals once every exporter has sent everything and closed.
+// cmd/pintload is this function plus flags.
+func (tb *Testbench) StreamDeployment(roster FleetRoster,
+	nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
+	loads, err := tb.stream(roster, nExporters, flowsPer, pktsPer, batch, 0,
+		func(exp uint64, fe *FleetExporter) (time.Time, error) {
+			start := time.Now()
+			var pkts []core.PacketDigest
+			vals := make([]core.HopValues, pktsPer)
+			for f := 0; f < flowsPer; f++ {
+				pkts = tb.FlowBatch(exp, f, pktsPer, pkts, vals)
+				if err := fe.Send(pkts); err != nil {
+					return start, err
 				}
-				statMu.Lock()
-				packets += fe.Packets()
-				bytes += fe.Bytes()
-				statMu.Unlock()
-				return fe.Close()
-			}()
-		}(e)
+			}
+			return start, nil
+		})
+	for _, l := range loads {
+		packets += l.Packets
+		bytes += l.Bytes
 	}
-	wg.Wait()
-	for e, err := range expErrs {
-		if err != nil {
-			return packets, bytes, fmt.Errorf("collector: exporter %d: %w", e+1, err)
-		}
-	}
-	return packets, bytes, nil
+	return packets, bytes, err
 }

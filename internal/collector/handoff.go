@@ -2,7 +2,6 @@ package collector
 
 import (
 	"fmt"
-	"net"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -119,13 +118,8 @@ func SendHandoff(addr string, hello wire.Hello, states []wire.FlowState) (int, e
 	if len(states) == 0 {
 		return 0, nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	ex, err := dial(addr, hello)
 	if err != nil {
-		return 0, err
-	}
-	ex, err := NewExporter(conn, hello)
-	if err != nil {
-		conn.Close()
 		return 0, err
 	}
 	sent := 0

@@ -34,7 +34,7 @@ func TestHandoffLoopback(t *testing.T) {
 	}
 
 	// Phase A: everything into A.
-	exA, err := Dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "pre"))
+	exA, err := dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "pre"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestHandoffLoopback(t *testing.T) {
 	waitHandoffFlows(t, srvB, uint64(len(moving)))
 
 	// Phase B: second halves to each flow's current home.
-	exA, err = Dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "post-a"))
+	exA, err = dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "post-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exB, err := Dial(srvB.Addr().String(), HelloFor(tb.Engine, exp, "post-b"))
+	exB, err := dial(srvB.Addr().String(), HelloFor(tb.Engine, exp, "post-b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestHandoffDuplicateRefused(t *testing.T) {
 
 	exp := uint64(2)
 	batch := tb.FlowBatch(exp, 0, 50, nil, nil)
-	ex, err := Dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "dup"))
+	ex, err := dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "dup"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,13 +207,13 @@ func TestEpochMismatchRefused(t *testing.T) {
 
 	stale := HelloFor(tb.Engine, 1, "stale-map")
 	stale.Epoch = 2
-	if _, err := Dial(ln.Addr().String(), stale); err == nil || !strings.Contains(err.Error(), "epoch") {
+	if _, err := dial(ln.Addr().String(), stale); err == nil || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("stale epoch dial: want an epoch-mismatch error, got %v", err)
 	}
 
 	fresh := HelloFor(tb.Engine, 1, "fresh-map")
 	fresh.Epoch = 3
-	ex, err := Dial(ln.Addr().String(), fresh)
+	ex, err := dial(ln.Addr().String(), fresh)
 	if err != nil {
 		t.Fatalf("matching epoch refused: %v", err)
 	}

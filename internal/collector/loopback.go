@@ -62,7 +62,7 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	addr := ln.Addr().String()
 
 	start := time.Now()
-	packets, bytes, err := tb.StreamDeployment(addr, nExporters, flowsPer, pktsPer, batch)
+	packets, bytes, err := tb.StreamDeployment(standalone(addr), nExporters, flowsPer, pktsPer, batch)
 	if err != nil {
 		srv.Shutdown(context.Background())
 		return nil, err
@@ -94,17 +94,6 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 		WireBytes: bytes,
 		Elapsed:   elapsed,
 	}, nil
-}
-
-// StreamDeployment streams the full (nExporters × flowsPer × pktsPer)
-// testbench deployment to a single collector at addr: one concurrent
-// connection per exporter, digests framed in chunks of batch packets. It
-// is the one-member special case of StreamFleetDeployment (see fleet.go)
-// under epoch 0, and returns the packet and wire-byte totals once every
-// exporter has sent everything and closed.
-func (tb *Testbench) StreamDeployment(addr string, nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	return tb.StreamFleetDeployment([]string{addr}, func(core.FlowKey) int { return 0 }, 0,
-		nExporters, flowsPer, pktsPer, batch)
 }
 
 // RunInProcess runs the identical deployment without a socket in sight:

@@ -39,7 +39,7 @@ func TestTenantOverloadLoopback(t *testing.T) {
 	)
 	hogHello := HelloFor(tb.Engine, 1, "hog-1")
 	hogHello.Tenant = "hog"
-	exH, err := Dial(srv.Addr().String(), hogHello)
+	exH, err := dial(srv.Addr().String(), hogHello)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestTenantOverloadLoopback(t *testing.T) {
 	// The victim speaks the v2 handshake (no tenant field on the wire)
 	// to both the quota'd server and the policy-free reference.
 	for _, s := range []*Server{srv, ref} {
-		exV, err := Dial(s.Addr().String(), HelloFor(tb.Engine, 2, "victim"))
+		exV, err := dial(s.Addr().String(), HelloFor(tb.Engine, 2, "victim"))
 		if err != nil {
 			t.Fatal(err)
 		}

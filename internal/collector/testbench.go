@@ -165,8 +165,8 @@ func (tb *Testbench) ScratchDir(prefix string) (string, func(), error) {
 	return dir, func() { once.Do(func() { os.RemoveAll(dir) }) }, nil
 }
 
-// Validate sanity-checks the deployment shape shared by pintload's flags
-// and the scenario.
+// ValidateShape sanity-checks the deployment shape shared by pintload's
+// flags and the scenario.
 func ValidateShape(nExporters, flowsPer, pktsPer int) error {
 	switch {
 	case nExporters < 1 || nExporters > 1<<16:

@@ -99,7 +99,7 @@ func streamFleet(t *testing.T, seed uint64, fleetN, shards, nExporters, flowsPer
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := StartFleet(tb, fleetN, shards, uint64(seed)+100)
+	fleet, err := NewFleet(tb, WithSize(fleetN), WithShards(shards), WithFleetEpoch(seed+100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,17 @@ func TestFleetEpochFencesStaleExporters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := StartFleet(tb, 2, 1, 77)
+	fleet, err := NewFleet(tb, WithSize(2), WithFleetEpoch(77))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Shutdown(context.Background())
 
-	if _, _, err := tb.StreamFleetDeployment(fleet.TCPAddrs(), fleet.Partitioner().Home, 76,
-		1, 1, 10, 10); err == nil {
+	stale, err := NewFleetMap(76, fleet.CurrentMap().Members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tb.StreamDeployment(stale, 1, 1, 10, 10); err == nil {
 		t.Fatal("stale-epoch deployment was accepted")
 	}
 	if _, _, err := fleet.Stream(1, 1, 10, 10); err != nil {

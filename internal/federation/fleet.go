@@ -40,11 +40,12 @@ func (m *Member) HTTPURL() string { return "http://" + m.httpLn.Addr().String() 
 // same flows. It is the test and scenario harness; production runs the
 // same shape as n cmd/pintd processes plus cmd/pintgate.
 type Fleet struct {
-	TB      *collector.Testbench
+	TB *collector.Testbench
+	// Epoch is the published map's epoch (CurrentMap); publish moves the
+	// two together.
 	Epoch   uint64
 	Members []*Member
 
-	part   *Partitioner
 	shards int
 	// mu guards curMap: exporter goroutines read it through RosterFetch
 	// while Resize swaps in the next epoch's map.
@@ -99,8 +100,7 @@ func NewFleet(tb *collector.Testbench, opts ...FleetOption) (*Fleet, error) {
 	if cfg.size < 1 {
 		return nil, fmt.Errorf("federation: fleet size %d below 1", cfg.size)
 	}
-	f := &Fleet{TB: tb, Epoch: cfg.epoch, shards: cfg.shards}
-	names := make([]string, 0, cfg.size)
+	f := &Fleet{TB: tb, shards: cfg.shards}
 	for i := 0; i < cfg.size; i++ {
 		m, err := startMember(tb, fmt.Sprintf("node-%d", i), cfg.shards, cfg.epoch)
 		if err != nil {
@@ -108,47 +108,36 @@ func NewFleet(tb *collector.Testbench, opts ...FleetOption) (*Fleet, error) {
 			return nil, err
 		}
 		f.Members = append(f.Members, m)
-		names = append(names, m.Name)
 	}
-	// Partition over the stable member names, not the ephemeral listener
-	// addresses: the flow→home map must be a pure function of the fleet
-	// configuration (so goldens, replays, and every exporter agree), and a
-	// member keeps its flows across a restart that changes its port.
-	part, err := NewPartitioner(names)
+	fm, err := fleetMapOf(cfg.epoch, f.Members)
 	if err != nil {
 		f.Shutdown(context.Background())
 		return nil, err
 	}
-	f.part = part
-	if err := f.publishMap(); err != nil {
-		f.Shutdown(context.Background())
-		return nil, err
-	}
+	f.publish(fm)
 	return f, nil
 }
 
-// StartFleet stands up n collector daemons over tb's plan, each with a
-// sink of the given shard count, all fenced to epoch. It is the
-// positional compatibility path for NewFleet.
-func StartFleet(tb *collector.Testbench, n, shards int, epoch uint64) (*Fleet, error) {
-	return NewFleet(tb, WithSize(n), WithShards(shards), WithFleetEpoch(epoch))
+// fleetMapOf describes the given members at epoch. The map partitions
+// over the stable member names, not the ephemeral listener addresses:
+// the flow→home map must be a pure function of the fleet configuration
+// (so goldens, replays, and every exporter agree), and a member keeps
+// its flows across a restart that changes its port.
+func fleetMapOf(epoch uint64, members []*Member) (*FleetMap, error) {
+	entries := make([]FleetMember, len(members))
+	for i, m := range members {
+		entries[i] = FleetMember{Name: m.Name, Ingest: m.TCPAddr(), Query: m.HTTPURL()}
+	}
+	return NewFleetMap(epoch, entries)
 }
 
-// publishMap rebuilds the fleet map from the live membership and current
-// epoch and makes it the one RosterFetch serves.
-func (f *Fleet) publishMap() error {
-	members := make([]FleetMember, len(f.Members))
-	for i, m := range f.Members {
-		members[i] = FleetMember{Name: m.Name, Ingest: m.TCPAddr(), Query: m.HTTPURL()}
-	}
-	fm, err := NewFleetMap(f.Epoch, members)
-	if err != nil {
-		return err
-	}
+// publish makes fm — the description of f.Members — the fleet's current
+// map, the one RosterFetch serves.
+func (f *Fleet) publish(fm *FleetMap) {
+	f.Epoch = fm.Epoch
 	f.mu.Lock()
 	f.curMap = fm
 	f.mu.Unlock()
-	return nil
 }
 
 // CurrentMap returns the fleet's published map — epoch, membership, and
@@ -207,16 +196,6 @@ func startMember(tb *collector.Testbench, name string, shards int, epoch uint64)
 	return m, nil
 }
 
-// TCPAddrs lists every member's exporter-session address in member order
-// — the list exporters partition over.
-func (f *Fleet) TCPAddrs() []string {
-	out := make([]string, len(f.Members))
-	for i, m := range f.Members {
-		out[i] = m.TCPAddr()
-	}
-	return out
-}
-
 // HTTPURLs lists every member's query base URL in member order — the
 // list the query frontend fans out over.
 func (f *Fleet) HTTPURLs() []string {
@@ -227,17 +206,11 @@ func (f *Fleet) HTTPURLs() []string {
 	return out
 }
 
-// Partitioner returns the fleet's flow→member map — built over the
-// stable member names (node-0, node-1, …), never the ephemeral listener
-// addresses, so the map is a pure function of the fleet shape. Home
-// indices align with Members, TCPAddrs, and HTTPURLs.
-func (f *Fleet) Partitioner() *Partitioner { return f.part }
-
 // Stream pushes the (nExporters × flowsPer × pktsPer) testbench
 // deployment into the fleet over real TCP, each flow routed to its home
-// member under the fleet's epoch.
+// member under the fleet's current map.
 func (f *Fleet) Stream(nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	return f.TB.StreamFleetDeployment(f.TCPAddrs(), f.part.Home, f.Epoch, nExporters, flowsPer, pktsPer, batch)
+	return f.TB.StreamDeployment(f.CurrentMap(), nExporters, flowsPer, pktsPer, batch)
 }
 
 // WaitIngested blocks until the fleet's members have collectively

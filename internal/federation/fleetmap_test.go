@@ -1,9 +1,13 @@
 package federation
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/hash"
 )
@@ -90,5 +94,70 @@ func TestFleetMapRosterInterface(t *testing.T) {
 	urls := fm.QueryURLs()
 	if len(urls) != 2 || urls[0] != "http://x:2" || urls[1] != "http://y:2" {
 		t.Fatalf("QueryURLs = %v", urls)
+	}
+}
+
+// TestConnectSendsEachFlowToItsMapHome is the single-keying property: a
+// fleet map is the only thing an exporter is given, so the member that
+// actually receives a flow's digests is the map's FlowHome for it — over
+// random member names, fleet sizes and flows, with no second routing
+// function (an address list, a partitioner of the caller's own) to
+// disagree with the gate and the resize planner.
+func TestConnectSendsEachFlowToItsMapHome(t *testing.T) {
+	tb, err := collector.NewTestbench(71, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := hash.NewRNG(71)
+	for trial := 0; trial < 6; trial++ {
+		const epoch = 3
+		members := make([]*Member, 1+rng.Intn(5))
+		for i := range members {
+			name := fmt.Sprintf("m%x-%d", rng.Uint64(), i)
+			if members[i], err = startMember(tb, name, 1, epoch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fleet := &Fleet{TB: tb, Members: members}
+		fm, err := fleetMapOf(epoch, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe, err := collector.Connect(tb.Engine, 1, "keying", collector.WithFleetMap(fm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]map[core.FlowKey]bool, len(members))
+		for i := range want {
+			want[i] = map[core.FlowKey]bool{}
+		}
+		const nFlows, pktsPer = 40, 3
+		for f := 0; f < nFlows; f++ {
+			exp, idx := 1+uint64(rng.Intn(1<<16)), rng.Intn(1<<20)
+			want[fm.FlowHome(tb.FlowKeyFor(exp, idx))][tb.FlowKeyFor(exp, idx)] = true
+			if err := fe.Send(tb.FlowBatch(exp, idx, pktsPer, nil, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fe.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.WaitIngested(nFlows*pktsPer, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range members {
+			got := m.Sink.Flows()
+			if len(got) != len(want[i]) {
+				t.Errorf("trial %d: %s received %d flows, the map homes %d there", trial, m.Name, len(got), len(want[i]))
+			}
+			for _, flow := range got {
+				if !want[i][flow] {
+					t.Errorf("trial %d: %s received flow %d, whose map home is %s", trial, m.Name, flow, fm.HomeName(flow))
+				}
+			}
+		}
+		if err := fleet.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -28,26 +28,20 @@ import (
 // byte-identical to the single-collector body whenever the fleet is
 // healthy.
 type Frontend struct {
-	// Nodes are the members' query base URLs ("http://host:port"), in
-	// fleet order. When the frontend holds a fleet map this list follows
-	// it; read it through SetFleetMap/CurrentFleetMap rather than
-	// mutating it once the frontend is serving.
-	Nodes []string
 	// Client issues the fan-out requests (default: a fresh client with
 	// Timeout as its overall bound).
 	Client *http.Client
 	// Timeout bounds each fan-out request (default 10s).
 	Timeout time.Duration
 
-	// mu guards Nodes and fleetMap against a POST /fleetmap racing the
-	// fan-out handlers.
+	// mu guards fleetMap against a POST /fleetmap racing the fan-out
+	// handlers.
 	mu       sync.RWMutex
 	fleetMap *FleetMap
 }
 
 // frontendConfig is the resolved form of NewFrontend's options.
 type frontendConfig struct {
-	nodes   []string
 	fm      *FleetMap
 	timeout time.Duration
 	client  *http.Client
@@ -56,17 +50,11 @@ type frontendConfig struct {
 // FrontendOption configures NewFrontend.
 type FrontendOption func(*frontendConfig)
 
-// WithMembers sets the members' query base URLs explicitly (no fleet
-// map: the frontend serves whatever these nodes answer, with no epoch
-// staleness detection).
-func WithMembers(urls ...string) FrontendOption {
-	return func(c *frontendConfig) { c.nodes = append([]string(nil), urls...) }
-}
-
-// WithFleetMap seeds the frontend with the fleet's epoch-versioned map:
-// the member list follows the map, GET /fleetmap serves it, and a member
-// whose response carries a different epoch (mid-resize) lands in the
-// response's error list as "epoch_stale" instead of being merged.
+// WithFleetMap gives the frontend the fleet's epoch-versioned map
+// (required): the fan-out goes to the map's members, GET /fleetmap
+// serves it, and a member whose response carries a different epoch
+// (mid-resize) lands in the response's error list as "epoch_stale"
+// instead of being merged.
 func WithFleetMap(m *FleetMap) FrontendOption {
 	return func(c *frontendConfig) { c.fm = m }
 }
@@ -99,10 +87,8 @@ const maxNodeResponse = collector.MaxRequestBody * 64
 //	        federation.WithFleetMap(fm),
 //	        federation.WithTimeout(5*time.Second))
 //
-// Members come from WithFleetMap (the map's query URLs, plus epoch
-// staleness detection and the /fleetmap endpoints) or WithMembers (a
-// bare URL list); at least one is required. NewStaticFrontend is the
-// positional compatibility path.
+// The fleet map (WithFleetMap) is required: it is the frontend's only
+// description of the fleet.
 func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 	var cfg frontendConfig
 	for _, o := range opts {
@@ -111,36 +97,18 @@ func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 		}
 	}
 	g := &Frontend{Client: cfg.client, Timeout: cfg.timeout}
-	if cfg.fm != nil {
-		if err := cfg.fm.Validate(); err != nil {
-			return nil, err
-		}
-		g.fleetMap = cfg.fm
-		g.Nodes = cfg.fm.QueryURLs()
-	}
-	if len(cfg.nodes) > 0 {
-		g.Nodes = cfg.nodes
-	}
-	if len(g.Nodes) == 0 {
-		return nil, fmt.Errorf("federation: frontend needs members (WithMembers or WithFleetMap)")
+	if err := g.SetFleetMap(cfg.fm); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
 
-// NewStaticFrontend builds a frontend over a bare list of member query
-// URLs — the compatibility path for the pre-options constructor. New
-// code should use NewFrontend(WithFleetMap(...)), which adds epoch
-// staleness detection and the /fleetmap endpoints.
-func NewStaticFrontend(nodes []string) (*Frontend, error) {
-	return NewFrontend(WithMembers(nodes...))
-}
-
-// SetFleetMap installs a newer fleet map: the member list, the epoch
-// used for staleness detection, and the document GET /fleetmap serves
-// all move together. The epoch must not regress.
+// SetFleetMap installs a newer fleet map: the members the fan-out goes
+// to, the epoch used for staleness detection, and the document GET
+// /fleetmap serves all move together. The epoch must not regress.
 func (g *Frontend) SetFleetMap(m *FleetMap) error {
 	if m == nil {
-		return fmt.Errorf("federation: nil fleet map")
+		return fmt.Errorf("federation: frontend needs a fleet map (WithFleetMap)")
 	}
 	if err := m.Validate(); err != nil {
 		return err
@@ -151,27 +119,14 @@ func (g *Frontend) SetFleetMap(m *FleetMap) error {
 		return fmt.Errorf("federation: fleet map epoch regressed (%d, currently %d)", m.Epoch, g.fleetMap.Epoch)
 	}
 	g.fleetMap = m
-	g.Nodes = m.QueryURLs()
 	return nil
 }
 
-// CurrentFleetMap returns the map the frontend is serving (nil for a
-// static frontend).
+// CurrentFleetMap returns the map the frontend is serving.
 func (g *Frontend) CurrentFleetMap() *FleetMap {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.fleetMap
-}
-
-// roster snapshots the node list and the expected epoch (checkEpoch
-// false for a static frontend) for one fan-out.
-func (g *Frontend) roster() (nodes []string, wantEpoch uint64, checkEpoch bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.fleetMap != nil {
-		wantEpoch, checkEpoch = g.fleetMap.Epoch, true
-	}
-	return g.Nodes, wantEpoch, checkEpoch
 }
 
 // NodeError is one fleet member's failure in a fan-out, as reported in
@@ -206,7 +161,8 @@ func (g *Frontend) fetch(path, rawQuery string) (nodes []string, bodies [][]byte
 		}
 		client = &http.Client{Timeout: timeout}
 	}
-	nodes, wantEpoch, checkEpoch := g.roster()
+	fm := g.CurrentFleetMap()
+	nodes, wantEpoch := fm.QueryURLs(), strconv.FormatUint(fm.Epoch, 10)
 	bodies = make([][]byte, len(nodes))
 	nodeErrs := make([]*NodeError, len(nodes))
 	var wg sync.WaitGroup
@@ -251,10 +207,10 @@ func (g *Frontend) fetch(path, rawQuery string) (nodes []string, bodies [][]byte
 			// merging it with the rest would mix two fleet maps in one
 			// document. Exclude it and say so. (Members predating the
 			// epoch header send none — nothing to check.)
-			if raw := resp.Header.Get(collector.EpochHeader); checkEpoch && raw != "" && raw != strconv.FormatUint(wantEpoch, 10) {
+			if raw := resp.Header.Get(collector.EpochHeader); raw != "" && raw != wantEpoch {
 				nodeErrs[i] = &NodeError{
 					Node:  node,
-					Error: fmt.Sprintf("member is at fleet epoch %s, frontend map is at %d (resize in flight)", raw, wantEpoch),
+					Error: fmt.Sprintf("member is at fleet epoch %s, frontend map is at %s (resize in flight)", raw, wantEpoch),
 					Kind:  NodeErrorEpochStale,
 				}
 				return
@@ -329,12 +285,7 @@ func (g *Frontend) Handler() http.Handler {
 // exporters (collector.WithRosterFetch) and operators fetch to learn the
 // fleet's epoch, membership, and addresses.
 func (g *Frontend) serveFleetMapGet(w http.ResponseWriter, r *http.Request) {
-	fm := g.CurrentFleetMap()
-	if fm == nil {
-		http.Error(w, "federation: frontend has no fleet map (static member list)", http.StatusNotFound)
-		return
-	}
-	collector.WriteJSON(w, fm)
+	collector.WriteJSON(w, g.CurrentFleetMap())
 }
 
 // serveFleetMapPost accepts the next epoch's map from a resize

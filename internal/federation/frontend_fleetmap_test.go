@@ -63,15 +63,11 @@ func TestFrontendFleetMapEndpoints(t *testing.T) {
 	}
 }
 
-// TestFrontendFleetMapAbsent: a members-only frontend has no map to
-// serve.
-func TestFrontendFleetMapAbsent(t *testing.T) {
-	fe, err := NewFrontend(WithMembers("http://127.0.0.1:1/"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := get(t, fe.Handler(), "/fleetmap"); rec.Code != 404 {
-		t.Fatalf("GET /fleetmap without a map: %d, want 404", rec.Code)
+// TestFrontendRequiresFleetMap: the map is the frontend's only
+// description of the fleet, so there is no frontend without one.
+func TestFrontendRequiresFleetMap(t *testing.T) {
+	if _, err := NewFrontend(); err == nil {
+		t.Fatal("NewFrontend accepted no fleet map")
 	}
 }
 

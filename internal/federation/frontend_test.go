@@ -71,7 +71,7 @@ func TestFrontendSnapshotByteIdentical(t *testing.T) {
 		shards     = 2
 	)
 	fleet, tb := streamFleet(t, 23, 3, shards, nExporters, flowsPer, pktsPer)
-	fe, err := NewFrontend(WithMembers(fleet.HTTPURLs()...))
+	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFrontendPartialResult(t *testing.T) {
 		pktsPer    = 100
 	)
 	fleet, tb := streamFleet(t, 31, 3, 1, nExporters, flowsPer, pktsPer)
-	fe, err := NewFrontend(WithMembers(fleet.HTTPURLs()...))
+	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFrontendPartialResult(t *testing.T) {
 	// home is not the dead member, in sorted order.
 	var want []uint64
 	for _, flow := range tb.Flows(nExporters, flowsPer) {
-		if fleet.Partitioner().Home(flow) != dead {
+		if fleet.CurrentMap().FlowHome(flow) != dead {
 			want = append(want, uint64(flow))
 		}
 	}
@@ -221,7 +221,7 @@ func TestFrontendFleetWideDrainPropagates503(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fe, err := NewFrontend(WithMembers(fleet.HTTPURLs()...))
+	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFrontendStatsAggregation(t *testing.T) {
 		pktsPer    = 80
 	)
 	fleet, _ := streamFleet(t, 41, 2, 1, nExporters, flowsPer, pktsPer)
-	fe, err := NewFrontend(WithMembers(fleet.HTTPURLs()...))
+	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,12 @@
 //
 // The federated-scale scenario (internal/scenario) pins that identity at
 // fleet sizes {1,2,4} × sink shards {1,4}; cmd/pintgate is the frontend
-// as a daemon, and cmd/pintd -epoch / cmd/pintload -addr a,b,c are the
-// member and exporter sides.
+// as a daemon, and cmd/pintd -epoch / cmd/pintload -gate are the member
+// and exporter sides.
+//
+// One document describes a fleet to all of them: the FleetMap (epoch,
+// member names, addresses). Routing is derived from it, never configured
+// beside it.
 package federation
 
 import (
@@ -49,16 +53,17 @@ const partitionSeed hash.Seed = 0xFEDE7A7E
 //     (everyone else's top scorer is unchanged), so a fleet resize under
 //     a new epoch moves the minimum possible state.
 //
-// A Partitioner is immutable and safe for concurrent use.
+// A Partitioner is immutable and safe for concurrent use. It is the
+// routing a FleetMap derives from its member names (FleetMap.Validate
+// builds it); components ask the map — FlowHome, HomeName — not a
+// partitioner of their own.
 type Partitioner struct {
-	members []string
-	ids     []uint64
+	ids []uint64
 }
 
-// NewPartitioner builds the flow→member map over the fleet's member
-// names (addresses, hostnames — any stable strings). Order does not
-// matter for scoring, but Home returns indices into this slice, so every
-// component of one deployment must use the identical list.
+// NewPartitioner builds the flow→member map over the fleet's stable
+// member names. Order does not matter for scoring, but Home returns
+// indices into this slice.
 func NewPartitioner(members []string) (*Partitioner, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("federation: empty member list")
@@ -75,14 +80,8 @@ func NewPartitioner(members []string) (*Partitioner, error) {
 		seen[m] = true
 		ids[i] = partitionSeed.HashString(m)
 	}
-	return &Partitioner{members: append([]string(nil), members...), ids: ids}, nil
+	return &Partitioner{ids: ids}, nil
 }
-
-// N returns the fleet size.
-func (p *Partitioner) N() int { return len(p.ids) }
-
-// Members returns the member names, in Home-index order.
-func (p *Partitioner) Members() []string { return append([]string(nil), p.members...) }
 
 // Home returns the index of the fleet member that owns flow — the only
 // member whose collector may ingest the flow's digests.
@@ -99,6 +98,3 @@ func (p *Partitioner) Home(flow core.FlowKey) int {
 	}
 	return best
 }
-
-// Route returns Home as a routing closure for collector.DialFleet.
-func (p *Partitioner) Route() func(core.FlowKey) int { return p.Home }

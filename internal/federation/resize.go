@@ -42,7 +42,7 @@ import (
 //     state import.
 //
 // Exporters must be connected with collector.WithRosterFetch (e.g.
-// Fleet.RosterFetch) to follow the resize; a static DialFleet session
+// Fleet.RosterFetch) to follow the resize; a session without a fetch
 // ends at the fence instead. Resize returns the executed move plan.
 func (f *Fleet) Resize(ctx context.Context, n int) ([]Move, error) {
 	if n < 1 {
@@ -66,11 +66,7 @@ func (f *Fleet) Resize(ctx context.Context, n int) ([]Move, error) {
 	target := f.Members[:n]
 
 	// Build (but do not publish) the new map over the target membership.
-	members := make([]FleetMember, n)
-	for i, m := range target {
-		members[i] = FleetMember{Name: m.Name, Ingest: m.TCPAddr(), Query: m.HTTPURL()}
-	}
-	newMap, err := NewFleetMap(newEpoch, members)
+	newMap, err := fleetMapOf(newEpoch, target)
 	if err != nil {
 		return nil, fmt.Errorf("federation: resize: %w", err)
 	}
@@ -182,22 +178,10 @@ func (f *Fleet) Resize(ctx context.Context, n int) ([]Move, error) {
 			return nil, fmt.Errorf("federation: resize: stopping %s: %w", f.Members[i].Name, err)
 		}
 	}
-	f.Members = f.Members[:n]
+	f.Members = target
 
-	// 7. Publish: epoch, partitioner, and map move together.
-	names := make([]string, n)
-	for i, m := range target {
-		names[i] = m.Name
-	}
-	part, err := NewPartitioner(names)
-	if err != nil {
-		return nil, err
-	}
-	f.Epoch = newEpoch
-	f.part = part
-	f.mu.Lock()
-	f.curMap = newMap
-	f.mu.Unlock()
+	// 7. Publish.
+	f.publish(newMap)
 	return moves, nil
 }
 

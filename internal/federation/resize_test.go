@@ -154,6 +154,10 @@ func testResizeLive(t *testing.T, fromN, toN int) {
 		if err := exps[e].Close(); err != nil {
 			t.Fatal(err)
 		}
+		// The counters span the session generations the resize replaced.
+		if got, sent := exps[e].Packets(), uint64(flowsPer*pktsPer); got != sent {
+			t.Fatalf("exporter %d counts %d packets after the resize, sent %d", e+1, got, sent)
+		}
 	}
 
 	// Conservation: the live members hold every packet except the phase-A

@@ -137,7 +137,8 @@ func runFederatedScaleTrial(seed uint64, fleetN, shards, nExporters, flowsPer, p
 		return out, err
 	}
 	epoch := seed ^ uint64(fleetN)<<8 ^ uint64(shards)
-	fleet, err := federation.StartFleet(tb, fleetN, shards, epoch)
+	fleet, err := federation.NewFleet(tb,
+		federation.WithSize(fleetN), federation.WithShards(shards), federation.WithFleetEpoch(epoch))
 	if err != nil {
 		return out, err
 	}
@@ -180,7 +181,7 @@ func runFederatedScaleTrial(seed uint64, fleetN, shards, nExporters, flowsPer, p
 	}
 
 	// Path 2: the HTTP frontend on a real loopback socket.
-	fe, err := federation.NewFrontend(federation.WithMembers(fleet.HTTPURLs()...))
+	fe, err := federation.NewFrontend(federation.WithFleetMap(fleet.CurrentMap()))
 	if err != nil {
 		return out, err
 	}
@@ -254,7 +255,7 @@ func runFederatedScaleTrial(seed uint64, fleetN, shards, nExporters, flowsPer, p
 	namesDead := len(degraded.Errors) == 1 && degraded.Errors[0].Node == deadURL
 	wantSurvivors := 0
 	for _, flow := range tb.Flows(nExporters, flowsPer) {
-		if fleet.Partitioner().Home(flow) != dead {
+		if fleet.CurrentMap().FlowHome(flow) != dead {
 			wantSurvivors++
 		}
 	}

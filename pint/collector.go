@@ -4,7 +4,6 @@ import (
 	"repro/internal/admit"
 	"repro/internal/collector"
 	"repro/internal/pipeline"
-	"repro/internal/wire"
 )
 
 // The networked collector API (internal/collector): the sharded sink
@@ -28,7 +27,7 @@ import (
 //	go srv.ListenAndServe("0.0.0.0:9777")
 //
 //	// switch side
-//	ex, _ := pint.DialCollector("collector:9777", pint.HelloFor(engine, switchID, "tor-3-2"))
+//	ex, _ := pint.Connect(engine, switchID, "tor-3-2", pint.WithAddrs("collector:9777"))
 //	ex.Send(pkts)
 //
 // cmd/pintd wraps Collector as a daemon; cmd/pintload is the matching
@@ -121,27 +120,9 @@ type CapacityStats = admit.CapacityStats
 // entries ('*' names the default quota).
 func ParseTenantPolicy(spec string) (TenantPolicy, error) { return admit.ParsePolicy(spec) }
 
-// DefaultTenant is the tenant a session without a Hello tenant label is
+// DefaultTenant is the tenant a session opened without WithTenant is
 // accounted under.
 const DefaultTenant = admit.DefaultTenant
-
-// Exporter is the switch side of a collector session.
-type Exporter = collector.Exporter
-
-// DialCollector connects to a collector and performs the session
-// handshake.
-func DialCollector(addr string, hello Hello) (*Exporter, error) { return collector.Dial(addr, hello) }
-
-// Hello is the session handshake an exporter opens with; set
-// Hello.Tenant to attribute the session to a QoS tenant (empty means
-// DefaultTenant, and keeps the wire handshake byte-identical to v2).
-type Hello = wire.Hello
-
-// HelloFor builds the handshake for an exporter compiled under eng's
-// execution plan.
-func HelloFor(eng *Engine, exporterID uint64, name string) Hello {
-	return collector.HelloFor(eng, exporterID, name)
-}
 
 // FlowAnswers is the JSON-stable per-flow query answer set the
 // collector's snapshot endpoint serves (and Answers computes).

@@ -71,9 +71,8 @@ func ExampleNewCollector() {
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	// Exporter side: the session handshake names the tenant.
-	hello := pint.HelloFor(engine, 1, "example-switch")
-	hello.Tenant = "team-a"
-	ex, err := pint.DialCollector(ln.Addr().String(), hello)
+	ex, err := pint.Connect(engine, 1, "example-switch",
+		pint.WithAddrs(ln.Addr().String()), pint.WithTenant("team-a"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,23 +9,25 @@ import (
 )
 
 // The federated collector API (internal/federation): a fleet of
-// Collectors behind an exporter-side flow partitioner and a merging
-// query frontend, so the recording tier scales by adding machines.
+// Collectors behind exporter-side flow routing and a merging query
+// frontend, so the recording tier scales by adding machines.
 //
 // Three invariants make a fleet answer exactly like one big collector:
-// every flow routes to exactly one home member (Partitioner), sessions
-// are fenced by a cluster epoch (CollectorConfig.Epoch / Hello.Epoch) so
-// a repartitioned exporter cannot mix fleet maps, and queries merge the
-// members' disjoint flow sets in flow-key order (Frontend — the HTTP
-// image of Recording merging in the sharded sink).
+// every flow routes to exactly one home member (FleetMap.FlowHome),
+// sessions are fenced by a cluster epoch (CollectorConfig.Epoch on the
+// member, the map's epoch in every session handshake Connect sends) so
+// a repartitioned exporter cannot mix fleet maps, and
+// queries merge the members' disjoint flow sets in flow-key order
+// (Frontend — the HTTP image of Recording merging in the sharded sink).
 //
-// The fleet's configuration travels as an epoch-versioned FleetMap
-// (membership + addresses; the routing is derived by rendezvous hashing,
-// never serialized). Exporters connect through the options API and — with
-// a roster fetch — follow a live fleet resize end to end: the collectors
-// fence the old epoch, moving flows' recording state ships to its new
-// homes, and the exporters re-partition and re-handshake when the new map
-// publishes:
+// One document describes a fleet to every component: the epoch-versioned
+// FleetMap (membership + addresses; the routing is derived by rendezvous
+// hashing over the member names, never serialized and never configured
+// beside the map). Exporters and the frontend are both built from it,
+// and — with a roster fetch — exporters follow a live fleet resize end
+// to end: the collectors fence the old epoch, moving flows' recording
+// state ships to its new homes, and the exporters re-partition and
+// re-handshake when the new map publishes:
 //
 //	fm, _ := pint.ParseFleetMap(mapJSON) // e.g. GET /fleetmap from pintgate
 //	fx, _ := pint.Connect(engine, 7, "tor-7",
@@ -36,22 +38,11 @@ import (
 //	fe, _ := pint.NewFrontend(pint.WithFrontendFleetMap(fm))
 //	http.ListenAndServe(":9700", fe.Handler())
 //
-// cmd/pintd -epoch, cmd/pintload -addr a,b,c, and cmd/pintgate are the
-// same pieces as daemons; the federated-scale scenario pins the fleet's
-// byte-identity to a single collector, and the fleet-resize scenario pins
-// a mid-stream resize's byte-identity to a fleet that started at the
-// final membership.
-
-// Partitioner maps flow keys to fleet members by rendezvous hashing —
-// deterministic, balanced, and consistent under membership changes.
-type Partitioner = federation.Partitioner
-
-// NewPartitioner builds the flow→member map over the fleet's stable
-// member names. Every component of one deployment must use the identical
-// list.
-func NewPartitioner(members []string) (*Partitioner, error) {
-	return federation.NewPartitioner(members)
-}
+// cmd/pintd -epoch, cmd/pintload -gate, and cmd/pintgate -fleetmap are
+// the same pieces as daemons; the federated-scale scenario pins the
+// fleet's byte-identity to a single collector, and the fleet-resize
+// scenario pins a mid-stream resize's byte-identity to a fleet that
+// started at the final membership.
 
 // FleetMap is the epoch-versioned fleet configuration: membership,
 // addresses, and the partitioning epoch, as served on /fleetmap. It
@@ -95,8 +86,10 @@ type FleetRoster = collector.FleetRoster
 // DialOption configures Connect.
 type DialOption = collector.DialOption
 
-// Connect is the options entry point for exporter-session construction —
-// single-node and fleet sessions share it:
+// Connect is the one way to open exporter sessions — to one standalone
+// collector (WithAddrs) or to a fleet (WithFleetMap):
+//
+//	ex, err := pint.Connect(engine, 3, "tor-3", pint.WithAddrs("collector:9777"))
 //
 //	fx, err := pint.Connect(engine, 7, "tor-7",
 //	        pint.WithFleetMap(fm),
@@ -106,14 +99,8 @@ func Connect(engine *Engine, exporterID uint64, name string, opts ...DialOption)
 	return collector.Connect(engine, exporterID, name, opts...)
 }
 
-// WithAddrs sets the collector addresses explicitly.
-func WithAddrs(addrs ...string) DialOption { return collector.WithAddrs(addrs...) }
-
-// WithRoute sets the flow→member routing function explicitly.
-func WithRoute(route func(FlowKey) int) DialOption { return collector.WithRoute(route) }
-
-// WithSessionEpoch sets the cluster epoch the session handshake carries.
-func WithSessionEpoch(epoch uint64) DialOption { return collector.WithSessionEpoch(epoch) }
+// WithAddrs points the session at one standalone collector (epoch 0).
+func WithAddrs(addr string) DialOption { return collector.WithAddrs(addr) }
 
 // WithTenant labels the session with a QoS tenant.
 func WithTenant(tenant string) DialOption { return collector.WithTenant(tenant) }
@@ -121,7 +108,7 @@ func WithTenant(tenant string) DialOption { return collector.WithTenant(tenant) 
 // WithCoalesce sets the per-session write-coalescing threshold in bytes.
 func WithCoalesce(bytes int) DialOption { return collector.WithCoalesce(bytes) }
 
-// WithFleetMap derives addresses, routing, and epoch from a fleet map.
+// WithFleetMap takes addresses, routing, and epoch from a fleet map.
 func WithFleetMap(roster FleetRoster) DialOption { return collector.WithFleetMap(roster) }
 
 // WithRosterFetch enables live re-routing across fleet resizes: fetch is
@@ -130,20 +117,12 @@ func WithRosterFetch(fetch func() (FleetRoster, error)) DialOption {
 	return collector.WithRosterFetch(fetch)
 }
 
-// DialCollectorFleet opens one exporter session per fleet member and
-// routes each flow by route (e.g. Partitioner.Route()). It is the static
-// compatibility path for Connect: the sessions are pinned to addrs and
-// hello.Epoch for their whole life.
-func DialCollectorFleet(addrs []string, hello Hello, route func(FlowKey) int, batch int) (*FleetExporter, error) {
-	return collector.DialFleet(addrs, hello, route, batch)
-}
-
 // Frontend is the fleet's merging query endpoint: it fans /snapshot,
 // /stats, and /healthz out to every member and folds the answers into
 // single-collector-shaped JSON, with explicit partial results (the
-// PartialHeader plus a per-node error list) when members are down. Built
-// with a fleet map it also serves GET/POST /fleetmap and excludes
-// epoch-stale members from the merge.
+// PartialHeader plus a per-node error list) when members are down. It
+// serves its fleet map on GET /fleetmap, takes the next epoch's on POST
+// /fleetmap, and excludes epoch-stale members from the merge.
 type Frontend = federation.Frontend
 
 // FrontendOption configures NewFrontend.
@@ -159,28 +138,18 @@ const NodeErrorEpochStale = federation.NodeErrorEpochStale
 // PartialHeader marks a response merged from a degraded fleet.
 const PartialHeader = federation.PartialHeader
 
-// NewFrontend builds a query frontend through functional options:
+// NewFrontend builds a query frontend over a fleet map (required):
 //
 //	fe, err := pint.NewFrontend(pint.WithFrontendFleetMap(fm))
-//	fe, err := pint.NewFrontend(pint.WithFrontendMembers("http://tor-a:9778"))
 func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 	return federation.NewFrontend(opts...)
 }
 
-// NewStaticFrontend builds a frontend over a bare list of member query
-// URLs — the compatibility path for the pre-options constructor.
-func NewStaticFrontend(nodes []string) (*Frontend, error) {
-	return federation.NewStaticFrontend(nodes)
-}
-
-// WithFrontendMembers sets the frontend's member query URLs explicitly.
-// (The federation package names this WithMembers; the facade qualifies
+// WithFrontendFleetMap gives the frontend the fleet's map: the fan-out
+// follows it, /fleetmap serves it, epoch-stale members are excluded.
+// (The federation package names this WithFleetMap; the facade qualifies
 // frontend options to keep them distinct from the exporter-side dial
 // options above.)
-func WithFrontendMembers(urls ...string) FrontendOption { return federation.WithMembers(urls...) }
-
-// WithFrontendFleetMap seeds the frontend with the fleet's map: members
-// follow the map, /fleetmap serves it, epoch-stale members are excluded.
 func WithFrontendFleetMap(m *FleetMap) FrontendOption { return federation.WithFleetMap(m) }
 
 // WithFrontendTimeout bounds each fan-out request (default 10s).

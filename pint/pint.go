@@ -72,6 +72,13 @@
 //	    pint.WithTenantPolicy(policy),
 //	)
 //
+// The switch side opens its session with Connect — the one exporter
+// constructor, for a single collector (WithAddrs) and for a fleet
+// (WithFleetMap) alike:
+//
+//	ex, _ := pint.Connect(engine, switchID, "tor-3-2", pint.WithAddrs("collector:9777"))
+//	ex.Send(pkts)
+//
 // A tenant policy turns overload into accuracy instead of backpressure:
 // each session's handshake names a tenant, an over-quota tenant's frames
 // are thinned to a known per-tenant sampling rate p, and /stats publishes

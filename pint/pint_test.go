@@ -332,7 +332,7 @@ func TestPublicCollectorAPI(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	ex, err := pint.DialCollector(ln.Addr().String(), pint.HelloFor(engine, 1, "public-api"))
+	ex, err := pint.Connect(engine, 1, "public-api", pint.WithAddrs(ln.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,149 +366,5 @@ func TestPublicCollectorAPI(t *testing.T) {
 		if id != truth[i] {
 			t.Fatalf("hop %d decoded %#x, want %#x", i+1, id, truth[i])
 		}
-	}
-}
-
-// TestPublicFederationAPI drives the federated tier through the facade: a
-// two-member collector fleet, the consistent-hash partitioner routing a
-// fleet exporter's flows to their homes under an epoch-fenced handshake,
-// per-member Recordings folded with Merge, and the merging query frontend
-// answering over both members' HTTP endpoints.
-func TestPublicFederationAPI(t *testing.T) {
-	uni := universe(64)
-	truth := uni[:6]
-	cfg, err := pint.DefaultPathConfig(8, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := pint.NewPathQuery("path", cfg, 1, 3, uni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := pint.Compile([]pint.Query{q}, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		nFlows  = 6
-		perFlow = 600
-		epoch   = 12
-	)
-	flows := make([]pint.FlowKey, nFlows)
-	for i := range flows {
-		flows[i] = pint.FlowKeyOf(3, fmt.Sprintf("fed-flow-%d", i))
-	}
-	rng := pint.NewRNG(4)
-	pkts := make([]pint.PacketDigest, 0, nFlows*perFlow)
-	for _, flow := range flows {
-		for j := 0; j < perFlow; j++ {
-			pkts = append(pkts, pint.PacketDigest{Flow: flow, PktID: rng.Uint64(), PathLen: len(truth)})
-		}
-	}
-	vals := make([]pint.HopValues, len(pkts))
-	for hop := 1; hop <= len(truth); hop++ {
-		for i := range vals {
-			vals[i].SwitchID = truth[hop-1]
-		}
-		engine.EncodeHopBatch(hop, pkts, vals)
-	}
-
-	part, err := pint.NewPartitioner([]string{"member-0", "member-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	homes := map[int]bool{}
-	for _, flow := range flows {
-		homes[part.Home(flow)] = true
-	}
-	if len(homes) != 2 {
-		t.Fatalf("partitioner routed all %d flows to one member", nFlows)
-	}
-
-	type member struct {
-		sink *pint.ShardedSink
-		srv  *pint.Collector
-		ln   net.Listener
-		errc chan error
-	}
-	var members [2]*member
-	var addrs []string
-	for i := range members {
-		sink, err := pint.NewShardedSink(engine, pint.ShardConfig{Shards: 2, Base: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sink.Close()
-		srv, err := pint.NewCollector(engine,
-			pint.WithSink(sink), pint.WithQueries(q), pint.WithEpoch(epoch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &member{sink: sink, srv: srv, ln: ln, errc: make(chan error, 1)}
-		go func() { m.errc <- srv.Serve(ln) }()
-		members[i] = m
-		addrs = append(addrs, ln.Addr().String())
-	}
-
-	hello := pint.HelloFor(engine, 1, "public-fleet")
-	if _, err := pint.DialCollectorFleet(addrs, hello, part.Route(), 128); err == nil {
-		t.Fatal("epoch-less exporter accepted by an epoch-fenced fleet")
-	}
-	hello.Epoch = epoch
-	fx, err := pint.DialCollectorFleet(addrs, hello, part.Route(), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.Send(pkts); err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var ingested uint64
-	for _, m := range members {
-		if err := m.srv.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-m.errc; err != nil {
-			t.Fatal(err)
-		}
-		ingested += m.srv.Stats().Packets
-	}
-	if ingested != uint64(len(pkts)) {
-		t.Fatalf("fleet ingested %d packets, want %d", ingested, len(pkts))
-	}
-
-	merged, err := members[0].sink.Snapshot().Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := members[1].sink.Snapshot().Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	for _, fa := range pint.Answers(merged, []pint.Query{q}, flows) {
-		if !fa.Answers[0].Done {
-			t.Fatalf("flow %d did not decode across the fleet: %+v", fa.Flow, fa)
-		}
-		for i, id := range fa.Answers[0].Path {
-			if id != truth[i] {
-				t.Fatalf("flow %d hop %d decoded %#x, want %#x", fa.Flow, i+1, id, truth[i])
-			}
-		}
-	}
-
-	if _, err := pint.NewFrontend(nil); err == nil {
-		t.Fatal("frontend over zero nodes accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -147,9 +148,10 @@ func (d *daemonProc) drainOutput() string {
 }
 
 // TestSmokeFederatedDrain runs the full federated tier as real binaries:
-// two pintd fleet members under one epoch, pintgate fronting their HTTP
-// endpoints, and pintload routing flows to consistent-hash homes across
-// both daemons. It demands: a complete merged snapshot from the gate, an
+// two pintd fleet members under one epoch, described once by a fleet-map
+// file; pintgate -fleetmap fronting them, and pintload -gate fetching the
+// same map from the gate and routing flows to their homes across both
+// daemons. It demands: a complete merged snapshot from the gate, an
 // explicit partial result (header + named node) after one member is
 // SIGTERMed, packet conservation across both drains, and clean exits all
 // around.
@@ -183,12 +185,20 @@ func TestSmokeFederatedDrain(t *testing.T) {
 		tcpAddrs[i] = daemons[i].scrape(t, "listening on ")
 		httpAddrs[i] = daemons[i].scrape(t, "http on ")
 	}
+	mapFile := filepath.Join(bin, "fleet.json")
+	fleetMap := fmt.Sprintf(`{"epoch": %s, "members": [
+		{"name": "pintd-0", "ingest": %q, "query": %q},
+		{"name": "pintd-1", "ingest": %q, "query": %q}]}`,
+		epoch, tcpAddrs[0], "http://"+httpAddrs[0], tcpAddrs[1], "http://"+httpAddrs[1])
+	if err := os.WriteFile(mapFile, []byte(fleetMap), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	gate := startDaemon(t, ctx, filepath.Join(bin, "pintgate"),
-		"-http", "127.0.0.1:0", "-nodes", httpAddrs[0]+","+httpAddrs[1])
+		"-http", "127.0.0.1:0", "-fleetmap", mapFile)
 	gateURL := "http://" + gate.scrape(t, "serving on ")
 
 	load, err := exec.CommandContext(ctx, filepath.Join(bin, "pintload"),
-		"-addr", tcpAddrs[0]+","+tcpAddrs[1], "-epoch", epoch,
+		"-gate", gateURL,
 		"-exporters", fmt.Sprint(exporters), "-flows", fmt.Sprint(flows), "-pkts", fmt.Sprint(pkts),
 	).CombinedOutput()
 	if err != nil {
