@@ -2,7 +2,8 @@
 // `go test -bench` output files (a committed baseline and a fresh run),
 // reduces each benchmark's samples to its median ns/op, and fails — exit
 // code 1 — when the geometric-mean slowdown across the benchmarks both
-// files share exceeds a threshold.
+// files share exceeds a threshold, or when a benchmark the baseline
+// records at 0 allocs/op allocates at all.
 //
 // Usage:
 //
@@ -20,6 +21,13 @@
 // broad hot-path slowdown even when each benchmark moves modestly, and
 // the (looser) per-benchmark threshold catches one benchmark tanking —
 // which a geomean over many healthy benchmarks would dilute.
+//
+// The allocation gate is the deterministic one: allocs/op is a count, the
+// same on any runner, so "0 in the baseline, more than 0 now" needs no
+// threshold and no quiet machine — it is what keeps a per-packet
+// allocation from returning to a hot path that was made allocation-free.
+// It reads the allocs/op column -benchmem prints and skips benchmarks
+// that do not report one.
 //
 // Medians (not means) absorb scheduler noise in -count=N runs, and the
 // geomean across benchmarks keeps one noisy microbenchmark from failing
@@ -54,15 +62,21 @@ import (
 //	BenchmarkHotPath_BatchEncodeExtract-8   3936970   304.5 ns/op   0 B/op ...
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
 
-// parse reads a bench output file into base name → cpu suffix → ns/op
-// samples. The cpu suffix is "" when go test omitted it (GOMAXPROCS=1).
-func parse(path string) (map[string]map[string][]float64, error) {
+// allocsField matches the -benchmem allocation count of a result line.
+var allocsField = regexp.MustCompile(`\s(\d+) allocs/op`)
+
+// parse reads a bench output file into base name → cpu suffix → samples,
+// once for ns/op and once for allocs/op (lines without that column add
+// nothing to the second). The cpu suffix is "" when go test omitted it
+// (GOMAXPROCS=1).
+func parse(path string) (ns, allocs map[string]map[string][]float64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	out := map[string]map[string][]float64{}
+	ns = map[string]map[string][]float64{}
+	allocs = map[string]map[string][]float64{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -74,18 +88,28 @@ func parse(path string) (map[string]map[string][]float64, error) {
 		if err != nil || v <= 0 {
 			continue
 		}
-		if out[m[1]] == nil {
-			out[m[1]] = map[string][]float64{}
+		if ns[m[1]] == nil {
+			ns[m[1]] = map[string][]float64{}
 		}
-		out[m[1]][m[2]] = append(out[m[1]][m[2]], v)
+		ns[m[1]][m[2]] = append(ns[m[1]][m[2]], v)
+		if a := allocsField.FindStringSubmatch(sc.Text()); a != nil {
+			n, err := strconv.ParseFloat(a[1], 64)
+			if err != nil {
+				continue
+			}
+			if allocs[m[1]] == nil {
+				allocs[m[1]] = map[string][]float64{}
+			}
+			allocs[m[1]][m[2]] = append(allocs[m[1]][m[2]], n)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("benchgate: no benchmark lines in %s", path)
+	if len(ns) == 0 {
+		return nil, nil, fmt.Errorf("benchgate: no benchmark lines in %s", path)
 	}
-	return out, nil
+	return ns, allocs, nil
 }
 
 // flatten reduces the two parsed files to gate keys. A base name with at
@@ -121,6 +145,19 @@ func flatten(a, b map[string]map[string][]float64) (map[string][]float64, map[st
 	return flat(a), flat(b)
 }
 
+// allocRegressions names, sorted, every benchmark whose baseline median is
+// 0 allocs/op and whose fresh median is not.
+func allocRegressions(old, fresh map[string][]float64) []string {
+	var names []string
+	for name, o := range old {
+		if n, ok := fresh[name]; ok && median(o) == 0 && median(n) > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 func median(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
@@ -152,12 +189,12 @@ func main() {
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
 	}
-	oldP, err := parse(*oldPath)
+	oldP, oldAllocs, err := parse(*oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	newP, err := parse(*newPath)
+	newP, newAllocs, err := parse(*newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -212,8 +249,14 @@ func main() {
 			strings.TrimPrefix(worstName, "Benchmark"), (worstRatio-1)*100, *maxSinglePct)
 		failed = true
 	}
+	oldA, newA := flatten(oldAllocs, newAllocs)
+	for _, name := range allocRegressions(oldA, newA) {
+		fmt.Fprintf(w, "FAIL: %s allocates (median %.0f allocs/op); its baseline is 0 allocs/op\n",
+			strings.TrimPrefix(name, "Benchmark"), median(newA[name]))
+		failed = true
+	}
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Fprintf(w, "PASS: within the %.0f%% geomean / %.0f%% single-benchmark gates\n", *thresholdPct, *maxSinglePct)
+	fmt.Fprintf(w, "PASS: within the %.0f%% geomean / %.0f%% single-benchmark gates, no allocation where the baseline has none\n", *thresholdPct, *maxSinglePct)
 }

@@ -25,7 +25,7 @@ BenchmarkPar/s=1-2  	  500	 150.0 ns/op
 BenchmarkPar/s=1-4  	  500	 120.0 ns/op
 not a benchmark line
 `)
-	got, err := parse(p)
+	got, _, err := parse(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +94,51 @@ func TestFlattenMultiInOneFileOnly(t *testing.T) {
 	}
 	if len(fn["BenchmarkPar-2"]) != 1 || len(fn["BenchmarkPar-4"]) != 1 {
 		t.Fatalf("new side cells: %+v", fn)
+	}
+}
+
+// TestAllocationGate: allocs/op is parsed where -benchmem printed it, and
+// a benchmark that the baseline holds at 0 allocs/op fails the gate as
+// soon as its fresh median is above 0 — per cpu cell, and only then.
+func TestAllocationGate(t *testing.T) {
+	base := writeBench(t, "base.txt", `
+BenchmarkSinkIngest/serial   1000000   220.0 ns/op   4.5 Mpkt/s   3 B/op   0 allocs/op
+BenchmarkSinkIngest/serial   1000000   221.0 ns/op   4.5 Mpkt/s   3 B/op   0 allocs/op
+BenchmarkSinkIngest/serial   1000000   222.0 ns/op   4.5 Mpkt/s   4 B/op   1 allocs/op
+BenchmarkPar/s=1             500       200.0 ns/op   64 B/op   0 allocs/op
+BenchmarkPar/s=1-4           500       120.0 ns/op   64 B/op   0 allocs/op
+BenchmarkAlways              1000      100.0 ns/op   48 B/op   2 allocs/op
+BenchmarkNoMem               1000      100.0 ns/op
+`)
+	fresh := writeBench(t, "fresh.txt", `
+BenchmarkSinkIngest/serial   1000000   220.0 ns/op   4.5 Mpkt/s   19 B/op   1 allocs/op
+BenchmarkPar/s=1             500       200.0 ns/op   64 B/op   0 allocs/op
+BenchmarkPar/s=1-4           500       120.0 ns/op   96 B/op   3 allocs/op
+BenchmarkAlways              1000      100.0 ns/op   480 B/op   20 allocs/op
+BenchmarkNoMem               1000      100.0 ns/op
+`)
+	_, oldAllocs, err := parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, newAllocs, err := parse(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := oldAllocs["BenchmarkNoMem"]; ok {
+		t.Fatal("a line without an allocs/op column produced an allocation sample")
+	}
+	if got := oldAllocs["BenchmarkSinkIngest/serial"][""]; len(got) != 3 || median(got) != 0 {
+		t.Fatalf("baseline SinkIngest allocs = %v, want three samples with median 0", got)
+	}
+	oldA, newA := flatten(oldAllocs, newAllocs)
+	got := allocRegressions(oldA, newA)
+	want := []string{"BenchmarkPar/s=1-4", "BenchmarkSinkIngest/serial"}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("allocation regressions = %v, want %v", got, want)
+	}
+	if again := allocRegressions(oldA, oldA); len(again) != 0 {
+		t.Fatalf("a file gated against itself fails: %v", again)
 	}
 }
 

@@ -411,6 +411,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn: conn, epoch: hello.Epoch}
 	s.sess.add(sess)
 	defer s.sess.remove(sess)
+	// A SetEpoch that ran between the ack above and this registration
+	// found no session to nudge; catch up (the nudge is one-shot per
+	// session, so one already delivered is not repeated).
+	s.sess.nudgeStale(s.epoch.Load())
 
 	// The per-connection pipeline: this goroutine decodes each frame
 	// straight into its private stage (computing flow→shard routing

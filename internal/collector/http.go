@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/wire"
 )
 
 // This file serves snapshot queries over HTTP/JSON. The answer encoding
@@ -60,10 +59,6 @@ type FlowAnswers struct {
 	Answers []QueryAnswer `json:"answers"`
 }
 
-// maxAnswerHops bounds the per-hop scan: paths in the decoder domain
-// never exceed wire.MaxPathLen hops.
-const maxAnswerHops = wire.MaxPathLen
-
 // Answers evaluates every query for every listed flow against one
 // quiescent Recording (a merged snapshot). Queries run in a fixed order
 // — flows as given, queries as given, hops ascending, p50 before p99 —
@@ -82,7 +77,7 @@ func Answers(rec *core.Recording, queries []core.Query, flows []core.FlowKey) []
 				a.Path, a.Done = rec.Path(q, flow)
 				a.Inconsistencies = rec.PathInconsistencies(q, flow)
 			case *core.LatencyQuery:
-				for hop := 1; hop <= maxAnswerHops; hop++ {
+				for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
 					n := rec.LatencySamples(q, flow, hop)
 					if n == 0 {
 						continue
@@ -94,7 +89,7 @@ func Answers(rec *core.Recording, queries []core.Query, flows []core.FlowKey) []
 					a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n, P50: ps[0], P99: ps[1]})
 				}
 			case *core.FreqQuery:
-				for hop := 1; hop <= maxAnswerHops; hop++ {
+				for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
 					n := rec.FreqSamples(q, flow, hop)
 					if n == 0 {
 						continue

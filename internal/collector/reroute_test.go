@@ -3,6 +3,8 @@ package collector
 import (
 	"errors"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,5 +95,54 @@ func TestFailedRehomeIsStickyAndLoud(t *testing.T) {
 				t.Fatalf("collector ingested %d packets; the exporter never delivered any", got)
 			}
 		})
+	}
+}
+
+// TestEpochMoveBetweenAckAndRegistrationStillNudges: SetEpoch walks the
+// registered sessions, so one that lands after a session's handshake was
+// acked at the old epoch but before the session is registered finds nobody
+// to nudge; the handler has to catch up once it registers. The server logs
+// "session open" exactly in that gap, so the log hook is where the test
+// moves the epoch — deterministically inside the window.
+func TestEpochMoveBetweenAckAndRegistrationStillNudges(t *testing.T) {
+	tb := mustTestbench(t, 67)
+	var srvp atomic.Pointer[Server]
+	moved := make(chan struct{}, 1)
+	_, srv := newServedSink(t, tb, 1, WithEpoch(1), WithLogf(func(format string, _ ...any) {
+		if s := srvp.Load(); s != nil && s.Epoch() == 1 && strings.Contains(format, "session open") {
+			s.SetEpoch(2)
+			moved <- struct{}{}
+		}
+	}))
+	srvp.Store(srv)
+	live := srv.Addr().String()
+	fe, err := Connect(tb.Engine, 1, "early",
+		WithFleetMap(fixedRoster{epoch: 1, addrs: []string{live}}),
+		WithRosterFetch(func() (FleetRoster, error) {
+			return fixedRoster{epoch: 2, addrs: []string{live}}, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fe.Close() }) // a failed run must not leave the server waiting on the session
+	select {
+	case <-moved:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never logged the session open")
+	}
+	for deadline := time.Now().Add(5 * time.Second); !fe.RerouteRequested(); {
+		if time.Now().After(deadline) {
+			t.Fatal("a session acked just before the epoch moved was never nudged")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := fe.Poke(); err != nil {
+		t.Fatalf("rehome after the nudge: %v", err)
+	}
+	if fe.Epoch() != 2 {
+		t.Fatalf("exporter at epoch %d after the rehome, want 2", fe.Epoch())
+	}
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

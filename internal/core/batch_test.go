@@ -12,6 +12,14 @@ import (
 // 1/8, freq b=4 on 1/4, count b=4 on 1/8 — 32-bit global budget.
 func combinedTestPlan(t testing.TB, master hash.Seed) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery, *FreqQuery, *CountQuery) {
 	t.Helper()
+	return combinedTestPlanLat(t, master, 8)
+}
+
+// combinedTestPlanLat is combinedTestPlan with the latency query's digest
+// width chosen by the caller (the budget grows with it), so tests can put
+// multi-byte raw samples through the same five-query plan.
+func combinedTestPlanLat(t testing.TB, master hash.Seed, latBits int) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery, *FreqQuery, *CountQuery) {
+	t.Helper()
 	universe := make([]uint64, 64)
 	for i := range universe {
 		universe[i] = uint64(0xAB00 + i*3)
@@ -24,10 +32,7 @@ func combinedTestPlan(t testing.TB, master hash.Seed) (*Engine, *PathQuery, *Lat
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := NewLatencyQuery("lat", 8, 0.04, 7.0/8, master)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lat := latQueryOfBits(t, latBits, 7.0/8, master)
 	util, err := NewUtilQuery("util", 8, 0.025, 1.0/8, 1000, master)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +45,7 @@ func combinedTestPlan(t testing.TB, master hash.Seed) (*Engine, *PathQuery, *Lat
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Compile([]Query{path, lat, util, freq, cnt}, 32, master.Derive(9))
+	eng, err := Compile([]Query{path, lat, util, freq, cnt}, 24+latBits, master.Derive(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,16 +26,37 @@ func cloneWorkload(t *testing.T, eng *Engine, seed uint64, nFlows, n, k int) []P
 	return pkts
 }
 
-// storageVariants are the three latency storages a Recording can run.
+// storageVariants are the three latency storages a Recording can run on
+// the 8-bit combined plan, plus raw storage under a 12-bit and a 40-bit
+// latency query — 2 and 5 bytes a sample, so a shared prefix that cut a
+// sample in half would show. The wide variants scramble their digests
+// (see plan), so every byte of a sample carries bits.
 var storageVariants = []struct {
 	name        string
 	sketchItems int
 	winBuckets  int
 	winSpan     uint64
+	latBits     int
 }{
-	{name: "raw"},
-	{name: "sketched", sketchItems: 24},
-	{name: "windowed", sketchItems: 24, winBuckets: 4, winSpan: 16},
+	{name: "raw", latBits: 8},
+	{name: "sketched", sketchItems: 24, latBits: 8},
+	{name: "windowed", sketchItems: 24, winBuckets: 4, winSpan: 16, latBits: 8},
+	{name: "raw-lat12", latBits: 12},
+	{name: "raw-lat40", latBits: 40},
+}
+
+// scramble overwrites the digests of an encoded stream with random bits
+// when the variant's latency query is wider than its compressor's codes.
+func scramble(latBits int, seed uint64, streams ...[]PacketDigest) {
+	if latBits == 8 {
+		return
+	}
+	rng := hash.NewRNG(seed)
+	for _, pkts := range streams {
+		for i := range pkts {
+			pkts[i].Digest = rng.Uint64()
+		}
+	}
 }
 
 // TestRecordingCloneIsIndependentAndIdentical is the contract snapshot
@@ -46,12 +67,13 @@ var storageVariants = []struct {
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util, freq, cnt := combinedTestPlan(t, 37)
+			eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 37, v.latBits)
 			const (
 				nFlows = 6
 				k      = 6
 			)
 			pkts := cloneWorkload(t, eng, 91, nFlows, 4096, k)
+			scramble(v.latBits, 93, pkts)
 			half := len(pkts) / 2
 			mk := func() *Recording {
 				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
@@ -272,7 +294,7 @@ func TestClonePrefixProperty(t *testing.T) {
 	for _, v := range storageVariants {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
-				eng, path, lat, util, freq, cnt := combinedTestPlan(t, 59)
+				eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 59, v.latBits)
 				mk := func() *Recording {
 					rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 					if err != nil {
@@ -293,6 +315,7 @@ func TestClonePrefixProperty(t *testing.T) {
 				for trial := 0; trial < 3; trial++ {
 					nFlows := 2 + rng.Intn(6)
 					pkts := randomWorkload(eng, rng, nFlows, 64+rng.Intn(96), k)
+					scramble(v.latBits, rng.Uint64(), pkts)
 					live := make([]*Recording, shards)
 					for i := range live {
 						live[i] = mk()
@@ -374,7 +397,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 	)
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util, freq, cnt := combinedTestPlan(t, 61)
+			eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 61, v.latBits)
 			mk := func() *Recording {
 				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 				if err != nil {
@@ -390,27 +413,37 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 				cloneWorkload(t, eng, 113, nFlows, 800, k),
 				cloneWorkload(t, eng, 127, nFlows, 800, k),
 			}
+			scramble(v.latBits, 131, append(conts, prefix)...)
 			orig := mk()
 			if err := orig.RecordBatch(prefix); err != nil {
 				t.Fatal(err)
 			}
 			// The test means something only if an append could land in
 			// shared memory: some origin series must have room to spare.
-			spare := false
-			for _, byFlow := range orig.utils {
-				for _, vs := range byFlow {
-					spare = spare || cap(vs) > len(vs)
+			spare, spareRaw := false, v.sketchItems != 0
+			for _, fs := range orig.flows {
+				for _, slot := range fs.slots {
+					spare = spare || cap(slot.series) > len(slot.series)
+					for _, st := range slot.lat {
+						spareRaw = spareRaw || cap(st.raw) >= len(st.raw)+st.width
+					}
 				}
 			}
-			if !spare {
+			if !spare || !spareRaw {
 				t.Fatal("no origin series has spare capacity; pick another prefix length")
 			}
 			holders := []*Recording{orig, orig.Clone(), orig.Clone()}
 			for _, c := range holders[1:] {
-				for _, byFlow := range c.utils {
-					for f, vs := range byFlow {
-						if cap(vs) != len(vs) {
-							t.Fatalf("flow %d: clone's util series has cap %d > len %d", f, cap(vs), len(vs))
+				for f, fs := range c.flows {
+					for _, slot := range fs.slots {
+						if vs := slot.series; cap(vs) != len(vs) {
+							t.Fatalf("flow %d: clone's series has cap %d > len %d", f, cap(vs), len(vs))
+						}
+						for _, st := range slot.lat {
+							if cap(st.raw) != len(st.raw) || len(st.raw)%st.width != 0 {
+								t.Fatalf("flow %d: clone's raw samples have len %d cap %d at %d bytes a sample",
+									f, len(st.raw), cap(st.raw), st.width)
+							}
 						}
 					}
 				}
@@ -453,13 +486,15 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 	phis := []float64{0.5, 0.99, 0, 1, 0.5}
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, _, lat, _, _, _ := combinedTestPlan(t, 67)
+			eng, _, lat, _, _, _ := combinedTestPlanLat(t, 67, v.latBits)
 			rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
-			if err := rec.RecordBatch(cloneWorkload(t, eng, 131, nFlows, 1500, k)); err != nil {
+			pkts := cloneWorkload(t, eng, 131, nFlows, 1500, k)
+			scramble(v.latBits, 137, pkts)
+			if err := rec.RecordBatch(pkts); err != nil {
 				t.Fatal(err)
 			}
 			batched, single := rec.Clone(), rec.Clone()

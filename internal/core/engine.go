@@ -59,6 +59,10 @@ type Engine struct {
 	cum []float64
 	// progs[i] is set i lowered to a flat encode/record program.
 	progs []encodeProgram
+	// slots numbers the compiled queries: slots[q] indexes q's state in
+	// every flow the Recording Module tracks (flowState.slots), and each
+	// compiled op carries its query's number.
+	slots map[Query]int
 }
 
 // Compile builds an execution plan for concurrent queries under a global
@@ -162,12 +166,16 @@ func Compile(queries []Query, globalBits int, master hash.Seed) (*Engine, error)
 				queries[i].Name(), r)
 		}
 	}
-	e := &Engine{g: hash.NewGlobal(master.Derive(0xE14)), master: master, plan: plan}
+	e := &Engine{g: hash.NewGlobal(master.Derive(0xE14)), master: master, plan: plan,
+		slots: make(map[Query]int, len(queries))}
+	for i, q := range queries {
+		e.slots[q] = i
+	}
 	cum := 0.0
 	for _, s := range plan.Sets {
 		cum += s.Prob
 		e.cum = append(e.cum, cum)
-		prog, err := compileProgram(s)
+		prog, err := compileProgram(s, e.slots)
 		if err != nil {
 			return nil, err
 		}

@@ -100,12 +100,70 @@ func appendFloatSeries(dst []byte, series []float64) []byte {
 	return dst
 }
 
+// sectionKind maps a query to its family's section kind, 0 for a type that
+// is none of the five.
+func sectionKind(q Query) byte {
+	switch q.(type) {
+	case *PathQuery:
+		return sectionPath
+	case *LatencyQuery:
+		return sectionLatency
+	case *UtilQuery:
+		return sectionUtil
+	case *FreqQuery:
+		return sectionFreq
+	case *CountQuery:
+		return sectionCount
+	}
+	return 0
+}
+
+// appendLatStores is a latency section's payload: the hop count, then one
+// store per hop. A raw sample travels as the uvarint of its code, whatever
+// width it is held at in memory.
+func appendLatStores(dst []byte, stores []latStore) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(stores)))
+	for i := range stores {
+		switch st := &stores[i]; {
+		case st.win != nil:
+			dst = appendStore(dst, storeWin, st.win.AppendState(nil))
+		case st.kll != nil:
+			dst = appendStore(dst, storeKLL, st.kll.AppendState(nil))
+		default:
+			n := st.samples()
+			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(n))
+			for j := 0; j < n; j++ {
+				dst = binary.AppendUvarint(dst, st.code(j))
+			}
+		}
+	}
+	return dst
+}
+
+func appendFreqStores(dst []byte, stores []*sketch.SpaceSaving) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(stores)))
+	for _, st := range stores {
+		if st == nil {
+			dst = append(dst, storeNone)
+			continue
+		}
+		dst = appendStore(dst, storeKLL, st.AppendState(nil)) // "present" marker; the state is a SpaceSaving
+	}
+	return dst
+}
+
+// appendStore appends one per-hop sketch: its kind, then its length-prefixed state.
+func appendStore(dst []byte, kind byte, state []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, kind), uint64(len(state)))
+	return append(dst, state...)
+}
+
 // AppendFlowState appends flow's complete recording state to dst. The
 // queries slice fixes the section order (sections appear in query order,
 // families with no state for the flow are skipped). The flow must be
 // tracked.
 func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) ([]byte, error) {
-	if _, ok := r.flowSeq[flow]; !ok {
+	if !r.HasFlow(flow) {
 		return dst, fmt.Errorf("core: flow %d is not tracked", flow)
 	}
 	dst = append(dst, flowStateVersion)
@@ -116,76 +174,25 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 	}
 	sections := 0
 	for _, q := range queries {
-		switch q := q.(type) {
-		case *PathQuery:
-			dec := r.paths[q][flow]
-			if dec == nil {
-				continue
-			}
-			dst = appendSection(dst, q.Name(), sectionPath, dec.AppendState(nil))
-		case *LatencyQuery:
-			stores := r.lats[q][flow]
-			if stores == nil {
-				continue
-			}
-			var pl []byte
-			pl = binary.AppendUvarint(pl, uint64(len(stores)))
-			for _, st := range stores {
-				switch {
-				case st == nil:
-					pl = append(pl, storeNone)
-				case st.win != nil:
-					pl = append(pl, storeWin)
-					sub := st.win.AppendState(nil)
-					pl = binary.AppendUvarint(pl, uint64(len(sub)))
-					pl = append(pl, sub...)
-				case st.kll != nil:
-					pl = append(pl, storeKLL)
-					sub := st.kll.AppendState(nil)
-					pl = binary.AppendUvarint(pl, uint64(len(sub)))
-					pl = append(pl, sub...)
-				default:
-					pl = append(pl, storeRaw)
-					pl = binary.AppendUvarint(pl, uint64(len(st.raw)))
-					for _, v := range st.raw {
-						pl = binary.AppendUvarint(pl, v)
-					}
-				}
-			}
-			dst = appendSection(dst, q.Name(), sectionLatency, pl)
-		case *UtilQuery:
-			series := r.utils[q][flow]
-			if series == nil {
-				continue
-			}
-			dst = appendSection(dst, q.Name(), sectionUtil, appendFloatSeries(nil, series))
-		case *FreqQuery:
-			stores := r.freqs[q][flow]
-			if stores == nil {
-				continue
-			}
-			var pl []byte
-			pl = binary.AppendUvarint(pl, uint64(len(stores)))
-			for _, st := range stores {
-				if st == nil {
-					pl = append(pl, storeNone)
-					continue
-				}
-				pl = append(pl, storeKLL) // "present" marker; payload is a SpaceSaving
-				sub := st.AppendState(nil)
-				pl = binary.AppendUvarint(pl, uint64(len(sub)))
-				pl = append(pl, sub...)
-			}
-			dst = appendSection(dst, q.Name(), sectionFreq, pl)
-		case *CountQuery:
-			series := r.cnts[q][flow]
-			if series == nil {
-				continue
-			}
-			dst = appendSection(dst, q.Name(), sectionCount, appendFloatSeries(nil, series))
-		default:
+		kind := sectionKind(q)
+		if kind == 0 {
 			return dst, fmt.Errorf("core: flow state for unknown query type %T", q)
 		}
+		// One field of a slot is live, the one q's kind uses.
+		var payload []byte
+		switch slot := r.slot(q, flow); {
+		case slot.dec != nil:
+			payload = slot.dec.AppendState(nil)
+		case slot.lat != nil:
+			payload = appendLatStores(nil, slot.lat)
+		case slot.freq != nil:
+			payload = appendFreqStores(nil, slot.freq)
+		case slot.series != nil:
+			payload = appendFloatSeries(nil, slot.series)
+		default:
+			continue
+		}
+		dst = appendSection(dst, q.Name(), kind, payload)
 		sections++
 	}
 	dst[countAt] = byte(sections)
@@ -193,22 +200,17 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 }
 
 // RestoreFlowState rebuilds a flow's state from an AppendFlowState blob
-// and folds it into r via Merge, exactly as the federation frontend folds
-// member snapshots. queries resolves section names to this Recording's
-// compiled queries. Restoring a flow r already tracks is an error (a
-// flow's state must never split across two recordings).
+// and adopts it as Merge adopts a flow — the fold the federation frontend
+// applies to member snapshots. queries resolves section names to this
+// Recording's compiled queries. A flow r already tracks (a flow's state
+// must never split across two recordings) and a blob no Recording of this
+// plan could have produced are errors that leave r untouched.
 func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte) error {
 	byName := make(map[string]Query, len(queries))
 	for _, q := range queries {
 		byName[q.Name()] = q
 	}
-	carrier, err := NewRecordingSeeded(r.engine, r.SketchItems, r.base)
-	if err != nil {
-		return err
-	}
-	carrier.WindowBuckets = r.WindowBuckets
-	carrier.WindowSpan = r.WindowSpan
-	carrier.FreqCounters = r.FreqCounters
+	fs := &flowState{slots: make([]querySlot, len(r.engine.slots))}
 	rd := &handoffReader{data: data}
 	if v := rd.uvarint(); rd.err == nil && v != flowStateVersion {
 		return fmt.Errorf("core: flow state version %d (have %d)", v, flowStateVersion)
@@ -232,72 +234,66 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 		if !ok {
 			return fmt.Errorf("core: flow state references unknown query %q", name)
 		}
+		si, ok := r.engine.slots[q]
+		if !ok {
+			return fmt.Errorf("core: query %q is not in this recording's plan", name)
+		}
+		if want := sectionKind(q); kind != want {
+			return fmt.Errorf("core: query %q: section kind %d, want %d", name, kind, want)
+		}
+		slot := &fs.slots[si]
+		var err error
 		switch q := q.(type) {
 		case *PathQuery:
-			if kind != sectionPath {
-				return fmt.Errorf("core: query %q: section kind %d, want path", name, kind)
-			}
-			k, err := coding.StateK(payload)
-			if err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			dec, err := q.NewDecoder(k)
-			if err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			if err := dec.RestoreState(payload); err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			carrier.paths[q] = map[FlowKey]*coding.Decoder{flow: dec}
+			slot.dec, err = restoreDecoder(q, payload)
 		case *LatencyQuery:
-			if kind != sectionLatency {
-				return fmt.Errorf("core: query %q: section kind %d, want latency", name, kind)
-			}
-			stores, err := restoreLatStores(payload)
-			if err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			carrier.lats[q] = map[FlowKey][]*latStore{flow: stores}
-		case *UtilQuery:
-			if kind != sectionUtil {
-				return fmt.Errorf("core: query %q: section kind %d, want util", name, kind)
-			}
-			series, err := restoreFloatSeries(payload)
-			if err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			carrier.utils[q] = map[FlowKey][]float64{flow: series}
+			slot.lat, err = restoreLatStores(q, flow, payload)
 		case *FreqQuery:
-			if kind != sectionFreq {
-				return fmt.Errorf("core: query %q: section kind %d, want freq", name, kind)
-			}
-			stores, err := restoreFreqStores(payload)
-			if err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			carrier.freqs[q] = map[FlowKey][]*sketch.SpaceSaving{flow: stores}
-		case *CountQuery:
-			if kind != sectionCount {
-				return fmt.Errorf("core: query %q: section kind %d, want count", name, kind)
-			}
-			series, err := restoreFloatSeries(payload)
-			if err != nil {
-				return fmt.Errorf("core: query %q: %w", name, err)
-			}
-			carrier.cnts[q] = map[FlowKey][]float64{flow: series}
+			slot.freq, err = restoreFreqStores(payload)
 		default:
-			return fmt.Errorf("core: flow state for unknown query type %T", q)
+			slot.series, err = restoreFloatSeries(payload)
+		}
+		if err != nil {
+			return fmt.Errorf("core: query %q: %w", name, err)
+		}
+		// Every per-hop section is sized by the flow's path length (see
+		// flowState.k); the first one to state a hop count restores it.
+		if hops := slot.hops(); hops > 0 {
+			if fs.k == 0 {
+				fs.k = hops
+			}
+			if hops != fs.k {
+				return fmt.Errorf("core: flow %d query %q: state for %d hops, the flow's path length is %d",
+					flow, name, hops, fs.k)
+			}
 		}
 	}
 	if err := rd.done(); err != nil {
 		return err
 	}
-	carrier.seq = 1
-	carrier.flowSeq[flow] = 1
-	return r.Merge(carrier)
+	if r.HasFlow(flow) {
+		return fmt.Errorf("core: merge would duplicate flow %v", flow)
+	}
+	r.adopt(flow, fs)
+	return nil
 }
 
-func restoreLatStores(payload []byte) ([]*latStore, error) {
+func restoreDecoder(q *PathQuery, payload []byte) (*coding.Decoder, error) {
+	k, err := coding.StateK(payload)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := q.NewDecoder(k)
+	if err != nil {
+		return nil, err
+	}
+	return dec, dec.RestoreState(payload)
+}
+
+// restoreLatStores decodes a latency section for q. The raw samples are
+// held at q's code width, so a sample q's digest slice could not have
+// carried is rejected here rather than truncated into some other code.
+func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore, error) {
 	rd := &handoffReader{data: payload}
 	n := rd.uvarint()
 	if rd.err != nil {
@@ -306,14 +302,15 @@ func restoreLatStores(payload []byte) ([]*latStore, error) {
 	if n > uint64(len(rd.data))+1 {
 		return nil, fmt.Errorf("core: latency section claims %d stores", n)
 	}
-	stores := make([]*latStore, n)
+	stores := make([]latStore, n)
 	for i := range stores {
+		st := &stores[i]
+		st.width = codeWidth(q.Bits())
 		kind := rd.bytes(1)
 		if rd.err != nil {
 			return nil, rd.err
 		}
 		switch kind[0] {
-		case storeNone:
 		case storeRaw:
 			cnt := rd.uvarint()
 			if rd.err != nil {
@@ -322,31 +319,29 @@ func restoreLatStores(payload []byte) ([]*latStore, error) {
 			if cnt > uint64(len(rd.data))+1 {
 				return nil, fmt.Errorf("core: raw latency store claims %d samples", cnt)
 			}
-			raw := make([]uint64, cnt)
-			for j := range raw {
-				raw[j] = rd.uvarint()
+			st.raw = make([]byte, 0, int(cnt)*st.width)
+			for j := uint64(0); j < cnt; j++ {
+				code := rd.uvarint()
+				if code&^digestMask(q.Bits()) != 0 {
+					return nil, fmt.Errorf("core: flow %d hop %d: raw latency sample %d does not fit %d bits",
+						flow, i+1, code, q.Bits())
+				}
+				st.add(code)
 			}
-			stores[i] = &latStore{raw: raw}
-		case storeKLL:
+		case storeKLL, storeWin:
 			sub := rd.bytes(rd.uvarint())
 			if rd.err != nil {
 				return nil, rd.err
 			}
-			kll, err := sketch.RestoreKLL(sub)
+			var err error
+			if kind[0] == storeKLL {
+				st.kll, err = sketch.RestoreKLL(sub)
+			} else {
+				st.win, err = sketch.RestoreSlidingKLL(sub)
+			}
 			if err != nil {
 				return nil, err
 			}
-			stores[i] = &latStore{kll: kll}
-		case storeWin:
-			sub := rd.bytes(rd.uvarint())
-			if rd.err != nil {
-				return nil, rd.err
-			}
-			win, err := sketch.RestoreSlidingKLL(sub)
-			if err != nil {
-				return nil, err
-			}
-			stores[i] = &latStore{win: win}
 		default:
 			return nil, fmt.Errorf("core: latency store kind %d", kind[0])
 		}

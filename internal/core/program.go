@@ -88,6 +88,7 @@ type encodeOp struct {
 	kind  opKind
 	shift uint
 	mask  uint64
+	slot  int   // the query's index in a flow's recorded state (Engine.slots)
 	q     Query // the original query, for Extracted
 	path  *PathQuery
 	lat   *LatencyQuery
@@ -123,13 +124,14 @@ type encodeProgram struct {
 // five core kinds), matching the Recording Module's dispatch; an unknown
 // Query implementation is a compile-time error rather than a silent
 // fallback to the slow path.
-func compileProgram(set QuerySet) (encodeProgram, error) {
+func compileProgram(set QuerySet, slots map[Query]int) (encodeProgram, error) {
 	prog := encodeProgram{ops: make([]encodeOp, len(set.Queries))}
 	nPath := 0
 	for i, q := range set.Queries {
 		op := encodeOp{
 			shift: uint(set.Offsets[i]),
 			mask:  digestMask(q.Bits()),
+			slot:  slots[q],
 			q:     q,
 		}
 		switch qq := q.(type) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/coding"
@@ -32,24 +34,152 @@ type Recording struct {
 	// beyond the limit evicts the least-recently-updated one entirely.
 	MaxFlows int
 
-	flowSeq map[FlowKey]uint64
-	seq     uint64
+	seq uint64
 	// base seeds the recording-side sketches: each (query, flow, hop)
 	// store derives its RNG from base deterministically, so a flow's
 	// state is independent of cross-flow arrival order — the property
 	// that makes the sharded pipeline bit-identical to the serial path.
-	base  hash.Seed
-	paths map[*PathQuery]map[FlowKey]*coding.Decoder
-	lats  map[*LatencyQuery]map[FlowKey][]*latStore
-	utils map[*UtilQuery]map[FlowKey][]float64
-	freqs map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving
-	cnts  map[*CountQuery]map[FlowKey][]float64
+	base hash.Seed
+	// flows is the whole per-flow state, flow-major: one lookup reaches
+	// everything a packet touches.
+	flows map[FlowKey]*flowState
 }
 
+// flowState is what the Recording holds for one flow: its recency stamp
+// (MaxFlows evicts the smallest), its path length, and one slot per
+// compiled query, indexed by the slot number the query's ops carry
+// (Engine.slots).
+type flowState struct {
+	seq uint64
+	// k is the path length of the flow's first recorded packet. Every
+	// per-hop slot is sized by it, whichever packet first reaches the
+	// slot's query, so a route that shortens mid-flow (§7) leaves the
+	// later hops empty instead of giving the queries different hop counts.
+	// 0 until a packet arrives (a restored flow with no per-hop state).
+	k     int
+	slots []querySlot
+}
+
+// querySlot is one query's state for one flow. The query's kind decides
+// which field is live; a nil field means the query has seen no packet of
+// the flow yet. Per-hop fields are sized by the flow's path length
+// (flowState.k).
+type querySlot struct {
+	dec    *coding.Decoder       // PathQuery
+	lat    []latStore            // LatencyQuery, one store per hop
+	freq   []*sketch.SpaceSaving // FreqQuery, one summary per hop
+	series []float64             // UtilQuery / CountQuery: decoded values in arrival order
+}
+
+// hops is the number of hops the slot holds state for: the decoder's k or
+// the number of per-hop stores, 0 when the slot has none.
+func (s querySlot) hops() int {
+	if s.dec != nil {
+		return s.dec.K()
+	}
+	return max(len(s.lat), len(s.freq))
+}
+
+// latStore holds one (flow, hop)'s latency samples in one of three forms.
+// The raw form keeps every code at the width the plan paid for it on the
+// wire: ⌈bits/8⌉ bytes per sample, little-endian, packed back to back in
+// raw (the benchmark plan's 8-bit codes cost one byte each). It is
+// append-only, which is what lets a Clone share it as a prefix.
 type latStore struct {
-	raw []uint64
-	kll *sketch.KLL
-	win *sketch.SlidingKLL
+	raw   []byte
+	width int // bytes per raw sample, fixed from the query at creation
+	kll   *sketch.KLL
+	win   *sketch.SlidingKLL
+}
+
+// codeWidth is the bytes one raw sample of a bits-wide code occupies.
+func codeWidth(bits int) int { return (bits + 7) / 8 }
+
+func (st *latStore) samples() int { return len(st.raw) / st.width }
+
+func (st *latStore) code(i int) uint64 {
+	if st.width == 1 {
+		return uint64(st.raw[i])
+	}
+	var b [8]byte
+	copy(b[:], st.raw[i*st.width:(i+1)*st.width])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (st *latStore) add(code uint64) error {
+	switch {
+	case st.win != nil:
+		return st.win.Add(float64(code))
+	case st.kll != nil:
+		st.kll.Add(float64(code))
+	case st.width == 1: // the 8-bit plan's case, ~5 ns a packet cheaper than the general append
+		st.raw = append(st.raw, byte(code))
+	default:
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], code)
+		st.raw = append(st.raw, b[:st.width]...)
+	}
+	return nil
+}
+
+// clone shares the raw samples as a capacity-clamped prefix (always a
+// whole number of samples: add appends a sample in one step) and copies
+// the sketches, which are mutated in place.
+func (st *latStore) clone() latStore {
+	c := latStore{raw: st.raw[:len(st.raw):len(st.raw)], width: st.width}
+	if st.kll != nil {
+		c.kll = st.kll.Clone()
+	}
+	if st.win != nil {
+		c.win = st.win.Clone()
+	}
+	return c
+}
+
+// rawQuantiles writes the phi-quantile code of the raw samples to out[i]
+// for each phis[i], by the nearest-rank rule (sketch.RankIndex). One-byte
+// codes — the benchmark plan's — are counted into a histogram of the code
+// domain on the stack and walked to the rank, neither copied nor sorted;
+// wider codes sort one copy held at their own width.
+func (st *latStore) rawQuantiles(phis, out []float64) {
+	switch {
+	case st.width == 1:
+		st.countQuantiles(phis, out)
+	case st.width == 2:
+		sortQuantiles[uint16](st, phis, out)
+	case st.width <= 4:
+		sortQuantiles[uint32](st, phis, out)
+	default:
+		sortQuantiles[uint64](st, phis, out)
+	}
+}
+
+func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, phis, out []float64) {
+	sorted := make([]T, st.samples())
+	for i := range sorted {
+		sorted[i] = T(st.code(i))
+	}
+	slices.Sort(sorted)
+	for i, phi := range phis {
+		out[i] = float64(sorted[sketch.RankIndex(phi, len(sorted))])
+	}
+}
+
+// countQuantiles is rawQuantiles for one-byte samples.
+func (st *latStore) countQuantiles(phis, out []float64) {
+	var hist [1 << 8]uint32
+	for _, code := range st.raw {
+		hist[code]++
+	}
+	for i, phi := range phis {
+		// The code at sorted index rank is the first whose cumulative
+		// count exceeds rank.
+		rank, code := sketch.RankIndex(phi, len(st.raw)), 0
+		for seen := int(hist[0]); seen <= rank; seen += int(hist[code]) {
+			code++
+		}
+		out[i] = float64(code)
+	}
 }
 
 // NewRecording creates a Recording Module for an engine. sketchItems > 0
@@ -75,13 +205,8 @@ func NewRecordingSeeded(engine *Engine, sketchItems int, base hash.Seed) (*Recor
 		engine:       engine,
 		SketchItems:  sketchItems,
 		FreqCounters: 16,
-		flowSeq:      map[FlowKey]uint64{},
 		base:         base,
-		paths:        map[*PathQuery]map[FlowKey]*coding.Decoder{},
-		lats:         map[*LatencyQuery]map[FlowKey][]*latStore{},
-		utils:        map[*UtilQuery]map[FlowKey][]float64{},
-		freqs:        map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving{},
-		cnts:         map[*CountQuery]map[FlowKey][]float64{},
+		flows:        map[FlowKey]*flowState{},
 	}, nil
 }
 
@@ -94,26 +219,47 @@ func (r *Recording) sketchRNG(qname string, flow FlowKey, hop int) *hash.RNG {
 // is k (derived from the received TTL).
 func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) error {
 	pkt := PacketDigest{Flow: flow, PktID: pktID, PathLen: k, Digest: digest}
-	return r.record(&pkt)
+	return r.record(r.stateOf(flow), &pkt)
 }
 
 // RecordBatch ingests a batch of sink-extracted digests — the shape shard
 // workers and the batch experiment harness drive. Packets that came
 // through EncodeHopBatch carry their query-set selection already cached.
+// A flow's state is looked up once per run of packets with equal Flow
+// (exporters frame per flow) — it stays valid through the run, because
+// touch never evicts the flow being recorded — and a packet whose queries
+// have all seen its flow before allocates only when a series grows.
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
+	var fs *flowState
 	for i := range batch {
-		if err := r.record(&batch[i]); err != nil {
+		if fs == nil || batch[i].Flow != batch[i-1].Flow {
+			fs = r.stateOf(batch[i].Flow)
+		}
+		if err := r.record(fs, &batch[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// record runs one packet through the compiled program of its query set:
-// direct kind dispatch on precomputed ops, no Extracted materialization,
-// no type switches on interfaces.
-func (r *Recording) record(pkt *PacketDigest) error {
-	r.touch(pkt.Flow)
+// stateOf returns flow's state, starting it if the flow is new.
+func (r *Recording) stateOf(flow FlowKey) *flowState {
+	fs := r.flows[flow]
+	if fs == nil {
+		fs = &flowState{slots: make([]querySlot, len(r.engine.slots))}
+		r.flows[flow] = fs
+	}
+	return fs
+}
+
+// record runs one packet of fs's flow through the compiled program of its
+// query set: direct kind dispatch on precomputed ops, no Extracted
+// materialization, no type switches on interfaces.
+func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
+	r.touch(fs)
+	if fs.k == 0 {
+		fs.k = pkt.PathLen
+	}
 	si := r.engine.setIndexOf(pkt)
 	if si < 0 {
 		return nil
@@ -122,167 +268,105 @@ func (r *Recording) record(pkt *PacketDigest) error {
 	for i := range ops {
 		op := &ops[i]
 		bits := pkt.Digest >> op.shift & op.mask
+		slot := &fs.slots[op.slot]
 		var err error
 		switch op.kind {
 		case opPath:
-			err = r.recordPath(op.path, pkt, bits)
+			if slot.dec == nil {
+				if slot.dec, err = op.path.NewDecoder(fs.k); err != nil {
+					return err
+				}
+			}
+			op.path.ObserveInto(slot.dec, pkt.PktID, bits)
 		case opLatency:
-			err = r.recordLatency(op.lat, pkt, bits)
+			if slot.lat == nil {
+				if slot.lat, err = r.newLatStores(op.lat, pkt.Flow, fs.k); err != nil {
+					return err
+				}
+			}
+			err = slot.lat[op.lat.Winner(pkt.PktID, pkt.PathLen)-1].add(bits)
 		case opUtil:
-			byFlow := r.utils[op.util]
-			if byFlow == nil {
-				byFlow = map[FlowKey][]float64{}
-				r.utils[op.util] = byFlow
-			}
-			byFlow[pkt.Flow] = append(byFlow[pkt.Flow], op.util.Decode(bits))
+			slot.series = append(slot.series, op.util.Decode(bits))
 		case opFreq:
-			err = r.recordFreq(op.freq, pkt, bits)
+			if slot.freq == nil {
+				if slot.freq, err = r.newFreqStores(fs.k); err != nil {
+					return err
+				}
+			}
+			slot.freq[op.freq.Winner(pkt.PktID, pkt.PathLen)-1].Add(bits)
 		case opCount:
-			byFlow := r.cnts[op.cnt]
-			if byFlow == nil {
-				byFlow = map[FlowKey][]float64{}
-				r.cnts[op.cnt] = byFlow
-			}
-			byFlow[pkt.Flow] = append(byFlow[pkt.Flow], op.cnt.Decode(bits))
+			slot.series = append(slot.series, op.cnt.Decode(bits))
 		}
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (r *Recording) recordPath(q *PathQuery, pkt *PacketDigest, bits uint64) error {
-	byFlow := r.paths[q]
-	if byFlow == nil {
-		byFlow = map[FlowKey]*coding.Decoder{}
-		r.paths[q] = byFlow
-	}
-	dec := byFlow[pkt.Flow]
-	if dec == nil {
-		var err error
-		dec, err = q.NewDecoder(pkt.PathLen)
-		if err != nil {
-			return err
-		}
-		byFlow[pkt.Flow] = dec
-	}
-	q.ObserveInto(dec, pkt.PktID, bits)
-	return nil
-}
-
-func (r *Recording) recordLatency(q *LatencyQuery, pkt *PacketDigest, bits uint64) error {
-	byFlow := r.lats[q]
-	if byFlow == nil {
-		byFlow = map[FlowKey][]*latStore{}
-		r.lats[q] = byFlow
-	}
-	hops := byFlow[pkt.Flow]
-	if hops == nil {
-		hops = make([]*latStore, pkt.PathLen)
-		for i := range hops {
-			st := &latStore{}
-			switch {
-			case r.WindowBuckets > 1 && r.SketchItems > 0:
-				win, err := sketch.NewSlidingKLL(r.WindowBuckets,
-					r.WindowSpan, r.SketchItems, r.sketchRNG(q.Name(), pkt.Flow, i+1))
-				if err != nil {
-					return err
-				}
-				st.win = win
-			case r.SketchItems > 0:
-				kll, err := sketch.NewKLL(r.SketchItems, r.sketchRNG(q.Name(), pkt.Flow, i+1))
-				if err != nil {
-					return err
-				}
-				st.kll = kll
-			}
-			hops[i] = st
-		}
-		byFlow[pkt.Flow] = hops
-	}
-	w := q.Winner(pkt.PktID, pkt.PathLen)
-	st := hops[w-1]
-	switch {
-	case st.win != nil:
-		return st.win.Add(float64(bits))
-	case st.kll != nil:
-		st.kll.Add(float64(bits))
-	default:
-		st.raw = append(st.raw, bits)
-	}
-	return nil
-}
-
-func (r *Recording) recordFreq(q *FreqQuery, pkt *PacketDigest, bits uint64) error {
-	byFlow := r.freqs[q]
-	if byFlow == nil {
-		byFlow = map[FlowKey][]*sketch.SpaceSaving{}
-		r.freqs[q] = byFlow
-	}
-	hops := byFlow[pkt.Flow]
-	if hops == nil {
-		hops = make([]*sketch.SpaceSaving, pkt.PathLen)
-		for i := range hops {
-			ss, err := sketch.NewSpaceSaving(r.FreqCounters)
-			if err != nil {
-				return err
-			}
-			hops[i] = ss
-		}
-		byFlow[pkt.Flow] = hops
-	}
-	hops[q.Winner(pkt.PktID, pkt.PathLen)-1].Add(bits)
 	return nil
 }
 
 // touch refreshes a flow's recency and enforces MaxFlows by evicting the
 // least-recently-updated flow's state across every query.
-func (r *Recording) touch(flow FlowKey) {
+func (r *Recording) touch(fs *flowState) {
 	r.seq++
-	r.flowSeq[flow] = r.seq
-	if r.MaxFlows <= 0 || len(r.flowSeq) <= r.MaxFlows {
+	fs.seq = r.seq
+	if r.MaxFlows <= 0 || len(r.flows) <= r.MaxFlows {
 		return
 	}
 	var victim FlowKey
 	oldest := ^uint64(0)
-	for f, s := range r.flowSeq {
-		if s < oldest {
-			oldest, victim = s, f
+	for f, s := range r.flows {
+		if s.seq < oldest {
+			oldest, victim = s.seq, f
 		}
 	}
 	r.Evict(victim)
 }
 
-// Evict drops all recorded state for one flow.
-func (r *Recording) Evict(flow FlowKey) {
-	delete(r.flowSeq, flow)
-	for _, byFlow := range r.paths {
-		delete(byFlow, flow)
+// newLatStores builds a flow's k per-hop stores for q in the storage the
+// Recording is configured for.
+func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latStore, error) {
+	stores := make([]latStore, k)
+	for i := range stores {
+		st := &stores[i]
+		st.width = codeWidth(q.Bits())
+		var err error
+		switch {
+		case r.WindowBuckets > 1 && r.SketchItems > 0:
+			st.win, err = sketch.NewSlidingKLL(r.WindowBuckets,
+				r.WindowSpan, r.SketchItems, r.sketchRNG(q.Name(), flow, i+1))
+		case r.SketchItems > 0:
+			st.kll, err = sketch.NewKLL(r.SketchItems, r.sketchRNG(q.Name(), flow, i+1))
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	for _, byFlow := range r.lats {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.utils {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.freqs {
-		delete(byFlow, flow)
-	}
-	for _, byFlow := range r.cnts {
-		delete(byFlow, flow)
-	}
+	return stores, nil
 }
 
+func (r *Recording) newFreqStores(k int) ([]*sketch.SpaceSaving, error) {
+	stores := make([]*sketch.SpaceSaving, k)
+	for i := range stores {
+		var err error
+		if stores[i], err = sketch.NewSpaceSaving(r.FreqCounters); err != nil {
+			return nil, err
+		}
+	}
+	return stores, nil
+}
+
+// Evict drops all recorded state for one flow.
+func (r *Recording) Evict(flow FlowKey) { delete(r.flows, flow) }
+
 // TrackedFlows returns the number of flows with live state.
-func (r *Recording) TrackedFlows() int { return len(r.flowSeq) }
+func (r *Recording) TrackedFlows() int { return len(r.flows) }
 
 // Flows returns every flow with live state in sorted key order, so
 // iterating a Recording's flows (reports, snapshot endpoints) is
 // deterministic.
 func (r *Recording) Flows() []FlowKey {
-	out := make([]FlowKey, 0, len(r.flowSeq))
-	for f := range r.flowSeq {
+	out := make([]FlowKey, 0, len(r.flows))
+	for f := range r.flows {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -291,10 +375,7 @@ func (r *Recording) Flows() []FlowKey {
 
 // HasFlow reports whether a flow currently has live state — e.g. inside
 // an eviction callback, where the flow is still queryable.
-func (r *Recording) HasFlow(flow FlowKey) bool {
-	_, ok := r.flowSeq[flow]
-	return ok
-}
+func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 
 // Clone copies the Recording so that the copy answers every query
 // bit-identically to the original at the moment of the copy, and both
@@ -305,21 +386,22 @@ func (r *Recording) HasFlow(flow FlowKey) bool {
 // What is copied and what is shared follows from how each piece of state
 // changes. Decoders, KLL/SlidingKLL sketches and Space Saving summaries
 // are bounded in size and mutated in place, so the clone gets its own.
-// The three per-packet series — raw latency samples, util values, count
-// values — grow with every packet and are append-only: nothing in the
-// repository writes an element once it is appended. The clone therefore
-// takes each series as s[:len(s):len(s)], a prefix clamped in length AND
-// capacity over the same backing array. The owner's later appends land
-// beyond the clone's length (or in a fresh array once the old one is
-// full), so they never touch an element the clone can see; the clone's
-// own appends find no spare capacity and reallocate, so they never write
-// into the owner's array. Neither side observes the other, a clone costs
-// O(flows) rather than O(packets), and a held clone keeps alive only the
-// backing arrays that existed when it was taken.
+// The three per-packet series — raw latency samples (one code-width
+// sample per packet, see latStore), util values, count values — grow with
+// every packet and are append-only: nothing in the repository writes an
+// element once it is appended. The clone therefore takes each series as
+// s[:len(s):len(s)], a prefix clamped in length AND capacity over the
+// same backing array. The owner's later appends land beyond the clone's
+// length (or in a fresh array once the old one is full), so they never
+// touch an element the clone can see; the clone's own appends find no
+// spare capacity and reallocate, so they never write into the owner's
+// array. Neither side observes the other, a clone costs O(flows) rather
+// than O(packets), and a held clone keeps alive only the backing arrays
+// that existed when it was taken.
 func (r *Recording) Clone() *Recording {
-	c := r.cloneShell(len(r.flowSeq))
-	for f := range r.flowSeq {
-		r.cloneFlowInto(c, f)
+	c := r.cloneShell(len(r.flows))
+	for f, fs := range r.flows {
+		c.flows[f] = fs.clone()
 	}
 	return c
 }
@@ -330,103 +412,47 @@ func (r *Recording) Clone() *Recording {
 func (r *Recording) CloneFlows(flows []FlowKey) *Recording {
 	c := r.cloneShell(len(flows))
 	for _, f := range flows {
-		if r.HasFlow(f) {
-			r.cloneFlowInto(c, f)
+		if fs := r.flows[f]; fs != nil {
+			c.flows[f] = fs.clone()
 		}
 	}
 	return c
 }
 
-// cloneShell returns a Recording with r's engine, configuration, recency
-// clock and per-query tables sized for nFlows flows, and no flows.
+// cloneShell returns a Recording with r's engine, configuration and
+// recency clock, room for nFlows flows, and no flows.
 func (r *Recording) cloneShell(nFlows int) *Recording {
-	c := &Recording{
-		engine:        r.engine,
-		SketchItems:   r.SketchItems,
-		WindowBuckets: r.WindowBuckets,
-		WindowSpan:    r.WindowSpan,
-		FreqCounters:  r.FreqCounters,
-		MaxFlows:      r.MaxFlows,
-		seq:           r.seq,
-		base:          r.base,
-		flowSeq:       make(map[FlowKey]uint64, nFlows),
-		paths:         make(map[*PathQuery]map[FlowKey]*coding.Decoder, len(r.paths)),
-		lats:          make(map[*LatencyQuery]map[FlowKey][]*latStore, len(r.lats)),
-		utils:         make(map[*UtilQuery]map[FlowKey][]float64, len(r.utils)),
-		freqs:         make(map[*FreqQuery]map[FlowKey][]*sketch.SpaceSaving, len(r.freqs)),
-		cnts:          make(map[*CountQuery]map[FlowKey][]float64, len(r.cnts)),
-	}
-	for q, byFlow := range r.paths {
-		c.paths[q] = make(map[FlowKey]*coding.Decoder, min(nFlows, len(byFlow)))
-	}
-	for q, byFlow := range r.lats {
-		c.lats[q] = make(map[FlowKey][]*latStore, min(nFlows, len(byFlow)))
-	}
-	for q, byFlow := range r.utils {
-		c.utils[q] = make(map[FlowKey][]float64, min(nFlows, len(byFlow)))
-	}
-	for q, byFlow := range r.freqs {
-		c.freqs[q] = make(map[FlowKey][]*sketch.SpaceSaving, min(nFlows, len(byFlow)))
-	}
-	for q, byFlow := range r.cnts {
-		c.cnts[q] = make(map[FlowKey][]float64, min(nFlows, len(byFlow)))
-	}
-	return c
+	c := *r
+	c.flows = make(map[FlowKey]*flowState, nFlows)
+	return &c
 }
 
-// cloneFlowInto copies one tracked flow's state into c, a cloneShell of
-// r (see Clone for what is copied and what is shared).
-func (r *Recording) cloneFlowInto(c *Recording, f FlowKey) {
-	c.flowSeq[f] = r.flowSeq[f]
-	for q, byFlow := range r.paths {
-		if dec := byFlow[f]; dec != nil {
-			c.paths[q][f] = dec.Clone()
+// clone copies one flow's state (see Clone for what is copied and what is
+// shared).
+func (fs *flowState) clone() *flowState {
+	c := &flowState{seq: fs.seq, k: fs.k, slots: make([]querySlot, len(fs.slots))}
+	for i := range fs.slots {
+		slot, cs := &fs.slots[i], &c.slots[i]
+		if slot.dec != nil {
+			cs.dec = slot.dec.Clone()
 		}
-	}
-	for q, byFlow := range r.lats {
-		hops := byFlow[f]
-		if hops == nil {
-			continue
-		}
-		cp := make([]*latStore, len(hops))
-		for i, st := range hops {
-			if st == nil {
-				continue
-			}
-			cst := &latStore{raw: st.raw[:len(st.raw):len(st.raw)]}
-			if st.kll != nil {
-				cst.kll = st.kll.Clone()
-			}
-			if st.win != nil {
-				cst.win = st.win.Clone()
-			}
-			cp[i] = cst
-		}
-		c.lats[q][f] = cp
-	}
-	for q, byFlow := range r.utils {
-		if vs, ok := byFlow[f]; ok {
-			c.utils[q][f] = vs[:len(vs):len(vs)]
-		}
-	}
-	for q, byFlow := range r.freqs {
-		hops := byFlow[f]
-		if hops == nil {
-			continue
-		}
-		cp := make([]*sketch.SpaceSaving, len(hops))
-		for i, ss := range hops {
-			if ss != nil {
-				cp[i] = ss.Clone()
+		if slot.lat != nil {
+			cs.lat = make([]latStore, len(slot.lat))
+			for h := range slot.lat {
+				cs.lat[h] = slot.lat[h].clone()
 			}
 		}
-		c.freqs[q][f] = cp
-	}
-	for q, byFlow := range r.cnts {
-		if vs, ok := byFlow[f]; ok {
-			c.cnts[q][f] = vs[:len(vs):len(vs)]
+		if slot.freq != nil {
+			cs.freq = make([]*sketch.SpaceSaving, len(slot.freq))
+			for h, ss := range slot.freq {
+				if ss != nil {
+					cs.freq[h] = ss.Clone()
+				}
+			}
 		}
+		cs.series = slot.series[:len(slot.series):len(slot.series)]
 	}
+	return c
 }
 
 // Merge adopts every flow of o into r. The two recordings must serve the
@@ -442,79 +468,45 @@ func (r *Recording) Merge(o *Recording) error {
 	if o.engine != r.engine {
 		return fmt.Errorf("core: merging recordings of different engines")
 	}
-	for f := range o.flowSeq {
-		if _, dup := r.flowSeq[f]; dup {
-			return fmt.Errorf("core: merge would duplicate flow %v", f)
-		}
-	}
 	// Re-sequence o's flows after r's, in o's own recency order, so the
 	// merged recency ranking is independent of map iteration order.
-	flows := make([]FlowKey, 0, len(o.flowSeq))
-	for f := range o.flowSeq {
+	flows := make([]FlowKey, 0, len(o.flows))
+	for f := range o.flows {
+		if r.HasFlow(f) {
+			return fmt.Errorf("core: merge would duplicate flow %v", f)
+		}
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return o.flowSeq[flows[i]] < o.flowSeq[flows[j]] })
+	sort.Slice(flows, func(i, j int) bool { return o.flows[flows[i]].seq < o.flows[flows[j]].seq })
 	for _, f := range flows {
-		r.seq++
-		r.flowSeq[f] = r.seq
-	}
-	for q, byFlow := range o.paths {
-		dst := r.paths[q]
-		if dst == nil {
-			dst = map[FlowKey]*coding.Decoder{}
-			r.paths[q] = dst
-		}
-		for f, dec := range byFlow {
-			dst[f] = dec
-		}
-	}
-	for q, byFlow := range o.lats {
-		dst := r.lats[q]
-		if dst == nil {
-			dst = map[FlowKey][]*latStore{}
-			r.lats[q] = dst
-		}
-		for f, hops := range byFlow {
-			dst[f] = hops
-		}
-	}
-	for q, byFlow := range o.utils {
-		dst := r.utils[q]
-		if dst == nil {
-			dst = map[FlowKey][]float64{}
-			r.utils[q] = dst
-		}
-		for f, vs := range byFlow {
-			dst[f] = vs
-		}
-	}
-	for q, byFlow := range o.freqs {
-		dst := r.freqs[q]
-		if dst == nil {
-			dst = map[FlowKey][]*sketch.SpaceSaving{}
-			r.freqs[q] = dst
-		}
-		for f, hops := range byFlow {
-			dst[f] = hops
-		}
-	}
-	for q, byFlow := range o.cnts {
-		dst := r.cnts[q]
-		if dst == nil {
-			dst = map[FlowKey][]float64{}
-			r.cnts[q] = dst
-		}
-		for f, vs := range byFlow {
-			dst[f] = vs
-		}
+		r.adopt(f, o.flows[f])
 	}
 	return nil
+}
+
+// adopt makes fs the state of flow, which r must not track, as its most
+// recently recorded flow.
+func (r *Recording) adopt(flow FlowKey, fs *flowState) {
+	r.seq++
+	fs.seq = r.seq
+	r.flows[flow] = fs
+}
+
+// slot returns flow's state for q: the zero querySlot when the flow is not
+// tracked, has not reached q yet, or the engine does not serve q.
+func (r *Recording) slot(q Query, flow FlowKey) querySlot {
+	fs := r.flows[flow]
+	i, ok := r.engine.slots[q]
+	if fs == nil || !ok {
+		return querySlot{}
+	}
+	return fs.slots[i]
 }
 
 // Path answers a path query: the decoded switch IDs and whether decoding
 // is complete (Inference Module, static aggregation).
 func (r *Recording) Path(q *PathQuery, flow FlowKey) ([]uint64, bool) {
-	dec := r.paths[q][flow]
+	dec := r.PathDecoder(q, flow)
 	if dec == nil {
 		return nil, false
 	}
@@ -529,7 +521,7 @@ func (r *Recording) Path(q *PathQuery, flow FlowKey) ([]uint64, bool) {
 
 // PathDecoder exposes a flow's decoder for progress inspection.
 func (r *Recording) PathDecoder(q *PathQuery, flow FlowKey) *coding.Decoder {
-	return r.paths[q][flow]
+	return r.slot(q, flow).dec
 }
 
 // PathInconsistencies returns the number of packets whose digests
@@ -538,7 +530,7 @@ func (r *Recording) PathDecoder(q *PathQuery, flow FlowKey) *coding.Decoder {
 // post-change packet, so a short burst is near-certain evidence the path
 // moved (e.g. flowlet re-routing or a failover).
 func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
-	dec := r.paths[q][flow]
+	dec := r.PathDecoder(q, flow)
 	if dec == nil {
 		return 0
 	}
@@ -550,11 +542,18 @@ func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
 // arrive (threshold > 1 suppresses the 2^-q-probability hash-collision
 // false positives).
 func (r *Recording) RouteChanged(q *PathQuery, flow FlowKey, threshold int) bool {
-	dec := r.paths[q][flow]
+	dec := r.PathDecoder(q, flow)
 	if dec == nil || !dec.Done() {
 		return false
 	}
 	return dec.Inconsistent() >= threshold
+}
+
+// Hops returns the number of hops a path, latency or frequent-values query
+// answers for on the flow — the flow's path length at its first packet —
+// and 0 when q has recorded nothing for the flow.
+func (r *Recording) Hops(q Query, flow FlowKey) int {
+	return r.slot(q, flow).hops()
 }
 
 // LatencyQuantile answers a dynamic query: the phi-quantile of hop
@@ -570,17 +569,18 @@ func (r *Recording) LatencyQuantile(q *LatencyQuery, flow FlowKey, hop int, phi 
 
 // LatencyQuantiles answers several quantiles of one (flow, hop) at once,
 // each exactly what LatencyQuantile returns for it, doing the per-store
-// preparation once: raw storage copies and sorts its samples once, a KLL
-// sketch builds its weighted list once. A sliding-window store still runs
-// one SlidingKLL.Quantile per phi, in the order given — the only query in
-// the repository that draws from an RNG, so the order is part of the
-// answer.
+// preparation once: raw storage ranks its samples once and allocates only
+// the result (rawQuantiles: one-byte codes are neither copied nor sorted),
+// a KLL sketch builds its weighted list once. A sliding-window
+// store still runs one SlidingKLL.Quantile per phi, in the order given —
+// the only query in the repository that draws from an RNG, so the order
+// is part of the answer.
 func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
-	hops := r.lats[q][flow]
-	if hops == nil || hop < 1 || hop > len(hops) {
+	hops := r.slot(q, flow).lat
+	if hop < 1 || hop > len(hops) {
 		return nil, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
 	}
-	st := hops[hop-1]
+	st := &hops[hop-1]
 	var codes []float64
 	if st.win != nil {
 		if st.win.WindowCount() == 0 {
@@ -603,15 +603,8 @@ func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phi
 		if len(st.raw) == 0 {
 			return nil, fmt.Errorf("core: no samples for hop %d", hop)
 		}
-		fs := make([]float64, len(st.raw))
-		for i, c := range st.raw {
-			fs[i] = float64(c)
-		}
-		sort.Float64s(fs)
 		codes = make([]float64, len(phis))
-		for i, phi := range phis {
-			codes[i] = sketch.SortedQuantile(fs, phi)
-		}
+		st.rawQuantiles(phis, codes)
 	}
 	for i, code := range codes {
 		codes[i] = q.Decode(uint64(code + 0.5))
@@ -621,35 +614,32 @@ func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phi
 
 // LatencySamples returns how many samples hop `hop` has accumulated.
 func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
-	hops := r.lats[q][flow]
-	if hops == nil || hop < 1 || hop > len(hops) {
+	hops := r.slot(q, flow).lat
+	if hop < 1 || hop > len(hops) {
 		return 0
 	}
-	st := hops[hop-1]
+	st := &hops[hop-1]
 	switch {
 	case st.win != nil:
 		return int(st.win.WindowCount())
 	case st.kll != nil:
 		return int(st.kll.Count())
 	default:
-		return len(st.raw)
+		return st.samples()
 	}
 }
 
-// LatencyStorageBytes reports the per-flow storage a latency query uses,
-// assuming each stored item is the query's digest width (Fig 9's
-// sketch-size axis).
+// LatencyStorageBytes reports the per-flow storage a latency query uses
+// (Fig 9's sketch-size axis): the bytes the raw stores hold — a whole
+// number of bytes per sample, see latStore — and for a KLL sketch its
+// stored items at the query's digest width.
 func (r *Recording) LatencyStorageBytes(q *LatencyQuery, flow FlowKey) int {
-	hops := r.lats[q][flow]
 	total := 0
-	for _, st := range hops {
-		if st == nil {
-			continue
-		}
+	for _, st := range r.slot(q, flow).lat {
 		if st.kll != nil {
 			total += st.kll.SizeBytes(q.Bits())
 		} else {
-			total += (len(st.raw)*q.Bits() + 7) / 8
+			total += len(st.raw)
 		}
 	}
 	return total
@@ -658,14 +648,14 @@ func (r *Recording) LatencyStorageBytes(q *LatencyQuery, flow FlowKey) int {
 // UtilSeries answers a per-packet query: the decoded bottleneck values in
 // arrival order.
 func (r *Recording) UtilSeries(q *UtilQuery, flow FlowKey) []float64 {
-	return r.utils[q][flow]
+	return r.slot(q, flow).series
 }
 
 // FrequentValues answers a frequent-values query (Theorem 2): the values
 // appearing in at least a theta-fraction of hop `hop`'s sampled stream.
 func (r *Recording) FrequentValues(q *FreqQuery, flow FlowKey, hop int, theta float64) []sketch.HeavyHitter {
-	hops := r.freqs[q][flow]
-	if hops == nil || hop < 1 || hop > len(hops) {
+	hops := r.slot(q, flow).freq
+	if hop < 1 || hop > len(hops) {
 		return nil
 	}
 	return hops[hop-1].HeavyHitters(theta)
@@ -674,8 +664,8 @@ func (r *Recording) FrequentValues(q *FreqQuery, flow FlowKey, hop int, theta fl
 // FreqSamples returns the number of samples a frequent-values query has
 // for a hop.
 func (r *Recording) FreqSamples(q *FreqQuery, flow FlowKey, hop int) int {
-	hops := r.freqs[q][flow]
-	if hops == nil || hop < 1 || hop > len(hops) {
+	hops := r.slot(q, flow).freq
+	if hop < 1 || hop > len(hops) {
 		return 0
 	}
 	return int(hops[hop-1].Count())
@@ -685,5 +675,5 @@ func (r *Recording) FreqSamples(q *FreqQuery, flow FlowKey, hop int) int {
 // count estimates in arrival order. The mean of the series is an unbiased
 // estimate of the expected per-packet count.
 func (r *Recording) CountSeries(q *CountQuery, flow FlowKey) []float64 {
-	return r.cnts[q][flow]
+	return r.slot(q, flow).series
 }

@@ -50,14 +50,14 @@ func (q *PathQuery) Frequency() float64 { return q.freq }
 // EncodeHop implements Query by delegating to the coding encoder, packing
 // the per-instance digest words into the engine's flat bit slice.
 func (q *PathQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	d := q.wordsOf(bits)
-	d = q.enc.EncodeHop(pktID, hop, d, value)
-	return q.bitsOf(d)
+	var buf [8]uint64
+	width, mask := uint(q.cfg.Bits), digestMask(q.cfg.Bits)
+	d := coding.Digest{Words: unpackWords(&buf, bits, q.instances(), width, mask)}
+	return packWords(q.enc.EncodeHop(pktID, hop, d, value).Words, width, mask)
 }
 
 // encodeHopBits is the compiled-pipeline form of EncodeHop: identical
-// output, but non-acting hops return before touching any words and the
-// per-instance words live on the stack, so nothing escapes to the heap.
+// output, but non-acting hops return before touching any words.
 func (q *PathQuery) encodeHopBits(pktID uint64, hop int, bits, value uint64) uint64 {
 	layer, act := q.enc.ActsOn(pktID, hop)
 	if !act {
@@ -67,27 +67,39 @@ func (q *PathQuery) encodeHopBits(pktID uint64, hop int, bits, value uint64) uin
 		uint(q.cfg.Bits), digestMask(q.cfg.Bits), value)
 }
 
+// unpackWords splits a path query's flat digest slice into its n
+// per-instance words of the given width. The words live in buf — the
+// caller's stack — so nothing is allocated for up to len(buf) instances.
+func unpackWords(buf *[8]uint64, bits uint64, n int, width uint, mask uint64) []uint64 {
+	words := buf[:]
+	if n > len(buf) {
+		words = make([]uint64, n)
+	}
+	words = words[:n]
+	for i := range words {
+		words[i] = bits >> (uint(i) * width) & mask
+	}
+	return words
+}
+
+// packWords is unpackWords' inverse.
+func packWords(words []uint64, width uint, mask uint64) uint64 {
+	var bits uint64
+	for i, w := range words {
+		bits |= (w & mask) << (uint(i) * width)
+	}
+	return bits
+}
+
 // applyPathWords unpacks a path query's flat digest slice into its
 // per-instance words, folds in the acting hop's payload, and repacks —
 // the single implementation behind both the per-packet and the compiled
 // batch encode paths (which passes precomputed n/width/mask).
 func applyPathWords(enc *coding.Encoder, pktID uint64, layer int, bits uint64, n int, width uint, mask, value uint64) uint64 {
-	var arr [8]uint64
-	var words []uint64
-	if n > len(arr) {
-		words = make([]uint64, n)
-	} else {
-		words = arr[:n]
-	}
-	for i := 0; i < n; i++ {
-		words[i] = bits >> (uint(i) * width) & mask
-	}
+	var buf [8]uint64
+	words := unpackWords(&buf, bits, n, width, mask)
 	enc.ApplyWords(pktID, layer, words, value)
-	var out uint64
-	for i, w := range words {
-		out |= (w & mask) << (uint(i) * width)
-	}
-	return out
+	return packWords(words, width, mask)
 }
 
 func (q *PathQuery) instances() int {
@@ -97,33 +109,18 @@ func (q *PathQuery) instances() int {
 	return 1
 }
 
-func (q *PathQuery) wordsOf(bits uint64) coding.Digest {
-	n := q.instances()
-	d := coding.Digest{Words: make([]uint64, n)}
-	mask := digestMask(q.cfg.Bits)
-	for i := 0; i < n; i++ {
-		d.Words[i] = bits >> uint(i*q.cfg.Bits) & mask
-	}
-	return d
-}
-
-func (q *PathQuery) bitsOf(d coding.Digest) uint64 {
-	var bits uint64
-	for i, w := range d.Words {
-		bits |= (w & digestMask(q.cfg.Bits)) << uint(i*q.cfg.Bits)
-	}
-	return bits
-}
-
 // NewDecoder creates the Inference-side decoder for one flow whose path
 // length is k (known from the packet TTL at the sink, §4.1).
 func (q *PathQuery) NewDecoder(k int) (*coding.Decoder, error) {
 	return coding.NewDecoder(q.cfg, q.g, k, q.uni)
 }
 
-// ObserveInto feeds one extracted digest slice into a flow's decoder.
+// ObserveInto feeds one extracted digest slice into a flow's decoder. The
+// decoder copies the words it keeps, so they are unpacked on the stack.
 func (q *PathQuery) ObserveInto(dec *coding.Decoder, pktID uint64, bits uint64) bool {
-	return dec.Observe(pktID, q.wordsOf(bits))
+	var buf [8]uint64
+	words := unpackWords(&buf, bits, q.instances(), uint(q.cfg.Bits), digestMask(q.cfg.Bits))
+	return dec.Observe(pktID, coding.Digest{Words: words})
 }
 
 // DefaultPathConfig mirrors the evaluation's standard setup: hashed mode

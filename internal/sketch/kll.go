@@ -259,17 +259,20 @@ func SortedQuantile(sorted []float64, phi float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	if phi <= 0 {
-		return sorted[0]
+	return sorted[RankIndex(phi, len(sorted))]
+}
+
+// RankIndex is the nearest-rank rule every exact quantile in the
+// repository reads by: the index of the phi-quantile in an ascending list
+// of n > 0 samples is ⌈phi·n⌉−1, clamped to the list.
+func RankIndex(phi float64, n int) int {
+	switch {
+	case phi <= 0:
+		return 0
+	case phi >= 1:
+		return n - 1
 	}
-	if phi >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(phi*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
+	return max(0, int(math.Ceil(phi*float64(n)))-1)
 }
 
 // ExactRank returns the number of elements <= v.
