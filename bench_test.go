@@ -459,6 +459,32 @@ func BenchmarkSinkIngestDurable(b *testing.B) {
 	}
 }
 
+// BenchmarkSegstoreAppend is the durable tier's write path alone: one
+// 256-packet batch marshaled, framed and checksummed in the store's block
+// buffer and written from it (NoSync, retention at two segments so the
+// run's disk footprint stays bounded). Its 0 allocs/op is the bench gate's
+// count rule for the segment log — rotations and directory growth amortise
+// to nothing per batch — so a per-batch buffer cannot come back unnoticed.
+func BenchmarkSegstoreAppend(b *testing.B) {
+	eng, _ := benchCombinedPlan(b)
+	batch := benchDigestStream(eng, 256, 256)
+	store, _, err := segstore.Open(b.TempDir(), segstore.Options{NoSync: true, MaxSegments: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := store.AppendDigests(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkWireCodec measures the bulk wire codec over a sink-shaped
 // 4096-packet encoded batch: two-pass marshal, fast-path unmarshal, and
 // the one-pass frame marshal (header + payload + CRC in one buffer). All

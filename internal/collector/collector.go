@@ -143,17 +143,19 @@ type Server struct {
 	// return means "the sink is queryable".
 	drained chan struct{}
 	// stopCkpt stops the background checkpoint goroutine (nil when the
-	// collector has no durable tier).
+	// collector has no durable tier); ckptDone is how Shutdown waits for it
+	// to have returned, so no checkpoint runs once Shutdown has.
 	stopCkpt     chan struct{}
 	stopCkptOnce sync.Once
+	ckptDone     sync.WaitGroup
 
 	// ingestGate orders concurrent ingest against whole-sink operations.
 	// Connection handlers hold the read side per frame (their stage
-	// hand-offs already serialize per shard inside the sink); Checkpoint,
-	// the historical-window endpoint, and Shutdown's final drain take the
-	// write side, so every in-flight hand-off completes before the
-	// barrier runs — which is what keeps the durable tier's per-round
-	// conservation law exact under concurrent ingest.
+	// hand-offs already serialize per shard inside the sink); Checkpoint
+	// and Shutdown's final drain take the write side, so every in-flight
+	// hand-off completes before the barrier runs — which is what keeps the
+	// durable tier's per-round conservation law exact under concurrent
+	// ingest.
 	ingestGate sync.RWMutex
 	// sess tracks live sessions for the /stats per-connection section.
 	sess sessionSet
@@ -292,7 +294,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	if s.stopCkpt != nil {
 		// First (and only — Serve-twice errors above) Serve owns starting
-		// the background checkpoint cadence; Shutdown stops it.
+		// the background checkpoint cadence; Shutdown stops and joins it.
+		s.ckptDone.Add(1)
 		go s.runCheckpoints(s.cfg.CheckpointEvery)
 	}
 	s.mu.Unlock()
@@ -603,8 +606,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		return err
 	}
+	// The cadence goroutine was told to stop on entry; wait it out (a round
+	// in flight finishes on its own), so none can start after Shutdown
+	// returns and the caller closes the durable sink.
+	s.ckptDone.Wait()
 	// All handlers are gone; the write side of the gate still fences any
-	// straggling hand-off and the background checkpoint cadence.
+	// straggling hand-off.
 	s.ingestGate.Lock()
 	s.cfg.Sink.Flush()
 	s.cfg.Sink.Barrier()

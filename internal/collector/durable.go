@@ -173,47 +173,57 @@ func (d *DurableSink) Abandon() {
 }
 
 // WindowAnswers answers every query for the [since, until] time window
-// from the log alone: digest blocks in the window replay into a fresh
-// single-shard sink (shard count never changes answers — the pipeline
-// determinism contract), and the standard fixed-order encoder runs over
-// the result. flows nil means every flow seen in the window.
+// from the log alone: the window's digest blocks replay, in log order,
+// into one fresh Recording (shard count never changes answers — the
+// pipeline determinism contract), and the standard fixed-order encoder
+// runs over the result. flows nil means every flow seen in the window;
+// otherwise only the listed flows' digests are recorded — a flow's answers
+// are a function of its own digests — so the replay costs a decode of the
+// window plus the state of the flows asked for.
 func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) ([]FlowAnswers, error) {
-	cfg := pipeline.Config{
-		Shards:        1,
-		BatchSize:     d.pcfg.BatchSize,
-		Base:          d.pcfg.Base,
-		SketchItems:   d.pcfg.SketchItems,
-		WindowBuckets: d.pcfg.WindowBuckets,
-		WindowSpan:    d.pcfg.WindowSpan,
-		FreqCounters:  d.pcfg.FreqCounters,
-	}
-	sink, err := pipeline.NewSink(d.engine, cfg)
+	cfg := d.pcfg
+	cfg.MaxFlows = 0 // a window answers for every flow it saw
+	rec, err := pipeline.NewRecording(d.engine, cfg)
 	if err != nil {
 		return nil, err
 	}
+	var asked map[core.FlowKey]bool
+	if flows != nil {
+		asked = make(map[core.FlowKey]bool, len(flows))
+		for _, f := range flows {
+			asked[f] = true
+		}
+	}
 	var scratch []core.PacketDigest
-	scanErr := d.Store.Scan(since, until, func(b segstore.Block) error {
+	err = d.Store.Scan(since, until, func(b segstore.Block) error {
 		if b.Kind != segstore.KindDigests {
 			return nil
 		}
 		var err error
-		scratch, err = segstore.DecodeDigests(scratch, b.Body)
-		if err != nil {
+		if scratch, err = segstore.DecodeDigests(scratch, b.Body); err != nil {
 			return err
 		}
-		sink.Ingest(scratch)
-		return nil
+		batch := scratch
+		if asked != nil {
+			// Filter in place, one lookup per run of equal flows (exporters
+			// frame per flow).
+			batch = batch[:0]
+			var run core.FlowKey
+			keep := false
+			for i, pd := range scratch {
+				if i == 0 || pd.Flow != run {
+					run, keep = pd.Flow, asked[pd.Flow]
+				}
+				if keep {
+					batch = append(batch, pd)
+				}
+			}
+		}
+		return rec.RecordBatch(batch)
 	})
-	if err := sink.Close(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	// The sink is private, closed and single-shard: its one Recording
-	// holds the whole window and nobody else will read it, so answer from
-	// it directly instead of from a copy.
-	rec := sink.Recording(0)
 	if flows == nil {
 		flows = rec.Flows()
 	}
@@ -249,6 +259,7 @@ func (d *DurableSink) VerifyAgainstLive() error {
 
 // runCheckpoints is the Server's background durability cadence.
 func (s *Server) runCheckpoints(every time.Duration) {
+	defer s.ckptDone.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {

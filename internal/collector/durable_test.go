@@ -372,6 +372,7 @@ func TestDurableEvictionRecords(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		ev.Answers = bytes.Clone(ev.Answers) // the block's bytes are the scan's, valid only in this callback
 		evicted = append(evicted, ev)
 		return nil
 	})
@@ -415,5 +416,195 @@ func TestDurableStatsSurface(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("durable stats lack %s:\n%s", want, body)
 		}
+	}
+}
+
+// TestWindowAnswersFlowScoped: a window query that names its flows records
+// only their digests, and must answer for them byte-for-byte what the
+// all-flows replay of the same window answers — for both query kinds of
+// the testbench plan (path decoding and per-hop latency), over the whole
+// log and over windows that cut flows' streams mid-way, at several shard
+// counts. A named flow the window never saw answers as untracked.
+func TestWindowAnswersFlowScoped(t *testing.T) {
+	tb := mustTestbench(t, 19)
+	const nFlows, perRound, rounds = 6, 48, 8
+	for _, shards := range []int{1, 3} {
+		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: shards, BatchSize: 32, Base: tb.Base},
+			durableOpts(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := make([][]core.PacketDigest, nFlows)
+		for f := range streams {
+			streams[f] = tb.FlowBatch(1, f, perRound*rounds, nil, nil)
+		}
+		// Flows interleave round by round; odd rounds send two flows in one
+		// batch, so a block holds runs of more than one flow.
+		for r := 0; r < rounds; r++ {
+			for f := 0; f < nFlows; f++ {
+				chunk := streams[f][r*perRound : (r+1)*perRound]
+				if r%2 == 1 && f+1 < nFlows {
+					chunk = append(append([]core.PacketDigest(nil), chunk...), streams[f+1][r*perRound:(r+1)*perRound]...)
+					f++
+				}
+				d.Sink.Ingest(chunk)
+			}
+		}
+		if err := d.Writer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		maxTS := d.Store.MaxTS()
+		all := tb.Flows(1, nFlows)
+		windows := [][2]uint64{{0, ^uint64(0)}, {maxTS / 3, 2 * maxTS / 3}, {maxTS / 2, ^uint64(0)}, {0, maxTS / 4}}
+		subsets := [][]core.FlowKey{{all[2]}, {all[5], all[0], all[3]}, all}
+		for _, w := range windows {
+			whole, err := d.WindowAnswers(w[0], w[1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byFlow := map[uint64]FlowAnswers{}
+			for _, fa := range whole {
+				byFlow[fa.Flow] = fa
+			}
+			if len(whole) != nFlows {
+				t.Fatalf("shards=%d window %v: all-flows replay answers %d flows, want %d", shards, w, len(whole), nFlows)
+			}
+			if w == windows[0] && !whole[0].Answers[0].Done {
+				t.Fatalf("shards=%d: the whole log does not decode a path; the comparison below would be of empty answers", shards)
+			}
+			for _, flows := range subsets {
+				scoped, err := d.WindowAnswers(w[0], w[1], flows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]FlowAnswers, len(flows))
+				for i, f := range flows {
+					want[i] = byFlow[uint64(f)]
+				}
+				if !bytes.Equal(answersJSON(t, scoped), answersJSON(t, want)) {
+					t.Fatalf("shards=%d window %v flows %v: scoped replay differs from the all-flows replay restricted to them",
+						shards, w, flows)
+				}
+			}
+		}
+		stranger, err := d.WindowAnswers(0, ^uint64(0), []core.FlowKey{tb.FlowKeyFor(9, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stranger) != 1 || stranger[0].Tracked || stranger[0].Answers[0].Path != nil {
+			t.Fatalf("a flow the window never saw answered %+v", stranger)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWindowQueryFlushesNotCheckpoints: /snapshot?since= asked while a
+// session is streaming answers with every packet the daemon had taken in
+// before the request — the session's hand-off counter is the
+// acknowledgement: a frame counted there has been queued for the log —
+// byte-identical to a serial Recording of those packets, and it gets
+// there by draining the persistence queue: no checkpoint round runs (the
+// cadence is off, so a checkpoint record in the log could only be the
+// query's), and the session keeps streaming throughout.
+func TestWindowQueryFlushesNotCheckpoints(t *testing.T) {
+	tb := mustTestbench(t, 23)
+	dir := t.TempDir()
+	srv, d := newDurableServer(t, tb, dir, durableOpts(dir))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		shutdownServer(t, srv)
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	const wave1Flows, pkts = 3, 200
+	ref, err := pipeline.NewRecording(tb.Engine, pipeline.Config{Base: tb.Base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := dial(ln.Addr().String(), HelloFor(tb.Engine, 1, "streaming"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wave1Sent, stop, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		send := func(f int) error { return ex.Send(tb.FlowBatch(1, f, pkts, nil, nil)) } // one frame
+		for f := 0; f < wave1Flows; f++ {
+			if err := send(f); err != nil {
+				done <- err
+				return
+			}
+		}
+		close(wave1Sent)
+		for f := wave1Flows; ; f++ {
+			select {
+			case <-stop:
+				done <- ex.Close()
+				return
+			default:
+			}
+			if err := send(f); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	<-wave1Sent
+	waitFor(t, "wave 1 handed to the sink", func() bool {
+		conns := srv.ConnStats()
+		return len(conns) == 1 && conns[0].Batches >= wave1Flows
+	})
+
+	url := "/snapshot?since=0"
+	var flows []core.FlowKey
+	for f := 0; f < wave1Flows; f++ {
+		if err := ref.RecordBatch(tb.FlowBatch(1, f, pkts, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, tb.FlowKeyFor(1, f))
+		url += "&flow=" + strconv.FormatUint(uint64(tb.FlowKeyFor(1, f)), 10)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("window query: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var out struct {
+		Flows []FlowAnswers `json:"flows"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := Answers(ref, tb.Queries(), flows); !bytes.Equal(answersJSON(t, out.Flows), answersJSON(t, want)) {
+		t.Fatalf("window query while streaming misses packets the daemon had taken in before it:\n%s\nwant\n%s",
+			answersJSON(t, out.Flows), answersJSON(t, want))
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the session ended under the query: %v", err)
+	default:
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Writer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Store.Scan(0, ^uint64(0), func(b segstore.Block) error {
+		if b.Kind == segstore.KindCheckpoint {
+			t.Errorf("checkpoint record at ts %d: the window query ran a checkpoint round", b.TS)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

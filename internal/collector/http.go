@@ -243,9 +243,13 @@ func parseWindowBound(raw string) (uint64, error) {
 }
 
 // serveWindow answers /snapshot?since=S&until=U from the segment log:
-// the live tail is checkpointed and flushed first (making the log the
-// complete record — nothing is counted twice because nothing is read
-// from the live shards), then the window replays through a fresh sink.
+// the persistence queue is flushed first, then the window replays from the
+// file. Every packet's log record is queued under its shard's stripe lock
+// before the packet is handed to a worker (pipeline.Persister), so once the
+// queue has drained the file holds every packet ingested before the query
+// — the log is the complete record, nothing is read from the live shards
+// and so nothing is counted twice — and no exporter is paused for a read:
+// a window query takes no ingest gate, runs no barrier and syncs nothing.
 // A window reaching at or below the retention horizon answers partially
 // (PartialHeader: 1) if it extends past the horizon, 400 if not.
 func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []core.FlowKey) {
@@ -278,13 +282,8 @@ func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []cor
 			until, horizon), http.StatusBadRequest)
 		return
 	}
-	// Make the live tail durable so the log alone answers the window.
-	// Write side of the gate: no hand-off may straddle the round.
-	s.ingestGate.Lock()
-	cerr := d.Checkpoint()
-	s.ingestGate.Unlock()
-	if cerr != nil {
-		http.Error(w, cerr.Error(), http.StatusInternalServerError)
+	if err := d.Writer.Flush(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	answers, err := d.WindowAnswers(since, until, flows)

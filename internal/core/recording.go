@@ -254,7 +254,11 @@ func (r *Recording) stateOf(flow FlowKey) *flowState {
 
 // record runs one packet of fs's flow through the compiled program of its
 // query set: direct kind dispatch on precomputed ops, no Extracted
-// materialization, no type switches on interfaces.
+// materialization, no type switches on interfaces. The flow's per-hop
+// stores were sized by its first packet's path length; a later packet
+// claiming a longer path (any exporter can send one) may elect a hop past
+// them, and that per-hop sample is dropped — the same packets always drop
+// the same samples, so every replay of the stream still agrees.
 func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 	r.touch(fs)
 	if fs.k == 0 {
@@ -284,7 +288,9 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 					return err
 				}
 			}
-			err = slot.lat[op.lat.Winner(pkt.PktID, pkt.PathLen)-1].add(bits)
+			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.lat) {
+				err = slot.lat[hop-1].add(bits)
+			}
 		case opUtil:
 			slot.series = append(slot.series, op.util.Decode(bits))
 		case opFreq:
@@ -293,7 +299,9 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 					return err
 				}
 			}
-			slot.freq[op.freq.Winner(pkt.PktID, pkt.PathLen)-1].Add(bits)
+			if hop := op.freq.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.freq) {
+				slot.freq[hop-1].Add(bits)
+			}
 		case opCount:
 			slot.series = append(slot.series, op.cnt.Decode(bits))
 		}

@@ -336,3 +336,75 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 		}
 	}
 }
+
+// TestLengtheningRouteRecords: a flow whose packets claim a longer path
+// than its first packet did — k=3, then k=5, which any exporter can send —
+// used to index past the flow's per-hop stores and panic the worker. The
+// per-hop sample whose winner hop has no store is dropped instead, and
+// deterministically: RecordBatch and packet-at-a-time Record agree bit for
+// bit, the flow keeps its first-seen hop count, and the latency and
+// frequent-value stores hold exactly the samples whose winner is within it.
+func TestLengtheningRouteRecords(t *testing.T) {
+	for _, v := range storageVariants {
+		t.Run(v.name, func(t *testing.T) {
+			eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 127, v.latBits)
+			queries := []Query{path, lat, util, freq, cnt}
+			const flow, short, long = FlowKey(1), 3, 5
+			stream := slices.Concat(cloneWorkload(t, eng, 131, 1, 300, short), cloneWorkload(t, eng, 137, 1, 900, long))
+			scramble(v.latBits, 139, stream)
+			mk := func() *Recording {
+				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xCAC4E)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
+				return rec
+			}
+			batched, serial := mk(), mk()
+			if err := batched.RecordBatch(stream); err != nil {
+				t.Fatal(err)
+			}
+			wantLat, wantFreq, dropped := 0, 0, 0
+			for _, p := range stream {
+				if err := serial.Record(p.Flow, p.PathLen, p.PktID, p.Digest); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range eng.ExtractInto(p.PktID, p.Digest, nil) {
+					switch x.Query {
+					case Query(lat):
+						if lat.Winner(p.PktID, p.PathLen) <= short {
+							wantLat++
+						} else {
+							dropped++
+						}
+					case Query(freq):
+						if freq.Winner(p.PktID, p.PathLen) <= short {
+							wantFreq++
+						}
+					}
+				}
+			}
+			if dropped == 0 {
+				t.Fatal("no packet elected a hop past the flow's stores; the case is not exercised")
+			}
+			if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
+				t.Fatal("RecordBatch and packet-at-a-time Record diverge on a lengthening route")
+			}
+			assertSameAnswers(t, serial, batched, flow, short, path, lat, util, freq, cnt)
+			gotLat, gotFreq := 0, 0
+			for hop := 1; hop <= long; hop++ {
+				gotFreq += batched.FreqSamples(freq, flow, hop)
+				if v.winBuckets == 0 { // a sliding window forgets; its count is not the total
+					gotLat += batched.LatencySamples(lat, flow, hop)
+				}
+			}
+			if batched.Hops(lat, flow) != short || batched.Hops(freq, flow) != short || batched.Hops(path, flow) != short {
+				t.Fatalf("hop counts %d/%d/%d, want the first-seen %d", batched.Hops(path, flow), batched.Hops(lat, flow), batched.Hops(freq, flow), short)
+			}
+			if gotFreq != wantFreq || (v.winBuckets == 0 && gotLat != wantLat) {
+				t.Fatalf("stores hold %d latency / %d frequent-value samples, want %d / %d (winner within the first %d hops)",
+					gotLat, gotFreq, wantLat, wantFreq, short)
+			}
+		})
+	}
+}

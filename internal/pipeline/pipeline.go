@@ -172,7 +172,7 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	s := &Sink{engine: engine, cfg: cfg, shards: make([]*shard, cfg.Shards),
 		barrier: make(chan struct{}, cfg.Shards)}
 	for i := range s.shards {
-		rec, err := newRecording(engine, cfg)
+		rec, err := NewRecording(engine, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -196,10 +196,11 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	return s, nil
 }
 
-// newRecording builds an empty Recording configured as cfg says — what
-// every shard starts from, and what stands in for a shard a flow-scoped
-// snapshot did not ask.
-func newRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
+// NewRecording builds an empty Recording configured as cfg says — what
+// every shard starts from, what stands in for a shard a flow-scoped
+// snapshot did not ask, and what a replay of the sink's durable log
+// records into to land on the sink's answers.
+func NewRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
 	rec, err := core.NewRecordingSeeded(engine, cfg.SketchItems, cfg.Base)
 	if err != nil {
 		return nil, err
@@ -547,7 +548,7 @@ func (s *Sink) SnapshotFlows(flows []core.FlowKey) *Snapshot {
 			// A shard nobody asked contributes no flows. An empty Recording
 			// in its slot keeps routing, Merged and every accessor uniform.
 			// The configuration built the shards, so it cannot fail here.
-			recs[i], _ = newRecording(s.engine, s.cfg)
+			recs[i], _ = NewRecording(s.engine, s.cfg)
 		}
 	}
 	return &Snapshot{recs: recs}

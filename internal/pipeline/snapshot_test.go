@@ -185,7 +185,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 				}
 				defer sink.Close()
 				rebuilt := func(n int) *core.Recording {
-					rec, err := newRecording(eng, cfg)
+					rec, err := NewRecording(eng, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

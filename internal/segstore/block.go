@@ -37,6 +37,27 @@
 // time-windowed query seeks straight past segments outside its window.
 // Its encoding is canonical — minimal uvarints, no trailing bytes — so
 // decode∘encode is the identity, a property the fuzzers pin.
+//
+// # Moving each byte once
+//
+// A block is built where it is written from: the store reserves the frame
+// header and `kind | ts` in its one block buffer, the body is encoded
+// straight behind them (a digest batch is marshaled there, not into a
+// buffer of its own), and length and CRC-32C are backfilled over the
+// payload where it sits. A steady stream of appends allocates nothing.
+//
+// Reads are the mirror image. Store.Scan never holds a segment in memory:
+// it opens the segments whose bounds overlap the window, enters the one
+// the window opens inside at the offset that segment's index footer gives
+// for the first block at or after `since` (block timestamps never decrease
+// through a log, so there is at most one such segment; the active
+// segment's directory is already in memory), and streams frames through
+// one reused buffer until the first block past `until`. The contract that
+// follows: a Block handed to Scan's callback aliases that buffer and is
+// valid only during the callback — copy what must outlive it. A window
+// read therefore costs the window's blocks plus one index footer, whatever
+// SegmentBytes is and however much log lies outside the window; recovery's
+// replay is the same walk over the window [0, ∞).
 package segstore
 
 import (
@@ -84,13 +105,38 @@ type Block struct {
 	Body []byte
 }
 
-// appendBlock appends one framed block to dst.
-func appendBlock(dst []byte, kind uint8, ts uint64, body []byte) ([]byte, error) {
-	payload := make([]byte, 0, blockHeadLen+len(body))
-	payload = append(payload, kind)
-	payload = binary.LittleEndian.AppendUint64(payload, ts)
-	payload = append(payload, body...)
-	return wire.AppendFrame(dst, payload)
+// blockPrefixLen is what precedes a block's body in its frame: the frame
+// header, then kind and timestamp.
+const blockPrefixLen = wire.FrameHeaderLen + blockHeadLen
+
+// beginBlock starts a block in buf's storage: it returns buf[:0] extended
+// by a zeroed prefix for the caller to append the body behind, so a body
+// is encoded once, where it will be written from. finishBlock completes it.
+func beginBlock(buf []byte) []byte {
+	var prefix [blockPrefixLen]byte
+	return append(buf[:0], prefix[:]...)
+}
+
+// finishBlock fills in the prefix of the block begun in blk: kind and
+// timestamp, then the frame's length and checksum over the payload where
+// it sits. The bytes are exactly wire.AppendFrame(kind | ts | body).
+func finishBlock(blk []byte, kind uint8, ts uint64) error {
+	blk[wire.FrameHeaderLen] = kind
+	binary.LittleEndian.PutUint64(blk[wire.FrameHeaderLen+1:], ts)
+	return wire.SealFrame(blk)
+}
+
+// blockOf splits a verified frame payload into its block. Body aliases
+// payload.
+func blockOf(payload []byte) (Block, error) {
+	if len(payload) < blockHeadLen {
+		return Block{}, fmt.Errorf("segstore: block payload %d bytes below header %d", len(payload), blockHeadLen)
+	}
+	return Block{
+		Kind: payload[0],
+		TS:   binary.LittleEndian.Uint64(payload[1:]),
+		Body: payload[blockHeadLen:],
+	}, nil
 }
 
 // decodeBlock decodes the first block of data, returning it and the bytes
@@ -101,14 +147,11 @@ func decodeBlock(data []byte) (Block, []byte, error) {
 	if err != nil {
 		return Block{}, data, err
 	}
-	if len(payload) < blockHeadLen {
-		return Block{}, data, fmt.Errorf("segstore: block payload %d bytes below header %d", len(payload), blockHeadLen)
+	blk, err := blockOf(payload)
+	if err != nil {
+		return Block{}, data, err
 	}
-	return Block{
-		Kind: payload[0],
-		TS:   binary.LittleEndian.Uint64(payload[1:]),
-		Body: payload[blockHeadLen:],
-	}, rest, nil
+	return blk, rest, nil
 }
 
 // uvarint is the strict, canonical decoder every segstore body shares:

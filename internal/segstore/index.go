@@ -50,11 +50,63 @@ func appendIndexBody(dst []byte, idx Index) []byte {
 	return dst
 }
 
+// appendSeal builds, in buf's storage, what seals a segment whose data
+// blocks end at footerOff: the index block, then the trailer pointing back
+// at it.
+func appendSeal(buf []byte, idx Index, footerOff int64) ([]byte, error) {
+	buf = appendIndexBody(beginBlock(buf), idx)
+	if err := finishBlock(buf, kindIndex, idx.MaxTS); err != nil {
+		return nil, err
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff))
+	return append(buf, trailerMagic...), nil
+}
+
 // DecodeIndex decodes an index body. The decoder is strict and canonical:
 // trailing bytes, non-minimal varints, overflowing deltas, inverted
 // timestamp bounds, and directories above the entry cap are all errors,
 // so appendIndexBody(DecodeIndex(b)) == b for every accepted b.
 func DecodeIndex(body []byte) (Index, error) {
+	var entries []IndexEntry
+	idx, err := walkIndex(body, func(e IndexEntry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	if err != nil {
+		return Index{}, err
+	}
+	idx.Entries = entries
+	return idx, nil
+}
+
+// seekIndex returns the offset of the first block in an index body's
+// directory whose timestamp is at or after since — where a window read
+// that opens inside the segment starts. A directory with no such block is
+// an error: the caller chose the segment because its bounds say there is
+// one. It allocates nothing.
+func seekIndex(body []byte, since uint64) (uint64, error) {
+	off, found := uint64(0), false
+	if _, err := walkIndex(body, func(e IndexEntry) bool {
+		if e.TS >= since {
+			off, found = e.Offset, true
+		}
+		return !found
+	}); err != nil {
+		return 0, err
+	}
+	if !found {
+		return 0, fmt.Errorf("segstore: index lists no block at or after ts %d", since)
+	}
+	return off, nil
+}
+
+// walkIndex is the one decoder of an index body: it checks the header,
+// then decodes and checks each entry and hands it to visit, in directory
+// order. The returned Index carries the header fields and no Entries.
+// visit returning false ends the walk there (a seek that found its block
+// has no use for the rest) and leaves the tail unchecked; a walk that runs
+// to the end also checks the totals and that no byte is left over.
+func walkIndex(body []byte, visit func(IndexEntry) bool) (Index, error) {
 	var idx Index
 	take := func(what string) (uint64, error) {
 		v, n, err := uvarint(body)
@@ -83,8 +135,7 @@ func DecodeIndex(body []byte) (Index, error) {
 	if idx.Packets, err = take("packet total"); err != nil {
 		return Index{}, err
 	}
-	idx.Entries = make([]IndexEntry, 0, min(count, 1024))
-	prevOff, prevTS := uint64(0), uint64(0)
+	prevOff, prevTS, pkts := uint64(0), uint64(0), uint64(0)
 	for i := uint64(0); i < count; i++ {
 		var e IndexEntry
 		dOff, err := take("offset delta")
@@ -116,25 +167,23 @@ func DecodeIndex(body []byte) (Index, error) {
 			return Index{}, fmt.Errorf("segstore: index entry %d ts %d outside [%d, %d]",
 				i, e.TS, idx.MinTS, idx.MaxTS)
 		}
-		idx.Entries = append(idx.Entries, e)
-		prevOff, prevTS = e.Offset, e.TS
+		if i == 0 && e.TS != idx.MinTS {
+			return Index{}, fmt.Errorf("segstore: index min ts %d, first entry at %d", idx.MinTS, e.TS)
+		}
+		if !visit(e) {
+			return idx, nil
+		}
+		prevOff, prevTS, pkts = e.Offset, e.TS, pkts+e.Packets
 	}
 	if len(body) != 0 {
 		return Index{}, fmt.Errorf("segstore: %d trailing bytes after index", len(body))
 	}
 	if count > 0 {
-		var pkts uint64
-		for _, e := range idx.Entries {
-			pkts += e.Packets
-		}
 		if pkts != idx.Packets {
 			return Index{}, fmt.Errorf("segstore: index packet total %d, entries sum to %d", idx.Packets, pkts)
 		}
-		if idx.Entries[0].TS != idx.MinTS {
-			return Index{}, fmt.Errorf("segstore: index min ts %d, first entry at %d", idx.MinTS, idx.Entries[0].TS)
-		}
-		if last := idx.Entries[len(idx.Entries)-1].TS; last != idx.MaxTS {
-			return Index{}, fmt.Errorf("segstore: index max ts %d, last entry at %d", idx.MaxTS, last)
+		if prevTS != idx.MaxTS {
+			return Index{}, fmt.Errorf("segstore: index max ts %d, last entry at %d", idx.MaxTS, prevTS)
 		}
 	} else if idx.MinTS != 0 || idx.MaxTS != 0 || idx.Packets != 0 {
 		return Index{}, fmt.Errorf("segstore: empty index with nonzero bounds")

@@ -300,12 +300,10 @@ func (s *Store) recoverCompaction() error {
 // segment so every surviving segment leaves recovery sealed.
 func sealFile(path string, meta segMeta, entries []IndexEntry, noSync bool) (segMeta, error) {
 	idx := Index{MinTS: meta.minTS, MaxTS: meta.maxTS, Packets: meta.packets, Entries: entries}
-	buf, err := appendBlock(nil, kindIndex, meta.maxTS, appendIndexBody(nil, idx))
+	buf, err := appendSeal(nil, idx, meta.size)
 	if err != nil {
 		return segMeta{}, err
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(meta.size))
-	buf = append(buf, trailerMagic...)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return segMeta{}, fmt.Errorf("segstore: re-sealing: %w", err)
@@ -630,20 +628,21 @@ func (s *Store) now() uint64 {
 	return ts
 }
 
-// append writes one block to the active segment and rotates if the
-// segment grew past the configured size.
-func (s *Store) append(kind uint8, body []byte, packets uint64) error {
+// append finishes the block begun in blk (beginBlock, then the body) and
+// writes it to the active segment, rotating if the segment grew past the
+// configured size. Callers begin their blocks in s.scratch, which keeps
+// whatever storage blk grew into, so a steady stream of appends allocates
+// nothing.
+func (s *Store) append(kind uint8, blk []byte, packets uint64) error {
 	if s.closed {
 		return fmt.Errorf("segstore: append after Close")
 	}
+	s.scratch = blk
 	ts := s.now()
-	s.scratch = s.scratch[:0]
-	var err error
-	s.scratch, err = appendBlock(s.scratch, kind, ts, body)
-	if err != nil {
+	if err := finishBlock(blk, kind, ts); err != nil {
 		return err
 	}
-	if _, err := s.f.Write(s.scratch); err != nil {
+	if _, err := s.f.Write(blk); err != nil {
 		return fmt.Errorf("segstore: %w", err)
 	}
 	s.idx = append(s.idx, IndexEntry{Offset: uint64(s.size), Kind: kind, TS: ts, Packets: packets})
@@ -652,7 +651,7 @@ func (s *Store) append(kind uint8, body []byte, packets uint64) error {
 	}
 	s.maxTS = ts
 	s.blocks++
-	s.size += int64(len(s.scratch))
+	s.size += int64(len(blk))
 	s.pkts += packets
 	s.durablePkts += packets
 	if s.size >= s.opts.SegmentBytes {
@@ -661,32 +660,33 @@ func (s *Store) append(kind uint8, body []byte, packets uint64) error {
 	return nil
 }
 
-// AppendDigests logs one ingested batch — the WAL record.
+// AppendDigests logs one ingested batch — the WAL record. The batch is
+// marshaled once, straight into the frame it is written from.
 func (s *Store) AppendDigests(batch []core.PacketDigest) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	body, err := wire.AppendMarshal(nil, batch)
+	blk, err := wire.AppendMarshal(beginBlock(s.scratch), batch)
 	if err != nil {
 		return err
 	}
-	return s.append(KindDigests, body, uint64(len(batch)))
+	return s.append(KindDigests, blk, uint64(len(batch)))
 }
 
 // AppendCheckpoint logs one shard's checkpoint record.
 func (s *Store) AppendCheckpoint(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(KindCheckpoint, appendCheckpointBody(nil, cp), 0)
+	return s.append(KindCheckpoint, appendCheckpointBody(beginBlock(s.scratch), cp), 0)
 }
 
 // AppendEvict logs one evicted flow's finalized answers.
 func (s *Store) AppendEvict(ev EvictRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(KindEvict, appendEvictBody(nil, ev), 0)
+	return s.append(KindEvict, appendEvictBody(beginBlock(s.scratch), ev), 0)
 }
 
 // Rotate seals the active segment (index footer, trailer, fsync) and
@@ -720,16 +720,12 @@ func (s *Store) rotateLocked() error {
 // fsyncs, closes the file, and returns its metadata.
 func (s *Store) sealLocked() (segMeta, error) {
 	idx := Index{MinTS: s.minTS, MaxTS: s.maxTS, Packets: s.pkts, Entries: s.idx}
-	footerOff := s.size
-	s.scratch = s.scratch[:0]
-	var err error
-	s.scratch, err = appendBlock(s.scratch, kindIndex, s.maxTS, appendIndexBody(nil, idx))
+	seal, err := appendSeal(s.scratch, idx, s.size)
 	if err != nil {
 		return segMeta{}, err
 	}
-	s.scratch = binary.LittleEndian.AppendUint64(s.scratch, uint64(footerOff))
-	s.scratch = append(s.scratch, trailerMagic...)
-	if _, err := s.f.Write(s.scratch); err != nil {
+	s.scratch = seal
+	if _, err := s.f.Write(seal); err != nil {
 		return segMeta{}, fmt.Errorf("segstore: sealing: %w", err)
 	}
 	if !s.opts.NoSync {
@@ -743,7 +739,7 @@ func (s *Store) sealLocked() (segMeta, error) {
 	return segMeta{
 		name:    segName(s.seq),
 		seq:     s.seq,
-		size:    s.size + int64(len(s.scratch)),
+		size:    s.size + int64(len(seal)),
 		minTS:   s.minTS,
 		maxTS:   s.maxTS,
 		packets: s.pkts,
@@ -770,7 +766,7 @@ func (s *Store) retainLocked() error {
 		}
 	}
 	r := Retain{Segments: s.delSegs, Packets: s.delPkts, HorizonTS: s.horizon}
-	if err := s.append(KindRetain, appendRetainBody(nil, r), 0); err != nil {
+	if err := s.append(KindRetain, appendRetainBody(beginBlock(s.scratch), r), 0); err != nil {
 		return err
 	}
 	if !s.opts.NoSync {
@@ -892,126 +888,162 @@ func (s *Store) MaxTS() uint64 {
 }
 
 // Scan walks every surviving block whose timestamp falls in
-// [since, until], in log order, calling fn for each. Sealed segments
-// wholly outside the window are skipped via their index bounds without
-// reading a block. Blocks alias a per-segment read buffer valid only
-// during the callback.
+// [since, until], in log order, calling fn for each. Blocks alias one
+// read buffer reused for the whole scan: a Block is valid only during its
+// callback.
+//
+// A window read costs what the window holds, not what the log holds.
+// Sealed segments wholly outside the window are skipped on their index
+// bounds; the segment the window opens in is entered by its index footer,
+// at the first block at or after since; every segment is left at the
+// first block past until; and nothing is read but the blocks in between,
+// streamed frame by frame.
 //
 // The store lock is held only to snapshot the segment set: overlapping
-// sealed segments are opened (an open fd survives a concurrent
-// retention/compaction unlink) and the active segment's bytes copied,
-// then the walk — file reads and fn callbacks included — runs unlocked,
-// so a long replay never stalls the append path.
+// segments are opened (an open fd survives a concurrent retention or
+// compaction unlink) and the active segment's extent noted, then the walk
+// — file reads and fn callbacks included — runs unlocked, so a long replay
+// never stalls the append path, and blocks appended after the snapshot are
+// not part of it.
 func (s *Store) Scan(since, until uint64, fn func(Block) error) error {
-	s.mu.Lock()
-	var files []*os.File
-	closeAll := func() {
-		for _, f := range files {
-			f.Close()
+	spans, err := s.openWindow(since, until)
+	defer func() {
+		for _, sp := range spans {
+			sp.f.Close()
+		}
+	}()
+	if err != nil {
+		return err
+	}
+	fr := wire.NewFrameReader(nil, 0)
+	for i := range spans {
+		if err := spans[i].stream(fr, since, until, fn); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// segSpan is one segment's share of a window read: its file, opened while
+// the segment was known to exist, and the extent of its data blocks worth
+// reading. A sealed segment's extent is found from the file itself
+// (locate), once the store lock is dropped.
+type segSpan struct {
+	f *os.File
+	// size is a sealed segment's file size; 0 marks the active segment,
+	// whose extent — first block at or after since, to the bytes written
+	// when the snapshot was taken — is already in start and end.
+	size int64
+	// seek marks the sealed segment the window opens inside: it holds
+	// blocks before since, to be skipped by its index footer. Timestamps
+	// never decrease through a log, so there is at most one.
+	seek       bool
+	start, end int64
+}
+
+// openWindow opens, under the store lock, every segment whose timestamp
+// bounds overlap [since, until]. On error the spans opened so far are
+// returned for the caller to close.
+func (s *Store) openWindow(since, until uint64) ([]segSpan, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var spans []segSpan
 	for _, m := range s.sealed {
 		if m.maxTS < since || m.minTS > until {
 			continue
 		}
 		f, err := os.Open(filepath.Join(s.dir, m.name))
 		if err != nil {
-			closeAll()
-			s.mu.Unlock()
-			return fmt.Errorf("segstore: %w", err)
+			return spans, fmt.Errorf("segstore: %w", err)
 		}
-		files = append(files, f)
+		spans = append(spans, segSpan{f: f, size: m.size, seek: m.minTS < since})
 	}
-	var active []byte
 	if s.blocks > 0 && !s.closed && s.maxTS >= since && s.minTS <= until {
-		var err error
-		if active, err = s.readActiveLocked(); err != nil {
-			closeAll()
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.mu.Unlock()
-	defer closeAll()
-	for _, f := range files {
-		data, err := io.ReadAll(f)
+		f, err := os.Open(s.f.Name())
 		if err != nil {
-			return fmt.Errorf("segstore: %w", err)
+			return spans, fmt.Errorf("segstore: %w", err)
 		}
-		body, err := sealedBody(data, filepath.Base(f.Name()))
-		if err != nil {
-			return err
-		}
-		if err := scanBlocks(body, since, until, fn); err != nil {
-			return err
-		}
+		// maxTS >= since: the search lands on an entry.
+		first := sort.Search(len(s.idx), func(i int) bool { return s.idx[i].TS >= since })
+		spans = append(spans, segSpan{f: f, start: int64(s.idx[first].Offset), end: s.size})
 	}
-	if active == nil {
+	return spans, nil
+}
+
+// locate finds a sealed segment's data extent: it checks the file's magic
+// and trailer, ends the extent at the index footer and, in the segment the
+// window opens inside, starts it at the first block the footer's directory
+// lists at or after since.
+func (sp *segSpan) locate(fr *wire.FrameReader, since uint64) error {
+	name := filepath.Base(sp.f.Name())
+	var magic [segHeaderLen]byte
+	if _, err := sp.f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != segMagic {
+		return fmt.Errorf("segstore: %s: bad segment magic", name)
+	}
+	var trailer [trailerLen]byte
+	if _, err := sp.f.ReadAt(trailer[:], sp.size-trailerLen); err != nil || string(trailer[8:]) != trailerMagic {
+		return fmt.Errorf("segstore: %s: sealed segment lost its trailer", name)
+	}
+	footerOff := binary.LittleEndian.Uint64(trailer[:])
+	if footerOff < segHeaderLen || footerOff >= uint64(sp.size-trailerLen) {
+		return fmt.Errorf("segstore: %s: index footer offset %d outside file", name, footerOff)
+	}
+	sp.start, sp.end = segHeaderLen, int64(footerOff)
+	if !sp.seek {
 		return nil
 	}
-	return scanBlocks(active, since, until, fn)
-}
-
-// scanFile replays one sealed segment's data blocks through fn. Compact
-// uses it under s.mu; Scan reads via fds snapshotted under the lock.
-func (s *Store) scanFile(path string, since, until uint64, fn func(Block) error) error {
-	data, err := os.ReadFile(path)
+	fr.Reset(io.NewSectionReader(sp.f, sp.end, sp.size-trailerLen-sp.end))
+	payload, err := fr.Next()
 	if err != nil {
-		return fmt.Errorf("segstore: %w", err)
+		return fmt.Errorf("segstore: %s: index footer: %w", name, err)
 	}
-	body, err := sealedBody(data, filepath.Base(path))
+	blk, err := blockOf(payload)
+	if err != nil || blk.Kind != kindIndex {
+		return fmt.Errorf("segstore: %s: sealed trailer points at no index block", name)
+	}
+	off, err := seekIndex(blk.Body, since)
 	if err != nil {
-		return err
+		return fmt.Errorf("segstore: %s: %w", name, err)
 	}
-	return scanBlocks(body, since, until, fn)
+	if off < segHeaderLen || off >= footerOff {
+		return fmt.Errorf("segstore: %s: index entry offset %d outside the data blocks", name, off)
+	}
+	sp.start = int64(off)
+	return nil
 }
 
-// sealedBody validates a sealed segment image's framing and returns its
-// data-block region (between the header and the index footer).
-func sealedBody(data []byte, name string) ([]byte, error) {
-	if len(data) < segHeaderLen || string(data[:segHeaderLen]) != segMagic {
-		return nil, fmt.Errorf("segstore: %s: bad segment magic", name)
-	}
-	if len(data) < segHeaderLen+trailerLen || string(data[len(data)-4:]) != trailerMagic {
-		return nil, fmt.Errorf("segstore: %s: sealed segment lost its trailer", name)
-	}
-	footerOff := binary.LittleEndian.Uint64(data[len(data)-trailerLen:])
-	if footerOff < segHeaderLen || footerOff >= uint64(len(data)-trailerLen) {
-		return nil, fmt.Errorf("segstore: %s: index footer offset %d outside file", name, footerOff)
-	}
-	return data[segHeaderLen:footerOff], nil
-}
-
-// readActiveLocked copies the active segment's block bytes by re-reading
-// the file (the write handle is append-only).
-func (s *Store) readActiveLocked() ([]byte, error) {
-	data := make([]byte, s.size-segHeaderLen)
-	rf, err := os.Open(s.f.Name())
-	if err != nil {
-		return nil, fmt.Errorf("segstore: %w", err)
-	}
-	defer rf.Close()
-	if _, err := io.ReadFull(io.NewSectionReader(rf, segHeaderLen, int64(len(data))), data); err != nil {
-		return nil, fmt.Errorf("segstore: reading active segment: %w", err)
-	}
-	return data, nil
-}
-
-func scanBlocks(data []byte, since, until uint64, fn func(Block) error) error {
-	for len(data) > 0 {
-		blk, rest, err := decodeBlock(data)
-		if err != nil {
-			return fmt.Errorf("segstore: scanning: %w", err)
+// stream calls fn for the span's blocks inside [since, until], reading
+// them one frame at a time through fr and stopping at the first block
+// past until.
+func (sp *segSpan) stream(fr *wire.FrameReader, since, until uint64, fn func(Block) error) error {
+	if sp.size > 0 {
+		if err := sp.locate(fr, since); err != nil {
+			return err
 		}
-		data = rest
-		if blk.Kind == kindIndex || blk.TS < since || blk.TS > until {
+	}
+	fr.Reset(io.NewSectionReader(sp.f, sp.start, sp.end-sp.start))
+	for {
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("segstore: scanning %s: %w", filepath.Base(sp.f.Name()), err)
+		}
+		blk, err := blockOf(payload)
+		if err != nil {
+			return fmt.Errorf("segstore: scanning %s: %w", filepath.Base(sp.f.Name()), err)
+		}
+		if blk.TS > until {
+			return nil
+		}
+		if blk.TS < since {
 			continue
 		}
 		if err := fn(blk); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // Compact folds every sealed segment into one: blocks stream across in
@@ -1059,12 +1091,17 @@ func (s *Store) Compact() error {
 	size := int64(segHeaderLen)
 	var entries []IndexEntry
 	var buf []byte
+	fr := wire.NewFrameReader(nil, 0)
 	for _, m := range s.sealed {
-		err := s.scanFile(filepath.Join(s.dir, m.name), 0, ^uint64(0), func(blk Block) error {
-			buf = buf[:0]
-			var err error
-			buf, err = appendBlock(buf, blk.Kind, blk.TS, blk.Body)
-			if err != nil {
+		src, err := os.Open(filepath.Join(s.dir, m.name))
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("segstore: compact: %w", err)
+		}
+		sp := segSpan{f: src, size: m.size}
+		err = sp.stream(fr, 0, ^uint64(0), func(blk Block) error {
+			buf = append(beginBlock(buf), blk.Body...)
+			if err := finishBlock(buf, blk.Kind, blk.TS); err != nil {
 				return err
 			}
 			if _, err := f.Write(buf); err != nil {
@@ -1088,20 +1125,17 @@ func (s *Store) Compact() error {
 			size += int64(len(buf))
 			return nil
 		})
+		src.Close()
 		if err != nil {
 			f.Close()
 			return err
 		}
 	}
 	idx := Index{MinTS: out.minTS, MaxTS: out.maxTS, Packets: out.packets, Entries: entries}
-	buf = buf[:0]
-	buf, err = appendBlock(buf, kindIndex, out.maxTS, appendIndexBody(nil, idx))
-	if err != nil {
+	if buf, err = appendSeal(buf, idx, size); err != nil {
 		f.Close()
 		return err
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(size))
-	buf = append(buf, trailerMagic...)
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		return fmt.Errorf("segstore: compact: %w", err)

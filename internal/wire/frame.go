@@ -70,16 +70,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // DefaultMaxFramePayload bytes (writers and readers share the default cap
 // unless both ends agree on another).
 func AppendFrame(dst, payload []byte) ([]byte, error) {
-	if len(payload) == 0 {
-		return dst, fmt.Errorf("wire: empty frame payload")
+	var header [FrameHeaderLen]byte
+	out := append(append(dst, header[:]...), payload...)
+	if err := SealFrame(out[len(dst):]); err != nil {
+		return dst, err
 	}
-	if len(payload) > DefaultMaxFramePayload {
-		return dst, fmt.Errorf("wire: frame payload %d bytes above cap %d",
-			len(payload), DefaultMaxFramePayload)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...), nil
+	return out, nil
 }
 
 // AppendMarshalFrame appends one frame whose payload is the marshaled
@@ -96,14 +92,29 @@ func AppendMarshalFrame(dst []byte, batch []core.PacketDigest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := out[start+FrameHeaderLen:]
+	if err := SealFrame(out[start:]); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SealFrame turns frame — FrameHeaderLen reserved bytes followed by a
+// payload already in place — into a valid frame by backfilling the length
+// and the CRC-32C of the payload where it sits. It is AppendFrame for a
+// caller that builds its payload directly behind the header it reserved,
+// under the same payload bounds.
+func SealFrame(frame []byte) error {
+	payload := frame[FrameHeaderLen:]
+	if len(payload) == 0 {
+		return fmt.Errorf("wire: empty frame payload")
+	}
 	if len(payload) > DefaultMaxFramePayload {
-		return nil, fmt.Errorf("wire: frame payload %d bytes above cap %d",
+		return fmt.Errorf("wire: frame payload %d bytes above cap %d",
 			len(payload), DefaultMaxFramePayload)
 	}
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[start+4:], crc32.Checksum(payload, crcTable))
-	return out, nil
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
+	return nil
 }
 
 // DecodeFrame decodes the first frame of data, returning its payload
@@ -157,6 +168,11 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	}
 	return &FrameReader{r: bufio.NewReader(r), max: maxPayload}
 }
+
+// Reset points the reader at a new stream, keeping its buffers — one
+// reader can walk any number of streams (the segment log's window reads:
+// one per segment) for a single payload buffer.
+func (fr *FrameReader) Reset(r io.Reader) { fr.r.Reset(r) }
 
 // Next reads one frame and returns its payload. io.EOF means the stream
 // ended cleanly at a frame boundary; io.ErrUnexpectedEOF means it ended
