@@ -9,7 +9,7 @@
 //
 //	pintgate -fleetmap fleet.json                        front the fleet the map describes
 //	pintgate -fleetmap fleet.json -http 127.0.0.1:9700   explicit listen address
-//	pintgate -fleetmap fleet.json -timeout 5s            per-node fan-out bound
+//	pintgate -fleetmap fleet.json -timeout 5s            how long a member may stay silent
 //
 // The fleet map is the one description of the deployment — the epoch and,
 // per member, a stable name, the exporter ingest address and the query
@@ -30,6 +30,16 @@
 // the home the map derives from the member names; see the README's
 // federated-deployment section), so the /snapshot merge is a k-way merge
 // by flow key — byte-identical to one collector that ingested everything.
+// The merge streams: the gate reads each member's body one flow element
+// at a time and writes the winning element's bytes on as it got them, so
+// it holds one pending element per member per request, not the fleet's
+// answer. A member that is down, refusing or stale when the query starts
+// is named in the partial result; one that fails after the response has
+// begun (dies, truncates, sends a malformed or out-of-order element, goes
+// silent) makes the gate abort the response — the client sees a transport
+// error and retries, never a complete-looking answer with a hole in it.
+// -timeout bounds a member's silence (before its headers, or between two
+// reads of its body), not the time a slow client takes to read.
 // On SIGTERM/SIGINT the gate stops serving and exits 0.
 package main
 
@@ -52,7 +62,7 @@ import (
 func main() {
 	httpAddr := flag.String("http", "127.0.0.1:9700", "HTTP address for the merged /healthz, /stats, /snapshot")
 	mapFile := flag.String("fleetmap", "", "JSON fleet map file (epoch + members): the fleet to front, served on /fleetmap")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-node fan-out request bound")
+	timeout := flag.Duration("timeout", 10*time.Second, "how long a fleet member may go without answering a fan-out request (headers, or more of its body)")
 	grace := flag.Duration("grace", 5*time.Second, "drain grace period on SIGTERM/SIGINT")
 	flag.Parse()
 

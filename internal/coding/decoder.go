@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/hash"
 )
@@ -422,26 +423,39 @@ func (d *Decoder) Path() ([]uint64, []bool) {
 	vals := make([]uint64, d.k)
 	ok := make([]bool, d.k)
 	for h := 0; h < d.k; h++ {
-		if d.cfg.Mode == ModeHashed {
-			ok[h] = d.known[0][h]
-			vals[h] = d.vals[0][h]
-			continue
-		}
-		full := true
-		var v uint64
-		for f := 0; f < d.frags; f++ {
-			if !d.known[f][h] {
-				full = false
-				break
-			}
-			v |= d.vals[f][h] << uint(f*d.cfg.Bits)
-		}
-		ok[h] = full
-		if full {
-			vals[h] = v
-		}
+		vals[h], ok[h] = d.hopBlock(h)
 	}
 	return vals, ok
+}
+
+// AppendPath appends the per-hop blocks Path returns to dst and reports
+// whether every hop is decoded: Path for a caller that reuses its buffer
+// and wants the mask only as a verdict.
+func (d *Decoder) AppendPath(dst []uint64) ([]uint64, bool) {
+	dst = slices.Grow(dst, d.k)
+	done := true
+	for h := 0; h < d.k; h++ {
+		v, ok := d.hopBlock(h)
+		dst = append(dst, v)
+		done = done && ok
+	}
+	return dst, done
+}
+
+// hopBlock returns hop h's (0-based) decoded block and whether it is
+// trustworthy.
+func (d *Decoder) hopBlock(h int) (uint64, bool) {
+	if d.cfg.Mode == ModeHashed {
+		return d.vals[0][h], d.known[0][h]
+	}
+	var v uint64
+	for f := 0; f < d.frags; f++ {
+		if !d.known[f][h] {
+			return 0, false
+		}
+		v |= d.vals[f][h] << uint(f*d.cfg.Bits)
+	}
+	return v, true
 }
 
 // CandidateCount returns the number of values still possible for a hop

@@ -94,10 +94,11 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 // holds exactly the JSON the flow would have answered live.
 func evictEncoder(queries []core.Query) func(ev pipeline.Eviction, rec *core.Recording) []byte {
 	return func(ev pipeline.Eviction, rec *core.Recording) []byte {
-		answers := Answers(rec, queries, []core.FlowKey{ev.Flow})
-		buf, err := json.Marshal(answers[0])
+		var fa FlowAnswers
+		evalFlow(rec, queries, ev.Flow, &fa)
+		buf, err := json.Marshal(fa)
 		if err != nil {
-			// Answers marshals plain structs; an error here is a
+			// FlowAnswers is plain structs; an error here is a
 			// programming bug, but a durable record with an empty body
 			// beats losing the eviction entirely.
 			return nil
@@ -173,19 +174,30 @@ func (d *DurableSink) Abandon() {
 }
 
 // WindowAnswers answers every query for the [since, until] time window
-// from the log alone: the window's digest blocks replay, in log order,
-// into one fresh Recording (shard count never changes answers — the
-// pipeline determinism contract), and the standard fixed-order encoder
-// runs over the result. flows nil means every flow seen in the window;
-// otherwise only the listed flows' digests are recorded — a flow's answers
+// from the log alone: the window replays into one fresh Recording
+// (windowRecording) and the standard fixed-order evaluator runs over the
+// result. flows nil means every flow seen in the window.
+func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) ([]FlowAnswers, error) {
+	rec, flows, err := d.windowRecording(since, until, flows)
+	if err != nil {
+		return nil, err
+	}
+	return Answers(rec, d.queries, flows), nil
+}
+
+// windowRecording replays the [since, until] window's digest blocks, in
+// log order, into one fresh Recording (shard count never changes answers —
+// the pipeline determinism contract) and returns it with the flows to
+// answer for: the ones asked, or — flows nil — every flow seen in the
+// window. Only the listed flows' digests are recorded — a flow's answers
 // are a function of its own digests — so the replay costs a decode of the
 // window plus the state of the flows asked for.
-func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) ([]FlowAnswers, error) {
+func (d *DurableSink) windowRecording(since, until uint64, flows []core.FlowKey) (*core.Recording, []core.FlowKey, error) {
 	cfg := d.pcfg
 	cfg.MaxFlows = 0 // a window answers for every flow it saw
 	rec, err := pipeline.NewRecording(d.engine, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var asked map[core.FlowKey]bool
 	if flows != nil {
@@ -222,12 +234,12 @@ func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) (
 		return rec.RecordBatch(batch)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if flows == nil {
 		flows = rec.Flows()
 	}
-	return Answers(rec, d.queries, flows), nil
+	return rec, flows, nil
 }
 
 // VerifyAgainstLive proves the headline guarantee on a quiescent durable

@@ -44,19 +44,31 @@ func (s *Server) ExportFlows(flows []core.FlowKey) ([]wire.FlowState, error) {
 	if len(s.cfg.Queries) == 0 {
 		return nil, fmt.Errorf("collector: hand-off requires the server's query list (WithQueries)")
 	}
+	// Every state is encoded straight into one arena and sliced from it: a
+	// chunk at a time, so the arena never has to be copied to grow — a
+	// fresh chunk (a KiB per flow still to go, within bounds) starts when
+	// the current one may not hold the next state (twice the largest so
+	// far), and the states already sliced keep the old one alive. Should a
+	// state outgrow its chunk anyway, append moves it — with the chunk's
+	// prefix — into a larger array, which is then the chunk: correct, just
+	// one copy dearer.
 	out := make([]wire.FlowState, 0, len(flows))
-	for _, flow := range flows {
-		var blob []byte
+	var arena []byte
+	largest := 0
+	for i, flow := range flows {
+		if cap(arena)-len(arena) < 2*largest || arena == nil {
+			arena = make([]byte, 0, max(4*largest, min(exportChunk, (len(flows)-i)<<10)))
+		}
+		at := len(arena)
 		s.ingestGate.RLock()
 		err := s.cfg.Sink.WithFlow(flow, func(rec *core.Recording) error {
 			if !rec.HasFlow(flow) {
 				return nil
 			}
-			b, err := rec.AppendFlowState(nil, s.cfg.Queries, flow)
-			if err != nil {
+			var err error
+			if arena, err = rec.AppendFlowState(arena, s.cfg.Queries, flow); err != nil {
 				return err
 			}
-			blob = b
 			rec.Evict(flow)
 			return nil
 		})
@@ -64,12 +76,17 @@ func (s *Server) ExportFlows(flows []core.FlowKey) ([]wire.FlowState, error) {
 		if err != nil {
 			return out, fmt.Errorf("collector: exporting flow %d: %w", flow, err)
 		}
-		if blob != nil {
-			out = append(out, wire.FlowState{Flow: flow, State: blob})
+		if state := arena[at:len(arena):len(arena)]; len(state) > 0 {
+			out = append(out, wire.FlowState{Flow: flow, State: state})
+			largest = max(largest, len(state))
 		}
 	}
 	return out, nil
 }
+
+// exportChunk bounds ExportFlows' arena chunks: a few hundred flow states
+// of the size the testbench plan produces.
+const exportChunk = 256 << 10
 
 // HandoffFlows returns how many flows this collector has imported over
 // the hand-off path since it started.
@@ -122,44 +139,35 @@ func SendHandoff(addr string, hello wire.Hello, states []wire.FlowState) (int, e
 	if err != nil {
 		return 0, err
 	}
-	sent := 0
-	var frame []byte
-	batch := make([]wire.FlowState, 0, len(states))
-	bytesInBatch := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		payload := wire.AppendMarshalHandoff(nil, batch)
-		fr, err := wire.AppendFrame(frame[:0], payload)
-		if err != nil {
+	// Each batch — a run of states up to the frame budget — is marshaled
+	// behind the frame header it reserves, sealed in place and written from
+	// there; the one buffer serves every frame of the session.
+	frame := make([]byte, wire.FrameHeaderLen)
+	send := func(batch []wire.FlowState) error {
+		frame = wire.AppendMarshalHandoff(frame[:wire.FrameHeaderLen], batch)
+		if err := wire.SealFrame(frame); err != nil {
 			return err
 		}
-		frame = fr
-		if _, err := ex.conn.Write(frame); err != nil {
-			return err
-		}
-		sent += len(batch)
-		batch = batch[:0]
-		bytesInBatch = 0
-		return nil
+		_, err := ex.conn.Write(frame)
+		return err
 	}
-	for _, fs := range states {
+	sent, bytesInBatch := 0, 0
+	for i, fs := range states {
 		if bytesInBatch > 0 && bytesInBatch+len(fs.State) > handoffFrameBudget {
-			if err := flush(); err != nil {
+			if err := send(states[sent:i]); err != nil {
 				ex.Close()
 				return sent, err
 			}
+			sent, bytesInBatch = i, 0
 		}
-		batch = append(batch, fs)
 		bytesInBatch += len(fs.State) + 16
 	}
-	if err := flush(); err != nil {
+	if err := send(states[sent:]); err != nil {
 		ex.Close()
 		return sent, err
 	}
 	// Close flushes nothing further (the frames were written directly)
 	// but ends the session cleanly, so the destination reads to EOF — its
 	// deferred sink flush then makes every imported flow queryable.
-	return sent, ex.Close()
+	return len(states), ex.Close()
 }

@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -66,52 +67,83 @@ type FlowAnswers struct {
 // The order is part of the contract for one reason only: a latency
 // quantile over sliding-window storage (sketch.SlidingKLL.Quantile)
 // draws from its store's RNG; every other query only reads.
+//
+// It collects what EachFlow evaluates, for callers that compare or keep
+// the answers; the HTTP surface streams EachFlow instead, so a served
+// snapshot's answer tree never exists.
 func Answers(rec *core.Recording, queries []core.Query, flows []core.FlowKey) []FlowAnswers {
-	out := make([]FlowAnswers, 0, len(flows))
-	for _, flow := range flows {
-		fa := FlowAnswers{Flow: uint64(flow), Tracked: rec.HasFlow(flow), Answers: []QueryAnswer{}}
-		for _, q := range queries {
-			a := QueryAnswer{Query: q.Name(), Kind: q.Agg().String()}
-			switch q := q.(type) {
-			case *core.PathQuery:
-				a.Path, a.Done = rec.Path(q, flow)
-				a.Inconsistencies = rec.PathInconsistencies(q, flow)
-			case *core.LatencyQuery:
-				for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
-					n := rec.LatencySamples(q, flow, hop)
-					if n == 0 {
-						continue
-					}
-					ps, err := rec.LatencyQuantiles(q, flow, hop, 0.5, 0.99)
-					if err != nil {
-						continue
-					}
-					a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n, P50: ps[0], P99: ps[1]})
-				}
-			case *core.FreqQuery:
-				for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
-					n := rec.FreqSamples(q, flow, hop)
-					if n == 0 {
-						continue
-					}
-					a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n})
-					var vals []uint64
-					for _, hh := range rec.FrequentValues(q, flow, hop, 0.1) {
-						vals = append(vals, hh.Value)
-					}
-					sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-					a.Heavy = append(a.Heavy, vals)
-				}
-			case *core.UtilQuery:
-				a.Series = rec.UtilSeries(q, flow)
-			case *core.CountQuery:
-				a.Series = rec.CountSeries(q, flow)
-			}
-			fa.Answers = append(fa.Answers, a)
-		}
-		out = append(out, fa)
+	out := make([]FlowAnswers, len(flows))
+	for i, flow := range flows {
+		evalFlow(rec, queries, flow, &out[i])
 	}
 	return out
+}
+
+// EachFlow yields Answers' elements one at a time without building the
+// list: every flow is evaluated into the same FlowAnswers, which — like
+// its path, hop and answer slices — is overwritten by the next
+// iteration, so a consumer encodes or copies what it keeps before moving
+// on.
+func EachFlow(rec *core.Recording, queries []core.Query, flows []core.FlowKey) iter.Seq[*FlowAnswers] {
+	return func(yield func(*FlowAnswers) bool) {
+		var fa FlowAnswers
+		for _, flow := range flows {
+			evalFlow(rec, queries, flow, &fa)
+			if !yield(&fa) {
+				return
+			}
+		}
+	}
+}
+
+// evalFlow evaluates every query for one flow into fa, reusing the
+// capacity of whatever slices fa already holds (a zero fa gets fresh
+// ones).
+func evalFlow(rec *core.Recording, queries []core.Query, flow core.FlowKey, fa *FlowAnswers) {
+	fa.Flow, fa.Tracked = uint64(flow), rec.HasFlow(flow)
+	if cap(fa.Answers) < len(queries) || fa.Answers == nil {
+		fa.Answers = make([]QueryAnswer, len(queries))
+	}
+	fa.Answers = fa.Answers[:len(queries)]
+	for i, q := range queries {
+		a := &fa.Answers[i]
+		*a = QueryAnswer{Query: q.Name(), Kind: q.Agg().String(), Path: a.Path[:0], Hops: a.Hops[:0], Heavy: a.Heavy[:0]}
+		switch q := q.(type) {
+		case *core.PathQuery:
+			a.Path, a.Done = rec.AppendPath(a.Path, q, flow)
+			a.Inconsistencies = rec.PathInconsistencies(q, flow)
+		case *core.LatencyQuery:
+			var ps [2]float64
+			for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
+				n := rec.LatencySamples(q, flow, hop)
+				if n == 0 {
+					continue
+				}
+				if _, err := rec.AppendLatencyQuantiles(ps[:0], q, flow, hop, 0.5, 0.99); err != nil {
+					continue
+				}
+				a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n, P50: ps[0], P99: ps[1]})
+			}
+		case *core.FreqQuery:
+			for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
+				n := rec.FreqSamples(q, flow, hop)
+				if n == 0 {
+					continue
+				}
+				a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n})
+				var vals []uint64
+				for _, hh := range rec.FrequentValues(q, flow, hop, 0.1) {
+					vals = append(vals, hh.Value)
+				}
+				slices.Sort(vals)
+				a.Heavy = append(a.Heavy, vals)
+			}
+		case *core.UtilQuery:
+			a.Series = rec.UtilSeries(q, flow)
+		case *core.CountQuery:
+			a.Series = rec.CountSeries(q, flow)
+		}
+	}
 }
 
 // SnapshotAnswers folds a sink snapshot into one merged Recording and
@@ -205,12 +237,15 @@ func (s *Server) Handler() http.Handler {
 			s.serveWindow(w, r, flows)
 			return
 		}
-		answers, err := SnapshotAnswers(s.cfg.Sink.SnapshotFlows(flows), s.cfg.Queries, flows)
+		merged, err := s.cfg.Sink.SnapshotFlows(flows).Merged()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		WriteSnapshot(w, answers)
+		if flows == nil {
+			flows = merged.Flows()
+		}
+		WriteSnapshot(w, EachFlow(merged, s.cfg.Queries, flows))
 	}))
 	return mux
 }
@@ -286,7 +321,7 @@ func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []cor
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	answers, err := d.WindowAnswers(since, until, flows)
+	rec, flows, err := d.windowRecording(since, until, flows)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -296,7 +331,7 @@ func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []cor
 		// say so, the same contract a degraded federated fleet serves.
 		w.Header().Set(PartialHeader, "1")
 	}
-	WriteSnapshot(w, answers)
+	WriteSnapshot(w, EachFlow(rec, d.queries, flows))
 }
 
 // WithProfiling layers net/http/pprof's endpoints under /debug/pprof/ on
@@ -348,46 +383,91 @@ func HardenedHTTPServer(h http.Handler) *http.Server {
 }
 
 // WriteSnapshot writes the /snapshot document {"flows": [...]} one flow
-// at a time: each FlowAnswers is encoded into a reused buffer and handed
-// to w, so the response never exists whole in memory. The bytes are
-// exactly WriteJSON(w, map[string]any{"flows": flows}) — a nil list is
-// null, an empty one [] — which the conformance goldens and the
-// benchmark's oracle compare against. The collector and the federated
-// query frontend's healthy path both answer through it.
-func WriteSnapshot(w http.ResponseWriter, flows []FlowAnswers) {
-	w.Header().Set("Content-Type", "application/json")
-	switch {
-	case flows == nil:
-		io.WriteString(w, "{\n  \"flows\": null\n}\n")
-		return
-	case len(flows) == 0:
-		io.WriteString(w, "{\n  \"flows\": []\n}\n")
-		return
-	}
-	// Elements sit two levels deep in the document: the encoder indents
-	// every line after an element's first by that prefix, and the first
-	// is written here.
-	const elemIndent = "    "
+// at a time: each FlowAnswers the sequence yields is encoded into a reused
+// buffer and handed to w before the next is evaluated, so neither the
+// answers nor the response ever exist whole in memory. The bytes are
+// exactly WriteJSON(w, map[string]any{"flows": list}) for the non-nil list
+// of what the sequence yields — which the conformance goldens and the
+// benchmark's oracle compare against.
+func WriteSnapshot(w http.ResponseWriter, flows iter.Seq[*FlowAnswers]) {
+	sw := NewSnapshotWriter(w, nil)
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	enc.SetIndent(elemIndent, "  ")
-	buf.WriteString("{\n  \"flows\": [\n")
-	for i := range flows {
-		buf.WriteString(elemIndent)
-		if err := enc.Encode(&flows[i]); err != nil {
+	// The encoder indents every line after an element's first by the
+	// element's depth in the document; SnapshotWriter indents the first.
+	enc.SetIndent(snapshotElemIndent, "  ")
+	for fa := range flows {
+		buf.Reset()
+		if err := enc.Encode(fa); err != nil {
 			return // plain structs: cannot happen; leave the body cut short
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's newline
-		if i < len(flows)-1 {
-			buf.WriteString(",\n")
-		} else {
-			buf.WriteString("\n  ]\n}\n")
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		if err := sw.Element(buf.Bytes()[:buf.Len()-1]); err != nil { // less Encode's newline
 			return // the client went away
 		}
-		buf.Reset()
 	}
+	sw.Close()
+}
+
+// snapshotElemIndent is the indentation of a flows[] element, two levels
+// deep in the document.
+const snapshotElemIndent = "    "
+
+// SnapshotWriter frames the /snapshot document around flows[] elements
+// handed to it one at a time as encoded JSON. It is the one definition of
+// that framing: a collector encodes its answers through it (WriteSnapshot)
+// and the federated query frontend splices its members' elements through
+// it unparsed, which is why a healthy fleet's body is byte-identical to a
+// single collector's.
+type SnapshotWriter struct {
+	w    io.Writer
+	head []byte // everything before the list's opening bracket, until written
+	n    int
+}
+
+// NewSnapshotWriter starts a document on w. A non-nil errs — any value
+// that marshals to a JSON list — makes it the degraded-fleet document
+// {"errors": errs, "flows": [...]}. Nothing is written before the first
+// Element or Close, so the caller may still set headers.
+func NewSnapshotWriter(w http.ResponseWriter, errs any) *SnapshotWriter {
+	w.Header().Set("Content-Type", "application/json")
+	head := []byte("{\n")
+	if errs != nil {
+		// The "errors" member as WriteJSON renders it one level deep.
+		list, err := json.MarshalIndent(errs, "  ", "  ")
+		if err != nil {
+			list = []byte("null")
+		}
+		head = append(append(append(head, "  \"errors\": "...), list...), ",\n"...)
+	}
+	return &SnapshotWriter{w: w, head: append(head, "  \"flows\": "...)}
+}
+
+// snapshotElemSep separates two flows[] elements.
+var snapshotElemSep = []byte(",\n" + snapshotElemIndent)
+
+// Element writes one flows[] element: its JSON from the opening brace to
+// the closing one, inner lines already indented for the element's depth.
+func (sw *SnapshotWriter) Element(elem []byte) error {
+	sep := snapshotElemSep
+	if sw.n == 0 {
+		sep = append(sw.head, "[\n"+snapshotElemIndent...)
+	}
+	sw.n++
+	if _, err := sw.w.Write(sep); err != nil {
+		return err
+	}
+	_, err := sw.w.Write(elem)
+	return err
+}
+
+// Close ends the document; a list that got no element is written as [].
+func (sw *SnapshotWriter) Close() error {
+	tail := []byte("\n  ]\n}\n")
+	if sw.n == 0 {
+		tail = append(sw.head, "[]\n}\n"...)
+	}
+	_, err := sw.w.Write(tail)
+	return err
 }
 
 // WriteJSON writes v as indented JSON — the one encoder shape every

@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pipeline"
 )
 
@@ -219,16 +222,21 @@ func TestEpochMismatchRefused(t *testing.T) {
 	}
 	ex.Close()
 
-	if st := srv.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected sessions %d, want 1", st.Rejected)
+	// The server counts a refusal after it has written the reject byte, so
+	// the exporter can know of it first: wait for the count, briefly.
+	for deadline := time.Now().Add(2 * time.Second); srv.Stats().Rejected != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected sessions %d, want 1", srv.Stats().Rejected)
+		}
 	}
 }
 
 // TestWriteSnapshotMatchesWholeDocumentEncoder pins the streaming
 // /snapshot writer to the bytes of the encoder it replaced — one
-// json.Encoder pass over map{"flows": …} — for a nil list, an empty one,
-// one flow, and many flows of every answer shape, including strings the
-// encoder HTML-escapes.
+// json.Encoder pass over map{"flows": …} — for an empty list, one flow, and
+// many flows of every answer shape, including strings the encoder
+// HTML-escapes; and the degraded-fleet framing (SnapshotWriter with an
+// error list) to one pass over map{"errors": …, "flows": …}.
 func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
 	many := []FlowAnswers{
 		{Flow: 1, Tracked: true, Answers: []QueryAnswer{
@@ -240,18 +248,103 @@ func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
 		{Flow: 1 << 63, Answers: []QueryAnswer{}},
 		{Flow: 3, Tracked: true, Answers: []QueryAnswer{{Query: "cnt", Kind: "per-packet", Series: []float64{}}}},
 	}
+	type nodeErr struct {
+		Node  string `json:"node"`
+		Error string `json:"error"`
+		Kind  string `json:"kind,omitempty"`
+	}
+	errs := []nodeErr{{Node: "http://a", Error: "status 503 <draining>"}, {Node: "http://b", Error: "x", Kind: "epoch_stale"}}
 	for name, flows := range map[string][]FlowAnswers{
-		"nil": nil, "empty": {}, "one": many[:1], "many": many,
+		"empty": {}, "one": many[:1], "many": many,
 	} {
+		seq := func(yield func(*FlowAnswers) bool) {
+			for i := range flows {
+				if !yield(&flows[i]) {
+					return
+				}
+			}
+		}
 		want := httptest.NewRecorder()
 		WriteJSON(want, map[string]any{"flows": flows})
 		got := httptest.NewRecorder()
-		WriteSnapshot(got, flows)
+		WriteSnapshot(got, seq)
 		if got.Body.String() != want.Body.String() {
 			t.Errorf("%s: streamed body differs from the whole-document encoding:\n got: %q\nwant: %q", name, got.Body.String(), want.Body.String())
 		}
 		if ct := got.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type %q", name, ct)
 		}
+
+		want = httptest.NewRecorder()
+		WriteJSON(want, map[string]any{"errors": errs, "flows": flows})
+		got = httptest.NewRecorder()
+		sw := NewSnapshotWriter(got, errs)
+		for i := range flows {
+			elem, err := json.MarshalIndent(&flows[i], snapshotElemIndent, "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Element(elem); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("%s: degraded framing differs from the whole-document encoding:\n got: %q\nwant: %q", name, got.Body.String(), want.Body.String())
+		}
+	}
+}
+
+// TestEachFlowMatchesAnswers: the streaming evaluator reuses one
+// FlowAnswers — and its path, hop and answer slices — across flows, so
+// every element must come out exactly as the collecting evaluator's fresh
+// one, including an untracked flow's empty answer between two full ones
+// (nothing of the previous flow may show through the reused slices).
+func TestEachFlowMatchesAnswers(t *testing.T) {
+	tb, err := NewTestbench(19, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := pipeline.NewRecording(tb.Engine, pipeline.Config{Base: tb.Base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkts []core.PacketDigest
+	vals := make([]core.HopValues, 120)
+	for f := 0; f < 4; f++ {
+		pkts = tb.FlowBatch(1, f, 30*(f+1), pkts, vals)
+		if err := rec.RecordBatch(pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flows := []core.FlowKey{tb.FlowKeyFor(1, 3), 0xDEAD, tb.FlowKeyFor(1, 0), tb.FlowKeyFor(1, 2), 0xBEEF, tb.FlowKeyFor(1, 1)}
+	want := Answers(rec, tb.Queries(), flows)
+	i := 0
+	for fa := range EachFlow(rec, tb.Queries(), flows) {
+		got, err := json.Marshal(fa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("flow %d (#%d): streamed answer differs:\n got: %s\nwant: %s", flows[i], i, got, ref)
+		}
+		i++
+	}
+	if i != len(flows) {
+		t.Fatalf("EachFlow yielded %d flows, want %d", i, len(flows))
+	}
+	// The reuse is the point: a warm evaluator allocates nothing per flow.
+	allocs := testing.AllocsPerRun(20, func() {
+		for range EachFlow(rec, tb.Queries(), flows) {
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("EachFlow over %d flows: %.0f allocations, want a handful per pass (not per flow)", len(flows), allocs)
 	}
 }

@@ -84,12 +84,19 @@ func (r *handoffReader) done() error {
 	return nil
 }
 
-func appendSection(dst []byte, name string, kind byte, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	dst = append(dst, name...)
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+// prefixLen turns dst[at:] into a length-prefixed field where it sits:
+// the bytes move up by the width of their uvarint length, which is written
+// where they began. A writer appends a variable-length payload straight
+// into its output and then calls this, instead of building the payload in a
+// buffer of its own just to learn its length first.
+func prefixLen(dst []byte, at int) []byte {
+	n := len(dst) - at
+	var pre [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(pre[:], uint64(n))
+	dst = append(dst, pre[:w]...)
+	copy(dst[at+w:], dst[at:at+n])
+	copy(dst[at:], pre[:w])
+	return dst
 }
 
 func appendFloatSeries(dst []byte, series []float64) []byte {
@@ -119,16 +126,19 @@ func sectionKind(q Query) byte {
 }
 
 // appendLatStores is a latency section's payload: the hop count, then one
-// store per hop. A raw sample travels as the uvarint of its code, whatever
-// width it is held at in memory.
+// store per hop — its kind, then for a sketch its length-prefixed state. A
+// raw sample travels as the uvarint of its code, whatever width it is held
+// at in memory.
 func appendLatStores(dst []byte, stores []latStore) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(stores)))
 	for i := range stores {
 		switch st := &stores[i]; {
 		case st.win != nil:
-			dst = appendStore(dst, storeWin, st.win.AppendState(nil))
+			at := len(dst) + 1
+			dst = prefixLen(st.win.AppendState(append(dst, storeWin)), at)
 		case st.kll != nil:
-			dst = appendStore(dst, storeKLL, st.kll.AppendState(nil))
+			at := len(dst) + 1
+			dst = prefixLen(st.kll.AppendState(append(dst, storeKLL)), at)
 		default:
 			n := st.samples()
 			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(n))
@@ -147,15 +157,10 @@ func appendFreqStores(dst []byte, stores []*sketch.SpaceSaving) []byte {
 			dst = append(dst, storeNone)
 			continue
 		}
-		dst = appendStore(dst, storeKLL, st.AppendState(nil)) // "present" marker; the state is a SpaceSaving
+		at := len(dst) + 1
+		dst = prefixLen(st.AppendState(append(dst, storeKLL)), at) // storeKLL: "present"; the state is a SpaceSaving
 	}
 	return dst
-}
-
-// appendStore appends one per-hop sketch: its kind, then its length-prefixed state.
-func appendStore(dst []byte, kind byte, state []byte) []byte {
-	dst = binary.AppendUvarint(append(dst, kind), uint64(len(state)))
-	return append(dst, state...)
 }
 
 // AppendFlowState appends flow's complete recording state to dst. The
@@ -178,21 +183,28 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 		if kind == 0 {
 			return dst, fmt.Errorf("core: flow state for unknown query type %T", q)
 		}
-		// One field of a slot is live, the one q's kind uses.
-		var payload []byte
-		switch slot := r.slot(q, flow); {
-		case slot.dec != nil:
-			payload = slot.dec.AppendState(nil)
-		case slot.lat != nil:
-			payload = appendLatStores(nil, slot.lat)
-		case slot.freq != nil:
-			payload = appendFreqStores(nil, slot.freq)
-		case slot.series != nil:
-			payload = appendFloatSeries(nil, slot.series)
-		default:
+		slot := r.slot(q, flow)
+		if slot.dec == nil && slot.lat == nil && slot.freq == nil && slot.series == nil {
 			continue
 		}
-		dst = appendSection(dst, q.Name(), kind, payload)
+		// A section is its query's name, its kind, and the length-prefixed
+		// payload — one field of a slot is live, the one q's kind uses —
+		// encoded where it lands in dst.
+		name := q.Name()
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(append(dst, name...), kind)
+		at := len(dst)
+		switch {
+		case slot.dec != nil:
+			dst = slot.dec.AppendState(dst)
+		case slot.lat != nil:
+			dst = appendLatStores(dst, slot.lat)
+		case slot.freq != nil:
+			dst = appendFreqStores(dst, slot.freq)
+		default:
+			dst = appendFloatSeries(dst, slot.series)
+		}
+		dst = prefixLen(dst, at)
 		sections++
 	}
 	dst[countAt] = byte(sections)

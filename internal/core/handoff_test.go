@@ -24,12 +24,22 @@ func flowStateDigest(t *testing.T, sketchItems, winBuckets int, winSpan uint64) 
 		t.Fatal(err)
 	}
 	h := sha256.New()
+	arena := []byte("earlier states")
 	for _, f := range rec.Flows() {
 		blob, err := rec.AppendFlowState(nil, []Query{path, lat, util, freq, cnt}, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.Write(blob)
+		// The blob is encoded where it lands: behind other bytes it is the
+		// same blob, and they are untouched.
+		at := len(arena)
+		if arena, err = rec.AppendFlowState(arena, []Query{path, lat, util, freq, cnt}, f); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(arena[at:], blob) || !bytes.HasPrefix(arena, []byte("earlier states")) {
+			t.Fatalf("flow %d: state appended behind %d bytes differs from the state appended to nil", f, at)
+		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }

@@ -514,17 +514,17 @@ func (r *Recording) slot(q Query, flow FlowKey) querySlot {
 // Path answers a path query: the decoded switch IDs and whether decoding
 // is complete (Inference Module, static aggregation).
 func (r *Recording) Path(q *PathQuery, flow FlowKey) ([]uint64, bool) {
+	return r.AppendPath(nil, q, flow)
+}
+
+// AppendPath is Path appending the switch IDs to dst, for a caller that
+// answers flow after flow from one buffer.
+func (r *Recording) AppendPath(dst []uint64, q *PathQuery, flow FlowKey) ([]uint64, bool) {
 	dec := r.PathDecoder(q, flow)
 	if dec == nil {
-		return nil, false
+		return dst, false
 	}
-	vals, ok := dec.Path()
-	for _, o := range ok {
-		if !o {
-			return vals, false
-		}
-	}
-	return vals, true
+	return dec.AppendPath(dst)
 }
 
 // PathDecoder exposes a flow's decoder for progress inspection.
@@ -584,40 +584,46 @@ func (r *Recording) LatencyQuantile(q *LatencyQuery, flow FlowKey, hop int, phi 
 // the only query in the repository that draws from an RNG, so the order
 // is part of the answer.
 func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
+	return r.AppendLatencyQuantiles(nil, q, flow, hop, phis...)
+}
+
+// AppendLatencyQuantiles is LatencyQuantiles appending the answers to dst
+// (returned unextended on error), for a caller that answers hop after hop
+// from one buffer.
+func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
 	hops := r.slot(q, flow).lat
 	if hop < 1 || hop > len(hops) {
-		return nil, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
+		return dst, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
 	}
 	st := &hops[hop-1]
-	var codes []float64
+	out := slices.Grow(dst, len(phis))[:len(dst)+len(phis)]
+	codes := out[len(dst):]
 	if st.win != nil {
 		if st.win.WindowCount() == 0 {
-			return nil, fmt.Errorf("core: empty window for hop %d", hop)
+			return dst, fmt.Errorf("core: empty window for hop %d", hop)
 		}
-		codes = make([]float64, len(phis))
 		for i, phi := range phis {
 			code, err := st.win.Quantile(phi)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			codes[i] = code
 		}
 	} else if st.kll != nil {
 		if st.kll.Count() == 0 {
-			return nil, fmt.Errorf("core: empty sketch for hop %d", hop)
+			return dst, fmt.Errorf("core: empty sketch for hop %d", hop)
 		}
-		codes = st.kll.Quantiles(phis...)
+		copy(codes, st.kll.Quantiles(phis...))
 	} else {
 		if len(st.raw) == 0 {
-			return nil, fmt.Errorf("core: no samples for hop %d", hop)
+			return dst, fmt.Errorf("core: no samples for hop %d", hop)
 		}
-		codes = make([]float64, len(phis))
 		st.rawQuantiles(phis, codes)
 	}
 	for i, code := range codes {
 		codes[i] = q.Decode(uint64(code + 0.5))
 	}
-	return codes, nil
+	return out, nil
 }
 
 // LatencySamples returns how many samples hop `hop` has accumulated.

@@ -1,11 +1,11 @@
 package federation
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -24,15 +24,22 @@ import (
 // The /snapshot merge is the HTTP twin of Fleet.MergedAnswers: members
 // hold disjoint flows (the partitioner's invariant) and list them in
 // sorted key order, so folding is a k-way merge by flow key — the wire
-// image of core.Recording.Merge's pure adoption — and the merged body is
-// byte-identical to the single-collector body whenever the fleet is
-// healthy.
+// image of core.Recording.Merge's pure adoption. It is a streaming merge:
+// the frontend reads each member's body one flows[] element at a time,
+// parses only the element's flow key, and writes the winning element's
+// bytes to the client as it got them, so what it holds per request is one
+// pending element per member, whatever the fleet tracks — and the merged
+// body is byte-identical to the single-collector body whenever the fleet
+// is healthy. The price of not buffering is paid by a member that fails
+// after the response has begun: see serveSnapshot.
 type Frontend struct {
-	// Client issues the fan-out requests (default: a fresh client with
-	// Timeout as its overall bound).
-	Client *http.Client
-	// Timeout bounds each fan-out request (default 10s).
-	Timeout time.Duration
+	// client issues the fan-out requests; timeout is how long a member may
+	// stay silent — before its response headers, or between two reads of
+	// its body — before it counts as not answering.
+	client  *http.Client
+	timeout time.Duration
+	// bodyCap caps one member's response body (maxNodeResponse).
+	bodyCap int64
 
 	// mu guards fleetMap against a POST /fleetmap racing the fan-out
 	// handlers.
@@ -44,7 +51,6 @@ type Frontend struct {
 type frontendConfig struct {
 	fm      *FleetMap
 	timeout time.Duration
-	client  *http.Client
 }
 
 // FrontendOption configures NewFrontend.
@@ -59,15 +65,13 @@ func WithFleetMap(m *FleetMap) FrontendOption {
 	return func(c *frontendConfig) { c.fm = m }
 }
 
-// WithTimeout bounds each fan-out request (default 10s).
+// WithTimeout bounds how long a member may go without answering a
+// fan-out request (default 10s): the wait for its response headers and
+// each wait for more of its body. Time the frontend spends writing to its
+// own client does not count — a slow reader downstream is not a silent
+// member.
 func WithTimeout(d time.Duration) FrontendOption {
 	return func(c *frontendConfig) { c.timeout = d }
-}
-
-// WithClient supplies the HTTP client for fan-out requests, overriding
-// the default (a fresh client bounded by the timeout).
-func WithClient(client *http.Client) FrontendOption {
-	return func(c *frontendConfig) { c.client = client }
 }
 
 // PartialHeader marks a response merged from a degraded fleet: its value
@@ -96,7 +100,10 @@ func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 			o(&cfg)
 		}
 	}
-	g := &Frontend{Client: cfg.client, Timeout: cfg.timeout}
+	if cfg.timeout <= 0 {
+		cfg.timeout = 10 * time.Second
+	}
+	g := &Frontend{client: &http.Client{}, timeout: cfg.timeout, bodyCap: maxNodeResponse}
 	if err := g.SetFleetMap(cfg.fm); err != nil {
 		return nil, err
 	}
@@ -142,89 +149,150 @@ type NodeError struct {
 	Error  string `json:"error"`
 	Status int    `json:"status,omitempty"`
 	Kind   string `json:"kind,omitempty"`
+
+	member int // the node's index in the fleet map the fan-out used
 }
 
 // NodeErrorEpochStale is the NodeError.Kind for a member that answered
 // from a different fleet epoch than the frontend's map.
 const NodeErrorEpochStale = "epoch_stale"
 
-// fetch GETs path (plus rawQuery) from every node concurrently and
-// returns the node list used plus the bodies, position-aligned with it;
-// failures (transport errors, non-200 statuses, and epoch-stale answers)
-// land in the error list instead.
-func (g *Frontend) fetch(path, rawQuery string) (nodes []string, bodies [][]byte, errs []NodeError) {
-	client := g.Client
-	if client == nil {
-		timeout := g.Timeout
-		if timeout <= 0 {
-			timeout = 10 * time.Second
-		}
-		client = &http.Client{Timeout: timeout}
-	}
-	fm := g.CurrentFleetMap()
+// fanOut GETs path (plus rawQuery) from every member of fm concurrently,
+// under ctx — the incoming request's, so a caller that goes away takes its
+// member requests with it. A member that fails in a way visible at header
+// time (transport error, non-200 status, epoch-stale answer) lands in the
+// error list; every other member's body is handed to use, on the member's
+// own goroutine, with the member's index in fm. use owns the body — it
+// closes it or keeps it — and an error from it puts the member in the
+// error list too. Errors are listed in member order.
+func (g *Frontend) fanOut(ctx context.Context, fm *FleetMap, path, rawQuery string, use func(i int, body io.ReadCloser) error) []NodeError {
 	nodes, wantEpoch := fm.QueryURLs(), strconv.FormatUint(fm.Epoch, 10)
-	bodies = make([][]byte, len(nodes))
 	nodeErrs := make([]*NodeError, len(nodes))
 	var wg sync.WaitGroup
 	for i, node := range nodes {
 		wg.Add(1)
-		go func(i int, node string) {
+		go func() {
 			defer wg.Done()
 			url := node + path
 			if rawQuery != "" {
 				url += "?" + rawQuery
 			}
-			resp, err := client.Get(url)
-			if err != nil {
-				nodeErrs[i] = &NodeError{Node: node, Error: err.Error()}
-				return
-			}
-			defer resp.Body.Close()
-			// Read one byte past the cap so truncation is detected and
-			// named, instead of handing a cut-off document to the JSON
-			// decoder and misreporting the node as corrupt.
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxNodeResponse+1))
-			if err != nil {
-				nodeErrs[i] = &NodeError{Node: node, Error: err.Error()}
-				return
-			}
-			if len(body) > maxNodeResponse {
-				nodeErrs[i] = &NodeError{
-					Node:  node,
-					Error: fmt.Sprintf("response exceeds the %d-byte fan-out cap", maxNodeResponse),
+			body, ne := g.get(ctx, url, wantEpoch)
+			if ne == nil {
+				if err := use(i, body); err != nil {
+					ne = &NodeError{Error: err.Error()}
 				}
-				return
 			}
-			if resp.StatusCode != http.StatusOK {
-				nodeErrs[i] = &NodeError{
-					Node:   node,
-					Error:  fmt.Sprintf("status %s: %s", resp.Status, firstLine(body)),
-					Status: resp.StatusCode,
-				}
-				return
+			if ne != nil {
+				ne.Node, ne.member = node, i
+				nodeErrs[i] = ne
 			}
-			// A member mid-resize answers from a different partitioning;
-			// merging it with the rest would mix two fleet maps in one
-			// document. Exclude it and say so. (Members predating the
-			// epoch header send none — nothing to check.)
-			if raw := resp.Header.Get(collector.EpochHeader); raw != "" && raw != wantEpoch {
-				nodeErrs[i] = &NodeError{
-					Node:  node,
-					Error: fmt.Sprintf("member is at fleet epoch %s, frontend map is at %s (resize in flight)", raw, wantEpoch),
-					Kind:  NodeErrorEpochStale,
-				}
-				return
-			}
-			bodies[i] = body
-		}(i, node)
+		}()
 	}
 	wg.Wait()
+	var errs []NodeError
 	for _, ne := range nodeErrs {
 		if ne != nil {
 			errs = append(errs, *ne)
 		}
 	}
-	return nodes, bodies, errs
+	return errs
+}
+
+// get issues one member request and classifies the response at header
+// time. The returned body reads under the frontend's silence bound and
+// releases the request when closed.
+func (g *Frontend) get(ctx context.Context, url, wantEpoch string) (io.ReadCloser, *NodeError) {
+	silent := fmt.Errorf("member did not answer within %v", g.timeout)
+	ctx, cancel := context.WithCancelCause(ctx)
+	body := &nodeBody{ctx: ctx, cancel: cancel, timeout: g.timeout, cap: g.bodyCap}
+	body.watch = time.AfterFunc(g.timeout, func() { cancel(silent) })
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		body.Close()
+		return nil, &NodeError{Error: err.Error()}
+	}
+	resp, err := g.client.Do(req)
+	body.watch.Stop()
+	if err != nil {
+		err = body.explain(err)
+		body.Close()
+		return nil, &NodeError{Error: err.Error()}
+	}
+	body.body = resp.Body
+	var ne *NodeError
+	switch epoch := resp.Header.Get(collector.EpochHeader); {
+	case resp.StatusCode != http.StatusOK:
+		// The member's own words, bounded: an error body is one line.
+		msg, _ := io.ReadAll(io.LimitReader(body, 4<<10))
+		ne = &NodeError{Error: fmt.Sprintf("status %s: %s", resp.Status, firstLine(msg)), Status: resp.StatusCode}
+	case resp.ContentLength > g.bodyCap:
+		ne = &NodeError{Error: overCap(g.bodyCap).Error()}
+	case epoch != "" && epoch != wantEpoch:
+		// A member mid-resize answers from a different partitioning;
+		// merging it with the rest would mix two fleet maps in one
+		// document. Exclude it and say so. (Members predating the epoch
+		// header send none — nothing to check.)
+		ne = &NodeError{
+			Error: fmt.Sprintf("member is at fleet epoch %s, frontend map is at %s (resize in flight)", epoch, wantEpoch),
+			Kind:  NodeErrorEpochStale,
+		}
+	}
+	if ne != nil {
+		body.Close()
+		return nil, ne
+	}
+	return body, nil
+}
+
+// nodeBody is one member's response body. Each Read runs under a watchdog
+// that cancels the member's request when the member stays silent for the
+// frontend's timeout; between Reads — while the frontend is busy writing to
+// its own client — no clock runs. A body longer than the fan-out cap fails
+// the Read that crosses it, by name, instead of ending early like a
+// truncated one. Close releases the request.
+type nodeBody struct {
+	body      io.ReadCloser // the response's; nil until the headers are in
+	ctx       context.Context
+	cancel    context.CancelCauseFunc
+	watch     *time.Timer
+	timeout   time.Duration
+	read, cap int64 // body bytes read, and the most there may be
+}
+
+func overCap(cap int64) error {
+	return fmt.Errorf("response exceeds the %d-byte fan-out cap", cap)
+}
+
+func (b *nodeBody) Read(p []byte) (int, error) {
+	b.watch.Reset(b.timeout)
+	n, err := b.body.Read(p)
+	b.watch.Stop()
+	if b.read += int64(n); b.read > b.cap {
+		return n, overCap(b.cap)
+	}
+	if err != nil && err != io.EOF {
+		err = b.explain(err)
+	}
+	return n, err
+}
+
+// explain replaces the transport's "context canceled" with why the
+// request's context ended — the watchdog's verdict, or the caller's.
+func (b *nodeBody) explain(err error) error {
+	if cause := context.Cause(b.ctx); cause != nil {
+		return cause
+	}
+	return err
+}
+
+func (b *nodeBody) Close() error {
+	b.watch.Stop()
+	b.cancel(nil)
+	if b.body == nil {
+		return nil
+	}
+	return b.body.Close()
 }
 
 // unanimousStatus reports the HTTP status every member answered with,
@@ -318,37 +386,26 @@ type nodeHealth struct {
 }
 
 func (g *Frontend) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	roster, bodies, errs := g.fetch("/healthz", "")
-	down := map[string]string{}
+	fm := g.CurrentFleetMap()
+	nodes := make([]nodeHealth, len(fm.Members))
+	errs := g.fanOut(r.Context(), fm, "/healthz", "", func(i int, body io.ReadCloser) error {
+		defer body.Close()
+		if err := json.NewDecoder(body).Decode(&nodes[i]); err != nil {
+			return fmt.Errorf("bad health body: %v", err)
+		}
+		return nil
+	})
 	for _, e := range errs {
-		down[e.Node] = e.Error
+		nodes[e.member] = nodeHealth{Error: e.Error}
 	}
-	nodes := make([]nodeHealth, len(roster))
 	ok := true
 	planHashes := map[string]bool{}
-	for i, node := range roster {
-		nodes[i] = nodeHealth{Node: node}
-		if msg, dead := down[node]; dead {
-			nodes[i].Error = msg
-			ok = false
-			continue
+	for i := range nodes {
+		nodes[i].Node = fm.Members[i].Query
+		ok = ok && nodes[i].OK
+		if nodes[i].Error == "" {
+			planHashes[nodes[i].PlanHash] = true
 		}
-		var h struct {
-			OK       bool   `json:"ok"`
-			PlanHash string `json:"plan_hash"`
-		}
-		if err := json.Unmarshal(bodies[i], &h); err != nil {
-			nodes[i].Error = fmt.Sprintf("bad health body: %v", err)
-			errs = append(errs, NodeError{Node: node, Error: nodes[i].Error})
-			ok = false
-			continue
-		}
-		nodes[i].OK = h.OK
-		nodes[i].PlanHash = h.PlanHash
-		if !h.OK {
-			ok = false
-		}
-		planHashes[h.PlanHash] = true
 	}
 	// A fleet whose members disagree on the execution plan cannot answer
 	// coherently even when every member is individually healthy.
@@ -371,35 +428,33 @@ type nodeStats struct {
 }
 
 func (g *Frontend) serveStats(w http.ResponseWriter, r *http.Request) {
-	roster, bodies, errs := g.fetch("/stats", "")
-	down := map[string]string{}
-	for _, e := range errs {
-		down[e.Node] = e.Error
+	fm := g.CurrentFleetMap()
+	stats := make([]collector.StatsV1, len(fm.Members))
+	errs := g.fanOut(r.Context(), fm, "/stats", "", func(i int, body io.ReadCloser) error {
+		defer body.Close()
+		if err := json.NewDecoder(body).Decode(&stats[i]); err != nil {
+			return fmt.Errorf("bad stats body: %v", err)
+		}
+		if stats[i].Schema != collector.StatsSchemaV1 {
+			return fmt.Errorf("unknown stats schema %q", stats[i].Schema)
+		}
+		return nil
+	})
+	nodes := make([]nodeStats, len(fm.Members))
+	for i := range nodes {
+		nodes[i] = nodeStats{Node: fm.Members[i].Query, Stats: &stats[i]}
 	}
-	nodes := make([]nodeStats, len(roster))
+	for _, e := range errs {
+		nodes[e.member] = nodeStats{Node: e.Node, Error: e.Error}
+	}
 	// The fleet total is the same versioned document one daemon serves:
 	// counter sections sum, tenant sections merge by name (re-deriving
 	// each error envelope), point-in-time sections stay per-member.
 	total := collector.StatsV1{Schema: collector.StatsSchemaV1}
-	for i, node := range roster {
-		nodes[i] = nodeStats{Node: node}
-		if msg, dead := down[node]; dead {
-			nodes[i].Error = msg
-			continue
+	for _, n := range nodes {
+		if n.Stats != nil {
+			total.Accumulate(*n.Stats)
 		}
-		var st collector.StatsV1
-		if err := json.Unmarshal(bodies[i], &st); err != nil {
-			nodes[i].Error = fmt.Sprintf("bad stats body: %v", err)
-			errs = append(errs, NodeError{Node: node, Error: nodes[i].Error})
-			continue
-		}
-		if st.Schema != collector.StatsSchemaV1 {
-			nodes[i].Error = fmt.Sprintf("unknown stats schema %q", st.Schema)
-			errs = append(errs, NodeError{Node: node, Error: nodes[i].Error})
-			continue
-		}
-		nodes[i].Stats = &st
-		total.Accumulate(st)
 	}
 	markPartial(w, errs)
 	collector.WriteJSON(w, map[string]any{
@@ -408,13 +463,43 @@ func (g *Frontend) serveStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// serveSnapshot streams the members' /snapshot answers into one. Every
+// member's response is opened and its first element read before anything
+// is written, so whatever is wrong with a member by then — down, refusing,
+// epoch-stale, not a snapshot document — still makes it a named entry of a
+// well-formed partial answer. After that the response is committed: each
+// step writes one member's pending element and reads that member's next.
+// A member that then dies, truncates, sends a malformed or out-of-order
+// element, or overruns the body cap can no longer be reported in a document
+// whose "errors" list is already on the wire, and finishing without it would
+// pass a hole off as a complete answer — so the frontend aborts the
+// response instead (http.ErrAbortHandler): the client sees a transport
+// error, never a clean end, and retries.
 func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
-	roster, bodies, errs := g.fetch("/snapshot", r.URL.RawQuery)
+	fm := g.CurrentFleetMap()
+	streams := make([]*flowStream, len(fm.Members))
+	errs := g.fanOut(r.Context(), fm, "/snapshot", r.URL.RawQuery, func(i int, body io.ReadCloser) error {
+		s := &flowStream{body: body}
+		if err := s.next(); err != nil {
+			body.Close()
+			return fmt.Errorf("bad snapshot body: %w", err)
+		}
+		streams[i] = s
+		return nil
+	})
+	// The survivors, in member order.
+	live := streams[:0]
+	for _, s := range streams {
+		if s != nil {
+			defer s.body.Close()
+			live = append(live, s)
+		}
+	}
 	// Every member refusing with one status is that status, not a
 	// degraded fleet: a bad ?flow= is the client's 400 and a fleet-wide
 	// drain is the members' 503 — exactly what a single collector would
 	// answer. Mixed failures fall through to the partial-result merge.
-	if status, ok := unanimousStatus(len(roster), errs); ok {
+	if status, ok := unanimousStatus(len(streams), errs); ok {
 		// A fleet-wide drain keeps the single collector's retry hint.
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
@@ -423,95 +508,103 @@ func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	explicit := len(r.URL.Query()["flow"]) > 0
-	perNode := make([][]collector.FlowAnswers, 0, len(roster))
-	for i, node := range roster {
-		if bodies[i] == nil {
-			continue
-		}
-		var snap struct {
-			Flows []collector.FlowAnswers `json:"flows"`
-		}
-		if err := json.Unmarshal(bodies[i], &snap); err != nil {
-			errs = append(errs, NodeError{Node: node, Error: fmt.Sprintf("bad snapshot body: %v", err)})
-			continue
-		}
-		perNode = append(perNode, snap.Flows)
-	}
-	var merged []collector.FlowAnswers
-	if explicit {
-		merged = mergeExplicit(perNode)
-	} else {
-		merged = mergeDisjoint(perNode)
-	}
 	markPartial(w, errs)
-	if len(errs) > 0 {
-		collector.WriteJSON(w, map[string]any{"errors": errs, "flows": merged})
+	if len(live) == 0 {
+		// Nobody to stream from: the document is its error list. (An
+		// explicit query's empty answer has always been null.)
+		flows := []collector.FlowAnswers{}
+		if explicit {
+			flows = nil
+		}
+		collector.WriteJSON(w, map[string]any{"errors": errs, "flows": flows})
 		return
 	}
-	// Healthy path: the body is byte-identical to a single collector's,
-	// written by the same streaming writer.
-	collector.WriteSnapshot(w, merged)
+	// A healthy fleet's body is byte-identical to a single collector's:
+	// the same writer frames the same element bytes.
+	var failed any
+	if len(errs) > 0 {
+		failed = errs
+	}
+	sw := collector.NewSnapshotWriter(w, failed)
+	splice := spliceByKey
+	if explicit {
+		splice = spliceInStep
+	}
+	err := splice(sw, live)
+	if err == nil {
+		err = sw.Close()
+	}
+	if err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
-// mergeDisjoint k-way-merges per-node flow lists by ascending flow key.
-// Each node lists only the flows it tracks (disjoint under the
+// spliceByKey k-way-merges the members' elements by ascending flow key.
+// Each member lists only the flows it tracks (disjoint under the
 // partitioner) in sorted order, so this reproduces exactly the flow order
 // a single collector's merged Recording would list. A flow appearing on
-// two nodes (a partitioning violation — some exporter routed under a
-// different map) keeps the first node's answer deterministically.
-func mergeDisjoint(perNode [][]collector.FlowAnswers) []collector.FlowAnswers {
-	total := 0
-	for _, fl := range perNode {
-		total += len(fl)
-	}
-	merged := make([]collector.FlowAnswers, 0, total)
-	idx := make([]int, len(perNode))
-	for {
-		best := -1
-		for n, fl := range perNode {
-			if idx[n] >= len(fl) {
-				continue
-			}
-			if best == -1 || fl[idx[n]].Flow < perNode[best][idx[best]].Flow {
-				best = n
+// two members (a partitioning violation — some exporter routed under a
+// different map) keeps the lowest-indexed member's answer
+// deterministically; a member whose own keys do not ascend is an error.
+func spliceByKey(sw *collector.SnapshotWriter, live []*flowStream) error {
+	var last uint64
+	for wrote := false; ; {
+		var best *flowStream
+		for _, s := range live {
+			if s.ok && (best == nil || s.cur.flow < best.cur.flow) {
+				best = s
 			}
 		}
-		if best == -1 {
-			return merged
+		if best == nil {
+			return nil
 		}
-		fa := perNode[best][idx[best]]
-		idx[best]++
-		if len(merged) > 0 && merged[len(merged)-1].Flow == fa.Flow {
-			continue
+		if !wrote || best.cur.flow != last {
+			if err := sw.Element(best.cur.raw); err != nil {
+				return err
+			}
+			wrote, last = true, best.cur.flow
 		}
-		merged = append(merged, fa)
+		if err := best.next(); err != nil {
+			return err
+		}
+		if best.ok && best.cur.flow <= last {
+			return fmt.Errorf("flows[%d]: flow key %d after %d is out of order", best.seen-1, best.cur.flow, last)
+		}
 	}
 }
 
-// mergeExplicit folds answers for an explicit ?flow= list: every node
-// answers every requested flow (non-home nodes with empty state), so per
-// flow the home node's answer — the one marked tracked — wins; if no node
-// tracks the flow, all answers are identically empty and the first is
-// kept. Request order is preserved, matching the single-collector body.
-func mergeExplicit(perNode [][]collector.FlowAnswers) []collector.FlowAnswers {
-	if len(perNode) == 0 {
-		return nil
-	}
-	n := len(perNode[0])
-	merged := make([]collector.FlowAnswers, 0, n)
-	for i := 0; i < n; i++ {
-		pick := perNode[0][i]
-		for _, fl := range perNode[1:] {
-			if i < len(fl) && fl[i].Tracked && !pick.Tracked {
-				pick = fl[i]
+// spliceInStep folds answers for an explicit ?flow= list: every member
+// answers every requested flow, in request order (non-home members with
+// empty state), so the members advance together and per flow the home
+// member's answer — the one marked tracked — wins; if no member tracks the
+// flow, all answers are identically empty and the first is kept. Request
+// order is preserved, matching the single-collector body. Members that
+// fall out of step — different flows at one position, or lists of different
+// lengths — are an error.
+func spliceInStep(sw *collector.SnapshotWriter, live []*flowStream) error {
+	for live[0].ok {
+		pick := live[0]
+		for _, s := range live[1:] {
+			if !s.ok || s.cur.flow != live[0].cur.flow {
+				return fmt.Errorf("flows[%d]: members disagree on the flow answered", live[0].seen-1)
+			}
+			if s.cur.tracked && !pick.cur.tracked {
+				pick = s
 			}
 		}
-		merged = append(merged, pick)
+		if err := sw.Element(pick.cur.raw); err != nil {
+			return err
+		}
+		for _, s := range live {
+			if err := s.next(); err != nil {
+				return err
+			}
+		}
 	}
-	return merged
-}
-
-// SortNodeErrors orders an error list by node for stable presentation.
-func SortNodeErrors(errs []NodeError) {
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Node < errs[j].Node })
+	for _, s := range live[1:] {
+		if s.ok {
+			return fmt.Errorf("flows[%d]: members disagree on the flow answered", s.seen-1)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package pint
 
 import (
-	"net/http"
 	"time"
 
 	"repro/internal/collector"
@@ -152,8 +151,6 @@ func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 // options above.)
 func WithFrontendFleetMap(m *FleetMap) FrontendOption { return federation.WithFleetMap(m) }
 
-// WithFrontendTimeout bounds each fan-out request (default 10s).
+// WithFrontendTimeout bounds how long a member may go without answering
+// a fan-out request (default 10s).
 func WithFrontendTimeout(d time.Duration) FrontendOption { return federation.WithTimeout(d) }
-
-// WithFrontendClient supplies the HTTP client for fan-out requests.
-func WithFrontendClient(client *http.Client) FrontendOption { return federation.WithClient(client) }
