@@ -9,6 +9,57 @@ import (
 	"repro/internal/hash"
 )
 
+// Plan is the part of a path decoder that is the same for every flow of a
+// query: the encoder whose packets it decodes — the validated Config, the
+// global hash family, the per-instance value hashes and per-layer act
+// thresholds, shared rather than derived a second time — and the value
+// universe, checked once, here, for emptiness and duplicates. It is
+// immutable after NewPlan and shared by every Decoder built from it, from
+// any goroutine; nothing a Decoder computes is ever stored in it.
+type Plan struct {
+	enc Encoder
+	// universe holds the distinct possible block values (hashed mode; nil
+	// in raw mode). A candidate set is a bitset over its indices, so
+	// candidates always enumerate in universe order.
+	universe []uint64
+	setWords int // uint64 words per candidate bitset
+
+	frags  int
+	words  int  // residual words per digest: one per hash instance
+	stride int  // slab words per stored packet: recHeader + words
+	shift  uint // 64 - Bits: a value hash's top Bits bits are its digest
+	// layerLog2[l-1] is the exponent XOR layer l's probability rounds to
+	// under FastVectors.
+	layerLog2 []int
+}
+
+// NewPlan builds the decode side of enc. In hashed mode universe must hold
+// the distinct possible block values; raw mode ignores it.
+func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
+	cfg := enc.cfg
+	p := &Plan{enc: *enc, frags: cfg.Fragments(), words: cfg.instances(), shift: 64 - uint(cfg.Bits)}
+	p.stride = recHeader + p.words
+	p.layerLog2 = make([]int, len(cfg.Layering.Probs))
+	for i, prob := range cfg.Layering.Probs {
+		p.layerLog2[i] = log2InvP(prob)
+	}
+	if cfg.Mode == ModeHashed {
+		if len(universe) < 1 {
+			return nil, fmt.Errorf("coding: hashed mode requires a value universe")
+		}
+		seen := make(map[uint64]struct{}, len(universe))
+		for _, v := range universe {
+			if _, dup := seen[v]; dup {
+				return nil, fmt.Errorf("coding: universe value %d duplicated", v)
+			}
+			seen[v] = struct{}{}
+		}
+		p.universe = universe
+		p.setWords = (len(universe) + 63) / 64
+	}
+	return p, nil
+}
+
 // Decoder is the Recording/Inference-side reconstruction of a distributed
 // message (§4.2). It consumes (packet ID, digest) pairs extracted by the
 // PINT sink and incrementally recovers the k blocks via peeling:
@@ -23,154 +74,97 @@ import (
 //     reference it.
 //
 // The decoder needs the path length k (derived from the packet TTL in a
-// deployment, §4.1) and, in hashed mode, the value universe V (e.g. the
-// network's switch IDs).
+// deployment, §4.1); everything else comes from its Plan. Its own state is
+// flat: one block allocated with it (known, vals, cand) and one slab of
+// stored packets that grows while the path is still being peeled.
+//
+// Frozen-share rule: once Done(), Observe writes nothing but the observed
+// and inconsistent counters, which live in the Decoder struct itself — so
+// Clone of a finished decoder copies the struct and shares block and slab,
+// and the two sides may keep observing from different goroutines.
 type Decoder struct {
-	cfg      Config
-	g        hash.Global
-	insts    []hash.Global
-	k        int
-	universe []uint64
-
-	frags int
-	// known[f][h] and vals[f][h]: fragment f of hop h+1 (raw mode); hashed
-	// mode uses a single fragment row.
-	known [][]bool
-	vals  [][]uint64
-	// cand[h]: remaining candidate values for hop h+1 (hashed mode only;
-	// nil slice means "still the full universe", materialized lazily).
-	cand [][]uint64
-
-	pkts     []pktRec
-	hopIndex [][][]int // [frag][hop] -> indices into pkts
-
-	// scratch holds the residual words of the packet currently being
-	// observed; arena owns the residuals of stored packets. Together they
-	// keep Observe free of per-packet slice allocations: packets explained
-	// on arrival never touch the heap, stored ones bump-allocate.
-	scratch []uint64
-	arena   wordArena
+	plan *Plan
+	k    int
 
 	observed     int
 	inconsistent int // packets contradicting the decoded prefix (§7: path change signal)
 	decodedHops  int
+
+	// known[f] is the bitmask of hops (bit h = hop h+1) whose fragment f is
+	// decoded, vals[f*k+h] that fragment; hashed mode has the single
+	// fragment row 0 holding whole values.
+	known []uint64
+	vals  []uint64
+	// cand[h*setWords:][:setWords] is hop h+1's candidate set as a bitset
+	// over the universe index (hashed mode only). It is live only once
+	// listed has bit h: until a constraint narrows it a hop's set is the
+	// whole universe and its row stays all-zero.
+	cand   []uint64
+	listed uint64
+
+	// pkts is the slab of packets stored for cascading, plan.stride words
+	// each: id, mask of still-unknown acting hops, frag<<1|dead, then the
+	// residual words. Packets are never removed — a hand-off ships the
+	// dead ones too — and no index is kept over them: the packets a newly
+	// decoded hop cascades into are exactly the stored ones of its
+	// fragment that still carry its bit.
+	pkts []uint64
 }
 
-// wordArena bump-allocates small []uint64 residuals out of fixed-size
-// chunks. Chunks are never reallocated, so handed-out slices stay valid;
-// freed space is never reclaimed — the decoder's stored packets live until
-// the decoder itself is dropped, exactly as the per-packet copies they
-// replace did.
-type wordArena struct {
-	chunks [][]uint64
-	free   []uint64
-}
+// Word offsets within one stored packet of the slab.
+const (
+	recID     = 0
+	recMask   = 1
+	recFlags  = 2 // frag<<1 | dead
+	recHeader = 3 // the residual words follow
+)
 
-const arenaChunkWords = 1024
-
-func (a *wordArena) alloc(n int) []uint64 {
-	if n > len(a.free) {
-		size := arenaChunkWords
-		if n > size {
-			size = n
-		}
-		c := make([]uint64, size)
-		a.chunks = append(a.chunks, c)
-		a.free = c
-	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	return s
-}
-
-type pktRec struct {
-	id   uint64
-	frag int
-	mask uint64 // bitmask of still-unknown acting hops (bit i = hop i+1)
-	res  []uint64
-	dead bool
-}
-
-// NewDecoder builds a decoder for a k-hop path. In hashed mode universe
-// must hold the distinct possible block values; in raw mode it is ignored.
-func NewDecoder(cfg Config, g hash.Global, k int, universe []uint64) (*Decoder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// NewDecoder builds a decoder for a k-hop path of the plan's query.
+func (p *Plan) NewDecoder(k int) (*Decoder, error) {
 	if k < 1 || k > 64 {
 		return nil, fmt.Errorf("coding: path length %d out of [1,64]", k)
 	}
-	d := &Decoder{cfg: cfg, g: g, k: k, frags: cfg.Fragments()}
-	d.insts = make([]hash.Global, cfg.instances())
-	for i := range d.insts {
-		d.insts[i] = g.Instance(i)
-	}
-	if cfg.Mode == ModeHashed {
-		if len(universe) < 1 {
-			return nil, fmt.Errorf("coding: hashed mode requires a value universe")
-		}
-		seen := make(map[uint64]bool, len(universe))
-		for _, v := range universe {
-			if seen[v] {
-				return nil, fmt.Errorf("coding: universe value %d duplicated", v)
-			}
-			seen[v] = true
-		}
-		d.universe = universe
-		d.cand = make([][]uint64, k)
-	}
-	d.known = make([][]bool, d.frags)
-	d.vals = make([][]uint64, d.frags)
-	d.hopIndex = make([][][]int, d.frags)
-	for f := 0; f < d.frags; f++ {
-		d.known[f] = make([]bool, k)
-		d.vals[f] = make([]uint64, k)
-		d.hopIndex[f] = make([][]int, k)
-	}
+	d := &Decoder{plan: p, k: k}
+	d.carve(make([]uint64, p.frags+p.frags*k+k*p.setWords))
 	return d, nil
+}
+
+// carve points known, vals and cand at their parts of one block.
+func (d *Decoder) carve(block []uint64) {
+	f, fk := d.plan.frags, d.plan.frags*d.k
+	d.known, d.vals, d.cand = block[:f:f], block[f:f+fk:f+fk], block[f+fk:]
+}
+
+// NewDecoder builds a one-off plan and a decoder for a k-hop path on it.
+// In hashed mode universe must hold the distinct possible block values; in
+// raw mode it is ignored. A caller decoding many flows of one query builds
+// the Plan once.
+func NewDecoder(cfg Config, g hash.Global, k int, universe []uint64) (*Decoder, error) {
+	enc, err := NewEncoder(cfg, g)
+	if err != nil {
+		return nil, err
+	}
+	p, err := NewPlan(enc, universe)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewDecoder(k)
 }
 
 // K returns the path length being decoded.
 func (d *Decoder) K() int { return d.k }
 
-// Clone deep-copies the decoder's mutable state so a snapshot can keep
-// answering (and even keep observing) independently of the original. The
-// universe and candidate slices are shared: candidate sets are only ever
-// replaced wholesale, never mutated in place.
+// Clone returns a decoder that answers, serializes and keeps observing
+// exactly as d would, independently of it. A finished decoder's block and
+// slab are never written again (the frozen-share rule), so its clone is
+// the struct alone; an unfinished one is copied whole.
 func (d *Decoder) Clone() *Decoder {
-	c := &Decoder{
-		cfg:          d.cfg,
-		g:            d.g,
-		k:            d.k,
-		universe:     d.universe,
-		frags:        d.frags,
-		observed:     d.observed,
-		inconsistent: d.inconsistent,
-		decodedHops:  d.decodedHops,
+	c := *d
+	if !d.Done() {
+		c.carve(slices.Concat(d.known, d.vals, d.cand))
+		c.pkts = slices.Clone(d.pkts)
 	}
-	c.insts = append([]hash.Global(nil), d.insts...)
-	if d.cand != nil {
-		c.cand = append([][]uint64(nil), d.cand...)
-	}
-	c.known = make([][]bool, d.frags)
-	c.vals = make([][]uint64, d.frags)
-	c.hopIndex = make([][][]int, d.frags)
-	for f := 0; f < d.frags; f++ {
-		c.known[f] = append([]bool(nil), d.known[f]...)
-		c.vals[f] = append([]uint64(nil), d.vals[f]...)
-		c.hopIndex[f] = make([][]int, d.k)
-		for h, idxs := range d.hopIndex[f] {
-			if idxs != nil {
-				c.hopIndex[f][h] = append([]int(nil), idxs...)
-			}
-		}
-	}
-	c.pkts = make([]pktRec, len(d.pkts))
-	for i, rec := range d.pkts {
-		rec.res = append([]uint64(nil), rec.res...)
-		c.pkts[i] = rec
-	}
-	return c
+	return &c
 }
 
 // Observed returns the number of digests consumed so far.
@@ -184,173 +178,180 @@ func (d *Decoder) Inconsistent() int { return d.inconsistent }
 // encoders decided. With FastVectors the whole set materializes in
 // O(log 1/p) word operations — the near-linear decoding of §4.2 — instead
 // of k hash evaluations.
-func (d *Decoder) actingSet(pktID uint64, layer int) uint64 {
+func (d *Decoder) actingSet(id uint64, layer int) uint64 {
+	p := d.plan
 	if layer == 0 {
-		w := d.g.ReservoirWinner(pktID, d.k)
+		w := p.enc.g.ReservoirWinner(id, d.k)
 		return 1 << uint(w-1)
 	}
-	p := d.cfg.Layering.Probs[layer-1]
-	if d.cfg.FastVectors {
-		return d.g.ActVector(fastPktID(pktID, layer), d.k, log2InvP(p))
+	if p.enc.cfg.FastVectors {
+		return p.enc.g.ActVector(fastPktID(id, layer), d.k, p.layerLog2[layer-1])
 	}
 	var mask uint64
 	for hop := 1; hop <= d.k; hop++ {
-		if d.g.Act(pktID, hop, p) {
+		if p.enc.g.ActBelow(id, hop, p.enc.layerThresh[layer-1]) {
 			mask |= 1 << uint(hop-1)
 		}
 	}
 	return mask
 }
 
-// payload mirrors Encoder.payload for a known value.
-func (d *Decoder) payload(pktID uint64, inst, frag int, value uint64) uint64 {
-	if d.cfg.Mode == ModeHashed {
-		return d.insts[inst].ValueDigest(value, pktID, d.cfg.Bits)
-	}
-	_ = frag
-	return 0 // raw mode strips stored fragment values directly (see strip)
-}
-
-// Observe consumes one extracted digest. It returns true when the whole
-// message has just become fully decoded.
-func (d *Decoder) Observe(pktID uint64, dig Digest) bool {
+// Observe consumes one extracted digest (the plan's words per digest; a
+// missing word reads as zero). It returns true when the whole message is
+// decoded.
+func (d *Decoder) Observe(id uint64, dig Digest) bool {
+	p := d.plan
 	d.observed++
-	layer := d.cfg.Layering.Select(d.g.LayerPoint(pktID))
-	mask := d.actingSet(pktID, layer)
+	layer := p.enc.cfg.Layering.Select(p.enc.g.LayerPoint(id))
+	mask := d.actingSet(id, layer)
 	if mask == 0 {
 		return d.Done() // no encoder touched this packet
 	}
 	frag := 0
-	if d.cfg.Mode == ModeRaw {
-		frag = d.g.Fragment(pktID, d.frags)
+	if p.enc.cfg.Mode == ModeRaw {
+		frag = p.enc.g.Fragment(id, p.frags)
 	}
-	// Work on the reusable scratch first: most packets are explained (or
-	// become a single constraint) on arrival and never need stored state.
-	if cap(d.scratch) < len(dig.Words) {
-		d.scratch = make([]uint64, len(dig.Words))
+	// The residual is worked on in the caller's frame: most packets are
+	// explained (or become a single constraint) on arrival and never need
+	// stored state.
+	var buf [8]uint64
+	res := buf[:]
+	if p.words > len(buf) {
+		res = make([]uint64, p.words)
 	}
-	rec := pktRec{
-		id:   pktID,
-		frag: frag,
-		mask: mask,
-		res:  d.scratch[:len(dig.Words)],
-	}
-	copy(rec.res, dig.Words)
+	res = res[:p.words]
+	copy(res, dig.Words)
 	// Strip hops whose block (fragment) is already decoded.
-	d.strip(&rec, layer)
-	if rec.mask == 0 {
-		// Fully explained; in hashed/baseline mode verify consistency as a
-		// route-change detector. Overwrite (layer 0) packets must match the
-		// winner's payload exactly; xor packets must have zero residual.
-		for i := range rec.res {
-			if rec.res[i] != 0 {
-				d.inconsistent++
-				break
-			}
-		}
-		return d.Done()
+	for m := mask & d.known[frag]; m != 0; m &= m - 1 {
+		d.stripHop(bits.TrailingZeros64(m), frag, id, res)
 	}
-	if bits.OnesCount64(rec.mask) == 1 {
-		d.applyConstraint(&rec)
-		return d.Done()
-	}
-	// The packet is stored for cascading: move its residual off the
-	// scratch into arena-owned space.
-	stored := d.arena.alloc(len(rec.res))
-	copy(stored, rec.res)
-	rec.res = stored
-	idx := len(d.pkts)
-	d.pkts = append(d.pkts, rec)
-	for m := rec.mask; m != 0; m &= m - 1 {
-		hop := bits.TrailingZeros64(m)
-		d.hopIndex[frag][hop] = append(d.hopIndex[frag][hop], idx)
+	mask &^= d.known[frag]
+	switch bits.OnesCount64(mask) {
+	case 0:
+		// Fully explained; verify consistency as a route-change detector.
+		// Overwrite (layer 0) packets must match the winner's payload
+		// exactly; xor packets must have zero residual.
+		d.checkExplained(res)
+	case 1:
+		d.applyConstraint(bits.TrailingZeros64(mask), frag, id, res)
+	default:
+		// Stored for cascading: the residual moves off the stack into the
+		// slab.
+		d.pkts = append(append(slices.Grow(d.pkts, p.stride), id, mask, uint64(frag)<<1), res...)
 	}
 	return d.Done()
 }
 
-// strip removes known contributions from a fresh packet record. For layer-0
-// (overwrite) packets the mask is a singleton, so "stripping" it means the
-// packet is already explained; we xor the expected payload so the residual
-// check in Observe validates it.
-func (d *Decoder) strip(rec *pktRec, layer int) {
-	for m := rec.mask; m != 0; m &= m - 1 {
-		hop := bits.TrailingZeros64(m)
-		if !d.hopKnown(hop, rec.frag) {
-			continue
+// checkExplained counts a packet whose acting hops are all decoded and
+// whose residual is not zero.
+func (d *Decoder) checkExplained(res []uint64) {
+	for _, w := range res {
+		if w != 0 {
+			d.inconsistent++
+			return
 		}
-		d.stripHop(rec, hop)
 	}
 }
 
-// hopKnown reports whether hop (0-based) is decoded for the record's
-// purposes: in hashed mode full value known; raw mode the fragment known.
-func (d *Decoder) hopKnown(hop, frag int) bool {
-	if d.cfg.Mode == ModeHashed {
-		return d.known[0][hop]
-	}
-	return d.known[frag][hop]
-}
-
-// stripHop xors hop's contribution out of a record and clears its mask bit.
-func (d *Decoder) stripHop(rec *pktRec, hop int) {
-	if d.cfg.Mode == ModeHashed {
-		v := d.vals[0][hop]
-		for i := range rec.res {
-			rec.res[i] ^= d.insts[i].ValueDigest(v, rec.id, d.cfg.Bits)
-		}
-	} else {
-		rec.res[0] ^= d.vals[rec.frag][hop]
-	}
-	rec.mask &^= 1 << uint(hop)
-}
-
-// applyConstraint consumes a record whose mask is a singleton.
-func (d *Decoder) applyConstraint(rec *pktRec) {
-	hop := bits.TrailingZeros64(rec.mask)
-	rec.dead = true
-	if d.cfg.Mode == ModeRaw {
-		d.setFragment(hop, rec.frag, rec.res[0])
+// stripHop xors decoded hop's (0-based) contribution out of a residual.
+func (d *Decoder) stripHop(hop, frag int, id uint64, res []uint64) {
+	p := d.plan
+	v := d.vals[frag*d.k+hop]
+	if p.enc.cfg.Mode == ModeRaw {
+		res[0] ^= v
 		return
 	}
-	// Hashed mode: filter the candidate set by all instances.
-	cands := d.cand[hop]
-	if cands == nil {
-		cands = d.universe
+	for i := range res {
+		res[i] ^= p.enc.insts[i].ValueDigest(v, id, p.enc.cfg.Bits)
 	}
-	var kept []uint64
-	for _, v := range cands {
-		ok := true
-		for i := range rec.res {
-			if d.insts[i].ValueDigest(v, rec.id, d.cfg.Bits) != rec.res[i] {
-				ok = false
-				break
+}
+
+// matches reports whether universe value v satisfies h_i(v, pkt) = res[i]
+// for every instance from the given one on.
+func (p *Plan) matches(v, id uint64, res []uint64, from int) bool {
+	for i := from; i < len(res); i++ {
+		if p.enc.insts[i].ValueDigest(v, id, p.enc.cfg.Bits) != res[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// applyConstraint consumes a residual whose only unknown acting hop is hop
+// (0-based): the fragment itself in raw mode, a filter on the hop's
+// candidate set in hashed mode. The filter allocates nothing and, when no
+// candidate would survive it, leaves the set untouched and counts an
+// inconsistency: the true value always satisfies its own constraints, so
+// an empty set means the packet contradicts reality (route change, wrong
+// k).
+func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
+	p := d.plan
+	if p.enc.cfg.Mode == ModeRaw {
+		d.setFragment(hop, frag, res[0])
+		return
+	}
+	row := d.cand[hop*p.setWords:][:p.setWords]
+	n, last := 0, 0
+	if d.listed>>uint(hop)&1 == 0 {
+		// First filter of the hop: instance 0 of the whole universe, 64
+		// values (one bitset word) at a time through the column kernel. The
+		// row is all-zero until now and stays so if nothing survives.
+		var hashes [64]uint64
+		for w := range row {
+			chunk := p.universe[w*64 : min(w*64+64, len(p.universe))]
+			p.enc.insts[0].ValueHashColumn(hashes[:len(chunk)], chunk, id)
+			var word uint64
+			for i, h := range hashes[:len(chunk)] {
+				if h>>p.shift == res[0] && p.matches(chunk[i], id, res, 1) {
+					word |= 1 << uint(i)
+					n, last = n+1, w*64+i
+				}
+			}
+			row[w] = word
+		}
+		if n == 0 {
+			d.inconsistent++
+			return
+		}
+		d.listed |= 1 << uint(hop)
+	} else {
+		// Narrowing a listed set in place: nothing is cleared before the
+		// first survivor is found, so a filter no candidate passes has
+		// written nothing; what it skipped is cleared once one is.
+		first := -1
+		for w := range row {
+			for m := row[w]; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				switch {
+				case p.matches(p.universe[w*64+i], id, res, 0):
+					if first < 0 {
+						first = w*64 + i
+					}
+					n, last = n+1, w*64+i
+				case first >= 0:
+					row[w] &^= 1 << uint(i)
+				}
 			}
 		}
-		if ok {
-			kept = append(kept, v)
+		if first < 0 {
+			d.inconsistent++
+			return
 		}
+		clear(row[:first/64])
+		row[first/64] &^= 1<<uint(first%64) - 1
 	}
-	switch len(kept) {
-	case 0:
-		// The true value always satisfies its own constraints, so an empty
-		// set means the packet contradicts reality (route change, wrong k).
-		d.inconsistent++
-		return
-	case 1:
-		d.cand[hop] = kept
-		d.setValue(hop, kept[0])
-	default:
-		d.cand[hop] = kept
+	if n == 1 {
+		d.setValue(hop, p.universe[last])
 	}
 }
 
 // setValue marks a hashed-mode hop as decoded and cascades.
 func (d *Decoder) setValue(hop int, v uint64) {
-	if d.known[0][hop] {
+	if d.known[0]>>uint(hop)&1 != 0 {
 		return
 	}
-	d.known[0][hop] = true
-	d.vals[0][hop] = v
+	d.known[0] |= 1 << uint(hop)
+	d.vals[hop] = v
 	d.decodedHops++
 	d.cascade(hop, 0)
 }
@@ -358,54 +359,46 @@ func (d *Decoder) setValue(hop int, v uint64) {
 // setFragment records fragment frag of hop (raw mode) and cascades within
 // that fragment's packet population.
 func (d *Decoder) setFragment(hop, frag int, bitsVal uint64) {
-	if d.known[frag][hop] {
-		if d.vals[frag][hop] != bitsVal {
+	bit := uint64(1) << uint(hop)
+	if d.known[frag]&bit != 0 {
+		if d.vals[frag*d.k+hop] != bitsVal {
 			d.inconsistent++
 		}
 		return
 	}
-	d.known[frag][hop] = true
-	d.vals[frag][hop] = bitsVal
-	if d.cfg.Mode == ModeRaw {
-		full := true
-		for f := 0; f < d.frags; f++ {
-			if !d.known[f][hop] {
-				full = false
-				break
-			}
-		}
-		if full {
-			d.decodedHops++
-		}
+	d.known[frag] |= bit
+	d.vals[frag*d.k+hop] = bitsVal
+	full := true
+	for _, known := range d.known {
+		full = full && known&bit != 0
+	}
+	if full {
+		d.decodedHops++
 	}
 	d.cascade(hop, frag)
 }
 
-// cascade revisits stored packets referencing a newly decoded hop.
+// cascade revisits, in arrival order, the stored packets a newly decoded
+// hop (fragment) explains part of: the live ones of its fragment that
+// carry its bit.
 func (d *Decoder) cascade(hop, frag int) {
-	fr := frag
-	if d.cfg.Mode == ModeHashed {
-		fr = 0
-	}
-	queue := d.hopIndex[fr][hop]
-	d.hopIndex[fr][hop] = nil
-	for _, idx := range queue {
-		rec := &d.pkts[idx]
-		if rec.dead || rec.mask&(1<<uint(hop)) == 0 {
+	stride := d.plan.stride
+	bit, live := uint64(1)<<uint(hop), uint64(frag)<<1
+	for at := 0; at < len(d.pkts); at += stride {
+		rec := d.pkts[at : at+stride]
+		if rec[recFlags] != live || rec[recMask]&bit == 0 {
 			continue
 		}
-		d.stripHop(rec, hop)
-		switch bits.OnesCount64(rec.mask) {
+		id, res := rec[recID], rec[recHeader:]
+		d.stripHop(hop, frag, id, res)
+		rec[recMask] &^= bit
+		switch bits.OnesCount64(rec[recMask]) {
 		case 0:
-			rec.dead = true
-			for i := range rec.res {
-				if rec.res[i] != 0 {
-					d.inconsistent++
-					break
-				}
-			}
+			rec[recFlags] |= 1
+			d.checkExplained(res)
 		case 1:
-			d.applyConstraint(rec)
+			rec[recFlags] |= 1
+			d.applyConstraint(bits.TrailingZeros64(rec[recMask]), frag, id, res)
 		}
 	}
 }
@@ -443,36 +436,47 @@ func (d *Decoder) AppendPath(dst []uint64) ([]uint64, bool) {
 }
 
 // hopBlock returns hop h's (0-based) decoded block and whether it is
-// trustworthy.
+// trustworthy: every fragment known, the fragments reassembled.
 func (d *Decoder) hopBlock(h int) (uint64, bool) {
-	if d.cfg.Mode == ModeHashed {
-		return d.vals[0][h], d.known[0][h]
-	}
 	var v uint64
-	for f := 0; f < d.frags; f++ {
-		if !d.known[f][h] {
+	for f, known := range d.known {
+		if known>>uint(h)&1 == 0 {
 			return 0, false
 		}
-		v |= d.vals[f][h] << uint(f*d.cfg.Bits)
+		v |= d.vals[f*d.k+h] << uint(f*d.plan.enc.cfg.Bits)
 	}
 	return v, true
+}
+
+// candidates returns hop h's (0-based) narrowed candidate set, nil while
+// it is still the whole universe (hashed mode).
+func (d *Decoder) candidates(h int) []uint64 {
+	if d.listed>>uint(h)&1 == 0 {
+		return nil
+	}
+	return d.cand[h*d.plan.setWords:][:d.plan.setWords]
 }
 
 // CandidateCount returns the number of values still possible for a hop
 // (1-based); raw mode returns 1 when decoded and the full space otherwise.
 func (d *Decoder) CandidateCount(hop int) int {
-	h := hop - 1
-	if d.cfg.Mode == ModeHashed {
-		if d.cand[h] == nil {
-			return len(d.universe)
+	h, p := hop-1, d.plan
+	if p.enc.cfg.Mode == ModeHashed {
+		row := d.candidates(h)
+		if row == nil {
+			return len(p.universe)
 		}
-		return len(d.cand[h])
+		n := 0
+		for _, w := range row {
+			n += bits.OnesCount64(w)
+		}
+		return n
 	}
-	if d.known[0][h] {
+	if d.known[0]>>uint(h)&1 != 0 {
 		return 1
 	}
-	if d.cfg.ValueBits >= 62 {
+	if p.enc.cfg.ValueBits >= 62 {
 		return math.MaxInt32
 	}
-	return 1 << uint(d.cfg.ValueBits)
+	return 1 << uint(p.enc.cfg.ValueBits)
 }

@@ -27,6 +27,18 @@
 // decodable against a known universe V of possible values, e.g. the set
 // of switch IDs). Hashed mode also supports multiple independent hash
 // instances ("2×(b=8)" in Fig 10).
+//
+// The receiving side is split by lifetime. A Plan is what every flow of a
+// query shares: the Encoder's configuration and hash families plus the
+// value universe, validated once (NewPlan). A Decoder is one flow's
+// state, flat and small — solved blocks, one candidate bitset over the
+// universe index per hop, a slab of stored packets at a fixed stride —
+// and serializes byte for byte (AppendState/RestoreState) as the
+// hand-off format between collectors; RestoreState accepts only what
+// AppendState could have written. Frozen-share rule: once Done, a Decoder
+// writes nothing but its observed/inconsistent counters, so Clone of a
+// finished decoder copies the struct and shares the state, and both sides
+// may keep observing concurrently; an unfinished decoder is deep-copied.
 package coding
 
 import (

@@ -46,8 +46,8 @@ func verifyDecoded(dec *Decoder, values []uint64) error {
 			return fmt.Errorf("coding: hop %d reported decoded but unknown", i+1)
 		}
 		want := values[i]
-		if dec.cfg.Mode == ModeRaw && dec.cfg.ValueBits < 64 {
-			want &= 1<<uint(dec.cfg.ValueBits) - 1
+		if cfg := dec.plan.enc.cfg; cfg.Mode == ModeRaw && cfg.ValueBits < 64 {
+			want &= 1<<uint(cfg.ValueBits) - 1
 		}
 		if got[i] != want {
 			return fmt.Errorf("coding: hop %d decoded %d, want %d", i+1, got[i], want)

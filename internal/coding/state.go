@@ -3,6 +3,8 @@ package coding
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Exact decoder-state serialization for the fleet-resize hand-off path.
@@ -33,7 +35,21 @@ func (r *stateReader) uvarint() uint64 {
 		r.err = fmt.Errorf("coding: truncated state varint")
 		return 0
 	}
+	if n > 1 && r.data[n-1] == 0 {
+		r.err = fmt.Errorf("coding: state varint %d is not minimally encoded", v)
+		return 0
+	}
 	r.data = r.data[n:]
+	return v
+}
+
+// flag reads a byte AppendState writes as 0 or 1.
+func (r *stateReader) flag() uint64 {
+	v := r.uvarint()
+	if r.err == nil && v > 1 {
+		r.err = fmt.Errorf("coding: state flag %d is neither 0 nor 1", v)
+		return 0
+	}
 	return v
 }
 
@@ -72,65 +88,67 @@ func StateK(data []byte) (int, error) {
 
 // AppendState appends the decoder's complete observation state to dst.
 func (d *Decoder) AppendState(dst []byte) []byte {
+	p := d.plan
 	dst = append(dst, decoderStateVersion)
 	dst = binary.AppendUvarint(dst, uint64(d.k))
-	dst = binary.AppendUvarint(dst, uint64(d.frags))
-	dst = binary.AppendUvarint(dst, uint64(len(d.universe)))
+	dst = binary.AppendUvarint(dst, uint64(p.frags))
+	dst = binary.AppendUvarint(dst, uint64(len(p.universe)))
 	dst = binary.AppendUvarint(dst, uint64(d.observed))
 	dst = binary.AppendUvarint(dst, uint64(d.inconsistent))
 	dst = binary.AppendUvarint(dst, uint64(d.decodedHops))
-	for f := 0; f < d.frags; f++ {
+	for f, known := range d.known {
 		for h := 0; h < d.k; h++ {
-			b := byte(0)
-			if d.known[f][h] {
-				b = 1
-			}
-			dst = append(dst, b)
-			dst = binary.AppendUvarint(dst, d.vals[f][h])
+			dst = append(dst, byte(known>>uint(h)&1))
+			dst = binary.AppendUvarint(dst, d.vals[f*d.k+h])
 		}
 	}
-	if d.cand == nil {
+	if p.enc.cfg.Mode != ModeHashed {
 		dst = append(dst, 0)
 	} else {
 		dst = append(dst, 1)
 		for h := 0; h < d.k; h++ {
-			if d.cand[h] == nil {
+			row := d.candidates(h)
+			if row == nil {
 				dst = append(dst, 0)
 				continue
 			}
 			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(len(d.cand[h])))
-			for _, v := range d.cand[h] {
-				dst = binary.AppendUvarint(dst, v)
+			dst = binary.AppendUvarint(dst, uint64(d.CandidateCount(h+1)))
+			for w, word := range row {
+				for ; word != 0; word &= word - 1 {
+					dst = binary.AppendUvarint(dst, p.universe[w*64+bits.TrailingZeros64(word)])
+				}
 			}
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(d.pkts)))
-	for i := range d.pkts {
-		p := &d.pkts[i]
-		dst = binary.AppendUvarint(dst, p.id)
-		dst = binary.AppendUvarint(dst, uint64(p.frag))
-		dst = binary.AppendUvarint(dst, p.mask)
-		b := byte(0)
-		if p.dead {
-			b = 1
-		}
-		dst = append(dst, b)
-		dst = binary.AppendUvarint(dst, uint64(len(p.res)))
-		for _, w := range p.res {
+	dst = binary.AppendUvarint(dst, uint64(len(d.pkts)/p.stride))
+	for at := 0; at < len(d.pkts); at += p.stride {
+		rec := d.pkts[at : at+p.stride]
+		dst = binary.AppendUvarint(dst, rec[recID])
+		dst = binary.AppendUvarint(dst, rec[recFlags]>>1)
+		dst = binary.AppendUvarint(dst, rec[recMask])
+		dst = append(dst, byte(rec[recFlags]&1))
+		dst = binary.AppendUvarint(dst, uint64(p.words))
+		for _, w := range rec[recHeader:] {
 			dst = binary.AppendUvarint(dst, w)
 		}
 	}
-	for f := 0; f < d.frags; f++ {
+	// The pending index of each (fragment, hop): the stored packets a
+	// decode of it would cascade into, absent once it is decoded or when
+	// there are none.
+	for f := range d.known {
 		for h := 0; h < d.k; h++ {
-			idxs := d.hopIndex[f][h]
-			if idxs == nil {
+			n := 0
+			for ix := d.nextPending(f, h, 0); ix >= 0; ix = d.nextPending(f, h, ix+1) {
+				n++
+			}
+			if n == 0 {
 				dst = append(dst, 0)
 				continue
 			}
 			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(len(idxs)))
-			for _, ix := range idxs {
+			dst = binary.AppendUvarint(dst, uint64(n))
+			for ix := d.nextPending(f, h, 0); ix >= 0; ix = d.nextPending(f, h, ix+1) {
 				dst = binary.AppendUvarint(dst, uint64(ix))
 			}
 		}
@@ -138,10 +156,35 @@ func (d *Decoder) AppendState(dst []byte) []byte {
 	return dst
 }
 
+// nextPending returns the index of the first stored packet at or after
+// from that a decode of fragment f of hop h (0-based) would cascade into —
+// one of that fragment still carrying the hop's bit, dead or not — or -1.
+// A decoded hop has none: its cascade has run.
+func (d *Decoder) nextPending(f, h, from int) int {
+	bit := uint64(1) << uint(h)
+	if d.known[f]&bit != 0 {
+		return -1
+	}
+	stride := d.plan.stride
+	for at := from * stride; at < len(d.pkts); at += stride {
+		if d.pkts[at+recFlags]>>1 == uint64(f) && d.pkts[at+recMask]&bit != 0 {
+			return at / stride
+		}
+	}
+	return -1
+}
+
 // RestoreState loads an AppendState blob into a freshly constructed
 // decoder (same query, same path length — the blob's geometry is
-// checked). The decoder must not have observed anything yet.
+// checked). The decoder must not have observed anything yet. A blob is
+// accepted only if AppendState could have written it for this plan —
+// canonical varints and flags, every stored packet within the decoder's
+// geometry, candidate lists in universe order, the pending indices and the
+// decoded-hop count those the rest of the state implies — so an accepted
+// blob re-serializes to the same bytes and cannot index outside the state
+// on a later Observe. On error the decoder must be discarded.
 func (d *Decoder) RestoreState(data []byte) error {
+	p := d.plan
 	if d.observed != 0 || len(d.pkts) != 0 {
 		return fmt.Errorf("coding: RestoreState on a decoder that already observed packets")
 	}
@@ -152,107 +195,120 @@ func (d *Decoder) RestoreState(data []byte) error {
 	k := int(r.uvarint())
 	frags := int(r.uvarint())
 	uniLen := int(r.uvarint())
-	observed := int(r.uvarint())
-	inconsistent := int(r.uvarint())
-	decodedHops := int(r.uvarint())
+	observed := r.uvarint()
+	inconsistent := r.uvarint()
+	decodedHops := r.uvarint()
 	if r.err != nil {
 		return r.err
 	}
-	if k != d.k || frags != d.frags || uniLen != len(d.universe) {
+	if k != d.k || frags != p.frags || uniLen != len(p.universe) {
 		return fmt.Errorf("coding: decoder state geometry (k=%d frags=%d universe=%d) does not match decoder (k=%d frags=%d universe=%d)",
-			k, frags, uniLen, d.k, d.frags, len(d.universe))
+			k, frags, uniLen, d.k, p.frags, len(p.universe))
 	}
-	for f := 0; f < frags; f++ {
+	if observed > math.MaxInt || inconsistent > math.MaxInt {
+		return fmt.Errorf("coding: decoder state counters (%d observed, %d inconsistent) overflow", observed, inconsistent)
+	}
+	decoded := ^uint64(0)
+	for f := range d.known {
 		for h := 0; h < k; h++ {
-			kb := r.uvarint()
-			d.vals[f][h] = r.uvarint()
-			d.known[f][h] = kb != 0
+			d.known[f] |= r.flag() << uint(h)
+			d.vals[f*k+h] = r.uvarint()
 		}
+		decoded &= d.known[f]
 	}
-	candFlag := r.uvarint()
+	hashed := r.flag() != 0
 	if r.err != nil {
 		return r.err
 	}
-	if (candFlag != 0) != (d.cand != nil) {
-		return fmt.Errorf("coding: decoder state mode does not match decoder (hashed=%v)", d.cand != nil)
+	if n := bits.OnesCount64(decoded); decodedHops != uint64(n) {
+		return fmt.Errorf("coding: decoder state claims %d decoded hops, its known blocks make %d", decodedHops, n)
 	}
-	if candFlag != 0 {
-		for h := 0; h < k; h++ {
-			present := r.uvarint()
-			if r.err != nil {
-				return r.err
-			}
-			if present == 0 {
-				d.cand[h] = nil
-				continue
-			}
-			n := r.count("candidates")
-			if r.err != nil {
-				return r.err
-			}
-			cs := make([]uint64, n)
-			for i := range cs {
-				cs[i] = r.uvarint()
-			}
-			d.cand[h] = cs
+	if hashed != (p.enc.cfg.Mode == ModeHashed) {
+		return fmt.Errorf("coding: decoder state mode does not match decoder (hashed=%v)", p.enc.cfg.Mode == ModeHashed)
+	}
+	for h := 0; hashed && h < k; h++ {
+		if r.flag() == 0 {
+			continue
 		}
+		n := r.count("candidates")
+		if r.err != nil {
+			return r.err
+		}
+		if n == 0 {
+			return fmt.Errorf("coding: hop %d: empty candidate list", h+1)
+		}
+		// The list must be a subsequence of the universe: anything else is
+		// not a set the bitset can hold, nor one a filter could have left.
+		row, at := d.cand[h*p.setWords:][:p.setWords], 0
+		for ; n > 0; n-- {
+			v := r.uvarint()
+			for at < len(p.universe) && p.universe[at] != v {
+				at++
+			}
+			if r.err != nil {
+				return r.err
+			}
+			if at == len(p.universe) {
+				return fmt.Errorf("coding: hop %d: candidate %d is not in the universe, or out of universe order", h+1, v)
+			}
+			row[at/64] |= 1 << uint(at%64)
+			at++
+		}
+		d.listed |= 1 << uint(h)
 	}
 	nPkts := r.count("packets")
 	if r.err != nil {
 		return r.err
 	}
-	d.pkts = make([]pktRec, nPkts)
-	for i := range d.pkts {
-		p := &d.pkts[i]
-		p.id = r.uvarint()
-		p.frag = int(r.uvarint())
-		p.mask = r.uvarint()
-		p.dead = r.uvarint() != 0
-		nRes := r.count("residual words")
+	d.pkts = make([]uint64, 0, nPkts*p.stride)
+	for i := 0; i < nPkts; i++ {
+		id, frag, mask, dead := r.uvarint(), r.uvarint(), r.uvarint(), r.flag()
+		nRes := r.uvarint()
 		if r.err != nil {
 			return r.err
 		}
-		if p.frag < 0 || p.frag >= frags {
-			return fmt.Errorf("coding: packet %d fragment %d out of range", i, p.frag)
+		if frag >= uint64(frags) {
+			return fmt.Errorf("coding: packet %d fragment %d out of range", i, frag)
 		}
-		if nRes > 0 {
-			res := d.arena.alloc(nRes)
-			for w := range res {
-				res[w] = r.uvarint()
-			}
-			p.res = res
+		if k < 64 && mask>>uint(k) != 0 {
+			return fmt.Errorf("coding: packet %d mask %#x has hops beyond the path length %d", i, mask, k)
+		}
+		if nRes != uint64(p.words) {
+			return fmt.Errorf("coding: packet %d carries %d residual words, the decoder's digests have %d", i, nRes, p.words)
+		}
+		d.pkts = append(d.pkts, id, mask, frag<<1|dead)
+		for w := 0; w < p.words; w++ {
+			d.pkts = append(d.pkts, r.uvarint())
 		}
 	}
-	for f := 0; f < frags; f++ {
+	for f := range d.known {
 		for h := 0; h < k; h++ {
-			present := r.uvarint()
-			if r.err != nil {
-				return r.err
-			}
-			if present == 0 {
-				d.hopIndex[f][h] = nil
-				continue
-			}
-			n := r.count("hop indices")
-			if r.err != nil {
-				return r.err
-			}
-			idxs := make([]int, n)
-			for i := range idxs {
-				ix := int(r.uvarint())
-				if ix < 0 || ix >= nPkts {
-					return fmt.Errorf("coding: hop index %d out of range [0,%d)", ix, nPkts)
+			want, n := d.nextPending(f, h, 0), 0
+			if r.flag() != 0 {
+				if n = r.count("pending indices"); n == 0 && r.err == nil {
+					return fmt.Errorf("coding: fragment %d hop %d: empty pending index", f, h+1)
 				}
-				idxs[i] = ix
 			}
-			d.hopIndex[f][h] = idxs
+			for ; n > 0; n-- {
+				ix := r.uvarint()
+				if r.err != nil {
+					return r.err
+				}
+				if want < 0 || ix != uint64(want) {
+					return fmt.Errorf("coding: fragment %d hop %d: pending index lists packet %d where the stored packets make it %d (-1: none)", f, h+1, ix, want)
+				}
+				want = d.nextPending(f, h, want+1)
+			}
+			if r.err == nil && want >= 0 {
+				return fmt.Errorf("coding: fragment %d hop %d: pending index omits packet %d", f, h+1, want)
+			}
 		}
 	}
 	if err := r.done(); err != nil {
 		return err
 	}
-	d.observed = observed
-	d.inconsistent = inconsistent
-	d.decodedHops = decodedHops
+	d.observed = int(observed)
+	d.inconsistent = int(inconsistent)
+	d.decodedHops = int(decodedHops)
 	return nil
 }

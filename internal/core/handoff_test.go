@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/coding"
 )
 
 // flowStateDigest hashes, in flow order, the hand-off blob of every flow
@@ -221,5 +223,107 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	// is sized like the rest.
 	if dst.flows[flow].k != 6 {
 		t.Errorf("restored path length %d, want 6", dst.flows[flow].k)
+	}
+}
+
+// TestRestoreFlowStateRejectsHostileDecoderState: a path section that is
+// well-formed but that no decoder of the plan could have written — the
+// states coding.TestDecoderStateRejectsCorrupt refuses at the decoder —
+// is refused at the hand-off too, naming the packet, and the destination
+// stays untouched. Restored, the first of them used to panic the shard
+// worker on a later packet of the flow.
+func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
+	const flow = FlowKey(77)
+	cfg, err := DefaultPathConfig(8, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := testUniverse(5, 80)
+	path, err := NewPathQuery("path", cfg, 1, 151, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{path}
+	eng, err := Compile(queries, 8, 157)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-instance k=5 decoder state, spelled as the uvarints it is: a
+	// live packet waiting on hops 1 and 2, hop 3 narrowed to two
+	// candidates, hop 5 decoded.
+	head := []uint64{1, 5, 1, uint64(len(u)), 9, 1}
+	blocks := []uint64{0, 0, 0, 0, 0, 0, 0, 0, 1, u[4]}
+	cands := []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 1, u[4]}
+	pkts := []uint64{1, 77, 0, 0b00011, 0, 1, 0xAB}
+	pending := []uint64{1, 1, 0, 1, 1, 0, 0, 0, 0}
+	cases := []struct {
+		name    string
+		parts   [][]uint64
+		wantErr string // "" for the state that must restore
+	}{
+		{"valid", [][]uint64{head, {1}, blocks, cands, pkts, pending}, ""},
+		{"three residual words into a one-word decoder",
+			[][]uint64{head, {1}, blocks, cands, {1, 77, 0, 0b00011, 0, 3, 1, 2, 3}, pending},
+			"packet 0 carries 3 residual words"},
+		{"mask bit beyond k",
+			[][]uint64{head, {1}, blocks, cands, {1, 77, 0, 0b100011, 0, 1, 0xAB}, pending},
+			"packet 0 mask 0x23"},
+		{"pending index entry without the hop's bit",
+			[][]uint64{head, {1}, blocks, cands, pkts, {1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0}},
+			"hop 3: pending index lists packet 0"},
+		{"candidates out of universe order",
+			[][]uint64{head, {1}, blocks, {1, 0, 0, 1, 2, u[7], u[1], 0, 1, 1, u[4]}, pkts, pending},
+			"hop 3: candidate"},
+		{"decodedHops disagreeing with known",
+			[][]uint64{head, {3}, blocks, cands, pkts, pending},
+			"claims 3 decoded hops"},
+	}
+	for _, c := range cases {
+		var payload []byte
+		for _, v := range slices.Concat(c.parts...) {
+			payload = binary.AppendUvarint(payload, v)
+		}
+		blob := []byte{flowStateVersion, 1, byte(len(path.Name()))}
+		blob = append(append(blob, path.Name()...), sectionKind(path))
+		blob = append(binary.AppendUvarint(blob, uint64(len(payload))), payload...)
+		dst, err := NewRecordingSeeded(eng, 0, 163)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.RestoreFlowState(queries, flow, blob)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.wantErr == "":
+			// The restored flow keeps recording: nothing in the state it
+			// was given can index outside it.
+			if err := dst.RecordBatch(testbenchFlow(eng, flow, 167, 400)); err != nil {
+				t.Errorf("%s: recording into the restored flow: %v", c.name, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.wantErr)
+		case dst.HasFlow(flow):
+			t.Errorf("%s: a refused restore left the flow behind", c.name)
+		}
+	}
+}
+
+// TestNewPathQueryRejectsBadUniverse: an empty or duplicated universe is a
+// plan error — NewPathQuery's, so Compile never sees the query — not one
+// the first packet of the first flow finds in the record stage.
+func TestNewPathQueryRejectsBadUniverse(t *testing.T) {
+	cfg, err := DefaultPathConfig(8, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPathQuery("path", cfg, 1, 151, nil); err == nil {
+		t.Error("hashed path query without a universe accepted")
+	}
+	if _, err := NewPathQuery("path", cfg, 1, 151, []uint64{7, 8, 7}); err == nil || !strings.Contains(err.Error(), "7 duplicated") {
+		t.Errorf("duplicated universe: got %v, want an error naming the value", err)
+	}
+	raw := coding.Config{Bits: 16, Mode: coding.ModeRaw, ValueBits: 16, Layering: coding.PureBaseline()}
+	if _, err := NewPathQuery("path", raw, 1, 151, nil); err != nil {
+		t.Errorf("raw mode needs no universe: %v", err)
 	}
 }

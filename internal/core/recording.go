@@ -392,8 +392,11 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 // clones between batches and hands the copy to concurrent readers.
 //
 // What is copied and what is shared follows from how each piece of state
-// changes. Decoders, KLL/SlidingKLL sketches and Space Saving summaries
-// are bounded in size and mutated in place, so the clone gets its own.
+// changes. KLL/SlidingKLL sketches, Space Saving summaries and path
+// decoders still peeling are bounded in size and mutated in place, so the
+// clone gets its own. A decoder that has decoded its path writes nothing
+// but two counters ever again (coding.Decoder's frozen-share rule): the
+// clone takes the counters and shares the solved state.
 // The three per-packet series — raw latency samples (one code-width
 // sample per packet, see latStore), util values, count values — grow with
 // every packet and are append-only: nothing in the repository writes an

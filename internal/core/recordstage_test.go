@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -406,5 +407,82 @@ func TestLengtheningRouteRecords(t *testing.T) {
 					gotLat, gotFreq, wantLat, wantFreq, short)
 			}
 		})
+	}
+}
+
+// allocDelta runs f and returns the bytes and heap objects it allocated.
+func allocDelta(f func()) (bytes, mallocs float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
+}
+
+// TestColdFlowAllocationShape pins what a new flow costs the record stage
+// and what a decoded one costs a snapshot, in bytes and heap objects per
+// flow (counts, so they hold on a loaded box). The flows are the
+// benchmark's: the testbench plan, 5 hops, 500 packets each. Before the
+// decoder split into a per-query plan and a flat per-flow state a flow
+// cost 7.3 KB in 50 objects to record (3.2 KB of it re-checking the
+// universe for duplicates) and 1.4 KB in 12.6 to clone.
+func TestColdFlowAllocationShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	const flows, pkts = 512, 500
+	eng, path, _ := testbenchPlan(t, 71)
+	batch := make([]PacketDigest, 0, flows*pkts)
+	for f := 1; f <= flows; f++ {
+		batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), pkts)...)
+	}
+	rec, err := NewRecordingSeeded(eng, 0, 0xA110C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, mallocs := allocDelta(func() {
+		if err := rec.RecordBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow", bytes/flows, mallocs/flows, pkts)
+	if bytes/flows > 3500 || mallocs/flows > 36 {
+		t.Errorf("RecordBatch: %.0f B and %.1f objects per cold flow, want at most 3500 B and 36", bytes/flows, mallocs/flows)
+	}
+	for f := 1; f <= flows; f++ {
+		if dec := rec.PathDecoder(path, FlowKey(f)); dec == nil || !dec.Done() {
+			t.Fatalf("flow %d did not decode in %d packets; the clone pin needs finished flows", f, pkts)
+		}
+	}
+
+	dec := rec.PathDecoder(path, 1)
+	frame := batch[:pkts]
+	pathBits := make([]uint64, len(frame))
+	for i := range frame {
+		for _, x := range eng.ExtractInto(frame[i].PktID, frame[i].Digest, nil) {
+			if x.Query == Query(path) {
+				pathBits[i] = x.Bits
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		for i := range frame {
+			path.ObserveInto(dec, frame[i].PktID, pathBits[i])
+		}
+	}); got != 0 {
+		t.Errorf("ObserveInto on a finished decoder: %.2f allocs per %d packets, want 0", got, pkts)
+	}
+
+	var clone *Recording
+	bytes, mallocs = allocDelta(func() { clone = rec.Clone() })
+	// The flow map's buckets are the clone's, not a flow's; what is left
+	// of them per flow is inside the budget.
+	t.Logf("Clone: %.0f B and %.1f objects per finished flow", bytes/flows, mallocs/flows)
+	if bytes/flows > 700 || mallocs/flows > 5 {
+		t.Errorf("Clone: %.0f B and %.1f objects per finished flow, want at most 700 B and 5", bytes/flows, mallocs/flows)
+	}
+	if clone.TrackedFlows() != flows {
+		t.Fatalf("clone tracks %d flows, want %d", clone.TrackedFlows(), flows)
 	}
 }

@@ -15,24 +15,27 @@ type PathQuery struct {
 	name string
 	cfg  coding.Config
 	freq float64
-	g    hash.Global
 	enc  *coding.Encoder
-	uni  []uint64
+	// plan is the decode side every flow's decoder shares: built and
+	// checked once here, so a flow's first packet costs only its own state.
+	plan *coding.Plan
 }
 
 // NewPathQuery builds a path-tracing query. cfg.Bits is the budget of one
 // hash instance; the query's total footprint is cfg.TotalBits(). universe
-// is the switch-ID universe for hashed decoding (ignored in raw mode).
+// is the switch-ID universe for hashed decoding — distinct values, at
+// least one — and is ignored in raw mode.
 func NewPathQuery(name string, cfg coding.Config, freq float64, master hash.Seed, universe []uint64) (*PathQuery, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	g := hash.NewGlobal(master.Derive(hash.Seed(0).HashString(name)))
 	enc, err := coding.NewEncoder(cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	return &PathQuery{name: name, cfg: cfg, freq: freq, g: g, enc: enc, uni: universe}, nil
+	plan, err := coding.NewPlan(enc, universe)
+	if err != nil {
+		return nil, err
+	}
+	return &PathQuery{name: name, cfg: cfg, freq: freq, enc: enc, plan: plan}, nil
 }
 
 // Name implements Query.
@@ -112,7 +115,7 @@ func (q *PathQuery) instances() int {
 // NewDecoder creates the Inference-side decoder for one flow whose path
 // length is k (known from the packet TTL at the sink, §4.1).
 func (q *PathQuery) NewDecoder(k int) (*coding.Decoder, error) {
-	return coding.NewDecoder(q.cfg, q.g, k, q.uni)
+	return q.plan.NewDecoder(k)
 }
 
 // ObserveInto feeds one extracted digest slice into a flow's decoder. The

@@ -35,6 +35,15 @@ func (g *Global) ValueDigestColumn(dst, values, pktIDs []uint64, b int) {
 	}
 }
 
+// ValueHashColumn fills dst[i] = h(values[i], pktID), the untruncated
+// value hash behind ValueDigest (its top b bits), with the packet
+// loop-invariant: one packet's digest against a column of candidate
+// values, the shape of the path decoder's first candidate filter. dst and
+// values must have equal length.
+func (g *Global) ValueHashColumn(dst, values []uint64, pktID uint64) {
+	kernels.HashPktHop(dst, values, uint64(g.h), pktID)
+}
+
 // ValueDigestFixedColumn fills dst[i] = ValueDigest(value, pktIDs[i], 64)
 // for a loop-invariant first argument — the Morris-coin shape, where the
 // salt is fixed for a whole hop pass. dst and pktIDs must have equal

@@ -28,7 +28,7 @@ func TestActHashColumnMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestValueDigestColumnsMatchScalar pins both value-hash column shapes.
+// TestValueDigestColumnsMatchScalar pins the three value-hash column shapes.
 func TestValueDigestColumnsMatchScalar(t *testing.T) {
 	g := NewGlobal(Seed(0xC02))
 	const n = 67
@@ -52,6 +52,16 @@ func TestValueDigestColumnsMatchScalar(t *testing.T) {
 		for i := range dst {
 			if want := g.ValueDigest(salt, pkts[i], 64); dst[i] != want {
 				t.Fatalf("salt=%d i=%d: column %#x, want %#x", salt, i, dst[i], want)
+			}
+		}
+	}
+	for _, pkt := range pkts[:4] {
+		g.ValueHashColumn(dst, vals, pkt)
+		for i := range dst {
+			for _, b := range []int{1, 8, 64} {
+				if want := g.ValueDigest(vals[i], pkt, b); Bits(dst[i], b) != want {
+					t.Fatalf("pkt=%#x i=%d b=%d: column %#x, want %#x", pkt, i, b, Bits(dst[i], b), want)
+				}
 			}
 		}
 	}
