@@ -1,9 +1,8 @@
 // Benchmarks of the system's layers — encode hot path, sink ingest, wire
 // codec, collector sockets, admission, fleet hand-off — the numbers the
-// bench gate (cmd/benchgate, bench_baseline.txt) reads, plus the §4
-// ablations and Appendix A.4's loop-detector trade-off, which no scenario
-// owns yet. The paper's figures and tables are not here: the scenario
-// registry owns them (`go run ./cmd/pintfig -run all`).
+// bench gate (cmd/benchgate, bench_baseline.txt) reads. No experiment
+// runs here: the paper's figures, tables, ablations and appendix are
+// scenarios (`go run ./cmd/pintfig -run all`).
 package repro
 
 import (
@@ -14,153 +13,14 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/coding"
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/hash"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/segstore"
 	"repro/internal/wire"
 )
-
-// BenchmarkAppA4_LoopDetect regenerates Appendix A.4's false-positive
-// trade-off.
-func BenchmarkAppA4_LoopDetect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d0, err := core.NewLoopDetector(16, 0, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(d0.FalsePositiveRate(32, 200000, 3)*1e6, "fp-per-1e6:T=0,b=16")
-		d1, err := core.NewLoopDetector(15, 1, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(d1.FalsePositiveRate(32, 200000, 4)*1e6, "fp-per-1e6:T=1,b=15")
-	}
-}
-
-// --- Ablations on §4's mechanisms ---
-
-// BenchmarkAblation_HashVsFragment compares §4.2's two bit-reduction
-// techniques at an 8-bit budget for 32-bit switch IDs over 10 hops.
-func BenchmarkAblation_HashVsFragment(b *testing.B) {
-	values := make([]uint64, 10)
-	universe := make([]uint64, 200)
-	for i := range universe {
-		universe[i] = uint64(0xAB000000 + i*7)
-	}
-	copy(values, universe[:10])
-	lay := coding.MultiLayer(10, true)
-	hashed := coding.Config{Bits: 8, Mode: coding.ModeHashed, Layering: lay}
-	frag := coding.Config{Bits: 8, Mode: coding.ModeRaw, ValueBits: 32, Layering: lay}
-	for i := 0; i < b.N; i++ {
-		sh, err := coding.RunTrials(hashed, values, universe, 100, 1, 100000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sf, err := coding.RunTrials(frag, values, nil, 100, 2, 100000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sh.Mean, "meanPkts:hashed")
-		b.ReportMetric(sf.Mean, "meanPkts:fragmented")
-	}
-}
-
-// BenchmarkAblation_MultiInstance compares one 8-bit hash against two
-// independent 4-bit hashes under the same 8-bit budget (§4.2, "Improving
-// Performance via Multiple Instantiations").
-func BenchmarkAblation_MultiInstance(b *testing.B) {
-	universe := make([]uint64, 200)
-	for i := range universe {
-		universe[i] = uint64(0xAB000000 + i*7)
-	}
-	values := universe[:10]
-	lay := coding.MultiLayer(10, true)
-	one := coding.Config{Bits: 8, Mode: coding.ModeHashed, Layering: lay}
-	two := coding.Config{Bits: 4, Instances: 2, Mode: coding.ModeHashed, Layering: lay}
-	for i := 0; i < b.N; i++ {
-		s1, err := coding.RunTrials(one, values, universe, 100, 3, 100000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s2, err := coding.RunTrials(two, values, universe, 100, 4, 100000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(s1.Mean, "meanPkts:1x8bit")
-		b.ReportMetric(s2.Mean, "meanPkts:2x4bit")
-	}
-}
-
-// BenchmarkAblation_LNC compares Linear Network Coding's packet count
-// against the multi-layer XOR scheme (§4.2's trade-off: LNC needs fewer
-// packets but cubic decoding and full-width blocks).
-func BenchmarkAblation_LNC(b *testing.B) {
-	values := make([]uint64, 25)
-	for i := range values {
-		values[i] = uint64(0x1000 + i)
-	}
-	ml := coding.Config{Bits: 16, Mode: coding.ModeRaw, ValueBits: 16,
-		Layering: coding.MultiLayer(25, true)}
-	for i := 0; i < b.N; i++ {
-		sm, err := coding.RunTrials(ml, values, nil, 100, 5, 10000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := hash.NewRNG(6)
-		total := 0
-		for t := 0; t < 100; t++ {
-			l, err := coding.NewLNC(hash.NewGlobal(hash.Seed(rng.Uint64())), 25)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sub := rng.Split()
-			n := 0
-			for !l.Done() {
-				pkt := sub.Uint64()
-				l.Observe(pkt, l.Encode(pkt, values))
-				n++
-			}
-			total += n
-		}
-		b.ReportMetric(sm.Mean, "meanPkts:multilayer")
-		b.ReportMetric(float64(total)/100, "meanPkts:LNC")
-	}
-}
-
-// BenchmarkAblation_Epsilon sweeps the per-packet compression error for
-// the utilization query (§4.3's accuracy/width trade-off).
-func BenchmarkAblation_Epsilon(b *testing.B) {
-	g := hash.NewGlobal(12)
-	for i := 0; i < b.N; i++ {
-		for _, tc := range []struct {
-			bits int
-			eps  float64
-		}{{4, 0.2}, {8, 0.025}, {16, 0.0025}} {
-			q, err := core.NewUtilQuery("u", tc.bits, tc.eps, 1, 1000, 77)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var errSum float64
-			const n = 5000
-			for j := 0; j < n; j++ {
-				u := 0.05 + 1.5*hash.Unit(g.ValueDigest(uint64(j), 1, 64))
-				code := q.EncodeHop(uint64(j), 1, 0, q.EncodeValue(u))
-				dec := q.Decode(code)
-				diff := dec - u
-				if diff < 0 {
-					diff = -diff
-				}
-				errSum += diff / u
-			}
-			b.ReportMetric(errSum/n*100, "meanErr%:b="+itoa(tc.bits))
-		}
-	}
-}
 
 // --- Compiled batch pipeline: hot-path benchmarks ---
 //
@@ -666,7 +526,7 @@ func itoa(v int) string {
 // axis. Output is bit-identical across the two (pinned by the golden
 // tests); only the wall clock moves.
 func BenchmarkScenarioRunner(b *testing.B) {
-	s := experiments.Quick()
+	s := scenario.Quick()
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run("parallel="+itoa(par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -674,8 +534,8 @@ func BenchmarkScenarioRunner(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(results) < 16 {
-					b.Fatalf("only %d scenarios ran", len(results))
+				if want := len(scenario.Names()); len(results) != want {
+					b.Fatalf("%d of %d scenarios ran", len(results), want)
 				}
 			}
 			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "s/catalog")

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
@@ -48,14 +47,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var s experiments.Scale
+	var s scenario.Scale
 	switch *scaleName {
 	case "quick":
-		s = experiments.Quick()
+		s = scenario.Quick()
 	case "bench":
-		s = experiments.Bench()
+		s = scenario.Bench()
 	case "paper":
-		s = experiments.Paper()
+		s = scenario.Paper()
 	default:
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
@@ -95,7 +94,7 @@ func main() {
 }
 
 func printCatalog() {
-	tb := experiments.Table{
+	tb := scenario.Table{
 		Title:   "Scenario catalog",
 		Columns: []string{"name", "figure", "topology", "recording stack", "measures"},
 	}

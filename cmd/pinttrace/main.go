@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
@@ -41,7 +40,7 @@ func main() {
 		MaxPkts:   2_000_000,
 		Baselines: *baselines,
 	})
-	s := experiments.Bench()
+	s := scenario.Bench()
 	s.Trials = *trials
 	s.Seed = *seed
 	s.Shards = *shards

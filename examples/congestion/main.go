@@ -13,12 +13,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
 func main() {
-	scale := experiments.Scale{
+	scale := scenario.Scale{
 		HostBps:     1_000_000_000,
 		TierBps:     4_000_000_000,
 		SizeDivisor: 64,
@@ -35,7 +35,7 @@ func main() {
 
 	type result struct {
 		name    string
-		kind    experiments.TransportKind
+		kind    scenario.TransportKind
 		avgFCT  float64
 		goodput float64
 		flows   int
@@ -44,12 +44,12 @@ func main() {
 	var results []result
 	for _, tc := range []struct {
 		name string
-		kind experiments.TransportKind
+		kind scenario.TransportKind
 	}{
-		{"HPCC(INT): 8B header + 12B per hop on every packet", experiments.KindHPCCINT},
-		{"HPCC(PINT): 1B digest on every packet", experiments.KindHPCCPINT},
+		{"HPCC(INT): 8B header + 12B per hop on every packet", scenario.KindHPCCINT},
+		{"HPCC(PINT): 1B digest on every packet", scenario.KindHPCCPINT},
 	} {
-		res, err := experiments.RunLoad(experiments.LoadRunConfig{
+		res, err := scenario.RunLoad(scenario.LoadRunConfig{
 			Scale: scale, Dist: workload.WebSearch(), Load: 0.5,
 			Kind: tc.kind, MinFlows: 100,
 		})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/collector"
-	"repro/internal/experiments"
 	"repro/internal/hash"
 )
 
@@ -34,7 +33,7 @@ func collectorScaleScenario() Scenario {
 		flowsPer   = 4
 		frameBatch = 128
 	)
-	return Scenario{
+	return define(Scenario{
 		Name:     "collector-scale",
 		Figure:   "new",
 		Desc:     "loopback pintd deployment: TCP-framed ingest answers bit-identically to the in-process sink",
@@ -42,51 +41,43 @@ func collectorScaleScenario() Scenario {
 		Workload: "4 exporter connections x 4 flows, engine-batch-encoded digests",
 		Queries:  "path 2×(b=4) + latency 8b in 16 bits",
 		Stack:    "engine→wire frames→TCP→collector→sharded sink",
-		Plan: func(s experiments.Scale) ([]Trial, error) {
-			// Packets per flow scale with Trials, capped so the paper
-			// scale doesn't turn a conformance check into a soak test.
-			pktsPer := 60 * s.Trials
-			if pktsPer > 600 {
-				pktsPer = 600
-			}
-			seed := uint64(hash.Seed(s.Seed).Derive(0xC01EC7))
-			var trials []Trial
-			for _, shards := range collectorShardAxis {
-				shards := shards
-				trials = append(trials, Trial{
-					Name: fmt.Sprintf("shards-%d", shards),
-					Run: func() (any, error) {
-						return runCollectorScaleTrial(seed, shards, nExporters, flowsPer, pktsPer, frameBatch)
-					},
-				})
-			}
-			return trials, nil
-		},
-		Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-			t := experiments.Table{
-				Title: fmt.Sprintf(
-					"Collector conformance: loopback TCP vs in-process, %d exporters x %d flows",
-					nExporters, flowsPer),
-				Columns: []string{"sink shards", "packets", "bytes/pkt", "paths decoded", "latency hops", "bit-identical"},
-			}
-			for _, out := range outs {
-				o := out.(collectorScaleOut)
-				ident := "yes"
-				if !o.identical {
-					ident = "NO"
-				}
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d", o.shards),
-					fmt.Sprintf("%d", o.packets),
-					experiments.F(o.bytesPerPkt),
-					fmt.Sprintf("%d/%d", o.decoded, nExporters*flowsPer),
-					fmt.Sprintf("%d", o.latHops),
-					ident,
-				})
-			}
-			return []experiments.Table{t}, nil
-		},
-	}
+	}, func(s Scale) ([]trial[collectorScaleOut], error) {
+		// Packets per flow scale with Trials, capped so the paper
+		// scale doesn't turn a conformance check into a soak test.
+		pktsPer := 60 * s.Trials
+		if pktsPer > 600 {
+			pktsPer = 600
+		}
+		seed := uint64(hash.Seed(s.Seed).Derive(0xC01EC7))
+		var trials []trial[collectorScaleOut]
+		for _, shards := range collectorShardAxis {
+			trials = append(trials, trial[collectorScaleOut]{
+				Name: fmt.Sprintf("shards-%d", shards),
+				Run: func() (collectorScaleOut, error) {
+					return runCollectorScaleTrial(seed, shards, nExporters, flowsPer, pktsPer, frameBatch)
+				},
+			})
+		}
+		return trials, nil
+	}, func(s Scale, outs []collectorScaleOut) ([]Table, error) {
+		t := Table{
+			Title: fmt.Sprintf(
+				"Collector conformance: loopback TCP vs in-process, %d exporters x %d flows",
+				nExporters, flowsPer),
+			Columns: []string{"sink shards", "packets", "bytes/pkt", "paths decoded", "latency hops", "bit-identical"},
+		}
+		for _, o := range outs {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", o.shards),
+				fmt.Sprintf("%d", o.packets),
+				F(o.bytesPerPkt),
+				fmt.Sprintf("%d/%d", o.decoded, nExporters*flowsPer),
+				fmt.Sprintf("%d", o.latHops),
+				yesNo(o.identical),
+			})
+		}
+		return []Table{t}, nil
+	})
 }
 
 // runCollectorScaleTrial runs the identical deployment through the

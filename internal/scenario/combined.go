@@ -1,4 +1,4 @@
-package experiments
+package scenario
 
 import (
 	"fmt"
@@ -16,8 +16,15 @@ import (
 	"repro/internal/workload"
 )
 
-// CombinedMetrics are Fig 11's three panels for one configuration.
-type CombinedMetrics struct {
+func init() {
+	Register(fig11Scenario())
+}
+
+// fig11D is the path length Fig 11's path queries are configured for.
+const fig11D = 5
+
+// combinedMetrics are Fig 11's three panels for one configuration.
+type combinedMetrics struct {
 	Name             string
 	MeanSlowdown     float64 // HPCC panel
 	PathMeanPackets  float64 // path-tracing panel (flows that decoded)
@@ -34,107 +41,59 @@ type planSpec struct {
 	path    *core.PathQuery    // nil: skip the path metric
 	lat     *core.LatencyQuery // nil: skip the latency metric
 	util    *core.UtilQuery    // required (feeds the transport)
-	measure bool               // measure the slowdown from this run
 }
 
-// Fig11Arm names one of Figure 11's three full-system runs; the arms are
-// seeded independently, so the scenario registry runs them as parallel
-// trials with results bit-identical to the serial figure.
-type Fig11Arm int
-
-// The figure's arms.
-const (
-	Fig11Combined Fig11Arm = iota
-	Fig11SoloPath
-	Fig11SoloLat
-)
-
-// Fig11RunArm runs one arm's loaded simulation and returns its metrics.
-func Fig11RunArm(s Scale, arm Fig11Arm) (*CombinedMetrics, error) {
-	mk, err := fig11ArmSpec(s, arm)
-	if err != nil {
-		return nil, err
-	}
-	return runPlanSim(s, mk)
+// The three arms of Figure 11 are seeded independently of one another
+// (each derives from Scale.Seed alone), so they run as parallel trials.
+var fig11Arms = []struct {
+	name string
+	spec func(master hash.Seed, universe []uint64) (planSpec, error)
+}{
+	{"combined", combinedSpec},
+	{"solo-path", soloPathSpec},
+	{"solo-latency", soloLatSpec},
 }
 
-// fig11ArmSpec builds one arm's plan constructor.
-func fig11ArmSpec(s Scale, arm Fig11Arm) (func(universe []uint64) (planSpec, error), error) {
-	master := hash.Seed(s.Seed).Derive(0xF16)
-	const d = 5
-
-	// Combined: path 2×(b=4)@1 + lat 8b@15/16 + hpcc 8b@1/16 in 16 bits.
-	makeCombined := func(universe []uint64) (planSpec, error) {
-		cfg, err := core.DefaultPathConfig(4, 2, d)
-		if err != nil {
-			return planSpec{}, err
+// fig11Scenario reproduces Figure 11: three queries (path tracing on
+// every packet, latency on 15/16, HPCC on 1/16) share a 16-bit global
+// budget, compared against each query running alone with 16 bits. The
+// paper's claims: the combined plan costs almost nothing — median-latency
+// error +0.7%, short-flow slowdown +6.6%, path packets +0.5% vs solo
+// baselines.
+func fig11Scenario() Scenario {
+	return define(Scenario{
+		Name:      "fig11",
+		Figure:    "Fig 11",
+		Desc:      "three concurrent queries in a 16-bit budget vs solo baselines",
+		Topology:  leafSpineTopo,
+		Workload:  "hadoop",
+		Transport: transportPINTd,
+		Queries:   "path 2×(b=4) + latency 8b + HPCC 8b",
+		Stack:     stackFullSink,
+	}, func(s Scale) ([]trial[*combinedMetrics], error) {
+		var trials []trial[*combinedMetrics]
+		for _, arm := range fig11Arms {
+			trials = append(trials, trial[*combinedMetrics]{Name: arm.name, Run: func() (*combinedMetrics, error) {
+				return runPlanSim(s, arm.spec)
+			}})
 		}
-		path, err := core.NewPathQuery("path", cfg, 1, master, universe)
-		if err != nil {
-			return planSpec{}, err
+		return trials, nil
+	}, func(s Scale, arms []*combinedMetrics) ([]Table, error) {
+		t := Table{Title: "Fig 11: concurrent queries vs solo baselines (Hadoop, 16-bit budget)",
+			Columns: []string{"config", "meanSlowdown", "pathPkts", "decodedFlows", "medLatErr%", "tailLatErr%"}}
+		for _, m := range fig11Rows(arms[0], arms[1], arms[2]) {
+			t.Rows = append(t.Rows, []string{m.Name, F(m.MeanSlowdown), F(m.PathMeanPackets),
+				fmt.Sprintf("%d", m.PathDecodedFlows), F(m.MedianLatErrPct), F(m.TailLatErrPct)})
 		}
-		lat, err := core.NewLatencyQuery("lat", 8, 0.04, 15.0/16, master)
-		if err != nil {
-			return planSpec{}, err
-		}
-		util, err := core.NewUtilQuery("hpcc", 8, 0.025, 1.0/16, 1000, master)
-		if err != nil {
-			return planSpec{}, err
-		}
-		return planSpec{queries: []core.Query{path, lat, util}, global: 16,
-			path: path, lat: lat, util: util, measure: true}, nil
-	}
-
-	// Baseline A: path alone, 2×(b=8) on every packet (Fig 10's best),
-	// with an out-of-plan HPCC control digest so the transport behaves.
-	makeSoloPath := func(universe []uint64) (planSpec, error) {
-		cfg, err := core.DefaultPathConfig(8, 2, d)
-		if err != nil {
-			return planSpec{}, err
-		}
-		path, err := core.NewPathQuery("path", cfg, 1, master.Derive(1), universe)
-		if err != nil {
-			return planSpec{}, err
-		}
-		util, err := core.NewUtilQuery("hpcc", 8, 0.025, 1.0/16, 1000, master.Derive(1))
-		if err != nil {
-			return planSpec{}, err
-		}
-		return planSpec{queries: []core.Query{path, util}, global: 24,
-			path: path, util: util}, nil
-	}
-
-	// Baseline B: latency alone on every packet + HPCC control; measures
-	// latency error and (as the least-contended run) the solo slowdown.
-	makeSoloLat := func([]uint64) (planSpec, error) {
-		lat, err := core.NewLatencyQuery("lat", 8, 0.04, 1, master.Derive(2))
-		if err != nil {
-			return planSpec{}, err
-		}
-		util, err := core.NewUtilQuery("hpcc", 8, 0.025, 1.0/16, 1000, master.Derive(2))
-		if err != nil {
-			return planSpec{}, err
-		}
-		return planSpec{queries: []core.Query{lat, util}, global: 16,
-			lat: lat, util: util, measure: true}, nil
-	}
-
-	switch arm {
-	case Fig11Combined:
-		return makeCombined, nil
-	case Fig11SoloPath:
-		return makeSoloPath, nil
-	case Fig11SoloLat:
-		return makeSoloLat, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown Fig 11 arm %d", arm)
-	}
+		return []Table{t}, nil
+	})
 }
 
-// Fig11Assemble folds the three arms' metrics into the figure's two rows.
-func Fig11Assemble(combined, soloPath, soloLat *CombinedMetrics) []CombinedMetrics {
+// fig11Rows folds the three arms' metrics into the figure's two rows: the
+// baseline takes each metric from the solo run that measures it.
+func fig11Rows(combined, soloPath, soloLat *combinedMetrics) []combinedMetrics {
 	combined.Name = "Combined"
-	baseline := CombinedMetrics{
+	baseline := combinedMetrics{
 		Name:             "Baseline",
 		MeanSlowdown:     soloLat.MeanSlowdown,
 		PathMeanPackets:  soloPath.PathMeanPackets,
@@ -142,28 +101,66 @@ func Fig11Assemble(combined, soloPath, soloLat *CombinedMetrics) []CombinedMetri
 		MedianLatErrPct:  soloLat.MedianLatErrPct,
 		TailLatErrPct:    soloLat.TailLatErrPct,
 	}
-	return []CombinedMetrics{baseline, *combined}
+	return []combinedMetrics{baseline, *combined}
 }
 
-// Fig11 reproduces Figure 11: three queries (path tracing on every
-// packet, latency on 15/16, HPCC on 1/16) share a 16-bit global budget,
-// compared against each query running alone with 16 bits. The paper's
-// claims: the combined plan costs almost nothing — median-latency error
-// +0.7%, short-flow slowdown +6.6%, path packets +0.5% vs solo baselines.
-func Fig11(s Scale) ([]CombinedMetrics, error) {
-	combined, err := Fig11RunArm(s, Fig11Combined)
+// combinedSpec is the figure's plan: path 2×(b=4)@1 + lat 8b@15/16 + hpcc
+// 8b@1/16 in 16 bits.
+func combinedSpec(master hash.Seed, universe []uint64) (planSpec, error) {
+	cfg, err := core.DefaultPathConfig(4, 2, fig11D)
 	if err != nil {
-		return nil, err
+		return planSpec{}, err
 	}
-	soloPath, err := Fig11RunArm(s, Fig11SoloPath)
+	path, err := core.NewPathQuery("path", cfg, 1, master, universe)
 	if err != nil {
-		return nil, err
+		return planSpec{}, err
 	}
-	soloLat, err := Fig11RunArm(s, Fig11SoloLat)
+	lat, err := core.NewLatencyQuery("lat", 8, 0.04, 15.0/16, master)
 	if err != nil {
-		return nil, err
+		return planSpec{}, err
 	}
-	return Fig11Assemble(combined, soloPath, soloLat), nil
+	util, err := core.NewUtilQuery("hpcc", 8, 0.025, 1.0/16, 1000, master)
+	if err != nil {
+		return planSpec{}, err
+	}
+	return planSpec{queries: []core.Query{path, lat, util}, global: 16,
+		path: path, lat: lat, util: util}, nil
+}
+
+// soloPathSpec is baseline A: path alone, 2×(b=8) on every packet (Fig
+// 10's best), with an out-of-plan HPCC control digest so the transport
+// behaves.
+func soloPathSpec(master hash.Seed, universe []uint64) (planSpec, error) {
+	master = master.Derive(1)
+	cfg, err := core.DefaultPathConfig(8, 2, fig11D)
+	if err != nil {
+		return planSpec{}, err
+	}
+	path, err := core.NewPathQuery("path", cfg, 1, master, universe)
+	if err != nil {
+		return planSpec{}, err
+	}
+	util, err := core.NewUtilQuery("hpcc", 8, 0.025, 1.0/16, 1000, master)
+	if err != nil {
+		return planSpec{}, err
+	}
+	return planSpec{queries: []core.Query{path, util}, global: 24, path: path, util: util}, nil
+}
+
+// soloLatSpec is baseline B: latency alone on every packet + HPCC
+// control; it measures latency error and (as the least-contended run) the
+// solo slowdown.
+func soloLatSpec(master hash.Seed, _ []uint64) (planSpec, error) {
+	master = master.Derive(2)
+	lat, err := core.NewLatencyQuery("lat", 8, 0.04, 1, master)
+	if err != nil {
+		return planSpec{}, err
+	}
+	util, err := core.NewUtilQuery("hpcc", 8, 0.025, 1.0/16, 1000, master)
+	if err != nil {
+		return planSpec{}, err
+	}
+	return planSpec{queries: []core.Query{lat, util}, global: 16, lat: lat, util: util}, nil
 }
 
 // runPlanSim runs the full PINT system — engine on switches, a wire-format
@@ -171,12 +168,12 @@ func Fig11(s Scale) ([]CombinedMetrics, error) {
 // HPCC fed from the utilization query — over a Hadoop-loaded leaf-spine
 // network and extracts Fig 11's metrics. Scale.Shards sets the sink's
 // worker count; per-flow answers are bit-identical for any value.
-func runPlanSim(s Scale, mk func(universe []uint64) (planSpec, error)) (*CombinedMetrics, error) {
+func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec, error)) (*combinedMetrics, error) {
 	g, err := topology.LeafSpine(s.Pods, 2, 2, s.HostsPerTor, 2)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := mk(g.SwitchIDUniverse())
+	spec, err := mk(hash.Seed(s.Seed).Derive(0xF16), g.SwitchIDUniverse())
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +301,6 @@ func runPlanSim(s Scale, mk func(universe []uint64) (planSpec, error)) (*Combine
 	}
 	col := &transport.Collector{}
 	for _, f := range flows {
-		f := f
 		stats := &transport.FlowStats{ID: f.ID, Bytes: f.Bytes, StartNs: f.Start}
 		col.Add(stats)
 		sim.At(f.Start, func() {
@@ -323,11 +319,11 @@ func runPlanSim(s Scale, mk func(universe []uint64) (planSpec, error)) (*Combine
 	}
 
 	// Metrics.
-	m := &CombinedMetrics{MedianLatErrPct: math.NaN(), TailLatErrPct: math.NaN()}
+	m := &combinedMetrics{MedianLatErrPct: math.NaN(), TailLatErrPct: math.NaN()}
 	res := &LoadRunResult{Collector: col, BaseRTTNs: baseRTT, HostBps: s.HostBps}
 	_, slow := res.Slowdowns()
 	if len(slow) == 0 {
-		return nil, fmt.Errorf("experiments: no flows completed")
+		return nil, fmt.Errorf("scenario: no flows completed")
 	}
 	var sum float64
 	for _, v := range slow {
@@ -385,15 +381,4 @@ func runPlanSim(s Scale, mk func(universe []uint64) (planSpec, error)) (*Combine
 		}
 	}
 	return m, nil
-}
-
-// Fig11Table renders the comparison.
-func Fig11Table(ms []CombinedMetrics) Table {
-	t := Table{Title: "Fig 11: concurrent queries vs solo baselines (Hadoop, 16-bit budget)",
-		Columns: []string{"config", "meanSlowdown", "pathPkts", "decodedFlows", "medLatErr%", "tailLatErr%"}}
-	for _, m := range ms {
-		t.Rows = append(t.Rows, []string{m.Name, F(m.MeanSlowdown), F(m.PathMeanPackets),
-			fmt.Sprintf("%d", m.PathDecodedFlows), F(m.MedianLatErrPct), F(m.TailLatErrPct)})
-	}
-	return t
 }

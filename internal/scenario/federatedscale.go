@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/hash"
 )
@@ -48,7 +47,7 @@ func federatedScaleScenario() Scenario {
 		flowsPer   = 4
 		frameBatch = 64
 	)
-	return Scenario{
+	return define(Scenario{
 		Name:     "federated-scale",
 		Figure:   "new",
 		Desc:     "hash-partitioned collector fleet + merging frontend answers bit-identically to one in-process sink, and degrades explicitly when a member dies",
@@ -56,57 +55,47 @@ func federatedScaleScenario() Scenario {
 		Workload: "3 exporters x 4 flows routed to consistent-hash homes across fleets {1,2,4}",
 		Queries:  "path 2×(b=4) + latency 8b in 16 bits",
 		Stack:    "engine→wire frames→TCP→collector fleet→sharded sinks→Recording.Merge / pintgate merge",
-		Plan: func(s experiments.Scale) ([]Trial, error) {
-			pktsPer := 50 * s.Trials
-			if pktsPer > 500 {
-				pktsPer = 500
-			}
-			seed := uint64(hash.Seed(s.Seed).Derive(0xFEDE7A))
-			var trials []Trial
-			for _, fleetN := range federatedFleetAxis {
-				for _, shards := range federatedShardAxis {
-					fleetN, shards := fleetN, shards
-					trials = append(trials, Trial{
-						Name: fmt.Sprintf("fleet-%d-shards-%d", fleetN, shards),
-						Run: func() (any, error) {
-							return runFederatedScaleTrial(seed, fleetN, shards, nExporters, flowsPer, pktsPer, frameBatch)
-						},
-					})
-				}
-			}
-			return trials, nil
-		},
-		Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-			t := experiments.Table{
-				Title: fmt.Sprintf(
-					"Federated conformance: fleet TCP+gate vs in-process, %d exporters x %d flows",
-					nExporters, flowsPer),
-				Columns: []string{"fleet", "sink shards", "packets", "bytes/pkt",
-					"merge identical", "gate identical", "stats exact", "partial on death", "survivor flows"},
-			}
-			yn := func(b bool) string {
-				if b {
-					return "yes"
-				}
-				return "NO"
-			}
-			for _, out := range outs {
-				o := out.(federatedScaleOut)
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d", o.fleet),
-					fmt.Sprintf("%d", o.shards),
-					fmt.Sprintf("%d", o.packets),
-					experiments.F(o.bytesPerPkt),
-					yn(o.mergeIdent),
-					yn(o.gateIdent),
-					yn(o.statsOK),
-					yn(o.partialOK),
-					fmt.Sprintf("%d/%d", o.survivorFlow, nExporters*flowsPer),
+	}, func(s Scale) ([]trial[federatedScaleOut], error) {
+		pktsPer := 50 * s.Trials
+		if pktsPer > 500 {
+			pktsPer = 500
+		}
+		seed := uint64(hash.Seed(s.Seed).Derive(0xFEDE7A))
+		var trials []trial[federatedScaleOut]
+		for _, fleetN := range federatedFleetAxis {
+			for _, shards := range federatedShardAxis {
+				trials = append(trials, trial[federatedScaleOut]{
+					Name: fmt.Sprintf("fleet-%d-shards-%d", fleetN, shards),
+					Run: func() (federatedScaleOut, error) {
+						return runFederatedScaleTrial(seed, fleetN, shards, nExporters, flowsPer, pktsPer, frameBatch)
+					},
 				})
 			}
-			return []experiments.Table{t}, nil
-		},
-	}
+		}
+		return trials, nil
+	}, func(s Scale, outs []federatedScaleOut) ([]Table, error) {
+		t := Table{
+			Title: fmt.Sprintf(
+				"Federated conformance: fleet TCP+gate vs in-process, %d exporters x %d flows",
+				nExporters, flowsPer),
+			Columns: []string{"fleet", "sink shards", "packets", "bytes/pkt",
+				"merge identical", "gate identical", "stats exact", "partial on death", "survivor flows"},
+		}
+		for _, o := range outs {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", o.fleet),
+				fmt.Sprintf("%d", o.shards),
+				fmt.Sprintf("%d", o.packets),
+				F(o.bytesPerPkt),
+				yesNo(o.mergeIdent),
+				yesNo(o.gateIdent),
+				yesNo(o.statsOK),
+				yesNo(o.partialOK),
+				fmt.Sprintf("%d/%d", o.survivorFlow, nExporters*flowsPer),
+			})
+		}
+		return []Table{t}, nil
+	})
 }
 
 // singleCollectorBody renders answers exactly as one daemon's /snapshot

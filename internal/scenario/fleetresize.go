@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/hash"
 )
@@ -44,7 +43,7 @@ func fleetResizeScenario() Scenario {
 		shards     = 2
 	)
 	resizes := []struct{ from, to int }{{2, 4}, {4, 2}}
-	return Scenario{
+	return define(Scenario{
 		Name:     "fleet-resize",
 		Figure:   "new",
 		Desc:     "live fleet resize mid-stream: epoch-fenced reroute + zero-loss state hand-off answers byte-identically to a fleet started at the final membership",
@@ -52,56 +51,46 @@ func fleetResizeScenario() Scenario {
 		Workload: "3 exporters x 4 flows; resize after half the packets, exporters follow the new fleet map live",
 		Queries:  "path 2×(b=4) + latency 8b in 16 bits",
 		Stack:    "engine→wire frames→TCP→collector fleet→hand-off frames→Recording.Merge",
-		Plan: func(s experiments.Scale) ([]Trial, error) {
-			pktsPer := 50 * s.Trials
-			if pktsPer > 500 {
-				pktsPer = 500
-			}
-			if pktsPer < 2 {
-				pktsPer = 2
-			}
-			seed := uint64(hash.Seed(s.Seed).Derive(0xF1EE7))
-			var trials []Trial
-			for _, rs := range resizes {
-				rs := rs
-				trials = append(trials, Trial{
-					Name: fmt.Sprintf("%dto%d", rs.from, rs.to),
-					Run: func() (any, error) {
-						return runFleetResizeTrial(seed, rs.from, rs.to, shards, nExporters, flowsPer, pktsPer, frameBatch)
-					},
-				})
-			}
-			return trials, nil
-		},
-		Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-			t := experiments.Table{
-				Title: fmt.Sprintf(
-					"Elastic fleet: mid-stream resize conformance, %d exporters x %d flows",
-					nExporters, flowsPer),
-				Columns: []string{"resize", "sink shards", "packets", "flows moved",
-					"moved set minimal", "identical to in-process", "identical to fresh fleet"},
-			}
-			yn := func(b bool) string {
-				if b {
-					return "yes"
-				}
-				return "NO"
-			}
-			for _, out := range outs {
-				o := out.(fleetResizeOut)
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d->%d", o.from, o.to),
-					fmt.Sprintf("%d", o.shards),
-					fmt.Sprintf("%d", o.packets),
-					fmt.Sprintf("%d/%d", o.moved, nExporters*flowsPer),
-					yn(o.movedOK),
-					yn(o.identProc),
-					yn(o.identNew),
-				})
-			}
-			return []experiments.Table{t}, nil
-		},
-	}
+	}, func(s Scale) ([]trial[fleetResizeOut], error) {
+		pktsPer := 50 * s.Trials
+		if pktsPer > 500 {
+			pktsPer = 500
+		}
+		if pktsPer < 2 {
+			pktsPer = 2
+		}
+		seed := uint64(hash.Seed(s.Seed).Derive(0xF1EE7))
+		var trials []trial[fleetResizeOut]
+		for _, rs := range resizes {
+			trials = append(trials, trial[fleetResizeOut]{
+				Name: fmt.Sprintf("%dto%d", rs.from, rs.to),
+				Run: func() (fleetResizeOut, error) {
+					return runFleetResizeTrial(seed, rs.from, rs.to, shards, nExporters, flowsPer, pktsPer, frameBatch)
+				},
+			})
+		}
+		return trials, nil
+	}, func(s Scale, outs []fleetResizeOut) ([]Table, error) {
+		t := Table{
+			Title: fmt.Sprintf(
+				"Elastic fleet: mid-stream resize conformance, %d exporters x %d flows",
+				nExporters, flowsPer),
+			Columns: []string{"resize", "sink shards", "packets", "flows moved",
+				"moved set minimal", "identical to in-process", "identical to fresh fleet"},
+		}
+		for _, o := range outs {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d->%d", o.from, o.to),
+				fmt.Sprintf("%d", o.shards),
+				fmt.Sprintf("%d", o.packets),
+				fmt.Sprintf("%d/%d", o.moved, nExporters*flowsPer),
+				yesNo(o.movedOK),
+				yesNo(o.identProc),
+				yesNo(o.identNew),
+			})
+		}
+		return []Table{t}, nil
+	})
 }
 
 // runFleetResizeTrial runs one resize direction: stream phase A (half of

@@ -6,9 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the scenario golden files")
@@ -27,11 +26,11 @@ func marshalResult(t *testing.T, res *Result) []byte {
 // under -parallel 1 and -parallel 8, and matches the committed golden
 // file (refresh with `go test ./internal/scenario -run Golden -update`).
 func TestSerialVsParallelGolden(t *testing.T) {
-	serial, err := RunNames([]string{"all"}, Options{Scale: experiments.Quick(), Parallel: 1})
+	serial, err := RunNames([]string{"all"}, Options{Scale: Quick(), Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunNames([]string{"all"}, Options{Scale: experiments.Quick(), Parallel: 8})
+	parallel, err := RunNames([]string{"all"}, Options{Scale: Quick(), Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +63,39 @@ func TestSerialVsParallelGolden(t *testing.T) {
 	}
 }
 
+// TestRegistryHygiene keeps the registry's two satellites in step with it:
+// every committed golden belongs to a registered scenario (a renamed or
+// deleted scenario must take its golden with it), and README's "Scenario
+// catalog" table has a row for every registered scenario.
+func TestRegistryHygiene(t *testing.T) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		name := strings.TrimSuffix(filepath.Base(g), ".golden.json")
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("%s: no scenario %q is registered; delete or rename the golden", g, name)
+		}
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, found := strings.Cut(string(readme), "### Scenario catalog\n")
+	if !found {
+		t.Fatal("README.md has no \"### Scenario catalog\" section")
+	}
+	if next := strings.Index(catalog, "\n#"); next >= 0 {
+		catalog = catalog[:next]
+	}
+	for _, name := range Names() {
+		if !strings.Contains(catalog, "| `"+name+"` |") {
+			t.Errorf("README.md's scenario catalog has no row for %q", name)
+		}
+	}
+}
+
 // TestShardsDoNotChangeAnswers runs the recording-stack scenarios with
 // different sink shard counts and demands byte-identical JSON — the
 // pipeline determinism property surfaced at the scenario level.
@@ -71,7 +103,7 @@ func TestShardsDoNotChangeAnswers(t *testing.T) {
 	for _, name := range []string{"pathtrace", "route-change", "ecmp-imbalance"} {
 		var ref []byte
 		for _, shards := range []int{1, 3} {
-			s := experiments.Quick()
+			s := Quick()
 			s.Shards = shards
 			res, err := RunByName(name, Options{Scale: s, Parallel: 2})
 			if err != nil {

@@ -1,4 +1,4 @@
-package experiments
+package scenario
 
 import (
 	"math"
@@ -7,8 +7,39 @@ import (
 	"repro/internal/workload"
 )
 
+// runTrials plans a registered scenario at scale s, runs its trials in
+// plan order and reduces them; it returns the trial outputs (for the
+// paper-claim assertions on typed values) and renders every table.
+func runTrials(t *testing.T, name string, s Scale) []any {
+	t.Helper()
+	sc, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("scenario %q not registered", name)
+	}
+	trials, err := sc.Plan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]any, len(trials))
+	for i, tr := range trials {
+		if outs[i], err = tr.Run(); err != nil {
+			t.Fatalf("%s: trial %q: %v", name, tr.Name, err)
+		}
+	}
+	tables, err := sc.Reduce(s, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		if len(tb.Rows) == 0 || len(tb.String()) == 0 {
+			t.Fatalf("%s: table %q rendered empty", name, tb.Title)
+		}
+	}
+	return outs
+}
+
 // tiny returns a scale small enough for unit tests (each figure seconds,
-// not minutes). Bench() is used by the root bench_test.go instead.
+// not minutes).
 func tiny() Scale {
 	return Scale{
 		HostBps:     1_000_000_000,
@@ -65,10 +96,7 @@ func TestRunLoadRenoOverheadEffect(t *testing.T) {
 }
 
 func TestFig05Shapes(t *testing.T) {
-	curves, err := Fig05(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := runTrials(t, "fig5", tiny())[0].([]codingCurve)
 	if len(curves) != 3 {
 		t.Fatalf("want 3 schemes, got %d", len(curves))
 	}
@@ -90,14 +118,14 @@ func TestFig05Shapes(t *testing.T) {
 		t.Fatalf("hybrid P(dec)@%dpkts %v below baseline %v",
 			hyb.Packets[idx], hyb.DecodeProb[idx], base.DecodeProb[idx])
 	}
-	_ = Fig05Table(curves).String()
 }
 
 func TestCodingMediansTable(t *testing.T) {
-	tab, err := CodingMedians(tiny())
+	res, err := RunByName("medians", Options{Scale: tiny()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := res.Tables[0]
 	if len(tab.Rows) != 5 {
 		t.Fatalf("want 5 schemes, got %d", len(tab.Rows))
 	}
@@ -105,14 +133,14 @@ func TestCodingMediansTable(t *testing.T) {
 }
 
 func TestFig09HadoopMedian(t *testing.T) {
-	series, err := Fig09(tiny(), Fig09Panel{Workload: "hadoop", Quantile: 0.5})
+	series, err := fig09(tiny(), fig09Panel{Workload: workload.Hadoop(), Quantile: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(series) != 4 { // b=8, b=8 sketched, b=4, b=4 sketched
 		t.Fatalf("want 4 series, got %d", len(series))
 	}
-	byName := map[string][]LatencyPoint{}
+	byName := map[string][]latencyPoint{}
 	for _, s := range series {
 		byName[s.Name] = s.Points
 		for _, p := range s.Points {
@@ -132,7 +160,7 @@ func TestFig09HadoopMedian(t *testing.T) {
 }
 
 func TestFig09SketchRow(t *testing.T) {
-	series, err := Fig09(tiny(), Fig09Panel{Workload: "hadoop", Quantile: 0.5, BySketch: true})
+	series, err := fig09(tiny(), fig09Panel{Workload: workload.Hadoop(), Quantile: 0.5, BySketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,18 +175,16 @@ func TestFig09SketchRow(t *testing.T) {
 }
 
 func TestFig10FatTree(t *testing.T) {
-	points, err := Fig10(tiny(), TopoFatTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byScheme := map[string]map[int]PathPoint{}
-	for _, p := range points {
-		if byScheme[p.Scheme] == nil {
-			byScheme[p.Scheme] = map[int]PathPoint{}
-		}
-		byScheme[p.Scheme][p.PathLen] = p
-		if p.Mean <= 0 || p.P99 < p.Mean {
-			t.Fatalf("%s l=%d: mean %v p99 %v inconsistent", p.Scheme, p.PathLen, p.Mean, p.P99)
+	byScheme := map[string]map[int]pathPoint{}
+	for _, out := range runTrials(t, "fig10c", tiny()) {
+		for _, p := range out.([]pathPoint) {
+			if byScheme[p.Scheme] == nil {
+				byScheme[p.Scheme] = map[int]pathPoint{}
+			}
+			byScheme[p.Scheme][p.PathLen] = p
+			if p.Mean <= 0 || p.P99 < p.Mean {
+				t.Fatalf("%s l=%d: mean %v p99 %v inconsistent", p.Scheme, p.PathLen, p.Mean, p.P99)
+			}
 		}
 	}
 	// The paper's headline ordering at D=5: PINT 2x(b=8) needs far fewer
@@ -175,14 +201,11 @@ func TestFig10FatTree(t *testing.T) {
 	if b1 >= ppm {
 		t.Fatalf("PINT b=1 %v not below PPM %v", b1, ppm)
 	}
-	_ = Fig10Table(TopoFatTree, points).String()
 }
 
 func TestFig11Combined(t *testing.T) {
-	rows, err := Fig11(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	arms := runTrials(t, "fig11", tiny())
+	rows := fig11Rows(arms[0].(*combinedMetrics), arms[1].(*combinedMetrics), arms[2].(*combinedMetrics))
 	if len(rows) != 2 || rows[0].Name != "Baseline" || rows[1].Name != "Combined" {
 		t.Fatalf("unexpected rows %+v", rows)
 	}
@@ -197,18 +220,14 @@ func TestFig11Combined(t *testing.T) {
 	if rows[0].PathDecodedFlows == 0 {
 		t.Fatal("baseline run decoded no paths")
 	}
-	_ = Fig11Table(rows).String()
 }
 
 func TestCollectionOverhead(t *testing.T) {
-	stats, err := CollectionOverhead(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := runTrials(t, "collection", tiny())
 	if len(stats) != 2 {
 		t.Fatalf("want INT and PINT rows, got %d", len(stats))
 	}
-	intRow, pintRow := stats[0], stats[1]
+	intRow, pintRow := stats[0].(collectionStats), stats[1].(collectionStats)
 	if intRow.Reports == 0 || pintRow.Reports == 0 {
 		t.Fatal("no reports observed")
 	}
@@ -222,7 +241,6 @@ func TestCollectionOverhead(t *testing.T) {
 		t.Fatalf("PINT mean %v not below INT mean %v",
 			pintRow.MeanBytes, intRow.MeanBytes)
 	}
-	_ = CollectionTable(stats).String()
 }
 
 func TestTableRendering(t *testing.T) {
@@ -258,7 +276,7 @@ func TestDecileEdges(t *testing.T) {
 func TestPercentileSlowdownByBin(t *testing.T) {
 	sizes := []int64{10, 20, 20, 300}
 	slow := []float64{1, 2, 4, 8}
-	out := PercentileSlowdownByBin(sizes, slow, []int64{15, 250, 1000}, 0.95)
+	out := percentileSlowdownByBin(sizes, slow, []int64{15, 250, 1000}, 0.95)
 	if out[0] != 1 {
 		t.Fatalf("bin0 %v", out[0])
 	}
@@ -323,33 +341,5 @@ func TestRunLoadMultiTenant(t *testing.T) {
 			t.Fatalf("flow ID %d duplicated", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestFig10AtLengthMatchesFig10(t *testing.T) {
-	s := tiny()
-	whole, err := Fig10(s, TopoFatTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stitched []PathPoint
-	lengths, err := Fig10Lengths(TopoFatTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range lengths {
-		pts, err := Fig10AtLength(s, TopoFatTree, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stitched = append(stitched, pts...)
-	}
-	if len(whole) != len(stitched) {
-		t.Fatalf("point counts differ: %d vs %d", len(whole), len(stitched))
-	}
-	for i := range whole {
-		if whole[i] != stitched[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, whole[i], stitched[i])
-		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/hash"
 	"repro/internal/pipeline"
 )
@@ -44,7 +43,7 @@ func killRecoverScenario() Scenario {
 		nFlows    = 4
 		waveFlows = 2
 	)
-	return Scenario{
+	return define(Scenario{
 		Name:     "kill-recover",
 		Figure:   "new",
 		Desc:     "SIGKILLed-and-restarted durable collector answers bit-for-bit identically to one that never crashed, modulo an explicitly-reported unflushed tail",
@@ -52,51 +51,41 @@ func killRecoverScenario() Scenario {
 		Workload: "two ingest waves, a checkpointed flush, a constructed torn tail, kill, recover, re-ingest, restart",
 		Queries:  "path 2×(b=4) + latency 8b in 16 bits",
 		Stack:    "engine→pipeline sink→segstore writer→segment log→crash→recovery replay→answers",
-		Plan: func(s experiments.Scale) ([]Trial, error) {
-			pktsPer := 40 * s.Trials
-			if pktsPer > 400 {
-				pktsPer = 400
-			}
-			seed := uint64(hash.Seed(s.Seed).Derive(0xC4A54))
-			var trials []Trial
-			for _, shards := range killRecoverShardAxis {
-				shards := shards
-				trials = append(trials, Trial{
-					Name: fmt.Sprintf("shards-%d", shards),
-					Run: func() (any, error) {
-						return runKillRecoverTrial(seed, shards, nFlows, waveFlows, pktsPer)
-					},
-				})
-			}
-			return trials, nil
-		},
-		Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-			t := experiments.Table{
-				Title:   "Kill-recover: durable collector crash recovery vs an uncrashed run",
-				Columns: []string{"sink shards", "ingested", "recovered", "torn bytes", "bit-identical", "log==live", "answers sha256[:8]", "after restart"},
-			}
-			yn := func(b bool) string {
-				if b {
-					return "yes"
-				}
-				return "NO"
-			}
-			for _, out := range outs {
-				o := out.(killRecoverOut)
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d", o.shards),
-					fmt.Sprintf("%d", o.ingested),
-					fmt.Sprintf("%d", o.durable),
-					fmt.Sprintf("%d", o.tornBytes),
-					yn(o.identical),
-					yn(o.logIdent),
-					o.answerHash,
-					fmt.Sprintf("%d", o.restarted),
-				})
-			}
-			return []experiments.Table{t}, nil
-		},
-	}
+	}, func(s Scale) ([]trial[killRecoverOut], error) {
+		pktsPer := 40 * s.Trials
+		if pktsPer > 400 {
+			pktsPer = 400
+		}
+		seed := uint64(hash.Seed(s.Seed).Derive(0xC4A54))
+		var trials []trial[killRecoverOut]
+		for _, shards := range killRecoverShardAxis {
+			trials = append(trials, trial[killRecoverOut]{
+				Name: fmt.Sprintf("shards-%d", shards),
+				Run: func() (killRecoverOut, error) {
+					return runKillRecoverTrial(seed, shards, nFlows, waveFlows, pktsPer)
+				},
+			})
+		}
+		return trials, nil
+	}, func(s Scale, outs []killRecoverOut) ([]Table, error) {
+		t := Table{
+			Title:   "Kill-recover: durable collector crash recovery vs an uncrashed run",
+			Columns: []string{"sink shards", "ingested", "recovered", "torn bytes", "bit-identical", "log==live", "answers sha256[:8]", "after restart"},
+		}
+		for _, o := range outs {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", o.shards),
+				fmt.Sprintf("%d", o.ingested),
+				fmt.Sprintf("%d", o.durable),
+				fmt.Sprintf("%d", o.tornBytes),
+				yesNo(o.identical),
+				yesNo(o.logIdent),
+				o.answerHash,
+				fmt.Sprintf("%d", o.restarted),
+			})
+		}
+		return []Table{t}, nil
+	})
 }
 
 // tornTail is the constructed partial block appended after the simulated

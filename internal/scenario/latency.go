@@ -1,4 +1,4 @@
-package experiments
+package scenario
 
 import (
 	"fmt"
@@ -7,32 +7,71 @@ import (
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
 	"repro/internal/sketch"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// LatencyPoint is one x-position of a Fig 9 panel.
-type LatencyPoint struct {
+func init() {
+	Register(fig9Scenario())
+}
+
+func fig9Scenario() Scenario {
+	ws, hd := workload.WebSearch(), workload.Hadoop()
+	panels := []fig09Panel{
+		{Workload: ws, Quantile: 0.99},
+		{Workload: hd, Quantile: 0.99},
+		{Workload: hd, Quantile: 0.5},
+		{Workload: ws, Quantile: 0.99, BySketch: true},
+		{Workload: hd, Quantile: 0.99, BySketch: true},
+		{Workload: hd, Quantile: 0.5, BySketch: true},
+	}
+	return define(Scenario{
+		Name:      "fig9",
+		Figure:    "Fig 9",
+		Desc:      "per-hop latency quantile relative error vs sample and sketch size",
+		Topology:  leafSpineTopo,
+		Workload:  "websearch + hadoop",
+		Transport: transportPINTd,
+		Queries:   "latency (b=4/8, raw + KLL-sketched)",
+		Stack:     stackFullSink,
+	}, func(s Scale) ([]trial[[]latencySeries], error) {
+		var trials []trial[[]latencySeries]
+		for _, p := range panels {
+			trials = append(trials, trial[[]latencySeries]{
+				Name: fig09PanelTitle(p),
+				Run:  func() ([]latencySeries, error) { return fig09(s, p) },
+			})
+		}
+		return trials, nil
+	}, func(s Scale, outs [][]latencySeries) ([]Table, error) {
+		var tables []Table
+		for i, p := range panels {
+			tables = append(tables, fig09Table(p, outs[i]))
+		}
+		return tables, nil
+	})
+}
+
+// latencyPoint is one x-position of a Fig 9 panel.
+type latencyPoint struct {
 	X      int     // sample size (packets) or sketch size (bytes)
 	RelErr float64 // relative error, percent
 }
 
-// LatencySeries is one curve of a Fig 9 panel.
-type LatencySeries struct {
+// latencySeries is one curve of a Fig 9 panel.
+type latencySeries struct {
 	Name   string // e.g. "PINT (b=8)", "PINTS (b=4)"
-	Points []LatencyPoint
+	Points []latencyPoint
 }
 
-// Fig09Panel identifies one of the paper's six panels.
-type Fig09Panel struct {
-	Workload string  // "websearch" or "hadoop"
+// fig09Panel identifies one of the paper's six panels.
+type fig09Panel struct {
+	Workload *workload.Dist
 	Quantile float64 // 0.5 (median) or 0.99 (tail)
 	BySketch bool    // false: error vs sample size; true: error vs sketch bytes
 }
 
-// Fig09 reproduces Figure 9: the relative error of PINT's per-hop latency
+// fig09 reproduces one panel of Figure 9: the relative error of PINT's per-hop latency
 // quantile estimates, as a function of the number of packets sampled from
 // a flow (first row) and of the per-hop sketch size in bytes (second row,
 // 500-packet samples), for bit budgets b=4 and b=8, with (PINTS) and
@@ -40,7 +79,7 @@ type Fig09Panel struct {
 // simulation of the corresponding workload. The paper's claims: error
 // decreases with packets until it hits the value-compression floor, and
 // small (~100B) sketches cost little accuracy.
-func Fig09(s Scale, panel Fig09Panel) ([]LatencySeries, error) {
+func fig09(s Scale, panel fig09Panel) ([]latencySeries, error) {
 	streams, err := collectHopStreams(s, panel.Workload)
 	if err != nil {
 		return nil, err
@@ -53,7 +92,7 @@ func Fig09(s Scale, panel Fig09Panel) ([]LatencySeries, error) {
 	}
 	rng := hash.NewRNG(s.Seed + 9)
 
-	var out []LatencySeries
+	var out []latencySeries
 	for _, b := range []int{8, 4} {
 		for _, sk := range []bool{false, true} {
 			if panel.BySketch && !sk {
@@ -63,15 +102,15 @@ func Fig09(s Scale, panel Fig09Panel) ([]LatencySeries, error) {
 			if sk {
 				name = fmt.Sprintf("PINTS (b=%d)", b)
 			}
-			series := LatencySeries{Name: name}
+			series := latencySeries{Name: name}
 			if panel.BySketch {
 				for _, bytes := range []int{50, 100, 150, 200, 250, 300} {
 					e, err := latencyTrial(streams, truth, panel.Quantile, b, 500,
-						sketchParamFor(bytes, b), s.Trials, s.Shards, rng)
+						sketchParamFor(bytes, b), s.Trials, s.ShardCount(), rng)
 					if err != nil {
 						return nil, err
 					}
-					series.Points = append(series.Points, LatencyPoint{X: bytes, RelErr: e})
+					series.Points = append(series.Points, latencyPoint{X: bytes, RelErr: e})
 				}
 			} else {
 				items := 0
@@ -80,11 +119,11 @@ func Fig09(s Scale, panel Fig09Panel) ([]LatencySeries, error) {
 				}
 				for _, z := range []int{100, 200, 400, 600, 800, 1000} {
 					e, err := latencyTrial(streams, truth, panel.Quantile, b, z,
-						items, s.Trials, s.Shards, rng)
+						items, s.Trials, s.ShardCount(), rng)
 					if err != nil {
 						return nil, err
 					}
-					series.Points = append(series.Points, LatencyPoint{X: z, RelErr: e})
+					series.Points = append(series.Points, latencyPoint{X: z, RelErr: e})
 				}
 			}
 			out = append(out, series)
@@ -93,19 +132,19 @@ func Fig09(s Scale, panel Fig09Panel) ([]LatencySeries, error) {
 	return out, nil
 }
 
-// Fig09PanelTitle names one panel the way the paper's grid does.
-func Fig09PanelTitle(p Fig09Panel) string {
+// fig09PanelTitle names one panel the way the paper's grid does.
+func fig09PanelTitle(p fig09Panel) string {
 	axis := "sample size [pkts]"
 	if p.BySketch {
 		axis = "sketch size [bytes]"
 	}
-	return fmt.Sprintf("Fig 9: %s q=%.2f, rel. error vs %s", p.Workload, p.Quantile, axis)
+	return fmt.Sprintf("Fig 9: %s q=%.2f, rel. error vs %s", p.Workload.Name, p.Quantile, axis)
 }
 
-// Fig09Table renders one panel's series side by side (one row per
+// fig09Table renders one panel's series side by side (one row per
 // x-position, one column per PINT variant).
-func Fig09Table(p Fig09Panel, series []LatencySeries) Table {
-	t := Table{Title: Fig09PanelTitle(p), Columns: []string{"x"}}
+func fig09Table(p fig09Panel, series []latencySeries) Table {
+	t := Table{Title: fig09PanelTitle(p), Columns: []string{"x"}}
 	for _, sr := range series {
 		t.Columns = append(t.Columns, sr.Name)
 	}
@@ -155,18 +194,7 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 		}
 		base := hash.Seed(rng.Uint64())
 		flow := core.FlowKey(1)
-		for j := range pkts {
-			pkts[j] = core.PacketDigest{Flow: flow, PktID: rng.Uint64(), PathLen: k}
-		}
-		// Packet j consumes sample j of every hop's stream (every hop
-		// observed the packet; only the reservoir winner's value survived).
-		for hop := 1; hop <= k; hop++ {
-			st := streams[hop-1]
-			for j := range vals {
-				vals[j].LatencyNs = uint64(st[j%len(st)])
-			}
-			eng.EncodeHopBatch(hop, pkts, vals)
-		}
+		encodeHopStreams(eng, streams, flow, rng, pkts, vals)
 		rec, err := recordPackets(eng, pkts, sketchItems, shards, base, flow)
 		if err != nil {
 			return 0, err
@@ -188,32 +216,6 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 	return errSum / float64(errN), nil
 }
 
-// recordPackets ships an encoded batch through the wire format (the
-// switch→collector transfer) and ingests the decoded copy through the
-// sharded sink — the production collector stack on every Fig-harness run,
-// serial included (shards <= 1 runs one worker). It returns the Recording
-// that owns `flow`'s state; answers are bit-identical to recording the
-// in-memory batch directly, for any shard count.
-func recordPackets(eng *core.Engine, pkts []core.PacketDigest, sketchItems, shards int, base hash.Seed, flow core.FlowKey) (*core.Recording, error) {
-	rx, _, err := wire.Roundtrip(nil, nil, pkts)
-	if err != nil {
-		return nil, err
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{
-		Shards: shards, SketchItems: sketchItems, Base: base})
-	if err != nil {
-		return nil, err
-	}
-	sink.Ingest(rx)
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	return sink.Recording(flow), nil
-}
-
 // epsFor picks the compression error so the b-bit code space covers the
 // nanosecond latency range (up to ~10^8 ns): (1+eps)^(2^b) >= 1e8.
 func epsFor(b int) float64 {
@@ -231,36 +233,25 @@ func epsFor(b int) float64 {
 // streams for 5-switch-hop (cross-pod) traffic, concatenated across flows
 // into one logical flow per hop position — the statistics a dynamic
 // per-flow query would see.
-func collectHopStreams(s Scale, wl string) ([][]float64, error) {
-	var dist *workload.Dist
-	switch wl {
-	case "websearch":
-		dist = workload.WebSearch()
-	case "hadoop":
-		dist = workload.Hadoop()
-	default:
-		return nil, fmt.Errorf("experiments: unknown workload %q", wl)
-	}
+func collectHopStreams(s Scale, dist *workload.Dist) ([][]float64, error) {
 	const k = 5
 	streams := make([][]float64, k)
 
-	// Piggyback on RunLoad's network by replicating its construction with
-	// an extra hook. Cheaper: run KindHPCCPINT (keeps queues interesting)
-	// and capture hop latencies via OnHopLatency before starting flows.
-	res, err := runLoadWithHook(LoadRunConfig{Scale: s, Dist: dist, Load: 0.5,
-		Kind: KindHPCCPINT, MinFlows: 100},
-		func(pkt *netsim.Packet, hop int, latNs int64) {
+	// HPCC(PINT) keeps the queues interesting while the hop hook harvests
+	// the latencies.
+	_, err := RunLoad(LoadRunConfig{Scale: s, Dist: dist, Load: 0.5,
+		Kind: KindHPCCPINT, MinFlows: 100,
+		hopHook: func(pkt *netsim.Packet, hop int, latNs int64) {
 			if hop >= 1 && hop <= k {
 				streams[hop-1] = append(streams[hop-1], float64(latNs))
 			}
-		})
+		}})
 	if err != nil {
 		return nil, err
 	}
-	_ = res
 	for h := range streams {
 		if len(streams[h]) < 50 {
-			return nil, fmt.Errorf("experiments: hop %d collected only %d latencies",
+			return nil, fmt.Errorf("scenario: hop %d collected only %d latencies",
 				h+1, len(streams[h]))
 		}
 	}

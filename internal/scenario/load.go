@@ -1,22 +1,9 @@
-// Package experiments holds the building blocks of the PINT paper's
-// evaluation (§2 and §6): the loaded-network simulation harness, the
-// per-figure trial units (decomposed along each figure's independent
-// axis — loads, schemes, panels, path lengths, plan arms), and the table
-// renderers. The scenario registry (internal/scenario) assembles these
-// units into declarative scenarios and runs them through its parallel
-// deterministic trial runner; the FigXX convenience functions remain as
-// the serial reference implementations and are bit-identical to the
-// registry's output.
-//
-// A Scale knob trades fidelity for runtime: benches run at Scale's
-// defaults (seconds per figure), while cmd/pintfig exposes larger runs.
-package experiments
+package scenario
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/hash"
 	"repro/internal/netsim"
@@ -24,122 +11,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
-
-// Scale bundles the knobs that shrink paper-sized experiments to
-// bench-sized ones without changing their structure.
-type Scale struct {
-	// HostBps / TierBps are the access and fabric link rates (paper:
-	// 100G/400G; bench default 1G/4G).
-	HostBps int64
-	TierBps int64
-	// SizeDivisor shrinks workload flow sizes so flows complete within
-	// DurationNs.
-	SizeDivisor float64
-	// DurationNs is the flow-arrival horizon; the simulation drains for
-	// 3x this before collecting.
-	DurationNs int64
-	// Pods/HostsPerTor shape the leaf-spine instance.
-	Pods        int
-	HostsPerTor int
-	// Trials for per-trial experiments (Fig 5/10).
-	Trials int
-	// Seed drives all randomness.
-	Seed uint64
-	// Shards sets the worker count of every scenario's recording sink:
-	// wherever an experiment records digests (Fig 9's latency trials,
-	// Fig 11's delivery tap, the engine path trials, the non-paper
-	// scenarios), the stream runs through the sharded batch pipeline
-	// (internal/pipeline) with this many workers. Answers are
-	// bit-identical for any value, so figures do not change; 0 means 1.
-	// Experiments with no recording path (pure transport or coding
-	// studies) have nothing to shard. Validate rejects invalid values —
-	// they are never silently ignored.
-	Shards int
-}
-
-// MaxShards bounds Scale.Shards: beyond this, per-shard state dominates
-// and the configuration is almost certainly a typo.
-const MaxShards = 256
-
-// Validate rejects scales no experiment can run: the scenario runner and
-// the CLIs call it up front so a bad knob fails loudly instead of being
-// silently ignored by some figures and honored by others.
-func (s Scale) Validate() error {
-	switch {
-	case s.HostBps <= 0 || s.TierBps <= 0:
-		return fmt.Errorf("experiments: link rates must be positive (host %d, tier %d)", s.HostBps, s.TierBps)
-	case s.SizeDivisor < 1:
-		return fmt.Errorf("experiments: SizeDivisor %v below 1", s.SizeDivisor)
-	case s.DurationNs <= 0:
-		return fmt.Errorf("experiments: DurationNs %d not positive", s.DurationNs)
-	case s.Pods < 1 || s.HostsPerTor < 1:
-		return fmt.Errorf("experiments: topology shape %dx%d invalid", s.Pods, s.HostsPerTor)
-	case s.Trials < 1:
-		return fmt.Errorf("experiments: Trials %d below 1", s.Trials)
-	case s.Shards < 0 || s.Shards > MaxShards:
-		return fmt.Errorf("experiments: Shards %d out of [0,%d]", s.Shards, MaxShards)
-	}
-	return nil
-}
-
-// ShardCount returns the effective recording-sink worker count (Shards,
-// with 0 meaning serial-in-a-worker).
-func (s Scale) ShardCount() int {
-	if s.Shards < 1 {
-		return 1
-	}
-	return s.Shards
-}
-
-// Bench returns the scale used by `go test -bench` — small enough for a
-// complete suite run in minutes.
-func Bench() Scale {
-	return Scale{
-		HostBps:     1_000_000_000,
-		TierBps:     4_000_000_000,
-		SizeDivisor: 64,
-		DurationNs:  60_000_000, // 60 ms of arrivals
-		Pods:        2,
-		HostsPerTor: 4,
-		Trials:      50,
-		Seed:        1,
-	}
-}
-
-// Quick returns the smallest sensible scale: a smoke-test configuration
-// (cmd/pintfig -scale quick) that exercises every figure's full code path
-// in seconds, for CI and bit-rot checks rather than for fidelity.
-func Quick() Scale {
-	s := Bench()
-	s.SizeDivisor = 256
-	s.DurationNs = 10_000_000 // 10 ms of arrivals
-	s.Trials = 3
-	return s
-}
-
-// Paper returns a scale closer to the paper's setup (minutes to hours per
-// figure; used by cmd/pintfig -scale paper).
-func Paper() Scale {
-	return Scale{
-		HostBps:     25_000_000_000, // 25G in place of 100G: 4x faster sim
-		TierBps:     100_000_000_000,
-		SizeDivisor: 4,
-		DurationNs:  100_000_000,
-		Pods:        5,
-		HostsPerTor: 16,
-		Trials:      2000,
-		Seed:        1,
-	}
-}
-
-// BaseRTTNs estimates the network's base RTT for a cross-pod path at this
-// scale: per direction, 6 serializations of a 1000B packet (host + 5
-// switches) plus propagation; ACKs are small, so ~1.2x one-way covers it.
-func (s Scale) BaseRTTNs() int64 {
-	ser := int64(1000*8) * 1_000_000_000 / s.HostBps
-	oneWay := 6*ser + 6*1000
-	return 2 * oneWay
-}
 
 // TransportKind selects the protocol an experiment drives.
 type TransportKind int
@@ -181,29 +52,17 @@ type LoadRunConfig struct {
 	Tenants []Tenant
 
 	// hopHook, when set, observes every data packet's per-switch latency
-	// (hop is 1-based). Used by the Fig 9 harness.
+	// (hop is 1-based): Fig 9's and the multi-tenant scenario's ground
+	// truth.
 	hopHook func(pkt *netsim.Packet, hop int, latNs int64)
-	// deliverHook, when set, observes every packet arriving at a host.
-	// Used by the collection-overhead harness.
+	// deliverHook, when set, observes every packet arriving at a host (the
+	// collection-overhead scenario's report stream).
 	deliverHook func(h *netsim.HostNode, pkt *netsim.Packet)
-}
-
-// runLoadWithHook is RunLoad with a per-hop latency observer attached.
-func runLoadWithHook(cfg LoadRunConfig, hook func(pkt *netsim.Packet, hop int, latNs int64)) (*LoadRunResult, error) {
-	cfg.hopHook = hook
-	return RunLoad(cfg)
-}
-
-// RunLoadWithHopHook exposes the hop-latency observer to the scenario
-// registry: hook sees every data packet's (packet, 1-based hop, latency).
-func RunLoadWithHopHook(cfg LoadRunConfig, hook func(pkt *netsim.Packet, hop int, latNs int64)) (*LoadRunResult, error) {
-	return runLoadWithHook(cfg, hook)
 }
 
 // LoadRunResult aggregates one run.
 type LoadRunResult struct {
 	Collector *transport.Collector
-	Net       *netsim.Network
 	BaseRTTNs int64
 	HostBps   int64
 	// TenantOf maps flow IDs to LoadRunConfig.Tenants indices; nil for
@@ -234,28 +93,24 @@ func RunLoad(cfg LoadRunConfig) (*LoadRunResult, error) {
 		return nil, err
 	}
 	baseRTT := s.BaseRTTNs()
-	if cfg.deliverHook != nil {
-		net.OnDeliver = cfg.deliverHook
-	}
+	net.OnDeliver = cfg.deliverHook
 	if cfg.hopHook != nil {
-		hook := cfg.hopHook
 		net.OnHopLatency = func(sw *netsim.SwitchNode, pkt *netsim.Packet, lat int64) {
 			if !pkt.Ack {
-				hook(pkt, pkt.Hops+1, lat)
+				cfg.hopHook(pkt, pkt.Hops+1, lat)
 			}
 		}
 	}
 
+	if cfg.PintBits == 0 {
+		cfg.PintBits = 8
+	}
 	var pu *transport.PINTUtilization
 	switch cfg.Kind {
 	case KindHPCCINT:
 		transport.AttachINTHook(net)
 	case KindHPCCPINT:
-		bits := cfg.PintBits
-		if bits == 0 {
-			bits = 8
-		}
-		pu, err = transport.AttachPINTHook(net, baseRTT, bits)
+		pu, err = transport.AttachPINTHook(net, baseRTT, cfg.PintBits)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +142,6 @@ func RunLoad(cfg LoadRunConfig) (*LoadRunResult, error) {
 	col := &transport.Collector{}
 	sel := hash.NewGlobal(hash.Seed(s.Seed).Derive(0x5E1))
 	for _, f := range flows {
-		f := f
 		stats := &transport.FlowStats{ID: f.ID, Bytes: f.Bytes, StartNs: f.Start}
 		col.Add(stats)
 		sim.At(f.Start, func() {
@@ -310,9 +164,6 @@ func RunLoad(cfg LoadRunConfig) (*LoadRunResult, error) {
 				hc := transport.DefaultHPCCConfig(cfg.Scale.HostBps, baseRTT)
 				hc.Mode = transport.FeedbackPINT
 				hc.PintBits = cfg.PintBits
-				if hc.PintBits == 0 {
-					hc.PintBits = 8
-				}
 				hc.DecodeU = pu.Decode
 				if cfg.PintP > 0 && cfg.PintP < 1 {
 					p := cfg.PintP
@@ -325,8 +176,7 @@ func RunLoad(cfg LoadRunConfig) (*LoadRunResult, error) {
 		})
 	}
 	sim.Run(s.DurationNs * 4)
-	return &LoadRunResult{Collector: col, Net: net, BaseRTTNs: baseRTT,
-		HostBps: s.HostBps, TenantOf: tenantOf}, nil
+	return &LoadRunResult{Collector: col, BaseRTTNs: baseRTT, HostBps: s.HostBps, TenantOf: tenantOf}, nil
 }
 
 // tenantFlows draws every tenant's Poisson arrivals with an independent
@@ -428,85 +278,4 @@ func (r *LoadRunResult) AvgGoodputLong(minBytes int64) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// PercentileSlowdownByBin computes the q-quantile slowdown within flow-size
-// bins delimited by edges (ascending); bin i covers (edges[i-1], edges[i]].
-func PercentileSlowdownByBin(sizes []int64, slow []float64, edges []int64, q float64) []float64 {
-	out := make([]float64, len(edges))
-	for i := range edges {
-		var lo int64
-		if i > 0 {
-			lo = edges[i-1]
-		}
-		var vals []float64
-		for j, sz := range sizes {
-			if sz > lo && sz <= edges[i] {
-				vals = append(vals, slow[j])
-			}
-		}
-		if len(vals) == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		sort.Float64s(vals)
-		idx := int(math.Ceil(q*float64(len(vals)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out[i] = vals[idx]
-	}
-	return out
-}
-
-// Table is a printable experiment result. Cells are strings, so JSON
-// serialization (the scenario registry's -json output and golden files)
-// is byte-stable.
-type Table struct {
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-}
-
-// String renders the table with aligned columns.
-func (t Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for i, c := range t.Columns {
-		fmt.Fprintf(&b, "%-*s  ", widths[i], c)
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		for i, c := range r {
-			fmt.Fprintf(&b, "%-*s  ", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// F formats a float compactly for table cells.
-func F(v float64) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	switch {
-	case math.Abs(v) >= 1000:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 10:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
-	}
 }

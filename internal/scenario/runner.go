@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/experiments"
 )
 
 // Options configures one Runner invocation.
 type Options struct {
-	// Scale is validated up front (see experiments.Scale.Validate), so a
+	// Scale is validated up front (see Scale.Validate), so a
 	// bad knob — including Shards — fails loudly for every scenario.
-	Scale experiments.Scale
+	Scale Scale
 	// Parallel is the trial worker-pool size; values < 1 mean 1. Results
 	// are bit-identical for any value: trials are hermetic, outputs land
 	// at their plan index, and reduction is serial.
 	Parallel int
 }
 
-// MaxParallel bounds Options.Parallel the way experiments.MaxShards
-// bounds Scale.Shards.
+// MaxParallel bounds Options.Parallel the way MaxShards bounds
+// Scale.Shards.
 const MaxParallel = 256
 
 func (o Options) validate() error {
@@ -136,23 +134,46 @@ func RunMany(scs []*Scenario, opts Options) ([]*Result, error) {
 	return results, nil
 }
 
-// RunNames resolves names ("all" or an explicit list) and runs them over
-// one shared pool.
+// RunNames resolves names and runs them over one shared pool, each
+// scenario once.
 func RunNames(names []string, opts Options) ([]*Result, error) {
+	scs, err := resolveNames(names)
+	if err != nil {
+		return nil, err
+	}
+	return RunMany(scs, opts)
+}
+
+// resolveNames turns a name list into the set of scenarios it mentions,
+// in first-mention order; "all" expands, in Names order, to every
+// scenario not yet listed.
+func resolveNames(names []string) ([]*Scenario, error) {
 	var scs []*Scenario
-	for _, name := range names {
+	seen := map[*Scenario]bool{}
+	add := func(sc *Scenario) {
+		if !seen[sc] {
+			seen[sc] = true
+			scs = append(scs, sc)
+		}
+	}
+	for i, name := range names {
+		if name == "" {
+			return nil, fmt.Errorf("scenario: empty name at position %d of %q", i+1, names)
+		}
 		if name == "all" {
-			scs = All()
+			for _, sc := range All() {
+				add(sc)
+			}
 			continue
 		}
 		sc, ok := Lookup(name)
 		if !ok {
 			return nil, unknownNameError(name)
 		}
-		scs = append(scs, sc)
+		add(sc)
 	}
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("scenario: nothing to run")
 	}
-	return RunMany(scs, opts)
+	return scs, nil
 }

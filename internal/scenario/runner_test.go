@@ -2,11 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 // syntheticScenario builds a scenario of n trials whose outputs encode
@@ -17,7 +16,7 @@ func syntheticScenario(name string, n int, fail int) Scenario {
 		Name:   name,
 		Figure: "new",
 		Desc:   "runner test scenario",
-		Plan: func(s experiments.Scale) ([]Trial, error) {
+		Plan: func(s Scale) ([]Trial, error) {
 			var trials []Trial
 			for i := 0; i < n; i++ {
 				i := i
@@ -33,12 +32,12 @@ func syntheticScenario(name string, n int, fail int) Scenario {
 			}
 			return trials, nil
 		},
-		Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-			t := experiments.Table{Title: "synthetic", Columns: []string{"i", "sq"}}
+		Reduce: func(s Scale, outs []any) ([]Table, error) {
+			t := Table{Title: "synthetic", Columns: []string{"i", "sq"}}
 			for i, out := range outs {
 				t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", i), fmt.Sprintf("%d", out.(int))})
 			}
-			return []experiments.Table{t}, nil
+			return []Table{t}, nil
 		},
 	}
 }
@@ -46,7 +45,7 @@ func syntheticScenario(name string, n int, fail int) Scenario {
 func TestRunnerOutputsIndexedByPlanOrder(t *testing.T) {
 	sc := syntheticScenario("synth", 64, -1)
 	for _, par := range []int{1, 3, 16} {
-		res, err := Run(&sc, Options{Scale: experiments.Quick(), Parallel: par})
+		res, err := Run(&sc, Options{Scale: Quick(), Parallel: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +63,7 @@ func TestRunnerOutputsIndexedByPlanOrder(t *testing.T) {
 func TestRunnerDeterministicError(t *testing.T) {
 	sc := syntheticScenario("synth-fail", 64, 17)
 	for _, par := range []int{1, 8} {
-		_, err := Run(&sc, Options{Scale: experiments.Quick(), Parallel: par})
+		_, err := Run(&sc, Options{Scale: Quick(), Parallel: par})
 		if err == nil || !strings.Contains(err.Error(), "t17") {
 			t.Fatalf("parallel=%d: want trial t17 failure, got %v", par, err)
 		}
@@ -73,17 +72,17 @@ func TestRunnerDeterministicError(t *testing.T) {
 
 func TestRunnerValidatesScale(t *testing.T) {
 	sc := syntheticScenario("synth-scale", 4, -1)
-	bad := experiments.Quick()
+	bad := Quick()
 	bad.Shards = -3
 	if _, err := Run(&sc, Options{Scale: bad}); err == nil {
 		t.Fatal("invalid Shards accepted")
 	}
-	bad = experiments.Quick()
+	bad = Quick()
 	bad.Trials = 0
 	if _, err := Run(&sc, Options{Scale: bad}); err == nil {
 		t.Fatal("invalid Trials accepted")
 	}
-	if _, err := Run(&sc, Options{Scale: experiments.Quick(), Parallel: MaxParallel + 1}); err == nil {
+	if _, err := Run(&sc, Options{Scale: Quick(), Parallel: MaxParallel + 1}); err == nil {
 		t.Fatal("oversized Parallel accepted")
 	}
 }
@@ -93,7 +92,7 @@ func TestRunManySharesThePool(t *testing.T) {
 	mk := func(name string) Scenario {
 		return Scenario{
 			Name: name, Figure: "new",
-			Plan: func(s experiments.Scale) ([]Trial, error) {
+			Plan: func(s Scale) ([]Trial, error) {
 				var trials []Trial
 				for i := 0; i < 8; i++ {
 					trials = append(trials, Trial{Name: "t", Run: func() (any, error) {
@@ -110,13 +109,13 @@ func TestRunManySharesThePool(t *testing.T) {
 				}
 				return trials, nil
 			},
-			Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-				return []experiments.Table{{Title: name}}, nil
+			Reduce: func(s Scale, outs []any) ([]Table, error) {
+				return []Table{{Title: name}}, nil
 			},
 		}
 	}
 	a, b := mk("pool-a"), mk("pool-b")
-	res, err := RunMany([]*Scenario{&a, &b}, Options{Scale: experiments.Quick(), Parallel: 4})
+	res, err := RunMany([]*Scenario{&a, &b}, Options{Scale: Quick(), Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +124,54 @@ func TestRunManySharesThePool(t *testing.T) {
 	}
 	if peak.Load() > 4 {
 		t.Fatalf("pool exceeded Parallel: peak %d", peak.Load())
+	}
+}
+
+// TestRunNamesResolution pins how a name list becomes a run: a set in
+// first-mention order, "all" expanding to whatever is not yet listed.
+func TestRunNamesResolution(t *testing.T) {
+	rest := func(first string) []string { // first, then every other name in Names order
+		out := []string{first}
+		for _, name := range Names() {
+			if name != first {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		names   []string
+		want    []string
+		wantErr string
+	}{
+		{names: []string{"fig1", "all"}, want: rest("fig1")},
+		{names: []string{"all", "fig1"}, want: Names()},
+		{names: []string{"fig1", "fig1"}, want: []string{"fig1"}},
+		{names: []string{"fig9", "fig1"}, want: []string{"fig9", "fig1"}},
+		{names: []string{"fig1", ""}, wantErr: "empty name at position 2"},
+		{names: nil, wantErr: "nothing to run"},
+	} {
+		scs, err := resolveNames(tc.names)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("resolveNames(%q): error %v, want it to contain %q", tc.names, err, tc.wantErr)
+			}
+			if err != nil && strings.Contains(err.Error(), `unknown scenario ""`) {
+				t.Errorf("resolveNames(%q) looked the empty name up: %v", tc.names, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("resolveNames(%q): %v", tc.names, err)
+			continue
+		}
+		got := make([]string, len(scs))
+		for i, sc := range scs {
+			got[i] = sc.Name
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("resolveNames(%q) = %v, want %v", tc.names, got, tc.want)
+		}
 	}
 }
 
@@ -143,6 +190,8 @@ func TestRegistryShape(t *testing.T) {
 		"fig1", "fig5", "medians", "fig7a", "fig7b", "fig7c", "fig8", "fig9",
 		"fig10a", "fig10b", "fig10c", "fig11", "collection",
 		"route-change", "ecmp-imbalance", "multi-tenant", "pathtrace",
+		"ablation-hash-vs-fragment", "ablation-multi-instance", "ablation-lnc",
+		"ablation-epsilon", "loop-detect",
 	} {
 		if _, ok := Lookup(want); !ok {
 			t.Fatalf("scenario %q missing from registry", want)
@@ -160,7 +209,7 @@ func TestRegistryShape(t *testing.T) {
 	if newCount < 3 {
 		t.Fatalf("only %d non-paper scenarios registered", newCount)
 	}
-	if _, err := RunByName("no-such-scenario", Options{Scale: experiments.Quick()}); err == nil {
+	if _, err := RunByName("no-such-scenario", Options{Scale: Quick()}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

@@ -1,15 +1,15 @@
 // Package scenario is the declarative experiment engine of the
 // reproduction: every paper figure — and any number of non-paper
 // scenarios — is a Scenario value in a registry, executed by one shared
-// Runner instead of hand-wired FigXX drivers.
+// Runner; no figure has any other driver.
 //
 // A Scenario declares what it is (name, paper figure or "new", topology,
 // workload, transport, query set, recording stack) and how to run it:
 //
-//   - Plan expands the scenario into independent Trials at a given
-//     experiments.Scale. Each trial owns all of its randomness up front —
-//     seeds are derived by hash.RNG fan-out (or pure functions of the
-//     scale) during planning, never drawn while trials execute;
+//   - Plan expands the scenario into independent Trials at a given Scale.
+//     Each trial owns all of its randomness up front — seeds are derived
+//     by hash.RNG fan-out (or pure functions of the scale) during
+//     planning, never drawn while trials execute;
 //   - the Runner executes trials across a worker pool and stores each
 //     output at its trial index;
 //   - Reduce folds the indexed outputs into printable/JSON tables.
@@ -25,14 +25,20 @@
 // Scenarios that record digests do so through the production collector
 // stack — Engine batch encode, the internal/wire switch→collector format,
 // and the sharded sink (internal/pipeline) with Scale.Shards workers.
+//
+// An experiment lives in one file: its simulation or trial function, its
+// trial axis and its table sit next to the Scenario that registers them
+// (overhead.go, coding.go, hpcc.go, latency.go, path.go, combined.go,
+// collection.go, ecmp.go, multitenant.go, ablation.go, and one file per
+// system scenario). The harness they share is scale.go (Scale and its
+// presets), load.go (the loaded-network simulation), record.go (the
+// engine→wire→sink recording path) and table.go.
 package scenario
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"repro/internal/experiments"
 )
 
 // Trial is one independent unit of a scenario's work. Run must be
@@ -64,20 +70,61 @@ type Scenario struct {
 	Queries   string
 	Stack     string
 	// Plan expands the scenario into trials at scale s.
-	Plan func(s experiments.Scale) ([]Trial, error)
+	Plan func(s Scale) ([]Trial, error)
 	// Reduce folds trial outputs (indexed exactly as Plan returned the
 	// trials) into result tables. It runs after every trial finished.
-	Reduce func(s experiments.Scale, outs []any) ([]experiments.Table, error)
+	Reduce func(s Scale, outs []any) ([]Table, error)
+}
+
+// Setup labels several scenarios' descriptive fields share.
+const (
+	stackNone      = "transport sim (no recording path)"
+	stackCoding    = "coding harness (no recording path)"
+	stackFullSink  = "engine→wire→sharded sink"
+	leafSpineTopo  = "leaf-spine (Scale.Pods)"
+	transportHPCC  = "HPCC(INT) vs HPCC(PINT)"
+	transportPINTd = "HPCC(PINT)"
+)
+
+// trial is a Trial whose output type is known to its scenario.
+type trial[T any] struct {
+	Name string
+	Run  func() (T, error)
+}
+
+// define builds a Scenario from a typed plan and reduce: every trial
+// returns a T and reduce sees the outputs as a []T in plan order, so the
+// assertion from the runner's []any happens once, here.
+func define[T any](sc Scenario, plan func(s Scale) ([]trial[T], error), reduce func(s Scale, outs []T) ([]Table, error)) Scenario {
+	sc.Plan = func(s Scale) ([]Trial, error) {
+		typed, err := plan(s)
+		if err != nil {
+			return nil, err
+		}
+		trials := make([]Trial, len(typed))
+		for i, t := range typed {
+			trials[i] = Trial{Name: t.Name, Run: func() (any, error) { return t.Run() }}
+		}
+		return trials, nil
+	}
+	sc.Reduce = func(s Scale, outs []any) ([]Table, error) {
+		typed := make([]T, len(outs))
+		for i, out := range outs {
+			typed[i] = out.(T)
+		}
+		return reduce(s, typed)
+	}
+	return sc
 }
 
 // Result is one scenario's reduced output: a JSON-stable, printable
 // record (all table cells are strings, so serialization is byte-stable).
 type Result struct {
-	Scenario string              `json:"scenario"`
-	Figure   string              `json:"figure"`
-	Desc     string              `json:"desc,omitempty"`
-	Trials   int                 `json:"trials"`
-	Tables   []experiments.Table `json:"tables"`
+	Scenario string  `json:"scenario"`
+	Figure   string  `json:"figure"`
+	Desc     string  `json:"desc,omitempty"`
+	Trials   int     `json:"trials"`
+	Tables   []Table `json:"tables"`
 }
 
 var (

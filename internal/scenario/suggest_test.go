@@ -3,8 +3,6 @@ package scenario
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 func TestSuggestNearMisses(t *testing.T) {
@@ -39,7 +37,7 @@ func TestSuggestNearMisses(t *testing.T) {
 }
 
 func TestUnknownScenarioErrorSuggests(t *testing.T) {
-	_, err := RunNames([]string{"colector-scale"}, Options{Scale: experiments.Quick()})
+	_, err := RunNames([]string{"colector-scale"}, Options{Scale: Quick()})
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
@@ -47,7 +45,7 @@ func TestUnknownScenarioErrorSuggests(t *testing.T) {
 		!strings.Contains(err.Error(), "collector-scale") {
 		t.Fatalf("miss error lacks suggestions: %v", err)
 	}
-	_, err = RunByName("fig10x", Options{Scale: experiments.Quick()})
+	_, err = RunByName("fig10x", Options{Scale: Quick()})
 	if err == nil || !strings.Contains(err.Error(), "did you mean") {
 		t.Fatalf("RunByName miss lacks suggestions: %v", err)
 	}

@@ -1,0 +1,68 @@
+package scenario
+
+import (
+	"fmt"
+	"math"
+	"strings"
+)
+
+// Table is a printable experiment result. Cells are strings, so JSON
+// serialization (the scenario registry's -json output and golden files)
+// is byte-stable.
+type Table struct {
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+}
+
+// String renders the table with aligned columns.
+func (t Table) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", t.Title)
+	widths := make([]int, len(t.Columns))
+	for i, c := range t.Columns {
+		widths[i] = len(c)
+	}
+	for _, r := range t.Rows {
+		for i, c := range r {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	for i, c := range t.Columns {
+		fmt.Fprintf(&b, "%-*s  ", widths[i], c)
+	}
+	b.WriteByte('\n')
+	for _, r := range t.Rows {
+		for i, c := range r {
+			fmt.Fprintf(&b, "%-*s  ", widths[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// F formats a float compactly for table cells.
+func F(v float64) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	switch {
+	case math.Abs(v) >= 1000:
+		return fmt.Sprintf("%.0f", v)
+	case math.Abs(v) >= 10:
+		return fmt.Sprintf("%.1f", v)
+	default:
+		return fmt.Sprintf("%.3f", v)
+	}
+}
+
+// yesNo renders a conformance verdict; a failure is upper-case so it
+// stands out in a column of passes.
+func yesNo(ok bool) string {
+	if ok {
+		return "yes"
+	}
+	return "NO"
+}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/admit"
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/hash"
 	"repro/internal/pipeline"
 )
@@ -43,7 +42,7 @@ type tenantOverloadOut struct {
 var tenantOverloadShardAxis = []int{1, 4}
 
 func tenantOverloadScenario() Scenario {
-	return Scenario{
+	return define(Scenario{
 		Name:     "tenant-overload",
 		Figure:   "new",
 		Desc:     "hog tenant shed to its quota at a published sampling rate while the victim tenant loses nothing; AIMD capacity collapses and recovers under scripted stalls",
@@ -51,73 +50,63 @@ func tenantOverloadScenario() Scenario {
 		Workload: "hog at 5x quota + victim at half quota, fixed-cadence frames under an injected clock",
 		Queries:  "path 2×(b=4) + latency 8b in 16 bits",
 		Stack:    "engine→admit (token buckets + seeded shed)→pipeline sink→answers; AIMD controller on scripted stalls",
-		Plan: func(s experiments.Scale) ([]Trial, error) {
-			seed := uint64(hash.Seed(s.Seed).Derive(0x7E4A7))
-			ticks := 10 * s.Trials
-			if ticks > 60 {
-				ticks = 60
-			}
-			var trials []Trial
-			for _, shards := range tenantOverloadShardAxis {
-				shards := shards
-				trials = append(trials, Trial{
-					Name: fmt.Sprintf("shards-%d", shards),
-					Run: func() (any, error) {
-						return runTenantOverloadTrial(seed, shards, ticks)
-					},
-				})
-			}
-			return trials, nil
-		},
-		Reduce: func(s experiments.Scale, outs []any) ([]experiments.Table, error) {
-			admission := experiments.Table{
-				Title:   "Tenant overload: quota shedding with a published error envelope",
-				Columns: []string{"sink shards", "tenant", "offered", "admitted", "shed", "sample rate", "count scale", "q-rank err", "count err (max/bound)", "victim intact"},
-			}
-			aimd := experiments.Table{
-				Title:   "AIMD capacity under scripted stalls: initial, congested, floor, recovered",
-				Columns: []string{"sink shards", "capacity trajectory (pkt/s)", "backoffs", "probes"},
-			}
-			yn := func(b bool) string {
-				if b {
-					return "yes"
+	}, func(s Scale) ([]trial[tenantOverloadOut], error) {
+		seed := uint64(hash.Seed(s.Seed).Derive(0x7E4A7))
+		ticks := 10 * s.Trials
+		if ticks > 60 {
+			ticks = 60
+		}
+		var trials []trial[tenantOverloadOut]
+		for _, shards := range tenantOverloadShardAxis {
+			trials = append(trials, trial[tenantOverloadOut]{
+				Name: fmt.Sprintf("shards-%d", shards),
+				Run: func() (tenantOverloadOut, error) {
+					return runTenantOverloadTrial(seed, shards, ticks)
+				},
+			})
+		}
+		return trials, nil
+	}, func(s Scale, outs []tenantOverloadOut) ([]Table, error) {
+		admission := Table{
+			Title:   "Tenant overload: quota shedding with a published error envelope",
+			Columns: []string{"sink shards", "tenant", "offered", "admitted", "shed", "sample rate", "count scale", "q-rank err", "count err (max/bound)", "victim intact"},
+		}
+		aimd := Table{
+			Title:   "AIMD capacity under scripted stalls: initial, congested, floor, recovered",
+			Columns: []string{"sink shards", "capacity trajectory (pkt/s)", "backoffs", "probes"},
+		}
+		for _, o := range outs {
+			row := func(ts admit.TenantStats, errCell, intact string) []string {
+				return []string{
+					fmt.Sprintf("%d", o.shards),
+					ts.Tenant,
+					fmt.Sprintf("%d", ts.Offered),
+					fmt.Sprintf("%d", ts.Admitted),
+					fmt.Sprintf("%d", ts.Shed),
+					fmt.Sprintf("%.4f", ts.SampleRate),
+					fmt.Sprintf("%.4f", ts.CountScale),
+					fmt.Sprintf("%.4f", ts.QuantileRankError),
+					errCell,
+					intact,
 				}
-				return "NO"
 			}
-			for _, out := range outs {
-				o := out.(tenantOverloadOut)
-				row := func(ts admit.TenantStats, errCell, intact string) []string {
-					return []string{
-						fmt.Sprintf("%d", o.shards),
-						ts.Tenant,
-						fmt.Sprintf("%d", ts.Offered),
-						fmt.Sprintf("%d", ts.Admitted),
-						fmt.Sprintf("%d", ts.Shed),
-						fmt.Sprintf("%.4f", ts.SampleRate),
-						fmt.Sprintf("%.4f", ts.CountScale),
-						fmt.Sprintf("%.4f", ts.QuantileRankError),
-						errCell,
-						intact,
-					}
+			admission.Rows = append(admission.Rows,
+				row(o.hog, fmt.Sprintf("%.4f/%.4f", o.hogMaxErr, o.hogEnvelope), "-"),
+				row(o.victim, "0.0000/0.0000", yesNo(o.victimIntact)))
+			traj := ""
+			for i, c := range o.capacity {
+				if i > 0 {
+					traj += " -> "
 				}
-				admission.Rows = append(admission.Rows,
-					row(o.hog, fmt.Sprintf("%.4f/%.4f", o.hogMaxErr, o.hogEnvelope), "-"),
-					row(o.victim, "0.0000/0.0000", yn(o.victimIntact)))
-				traj := ""
-				for i, c := range o.capacity {
-					if i > 0 {
-						traj += " -> "
-					}
-					traj += fmt.Sprintf("%.0f", c)
-				}
-				aimd.Rows = append(aimd.Rows, []string{
-					fmt.Sprintf("%d", o.shards), traj,
-					fmt.Sprintf("%d", o.backoffs), fmt.Sprintf("%d", o.probes),
-				})
+				traj += fmt.Sprintf("%.0f", c)
 			}
-			return []experiments.Table{admission, aimd}, nil
-		},
-	}
+			aimd.Rows = append(aimd.Rows, []string{
+				fmt.Sprintf("%d", o.shards), traj,
+				fmt.Sprintf("%d", o.backoffs), fmt.Sprintf("%d", o.probes),
+			})
+		}
+		return []Table{admission, aimd}, nil
+	})
 }
 
 // runTenantOverloadTrial drives ticks frames of hog and victim traffic

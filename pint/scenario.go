@@ -1,9 +1,6 @@
 package pint
 
-import (
-	"repro/internal/experiments"
-	"repro/internal/scenario"
-)
+import "repro/internal/scenario"
 
 // The scenario API: the declarative experiment registry and its parallel,
 // deterministic trial runner (internal/scenario). Downstream users can
@@ -24,23 +21,24 @@ type ScenarioResult = scenario.Result
 
 // Table is a printable, JSON-stable experiment result (the unit scenario
 // Reduce functions emit).
-type Table = experiments.Table
+type Table = scenario.Table
 
 // ScenarioOptions configures a runner invocation (scale + worker count).
 type ScenarioOptions = scenario.Options
 
 // Scale bundles the knobs that size an experiment (durations, topology
 // shape, trials, seed, recording-sink shards). See Quick/Bench/Paper.
-type Scale = experiments.Scale
+type Scale = scenario.Scale
 
 // QuickScale/BenchScale/PaperScale are the stock experiment sizes.
-func QuickScale() Scale { return experiments.Quick() }
+func QuickScale() Scale { return scenario.Quick() }
 
-// BenchScale is the `go test -bench` size (see QuickScale).
-func BenchScale() Scale { return experiments.Bench() }
+// BenchScale is pintfig's default size: seconds per scenario (see
+// QuickScale).
+func BenchScale() Scale { return scenario.Bench() }
 
 // PaperScale approaches the paper's setup (see QuickScale).
-func PaperScale() Scale { return experiments.Paper() }
+func PaperScale() Scale { return scenario.Paper() }
 
 // RegisterScenario adds a scenario to the registry (panics on duplicates
 // or incomplete definitions — registration is an init-time act).
