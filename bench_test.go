@@ -7,6 +7,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -22,14 +23,14 @@ import (
 	"repro/internal/wire"
 )
 
-// --- Compiled batch pipeline: hot-path benchmarks ---
+// --- Encode hot path ---
 //
-// The three HotPath benchmarks compare the seed's per-packet interface +
-// closure path against the compiled per-packet and batch paths on the
-// Fig-11 combined plan (path 2x(b=4) + latency + HPCC in 16 bits), each
-// doing a full 5-hop encode plus sink-side extract per packet. The
-// acceptance bar: the batch path allocates 0 B/op and at least doubles
-// the seed path's single-core throughput.
+// BenchmarkHotPath_BatchEncodeExtract times the one encode path — the
+// column passes behind EncodeHopBatch — on the Fig-11 combined plan (path
+// 2x(b=4) + latency + HPCC in 16 bits): a full 5-hop encode plus
+// sink-side extract per packet, at the batch sizes a simulator's
+// per-dequeue hook (n=1), a small burst (n=16) and an exporter (n=256)
+// drive. The bar is 0 allocs/op at every size.
 
 func benchCombinedPlan(b *testing.B) (*core.Engine, []core.Query) {
 	b.Helper()
@@ -64,74 +65,31 @@ func benchCombinedPlan(b *testing.B) (*core.Engine, []core.Query) {
 
 const benchHops = 5
 
-func BenchmarkHotPath_SeedEncodeExtract(b *testing.B) {
-	eng, _ := benchCombinedPlan(b)
-	valueOf := func(q core.Query) uint64 {
-		switch q.(type) {
-		case *core.PathQuery:
-			return 0xAB000007
-		case *core.LatencyQuery:
-			return 12345
-		case *core.UtilQuery:
-			return 501
-		}
-		return 0
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pktID := hash.Mix64(uint64(i))
-		var digest uint64
-		for hop := 1; hop <= benchHops; hop++ {
-			digest = eng.EncodeHop(pktID, hop, digest, valueOf)
-		}
-		for _, ex := range eng.Extract(pktID, digest) {
-			_ = ex
-		}
-	}
-}
-
-func BenchmarkHotPath_CompiledEncodeExtract(b *testing.B) {
-	eng, _ := benchCombinedPlan(b)
-	hv := core.HopValues{SwitchID: 0xAB000007, LatencyNs: 12345, Util: 501}
-	var buf []core.Extracted
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pktID := hash.Mix64(uint64(i))
-		var digest uint64
-		for hop := 1; hop <= benchHops; hop++ {
-			digest = eng.EncodeHopValues(pktID, hop, digest, &hv)
-		}
-		buf = eng.ExtractInto(pktID, digest, buf[:0])
-	}
-}
-
 func BenchmarkHotPath_BatchEncodeExtract(b *testing.B) {
 	eng, _ := benchCombinedPlan(b)
-	const batch = 512
-	pkts := make([]core.PacketDigest, batch)
-	vals := make([]core.HopValues, batch)
-	for j := range vals {
-		vals[j] = core.HopValues{SwitchID: 0xAB000007, LatencyNs: 12345, Util: 501}
-	}
-	var buf []core.Extracted
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		n := batch
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		for j := 0; j < n; j++ {
-			pkts[j] = core.PacketDigest{Flow: 1, PktID: hash.Mix64(uint64(i + j)), PathLen: benchHops}
-		}
-		for hop := 1; hop <= benchHops; hop++ {
-			eng.EncodeHopBatch(hop, pkts[:n], vals[:n])
-		}
-		for j := 0; j < n; j++ {
-			buf = eng.ExtractPacketInto(&pkts[j], buf[:0])
-		}
+	for _, batch := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("n=%d", batch), func(b *testing.B) {
+			pkts := make([]core.PacketDigest, batch)
+			vals := make([]core.HopValues, batch)
+			for j := range vals {
+				vals[j] = core.HopValues{SwitchID: 0xAB000007, LatencyNs: 12345, Util: 501}
+			}
+			var buf []core.Extracted
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				n := min(batch, b.N-i)
+				for j := 0; j < n; j++ {
+					pkts[j] = core.PacketDigest{Flow: 1, PktID: hash.Mix64(uint64(i + j)), PathLen: benchHops}
+				}
+				for hop := 1; hop <= benchHops; hop++ {
+					eng.EncodeHopBatch(hop, pkts[:n], vals[:n])
+				}
+				for j := 0; j < n; j++ {
+					buf = eng.ExtractInto(pkts[j].PktID, pkts[j].Digest, buf[:0])
+				}
+			}
+		})
 	}
 }
 

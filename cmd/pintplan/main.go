@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npipeline: %d of %d stages used\n", layout.Stages, core.StageBudget)
-	for name, ops := range layout.Columns {
-		fmt.Printf("  %-14s %s\n", name+":", strings.Join(ops, " -> "))
+	for _, col := range layout.Columns {
+		fmt.Printf("  %-14s %s\n", col.Name+":", strings.Join(col.Ops, " -> "))
 	}
 }

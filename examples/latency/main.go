@@ -63,15 +63,12 @@ func main() {
 		truth := make([][]float64, k)
 		for i := 0; i < packets; i++ {
 			pktID := rng.Uint64()
-			vals := make([]float64, k)
 			var digest uint64
 			for hop := 1; hop <= k; hop++ {
 				v := sample(hop)
-				vals[hop-1] = v
 				truth[hop-1] = append(truth[hop-1], v)
-				h := hop
-				digest = engine.EncodeHop(pktID, hop, digest,
-					func(pint.Query) uint64 { return uint64(vals[h-1]) })
+				digest = engine.EncodeHopValues(pktID, hop, digest,
+					&pint.HopValues{LatencyNs: uint64(v)})
 			}
 			if err := rec.Record(flow, k, pktID, digest); err != nil {
 				log.Fatal(err)

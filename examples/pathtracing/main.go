@@ -73,9 +73,8 @@ func main() {
 				pktID := rng.Uint64()
 				var digest uint64
 				for hop := 1; hop <= len(values); hop++ {
-					h := hop
-					digest = engine.EncodeHop(pktID, hop, digest,
-						func(pint.Query) uint64 { return values[h-1] })
+					digest = engine.EncodeHopValues(pktID, hop, digest,
+						&pint.HopValues{SwitchID: values[hop-1]})
 				}
 				if err := rec.Record(flow, len(values), pktID, digest); err != nil {
 					log.Fatal(err)

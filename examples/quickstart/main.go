@@ -64,16 +64,9 @@ func main() {
 		pktID := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			h := hop
-			digest = engine.EncodeHop(pktID, hop, digest, func(q pint.Query) uint64 {
-				switch q.(type) {
-				case *pint.PathQuery:
-					return path[h-1] // the switch writes its own ID
-				case *pint.LatencyQuery:
-					// Jittered per-hop latency in ns.
-					return hopLatency[h-1] + rng.Uint64()%300
-				}
-				return 0
+			digest = engine.EncodeHopValues(pktID, hop, digest, &pint.HopValues{
+				SwitchID:  path[hop-1],                          // the switch writes its own ID
+				LatencyNs: hopLatency[hop-1] + rng.Uint64()%300, // jittered per-hop latency
 			})
 		}
 		if err := rec.Record(flow, k, pktID, digest); err != nil {

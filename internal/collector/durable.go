@@ -193,9 +193,7 @@ func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) (
 // are a function of its own digests — so the replay costs a decode of the
 // window plus the state of the flows asked for.
 func (d *DurableSink) windowRecording(since, until uint64, flows []core.FlowKey) (*core.Recording, []core.FlowKey, error) {
-	cfg := d.pcfg
-	cfg.MaxFlows = 0 // a window answers for every flow it saw
-	rec, err := pipeline.NewRecording(d.engine, cfg)
+	rec, err := pipeline.NewRecording(d.engine, d.pcfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -64,28 +64,9 @@ func hopValuesFor(pktID uint64, hop int, universe0 uint64) HopValues {
 	}
 }
 
-// valueOfClosure adapts HopValues back to the legacy closure API.
-func valueOfClosure(v *HopValues) func(Query) uint64 {
-	return func(q Query) uint64 {
-		switch q.(type) {
-		case *PathQuery:
-			return v.SwitchID
-		case *LatencyQuery:
-			return v.LatencyNs
-		case *UtilQuery:
-			return v.Util
-		case *FreqQuery:
-			return v.FreqValue
-		case *CountQuery:
-			return v.CountFired
-		}
-		return 0
-	}
-}
-
-// TestCompiledEncodeMatchesLegacy checks the compiled per-packet and batch
-// encoders produce digests bit-identical to the closure-based EncodeHop,
-// across every query kind and set of the plan.
+// TestCompiledEncodeMatchesLegacy holds EncodeHopBatch and EncodeHopValues
+// to the oracle on the five-kind plan: every query kind and every set of
+// the plan in one digest, over a full path.
 func TestCompiledEncodeMatchesLegacy(t *testing.T) {
 	eng, _, _, _, _, _ := combinedTestPlan(t, 7)
 	const k = 6
@@ -94,41 +75,33 @@ func TestCompiledEncodeMatchesLegacy(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = PacketDigest{Flow: FlowKey(i % 5), PktID: rng.Uint64(), PathLen: k}
 	}
-	legacy := make([]uint64, len(pkts))
-	compiled := make([]uint64, len(pkts))
 	vals := make([]HopValues, len(pkts))
 	for hop := 1; hop <= k; hop++ {
 		for i := range pkts {
 			vals[i] = hopValuesFor(pkts[i].PktID, hop, 0xAB00)
-			legacy[i] = eng.EncodeHop(pkts[i].PktID, hop, legacy[i], valueOfClosure(&vals[i]))
-			compiled[i] = eng.EncodeHopValues(pkts[i].PktID, hop, compiled[i], &vals[i])
 		}
-		eng.EncodeHopBatch(hop, pkts, vals)
-		for i := range pkts {
-			if legacy[i] != compiled[i] {
-				t.Fatalf("hop %d pkt %d: EncodeHopValues %#x != EncodeHop %#x",
-					hop, i, compiled[i], legacy[i])
-			}
-			if pkts[i].Digest != legacy[i] {
-				t.Fatalf("hop %d pkt %d: EncodeHopBatch %#x != EncodeHop %#x",
-					hop, i, pkts[i].Digest, legacy[i])
-			}
-		}
+		checkParity(t, eng, pkts, vals, []int{hop})
 	}
 }
 
-// TestExtractIntoMatchesExtract checks the zero-alloc extraction agrees
-// with the allocating one, including buffer reuse.
+// TestExtractIntoMatchesExtract checks ExtractInto against the slices the
+// published plan describes (SetFor's queries and offsets), including
+// buffer reuse.
 func TestExtractIntoMatchesExtract(t *testing.T) {
 	eng, _, _, _, _, _ := combinedTestPlan(t, 13)
 	rng := hash.NewRNG(17)
 	var buf []Extracted
 	for i := 0; i < 2000; i++ {
 		pktID, digest := rng.Uint64(), rng.Uint64()
-		want := eng.Extract(pktID, digest)
+		var want []Extracted
+		if set := eng.SetFor(pktID); set != nil {
+			for j, q := range set.Queries {
+				want = append(want, Extracted{q, digest >> uint(set.Offsets[j]) & (1<<uint(q.Bits()) - 1)})
+			}
+		}
 		buf = eng.ExtractInto(pktID, digest, buf[:0])
 		if len(want) != len(buf) {
-			t.Fatalf("pkt %d: ExtractInto %d slices, Extract %d", i, len(buf), len(want))
+			t.Fatalf("pkt %d: ExtractInto %d slices, the plan %d", i, len(buf), len(want))
 		}
 		for j := range want {
 			if want[j] != buf[j] {
@@ -249,8 +222,9 @@ func assertSameAnswers(t *testing.T, a, b *Recording, flow FlowKey, k int,
 	}
 }
 
-// TestEncodeBatchZeroAlloc pins the acceptance criterion: the batch encode
-// per-packet loop performs zero heap allocations.
+// TestEncodeBatchZeroAlloc is the count gate on the encode path: no heap
+// allocation per call at steady state for EncodeHopBatch at n = 256 and
+// n = 1, for EncodeHopValues, and for ExtractInto into a reused buffer.
 func TestEncodeBatchZeroAlloc(t *testing.T) {
 	eng, _, _, _, _, _ := combinedTestPlan(t, 29)
 	const k = 6
@@ -261,27 +235,40 @@ func TestEncodeBatchZeroAlloc(t *testing.T) {
 		pkts[i] = PacketDigest{Flow: FlowKey(i), PktID: rng.Uint64(), PathLen: k}
 		vals[i] = hopValuesFor(pkts[i].PktID, 1, 0xAB00)
 	}
-	// The SoA scratch rides a sync.Pool, and under -race the pool
-	// deliberately drops a fraction of Puts to surface reuse bugs — the
-	// re-allocations that causes are race-runtime behavior, not a hot-path
-	// leak, so the assertion only holds in a normal build.
-	if !raceEnabled {
-		allocs := testing.AllocsPerRun(20, func() {
+	var buf []Extracted
+	var digest uint64
+	runs := map[string]func(){
+		"EncodeHopBatch n=256": func() {
 			for hop := 1; hop <= k; hop++ {
 				eng.EncodeHopBatch(hop, pkts, vals)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("EncodeHopBatch allocates %.1f times per run, want 0", allocs)
-		}
+		},
+		"EncodeHopBatch n=1": func() {
+			for hop := 1; hop <= k; hop++ {
+				eng.EncodeHopBatch(hop, pkts[:1], vals[:1])
+			}
+		},
+		"EncodeHopValues": func() {
+			for hop := 1; hop <= k; hop++ {
+				digest = eng.EncodeHopValues(pkts[hop].PktID, hop, digest, &vals[hop])
+			}
+		},
+		"ExtractInto": func() {
+			for i := range pkts {
+				buf = eng.ExtractInto(pkts[i].PktID, pkts[i].Digest, buf[:0])
+			}
+		},
 	}
-	var buf []Extracted
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := range pkts {
-			buf = eng.ExtractInto(pkts[i].PktID, pkts[i].Digest, buf[:0])
+	for name, run := range runs {
+		// The column scratch rides a sync.Pool, and under -race the pool
+		// deliberately drops a fraction of Puts to surface reuse bugs — the
+		// re-allocations that causes are race-runtime behavior, not a
+		// hot-path leak, so the encode assertions only hold in a normal build.
+		if raceEnabled && name != "ExtractInto" {
+			continue
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("ExtractInto allocates %.1f times per run, want 0", allocs)
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per run, want 0", name, allocs)
+		}
 	}
 }

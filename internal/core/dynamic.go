@@ -44,15 +44,6 @@ func (q *LatencyQuery) Bits() int { return q.bits }
 // Frequency implements Query.
 func (q *LatencyQuery) Frequency() float64 { return q.freq }
 
-// EncodeHop implements Query: hop i overwrites the slice with its
-// compressed value when it wins the running reservoir (g(pkt,i) < 1/i).
-func (q *LatencyQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	if q.g.ReservoirWrites(pktID, hop) {
-		return q.comp.Encode(float64(value))
-	}
-	return bits
-}
-
 // Winner recomputes which hop's value a sink-captured packet carries.
 func (q *LatencyQuery) Winner(pktID uint64, k int) int {
 	return q.g.ReservoirWinner(pktID, k)
@@ -104,21 +95,11 @@ func (q *UtilQuery) Bits() int { return q.bits }
 // Frequency implements Query.
 func (q *UtilQuery) Frequency() float64 { return q.freq }
 
-// EncodeHop implements Query: max-aggregation of randomized-rounded codes.
-// value is the utilization pre-scaled by Scale() (integer register units).
-func (q *UtilQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	code := q.comp.EncodeRandomized(float64(value), q.g, pktID+uint64(hop)<<48)
-	if code > bits {
-		return code
-	}
-	return bits
-}
-
 // Scale returns the utilization pre-scaling factor.
 func (q *UtilQuery) Scale() float64 { return q.scale }
 
 // EncodeValue scales a dimensionless utilization into the integer register
-// units EncodeHop expects (helper for simulation hooks).
+// units HopValues.Util carries (helper for simulation hooks).
 func (q *UtilQuery) EncodeValue(u float64) uint64 {
 	if u < 0 {
 		u = 0

@@ -219,47 +219,6 @@ func (e *Engine) SetFor(pktID uint64) *QuerySet {
 	return nil
 }
 
-// EncodeHop is the switch-side entry point: it applies every selected
-// query's Encoding Module to the packet digest. valueOf supplies the value
-// this switch observes for each query (switch ID, hop latency, link
-// utilization, …).
-func (e *Engine) EncodeHop(pktID uint64, hop int, digest uint64, valueOf func(Query) uint64) uint64 {
-	set := e.SetFor(pktID)
-	if set == nil {
-		return digest
-	}
-	for i, q := range set.Queries {
-		off := uint(set.Offsets[i])
-		mask := digestMask(q.Bits())
-		slice := digest >> off & mask
-		slice = q.EncodeHop(pktID, hop, slice, valueOf(q)) & mask
-		digest = digest&^(mask<<off) | slice<<off
-	}
-	return digest
-}
-
-// Extracted is one query's digest slice recovered at the sink.
-type Extracted struct {
-	Query Query
-	Bits  uint64
-}
-
-// Extract splits a sink-captured digest into per-query slices.
-func (e *Engine) Extract(pktID uint64, digest uint64) []Extracted {
-	set := e.SetFor(pktID)
-	if set == nil {
-		return nil
-	}
-	out := make([]Extracted, len(set.Queries))
-	for i, q := range set.Queries {
-		out[i] = Extracted{
-			Query: q,
-			Bits:  digest >> uint(set.Offsets[i]) & digestMask(q.Bits()),
-		}
-	}
-	return out
-}
-
 func digestMask(bits int) uint64 {
 	if bits >= 64 {
 		return ^uint64(0)

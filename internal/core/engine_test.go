@@ -171,20 +171,15 @@ func TestEncodeExtractSliceIsolation(t *testing.T) {
 	for pkt := uint64(0); pkt < 3000; pkt++ {
 		var digest uint64
 		for hop := 1; hop <= 5; hop++ {
-			digest = e.EncodeHop(pkt, hop, digest, func(q Query) uint64 {
-				switch q.(type) {
-				case *PathQuery:
-					return uint64(0x5A000000 + hop - 1)
-				case *LatencyQuery:
-					return uint64(1000 * hop)
-				}
-				return 0
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{
+				SwitchID:  uint64(0x5A000000 + hop - 1),
+				LatencyNs: uint64(1000 * hop),
 			})
 		}
 		if digest>>16 != 0 {
 			t.Fatalf("digest %#x spills beyond the 16-bit budget", digest)
 		}
-		ex := e.Extract(pkt, digest)
+		ex := e.ExtractInto(pkt, digest, nil)
 		if len(ex) != 2 {
 			t.Fatalf("extracted %d slices, want 2", len(ex))
 		}
@@ -218,7 +213,7 @@ func TestEndToEndPathDecoding(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 { return truth[hop-1] })
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{SwitchID: truth[hop-1]})
 		}
 		if err := rec.Record(flow, k, pkt, digest); err != nil {
 			t.Fatal(err)
@@ -260,7 +255,7 @@ func TestEndToEndLatencyQuantiles(t *testing.T) {
 			var digest uint64
 			for hop := 1; hop <= k; hop++ {
 				v := medians[hop-1] * math.Exp(rng.NormFloat64()*0.3)
-				digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 { return uint64(v) })
+				digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{LatencyNs: uint64(v)})
 			}
 			if err := rec.Record(flow, k, pkt, digest); err != nil {
 				t.Fatal(err)
@@ -306,9 +301,7 @@ func TestEndToEndUtilMaxAggregation(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= 3; hop++ {
-			digest = e.EncodeHop(pkt, hop, digest, func(q Query) uint64 {
-				return q.(*UtilQuery).EncodeValue(hopU[hop-1])
-			})
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{Util: util.EncodeValue(hopU[hop-1])})
 		}
 		if err := rec.Record(flow, 3, pkt, digest); err != nil {
 			t.Fatal(err)
@@ -374,8 +367,8 @@ func TestPipelineLayout(t *testing.T) {
 		t.Fatalf("combined %d stages vs solo %d: parallelism claim violated",
 			combined.Stages, solo.Stages)
 	}
-	if _, ok := combined.Columns["query-select"]; !ok {
-		t.Fatal("combined layout must include the query-subset column")
+	if last := combined.Columns[len(combined.Columns)-1]; len(combined.Columns) != 4 || last.Name != "query-select" {
+		t.Fatalf("combined layout %+v must end with the query-subset column", combined.Columns)
 	}
 	pOnly, err := Layout([]Query{path})
 	if err != nil {
@@ -409,7 +402,7 @@ func TestPathQueryTwoInstances(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= 10; hop++ {
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 { return truth[hop-1] })
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{SwitchID: truth[hop-1]})
 		}
 		if err := rec.Record(flow, 10, pkt, digest); err != nil {
 			t.Fatal(err)

@@ -6,49 +6,6 @@ import (
 	"repro/internal/hash"
 )
 
-func TestFlowEvictionLRU(t *testing.T) {
-	uni := testUniverse(5, 50)
-	cfg, _ := DefaultPathConfig(8, 1, 5)
-	q, err := NewPathQuery("p", cfg, 1, 91, uni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Compile([]Query{q}, 8, 92)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := NewRecording(e, 0, hash.NewRNG(93))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.MaxFlows = 2
-	rng := hash.NewRNG(94)
-	record := func(flow FlowKey) {
-		pkt := rng.Uint64()
-		var digest uint64
-		for hop := 1; hop <= 5; hop++ {
-			h := hop
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 { return uni[h-1] })
-		}
-		if err := rec.Record(flow, 5, pkt, digest); err != nil {
-			t.Fatal(err)
-		}
-	}
-	record(FlowKey(1))
-	record(FlowKey(2))
-	record(FlowKey(1)) // refresh flow 1 so flow 2 is now the oldest
-	record(FlowKey(3)) // must evict flow 2
-	if rec.TrackedFlows() != 2 {
-		t.Fatalf("tracking %d flows, want 2", rec.TrackedFlows())
-	}
-	if rec.PathDecoder(q, FlowKey(2)) != nil {
-		t.Fatal("flow 2 should have been evicted")
-	}
-	if rec.PathDecoder(q, FlowKey(1)) == nil || rec.PathDecoder(q, FlowKey(3)) == nil {
-		t.Fatal("flows 1 and 3 must survive")
-	}
-}
-
 func TestEvictUnknownFlowHarmless(t *testing.T) {
 	uni := testUniverse(5, 50)
 	cfg, _ := DefaultPathConfig(8, 1, 5)
@@ -72,14 +29,13 @@ func TestUnlimitedFlowsByDefault(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= 3; hop++ {
-			h := hop
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 { return uni[h-1] })
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{SwitchID: uni[hop-1]})
 		}
 		if err := rec.Record(FlowKey(f), 3, pkt, digest); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if rec.TrackedFlows() != 100 {
-		t.Fatalf("MaxFlows=0 must keep everything; tracking %d", rec.TrackedFlows())
+		t.Fatalf("a Recording evicts only when told to; tracking %d of 100", rec.TrackedFlows())
 	}
 }

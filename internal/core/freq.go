@@ -42,14 +42,6 @@ func (q *FreqQuery) Bits() int { return q.bits }
 // Frequency implements Query.
 func (q *FreqQuery) Frequency() float64 { return q.freq }
 
-// EncodeHop implements Query: reservoir overwrite with the raw value.
-func (q *FreqQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	if q.g.ReservoirWrites(pktID, hop) {
-		return value & digestMask(q.bits)
-	}
-	return bits
-}
-
 // Winner recomputes the sampled hop for a sink-captured packet.
 func (q *FreqQuery) Winner(pktID uint64, k int) int {
 	return q.g.ReservoirWinner(pktID, k)
@@ -94,20 +86,6 @@ func (q *CountQuery) Bits() int { return q.bits }
 
 // Frequency implements Query.
 func (q *CountQuery) Frequency() float64 { return q.freq }
-
-// EncodeHop implements Query: a nonzero value means this hop's indicator
-// fired, triggering one probabilistic Morris increment. The coin is the
-// global hash on (packet, hop) so switches stay stateless and the sink
-// could replay the decision if needed.
-func (q *CountQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	if value == 0 {
-		return bits
-	}
-	m := approx.NewMorris(q.eps, q.bits)
-	m.SetCode(bits)
-	m.Increment(q.g, pktID, uint64(hop))
-	return m.Code()
-}
 
 // Decode returns the count estimate for a digest code.
 func (q *CountQuery) Decode(code uint64) float64 {

@@ -40,16 +40,13 @@ func TestFreqQueryEndToEnd(t *testing.T) {
 		port7 := rng.Bool(0.7)
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			h := hop
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 {
-				if h == 2 {
-					if port7 {
-						return 7
-					}
-					return 3
+			port := uint64(10 + hop) // other hops: constant ports
+			if hop == 2 {
+				if port = 3; port7 {
+					port = 7
 				}
-				return uint64(10 + h) // other hops: constant ports
-			})
+			}
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{FreqValue: port})
 		}
 		if err := rec.Record(flow, k, pkt, digest); err != nil {
 			t.Fatal(err)
@@ -121,13 +118,11 @@ func TestCountQueryUnbiasedMean(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			h := hop
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 {
-				if fire[h] {
-					return 1
-				}
-				return 0
-			})
+			var v HopValues
+			if fire[hop] {
+				v.CountFired = 1
+			}
+			digest = e.EncodeHopValues(pkt, hop, digest, &v)
 		}
 		if err := rec.Record(flow, k, pkt, digest); err != nil {
 			t.Fatal(err)
@@ -149,8 +144,12 @@ func TestCountQueryUnbiasedMean(t *testing.T) {
 
 func TestCountQueryZeroStaysZero(t *testing.T) {
 	q, _ := NewCountQuery("c", 6, 0.3, 1, 13)
+	e, err := Compile([]Query{q}, 6, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for pkt := uint64(0); pkt < 100; pkt++ {
-		if q.EncodeHop(pkt, 3, 0, 0) != 0 {
+		if e.EncodeHopValues(pkt, 3, 0, &HopValues{}) != 0 {
 			t.Fatal("indicator=0 must not change the counter")
 		}
 	}
@@ -183,8 +182,7 @@ func TestLatencyWindowedRecording(t *testing.T) {
 			pkt := rng.Uint64()
 			var digest uint64
 			for hop := 1; hop <= k; hop++ {
-				digest = e.EncodeHop(pkt, hop, digest,
-					func(Query) uint64 { return uint64(base) })
+				digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{LatencyNs: uint64(base)})
 			}
 			if err := rec.Record(flow, k, pkt, digest); err != nil {
 				t.Fatal(err)

@@ -286,7 +286,7 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	if r.HasFlow(flow) {
 		return fmt.Errorf("core: merge would duplicate flow %v", flow)
 	}
-	r.adopt(flow, fs)
+	r.flows[flow] = fs
 	return nil
 }
 

@@ -30,8 +30,21 @@ func StageCost(q Query) int {
 
 // PipelineLayout describes how a query combination maps onto stages.
 type PipelineLayout struct {
-	Stages  int
-	Columns map[string][]string // query name -> per-stage operation labels
+	Stages int
+	// Columns holds each query's per-stage operation labels, in the order
+	// the queries were given; the "query-select" column, when there is
+	// one, comes last.
+	Columns []struct {
+		Name string
+		Ops  []string
+	}
+}
+
+func (l *PipelineLayout) addColumn(name string, ops []string) {
+	l.Columns = append(l.Columns, struct {
+		Name string
+		Ops  []string
+	}{name, ops})
 }
 
 // Layout computes the parallel layout for a set of queries (Fig 6): each
@@ -40,7 +53,7 @@ type PipelineLayout struct {
 // the deep column — so combining the three use cases still fits in
 // StageBudget. It errors if any single query exceeds the budget.
 func Layout(queries []Query) (PipelineLayout, error) {
-	l := PipelineLayout{Columns: map[string][]string{}}
+	var l PipelineLayout
 	for _, q := range queries {
 		cost := StageCost(q)
 		if cost > StageBudget {
@@ -50,13 +63,13 @@ func Layout(queries []Query) (PipelineLayout, error) {
 		if cost > l.Stages {
 			l.Stages = cost
 		}
-		l.Columns[q.Name()] = stageOps(q)
+		l.addColumn(q.Name(), stageOps(q))
 	}
 	if len(queries) > 1 {
 		// The query-subset selection runs in a spare column alongside the
 		// deepest query; it costs one stage but never extends the total
 		// because every combination already includes a >= 2-stage query.
-		l.Columns["query-select"] = []string{"choose a query subset"}
+		l.addColumn("query-select", []string{"choose a query subset"})
 	}
 	return l, nil
 }

@@ -29,10 +29,14 @@ func TestLayoutColumnsMatchStageCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(l.Columns["p"]); got != StageCost(path) {
+	// One column per query in the order given, then the selector.
+	if len(l.Columns) != 3 || l.Columns[0].Name != "p" || l.Columns[1].Name != "u" || l.Columns[2].Name != "query-select" {
+		t.Fatalf("columns %+v, want p, u, query-select in that order", l.Columns)
+	}
+	if got := len(l.Columns[0].Ops); got != StageCost(path) {
 		t.Fatalf("path column has %d ops, want %d", got, StageCost(path))
 	}
-	if got := len(l.Columns["u"]); got != StageCost(util) {
+	if got := len(l.Columns[1].Ops); got != StageCost(util) {
 		t.Fatalf("util column has %d ops, want %d", got, StageCost(util))
 	}
 }
@@ -44,8 +48,8 @@ func TestLayoutSingleQueryNoSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.Columns["query-select"]; ok {
-		t.Fatal("a single query needs no subset selection stage")
+	if len(l.Columns) != 1 || l.Columns[0].Name != "p" {
+		t.Fatalf("columns %+v: a single query needs no subset selection stage", l.Columns)
 	}
 }
 

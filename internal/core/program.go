@@ -12,13 +12,12 @@ import (
 // lowered at Compile time into a flat sequence of encodeOps carrying
 // precomputed shifts, masks, and direct query-kind dispatch, so the
 // per-packet hot path runs with no interface calls, no closures, and no
-// allocations. The same ops drive switch-side encoding (EncodeHopValues /
-// EncodeHopBatch), sink-side extraction (ExtractInto), and the Recording
-// Module's batched ingest.
+// allocations. The same ops drive switch-side encoding (the column passes
+// of soa.go behind EncodeHopBatch / EncodeHopValues), sink-side extraction
+// (ExtractInto), and the Recording Module's batched ingest.
 
 // HopValues carries everything a switch observes at one hop, one field per
 // query kind; the compiled encoder reads only the fields its plan needs.
-// It replaces the per-packet `func(Query) uint64` closure of EncodeHop.
 type HopValues struct {
 	// SwitchID feeds PathQuery (the hop's block value).
 	SwitchID uint64
@@ -98,8 +97,8 @@ type encodeOp struct {
 	// morrisBase is CountQuery's growth base, hoisted out of the loop.
 	morrisBase float64
 	// morrisThr[c] is the coin threshold for one Morris increment from
-	// code c (^0 = always fires), precomputed at compile time for the
-	// op-major pass; nil when the counter is too wide to table.
+	// code c (^0 = always fires), precomputed at compile time; nil when
+	// the counter is too wide to table.
 	morrisThr []uint64
 	// resG points at the latency/freq query's hash family so reservoir
 	// decisions skip the per-hop 48-byte Global copy.
@@ -122,8 +121,7 @@ type encodeProgram struct {
 
 // compileProgram lowers one QuerySet. The query universe is closed (the
 // five core kinds), matching the Recording Module's dispatch; an unknown
-// Query implementation is a compile-time error rather than a silent
-// fallback to the slow path.
+// Query implementation is a compile-time error.
 func compileProgram(set QuerySet, slots map[Query]int) (encodeProgram, error) {
 	prog := encodeProgram{ops: make([]encodeOp, len(set.Queries))}
 	nPath := 0
@@ -187,121 +185,31 @@ func (e *Engine) SetIndex(pktID uint64) int {
 	return -1
 }
 
-// EncodeHopValues is the compiled switch-side entry point: it applies hop
-// `hop`'s Encoding Modules to the digest using the precomputed program —
-// the zero-allocation equivalent of EncodeHop with a closure.
+// EncodeHopValues is EncodeHopBatch for one packet that is not part of a
+// batch (a simulator's per-dequeue hook): the same column passes over
+// one-element columns on the caller's stack, 0 allocs.
 func (e *Engine) EncodeHopValues(pktID uint64, hop int, digest uint64, v *HopValues) uint64 {
-	si := e.SetIndex(pktID)
-	if si < 0 {
-		return digest
-	}
-	return e.progs[si].encodeHop(pktID, hop, digest, v, nil)
+	pkt := [1]PacketDigest{{PktID: pktID, Digest: digest}}
+	val := [1]HopValues{*v}
+	e.EncodeHopBatch(hop, pkt[:], val[:])
+	return pkt[0].Digest
 }
 
-// EncodeHopBatch applies hop `hop`'s Encoding Modules to every packet of a
-// batch in place: pkts[i].Digest is rewritten using vals[i]. len(vals)
-// must be at least len(pkts). This is the shape a shard worker or a
-// line-rate simulation drives: batches of soaMinBatch packets or more run
-// the op-major column passes of EncodeHopBatchSoA (see soa.go), smaller
-// ones the packet-major loop — both bit-identical and 0 B/op at steady
-// state.
-func (e *Engine) EncodeHopBatch(hop int, pkts []PacketDigest, vals []HopValues) {
-	if len(pkts) == 0 {
-		return
-	}
-	_ = vals[len(pkts)-1] // bounds hint
-	if len(pkts) < soaMinBatch {
-		e.encodeHopBatchScalar(hop, pkts, vals)
-		return
-	}
-	e.EncodeHopBatchSoA(hop, pkts, vals)
+// Extracted is one query's digest slice recovered at the sink.
+type Extracted struct {
+	Query Query
+	Bits  uint64
 }
 
-// encodeHopBatchScalar is the packet-major reference loop: the routing
-// target for small batches and the oracle the SoA parity tests and
-// FuzzEncodeBatchParity compare against.
-func (e *Engine) encodeHopBatchScalar(hop int, pkts []PacketDigest, vals []HopValues) {
-	for i := range pkts {
-		pkt := &pkts[i]
-		si := e.setIndexOf(pkt)
-		if si < 0 {
-			continue
-		}
-		pkt.Digest = e.progs[si].encodeHop(pkt.PktID, hop, pkt.Digest, &vals[i], pkt)
-	}
-}
-
-func (p *encodeProgram) encodeHop(pktID uint64, hop int, digest uint64, v *HopValues, pkt *PacketDigest) uint64 {
-	for i := range p.ops {
-		op := &p.ops[i]
-		slice := digest >> op.shift & op.mask
-		switch op.kind {
-		case opPath:
-			var layer int
-			var act bool
-			if pkt != nil && op.pathIdx >= 0 {
-				if c := pkt.layers[op.pathIdx]; c != 0 {
-					layer = int(c) - 1
-				} else {
-					layer = op.pathEnc.LayerOf(pktID)
-					pkt.layers[op.pathIdx] = uint8(layer + 1)
-				}
-				act = op.pathEnc.ActsInLayer(pktID, hop, layer)
-			} else {
-				layer, act = op.pathEnc.ActsOn(pktID, hop)
-			}
-			if !act {
-				break
-			}
-			slice = applyPathWords(op.pathEnc, pktID, layer, slice,
-				op.pathN, op.pathBits, op.pathWordMask, v.SwitchID)
-		case opLatency:
-			if op.resG.ReservoirWritesP(pktID, hop) {
-				slice = op.lat.comp.Encode(float64(v.LatencyNs))
-			}
-		case opUtil:
-			if code := op.util.comp.EncodeRandomized(float64(v.Util), op.util.g,
-				pktID+uint64(hop)<<48); code > slice {
-				slice = code
-			}
-		case opFreq:
-			if op.resG.ReservoirWritesP(pktID, hop) {
-				slice = v.FreqValue
-			}
-		case opCount:
-			if v.CountFired != 0 {
-				slice = approx.MorrisNextCode(op.morrisBase, op.cnt.bits, slice,
-					op.cnt.g, pktID, uint64(hop))
-			}
-		}
-		slice &= op.mask
-		digest = digest&^(op.mask<<op.shift) | slice<<op.shift
-	}
-	return digest
-}
-
-// ExtractInto is the zero-allocation form of Extract: it appends the
-// packet's per-query slices to buf (typically buf[:0] of a reused buffer)
-// and returns the extended slice.
+// ExtractInto splits a sink-captured digest into per-query slices: it
+// appends them to buf (typically buf[:0] of a reused buffer, so nothing is
+// allocated) and returns the extended slice; a packet in unassigned
+// probability mass appends nothing.
 func (e *Engine) ExtractInto(pktID uint64, digest uint64, buf []Extracted) []Extracted {
 	si := e.SetIndex(pktID)
 	if si < 0 {
 		return buf
 	}
-	return e.extractOps(si, digest, buf)
-}
-
-// ExtractPacketInto is ExtractInto for a pipeline packet, reusing (and
-// filling) its cached query-set selection.
-func (e *Engine) ExtractPacketInto(pkt *PacketDigest, buf []Extracted) []Extracted {
-	si := e.setIndexOf(pkt)
-	if si < 0 {
-		return buf
-	}
-	return e.extractOps(si, pkt.Digest, buf)
-}
-
-func (e *Engine) extractOps(si int, digest uint64, buf []Extracted) []Extracted {
 	ops := e.progs[si].ops
 	for i := range ops {
 		buf = append(buf, Extracted{

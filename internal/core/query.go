@@ -13,10 +13,10 @@
 //   - UtilQuery (per-packet): max-aggregated compressed bottleneck values
 //     (the congestion-control feed, §4.3 Example #3).
 //
-// The per-packet encode path is compiled (program.go) and, for batches,
-// vectorized into op-major column passes (soa.go) over the SIMD-friendly
-// hash kernels of internal/kernels. README.md's "Hot path anatomy"
-// section is the map of that machinery.
+// The encode path is compiled (program.go) and runs as op-major column
+// passes (soa.go) over the SIMD-friendly hash kernels of internal/kernels,
+// for every batch size. README.md's "Hot path anatomy" section is the map
+// of that machinery.
 package core
 
 import (
@@ -50,11 +50,13 @@ func (a AggregationType) String() string {
 	}
 }
 
-// Query is one telemetry query compiled into the execution plan. A Query's
-// EncodeHop is the switch-side Encoding Module: it transforms only the
-// query's slice of the packet digest and must be stateless per the switch
-// constraints of §3.5 (all state lives in the global hash family and the
-// digest itself).
+// Query is one telemetry query compiled into the execution plan: what the
+// Query Engine needs to place it (name, aggregation type, bit budget,
+// frequency). The query universe is closed — Compile lowers each of the
+// five kinds to an op (program.go) — and the switch-side Encoding Module is
+// that op's column pass in soa.go: it transforms only the query's slice of
+// the packet digest and is stateless per the switch constraints of §3.5
+// (all state lives in the global hash family and the digest itself).
 type Query interface {
 	// Name identifies the query in plans and reports.
 	Name() string
@@ -64,10 +66,6 @@ type Query interface {
 	Bits() int
 	// Frequency is the fraction of packets that must serve this query.
 	Frequency() float64
-	// EncodeHop processes hop `hop` (1-based): given the query's current
-	// digest slice and the value this switch observes for this query,
-	// return the new slice.
-	EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64
 }
 
 // UseCase is one row of Table 2: an application enabled by PINT, its

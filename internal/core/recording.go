@@ -29,12 +29,7 @@ type Recording struct {
 	// FreqCounters bounds the Space Saving summary per (flow, hop) for
 	// frequent-value queries (Theorem 2's 1/ε counters). Default 16.
 	FreqCounters int
-	// MaxFlows > 0 bounds the number of flows with live state (§3.3's
-	// per-flow space budget at the fleet level): recording a new flow
-	// beyond the limit evicts the least-recently-updated one entirely.
-	MaxFlows int
 
-	seq uint64
 	// base seeds the recording-side sketches: each (query, flow, hop)
 	// store derives its RNG from base deterministically, so a flow's
 	// state is independent of cross-flow arrival order — the property
@@ -45,12 +40,10 @@ type Recording struct {
 	flows map[FlowKey]*flowState
 }
 
-// flowState is what the Recording holds for one flow: its recency stamp
-// (MaxFlows evicts the smallest), its path length, and one slot per
-// compiled query, indexed by the slot number the query's ops carry
-// (Engine.slots).
+// flowState is what the Recording holds for one flow: its path length and
+// one slot per compiled query, indexed by the slot number the query's ops
+// carry (Engine.slots).
 type flowState struct {
-	seq uint64
 	// k is the path length of the flow's first recorded packet. Every
 	// per-hop slot is sized by it, whichever packet first reaches the
 	// slot's query, so a route that shortens mid-flow (§7) leaves the
@@ -227,8 +220,8 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // through EncodeHopBatch carry their query-set selection already cached.
 // A flow's state is looked up once per run of packets with equal Flow
 // (exporters frame per flow) — it stays valid through the run, because
-// touch never evicts the flow being recorded — and a packet whose queries
-// have all seen its flow before allocates only when a series grows.
+// recording never evicts — and a packet whose queries have all seen its
+// flow before allocates only when a series grows.
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
 	var fs *flowState
 	for i := range batch {
@@ -260,7 +253,6 @@ func (r *Recording) stateOf(flow FlowKey) *flowState {
 // them, and that per-hop sample is dropped — the same packets always drop
 // the same samples, so every replay of the stream still agrees.
 func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
-	r.touch(fs)
 	if fs.k == 0 {
 		fs.k = pkt.PathLen
 	}
@@ -310,24 +302,6 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 		}
 	}
 	return nil
-}
-
-// touch refreshes a flow's recency and enforces MaxFlows by evicting the
-// least-recently-updated flow's state across every query.
-func (r *Recording) touch(fs *flowState) {
-	r.seq++
-	fs.seq = r.seq
-	if r.MaxFlows <= 0 || len(r.flows) <= r.MaxFlows {
-		return
-	}
-	var victim FlowKey
-	oldest := ^uint64(0)
-	for f, s := range r.flows {
-		if s.seq < oldest {
-			oldest, victim = s.seq, f
-		}
-	}
-	r.Evict(victim)
 }
 
 // newLatStores builds a flow's k per-hop stores for q in the storage the
@@ -430,8 +404,8 @@ func (r *Recording) CloneFlows(flows []FlowKey) *Recording {
 	return c
 }
 
-// cloneShell returns a Recording with r's engine, configuration and
-// recency clock, room for nFlows flows, and no flows.
+// cloneShell returns a Recording with r's engine and configuration, room
+// for nFlows flows, and no flows.
 func (r *Recording) cloneShell(nFlows int) *Recording {
 	c := *r
 	c.flows = make(map[FlowKey]*flowState, nFlows)
@@ -441,7 +415,7 @@ func (r *Recording) cloneShell(nFlows int) *Recording {
 // clone copies one flow's state (see Clone for what is copied and what is
 // shared).
 func (fs *flowState) clone() *flowState {
-	c := &flowState{seq: fs.seq, k: fs.k, slots: make([]querySlot, len(fs.slots))}
+	c := &flowState{k: fs.k, slots: make([]querySlot, len(fs.slots))}
 	for i := range fs.slots {
 		slot, cs := &fs.slots[i], &c.slots[i]
 		if slot.dec != nil {
@@ -470,8 +444,7 @@ func (fs *flowState) clone() *flowState {
 // same engine and must track disjoint flow sets — the shape produced by
 // the sharded sink, where a flow's state lives wholly inside one shard —
 // so merging is adoption, not sketch arithmetic. o's per-flow state moves
-// into r by reference; o must not be used afterwards. Flow recency is
-// preserved within o and appended after r's, deterministically.
+// into r by reference; o must not be used afterwards.
 func (r *Recording) Merge(o *Recording) error {
 	if o == nil {
 		return nil
@@ -479,28 +452,15 @@ func (r *Recording) Merge(o *Recording) error {
 	if o.engine != r.engine {
 		return fmt.Errorf("core: merging recordings of different engines")
 	}
-	// Re-sequence o's flows after r's, in o's own recency order, so the
-	// merged recency ranking is independent of map iteration order.
-	flows := make([]FlowKey, 0, len(o.flows))
 	for f := range o.flows {
 		if r.HasFlow(f) {
 			return fmt.Errorf("core: merge would duplicate flow %v", f)
 		}
-		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return o.flows[flows[i]].seq < o.flows[flows[j]].seq })
-	for _, f := range flows {
-		r.adopt(f, o.flows[f])
+	for f, fs := range o.flows {
+		r.flows[f] = fs
 	}
 	return nil
-}
-
-// adopt makes fs the state of flow, which r must not track, as its most
-// recently recorded flow.
-func (r *Recording) adopt(flow FlowKey, fs *flowState) {
-	r.seq++
-	fs.seq = r.seq
-	r.flows[flow] = fs
 }
 
 // slot returns flow's state for q: the zero querySlot when the flow is not

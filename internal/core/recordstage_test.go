@@ -250,10 +250,10 @@ func recordingState(t *testing.T, rec *Recording, queries []Query) string {
 	return b.String()
 }
 
-// TestRecordBatchFlowRunHazards drives the three ways the once-per-run
-// flow lookup of RecordBatch could go stale — a packet whose touch evicts
-// another flow mid-batch, an Evict of the last-recorded flow between
-// batches, two flows interleaved packet by packet — and requires the
+// TestRecordBatchFlowRunHazards drives the two ways the once-per-run
+// flow lookup of RecordBatch could go stale — an Evict of the last-recorded
+// flow between batches, two flows interleaved packet by packet — and
+// requires the
 // batched Recording to equal, bit for bit, one fed the same packets
 // through Record one at a time (with the same Evict calls).
 func TestRecordBatchFlowRunHazards(t *testing.T) {
@@ -270,21 +270,10 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 		}
 		concat := slices.Concat[[]PacketDigest]
 		cases := []struct {
-			name     string
-			maxFlows int
-			batches  [][]PacketDigest
-			evict    []FlowKey // evict[i] (if nonzero) is evicted after batch i
+			name    string
+			batches [][]PacketDigest
+			evict   []FlowKey // evict[i] (if nonzero) is evicted after batch i
 		}{
-			{
-				// Flow-contiguous runs under a 2-flow cap: the first packet of
-				// flow 3 evicts flow 1, flow 1's return evicts flow 2, mid-batch.
-				name: "touch-evicts-mid-batch", maxFlows: 2,
-				batches: [][]PacketDigest{
-					concat(fl[0][:100], fl[1][:100], fl[2][:100], fl[0][100:200], fl[3][:100], fl[1][100:200]),
-					concat(fl[1][200:300], fl[2][100:200], fl[0][200:300]),
-				},
-				evict: []FlowKey{0, 0},
-			},
 			{
 				// The flow a batch ends on is evicted before the next batch
 				// opens with it again: the next batch must start it afresh.
@@ -297,7 +286,7 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 				evict: []FlowKey{2, 1, 0},
 			},
 			{
-				name: "interleaved-packet-by-packet", maxFlows: 3,
+				name:    "interleaved-packet-by-packet",
 				batches: [][]PacketDigest{interleaved[:256], interleaved[256:]},
 				evict:   []FlowKey{0, 0},
 			},
@@ -309,7 +298,7 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rec.WindowBuckets, rec.WindowSpan, rec.MaxFlows = v.winBuckets, v.winSpan, tc.maxFlows
+					rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
 					return rec
 				}
 				batched, serial := mk(), mk()

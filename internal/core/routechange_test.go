@@ -39,8 +39,7 @@ func TestRouteChangeDetection(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			h := hop
-			digest = e.EncodeHop(pkt, hop, digest, func(Query) uint64 { return path[h-1] })
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{SwitchID: path[hop-1]})
 		}
 		if err := rec.Record(flow, k, pkt, digest); err != nil {
 			t.Fatal(err)

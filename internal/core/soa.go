@@ -8,23 +8,18 @@ import (
 	"repro/internal/hash"
 )
 
-// This file is the op-major (struct-of-arrays) form of the batch encode
-// hot path. The packet-major encodeHop loop re-dispatches the op switch
-// and re-derives every loop-invariant (thresholds, shifts, hash prefixes)
-// once per packet; here the batch is partitioned by query set once, each
-// compiled op runs as one pass over flat columns (pktIDs, digests,
-// per-op values), and the per-packet work collapses to a hash-column
-// evaluation (internal/kernels) plus a branch-free select. Decisions are
-// bit-identical to the scalar path — pinned by TestEncodeHopBatchSoAParity
-// and FuzzEncodeBatchParity.
-
-// soaMinBatch is the routing cutoff: below it the partition/gather/
-// scatter overhead outweighs the columnar win and EncodeHopBatch stays on
-// the packet-major loop.
-const soaMinBatch = 16
+// This file is the Encoding Module: the one implementation of what a hop
+// does to a digest. A batch is partitioned by query set once, each compiled
+// op runs as one pass over flat columns (pktIDs, digests, per-op values),
+// and the per-packet work collapses to a hash-column evaluation
+// (internal/kernels) plus a branch-free select. The passes serve every
+// batch size from one packet up; oracle_test.go restates each query kind
+// packet by packet from the algorithm packages' definitions, and
+// TestEncodeHopBatchSoAParity and FuzzEncodeBatchParity hold the passes to it
+// bit for bit.
 
 // morrisTableMaxBits bounds the per-op Morris coin-threshold table
-// (2^bits-1 entries); wider counters fall back to the scalar coin.
+// (2^bits-1 entries); wider counters compute the coin per fired packet.
 const morrisTableMaxBits = 12
 
 // soaScratch is one batch's worth of column storage, pooled so
@@ -52,19 +47,19 @@ func growCol(c []uint64, n int) []uint64 {
 	return c[:n]
 }
 
-// EncodeHopBatchSoA is the op-major implementation of EncodeHopBatch:
-// identical observable behavior (digests, set/layer caches, the
-// len(vals) >= len(pkts) bounds contract), different loop structure.
-// EncodeHopBatch routes large batches here; it is exported so harnesses
-// can pin the two paths against each other at any batch size.
-func (e *Engine) EncodeHopBatchSoA(hop int, pkts []PacketDigest, vals []HopValues) {
+// EncodeHopBatch applies hop `hop`'s Encoding Modules to every packet of a
+// batch in place: pkts[i].Digest is rewritten using vals[i]. len(vals)
+// must be at least len(pkts). This is the shape a shard worker or a
+// line-rate simulation drives, 0 B/op at steady state. The packet's
+// query-set and coding-layer selections are computed at its first hop and
+// cached in the PacketDigest for the later hops and the Recording Module.
+func (e *Engine) EncodeHopBatch(hop int, pkts []PacketDigest, vals []HopValues) {
 	if len(pkts) == 0 {
 		return
 	}
 	_ = vals[len(pkts)-1] // bounds hint
 	s := soaPool.Get().(*soaScratch)
-	// Pass 1: partition by query set, filling the per-packet set cache
-	// exactly as the scalar loop would.
+	// Pass 1: partition by query set, filling the per-packet set cache.
 	for len(s.idx) < len(e.progs) {
 		s.idx = append(s.idx, nil)
 	}
@@ -81,13 +76,13 @@ func (e *Engine) EncodeHopBatchSoA(hop int, pkts []PacketDigest, vals []HopValue
 	// scatter digests back.
 	for si := range e.progs {
 		if len(s.idx[si]) != 0 {
-			e.progs[si].encodeHopSoA(hop, s, s.idx[si], pkts, vals)
+			e.progs[si].encodeColumns(hop, s, s.idx[si], pkts, vals)
 		}
 	}
 	soaPool.Put(s)
 }
 
-func (p *encodeProgram) encodeHopSoA(hop int, s *soaScratch, idx []int32, pkts []PacketDigest, vals []HopValues) {
+func (p *encodeProgram) encodeColumns(hop int, s *soaScratch, idx []int32, pkts []PacketDigest, vals []HopValues) {
 	n := len(idx)
 	s.pkt = growCol(s.pkt, n)
 	s.dig = growCol(s.dig, n)
@@ -179,8 +174,8 @@ func (op *encodeOp) soaLatency(hop int, s *soaScratch, idx []int32, vals []HopVa
 
 // soaUtil: max-aggregation of randomized-rounded codes. The log/floor
 // decomposition is memoized per distinct value (RandomizedParts); the
-// per-packet coin is one hash column keyed the way EncodeHop namespaces
-// it (pktID + hop<<48 under the dedicated 1<<20 coin index).
+// per-packet coin is one hash column keyed pktID + hop<<48 under
+// EncodeRandomized's dedicated 1<<20 coin index.
 func (op *encodeOp) soaUtil(hop int, s *soaScratch, idx []int32, vals []HopValues, pktCol, digCol []uint64) {
 	n := len(idx)
 	shift, mask := op.shift, op.mask
@@ -219,8 +214,9 @@ func (op *encodeOp) soaUtil(hop int, s *soaScratch, idx []int32, vals []HopValue
 
 // soaCount: probabilistic Morris increments for the hops whose indicator
 // fired. Fired packets are compacted first (the indicator is typically
-// sparse); their coins come from one fixed-salt hash column compared
-// against the compile-time per-code threshold table.
+// sparse); their coins — the global hash on (packet, hop), so switches
+// stay stateless — come from one fixed-salt hash column compared against
+// the compile-time per-code threshold table.
 func (op *encodeOp) soaCount(hop int, s *soaScratch, idx []int32, vals []HopValues, pktCol, digCol []uint64) {
 	shift, mask := op.shift, op.mask
 	keep := ^(mask << shift)
@@ -236,8 +232,8 @@ func (op *encodeOp) soaCount(hop int, s *soaScratch, idx []int32, vals []HopValu
 		return
 	}
 	if op.morrisThr == nil {
-		// Counter too wide for the threshold table: scalar coin per
-		// fired packet, identical to the packet-major path.
+		// Counter too wide for the threshold table: one coin per fired
+		// packet.
 		for _, j := range act {
 			old := digCol[j] >> shift & mask
 			nw := approx.MorrisNextCode(op.morrisBase, op.cnt.bits, old, op.cnt.g, pktCol[j], uint64(hop))
@@ -267,11 +263,11 @@ func (op *encodeOp) soaCount(hop int, s *soaScratch, idx []int32, vals []HopValu
 
 // soaPath: the distributed-coding op. Layer selections ride the
 // PacketDigest cache; act decisions are one hash column against per-layer
-// thresholds (except FastVectors, whose word-AND decisions fall back to
-// the scalar predicate); acting packets are compacted and, in hashed
-// mode, each hash instance's payload is one value-hash column folded into
-// the digest column with overwrite (Baseline) or xor (XOR layers)
-// selects. Raw/fragmented mode keeps the scalar word fold per actor.
+// thresholds (except FastVectors, whose word-AND decisions are the
+// encoder's per-packet predicate); acting packets are compacted and, in
+// hashed mode, each hash instance's payload is one value-hash column
+// folded into the digest column with overwrite (Baseline) or xor (XOR
+// layers) selects. Raw/fragmented mode folds the words per actor.
 func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDigest, vals []HopValues, pktCol, digCol []uint64) {
 	enc := op.pathEnc
 	cfg := enc.Config()

@@ -3,13 +3,17 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/coding"
 	"repro/internal/hash"
 )
 
-// parityPlans builds one engine per plan shape the op-major path has a
+// parityPlans builds one engine per plan shape the column passes have a
 // distinct branch for: the combined benchmark plan, reservoir+Morris,
 // raw/fragmented paths, three path queries (layer cache overflow),
 // FastVectors, and a multi-set plan with unassigned probability mass.
@@ -101,56 +105,50 @@ func parityBatch(seed uint64, n int) ([]PacketDigest, []HopValues) {
 	return pkts, vals
 }
 
-// TestEncodeHopBatchSoAParity drives the packet-major and op-major paths
-// over identical batches hop by hop and requires bit-identical packets —
-// digests *and* the set/layer caches — after every hop, for every plan
-// shape and for hops beyond the reservoir threshold table.
+// TestEncodeHopBatchSoAParity holds the column passes to the oracle for
+// every plan shape, at batch sizes from one packet up (around the sizes
+// where column scratch first grows) and for hops beyond the reservoir
+// threshold table.
 func TestEncodeHopBatchSoAParity(t *testing.T) {
 	for name, eng := range parityPlans(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, n := range []int{1, 15, 16, 17, 64, 301} {
-				scalar, vals := parityBatch(uint64(n)*977+7, n)
-				soa := append([]PacketDigest(nil), scalar...)
-				for _, hop := range []int{1, 2, 3, 4, 5, 64, 65, 66} {
-					eng.encodeHopBatchScalar(hop, scalar, vals)
-					eng.EncodeHopBatchSoA(hop, soa, vals)
-					for i := range scalar {
-						if scalar[i] != soa[i] {
-							t.Fatalf("n=%d hop=%d pkt %d diverged:\nscalar %+v\nsoa    %+v",
-								n, hop, i, scalar[i], soa[i])
-						}
-					}
-				}
+			for _, n := range []int{1, 2, 15, 16, 17, 64, 301} {
+				pkts, vals := parityBatch(uint64(n)*977+7, n)
+				checkParity(t, eng, pkts, vals, []int{1, 2, 3, 4, 5, 64, 65, 66})
 			}
 		})
 	}
 }
 
-// TestEncodeHopBatchRouting pins that the public API gives the same
-// result whichever path the batch size routes it to.
-func TestEncodeHopBatchRouting(t *testing.T) {
-	eng := parityPlans(t)["combined"]
-	for _, n := range []int{soaMinBatch - 1, soaMinBatch, 200} {
-		api, vals := parityBatch(uint64(n), n)
-		ref := append([]PacketDigest(nil), api...)
-		for hop := 1; hop <= 5; hop++ {
-			eng.EncodeHopBatch(hop, api, vals)
-			eng.encodeHopBatchScalar(hop, ref, vals)
+// TestOneEncodePath keeps the oracle the only second implementation of a
+// hop: no non-test file of this package may declare an EncodeHop method
+// (the per-query extension point Compile could never dispatch to) or a
+// batch-size cutoff that would route some batches around the column passes.
+func TestOneEncodePath(t *testing.T) {
+	second := regexp.MustCompile(`func \([^)]*\) EncodeHop\(|soaMinBatch`)
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
 		}
-		for i := range api {
-			if api[i] != ref[i] {
-				t.Fatalf("n=%d pkt %d: EncodeHopBatch %+v, scalar %+v", n, i, api[i], ref[i])
-			}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := second.Find(src); m != nil {
+			t.Errorf("%s declares %q: the column passes of soa.go are the one production encoder", f, m)
 		}
 	}
 }
 
 // TestEncodeHopBatchShortValsPanics pins the documented bounds contract:
-// len(vals) < len(pkts) must panic up front on both routes, before any
-// packet is mutated.
+// len(vals) < len(pkts) must panic up front, before any packet is mutated.
 func TestEncodeHopBatchShortValsPanics(t *testing.T) {
 	eng := parityPlans(t)["combined"]
-	for _, n := range []int{2, soaMinBatch + 4} {
+	for _, n := range []int{2, 20} {
 		pkts, vals := parityBatch(3, n)
 		func() {
 			defer func() {
@@ -168,9 +166,9 @@ func TestEncodeHopBatchShortValsPanics(t *testing.T) {
 	}
 }
 
-// FuzzEncodeBatchParity is the differential-fuzz safety net of the
-// op-major rewrite: arbitrary bytes pick a plan, a batch, and a hop
-// sequence, and the scalar and SoA paths must agree bit for bit.
+// FuzzEncodeBatchParity is the differential-fuzz safety net of the column
+// passes: arbitrary bytes pick a plan, a batch, and a hop sequence, and
+// the passes must agree with the oracle bit for bit.
 func FuzzEncodeBatchParity(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("pint"))
 	f.Add(uint8(1), uint64(0xF16), make([]byte, 25*24))
@@ -190,30 +188,20 @@ func FuzzEncodeBatchParity(f *testing.F) {
 		if n > 300 {
 			n = 300
 		}
-		scalar, vals := parityBatch(seed, n)
+		pkts, vals := parityBatch(seed, n)
 		// Overlay fuzz bytes so the batch isn't purely hash-shaped:
 		// adversarial pktIDs/values directly from the corpus.
 		for i := 0; i+8 <= len(data) && i/8 < n; i += 8 {
 			v := binary.LittleEndian.Uint64(data[i:])
 			switch (i / 8) % 3 {
 			case 0:
-				scalar[i/8].PktID = v
+				pkts[i/8].PktID = v
 			case 1:
 				vals[i/8].Util = v
 			case 2:
 				vals[i/8].LatencyNs = v
 			}
 		}
-		soa := append([]PacketDigest(nil), scalar...)
-		hops := []int{1, 2, 3, 1 + int(seed%70)}
-		for _, hop := range hops {
-			eng.encodeHopBatchScalar(hop, scalar, vals)
-			eng.EncodeHopBatchSoA(hop, soa, vals)
-			for i := range scalar {
-				if scalar[i] != soa[i] {
-					t.Fatalf("hop=%d pkt %d diverged:\nscalar %+v\nsoa    %+v", hop, i, scalar[i], soa[i])
-				}
-			}
-		}
+		checkParity(t, eng, pkts, vals, []int{1, 2, 3, 1 + int(seed%70)})
 	})
 }

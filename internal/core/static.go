@@ -50,26 +50,6 @@ func (q *PathQuery) Bits() int { return q.cfg.TotalBits() }
 // Frequency implements Query.
 func (q *PathQuery) Frequency() float64 { return q.freq }
 
-// EncodeHop implements Query by delegating to the coding encoder, packing
-// the per-instance digest words into the engine's flat bit slice.
-func (q *PathQuery) EncodeHop(pktID uint64, hop int, bits uint64, value uint64) uint64 {
-	var buf [8]uint64
-	width, mask := uint(q.cfg.Bits), digestMask(q.cfg.Bits)
-	d := coding.Digest{Words: unpackWords(&buf, bits, q.instances(), width, mask)}
-	return packWords(q.enc.EncodeHop(pktID, hop, d, value).Words, width, mask)
-}
-
-// encodeHopBits is the compiled-pipeline form of EncodeHop: identical
-// output, but non-acting hops return before touching any words.
-func (q *PathQuery) encodeHopBits(pktID uint64, hop int, bits, value uint64) uint64 {
-	layer, act := q.enc.ActsOn(pktID, hop)
-	if !act {
-		return bits
-	}
-	return applyPathWords(q.enc, pktID, layer, bits, q.instances(),
-		uint(q.cfg.Bits), digestMask(q.cfg.Bits), value)
-}
-
 // unpackWords splits a path query's flat digest slice into its n
 // per-instance words of the given width. The words live in buf — the
 // caller's stack — so nothing is allocated for up to len(buf) instances.
@@ -95,9 +75,8 @@ func packWords(words []uint64, width uint, mask uint64) uint64 {
 }
 
 // applyPathWords unpacks a path query's flat digest slice into its
-// per-instance words, folds in the acting hop's payload, and repacks —
-// the single implementation behind both the per-packet and the compiled
-// batch encode paths (which passes precomputed n/width/mask).
+// per-instance words, folds in the acting hop's payload, and repacks;
+// n/width/mask are the op's precomputed instance geometry.
 func applyPathWords(enc *coding.Encoder, pktID uint64, layer int, bits uint64, n int, width uint, mask, value uint64) uint64 {
 	var buf [8]uint64
 	words := unpackWords(&buf, bits, n, width, mask)

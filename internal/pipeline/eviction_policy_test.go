@@ -185,9 +185,18 @@ func TestSinkEvictionCallback(t *testing.T) {
 		cap    = 8
 	)
 	pkts := encodeWorkload(eng, 19, nFlows, 200, k)
-	for _, shards := range []int{1, 3} {
+	for _, tc := range []struct {
+		kind   string // policyModel's name for the policy
+		mk     func() EvictionPolicy
+		shards int
+	}{
+		{"lru", func() EvictionPolicy { return NewLRU(cap) }, 1},
+		{"lru", func() EvictionPolicy { return NewLRU(cap) }, 3},
+		{"fifo", func() EvictionPolicy { return NewMaxFlows(cap) }, 1}, // the serial bounded-flow shape
+	} {
+		shards := tc.shards
 		want := shardModels(pkts, shards, func() *policyModel {
-			return &policyModel{kind: "lru", cap: cap, last: map[core.FlowKey]uint64{}}
+			return &policyModel{kind: tc.kind, cap: cap, last: map[core.FlowKey]uint64{}}
 		})
 
 		var mu sync.Mutex
@@ -195,7 +204,7 @@ func TestSinkEvictionCallback(t *testing.T) {
 		recOf := map[*core.Recording]int{}
 		sink, err := NewSink(eng, Config{
 			Shards: shards, BatchSize: 32, SketchItems: 16, Base: 5,
-			Policy: func() EvictionPolicy { return NewLRU(cap) },
+			Policy: tc.mk,
 			OnEvict: func(ev Eviction, rec *core.Recording) {
 				// The flow's state must still be present and queryable at
 				// callback time — it is dropped only after we return.
@@ -223,18 +232,18 @@ func TestSinkEvictionCallback(t *testing.T) {
 		}
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
-				t.Fatalf("shards=%d shard %d: %d evictions, model wants %d", shards, i, len(got[i]), len(want[i]))
+				t.Fatalf("%s shards=%d shard %d: %d evictions, model wants %d", tc.kind, shards, i, len(got[i]), len(want[i]))
 			}
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
-					t.Fatalf("shards=%d shard %d eviction %d: %+v, model wants %+v", shards, i, j, got[i][j], want[i][j])
+					t.Fatalf("%s shards=%d shard %d eviction %d: %+v, model wants %+v", tc.kind, shards, i, j, got[i][j], want[i][j])
 				}
 			}
 			if n := sink.shards[i].rec.TrackedFlows(); n > cap {
-				t.Fatalf("shards=%d shard %d: %d tracked flows exceed cap %d", shards, i, n, cap)
+				t.Fatalf("%s shards=%d shard %d: %d tracked flows exceed cap %d", tc.kind, shards, i, n, cap)
 			}
 			if n := sink.shards[i].pol.Flows(); n != sink.shards[i].rec.TrackedFlows() {
-				t.Fatalf("shards=%d shard %d: policy tracks %d flows, recording %d", shards, i, n, sink.shards[i].rec.TrackedFlows())
+				t.Fatalf("%s shards=%d shard %d: policy tracks %d flows, recording %d", tc.kind, shards, i, n, sink.shards[i].rec.TrackedFlows())
 			}
 		}
 	}

@@ -53,19 +53,12 @@ type Config struct {
 	// Base seeds every shard's Recording identically; required for
 	// cross-shard-count reproducibility.
 	Base hash.Seed
-	// SketchItems / WindowBuckets / WindowSpan / FreqCounters / MaxFlows
-	// mirror the core.Recording knobs. MaxFlows bounds flows *per shard*
-	// (eviction is a per-shard LRU, so with MaxFlows > 0 the sharded and
-	// serial paths may evict different flows — leave it 0 when exact
-	// serial equivalence matters). Prefer Policy + OnEvict, which also
-	// surface the evicted flows' answers; combining MaxFlows with Policy
-	// is rejected by NewSink, because Recording-level evictions would
-	// bypass OnEvict and desync the policy's flow table.
+	// SketchItems / WindowBuckets / WindowSpan / FreqCounters mirror the
+	// core.Recording knobs.
 	SketchItems   int
 	WindowBuckets int
 	WindowSpan    uint64
 	FreqCounters  int
-	MaxFlows      int
 	// Policy, when non-nil, builds one EvictionPolicy instance per shard;
 	// the policy bounds that shard's flow table. The policy clock is the
 	// shard's packet count.
@@ -165,10 +158,6 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 4
 	}
-	if cfg.MaxFlows > 0 && (cfg.Policy != nil || cfg.OnEvict != nil) {
-		return nil, fmt.Errorf("pipeline: MaxFlows is mutually exclusive with Policy/OnEvict" +
-			" (Recording-level evictions bypass the eviction callback)")
-	}
 	s := &Sink{engine: engine, cfg: cfg, shards: make([]*shard, cfg.Shards),
 		barrier: make(chan struct{}, cfg.Shards)}
 	for i := range s.shards {
@@ -212,7 +201,6 @@ func NewRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
 	if cfg.FreqCounters > 0 {
 		rec.FreqCounters = cfg.FreqCounters
 	}
-	rec.MaxFlows = cfg.MaxFlows
 	return rec, nil
 }
 

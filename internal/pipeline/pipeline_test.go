@@ -244,26 +244,6 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestSinkRejectsPolicyWithMaxFlows pins the config guard: Recording-level
-// MaxFlows evictions would bypass OnEvict and desync the policy's table.
-func TestSinkRejectsPolicyWithMaxFlows(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 901)
-	_, err := NewSink(eng, Config{
-		MaxFlows: 10,
-		Policy:   func() EvictionPolicy { return NewLRU(10) },
-	})
-	if err == nil {
-		t.Fatal("NewSink accepted Policy together with MaxFlows")
-	}
-	_, err = NewSink(eng, Config{
-		MaxFlows: 10,
-		OnEvict:  func(Eviction, *core.Recording) {},
-	})
-	if err == nil {
-		t.Fatal("NewSink accepted OnEvict together with MaxFlows (those evictions never run the callback)")
-	}
-}
-
 // TestSinkErrSurfacesShardFailure checks a long-running collector can see
 // a shard's recording error without Close: a packet with an impossible
 // path length fails its shard's decoder, Err() reports it mid-stream,

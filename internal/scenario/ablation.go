@@ -76,8 +76,8 @@ func codingAblation(name, desc string, values []uint64, maxPkts int, seedOffset 
 
 // epsilonScenario sweeps the per-packet compression error of the
 // utilization query (§4.3's accuracy/width trade-off): each arm encodes
-// utilizations through UtilQuery.EncodeHop at its (bits, ε) and reports
-// the mean relative decode error.
+// utilizations through a one-query engine at its (bits, ε) and reports the
+// mean relative decode error.
 func epsilonScenario() Scenario {
 	arms := []struct {
 		bits int
@@ -101,10 +101,14 @@ func epsilonScenario() Scenario {
 				if err != nil {
 					return 0, err
 				}
+				eng, err := core.Compile([]core.Query{q}, arm.bits, hash.Seed(s.Seed+76))
+				if err != nil {
+					return 0, err
+				}
 				var errSum float64
 				for j := 0; j < n; j++ {
 					u := 0.05 + 1.5*hash.Unit(g.ValueDigest(uint64(j), 1, 64))
-					code := q.EncodeHop(uint64(j), 1, 0, q.EncodeValue(u))
+					code := eng.EncodeHopValues(uint64(j), 1, 0, &core.HopValues{Util: q.EncodeValue(u)})
 					errSum += math.Abs(q.Decode(code)-u) / u
 				}
 				return errSum / float64(n) * 100, nil

@@ -10,10 +10,9 @@ import (
 // This file is the fused decode-and-shard pass of the parallel collector
 // ingest path: one unmarshal that lands every record directly in its
 // flow's shard staging buffer, computing the flow→shard hash while the
-// deltas are still in registers. Compared to AppendUnmarshal followed by
-// a routing loop it eliminates the intermediate whole-batch slice and
-// the second pass over the decoded packets — the two per-frame costs the
-// single-ingester collector paid on every connection.
+// deltas are still in registers. Compared to a whole-batch decode followed
+// by a routing loop it eliminates the intermediate slice and the second
+// pass over the decoded packets.
 
 // AppendUnmarshalSharded decodes a marshaled batch, appending each packet
 // to dsts[hash.ShardOf(flow, len(dsts))] — the same routing function
@@ -21,11 +20,10 @@ import (
 // non-empty; with a single destination the per-packet hash is skipped
 // entirely (routing is the identity).
 //
-// The acceptance set and error text are exactly AppendUnmarshal's: both
-// decoders share the header checks, the strict canonical-varint readers
-// (with the same 1/2-byte fast paths), and the PathLen domain check, so a
-// frame either decodes identically under both or fails identically under
-// both (the property FuzzUnmarshalSharded pins). On error the contents of
+// This is the package's one record-decode loop: AppendUnmarshal is this
+// function with a single destination it sized beforehand, so the two accept
+// the same frames and fail with the same text, and FuzzUnmarshalSharded
+// holds the loop to the byte-at-a-time reference. On error the contents of
 // dsts are unspecified — packets decoded before the error may already be
 // staged — so callers must discard the staged state (Stage.Reset, or a
 // connection teardown) instead of ingesting it.
@@ -33,25 +31,9 @@ func AppendUnmarshalSharded(dsts [][]core.PacketDigest, data []byte) (int, error
 	if len(dsts) == 0 {
 		return 0, fmt.Errorf("wire: sharded unmarshal needs at least one destination")
 	}
-	if len(data) < headerLen {
-		return 0, fmt.Errorf("wire: %d-byte input shorter than the %d-byte header", len(data), headerLen)
-	}
-	if data[0] != magic[0] || data[1] != magic[1] {
-		return 0, fmt.Errorf("wire: bad magic %#02x%02x", data[0], data[1])
-	}
-	if data[2] != Version {
-		return 0, fmt.Errorf("wire: unsupported version %d (have %d)", data[2], Version)
-	}
-	rest := data[3:]
-	count, n, err := uvarint(rest)
+	count, rest, err := batchHeader(data)
 	if err != nil {
-		return 0, fmt.Errorf("wire: batch count: %w", err)
-	}
-	rest = rest[n:]
-	// Bound the claimed count by the bytes present before staging
-	// anything, so a hostile header cannot force large appends.
-	if count > uint64(len(rest)/minRecordLen) {
-		return 0, fmt.Errorf("wire: count %d exceeds the %d remaining bytes", count, len(rest))
+		return 0, err
 	}
 	mod := uint64(len(dsts))
 	var prevFlow, prevID uint64

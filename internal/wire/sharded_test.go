@@ -8,10 +8,11 @@ import (
 )
 
 // referenceShard is the unfused two-pass path the fused decoder replaces:
-// a whole-batch AppendUnmarshal followed by a separate routing pass. The
-// fused decoder must be indistinguishable from it.
+// the byte-at-a-time whole-batch referenceUnmarshal (bulk_test.go) followed
+// by a separate routing pass. The fused decoder must be indistinguishable
+// from it.
 func referenceShard(shards int, data []byte) ([][]core.PacketDigest, int, error) {
-	flat, err := AppendUnmarshal(nil, data)
+	flat, err := referenceUnmarshal(data)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -166,72 +166,45 @@ func Roundtrip(dst []core.PacketDigest, buf []byte, batch []core.PacketDigest) (
 // buffer's dst[:0] to avoid allocation on the replay hot path) and returns
 // the extended slice. On error dst is returned unextended.
 func AppendUnmarshal(dst []core.PacketDigest, data []byte) ([]core.PacketDigest, error) {
+	count, _, err := batchHeader(data)
+	if err != nil {
+		return dst, err
+	}
+	one := [1][]core.PacketDigest{dst}
+	if free := cap(dst) - len(dst); uint64(free) < count {
+		one[0] = make([]core.PacketDigest, len(dst), len(dst)+int(count))
+		copy(one[0], dst)
+	}
+	if _, err := AppendUnmarshalSharded(one[:], data); err != nil {
+		return dst, err
+	}
+	return one[0], nil
+}
+
+// batchHeader checks a marshaled batch's magic and version and returns its
+// record count and the bytes the records occupy. The claimed count is
+// bounded by the bytes present, so a hostile header cannot force a huge
+// allocation on whoever sizes a buffer from it.
+func batchHeader(data []byte) (count uint64, rest []byte, err error) {
 	if len(data) < headerLen {
-		return dst, fmt.Errorf("wire: %d-byte input shorter than the %d-byte header", len(data), headerLen)
+		return 0, nil, fmt.Errorf("wire: %d-byte input shorter than the %d-byte header", len(data), headerLen)
 	}
 	if data[0] != magic[0] || data[1] != magic[1] {
-		return dst, fmt.Errorf("wire: bad magic %#02x%02x", data[0], data[1])
+		return 0, nil, fmt.Errorf("wire: bad magic %#02x%02x", data[0], data[1])
 	}
 	if data[2] != Version {
-		return dst, fmt.Errorf("wire: unsupported version %d (have %d)", data[2], Version)
+		return 0, nil, fmt.Errorf("wire: unsupported version %d (have %d)", data[2], Version)
 	}
-	rest := data[3:]
+	rest = data[3:]
 	count, n, err := uvarint(rest)
 	if err != nil {
-		return dst, fmt.Errorf("wire: batch count: %w", err)
+		return 0, nil, fmt.Errorf("wire: batch count: %w", err)
 	}
 	rest = rest[n:]
-	// Bound the claimed count by the bytes present before allocating
-	// anything, so a hostile header cannot force a huge allocation.
 	if count > uint64(len(rest)/minRecordLen) {
-		return dst, fmt.Errorf("wire: count %d exceeds the %d remaining bytes", count, len(rest))
+		return 0, nil, fmt.Errorf("wire: count %d exceeds the %d remaining bytes", count, len(rest))
 	}
-	out := dst
-	if free := cap(out) - len(out); uint64(free) < count {
-		grown := make([]core.PacketDigest, len(out), len(out)+int(count))
-		copy(grown, out)
-		out = grown
-	}
-	var prevFlow, prevID uint64
-	var prevLen int64
-	for i := uint64(0); i < count; i++ {
-		dFlow, n, err := varintFast(rest)
-		if err != nil {
-			return dst, fmt.Errorf("wire: packet %d flow: %w", i, err)
-		}
-		rest = rest[n:]
-		dID, n, err := varintFast(rest)
-		if err != nil {
-			return dst, fmt.Errorf("wire: packet %d id: %w", i, err)
-		}
-		rest = rest[n:]
-		dLen, n, err := varintFast(rest)
-		if err != nil {
-			return dst, fmt.Errorf("wire: packet %d path length: %w", i, err)
-		}
-		rest = rest[n:]
-		digest, n, err := uvarintFast(rest)
-		if err != nil {
-			return dst, fmt.Errorf("wire: packet %d digest: %w", i, err)
-		}
-		rest = rest[n:]
-		prevFlow += uint64(dFlow)
-		prevID += uint64(dID)
-		prevLen += dLen
-		if prevLen < 1 || prevLen > MaxPathLen {
-			return dst, fmt.Errorf("wire: packet %d path length %d outside [1, %d]", i, prevLen, MaxPathLen)
-		}
-		out = append(out, core.PacketDigest{
-			Flow:    core.FlowKey(prevFlow),
-			PktID:   prevID,
-			PathLen: int(prevLen),
-			Digest:  digest,
-		})
-	}
-	if len(rest) != 0 {
-		return dst, fmt.Errorf("wire: %d trailing bytes after the last record", len(rest))
-	}
-	return out, nil
+	return count, rest, nil
 }
 
 // uvarint reads one canonical unsigned varint. Unlike binary.Uvarint it

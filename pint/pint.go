@@ -17,26 +17,25 @@
 //	q, _ := pint.NewPathQuery("path", cfg, 1.0, seed, universe)
 //	engine, _ := pint.Compile([]pint.Query{q}, 8, seed)
 //
-//	// On each switch (hop h) for each packet:
-//	digest = engine.EncodeHop(pktID, h, digest, func(pint.Query) uint64 {
-//	    return mySwitchID
-//	})
+//	// On each switch (hop h), for the packets it forwards:
+//	pkts := []pint.PacketDigest{{Flow: flowKey, PktID: pktID, PathLen: pathLen}, ...}
+//	vals := []pint.HopValues{{SwitchID: mySwitchID}, ...}
+//	engine.EncodeHopBatch(h, pkts, vals) // rewrites pkts[i].Digest in place
 //
 //	// At the sink:
 //	rec, _ := pint.NewRecording(engine, 0, rng)
-//	rec.Record(flowKey, pathLen, pktID, digest)
+//	rec.RecordBatch(pkts)
 //	ids, done := rec.Path(q, flowKey)
 //
-// # Batch and sharded hot path
+// EncodeHopBatch is the one encode path: the compiled plan run as column
+// passes over the batch, with no interface dispatch, no closures and zero
+// per-packet allocations, at every batch size (Engine.EncodeHopValues is
+// its one-packet form for a simulator's per-dequeue hook).
 //
-// The closure API above is the didactic path. The compiled batch pipeline
-// runs the same plan with no interface dispatch, no closures and zero
-// per-packet allocations, and shards sink-side recording across cores
-// with answers bit-identical to the serial path:
+// # Sharded sink
 //
-//	pkts := []pint.PacketDigest{{Flow: flow, PktID: id, PathLen: k}, ...}
-//	vals := []pint.HopValues{{SwitchID: sw, LatencyNs: lat}, ...}
-//	engine.EncodeHopBatch(hop, pkts, vals)  // per hop, in place
+// Sink-side recording shards across cores with answers bit-identical to
+// the serial path:
 //
 //	sink, _ := pint.NewShardedSink(engine, pint.ShardConfig{Shards: 8, Base: seed})
 //	sink.Ingest(pkts)
@@ -223,8 +222,8 @@ func NewRecordingSeeded(engine *Engine, sketchItems int, base Seed) (*Recording,
 }
 
 // HopValues carries everything a switch observes at one hop, one field per
-// query kind — the closure-free input of the compiled batch encode path
-// (Engine.EncodeHopValues / Engine.EncodeHopBatch).
+// query kind — the input of the encode path (Engine.EncodeHopBatch /
+// Engine.EncodeHopValues).
 type HopValues = core.HopValues
 
 // PacketDigest is one packet's telemetry state in the batch pipeline: its
@@ -233,7 +232,7 @@ type HopValues = core.HopValues
 type PacketDigest = core.PacketDigest
 
 // Extracted is one query's digest slice recovered at the sink; see
-// Engine.Extract and the zero-allocation Engine.ExtractInto.
+// Engine.ExtractInto.
 type Extracted = core.Extracted
 
 // ShardedSink is the multi-core sink: packets shard by flow key across a

@@ -46,9 +46,7 @@ func TestPublicPathTracing(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= len(truth); hop++ {
-			h := hop
-			digest = engine.EncodeHop(pkt, hop, digest,
-				func(pint.Query) uint64 { return truth[h-1] })
+			digest = engine.EncodeHopValues(pkt, hop, digest, &pint.HopValues{SwitchID: truth[hop-1]})
 		}
 		if err := rec.Record(flow, len(truth), pkt, digest); err != nil {
 			t.Fatal(err)
@@ -118,19 +116,11 @@ func TestPublicFreqAndCountQueries(t *testing.T) {
 		pkt := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			h := hop
-			digest = engine.EncodeHop(pkt, hop, digest, func(q pint.Query) uint64 {
-				switch q.(type) {
-				case *pint.FreqQuery:
-					return uint64(h) // hop h always uses port h
-				case *pint.CountQuery:
-					if h == 2 {
-						return 1 // exactly one indicator hop
-					}
-					return 0
-				}
-				return 0
-			})
+			v := pint.HopValues{FreqValue: uint64(hop)} // hop h always uses port h
+			if hop == 2 {
+				v.CountFired = 1 // exactly one indicator hop
+			}
+			digest = engine.EncodeHopValues(pkt, hop, digest, &v)
 		}
 		if err := rec.Record(flow, k, pkt, digest); err != nil {
 			t.Fatal(err)

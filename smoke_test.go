@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,7 +21,9 @@ import (
 // TestSmokeBinariesAndExamples build-and-runs every command and example
 // main so CI catches bit-rot in the untested binaries: each subtest `go
 // run`s the package with fast arguments and checks for a marker string
-// the program prints on a healthy run.
+// the program prints on a healthy run. The examples are deterministic and
+// must print their committed want.txt byte for byte; pintplan must print
+// the same bytes twice (nothing in a plan may follow map order).
 func TestSmokeBinariesAndExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests exec the go tool; skipped in -short")
@@ -29,36 +32,55 @@ func TestSmokeBinariesAndExamples(t *testing.T) {
 		name   string
 		args   []string
 		marker string
+		twice  bool // a second run must print the same bytes
 	}{
-		{"pintplan", []string{"./cmd/pintplan", "-budget", "16"}, "pipeline:"},
-		{"pintfig-list", []string{"./cmd/pintfig", "-list"}, "Scenario catalog"},
-		{"pintfig-quick", []string{"./cmd/pintfig", "-scale", "quick", "-run", "fig5"}, "Fig 5"},
-		{"pintfig-parallel-json", []string{"./cmd/pintfig", "-scale", "quick",
-			"-run", "route-change,pathtrace", "-parallel", "4", "-json"}, "\"scenario\": \"route-change\""},
-		{"pintfig-federated", []string{"./cmd/pintfig", "-scale", "quick",
-			"-run", "federated-scale"}, "Federated conformance"},
-		{"pinttrace", []string{"./cmd/pinttrace", "-topo", "fattree", "-len", "5",
-			"-trials", "20", "-parallel", "2", "-baselines=false"}, "PINT"},
-		{"example-quickstart", []string{"./examples/quickstart"}, "path"},
-		{"example-pathtracing", []string{"./examples/pathtracing"}, ""},
-		{"example-latency", []string{"./examples/latency"}, ""},
-		{"example-loopdetect", []string{"./examples/loopdetect"}, ""},
-		{"example-congestion", []string{"./examples/congestion"}, ""},
+		{name: "pintplan", args: []string{"./cmd/pintplan", "-budget", "16"}, marker: "pipeline:", twice: true},
+		{name: "pintfig-list", args: []string{"./cmd/pintfig", "-list"}, marker: "Scenario catalog"},
+		{name: "pintfig-quick", args: []string{"./cmd/pintfig", "-scale", "quick", "-run", "fig5"}, marker: "Fig 5"},
+		{name: "pintfig-parallel-json", args: []string{"./cmd/pintfig", "-scale", "quick",
+			"-run", "route-change,pathtrace", "-parallel", "4", "-json"}, marker: "\"scenario\": \"route-change\""},
+		{name: "pintfig-federated", args: []string{"./cmd/pintfig", "-scale", "quick",
+			"-run", "federated-scale"}, marker: "Federated conformance"},
+		{name: "pinttrace", args: []string{"./cmd/pinttrace", "-topo", "fattree", "-len", "5",
+			"-trials", "20", "-parallel", "2", "-baselines=false"}, marker: "PINT"},
+		{name: "example-quickstart", args: []string{"./examples/quickstart"}},
+		{name: "example-pathtracing", args: []string{"./examples/pathtracing"}},
+		{name: "example-latency", args: []string{"./examples/latency"}},
+		{name: "example-loopdetect", args: []string{"./examples/loopdetect"}},
+		{name: "example-congestion", args: []string{"./examples/congestion"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 			defer cancel()
-			out, err := exec.CommandContext(ctx, "go", append([]string{"run"}, tc.args...)...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("go run %s: %v\n%s", strings.Join(tc.args, " "), err, out)
+			run := func() []byte {
+				out, err := exec.CommandContext(ctx, "go", append([]string{"run"}, tc.args...)...).CombinedOutput()
+				if err != nil {
+					t.Fatalf("go run %s: %v\n%s", strings.Join(tc.args, " "), err, out)
+				}
+				return out
 			}
+			out := run()
 			if len(out) == 0 {
 				t.Fatalf("go run %s printed nothing", strings.Join(tc.args, " "))
 			}
-			if tc.marker != "" && !strings.Contains(string(out), tc.marker) {
+			if !strings.Contains(string(out), tc.marker) {
 				t.Fatalf("go run %s output lacks %q:\n%s", strings.Join(tc.args, " "), tc.marker, out)
+			}
+			if strings.HasPrefix(tc.args[0], "./examples/") {
+				want, err := os.ReadFile(filepath.Join(tc.args[0], "want.txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Fatalf("go run %s differs from its want.txt; got:\n%s", tc.args[0], out)
+				}
+			}
+			if tc.twice {
+				if again := run(); !bytes.Equal(out, again) {
+					t.Fatalf("go run %s printed different bytes on a second run:\n%s\n---\n%s", strings.Join(tc.args, " "), out, again)
+				}
 			}
 		})
 	}
