@@ -559,7 +559,11 @@ func BenchmarkFleetHandoff(b *testing.B) {
 		}
 	}
 
-	newNode := func() *collector.Server {
+	type node struct {
+		*collector.Server
+		addr string
+	}
+	newNode := func() node {
 		sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: 2, SketchItems: 32, Base: 7})
 		if err != nil {
 			b.Fatal(err)
@@ -573,20 +577,17 @@ func BenchmarkFleetHandoff(b *testing.B) {
 			b.Fatal(err)
 		}
 		go srv.Serve(ln)
-		for srv.Addr() == nil {
-			time.Sleep(100 * time.Microsecond)
-		}
 		b.Cleanup(func() {
 			srv.Shutdown(context.Background())
 			sink.Close()
 		})
-		return srv
+		return node{srv, ln.Addr().String()}
 	}
 	src, dst := newNode(), newNode()
 
 	// Seed the source through a normal exporter session, then wait for
 	// the read loop to drain it.
-	ex, err := collector.Connect(eng, 1, "seed", collector.WithAddrs(src.Addr().String()))
+	ex, err := collector.Connect(eng, 1, "seed", collector.WithAddrs(src.addr))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -602,7 +603,7 @@ func BenchmarkFleetHandoff(b *testing.B) {
 
 	// One untimed warm round sizes SetBytes and leaves the flows on dst,
 	// so the timed loop starts mid-ping-pong like any later iteration.
-	handoff := func(from, to *collector.Server) int64 {
+	handoff := func(from, to node) int64 {
 		states, err := from.ExportFlows(flows)
 		if err != nil {
 			b.Fatal(err)
@@ -615,7 +616,7 @@ func BenchmarkFleetHandoff(b *testing.B) {
 			bytes += int64(len(st.State))
 		}
 		before := to.HandoffFlows()
-		if n, err := collector.SendHandoff(to.Addr().String(), collector.HelloFor(eng, 1<<40, "bench-handoff"), states); err != nil || n != nFlows {
+		if n, err := collector.SendHandoff(to.addr, collector.HelloFor(eng, 1<<40, "bench-handoff"), states); err != nil || n != nFlows {
 			b.Fatalf("shipped %d flows: %v", n, err)
 		}
 		deadline := time.Now().Add(30 * time.Second)

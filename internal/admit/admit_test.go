@@ -75,21 +75,21 @@ func TestGrantBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := c.Grant(50); g != 1 { // bucket opens full: 1000 × 0.1s = 100
+	if g := c.grantAt(now, 50); g != 1 { // bucket opens full: 1000 × 0.1s = 100
 		t.Fatalf("grant within bucket: %v, want 1", g)
 	}
-	if g := c.Grant(100); math.Abs(g-0.5) > 1e-9 { // 50 tokens left of 100 asked
+	if g := c.grantAt(now, 100); math.Abs(g-0.5) > 1e-9 { // 50 tokens left of 100 asked
 		t.Fatalf("fractional grant: %v, want 0.5", g)
 	}
-	if g := c.Grant(10); g != 0 {
+	if g := c.grantAt(now, 10); g != 0 {
 		t.Fatalf("empty-bucket grant: %v, want 0", g)
 	}
 	now += uint64(0.05e9) // 50ms at 1000/s refills 50 tokens
-	if g := c.Grant(50); g != 1 {
+	if g := c.grantAt(now, 50); g != 1 {
 		t.Fatalf("post-refill grant: %v, want 1", g)
 	}
 	now += uint64(10e9) // a long idle caps at the burst depth, not 10k
-	g := c.Grant(200)
+	g := c.grantAt(now, 200)
 	if want := c.Capacity() * 0.1 / 200; math.Abs(g-want) > 1e-9 || g >= 1 {
 		t.Fatalf("burst-capped grant: %v, want %v", g, want)
 	}
@@ -112,9 +112,11 @@ func TestCapacityProperty(t *testing.T) {
 		}
 		start := now
 		capMax := c.Capacity()
+		granted := 0.0 // cumulative expected packets admitted
 		for i := 0; i < 2000; i++ {
 			now += uint64(rng.Intn(20e6)) // 0-20ms between frames
-			c.Grant(float64(rng.Intn(500)))
+			n := float64(rng.Intn(500))
+			granted += n * c.grantAt(now, n)
 			if rng.Bool(0.3) {
 				c.Observe(rng.Bool(0.5))
 			}
@@ -123,7 +125,7 @@ func TestCapacityProperty(t *testing.T) {
 			}
 			elapsed := float64(now-start) / 1e9
 			bound := capMax * (elapsed + cfg.Burst)
-			if granted := c.Granted(); granted > bound+1e-6 {
+			if granted > bound+1e-6 {
 				t.Fatalf("seed %d step %d: granted %v exceeds capacity bound %v (capMax %v, elapsed %vs)",
 					seed, i, granted, bound, capMax, elapsed)
 			}
@@ -204,8 +206,8 @@ func TestDecideDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := a.Tenant("") // empty name resolves to the default tenant
-	if tn.Name() != DefaultTenant {
-		t.Fatalf("tenant name %q, want %q", tn.Name(), DefaultTenant)
+	if tn.name != DefaultTenant {
+		t.Fatalf("tenant name %q, want %q", tn.name, DefaultTenant)
 	}
 	if d := tn.Decide(100); d.P != 1 { // opening burst covers it
 		t.Fatalf("burst frame: p=%v, want 1", d.P)

@@ -106,7 +106,6 @@ type Controller struct {
 	stalls      uint64
 	probes      uint64
 	backoffs    uint64
-	granted     float64 // cumulative expected packets admitted
 }
 
 // NewController builds a controller from a validated config. Returns
@@ -189,22 +188,14 @@ func (c *Controller) Observe(stalled bool) {
 	c.tokens = math.Min(c.tokens, c.capacity*c.cfg.Burst)
 }
 
-// Grant asks the controller for permission to admit n expected packets
-// and returns the granted fraction in [0,1]: 1 when the bucket covers
-// the frame, the covered fraction otherwise. The expectation n*g is
-// drawn from the bucket, so total expected admission is bounded by the
-// capacity integral regardless of offered load. A nil controller grants
-// everything.
-func (c *Controller) Grant(n float64) float64 {
-	if c == nil || n <= 0 {
-		return 1
-	}
-	return c.grantAt(c.clock(), n)
-}
-
-// grantAt is Grant with the clock already read — the per-frame path
-// reads it once in Tenant.Decide and shares it (both sides run the same
-// injected Clock, so the shared read changes nothing observable).
+// grantAt asks the controller at clock reading now for permission to
+// admit n expected packets and returns the granted fraction in [0,1]: 1
+// when the bucket covers the frame, the covered fraction otherwise. The
+// expectation n*g is drawn from the bucket, so total expected admission is
+// bounded by the capacity integral regardless of offered load. The
+// per-frame path reads the clock once in Tenant.Decide and shares it (both
+// sides run the same injected Clock, so the shared read changes nothing
+// observable).
 func (c *Controller) grantAt(now uint64, n float64) float64 {
 	c.mu.Lock()
 	c.refill(now)
@@ -215,7 +206,6 @@ func (c *Controller) grantAt(now uint64, n float64) float64 {
 		g = c.tokens / n
 		c.tokens = 0
 	}
-	c.granted += n * g
 	c.mu.Unlock()
 	return g
 }
@@ -251,15 +241,4 @@ func (c *Controller) Capacity() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.capacity
-}
-
-// Granted returns the cumulative expected packets admitted — the left
-// side of the capacity-bound invariant, exposed for the property test.
-func (c *Controller) Granted() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.granted
 }

@@ -210,14 +210,6 @@ func (t *Tenant) AddSession(delta int64) {
 	t.mu.Unlock()
 }
 
-// Name returns the tenant's resolved name ("" on nil).
-func (t *Tenant) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // Stats returns the tenant's point-in-time accounting and derived
 // error envelope.
 func (t *Tenant) Stats() TenantStats {

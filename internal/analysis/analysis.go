@@ -1,19 +1,16 @@
 // Package analysis implements the probabilistic bounds of the paper's
-// Appendix A in executable form: the binomial success bound (Lemma 4),
-// the Double Dixie Cup bound (Theorem 5), the partial coupon collector
-// tail (Theorem 8), the all-but-ψk collection bound (Lemma 9), and the
-// sample-complexity statements of Theorems 1 and 2. The test suite checks
-// each closed form against Monte Carlo simulation, which is how the
-// repository "proves" the performance bounds hold for the implementation
-// and not just on paper.
+// Appendix A that cmd/pintplan quotes per query, in executable form: the
+// coupon-collector mean, the all-but-ψk collection bound (Lemma 9), and
+// the packet counts of Theorems 1 and 3. The test suite checks each
+// closed form against Monte Carlo simulation or the implementation, which
+// is how the repository "proves" the performance bounds hold for the
+// implementation and not just on paper.
 package analysis
 
-import (
-	"math"
-)
+import "math"
 
-// Harmonic returns the n-th harmonic number H_n.
-func Harmonic(n int) float64 {
+// harmonic returns the n-th harmonic number H_n.
+func harmonic(n int) float64 {
 	h := 0.0
 	for i := 1; i <= n; i++ {
 		h += 1 / float64(i)
@@ -24,55 +21,7 @@ func Harmonic(n int) float64 {
 // CouponCollectorMean returns k·H_k, the expected draws to collect all of
 // k equally likely coupons.
 func CouponCollectorMean(k int) float64 {
-	return float64(k) * Harmonic(k)
-}
-
-// PartialCouponMean returns r·(H_r − H_{r−n}): the expected draws to see n
-// distinct coupons out of r (Theorem 8's E[A]).
-func PartialCouponMean(r, n int) float64 {
-	if n > r {
-		n = r
-	}
-	return float64(r) * (Harmonic(r) - Harmonic(r-n))
-}
-
-// PartialCouponTail returns Theorem 8's high-probability bound: with
-// probability 1−δ, seeing n distinct coupons out of r takes at most
-//
-//	E[A] + r·ln(1/δ)/(r−n) + sqrt(2·r·E[A]·ln(1/δ))/(r−n)
-//
-// draws. n must be strictly below r for the bound to be finite.
-func PartialCouponTail(r, n int, delta float64) float64 {
-	if n >= r {
-		return math.Inf(1)
-	}
-	ea := PartialCouponMean(r, n)
-	ln := math.Log(1 / delta)
-	gap := float64(r - n)
-	return ea + float64(r)*ln/gap + math.Sqrt(2*float64(r)*ea*ln)/gap
-}
-
-// Lemma4Draws returns Lemma 4's N: the number of independent probability-p
-// trials after which at least k successes occur except with probability δ:
-//
-//	N = (k + 2·ln(1/δ) + sqrt(2k·ln(1/δ))) / p.
-func Lemma4Draws(k int, p, delta float64) float64 {
-	ln := math.Log(1 / delta)
-	return (float64(k) + 2*ln + math.Sqrt(2*float64(k)*ln)) / p
-}
-
-// DoubleDixieCupDraws returns Theorem 5's N: the number of uniform draws
-// over k coupons after which every coupon has at least z copies except
-// with probability δ:
-//
-//	N = k·( z−1 + ln(k/δ) + sqrt((z−1+ln(k/δ))² − (z−1)²/4) ).
-func DoubleDixieCupDraws(k, z int, delta float64) float64 {
-	a := float64(z-1) + math.Log(float64(k)/delta)
-	inner := a*a - float64(z-1)*float64(z-1)/4
-	if inner < 0 {
-		inner = 0
-	}
-	return float64(k) * (a + math.Sqrt(inner))
+	return float64(k) * harmonic(k)
 }
 
 // Lemma9Draws returns Lemma 9's bound on collecting all but ψ·K coupons:
@@ -95,18 +44,6 @@ func Theorem1Packets(k int, eps float64) int {
 	return int(math.Ceil(4 * float64(k) / (eps * eps)))
 }
 
-// Theorem1Space returns the per-flow space of Theorem 1: O(k·ε⁻¹) digest
-// slots when a KLL sketch summarizes each hop's sub-stream.
-func Theorem1Space(k int, eps float64) int {
-	return int(math.Ceil(4 * float64(k) / eps))
-}
-
-// Theorem2Packets returns the sample complexity of the frequent-values
-// aggregation (same O(k·ε⁻²) shape as Theorem 1).
-func Theorem2Packets(k int, eps float64) int {
-	return Theorem1Packets(k, eps)
-}
-
 // Theorem3Packets returns the multi-layer scheme's k·(log log* k + c)
 // packet bound with A.3's constant c = 2 for d = k.
 func Theorem3Packets(k int) float64 {
@@ -121,19 +58,4 @@ func Theorem3Packets(k int) float64 {
 		lls = 0
 	}
 	return float64(k) * (lls + 2)
-}
-
-// MorrisBitsBound returns §4.3's randomized-counting width:
-// O(log ε⁻¹ + log log(2^q·k·ε²)) bits to (1+ε)-approximate a per-packet
-// aggregate of q-bit values over k hops.
-func MorrisBitsBound(q, k int, eps float64) int {
-	inner := math.Pow(2, float64(q)) * float64(k) * eps * eps
-	if inner < 2 {
-		inner = 2
-	}
-	v := math.Log2(1/eps) + math.Log2(math.Log2(inner))
-	if v < 1 {
-		v = 1
-	}
-	return int(math.Ceil(v))
 }

@@ -9,15 +9,15 @@ import (
 )
 
 func TestHarmonic(t *testing.T) {
-	if Harmonic(1) != 1 {
+	if harmonic(1) != 1 {
 		t.Fatal("H_1 must be 1")
 	}
-	if math.Abs(Harmonic(2)-1.5) > 1e-12 {
+	if math.Abs(harmonic(2)-1.5) > 1e-12 {
 		t.Fatal("H_2 must be 1.5")
 	}
 	// H_n ≈ ln n + γ.
-	if math.Abs(Harmonic(10000)-(math.Log(10000)+0.5772)) > 0.001 {
-		t.Fatalf("H_10000 = %v", Harmonic(10000))
+	if math.Abs(harmonic(10000)-(math.Log(10000)+0.5772)) > 0.001 {
+		t.Fatalf("H_10000 = %v", harmonic(10000))
 	}
 }
 
@@ -47,93 +47,6 @@ func TestCouponCollectorMeanMonteCarlo(t *testing.T) {
 	want := CouponCollectorMean(k)
 	if math.Abs(got-want)/want > 0.05 {
 		t.Fatalf("empirical %v vs formula %v", got, want)
-	}
-}
-
-func TestPartialCouponMeanMonteCarlo(t *testing.T) {
-	rng := hash.NewRNG(2)
-	const r, n, trials = 50, 25, 3000
-	total := 0
-	for i := 0; i < trials; i++ {
-		total += couponTrial(rng, r, n)
-	}
-	got := float64(total) / trials
-	want := PartialCouponMean(r, n)
-	if math.Abs(got-want)/want > 0.05 {
-		t.Fatalf("empirical %v vs formula %v", got, want)
-	}
-}
-
-func TestPartialCouponTailHolds(t *testing.T) {
-	// Theorem 8: the (1-δ)-quantile of draws must sit below the bound.
-	rng := hash.NewRNG(3)
-	const r, n, trials = 40, 30, 2000
-	const delta = 0.05
-	draws := make([]int, trials)
-	for i := 0; i < trials; i++ {
-		draws[i] = couponTrial(rng, r, n)
-	}
-	sort.Ints(draws)
-	q := draws[int(float64(trials)*(1-delta))]
-	bound := PartialCouponTail(r, n, delta)
-	if float64(q) > bound {
-		t.Fatalf("empirical 95th pct %d exceeds Theorem 8 bound %v", q, bound)
-	}
-	// The bound should not be absurdly loose either (within 4x of mean).
-	if bound > 4*PartialCouponMean(r, n)+100 {
-		t.Fatalf("bound %v implausibly loose", bound)
-	}
-	if !math.IsInf(PartialCouponTail(10, 10, 0.1), 1) {
-		t.Fatal("n=r must give an infinite bound (the formula divides by r-n)")
-	}
-}
-
-func TestLemma4Holds(t *testing.T) {
-	// After Lemma4Draws trials of probability p, at least k successes
-	// occur in >= (1-δ) of runs.
-	rng := hash.NewRNG(4)
-	const k, trials = 20, 2000
-	const p, delta = 0.1, 0.05
-	n := int(math.Ceil(Lemma4Draws(k, p, delta)))
-	fails := 0
-	for i := 0; i < trials; i++ {
-		successes := 0
-		for j := 0; j < n; j++ {
-			if rng.Bool(p) {
-				successes++
-			}
-		}
-		if successes < k {
-			fails++
-		}
-	}
-	if rate := float64(fails) / trials; rate > delta {
-		t.Fatalf("failure rate %v exceeds delta %v at N=%d", rate, delta, n)
-	}
-}
-
-func TestDoubleDixieCupHolds(t *testing.T) {
-	// After DoubleDixieCupDraws draws, every coupon has >= z copies in
-	// >= (1-δ) of runs.
-	rng := hash.NewRNG(5)
-	const k, z, trials = 10, 5, 1000
-	const delta = 0.05
-	n := int(math.Ceil(DoubleDixieCupDraws(k, z, delta)))
-	fails := 0
-	for i := 0; i < trials; i++ {
-		counts := make([]int, k)
-		for j := 0; j < n; j++ {
-			counts[rng.Intn(k)]++
-		}
-		for _, c := range counts {
-			if c < z {
-				fails++
-				break
-			}
-		}
-	}
-	if rate := float64(fails) / trials; rate > delta {
-		t.Fatalf("failure rate %v exceeds delta %v at N=%d", rate, delta, n)
 	}
 }
 
@@ -213,17 +126,5 @@ func TestTheorem3MatchesImplementation(t *testing.T) {
 	}
 	if Theorem3Packets(59) <= Theorem3Packets(25) {
 		t.Fatal("bound must grow with k")
-	}
-}
-
-func TestMorrisBitsBound(t *testing.T) {
-	// Counting 2^1·k sums with 25 hops at 10% error needs only a handful
-	// of bits, far below the log2(k)+q of exact counting.
-	b := MorrisBitsBound(1, 25, 0.1)
-	if b < 1 || b > 8 {
-		t.Fatalf("MorrisBitsBound = %d, want a handful", b)
-	}
-	if MorrisBitsBound(1, 25, 0.01) < b {
-		t.Fatal("finer eps must not need fewer bits")
 	}
 }

@@ -34,15 +34,6 @@ func BenchmarkLog2Table(b *testing.B) {
 	benchSinkF = acc
 }
 
-func BenchmarkTableMul(b *testing.B) {
-	t, _ := NewLogExpTable(8)
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		acc += t.Mul(uint64(i%65536+1), 12345)
-	}
-	benchSinkF = acc
-}
-
 func BenchmarkHPCCUtilizationUpdate(b *testing.B) {
 	t, _ := NewLogExpTable(12)
 	h := NewHPCCUtilization(13000, 100_000_000_000, t)

@@ -6,16 +6,15 @@
 //
 //   - multiplicatively, storing [log_{(1+ε)²} v] so the decoded value is a
 //     (1+ε)-approximation of the original,
-//   - additively, storing [v / 2Δ] for a fixed absolute error Δ,
 //   - with randomized rounding ([·]_R) so the *expected* decoded value is
 //     exact — eliminating the systematic bias that plain rounding would
 //     feed into a congestion-control loop,
 //   - with a Morris counter when even the aggregate (a sum over a path)
 //     does not fit the budget.
 //
-// It also provides fixed-point numbers and lookup-table log₂/exp₂, the
-// constructions of Appendix C that let a match-action pipeline approximate
-// multiplication and division it cannot execute natively.
+// It also provides lookup-table log₂/exp₂, the construction of Appendix C
+// that lets a match-action pipeline approximate multiplication and division
+// it cannot execute natively.
 package approx
 
 import (
@@ -30,7 +29,6 @@ import (
 // (1+ε)²-approximation bracketing the true value within (1±ε) after the
 // half-step rounding (§4.3).
 type MultCompressor struct {
-	eps  float64
 	base float64 // (1+ε)²
 	lnB  float64 // ln base
 	bits int     // digest width
@@ -48,14 +46,8 @@ func NewMultCompressor(eps float64, bits int) (*MultCompressor, error) {
 		return nil, fmt.Errorf("approx: bits %d out of [1,32]", bits)
 	}
 	b := (1 + eps) * (1 + eps)
-	return &MultCompressor{eps: eps, base: b, lnB: math.Log(b), bits: bits}, nil
+	return &MultCompressor{base: b, lnB: math.Log(b), bits: bits}, nil
 }
-
-// Eps returns the configured relative error parameter.
-func (c *MultCompressor) Eps() float64 { return c.eps }
-
-// Bits returns the digest width.
-func (c *MultCompressor) Bits() int { return c.bits }
 
 // maxCode is the largest representable exponent index.
 func (c *MultCompressor) maxCode() uint64 { return 1<<uint(c.bits) - 1 }
@@ -110,46 +102,3 @@ func (c *MultCompressor) Decode(code uint64) float64 {
 	}
 	return math.Pow(c.base, float64(code))
 }
-
-// MaxValue is the largest value representable without saturation.
-func (c *MultCompressor) MaxValue() float64 { return c.Decode(c.maxCode()) }
-
-// AddCompressor encodes values with a bounded absolute error Δ:
-// a(v) = [v / 2Δ], decode = 2Δ·a (§4.3, additive approximation).
-type AddCompressor struct {
-	delta float64
-	bits  int
-}
-
-// NewAddCompressor builds an additive compressor with error target delta
-// and the given digest width.
-func NewAddCompressor(delta float64, bits int) (*AddCompressor, error) {
-	if delta <= 0 {
-		return nil, fmt.Errorf("approx: delta %v must be positive", delta)
-	}
-	if bits < 1 || bits > 32 {
-		return nil, fmt.Errorf("approx: bits %d out of [1,32]", bits)
-	}
-	return &AddCompressor{delta: delta, bits: bits}, nil
-}
-
-// Encode quantizes v; negative values clamp to 0.
-func (c *AddCompressor) Encode(v float64) uint64 {
-	if v <= 0 {
-		return 0
-	}
-	a := math.Round(v / (2 * c.delta))
-	max := uint64(1)<<uint(c.bits) - 1
-	if u := uint64(a); u < max {
-		return u
-	}
-	return max
-}
-
-// Decode returns 2Δ·a.
-func (c *AddCompressor) Decode(code uint64) float64 {
-	return 2 * c.delta * float64(code)
-}
-
-// Delta returns the configured absolute error bound.
-func (c *AddCompressor) Delta() float64 { return c.delta }

@@ -15,46 +15,6 @@ import (
 // the simulator uses the same code path so the reproduction inherits the
 // same quantization error the P4 program would have.
 
-// FixedPoint represents real values in [0, Scale) as m-bit integers:
-// r encodes Scale · r · 2^-m (Appendix C, "Fixed-point representation").
-type FixedPoint struct {
-	Raw   uint64  // integer register contents
-	M     int     // register width in bits
-	Scale float64 // value range upper bound (power of two by convention)
-}
-
-// NewFixedPoint quantizes a real value. Values outside [0, Scale) saturate.
-func NewFixedPoint(v float64, m int, scale float64) FixedPoint {
-	if v < 0 {
-		v = 0
-	}
-	max := uint64(1)<<uint(m) - 1
-	r := math.Round(v / scale * float64(uint64(1)<<uint(m)))
-	if r > float64(max) {
-		r = float64(max)
-	}
-	return FixedPoint{Raw: uint64(r), M: m, Scale: scale}
-}
-
-// Value returns the represented real number.
-func (f FixedPoint) Value() float64 {
-	return f.Scale * float64(f.Raw) / float64(uint64(1)<<uint(f.M))
-}
-
-// Add returns the saturating sum of two fixed-point values with identical
-// layout. It panics if the layouts differ, which would be a programming
-// error in the pipeline definition.
-func (f FixedPoint) Add(o FixedPoint) FixedPoint {
-	if f.M != o.M || f.Scale != o.Scale {
-		panic("approx: mismatched fixed-point layouts")
-	}
-	s := f.Raw + o.Raw
-	if max := uint64(1)<<uint(f.M) - 1; s > max {
-		s = max
-	}
-	return FixedPoint{Raw: s, M: f.M, Scale: f.Scale}
-}
-
 // LogExpTable is the 2^q-entry lookup pair of Appendix C. Log2 finds the
 // most significant set bit ℓ (the TCAM step), reads the next q bits x_q and
 // returns (ℓ−q) + log₂(x_q) from the table — an approximation with relative
@@ -94,9 +54,6 @@ func NewLogExpTable(q int) (*LogExpTable, error) {
 	return t, nil
 }
 
-// Q returns the table index width.
-func (t *LogExpTable) Q() int { return t.q }
-
 // Log2 approximates log₂(x) for x >= 1 using only the operations a switch
 // has: MSB search (TCAM), shift, and one table read. Per Appendix C, the q
 // bits following the most significant set bit index the table; the error is
@@ -130,30 +87,6 @@ func (t *LogExpTable) Exp2(y float64) float64 {
 		ip = 62 // saturate rather than overflow
 	}
 	return float64(uint64(1)<<uint64(ip)) * t.expTable[idx]
-}
-
-// Mul approximates x·y as 2^(log₂x + log₂y) — the switch-feasible
-// multiplication of Appendix C.
-func (t *LogExpTable) Mul(x, y uint64) float64 {
-	if x == 0 || y == 0 {
-		return 0
-	}
-	return t.Exp2(t.Log2(x) + t.Log2(y))
-}
-
-// Div approximates x/y as 2^(log₂x − log₂y). y must be nonzero.
-func (t *LogExpTable) Div(x, y uint64) float64 {
-	if x == 0 {
-		return 0
-	}
-	lx, ly := t.Log2(x), t.Log2(y)
-	if lx <= ly {
-		// Quotients below 1: extend with the fractional exponent. The
-		// pipeline realizes this with the same table by scaling x first;
-		// we mirror that by computing the negative exponent directly.
-		return 1 / t.Exp2(ly-lx)
-	}
-	return t.Exp2(lx - ly)
 }
 
 // HPCCUtilization computes one EWMA update of the link utilization U the

@@ -73,19 +73,3 @@ func (m *Morris) SetCode(c uint64) { m.c = c }
 func (m *Morris) Estimate() float64 {
 	return (math.Pow(m.a, float64(m.c)) - 1) / (m.a - 1)
 }
-
-// MorrisBits returns the number of bits needed to count to n with accuracy
-// eps — the O(log ε⁻¹ + log log(n)) cost quoted in §4.3.
-func MorrisBits(n float64, eps float64) int {
-	if n < 2 {
-		return 1
-	}
-	a := 1 + 2*eps*eps
-	// Largest exponent c with (a^c-1)/(a-1) <= n.
-	c := math.Log(n*(a-1)+1) / math.Log(a)
-	bits := int(math.Ceil(math.Log2(c + 1)))
-	if bits < 1 {
-		bits = 1
-	}
-	return bits
-}

@@ -30,7 +30,7 @@ func (e *Encoder) ActConst(hop, layer int) (thr uint64, always bool) {
 
 // ActGlobal exposes the encoder's global hash family so batch callers
 // can evaluate act-decision columns (hash.Global.ActHashColumn) against
-// ActConst thresholds — the same family behind ActsOn/ActsInLayer.
+// ActConst thresholds — the same family behind ActsInLayer.
 func (e *Encoder) ActGlobal() *hash.Global { return &e.g }
 
 // InstanceGlobal returns the value-hash family of hash instance i

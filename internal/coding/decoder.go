@@ -167,9 +167,6 @@ func (d *Decoder) Clone() *Decoder {
 	return &c
 }
 
-// Observed returns the number of digests consumed so far.
-func (d *Decoder) Observed() int { return d.observed }
-
 // Inconsistent returns the number of packets whose digest contradicted the
 // already-decoded blocks. A burst of these signals a route change (§7).
 func (d *Decoder) Inconsistent() int { return d.inconsistent }

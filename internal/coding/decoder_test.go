@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
 	"repro/internal/hash"
 )
 
@@ -346,7 +347,7 @@ func TestMultiLayerNearTheorem3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := TheoremThreeBound(25)
+	bound := analysis.Theorem3Packets(25)
 	if st.Mean > bound*1.5 {
 		t.Fatalf("multi-layer mean %v far above Theorem 3 bound %v", st.Mean, bound)
 	}

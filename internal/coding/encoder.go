@@ -230,26 +230,20 @@ func (e *Encoder) EncodeHop(pktID uint64, hop int, d Digest, value uint64) Diges
 	return out
 }
 
-// ActsOn reports whether hop (1-based) modifies packet pktID and in which
-// layer, without touching any digest words — callers skip the unpack /
-// apply / repack work for the common non-acting hops.
-func (e *Encoder) ActsOn(pktID uint64, hop int) (layer int, act bool) {
-	layer = e.layerOf(pktID)
-	return layer, e.acts(pktID, hop, layer)
-}
-
 // LayerOf returns the packet's layer selection (0 = Baseline). It is a
 // pure function of the packet ID, so batch pipelines cache it per packet
 // instead of rehashing at every hop.
 func (e *Encoder) LayerOf(pktID uint64) int { return e.layerOf(pktID) }
 
-// ActsInLayer is ActsOn with a caller-cached LayerOf result.
+// ActsInLayer reports whether hop (1-based) modifies packet pktID, given
+// the packet's LayerOf result, without touching any digest words — callers
+// skip the unpack / apply / repack work for the common non-acting hops.
 func (e *Encoder) ActsInLayer(pktID uint64, hop, layer int) bool {
 	return e.acts(pktID, hop, layer)
 }
 
 // ApplyWords folds hop's payload into words in place for a layer returned
-// by ActsOn. It allocates nothing and does not retain the slice — the
+// by LayerOf. It allocates nothing and does not retain the slice — the
 // compiled batch pipeline's per-packet primitive.
 func (e *Encoder) ApplyWords(pktID uint64, layer int, words []uint64, value uint64) {
 	for i := range words {

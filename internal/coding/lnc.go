@@ -21,7 +21,6 @@ type LNC struct {
 	rows   []lncRow
 	pivots []int // pivots[i] = row index with pivot at bit i, or -1
 	rank   int
-	obs    int
 }
 
 type lncRow struct {
@@ -68,7 +67,6 @@ func (l *LNC) Encode(pktID uint64, blocks []uint64) uint64 {
 // Observe feeds one (packet, digest) pair into the elimination. It returns
 // true once rank k is reached (message decodable).
 func (l *LNC) Observe(pktID uint64, digest uint64) bool {
-	l.obs++
 	coeff := l.coeffVector(pktID)
 	val := digest
 	// Reduce against existing pivots.
@@ -88,43 +86,8 @@ func (l *LNC) Observe(pktID uint64, digest uint64) bool {
 	return l.rank == l.k
 }
 
-// Rank returns the current rank of the system.
-func (l *LNC) Rank() int { return l.rank }
-
-// Observed returns the number of digests consumed.
-func (l *LNC) Observed() int { return l.obs }
-
 // Done reports whether the message is decodable.
 func (l *LNC) Done() bool { return l.rank == l.k }
-
-// Solve performs back-substitution and returns the k blocks. It must only
-// be called once Done() is true.
-func (l *LNC) Solve() ([]uint64, error) {
-	if !l.Done() {
-		return nil, fmt.Errorf("coding: LNC rank %d < k=%d", l.rank, l.k)
-	}
-	// Copy rows, then eliminate upward so each row has exactly one bit.
-	rows := append([]lncRow(nil), l.rows...)
-	pivots := append([]int(nil), l.pivots...)
-	for bit := 0; bit < l.k; bit++ {
-		r := pivots[bit]
-		row := rows[r]
-		for other := range rows {
-			if other == r {
-				continue
-			}
-			if rows[other].coeff&(1<<uint(bit)) != 0 {
-				rows[other].coeff ^= row.coeff
-				rows[other].val ^= row.val
-			}
-		}
-	}
-	out := make([]uint64, l.k)
-	for bit := 0; bit < l.k; bit++ {
-		out[bit] = rows[pivots[bit]].val
-	}
-	return out, nil
-}
 
 func trailingBit(x uint64) int {
 	n := 0

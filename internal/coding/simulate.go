@@ -118,25 +118,3 @@ func RunTrials(cfg Config, values []uint64, universe []uint64, trials int, seed 
 	s.Max = counts[len(counts)-1]
 	return s, nil
 }
-
-// CouponCollectorMean returns k·H_k, the expected Baseline packet count for
-// k blocks when each packet carries a full block — the analytic yardstick
-// the Baseline scheme is measured against (§4.2).
-func CouponCollectorMean(k int) float64 {
-	h := 0.0
-	for i := 1; i <= k; i++ {
-		h += 1 / float64(i)
-	}
-	return float64(k) * h
-}
-
-// TheoremThreeBound returns the k·(log log* k + c)·(1+o(1)) packet bound of
-// Theorem 3 with the additive constant for d == k (Appendix A.3 gives
-// k(log log* k + 2 + o(1)) for the revised algorithm).
-func TheoremThreeBound(k int) float64 {
-	lls := math.Log2(float64(Log2Star(float64(k))))
-	if lls < 0 {
-		lls = 0
-	}
-	return float64(k) * (lls + 2)
-}

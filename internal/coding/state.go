@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/stateread"
 )
 
 // Exact decoder-state serialization for the fleet-resize hand-off path.
@@ -21,67 +23,37 @@ import (
 
 const decoderStateVersion = 1
 
-type stateReader struct {
-	data []byte
-	err  error
-}
+const stateWhat = "coding: decoder state"
 
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.err = fmt.Errorf("coding: truncated state varint")
-		return 0
-	}
-	if n > 1 && r.data[n-1] == 0 {
-		r.err = fmt.Errorf("coding: state varint %d is not minimally encoded", v)
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-// flag reads a byte AppendState writes as 0 or 1.
-func (r *stateReader) flag() uint64 {
-	v := r.uvarint()
-	if r.err == nil && v > 1 {
-		r.err = fmt.Errorf("coding: state flag %d is neither 0 nor 1", v)
+// readFlag reads a byte AppendState writes as 0 or 1.
+func readFlag(r *stateread.Reader) uint64 {
+	v := r.Uvarint()
+	if r.Err == nil && v > 1 {
+		r.Failf("flag %d is neither 0 nor 1", v)
 		return 0
 	}
 	return v
 }
 
-func (r *stateReader) count(what string) int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.data))+1 { // every element is >= 1 byte
-		r.err = fmt.Errorf("coding: state claims %d %s with %d bytes left", n, what, len(r.data))
+func readCount(r *stateread.Reader, what string) int {
+	n := r.Uvarint()
+	if r.Err == nil && n > uint64(r.Len())+1 { // every element is >= 1 byte
+		r.Failf("claims %d %s with %d bytes left", n, what, r.Len())
 	}
 	return int(n)
-}
-
-func (r *stateReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("coding: %d trailing state bytes", len(r.data))
-	}
-	return nil
 }
 
 // StateK peeks the path length out of an AppendState blob, so a caller
 // can construct the right decoder (PathQuery.NewDecoder(k)) before
 // calling RestoreState.
 func StateK(data []byte) (int, error) {
-	r := &stateReader{data: data}
-	if v := r.uvarint(); r.err == nil && v != decoderStateVersion {
+	r := stateread.New(stateWhat, data)
+	if v := r.Uvarint(); r.Err == nil && v != decoderStateVersion {
 		return 0, fmt.Errorf("coding: decoder state version %d (have %d)", v, decoderStateVersion)
 	}
-	k := int(r.uvarint())
-	if r.err != nil {
-		return 0, r.err
+	k := int(r.Uvarint())
+	if r.Err != nil {
+		return 0, r.Err
 	}
 	return k, nil
 }
@@ -188,18 +160,18 @@ func (d *Decoder) RestoreState(data []byte) error {
 	if d.observed != 0 || len(d.pkts) != 0 {
 		return fmt.Errorf("coding: RestoreState on a decoder that already observed packets")
 	}
-	r := &stateReader{data: data}
-	if v := r.uvarint(); r.err == nil && v != decoderStateVersion {
+	r := stateread.New(stateWhat, data)
+	if v := r.Uvarint(); r.Err == nil && v != decoderStateVersion {
 		return fmt.Errorf("coding: decoder state version %d (have %d)", v, decoderStateVersion)
 	}
-	k := int(r.uvarint())
-	frags := int(r.uvarint())
-	uniLen := int(r.uvarint())
-	observed := r.uvarint()
-	inconsistent := r.uvarint()
-	decodedHops := r.uvarint()
-	if r.err != nil {
-		return r.err
+	k := int(r.Uvarint())
+	frags := int(r.Uvarint())
+	uniLen := int(r.Uvarint())
+	observed := r.Uvarint()
+	inconsistent := r.Uvarint()
+	decodedHops := r.Uvarint()
+	if r.Err != nil {
+		return r.Err
 	}
 	if k != d.k || frags != p.frags || uniLen != len(p.universe) {
 		return fmt.Errorf("coding: decoder state geometry (k=%d frags=%d universe=%d) does not match decoder (k=%d frags=%d universe=%d)",
@@ -211,14 +183,14 @@ func (d *Decoder) RestoreState(data []byte) error {
 	decoded := ^uint64(0)
 	for f := range d.known {
 		for h := 0; h < k; h++ {
-			d.known[f] |= r.flag() << uint(h)
-			d.vals[f*k+h] = r.uvarint()
+			d.known[f] |= readFlag(r) << uint(h)
+			d.vals[f*k+h] = r.Uvarint()
 		}
 		decoded &= d.known[f]
 	}
-	hashed := r.flag() != 0
-	if r.err != nil {
-		return r.err
+	hashed := readFlag(r) != 0
+	if r.Err != nil {
+		return r.Err
 	}
 	if n := bits.OnesCount64(decoded); decodedHops != uint64(n) {
 		return fmt.Errorf("coding: decoder state claims %d decoded hops, its known blocks make %d", decodedHops, n)
@@ -227,12 +199,12 @@ func (d *Decoder) RestoreState(data []byte) error {
 		return fmt.Errorf("coding: decoder state mode does not match decoder (hashed=%v)", p.enc.cfg.Mode == ModeHashed)
 	}
 	for h := 0; hashed && h < k; h++ {
-		if r.flag() == 0 {
+		if readFlag(r) == 0 {
 			continue
 		}
-		n := r.count("candidates")
-		if r.err != nil {
-			return r.err
+		n := readCount(r, "candidates")
+		if r.Err != nil {
+			return r.Err
 		}
 		if n == 0 {
 			return fmt.Errorf("coding: hop %d: empty candidate list", h+1)
@@ -241,12 +213,12 @@ func (d *Decoder) RestoreState(data []byte) error {
 		// not a set the bitset can hold, nor one a filter could have left.
 		row, at := d.cand[h*p.setWords:][:p.setWords], 0
 		for ; n > 0; n-- {
-			v := r.uvarint()
+			v := r.Uvarint()
 			for at < len(p.universe) && p.universe[at] != v {
 				at++
 			}
-			if r.err != nil {
-				return r.err
+			if r.Err != nil {
+				return r.Err
 			}
 			if at == len(p.universe) {
 				return fmt.Errorf("coding: hop %d: candidate %d is not in the universe, or out of universe order", h+1, v)
@@ -256,16 +228,16 @@ func (d *Decoder) RestoreState(data []byte) error {
 		}
 		d.listed |= 1 << uint(h)
 	}
-	nPkts := r.count("packets")
-	if r.err != nil {
-		return r.err
+	nPkts := readCount(r, "packets")
+	if r.Err != nil {
+		return r.Err
 	}
 	d.pkts = make([]uint64, 0, nPkts*p.stride)
 	for i := 0; i < nPkts; i++ {
-		id, frag, mask, dead := r.uvarint(), r.uvarint(), r.uvarint(), r.flag()
-		nRes := r.uvarint()
-		if r.err != nil {
-			return r.err
+		id, frag, mask, dead := r.Uvarint(), r.Uvarint(), r.Uvarint(), readFlag(r)
+		nRes := r.Uvarint()
+		if r.Err != nil {
+			return r.Err
 		}
 		if frag >= uint64(frags) {
 			return fmt.Errorf("coding: packet %d fragment %d out of range", i, frag)
@@ -278,33 +250,33 @@ func (d *Decoder) RestoreState(data []byte) error {
 		}
 		d.pkts = append(d.pkts, id, mask, frag<<1|dead)
 		for w := 0; w < p.words; w++ {
-			d.pkts = append(d.pkts, r.uvarint())
+			d.pkts = append(d.pkts, r.Uvarint())
 		}
 	}
 	for f := range d.known {
 		for h := 0; h < k; h++ {
 			want, n := d.nextPending(f, h, 0), 0
-			if r.flag() != 0 {
-				if n = r.count("pending indices"); n == 0 && r.err == nil {
+			if readFlag(r) != 0 {
+				if n = readCount(r, "pending indices"); n == 0 && r.Err == nil {
 					return fmt.Errorf("coding: fragment %d hop %d: empty pending index", f, h+1)
 				}
 			}
 			for ; n > 0; n-- {
-				ix := r.uvarint()
-				if r.err != nil {
-					return r.err
+				ix := r.Uvarint()
+				if r.Err != nil {
+					return r.Err
 				}
 				if want < 0 || ix != uint64(want) {
 					return fmt.Errorf("coding: fragment %d hop %d: pending index lists packet %d where the stored packets make it %d (-1: none)", f, h+1, ix, want)
 				}
 				want = d.nextPending(f, h, want+1)
 			}
-			if r.err == nil && want >= 0 {
+			if r.Err == nil && want >= 0 {
 				return fmt.Errorf("coding: fragment %d hop %d: pending index omits packet %d", f, h+1, want)
 			}
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	d.observed = int(observed)

@@ -51,9 +51,9 @@ func TestDecoderStateRoundTrip(t *testing.T) {
 	if err := restored.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
-	if orig.Observed() != restored.Observed() || orig.Inconsistent() != restored.Inconsistent() {
+	if orig.observed != restored.observed || orig.Inconsistent() != restored.Inconsistent() {
 		t.Fatalf("counters diverge after restore: %d/%d vs %d/%d",
-			orig.Observed(), orig.Inconsistent(), restored.Observed(), restored.Inconsistent())
+			orig.observed, orig.Inconsistent(), restored.observed, restored.Inconsistent())
 	}
 	if !bytes.Equal(state, restored.AppendState(nil)) {
 		t.Fatal("restored decoder re-serializes differently")
@@ -315,9 +315,9 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		if !bytes.Equal(clone.AppendState(nil), controlB.AppendState(nil)) {
 			t.Errorf("%s: clone diverged from its deep-copied control", c.name)
 		}
-		if d.Observed() == clone.Observed() || d.Inconsistent() == 0 || clone.Inconsistent() == 0 {
+		if d.observed == clone.observed || d.Inconsistent() == 0 || clone.Inconsistent() == 0 {
 			t.Errorf("%s: the two sides did not run apart: observed %d/%d, inconsistent %d/%d",
-				c.name, d.Observed(), clone.Observed(), d.Inconsistent(), clone.Inconsistent())
+				c.name, d.observed, clone.observed, d.Inconsistent(), clone.Inconsistent())
 		}
 	}
 }

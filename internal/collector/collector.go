@@ -52,11 +52,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Config is the Server's resolved configuration — the form the
+// config is the Server's resolved configuration — the form the
 // functional options (see options.go) populate and New validates.
-// Construct servers with New(engine, opts...); Config stays exported as
-// the documented resolved shape.
-type Config struct {
+type config struct {
 	// Engine is the compiled execution plan the collector expects every
 	// exporter to share; its PlanHash gates the session handshake.
 	Engine *core.Engine
@@ -85,10 +83,6 @@ type Config struct {
 	// Durable is set (default 1s; < 0 disables the background cadence —
 	// checkpoints then happen only at Shutdown or by explicit call).
 	CheckpointEvery time.Duration
-	// HandshakeTimeout bounds how long a new connection may take to
-	// present its Hello (default 10s), shedding dead or non-protocol
-	// connections.
-	HandshakeTimeout time.Duration
 	// Logf, when non-nil, receives one line per session event (open,
 	// close, error). Nil means silent.
 	Logf func(format string, args ...any)
@@ -124,10 +118,10 @@ func (s *Stats) Accumulate(o Stats) {
 	s.ConnErrors += o.ConnErrors
 }
 
-// Server is the collector daemon. Create with New, run with Serve (or
-// ListenAndServe), stop with Shutdown.
+// Server is the collector daemon. Create with New, run with Serve, stop
+// with Shutdown.
 type Server struct {
-	cfg      Config
+	cfg      config
 	planHash uint64
 	// admitter is the QoS front (nil when no tenant policy is
 	// configured — the admit-everything fast path).
@@ -180,9 +174,19 @@ type Server struct {
 	handoffFlows atomic.Uint64
 }
 
-// newServer builds a Server over a resolved Config; New (options.go) is
-// the public constructor.
-func newServer(cfg Config) (*Server, error) {
+// New builds a Server for engine from functional options (options.go),
+// validating the resolved configuration: the engine must be non-nil, a
+// sink must come from WithSink or WithDurable (and may not contradict the
+// durable tier's own), and the tenant policy must validate — so a
+// misconfiguration errors at construction instead of panicking somewhere
+// inside Serve.
+func New(engine *core.Engine, opts ...Option) (*Server, error) {
+	cfg := config{Engine: engine}
+	for _, opt := range opts {
+		if opt != nil {
+			opt(&cfg)
+		}
+	}
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("collector: nil engine")
 	}
@@ -201,9 +205,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxFramePayload <= 0 {
 		cfg.MaxFramePayload = wire.DefaultMaxFramePayload
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
 	}
 	admitter, err := admit.NewAdmitter(cfg.TenantPolicy)
 	if err != nil {
@@ -264,15 +265,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// ListenAndServe listens on addr ("host:port") and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts exporter sessions on ln until Shutdown or a listener
 // error. Shutdown makes Serve return nil whether it arrives during Serve
 // or before it — a Serve that loses the race to Shutdown closes ln and
@@ -321,17 +313,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Addr returns the listener address (for port-0 listeners), or nil
-// before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 func (s *Server) isClosing() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,7 +332,7 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	hello, err := wire.ReadHello(conn)
 	if err != nil {
 		s.rejected.Add(1)

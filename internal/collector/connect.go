@@ -229,9 +229,6 @@ func (f *FleetExporter) RerouteRequested() bool {
 	return g != 0 && f.nudgedGen.Load() == g
 }
 
-// Epoch returns the cluster epoch the live sessions were handshaked at.
-func (f *FleetExporter) Epoch() uint64 { return f.roster.FleetEpoch() }
-
 // Poke services a pending reroute without sending anything: if a nudge
 // arrived, the exporter flushes, closes, fetches the new fleet map, and
 // re-handshakes — exactly what the next Send would do. Harnesses that

@@ -25,8 +25,6 @@ type DurableOptions struct {
 	MaxSegments  int
 	NoSync       bool
 	Now          func() uint64
-	// WriterQueue bounds the persistence queue (segstore.WriterOptions).
-	WriterQueue int
 }
 
 // DurableSink is a sharded sink joined to its segment log: the sink
@@ -81,10 +79,7 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 		store.Close()
 		return nil, err
 	}
-	d.Writer = segstore.NewWriter(store, segstore.WriterOptions{
-		QueueDepth:  opts.WriterQueue,
-		EncodeEvict: evictEncoder(queries),
-	})
+	d.Writer = segstore.NewWriter(store, segstore.WriterOptions{EncodeEvict: evictEncoder(queries)})
 	sink.SetPersister(d.Writer)
 	return d, nil
 }

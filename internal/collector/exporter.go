@@ -38,10 +38,11 @@ func HelloFor(eng *core.Engine, exporterID uint64, name string) wire.Hello {
 	return wire.Hello{Exporter: exporterID, PlanHash: eng.PlanHash(), Name: name}
 }
 
-// handshakeTimeout bounds the exporter-side connect and handshake,
-// mirroring the server's Config.HandshakeTimeout: dialing something that
-// is not a collector (the HTTP port, say) must error, not hang waiting
-// for an ack that will never come.
+// handshakeTimeout bounds both ends of the handshake: how long a server
+// gives a new connection to present its Hello (shedding dead or
+// non-protocol connections), and the exporter-side connect and handshake,
+// where dialing something that is not a collector (the HTTP port, say)
+// must error, not hang waiting for an ack that will never come.
 const handshakeTimeout = 10 * time.Second
 
 // dial connects to a collector at addr and performs the handshake. It is

@@ -57,9 +57,6 @@ type FleetExporter struct {
 	patience time.Duration
 }
 
-// Members returns the size of the fleet the exporter routes over.
-func (f *FleetExporter) Members() int { return len(f.bufs) }
-
 // Send routes every packet of batch to its flow's home member, framing
 // and transmitting each member's buffer whenever it fills. Packet order
 // is preserved per flow (a flow has exactly one home and one TCP stream),

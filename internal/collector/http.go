@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"slices"
@@ -265,7 +266,10 @@ const PartialHeader = "X-Pint-Partial"
 
 // parseWindowBound parses one ?since=/?until= value: a non-negative
 // integer is taken as a store-clock timestamp (unix nanoseconds under
-// the default clock); anything else must parse as RFC 3339.
+// the default clock); anything else must parse as RFC 3339 and lie where
+// unix nanoseconds are a non-negative int64 — before 1970 UnixNano is
+// negative and past 2262 it is undefined, and either would wrap into some
+// other instant's uint64.
 func parseWindowBound(raw string) (uint64, error) {
 	if v, err := strconv.ParseUint(raw, 10, 64); err == nil {
 		return v, nil
@@ -273,6 +277,11 @@ func parseWindowBound(raw string) (uint64, error) {
 	t, err := time.Parse(time.RFC3339, raw)
 	if err != nil {
 		return 0, fmt.Errorf("bad timestamp %q: want unix nanoseconds or RFC 3339", raw)
+	}
+	first, last := time.Unix(0, 0).UTC(), time.Unix(0, math.MaxInt64).UTC()
+	if t.Before(first) || t.After(last) {
+		return 0, fmt.Errorf("bad timestamp %q: RFC 3339 values must lie in %s..%s",
+			raw, first.Format(time.RFC3339), last.Format(time.RFC3339))
 	}
 	return uint64(t.UnixNano()), nil
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/pipeline"
 )
 
-// This file is the Server's construction surface: functional options
-// over the resolved Config. Callers build a collector as
+// This file is the Server's construction surface: the functional options
+// New takes. Callers build a collector as
 //
 //	srv, err := collector.New(engine,
 //		collector.WithSink(sink),
@@ -17,15 +17,11 @@ import (
 //		collector.WithEpoch(7),
 //		collector.WithTenantPolicy(policy))
 //
-// and New validates the resolved form once, up front — a nil engine or
-// an inconsistent sink/durable pairing errors at construction instead of
-// panicking somewhere inside Serve. Config stays exported as the
-// resolved, documented form (it is what the options write into), but the
-// options are the constructor's API.
+// and New validates the resolved form once, up front.
 
-// Option mutates the resolved Config during New. Nil options are
-// ignored.
-type Option func(*Config)
+// Option sets one field of the configuration New resolves. Nil options
+// are ignored.
+type Option func(*config)
 
 // WithSink directs every decoded digest batch into sink. Each
 // connection ingests concurrently through its own pipeline.Stage;
@@ -33,26 +29,26 @@ type Option func(*Config)
 // Exactly one of WithSink or WithDurable is required (WithDurable
 // implies its own sink).
 func WithSink(sink *pipeline.Sink) Option {
-	return func(c *Config) { c.Sink = sink }
+	return func(c *config) { c.Sink = sink }
 }
 
 // WithQueries lists the engine's queries for the HTTP snapshot
 // endpoints. Without it /snapshot serves empty answer sets.
 func WithQueries(queries ...core.Query) Option {
-	return func(c *Config) { c.Queries = queries }
+	return func(c *config) { c.Queries = queries }
 }
 
 // WithEpoch sets the cluster partitioning epoch this collector belongs
 // to (0, the default, means standalone). Sessions whose Hello carries a
 // different epoch are refused with wire.AckEpochMismatch.
 func WithEpoch(epoch uint64) Option {
-	return func(c *Config) { c.Epoch = epoch }
+	return func(c *config) { c.Epoch = epoch }
 }
 
 // WithMaxFramePayload caps a frame's payload bytes (default
 // wire.DefaultMaxFramePayload). Larger frames kill the connection.
 func WithMaxFramePayload(n int) Option {
-	return func(c *Config) { c.MaxFramePayload = n }
+	return func(c *config) { c.MaxFramePayload = n }
 }
 
 // WithDurable attaches the collector's durable tier (built with
@@ -60,7 +56,7 @@ func WithMaxFramePayload(n int) Option {
 // ?since=/?until= historical window parameters, and the server owns the
 // checkpoint cadence. The caller still owns d.Close after Shutdown.
 func WithDurable(d *DurableSink) Option {
-	return func(c *Config) { c.Durable = d }
+	return func(c *config) { c.Durable = d }
 }
 
 // WithCheckpointEvery sets the background checkpoint+fsync interval
@@ -68,20 +64,13 @@ func WithDurable(d *DurableSink) Option {
 // cadence — checkpoints then happen only at Shutdown or by explicit
 // call).
 func WithCheckpointEvery(every time.Duration) Option {
-	return func(c *Config) { c.CheckpointEvery = every }
-}
-
-// WithHandshakeTimeout bounds how long a new connection may take to
-// present its Hello (default 10s), shedding dead or non-protocol
-// connections.
-func WithHandshakeTimeout(d time.Duration) Option {
-	return func(c *Config) { c.HandshakeTimeout = d }
+	return func(c *config) { c.CheckpointEvery = every }
 }
 
 // WithLogf directs one line per session event (open, close, error) to
 // logf. The default is silent.
 func WithLogf(logf func(format string, args ...any)) Option {
-	return func(c *Config) { c.Logf = logf }
+	return func(c *config) { c.Logf = logf }
 }
 
 // WithTenantPolicy enables the multi-tenant QoS layer (internal/admit):
@@ -91,20 +80,5 @@ func WithLogf(logf func(format string, args ...any)) Option {
 // layer entirely — every frame is admitted whole and ingest is
 // byte-identical to a collector built without tenancy.
 func WithTenantPolicy(policy admit.Policy) Option {
-	return func(c *Config) { c.TenantPolicy = policy }
-}
-
-// New builds a Server for engine from functional options, validating
-// the resolved configuration: the engine must be non-nil, a sink must
-// come from WithSink or WithDurable (and may not contradict the durable
-// tier's own), and the tenant policy must validate. See Config for the
-// resolved form the options populate.
-func New(engine *core.Engine, opts ...Option) (*Server, error) {
-	cfg := Config{Engine: engine}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	return newServer(cfg)
+	return func(c *config) { c.TenantPolicy = policy }
 }

@@ -139,8 +139,8 @@ func TestEpochMoveBetweenAckAndRegistrationStillNudges(t *testing.T) {
 	if err := fe.Poke(); err != nil {
 		t.Fatalf("rehome after the nudge: %v", err)
 	}
-	if fe.Epoch() != 2 {
-		t.Fatalf("exporter at epoch %d after the rehome, want 2", fe.Epoch())
+	if got := fe.roster.FleetEpoch(); got != 2 {
+		t.Fatalf("exporter at epoch %d after the rehome, want 2", got)
 	}
 	if err := fe.Close(); err != nil {
 		t.Fatal(err)

@@ -52,9 +52,6 @@ func (q *LatencyQuery) Winner(pktID uint64, k int) int {
 // Decode maps a digest code back to an approximate value.
 func (q *LatencyQuery) Decode(code uint64) float64 { return q.comp.Decode(code) }
 
-// Eps returns the compression error parameter.
-func (q *LatencyQuery) Eps() float64 { return q.comp.Eps() }
-
 // UtilQuery is the per-packet aggregation (§4.3, Example #3): each switch
 // compresses its observed value (canonically the link utilization scaled
 // to an integer) and the digest keeps the maximum — the path's bottleneck
@@ -94,9 +91,6 @@ func (q *UtilQuery) Bits() int { return q.bits }
 
 // Frequency implements Query.
 func (q *UtilQuery) Frequency() float64 { return q.freq }
-
-// Scale returns the utilization pre-scaling factor.
-func (q *UtilQuery) Scale() float64 { return q.scale }
 
 // EncodeValue scales a dimensionless utilization into the integer register
 // units HopValues.Util carries (helper for simulation hooks).

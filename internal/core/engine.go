@@ -18,15 +18,6 @@ type QuerySet struct {
 	Prob    float64
 }
 
-// TotalBits returns the digest bits the set consumes.
-func (s QuerySet) TotalBits() int {
-	total := 0
-	for _, q := range s.Queries {
-		total += q.Bits()
-	}
-	return total
-}
-
 // ExecutionPlan is the Query Engine's output (§3.4, Fig 3): a distribution
 // over query sets, each fitting the global budget.
 type ExecutionPlan struct {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coding"
 	"repro/internal/sketch"
+	"repro/internal/stateread"
 )
 
 // Per-flow state hand-off for fleet resize. AppendFlowState drains one
@@ -35,6 +36,9 @@ const (
 	sectionCount     byte = 5
 )
 
+// flowStateWhat opens every error the blob's reader produces.
+const flowStateWhat = "core: flow state"
+
 // Latency/frequency per-hop store kinds inside their sections.
 const (
 	storeNone byte = 0
@@ -42,47 +46,6 @@ const (
 	storeKLL  byte = 2
 	storeWin  byte = 3
 )
-
-type handoffReader struct {
-	data []byte
-	err  error
-}
-
-func (r *handoffReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.err = fmt.Errorf("core: truncated flow-state varint")
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *handoffReader) bytes(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.data)) {
-		r.err = fmt.Errorf("core: flow state wants %d bytes, %d left", n, len(r.data))
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
-	return b
-}
-
-func (r *handoffReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("core: %d trailing flow-state bytes", len(r.data))
-	}
-	return nil
-}
 
 // prefixLen turns dst[at:] into a length-prefixed field where it sits:
 // the bytes move up by the width of their uvarint length, which is written
@@ -223,23 +186,23 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 		byName[q.Name()] = q
 	}
 	fs := &flowState{slots: make([]querySlot, len(r.engine.slots))}
-	rd := &handoffReader{data: data}
-	if v := rd.uvarint(); rd.err == nil && v != flowStateVersion {
+	rd := stateread.New(flowStateWhat, data)
+	if v := rd.Uvarint(); rd.Err == nil && v != flowStateVersion {
 		return fmt.Errorf("core: flow state version %d (have %d)", v, flowStateVersion)
 	}
-	sections := rd.uvarint()
-	if rd.err != nil {
-		return rd.err
+	sections := rd.Uvarint()
+	if rd.Err != nil {
+		return rd.Err
 	}
 	if sections > uint64(len(queries)) {
 		return fmt.Errorf("core: flow state has %d sections for %d queries", sections, len(queries))
 	}
 	for s := uint64(0); s < sections; s++ {
-		name := string(rd.bytes(rd.uvarint()))
-		kindB := rd.bytes(1)
-		payload := rd.bytes(rd.uvarint())
-		if rd.err != nil {
-			return rd.err
+		name := string(rd.Bytes(rd.Uvarint()))
+		kindB := rd.Bytes(1)
+		payload := rd.Bytes(rd.Uvarint())
+		if rd.Err != nil {
+			return rd.Err
 		}
 		kind := kindB[0]
 		q, ok := byName[name]
@@ -280,7 +243,7 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 			}
 		}
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return err
 	}
 	if r.HasFlow(flow) {
@@ -306,34 +269,34 @@ func restoreDecoder(q *PathQuery, payload []byte) (*coding.Decoder, error) {
 // held at q's code width, so a sample q's digest slice could not have
 // carried is rejected here rather than truncated into some other code.
 func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore, error) {
-	rd := &handoffReader{data: payload}
-	n := rd.uvarint()
-	if rd.err != nil {
-		return nil, rd.err
+	rd := stateread.New(flowStateWhat, payload)
+	n := rd.Uvarint()
+	if rd.Err != nil {
+		return nil, rd.Err
 	}
-	if n > uint64(len(rd.data))+1 {
+	if n > uint64(rd.Len())+1 {
 		return nil, fmt.Errorf("core: latency section claims %d stores", n)
 	}
 	stores := make([]latStore, n)
 	for i := range stores {
 		st := &stores[i]
 		st.width = codeWidth(q.Bits())
-		kind := rd.bytes(1)
-		if rd.err != nil {
-			return nil, rd.err
+		kind := rd.Bytes(1)
+		if rd.Err != nil {
+			return nil, rd.Err
 		}
 		switch kind[0] {
 		case storeRaw:
-			cnt := rd.uvarint()
-			if rd.err != nil {
-				return nil, rd.err
+			cnt := rd.Uvarint()
+			if rd.Err != nil {
+				return nil, rd.Err
 			}
-			if cnt > uint64(len(rd.data))+1 {
+			if cnt > uint64(rd.Len())+1 {
 				return nil, fmt.Errorf("core: raw latency store claims %d samples", cnt)
 			}
 			st.raw = make([]byte, 0, int(cnt)*st.width)
 			for j := uint64(0); j < cnt; j++ {
-				code := rd.uvarint()
+				code := rd.Uvarint()
 				if code&^digestMask(q.Bits()) != 0 {
 					return nil, fmt.Errorf("core: flow %d hop %d: raw latency sample %d does not fit %d bits",
 						flow, i+1, code, q.Bits())
@@ -341,9 +304,9 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 				st.add(code)
 			}
 		case storeKLL, storeWin:
-			sub := rd.bytes(rd.uvarint())
-			if rd.err != nil {
-				return nil, rd.err
+			sub := rd.Bytes(rd.Uvarint())
+			if rd.Err != nil {
+				return nil, rd.Err
 			}
 			var err error
 			if kind[0] == storeKLL {
@@ -358,33 +321,33 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 			return nil, fmt.Errorf("core: latency store kind %d", kind[0])
 		}
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return nil, err
 	}
 	return stores, nil
 }
 
 func restoreFreqStores(payload []byte) ([]*sketch.SpaceSaving, error) {
-	rd := &handoffReader{data: payload}
-	n := rd.uvarint()
-	if rd.err != nil {
-		return nil, rd.err
+	rd := stateread.New(flowStateWhat, payload)
+	n := rd.Uvarint()
+	if rd.Err != nil {
+		return nil, rd.Err
 	}
-	if n > uint64(len(rd.data))+1 {
+	if n > uint64(rd.Len())+1 {
 		return nil, fmt.Errorf("core: freq section claims %d stores", n)
 	}
 	stores := make([]*sketch.SpaceSaving, n)
 	for i := range stores {
-		kind := rd.bytes(1)
-		if rd.err != nil {
-			return nil, rd.err
+		kind := rd.Bytes(1)
+		if rd.Err != nil {
+			return nil, rd.Err
 		}
 		switch kind[0] {
 		case storeNone:
 		default:
-			sub := rd.bytes(rd.uvarint())
-			if rd.err != nil {
-				return nil, rd.err
+			sub := rd.Bytes(rd.Uvarint())
+			if rd.Err != nil {
+				return nil, rd.Err
 			}
 			ss, err := sketch.RestoreSpaceSaving(sub)
 			if err != nil {
@@ -393,26 +356,26 @@ func restoreFreqStores(payload []byte) ([]*sketch.SpaceSaving, error) {
 			stores[i] = ss
 		}
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return nil, err
 	}
 	return stores, nil
 }
 
 func restoreFloatSeries(payload []byte) ([]float64, error) {
-	rd := &handoffReader{data: payload}
-	n := rd.uvarint()
-	if rd.err != nil {
-		return nil, rd.err
+	rd := stateread.New(flowStateWhat, payload)
+	n := rd.Uvarint()
+	if rd.Err != nil {
+		return nil, rd.Err
 	}
-	if n > uint64(len(rd.data))+1 {
+	if n > uint64(rd.Len())+1 {
 		return nil, fmt.Errorf("core: series claims %d values", n)
 	}
 	series := make([]float64, n)
 	for i := range series {
-		series[i] = math.Float64frombits(rd.uvarint())
+		series[i] = math.Float64frombits(rd.Uvarint())
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		return nil, err
 	}
 	return series, nil

@@ -155,6 +155,13 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 		t.Fatalf("out-of-range sample: got %v, want an error naming flow 77 hop 5", err)
 	}
 
+	// The section count (2, byte 1) re-spelled in two bytes: same value,
+	// but not what AppendFlowState writes.
+	err = restore(slices.Concat(good[:1], []byte{good[1] | 0x80, 0x00}, good[2:]))
+	if err == nil || !strings.Contains(err.Error(), "at byte 1 is not minimally encoded") {
+		t.Fatalf("non-minimal varint: got %v, want an error naming byte 1", err)
+	}
+
 	// Path section from a 5-hop recording, latency section from a 6-hop one.
 	five, six := flowStateSections(t, good), flowStateSections(t, blobAt(6))
 	if !bytes.Equal(slices.Concat(good[:2], five["path"], five["lat"]), good) {

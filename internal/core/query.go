@@ -93,22 +93,6 @@ func Catalog() []UseCase {
 	}
 }
 
-// Technique flags which of §4's mechanisms a use case exercises (Table 3).
-type Technique struct {
-	GlobalHashes       bool
-	DistributedCoding  bool
-	ValueApproximation bool
-}
-
-// TechniqueMatrix reproduces Table 3.
-func TechniqueMatrix() map[string]Technique {
-	return map[string]Technique{
-		"Congestion Control": {GlobalHashes: false, DistributedCoding: false, ValueApproximation: true},
-		"Path Tracing":       {GlobalHashes: true, DistributedCoding: true, ValueApproximation: false},
-		"Latency Quantiles":  {GlobalHashes: true, DistributedCoding: false, ValueApproximation: true},
-	}
-}
-
 // FlowKey identifies a flow at the Recording Module (the query's
 // flow-definition — 5-tuple, source IP, etc. — hashed to 64 bits).
 type FlowKey uint64

@@ -508,18 +508,6 @@ func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
 	return dec.Inconsistent()
 }
 
-// RouteChanged applies §7's detection rule: after a flow's path has fully
-// decoded, report a change once at least `threshold` inconsistent packets
-// arrive (threshold > 1 suppresses the 2^-q-probability hash-collision
-// false positives).
-func (r *Recording) RouteChanged(q *PathQuery, flow FlowKey, threshold int) bool {
-	dec := r.PathDecoder(q, flow)
-	if dec == nil || !dec.Done() {
-		return false
-	}
-	return dec.Inconsistent() >= threshold
-}
-
 // Hops returns the number of hops a path, latency or frequent-values query
 // answers for on the flow — the flow's path length at its first packet —
 // and 0 when q has recorded nothing for the flow.
@@ -604,22 +592,6 @@ func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
 	default:
 		return st.samples()
 	}
-}
-
-// LatencyStorageBytes reports the per-flow storage a latency query uses
-// (Fig 9's sketch-size axis): the bytes the raw stores hold — a whole
-// number of bytes per sample, see latStore — and for a KLL sketch its
-// stored items at the query's digest width.
-func (r *Recording) LatencyStorageBytes(q *LatencyQuery, flow FlowKey) int {
-	total := 0
-	for _, st := range r.slot(q, flow).lat {
-		if st.kll != nil {
-			total += st.kll.SizeBytes(q.Bits())
-		} else {
-			total += len(st.raw)
-		}
-	}
-	return total
 }
 
 // UtilSeries answers a per-packet query: the decoded bottleneck values in

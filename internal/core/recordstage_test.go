@@ -212,7 +212,11 @@ func TestRawStoreMatchesModel(t *testing.T) {
 						}
 					}
 				}
-				if got := rec.LatencyStorageBytes(lat, flow); got != storage {
+				got := 0
+				for _, st := range rec.flows[flow].slots[0].lat {
+					got += len(st.raw)
+				}
+				if got != storage {
 					t.Fatalf("%s: %d storage bytes, model %d", ctx, got, storage)
 				}
 				blob, err := rec.AppendFlowState(nil, []Query{lat}, flow)

@@ -8,7 +8,8 @@ import (
 
 // TestRouteChangeDetection exercises §7's multipath/flowlet scenario at
 // the Recording level: decode a path, move the flow to a different
-// equal-length path, and observe RouteChanged fire without false alarms
+// equal-length path, and observe the inconsistency count cross the §7
+// threshold (3 above its pre-change level) without false alarms
 // beforehand.
 func TestRouteChangeDetection(t *testing.T) {
 	const k = 6
@@ -56,21 +57,21 @@ func TestRouteChangeDetection(t *testing.T) {
 	if _, done := rec.Path(q, flow); !done {
 		t.Fatal("setup: path A not decoded")
 	}
-	if rec.RouteChanged(q, flow, 3) {
+	preInconsistent := rec.PathInconsistencies(q, flow)
+	if preInconsistent >= 3 {
 		t.Fatal("false route change on a stable path")
 	}
-	preInconsistent := rec.PathInconsistencies(q, flow)
 
 	// Phase 2: the flow re-routes; inconsistencies must accumulate fast.
 	packetsToDetect := 0
 	for i := 0; i < 500; i++ {
 		send(pathB)
 		packetsToDetect++
-		if rec.RouteChanged(q, flow, preInconsistent+3) {
+		if rec.PathInconsistencies(q, flow) >= preInconsistent+3 {
 			break
 		}
 	}
-	if !rec.RouteChanged(q, flow, preInconsistent+3) {
+	if rec.PathInconsistencies(q, flow) < preInconsistent+3 {
 		t.Fatal("route change never detected")
 	}
 	// With q=8 bits, each post-change packet touching a changed hop is
@@ -87,9 +88,6 @@ func TestRouteChangedRequiresDecodedPath(t *testing.T) {
 	q, _ := NewPathQuery("p", cfg, 1, 81, uni)
 	e, _ := Compile([]Query{q}, 8, 82)
 	rec, _ := NewRecording(e, 0, hash.NewRNG(83))
-	if rec.RouteChanged(q, FlowKey(1), 1) {
-		t.Fatal("unknown flow cannot report a route change")
-	}
 	if rec.PathInconsistencies(q, FlowKey(1)) != 0 {
 		t.Fatal("unknown flow must report zero inconsistencies")
 	}

@@ -278,17 +278,6 @@ func (f *Fleet) MergedRecording() (*core.Recording, error) {
 	return merged, nil
 }
 
-// Stats sums the fleet's server and sink counters.
-func (f *Fleet) Stats() (server collector.Stats, sink pipeline.ShardStats) {
-	for _, m := range f.Members {
-		st := m.Srv.Stats()
-		server.Accumulate(st)
-		total, _ := m.Sink.Stats()
-		sink.Accumulate(total)
-	}
-	return server, sink
-}
-
 // StopMember drains one member and closes its listeners — the "kill one
 // node" half of the partial-result contract. The member's HTTP endpoint
 // goes dark (connection refused), which is how the frontend learns.

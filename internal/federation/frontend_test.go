@@ -263,7 +263,13 @@ func TestFrontendStatsAggregation(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	wantServer, wantSink := fleet.Stats()
+	var wantServer collector.Stats
+	var wantSink pipeline.ShardStats
+	for _, m := range fleet.Members {
+		wantServer.Accumulate(m.Srv.Stats())
+		total, _ := m.Sink.Stats()
+		wantSink.Accumulate(total)
+	}
 	if stats.Total.Server != wantServer {
 		t.Fatalf("server totals %+v, want %+v", stats.Total.Server, wantServer)
 	}

@@ -1,9 +1,6 @@
 package hash
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Global bundles the family of global hash functions a PINT deployment
 // shares between switches and the inference plane (§4.1). Every probabilistic
@@ -179,17 +176,4 @@ func (g Global) ActVector(pktID uint64, k, logInvP int) uint64 {
 // reconstructs.
 func ActFromVector(vec uint64, hop int) bool {
 	return vec>>(uint(hop)-1)&1 == 1
-}
-
-// SetBits returns the 1-based hop numbers set in an act vector, in
-// ascending order. The expected number of set bits is k·p = O(1) for the
-// XOR layers, so decoding stays near-linear overall.
-func SetBits(vec uint64) []int {
-	out := make([]int, 0, bits.OnesCount64(vec))
-	for vec != 0 {
-		i := bits.TrailingZeros64(vec)
-		out = append(out, i+1)
-		vec &= vec - 1
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -197,29 +198,13 @@ func TestActVectorMask(t *testing.T) {
 	_ = g.ActVector(1, 64, 2)
 }
 
-func TestSetBits(t *testing.T) {
-	got := SetBits(0b10110)
-	want := []int{2, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("SetBits = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("SetBits = %v, want %v", got, want)
-		}
-	}
-	if len(SetBits(0)) != 0 {
-		t.Fatal("SetBits(0) must be empty")
-	}
-}
-
 func TestActFromVectorAgreesWithSetBits(t *testing.T) {
 	g := NewGlobal(13)
 	for pkt := uint64(0); pkt < 5000; pkt++ {
 		vec := g.ActVector(pkt, 32, 3)
 		set := map[int]bool{}
-		for _, h := range SetBits(vec) {
-			set[h] = true
+		for v := vec; v != 0; v &= v - 1 {
+			set[bits.TrailingZeros64(v)+1] = true
 		}
 		for hop := 1; hop <= 32; hop++ {
 			if ActFromVector(vec, hop) != set[hop] {

@@ -81,23 +81,6 @@ func (s Seed) Hash3(a, b, c uint64) uint64 {
 	return h
 }
 
-// HashBytes hashes an arbitrary byte string under the seed using an
-// FNV-1a-style accumulation followed by the splitmix finalizer. It is used
-// for flow keys (5-tuples rendered as bytes) and other variable-length
-// identifiers.
-func (s Seed) HashBytes(p []byte) uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset) ^ uint64(s)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return Mix64(h)
-}
-
 // HashString hashes a string without allocating.
 func (s Seed) HashString(str string) uint64 {
 	const (
@@ -147,14 +130,6 @@ func Below(h uint64, p float64) bool {
 		return true
 	}
 	return h < uint64(t)
-}
-
-// InRange reports whether Unit(h) lies in [lo, hi). Query-set selection
-// (§3.4) partitions [0,1) into intervals, one per query set in the
-// execution plan.
-func InRange(h uint64, lo, hi float64) bool {
-	u := Unit(h)
-	return u >= lo && u < hi
 }
 
 // Bits extracts an n-bit digest (n in 1..64) from a 64-bit hash. PINT

@@ -83,16 +83,6 @@ func TestHashDeterminism(t *testing.T) {
 	}
 }
 
-func TestHashBytesMatchesString(t *testing.T) {
-	s := Seed(9)
-	cases := []string{"", "a", "flow:10.0.0.1->10.0.0.2:80", "\x00\x01\x02"}
-	for _, c := range cases {
-		if s.HashBytes([]byte(c)) != s.HashString(c) {
-			t.Fatalf("HashBytes != HashString for %q", c)
-		}
-	}
-}
-
 func TestUnitRange(t *testing.T) {
 	f := func(x uint64) bool {
 		u := Unit(x)
@@ -156,24 +146,6 @@ func TestBelowFrequency(t *testing.T) {
 		got := float64(hits) / n
 		if math.Abs(got-p) > 0.01 {
 			t.Fatalf("p=%v: empirical %v", p, got)
-		}
-	}
-}
-
-func TestInRangePartition(t *testing.T) {
-	// A partition of [0,1) must assign every hash to exactly one cell.
-	s := Seed(5)
-	bounds := []float64{0, 0.3, 0.55, 0.8, 1}
-	for i := uint64(0); i < 50000; i++ {
-		h := s.Hash1(i)
-		hits := 0
-		for j := 0; j+1 < len(bounds); j++ {
-			if InRange(h, bounds[j], bounds[j+1]) {
-				hits++
-			}
-		}
-		if hits != 1 {
-			t.Fatalf("hash %d fell in %d cells", h, hits)
 		}
 	}
 }

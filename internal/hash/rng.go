@@ -52,9 +52,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer, for drop-in familiarity.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Perm returns a pseudo-random permutation of [0,n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -2,11 +2,6 @@
 
 package kernels
 
-// Accelerated reports whether this build uses the vectorized kernel
-// bodies (true here: GOAMD64=v3 guarantees AVX2 at compile time, so the
-// four-lane asm bodies run without any CPUID dispatch).
-const Accelerated = true
-
 //go:noescape
 func hashPktHopAVX2(dst, pkt *uint64, n uint64, x, hb uint64)
 

@@ -2,10 +2,6 @@
 
 package kernels
 
-// Accelerated reports whether this build uses the vectorized kernel
-// bodies (false here: portable scalar loops only).
-const Accelerated = false
-
 func hashPktHop(dst, pkt []uint64, x, hb uint64) { hashPktHopScalar(dst, pkt, x, hb) }
 
 func hashFixedA(dst, b []uint64, h1 uint64) { hashFixedAScalar(dst, b, h1) }

@@ -41,7 +41,7 @@ func TestPacketConservationProperty(t *testing.T) {
 			sim.After(int64(rng.Intn(1000)), func() { net.Host(h1).Send(pkt) })
 		}
 		sim.Run(10_000_000_000)
-		if sim.Pending() != 0 {
+		if len(sim.events) != 0 {
 			return false // everything must quiesce
 		}
 		return len(cap.pkts)+net.Drops == nPkt

@@ -35,7 +35,7 @@ func TestSimRunHorizon(t *testing.T) {
 	if fired {
 		t.Fatal("event beyond horizon fired")
 	}
-	if s.Pending() != 1 {
+	if len(s.events) != 1 {
 		t.Fatal("event lost")
 	}
 	s.Run(300)

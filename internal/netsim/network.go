@@ -76,9 +76,6 @@ type Port struct {
 	U float64
 }
 
-// QueueBytes returns the current backlog.
-func (p *Port) QueueBytes() int { return p.qBytes }
-
 // SwitchNode is a store-and-forward switch with per-destination ECMP
 // routing and per-port FIFO queues.
 type SwitchNode struct {
@@ -178,15 +175,6 @@ func (n *Network) Host(id int) *HostNode {
 		panic(fmt.Sprintf("netsim: node %d is not a host", id))
 	}
 	return h
-}
-
-// Switch returns the switch node for a graph node ID.
-func (n *Network) Switch(id int) *SwitchNode {
-	s := n.nodes[id].sw
-	if s == nil {
-		panic(fmt.Sprintf("netsim: node %d is not a switch", id))
-	}
-	return s
 }
 
 // NextPacketID allocates a unique packet identifier (standing in for the

@@ -67,9 +67,6 @@ func (s *Sim) Run(until int64) int {
 	return n
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 type event struct {
 	t   int64
 	seq uint64

@@ -98,7 +98,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				// with a surface queried exactly once.
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial.Clone(), snap, flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial.Clone(), snap.recording(flow), flow, k, path, lat, util, freq, cnt)
 				}
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)

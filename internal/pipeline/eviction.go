@@ -64,8 +64,6 @@ type EvictionPolicy interface {
 	// new, and appends any flows to evict to victims (typically
 	// victims[:0] of a reused buffer), returning the extended slice.
 	Touch(flow core.FlowKey, now uint64, victims []Eviction) []Eviction
-	// Flows returns the number of flows currently admitted.
-	Flows() int
 }
 
 // flowTable is the shared engine of the built-in policies: a map from
@@ -163,8 +161,6 @@ func NewLRU(maxFlows int) EvictionPolicy {
 	return &lru{t: newFlowTable(), cap: maxFlows}
 }
 
-func (p *lru) Flows() int { return p.t.len() }
-
 func (p *lru) Touch(flow core.FlowKey, now uint64, victims []Eviction) []Eviction {
 	if i, ok := p.t.idx[flow]; ok {
 		p.t.nodes[i].last = now
@@ -198,8 +194,6 @@ func NewMaxFlows(cap int) EvictionPolicy {
 	return &maxFlows{t: newFlowTable(), cap: cap}
 }
 
-func (p *maxFlows) Flows() int { return p.t.len() }
-
 func (p *maxFlows) Touch(flow core.FlowKey, now uint64, victims []Eviction) []Eviction {
 	if i, ok := p.t.idx[flow]; ok {
 		p.t.nodes[i].last = now // position (admission order) is kept
@@ -229,8 +223,6 @@ func NewIdleTimeout(timeout uint64) EvictionPolicy {
 	}
 	return &idleTimeout{t: newFlowTable(), timeout: timeout}
 }
-
-func (p *idleTimeout) Flows() int { return p.t.len() }
 
 func (p *idleTimeout) Touch(flow core.FlowKey, now uint64, victims []Eviction) []Eviction {
 	if i, ok := p.t.idx[flow]; ok {

@@ -83,12 +83,6 @@ func (s *Sink) persister() Persister {
 	return nil
 }
 
-// ckptReq asks one worker to drain, persist its checkpoint, and reply.
-type ckptReq struct {
-	round uint64
-	reply chan<- struct{}
-}
-
 // Checkpoint flushes every shard and runs a checkpoint barrier: each
 // worker drains everything dispatched to it, reports its CheckpointStats
 // to the persister (if one is attached), and replies. When Checkpoint
@@ -105,15 +99,20 @@ func (s *Sink) Checkpoint() uint64 {
 		return s.ckptRound
 	}
 	s.ckptRound++
-	for _, sh := range s.shards {
-		s.flushShard(sh)
-	}
-	// Fan out first so the shards drain and persist concurrently.
-	for _, sh := range s.shards {
-		sh.ckpt <- ckptReq{round: s.ckptRound, reply: s.barrier}
-	}
-	for range s.shards {
-		<-s.barrier
-	}
-	return s.ckptRound
+	round := s.ckptRound
+	// The worker drains before it runs this, so the report describes a
+	// shard that has recorded everything dispatched to it.
+	s.drainAll(func(sh *shard) error {
+		if p := s.persister(); p != nil {
+			p.PersistCheckpoint(CheckpointStats{
+				Round:   round,
+				Shard:   sh.idx,
+				Shards:  len(s.shards),
+				Packets: sh.packets.Load(),
+				Flows:   sh.rec.TrackedFlows(),
+			})
+		}
+		return nil
+	})
+	return round
 }

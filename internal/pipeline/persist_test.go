@@ -224,3 +224,108 @@ func TestSetPersisterDetach(t *testing.T) {
 		t.Fatalf("persister logged %d packets, want exactly the attached window of 50", logged)
 	}
 }
+
+// orderedPersister logs ingest chunks and checkpoint records in the one
+// order they reached the persister.
+type orderedPersister struct {
+	mu     sync.Mutex
+	shards uint64
+	events []persistEvent
+}
+
+// persistEvent is one shard's ingest chunk (n packets) or, with ckpt set,
+// its checkpoint record.
+type persistEvent struct {
+	shard int
+	n     uint64
+	ckpt  *CheckpointStats
+}
+
+func (p *orderedPersister) PersistIngest(batch []core.PacketDigest) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	shard := int(hash.ShardOf(uint64(batch[0].Flow), p.shards))
+	p.events = append(p.events, persistEvent{shard: shard, n: uint64(len(batch))})
+}
+
+func (p *orderedPersister) PersistEvict(int, Eviction, *core.Recording) {}
+
+func (p *orderedPersister) PersistCheckpoint(cp CheckpointStats) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.events = append(p.events, persistEvent{shard: cp.Shard, ckpt: &cp})
+}
+
+// TestCheckpointOrdersAfterIngest is the property the single worker
+// request must keep for Checkpoint: every PersistCheckpoint of round r on
+// shard s follows all of that shard's earlier PersistIngest events and
+// reports Packets equal to their sum — partial buffers are flushed and the
+// queue drained before the record is cut — whether the packets came from
+// the serial Ingest or from concurrent IngestStage callers that finished
+// before the Checkpoint call, and every round reports every shard once.
+func TestCheckpointOrdersAfterIngest(t *testing.T) {
+	eng, _, _, _, _, _ := testPlan(t, 101)
+	pkts := encodeWorkload(eng, 7, 16, 60, 6)
+	for _, shards := range []int{1, 3} {
+		p := &orderedPersister{shards: uint64(shards)}
+		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 16, QueueDepth: 1, Base: hash.Seed(0xD1CE)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.SetPersister(p)
+		const rounds = 6
+		per := len(pkts) / rounds
+		for r := 0; r < rounds; r++ {
+			chunk := pkts[r*per : (r+1)*per]
+			// Half through the serial tap in unaligned batches, half through
+			// two concurrent stages; all of it lands before the barrier.
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				part := chunk[len(chunk)/2:][g*len(chunk)/4 : (g+1)*len(chunk)/4]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st := sink.NewStage()
+					for _, pd := range part {
+						sh := hash.ShardOf(uint64(pd.Flow), uint64(shards))
+						st.bufs[sh] = append(st.bufs[sh], pd)
+					}
+					sink.IngestStage(st)
+				}()
+			}
+			for off := 0; off < len(chunk)/2; off += 7 {
+				sink.Ingest(chunk[off:min(off+7, len(chunk)/2)])
+			}
+			wg.Wait()
+			if got := sink.Checkpoint(); got != uint64(r+1) {
+				t.Fatalf("shards=%d: checkpoint %d returned round %d", shards, r+1, got)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		ingested := make([]uint64, shards) // per shard, summed over the events so far
+		reported := map[uint64]int{}
+		for i, ev := range p.events {
+			if ev.ckpt == nil {
+				ingested[ev.shard] += ev.n
+				continue
+			}
+			cp := *ev.ckpt
+			if cp.Shards != shards || cp.Round < 1 || cp.Round > rounds {
+				t.Fatalf("shards=%d: malformed checkpoint record %+v", shards, cp)
+			}
+			if cp.Packets != ingested[cp.Shard] {
+				t.Fatalf("shards=%d event %d: round %d shard %d reports %d packets, its earlier PersistIngest events sum to %d",
+					shards, i, cp.Round, cp.Shard, cp.Packets, ingested[cp.Shard])
+			}
+			reported[cp.Round]++
+		}
+		for r := uint64(1); r <= rounds; r++ {
+			if reported[r] != shards {
+				t.Fatalf("shards=%d: round %d has %d records, want one per shard", shards, r, reported[r])
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@
 //
 // Determinism argument: a flow's key maps to exactly one shard
 // (hash.ShardOf), each shard is a single worker draining a FIFO, and both
-// ingest surfaces — the serial Ingest/Record tap and the concurrent
+// ingest surfaces — the serial Ingest tap and the concurrent
 // per-connection Stage/IngestStage path (stage.go) — append a flow's
 // digests to its shard in the order the ingester saw them. core.Recording
 // derives all sketch randomness from a (query, flow, hop) seed rather
@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/sketch"
 )
 
 // Config shapes a sharded sink.
@@ -70,19 +69,11 @@ type Config struct {
 	// not retain rec and must not call Sink methods (the worker it would
 	// wait on is the one running it).
 	OnEvict func(ev Eviction, rec *core.Recording)
-	// OnStall, when non-nil, runs on the ingester goroutine each time a
-	// dispatch finds its shard's queue full and is about to block — the
-	// sink's backpressure signal. A networked collector uses it to
-	// observe (and let TCP flow control propagate) ingest pressure to
-	// slow exporters. The callback must be fast and must not call Sink
-	// methods.
-	OnStall func(shard int)
 }
 
-// Sink is the sharded Recording Module. Ingest/Record feed it from one
-// ingester goroutine; Snapshot serves concurrent readers at any time; the
-// direct answer methods (Path, LatencyQuantile, …) are valid only after
-// Close has drained the workers.
+// Sink is the sharded Recording Module. Ingest feeds it from one ingester
+// goroutine; Snapshot serves concurrent readers at any time; Recording
+// hands the ingester a flow's live shard state after a Barrier or Close.
 type Sink struct {
 	engine *core.Engine
 	cfg    Config
@@ -93,9 +84,10 @@ type Sink struct {
 	// single-ingester contract covers Ingest vs Close ordering.
 	mu     sync.Mutex
 	closed bool
-	// barrier is the reusable Barrier reply channel; Barrier shares the
-	// single-ingester contract with Ingest, so reuse is race-free.
-	barrier chan struct{}
+	// barrier is the reusable reply channel of Barrier and Checkpoint; both
+	// share the single-ingester contract with Ingest, so reuse is race-free
+	// and a Barrier allocates nothing.
+	barrier chan error
 	// istage backs the serial Ingest path: routing through a sink-owned
 	// Stage lets Ingest share stage.go's per-shard locking, so one serial
 	// ingester may run alongside any number of IngestStage callers.
@@ -111,8 +103,6 @@ type shard struct {
 	idx  int
 	ch   chan []core.PacketDigest
 	free chan []core.PacketDigest
-	sync chan chan<- struct{}
-	ckpt chan ckptReq
 	exec chan execReq
 	rec  *core.Recording
 	// mu is the shard's ingest stripe lock: it guards buf and the
@@ -159,7 +149,7 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 		cfg.QueueDepth = 4
 	}
 	s := &Sink{engine: engine, cfg: cfg, shards: make([]*shard, cfg.Shards),
-		barrier: make(chan struct{}, cfg.Shards)}
+		barrier: make(chan error, cfg.Shards)}
 	for i := range s.shards {
 		rec, err := NewRecording(engine, cfg)
 		if err != nil {
@@ -169,8 +159,6 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 			idx:  i,
 			ch:   make(chan []core.PacketDigest, cfg.QueueDepth),
 			free: make(chan []core.PacketDigest, cfg.QueueDepth+1),
-			sync: make(chan chan<- struct{}),
-			ckpt: make(chan ckptReq),
 			exec: make(chan execReq),
 			rec:  rec,
 			buf:  make([]core.PacketDigest, 0, cfg.BatchSize),
@@ -204,23 +192,15 @@ func NewRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
 	return rec, nil
 }
 
-// ShardCount returns the number of shards/workers.
-func (s *Sink) ShardCount() int { return len(s.shards) }
-
 // shardOf maps a flow to its owning shard via hash.ShardOf — the one
 // routing function shared with wire's fused decode-and-shard pass.
 func (s *Sink) shardOf(flow core.FlowKey) *shard {
 	return s.shards[hash.ShardOf(uint64(flow), uint64(len(s.shards)))]
 }
 
-// Record buffers one packet for its flow's shard.
-func (s *Sink) Record(flow core.FlowKey, k int, pktID, digest uint64) {
-	s.ingestOne(core.PacketDigest{Flow: flow, PktID: pktID, PathLen: k, Digest: digest})
-}
-
 // Ingest buffers a batch of packets, routing each to its flow's shard and
 // dispatching any shard buffer that fills. It must not be called
-// concurrently with itself, Record, Flush, or Close (one serial tap
+// concurrently with itself, Flush, or Close (one serial tap
 // point), but it IS safe alongside any number of IngestStage callers:
 // internally it stages into a sink-owned Stage and lands per-shard chunks
 // under the same striped locks (stage.go). Snapshot may run concurrently
@@ -250,20 +230,12 @@ func (s *Sink) Ingest(batch []core.PacketDigest) {
 	s.IngestStage(st)
 }
 
-func (s *Sink) ingestOne(pkt core.PacketDigest) {
-	if s.closed {
-		panic("pipeline: Ingest after Close")
-	}
-	one := [1]core.PacketDigest{pkt}
-	s.ingestShard(s.shardOf(pkt.Flow), one[:])
-}
-
 // dispatchLocked hands the filled buffer to the worker and replaces it
 // with a recycled one (workers return drained buffers on sh.free), so the
 // steady-state ingest path allocates nothing. A full queue counts as one
-// stall (and fires onStall) before blocking — the ingester-side
-// backpressure signal. The caller holds sh.mu.
-func (sh *shard) dispatchLocked(onStall func(int)) {
+// stall before blocking — the ingester-side backpressure signal, read
+// through Stats. The caller holds sh.mu.
+func (sh *shard) dispatchLocked() {
 	if len(sh.buf) == 0 {
 		return
 	}
@@ -274,9 +246,6 @@ func (sh *shard) dispatchLocked(onStall func(int)) {
 	case sh.ch <- sh.buf:
 	default:
 		sh.stalls.Add(1)
-		if onStall != nil {
-			onStall(sh.idx)
-		}
 		sh.ch <- sh.buf
 	}
 	select {
@@ -287,51 +256,52 @@ func (sh *shard) dispatchLocked(onStall func(int)) {
 	}
 }
 
-// flushShard dispatches one shard's partial buffer under its stripe lock.
-func (s *Sink) flushShard(sh *shard) {
-	sh.mu.Lock()
-	sh.dispatchLocked(s.cfg.OnStall)
-	sh.mu.Unlock()
-}
-
 // Flush dispatches every shard's partial buffer to its worker without
 // waiting for the workers to drain.
 func (s *Sink) Flush() {
 	for _, sh := range s.shards {
-		s.flushShard(sh)
+		sh.mu.Lock()
+		sh.dispatchLocked()
+		sh.mu.Unlock()
 	}
 }
 
 // Barrier flushes every shard's partial buffer and blocks until all the
 // packets ingested so far are recorded, so the ingester may read shard
-// Recordings (via Recording or the answer methods) without racing the
-// workers — until it ingests again. Unlike Close it leaves the workers
-// running, which is what decode-progress harnesses need: ingest a packet,
-// Barrier, ask the flow's decoder whether it just finished. It shares
-// Ingest's single-ingester contract (never call it concurrently with
-// Ingest, Record, Flush, or Close) and allocates nothing. After Close it
-// is a no-op: everything is already drained.
+// Recordings (via Recording) without racing the workers — until it
+// ingests again. Unlike Close it leaves the workers running, which is what
+// decode-progress harnesses need: ingest a packet, Barrier, ask the
+// flow's decoder whether it just finished. It shares Ingest's
+// single-ingester contract (never call it concurrently with Ingest, Flush,
+// or Close) and allocates nothing. After Close it is a no-op: everything
+// is already drained.
 func (s *Sink) Barrier() {
 	if s.closed {
 		return
 	}
+	s.drainAll(nil)
+}
+
+// drainAll is the ingester-side barrier under Barrier and Checkpoint:
+// flush every shard, ask every worker to drain its queue and run fn (nil:
+// drain only), and wait for all of them on the reusable reply channel. The
+// requests fan out first, so the shards drain concurrently.
+func (s *Sink) drainAll(fn func(*shard) error) {
+	s.Flush()
 	for _, sh := range s.shards {
-		s.flushShard(sh)
-	}
-	// Fan out first so the shards drain concurrently.
-	for _, sh := range s.shards {
-		sh.sync <- s.barrier
+		sh.exec <- execReq{fn: fn, reply: s.barrier}
 	}
 	for range s.shards {
 		<-s.barrier
 	}
 }
 
-// execReq asks a shard worker to run a callback against its live
-// Recording, on the worker goroutine, after draining everything queued.
-// It is the one worker-side request behind WithFlow, Snapshot and Flows.
+// execReq is the one request a shard worker serves: drain everything
+// queued, run fn (nil: nothing) on the worker goroutine against the shard
+// and its live Recording, reply. Barrier, Checkpoint, WithFlow, Snapshot
+// and Flows are all callers of it.
 type execReq struct {
-	fn    func(*core.Recording) error
+	fn    func(*shard) error
 	reply chan<- error
 }
 
@@ -353,7 +323,7 @@ func (s *Sink) WithFlow(flow core.FlowKey, fn func(*core.Recording) error) error
 	}
 	s.mu.Unlock()
 	reply := make(chan error)
-	sh.exec <- execReq{fn: fn, reply: reply}
+	sh.exec <- execReq{fn: func(sh *shard) error { return fn(sh.rec) }, reply: reply}
 	return <-reply
 }
 
@@ -378,12 +348,13 @@ func (s *Sink) readShards(want func(i int) bool, fn func(i int, rec *core.Record
 	}
 	// One reply slot per shard: no worker waits on the requester.
 	reply := make(chan error, len(s.shards))
+	read := func(sh *shard) error { fn(sh.idx, sh.rec); return nil }
 	asked := 0
 	for i, sh := range s.shards {
 		if !want(i) {
 			continue
 		}
-		sh.exec <- execReq{fn: func(rec *core.Recording) error { fn(i, rec); return nil }, reply: reply}
+		sh.exec <- execReq{fn: read, reply: reply}
 		asked++
 	}
 	for ; asked > 0; asked-- {
@@ -408,30 +379,17 @@ func (s *Sink) start() {
 					case sh.free <- b[:0]:
 					default:
 					}
-				case req := <-sh.sync:
-					sh.drainPending(s.cfg.OnEvict, s.persister())
-					req <- struct{}{}
 				case req := <-sh.exec:
 					// Serve the request only after draining everything already
-					// queued, so a snapshot taken after Ingest+Flush (from the
-					// ingester, or synchronized with it) observes all of it.
+					// queued, so a snapshot or checkpoint taken after
+					// Ingest+Flush (from the ingester, or synchronized with
+					// it) observes all of it.
 					sh.drainPending(s.cfg.OnEvict, s.persister())
-					req.reply <- req.fn(sh.rec)
-				case req := <-sh.ckpt:
-					// Drain first: the checkpoint must describe a shard
-					// that has recorded everything dispatched to it.
-					p := s.persister()
-					sh.drainPending(s.cfg.OnEvict, p)
-					if p != nil {
-						p.PersistCheckpoint(CheckpointStats{
-							Round:   req.round,
-							Shard:   sh.idx,
-							Shards:  len(s.shards),
-							Packets: sh.packets.Load(),
-							Flows:   sh.rec.TrackedFlows(),
-						})
+					var err error
+					if req.fn != nil {
+						err = req.fn(sh)
 					}
-					req.reply <- struct{}{}
+					req.reply <- err
 				}
 			}
 		}(sh)
@@ -583,15 +541,6 @@ func (s *ShardStats) Accumulate(o ShardStats) {
 	s.Queued += o.Queued
 }
 
-// SumShardStats folds any number of counter sets into one total.
-func SumShardStats(stats ...ShardStats) ShardStats {
-	var total ShardStats
-	for _, st := range stats {
-		total.Accumulate(st)
-	}
-	return total
-}
-
 // Stats returns per-shard ingest counters plus their totals. It is safe
 // from any goroutine at any time (the counters are atomics and the queue
 // length is a point-in-time read), which is what a collector daemon's
@@ -624,7 +573,8 @@ func (s *Sink) Err() error {
 }
 
 // Close flushes the buffers, runs the workers to completion, and returns
-// the first recording error. After Close the answer methods are safe.
+// the first recording error. After Close every shard's Recording is
+// quiescent and safe to read.
 func (s *Sink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -632,9 +582,7 @@ func (s *Sink) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, sh := range s.shards {
-		s.flushShard(sh)
-	}
+	s.Flush()
 	for _, sh := range s.shards {
 		close(sh.ch)
 	}
@@ -642,7 +590,10 @@ func (s *Sink) Close() error {
 	return s.Err()
 }
 
-// Recording exposes the shard-private Recording that owns a flow's state.
+// Recording exposes the shard-private Recording that owns a flow's state —
+// since a flow's state is wholly inside one shard, merging is routing. The
+// ingester may read it after a Barrier (until it ingests again) or after
+// Close; concurrent readers take a Snapshot instead.
 func (s *Sink) Recording(flow core.FlowKey) *core.Recording {
 	return s.shardOf(flow).rec
 }
@@ -654,53 +605,4 @@ func (s *Sink) TrackedFlows() int {
 		n += sh.rec.TrackedFlows()
 	}
 	return n
-}
-
-// The answer methods below delegate to the owning shard — the
-// deterministic merge: since a flow's state is wholly inside one shard,
-// merging is routing.
-
-// Path answers a path query for one flow.
-func (s *Sink) Path(q *core.PathQuery, flow core.FlowKey) ([]uint64, bool) {
-	return s.Recording(flow).Path(q, flow)
-}
-
-// PathInconsistencies returns the route-change signal for one flow.
-func (s *Sink) PathInconsistencies(q *core.PathQuery, flow core.FlowKey) int {
-	return s.Recording(flow).PathInconsistencies(q, flow)
-}
-
-// RouteChanged applies §7's route-change detection rule for one flow.
-func (s *Sink) RouteChanged(q *core.PathQuery, flow core.FlowKey, threshold int) bool {
-	return s.Recording(flow).RouteChanged(q, flow, threshold)
-}
-
-// LatencyQuantile answers a latency query for one (flow, hop).
-func (s *Sink) LatencyQuantile(q *core.LatencyQuery, flow core.FlowKey, hop int, phi float64) (float64, error) {
-	return s.Recording(flow).LatencyQuantile(q, flow, hop, phi)
-}
-
-// LatencySamples returns a (flow, hop)'s accumulated sample count.
-func (s *Sink) LatencySamples(q *core.LatencyQuery, flow core.FlowKey, hop int) int {
-	return s.Recording(flow).LatencySamples(q, flow, hop)
-}
-
-// UtilSeries answers a per-packet utilization query for one flow.
-func (s *Sink) UtilSeries(q *core.UtilQuery, flow core.FlowKey) []float64 {
-	return s.Recording(flow).UtilSeries(q, flow)
-}
-
-// FrequentValues answers a frequent-values query for one (flow, hop).
-func (s *Sink) FrequentValues(q *core.FreqQuery, flow core.FlowKey, hop int, theta float64) []sketch.HeavyHitter {
-	return s.Recording(flow).FrequentValues(q, flow, hop, theta)
-}
-
-// FreqSamples returns a frequent-values query's sample count for a hop.
-func (s *Sink) FreqSamples(q *core.FreqQuery, flow core.FlowKey, hop int) int {
-	return s.Recording(flow).FreqSamples(q, flow, hop)
-}
-
-// CountSeries answers a randomized-counting query for one flow.
-func (s *Sink) CountSeries(q *core.CountQuery, flow core.FlowKey) []float64 {
-	return s.Recording(flow).CountSeries(q, flow)
 }

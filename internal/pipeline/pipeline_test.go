@@ -1,7 +1,12 @@
 package pipeline
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -119,15 +124,15 @@ func TestShardedSinkMatchesSerial(t *testing.T) {
 			}
 			for f := 0; f < nFlows; f++ {
 				flow := core.FlowKey(uint64(f)*2654435761 + 1)
-				compareFlow(t, shards, serial, sink, flow, k, path, lat, util, freq, cnt)
+				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
 			}
 		}
 	}
 }
 
-// queryReader is the per-flow answer surface shared by *core.Recording,
-// *Sink, and *Snapshot — the three places a collector answer can come
-// from; the conformance suite compares them pairwise.
+// queryReader is the per-flow answer surface of *core.Recording — what a
+// serial recorder, a sink shard (Sink.Recording) and a snapshot's clone of
+// it all are; the conformance suite compares them pairwise.
 type queryReader interface {
 	Path(*core.PathQuery, core.FlowKey) ([]uint64, bool)
 	LatencySamples(*core.LatencyQuery, core.FlowKey, int) int
@@ -137,11 +142,7 @@ type queryReader interface {
 	CountSeries(*core.CountQuery, core.FlowKey) []float64
 }
 
-var (
-	_ queryReader = (*core.Recording)(nil)
-	_ queryReader = (*Sink)(nil)
-	_ queryReader = (*Snapshot)(nil)
-)
+var _ queryReader = (*core.Recording)(nil)
 
 func compareFlow(t *testing.T, shards int, serial queryReader, sink queryReader, flow core.FlowKey, k int,
 	path *core.PathQuery, lat *core.LatencyQuery, util *core.UtilQuery, freq *core.FreqQuery, cnt *core.CountQuery) {
@@ -221,8 +222,8 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 	a, b := run(), run()
 	for f := 0; f < 16; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		va, oka := a.Path(path, flow)
-		vb, okb := b.Path(path, flow)
+		va, oka := a.Recording(flow).Path(path, flow)
+		vb, okb := b.Recording(flow).Path(path, flow)
 		if oka != okb {
 			t.Fatalf("flow %d: decode %v vs %v", flow, oka, okb)
 		}
@@ -232,11 +233,11 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 			}
 		}
 		for hop := 1; hop <= 6; hop++ {
-			if a.LatencySamples(lat, flow, hop) == 0 {
+			if a.Recording(flow).LatencySamples(lat, flow, hop) == 0 {
 				continue
 			}
-			qa, _ := a.LatencyQuantile(lat, flow, hop, 0.5)
-			qb, _ := b.LatencyQuantile(lat, flow, hop, 0.5)
+			qa, _ := a.Recording(flow).LatencyQuantile(lat, flow, hop, 0.5)
+			qb, _ := b.Recording(flow).LatencyQuantile(lat, flow, hop, 0.5)
 			if qa != qb {
 				t.Fatalf("flow %d hop %d: median %v vs %v across runs", flow, hop, qa, qb)
 			}
@@ -301,7 +302,7 @@ func TestSinkFlushAndReuse(t *testing.T) {
 	decoded := 0
 	for f := 0; f < 8; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		if _, ok := sink.Path(path, flow); ok {
+		if _, ok := sink.Recording(flow).Path(path, flow); ok {
 			decoded++
 		}
 	}
@@ -343,14 +344,59 @@ func TestBarrierMakesStateReadable(t *testing.T) {
 			if (want == nil) != (got == nil) {
 				t.Fatalf("shards=%d pkt %d: decoder presence diverged", shards, i)
 			}
-			if want != nil && (want.Done() != got.Done() || want.Observed() != got.Observed()) {
-				t.Fatalf("shards=%d pkt %d: decode progress diverged: serial done=%v obs=%d, sink done=%v obs=%d",
-					shards, i, want.Done(), want.Observed(), got.Done(), got.Observed())
+			if want != nil && !bytes.Equal(want.AppendState(nil), got.AppendState(nil)) {
+				t.Fatalf("shards=%d pkt %d: decoder state diverged: serial done=%v, sink done=%v",
+					shards, i, want.Done(), got.Done())
 			}
 		}
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
 		sink.Barrier() // no-op after Close, must not hang
+	}
+}
+
+// TestBarrierZeroAlloc: Barrier is called once per packet by the
+// decode-progress harnesses (scenario/path.go), so the one worker request
+// it shares with Checkpoint, WithFlow and Snapshot must cost it nothing:
+// a nil callback and the ingester-owned reply channel.
+func TestBarrierZeroAlloc(t *testing.T) {
+	eng, _, _, _, _, _ := testPlan(t, 61)
+	sink, err := NewSink(eng, Config{Shards: 3, Base: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	if n := testing.AllocsPerRun(200, sink.Barrier); n != 0 {
+		t.Fatalf("Barrier on an idle sink allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestOneWorkerRequest: a shard has one channel for batches (ch), one
+// for their recycling (free) and exactly one for everything else the
+// worker is asked to do (exec) — a second request kind has to replace it,
+// not join it.
+func TestOneWorkerRequest(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "pipeline.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chans []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "shard" {
+			return true
+		}
+		for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+			if _, ok := fld.Type.(*ast.ChanType); ok {
+				for _, name := range fld.Names {
+					chans = append(chans, name.Name)
+				}
+			}
+		}
+		return false
+	})
+	if want := []string{"ch", "free", "exec"}; !slices.Equal(chans, want) {
+		t.Fatalf("shard's channels are %v, want %v", chans, want)
 	}
 }

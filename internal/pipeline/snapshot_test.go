@@ -10,6 +10,21 @@ import (
 	"repro/internal/hash"
 )
 
+// recording resolves a flow to the snapshot's clone of its shard, by the
+// sink's own routing function.
+func (s *Snapshot) recording(flow core.FlowKey) *core.Recording {
+	return s.recs[hash.ShardOf(uint64(flow), uint64(len(s.recs)))]
+}
+
+// trackedFlows sums live flows across the snapshot's shards.
+func (s *Snapshot) trackedFlows() int {
+	n := 0
+	for _, rec := range s.recs {
+		n += rec.TrackedFlows()
+	}
+	return n
+}
+
 // TestSnapshotMidStreamMatchesPrefix checks the snapshot completeness
 // guarantee: a snapshot taken after Ingest+Flush from the ingesting
 // goroutine answers exactly like a serial recording of the packets
@@ -41,7 +56,7 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 	}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, halfSerial, snap, flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, halfSerial, snap.recording(flow), flow, k, path, lat, util, freq, cnt)
 	}
 
 	// Ingest the rest; the earlier snapshot must not move.
@@ -49,14 +64,14 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := snap.TrackedFlows()
+	before := snap.trackedFlows()
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		if got, want := snap.LatencySamples(lat, flow, 1), halfSerial.LatencySamples(lat, flow, 1); got != want {
+		if got, want := snap.recording(flow).LatencySamples(lat, flow, 1), halfSerial.LatencySamples(lat, flow, 1); got != want {
 			t.Fatalf("flow %d: snapshot samples moved to %d (want %d) after further ingest", flow, got, want)
 		}
 	}
-	if snap.TrackedFlows() != before {
+	if snap.trackedFlows() != before {
 		t.Fatal("snapshot flow count moved after further ingest")
 	}
 
@@ -69,7 +84,7 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 	}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, fullSerial, sink, flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, fullSerial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
 	}
 }
 
@@ -109,18 +124,18 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
 					n := 0
 					for hop := 1; hop <= k; hop++ {
-						n += snap.LatencySamples(lat, flow, hop)
-						if snap.LatencySamples(lat, flow, hop) > 0 {
-							if _, err := snap.LatencyQuantile(lat, flow, hop, 0.5); err != nil {
+						n += snap.recording(flow).LatencySamples(lat, flow, hop)
+						if snap.recording(flow).LatencySamples(lat, flow, hop) > 0 {
+							if _, err := snap.recording(flow).LatencyQuantile(lat, flow, hop, 0.5); err != nil {
 								t.Errorf("reader %d: quantile: %v", r, err)
 								return
 							}
 						}
-						snap.FrequentValues(freq, flow, hop, 0.2)
+						snap.recording(flow).FrequentValues(freq, flow, hop, 0.2)
 					}
-					snap.Path(path, flow)
-					snap.UtilSeries(util, flow)
-					snap.CountSeries(cnt, flow)
+					snap.recording(flow).Path(path, flow)
+					snap.recording(flow).UtilSeries(util, flow)
+					snap.recording(flow).CountSeries(cnt, flow)
 					if n < last[flow] {
 						t.Errorf("reader %d flow %d: samples went backwards %d -> %d", r, flow, last[flow], n)
 						return
@@ -145,7 +160,7 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 	snap := sink.Snapshot()
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, sink, snap, flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, sink.Recording(flow), snap.recording(flow), flow, k, path, lat, util, freq, cnt)
 	}
 }
 
@@ -210,7 +225,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 						t.Fatalf("prefix %d: Flows() = %v, rebuilt tracks %v", n, got, want)
 					}
 					snap := sink.SnapshotFlows(asked)
-					if got := snap.ShardCount(); got != shards {
+					if got := len(snap.recs); got != shards {
 						t.Fatalf("prefix %d: scoped snapshot has %d shard slots, want %d", n, got, shards)
 					}
 					tracked := 0
@@ -218,13 +233,13 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 						if ref.HasFlow(flow) {
 							tracked++
 						}
-						compareFlow(t, shards, ref, snap, flow, k, path, lat, util, freq, cnt)
+						compareFlow(t, shards, ref, snap.recording(flow), flow, k, path, lat, util, freq, cnt)
 					}
-					if got := snap.TrackedFlows(); got != tracked {
+					if got := snap.trackedFlows(); got != tracked {
 						t.Fatalf("prefix %d: scoped snapshot tracks %d flows, want %d", n, got, tracked)
 					}
 					// A flow outside the list reads as untracked, wherever it lives.
-					if other := flowKey(1); snap.Recording(other).HasFlow(other) {
+					if other := flowKey(1); snap.recording(other).HasFlow(other) {
 						t.Fatalf("prefix %d: unlisted flow %d visible in a scoped snapshot", n, other)
 					}
 
@@ -243,7 +258,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 					}
 				}
 				// An empty, non-nil list asks nobody and yields an empty view.
-				if got := sink.SnapshotFlows([]core.FlowKey{}).TrackedFlows(); got != 0 {
+				if got := sink.SnapshotFlows([]core.FlowKey{}).trackedFlows(); got != 0 {
 					t.Fatalf("empty flow list: snapshot tracks %d flows", got)
 				}
 			})

@@ -5,7 +5,7 @@ import (
 )
 
 // This file is the concurrent half of the sink's ingest surface. The
-// classic path (Ingest/Record) is a single tap point; a multi-connection
+// classic path (Ingest) is a single tap point; a multi-connection
 // collector instead gives every connection its own Stage — a private set
 // of per-shard staging buffers — and lands them with IngestStage, which
 // takes only the locks of the shards a batch actually touched. The
@@ -30,7 +30,6 @@ import (
 // distinct Stages may be filled and ingested concurrently. The zero
 // value is not usable — obtain one from Sink.NewStage.
 type Stage struct {
-	sink *Sink
 	bufs [][]core.PacketDigest
 }
 
@@ -38,7 +37,7 @@ type Stage struct {
 // Its buffers are recycled across IngestStage calls, so a long-lived
 // per-connection Stage reaches a zero-allocation steady state.
 func (s *Sink) NewStage() *Stage {
-	return &Stage{sink: s, bufs: make([][]core.PacketDigest, len(s.shards))}
+	return &Stage{bufs: make([][]core.PacketDigest, len(s.shards))}
 }
 
 // Buffers exposes the per-shard staging buffers, indexed by shard, for a
@@ -47,15 +46,6 @@ func (s *Sink) NewStage() *Stage {
 // routing and sink routing agree by construction). The returned slice is
 // the Stage's own: appends through it are visible to IngestStage.
 func (st *Stage) Buffers() [][]core.PacketDigest { return st.bufs }
-
-// Len returns the number of packets currently staged.
-func (st *Stage) Len() int {
-	n := 0
-	for i := range st.bufs {
-		n += len(st.bufs[i])
-	}
-	return n
-}
 
 // Reset discards everything staged, keeping capacity. Callers must Reset
 // after a decode error: a failed AppendUnmarshalSharded may have staged
@@ -78,11 +68,6 @@ func (st *Stage) Reset() {
 // touching that shard — until the worker catches up. A networked
 // collector therefore stalls exactly the connections feeding the hot
 // shard, and TCP propagates the stall to their exporters.
-func (st *Stage) IngestStage() {
-	st.sink.IngestStage(st)
-}
-
-// IngestStage is the method form on Sink; see Stage.IngestStage.
 func (s *Sink) IngestStage(st *Stage) {
 	if s.closed {
 		panic("pipeline: Ingest after Close")
@@ -110,7 +95,7 @@ func (s *Sink) ingestShard(sh *shard, chunk []core.PacketDigest) {
 		sh.buf = sh.buf[:len(sh.buf)+n]
 		chunk = chunk[n:]
 		if len(sh.buf) == cap(sh.buf) {
-			sh.dispatchLocked(s.cfg.OnStall)
+			sh.dispatchLocked()
 		}
 	}
 	sh.mu.Unlock()

@@ -22,6 +22,15 @@ func stageWorkload(pkts []core.PacketDigest, conns int) [][]core.PacketDigest {
 	return out
 }
 
+// staged counts the packets a Stage currently holds.
+func staged(st *Stage) int {
+	n := 0
+	for _, b := range st.bufs {
+		n += len(b)
+	}
+	return n
+}
+
 // TestConcurrentStageMatchesSerial is the determinism acceptance test for
 // the concurrent ingest surface: conns goroutines, each with a private
 // Stage, feed one sink concurrently, and every per-flow answer must be
@@ -69,7 +78,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 							sh := hash.ShardOf(uint64(stream[i].Flow), mod)
 							bufs[sh] = append(bufs[sh], stream[i])
 						}
-						st.IngestStage()
+						sink.IngestStage(st)
 					}
 				}(stream)
 			}
@@ -83,7 +92,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 			}
 			for f := 0; f < nFlows; f++ {
 				flow := core.FlowKey(uint64(f)*2654435761 + 1)
-				compareFlow(t, shards, serial, sink, flow, k, path, lat, util, freq, cnt)
+				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
 			}
 		}
 	}
@@ -139,7 +148,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 					sh := hash.ShardOf(uint64(stream[i].Flow), mod)
 					bufs[sh] = append(bufs[sh], stream[i])
 				}
-				st.IngestStage()
+				sink.IngestStage(st)
 			}
 		}(stream)
 	}
@@ -149,7 +158,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 	}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, serial, sink, flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
 	}
 }
 
@@ -174,18 +183,18 @@ func TestStageResetAfterDecodeError(t *testing.T) {
 		t.Fatal("truncated frame decoded")
 	}
 	st.Reset()
-	if st.Len() != 0 {
-		t.Fatalf("%d packets staged after Reset", st.Len())
+	if staged(st) != 0 {
+		t.Fatalf("%d packets staged after Reset", staged(st))
 	}
 	if n, err := wire.AppendUnmarshalSharded(st.Buffers(), good); err != nil || n != len(pkts) {
 		t.Fatalf("decode after Reset: n=%d err=%v", n, err)
 	}
-	if st.Len() != len(pkts) {
-		t.Fatalf("staged %d packets, want %d", st.Len(), len(pkts))
+	if staged(st) != len(pkts) {
+		t.Fatalf("staged %d packets, want %d", staged(st), len(pkts))
 	}
-	st.IngestStage()
-	if st.Len() != 0 {
-		t.Fatalf("%d packets staged after IngestStage", st.Len())
+	sink.IngestStage(st)
+	if staged(st) != 0 {
+		t.Fatalf("%d packets staged after IngestStage", staged(st))
 	}
 	sink.Barrier()
 	total, _ := sink.Stats()
@@ -244,7 +253,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 		if _, err := wire.AppendUnmarshalSharded(st.Buffers(), payload); err != nil {
 			t.Fatal(err)
 		}
-		st.IngestStage()
+		sink.IngestStage(st)
 	}
 	// Warm up: admit every flow, grow the staging buffers and the
 	// dispatch free lists to steady-state shape.

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/collector"
@@ -99,15 +97,9 @@ func runCollectorScaleTrial(seed uint64, shards, nExporters, flowsPer, pktsPer, 
 	if err != nil {
 		return out, err
 	}
-	remoteJSON, err := json.Marshal(remote.Answers)
-	if err != nil {
+	if out.identical, err = sameAnswers(remote.Answers, local.Answers); err != nil {
 		return out, err
 	}
-	localJSON, err := json.Marshal(local.Answers)
-	if err != nil {
-		return out, err
-	}
-	out.identical = bytes.Equal(remoteJSON, localJSON)
 	if !out.identical {
 		return out, fmt.Errorf("scenario: collector answers diverge from in-process at %d shards", shards)
 	}

@@ -356,13 +356,14 @@ func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec,
 		for _, flowID := range flowIDs {
 			hops := truthLat[flowID]
 			fk := core.FlowKey(flowID)
+			rec := sink.Recording(fk)
 			for h := 1; h <= len(hops); h++ {
 				truth := hops[h-1]
-				if len(truth) < 64 || sink.LatencySamples(spec.lat, fk, h) < 16 {
+				if len(truth) < 64 || rec.LatencySamples(spec.lat, fk, h) < 16 {
 					continue
 				}
-				estMed, err1 := sink.LatencyQuantile(spec.lat, fk, h, 0.5)
-				estTail, err2 := sink.LatencyQuantile(spec.lat, fk, h, 0.9)
+				estMed, err1 := rec.LatencyQuantile(spec.lat, fk, h, 0.5)
+				estTail, err2 := rec.LatencyQuantile(spec.lat, fk, h, 0.9)
 				if err1 != nil || err2 != nil {
 					continue
 				}

@@ -160,7 +160,7 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 		}
 	}
 	out.decodePkts = n
-	out.fpBefore = sink.PathInconsistencies(q, flow)
+	out.fpBefore = sink.Recording(flow).PathInconsistencies(q, flow)
 
 	// Phase 2: the route flips to path B; count packets until the
 	// inconsistency counter crosses each threshold.
@@ -171,7 +171,7 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 		}
 		n += block
 		sink.Barrier()
-		inc := sink.PathInconsistencies(q, flow) - out.fpBefore
+		inc := sink.Recording(flow).PathInconsistencies(q, flow) - out.fpBefore
 		done := true
 		for i, thr := range routeThresholds {
 			if out.detectAt[i] < 0 {
@@ -362,13 +362,14 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 	scores := map[uint64][]float64{}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f) + 1)
-		ids, done := sink.Path(pathQ, flow)
+		rec := sink.Recording(flow)
+		ids, done := rec.Path(pathQ, flow)
 		if !done {
 			continue
 		}
 		out.decodedFlows++
 		for hop := 1; hop <= k; hop++ {
-			est, err := sink.LatencyQuantile(latQ, flow, hop, 0.5)
+			est, err := rec.LatencyQuantile(latQ, flow, hop, 0.5)
 			if err != nil {
 				continue
 			}

@@ -150,21 +150,15 @@ func runFederatedScaleTrial(seed uint64, fleetN, shards, nExporters, flowsPer, p
 	if err != nil {
 		return out, err
 	}
-	localJSON, err := json.Marshal(local.Answers)
-	if err != nil {
-		return out, err
-	}
 
 	// Path 1: fold member snapshots with core.Recording.Merge.
 	fleetAnswers, err := fleet.MergedAnswers(nil)
 	if err != nil {
 		return out, err
 	}
-	fleetJSON, err := json.Marshal(fleetAnswers)
-	if err != nil {
+	if out.mergeIdent, err = sameAnswers(fleetAnswers, local.Answers); err != nil {
 		return out, err
 	}
-	out.mergeIdent = bytes.Equal(fleetJSON, localJSON)
 	if !out.mergeIdent {
 		return out, fmt.Errorf("scenario: Recording.Merge fold diverges from in-process at fleet %d, shards %d", fleetN, shards)
 	}

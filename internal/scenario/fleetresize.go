@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -262,19 +260,13 @@ func runFleetResizeTrial(seed uint64, fromN, toN, shards, nExporters, flowsPer, 
 	if err != nil {
 		return out, err
 	}
-	localJSON, err := json.Marshal(local.Answers)
-	if err != nil {
-		return out, err
-	}
 	resizedAnswers, err := fleet.MergedAnswers(nil)
 	if err != nil {
 		return out, err
 	}
-	resizedJSON, err := json.Marshal(resizedAnswers)
-	if err != nil {
+	if out.identProc, err = sameAnswers(resizedAnswers, local.Answers); err != nil {
 		return out, err
 	}
-	out.identProc = bytes.Equal(resizedJSON, localJSON)
 	if !out.identProc {
 		return out, fmt.Errorf("scenario: resized fleet diverges from in-process reference (%d->%d)", fromN, toN)
 	}
@@ -301,11 +293,9 @@ func runFleetResizeTrial(seed uint64, fromN, toN, shards, nExporters, flowsPer, 
 	if err != nil {
 		return out, err
 	}
-	freshJSON, err := json.Marshal(freshAnswers)
-	if err != nil {
+	if out.identNew, err = sameAnswers(resizedAnswers, freshAnswers); err != nil {
 		return out, err
 	}
-	out.identNew = bytes.Equal(resizedJSON, freshJSON)
 	if !out.identNew {
 		return out, fmt.Errorf("scenario: resized fleet diverges from a fleet started at %d members", toN)
 	}

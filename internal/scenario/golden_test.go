@@ -105,7 +105,7 @@ func TestShardsDoNotChangeAnswers(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			s := Quick()
 			s.Shards = shards
-			res, err := RunByName(name, Options{Scale: s, Parallel: 2})
+			res, err := runByName(name, Options{Scale: s, Parallel: 2})
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}

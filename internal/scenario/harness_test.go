@@ -7,6 +7,15 @@ import (
 	"repro/internal/workload"
 )
 
+// runByName runs one registered scenario through the name resolver.
+func runByName(name string, opts Options) (*Result, error) {
+	res, err := RunNames([]string{name}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // runTrials plans a registered scenario at scale s, runs its trials in
 // plan order and reduces them; it returns the trial outputs (for the
 // paper-claim assertions on typed values) and renders every table.
@@ -121,7 +130,7 @@ func TestFig05Shapes(t *testing.T) {
 }
 
 func TestCodingMediansTable(t *testing.T) {
-	res, err := RunByName("medians", Options{Scale: tiny()})
+	res, err := runByName("medians", Options{Scale: tiny()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -213,19 +212,11 @@ func runKillRecoverTrial(seed uint64, shards, nFlows, waveFlows, pktsPer int) (k
 	if err := ref.Close(); err != nil {
 		return out, err
 	}
-	want, err := collector.SnapshotAnswers(ref.Snapshot(), tb.Queries(), nil)
+	wantJSON, err := answersJSON(ref, tb.Queries(), nil)
 	if err != nil {
 		return out, err
 	}
-	got, err := collector.SnapshotAnswers(re.Sink.Snapshot(), tb.Queries(), nil)
-	if err != nil {
-		return out, err
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		return out, err
-	}
-	gotJSON, err := json.Marshal(got)
+	gotJSON, err := answersJSON(re.Sink, tb.Queries(), nil)
 	if err != nil {
 		return out, err
 	}

@@ -40,15 +40,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	return results[0], nil
 }
 
-// RunByName runs one registered scenario.
-func RunByName(name string, opts Options) (*Result, error) {
-	sc, ok := Lookup(name)
-	if !ok {
-		return nil, unknownNameError(name)
-	}
-	return Run(sc, opts)
-}
-
 // RunMany executes several scenarios over one shared worker pool: every
 // scenario is planned first, the union of trials drains through the pool
 // (so a wide scenario keeps workers busy while a narrow one finishes),

@@ -209,7 +209,7 @@ func TestRegistryShape(t *testing.T) {
 	if newCount < 3 {
 		t.Fatalf("only %d non-paper scenarios registered", newCount)
 	}
-	if _, err := RunByName("no-such-scenario", Options{Scale: Quick()}); err == nil {
+	if _, err := runByName("no-such-scenario", Options{Scale: Quick()}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

@@ -45,10 +45,6 @@ func TestUnknownScenarioErrorSuggests(t *testing.T) {
 		!strings.Contains(err.Error(), "collector-scale") {
 		t.Fatalf("miss error lacks suggestions: %v", err)
 	}
-	_, err = RunByName("fig10x", Options{Scale: Quick()})
-	if err == nil || !strings.Contains(err.Error(), "did you mean") {
-		t.Fatalf("RunByName miss lacks suggestions: %v", err)
-	}
 }
 
 func TestEditDistance(t *testing.T) {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -270,19 +269,11 @@ func runTenantOverloadTrial(seed uint64, shards, ticks int) (tenantOverloadOut, 
 	for f := range vicKeys {
 		vicKeys[f] = tb.FlowKeyFor(vicExp, f)
 	}
-	got, err := collector.SnapshotAnswers(sink.Snapshot(), tb.Queries(), vicKeys)
+	gotJSON, err := answersJSON(sink, tb.Queries(), vicKeys)
 	if err != nil {
 		return out, err
 	}
-	want, err := collector.SnapshotAnswers(ref.Snapshot(), tb.Queries(), vicKeys)
-	if err != nil {
-		return out, err
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		return out, err
-	}
-	wantJSON, err := json.Marshal(want)
+	wantJSON, err := answersJSON(ref, tb.Queries(), vicKeys)
 	if err != nil {
 		return out, err
 	}

@@ -65,7 +65,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/wire"
 )
 
@@ -310,7 +309,3 @@ func DecodeRetain(body []byte) (Retain, error) {
 func DecodeDigests(dst []core.PacketDigest, body []byte) ([]core.PacketDigest, error) {
 	return wire.AppendUnmarshal(dst[:0], body)
 }
-
-// Persister is re-exported so callers wiring a Writer into a sink can
-// name the contract without importing pipeline.
-type Persister = pipeline.Persister

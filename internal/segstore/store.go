@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,10 +28,6 @@ const (
 	trailerLen = 12
 	// segSuffix is the segment file extension.
 	segSuffix = ".pint"
-	// compactSuffix marks Compact's temp file; listSegments ignores it,
-	// and recovery either deletes it (unsealed: the crash hit mid-write)
-	// or finishes the interrupted replacement (sealed: the fold committed).
-	compactSuffix = ".compact"
 )
 
 // segName formats segment file names so lexical order is sequence order.
@@ -149,7 +146,11 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	return s, report, nil
 }
 
-// listSegments returns dir's segment files in sequence order.
+// listSegments returns dir's segment files in sequence order. A
+// compaction temp (seg-….pint.compact) is an error, not a segment: it may
+// be the only copy of the segments an older version folded into it, and
+// nothing here can finish or verify that fold, so it is not ours to skip
+// or delete.
 func (s *Store) listSegments() ([]string, error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -158,8 +159,13 @@ func (s *Store) listSegments() ([]string, error) {
 	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if !e.IsDir() && len(name) == len(segName(0)) &&
-			filepath.Ext(name) == segSuffix && name[:4] == "seg-" {
+		if e.IsDir() || !strings.HasPrefix(name, "seg-") {
+			continue
+		}
+		if strings.HasSuffix(name, segSuffix+".compact") {
+			return nil, fmt.Errorf("segstore: %s holds a stray compaction file %q: move it away before opening", s.dir, name)
+		}
+		if len(name) == len(segName(0)) && filepath.Ext(name) == segSuffix {
 			names = append(names, name)
 		}
 	}
@@ -174,9 +180,6 @@ func (s *Store) listSegments() ([]string, error) {
 // already truncated back to its last complete block — is re-sealed here,
 // so after Open every segment on disk carries a verified index.
 func (s *Store) recoverLog() (*RecoveryReport, error) {
-	if err := s.recoverCompaction(); err != nil {
-		return nil, err
-	}
 	names, err := s.listSegments()
 	if err != nil {
 		return nil, err
@@ -239,61 +242,6 @@ func (s *Store) recoverLog() (*RecoveryReport, error) {
 		return nil, err
 	}
 	return report, nil
-}
-
-// recoverCompaction finishes (or discards) a Compact interrupted by a
-// crash. A `.compact` temp that scans as a fully sealed segment passed
-// Compact's commit point: it holds every block of every segment it
-// folded, so the originals at or below its sequence — whichever of them
-// still exist — are removed and the temp renamed into place, exactly
-// what Compact would have done. A temp that does not validate never
-// committed; it is deleted and the originals (all still present — the
-// commit point precedes the first removal) recover normally.
-func (s *Store) recoverCompaction() error {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("segstore: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || len(name) != len(segName(0))+len(compactSuffix) ||
-			name[:4] != "seg-" || filepath.Ext(name) != compactSuffix {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		var seq uint64
-		if _, err := fmt.Sscanf(name, "seg-%016d"+segSuffix+compactSuffix, &seq); err != nil {
-			return fmt.Errorf("segstore: compact temp %q: %w", name, err)
-		}
-		probe := &Store{}
-		_, _, _, wasSealed, perr := probe.scanSegment(path, false, newCkptChecker())
-		if perr != nil || !wasSealed {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("segstore: dropping uncommitted compact temp: %w", err)
-			}
-			continue
-		}
-		names, err := s.listSegments()
-		if err != nil {
-			return err
-		}
-		for _, old := range names {
-			var oldSeq uint64
-			if _, err := fmt.Sscanf(old, "seg-%016d"+segSuffix, &oldSeq); err != nil {
-				return fmt.Errorf("segstore: segment name %q: %w", old, err)
-			}
-			if oldSeq > seq {
-				continue // the crashed incarnation's active segment: not folded
-			}
-			if err := os.Remove(filepath.Join(s.dir, old)); err != nil {
-				return fmt.Errorf("segstore: resuming compaction: %w", err)
-			}
-		}
-		if err := os.Rename(path, filepath.Join(s.dir, segName(seq))); err != nil {
-			return fmt.Errorf("segstore: resuming compaction: %w", err)
-		}
-	}
-	return nil
 }
 
 // sealFile appends an index footer and trailer to a recovered, unsealed
@@ -689,18 +637,6 @@ func (s *Store) AppendEvict(ev EvictRecord) error {
 	return s.append(KindEvict, appendEvictBody(beginBlock(s.scratch), ev), 0)
 }
 
-// Rotate seals the active segment (index footer, trailer, fsync) and
-// opens the next one, then applies retention. A rotation of an empty
-// segment is a no-op.
-func (s *Store) Rotate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("segstore: Rotate after Close")
-	}
-	return s.rotateLocked()
-}
-
 func (s *Store) rotateLocked() error {
 	if s.blocks == 0 {
 		return nil
@@ -874,19 +810,6 @@ func (s *Store) HorizonTS() uint64 {
 	return s.horizon
 }
 
-// MaxTS returns the newest block timestamp on disk.
-func (s *Store) MaxTS() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.blocks > 0 {
-		return s.maxTS
-	}
-	if n := len(s.sealed); n > 0 {
-		return s.sealed[n-1].maxTS
-	}
-	return 0
-}
-
 // Scan walks every surviving block whose timestamp falls in
 // [since, until], in log order, calling fn for each. Blocks alias one
 // read buffer reused for the whole scan: a Block is valid only during its
@@ -900,8 +823,8 @@ func (s *Store) MaxTS() uint64 {
 // streamed frame by frame.
 //
 // The store lock is held only to snapshot the segment set: overlapping
-// segments are opened (an open fd survives a concurrent retention or
-// compaction unlink) and the active segment's extent noted, then the walk
+// segments are opened (an open fd survives a concurrent retention
+// unlink) and the active segment's extent noted, then the walk
 // — file reads and fn callbacks included — runs unlocked, so a long replay
 // never stalls the append path, and blocks appended after the snapshot are
 // not part of it.
@@ -1044,125 +967,4 @@ func (sp *segSpan) stream(fr *wire.FrameReader, since, until uint64, fn func(Blo
 			return err
 		}
 	}
-}
-
-// Compact folds every sealed segment into one: blocks stream across in
-// log order (Retain records included — the deletion history must
-// survive), the combined segment seals with a fresh index, and the
-// originals are removed. The fold preserves exactly the property
-// Recording.Merge needs downstream: each flow's digests stay in arrival
-// order, so replaying the compacted log yields the same Recordings.
-//
-// The replacement is crash-atomic. The commit point is the temp file
-// sealing (fsync + close): before it, a crash leaves an invalid
-// `.compact` file recovery deletes, the originals untouched; after it,
-// the temp holds every sealed block, and recovery (recoverCompaction)
-// finishes the replacement — removing the covered originals and renaming
-// the temp into place — no matter where in that window the crash landed.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("segstore: Compact after Close")
-	}
-	if len(s.sealed) < 2 {
-		return nil
-	}
-	seq := s.sealed[len(s.sealed)-1].seq
-	tmp := filepath.Join(s.dir, segName(seq)+compactSuffix)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("segstore: compact: %w", err)
-	}
-	committed := false
-	defer func() {
-		// Pre-commit failures discard the temp (originals are intact);
-		// post-commit it is the authoritative copy and must survive for
-		// recovery to finish the replacement.
-		if !committed {
-			os.Remove(tmp)
-		}
-	}()
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: compact: %w", err)
-	}
-	out := segMeta{name: segName(seq), seq: seq}
-	size := int64(segHeaderLen)
-	var entries []IndexEntry
-	var buf []byte
-	fr := wire.NewFrameReader(nil, 0)
-	for _, m := range s.sealed {
-		src, err := os.Open(filepath.Join(s.dir, m.name))
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("segstore: compact: %w", err)
-		}
-		sp := segSpan{f: src, size: m.size}
-		err = sp.stream(fr, 0, ^uint64(0), func(blk Block) error {
-			buf = append(beginBlock(buf), blk.Body...)
-			if err := finishBlock(buf, blk.Kind, blk.TS); err != nil {
-				return err
-			}
-			if _, err := f.Write(buf); err != nil {
-				return fmt.Errorf("segstore: compact: %w", err)
-			}
-			var pkts uint64
-			if blk.Kind == KindDigests {
-				batch, err := wire.AppendUnmarshal(nil, blk.Body)
-				if err != nil {
-					return err
-				}
-				pkts = uint64(len(batch))
-			}
-			entries = append(entries, IndexEntry{Offset: uint64(size), Kind: blk.Kind, TS: blk.TS, Packets: pkts})
-			if out.blocks == 0 {
-				out.minTS = blk.TS
-			}
-			out.maxTS = blk.TS
-			out.blocks++
-			out.packets += pkts
-			size += int64(len(buf))
-			return nil
-		})
-		src.Close()
-		if err != nil {
-			f.Close()
-			return err
-		}
-	}
-	idx := Index{MinTS: out.minTS, MaxTS: out.maxTS, Packets: out.packets, Entries: entries}
-	if buf, err = appendSeal(buf, idx, size); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: compact: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("segstore: compact: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("segstore: compact: %w", err)
-	}
-	committed = true
-	out.size = size + int64(len(buf))
-	// Replace: drop the older originals, then move the temp into place
-	// (it takes the newest seq's name, atomically displacing the last
-	// original). An error or crash from here on leaves the sealed temp
-	// behind for recoverCompaction to finish from.
-	for _, m := range s.sealed[:len(s.sealed)-1] {
-		if err := os.Remove(filepath.Join(s.dir, m.name)); err != nil {
-			return fmt.Errorf("segstore: compact: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, out.name)); err != nil {
-		return fmt.Errorf("segstore: compact: %w", err)
-	}
-	s.sealed = append(s.sealed[:0], out)
-	return nil
 }

@@ -46,6 +46,53 @@ func collectBlocks(t *testing.T, st *Store, since, until uint64) []Block {
 	return out
 }
 
+// rotate forces a rotation: seal the active segment (a no-op while it is
+// empty), open the next, apply retention — what append does by itself once
+// the segment outgrows Options.SegmentBytes.
+func rotate(s *Store) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rotateLocked()
+}
+
+// maxTS returns the newest block timestamp on disk.
+func maxTS(s *Store) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.blocks > 0 {
+		return s.maxTS
+	}
+	if n := len(s.sealed); n > 0 {
+		return s.sealed[n-1].maxTS
+	}
+	return 0
+}
+
+// TestOpenRefusesStrayCompactionFile: a seg-….pint.compact file (the temp
+// of a compaction this version no longer has) is foreign data. Open must
+// name it and leave it alone, not skip or delete it.
+func TestOpenRefusesStrayCompactionFile(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openTest(t, dir, Options{})
+	if err := st.AppendDigests(testDigests(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray := segName(1) + ".compact"
+	if err := os.WriteFile(filepath.Join(dir, stray), []byte(segMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(dir, Options{NoSync: true, Now: testClock()})
+	if err == nil || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("Open with %s present: %v, want an error naming the file", stray, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, stray)); err != nil {
+		t.Fatalf("Open touched the stray file: %v", err)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, rep := openTest(t, dir, Options{})
@@ -66,7 +113,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := st.AppendCheckpoint(Checkpoint{Round: 1, Shard: 0, Shards: 1, Packets: 5, Flows: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Rotate(); err != nil {
+	if err := rotate(st); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendDigests(b3); err != nil {
@@ -134,7 +181,7 @@ func buildGoldenLog(t *testing.T, dir string) {
 	if err := st.AppendCheckpoint(Checkpoint{Round: 1, Shard: 0, Shards: 1, Packets: 3, Flows: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Rotate(); err != nil {
+	if err := rotate(st); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendDigests(testDigests(2, 2)); err != nil {
@@ -422,7 +469,7 @@ func TestRetentionConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		appended += uint64(len(batch))
-		if err := st.Rotate(); err != nil {
+		if err := rotate(st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -477,145 +524,6 @@ func TestRetentionConservation(t *testing.T) {
 	}
 }
 
-// TestCompact folds every sealed segment into one and demands the block
-// stream survive byte-for-byte.
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTest(t, dir, Options{})
-	for i := 0; i < 4; i++ {
-		if err := st.AppendDigests(testDigests(2+i, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Rotate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := collectBlocks(t, st, 0, ^uint64(0))
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	got := collectBlocks(t, st, 0, ^uint64(0))
-	if len(got) != len(want) {
-		t.Fatalf("compaction changed block count: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Kind != want[i].Kind || got[i].TS != want[i].TS || !bytes.Equal(got[i].Body, want[i].Body) {
-			t.Fatalf("compaction changed block %d", i)
-		}
-	}
-	if st.Stats().Segments != 1 {
-		t.Fatalf("compaction left %d sealed segments, want 1", st.Stats().Segments)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, rep := openTest(t, dir, Options{})
-	defer st2.Close()
-	if rep.TornBytes != 0 || rep.Packets != 2+3+4+5 {
-		t.Fatalf("compacted log reopened as %+v", rep)
-	}
-}
-
-// TestCompactCrashRecovery drops a crash into every window of Compact's
-// replacement protocol and demands recovery converge on a conserved log:
-// an uncommitted (invalid) temp is discarded with the originals intact;
-// a committed (sealed) temp is the authoritative copy and recovery
-// finishes the replacement no matter how many originals the crash left.
-func TestCompactCrashRecovery(t *testing.T) {
-	golden := t.TempDir()
-	st, _ := openTest(t, golden, Options{})
-	for i := 0; i < 3; i++ {
-		if err := st.AppendDigests(testDigests(2+i, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Rotate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := os.ReadDir(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 3 {
-		t.Fatalf("golden log has %d segments, want 3", len(names))
-	}
-	const wantPkts = 2 + 3 + 4
-
-	// Produce the committed temp's exact bytes by compacting a copy: the
-	// single surviving segment IS what the temp held at the commit point.
-	scratch := t.TempDir()
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(golden, n.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, n.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc, _ := openTest(t, scratch, Options{})
-	if err := sc.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	newest := names[len(names)-1].Name()
-	compacted, err := os.ReadFile(filepath.Join(scratch, newest))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Each case is one crash point: which originals survive, what state
-	// the temp is in, and what recovery must find.
-	cases := []struct {
-		name     string
-		keep     int    // originals kept (oldest-first), counting from the full set
-		tmp      []byte // temp file contents (nil: no temp)
-		wantSegs int
-	}{
-		{"before-commit", 3, compacted[:len(compacted)/2], 3}, // torn temp: discard, originals recover
-		{"committed-no-removals", 3, compacted, 1},
-		{"committed-mid-removals", 2, compacted, 1}, // first original already unlinked
-		{"committed-last-removal", 1, compacted, 1}, // only the newest original left
-	}
-	for _, tc := range cases {
-		dir := t.TempDir()
-		skip := len(names) - tc.keep
-		for i, n := range names {
-			if i < skip && n.Name() != newest {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(golden, n.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, n.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if tc.tmp != nil {
-			if err := os.WriteFile(filepath.Join(dir, newest+compactSuffix), tc.tmp, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rst, rep := openTest(t, dir, Options{})
-		if rep.Packets != wantPkts {
-			t.Fatalf("%s: recovered %d packets, want %d", tc.name, rep.Packets, wantPkts)
-		}
-		if rep.Segments != tc.wantSegs {
-			t.Fatalf("%s: recovered %d segments, want %d", tc.name, rep.Segments, tc.wantSegs)
-		}
-		if _, err := os.Stat(filepath.Join(dir, newest+compactSuffix)); !os.IsNotExist(err) {
-			t.Fatalf("%s: compact temp survived recovery (err=%v)", tc.name, err)
-		}
-		rst.Close()
-	}
-}
-
 // TestRecoveryTrailerCoincidence plants a torn, unsealed tail whose last
 // four arbitrary bytes spell the trailer magic: the bogus footer must not
 // be trusted — the newest segment falls back to the torn-tail scan and
@@ -626,7 +534,7 @@ func TestRecoveryTrailerCoincidence(t *testing.T) {
 	if err := st.AppendDigests(testDigests(3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Rotate(); err != nil {
+	if err := rotate(st); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendDigests(testDigests(2, 2)); err != nil {
@@ -673,7 +581,7 @@ func TestScanUnlocked(t *testing.T) {
 	if err := st.AppendDigests(testDigests(3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Rotate(); err != nil {
+	if err := rotate(st); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendDigests(testDigests(2, 2)); err != nil {
@@ -684,7 +592,7 @@ func TestScanUnlocked(t *testing.T) {
 		blocks++
 		// Lock-taking store methods from inside the callback: each of
 		// these self-deadlocked when Scan held s.mu across the walk.
-		if st.Stats().Packets < 5 || st.MaxTS() == 0 {
+		if st.Stats().Packets < 5 || maxTS(st) == 0 {
 			t.Fatal("store accounting wrong under scan")
 		}
 		// Appending mid-scan is legal (the walk reads a snapshot) and must

@@ -155,7 +155,7 @@ func TestScanWhileAppenderRotates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1603))
 	blocksSeen := 0
 	for scan := 0; (scan < 200 || st.Stats().DeletedSegments < 3) && !t.Failed(); scan++ {
-		horizon0, max0 := st.HorizonTS(), st.MaxTS()
+		horizon0, max0 := st.HorizonTS(), maxTS(st)
 		since := uint64(0)
 		if back := uint64(rng.Intn(600)); back < max0 {
 			since = max0 - back

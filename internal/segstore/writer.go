@@ -8,13 +8,14 @@ import (
 	"repro/internal/pipeline"
 )
 
+// writerQueueDepth bounds the pending-operation queue. A full queue blocks
+// PersistIngest — the ingester — which is the durability tier's
+// backpressure: TCP flow control then slows the exporters, exactly like a
+// slow sink worker would.
+const writerQueueDepth = 64
+
 // WriterOptions shapes a Writer.
 type WriterOptions struct {
-	// QueueDepth bounds the pending-operation queue (default 64). A full
-	// queue blocks PersistIngest — the ingester — which is the durability
-	// tier's backpressure: TCP flow control then slows the exporters,
-	// exactly like a slow sink worker would.
-	QueueDepth int
 	// EncodeEvict, when non-nil, renders an evicted flow's finalized
 	// answers while the Recording still holds them (it runs synchronously
 	// on the evicting worker); the bytes land in the KindEvict record.
@@ -63,14 +64,11 @@ const (
 
 // NewWriter starts a writer over store.
 func NewWriter(store *Store, opts WriterOptions) *Writer {
-	if opts.QueueDepth < 1 {
-		opts.QueueDepth = 64
-	}
 	w := &Writer{
 		store: store,
 		enc:   opts.EncodeEvict,
-		ops:   make(chan wop, opts.QueueDepth),
-		free:  make(chan []core.PacketDigest, opts.QueueDepth+1),
+		ops:   make(chan wop, writerQueueDepth),
+		free:  make(chan []core.PacketDigest, writerQueueDepth+1),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}

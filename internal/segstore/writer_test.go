@@ -65,10 +65,10 @@ func TestWriterPersistsInOrder(t *testing.T) {
 func TestWriterErrorSticksAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, Options{})
-	w := NewWriter(st, WriterOptions{QueueDepth: 2})
+	w := NewWriter(st, WriterOptions{})
 	st.Close() // every later append fails with "append after Close"
 
-	for i := 0; i < 20; i++ { // far past the queue depth: must not deadlock
+	for i := 0; i < 4*writerQueueDepth; i++ { // far past the queue depth: must not deadlock
 		w.PersistIngest(testDigests(1, uint64(i)))
 	}
 	if err := w.Flush(); err == nil || !strings.Contains(err.Error(), "after Close") {
@@ -85,7 +85,7 @@ func TestWriterErrorSticksAndDrains(t *testing.T) {
 func TestWriterAbandonUnblocks(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, Options{})
-	w := NewWriter(st, WriterOptions{QueueDepth: 1})
+	w := NewWriter(st, WriterOptions{})
 	w.PersistIngest(testDigests(2, 1))
 	w.Abandon()
 	// Post-abandon persists are dropped, not deadlocked.

@@ -62,12 +62,4 @@ func BenchmarkSpaceSavingAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkReservoirAdd(b *testing.B) {
-	r, _ := NewReservoir(100, hash.NewRNG(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Add(float64(i))
-	}
-}
-
 var benchSink float64

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/hash"
+	"repro/internal/stateread"
 )
 
 // Exact state serialization for the fleet-resize hand-off path. Each
@@ -23,48 +24,6 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
-// stateReader walks an encoded state blob, latching the first error.
-type stateReader struct {
-	data []byte
-	err  error
-}
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.err = fmt.Errorf("sketch: truncated state varint")
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *stateReader) bytes(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.data)) {
-		r.err = fmt.Errorf("sketch: state wants %d bytes, %d left", n, len(r.data))
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
-	return b
-}
-
-func (r *stateReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("sketch: %d trailing state bytes", len(r.data))
-	}
-	return nil
-}
-
 func appendRNG(dst []byte, rng *hash.RNG) []byte {
 	s := rng.State()
 	for _, w := range s {
@@ -73,12 +32,12 @@ func appendRNG(dst []byte, rng *hash.RNG) []byte {
 	return dst
 }
 
-func (r *stateReader) rng() *hash.RNG {
+func readRNG(r *stateread.Reader) *hash.RNG {
 	var s [4]uint64
 	for i := range s {
-		s[i] = r.uvarint()
+		s[i] = r.Uvarint()
 	}
-	if r.err != nil {
+	if r.Err != nil {
 		return nil
 	}
 	return hash.RestoreRNG(s)
@@ -105,27 +64,27 @@ func (s *KLL) AppendState(dst []byte) []byte {
 // sketch's future Adds, compactions, and quantile answers are identical
 // to the original's.
 func RestoreKLL(data []byte) (*KLL, error) {
-	r := &stateReader{data: data}
+	r := stateread.New("sketch: state", data)
 	s, err := restoreKLLFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func restoreKLLFrom(r *stateReader) (*KLL, error) {
-	if v := r.uvarint(); r.err == nil && v != sketchCodecVersion {
+func restoreKLLFrom(r *stateread.Reader) (*KLL, error) {
+	if v := r.Uvarint(); r.Err == nil && v != sketchCodecVersion {
 		return nil, fmt.Errorf("sketch: KLL state version %d (have %d)", v, sketchCodecVersion)
 	}
-	k := int(r.uvarint())
-	n := r.uvarint()
-	rng := r.rng()
-	levels := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	k := int(r.Uvarint())
+	n := r.Uvarint()
+	rng := readRNG(r)
+	levels := r.Uvarint()
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if k < 8 {
 		return nil, fmt.Errorf("sketch: KLL state k=%d too small", k)
@@ -136,21 +95,21 @@ func restoreKLLFrom(r *stateReader) (*KLL, error) {
 	s := &KLL{k: k, c: 2.0 / 3.0, n: n, rng: rng}
 	s.compactors = make([][]float64, levels)
 	for h := range s.compactors {
-		cnt := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
+		cnt := r.Uvarint()
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		if cnt > uint64(len(r.data)) { // each item is >= 1 byte
+		if cnt > uint64(r.Len()) { // each item is >= 1 byte
 			return nil, fmt.Errorf("sketch: KLL level %d claims %d items", h, cnt)
 		}
 		level := make([]float64, cnt)
 		for i := range level {
-			level[i] = math.Float64frombits(r.uvarint())
+			level[i] = math.Float64frombits(r.Uvarint())
 		}
 		s.compactors[h] = level
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return s, nil
 }
@@ -177,15 +136,15 @@ func (s *SpaceSaving) AppendState(dst []byte) []byte {
 
 // RestoreSpaceSaving rebuilds a summary from AppendState bytes.
 func RestoreSpaceSaving(data []byte) (*SpaceSaving, error) {
-	r := &stateReader{data: data}
-	if v := r.uvarint(); r.err == nil && v != sketchCodecVersion {
+	r := stateread.New("sketch: state", data)
+	if v := r.Uvarint(); r.Err == nil && v != sketchCodecVersion {
 		return nil, fmt.Errorf("sketch: SpaceSaving state version %d (have %d)", v, sketchCodecVersion)
 	}
-	m := int(r.uvarint())
-	n := r.uvarint()
-	entries := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	m := int(r.Uvarint())
+	n := r.Uvarint()
+	entries := r.Uvarint()
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if m < 1 {
 		return nil, fmt.Errorf("sketch: SpaceSaving state m=%d", m)
@@ -200,11 +159,11 @@ func RestoreSpaceSaving(data []byte) (*SpaceSaving, error) {
 		err: make(map[uint64]uint64, m),
 	}
 	for i := uint64(0); i < entries; i++ {
-		v := r.uvarint()
-		c := r.uvarint()
-		e := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
+		v := r.Uvarint()
+		c := r.Uvarint()
+		e := r.Uvarint()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if _, dup := s.cnt[v]; dup {
 			return nil, fmt.Errorf("sketch: SpaceSaving state duplicates value %d", v)
@@ -212,7 +171,7 @@ func RestoreSpaceSaving(data []byte) (*SpaceSaving, error) {
 		s.cnt[v] = c
 		s.err[v] = e
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -243,18 +202,18 @@ func (s *SlidingKLL) AppendState(dst []byte) []byte {
 
 // RestoreSlidingKLL rebuilds a window sketch from AppendState bytes.
 func RestoreSlidingKLL(data []byte) (*SlidingKLL, error) {
-	r := &stateReader{data: data}
-	if v := r.uvarint(); r.err == nil && v != sketchCodecVersion {
+	r := stateread.New("sketch: state", data)
+	if v := r.Uvarint(); r.Err == nil && v != sketchCodecVersion {
 		return nil, fmt.Errorf("sketch: SlidingKLL state version %d (have %d)", v, sketchCodecVersion)
 	}
-	buckets := int(r.uvarint())
-	span := r.uvarint()
-	k := int(r.uvarint())
-	cur := int(r.uvarint())
-	inCur := r.uvarint()
-	rng := r.rng()
-	if r.err != nil {
-		return nil, r.err
+	buckets := int(r.Uvarint())
+	span := r.Uvarint()
+	k := int(r.Uvarint())
+	cur := int(r.Uvarint())
+	inCur := r.Uvarint()
+	rng := readRNG(r)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if buckets < 2 || span < 1 || cur < 0 || cur >= buckets {
 		return nil, fmt.Errorf("sketch: SlidingKLL state geometry buckets=%d span=%d cur=%d", buckets, span, cur)
@@ -262,16 +221,16 @@ func RestoreSlidingKLL(data []byte) (*SlidingKLL, error) {
 	s := &SlidingKLL{buckets: buckets, span: span, k: k, cur: cur, inCur: inCur, rng: rng}
 	s.ring = make([]*KLL, buckets)
 	for i := range s.ring {
-		present := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
+		present := r.Uvarint()
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if present == 0 {
 			continue
 		}
-		sub := r.bytes(r.uvarint())
-		if r.err != nil {
-			return nil, r.err
+		sub := r.Bytes(r.Uvarint())
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		b, err := RestoreKLL(sub)
 		if err != nil {
@@ -279,7 +238,7 @@ func RestoreSlidingKLL(data []byte) (*SlidingKLL, error) {
 		}
 		s.ring[i] = b
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hash"
@@ -63,8 +65,8 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 		t.Fatalf("count %d vs %d", orig.Count(), restored.Count())
 	}
 	for v := uint64(0); v < 23; v++ {
-		a, aok := orig.Estimate(v)
-		b, bok := restored.Estimate(v)
+		a, aok := orig.cnt[v]
+		b, bok := restored.cnt[v]
 		if a != b || aok != bok {
 			t.Fatalf("estimate(%d): (%d,%v) vs (%d,%v)", v, a, aok, b, bok)
 		}
@@ -152,6 +154,20 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		}
 		if err == nil {
 			t.Fatalf("%s: trailing byte accepted", name)
+		}
+		// So is a varint AppendState could not have written: byte 1 (k, m,
+		// buckets — all below 128) re-spelled in two bytes, same value.
+		long := slices.Concat(state[:1], []byte{state[1] | 0x80, 0x00}, state[2:])
+		switch name {
+		case "kll":
+			_, err = RestoreKLL(long)
+		case "ss":
+			_, err = RestoreSpaceSaving(long)
+		case "sliding":
+			_, err = RestoreSlidingKLL(long)
+		}
+		if err == nil || !strings.Contains(err.Error(), "at byte 1 is not minimally encoded") {
+			t.Fatalf("%s: non-minimal varint: got %v, want an error naming byte 1", name, err)
 		}
 	}
 }

@@ -5,8 +5,6 @@
 //     used to estimate median/tail latencies from the sampled sub-streams,
 //   - SpaceSaving, the heavy-hitters summary of Metwally et al. [50], used
 //     for the frequent-values aggregation of Theorem 2,
-//   - Reservoir, Vitter's uniform sampler [82], the building block of both
-//     the dynamic aggregation and the Baseline coding scheme,
 //   - a sliding-window wrapper so the Recording Module can reflect only
 //     recent measurements (§4.1),
 //   - exact-quantile helpers used as ground truth by tests and experiments.
@@ -103,22 +101,6 @@ func (s *KLL) compress() {
 // Count returns the number of values inserted.
 func (s *KLL) Count() uint64 { return s.n }
 
-// StoredItems returns the number of items currently retained — the sketch's
-// space, used by Fig 9's bytes-vs-error trade-off.
-func (s *KLL) StoredItems() int {
-	total := 0
-	for _, c := range s.compactors {
-		total += len(c)
-	}
-	return total
-}
-
-// SizeBytes reports the sketch footprint assuming each stored item occupies
-// bitsPerItem bits (PINT stores b-bit compressed codes, not raw float64s).
-func (s *KLL) SizeBytes(bitsPerItem int) int {
-	return (s.StoredItems()*bitsPerItem + 7) / 8
-}
-
 // weighted returns all (value, weight) pairs sorted by value.
 func (s *KLL) weighted() ([]float64, []uint64) {
 	type pair struct {
@@ -184,27 +166,6 @@ func weightedQuantile(vs []float64, ws []uint64, totalW uint64, phi float64) flo
 		}
 	}
 	return vs[len(vs)-1]
-}
-
-// Rank estimates the number of stream items <= v.
-func (s *KLL) Rank(v float64) uint64 {
-	vs, ws := s.weighted()
-	var r uint64
-	for i, x := range vs {
-		if x > v {
-			break
-		}
-		r += ws[i]
-	}
-	return r
-}
-
-// CDF estimates P[X <= v].
-func (s *KLL) CDF(v float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return float64(s.Rank(v)) / float64(s.n)
 }
 
 // Clone deep-copies the sketch, including its RNG state, so the copy
@@ -273,15 +234,4 @@ func RankIndex(phi float64, n int) int {
 		return n - 1
 	}
 	return max(0, int(math.Ceil(phi*float64(n)))-1)
-}
-
-// ExactRank returns the number of elements <= v.
-func ExactRank(vs []float64, v float64) uint64 {
-	var r uint64
-	for _, x := range vs {
-		if x <= v {
-			r++
-		}
-	}
-	return r
 }

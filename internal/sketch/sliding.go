@@ -6,53 +6,6 @@ import (
 	"repro/internal/hash"
 )
 
-// Reservoir is Vitter's algorithm R [82]: a uniform without-replacement
-// sample of fixed size over a stream of unknown length. The Recording
-// Module can keep such a reservoir per (flow, hop) instead of every digest
-// when no sketch is configured.
-type Reservoir struct {
-	k     int
-	items []float64
-	n     uint64
-	rng   *hash.RNG
-}
-
-// NewReservoir creates a reservoir holding at most k items.
-func NewReservoir(k int, rng *hash.RNG) (*Reservoir, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("sketch: reservoir k must be >= 1, got %d", k)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("sketch: reservoir requires an RNG")
-	}
-	return &Reservoir{k: k, items: make([]float64, 0, k), rng: rng}, nil
-}
-
-// Add offers one stream item to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.n++
-	if len(r.items) < r.k {
-		r.items = append(r.items, v)
-		return
-	}
-	// Keep the newcomer with probability k/n, evicting a uniform victim.
-	j := r.rng.Intn(int(r.n))
-	if j < r.k {
-		r.items[j] = v
-	}
-}
-
-// Items returns the current sample (aliased; callers must not mutate).
-func (r *Reservoir) Items() []float64 { return r.items }
-
-// Count returns the stream length seen so far.
-func (r *Reservoir) Count() uint64 { return r.n }
-
-// Quantile estimates the phi-quantile from the sample.
-func (r *Reservoir) Quantile(phi float64) float64 {
-	return ExactQuantile(r.items, phi)
-}
-
 // SlidingKLL keeps latency quantiles over the most recent window of the
 // stream using a ring of sub-sketches — the sliding-window option §4.1
 // mentions so operators see recent behaviour, not all-time history.

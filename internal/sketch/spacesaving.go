@@ -64,24 +64,6 @@ func (s *SpaceSaving) Add(v uint64) {
 // Count returns the stream length observed so far.
 func (s *SpaceSaving) Count() uint64 { return s.n }
 
-// Estimate returns the (over-)estimated count for v and whether v is
-// currently tracked. For untracked values the estimate is 0 and the true
-// count is at most n/m.
-func (s *SpaceSaving) Estimate(v uint64) (uint64, bool) {
-	c, ok := s.cnt[v]
-	return c, ok
-}
-
-// GuaranteedCount returns a lower bound on v's true count (estimate minus
-// the overestimation the counter may carry).
-func (s *SpaceSaving) GuaranteedCount(v uint64) uint64 {
-	c, ok := s.cnt[v]
-	if !ok {
-		return 0
-	}
-	return c - s.err[v]
-}
-
 // HeavyHitter is one reported frequent value.
 type HeavyHitter struct {
 	Value    uint64
@@ -112,9 +94,6 @@ func (s *SpaceSaving) HeavyHitters(theta float64) []HeavyHitter {
 	})
 	return out
 }
-
-// Counters returns the number of counters in use.
-func (s *SpaceSaving) Counters() int { return len(s.cnt) }
 
 // Clone deep-copies the summary; the copy evolves independently.
 func (s *SpaceSaving) Clone() *SpaceSaving {

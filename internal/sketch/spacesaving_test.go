@@ -21,11 +21,11 @@ func TestSpaceSavingExactWhenFits(t *testing.T) {
 		}
 	}
 	for v := uint64(0); v < 5; v++ {
-		c, ok := s.Estimate(v)
+		c, ok := s.cnt[v]
 		if !ok || c != v+1 {
 			t.Fatalf("value %d: count %d ok=%v, want %d", v, c, ok, v+1)
 		}
-		if s.GuaranteedCount(v) != v+1 {
+		if s.cnt[v]-s.err[v] != v+1 {
 			t.Fatal("no error when all values fit")
 		}
 	}
@@ -49,7 +49,7 @@ func TestSpaceSavingNoFalseNegatives(t *testing.T) {
 	}
 	for v, c := range true_ {
 		if c > n/20 {
-			if _, ok := s.Estimate(v); !ok {
+			if _, ok := s.cnt[v]; !ok {
 				t.Fatalf("heavy value %d (count %d > n/m) not tracked", v, c)
 			}
 		}
@@ -67,7 +67,7 @@ func TestSpaceSavingOverestimateBound(t *testing.T) {
 		s.Add(v)
 	}
 	for v := uint64(0); v < 500; v++ {
-		est, ok := s.Estimate(v)
+		est, ok := s.cnt[v]
 		if !ok {
 			continue
 		}
@@ -91,7 +91,7 @@ func TestSpaceSavingGuaranteedLowerBound(t *testing.T) {
 			s.Add(v)
 		}
 		for v := uint64(0); v < 40; v++ {
-			if int(s.GuaranteedCount(v)) > true_[v] {
+			if int(s.cnt[v]-s.err[v]) > true_[v] {
 				return false // the floor must never exceed the truth
 			}
 		}
@@ -130,7 +130,7 @@ func TestSpaceSavingEmptyHeavyHitters(t *testing.T) {
 	if s.HeavyHitters(0.1) != nil {
 		t.Fatal("empty stream must return nil")
 	}
-	if s.Count() != 0 || s.Counters() != 0 {
+	if s.Count() != 0 || len(s.cnt) != 0 {
 		t.Fatal("fresh summary not empty")
 	}
 }
@@ -141,7 +141,7 @@ func TestSpaceSavingCounterCap(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		s.Add(uint64(rng.Intn(1000)))
 	}
-	if s.Counters() > 7 {
-		t.Fatalf("counter count %d exceeds m=7", s.Counters())
+	if len(s.cnt) > 7 {
+		t.Fatalf("counter count %d exceeds m=7", len(s.cnt))
 	}
 }

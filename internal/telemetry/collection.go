@@ -119,9 +119,3 @@ func (s *Sink) MeanBytes() float64 {
 	}
 	return float64(s.TotalBytes) / float64(s.Reports)
 }
-
-// CollectionBandwidthBps returns the sink-to-collector bandwidth these
-// reports consume given a packet rate.
-func (s *Sink) CollectionBandwidthBps(packetsPerSec float64) float64 {
-	return s.MeanBytes() * 8 * packetsPerSec
-}

@@ -27,19 +27,16 @@ import (
 // bits of payload per mark in the compressed edge encoding).
 const PPMFragments = 8
 
-// PPMBitsPerPacket is the scheme's packet overhead (the overloaded IP ID
-// field: 8-bit fragment + 5-bit distance + 3-bit offset).
-const PPMBitsPerPacket = 16
-
 // PPM simulates path reconstruction under fragment marking: the path is
-// decoded once every (hop, fragment) pair has been received.
+// decoded once every (hop, fragment) pair has been received. The scheme
+// costs 16 bits per packet (the overloaded IP ID field: 8-bit fragment +
+// 5-bit distance + 3-bit offset).
 type PPM struct {
 	g    hash.Global
 	k    int
 	got  [][]bool
 	vals [][]uint64
 	need int
-	obs  int
 }
 
 // NewPPM creates a PPM reconstruction for a k-hop path.
@@ -69,7 +66,6 @@ func (p *PPM) Mark(pktID uint64, values []uint64) (hop int, fragIdx int, frag ui
 // Observe consumes one marked packet; returns true when the path is fully
 // reconstructed.
 func (p *PPM) Observe(pktID uint64, values []uint64) bool {
-	p.obs++
 	hop, fragIdx, frag := p.Mark(pktID, values)
 	if !p.got[hop-1][fragIdx] {
 		p.got[hop-1][fragIdx] = true
@@ -82,29 +78,8 @@ func (p *PPM) Observe(pktID uint64, values []uint64) bool {
 // Done reports completion.
 func (p *PPM) Done() bool { return p.need == 0 }
 
-// Observed returns packets consumed.
-func (p *PPM) Observed() int { return p.obs }
-
-// Path reassembles the switch IDs once Done.
-func (p *PPM) Path() ([]uint64, error) {
-	if !p.Done() {
-		return nil, fmt.Errorf("telemetry: PPM missing %d fragments", p.need)
-	}
-	out := make([]uint64, p.k)
-	for h := 0; h < p.k; h++ {
-		var v uint64
-		for f := 0; f < PPMFragments; f++ {
-			v |= p.vals[h][f] << uint(4*f)
-		}
-		out[h] = v
-	}
-	return out, nil
-}
-
-// AMS2BitsPerPacket is the scheme's overhead: 11-bit hash + 5-bit distance.
-const AMS2BitsPerPacket = 16
-
-// AMS2HashBits is the width of each hash sample.
+// AMS2HashBits is the width of each hash sample (the scheme costs 16 bits
+// per packet: this hash + 5-bit distance).
 const AMS2HashBits = 11
 
 // AMS2 simulates Advanced Marking Scheme II reconstruction: each hop must
@@ -120,7 +95,6 @@ type AMS2 struct {
 	got      [][]bool
 	vals     [][]uint64
 	need     int
-	obs      int
 }
 
 // NewAMS2 creates an AMS2 reconstruction with m hash functions for a
@@ -159,7 +133,6 @@ func (a *AMS2) hashOf(j int, id uint64) uint64 {
 // Observe consumes one marked packet: the reservoir-chosen hop writes
 // h_j(ID) for a random j. Returns true when every (hop, j) sample exists.
 func (a *AMS2) Observe(pktID uint64, values []uint64) bool {
-	a.obs++
 	hop := a.g.ReservoirWinner(pktID, len(values))
 	j := a.g.Fragment(pktID^0xA52, a.m)
 	if !a.got[hop-1][j] {
@@ -172,44 +145,6 @@ func (a *AMS2) Observe(pktID uint64, values []uint64) bool {
 
 // Done reports whether every (hop, hash) sample has been collected.
 func (a *AMS2) Done() bool { return a.need == 0 }
-
-// Observed returns packets consumed.
-func (a *AMS2) Observed() int { return a.obs }
-
-// Path identifies each hop's switch. ambiguous counts hops with more than
-// one universe value matching all m samples — AMS2's false-positive mode;
-// for those hops the first match is returned.
-func (a *AMS2) Path() (path []uint64, ambiguous int, err error) {
-	if !a.Done() {
-		return nil, 0, fmt.Errorf("telemetry: AMS2 missing %d samples", a.need)
-	}
-	path = make([]uint64, a.k)
-	for h := 0; h < a.k; h++ {
-		matches := 0
-		for _, v := range a.universe {
-			ok := true
-			for j := 0; j < a.m; j++ {
-				if a.hashOf(j, v) != a.vals[h][j] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if matches == 0 {
-					path[h] = v
-				}
-				matches++
-			}
-		}
-		if matches == 0 {
-			return nil, 0, fmt.Errorf("telemetry: AMS2 hop %d matches nothing", h+1)
-		}
-		if matches > 1 {
-			ambiguous++
-		}
-	}
-	return path, ambiguous, nil
-}
 
 // TracebackStats mirrors coding.Stats for the baseline schemes.
 type TracebackStats struct {

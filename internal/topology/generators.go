@@ -60,25 +60,14 @@ func FatTree(k int) (*Graph, error) {
 	return g, nil
 }
 
-// LeafSpineHPCC builds the evaluation topology of §6.1 at a given pod
-// count. At scale 5 (the paper's size) it has 16 core switches, 20
-// aggregation switches, 20 ToRs and 320 servers (16 per rack): 5 pods of
-// 4 agg + 4 ToR each, every ToR connected to every agg in its pod, and agg
-// i of each pod connected to core group i (4 cores). Smaller scales shrink
-// only the pod count, preserving the 3-tier path-length distribution
-// (ToR→agg→core→agg→ToR), so bench-sized runs see the same hop counts.
-func LeafSpineHPCC(scale int) (*Graph, error) {
-	if scale < 1 || scale > 5 {
-		return nil, fmt.Errorf("topology: leaf-spine scale %d out of [1,5]", scale)
-	}
-	return LeafSpine(scale, 4, 4, 16, 4)
-}
-
 // LeafSpine builds a generalized 3-tier pod topology: `pods` pods of
 // aggPerPod agg + torPerPod ToR switches, hostsPerTor servers per rack,
-// and aggPerPod core groups of coresPerGroup switches. LeafSpineHPCC(5)
-// equals LeafSpine(5, 4, 4, 16, 4); bench-sized runs shrink rack size and
-// pod count while preserving the 5-switch cross-pod path structure.
+// and aggPerPod core groups of coresPerGroup switches; every ToR connects
+// to every agg in its pod, and agg i of each pod to core group i.
+// LeafSpine(5, 4, 4, 16, 4) is the HPCC paper's topology (16 core, 20 agg,
+// 20 ToR switches, 320 servers); bench-sized runs shrink rack size and
+// pod count while preserving the 5-switch cross-pod path structure
+// (ToR→agg→core→agg→ToR).
 func LeafSpine(pods, aggPerPod, torPerPod, hostsPerTor, coresPerGroup int) (*Graph, error) {
 	if pods < 1 || aggPerPod < 1 || torPerPod < 1 || hostsPerTor < 1 || coresPerGroup < 1 {
 		return nil, fmt.Errorf("topology: leaf-spine dimensions must be positive")

@@ -87,15 +87,6 @@ func (g *Graph) Neighbors(id int) []int { return g.adj[id] }
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
-// NumEdges returns the undirected edge count.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
 // Switches returns the IDs of all switch nodes.
 func (g *Graph) Switches() []int {
 	var out []int
@@ -193,21 +184,6 @@ func (g *Graph) SwitchPath(src, dst int, flowHash uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-// Diameter returns the maximum finite shortest-path length between switch
-// nodes (hosts excluded, matching how the paper quotes topology diameters).
-func (g *Graph) Diameter() int {
-	d := 0
-	for _, s := range g.Switches() {
-		dist, _ := g.BFSFrom(s)
-		for _, t := range g.Switches() {
-			if dist[t] > d {
-				d = dist[t]
-			}
-		}
-	}
-	return d
 }
 
 // SwitchPairsAtDistance returns up to max switch pairs whose shortest-path

@@ -4,6 +4,30 @@ import (
 	"testing"
 )
 
+// numEdges returns the undirected edge count.
+func numEdges(g *Graph) int {
+	total := 0
+	for _, a := range g.adj {
+		total += len(a)
+	}
+	return total / 2
+}
+
+// diameter returns the maximum finite shortest-path length between switch
+// nodes (hosts excluded, matching how the paper quotes topology diameters).
+func diameter(g *Graph) int {
+	d := 0
+	for _, s := range g.Switches() {
+		dist, _ := g.BFSFrom(s)
+		for _, t := range g.Switches() {
+			if dist[t] > d {
+				d = dist[t]
+			}
+		}
+	}
+	return d
+}
+
 func TestAddEdgeValidation(t *testing.T) {
 	g := NewGraph("t")
 	a := g.AddNode(Switch, "a")
@@ -23,8 +47,8 @@ func TestAddEdgeValidation(t *testing.T) {
 	if err := g.AddEdge(b, a); err == nil {
 		t.Fatal("reversed duplicate edge must fail")
 	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want 1", g.NumEdges())
+	if numEdges(g) != 1 {
+		t.Fatalf("edges = %d, want 1", numEdges(g))
 	}
 }
 
@@ -60,7 +84,7 @@ func TestFatTreeShape(t *testing.T) {
 	if got := len(g.Hosts()); got != 16 {
 		t.Fatalf("k=4 hosts = %d, want 16", got)
 	}
-	if d := g.Diameter(); d != 4 {
+	if d := diameter(g); d != 4 {
 		t.Fatalf("fat tree switch diameter = %d, want 4", d)
 	}
 }
@@ -84,10 +108,10 @@ func TestFatTreeK8HostPathLength(t *testing.T) {
 }
 
 func TestLeafSpineHPCCShape(t *testing.T) {
-	if _, err := LeafSpineHPCC(0); err == nil {
-		t.Fatal("scale 0 must fail")
+	if _, err := LeafSpine(0, 4, 4, 16, 4); err == nil {
+		t.Fatal("zero pods must fail")
 	}
-	g, err := LeafSpineHPCC(5)
+	g, err := LeafSpine(5, 4, 4, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +131,7 @@ func TestLeafSpineHPCCShape(t *testing.T) {
 }
 
 func TestLeafSpineScaledKeepsPathLengths(t *testing.T) {
-	g, err := LeafSpineHPCC(2)
+	g, err := LeafSpine(2, 4, 4, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +159,7 @@ func TestISPLikeDiameters(t *testing.T) {
 		if got := len(g.Switches()); got != c.n {
 			t.Fatalf("%s: %d switches, want %d", g.Name, got, c.n)
 		}
-		if got := g.Diameter(); got != c.d {
+		if got := diameter(g); got != c.d {
 			t.Fatalf("%s: diameter %d, want %d", g.Name, got, c.d)
 		}
 	}
@@ -153,7 +177,7 @@ func TestISPLikeValidation(t *testing.T) {
 func TestISPLikeDeterministic(t *testing.T) {
 	a, _ := ISPLike("a", 100, 20, 42)
 	b, _ := ISPLike("b", 100, 20, 42)
-	if a.NumEdges() != b.NumEdges() {
+	if numEdges(a) != numEdges(b) {
 		t.Fatal("same seed must give same topology")
 	}
 }

@@ -108,16 +108,16 @@ func TestSenderCoreWindowCap(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.updateWindow(3.0, int64(i+1)) // heavy overload
 	}
-	if h.Window() > h.bdp {
-		t.Fatalf("window %v not collapsed under overload", h.Window())
+	if h.w > h.bdp {
+		t.Fatalf("window %v not collapsed under overload", h.w)
 	}
 	for i := 0; i < 500; i++ {
 		h.updateWindow(0.01, int64(100+i)) // idle network
 	}
-	if h.Window() > 8*h.bdp+1 {
-		t.Fatalf("window %v exceeded the 8xBDP cap", h.Window())
+	if h.w > 8*h.bdp+1 {
+		t.Fatalf("window %v exceeded the 8xBDP cap", h.w)
 	}
-	if h.Window() < float64(cfg.MTU) {
+	if h.w < float64(cfg.MTU) {
 		t.Fatal("window below one segment")
 	}
 }

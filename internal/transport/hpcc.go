@@ -233,12 +233,6 @@ func (h *HPCC) updateWindow(u float64, ackSeq int64) {
 	}
 }
 
-// Window exposes the current window in bytes (tests).
-func (h *HPCC) Window() float64 { return h.w }
-
-// Done reports completion.
-func (h *HPCC) Done() bool { return h.core.done }
-
 func minInt(a, b int) int {
 	if a < b {
 		return a

@@ -130,12 +130,6 @@ func (r *Reno) updateRTT(sample float64) {
 	r.core.rto = rto
 }
 
-// Cwnd exposes the window in segments (tests).
-func (r *Reno) Cwnd() float64 { return r.cwnd }
-
-// Done reports completion.
-func (r *Reno) Done() bool { return r.core.done }
-
 func max2(a, b float64) float64 {
 	if a > b {
 		return a

@@ -181,7 +181,7 @@ func TestHPCCINTSingleFlow(t *testing.T) {
 	sim.Run(60_000_000_000)
 	if !stats.Done {
 		t.Fatalf("HPCC-INT flow incomplete: acked %d of %d (W=%v)",
-			stats.AckedBytes, stats.Bytes, h.Window())
+			stats.AckedBytes, stats.Bytes, h.w)
 	}
 	// 1MB at 1Gbps ideal ≈ 8ms; HPCC should finish within 3x ideal.
 	if fct := stats.FCT(); fct > 24_000_000 {
@@ -213,7 +213,7 @@ func TestHPCCPINTSingleFlow(t *testing.T) {
 	sim.Run(60_000_000_000)
 	if !stats.Done {
 		t.Fatalf("HPCC-PINT flow incomplete: acked %d of %d (W=%v, U=%v)",
-			stats.AckedBytes, stats.Bytes, h.Window(), h.LastU)
+			stats.AckedBytes, stats.Bytes, h.w, h.LastU)
 	}
 	if fct := stats.FCT(); fct > 30_000_000 {
 		t.Fatalf("FCT %dns too slow for 1MB at 1Gbps", fct)

@@ -240,6 +240,3 @@ func (g *Generator) GenerateUntil(horizon int64) []Flow {
 		out = append(out, f)
 	}
 }
-
-// MeanInterArrivalNs exposes the calibrated Poisson spacing for tests.
-func (g *Generator) MeanInterArrivalNs() float64 { return g.interArrival }

@@ -162,7 +162,7 @@ func TestGeneratorFlowFields(t *testing.T) {
 func TestGeneratorPoissonSpacing(t *testing.T) {
 	d := Hadoop()
 	g, _ := NewGenerator([]int{1, 2}, d, 0.5, 1e9, hash.NewRNG(4))
-	want := g.MeanInterArrivalNs()
+	want := g.interArrival
 	const n = 50000
 	var last int64
 	var sum float64

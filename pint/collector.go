@@ -24,7 +24,8 @@ import (
 //	srv, _ := pint.NewCollector(engine,
 //	    pint.WithSink(sink),
 //	    pint.WithQueries(queries...))
-//	go srv.ListenAndServe("0.0.0.0:9777")
+//	ln, _ := net.Listen("tcp", "0.0.0.0:9777")
+//	go srv.Serve(ln)
 //
 //	// switch side
 //	ex, _ := pint.Connect(engine, switchID, "tor-3-2", pint.WithAddrs("collector:9777"))
@@ -35,11 +36,6 @@ import (
 
 // Collector is the TCP collector daemon.
 type Collector = collector.Server
-
-// CollectorConfig is the resolved configuration the collector options
-// populate — the documented shape behind NewCollector, not its calling
-// convention.
-type CollectorConfig = collector.Config
 
 // CollectorOption configures a Collector during NewCollector.
 type CollectorOption = collector.Option
@@ -69,8 +65,6 @@ var (
 	WithDurable = collector.WithDurable
 	// WithCheckpointEvery sets the durable checkpoint+fsync cadence.
 	WithCheckpointEvery = collector.WithCheckpointEvery
-	// WithHandshakeTimeout bounds the pre-Hello window.
-	WithHandshakeTimeout = collector.WithHandshakeTimeout
 	// WithLogf directs per-session event lines to a printf-style logger.
 	WithLogf = collector.WithLogf
 	// WithTenantPolicy enables the multi-tenant QoS layer (see
@@ -136,7 +130,7 @@ func Answers(rec *Recording, queries []Query, flows []FlowKey) []FlowAnswers {
 }
 
 // ShardStats is one sink shard's ingest counters (see ShardedSink.Stats,
-// whose stall counts surface the backpressure OnStall observes).
+// whose stall counts are the sink's backpressure signal).
 type ShardStats = pipeline.ShardStats
 
 // DurableSink is a sharded sink joined to its crash-safe segment log

@@ -95,7 +95,11 @@ func ExampleNewCollector() {
 		fmt.Printf("tenant %s: offered %d admitted %d shed %d\n",
 			ts.Tenant, ts.Offered, ts.Admitted, ts.Shed)
 	}
-	ids, done := sink.Snapshot().Path(q, flow)
+	rec, err := sink.Snapshot().Merged()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ids, done := rec.Path(q, flow)
 	fmt.Println("path decoded:", done, ids)
 	// Output:
 	// schema: pint.stats.v1
@@ -207,7 +211,6 @@ func ExampleNewFrontend() {
 	}
 	served := fe.CurrentFleetMap()
 	fmt.Printf("fleet map: epoch %d, %d members\n", served.Epoch, len(served.Members))
-	fmt.Println("exporter sessions:", fx.Members(), "at epoch", fx.Epoch())
 	for i, flow := range flows {
 		fmt.Printf("flow-%c homed on %s\n", 'a'+i, fm.HomeName(flow))
 	}
@@ -218,7 +221,6 @@ func ExampleNewFrontend() {
 	fmt.Println("fleet ingested:", total)
 	// Output:
 	// fleet map: epoch 5, 2 members
-	// exporter sessions: 2 at epoch 5
 	// flow-a homed on node-b
 	// flow-b homed on node-a
 	// fleet ingested: 400

@@ -40,7 +40,7 @@
 //	sink, _ := pint.NewShardedSink(engine, pint.ShardConfig{Shards: 8, Base: seed})
 //	sink.Ingest(pkts)
 //	_ = sink.Close()
-//	ids, done := sink.Path(q, flow)
+//	ids, done := sink.Recording(flow).Path(q, flow)
 //
 // The sink runs as a long-lived collector: digest batches travel
 // switch→collector in a compact wire format (MarshalDigests /
@@ -53,9 +53,9 @@
 //	    Policy:  func() pint.EvictionPolicy { return pint.NewLRU(1 << 20) },
 //	    OnEvict: func(ev pint.Eviction, rec *pint.Recording) { /* export answers */ },
 //	})
-//	sink.Ingest(pkts)           // from the tap, forever
-//	snap := sink.Snapshot()     // from any goroutine, no flush needed
-//	ids, done := snap.Path(q, flow)
+//	sink.Ingest(pkts)                   // from the tap, forever
+//	rec, _ := sink.Snapshot().Merged() // from any goroutine, no flush needed
+//	ids, done := rec.Path(q, flow)
 //	one := sink.SnapshotFlows([]pint.FlowKey{flow}) // cost of one flow, not of the sink
 //
 // # Collector daemon and multi-tenant QoS
@@ -245,14 +245,15 @@ type ShardedSink = pipeline.Sink
 type ShardConfig = pipeline.Config
 
 // NewShardedSink builds a sharded sink over an engine and starts its
-// workers. Feed it with Ingest/Record, then Close before reading answers.
+// workers. Feed it with Ingest; read answers from Recording(flow) after
+// Close, or from Snapshot().Merged() at any time.
 func NewShardedSink(engine *Engine, cfg ShardConfig) (*ShardedSink, error) {
 	return pipeline.NewSink(engine, cfg)
 }
 
-// Snapshot is a point-in-time view of a ShardedSink's state: its query
-// methods answer concurrently with ingestion, without a global flush.
-// It owns everything that is mutated in place (decoders, sketches) and
+// Snapshot is a point-in-time view of a ShardedSink's state: Merged folds
+// it into one Recording that answers concurrently with ingestion, without
+// a global flush. It owns everything that is mutated in place (decoders, sketches) and
 // shares with the live shards only the append-only per-packet series, as
 // length-and-capacity-clamped prefixes neither side can write through —
 // so taking one costs in flows, not packets (SnapshotFlows: in the flows

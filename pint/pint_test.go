@@ -224,7 +224,7 @@ func TestPublicBatchPipeline(t *testing.T) {
 	}
 
 	want, okW := serial.Path(q, flow)
-	got, okG := sink.Path(q, flow)
+	got, okG := sink.Recording(flow).Path(q, flow)
 	if !okW || !okG {
 		t.Fatalf("path did not decode (serial %v, sharded %v)", okW, okG)
 	}
