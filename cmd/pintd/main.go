@@ -45,6 +45,7 @@ import (
 	"repro/internal/admit"
 	"repro/internal/collector"
 	"repro/internal/pipeline"
+	"repro/internal/segstore"
 )
 
 func main() {
@@ -84,9 +85,8 @@ func main() {
 	var durable *collector.DurableSink
 	if *dataDir != "" {
 		durable, err = collector.OpenDurableSink(tb.Engine, tb.Queries(), pcfg, collector.DurableOptions{
-			DataDir:      *dataDir,
-			SegmentBytes: *segBytes,
-			MaxSegments:  *retain,
+			DataDir: *dataDir,
+			Options: segstore.Options{SegmentBytes: *segBytes, MaxSegments: *retain},
 		})
 		if err != nil {
 			log.Fatalf("pintd: %v", err)

@@ -42,17 +42,8 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/core"
 	"repro/internal/federation"
 )
-
-// standalone is the roster of -addr: one pintd outside any fleet, home
-// of every flow, at epoch 0.
-type standalone string
-
-func (a standalone) FleetEpoch() uint64        { return 0 }
-func (a standalone) IngestAddrs() []string     { return []string{string(a)} }
-func (a standalone) FlowHome(core.FlowKey) int { return 0 }
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9777", "exporter-session address of one standalone pintd")
@@ -65,7 +56,7 @@ func main() {
 	k := flag.Int("k", 5, "flow hop count (must match pintd)")
 	duration := flag.Duration("duration", 0, "steady-state mode: replay the pre-encoded deployment at full rate for this long (0 = one-shot)")
 	coalesce := flag.Int("coalesce", 0, "write-coalescing threshold in bytes per session (0 = TCP_NODELAY immediate writes)")
-	tenant := flag.String("tenant", "", "QoS tenant label carried in every session handshake ('' = default tenant, v2 handshake)")
+	tenant := flag.String("tenant", "", "QoS tenant label carried in every session handshake ('' = default tenant)")
 	flag.Parse()
 
 	log.SetFlags(0)
@@ -74,7 +65,7 @@ func main() {
 		log.Fatalf("pintload: %v", err)
 	}
 	tb.Tenant = *tenant
-	var roster collector.FleetRoster = standalone(*addr)
+	var roster collector.FleetRoster = collector.Standalone(*addr)
 	if *gate != "" {
 		// Gate mode: the fleet map is the source of truth — addresses,
 		// routing, and epoch come from it, and the fetch stays installed

@@ -39,8 +39,8 @@ type Clock func() uint64
 
 func defaultClock() uint64 { return uint64(time.Now().UnixNano()) }
 
-// DefaultTenant is the tenant a session without a Hello tenant label
-// (a v2 exporter, or a v3 one that left it empty) is accounted under.
+// DefaultTenant is the tenant a session whose Hello leaves the tenant
+// label empty is accounted under.
 const DefaultTenant = "default"
 
 // DefaultMinSample is the sampling-probability floor applied when a

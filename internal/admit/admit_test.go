@@ -192,6 +192,17 @@ func TestStarvation(t *testing.T) {
 	if cs, ok := a.Capacity(); !ok || cs.Capacity < 500_000 {
 		t.Fatalf("capacity stats %+v, %v", cs, ok)
 	}
+	// The decision sits on every session's frame loop: in its expensive
+	// branch (over quota, the shared controller granting) it allocates
+	// nothing.
+	if got := testing.AllocsPerRun(1000, func() {
+		now += 1e6
+		if hog.Decide(500).Admit() {
+			t.Fatal("the hog came back under quota")
+		}
+	}); got != 0 {
+		t.Errorf("Decide over quota allocates %.2f times per frame, want 0", got)
+	}
 }
 
 // TestDecideDeterministic pins the quota meter's frame-by-frame

@@ -140,7 +140,7 @@ func (d Decision) Admit() bool { return d.P >= 1 }
 // returns the sampling probability to apply, floored at the quota's
 // MinSample and gated by the shared capacity controller. A nil meter
 // admits everything. The hot path is a handful of float ops under one
-// uncontended mutex (see BenchmarkAdmitDecision).
+// uncontended mutex and allocates nothing (TestStarvation).
 func (t *Tenant) Decide(n int) Decision {
 	if t == nil || n <= 0 {
 		return Decision{P: 1, threshold: 1 << 32}

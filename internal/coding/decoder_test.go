@@ -196,6 +196,45 @@ func TestDecodeLongPath(t *testing.T) {
 	}
 }
 
+// TestObserveFinishedDecoderZeroAlloc: a packet of a decoded flow is
+// explained on arrival in Observe's own frame and allocates nothing, at
+// the testbench's path length and at a long one.
+func TestObserveFinishedDecoderZeroAlloc(t *testing.T) {
+	for _, k := range []int{5, 25} {
+		cfg := Config{Bits: 8, Instances: 2, Mode: ModeHashed, Layering: MultiLayer(k, true)}
+		values := pathValues(k)
+		g := hash.NewGlobal(3)
+		enc, err := NewEncoder(cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewDecoder(cfg, g, k, universeWith(values, 256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]uint64, 4096)
+		digs := make([]Digest, len(ids))
+		for i := range ids {
+			ids[i] = hash.Mix64(uint64(i) + 1)
+			digs[i] = enc.EncodePath(ids[i], values)
+		}
+		i := 0
+		next := func() {
+			dec.Observe(ids[i], digs[i])
+			i++
+		}
+		for !dec.Done() {
+			if i == len(ids)/2 {
+				t.Fatalf("k=%d: not decoded in %d packets", k, i)
+			}
+			next()
+		}
+		if got := testing.AllocsPerRun(256, next); got != 0 {
+			t.Errorf("k=%d: Observe on a finished decoder allocates %.2f times per packet, want 0", k, got)
+		}
+	}
+}
+
 func TestDecoderRejectsBadK(t *testing.T) {
 	cfg := Config{Bits: 8, Mode: ModeHashed, Layering: PureBaseline()}
 	g := hash.NewGlobal(1)

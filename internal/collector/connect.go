@@ -45,14 +45,14 @@ type FleetRoster interface {
 	FlowHome(core.FlowKey) int
 }
 
-// standalone is the roster of one collector outside any fleet: every
-// flow is at home there, and the epoch is 0 (what a pintd started
-// without -epoch accepts).
-type standalone string
+// Standalone is the roster of one collector outside any fleet, named by
+// its ingest address: every flow is at home there, and the epoch is 0
+// (what a pintd started without -epoch accepts).
+type Standalone string
 
-func (a standalone) FleetEpoch() uint64        { return 0 }
-func (a standalone) IngestAddrs() []string     { return []string{string(a)} }
-func (a standalone) FlowHome(core.FlowKey) int { return 0 }
+func (a Standalone) FleetEpoch() uint64        { return 0 }
+func (a Standalone) IngestAddrs() []string     { return []string{string(a)} }
+func (a Standalone) FlowHome(core.FlowKey) int { return 0 }
 
 // dialConfig is the resolved form of Connect's options.
 type dialConfig struct {
@@ -69,7 +69,7 @@ type DialOption func(*dialConfig)
 // WithAddrs points the session at one standalone collector (epoch 0).
 // A fleet is described by its map: see WithFleetMap.
 func WithAddrs(addr string) DialOption {
-	return func(c *dialConfig) { c.roster = standalone(addr) }
+	return func(c *dialConfig) { c.roster = Standalone(addr) }
 }
 
 // WithTenant labels the session with a QoS tenant (wire.Hello.Tenant).

@@ -19,12 +19,9 @@ import (
 type DurableOptions struct {
 	// DataDir is the segment-log directory (created if missing).
 	DataDir string
-	// SegmentBytes / MaxSegments / NoSync / Now pass through to
-	// segstore.Options.
-	SegmentBytes int64
-	MaxSegments  int
-	NoSync       bool
-	Now          func() uint64
+	// Options is the log's rotation size, retention, fsync policy and
+	// clock.
+	segstore.Options
 }
 
 // DurableSink is a sharded sink joined to its segment log: the sink
@@ -52,12 +49,7 @@ type DurableSink struct {
 // Evicted flows persist with their finalized answers rendered by the
 // same fixed-order encoder the HTTP surface uses.
 func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Config, opts DurableOptions) (*DurableSink, error) {
-	store, report, err := segstore.Open(opts.DataDir, segstore.Options{
-		SegmentBytes: opts.SegmentBytes,
-		MaxSegments:  opts.MaxSegments,
-		NoSync:       opts.NoSync,
-		Now:          opts.Now,
-	})
+	store, report, err := segstore.Open(opts.DataDir, opts.Options)
 	if err != nil {
 		return nil, err
 	}

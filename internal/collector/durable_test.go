@@ -23,8 +23,7 @@ func durableOpts(dir string) DurableOptions {
 	var ts uint64
 	return DurableOptions{
 		DataDir: dir,
-		NoSync:  true,
-		Now:     func() uint64 { ts += 10; return ts },
+		Options: segstore.Options{NoSync: true, Now: func() uint64 { ts += 10; return ts }},
 	}
 }
 

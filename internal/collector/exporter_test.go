@@ -72,7 +72,7 @@ func TestStreamSteadyState(t *testing.T) {
 		pktsPer  = 100
 	)
 	_, srv := newServedSink(t, tb, 4)
-	loads, err := tb.StreamSteadyState(standalone(srv.Addr().String()),
+	loads, err := tb.StreamSteadyState(Standalone(srv.Addr().String()),
 		conns, flowsPer, pktsPer, 64, 4096, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	addr := ln.Addr().String()
 
 	start := time.Now()
-	packets, bytes, err := tb.StreamDeployment(standalone(addr), nExporters, flowsPer, pktsPer, batch)
+	packets, bytes, err := tb.StreamDeployment(Standalone(addr), nExporters, flowsPer, pktsPer, batch)
 	if err != nil {
 		srv.Shutdown(context.Background())
 		return nil, err

@@ -14,10 +14,10 @@ import (
 // TestTenantOverloadLoopback is the end-to-end QoS contract over real
 // TCP sessions: a hog tenant far over its quota is shed (visibly, in
 // both the server counters and its /stats tenant entry) while a victim
-// session on the roomy default tenant — speaking the v2 handshake, so
-// also proving v2 exporters land in the default tenant — loses nothing
-// and answers byte-identically to the same stream against a collector
-// with no quota policy at all.
+// session on the roomy default tenant — its Hello names no tenant, so
+// also proving a tenant-less session lands in the default tenant — loses
+// nothing and answers byte-identically to the same stream against a
+// collector with no quota policy at all.
 func TestTenantOverloadLoopback(t *testing.T) {
 	tb := mustTestbench(t, 23)
 	policy, err := admit.ParsePolicy("hog=100/100,*=1e9")
@@ -51,8 +51,8 @@ func TestTenantOverloadLoopback(t *testing.T) {
 	if err := exH.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The victim speaks the v2 handshake (no tenant field on the wire)
-	// to both the quota'd server and the policy-free reference.
+	// The victim's Hello carries an empty tenant, to both the quota'd
+	// server and the policy-free reference.
 	for _, s := range []*Server{srv, ref} {
 		exV, err := dial(s.Addr().String(), HelloFor(tb.Engine, 2, "victim"))
 		if err != nil {
@@ -106,7 +106,8 @@ func TestTenantOverloadLoopback(t *testing.T) {
 	if got := srv.Stats().Shed; got != hog.Shed {
 		t.Fatalf("server shed = %d, tenant shed = %d", got, hog.Shed)
 	}
-	// The v2 victim session landed in the default tenant and lost nothing.
+	// The tenant-less victim session landed in the default tenant and
+	// lost nothing.
 	vic, ok := byName[admit.DefaultTenant]
 	if !ok {
 		t.Fatalf("no %q tenant in stats: %+v", admit.DefaultTenant, stats.Tenants)

@@ -34,7 +34,7 @@ type Testbench struct {
 	// Tenant, when non-empty, labels every session the testbench's
 	// streaming helpers open (pintload -tenant): the Hello carries it and
 	// the collector accounts the traffic under that QoS tenant. Empty
-	// keeps the v2 handshake bytes and the default tenant.
+	// is the default tenant.
 	Tenant string
 	// Fetch, when non-nil, is the fleet-roster fetch the streaming
 	// helpers pass to Connect (WithRosterFetch), so their sessions follow

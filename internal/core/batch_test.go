@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -223,8 +224,8 @@ func assertSameAnswers(t *testing.T, a, b *Recording, flow FlowKey, k int,
 }
 
 // TestEncodeBatchZeroAlloc is the count gate on the encode path: no heap
-// allocation per call at steady state for EncodeHopBatch at n = 256 and
-// n = 1, for EncodeHopValues, and for ExtractInto into a reused buffer.
+// allocation per call at steady state for EncodeHopBatch at n = 1, 16
+// and 256, for EncodeHopValues, and for ExtractInto into a reused buffer.
 func TestEncodeBatchZeroAlloc(t *testing.T) {
 	eng, _, _, _, _, _ := combinedTestPlan(t, 29)
 	const k = 6
@@ -238,16 +239,6 @@ func TestEncodeBatchZeroAlloc(t *testing.T) {
 	var buf []Extracted
 	var digest uint64
 	runs := map[string]func(){
-		"EncodeHopBatch n=256": func() {
-			for hop := 1; hop <= k; hop++ {
-				eng.EncodeHopBatch(hop, pkts, vals)
-			}
-		},
-		"EncodeHopBatch n=1": func() {
-			for hop := 1; hop <= k; hop++ {
-				eng.EncodeHopBatch(hop, pkts[:1], vals[:1])
-			}
-		},
 		"EncodeHopValues": func() {
 			for hop := 1; hop <= k; hop++ {
 				digest = eng.EncodeHopValues(pkts[hop].PktID, hop, digest, &vals[hop])
@@ -258,6 +249,13 @@ func TestEncodeBatchZeroAlloc(t *testing.T) {
 				buf = eng.ExtractInto(pkts[i].PktID, pkts[i].Digest, buf[:0])
 			}
 		},
+	}
+	for _, n := range []int{1, 16, 256} {
+		runs[fmt.Sprintf("EncodeHopBatch n=%d", n)] = func() {
+			for hop := 1; hop <= k; hop++ {
+				eng.EncodeHopBatch(hop, pkts[:n], vals[:n])
+			}
+		}
 	}
 	for name, run := range runs {
 		// The column scratch rides a sync.Pool, and under -race the pool

@@ -5,22 +5,10 @@
 // The package sits *below* internal/hash in the dependency order (hash's
 // column helpers call into it), so the mixing constants are duplicated
 // here; an equivalence test asserts every kernel agrees bit-for-bit with
-// the scalar reference in internal/hash for all input lengths, including
-// the vector-width tails.
+// the scalar reference in internal/hash.
 //
-// Each kernel has two implementations selected at build time:
-//
-//   - *_generic: portable Go loops, compiled everywhere, and the only
-//     implementation under the `purego` build tag;
-//   - *_amd64.s: AVX2 four-lane variants, compiled only when the target
-//     guarantees AVX2 at build time (GOAMD64=v3 or higher), so no runtime
-//     CPU feature detection is needed.
-//
-// The dispatch rule is deliberately boring: a kernel wrapper peels the
-// largest multiple of the vector width through the asm body and finishes
-// the tail with the same scalar loop the generic build uses. Adding a
-// kernel means adding the scalar loop here, the asm body plus wrapper in
-// the _amd64 files, and a row in the equivalence test.
+// Each kernel is one scalar loop over its columns with the loop-invariant
+// half of the hash hoisted out of it.
 package kernels
 
 // Mixing constants of the splitmix64 family — must match internal/hash
@@ -30,9 +18,6 @@ const (
 	mixA   = 0xbf58476d1ce4e5b9
 	mixB   = 0x94d049bb133111eb
 )
-
-// blockLanes is the number of 64-bit lanes one vector iteration handles.
-const blockLanes = 4
 
 // mix64 is the splitmix64 finalizer (identical to hash.Mix64).
 func mix64(x uint64) uint64 {
@@ -52,7 +37,10 @@ func HashPktHop(dst, pkt []uint64, seed, hop uint64) {
 	if len(dst) != len(pkt) {
 		panic("kernels: HashPktHop column length mismatch")
 	}
-	hashPktHop(dst, pkt, seed^golden, hop*mixA+2)
+	x, hb := seed^golden, hop*mixA+2
+	for i, p := range pkt {
+		dst[i] = mix64(mix64(x^(p*golden+1)) ^ hb)
+	}
 }
 
 // Hash2Prefix returns the first-round state of Hash2(seed; a, ·), i.e.
@@ -69,7 +57,9 @@ func HashFixedA(dst, b []uint64, h1 uint64) {
 	if len(dst) != len(b) {
 		panic("kernels: HashFixedA column length mismatch")
 	}
-	hashFixedA(dst, b, h1)
+	for i, v := range b {
+		dst[i] = mix64(h1 ^ (v*mixA + 2))
+	}
 }
 
 // Hash2Cols fills dst[i] = Hash2(seed; a[i], b[i]): the value-hash shape
@@ -78,24 +68,7 @@ func Hash2Cols(dst, a, b []uint64, seed uint64) {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		panic("kernels: Hash2Cols column length mismatch")
 	}
-	hash2Cols(dst, a, b, seed^golden)
-}
-
-// hashPktHopScalar is the scalar reference body: x = seed^golden and
-// hb = hop·mixA+2 are the caller-hoisted loop invariants.
-func hashPktHopScalar(dst, pkt []uint64, x, hb uint64) {
-	for i, p := range pkt {
-		dst[i] = mix64(mix64(x^(p*golden+1)) ^ hb)
-	}
-}
-
-func hashFixedAScalar(dst, b []uint64, h1 uint64) {
-	for i, v := range b {
-		dst[i] = mix64(h1 ^ (v*mixA + 2))
-	}
-}
-
-func hash2ColsScalar(dst, a, b []uint64, x uint64) {
+	x := seed ^ golden
 	for i := range dst {
 		dst[i] = mix64(mix64(x^(a[i]*golden+1)) ^ (b[i]*mixA + 2))
 	}

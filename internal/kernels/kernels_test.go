@@ -21,9 +21,9 @@ func (r *testRNG) next() uint64 {
 	return x
 }
 
-// TestKernelConstantsMatchHash pins every kernel to the scalar reference
-// in internal/hash, for every length from 0 through a couple of vector
-// blocks — the odd lengths exercise the asm tail handoff.
+// TestKernelConstantsMatchHash pins every kernel, and so the mixing
+// constants this package duplicates, to the scalar reference in
+// internal/hash, for every column length from 0 to 67.
 func TestKernelConstantsMatchHash(t *testing.T) {
 	rng := testRNG(0x9E3779B97F4A7C15)
 	seeds := []hash.Seed{0, 1, hash.Seed(rng.next()), hash.Seed(rng.next())}
@@ -89,8 +89,8 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// FuzzHashKernels differentially fuzzes the column kernels (whichever
-// body this build selected) against the scalar hash reference.
+// FuzzHashKernels differentially fuzzes the column kernels against the
+// scalar hash reference.
 func FuzzHashKernels(f *testing.F) {
 	f.Add(uint64(0), uint64(1), []byte{})
 	f.Add(uint64(0xF16), uint64(5), []byte{1, 2, 3, 4, 5, 6, 7, 8})

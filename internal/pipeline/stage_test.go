@@ -221,8 +221,8 @@ func bufferedPackets(s *Sink) int {
 // whose per-flow state is fixed-size — so every allocation the counter
 // sees is a recycling leak in the decode/stage/dispatch machinery, not
 // data-structure growth (KLL compactors and raw sample buffers grow
-// O(log n) with the stream; that is real work, measured separately in
-// the alloc probes that diagnosed BenchmarkSinkIngest's numbers).
+// O(log n) with the stream; that is real work, bounded separately by
+// core's TestRecordStageAllocationPins).
 func TestStageZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -267,5 +267,14 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state decode path allocates %.1f/op, want 0", allocs)
+	}
+	// The in-process entry (scenarios, pintfig -shards) shares the
+	// dispatch machinery and its free lists.
+	allocs = testing.AllocsPerRun(32, func() {
+		sink.Ingest(pkts)
+		sink.Barrier()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Ingest allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/pipeline"
+	"repro/internal/segstore"
 )
 
 func init() {
@@ -139,8 +140,10 @@ func runKillRecoverTrial(seed uint64, shards, nFlows, waveFlows, pktsPer int) (k
 		var ts uint64
 		return collector.DurableOptions{
 			DataDir: dir,
-			NoSync:  true, // scratch disk; the smoke test exercises real fsync
-			Now:     func() uint64 { ts += 10; return ts },
+			Options: segstore.Options{
+				NoSync: true, // scratch disk; the smoke test exercises real fsync
+				Now:    func() uint64 { ts += 10; return ts },
+			},
 		}
 	}
 	d, err := collector.OpenDurableSink(tb.Engine, tb.Queries(), pcfg, opts())

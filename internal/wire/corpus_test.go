@@ -59,10 +59,11 @@ func TestRegenerateShardedFuzzCorpus(t *testing.T) {
 
 // TestRegenerateHandshakeFuzzCorpus rewrites the committed seed corpus
 // under testdata/fuzz/FuzzHandshake from the handshake encoder — the
-// version-2 and version-3 forms plus the hostile shapes the decoder must
-// refuse. Same protocol as the sharded regenerator above: no-op unless
-// PINT_REGEN_CORPUS=1; rerun after a deliberate handshake change and
-// commit the result so CI replays both wire versions on every PR.
+// tenant-less and tenant forms plus the hostile shapes the decoder must
+// refuse, the two retired versions among them. Same protocol as the
+// sharded regenerator above: no-op unless PINT_REGEN_CORPUS=1; rerun
+// after a deliberate handshake change and commit the result so CI
+// replays every shape on every PR.
 func TestRegenerateHandshakeFuzzCorpus(t *testing.T) {
 	if os.Getenv("PINT_REGEN_CORPUS") != "1" {
 		t.Skip("set PINT_REGEN_CORPUS=1 to rewrite testdata/fuzz/")
@@ -84,20 +85,24 @@ func TestRegenerateHandshakeFuzzCorpus(t *testing.T) {
 		}
 		return data
 	}
-	v2 := mustHello(Hello{Exporter: 3, PlanHash: 0x1234_5678_9ABC_DEF0, Epoch: 42, Name: "spine-0"})
+	plain := mustHello(Hello{Exporter: 3, PlanHash: 0x1234_5678_9ABC_DEF0, Epoch: 42, Name: "spine-0"})
 	v3 := mustHello(Hello{Exporter: 5, PlanHash: 0xFEED_FACE, Epoch: 7, Name: "tor-1-1", Tenant: "team-a"})
 	longest := mustHello(Hello{Exporter: ^uint64(0), PlanHash: ^uint64(0), Epoch: ^uint64(0),
 		Name: strings.Repeat("n", MaxExporterName), Tenant: strings.Repeat("t", MaxTenantName)})
-	write("seed-v2", v2)
-	write("seed-v2-noname", mustHello(Hello{Exporter: 1}))
+	// The version-2 layout (no tenant length byte), as a pre-tenancy
+	// exporter sent it: refused by version.
+	asV2 := func(hello []byte) []byte {
+		v2 := append([]byte(nil), hello[:len(hello)-1]...)
+		v2[4] = 2
+		return v2
+	}
+	write("seed-v2", asV2(plain))
+	write("seed-v2-noname", asV2(mustHello(Hello{Exporter: 1})))
 	write("seed-v3", v3)
 	write("seed-v3-max-labels", longest)
 	write("seed-v3-truncated-tenant", v3[:len(v3)-2])
 	write("seed-v3-missing-tenant-len", v3[:helloFixedLen+7])
-	// A v3 header claiming an empty tenant: non-canonical, must be refused.
-	emptyTenant := append(append([]byte(nil), v2...), 0)
-	emptyTenant[4] = HandshakeVersion
-	write("seed-v3-empty-tenant", emptyTenant)
+	write("seed-v3-empty-tenant", plain)
 	write("seed-v1-refused", []byte{'P', 'I', 'N', 'T', 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	write("seed-trailing-garbage", append(append([]byte(nil), v3...), 0xAA, 0xBB))
 }

@@ -34,14 +34,13 @@ import (
 // A connection opens with one Hello record from the exporter:
 //
 //	magic    [4]byte  'P' 'I' 'N' 'T'
-//	version  byte     2 (no tenant) or 3 (tenant label follows the name)
+//	version  byte     3
 //	exporter uint64 LE  exporter (switch) ID
 //	planHash uint64 LE  Engine.PlanHash() of the exporter's compiled plan
 //	epoch    uint64 LE  cluster partitioning epoch (0 for standalone)
 //	nameLen  byte     0..MaxExporterName
 //	name     [nameLen]byte  printable ASCII label
-//	(v3 only)
-//	tenantLen byte    1..MaxTenantName
+//	tenantLen byte    0..MaxTenantName (0: the default tenant)
 //	tenant   [tenantLen]byte  printable ASCII QoS tenant
 //
 // and the collector answers with a single ack byte (AckOK or a reject
@@ -213,16 +212,11 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	return payload, nil
 }
 
-// HandshakeVersion is the current session-handshake version byte.
-// Version 2 added the cluster-epoch field; version 3 appends an optional
-// tenant label after the name. Version-2 Hellos are still accepted (an
-// absent tenant means the default tenant), so an existing exporter fleet
-// keeps connecting across a collector upgrade; version-1 Hellos are
-// refused (every exporter and collector in a deployment ship together).
+// HandshakeVersion is the session-handshake version byte. Version 2
+// added the cluster-epoch field, version 3 the tenant label; every other
+// version is refused (every exporter and collector in a deployment ship
+// together).
 const HandshakeVersion = 3
-
-// handshakeVersionV2 is the tenant-less prior version, still accepted.
-const handshakeVersionV2 = 2
 
 // MaxExporterName bounds the Hello name field.
 const MaxExporterName = 64
@@ -232,7 +226,7 @@ const MaxTenantName = 64
 
 // helloFixedLen is the byte length of a Hello before the variable name:
 // magic (4) + version (1) + exporter (8) + planHash (8) + epoch (8) +
-// nameLen (1).
+// nameLen (1). The name, a tenant length byte and the tenant follow.
 const helloFixedLen = 30
 
 var helloMagic = [4]byte{'P', 'I', 'N', 'T'}
@@ -253,9 +247,7 @@ type Hello struct {
 	// Name is an optional printable-ASCII label (metrics, logs).
 	Name string
 	// Tenant is the QoS tenant this session's digests are accounted and
-	// admitted under. Empty means the default tenant, and — for wire
-	// compatibility — selects the version-2 encoding, so a tenant-less
-	// exporter is byte-identical to one shipped before tenancy existed.
+	// admitted under. Empty means the default tenant.
 	Tenant string
 }
 
@@ -279,11 +271,9 @@ func validTenantName(name string) error {
 	return validHelloLabel("tenant name", name, MaxTenantName)
 }
 
-// AppendHello appends the handshake encoding of h to dst. The encoding
-// is canonical: a Hello without a tenant is emitted as version 2 (the
-// exact bytes a pre-tenancy exporter sends), and a tenant Hello as
-// version 3 with the tenant label appended after the name. DecodeHello
-// of either form re-encodes to the same bytes.
+// AppendHello appends the handshake encoding of h to dst: the fixed
+// fields, the name, then the tenant label behind its length byte (0 for
+// the default tenant). DecodeHello of those bytes re-encodes to them.
 func AppendHello(dst []byte, h Hello) ([]byte, error) {
 	if err := validExporterName(h.Name); err != nil {
 		return dst, err
@@ -291,30 +281,21 @@ func AppendHello(dst []byte, h Hello) ([]byte, error) {
 	if err := validTenantName(h.Tenant); err != nil {
 		return dst, err
 	}
-	version := byte(handshakeVersionV2)
-	if h.Tenant != "" {
-		version = HandshakeVersion
-	}
 	dst = append(dst, helloMagic[:]...)
-	dst = append(dst, version)
+	dst = append(dst, HandshakeVersion)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Exporter)
 	dst = binary.LittleEndian.AppendUint64(dst, h.PlanHash)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Epoch)
 	dst = append(dst, byte(len(h.Name)))
 	dst = append(dst, h.Name...)
-	if version == HandshakeVersion {
-		dst = append(dst, byte(len(h.Tenant)))
-		dst = append(dst, h.Tenant...)
-	}
+	dst = append(dst, byte(len(h.Tenant)))
+	dst = append(dst, h.Tenant...)
 	return dst, nil
 }
 
 // DecodeHello decodes a Hello from the front of data and returns the
-// bytes consumed. Versions 2 (no tenant) and 3 (tenant label after the
-// name) are accepted; a version-3 Hello must carry a non-empty tenant —
-// the empty tenant's canonical encoding is version 2. ErrShortFrame
-// means data is a valid prefix and more bytes are needed; other errors
-// are fatal.
+// bytes consumed. ErrShortFrame means data is a valid prefix and more
+// bytes are needed; other errors are fatal.
 func DecodeHello(data []byte) (Hello, int, error) {
 	var h Hello
 	if len(data) < helloFixedLen {
@@ -323,8 +304,7 @@ func DecodeHello(data []byte) (Hello, int, error) {
 	if [4]byte(data[:4]) != helloMagic {
 		return h, 0, fmt.Errorf("wire: bad handshake magic %q", data[:4])
 	}
-	version := data[4]
-	if version != handshakeVersionV2 && version != HandshakeVersion {
+	if version := data[4]; version != HandshakeVersion {
 		return h, 0, fmt.Errorf("wire: unsupported handshake version %d (have %d)", version, HandshakeVersion)
 	}
 	h.Exporter = binary.LittleEndian.Uint64(data[5:])
@@ -334,24 +314,15 @@ func DecodeHello(data []byte) (Hello, int, error) {
 	if nameLen > MaxExporterName {
 		return Hello{}, 0, fmt.Errorf("wire: exporter name %d bytes above cap %d", nameLen, MaxExporterName)
 	}
-	if len(data) < helloFixedLen+nameLen {
-		return Hello{}, 0, ErrShortFrame
-	}
-	h.Name = string(data[helloFixedLen : helloFixedLen+nameLen])
-	if err := validExporterName(h.Name); err != nil {
-		return Hello{}, 0, err
-	}
 	n := helloFixedLen + nameLen
-	if version == handshakeVersionV2 {
-		return h, n, nil
-	}
 	if len(data) < n+1 {
 		return Hello{}, 0, ErrShortFrame
 	}
-	tenantLen := int(data[n])
-	if tenantLen == 0 {
-		return Hello{}, 0, fmt.Errorf("wire: v3 handshake with empty tenant (canonical form is v2)")
+	h.Name = string(data[helloFixedLen:n])
+	if err := validExporterName(h.Name); err != nil {
+		return Hello{}, 0, err
 	}
+	tenantLen := int(data[n])
 	if tenantLen > MaxTenantName {
 		return Hello{}, 0, fmt.Errorf("wire: tenant name %d bytes above cap %d", tenantLen, MaxTenantName)
 	}
@@ -365,46 +336,31 @@ func DecodeHello(data []byte) (Hello, int, error) {
 	return h, n + 1 + tenantLen, nil
 }
 
-// ReadHello reads one Hello from a stream, either version.
+// ReadHello reads one Hello from a stream. Each length byte is validated
+// (by decoding the prefix read so far) before the bytes it promises are
+// waited for, so garbage — wrong magic, bad version, an oversized label —
+// fails here rather than stalling the stream.
 func ReadHello(r io.Reader) (Hello, error) {
-	var fixed [helloFixedLen]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return Hello{}, fmt.Errorf("wire: reading handshake: %w", err)
+	buf := make([]byte, 0, helloFixedLen+MaxExporterName+1+MaxTenantName)
+	read := func(n int, what string) error {
+		tail := len(buf)
+		buf = buf[:tail+n]
+		if _, err := io.ReadFull(r, buf[tail:]); err != nil {
+			return fmt.Errorf("wire: reading handshake%s: %w", what, err)
+		}
+		if _, _, err := DecodeHello(buf); err != nil && err != ErrShortFrame {
+			return err
+		}
+		return nil
 	}
-	// Validate the fixed prefix before trusting its name length: garbage
-	// (wrong magic, bad version, oversized name) must fail here rather
-	// than stall the stream waiting for bytes a bogus length promises.
-	if _, _, err := DecodeHello(fixed[:]); err != nil && err != ErrShortFrame {
+	if err := read(helloFixedLen, ""); err != nil {
 		return Hello{}, err
 	}
-	nameLen := int(fixed[helloFixedLen-1])
-	buf := make([]byte, helloFixedLen+nameLen, helloFixedLen+nameLen+1+MaxTenantName)
-	copy(buf, fixed[:])
-	if _, err := io.ReadFull(r, buf[helloFixedLen:]); err != nil {
-		return Hello{}, fmt.Errorf("wire: reading handshake name: %w", err)
+	if err := read(int(buf[helloFixedLen-1])+1, " name"); err != nil {
+		return Hello{}, err
 	}
-	if fixed[4] == HandshakeVersion {
-		// Version 3: one tenant-length byte, then the label. Bounds are
-		// checked before the final read for the same stall-avoidance
-		// reason as the name length above.
-		buf = buf[:len(buf)+1]
-		if _, err := io.ReadFull(r, buf[len(buf)-1:]); err != nil {
-			return Hello{}, fmt.Errorf("wire: reading handshake tenant length: %w", err)
-		}
-		tenantLen := int(buf[len(buf)-1])
-		if tenantLen == 0 || tenantLen > MaxTenantName {
-			// Re-decode for the precise error message.
-			_, _, err := DecodeHello(buf)
-			if err == nil || err == ErrShortFrame {
-				err = fmt.Errorf("wire: bad tenant length %d", tenantLen)
-			}
-			return Hello{}, err
-		}
-		tail := len(buf)
-		buf = buf[:tail+tenantLen]
-		if _, err := io.ReadFull(r, buf[tail:]); err != nil {
-			return Hello{}, fmt.Errorf("wire: reading handshake tenant: %w", err)
-		}
+	if err := read(int(buf[len(buf)-1]), " tenant"); err != nil {
+		return Hello{}, err
 	}
 	h, _, err := DecodeHello(buf)
 	return h, err

@@ -89,7 +89,7 @@ func FuzzHandshake(f *testing.F) {
 	add(Hello{Exporter: 6, Epoch: 3, Tenant: strings.Repeat("t", MaxTenantName)})
 	f.Add([]byte{})
 	f.Add([]byte("PINT"))
-	f.Add(append([]byte{'P', 'I', 'N', 'T', handshakeVersionV2}, make([]byte, helloFixedLen-5)...))
+	f.Add(append([]byte{'P', 'I', 'N', 'T', 2}, make([]byte, helloFixedLen-5)...)) // a refused version
 	f.Add(append([]byte{'P', 'I', 'N', 'T', HandshakeVersion}, make([]byte, helloFixedLen-5)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -171,55 +172,57 @@ func TestHelloRoundtrip(t *testing.T) {
 	}
 }
 
-// TestHelloVersioning pins the encoding's version split: a tenant-less
-// Hello must stay byte-identical to the pre-tenancy version-2 format (an
-// upgraded exporter fleet talking to an old collector, and vice versa),
-// and a tenant Hello is version 3 with the label after the name.
+// TestHelloVersioning pins the one Hello layout: version 3, the tenant
+// label behind its own length byte after the name, a zero length for the
+// default tenant — and the refusal of every other version.
 func TestHelloVersioning(t *testing.T) {
-	v2, err := AppendHello(nil, Hello{Exporter: 1, Name: "sw"})
+	plain, err := AppendHello(nil, Hello{Exporter: 1, Name: "sw"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2[4] != 2 {
-		t.Fatalf("tenant-less Hello encodes version %d, want 2", v2[4])
+	if plain[4] != HandshakeVersion || len(plain) != helloFixedLen+3 || plain[len(plain)-1] != 0 {
+		t.Fatalf("tenant-less Hello % x: want version %d and a zero tenant length after the name", plain, HandshakeVersion)
 	}
-	if len(v2) != helloFixedLen+2 {
-		t.Fatalf("v2 Hello length %d, want %d", len(v2), helloFixedLen+2)
-	}
-	v3, err := AppendHello(nil, Hello{Exporter: 1, Name: "sw", Tenant: "team-a"})
+	tenant, err := AppendHello(nil, Hello{Exporter: 1, Name: "sw", Tenant: "team-a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3[4] != HandshakeVersion {
-		t.Fatalf("tenant Hello encodes version %d, want %d", v3[4], HandshakeVersion)
+	if !bytes.Equal(tenant[:helloFixedLen+2], plain[:helloFixedLen+2]) {
+		t.Fatal("the tenant label changed the bytes before it")
 	}
-	if !bytes.Equal(v3[5:helloFixedLen+2], v2[5:]) {
-		t.Fatal("v3 Hello does not extend the v2 layout")
+	if got := string(tenant[helloFixedLen+3:]); tenant[helloFixedLen+2] != 6 || got != "team-a" {
+		t.Fatalf("tenant tail %q behind length %d, want %q behind 6", got, tenant[helloFixedLen+2], "team-a")
 	}
-	if got := string(v3[helloFixedLen+3:]); got != "team-a" {
-		t.Fatalf("v3 tenant tail %q, want %q", got, "team-a")
-	}
-	// Every proper prefix of a v3 Hello is ErrShortFrame — the tenant
-	// tail must look truncated, never silently default-tenant.
-	for i := 0; i < len(v3); i++ {
-		if _, _, err := DecodeHello(v3[:i]); err != ErrShortFrame {
-			t.Fatalf("prefix %d/%d: want ErrShortFrame, got %v", i, len(v3), err)
+	// Every proper prefix of a Hello is ErrShortFrame — the tenant tail
+	// must look truncated, never silently default-tenant.
+	for _, hello := range [][]byte{plain, tenant} {
+		for i := 0; i < len(hello); i++ {
+			if _, _, err := DecodeHello(hello[:i]); err != ErrShortFrame {
+				t.Fatalf("prefix %d/%d: want ErrShortFrame, got %v", i, len(hello), err)
+			}
 		}
 	}
-	// A v3 Hello claiming an empty tenant is non-canonical (the empty
-	// tenant's encoding is v2) and must be rejected, not decoded.
-	empty := append(append([]byte(nil), v2...), 0)
-	empty[4] = HandshakeVersion
-	if _, _, err := DecodeHello(empty); err == nil || !strings.Contains(err.Error(), "empty tenant") {
-		t.Fatalf("v3 empty tenant: want rejection, got %v", err)
+	// Versions 1 and 2 are refused by number, on both read paths.
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), plain...)
+		old[4] = v
+		want := fmt.Sprintf("unsupported handshake version %d", v)
+		if _, _, err := DecodeHello(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: want %q, got %v", v, want, err)
+		}
+		if _, err := ReadHello(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d from a stream: want %q, got %v", v, want, err)
+		}
 	}
-	if _, err := ReadHello(bytes.NewReader(empty)); err == nil {
-		t.Fatal("ReadHello accepted a v3 Hello with an empty tenant")
-	}
-	badTenant := append(append([]byte(nil), v3...), 0)
+	badTenant := append([]byte(nil), tenant...)
 	copy(badTenant[helloFixedLen+3:], "team\x07a")
-	if _, _, err := DecodeHello(badTenant[:len(v3)]); err == nil || !strings.Contains(err.Error(), "printable") {
+	if _, _, err := DecodeHello(badTenant); err == nil || !strings.Contains(err.Error(), "printable") {
 		t.Fatalf("unprintable tenant: want rejection, got %v", err)
+	}
+	longTenant := append([]byte(nil), plain...)
+	longTenant[len(longTenant)-1] = MaxTenantName + 1
+	if _, err := ReadHello(bytes.NewReader(longTenant)); err == nil || !strings.Contains(err.Error(), "above cap") {
+		t.Fatalf("oversized tenant length from a stream: want a cap error before any wait, got %v", err)
 	}
 	if _, err := AppendHello(nil, Hello{Tenant: strings.Repeat("y", MaxTenantName+1)}); err == nil {
 		t.Fatal("oversized tenant accepted on encode")

@@ -103,6 +103,48 @@ func Orphan()            {}
 	}
 }
 
+// TestOneBuildPerFile keeps a second implementation from returning behind
+// a build selector no benchmark sets: the tree holds no assembly, and the
+// only build constraints are the race/!race pairs that tell two packages'
+// allocation tests whether the race runtime is inflating their counts.
+func TestOneBuildPerFile(t *testing.T) {
+	constrained := map[string]bool{
+		"internal/core/race_enabled_test.go":      true,
+		"internal/core/race_disabled_test.go":     true,
+		"internal/pipeline/race_enabled_test.go":  true,
+		"internal/pipeline/race_disabled_test.go": true,
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && d.Name()[0] == '.' {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch filepath.Ext(p) {
+		case ".s":
+			t.Errorf("%s: assembly; a kernel is one Go loop that cmd/pintbench's layer suite times", p)
+		case ".go":
+			src, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			header, _, _ := strings.Cut("\n"+string(src), "\npackage ")
+			tagged := strings.Contains(header, "\n//go:build") || strings.Contains(header, "\n// +build")
+			if tagged != constrained[filepath.ToSlash(p)] {
+				t.Errorf("%s: build constraint present = %v, want %v", p, tagged, !tagged)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // orphanExports type-checks every package under root (test files and
 // build-excluded files left out) and returns, sorted, the exported
 // identifiers declared under internal/ that nothing references, and how
