@@ -106,7 +106,7 @@ func ReplayInto(store *segstore.Store, sink *pipeline.Sink) (uint64, error) {
 			return nil
 		}
 		var err error
-		scratch, err = segstore.DecodeDigests(scratch, b.Body)
+		scratch, err = segstore.DecodeDigests(scratch, b.Body, nil)
 		if err != nil {
 			return err
 		}
@@ -176,9 +176,9 @@ func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) (
 // log order, into one fresh Recording (shard count never changes answers —
 // the pipeline determinism contract) and returns it with the flows to
 // answer for: the ones asked, or — flows nil — every flow seen in the
-// window. Only the listed flows' digests are recorded — a flow's answers
-// are a function of its own digests — so the replay costs a decode of the
-// window plus the state of the flows asked for.
+// window. Only the listed flows' digests are decoded and recorded — a
+// flow's answers are a function of its own digests — so the replay costs a
+// read of the window plus the digests and state of the flows asked for.
 func (d *DurableSink) windowRecording(since, until uint64, flows []core.FlowKey) (*core.Recording, []core.FlowKey, error) {
 	rec, err := pipeline.NewRecording(d.engine, d.pcfg)
 	if err != nil {
@@ -196,27 +196,13 @@ func (d *DurableSink) windowRecording(since, until uint64, flows []core.FlowKey)
 		if b.Kind != segstore.KindDigests {
 			return nil
 		}
+		// One lookup per flow run of the block; a run — or a whole block —
+		// of flows nobody asked about is stepped over, not decoded.
 		var err error
-		if scratch, err = segstore.DecodeDigests(scratch, b.Body); err != nil {
+		if scratch, err = segstore.DecodeDigests(scratch, b.Body, asked); err != nil {
 			return err
 		}
-		batch := scratch
-		if asked != nil {
-			// Filter in place, one lookup per run of equal flows (exporters
-			// frame per flow).
-			batch = batch[:0]
-			var run core.FlowKey
-			keep := false
-			for i, pd := range scratch {
-				if i == 0 || pd.Flow != run {
-					run, keep = pd.Flow, asked[pd.Flow]
-				}
-				if keep {
-					batch = append(batch, pd)
-				}
-			}
-		}
-		return rec.RecordBatch(batch)
+		return rec.RecordBatch(scratch)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -3,8 +3,11 @@ package collector
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,6 +196,45 @@ func TestCollectorFailureModes(t *testing.T) {
 			// exporter decodes end to end.
 			sendHealthyFlow(t, tb, srv, uint64(200+i))
 		})
+	}
+}
+
+// TestVersion1BatchRefusedOnConnection: there is one batch format in the
+// tree and no negotiation. A frame carrying a version-1 batch — intact,
+// checksum and all, as an exporter built before the column-major format
+// would send it — costs that exporter its session, and the reason logged
+// names the version.
+func TestVersion1BatchRefusedOnConnection(t *testing.T) {
+	tb := mustTestbench(t, 17)
+	var mu sync.Mutex
+	var lines []string
+	_, srv := newServedSink(t, tb, 2, WithLogf(func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}))
+	conn := dialRaw(t, srv, HelloFor(tb.Engine, 100, "old-exporter"))
+	// {Flow 7, PktID 99, PathLen 12, Digest 0xABCD} as version 1 wrote it.
+	framed, err := wire.AppendFrame(nil, []byte{'P', 'D', 1, 1, 14, 0xC6, 0x01, 24, 0xCD, 0xD7, 0x02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(framed); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the session to be dropped", func() bool {
+		st := srv.Stats()
+		return st.Sessions == 1 && st.Active == 0 && st.ConnErrors == 1
+	})
+	if st := srv.Stats(); st.Packets != 0 {
+		t.Fatalf("a version-1 batch put %d packets into the sink", st.Packets)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(lines, func(l string) bool {
+		return strings.Contains(l, "dropped") && strings.Contains(l, "unsupported version 1 (have 2)")
+	}) {
+		t.Fatalf("no drop line names the version; logged:\n%s", strings.Join(lines, "\n"))
 	}
 }
 

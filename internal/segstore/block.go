@@ -304,8 +304,11 @@ func DecodeRetain(body []byte) (Retain, error) {
 	return r, nil
 }
 
-// DecodeDigests decodes a KindDigests body into dst (reused when large
-// enough) — the same wire batch format exporters stream.
-func DecodeDigests(dst []core.PacketDigest, body []byte) ([]core.PacketDigest, error) {
-	return wire.AppendUnmarshal(dst[:0], body)
+// DecodeDigests decodes a KindDigests body — the same wire batch format
+// exporters stream — into dst (reused when large enough), keeping only
+// the packets of the flows in only (nil: every packet). A body's first
+// bytes are its flow runs, so a block holding none of the flows asked for
+// is validated and stepped over without a digest decoded.
+func DecodeDigests(dst []core.PacketDigest, body []byte, only map[core.FlowKey]bool) ([]core.PacketDigest, error) {
+	return wire.AppendUnmarshalFlows(dst[:0], body, only)
 }

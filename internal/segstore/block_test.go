@@ -175,7 +175,7 @@ func TestDigestBodyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDigests(nil, body)
+	got, err := DecodeDigests(nil, body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

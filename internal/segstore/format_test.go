@@ -176,11 +176,29 @@ func sameBlocks(a, b []Block) bool {
 	return true
 }
 
-// TestParentLogIdentity pins the on-disk format across this package's
-// rewrite of its byte path. testdata/parent_log was written by
-// writeReferenceLog at the commit before the rewrite (6fe4986): the same
-// sequence must write the same bytes today, and the committed files must
-// recover and scan to exactly the blocks their bytes hold.
+// TestRegenerateParentLog rewrites testdata/parent_log through
+// writeReferenceLog. Like the fuzz-corpus regenerator it is a no-op unless
+// PINT_REGEN_CORPUS=1: run it after a deliberate change of the on-disk
+// format and commit the result. CI regenerates and diffs, so the committed
+// log cannot drift from the writer.
+func TestRegenerateParentLog(t *testing.T) {
+	if os.Getenv("PINT_REGEN_CORPUS") != "1" {
+		t.Skip("set PINT_REGEN_CORPUS=1 to rewrite testdata/parent_log")
+	}
+	dir := filepath.Join("testdata", "parent_log")
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	writeReferenceLog(t, dir)
+}
+
+// TestParentLogIdentity pins the on-disk format. testdata/parent_log was
+// written by writeReferenceLog (TestRegenerateParentLog) at PR 23, the
+// commit that moved digest blocks to wire format version 2 — the first
+// whose bodies are column-major: the same sequence must write the same bytes
+// today, and the committed files must recover and scan to exactly the
+// blocks their bytes hold. A log written before that commit is refused
+// (TestOpenRefusesVersion1Log).
 func TestParentLogIdentity(t *testing.T) {
 	wantNames, wantData := segmentFiles(t, filepath.Join("testdata", "parent_log"))
 	if len(wantNames) != 2 {
@@ -212,7 +230,7 @@ func TestParentLogIdentity(t *testing.T) {
 	var pkts uint64
 	for _, b := range all {
 		if b.Kind == KindDigests {
-			batch, err := DecodeDigests(nil, b.Body)
+			batch, err := DecodeDigests(nil, b.Body, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

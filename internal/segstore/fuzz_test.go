@@ -130,13 +130,13 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 			switch blk.Kind {
 			case KindDigests:
-				batch, err := DecodeDigests(nil, blk.Body)
+				batch, err := DecodeDigests(nil, blk.Body, nil)
 				if err == nil {
 					body, err := wire.AppendMarshal(nil, batch)
 					if err != nil {
 						t.Fatalf("re-marshalling decoded digests: %v", err)
 					}
-					round, err := DecodeDigests(nil, body)
+					round, err := DecodeDigests(nil, body, nil)
 					if err != nil || len(round) != len(batch) {
 						t.Fatalf("digest re-marshal round trip: %v (%d vs %d)", err, len(round), len(batch))
 					}

@@ -416,12 +416,13 @@ func decodeTrailer(data []byte, name string) (Index, uint64, error) {
 func (s *Store) absorbBlock(blk Block, ckpt *ckptChecker, name string, offset uint64) (uint64, error) {
 	switch blk.Kind {
 	case KindDigests:
-		batch, err := wire.AppendUnmarshal(nil, blk.Body)
+		// Validated in full, counted, not materialized: replay decodes it.
+		n, err := wire.Count(blk.Body)
 		if err != nil {
 			return 0, fmt.Errorf("segstore: %s: digest block at offset %d: %w", name, offset, err)
 		}
-		ckpt.digests(uint64(len(batch)))
-		return uint64(len(batch)), nil
+		ckpt.digests(uint64(n))
+		return uint64(n), nil
 	case KindCheckpoint:
 		cp, err := DecodeCheckpoint(blk.Body)
 		if err != nil {

@@ -93,6 +93,64 @@ func TestOpenRefusesStrayCompactionFile(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesVersion1Log: a data directory written before digest
+// blocks became column-major holds version-1 wire batches. Its frames and
+// checksums are intact, so nothing about it is torn or corrupt — Open
+// refuses it by number, at the block, and leaves the file alone.
+func TestOpenRefusesVersion1Log(t *testing.T) {
+	dir := t.TempDir()
+	// {Flow 7, PktID 99, PathLen 12, Digest 0xABCD} as version 1 wrote it.
+	v1 := []byte{'P', 'D', 1, 1, 14, 0xC6, 0x01, 24, 0xCD, 0xD7, 0x02}
+	seg, err := appendBlock([]byte(segMagic), KindDigests, 10, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(0))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(dir, Options{NoSync: true, Now: testClock()})
+	if err == nil || !strings.Contains(err.Error(), "digest block at offset 4") ||
+		!strings.Contains(err.Error(), "unsupported version 1 (have 2)") {
+		t.Fatalf("Open of a version-1 log: %v, want a refusal naming the block and the version", err)
+	}
+	if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, seg) {
+		t.Fatalf("the refused log was modified (%v)", rerr)
+	}
+}
+
+// TestRecoveryCountsWithoutMaterialising: recovery validates and counts a
+// digest block in place — no packet slice is built to take its length —
+// and a block recovery accepts is one replay decodes, to as many packets.
+func TestRecoveryCountsWithoutMaterialising(t *testing.T) {
+	st, _ := openTest(t, t.TempDir(), Options{})
+	defer st.Close()
+	batch := testDigests(256, 3)
+	body, err := wire.AppendMarshal(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := Block{Kind: KindDigests, TS: 10, Body: body}
+	ckpt := newCkptChecker()
+	if got := testing.AllocsPerRun(100, func() {
+		if n, err := st.absorbBlock(blk, ckpt, "seg", 4); err != nil || n != uint64(len(batch)) {
+			t.Fatalf("absorbBlock counted %d packets (%v), the block holds %d", n, err, len(batch))
+		}
+	}); got != 0 {
+		t.Fatalf("recovering a digest block: %v allocs, want 0", got)
+	}
+	if ckpt.seen != 101*uint64(len(batch)) {
+		t.Fatalf("the checkpoint checker saw %d packets over 101 blocks of %d", ckpt.seen, len(batch))
+	}
+	// A body one byte short fails the count exactly as it fails the decode.
+	blk.Body = body[:len(body)-1]
+	_, cerr := st.absorbBlock(blk, ckpt, "seg", 4)
+	_, derr := DecodeDigests(nil, blk.Body, nil)
+	if cerr == nil || derr == nil || !strings.Contains(cerr.Error(), derr.Error()) {
+		t.Fatalf("truncated body: recovery says %v, decode says %v", cerr, derr)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, rep := openTest(t, dir, Options{})
@@ -222,7 +280,7 @@ func blockEnds(t *testing.T, data []byte) (ends []int, pkts []uint64) {
 		}
 		var n uint64
 		if blk.Kind == KindDigests {
-			batch, err := DecodeDigests(nil, blk.Body)
+			batch, err := DecodeDigests(nil, blk.Body, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -480,7 +538,7 @@ func TestRetentionConservation(t *testing.T) {
 	var surviving uint64
 	count := func(b Block) error {
 		if b.Kind == KindDigests {
-			batch, err := DecodeDigests(nil, b.Body)
+			batch, err := DecodeDigests(nil, b.Body, nil)
 			if err != nil {
 				return err
 			}

@@ -44,7 +44,7 @@ func TestWriterPersistsInOrder(t *testing.T) {
 	if ev.Flow != 7 || string(ev.Answers) != `{"flow":7}` {
 		t.Fatalf("evict record %+v (answers %q)", ev, ev.Answers)
 	}
-	first, err := DecodeDigests(nil, got[0].Body)
+	first, err := DecodeDigests(nil, got[0].Body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,101 +9,232 @@ import (
 	"repro/internal/core"
 )
 
-// This file pins the bulk codec (two-pass sized marshal, fast-path
+// This file pins the bulk codec (two-pass sized marshal, parse-then-fill
 // unmarshal, single-buffer frame marshal) to byte-at-a-time reference
 // implementations of the same format — the simplest possible encoders,
-// kept here so the hot-path rewrite can never drift from the format
-// definition without a test or the fuzzer noticing.
+// written from the layout table in the package comment and sharing no
+// code with the codec but the strict varint reader, kept here so the hot
+// path can never drift from the format definition without a test or the
+// fuzzer noticing.
 
-// referenceMarshal is the pre-bulk encoder: amortized appends via
-// binary.AppendVarint, one field at a time.
+// referenceWidth is the smallest byte width that holds every value of a
+// column, found by comparison instead of the codec's OR-and-count-bits.
+func referenceWidth(col []uint64) int {
+	w := 1
+	for _, v := range col {
+		for w < 8 && v >= 1<<(8*w) {
+			w++
+		}
+	}
+	return w
+}
+
+// referenceColumn appends a width byte and the column, one byte at a time.
+func referenceColumn(dst []byte, col []uint64) []byte {
+	w := referenceWidth(col)
+	dst = append(dst, byte(w))
+	for _, v := range col {
+		for b := 0; b < w; b++ {
+			dst = append(dst, byte(v>>(8*b)))
+		}
+	}
+	return dst
+}
+
+// referenceMarshal is the format written down as appends: header, the two
+// run columns, the first ID, the two fixed-width columns.
 func referenceMarshal(dst []byte, batch []core.PacketDigest) ([]byte, error) {
-	dst = append(dst, magic[0], magic[1], Version)
-	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	var prevFlow, prevID uint64
-	var prevLen int
-	for i := range batch {
-		p := &batch[i]
+	for i, p := range batch {
 		if p.PathLen < 1 || p.PathLen > MaxPathLen {
 			return nil, fmt.Errorf("wire: packet %d has path length %d outside [1, %d]",
 				i, p.PathLen, MaxPathLen)
 		}
-		dst = binary.AppendVarint(dst, int64(uint64(p.Flow)-prevFlow))
-		dst = binary.AppendVarint(dst, int64(p.PktID-prevID))
-		dst = binary.AppendVarint(dst, int64(p.PathLen-prevLen))
-		dst = binary.AppendUvarint(dst, p.Digest)
-		prevFlow, prevID, prevLen = uint64(p.Flow), p.PktID, p.PathLen
 	}
-	return dst, nil
+	dst = append(dst, 'P', 'D', 2)
+	dst = binary.AppendUvarint(dst, uint64(len(batch)))
+	if len(batch) == 0 {
+		return dst, nil
+	}
+	var prevFlow core.FlowKey
+	for i := 0; i < len(batch); {
+		n := 1
+		for i+n < len(batch) && batch[i+n].Flow == batch[i].Flow {
+			n++
+		}
+		dst = binary.AppendVarint(dst, int64(batch[i].Flow-prevFlow))
+		dst = binary.AppendUvarint(dst, uint64(n))
+		prevFlow = batch[i].Flow
+		i += n
+	}
+	for i := 0; i < len(batch); {
+		n := 1
+		for i+n < len(batch) && batch[i+n].PathLen == batch[i].PathLen {
+			n++
+		}
+		dst = append(dst, byte(batch[i].PathLen))
+		dst = binary.AppendUvarint(dst, uint64(n))
+		i += n
+	}
+	dst = binary.AppendUvarint(dst, batch[0].PktID)
+	var ids, digests []uint64
+	for i, p := range batch {
+		if i > 0 {
+			d := int64(p.PktID - batch[i-1].PktID)
+			ids = append(ids, uint64(d<<1)^uint64(d>>63))
+		}
+		digests = append(digests, p.Digest)
+	}
+	return referenceColumn(referenceColumn(dst, ids), digests), nil
 }
 
-// referenceUnmarshal is the pre-bulk decoder: every varint through the
-// strict generic reader, no inline fast path.
-func referenceUnmarshal(data []byte) ([]core.PacketDigest, error) {
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("wire: %d-byte input shorter than the %d-byte header", len(data), headerLen)
-	}
-	if data[0] != magic[0] || data[1] != magic[1] {
-		return nil, fmt.Errorf("wire: bad magic %#02x%02x", data[0], data[1])
-	}
-	if data[2] != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d (have %d)", data[2], Version)
-	}
-	rest := data[3:]
-	count, n, err := uvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("wire: batch count: %w", err)
-	}
-	rest = rest[n:]
-	if count > uint64(len(rest)/minRecordLen) {
-		return nil, fmt.Errorf("wire: count %d exceeds the %d remaining bytes", count, len(rest))
-	}
-	out := make([]core.PacketDigest, 0, count)
-	var prevFlow, prevID uint64
-	var prevLen int64
-	for i := uint64(0); i < count; i++ {
-		dFlow, n, err := varint(rest)
+// referenceReader consumes a batch front to back, one field at a time.
+type referenceReader struct{ rest []byte }
+
+func (r *referenceReader) uvarint() (uint64, error) {
+	v, n, err := uvarint(r.rest)
+	r.rest = r.rest[n:]
+	return v, err
+}
+
+// runs expands one run column into a value per packet. next reads a run's
+// value (and says whether it may follow prev); the count that closes the
+// run is read here.
+func (r *referenceReader) runs(what string, count uint64, next func(run int) (uint64, error)) ([]uint64, error) {
+	var out []uint64
+	for run := 0; uint64(len(out)) < count; run++ {
+		v, err := next(run)
 		if err != nil {
-			return nil, fmt.Errorf("wire: packet %d flow: %w", i, err)
+			return nil, fmt.Errorf("wire: %s run %d%w", what, run, err)
 		}
-		rest = rest[n:]
-		dID, n, err := varint(rest)
+		n, err := r.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("wire: packet %d id: %w", i, err)
+			return nil, fmt.Errorf("wire: %s run %d: count: %w", what, run, err)
 		}
-		rest = rest[n:]
-		dLen, n, err := varint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("wire: packet %d path length: %w", i, err)
+		if left := count - uint64(len(out)); n == 0 || n > left {
+			return nil, fmt.Errorf("wire: %s run %d: holds %d packets, %d remain", what, run, n, left)
 		}
-		rest = rest[n:]
-		digest, n, err := uvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("wire: packet %d digest: %w", i, err)
+		for ; n > 0; n-- {
+			out = append(out, v)
 		}
-		rest = rest[n:]
-		prevFlow += uint64(dFlow)
-		prevID += uint64(dID)
-		prevLen += dLen
-		if prevLen < 1 || prevLen > MaxPathLen {
-			return nil, fmt.Errorf("wire: packet %d path length %d outside [1, %d]", i, prevLen, MaxPathLen)
-		}
-		out = append(out, core.PacketDigest{
-			Flow:    core.FlowKey(prevFlow),
-			PktID:   prevID,
-			PathLen: int(prevLen),
-			Digest:  digest,
-		})
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after the last record", len(rest))
 	}
 	return out, nil
 }
 
-// adversarialBatch exercises every varint width: maximal fields, sign
-// flips between consecutive records (full-width negative deltas), and
-// tiny values that hit the 1- and 2-byte fast paths.
+// column reads a width byte and n values of that width.
+func (r *referenceReader) column(what string, n uint64) ([]uint64, error) {
+	if len(r.rest) == 0 {
+		return nil, fmt.Errorf("wire: %s column: truncated before its width", what)
+	}
+	w := int(r.rest[0])
+	r.rest = r.rest[1:]
+	if w < 1 || w > 8 {
+		return nil, fmt.Errorf("wire: %s column: width %d outside [1, 8]", what, w)
+	}
+	if n*uint64(w) > uint64(len(r.rest)) {
+		return nil, fmt.Errorf("wire: %s column: %d values of %d bytes exceed the %d remaining bytes", what, n, w, len(r.rest))
+	}
+	col := make([]uint64, n)
+	for i := range col {
+		for b := 0; b < w; b++ {
+			col[i] |= uint64(r.rest[b]) << (8 * b)
+		}
+		r.rest = r.rest[w:]
+	}
+	if referenceWidth(col) != w {
+		return nil, fmt.Errorf("wire: %s column: width %d is not minimal", what, w)
+	}
+	return col, nil
+}
+
+// referenceUnmarshal is the decoder as the layout table reads: every
+// section in order, every rule checked where the table states it, every
+// column expanded to one value per packet before a packet is built.
+func referenceUnmarshal(data []byte) ([]core.PacketDigest, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("wire: %d-byte input shorter than the 4-byte header", len(data))
+	}
+	if data[0] != 'P' || data[1] != 'D' {
+		return nil, fmt.Errorf("wire: bad magic %#02x%02x", data[0], data[1])
+	}
+	if data[2] != 2 {
+		return nil, fmt.Errorf("wire: unsupported version %d (have 2)", data[2])
+	}
+	r := &referenceReader{rest: data[3:]}
+	count, err := r.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("wire: batch count: %w", err)
+	}
+	if count > uint64(len(r.rest)) {
+		return nil, fmt.Errorf("wire: count %d exceeds the %d remaining bytes", count, len(r.rest))
+	}
+	if count == 0 {
+		if len(r.rest) != 0 {
+			return nil, fmt.Errorf("wire: %d trailing bytes after an empty batch", len(r.rest))
+		}
+		return []core.PacketDigest{}, nil
+	}
+	var flow uint64
+	flows, err := r.runs("flow", count, func(run int) (uint64, error) {
+		u, err := r.uvarint()
+		if err != nil {
+			return 0, fmt.Errorf(": %w", err)
+		}
+		if run > 0 && u == 0 {
+			return 0, fmt.Errorf(" repeats its predecessor's flow")
+		}
+		flow += uint64(int64(u>>1) ^ -int64(u&1))
+		return flow, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var prevLen byte
+	lens, err := r.runs("path-length", count, func(int) (uint64, error) {
+		if len(r.rest) == 0 {
+			return 0, fmt.Errorf(": truncated")
+		}
+		k := r.rest[0]
+		r.rest = r.rest[1:]
+		if k < 1 || k > 64 {
+			return 0, fmt.Errorf(": length %d outside [1, 64]", k)
+		}
+		if k == prevLen {
+			return 0, fmt.Errorf(" repeats its predecessor's length")
+		}
+		prevLen = k
+		return uint64(k), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	id, err := r.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("wire: first packet id: %w", err)
+	}
+	ids, err := r.column("id", count-1)
+	if err != nil {
+		return nil, err
+	}
+	digests, err := r.column("digest", count)
+	if err != nil {
+		return nil, err
+	}
+	if len(r.rest) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after the digest column", len(r.rest))
+	}
+	out := make([]core.PacketDigest, count)
+	for i := range out {
+		if i > 0 {
+			id += uint64(int64(ids[i-1]>>1) ^ -int64(ids[i-1]&1))
+		}
+		out[i] = core.PacketDigest{Flow: core.FlowKey(flows[i]), PktID: id, PathLen: int(lens[i]), Digest: digests[i]}
+	}
+	return out, nil
+}
+
+// adversarialBatch exercises the extremes of every column: maximal
+// fields, sign flips between consecutive packets (full-width negative
+// deltas), a flow and a path length that change on every packet.
 func adversarialBatch() []core.PacketDigest {
 	return []core.PacketDigest{
 		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: MaxPathLen, Digest: ^uint64(0)},
@@ -116,8 +247,9 @@ func adversarialBatch() []core.PacketDigest {
 }
 
 // TestBulkMarshalBitIdentical pins the two-pass encoder to the reference
-// byte for byte, including sizes that cross the count-varint width and
-// records needing every delta width.
+// byte for byte, including sizes that cross the count-varint width, every
+// column width, and the run shapes producers frame (one flow, a few
+// interleaved, one per packet).
 func TestBulkMarshalBitIdentical(t *testing.T) {
 	batches := map[string][]core.PacketDigest{
 		"empty":       nil,
@@ -126,6 +258,19 @@ func TestBulkMarshalBitIdentical(t *testing.T) {
 		"count2byte":  sampleBatch(300),
 		"large":       sampleBatch(4096),
 		"adversarial": adversarialBatch(),
+		"testbench":   testbenchFrame(256),
+		"sequential":  sequentialFrame(1024),
+		"interleaved": interleavedFrame(256),
+	}
+	for w := 1; w <= 8; w++ {
+		// One column at each width: IDs step by just under 2^(8w-1), digests
+		// reach just under 2^(8w).
+		top := ^uint64(0) >> (64 - 8*uint(w))
+		batches[fmt.Sprintf("width%d", w)] = []core.PacketDigest{
+			{Flow: 1, PktID: 5, PathLen: 3, Digest: top},
+			{Flow: 1, PktID: 5 + top>>1, PathLen: 3, Digest: 1},
+			{Flow: 1, PktID: 6, PathLen: 3, Digest: 0},
+		}
 	}
 	for name, batch := range batches {
 		got, err := Marshal(batch)
@@ -302,7 +447,7 @@ func fuzzBatch(data []byte) []core.PacketDigest {
 }
 
 // FuzzMarshalParity is the wire half of the differential-fuzz safety net:
-// arbitrary bytes drive both decoders (bulk fast-path vs byte-at-a-time
+// arbitrary bytes drive both decoders (parse-then-fill vs byte-at-a-time
 // reference) which must agree on packets, error presence, and error text;
 // on success both encoders re-marshal bit-identically, and the same bytes
 // reinterpreted as packet fields must marshal bit-identically through
@@ -317,8 +462,8 @@ func FuzzMarshalParity(f *testing.F) {
 	}
 	addBatch(sampleBatch(40))
 	addBatch(adversarialBatch())
-	f.Add([]byte{'P', 'D', Version, 1, 0x80, 0x01, 0x80, 0x00, 2, 0})
-	f.Add([]byte{'P', 'D', Version, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0, 0})
+	f.Add(rawBatch(2, []byte{14, 0x82, 0x00}, []byte{5, 2}, []byte{9, 1, 2}, []byte{1, 3, 4}))                                                // non-minimal run count
+	f.Add(rawBatch(2, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 2}, []byte{5, 2}, []byte{9, 1, 2}, []byte{1, 3, 4})) // widest flow delta
 	f.Add(bytes.Repeat([]byte{0x91}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

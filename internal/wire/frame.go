@@ -57,8 +57,10 @@ import (
 const FrameHeaderLen = 8
 
 // DefaultMaxFramePayload bounds frame payloads unless the reader/writer
-// chooses its own cap. A digest record is ~4-6 bytes, so 1 MiB holds
-// ~200k packets — far beyond any sane batch.
+// chooses its own cap. A packet measures 10.1 B on the stream with hash
+// IDs, 3.0 B with sequential ones and 14.1 B in the format's worst case
+// (the package comment's table), so 1 MiB holds 70k-350k packets — far
+// beyond any sane batch.
 const DefaultMaxFramePayload = 1 << 20
 
 // crcTable is the Castagnoli table shared by all frame writers/readers.

@@ -1,48 +1,32 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hash"
 )
 
-// FuzzUnmarshalSharded pins the fused decode-and-shard pass to the unfused
-// reference — AppendUnmarshal followed by a separate hash.ShardOf routing
-// pass — over arbitrary inputs and shard counts. The contract:
+// FuzzUnmarshalSharded pins the run-routed decode-and-shard pass to the
+// unfused reference — AppendUnmarshal followed by a separate per-packet
+// hash.ShardOf routing pass — over arbitrary inputs and shard counts, and
+// AppendUnmarshalFlows to the same decode filtered. The contract:
 //
 //   - both decoders accept exactly the same byte strings,
 //   - on rejection the error text is identical (the collector logs it when
 //     it kills a connection, and the message must not depend on the path),
 //   - on success every shard's staged sequence matches the reference,
-//     in order, and the returned counts agree.
+//     in order, and the returned counts agree,
+//   - decoding only the flows of one shard yields that shard's sequence.
 //
-// The committed seed corpus under testdata/fuzz/FuzzUnmarshalSharded covers
-// valid batches across shard counts, truncations, and every header error
-// class; `go test -run='^Fuzz'` replays it in CI.
+// The committed seed corpus under testdata/fuzz/FuzzUnmarshalSharded is
+// decodeSeeds across shard counts, written by
+// TestRegenerateDecodeFuzzCorpus; `go test -run='^Fuzz'` replays it in CI.
 func FuzzUnmarshalSharded(f *testing.F) {
-	seed := func(shards uint8, batch []core.PacketDigest) {
-		data, err := Marshal(batch)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(shards, data)
-		if len(data) > headerLen {
-			f.Add(shards, data[:len(data)-1]) // truncated record
-			f.Add(shards, append(append([]byte(nil), data...), 0x00))
-		}
+	for i, seed := range decodeSeeds(f) {
+		f.Add(uint8(i), seed.data)
 	}
-	seed(1, nil)
-	seed(4, []core.PacketDigest{{Flow: 7, PktID: 99, PathLen: 12, Digest: 0xABCD}})
-	seed(16, sampleBatch(64))
-	seed(3, []core.PacketDigest{
-		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: MaxPathLen, Digest: ^uint64(0)},
-		{Flow: 0, PktID: 0, PathLen: 1, Digest: 0},
-	})
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(2), []byte{'P', 'D', Version, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Add(uint8(2), []byte{'P', 'D', Version, 1, 0x80, 0x00, 0, 0, 0})
-	f.Add(uint8(8), []byte{'X', 'D', Version, 0})
 
 	f.Fuzz(func(t *testing.T, shards uint8, data []byte) {
 		n := int(shards%32) + 1 // 1..32 destinations; zero is tested separately
@@ -80,6 +64,14 @@ func FuzzUnmarshalSharded(f *testing.F) {
 						sh, n, i, dsts[sh][i], want[sh][i])
 				}
 			}
+		}
+		only := map[core.FlowKey]bool{}
+		for _, p := range want[0] {
+			only[p.Flow] = true
+		}
+		filtered, err := AppendUnmarshalFlows(nil, data, only)
+		if err != nil || !slices.Equal(filtered, want[0]) {
+			t.Fatalf("decoding shard 0's %d flows alone: %d packets, %v; the shard staged %d", len(only), len(filtered), err, len(want[0]))
 		}
 	})
 }

@@ -25,8 +25,12 @@ func referenceShard(shards int, data []byte) ([][]core.PacketDigest, int, error)
 }
 
 func TestUnmarshalShardedParity(t *testing.T) {
+	batches := [][]core.PacketDigest{adversarialBatch(), testbenchFrame(256), interleavedFrame(255)}
 	for _, n := range []int{0, 1, 7, 255, 4096} {
-		batch := sampleBatch(n)
+		batches = append(batches, sampleBatch(n))
+	}
+	for _, batch := range batches {
+		n := len(batch)
 		data, err := Marshal(batch)
 		if err != nil {
 			t.Fatalf("n=%d: marshal: %v", n, err)
@@ -99,24 +103,17 @@ func TestUnmarshalShardedAppends(t *testing.T) {
 }
 
 // TestUnmarshalShardedErrorParity feeds every error class through both
-// decoders and demands the identical error string — the collector logs
+// entry points and demands the identical error string — the collector logs
 // and kills a connection on either path, and the messages must not
-// depend on which decoder it ran.
+// depend on which one it ran — and that a refused batch staged nothing.
 func TestUnmarshalShardedErrorParity(t *testing.T) {
 	good, err := Marshal(sampleBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := [][]byte{
-		{},
-		{'P', 'D'},
-		{'X', 'D', Version, 0},
-		{'P', 'D', 99, 0},
-		{'P', 'D', Version, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
-		{'P', 'D', Version, 1, 0x80, 0x00, 0, 0, 0},
-		{'P', 'D', Version, 1, 0x80, 0x81},
-		good[:len(good)-1],
-		append(append([]byte(nil), good...), 0x00),
+	cases := [][]byte{good[:len(good)-1], good[:len(good)/2], good[:5]}
+	for _, h := range hostileBatches {
+		cases = append(cases, h.data)
 	}
 	for ci, data := range cases {
 		_, refErr := AppendUnmarshal(nil, data)
@@ -128,6 +125,11 @@ func TestUnmarshalShardedErrorParity(t *testing.T) {
 			t.Fatalf("case %d: reference err %v, fused err %v", ci, refErr, gotErr)
 		case refErr.Error() != gotErr.Error():
 			t.Fatalf("case %d: error text diverged:\n reference %q\n fused     %q", ci, refErr, gotErr)
+		}
+		for sh := range dsts {
+			if len(dsts[sh]) != 0 {
+				t.Fatalf("case %d: refused with %v after staging %d packets on shard %d", ci, gotErr, len(dsts[sh]), sh)
+			}
 		}
 	}
 	if _, err := AppendUnmarshalSharded(nil, good); err == nil {
