@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"slices"
 	"strconv"
 	"time"
@@ -225,8 +226,9 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "collector: draining", http.StatusServiceUnavailable)
 			return
 		}
+		q := r.URL.Query() // every call re-parses the string: parse once
 		var flows []core.FlowKey
-		for _, raw := range r.URL.Query()["flow"] {
+		for _, raw := range q["flow"] {
 			v, err := strconv.ParseUint(raw, 0, 64)
 			if err != nil {
 				http.Error(w, fmt.Sprintf("bad flow %q: %v", raw, err), http.StatusBadRequest)
@@ -234,8 +236,8 @@ func (s *Server) Handler() http.Handler {
 			}
 			flows = append(flows, core.FlowKey(v))
 		}
-		if r.URL.Query().Has("since") || r.URL.Query().Has("until") {
-			s.serveWindow(w, r, flows)
+		if q.Has("since") || q.Has("until") {
+			s.serveWindow(w, q, flows)
 			return
 		}
 		merged, err := s.cfg.Sink.SnapshotFlows(flows).Merged()
@@ -296,7 +298,7 @@ func parseWindowBound(raw string) (uint64, error) {
 // a window query takes no ingest gate, runs no barrier and syncs nothing.
 // A window reaching at or below the retention horizon answers partially
 // (PartialHeader: 1) if it extends past the horizon, 400 if not.
-func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []core.FlowKey) {
+func (s *Server) serveWindow(w http.ResponseWriter, q url.Values, flows []core.FlowKey) {
 	d := s.cfg.Durable
 	if d == nil {
 		http.Error(w, "collector: no durable store (-data-dir) — historical windows unavailable", http.StatusBadRequest)
@@ -304,13 +306,13 @@ func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, flows []cor
 	}
 	since, until := uint64(0), ^uint64(0)
 	var err error
-	if raw := r.URL.Query().Get("since"); raw != "" {
+	if raw := q.Get("since"); raw != "" {
 		if since, err = parseWindowBound(raw); err != nil {
 			http.Error(w, "since: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
-	if raw := r.URL.Query().Get("until"); raw != "" {
+	if raw := q.Get("until"); raw != "" {
 		if until, err = parseWindowBound(raw); err != nil {
 			http.Error(w, "until: "+err.Error(), http.StatusBadRequest)
 			return

@@ -2,8 +2,11 @@
 // shards sink-captured packets by flow key across a pool of workers, each
 // owning a private core.Recording, so heavy digest streams ingest in
 // parallel while every per-flow answer stays bit-identical to the serial
-// path. Three properties make it run-forever capable:
+// path. Four properties make it run-forever capable:
 //
+//   - bounded buffers: a shard's dispatch buffers are a closed pool made
+//     once (QueueDepth+2 of them, argued in NewSink), so steady-state
+//     ingest allocates nothing whether or not the workers keep up;
 //   - bounded flow state: each shard's flow table is governed by a
 //     pluggable EvictionPolicy (LRU, admission-order cap, idle timeout),
 //     and every evicted flow is surfaced through Config.OnEvict before
@@ -150,6 +153,15 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	}
 	s := &Sink{engine: engine, cfg: cfg, shards: make([]*shard, cfg.Shards),
 		barrier: make(chan error, cfg.Shards)}
+	// A shard owns QueueDepth+2 dispatch buffers for life: QueueDepth
+	// queued, one being recorded, one filling or parked in a sender blocked
+	// on a full queue. The ingest path makes no other, and the pool being
+	// closed, both hand-offs are plain channel operations: free holds them
+	// all, so the worker's return never blocks, and dispatchLocked receives
+	// after its own send, when at most QueueDepth+1 are queued or being
+	// recorded — the last is in free, or will be when the worker (which
+	// returns buffers after a failure too, and outlives every Flush) is done.
+	buffers := cfg.QueueDepth + 2
 	for i := range s.shards {
 		rec, err := NewRecording(engine, cfg)
 		if err != nil {
@@ -158,10 +170,13 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 		sh := &shard{
 			idx:  i,
 			ch:   make(chan []core.PacketDigest, cfg.QueueDepth),
-			free: make(chan []core.PacketDigest, cfg.QueueDepth+1),
+			free: make(chan []core.PacketDigest, buffers),
 			exec: make(chan execReq),
 			rec:  rec,
 			buf:  make([]core.PacketDigest, 0, cfg.BatchSize),
+		}
+		for n := 1; n < buffers; n++ { // sh.buf is the first
+			sh.free <- make([]core.PacketDigest, 0, cfg.BatchSize)
 		}
 		if cfg.Policy != nil {
 			sh.pol = cfg.Policy()
@@ -230,16 +245,14 @@ func (s *Sink) Ingest(batch []core.PacketDigest) {
 	s.IngestStage(st)
 }
 
-// dispatchLocked hands the filled buffer to the worker and replaces it
-// with a recycled one (workers return drained buffers on sh.free), so the
-// steady-state ingest path allocates nothing. A full queue counts as one
-// stall before blocking — the ingester-side backpressure signal, read
-// through Stats. The caller holds sh.mu.
+// dispatchLocked hands the filled buffer to the worker and takes its
+// replacement from the shard's closed pool (sized in NewSink). A full
+// queue counts as one stall before blocking — the ingester-side
+// backpressure signal, read through Stats. The caller holds sh.mu.
 func (sh *shard) dispatchLocked() {
 	if len(sh.buf) == 0 {
 		return
 	}
-	size := cap(sh.buf)
 	sh.packets.Add(uint64(len(sh.buf)))
 	sh.batches.Add(1)
 	select {
@@ -248,12 +261,7 @@ func (sh *shard) dispatchLocked() {
 		sh.stalls.Add(1)
 		sh.ch <- sh.buf
 	}
-	select {
-	case b := <-sh.free:
-		sh.buf = b[:0]
-	default:
-		sh.buf = make([]core.PacketDigest, 0, size)
-	}
+	sh.buf = <-sh.free
 }
 
 // Flush dispatches every shard's partial buffer to its worker without
@@ -375,15 +383,10 @@ func (s *Sink) start() {
 						return
 					}
 					sh.consume(b, s.cfg.OnEvict, s.persister())
-					select {
-					case sh.free <- b[:0]:
-					default:
-					}
+					sh.free <- b[:0]
 				case req := <-sh.exec:
-					// Serve the request only after draining everything already
-					// queued, so a snapshot or checkpoint taken after
-					// Ingest+Flush (from the ingester, or synchronized with
-					// it) observes all of it.
+					// Drain what is already queued first, so a request made
+					// after Ingest+Flush observes all of it.
 					sh.drainPending(s.cfg.OnEvict, s.persister())
 					var err error
 					if req.fn != nil {
@@ -407,10 +410,7 @@ func (sh *shard) drainPending(onEvict func(Eviction, *core.Recording), p Persist
 				return
 			}
 			sh.consume(b, onEvict, p)
-			select {
-			case sh.free <- b[:0]:
-			default:
-			}
+			sh.free <- b[:0]
 		default:
 			return
 		}

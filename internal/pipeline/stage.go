@@ -34,8 +34,8 @@ type Stage struct {
 }
 
 // NewStage returns an empty Stage shaped for this sink's shard count.
-// Its buffers are recycled across IngestStage calls, so a long-lived
-// per-connection Stage reaches a zero-allocation steady state.
+// Its buffers keep their capacity across IngestStage calls, so once they
+// have grown to the connection's largest frame a Stage allocates nothing.
 func (s *Sink) NewStage() *Stage {
 	return &Stage{bufs: make([][]core.PacketDigest, len(s.shards))}
 }

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -215,27 +217,21 @@ func bufferedPackets(s *Sink) int {
 }
 
 // TestStageZeroAllocSteadyState pins the acceptance criterion for the
-// per-connection decode path: once flows are admitted and the buffers are
-// warm, frame payload → AppendUnmarshalSharded → IngestStage → Barrier
-// allocates nothing. The plan is frequent-values only — the one query
-// whose per-flow state is fixed-size — so every allocation the counter
-// sees is a recycling leak in the decode/stage/dispatch machinery, not
-// data-structure growth (KLL compactors and raw sample buffers grow
+// per-connection decode path, un-backlogged: once flows are admitted and
+// the buffers are warm, frame payload → AppendUnmarshalSharded →
+// IngestStage → Barrier allocates nothing. The Barrier after every frame
+// means no worker queue ever fills here; the saturated path is
+// TestBackpressureZeroAlloc's. The plan is frequent-values only — the one
+// query whose per-flow state is fixed-size — so every allocation the
+// counter sees is a recycling leak in the decode/stage/dispatch machinery,
+// not data-structure growth (KLL compactors and raw sample buffers grow
 // O(log n) with the stream; that is real work, bounded separately by
 // core's TestRecordStageAllocationPins).
 func TestStageZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	master := hash.Seed(77)
-	freq, err := core.NewFreqQuery("freq", 4, 1.0, master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Compile([]core.Query{freq}, 16, master.Derive(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := freqOnlyEngine(t)
 	const k = 6
 	pkts := encodeWorkload(eng, 5, 32, 64, k)
 	payload, err := wire.Marshal(pkts)
@@ -276,5 +272,137 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Ingest allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// freqOnlyEngine compiles the frequent-values-only plan the allocation
+// tests record: its per-flow state is fixed-size, so once the flows are
+// admitted recording allocates nothing.
+func freqOnlyEngine(t *testing.T) *core.Engine {
+	t.Helper()
+	master := hash.Seed(77)
+	freq, err := core.NewFreqQuery("freq", 4, 1.0, master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.Compile([]core.Query{freq}, 16, master.Derive(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// allocsDuring counts the heap objects and bytes the whole process
+// allocates while fn runs — every goroutine's, so a worker's count too.
+func allocsDuring(fn func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBackpressureZeroAlloc saturates a shard's hand-off — QueueDepth+3
+// full batches back to back, so the queue fills, the ingester parks in a
+// blocked send and the worker drains the whole backlog before the ingester
+// runs again (one P makes that schedule certain) — and requires that the
+// dispatch buffers all come back: a pool one slot short drops a buffer per
+// cycle here and makes a fresh one on the next.
+func TestBackpressureZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng := freqOnlyEngine(t)
+	const batchSize, queueDepth = 256, 4
+	sink, err := NewSink(eng, Config{
+		Shards: 1, BatchSize: batchSize, QueueDepth: queueDepth, Base: hash.Seed(0xD1CE)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	burst := encodeWorkload(eng, 5, 32, (queueDepth+3)*batchSize/32, 6)
+	cycle := func() {
+		sink.Ingest(burst)
+		sink.Barrier()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if n, _ := allocsDuring(func() {
+		for i := 0; i < 200; i++ {
+			cycle()
+		}
+	}); n != 0 {
+		t.Errorf("200 saturated cycles made %d heap objects, want 0", n)
+	}
+	if total, _ := sink.Stats(); total.Stalls == 0 {
+		t.Error("no dispatch stalled: the test did not reach backpressure")
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBackpressureZeroAllocConcurrentStages is the same requirement on the
+// collector's surface: two ingesters with their own Stages contend for the
+// shards with no Barrier between bursts, so whatever schedule the run
+// gets, a blocked sender, a full queue and a busy worker coexist. Parked
+// goroutines cost the runtime an occasional ~100 B wait record, so the
+// bound here is bytes: all bursts together allocate less than one buffer.
+func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	eng := freqOnlyEngine(t)
+	const batchSize, queueDepth, ingesters = 256, 4, 2
+	sink, err := NewSink(eng, Config{
+		Shards: 2, BatchSize: batchSize, QueueDepth: queueDepth, Base: hash.Seed(0xD1CE)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	payload, err := wire.Marshal(encodeWorkload(eng, 5, 32, 2*(queueDepth+3)*batchSize/32, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ingesters live across both phases, so the measured one starts no
+	// goroutine; phase hands them a burst count, done reports one finished.
+	phase := make([]chan int, ingesters)
+	done := make(chan struct{})
+	for i := range phase {
+		phase[i] = make(chan int)
+		go func(bursts <-chan int) {
+			st := sink.NewStage()
+			for n := range bursts {
+				for ; n > 0; n-- {
+					if _, err := wire.AppendUnmarshalSharded(st.Buffers(), payload); err != nil {
+						t.Error(err)
+					}
+					sink.IngestStage(st)
+				}
+				done <- struct{}{}
+			}
+		}(phase[i])
+	}
+	run := func(bursts int) {
+		for _, c := range phase {
+			c <- bursts
+		}
+		for range phase {
+			<-done
+		}
+	}
+	run(16)
+	oneBuffer := uint64(batchSize) * uint64(unsafe.Sizeof(core.PacketDigest{}))
+	if n, b := allocsDuring(func() { run(200) }); b >= oneBuffer {
+		t.Errorf("%d×200 saturated bursts allocated %d B in %d objects, want less than one %d B buffer",
+			ingesters, b, n, oneBuffer)
+	}
+	for _, c := range phase {
+		close(c)
+	}
+	if total, _ := sink.Stats(); total.Stalls == 0 {
+		t.Error("no dispatch stalled: the test did not reach backpressure")
 	}
 }

@@ -39,13 +39,19 @@ type Writer struct {
 	store *Store
 	enc   func(pipeline.Eviction, *core.Recording) []byte
 	ops   chan wop
-	free  chan []core.PacketDigest
 	quit  chan struct{}
 	done  chan struct{}
 	err   atomic.Pointer[error]
 
-	mu     sync.Mutex
+	mu     sync.Mutex // guards closed and free
 	closed bool
+	// free holds every copy buffer not queued, being applied or in a
+	// PersistIngest call. It is a stack, not a sized channel, because the
+	// population has no bound the writer could declare — the queue, the one
+	// being applied, and one per caller blocked in send, and the callers are
+	// the sink's shard stripes — so an applied buffer is never dropped, and
+	// one is made only when more are in flight than ever before.
+	free [][]core.PacketDigest
 }
 
 // wop is one queued writer operation.
@@ -68,7 +74,6 @@ func NewWriter(store *Store, opts WriterOptions) *Writer {
 		store: store,
 		enc:   opts.EncodeEvict,
 		ops:   make(chan wop, writerQueueDepth),
-		free:  make(chan []core.PacketDigest, writerQueueDepth+1),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -95,10 +100,9 @@ func (w *Writer) apply(op wop) {
 		if w.Err() == nil {
 			err = w.store.AppendDigests(op.batch)
 		}
-		select {
-		case w.free <- op.batch[:0]:
-		default:
-		}
+		w.mu.Lock()
+		w.free = append(w.free, op.batch)
+		w.mu.Unlock()
 	case KindCheckpoint:
 		if w.Err() == nil {
 			err = w.store.AppendCheckpoint(op.cp)
@@ -153,10 +157,11 @@ func (w *Writer) send(op wop) {
 // a recycled buffer and queues it, so steady state allocates nothing.
 func (w *Writer) PersistIngest(batch []core.PacketDigest) {
 	var buf []core.PacketDigest
-	select {
-	case buf = <-w.free:
-	default:
+	w.mu.Lock()
+	if n := len(w.free); n > 0 {
+		buf, w.free = w.free[n-1], w.free[:n-1]
 	}
+	w.mu.Unlock()
 	buf = append(buf[:0], batch...)
 	w.send(wop{kind: KindDigests, batch: buf})
 }

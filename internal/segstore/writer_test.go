@@ -2,8 +2,12 @@ package segstore
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
@@ -99,5 +103,61 @@ func TestWriterAbandonUnblocks(t *testing.T) {
 		t.Fatal(err)
 	} else if rep.Packets > 2 {
 		t.Fatalf("abandon leaked %d packets", rep.Packets)
+	}
+}
+
+// TestWriterBackpressureSteadyStateAllocs parks the writer goroutine in
+// an unanswered flush while several PersistIngest callers (a sink's shard
+// stripes) fill the queue and block in send, each holding a copy buffer,
+// then lets it drain the lot: more buffers come back at once than the
+// queue holds. None may be dropped — after the first cycles a fill/drain
+// cycle allocates less than one buffer.
+func TestWriterBackpressureSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const callers, perCaller, warm, cycles = 4, writerQueueDepth / 2, 3, 20
+	st, _ := openTest(t, t.TempDir(), Options{SegmentBytes: 1 << 30})
+	defer st.Close()
+	// The block index grows by one entry per batch; that growth is the
+	// store's, so it is bought up front.
+	st.idx = slices.Grow(st.idx, (warm+cycles)*callers*perCaller)
+	w := NewWriter(st, WriterOptions{})
+	defer w.Close()
+	batch := testDigests(256, 3)
+	held := make(chan error) // unbuffered: the writer waits for the receive
+	var wg sync.WaitGroup
+	cycle := func() {
+		w.ops <- wop{kind: opFlush, reply: held}
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perCaller; i++ {
+					w.PersistIngest(batch)
+				}
+			}()
+		}
+		// One P: each yield runs the callers until they block, so a full
+		// queue plus a few more yields is every caller parked in send.
+		for spins := 0; len(w.ops) < cap(w.ops) || spins < callers; spins++ {
+			runtime.Gosched()
+		}
+		<-held
+		wg.Wait()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	oneBuffer := uint64(len(batch)) * uint64(unsafe.Sizeof(batch[0]))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= oneBuffer {
+		t.Fatalf("%d saturated cycles allocated %d B, want less than one %d B buffer", cycles, got, oneBuffer)
 	}
 }
