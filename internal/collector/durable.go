@@ -46,8 +46,6 @@ type DurableSink struct {
 // the sink, replays the log into it — so the collector starts holding
 // every packet the previous incarnation made durable — and only then
 // attaches the persistence writer, so replayed packets are not re-logged.
-// Evicted flows persist with their finalized answers rendered by the
-// same fixed-order encoder the HTTP surface uses.
 func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Config, opts DurableOptions) (*DurableSink, error) {
 	store, report, err := segstore.Open(opts.DataDir, opts.Options)
 	if err != nil {
@@ -71,27 +69,9 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 		store.Close()
 		return nil, err
 	}
-	d.Writer = segstore.NewWriter(store, segstore.WriterOptions{EncodeEvict: evictEncoder(queries)})
+	d.Writer = segstore.NewWriter(store)
 	sink.SetPersister(d.Writer)
 	return d, nil
-}
-
-// evictEncoder renders one evicted flow's finalized answers with the
-// same fixed-order encoder /snapshot uses, so a durable eviction record
-// holds exactly the JSON the flow would have answered live.
-func evictEncoder(queries []core.Query) func(ev pipeline.Eviction, rec *core.Recording) []byte {
-	return func(ev pipeline.Eviction, rec *core.Recording) []byte {
-		var fa FlowAnswers
-		evalFlow(rec, queries, ev.Flow, &fa)
-		buf, err := json.Marshal(fa)
-		if err != nil {
-			// FlowAnswers is plain structs; an error here is a
-			// programming bug, but a durable record with an empty body
-			// beats losing the eviction entirely.
-			return nil
-		}
-		return buf
-	}
 }
 
 // ReplayInto feeds every digest block in the store, in log order, into
@@ -132,9 +112,8 @@ func (d *DurableSink) Checkpoint() error {
 }
 
 // Close shuts the durable sink down in dependency order: a final
-// checkpoint (so the log ends with a verifiable round), sink close
-// (whose drain may still evict through the writer), then writer and
-// store. The caller must hold the single-ingester role.
+// checkpoint (so the log ends with a verifiable round), sink close, then
+// writer and store. The caller must hold the single-ingester role.
 func (d *DurableSink) Close() error {
 	d.Sink.Checkpoint()
 	err := d.Writer.Sync()

@@ -94,6 +94,58 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableConfigShapes: every shape a pipeline.Config can take — shard
+// counts, KLL latency storage, sliding-window KLL, a bounded SpaceSaving
+// summary, and a batch/queue shape small enough to stall — keeps the
+// durable guarantee: the log-only answer is byte-identical to the live one
+// after ingest and again after a restart.
+func TestDurableConfigShapes(t *testing.T) {
+	tb := mustTestbench(t, 17)
+	for _, tc := range []struct {
+		name string
+		cfg  pipeline.Config
+	}{
+		{"shards=1", pipeline.Config{Shards: 1}},
+		{"shards=2", pipeline.Config{Shards: 2}},
+		{"shards=3", pipeline.Config{Shards: 3}},
+		{"kll", pipeline.Config{Shards: 2, SketchItems: 24}},
+		{"sliding-kll", pipeline.Config{Shards: 2, SketchItems: 24, WindowBuckets: 4, WindowSpan: 32}},
+		{"freq-counters", pipeline.Config{Shards: 2, FreqCounters: 4}},
+		{"batch8-queue1", pipeline.Config{Shards: 2, BatchSize: 8, QueueDepth: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pcfg := tc.cfg
+			pcfg.Base = tb.Base
+			dir := t.TempDir()
+			d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := ingestWaves(t, tb, d, 1, 5, 120)
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.VerifyAgainstLive(); err != nil {
+				t.Fatalf("live: %v", err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Replayed != uint64(len(stream)) {
+				t.Fatalf("replayed %d packets, want %d", re.Replayed, len(stream))
+			}
+			if err := re.VerifyAgainstLive(); err != nil {
+				t.Fatalf("after restart: %v", err)
+			}
+		})
+	}
+}
+
 // TestDurableAbandonRecovers is the in-process SIGKILL: whatever reached
 // the file is recovered bit-identically to an uncrashed collector fed
 // the same durable prefix, and the loss is exactly the unflushed tail.
@@ -351,57 +403,6 @@ func TestDurableCheckpointTicker(t *testing.T) {
 	}
 	if d.Store.Stats().Packets == 0 {
 		t.Fatal("flushed store holds no packets")
-	}
-}
-
-// TestDurableEvictionRecords: a policy eviction lands in the log as a
-// KindEvict block whose Answers body is the flow's finalized JSON — what
-// the flow would have answered live, rendered by the snapshot encoder.
-func TestDurableEvictionRecords(t *testing.T) {
-	tb := mustTestbench(t, 9)
-	dir := t.TempDir()
-	pcfg := pipeline.Config{
-		Shards: 1, Base: tb.Base,
-		Policy: func() pipeline.EvictionPolicy { return pipeline.NewLRU(2) },
-	}
-	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestWaves(t, tb, d, 1, 6, 50) // 6 flows through a 2-flow cap
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	var evicted []segstore.EvictRecord
-	err = d.Store.Scan(0, ^uint64(0), func(b segstore.Block) error {
-		if b.Kind != segstore.KindEvict {
-			return nil
-		}
-		ev, err := segstore.DecodeEvict(b.Body)
-		if err != nil {
-			return err
-		}
-		ev.Answers = bytes.Clone(ev.Answers) // the block's bytes are the scan's, valid only in this callback
-		evicted = append(evicted, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evicted) == 0 {
-		t.Fatal("LRU evictions never reached the log")
-	}
-	for _, ev := range evicted {
-		var ans FlowAnswers
-		if err := json.Unmarshal(ev.Answers, &ans); err != nil {
-			t.Fatalf("evict record for flow %d: answers not JSON: %v\n%s", ev.Flow, err, ev.Answers)
-		}
-		if ans.Flow != uint64(ev.Flow) || len(ans.Answers) == 0 {
-			t.Fatalf("evict record answers mismatch: record flow %d, body %s", ev.Flow, ev.Answers)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

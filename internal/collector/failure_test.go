@@ -92,7 +92,7 @@ func sendHealthyFlow(t *testing.T, tb *Testbench, srv *Server, exp uint64) {
 // exporter decodes normally.
 func TestCollectorFailureModes(t *testing.T) {
 	tb := mustTestbench(t, 17)
-	goodBatch, err := wire.Marshal(tb.FlowBatch(9, 0, 32, nil, nil))
+	goodBatch, err := wire.AppendMarshal(nil, tb.FlowBatch(9, 0, 32, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,21 +275,10 @@ func TestHandshakeGarbageRejected(t *testing.T) {
 	sendHealthyFlow(t, tb, srv, 43)
 }
 
-// slowPolicy throttles a shard worker so the bounded queues fill and
-// backpressure reaches the ingesting connection handler.
-type slowPolicy struct{ delay time.Duration }
-
-func (p *slowPolicy) Touch(flow core.FlowKey, now uint64, vict []pipeline.Eviction) []pipeline.Eviction {
-	time.Sleep(p.delay)
-	return vict
-}
-
-func (p *slowPolicy) Flows() int { return 0 }
-
-// TestSlowConsumerBackpressure wires a deliberately slow sink (tiny
-// batches, queue depth 1, a policy that sleeps per packet) behind the
-// collector and streams enough packets that dispatch must stall. The
-// contract: the stall counter fires (OnStall + Stats agree), no packet
+// TestSlowConsumerBackpressure holds the one shard worker of a tiny sink
+// (batches of 8, queue depth 1) inside a WithFlow call while the collector
+// streams into it, so dispatch must stall; the worker is released once
+// Stats shows the stall. The contract: the stall counter fires, no packet
 // is lost, and the stream still answers queries after drain.
 func TestSlowConsumerBackpressure(t *testing.T) {
 	tb := mustTestbench(t, 29)
@@ -298,12 +287,20 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 		BatchSize:  8,
 		QueueDepth: 1,
 		Base:       tb.Base,
-		Policy:     func() pipeline.EvictionPolicy { return &slowPolicy{delay: 10 * time.Microsecond} },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
+	held, release, released := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		released <- sink.WithFlow(tb.FlowKeyFor(5, 0), func(*core.Recording) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
 	srv, err := New(tb.Engine, WithSink(sink), WithQueries(tb.Queries()...))
 	if err != nil {
 		t.Fatal(err)
@@ -328,6 +325,14 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitFor(t, "a dispatch stall behind the held worker", func() bool {
+		st, _ := sink.Stats()
+		return st.Stalls > 0
+	})
+	close(release)
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +352,20 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 		t.Fatalf("sink dispatched %d packets, want %d", st.Packets, total)
 	}
 	if st.Stalls == 0 {
-		t.Fatal("no dispatch stalls despite a throttled worker and queue depth 1")
+		t.Fatal("no dispatch stalls despite a held worker and queue depth 1")
+	}
+	var flows []core.FlowKey
+	for f := 0; f < total/500; f++ {
+		flows = append(flows, tb.FlowKeyFor(5, f))
+	}
+	answers, err := SnapshotAnswers(sink.Snapshot(), tb.Queries(), flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fa := range answers {
+		if !fa.Tracked || !fa.Answers[0].Done {
+			t.Fatalf("flow %d after drain: tracked %v, path decoded %v", fa.Flow, fa.Tracked, fa.Answers[0].Done)
+		}
 	}
 }
 

@@ -337,7 +337,8 @@ func (r *Recording) newFreqStores(k int) ([]*sketch.SpaceSaving, error) {
 	return stores, nil
 }
 
-// Evict drops all recorded state for one flow.
+// Evict drops all recorded state for one flow. The hand-off's export is
+// its one caller: a flow leaves a Recording no other way.
 func (r *Recording) Evict(flow FlowKey) { delete(r.flows, flow) }
 
 // TrackedFlows returns the number of flows with live state.
@@ -355,8 +356,8 @@ func (r *Recording) Flows() []FlowKey {
 	return out
 }
 
-// HasFlow reports whether a flow currently has live state — e.g. inside
-// an eviction callback, where the flow is still queryable.
+// HasFlow reports whether a flow currently has live state — what the
+// hand-off asks before it exports a flow and evicts it.
 func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 
 // Clone copies the Recording so that the copy answers every query

@@ -5,10 +5,10 @@ import (
 )
 
 // This file is the sink's durability hook. The sink itself stays a pure
-// in-memory structure; a Persister observes the three events a durable
-// tier needs — the ingested stream, evictions, and checkpoint barriers —
-// without touching the hot path when none is attached (one atomic load
-// per batch).
+// in-memory structure; a Persister observes the two events a durable
+// tier needs — the ingested stream and checkpoint barriers — without
+// touching the hot path when none is attached (one atomic load per
+// staged chunk).
 
 // Persister receives the sink's durable events. internal/segstore's
 // Writer is the production implementation: it copies each event into a
@@ -32,15 +32,11 @@ import (
 //     with it every flow's stream, verbatim. Implementations must accept
 //     concurrent calls (segstore.Writer's bounded channel already does);
 //     the slice is only valid during the call — implementations copy.
-//   - PersistEvict runs on the owning shard's worker goroutine under the
-//     same rules as Config.OnEvict (rec still holds the flow; do not
-//     retain rec; do not call Sink methods), immediately before OnEvict.
 //   - PersistCheckpoint runs on each shard's worker goroutine during
 //     Sink.Checkpoint, after the shard drained everything dispatched to
 //     it, so the stats describe a quiescent shard.
 type Persister interface {
 	PersistIngest(batch []core.PacketDigest)
-	PersistEvict(shard int, ev Eviction, rec *core.Recording)
 	PersistCheckpoint(cp CheckpointStats)
 }
 

@@ -13,8 +13,6 @@ import (
 type recordingPersister struct {
 	mu      sync.Mutex
 	batches [][]core.PacketDigest
-	evicts  []Eviction
-	answers []uint64 // per-evict: packets rec still held for the flow at callback time
 	ckpts   []CheckpointStats
 }
 
@@ -22,22 +20,6 @@ func (r *recordingPersister) PersistIngest(batch []core.PacketDigest) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.batches = append(r.batches, append([]core.PacketDigest(nil), batch...))
-}
-
-func (r *recordingPersister) PersistEvict(shard int, ev Eviction, rec *core.Recording) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evicts = append(r.evicts, ev)
-	var held uint64
-	if rec != nil {
-		held = 1 // the flow must still be queryable during the callback
-		for _, f := range rec.Flows() {
-			if f == ev.Flow {
-				held = 2
-			}
-		}
-	}
-	r.answers = append(r.answers, held)
 }
 
 func (r *recordingPersister) PersistCheckpoint(cp CheckpointStats) {
@@ -159,45 +141,6 @@ func TestPersisterCheckpointRounds(t *testing.T) {
 	}
 }
 
-// TestPersisterEvictBeforeDrop: every eviction reaches the persister
-// while the Recording still holds the flow, and in the same stream the
-// OnEvict callback sees.
-func TestPersisterEvictBeforeDrop(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 101)
-	pkts := encodeWorkload(eng, 7, 24, 30, 6)
-	p := &recordingPersister{}
-	var evictMu sync.Mutex // OnEvict runs on each shard's goroutine
-	var onEvict []Eviction
-	sink, err := NewSink(eng, Config{
-		Shards: 2, BatchSize: 32, Base: hash.Seed(0xD1CE),
-		Policy: func() EvictionPolicy { return NewLRU(4) },
-		OnEvict: func(ev Eviction, rec *core.Recording) {
-			evictMu.Lock()
-			onEvict = append(onEvict, ev)
-			evictMu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.SetPersister(p)
-	sink.Ingest(pkts)
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.evicts) == 0 {
-		t.Fatal("LRU policy evicted nothing")
-	}
-	if len(p.evicts) != len(onEvict) {
-		t.Fatalf("persister saw %d evictions, OnEvict saw %d", len(p.evicts), len(onEvict))
-	}
-	for i, held := range p.answers {
-		if held != 2 {
-			t.Fatalf("eviction %d: flow %d already dropped when persisted", i, p.evicts[i].Flow)
-		}
-	}
-}
-
 // TestSetPersisterDetach: a nil persister detaches cleanly and a replay
 // (persister-less ingest) is never re-logged.
 func TestSetPersisterDetach(t *testing.T) {
@@ -247,8 +190,6 @@ func (p *orderedPersister) PersistIngest(batch []core.PacketDigest) {
 	shard := int(hash.ShardOf(uint64(batch[0].Flow), p.shards))
 	p.events = append(p.events, persistEvent{shard: shard, n: uint64(len(batch))})
 }
-
-func (p *orderedPersister) PersistEvict(int, Eviction, *core.Recording) {}
 
 func (p *orderedPersister) PersistCheckpoint(cp CheckpointStats) {
 	p.mu.Lock()

@@ -2,15 +2,11 @@
 // shards sink-captured packets by flow key across a pool of workers, each
 // owning a private core.Recording, so heavy digest streams ingest in
 // parallel while every per-flow answer stays bit-identical to the serial
-// path. Four properties make it run-forever capable:
+// path. Three properties make it run-forever capable:
 //
 //   - bounded buffers: a shard's dispatch buffers are a closed pool made
 //     once (QueueDepth+2 of them, argued in NewSink), so steady-state
 //     ingest allocates nothing whether or not the workers keep up;
-//   - bounded flow state: each shard's flow table is governed by a
-//     pluggable EvictionPolicy (LRU, admission-order cap, idle timeout),
-//     and every evicted flow is surfaced through Config.OnEvict before
-//     its state is dropped, so finalized answers are never silently lost;
 //   - snapshot queries: Sink.Snapshot() (every flow) and SnapshotFlows
 //     (the listed ones) return a view whose queries run concurrently with
 //     ingestion, without a global flush, at a cost in the flows asked for
@@ -18,6 +14,10 @@
 //   - a wire-friendly shape: Ingest consumes the same core.PacketDigest
 //     batches internal/wire marshals, so a remote tap's stream replays
 //     into the sink unchanged.
+//
+// Flow state is not bounded: a flow stays in its shard's Recording until
+// a hand-off moves it out (WithFlow running Recording.Evict), the only way
+// a flow leaves.
 //
 // Determinism argument: a flow's key maps to exactly one shard
 // (hash.ShardOf), each shard is a single worker draining a FIFO, and both
@@ -61,17 +61,6 @@ type Config struct {
 	WindowBuckets int
 	WindowSpan    uint64
 	FreqCounters  int
-	// Policy, when non-nil, builds one EvictionPolicy instance per shard;
-	// the policy bounds that shard's flow table. The policy clock is the
-	// shard's packet count.
-	Policy func() EvictionPolicy
-	// OnEvict, when non-nil, runs on the owning shard's worker goroutine
-	// for every eviction, before the flow's state is dropped: rec still
-	// holds the flow, so the callback can extract any finalized answers
-	// (rec.Path(...), rec.LatencyQuantile(...), ...). The callback must
-	// not retain rec and must not call Sink methods (the worker it would
-	// wait on is the one running it).
-	OnEvict func(ev Eviction, rec *core.Recording)
 }
 
 // Sink is the sharded Recording Module. Ingest feeds it from one ingester
@@ -96,7 +85,7 @@ type Sink struct {
 	// ingester may run alongside any number of IngestStage callers.
 	istage *Stage
 	// persist is the attached durability hook (see persist.go); nil-when-
-	// detached costs the hot path one atomic load per batch.
+	// detached costs the hot path one atomic load per staged chunk.
 	persist atomic.Pointer[persistBox]
 	// ckptRound numbers Checkpoint barriers; ingester-goroutine only.
 	ckptRound uint64
@@ -112,11 +101,8 @@ type shard struct {
 	// dispatch hand-off, serializing concurrent IngestStage callers (and
 	// the serial Ingest path) per shard. The worker never takes it — the
 	// worker owns everything past the channel.
-	mu   sync.Mutex
-	buf  []core.PacketDigest
-	pol  EvictionPolicy
-	now  uint64
-	vict []Eviction
+	mu  sync.Mutex
+	buf []core.PacketDigest
 	// packets/batches/stalls are the shard's ingest counters, written on
 	// the ingester goroutine at dispatch time and read from any goroutine
 	// via Sink.Stats, hence atomic.
@@ -177,9 +163,6 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 		}
 		for n := 1; n < buffers; n++ { // sh.buf is the first
 			sh.free <- make([]core.PacketDigest, 0, cfg.BatchSize)
-		}
-		if cfg.Policy != nil {
-			sh.pol = cfg.Policy()
 		}
 		s.shards[i] = sh
 	}
@@ -382,12 +365,12 @@ func (s *Sink) start() {
 					if !ok {
 						return
 					}
-					sh.consume(b, s.cfg.OnEvict, s.persister())
+					sh.consume(b)
 					sh.free <- b[:0]
 				case req := <-sh.exec:
 					// Drain what is already queued first, so a request made
 					// after Ingest+Flush observes all of it.
-					sh.drainPending(s.cfg.OnEvict, s.persister())
+					sh.drainPending()
 					var err error
 					if req.fn != nil {
 						err = req.fn(sh)
@@ -400,7 +383,7 @@ func (s *Sink) start() {
 }
 
 // drainPending consumes every batch already queued without blocking.
-func (sh *shard) drainPending(onEvict func(Eviction, *core.Recording), p Persister) {
+func (sh *shard) drainPending() {
 	for {
 		select {
 		case b, ok := <-sh.ch:
@@ -409,7 +392,7 @@ func (sh *shard) drainPending(onEvict func(Eviction, *core.Recording), p Persist
 				// channel cannot close mid-request; guard anyway.
 				return
 			}
-			sh.consume(b, onEvict, p)
+			sh.consume(b)
 			sh.free <- b[:0]
 		default:
 			return
@@ -417,40 +400,13 @@ func (sh *shard) drainPending(onEvict func(Eviction, *core.Recording), p Persist
 	}
 }
 
-// consume records one batch, driving the eviction policy packet-by-packet
-// so a victim's state is finalized (callback, then dropped) before any
-// later packet is recorded — a flow is never half-evicted, and an evicted
-// flow's re-arrival within the same batch starts a fresh flow.
-func (sh *shard) consume(b []core.PacketDigest, onEvict func(Eviction, *core.Recording), p Persister) {
+// consume records one batch; the shard's first error freezes it.
+func (sh *shard) consume(b []core.PacketDigest) {
 	if sh.failed() != nil {
 		return // drain after failure; keep Ingest unblocked
 	}
-	if sh.pol == nil {
-		sh.now += uint64(len(b))
-		if err := sh.rec.RecordBatch(b); err != nil {
-			sh.fail(err)
-		}
-		return
-	}
-	for i := range b {
-		sh.now++
-		sh.vict = sh.pol.Touch(b[i].Flow, sh.now, sh.vict[:0])
-		for _, ev := range sh.vict {
-			// Persist first: the durable record captures the flow's
-			// finalized answers while rec still holds them, and the user
-			// callback below may mutate nothing the persister needs.
-			if p != nil {
-				p.PersistEvict(sh.idx, ev, sh.rec)
-			}
-			if onEvict != nil {
-				onEvict(ev, sh.rec)
-			}
-			sh.rec.Evict(ev.Flow)
-		}
-		if err := sh.rec.RecordBatch(b[i : i+1]); err != nil {
-			sh.fail(err)
-			return
-		}
+	if err := sh.rec.RecordBatch(b); err != nil {
+		sh.fail(err)
 	}
 }
 

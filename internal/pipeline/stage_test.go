@@ -176,7 +176,7 @@ func TestStageResetAfterDecodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	good, err := wire.Marshal(pkts)
+	good, err := wire.AppendMarshal(nil, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 	eng := freqOnlyEngine(t)
 	const k = 6
 	pkts := encodeWorkload(eng, 5, 32, 64, k)
-	payload, err := wire.Marshal(pkts)
+	payload, err := wire.AppendMarshal(nil, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	payload, err := wire.Marshal(encodeWorkload(eng, 5, 32, 2*(queueDepth+3)*batchSize/32, 6))
+	payload, err := wire.AppendMarshal(nil, encodeWorkload(eng, 5, 32, 2*(queueDepth+3)*batchSize/32, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Package segstore is the durable tier of the collector: an append-only
-// segment log that persists the ingested digest stream, per-shard
-// Recording checkpoints, and evicted flows' finalized answers, so a
-// collector that crashes — SIGKILL, not a graceful drain — restarts into
+// segment log that persists the ingested digest stream and per-shard
+// checkpoint counters, so a collector that crashes — SIGKILL, not a graceful drain — restarts into
 // exactly the state an uncrashed collector would hold, modulo an
 // explicitly-reported unflushed tail.
 //
@@ -12,9 +11,10 @@
 // Recording is a pure function of its digest stream and its seed (the
 // pipeline package's determinism argument), so logging the stream in
 // global arrival order IS logging the state. Recovery replays the log
-// through an identically-configured sink and lands on the same bits —
-// including the same evictions, since those too are a function of the
-// stream.
+// through an identically-configured sink and lands on the same bits. It
+// holds because nothing else removes a flow from a durable sink: the
+// hand-off that moves flows out (collector.ExportFlows) refuses one, as
+// replay would resurrect what it moved.
 //
 // # Segment layout
 //
@@ -69,7 +69,8 @@ import (
 )
 
 // Block kinds. The high range (0xF0+) is reserved for segment metadata
-// that replay skips.
+// that replay skips. Kind 3 is unassigned: Open refuses it like any kind
+// not listed here.
 const (
 	// KindDigests carries one wire-marshaled core.PacketDigest batch — the
 	// WAL record recovery replays.
@@ -78,10 +79,6 @@ const (
 	// many packets the sink had recorded when the round closed. Recovery
 	// cross-checks complete rounds against the digest stream.
 	KindCheckpoint uint8 = 2
-	// KindEvict carries one evicted flow's identity and its finalized
-	// answers (an opaque encoder-provided body), persisted before the
-	// flow's state was dropped.
-	KindEvict uint8 = 3
 	// KindRetain records that retention deleted sealed segments: the
 	// cumulative deleted segment/packet totals and the deleted range's max
 	// timestamp, so conservation checks and the query horizon survive the
@@ -223,49 +220,6 @@ func DecodeCheckpoint(body []byte) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("segstore: checkpoint shard %d/%d out of range", cp.Shard, cp.Shards)
 	}
 	return cp, nil
-}
-
-// EvictRecord is one evicted flow's durable record.
-type EvictRecord struct {
-	Flow core.FlowKey
-	// Reason mirrors pipeline.EvictReason.
-	Reason uint8
-	// LastSeen is the policy clock when the flow was last touched.
-	LastSeen uint64
-	// Answers is the encoder-provided finalized answer bytes (typically
-	// the collector's FlowAnswers JSON); segstore treats it as opaque.
-	Answers []byte
-}
-
-// appendEvictBody appends ev's body encoding to dst.
-func appendEvictBody(dst []byte, ev EvictRecord) []byte {
-	dst = binary.AppendUvarint(dst, uint64(ev.Flow))
-	dst = append(dst, ev.Reason)
-	dst = binary.AppendUvarint(dst, ev.LastSeen)
-	return append(dst, ev.Answers...)
-}
-
-// DecodeEvict decodes a KindEvict body. The Answers field aliases body.
-func DecodeEvict(body []byte) (EvictRecord, error) {
-	var ev EvictRecord
-	flow, n, err := uvarint(body)
-	if err != nil {
-		return EvictRecord{}, fmt.Errorf("segstore: evict flow: %w", err)
-	}
-	body = body[n:]
-	if len(body) < 1 {
-		return EvictRecord{}, fmt.Errorf("segstore: evict record missing reason")
-	}
-	ev.Flow = core.FlowKey(flow)
-	ev.Reason = body[0]
-	body = body[1:]
-	last, n, err := uvarint(body)
-	if err != nil {
-		return EvictRecord{}, fmt.Errorf("segstore: evict last-seen: %w", err)
-	}
-	ev.LastSeen = last
-	ev.Answers = body[n:]
-	return ev, nil
 }
 
 // Retain is the cumulative retention-deletion record.

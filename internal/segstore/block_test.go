@@ -25,7 +25,7 @@ func testDigests(n int, salt uint64) []core.PacketDigest {
 
 func TestBlockRoundTrip(t *testing.T) {
 	body := []byte("payload bytes")
-	buf, err := appendBlock(nil, KindEvict, 42, body)
+	buf, err := appendBlock(nil, KindCheckpoint, 42, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 || blk.Kind != KindEvict || blk.TS != 42 || !bytes.Equal(blk.Body, body) {
+	if len(rest) != 0 || blk.Kind != KindCheckpoint || blk.TS != 42 || !bytes.Equal(blk.Body, body) {
 		t.Fatalf("round trip mangled the block: %+v rest=%d", blk, len(rest))
 	}
 
@@ -80,22 +80,6 @@ func TestCheckpointBodyRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(append(appendCheckpointBody(nil, Checkpoint{Shards: 1}), 0)); err == nil {
 		t.Fatal("trailing byte decoded")
-	}
-}
-
-func TestEvictBodyRoundTrip(t *testing.T) {
-	ev := EvictRecord{Flow: 0xDEAD_BEEF, Reason: 2, LastSeen: 777, Answers: []byte(`{"path":[1,2]}`)}
-	body := appendEvictBody(nil, ev)
-	got, err := DecodeEvict(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Flow != ev.Flow || got.Reason != ev.Reason || got.LastSeen != ev.LastSeen ||
-		!bytes.Equal(got.Answers, ev.Answers) {
-		t.Fatalf("round trip: got %+v, want %+v", got, ev)
-	}
-	if again := appendEvictBody(nil, got); !bytes.Equal(again, body) {
-		t.Fatal("re-encode is not canonical")
 	}
 }
 

@@ -27,7 +27,7 @@ func randDigests(rng *rand.Rand, n int) []core.PacketDigest {
 }
 
 // TestAppendsMatchOracleBytes is the write path's format identity: a
-// random run of AppendDigests/AppendCheckpoint/AppendEvict must leave in
+// random run of AppendDigests/AppendCheckpoint must leave in
 // the segment file exactly the bytes of the composition it replaced —
 // the file magic, then for each append AppendFrame(kind | ts | body) with
 // the body marshaled on its own (appendBlock, oracle_test.go).
@@ -51,14 +51,6 @@ func TestAppendsMatchOracleBytes(t *testing.T) {
 				cp := Checkpoint{Round: rng.Uint64(), Shard: rng.Intn(4), Shards: 4, Packets: rng.Uint64(), Flows: rng.Intn(1 << 20)}
 				oracle(KindCheckpoint, appendCheckpointBody(nil, cp))
 				if err := st.AppendCheckpoint(cp); err != nil {
-					t.Fatal(err)
-				}
-			case 1:
-				ev := EvictRecord{Flow: core.FlowKey(rng.Uint64()), Reason: uint8(rng.Intn(3)), LastSeen: rng.Uint64(),
-					Answers: make([]byte, rng.Intn(300))}
-				rng.Read(ev.Answers)
-				oracle(KindEvict, appendEvictBody(nil, ev))
-				if err := st.AppendEvict(ev); err != nil {
 					t.Fatal(err)
 				}
 			default:
@@ -88,8 +80,8 @@ func TestAppendsMatchOracleBytes(t *testing.T) {
 
 // writeReferenceLog drives the fixed append sequence that wrote
 // testdata/parent_log: rotation at the 4 KiB floor, retention down to one
-// sealed segment (so a Retain record is in the log), checkpoints, evict
-// records, a clean Close.
+// sealed segment (so a Retain record is in the log), checkpoints, a clean
+// Close.
 func writeReferenceLog(t *testing.T, dir string) {
 	t.Helper()
 	st, _, err := Open(dir, Options{SegmentBytes: 4096, MaxSegments: 1, NoSync: true, Now: testClock()})
@@ -105,11 +97,6 @@ func writeReferenceLog(t *testing.T, dir string) {
 		pkts += uint64(len(batch))
 		if i%5 == 4 {
 			if err := st.AppendCheckpoint(Checkpoint{Round: uint64(i / 5), Shard: 0, Shards: 1, Packets: pkts, Flows: 3}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i%7 == 6 {
-			if err := st.AppendEvict(EvictRecord{Flow: 7, Reason: 1, LastSeen: uint64(i), Answers: []byte(`{"flow":7}`)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -195,10 +182,12 @@ func TestRegenerateParentLog(t *testing.T) {
 // TestParentLogIdentity pins the on-disk format. testdata/parent_log was
 // written by writeReferenceLog (TestRegenerateParentLog) at PR 23, the
 // commit that moved digest blocks to wire format version 2 — the first
-// whose bodies are column-major: the same sequence must write the same bytes
-// today, and the committed files must recover and scan to exactly the
-// blocks their bytes hold. A log written before that commit is refused
-// (TestOpenRefusesVersion1Log).
+// whose bodies are column-major — and rewritten at PR 25 without the
+// sequence's kind-3 records, which Open now refuses (TestOpenRefusesKind3);
+// PR 24's writer wrote the same bytes for the shorter sequence. The same
+// sequence must write the same bytes today, and the committed files must
+// recover and scan to exactly the blocks their bytes hold. A log written
+// before PR 23 is refused (TestOpenRefusesVersion1Log).
 func TestParentLogIdentity(t *testing.T) {
 	wantNames, wantData := segmentFiles(t, filepath.Join("testdata", "parent_log"))
 	if len(wantNames) != 2 {

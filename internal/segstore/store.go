@@ -432,11 +432,6 @@ func (s *Store) absorbBlock(blk Block, ckpt *ckptChecker, name string, offset ui
 			return 0, fmt.Errorf("segstore: %s: checkpoint at offset %d: %w", name, offset, err)
 		}
 		return 0, nil
-	case KindEvict:
-		if _, err := DecodeEvict(blk.Body); err != nil {
-			return 0, fmt.Errorf("segstore: %s: evict record at offset %d: %w", name, offset, err)
-		}
-		return 0, nil
 	case KindRetain:
 		r, err := DecodeRetain(blk.Body)
 		if err != nil {
@@ -629,13 +624,6 @@ func (s *Store) AppendCheckpoint(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.append(KindCheckpoint, appendCheckpointBody(beginBlock(s.scratch), cp), 0)
-}
-
-// AppendEvict logs one evicted flow's finalized answers.
-func (s *Store) AppendEvict(ev EvictRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.append(KindEvict, appendEvictBody(beginBlock(s.scratch), ev), 0)
 }
 
 func (s *Store) rotateLocked() error {

@@ -3,6 +3,7 @@ package segstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,6 +120,37 @@ func TestOpenRefusesVersion1Log(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesKind3: kind 3 is unassigned (it was an eviction record
+// nothing read back). A well-framed block of that kind is refused as an
+// unknown kind, naming the file and the offset, and the file is left alone.
+func TestOpenRefusesKind3(t *testing.T) {
+	dir := t.TempDir()
+	body, err := wire.AppendMarshal(nil, testDigests(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := appendBlock([]byte(segMagic), KindDigests, 10, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(seg)
+	if seg, err = appendBlock(seg, 3, 20, []byte{9, 1, 50, '{', '}'}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(0))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(dir, Options{NoSync: true, Now: testClock()})
+	want := fmt.Sprintf("%s: unknown block kind 0x03 at offset %d", segName(0), at)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open of a log holding a kind-3 block: %v, want an error containing %q", err, want)
+	}
+	if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, seg) {
+		t.Fatalf("the refused log was modified (%v)", rerr)
+	}
+}
+
 // TestRecoveryCountsWithoutMaterialising: recovery validates and counts a
 // digest block in place — no packet slice is built to take its length —
 // and a block recovery accepts is one replay decodes, to as many packets.
@@ -164,10 +196,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ev := EvictRecord{Flow: 0x42, Reason: 1, LastSeen: 7, Answers: []byte(`{"a":1}`)}
-	if err := st.AppendEvict(ev); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.AppendCheckpoint(Checkpoint{Round: 1, Shard: 0, Shards: 1, Packets: 5, Flows: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +209,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := collectBlocks(t, st, 0, ^uint64(0))
-	if len(want) != 6 {
-		t.Fatalf("live scan found %d blocks, want 6", len(want))
+	if len(want) != 5 {
+		t.Fatalf("live scan found %d blocks, want 5", len(want))
 	}
 	stats := st.Stats()
 	if stats.Packets != 9 || stats.Segments != 1 || stats.ActiveBlocks != 2 {
@@ -198,8 +226,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if rep2.Segments != 2 || rep2.Packets != 9 || rep2.TornBytes != 0 {
 		t.Fatalf("reopen recovered %+v", rep2)
 	}
-	if rep2.Blocks != 6 {
-		t.Fatalf("reopen found %d blocks, want 6", rep2.Blocks)
+	if rep2.Blocks != 5 {
+		t.Fatalf("reopen found %d blocks, want 5", rep2.Blocks)
 	}
 	got := collectBlocks(t, st2, 0, ^uint64(0))
 	if len(got) != len(want) {
@@ -209,15 +237,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		if got[i].Kind != want[i].Kind || got[i].TS != want[i].TS || !bytes.Equal(got[i].Body, want[i].Body) {
 			t.Fatalf("block %d changed across reopen: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-
-	// The evict record survives with its answers intact.
-	evGot, err := DecodeEvict(got[2].Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evGot.Flow != ev.Flow || !bytes.Equal(evGot.Answers, ev.Answers) {
-		t.Fatalf("evict record changed: %+v", evGot)
 	}
 
 	// Time-windowed scans honour block timestamps (10, 20, 30, …).
@@ -246,9 +265,6 @@ func buildGoldenLog(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	if err := st.AppendDigests(testDigests(4, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendEvict(EvictRecord{Flow: 9, Reason: 0, LastSeen: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendCheckpoint(Checkpoint{Round: 2, Shard: 0, Shards: 1, Packets: 9, Flows: 3}); err != nil {

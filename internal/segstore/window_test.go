@@ -35,13 +35,11 @@ func TestScanWindowProperty(t *testing.T) {
 			},
 		})
 		var pkts uint64
-		for op, ops := 0, 60+rng.Intn(80); op < ops; op++ {
+		for op, ops := 0, 60+rng.Intn(80); op < ops || st.Stats().ActiveBlocks == 0; op++ { // end on a live tail
 			var err error
 			switch rng.Intn(8) {
 			case 0:
 				err = st.AppendCheckpoint(Checkpoint{Round: uint64(op), Shard: 0, Shards: 1, Packets: pkts, Flows: 3})
-			case 1:
-				err = st.AppendEvict(EvictRecord{Flow: 5, Reason: 1, LastSeen: uint64(op), Answers: make([]byte, rng.Intn(200))})
 			default:
 				batch := randDigests(rng, 1+rng.Intn(60))
 				pkts += uint64(len(batch))

@@ -14,30 +14,19 @@ import (
 // slow sink worker would.
 const writerQueueDepth = 64
 
-// WriterOptions shapes a Writer.
-type WriterOptions struct {
-	// EncodeEvict, when non-nil, renders an evicted flow's finalized
-	// answers while the Recording still holds them (it runs synchronously
-	// on the evicting worker); the bytes land in the KindEvict record.
-	// Nil persists the eviction with an empty answer body.
-	EncodeEvict func(ev pipeline.Eviction, rec *core.Recording) []byte
-}
-
 // Writer is the pipeline.Persister that feeds a Store: every event is
 // copied into a bounded queue and applied by one background goroutine,
 // keeping file I/O off the ingest hot path. Wiring it in:
 //
 //	store, report, _ := segstore.Open(dir, segstore.Options{})
 //	// ... replay the log into the sink first (collector.ReplayInto) ...
-//	w := segstore.NewWriter(store, segstore.WriterOptions{})
+//	w := segstore.NewWriter(store)
 //	sink.SetPersister(w)
 //
 // and on the way down: Sink.Checkpoint → w.Sync → Sink.Close → w.Close →
-// store.Close (the writer must outlive the sink, whose drain may still
-// evict).
+// store.Close.
 type Writer struct {
 	store *Store
-	enc   func(pipeline.Eviction, *core.Recording) []byte
 	ops   chan wop
 	quit  chan struct{}
 	done  chan struct{}
@@ -56,10 +45,9 @@ type Writer struct {
 
 // wop is one queued writer operation.
 type wop struct {
-	kind  uint8 // KindDigests / KindCheckpoint / KindEvict / opFlush / opSync
+	kind  uint8 // KindDigests / KindCheckpoint / opFlush / opSync
 	batch []core.PacketDigest
 	cp    Checkpoint
-	ev    EvictRecord
 	reply chan<- error
 }
 
@@ -69,10 +57,9 @@ const (
 )
 
 // NewWriter starts a writer over store.
-func NewWriter(store *Store, opts WriterOptions) *Writer {
+func NewWriter(store *Store) *Writer {
 	w := &Writer{
 		store: store,
-		enc:   opts.EncodeEvict,
 		ops:   make(chan wop, writerQueueDepth),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -106,10 +93,6 @@ func (w *Writer) apply(op wop) {
 	case KindCheckpoint:
 		if w.Err() == nil {
 			err = w.store.AppendCheckpoint(op.cp)
-		}
-	case KindEvict:
-		if w.Err() == nil {
-			err = w.store.AppendEvict(op.ev)
 		}
 	case opFlush:
 		op.reply <- w.Err()
@@ -164,17 +147,6 @@ func (w *Writer) PersistIngest(batch []core.PacketDigest) {
 	w.mu.Unlock()
 	buf = append(buf[:0], batch...)
 	w.send(wop{kind: KindDigests, batch: buf})
-}
-
-// PersistEvict implements pipeline.Persister. The answer encoding runs
-// here, synchronously on the evicting worker, because the flow's state
-// is dropped the moment this returns.
-func (w *Writer) PersistEvict(shard int, ev pipeline.Eviction, rec *core.Recording) {
-	record := EvictRecord{Flow: ev.Flow, Reason: uint8(ev.Reason), LastSeen: ev.LastSeen}
-	if w.enc != nil {
-		record.Answers = w.enc(ev, rec)
-	}
-	w.send(wop{kind: KindEvict, ev: record})
 }
 
 // PersistCheckpoint implements pipeline.Persister.

@@ -1,7 +1,6 @@
 package segstore
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -9,30 +8,24 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/pipeline"
 )
 
 func TestWriterPersistsInOrder(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, Options{})
-	w := NewWriter(st, WriterOptions{
-		EncodeEvict: func(ev pipeline.Eviction, rec *core.Recording) []byte {
-			return []byte(fmt.Sprintf(`{"flow":%d}`, ev.Flow))
-		},
-	})
+	w := NewWriter(st)
 
 	b1, b2 := testDigests(4, 1), testDigests(5, 2)
 	w.PersistIngest(b1)
 	w.PersistIngest(b2)
-	w.PersistEvict(0, pipeline.Eviction{Flow: 7, Reason: pipeline.EvictCapacity, LastSeen: 3}, nil)
 	w.PersistCheckpoint(pipeline.CheckpointStats{Round: 1, Shard: 0, Shards: 1, Packets: 9, Flows: 2})
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
 	got := collectBlocks(t, st, 0, ^uint64(0))
-	wantKinds := []uint8{KindDigests, KindDigests, KindEvict, KindCheckpoint}
+	wantKinds := []uint8{KindDigests, KindDigests, KindCheckpoint}
 	if len(got) != len(wantKinds) {
 		t.Fatalf("store holds %d blocks, want %d", len(got), len(wantKinds))
 	}
@@ -40,13 +33,6 @@ func TestWriterPersistsInOrder(t *testing.T) {
 		if got[i].Kind != k {
 			t.Fatalf("block %d has kind %d, want %d (FIFO violated)", i, got[i].Kind, k)
 		}
-	}
-	ev, err := DecodeEvict(got[2].Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Flow != 7 || string(ev.Answers) != `{"flow":7}` {
-		t.Fatalf("evict record %+v (answers %q)", ev, ev.Answers)
 	}
 	first, err := DecodeDigests(nil, got[0].Body, nil)
 	if err != nil {
@@ -69,7 +55,7 @@ func TestWriterPersistsInOrder(t *testing.T) {
 func TestWriterErrorSticksAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, Options{})
-	w := NewWriter(st, WriterOptions{})
+	w := NewWriter(st)
 	st.Close() // every later append fails with "append after Close"
 
 	for i := 0; i < 4*writerQueueDepth; i++ { // far past the queue depth: must not deadlock
@@ -89,7 +75,7 @@ func TestWriterErrorSticksAndDrains(t *testing.T) {
 func TestWriterAbandonUnblocks(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, Options{})
-	w := NewWriter(st, WriterOptions{})
+	w := NewWriter(st)
 	w.PersistIngest(testDigests(2, 1))
 	w.Abandon()
 	// Post-abandon persists are dropped, not deadlocked.
@@ -120,7 +106,7 @@ func TestWriterBackpressureSteadyStateAllocs(t *testing.T) {
 	// The block index grows by one entry per batch; that growth is the
 	// store's, so it is bought up front.
 	st.idx = slices.Grow(st.idx, (warm+cycles)*callers*perCaller)
-	w := NewWriter(st, WriterOptions{})
+	w := NewWriter(st)
 	defer w.Close()
 	batch := testDigests(256, 3)
 	held := make(chan error) // unbuffered: the writer waits for the receive

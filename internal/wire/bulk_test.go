@@ -273,7 +273,7 @@ func TestBulkMarshalBitIdentical(t *testing.T) {
 		}
 	}
 	for name, batch := range batches {
-		got, err := Marshal(batch)
+		got, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatalf("%s: bulk marshal: %v", name, err)
 		}
@@ -284,7 +284,7 @@ func TestBulkMarshalBitIdentical(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: bulk encoding differs from reference:\nbulk %x\nref  %x", name, got, want)
 		}
-		back, err := Unmarshal(got)
+		back, err := AppendUnmarshal(nil, got)
 		if err != nil {
 			t.Fatalf("%s: unmarshal: %v", name, err)
 		}
@@ -302,7 +302,7 @@ func TestBulkMarshalBitIdentical(t *testing.T) {
 // short buffer (one grow, prefix kept).
 func TestAppendMarshalRecycledBuffers(t *testing.T) {
 	batch := sampleBatch(100)
-	flat, err := Marshal(batch)
+	flat, err := AppendMarshal(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestRoundtripAliasedDst(t *testing.T) {
 // prefix-preserving, zero-alloc at steady state, and nil on marshal error.
 func TestAppendMarshalFrame(t *testing.T) {
 	batch := sampleBatch(256)
-	payload, err := Marshal(batch)
+	payload, err := AppendMarshal(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func fuzzBatch(data []byte) []core.PacketDigest {
 // both encoders and the one-pass frame builder.
 func FuzzMarshalParity(f *testing.F) {
 	addBatch := func(batch []core.PacketDigest) {
-		data, err := Marshal(batch)
+		data, err := AppendMarshal(nil, batch)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -467,7 +467,7 @@ func FuzzMarshalParity(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x91}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, fastErr := Unmarshal(data)
+		fast, fastErr := AppendUnmarshal(nil, data)
 		ref, refErr := referenceUnmarshal(data)
 		if (fastErr == nil) != (refErr == nil) {
 			t.Fatalf("decoder disagreement: fast err %v, reference err %v", fastErr, refErr)
@@ -485,7 +485,7 @@ func FuzzMarshalParity(f *testing.F) {
 					t.Fatalf("packet %d: fast %+v, reference %+v", i, fast[i], ref[i])
 				}
 			}
-			again, err := Marshal(fast)
+			again, err := AppendMarshal(nil, fast)
 			if err != nil {
 				t.Fatalf("re-marshal of a decoded batch failed: %v", err)
 			}
@@ -499,7 +499,7 @@ func FuzzMarshalParity(f *testing.F) {
 		}
 
 		batch := fuzzBatch(data)
-		bulk, err := Marshal(batch)
+		bulk, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatalf("bulk marshal of a valid batch failed: %v", err)
 		}

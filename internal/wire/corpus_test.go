@@ -46,7 +46,7 @@ func TestRegenerateDecodeFuzzCorpus(t *testing.T) {
 		writeSeed(t, "FuzzUnmarshalSharded", seed.name, fmt.Sprintf("byte(%q)", rune(i%32)), bytesArg(seed.data))
 	}
 	for i, batch := range [][]core.PacketDigest{sampleBatch(40), adversarialBatch(), testbenchFrame(32)} {
-		data, err := Marshal(batch)
+		data, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 //
 // # Frame layout
 //
-// A frame wraps one payload (normally one Marshal()ed digest batch):
+// A frame wraps one payload (normally one AppendMarshal'd digest batch):
 //
 //	length uint32 LE  payload length in bytes, 1..maxPayload
 //	crc    uint32 LE  CRC-32C (Castagnoli) of the payload

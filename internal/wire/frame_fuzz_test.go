@@ -29,7 +29,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	add([]byte{0x00})
 	add([]byte("digest batch stand-in"))
-	payload, err := Marshal(sampleBatch(32))
+	payload, err := AppendMarshal(nil, sampleBatch(32))
 	if err != nil {
 		f.Fatal(err)
 	}

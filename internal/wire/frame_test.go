@@ -277,10 +277,10 @@ func TestHelloErrors(t *testing.T) {
 }
 
 // TestFramedBatchEndToEnd drives a digest batch through the full stream
-// stack: Marshal → frame → FrameReader → Unmarshal.
+// stack: AppendMarshal → frame → FrameReader → AppendUnmarshal.
 func TestFramedBatchEndToEnd(t *testing.T) {
 	batch := sampleBatch(300)
-	payload, err := Marshal(batch)
+	payload, err := AppendMarshal(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestFramedBatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := Unmarshal(got)
+	decoded, err := AppendUnmarshal(nil, got)
 	if err != nil {
 		t.Fatal(err)
 	}

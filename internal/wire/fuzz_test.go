@@ -21,7 +21,7 @@ type decodeSeed struct {
 func decodeSeeds(t testing.TB) []decodeSeed {
 	var seeds []decodeSeed
 	valid := func(name string, batch []core.PacketDigest) {
-		data, err := Marshal(batch)
+		data, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func decodeSeeds(t testing.TB) []decodeSeed {
 // FuzzUnmarshal drives arbitrary byte streams through the strict decoder.
 // The contract under fuzzing:
 //
-//   - Unmarshal never panics and never allocates disproportionately to its
+//   - AppendUnmarshal never panics and never allocates disproportionately to its
 //     input (the count-vs-remaining-bytes guard),
 //   - on error it returns a nil slice, and Count fails with the same text,
 //   - on success the format is canonical: re-marshaling the decoded batch
@@ -67,14 +67,14 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pkts, err := Unmarshal(data)
+		pkts, err := AppendUnmarshal(nil, data)
 		n, countErr := Count(data)
 		if err != nil {
 			if pkts != nil {
 				t.Fatalf("error %v with non-nil packets", err)
 			}
 			if countErr == nil || countErr.Error() != err.Error() {
-				t.Fatalf("Unmarshal refused with %q, Count with %v", err, countErr)
+				t.Fatalf("AppendUnmarshal refused with %q, Count with %v", err, countErr)
 			}
 			return
 		}
@@ -86,14 +86,14 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("packet %d decoded with path length %d", i, pkts[i].PathLen)
 			}
 		}
-		again, err := Marshal(pkts)
+		again, err := AppendMarshal(nil, pkts)
 		if err != nil {
 			t.Fatalf("re-marshal of a decoded batch failed: %v", err)
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("encoding not canonical:\n in  %x\n out %x", data, again)
 		}
-		second, err := Unmarshal(again)
+		second, err := AppendUnmarshal(nil, again)
 		if err != nil {
 			t.Fatalf("second decode failed: %v", err)
 		}

@@ -31,7 +31,7 @@ func TestUnmarshalShardedParity(t *testing.T) {
 	}
 	for _, batch := range batches {
 		n := len(batch)
-		data, err := Marshal(batch)
+		data, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatalf("n=%d: marshal: %v", n, err)
 		}
@@ -70,7 +70,7 @@ func TestUnmarshalShardedParity(t *testing.T) {
 // relies on).
 func TestUnmarshalShardedAppends(t *testing.T) {
 	batch := sampleBatch(64)
-	data, err := Marshal(batch)
+	data, err := AppendMarshal(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestUnmarshalShardedAppends(t *testing.T) {
 // and kills a connection on either path, and the messages must not
 // depend on which one it ran — and that a refused batch staged nothing.
 func TestUnmarshalShardedErrorParity(t *testing.T) {
-	good, err := Marshal(sampleBatch(8))
+	good, err := AppendMarshal(nil, sampleBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}

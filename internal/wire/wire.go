@@ -43,8 +43,8 @@
 //
 // # Strictness
 //
-// The encoding is canonical: every byte string Unmarshal accepts re-marshals
-// to itself. Rejected with an error, never a panic: unknown magic or
+// The encoding is canonical: every byte string AppendUnmarshal accepts
+// re-marshals to itself. Rejected with an error, never a panic: unknown magic or
 // version, truncation anywhere, a non-minimal or overflowing varint, a
 // width outside 1..8 or wider than its column needs, a run of zero
 // packets, a run that repeats its predecessor's flow or length (it should
@@ -81,16 +81,12 @@ const headerLen = 4 // magic (2) + version (1) + count (>= 1)
 
 var magic = [2]byte{'P', 'D'}
 
-// Marshal encodes a batch. It errors if any packet's PathLen is outside
-// [1, MaxPathLen] — such a packet could never have been produced by a
-// sink and would be rejected by the receiving side.
-func Marshal(batch []core.PacketDigest) ([]byte, error) {
-	return AppendMarshal(nil, batch)
-}
-
 // AppendMarshal appends the encoding of batch to dst (which may be nil or
-// a reused buffer's dst[:0]) and returns the extended slice. On error dst
-// is not extended (nil is returned) and no bytes were written.
+// a reused buffer's dst[:0]) and returns the extended slice. It errors if
+// any packet's PathLen is outside [1, MaxPathLen] — such a packet could
+// never have been produced by a sink and would be rejected by the
+// receiving side; on error dst is not extended (nil is returned) and no
+// bytes were written.
 //
 // The encoder is two-pass: pass one validates every PathLen, finds both
 // column widths and measures the run columns, so the encoded size is known
@@ -234,11 +230,6 @@ func zigzag(x int64) uint64 {
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) uint64 {
 	return u>>1 ^ -(u & 1)
-}
-
-// Unmarshal decodes a marshaled batch. On error the returned slice is nil.
-func Unmarshal(data []byte) ([]core.PacketDigest, error) {
-	return AppendUnmarshal(nil, data)
 }
 
 // Roundtrip encodes batch and decodes it straight back — the

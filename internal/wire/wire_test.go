@@ -31,11 +31,11 @@ func sampleBatch(n int) []core.PacketDigest {
 func TestRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 256, 4096} {
 		batch := sampleBatch(n)
-		data, err := Marshal(batch)
+		data, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatalf("n=%d: marshal: %v", n, err)
 		}
-		got, err := Unmarshal(data)
+		got, err := AppendUnmarshal(nil, data)
 		if err != nil {
 			t.Fatalf("n=%d: unmarshal: %v", n, err)
 		}
@@ -57,11 +57,11 @@ func TestRoundTripExtremes(t *testing.T) {
 		{Flow: 1, PktID: 1, PathLen: 1, Digest: 1},
 		{Flow: ^core.FlowKey(0) - 1, PktID: 2, PathLen: 64, Digest: 1<<63 + 7},
 	}
-	data, err := Marshal(batch)
+	data, err := AppendMarshal(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	got, err := AppendUnmarshal(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAppendFormsReuseBuffers(t *testing.T) {
 
 func TestMarshalRejectsBadPathLen(t *testing.T) {
 	for _, k := range []int{0, -1, MaxPathLen + 1} {
-		if _, err := Marshal([]core.PacketDigest{{PathLen: k}}); err == nil {
+		if _, err := AppendMarshal(nil, []core.PacketDigest{{PathLen: k}}); err == nil {
 			t.Fatalf("marshal accepted path length %d", k)
 		}
 	}
@@ -227,14 +227,14 @@ var hostileBatches = []struct {
 // error with the rule's text, no packets, never a panic.
 func TestUnmarshalRejectsMalformed(t *testing.T) {
 	good := rawBatch(2, []byte{14, 2}, []byte{5, 2}, []byte{9, 1, 2}, []byte{1, 3, 4})
-	pkts, err := Unmarshal(good)
+	pkts, err := AppendUnmarshal(nil, good)
 	if err != nil || len(pkts) != 2 ||
 		pkts[0] != (core.PacketDigest{Flow: 7, PktID: 9, PathLen: 5, Digest: 3}) ||
 		pkts[1] != (core.PacketDigest{Flow: 7, PktID: 10, PathLen: 5, Digest: 4}) {
 		t.Fatalf("the valid neighbour decodes to %+v, %v", pkts, err)
 	}
 	for _, tc := range hostileBatches {
-		pkts, err := Unmarshal(tc.data)
+		pkts, err := AppendUnmarshal(nil, tc.data)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: unmarshal of %x: error %v, want one containing %q", tc.name, tc.data, err, tc.want)
 		}
@@ -242,15 +242,15 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: unmarshal returned packets alongside an error", tc.name)
 		}
 		if n, cerr := Count(tc.data); cerr == nil || n != 0 || cerr.Error() != err.Error() {
-			t.Errorf("%s: Count = %d, %v; Unmarshal failed with %v", tc.name, n, cerr, err)
+			t.Errorf("%s: Count = %d, %v; AppendUnmarshal failed with %v", tc.name, n, cerr, err)
 		}
 	}
-	valid, err := Marshal(sampleBatch(9))
+	valid, err := AppendMarshal(nil, sampleBatch(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(valid); i++ {
-		if pkts, err := Unmarshal(valid[:i]); err == nil || pkts != nil {
+		if pkts, err := AppendUnmarshal(nil, valid[:i]); err == nil || pkts != nil {
 			t.Errorf("truncated@%d: unmarshal accepted %x", i, valid[:i])
 		}
 	}
@@ -262,7 +262,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 // the bytes present before anything is sized from it.
 func TestCountValidatesWithoutAllocating(t *testing.T) {
 	for _, batch := range [][]core.PacketDigest{nil, sampleBatch(1), sampleBatch(300), adversarialBatch(), testbenchFrame(256)} {
-		data, err := Marshal(batch)
+		data, err := AppendMarshal(nil, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestCountValidatesWithoutAllocating(t *testing.T) {
 // and allocates nothing.
 func TestUnmarshalFlows(t *testing.T) {
 	batch := append(sampleBatch(300), interleavedFrame(64)...)
-	data, err := Marshal(batch)
+	data, err := AppendMarshal(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}

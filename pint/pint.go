@@ -43,16 +43,12 @@
 //	ids, done := sink.Recording(flow).Path(q, flow)
 //
 // The sink runs as a long-lived collector: digest batches travel
-// switch→collector in a compact wire format (MarshalDigests /
-// UnmarshalDigests), per-shard flow state is bounded by a pluggable
-// eviction policy whose evictions surface finalized answers through a
-// callback, and Snapshot() answers queries concurrently with ingestion:
+// switch→collector in a compact wire format (AppendMarshalDigests /
+// AppendUnmarshalDigests), and Snapshot() answers queries concurrently
+// with ingestion. A flow's state stays until a fleet resize hands it to
+// another collector; nothing else retires it:
 //
-//	sink, _ := pint.NewShardedSink(engine, pint.ShardConfig{
-//	    Shards: 8, Base: seed,
-//	    Policy:  func() pint.EvictionPolicy { return pint.NewLRU(1 << 20) },
-//	    OnEvict: func(ev pint.Eviction, rec *pint.Recording) { /* export answers */ },
-//	})
+//	sink, _ := pint.NewShardedSink(engine, pint.ShardConfig{Shards: 8, Base: seed})
 //	sink.Ingest(pkts)                   // from the tap, forever
 //	rec, _ := sink.Snapshot().Merged() // from any goroutine, no flush needed
 //	ids, done := rec.Path(q, flow)
@@ -262,46 +258,15 @@ func NewShardedSink(engine *Engine, cfg ShardConfig) (*ShardedSink, error) {
 // store's RNG: do not ask those of one flow from two goroutines at once.
 type Snapshot = pipeline.Snapshot
 
-// EvictionPolicy bounds a ShardedSink shard's flow table; see NewLRU,
-// NewMaxFlows and NewIdleTimeout for the built-in policies.
-type EvictionPolicy = pipeline.EvictionPolicy
-
-// Eviction describes one finalized (evicted) flow.
-type Eviction = pipeline.Eviction
-
-// Eviction reasons.
-const (
-	EvictCapacity = pipeline.EvictCapacity
-	EvictIdle     = pipeline.EvictIdle
-)
-
-// NewLRU returns an eviction policy that caps live flows, evicting the
-// least-recently-used.
-func NewLRU(maxFlows int) EvictionPolicy { return pipeline.NewLRU(maxFlows) }
-
-// NewMaxFlows returns an eviction policy that caps live flows, evicting
-// in admission order.
-func NewMaxFlows(cap int) EvictionPolicy { return pipeline.NewMaxFlows(cap) }
-
-// NewIdleTimeout returns an eviction policy that finalizes flows idle for
-// more than timeout packets of shard traffic.
-func NewIdleTimeout(timeout uint64) EvictionPolicy { return pipeline.NewIdleTimeout(timeout) }
-
-// MarshalDigests encodes a PacketDigest batch in the versioned
-// switch→collector wire format (see internal/wire's package doc).
-func MarshalDigests(batch []PacketDigest) ([]byte, error) { return wire.Marshal(batch) }
-
-// AppendMarshalDigests is MarshalDigests appending into a reused buffer.
+// AppendMarshalDigests appends a PacketDigest batch, encoded in the
+// versioned switch→collector wire format (see internal/wire's package
+// doc), to dst (nil or a reused buffer).
 func AppendMarshalDigests(dst []byte, batch []PacketDigest) ([]byte, error) {
 	return wire.AppendMarshal(dst, batch)
 }
 
-// UnmarshalDigests decodes a wire-format batch; malformed input errors,
-// never panics.
-func UnmarshalDigests(data []byte) ([]PacketDigest, error) { return wire.Unmarshal(data) }
-
-// AppendUnmarshalDigests is UnmarshalDigests appending into a reused
-// buffer.
+// AppendUnmarshalDigests decodes a wire-format batch, appending to dst
+// (nil or a reused buffer); malformed input errors, never panics.
 func AppendUnmarshalDigests(dst []PacketDigest, data []byte) ([]PacketDigest, error) {
 	return wire.AppendUnmarshal(dst, data)
 }
