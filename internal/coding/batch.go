@@ -10,10 +10,7 @@ import "repro/internal/hash"
 // ActConst returns the integer act-decision constant for (hop, layer):
 // the packet acts exactly when g(pkt, hop) < thr, or unconditionally when
 // always. Layer 0 is the Baseline reservoir (hops <= 1 always write);
-// XOR layers compare against the layer's precomputed threshold. Only
-// valid when Config().FastVectors is false — the fast-vector scheme's
-// decisions are word ANDs, not one threshold compare, so batch callers
-// fall back to ActsInLayer there.
+// XOR layers compare against the layer's precomputed threshold.
 func (e *Encoder) ActConst(hop, layer int) (thr uint64, always bool) {
 	if layer == 0 {
 		if hop <= 1 {
@@ -30,7 +27,7 @@ func (e *Encoder) ActConst(hop, layer int) (thr uint64, always bool) {
 
 // ActGlobal exposes the encoder's global hash family so batch callers
 // can evaluate act-decision columns (hash.Global.ActHashColumn) against
-// ActConst thresholds — the same family behind ActsInLayer.
+// ActConst thresholds — the same family acts() consults per packet.
 func (e *Encoder) ActGlobal() *hash.Global { return &e.g }
 
 // InstanceGlobal returns the value-hash family of hash instance i

@@ -70,3 +70,5 @@ func BenchmarkReservoirWinnerK59(b *testing.B) {
 	}
 	benchSink = uint64(acc)
 }
+
+var benchSink uint64

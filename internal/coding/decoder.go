@@ -28,9 +28,6 @@ type Plan struct {
 	words  int  // residual words per digest: one per hash instance
 	stride int  // slab words per stored packet: recHeader + words
 	shift  uint // 64 - Bits: a value hash's top Bits bits are its digest
-	// layerLog2[l-1] is the exponent XOR layer l's probability rounds to
-	// under FastVectors.
-	layerLog2 []int
 }
 
 // NewPlan builds the decode side of enc. In hashed mode universe must hold
@@ -39,10 +36,6 @@ func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
 	cfg := enc.cfg
 	p := &Plan{enc: *enc, frags: cfg.Fragments(), words: cfg.instances(), shift: 64 - uint(cfg.Bits)}
 	p.stride = recHeader + p.words
-	p.layerLog2 = make([]int, len(cfg.Layering.Probs))
-	for i, prob := range cfg.Layering.Probs {
-		p.layerLog2[i] = log2InvP(prob)
-	}
 	if cfg.Mode == ModeHashed {
 		if len(universe) < 1 {
 			return nil, fmt.Errorf("coding: hashed mode requires a value universe")
@@ -172,17 +165,12 @@ func (d *Decoder) Clone() *Decoder {
 func (d *Decoder) Inconsistent() int { return d.inconsistent }
 
 // actingSet recomputes which hops modified the packet, exactly as the
-// encoders decided. With FastVectors the whole set materializes in
-// O(log 1/p) word operations — the near-linear decoding of §4.2 — instead
-// of k hash evaluations.
+// encoders decided.
 func (d *Decoder) actingSet(id uint64, layer int) uint64 {
 	p := d.plan
 	if layer == 0 {
 		w := p.enc.g.ReservoirWinner(id, d.k)
 		return 1 << uint(w-1)
-	}
-	if p.enc.cfg.FastVectors {
-		return p.enc.g.ActVector(fastPktID(id, layer), d.k, p.layerLog2[layer-1])
 	}
 	var mask uint64
 	for hop := 1; hop <= d.k; hop++ {

@@ -2,7 +2,6 @@ package coding
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/hash"
 )
@@ -46,13 +45,6 @@ type Config struct {
 	// Instances is the number of independent hash repetitions carried on
 	// each packet (hashed mode; "2×(b=8)" in Fig 10 uses 2). Zero means 1.
 	Instances int
-	// FastVectors enables §4.2's near-linear decoding variant: XOR-layer
-	// act decisions come from the bitwise AND of O(log 1/p) pseudo-random
-	// 64-bit words instead of per-hop hash evaluations, with each layer
-	// probability rounded to the nearest power of two (a √2-approximation,
-	// footnote 9). The decoder recovers a whole path's decisions in
-	// O(log k) word operations.
-	FastVectors bool
 }
 
 // Validate reports configuration errors.
@@ -167,37 +159,7 @@ func (e *Encoder) acts(pktID uint64, hop, layer int) bool {
 	if layer == 0 {
 		return e.g.ReservoirWritesP(pktID, hop)
 	}
-	if e.cfg.FastVectors {
-		if hop > 64 {
-			return false
-		}
-		vec := e.g.ActVector(fastPktID(pktID, layer), 64, log2InvP(e.cfg.Layering.Probs[layer-1]))
-		return hash.ActFromVector(vec, hop)
-	}
 	return e.g.ActBelow(pktID, hop, e.layerThresh[layer-1])
-}
-
-// fastPktID namespaces the act-vector stream per XOR layer so layers stay
-// independent.
-func fastPktID(pktID uint64, layer int) uint64 {
-	return pktID ^ uint64(layer)<<57
-}
-
-// log2InvP rounds a probability to the nearest power of two and returns
-// the exponent j with p ≈ 2^-j (at least 1 so a fast XOR layer never acts
-// deterministically).
-func log2InvP(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	j := int(math.Round(-math.Log2(p)))
-	if j < 1 {
-		j = 1
-	}
-	if j > 63 {
-		j = 63
-	}
-	return j
 }
 
 // payload computes what hop contributes to instance i of the digest.
@@ -234,13 +196,6 @@ func (e *Encoder) EncodeHop(pktID uint64, hop int, d Digest, value uint64) Diges
 // pure function of the packet ID, so batch pipelines cache it per packet
 // instead of rehashing at every hop.
 func (e *Encoder) LayerOf(pktID uint64) int { return e.layerOf(pktID) }
-
-// ActsInLayer reports whether hop (1-based) modifies packet pktID, given
-// the packet's LayerOf result, without touching any digest words — callers
-// skip the unpack / apply / repack work for the common non-acting hops.
-func (e *Encoder) ActsInLayer(pktID uint64, hop, layer int) bool {
-	return e.acts(pktID, hop, layer)
-}
 
 // ApplyWords folds hop's payload into words in place for a layer returned
 // by LayerOf. It allocates nothing and does not retain the slice — the

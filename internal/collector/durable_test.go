@@ -95,10 +95,9 @@ func TestDurableRoundTrip(t *testing.T) {
 }
 
 // TestDurableConfigShapes: every shape a pipeline.Config can take — shard
-// counts, KLL latency storage, sliding-window KLL, a bounded SpaceSaving
-// summary, and a batch/queue shape small enough to stall — keeps the
-// durable guarantee: the log-only answer is byte-identical to the live one
-// after ingest and again after a restart.
+// counts, KLL latency storage, and a batch/queue shape small enough to
+// stall — keeps the durable guarantee: the log-only answer is
+// byte-identical to the live one after ingest and again after a restart.
 func TestDurableConfigShapes(t *testing.T) {
 	tb := mustTestbench(t, 17)
 	for _, tc := range []struct {
@@ -109,8 +108,6 @@ func TestDurableConfigShapes(t *testing.T) {
 		{"shards=2", pipeline.Config{Shards: 2}},
 		{"shards=3", pipeline.Config{Shards: 3}},
 		{"kll", pipeline.Config{Shards: 2, SketchItems: 24}},
-		{"sliding-kll", pipeline.Config{Shards: 2, SketchItems: 24, WindowBuckets: 4, WindowSpan: 32}},
-		{"freq-counters", pipeline.Config{Shards: 2, FreqCounters: 4}},
 		{"batch8-queue1", pipeline.Config{Shards: 2, BatchSize: 8, QueueDepth: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

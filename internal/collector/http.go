@@ -63,12 +63,10 @@ type FlowAnswers struct {
 }
 
 // Answers evaluates every query for every listed flow against one
-// quiescent Recording (a merged snapshot). Queries run in a fixed order
+// quiescent Recording (a merged snapshot). Answers come in a fixed order
 // — flows as given, queries as given, hops ascending, p50 before p99 —
 // so two Recordings holding the same state produce byte-identical JSON.
-// The order is part of the contract for one reason only: a latency
-// quantile over sliding-window storage (sketch.SlidingKLL.Quantile)
-// draws from its store's RNG; every other query only reads.
+// Every query only reads the Recording.
 //
 // It collects what EachFlow evaluates, for callers that compare or keep
 // the answers; the HTTP surface streams EachFlow instead, so a served

@@ -9,7 +9,7 @@ import (
 
 // cloneWorkload encodes an interleaved multi-flow stream through the
 // batch pipeline for clone/merge testing.
-func cloneWorkload(t *testing.T, eng *Engine, seed uint64, nFlows, n, k int) []PacketDigest {
+func cloneWorkload(t testing.TB, eng *Engine, seed uint64, nFlows, n, k int) []PacketDigest {
 	t.Helper()
 	rng := hash.NewRNG(seed)
 	pkts := make([]PacketDigest, n)
@@ -26,7 +26,7 @@ func cloneWorkload(t *testing.T, eng *Engine, seed uint64, nFlows, n, k int) []P
 	return pkts
 }
 
-// storageVariants are the three latency storages a Recording can run on
+// storageVariants are the two latency storages a Recording can run on
 // the 8-bit combined plan, plus raw storage under a 12-bit and a 40-bit
 // latency query — 2 and 5 bytes a sample, so a shared prefix that cut a
 // sample in half would show. The wide variants scramble their digests
@@ -34,13 +34,10 @@ func cloneWorkload(t *testing.T, eng *Engine, seed uint64, nFlows, n, k int) []P
 var storageVariants = []struct {
 	name        string
 	sketchItems int
-	winBuckets  int
-	winSpan     uint64
 	latBits     int
 }{
 	{name: "raw", latBits: 8},
 	{name: "sketched", sketchItems: 24, latBits: 8},
-	{name: "windowed", sketchItems: 24, winBuckets: 4, winSpan: 16, latBits: 8},
 	{name: "raw-lat12", latBits: 12},
 	{name: "raw-lat40", latBits: 40},
 }
@@ -63,7 +60,7 @@ func scramble(latBits int, seed uint64, streams ...[]PacketDigest) {
 // queries rely on: a clone answers bit-identically at the copy point, and
 // recording into the original afterwards leaves the clone untouched while
 // the clone, fed the same continuation, stays bit-identical to the
-// original — for raw, sketched, and sliding-window latency storage.
+// original — for raw and sketched latency storage.
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
@@ -80,18 +77,13 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec.WindowBuckets = v.winBuckets
-				rec.WindowSpan = v.winSpan
 				return rec
 			}
 			orig := mk()
 			if err := orig.RecordBatch(pkts[:half]); err != nil {
 				t.Fatal(err)
 			}
-			// Sliding-window quantile queries advance sketch RNG state, so
-			// every comparison below uses recordings queried exactly once:
-			// one clone (or reference) per comparison, all taken at the
-			// copy point before anything is queried.
+			// Three clones and a reference, all taken at the copy point.
 			cloneA, cloneB, cloneC, halfRef := orig.Clone(), orig.Clone(), orig.Clone(), orig.Clone()
 			if got, want := cloneA.TrackedFlows(), orig.TrackedFlows(); got != want {
 				t.Fatalf("clone tracks %d flows, original %d", got, want)
@@ -287,8 +279,7 @@ func randomWorkload(eng *Engine, rng *hash.RNG, nFlows, n, k int) []PacketDigest
 // state is spread over 1, 2 and 4 Recordings by the sink's routing
 // function and the clones are folded with Merge, which is exactly what a
 // pipeline snapshot does; shards a scoped clone does not ask contribute
-// an empty Recording. Every recording is queried once, in one order, so
-// sliding-window RNG draws line up.
+// an empty Recording.
 func TestClonePrefixProperty(t *testing.T) {
 	const k = 6
 	for _, v := range storageVariants {
@@ -300,8 +291,6 @@ func TestClonePrefixProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rec.WindowBuckets = v.winBuckets
-					rec.WindowSpan = v.winSpan
 					return rec
 				}
 				rebuilt := func(prefix []PacketDigest) *Recording {
@@ -403,8 +392,6 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec.WindowBuckets = v.winBuckets
-				rec.WindowSpan = v.winSpan
 				return rec
 			}
 			prefix := cloneWorkload(t, eng, 107, nFlows, 1200, k)
@@ -475,9 +462,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 
 // TestLatencyQuantilesMatchesSingleCalls pins the batched form to the
 // single-phi one it now backs: for every storage, LatencyQuantiles(phis)
-// on one clone equals LatencyQuantile per phi, in the same order, on a
-// sibling clone (siblings, because windowed quantiles draw from the
-// store's RNG and the draws must line up).
+// equals LatencyQuantile per phi on the same Recording.
 func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 	const (
 		nFlows = 3
@@ -491,18 +476,16 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
 			pkts := cloneWorkload(t, eng, 131, nFlows, 1500, k)
 			scramble(v.latBits, 137, pkts)
 			if err := rec.RecordBatch(pkts); err != nil {
 				t.Fatal(err)
 			}
-			batched, single := rec.Clone(), rec.Clone()
 			for f := 1; f <= nFlows; f++ {
 				for hop := 0; hop <= k+1; hop++ {
-					got, gerr := batched.LatencyQuantiles(lat, FlowKey(f), hop, phis...)
+					got, gerr := rec.LatencyQuantiles(lat, FlowKey(f), hop, phis...)
 					for i, phi := range phis {
-						want, werr := single.LatencyQuantile(lat, FlowKey(f), hop, phi)
+						want, werr := rec.LatencyQuantile(lat, FlowKey(f), hop, phi)
 						if (gerr == nil) != (werr == nil) {
 							t.Fatalf("flow %d hop %d: batched err %v, single err %v", f, hop, gerr, werr)
 						}

@@ -157,48 +157,3 @@ func TestCountQueryZeroStaysZero(t *testing.T) {
 		t.Fatal("code 0 must decode to count 0")
 	}
 }
-
-func TestLatencyWindowedRecording(t *testing.T) {
-	// With sliding-window storage, old regimes must age out of quantiles.
-	lat, err := NewLatencyQuery("lat", 8, 0.04, 1, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Compile([]Query{lat}, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := NewRecording(e, 64, hash.NewRNG(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.WindowBuckets = 4
-	rec.WindowSpan = 500
-	flow := FlowKey(3)
-	rng := hash.NewRNG(18)
-	const k = 2
-	feed := func(base float64, n int) {
-		for i := 0; i < n; i++ {
-			pkt := rng.Uint64()
-			var digest uint64
-			for hop := 1; hop <= k; hop++ {
-				digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{LatencyNs: uint64(base)})
-			}
-			if err := rec.Record(flow, k, pkt, digest); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(1000, 8000)   // old regime
-	feed(100000, 8000) // new regime: must dominate the window
-	med, err := rec.LatencyQuantile(lat, flow, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med < 50000 {
-		t.Fatalf("windowed median %v still reflects the old regime", med)
-	}
-	if n := rec.LatencySamples(lat, flow, 1); n > 4*500 {
-		t.Fatalf("window holds %d samples, want <= %d", n, 4*500)
-	}
-}

@@ -39,12 +39,14 @@ const (
 // flowStateWhat opens every error the blob's reader produces.
 const flowStateWhat = "core: flow state"
 
-// Latency/frequency per-hop store kinds inside their sections.
+// Latency/frequency per-hop store kinds inside their sections. A latency
+// store is raw or KLL; a frequency store is none or present (a SpaceSaving
+// summary, written as storeKLL). Kind 3, once a sliding-window sketch, is
+// unassigned: a blob that carries it is refused by number.
 const (
 	storeNone byte = 0
 	storeRaw  byte = 1
 	storeKLL  byte = 2
-	storeWin  byte = 3
 )
 
 // prefixLen turns dst[at:] into a length-prefixed field where it sits:
@@ -96,9 +98,6 @@ func appendLatStores(dst []byte, stores []latStore) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(stores)))
 	for i := range stores {
 		switch st := &stores[i]; {
-		case st.win != nil:
-			at := len(dst) + 1
-			dst = prefixLen(st.win.AppendState(append(dst, storeWin)), at)
 		case st.kll != nil:
 			at := len(dst) + 1
 			dst = prefixLen(st.kll.AppendState(append(dst, storeKLL)), at)
@@ -128,7 +127,7 @@ func appendFreqStores(dst []byte, stores []*sketch.SpaceSaving) []byte {
 
 // AppendFlowState appends flow's complete recording state to dst. The
 // queries slice fixes the section order (sections appear in query order,
-// families with no state for the flow are skipped). The flow must be
+// queries with no state for the flow are skipped). The flow must be
 // tracked.
 func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) ([]byte, error) {
 	if !r.HasFlow(flow) {
@@ -177,13 +176,15 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 // RestoreFlowState rebuilds a flow's state from an AppendFlowState blob
 // and adopts it as Merge adopts a flow — the fold the federation frontend
 // applies to member snapshots. queries resolves section names to this
-// Recording's compiled queries. A flow r already tracks (a flow's state
-// must never split across two recordings) and a blob no Recording of this
-// plan could have produced are errors that leave r untouched.
+// Recording's compiled queries, in the order AppendFlowState was given
+// them: sections must name queries strictly in that order. A flow r
+// already tracks (a flow's state must never split across two recordings)
+// and a blob no Recording of this plan could have produced are errors
+// that leave r untouched.
 func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte) error {
-	byName := make(map[string]Query, len(queries))
-	for _, q := range queries {
-		byName[q.Name()] = q
+	byName := make(map[string]int, len(queries))
+	for i, q := range queries {
+		byName[q.Name()] = i
 	}
 	fs := &flowState{slots: make([]querySlot, len(r.engine.slots))}
 	rd := stateread.New(flowStateWhat, data)
@@ -197,6 +198,7 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	if sections > uint64(len(queries)) {
 		return fmt.Errorf("core: flow state has %d sections for %d queries", sections, len(queries))
 	}
+	last := -1
 	for s := uint64(0); s < sections; s++ {
 		name := string(rd.Bytes(rd.Uvarint()))
 		kindB := rd.Bytes(1)
@@ -205,10 +207,15 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 			return rd.Err
 		}
 		kind := kindB[0]
-		q, ok := byName[name]
+		at, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("core: flow state references unknown query %q", name)
 		}
+		if at <= last {
+			return fmt.Errorf("core: flow state section %q out of query order", name)
+		}
+		last = at
+		q := queries[at]
 		si, ok := r.engine.slots[q]
 		if !ok {
 			return fmt.Errorf("core: query %q is not in this recording's plan", name)
@@ -303,18 +310,13 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 				}
 				st.add(code)
 			}
-		case storeKLL, storeWin:
+		case storeKLL:
 			sub := rd.Bytes(rd.Uvarint())
 			if rd.Err != nil {
 				return nil, rd.Err
 			}
 			var err error
-			if kind[0] == storeKLL {
-				st.kll, err = sketch.RestoreKLL(sub)
-			} else {
-				st.win, err = sketch.RestoreSlidingKLL(sub)
-			}
-			if err != nil {
+			if st.kll, err = sketch.RestoreKLL(sub); err != nil {
 				return nil, err
 			}
 		default:
@@ -344,7 +346,7 @@ func restoreFreqStores(payload []byte) ([]*sketch.SpaceSaving, error) {
 		}
 		switch kind[0] {
 		case storeNone:
-		default:
+		case storeKLL:
 			sub := rd.Bytes(rd.Uvarint())
 			if rd.Err != nil {
 				return nil, rd.Err
@@ -354,6 +356,8 @@ func restoreFreqStores(payload []byte) ([]*sketch.SpaceSaving, error) {
 				return nil, err
 			}
 			stores[i] = ss
+		default:
+			return nil, fmt.Errorf("core: frequency store kind %d", kind[0])
 		}
 	}
 	if err := rd.Done(); err != nil {

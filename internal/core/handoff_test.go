@@ -12,31 +12,46 @@ import (
 	"repro/internal/coding"
 )
 
-// flowStateDigest hashes, in flow order, the hand-off blob of every flow
-// of a Recording fed the five-query plan's reference stream.
-func flowStateDigest(t *testing.T, sketchItems, winBuckets int, winSpan uint64) string {
+// referenceFlowStates records the five-query plan's reference stream with
+// sketchItems and returns the Recording, its queries in section order, and
+// every flow's hand-off blob in flow order.
+func referenceFlowStates(t testing.TB, sketchItems int) (*Recording, []Query, [][]byte) {
 	t.Helper()
 	eng, path, lat, util, freq, cnt := combinedTestPlan(t, 139)
+	queries := []Query{path, lat, util, freq, cnt}
 	rec, err := NewRecordingSeeded(eng, sketchItems, 0xB10B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.WindowBuckets, rec.WindowSpan = winBuckets, winSpan
 	if err := rec.RecordBatch(cloneWorkload(t, eng, 149, 5, 3000, 6)); err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	arena := []byte("earlier states")
+	var blobs [][]byte
 	for _, f := range rec.Flows() {
-		blob, err := rec.AppendFlowState(nil, []Query{path, lat, util, freq, cnt}, f)
+		blob, err := rec.AppendFlowState(nil, queries, f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		blobs = append(blobs, blob)
+	}
+	return rec, queries, blobs
+}
+
+// flowStateDigest hashes, in flow order, the hand-off blob of every flow
+// of a Recording fed the five-query plan's reference stream.
+func flowStateDigest(t *testing.T, sketchItems int) string {
+	t.Helper()
+	rec, queries, blobs := referenceFlowStates(t, sketchItems)
+	h := sha256.New()
+	arena := []byte("earlier states")
+	for i, f := range rec.Flows() {
+		blob := blobs[i]
 		h.Write(blob)
 		// The blob is encoded where it lands: behind other bytes it is the
 		// same blob, and they are untouched.
 		at := len(arena)
-		if arena, err = rec.AppendFlowState(arena, []Query{path, lat, util, freq, cnt}, f); err != nil {
+		var err error
+		if arena, err = rec.AppendFlowState(arena, queries, f); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(arena[at:], blob) || !bytes.HasPrefix(arena, []byte("earlier states")) {
@@ -54,13 +69,12 @@ func TestFlowStateBlobsUnchanged(t *testing.T) {
 	want := map[string]string{
 		"raw":      "cc84251fde44f4be",
 		"sketched": "390da681b65839d7",
-		"windowed": "06fb68e778336b81",
 	}
 	for _, v := range storageVariants {
 		if v.latBits != 8 {
 			continue
 		}
-		if got := flowStateDigest(t, v.sketchItems, v.winBuckets, v.winSpan); got != want[v.name] {
+		if got := flowStateDigest(t, v.sketchItems); got != want[v.name] {
 			t.Errorf("%s: flow-state blobs hash to %s, want %s", v.name, got, want[v.name])
 		}
 	}
@@ -68,7 +82,7 @@ func TestFlowStateBlobsUnchanged(t *testing.T) {
 
 // flowStateSections splits a blob into its sections' raw bytes, keyed by
 // query name (test-side parse of the layout in handoff.go).
-func flowStateSections(t *testing.T, blob []byte) map[string][]byte {
+func flowStateSections(t testing.TB, blob []byte) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	rest := blob[2:]
@@ -171,6 +185,148 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "flow 77") || !strings.Contains(err.Error(), "path length is 5") {
 		t.Fatalf("hop-count mismatch: got %v, want an error naming flow 77 and its path length", err)
 	}
+}
+
+// uvarints spells a blob fragment as the uvarints it is.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// flowStateSection is one section of a hand-off blob: q's name, its kind,
+// and the length-prefixed payload.
+func flowStateSection(q Query, payload []byte) []byte {
+	b := append(uvarints(uint64(len(q.Name()))), q.Name()...)
+	return slices.Concat(append(b, sectionKind(q)), uvarints(uint64(len(payload))), payload)
+}
+
+// flowStateRow is a hand-off blob and what RestoreFlowState must say about
+// it ("" = accept).
+type flowStateRow struct {
+	name, wantErr string
+	blob          []byte
+}
+
+// flowStateRows are blobs around the edge of what AppendFlowState writes
+// for the reference Recording's plan: one it wrote, hand-built ones it
+// could have written, and one per rule a blob it could not have written
+// breaks (each of those was accepted once, and re-emitted as something
+// else).
+func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateRow {
+	lat, freq := queries[1], queries[3]
+	sec := flowStateSections(t, reference)
+	for _, q := range queries {
+		if sec[q.Name()] == nil {
+			t.Fatalf("reference blob has no %s section", q.Name())
+		}
+	}
+	blob := func(sections ...[]byte) []byte {
+		return slices.Concat(append([][]byte{{flowStateVersion, byte(len(sections))}}, sections...)...)
+	}
+	// One hop's frequency store: kind, then a SpaceSaving state (version,
+	// m, n, entries, then value/count/error triples).
+	freqStore := func(kind byte, state []byte) []byte {
+		return flowStateSection(freq, slices.Concat(uvarints(1), []byte{kind}, uvarints(uint64(len(state))), state))
+	}
+	ascending := uvarints(1, 16, 3, 2, 5, 2, 0, 9, 1, 0)
+	descending := uvarints(1, 16, 3, 2, 9, 1, 0, 5, 2, 0)
+	// A two-bucket sliding-window sketch with empty buckets, as kind 3
+	// carried one: version, buckets, span, k, cur, inCur, RNG, ring.
+	window := uvarints(1, 2, 1, 8, 0, 0, 1, 2, 3, 4, 0, 0)
+	path, util, cnt := sec["path"], sec["util"], sec["cnt"]
+	return []flowStateRow{
+		{"reference", "", reference},
+		{"frequency summary alone", "", blob(freqStore(storeKLL, ascending))},
+		{"sections out of query order", `section "path" out of query order`,
+			blob(sec["lat"], path, util, sec["freq"], cnt)},
+		{"repeated section", `section "path" out of query order`, blob(path, path, util, sec["freq"], cnt)},
+		{"frequency store kind 1", "frequency store kind 1", blob(freqStore(storeRaw, ascending))},
+		{"SpaceSaving values descending", "value 5 follows 9", blob(freqStore(storeKLL, descending))},
+		{"latency store kind 3", "latency store kind 3",
+			blob(flowStateSection(lat, slices.Concat(uvarints(1), []byte{3}, uvarints(uint64(len(window))), window)))},
+	}
+}
+
+// TestRestoreFlowStateRefusesWhatAppendNeverWrites: RestoreFlowState
+// accepts exactly the blobs AppendFlowState writes. Each refused row breaks
+// one rule of the layout — sections in query order, a frequency store that
+// is absent or present, SpaceSaving values ascending, latency store kinds
+// raw and KLL — and is refused naming it, leaving the destination
+// untouched; each accepted row re-emits byte for byte.
+func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
+	const flow = FlowKey(1)
+	rec, queries, blobs := referenceFlowStates(t, 0)
+	for _, row := range flowStateRows(t, queries, blobs[0]) {
+		dst, err := NewRecordingSeeded(rec.engine, 0, 0xB10B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.RestoreFlowState(queries, flow, row.blob)
+		switch {
+		case row.wantErr == "" && err != nil:
+			t.Errorf("%s: refused: %v", row.name, err)
+		case row.wantErr == "":
+			if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(again, row.blob) {
+				t.Errorf("%s: re-emitted differently (err %v)", row.name, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), row.wantErr):
+			t.Errorf("%s: got %v, want an error containing %q", row.name, err, row.wantErr)
+		case dst.HasFlow(flow):
+			t.Errorf("%s: a refused restore left the flow behind", row.name)
+		}
+	}
+}
+
+// FuzzFlowState: whatever bytes arrive as a flow's hand-off state,
+// RestoreFlowState either refuses them, leaving the destination untouched,
+// or yields a flow that (1) re-emits the very same bytes — the blob was one
+// AppendFlowState could have written — and (2) keeps recording packets of
+// the plan into a state that is again accepted. Seeds are every flow's
+// blob of the raw and sketched reference Recordings and flowStateRows.
+func FuzzFlowState(f *testing.F) {
+	const flow = FlowKey(1)
+	rec, queries, raw := referenceFlowStates(f, 0)
+	_, _, sketched := referenceFlowStates(f, 24)
+	for _, blob := range slices.Concat(raw, sketched) {
+		f.Add(blob)
+	}
+	for _, row := range flowStateRows(f, queries, raw[0]) {
+		f.Add(row.blob)
+	}
+	more := cloneWorkload(f, rec.engine, 151, 1, 64, 6)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		restore := func(data []byte) (*Recording, error) {
+			dst, err := NewRecordingSeeded(rec.engine, 0, 0xB10B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = dst.RestoreFlowState(queries, flow, data)
+			if err != nil && dst.HasFlow(flow) {
+				t.Fatalf("a refused restore left the flow behind: %v", err)
+			}
+			return dst, err
+		}
+		dst, err := restore(blob)
+		if err != nil {
+			return
+		}
+		if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("accepted state re-emits differently (err %v):\n got %x\nwant %x", err, again, blob)
+		}
+		if err := dst.RecordBatch(more); err != nil {
+			t.Fatalf("recording into the restored flow: %v", err)
+		}
+		final, err := dst.AppendFlowState(nil, queries, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restore(final); err != nil {
+			t.Fatalf("the state the restored flow recorded into is refused: %v", err)
+		}
+	})
 }
 
 // TestShortenedRouteFlowHandsOff: a flow whose route shortens (§7) between
@@ -286,13 +442,7 @@ func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
 			"claims 3 decoded hops"},
 	}
 	for _, c := range cases {
-		var payload []byte
-		for _, v := range slices.Concat(c.parts...) {
-			payload = binary.AppendUvarint(payload, v)
-		}
-		blob := []byte{flowStateVersion, 1, byte(len(path.Name()))}
-		blob = append(append(blob, path.Name()...), sectionKind(path))
-		blob = append(binary.AppendUvarint(blob, uint64(len(payload))), payload...)
+		blob := append([]byte{flowStateVersion, 1}, flowStateSection(path, uvarints(slices.Concat(c.parts...)...))...)
 		dst, err := NewRecordingSeeded(eng, 0, 163)
 		if err != nil {
 			t.Fatal(err)

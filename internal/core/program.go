@@ -101,7 +101,7 @@ type encodeOp struct {
 	// the counter is too wide to table.
 	morrisThr []uint64
 	// resG points at the latency/freq query's hash family so reservoir
-	// decisions skip the per-hop 48-byte Global copy.
+	// decisions skip the per-hop 40-byte Global copy.
 	resG *hash.Global
 	// Path-query constants, hoisted so the per-hop loop unpacks and
 	// repacks instance words without touching the query's config.

@@ -18,18 +18,9 @@ import (
 // streams for per-packet queries. All of this state lives off-switch.
 type Recording struct {
 	engine *Engine
-	// SketchItems > 0 stores latency samples in KLL sketches with that
+	// sketchItems > 0 stores latency samples in KLL sketches with that
 	// accuracy parameter (PINTS in Fig 9); 0 keeps raw sample lists.
-	SketchItems int
-	// WindowBuckets/WindowSpan > 0 switch latency storage to
-	// sliding-window sketches so quantiles reflect only the most recent
-	// measurements (§4.1's sliding-window option). Requires SketchItems>0.
-	WindowBuckets int
-	WindowSpan    uint64
-	// FreqCounters bounds the Space Saving summary per (flow, hop) for
-	// frequent-value queries (Theorem 2's 1/ε counters). Default 16.
-	FreqCounters int
-
+	sketchItems int
 	// base seeds the recording-side sketches: each (query, flow, hop)
 	// store derives its RNG from base deterministically, so a flow's
 	// state is independent of cross-flow arrival order — the property
@@ -73,7 +64,11 @@ func (s querySlot) hops() int {
 	return max(len(s.lat), len(s.freq))
 }
 
-// latStore holds one (flow, hop)'s latency samples in one of three forms.
+// freqCounters bounds the Space Saving summary per (flow, hop) for
+// frequent-value queries: Theorem 2's 1/ε counters at ε = 1/16.
+const freqCounters = 16
+
+// latStore holds one (flow, hop)'s latency samples in one of two forms.
 // The raw form keeps every code at the width the plan paid for it on the
 // wire: ⌈bits/8⌉ bytes per sample, little-endian, packed back to back in
 // raw (the benchmark plan's 8-bit codes cost one byte each). It is
@@ -82,7 +77,6 @@ type latStore struct {
 	raw   []byte
 	width int // bytes per raw sample, fixed from the query at creation
 	kll   *sketch.KLL
-	win   *sketch.SlidingKLL
 }
 
 // codeWidth is the bytes one raw sample of a bits-wide code occupies.
@@ -99,10 +93,8 @@ func (st *latStore) code(i int) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-func (st *latStore) add(code uint64) error {
+func (st *latStore) add(code uint64) {
 	switch {
-	case st.win != nil:
-		return st.win.Add(float64(code))
 	case st.kll != nil:
 		st.kll.Add(float64(code))
 	case st.width == 1: // the 8-bit plan's case, ~5 ns a packet cheaper than the general append
@@ -112,19 +104,15 @@ func (st *latStore) add(code uint64) error {
 		binary.LittleEndian.PutUint64(b[:], code)
 		st.raw = append(st.raw, b[:st.width]...)
 	}
-	return nil
 }
 
 // clone shares the raw samples as a capacity-clamped prefix (always a
 // whole number of samples: add appends a sample in one step) and copies
-// the sketches, which are mutated in place.
+// the sketch, which is mutated in place.
 func (st *latStore) clone() latStore {
 	c := latStore{raw: st.raw[:len(st.raw):len(st.raw)], width: st.width}
 	if st.kll != nil {
 		c.kll = st.kll.Clone()
-	}
-	if st.win != nil {
-		c.win = st.win.Clone()
 	}
 	return c
 }
@@ -176,7 +164,8 @@ func (st *latStore) countQuantiles(phis, out []float64) {
 }
 
 // NewRecording creates a Recording Module for an engine. sketchItems > 0
-// selects sketched storage (see Recording.SketchItems). The RNG provides
+// stores latency samples in KLL sketches with that accuracy parameter
+// (PINTS in Fig 9); 0 keeps raw sample lists. The RNG provides
 // only the sketch seed base; see NewRecordingSeeded for the explicit form.
 func NewRecording(engine *Engine, sketchItems int, rng *hash.RNG) (*Recording, error) {
 	if rng == nil {
@@ -195,11 +184,10 @@ func NewRecordingSeeded(engine *Engine, sketchItems int, base hash.Seed) (*Recor
 		return nil, fmt.Errorf("core: nil engine")
 	}
 	return &Recording{
-		engine:       engine,
-		SketchItems:  sketchItems,
-		FreqCounters: 16,
-		base:         base,
-		flows:        map[FlowKey]*flowState{},
+		engine:      engine,
+		sketchItems: sketchItems,
+		base:        base,
+		flows:       map[FlowKey]*flowState{},
 	}, nil
 }
 
@@ -281,7 +269,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 				}
 			}
 			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.lat) {
-				err = slot.lat[hop-1].add(bits)
+				slot.lat[hop-1].add(bits)
 			}
 		case opUtil:
 			slot.series = append(slot.series, op.util.Decode(bits))
@@ -311,16 +299,11 @@ func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latSto
 	for i := range stores {
 		st := &stores[i]
 		st.width = codeWidth(q.Bits())
-		var err error
-		switch {
-		case r.WindowBuckets > 1 && r.SketchItems > 0:
-			st.win, err = sketch.NewSlidingKLL(r.WindowBuckets,
-				r.WindowSpan, r.SketchItems, r.sketchRNG(q.Name(), flow, i+1))
-		case r.SketchItems > 0:
-			st.kll, err = sketch.NewKLL(r.SketchItems, r.sketchRNG(q.Name(), flow, i+1))
-		}
-		if err != nil {
-			return nil, err
+		if r.sketchItems > 0 {
+			var err error
+			if st.kll, err = sketch.NewKLL(r.sketchItems, r.sketchRNG(q.Name(), flow, i+1)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return stores, nil
@@ -330,7 +313,7 @@ func (r *Recording) newFreqStores(k int) ([]*sketch.SpaceSaving, error) {
 	stores := make([]*sketch.SpaceSaving, k)
 	for i := range stores {
 		var err error
-		if stores[i], err = sketch.NewSpaceSaving(r.FreqCounters); err != nil {
+		if stores[i], err = sketch.NewSpaceSaving(freqCounters); err != nil {
 			return nil, err
 		}
 	}
@@ -367,7 +350,7 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 // clones between batches and hands the copy to concurrent readers.
 //
 // What is copied and what is shared follows from how each piece of state
-// changes. KLL/SlidingKLL sketches, Space Saving summaries and path
+// changes. KLL sketches, Space Saving summaries and path
 // decoders still peeling are bounded in size and mutated in place, so the
 // clone gets its own. A decoder that has decoded its path writes nothing
 // but two counters ever again (coding.Decoder's frozen-share rule): the
@@ -531,10 +514,8 @@ func (r *Recording) LatencyQuantile(q *LatencyQuery, flow FlowKey, hop int, phi 
 // each exactly what LatencyQuantile returns for it, doing the per-store
 // preparation once: raw storage ranks its samples once and allocates only
 // the result (rawQuantiles: one-byte codes are neither copied nor sorted),
-// a KLL sketch builds its weighted list once. A sliding-window
-// store still runs one SlidingKLL.Quantile per phi, in the order given —
-// the only query in the repository that draws from an RNG, so the order
-// is part of the answer.
+// a KLL sketch builds its weighted list once. Like every answer method, it
+// only reads the Recording.
 func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
 	return r.AppendLatencyQuantiles(nil, q, flow, hop, phis...)
 }
@@ -550,18 +531,7 @@ func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow 
 	st := &hops[hop-1]
 	out := slices.Grow(dst, len(phis))[:len(dst)+len(phis)]
 	codes := out[len(dst):]
-	if st.win != nil {
-		if st.win.WindowCount() == 0 {
-			return dst, fmt.Errorf("core: empty window for hop %d", hop)
-		}
-		for i, phi := range phis {
-			code, err := st.win.Quantile(phi)
-			if err != nil {
-				return dst, err
-			}
-			codes[i] = code
-		}
-	} else if st.kll != nil {
+	if st.kll != nil {
 		if st.kll.Count() == 0 {
 			return dst, fmt.Errorf("core: empty sketch for hop %d", hop)
 		}
@@ -585,14 +555,10 @@ func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
 		return 0
 	}
 	st := &hops[hop-1]
-	switch {
-	case st.win != nil:
-		return int(st.win.WindowCount())
-	case st.kll != nil:
+	if st.kll != nil {
 		return int(st.kll.Count())
-	default:
-		return st.samples()
 	}
+	return st.samples()
 }
 
 // UtilSeries answers a per-packet query: the decoded bottleneck values in

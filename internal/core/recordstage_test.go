@@ -302,7 +302,6 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
 					return rec
 				}
 				batched, serial := mk(), mk()
@@ -351,7 +350,6 @@ func TestLengtheningRouteRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec.WindowBuckets, rec.WindowSpan = v.winBuckets, v.winSpan
 				return rec
 			}
 			batched, serial := mk(), mk()
@@ -388,14 +386,12 @@ func TestLengtheningRouteRecords(t *testing.T) {
 			gotLat, gotFreq := 0, 0
 			for hop := 1; hop <= long; hop++ {
 				gotFreq += batched.FreqSamples(freq, flow, hop)
-				if v.winBuckets == 0 { // a sliding window forgets; its count is not the total
-					gotLat += batched.LatencySamples(lat, flow, hop)
-				}
+				gotLat += batched.LatencySamples(lat, flow, hop)
 			}
 			if batched.Hops(lat, flow) != short || batched.Hops(freq, flow) != short || batched.Hops(path, flow) != short {
 				t.Fatalf("hop counts %d/%d/%d, want the first-seen %d", batched.Hops(path, flow), batched.Hops(lat, flow), batched.Hops(freq, flow), short)
 			}
-			if gotFreq != wantFreq || (v.winBuckets == 0 && gotLat != wantLat) {
+			if gotFreq != wantFreq || gotLat != wantLat {
 				t.Fatalf("stores hold %d latency / %d frequent-value samples, want %d / %d (winner within the first %d hops)",
 					gotLat, gotFreq, wantLat, wantFreq, short)
 			}

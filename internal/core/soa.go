@@ -263,8 +263,7 @@ func (op *encodeOp) soaCount(hop int, s *soaScratch, idx []int32, vals []HopValu
 
 // soaPath: the distributed-coding op. Layer selections ride the
 // PacketDigest cache; act decisions are one hash column against per-layer
-// thresholds (except FastVectors, whose word-AND decisions are the
-// encoder's per-packet predicate); acting packets are compacted and, in
+// thresholds; acting packets are compacted and, in
 // hashed mode, each hash instance's payload is one value-hash column
 // folded into the digest column with overwrite (Baseline) or xor (XOR
 // layers) selects. Raw/fragmented mode folds the words per actor.
@@ -293,33 +292,25 @@ func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDi
 		}
 	}
 
+	var thrArr [8]uint64
+	var alwArr [8]bool
+	thr, alw := thrArr[:], alwArr[:]
+	nl := cfg.Layering.Layers()
+	if nl+1 > len(thrArr) {
+		thr = make([]uint64, nl+1)
+		alw = make([]bool, nl+1)
+	}
+	for l := 0; l <= nl; l++ {
+		thr[l], alw[l] = enc.ActConst(hop, l)
+	}
+	s.h = growCol(s.h, n)
+	h := s.h
+	enc.ActGlobal().ActHashColumn(h, pktCol, uint64(hop))
 	s.act = s.act[:0]
-	if cfg.FastVectors {
-		for j := range pktCol {
-			if enc.ActsInLayer(pktCol[j], hop, int(lay[j])) {
-				s.act = append(s.act, int32(j))
-			}
-		}
-	} else {
-		var thrArr [8]uint64
-		var alwArr [8]bool
-		thr, alw := thrArr[:], alwArr[:]
-		nl := cfg.Layering.Layers()
-		if nl+1 > len(thrArr) {
-			thr = make([]uint64, nl+1)
-			alw = make([]bool, nl+1)
-		}
-		for l := 0; l <= nl; l++ {
-			thr[l], alw[l] = enc.ActConst(hop, l)
-		}
-		s.h = growCol(s.h, n)
-		h := s.h
-		enc.ActGlobal().ActHashColumn(h, pktCol, uint64(hop))
-		for j := range pktCol {
-			l := lay[j]
-			if alw[l] || h[j] < thr[l] {
-				s.act = append(s.act, int32(j))
-			}
+	for j := range pktCol {
+		l := lay[j]
+		if alw[l] || h[j] < thr[l] {
+			s.act = append(s.act, int32(j))
 		}
 	}
 	act := s.act

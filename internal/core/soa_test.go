@@ -15,8 +15,9 @@ import (
 
 // parityPlans builds one engine per plan shape the column passes have a
 // distinct branch for: the combined benchmark plan, reservoir+Morris,
-// raw/fragmented paths, three path queries (layer cache overflow),
-// FastVectors, and a multi-set plan with unassigned probability mass.
+// raw/fragmented paths, a one-instance hashed path over two XOR layers,
+// three path queries (layer cache overflow), and a multi-set plan with
+// unassigned probability mass.
 func parityPlans(t testing.TB) map[string]*Engine {
 	t.Helper()
 	master := hash.Seed(0x50A)
@@ -57,8 +58,8 @@ func parityPlans(t testing.TB) map[string]*Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastPath, err := NewPathQuery("fast",
-		coding.Config{Bits: 4, Mode: coding.ModeHashed, Layering: coding.MultiLayer(20, true), FastVectors: true},
+	deepPath, err := NewPathQuery("deep",
+		coding.Config{Bits: 4, Mode: coding.ModeHashed, Layering: coding.MultiLayer(20, true)},
 		1, master, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func parityPlans(t testing.TB) map[string]*Engine {
 		"combined":    build(path, lat, util),
 		"freq+count":  build(freq, cnt),
 		"raw-path":    build(rawPath),
-		"fast-path":   build(fastPath),
+		"deep-path":   build(deepPath),
 		"triple-path": build(triple[0], triple[1], triple[2]),
 		"multi-set":   build(lat, freq, cnt), // total mass < 1: unassigned packets
 	}
@@ -176,7 +177,7 @@ func FuzzEncodeBatchParity(f *testing.F) {
 	f.Add(uint8(5), uint64(42), []byte("{\xff\x00AA\x10zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz}"))
 
 	var plans []*Engine
-	names := []string{"combined", "freq+count", "raw-path", "fast-path", "triple-path", "multi-set"}
+	names := []string{"combined", "freq+count", "raw-path", "deep-path", "triple-path", "multi-set"}
 	built := parityPlans(f)
 	for _, name := range names {
 		plans = append(plans, built[name])

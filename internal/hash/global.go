@@ -13,10 +13,11 @@ type Global struct {
 	h    Seed // value hash h(value, pkt)
 	frag Seed // fragment-selection hash (§4.2, fragmentation)
 	lyr  Seed // layer-selection hash (Algorithm 1, line 1)
-	vec  Seed // pseudo-random bit-vector source (§4.2, fast decoding)
 }
 
-// NewGlobal derives the full family from one master seed.
+// NewGlobal derives the full family from one master seed. Each member is
+// derived on its own (Derive(i)), so the set of members is free to change
+// without moving any other member's decisions.
 func NewGlobal(master Seed) Global {
 	return Global{
 		q:    master.Derive(1),
@@ -24,7 +25,6 @@ func NewGlobal(master Seed) Global {
 		h:    master.Derive(3),
 		frag: master.Derive(4),
 		lyr:  master.Derive(5),
-		vec:  master.Derive(6),
 	}
 }
 
@@ -71,7 +71,7 @@ var reservoirThreshold = func() [65]uint64 {
 }()
 
 // ReservoirWritesP is ReservoirWrites on a pointer receiver, so the
-// compiled per-packet loops skip the 48-byte Global copy per hop.
+// compiled per-packet loops skip the 40-byte Global copy per hop.
 // Decisions are bit-identical to ReservoirWrites.
 func (g *Global) ReservoirWritesP(pktID uint64, hop int) bool {
 	if hop <= 1 {
@@ -145,35 +145,4 @@ func (g Global) Fragment(pktID uint64, nfrag int) int {
 // an algorithm ("Improving Performance via Multiple Instantiations", §4.2).
 func (g Global) Instance(i int) Global {
 	return NewGlobal(g.q.Derive(uint64(i) + 101))
-}
-
-// ActVector returns a k-bit vector whose i-th bit (LSB = hop 1) says whether
-// hop i xors the packet, where each bit is set independently with
-// probability 2^-logInvP. It implements the near-linear decoding trick of
-// §4.2: the vector is the bitwise AND of logInvP pseudo-random k-bit words,
-// so the whole path's decisions are materialized in O(log 1/p) word
-// operations instead of O(k) hash evaluations.
-//
-// k must be at most 64 (the paper's variant likewise assumes k fits in O(1)
-// machine words).
-func (g Global) ActVector(pktID uint64, k, logInvP int) uint64 {
-	if k <= 0 {
-		return 0
-	}
-	mask := ^uint64(0)
-	if k < 64 {
-		mask = (1 << uint(k)) - 1
-	}
-	v := mask
-	for r := 0; r < logInvP; r++ {
-		v &= g.vec.Hash2(pktID, uint64(r))
-	}
-	return v & mask
-}
-
-// ActFromVector reports hop i's (1-based) decision out of an ActVector.
-// Encoders use this so that the per-hop decision matches what the decoder
-// reconstructs.
-func ActFromVector(vec uint64, hop int) bool {
-	return vec>>(uint(hop)-1)&1 == 1
 }

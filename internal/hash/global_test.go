@@ -2,7 +2,6 @@ package hash
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 )
 
@@ -163,53 +162,5 @@ func TestInstanceIndependence(t *testing.T) {
 	// 16-bit digests collide w.p. 2^-16; a thousand trials should see ~0.
 	if same > 3 {
 		t.Fatalf("instances look correlated: %d matches", same)
-	}
-}
-
-func TestActVectorMatchesProbability(t *testing.T) {
-	g := NewGlobal(11)
-	const k = 25
-	for _, logInvP := range []int{1, 3, 5} {
-		p := math.Pow(2, -float64(logInvP))
-		total := 0
-		const n = 50000
-		for pkt := uint64(0); pkt < n; pkt++ {
-			total += popcount(g.ActVector(pkt, k, logInvP))
-		}
-		got := float64(total) / (n * k)
-		if math.Abs(got-p) > p*0.1+0.002 {
-			t.Fatalf("logInvP=%d: bit density %v, want %v", logInvP, got, p)
-		}
-	}
-}
-
-func TestActVectorMask(t *testing.T) {
-	g := NewGlobal(12)
-	for pkt := uint64(0); pkt < 1000; pkt++ {
-		v := g.ActVector(pkt, 10, 0)
-		if v != (1<<10)-1 {
-			t.Fatal("logInvP=0 must set all k bits (p=1)")
-		}
-		if g.ActVector(pkt, 0, 3) != 0 {
-			t.Fatal("k=0 must yield empty vector")
-		}
-	}
-	// k=64 must not shift out of range.
-	_ = g.ActVector(1, 64, 2)
-}
-
-func TestActFromVectorAgreesWithSetBits(t *testing.T) {
-	g := NewGlobal(13)
-	for pkt := uint64(0); pkt < 5000; pkt++ {
-		vec := g.ActVector(pkt, 32, 3)
-		set := map[int]bool{}
-		for v := vec; v != 0; v &= v - 1 {
-			set[bits.TrailingZeros64(v)+1] = true
-		}
-		for hop := 1; hop <= 32; hop++ {
-			if ActFromVector(vec, hop) != set[hop] {
-				t.Fatalf("pkt=%d hop=%d disagreement", pkt, hop)
-			}
-		}
 	}
 }

@@ -160,13 +160,4 @@ func BenchmarkReservoirWinnerK25(b *testing.B) {
 	sink = uint64(acc)
 }
 
-func BenchmarkActVector(b *testing.B) {
-	g := NewGlobal(1)
-	var acc uint64
-	for i := 0; i < b.N; i++ {
-		acc ^= g.ActVector(uint64(i), 64, 5)
-	}
-	sink = acc
-}
-
 var sink uint64

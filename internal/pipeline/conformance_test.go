@@ -15,19 +15,15 @@ import (
 // pre-Close Snapshot, via the Close-d sink, and via a Snapshot taken
 // after Close. Every answer of every query kind must be bit-identical to
 // the serial Recording path that never saw the wire or the shards, for
-// shard counts {1, 4, 16} and for raw, sketched, and sliding-window
-// latency storage.
+// shard counts {1, 4, 16} and for raw and sketched latency storage.
 func TestConformanceWireSinkSnapshot(t *testing.T) {
 	type variant struct {
 		name        string
 		sketchItems int
-		winBuckets  int
-		winSpan     uint64
 	}
 	for _, v := range []variant{
 		{name: "raw"},
 		{name: "sketched", sketchItems: 32},
-		{name: "windowed", sketchItems: 32, winBuckets: 4, winSpan: 512},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			eng, path, lat, util, freq, cnt := testPlan(t, 401)
@@ -66,24 +62,17 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				}
 			}
 
-			mkSerial := func() *core.Recording {
-				rec, err := core.NewRecordingSeeded(eng, v.sketchItems, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec.WindowBuckets = v.winBuckets
-				rec.WindowSpan = v.winSpan
-				return rec
+			serial, err := core.NewRecordingSeeded(eng, v.sketchItems, base)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial := mkSerial()
 			if err := serial.RecordBatch(pkts); err != nil {
 				t.Fatal(err)
 			}
 
 			for _, shards := range []int{1, 4, 16} {
 				sink, err := NewSink(eng, Config{
-					Shards: shards, BatchSize: 64, SketchItems: v.sketchItems,
-					WindowBuckets: v.winBuckets, WindowSpan: v.winSpan, Base: base})
+					Shards: shards, BatchSize: 64, SketchItems: v.sketchItems, Base: base})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,12 +82,9 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				// without Close, and already complete because Flush
 				// dispatched everything from this goroutine.
 				snap := sink.Snapshot()
-				// Sliding-window quantile queries advance sketch RNG
-				// state, so each comparison pairs a fresh serial clone
-				// with a surface queried exactly once.
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial.Clone(), snap.recording(flow), flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial, snap.recording(flow), flow, k, path, lat, util, freq, cnt)
 				}
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)
@@ -108,7 +94,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				}
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial.Clone(), sink.Recording(flow).Clone(), flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
 				}
 				// Snapshot after Close still serves, from the quiesced
 				// recordings — and Merged folds the shards into a single
@@ -123,7 +109,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				}
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial.Clone(), merged.Clone(), flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial, merged, flow, k, path, lat, util, freq, cnt)
 				}
 			}
 		})

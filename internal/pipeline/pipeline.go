@@ -55,12 +55,9 @@ type Config struct {
 	// Base seeds every shard's Recording identically; required for
 	// cross-shard-count reproducibility.
 	Base hash.Seed
-	// SketchItems / WindowBuckets / WindowSpan / FreqCounters mirror the
-	// core.Recording knobs.
-	SketchItems   int
-	WindowBuckets int
-	WindowSpan    uint64
-	FreqCounters  int
+	// SketchItems > 0 stores latency samples in KLL sketches of that
+	// accuracy parameter (core.NewRecordingSeeded); 0 keeps raw samples.
+	SketchItems int
 }
 
 // Sink is the sharded Recording Module. Ingest feeds it from one ingester
@@ -176,18 +173,7 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 // snapshot did not ask, and what a replay of the sink's durable log
 // records into to land on the sink's answers.
 func NewRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
-	rec, err := core.NewRecordingSeeded(engine, cfg.SketchItems, cfg.Base)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.WindowBuckets > 0 {
-		rec.WindowBuckets = cfg.WindowBuckets
-		rec.WindowSpan = cfg.WindowSpan
-	}
-	if cfg.FreqCounters > 0 {
-		rec.FreqCounters = cfg.FreqCounters
-	}
-	return rec, nil
+	return core.NewRecordingSeeded(engine, cfg.SketchItems, cfg.Base)
 }
 
 // shardOf maps a flow to its owning shard via hash.ShardOf — the one

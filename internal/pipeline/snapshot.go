@@ -16,21 +16,17 @@ import "repro/internal/core"
 // is safe because those series are append-only — the worker writes only
 // past the prefix, and an append through the snapshot reallocates — so
 // neither side can see the other's writes; everything that is mutated in
-// place (path decoders, KLL and sliding-window sketches, Space Saving
-// summaries) the snapshot owns outright. Taking one therefore costs in
-// the flows it covers, not in the packets they carried.
+// place (path decoders, KLL sketches, Space Saving summaries) the
+// snapshot owns outright. Taking one therefore costs in the flows it
+// covers, not in the packets they carried.
 //
 // A flow-scoped snapshot (Sink.SnapshotFlows) covers only the flows it
 // was asked for; any other flow reads as untracked, and a shard that
 // owns none of them contributes an empty Recording.
 //
-// Every answer method of the merged Recording only reads it, with one
-// exception: a latency quantile over sliding-window storage
-// (sketch.SlidingKLL.Quantile) draws from that (flow, hop) store's RNG.
-// Goroutines may therefore share it freely unless the sink uses
-// WindowBuckets and they ask latency quantiles of the same flow; give such
-// readers a Snapshot each (and expect a repeated windowed quantile on one
-// Snapshot to differ within the sketch's error, as the draws advance).
+// Every answer method of the merged Recording only reads it: any number
+// of goroutines may query it at once, and the same question asked twice
+// gets the same answer.
 type Snapshot struct {
 	recs []*core.Recording
 }

@@ -166,7 +166,7 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 
 // TestSnapshotFlowsMatchesRebuilt pins the flow-scoped snapshot against
 // an independent oracle: at several prefixes of a stream, for shards
-// {1,2,4} and raw / KLL / sliding-window storage, SnapshotFlows(subset)
+// {1,2,4} and raw / KLL storage, SnapshotFlows(subset)
 // answers every listed flow exactly like a serial Recording rebuilt from
 // scratch from the same prefix, reports every other flow as untracked,
 // and — with most shards contributing nothing — still routes, merges and
@@ -180,20 +180,17 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 	flowKey := func(f int) core.FlowKey { return core.FlowKey(uint64(f)*2654435761 + 1) }
 	for _, v := range []struct {
 		name          string
-		sketch, win   int
-		span          uint64
+		sketch        int
 		flowsInSubset []int
 	}{
 		{name: "raw", flowsInSubset: []int{3}},
 		{name: "sketched", sketch: 24, flowsInSubset: []int{0, 5, 7}},
-		{name: "windowed", sketch: 24, win: 4, span: 32, flowsInSubset: []int{11, 2}},
 	} {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
 				eng, path, lat, util, freq, cnt := testPlan(t, 701)
 				pkts := encodeWorkload(eng, 29, nFlows, 120, k)
-				cfg := Config{Shards: shards, BatchSize: 16, SketchItems: v.sketch,
-					WindowBuckets: v.win, WindowSpan: v.span, Base: 0x5EED}
+				cfg := Config{Shards: shards, BatchSize: 16, SketchItems: v.sketch, Base: 0x5EED}
 				sink, err := NewSink(eng, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -243,13 +240,11 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 						t.Fatalf("prefix %d: unlisted flow %d visible in a scoped snapshot", n, other)
 					}
 
-					// Merged over a second scoped snapshot (the first has been
-					// queried, and windowed quantiles draw): same answers.
+					// Merged over a second scoped snapshot: same answers.
 					merged, err := sink.SnapshotFlows(asked).Merged()
 					if err != nil {
 						t.Fatalf("prefix %d: merging a scoped snapshot: %v", n, err)
 					}
-					ref = rebuilt(n)
 					for _, flow := range asked {
 						compareFlow(t, shards, ref, merged, flow, k, path, lat, util, freq, cnt)
 					}

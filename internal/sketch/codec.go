@@ -65,17 +65,6 @@ func (s *KLL) AppendState(dst []byte) []byte {
 // to the original's.
 func RestoreKLL(data []byte) (*KLL, error) {
 	r := stateread.New("sketch: state", data)
-	s, err := restoreKLLFrom(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func restoreKLLFrom(r *stateread.Reader) (*KLL, error) {
 	if v := r.Uvarint(); r.Err == nil && v != sketchCodecVersion {
 		return nil, fmt.Errorf("sketch: KLL state version %d (have %d)", v, sketchCodecVersion)
 	}
@@ -108,8 +97,8 @@ func restoreKLLFrom(r *stateread.Reader) (*KLL, error) {
 		}
 		s.compactors[h] = level
 	}
-	if r.Err != nil {
-		return nil, r.Err
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -158,6 +147,7 @@ func RestoreSpaceSaving(data []byte) (*SpaceSaving, error) {
 		cnt: make(map[uint64]uint64, m),
 		err: make(map[uint64]uint64, m),
 	}
+	var prev uint64
 	for i := uint64(0); i < entries; i++ {
 		v := r.Uvarint()
 		c := r.Uvarint()
@@ -165,78 +155,14 @@ func RestoreSpaceSaving(data []byte) (*SpaceSaving, error) {
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		if _, dup := s.cnt[v]; dup {
-			return nil, fmt.Errorf("sketch: SpaceSaving state duplicates value %d", v)
+		// AppendState writes the values strictly ascending; any other order
+		// (or a repeat) is a blob it could not have written.
+		if i > 0 && v <= prev {
+			return nil, fmt.Errorf("sketch: SpaceSaving state value %d follows %d", v, prev)
 		}
+		prev = v
 		s.cnt[v] = c
 		s.err[v] = e
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// AppendState appends the window's complete state: geometry, rotation
-// position, the window RNG, and every live ring bucket.
-func (s *SlidingKLL) AppendState(dst []byte) []byte {
-	dst = append(dst, sketchCodecVersion)
-	dst = appendUvarint(dst, uint64(s.buckets))
-	dst = appendUvarint(dst, s.span)
-	dst = appendUvarint(dst, uint64(s.k))
-	dst = appendUvarint(dst, uint64(s.cur))
-	dst = appendUvarint(dst, s.inCur)
-	dst = appendRNG(dst, s.rng)
-	for _, b := range s.ring {
-		if b == nil {
-			dst = append(dst, 0)
-			continue
-		}
-		dst = append(dst, 1)
-		sub := b.AppendState(nil)
-		dst = appendUvarint(dst, uint64(len(sub)))
-		dst = append(dst, sub...)
-	}
-	return dst
-}
-
-// RestoreSlidingKLL rebuilds a window sketch from AppendState bytes.
-func RestoreSlidingKLL(data []byte) (*SlidingKLL, error) {
-	r := stateread.New("sketch: state", data)
-	if v := r.Uvarint(); r.Err == nil && v != sketchCodecVersion {
-		return nil, fmt.Errorf("sketch: SlidingKLL state version %d (have %d)", v, sketchCodecVersion)
-	}
-	buckets := int(r.Uvarint())
-	span := r.Uvarint()
-	k := int(r.Uvarint())
-	cur := int(r.Uvarint())
-	inCur := r.Uvarint()
-	rng := readRNG(r)
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	if buckets < 2 || span < 1 || cur < 0 || cur >= buckets {
-		return nil, fmt.Errorf("sketch: SlidingKLL state geometry buckets=%d span=%d cur=%d", buckets, span, cur)
-	}
-	s := &SlidingKLL{buckets: buckets, span: span, k: k, cur: cur, inCur: inCur, rng: rng}
-	s.ring = make([]*KLL, buckets)
-	for i := range s.ring {
-		present := r.Uvarint()
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		if present == 0 {
-			continue
-		}
-		sub := r.Bytes(r.Uvarint())
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		b, err := RestoreKLL(sub)
-		if err != nil {
-			return nil, fmt.Errorf("sketch: SlidingKLL ring[%d]: %w", i, err)
-		}
-		s.ring[i] = b
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -5,8 +5,6 @@
 //     used to estimate median/tail latencies from the sampled sub-streams,
 //   - SpaceSaving, the heavy-hitters summary of Metwally et al. [50], used
 //     for the frequent-values aggregation of Theorem 2,
-//   - a sliding-window wrapper so the Recording Module can reflect only
-//     recent measurements (§4.1),
 //   - exact-quantile helpers used as ground truth by tests and experiments.
 //
 // Everything is deterministic given a seeded RNG and uses only the standard
@@ -123,15 +121,9 @@ func (s *KLL) weighted() ([]float64, []uint64) {
 	return vs, ws
 }
 
-// Quantile returns an estimate of the phi-quantile (phi in [0,1]).
-// It returns NaN on an empty sketch.
-func (s *KLL) Quantile(phi float64) float64 {
-	return s.Quantiles(phi)[0]
-}
-
-// Quantiles estimates several quantiles from one pass over the sketch:
-// the sorted weighted list is built once and each phi reads it. Every
-// result equals Quantile's for the same phi.
+// Quantiles estimates the phi-quantile (phi in [0,1]) for each phi from
+// one pass over the sketch: the sorted weighted list is built once and
+// each phi reads it. An empty sketch answers NaN.
 func (s *KLL) Quantiles(phis ...float64) []float64 {
 	vs, ws := s.weighted()
 	var totalW uint64
@@ -178,31 +170,6 @@ func (s *KLL) Clone() *KLL {
 		c.compactors[h] = append(make([]float64, 0, cap(comp)), comp...)
 	}
 	return c
-}
-
-// Merge folds another sketch into this one. Both sketches remain valid
-// rank-error-wise because compaction is oblivious to insertion order.
-func (s *KLL) Merge(o *KLL) {
-	for h, c := range o.compactors {
-		for h >= len(s.compactors) {
-			s.grow()
-		}
-		s.compactors[h] = append(s.compactors[h], c...)
-	}
-	s.n += o.n
-	// Repeated compression until all levels fit.
-	for {
-		over := false
-		for h := range s.compactors {
-			if len(s.compactors[h]) > s.capacity(h) {
-				over = true
-			}
-		}
-		if !over {
-			break
-		}
-		s.compress()
-	}
 }
 
 // ExactQuantile computes the phi-quantile of a slice exactly (for ground

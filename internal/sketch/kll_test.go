@@ -8,6 +8,9 @@ import (
 	"repro/internal/hash"
 )
 
+// Quantile is Quantiles for one phi.
+func (s *KLL) Quantile(phi float64) float64 { return s.Quantiles(phi)[0] }
+
 func mustKLL(t *testing.T, k int, seed uint64) *KLL {
 	t.Helper()
 	s, err := NewKLL(k, hash.NewRNG(seed))
@@ -136,31 +139,6 @@ func TestKLLQuantileWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKLLMerge(t *testing.T) {
-	a := mustKLL(t, 128, 9)
-	b := mustKLL(t, 128, 10)
-	rng := hash.NewRNG(11)
-	var data []float64
-	for i := 0; i < 20000; i++ {
-		v := rng.Float64() * 100
-		data = append(data, v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != 20000 {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	est := a.Quantile(0.5)
-	rank := float64(exactRank(data, est)) / float64(len(data))
-	if math.Abs(rank-0.5) > 0.03 {
-		t.Fatalf("post-merge median rank error %v", math.Abs(rank-0.5))
 	}
 }
 

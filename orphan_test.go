@@ -45,10 +45,18 @@ var orphanAllowlist = map[string]string{
 // declares (UnmarshalJSON, WriteHeader, Read, Close, Less, String, Error
 // and the module's own interfaces), since it is called through the
 // interface.
+//
+// Settings get the same rule one level down: every exported field of an
+// internal/ struct type named Config is a setting, and a non-test file
+// must set it — as a composite-literal key or on the left of an
+// assignment. A setting only tests turn on is a mode no program runs.
 func TestNoOrphanExports(t *testing.T) {
-	orphans, audited, err := orphanExports(".")
+	orphans, unset, audited, err := orphanExports(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, u := range unset {
+		t.Errorf("%s is a setting no non-test file sets: give it a program or make it a constant", u)
 	}
 	// CI's line-count step prints this next to the LoC table.
 	t.Logf("audited %d exported identifiers under internal/", audited)
@@ -74,7 +82,10 @@ func TestNoOrphanExports(t *testing.T) {
 // exports only the pint facade re-exports — one re-export has a caller
 // outside pint/, one (reaching its export through a helper) has none —
 // and `func Orphan()`, which only a test calls. Orphan, the method nobody
-// calls and the facade-only export must be the names reported.
+// calls and the facade-only export must be the names reported. Its Config
+// has a field a program sets by key, one it sets by assignment, one only a
+// test sets and an unexported one: the test-only field is the one unset
+// setting.
 func TestOrphanAuditCatches(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -92,8 +103,15 @@ func Used() fmt.Stringer { return T{N: 1} }
 func Orphan()            {}
 func ViaFacade() int     { return 1 }
 func FacadeOnly() int    { return 2 }
+
+type Config struct {
+	Keyed, Assigned, TestOnly int
+	hidden                    int
+}
+
+func New(c Config) int { c.Assigned = 2; return c.Keyed + c.hidden }
 `,
-		"internal/x/x_test.go": "package x\n\nfunc init() { Orphan() }\n",
+		"internal/x/x_test.go": "package x\n\nfunc init() { Orphan(); _ = Config{TestOnly: 1} }\n",
 		"pint/pint.go": `package pint
 
 import "tiny/internal/x"
@@ -103,7 +121,7 @@ func Dead() int { return x.FacadeOnly() }
 
 func helper() int { return x.ViaFacade() }
 `,
-		"cmd/y/main.go": "package main\n\nimport (\n\t\"tiny/internal/x\"\n\t\"tiny/pint\"\n)\n\nfunc main() { println(x.Used().String(), pint.Live()) }\n",
+		"cmd/y/main.go": "package main\n\nimport (\n\t\"tiny/internal/x\"\n\t\"tiny/pint\"\n)\n\nfunc main() { println(x.Used().String(), pint.Live(), x.New(x.Config{Keyed: 1})) }\n",
 	} {
 		p := filepath.Join(dir, name)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -113,26 +131,32 @@ func helper() int { return x.ViaFacade() }
 			t.Fatal(err)
 		}
 	}
-	got, audited, err := orphanExports(dir)
+	got, unset, audited, err := orphanExports(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"internal/x.FacadeOnly", "internal/x.Orphan", "internal/x.T.Lost"}
-	if fmt.Sprint(got) != fmt.Sprint(want) || audited != 7 {
-		t.Fatalf("orphans = %v of %d audited, want %v of 7 (T, String, Lost, Used, Orphan, ViaFacade, FacadeOnly)", got, audited, want)
+	if fmt.Sprint(got) != fmt.Sprint(want) || audited != 9 {
+		t.Fatalf("orphans = %v of %d audited, want %v of 9 (T, String, Lost, Used, Orphan, ViaFacade, FacadeOnly, Config, New)", got, audited, want)
+	}
+	if want := []string{"internal/x.Config.TestOnly"}; fmt.Sprint(unset) != fmt.Sprint(want) {
+		t.Fatalf("unset settings = %v, want %v", unset, want)
 	}
 }
 
 // TestOneBuildPerFile keeps a second implementation from returning behind
 // a build selector no benchmark sets: the tree holds no assembly, and the
-// only build constraints are the race/!race pairs that tell two packages'
-// allocation tests whether the race runtime is inflating their counts.
+// only build constraints are the race/!race pairs that tell three
+// packages' allocation tests whether the race runtime is inflating their
+// counts.
 func TestOneBuildPerFile(t *testing.T) {
 	constrained := map[string]bool{
 		"internal/core/race_enabled_test.go":      true,
 		"internal/core/race_disabled_test.go":     true,
 		"internal/pipeline/race_enabled_test.go":  true,
 		"internal/pipeline/race_disabled_test.go": true,
+		"internal/segstore/race_enabled_test.go":  true,
+		"internal/segstore/race_disabled_test.go": true,
 	}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -167,12 +191,13 @@ func TestOneBuildPerFile(t *testing.T) {
 
 // orphanExports type-checks every package under root (test files and
 // build-excluded files left out) and returns, sorted, the exported
-// identifiers declared under internal/ that nothing references, and how
-// many such identifiers it audited.
-func orphanExports(root string) (orphans []string, audited int, err error) {
+// identifiers declared under internal/ that nothing references, the
+// settings (see TestNoOrphanExports) nothing sets, and how many exported
+// identifiers it audited.
+func orphanExports(root string) (orphans, unset []string, audited int, err error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	modPath := strings.Fields(strings.SplitN(string(mod), "\n", 2)[0])[1]
 
@@ -198,11 +223,11 @@ func orphanExports(root string) (orphans []string, audited int, err error) {
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	for path := range a.dirs {
 		if _, err := a.Import(path); err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 	}
 
@@ -232,7 +257,54 @@ func orphanExports(root string) (orphans []string, audited int, err error) {
 		}
 	}
 	sort.Strings(orphans)
-	return orphans, audited, nil
+	return orphans, a.unsetSettings(modPath), audited, nil
+}
+
+// unsetSettings returns, sorted, every exported field of a struct type
+// named Config declared under internal/ that no non-test file sets: none
+// names it as a composite-literal key or assigns to it.
+func (a *audit) unsetSettings(modPath string) []string {
+	set := map[types.Object]bool{}
+	for _, files := range a.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						set[a.info.Uses[id]] = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							set[a.info.Uses[sel.Sel]] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	for path, pkg := range a.pkgs {
+		if !strings.HasPrefix(path, modPath+"/internal/") {
+			continue
+		}
+		tn, ok := pkg.Scope().Lookup("Config").(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !set[f] {
+				unset = append(unset, strings.TrimPrefix(path, modPath+"/")+".Config."+f.Name())
+			}
+		}
+	}
+	sort.Strings(unset)
+	return unset
 }
 
 type audit struct {

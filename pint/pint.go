@@ -236,8 +236,8 @@ type Extracted = core.Extracted
 // serial path for the same ShardConfig.Base (see internal/pipeline).
 type ShardedSink = pipeline.Sink
 
-// ShardConfig shapes a ShardedSink: shard count, batch size, recording
-// knobs, and the shared sketch seed base.
+// ShardConfig shapes a ShardedSink: shard count, batch size, queue depth,
+// latency sketch size, and the shared sketch seed base.
 type ShardConfig = pipeline.Config
 
 // NewShardedSink builds a sharded sink over an engine and starts its
@@ -249,13 +249,12 @@ func NewShardedSink(engine *Engine, cfg ShardConfig) (*ShardedSink, error) {
 
 // Snapshot is a point-in-time view of a ShardedSink's state: Merged folds
 // it into one Recording that answers concurrently with ingestion, without
-// a global flush. It owns everything that is mutated in place (decoders, sketches) and
-// shares with the live shards only the append-only per-packet series, as
-// length-and-capacity-clamped prefixes neither side can write through —
-// so taking one costs in flows, not packets (SnapshotFlows: in the flows
-// asked for). Queries only read the snapshot, except latency quantiles
-// over sliding-window storage, which draw from the queried (flow, hop)
-// store's RNG: do not ask those of one flow from two goroutines at once.
+// a global flush. It owns everything that is mutated in place (decoders,
+// sketches) and shares with the live shards only the append-only
+// per-packet series, as length-and-capacity-clamped prefixes neither side
+// can write through — so taking one costs in flows, not packets
+// (SnapshotFlows: in the flows asked for). Queries only read the merged
+// Recording, so any number of goroutines may ask it at once.
 type Snapshot = pipeline.Snapshot
 
 // AppendMarshalDigests appends a PacketDigest batch, encoded in the
