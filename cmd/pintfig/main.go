@@ -38,7 +38,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		printCatalog()
+		printScenarios()
 		return
 	}
 	if *run == "" {
@@ -93,7 +93,7 @@ func main() {
 		len(results), *scaleName, time.Since(start).Round(time.Millisecond), *parallel, *shards)
 }
 
-func printCatalog() {
+func printScenarios() {
 	tb := scenario.Table{
 		Title:   "Scenario catalog",
 		Columns: []string{"name", "figure", "topology", "recording stack", "measures"},

@@ -44,24 +44,3 @@ func (c *MultCompressor) RandomizedParts(v float64) (lo uint64, coinThr uint64, 
 // MaxCode exposes the saturation code batch callers clamp against when
 // applying RandomizedParts.
 func (c *MultCompressor) MaxCode() uint64 { return c.maxCode() }
-
-// MorrisIncrementThreshold returns the integer coin constant for one
-// probabilistic Morris increment from `code` with growth base a: the
-// counter increments exactly when coinHash < thr, or unconditionally when
-// always, where coinHash is the g.ValueDigest(salt, pktID, 64) draw
-// MorrisNextCode makes. Width saturation is the caller's check — a code
-// at the width's maximum never increments regardless of the coin.
-func MorrisIncrementThreshold(a float64, code uint64) (thr uint64, always bool) {
-	p := math.Pow(a, -float64(code))
-	switch {
-	case p <= 0:
-		return 0, false
-	case p >= 1:
-		return 0, true
-	}
-	t := math.Floor(p * (1 << 32) * (1 << 32))
-	if t >= math.MaxUint64 {
-		return 0, true
-	}
-	return uint64(t), false
-}

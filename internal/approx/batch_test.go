@@ -44,32 +44,3 @@ func TestRandomizedPartsMatchEncodeRandomized(t *testing.T) {
 		}
 	}
 }
-
-// TestMorrisIncrementThresholdMatchesNextCode pins the precomputable coin
-// threshold to MorrisNextCode across codes and widths.
-func TestMorrisIncrementThresholdMatchesNextCode(t *testing.T) {
-	g := hash.NewGlobal(0xBA7C5)
-	for _, eps := range []float64{0.05, 0.25, 0.9} {
-		a := MorrisBase(eps)
-		for _, bits := range []int{1, 4, 8, 12} {
-			max := uint64(1)<<uint(bits) - 1
-			for code := uint64(0); code <= max && code < 300; code++ {
-				thr, always := MorrisIncrementThreshold(a, code)
-				for pkt := uint64(0); pkt < 200; pkt++ {
-					salt := pkt % 7
-					want := MorrisNextCode(a, bits, code, g, pkt, salt)
-					got := code
-					if code < max {
-						if h := g.ValueDigest(salt, pkt, 64); always || h < thr {
-							got = code + 1
-						}
-					}
-					if got != want {
-						t.Fatalf("eps=%v bits=%d code=%d pkt=%d: threshold gives %d, scalar %d",
-							eps, bits, code, pkt, got, want)
-					}
-				}
-			}
-		}
-	}
-}

@@ -44,15 +44,6 @@ func BenchmarkHPCCUtilizationUpdate(b *testing.B) {
 	benchSinkF = u
 }
 
-func BenchmarkMorrisIncrement(b *testing.B) {
-	g := hash.NewGlobal(2)
-	m := NewMorris(0.1, 16)
-	for i := 0; i < b.N; i++ {
-		m.Increment(g, uint64(i), 1)
-	}
-	benchSink = m.Code()
-}
-
 var (
 	benchSink  uint64
 	benchSinkF float64

@@ -8,9 +8,7 @@
 //     (1+ε)-approximation of the original,
 //   - with randomized rounding ([·]_R) so the *expected* decoded value is
 //     exact — eliminating the systematic bias that plain rounding would
-//     feed into a congestion-control loop,
-//   - with a Morris counter when even the aggregate (a sum over a path)
-//     does not fit the budget.
+//     feed into a congestion-control loop.
 //
 // It also provides lookup-table log₂/exp₂, the construction of Appendix C
 // that lets a match-action pipeline approximate multiplication and division

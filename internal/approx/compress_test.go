@@ -120,45 +120,3 @@ func TestRandomizedRoundingWithinOneStep(t *testing.T) {
 		}
 	}
 }
-
-func TestMorrisEstimateAccuracy(t *testing.T) {
-	g := hash.NewGlobal(5)
-	const trials = 300
-	const n = 2000
-	var sum float64
-	for tr := 0; tr < trials; tr++ {
-		m := NewMorris(0.25, 16)
-		for i := 0; i < n; i++ {
-			m.Increment(g, uint64(tr*1_000_000+i), uint64(i))
-		}
-		sum += m.Estimate()
-	}
-	mean := sum / trials
-	if math.Abs(mean-n)/n > 0.1 {
-		t.Fatalf("Morris mean estimate %v for true count %d", mean, n)
-	}
-}
-
-func TestMorrisCodeRoundTrip(t *testing.T) {
-	m := NewMorris(0.2, 8)
-	m.SetCode(17)
-	if m.Code() != 17 {
-		t.Fatal("code round trip failed")
-	}
-	m2 := NewMorris(0.2, 8)
-	m2.SetCode(17)
-	if m.Estimate() != m2.Estimate() {
-		t.Fatal("same code must give same estimate")
-	}
-}
-
-func TestMorrisSaturates(t *testing.T) {
-	g := hash.NewGlobal(6)
-	m := NewMorris(0.5, 2) // 2-bit counter: saturates at 3
-	for i := 0; i < 100000; i++ {
-		m.Increment(g, uint64(i), 0)
-	}
-	if m.Code() > 3 {
-		t.Fatalf("2-bit counter exceeded max: %d", m.Code())
-	}
-}

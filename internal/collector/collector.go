@@ -428,6 +428,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		// of staging digests.
 		if wire.IsHandoffPayload(payload) {
 			imported, err := s.ingestHandoffFrame(payload)
+			// A refused frame keeps the states it imported before the
+			// refusal; they count like any other.
+			s.handoffFlows.Add(uint64(imported))
 			if err != nil {
 				s.connErrors.Add(1)
 				s.logf("collector: exporter %d (%s) hand-off refused: %v", hello.Exporter, hello.Name, err)
@@ -437,7 +440,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.bytes.Add(uint64(wire.FrameHeaderLen + len(payload)))
 			sess.frames.Add(1)
 			sess.bytes.Add(uint64(wire.FrameHeaderLen + len(payload)))
-			s.handoffFlows.Add(uint64(imported))
 			continue
 		}
 		// Decode before touching the sink: a malformed batch inside a

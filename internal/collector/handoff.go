@@ -93,10 +93,14 @@ const exportChunk = 256 << 10
 func (s *Server) HandoffFlows() uint64 { return s.handoffFlows.Load() }
 
 // ingestHandoffFrame folds one hand-off frame's flow states into the
-// sink, each on its owning shard's worker, and returns how many flows
-// were imported. Any error (durable member, unknown query, duplicate
-// flow, corrupt state) refuses the whole frame and tears the session
-// down — a partially-imported resize must be loud, not silent.
+// sink, one at a time in frame order, each on its owning shard's worker,
+// and returns how many flows were imported. A refused state (unknown
+// query, duplicate flow, corrupt state) stops the frame there: the states
+// before it stay imported and are counted in the returned number, the
+// refused one and every later one are not, and the error tears the session
+// down — a partially-imported resize must be loud, not silent. A frame
+// refused as a whole (durable member, no query list, malformed payload)
+// imports nothing.
 func (s *Server) ingestHandoffFrame(payload []byte) (int, error) {
 	if s.cfg.Durable != nil {
 		return 0, fmt.Errorf("collector: hand-off into a durable collector is not supported (imported state would not survive log replay)")
@@ -126,11 +130,12 @@ func (s *Server) ingestHandoffFrame(payload []byte) (int, error) {
 // ordinary handshaked session (hello must carry the destination's plan
 // hash and — critically — the *new* cluster epoch), batching states into
 // CRC-framed hand-off payloads. It returns the number of flows shipped.
-// The connection is closed before returning; a clean close means the
-// destination read and imported every frame (any import error tears the
-// connection down, which surfaces here as a write/close error on all but
-// the smallest migrations — callers should verify flow counts end to
-// end, which the federation coordinator does).
+// The connection is closed before returning. Returning is not importing:
+// a clean close means every frame was written, not that the destination
+// has read it, nor that it imported every state — a refused state tears
+// the connection down, which shows here as a write error only if frames
+// are still being sent. Callers confirm the import at the destination, as
+// the federation coordinator does by polling HandoffFlows.
 func SendHandoff(addr string, hello wire.Hello, states []wire.FlowState) (int, error) {
 	if len(states) == 0 {
 		return 0, nil

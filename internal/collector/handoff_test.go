@@ -172,6 +172,67 @@ func TestHandoffDuplicateRefused(t *testing.T) {
 	}
 }
 
+// TestHandoffRefusedFrameCountsItsPrefix: a hand-off frame is imported
+// state by state, so in the frame [new flow A, flow B the destination
+// already tracks] A is imported before B is refused. The refusal tears the
+// session down, and the import counter still counts A: A answers at the
+// destination exactly as it did at the source, and HandoffFlows is 1.
+func TestHandoffRefusedFrameCountsItsPrefix(t *testing.T) {
+	tb := mustTestbench(t, 45)
+	sinkA, srvA := newServedSink(t, tb, 2)
+	sinkB, srvB := newServedSink(t, tb, 2)
+	const exp, pkts = uint64(3), 50
+	stream := func(srv *Server, name string, flows ...int) {
+		ex, err := dial(srv.Addr().String(), HelloFor(tb.Engine, exp, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range flows {
+			if err := ex.Send(tb.FlowBatch(exp, f, pkts, nil, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ex.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitPackets(t, srv, uint64(len(flows)*pkts))
+	}
+	stream(srvA, "source", 0, 1)
+	stream(srvB, "destination", 1)
+	a, b := tb.FlowKeyFor(exp, 0), tb.FlowKeyFor(exp, 1)
+	answersOfA := func(sink *pipeline.Sink) []byte {
+		rec, err := sink.SnapshotFlows([]core.FlowKey{a}).Merged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.HasFlow(a) {
+			t.Fatal("flow A is not tracked")
+		}
+		return answersJSON(t, Answers(rec, tb.Queries(), []core.FlowKey{a}))
+	}
+	want := answersOfA(sinkA)
+
+	states, err := srvA.ExportFlows([]core.FlowKey{a, b})
+	if err != nil || len(states) != 2 {
+		t.Fatalf("export: %d states, %v", len(states), err)
+	}
+	refusals := srvB.Stats().ConnErrors
+	if _, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "handoff"), states); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srvB.Stats().ConnErrors == refusals; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the frame carrying a flow the destination tracks was not refused")
+		}
+	}
+	if got := srvB.HandoffFlows(); got != 1 {
+		t.Errorf("HandoffFlows = %d after a frame whose first state was imported, want 1", got)
+	}
+	if got := answersOfA(sinkB); !bytes.Equal(got, want) {
+		t.Errorf("flow A at the destination answers\n%s\nwant the source's\n%s", got, want)
+	}
+}
+
 // TestExportFlowsRequiresQueries: a server built without its query list
 // cannot serialize flow state and must say so.
 func TestExportFlowsRequiresQueries(t *testing.T) {

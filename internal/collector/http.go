@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
-	"slices"
 	"strconv"
 	"time"
 
@@ -41,13 +40,10 @@ type QueryAnswer struct {
 	Path            []uint64 `json:"path,omitempty"`
 	Done            bool     `json:"done,omitempty"`
 	Inconsistencies int      `json:"inconsistencies,omitempty"`
-	// Latency and frequent-value queries: per-hop summaries (hops with no
-	// samples are omitted).
+	// Latency queries: per-hop summaries (hops with no samples are
+	// omitted).
 	Hops []HopAnswer `json:"hops,omitempty"`
-	// Frequent-value queries: per-hop heavy-hitter values above θ=0.1,
-	// sorted, aligned with Hops.
-	Heavy [][]uint64 `json:"heavy,omitempty"`
-	// Per-packet queries (util, count): the recovered series.
+	// Util queries: the recovered series.
 	Series []float64 `json:"series,omitempty"`
 }
 
@@ -107,7 +103,7 @@ func evalFlow(rec *core.Recording, queries []core.Query, flow core.FlowKey, fa *
 	fa.Answers = fa.Answers[:len(queries)]
 	for i, q := range queries {
 		a := &fa.Answers[i]
-		*a = QueryAnswer{Query: q.Name(), Kind: q.Agg().String(), Path: a.Path[:0], Hops: a.Hops[:0], Heavy: a.Heavy[:0]}
+		*a = QueryAnswer{Query: q.Name(), Kind: q.Agg().String(), Path: a.Path[:0], Hops: a.Hops[:0]}
 		switch q := q.(type) {
 		case *core.PathQuery:
 			a.Path, a.Done = rec.AppendPath(a.Path, q, flow)
@@ -124,24 +120,8 @@ func evalFlow(rec *core.Recording, queries []core.Query, flow core.FlowKey, fa *
 				}
 				a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n, P50: ps[0], P99: ps[1]})
 			}
-		case *core.FreqQuery:
-			for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
-				n := rec.FreqSamples(q, flow, hop)
-				if n == 0 {
-					continue
-				}
-				a.Hops = append(a.Hops, HopAnswer{Hop: hop, Samples: n})
-				var vals []uint64
-				for _, hh := range rec.FrequentValues(q, flow, hop, 0.1) {
-					vals = append(vals, hh.Value)
-				}
-				slices.Sort(vals)
-				a.Heavy = append(a.Heavy, vals)
-			}
 		case *core.UtilQuery:
 			a.Series = rec.UtilSeries(q, flow)
-		case *core.CountQuery:
-			a.Series = rec.CountSeries(q, flow)
 		}
 	}
 }

@@ -242,11 +242,10 @@ func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
 		{Flow: 1, Tracked: true, Answers: []QueryAnswer{
 			{Query: "path", Kind: "static", Path: []uint64{7, 8, 9}, Done: true, Inconsistencies: 2},
 			{Query: "lat<&>", Kind: "dynamic", Hops: []HopAnswer{{Hop: 1, Samples: 3, P50: 1.5, P99: 1e21}, {Hop: 4, Samples: 1}}},
-			{Query: "freq", Kind: "dynamic", Hops: []HopAnswer{{Hop: 2, Samples: 9}}, Heavy: [][]uint64{{1, 2}, nil, {}}},
 			{Query: "util", Kind: "per-packet", Series: []float64{0.25, 3, 1e-9}},
 		}},
 		{Flow: 1 << 63, Answers: []QueryAnswer{}},
-		{Flow: 3, Tracked: true, Answers: []QueryAnswer{{Query: "cnt", Kind: "per-packet", Series: []float64{}}}},
+		{Flow: 3, Tracked: true, Answers: []QueryAnswer{{Query: "util", Kind: "per-packet", Series: []float64{}}}},
 	}
 	type nodeErr struct {
 		Node  string `json:"node"`

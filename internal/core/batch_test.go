@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/hash"
@@ -10,16 +9,16 @@ import (
 
 // combinedTestPlan compiles a Fig-11-shaped plan exercising every query
 // kind: path 2x(b=4) on every packet, latency b=8 on 7/8, util b=8 on
-// 1/8, freq b=4 on 1/4, count b=4 on 1/8 — 32-bit global budget.
-func combinedTestPlan(t testing.TB, master hash.Seed) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery, *FreqQuery, *CountQuery) {
+// 1/8 — 24-bit global budget, so the plan has three sets.
+func combinedTestPlan(t testing.TB, master hash.Seed) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery) {
 	t.Helper()
 	return combinedTestPlanLat(t, master, 8)
 }
 
 // combinedTestPlanLat is combinedTestPlan with the latency query's digest
 // width chosen by the caller (the budget grows with it), so tests can put
-// multi-byte raw samples through the same five-query plan.
-func combinedTestPlanLat(t testing.TB, master hash.Seed, latBits int) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery, *FreqQuery, *CountQuery) {
+// multi-byte raw samples through the same three-query plan.
+func combinedTestPlanLat(t testing.TB, master hash.Seed, latBits int) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery) {
 	t.Helper()
 	universe := make([]uint64, 64)
 	for i := range universe {
@@ -38,38 +37,28 @@ func combinedTestPlanLat(t testing.TB, master hash.Seed, latBits int) (*Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := NewFreqQuery("freq", 4, 1.0/4, master)
+	eng, err := Compile([]Query{path, lat, util}, 16+latBits, master.Derive(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := NewCountQuery("cnt", 4, 0.5, 1.0/8, master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := Compile([]Query{path, lat, util, freq, cnt}, 24+latBits, master.Derive(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, path, lat, util, freq, cnt
+	return eng, path, lat, util
 }
 
 // hopValuesFor derives deterministic pseudo-values for one (packet, hop).
 func hopValuesFor(pktID uint64, hop int, universe0 uint64) HopValues {
 	h := hash.Seed(42).Hash2(pktID, uint64(hop))
 	return HopValues{
-		SwitchID:   universe0 + (h%16)*3,
-		LatencyNs:  1000 + h%100000,
-		Util:       1 + h%1500,
-		FreqValue:  h % 16,
-		CountFired: h % 3,
+		SwitchID:  universe0 + (h%16)*3,
+		LatencyNs: 1000 + h%100000,
+		Util:      1 + h%1500,
 	}
 }
 
 // TestCompiledEncodeMatchesLegacy holds EncodeHopBatch and EncodeHopValues
-// to the oracle on the five-kind plan: every query kind and every set of
+// to the oracle on the three-kind plan: every query kind and every set of
 // the plan in one digest, over a full path.
 func TestCompiledEncodeMatchesLegacy(t *testing.T) {
-	eng, _, _, _, _, _ := combinedTestPlan(t, 7)
+	eng, _, _, _ := combinedTestPlan(t, 7)
 	const k = 6
 	rng := hash.NewRNG(11)
 	pkts := make([]PacketDigest, 512)
@@ -89,7 +78,7 @@ func TestCompiledEncodeMatchesLegacy(t *testing.T) {
 // published plan describes (SetFor's queries and offsets), including
 // buffer reuse.
 func TestExtractIntoMatchesExtract(t *testing.T) {
-	eng, _, _, _, _, _ := combinedTestPlan(t, 13)
+	eng, _, _, _ := combinedTestPlan(t, 13)
 	rng := hash.NewRNG(17)
 	var buf []Extracted
 	for i := 0; i < 2000; i++ {
@@ -116,7 +105,7 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 // exactly the state per-packet ingest does, for raw and sketched storage.
 func TestRecordBatchMatchesRecord(t *testing.T) {
 	for _, sketchItems := range []int{0, 32} {
-		eng, path, lat, util, freq, cnt := combinedTestPlan(t, 19)
+		eng, path, lat, util := combinedTestPlan(t, 19)
 		const k = 6
 		const nFlows = 8
 		rng := hash.NewRNG(23)
@@ -156,7 +145,7 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 		}
 		for f := 0; f < nFlows; f++ {
 			flow := FlowKey(f)
-			assertSameAnswers(t, serial, batched, flow, k, path, lat, util, freq, cnt)
+			assertSameAnswers(t, serial, batched, flow, k, path, lat, util)
 		}
 	}
 }
@@ -164,7 +153,7 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 // assertSameAnswers compares every query's answer between two recordings
 // for one flow, requiring bit-identity.
 func assertSameAnswers(t *testing.T, a, b *Recording, flow FlowKey, k int,
-	path *PathQuery, lat *LatencyQuery, util *UtilQuery, freq *FreqQuery, cnt *CountQuery) {
+	path *PathQuery, lat *LatencyQuery, util *UtilQuery) {
 	t.Helper()
 	pa, oka := a.Path(path, flow)
 	pb, okb := b.Path(path, flow)
@@ -192,16 +181,6 @@ func assertSameAnswers(t *testing.T, a, b *Recording, flow FlowKey, k int,
 					flow, hop, phi, qa, erra, qb, errb)
 			}
 		}
-		ha := a.FrequentValues(freq, flow, hop, 0.2)
-		hb := b.FrequentValues(freq, flow, hop, 0.2)
-		if len(ha) != len(hb) {
-			t.Fatalf("flow %d hop %d: %d vs %d heavy hitters", flow, hop, len(ha), len(hb))
-		}
-		for i := range ha {
-			if ha[i] != hb[i] {
-				t.Fatalf("flow %d hop %d: heavy hitter %+v vs %+v", flow, hop, ha[i], hb[i])
-			}
-		}
 	}
 	ua, ub := a.UtilSeries(util, flow), b.UtilSeries(util, flow)
 	if len(ua) != len(ub) {
@@ -212,22 +191,13 @@ func assertSameAnswers(t *testing.T, a, b *Recording, flow FlowKey, k int,
 			t.Fatalf("flow %d util[%d]: %v vs %v", flow, i, ua[i], ub[i])
 		}
 	}
-	ca, cb := a.CountSeries(cnt, flow), b.CountSeries(cnt, flow)
-	if len(ca) != len(cb) {
-		t.Fatalf("flow %d: count series %d vs %d", flow, len(ca), len(cb))
-	}
-	for i := range ca {
-		if ca[i] != cb[i] && !(math.IsNaN(ca[i]) && math.IsNaN(cb[i])) {
-			t.Fatalf("flow %d count[%d]: %v vs %v", flow, i, ca[i], cb[i])
-		}
-	}
 }
 
 // TestEncodeBatchZeroAlloc is the count gate on the encode path: no heap
 // allocation per call at steady state for EncodeHopBatch at n = 1, 16
 // and 256, for EncodeHopValues, and for ExtractInto into a reused buffer.
 func TestEncodeBatchZeroAlloc(t *testing.T) {
-	eng, _, _, _, _, _ := combinedTestPlan(t, 29)
+	eng, _, _, _ := combinedTestPlan(t, 29)
 	const k = 6
 	rng := hash.NewRNG(31)
 	pkts := make([]PacketDigest, 256)

@@ -64,7 +64,7 @@ func scramble(latBits int, seed uint64, streams ...[]PacketDigest) {
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 37, v.latBits)
+			eng, path, lat, util := combinedTestPlanLat(t, 37, v.latBits)
 			const (
 				nFlows = 6
 				k      = 6
@@ -91,7 +91,7 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 
 			// At the copy point a clone answers bit-identically.
 			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, halfRef, cloneA, FlowKey(f), k, path, lat, util, freq, cnt)
+				assertSameAnswers(t, halfRef, cloneA, FlowKey(f), k, path, lat, util)
 			}
 
 			// Recording the continuation into the original must not leak
@@ -104,7 +104,7 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, fresh, cloneB, FlowKey(f), k, path, lat, util, freq, cnt)
+				assertSameAnswers(t, fresh, cloneB, FlowKey(f), k, path, lat, util)
 			}
 
 			// ...and feeding a clone the same continuation converges it
@@ -113,7 +113,7 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, orig, cloneC, FlowKey(f), k, path, lat, util, freq, cnt)
+				assertSameAnswers(t, orig, cloneC, FlowKey(f), k, path, lat, util)
 			}
 		})
 	}
@@ -123,7 +123,7 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 // into two recordings and merges them; every answer must match a single
 // recording that saw the whole stream.
 func TestRecordingMergeAdoptsDisjointFlows(t *testing.T) {
-	eng, path, lat, util, freq, cnt := combinedTestPlan(t, 41)
+	eng, path, lat, util := combinedTestPlan(t, 41)
 	const (
 		nFlows = 8
 		k      = 6
@@ -158,7 +158,7 @@ func TestRecordingMergeAdoptsDisjointFlows(t *testing.T) {
 		t.Fatalf("merged tracks %d flows, want %d", got, want)
 	}
 	for f := 1; f <= nFlows; f++ {
-		assertSameAnswers(t, whole, left, FlowKey(f), k, path, lat, util, freq, cnt)
+		assertSameAnswers(t, whole, left, FlowKey(f), k, path, lat, util)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestRecordingMergeAdoptsDisjointFlows(t *testing.T) {
 // answers identical to a single recording that saw everything. A single
 // overlapping flow anywhere in the chain must abort the fold.
 func TestRecordingMergeManyWay(t *testing.T) {
-	eng, path, lat, util, freq, cnt := combinedTestPlan(t, 53)
+	eng, path, lat, util := combinedTestPlan(t, 53)
 	const (
 		nFlows  = 9
 		k       = 6
@@ -206,7 +206,7 @@ func TestRecordingMergeManyWay(t *testing.T) {
 		t.Fatalf("merged tracks %d flows, want %d", got, want)
 	}
 	for f := 1; f <= nFlows; f++ {
-		assertSameAnswers(t, whole, merged, FlowKey(f), k, path, lat, util, freq, cnt)
+		assertSameAnswers(t, whole, merged, FlowKey(f), k, path, lat, util)
 	}
 
 	// One overlapping flow anywhere aborts: a recording holding a flow the
@@ -223,7 +223,7 @@ func TestRecordingMergeManyWay(t *testing.T) {
 // TestRecordingMergeRejectsOverlapAndForeignEngine pins Merge's error
 // cases: duplicated flows and mismatched engines.
 func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
-	eng, _, _, _, _, _ := combinedTestPlan(t, 43)
+	eng, _, _, _ := combinedTestPlan(t, 43)
 	pkts := cloneWorkload(t, eng, 101, 4, 512, 6)
 	a, err := NewRecordingSeeded(eng, 0, 1)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 	if err := a.Merge(b); err == nil {
 		t.Fatal("merge accepted overlapping flow sets")
 	}
-	eng2, _, _, _, _, _ := combinedTestPlan(t, 47)
+	eng2, _, _, _ := combinedTestPlan(t, 47)
 	c, err := NewRecordingSeeded(eng2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestClonePrefixProperty(t *testing.T) {
 	for _, v := range storageVariants {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
-				eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 59, v.latBits)
+				eng, path, lat, util := combinedTestPlanLat(t, 59, v.latBits)
 				mk := func() *Recording {
 					rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 					if err != nil {
@@ -328,7 +328,7 @@ func TestClonePrefixProperty(t *testing.T) {
 							t.Fatalf("prefix %d: clone tracks %d flows, rebuilt %d", n, got, want)
 						}
 						for f := 1; f <= nFlows; f++ {
-							assertSameAnswers(t, ref, full, FlowKey(f), k, path, lat, util, freq, cnt)
+							assertSameAnswers(t, ref, full, FlowKey(f), k, path, lat, util)
 						}
 						// A random subset (plus one flow nobody ever sent), from
 						// flow-scoped clones of only the shards that own them.
@@ -360,7 +360,7 @@ func TestClonePrefixProperty(t *testing.T) {
 							if scoped.HasFlow(f) != ref.HasFlow(f) {
 								t.Fatalf("prefix %d flow %d: scoped clone tracked=%v, rebuilt %v", n, f, scoped.HasFlow(f), ref.HasFlow(f))
 							}
-							assertSameAnswers(t, ref, scoped, f, k, path, lat, util, freq, cnt)
+							assertSameAnswers(t, ref, scoped, f, k, path, lat, util)
 						}
 						if got := scoped.TrackedFlows(); got != tracked {
 							t.Fatalf("prefix %d: scoped clone tracks %d flows, asked for %d tracked ones", n, got, tracked)
@@ -386,7 +386,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 	)
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 61, v.latBits)
+			eng, path, lat, util := combinedTestPlanLat(t, 61, v.latBits)
 			mk := func() *Recording {
 				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 				if err != nil {
@@ -453,7 +453,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 					t.Fatal(err)
 				}
 				for f := 1; f <= nFlows; f++ {
-					assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util, freq, cnt)
+					assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util)
 				}
 			}
 		})
@@ -471,7 +471,7 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 	phis := []float64{0.5, 0.99, 0, 1, 0.5}
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, _, lat, _, _, _ := combinedTestPlanLat(t, 67, v.latBits)
+			eng, _, lat, _ := combinedTestPlanLat(t, 67, v.latBits)
 			rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 			if err != nil {
 				t.Fatal(err)

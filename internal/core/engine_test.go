@@ -319,23 +319,6 @@ func TestEndToEndUtilMaxAggregation(t *testing.T) {
 	}
 }
 
-func TestCatalogAndMatrix(t *testing.T) {
-	cat := Catalog()
-	if len(cat) != 11 {
-		t.Fatalf("catalog has %d use cases, want 11 (Table 2)", len(cat))
-	}
-	byAgg := map[AggregationType]int{}
-	for _, u := range cat {
-		byAgg[u.Agg]++
-		if len(u.Primitives) == 0 {
-			t.Fatalf("use case %q has no primitives", u.Name)
-		}
-	}
-	if byAgg[PerPacket] != 5 || byAgg[StaticPerFlow] != 3 || byAgg[DynamicPerFlow] != 3 {
-		t.Fatalf("aggregation split %v, want 5/3/3", byAgg)
-	}
-}
-
 func TestPipelineLayout(t *testing.T) {
 	uni := testUniverse(10, 100)
 	path := mustPath(t, "path", 8, 1, 1, uni)

@@ -12,41 +12,38 @@ import (
 
 // Per-flow state hand-off for fleet resize. AppendFlowState drains one
 // flow's complete recording state — path decoders, latency stores, util
-// and count series, frequency summaries — into an opaque blob;
-// RestoreFlowState rebuilds that state on another Recording and folds it
-// in through the same Merge the federation frontend uses, so a resized
-// fleet's answers are byte-identical to a fleet that ran at the new
-// membership from the start. Sections are keyed by query *name* (query
-// pointers are process-local), resolved against the destination's own
-// compiled query list; an unknown name or mismatched plan geometry is an
-// error, never a silent drop.
+// series — into an opaque blob; RestoreFlowState rebuilds that state on
+// another Recording and folds it in through the same Merge the federation
+// frontend uses, so a resized fleet's answers are byte-identical to a fleet
+// that ran at the new membership from the start. Sections are keyed by
+// query *name* (query pointers are process-local), resolved against the
+// destination's own compiled query list; an unknown name or mismatched
+// plan geometry is an error, never a silent drop.
 //
 // Blob layout (uvarint-based, strict full-consumption decode):
 //
 //	version (1) | sections uvarint |
 //	  sections × { nameLen uvarint | name | kind byte | payloadLen uvarint | payload }
 //
-// Section kinds, one per query family:
+// Section kinds, one per query family. Kinds 4 and 5, once the frequent-value
+// and randomized-count families, are unassigned: no query's kind matches them,
+// so a blob that carries one is refused by number.
 const (
 	flowStateVersion      = 1
 	sectionPath      byte = 1
 	sectionLatency   byte = 2
 	sectionUtil      byte = 3
-	sectionFreq      byte = 4
-	sectionCount     byte = 5
 )
 
 // flowStateWhat opens every error the blob's reader produces.
 const flowStateWhat = "core: flow state"
 
-// Latency/frequency per-hop store kinds inside their sections. A latency
-// store is raw or KLL; a frequency store is none or present (a SpaceSaving
-// summary, written as storeKLL). Kind 3, once a sliding-window sketch, is
-// unassigned: a blob that carries it is refused by number.
+// Per-hop store kinds inside a latency section: raw or KLL. Kind 3, once a
+// sliding-window sketch, is unassigned: a blob that carries it is refused
+// by number.
 const (
-	storeNone byte = 0
-	storeRaw  byte = 1
-	storeKLL  byte = 2
+	storeRaw byte = 1
+	storeKLL byte = 2
 )
 
 // prefixLen turns dst[at:] into a length-prefixed field where it sits:
@@ -73,7 +70,7 @@ func appendFloatSeries(dst []byte, series []float64) []byte {
 }
 
 // sectionKind maps a query to its family's section kind, 0 for a type that
-// is none of the five.
+// is none of the three.
 func sectionKind(q Query) byte {
 	switch q.(type) {
 	case *PathQuery:
@@ -82,10 +79,6 @@ func sectionKind(q Query) byte {
 		return sectionLatency
 	case *UtilQuery:
 		return sectionUtil
-	case *FreqQuery:
-		return sectionFreq
-	case *CountQuery:
-		return sectionCount
 	}
 	return 0
 }
@@ -112,19 +105,6 @@ func appendLatStores(dst []byte, stores []latStore) []byte {
 	return dst
 }
 
-func appendFreqStores(dst []byte, stores []*sketch.SpaceSaving) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(stores)))
-	for _, st := range stores {
-		if st == nil {
-			dst = append(dst, storeNone)
-			continue
-		}
-		at := len(dst) + 1
-		dst = prefixLen(st.AppendState(append(dst, storeKLL)), at) // storeKLL: "present"; the state is a SpaceSaving
-	}
-	return dst
-}
-
 // AppendFlowState appends flow's complete recording state to dst. The
 // queries slice fixes the section order (sections appear in query order,
 // queries with no state for the flow are skipped). The flow must be
@@ -146,7 +126,7 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 			return dst, fmt.Errorf("core: flow state for unknown query type %T", q)
 		}
 		slot := r.slot(q, flow)
-		if slot.dec == nil && slot.lat == nil && slot.freq == nil && slot.series == nil {
+		if slot.dec == nil && slot.lat == nil && slot.series == nil {
 			continue
 		}
 		// A section is its query's name, its kind, and the length-prefixed
@@ -161,8 +141,6 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 			dst = slot.dec.AppendState(dst)
 		case slot.lat != nil:
 			dst = appendLatStores(dst, slot.lat)
-		case slot.freq != nil:
-			dst = appendFreqStores(dst, slot.freq)
 		default:
 			dst = appendFloatSeries(dst, slot.series)
 		}
@@ -230,8 +208,6 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 			slot.dec, err = restoreDecoder(q, payload)
 		case *LatencyQuery:
 			slot.lat, err = restoreLatStores(q, flow, payload)
-		case *FreqQuery:
-			slot.freq, err = restoreFreqStores(payload)
 		default:
 			slot.series, err = restoreFloatSeries(payload)
 		}
@@ -321,43 +297,6 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 			}
 		default:
 			return nil, fmt.Errorf("core: latency store kind %d", kind[0])
-		}
-	}
-	if err := rd.Done(); err != nil {
-		return nil, err
-	}
-	return stores, nil
-}
-
-func restoreFreqStores(payload []byte) ([]*sketch.SpaceSaving, error) {
-	rd := stateread.New(flowStateWhat, payload)
-	n := rd.Uvarint()
-	if rd.Err != nil {
-		return nil, rd.Err
-	}
-	if n > uint64(rd.Len())+1 {
-		return nil, fmt.Errorf("core: freq section claims %d stores", n)
-	}
-	stores := make([]*sketch.SpaceSaving, n)
-	for i := range stores {
-		kind := rd.Bytes(1)
-		if rd.Err != nil {
-			return nil, rd.Err
-		}
-		switch kind[0] {
-		case storeNone:
-		case storeKLL:
-			sub := rd.Bytes(rd.Uvarint())
-			if rd.Err != nil {
-				return nil, rd.Err
-			}
-			ss, err := sketch.RestoreSpaceSaving(sub)
-			if err != nil {
-				return nil, err
-			}
-			stores[i] = ss
-		default:
-			return nil, fmt.Errorf("core: frequency store kind %d", kind[0])
 		}
 	}
 	if err := rd.Done(); err != nil {

@@ -12,13 +12,13 @@ import (
 	"repro/internal/coding"
 )
 
-// referenceFlowStates records the five-query plan's reference stream with
+// referenceFlowStates records the three-query plan's reference stream with
 // sketchItems and returns the Recording, its queries in section order, and
 // every flow's hand-off blob in flow order.
 func referenceFlowStates(t testing.TB, sketchItems int) (*Recording, []Query, [][]byte) {
 	t.Helper()
-	eng, path, lat, util, freq, cnt := combinedTestPlan(t, 139)
-	queries := []Query{path, lat, util, freq, cnt}
+	eng, path, lat, util := combinedTestPlan(t, 139)
+	queries := []Query{path, lat, util}
 	rec, err := NewRecordingSeeded(eng, sketchItems, 0xB10B)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func referenceFlowStates(t testing.TB, sketchItems int) (*Recording, []Query, []
 }
 
 // flowStateDigest hashes, in flow order, the hand-off blob of every flow
-// of a Recording fed the five-query plan's reference stream.
+// of a Recording fed the three-query plan's reference stream.
 func flowStateDigest(t *testing.T, sketchItems int) string {
 	t.Helper()
 	rec, queries, blobs := referenceFlowStates(t, sketchItems)
@@ -61,14 +61,16 @@ func flowStateDigest(t *testing.T, sketchItems int) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestFlowStateBlobsUnchanged pins AppendFlowState's bytes to what the
-// uint64-per-sample Recording before the code-width store produced for
-// the same states (digests taken from that tree): the hand-off format is
-// a wire format between fleet members of different builds.
+// TestFlowStateBlobsUnchanged pins AppendFlowState's bytes: the hand-off
+// format is a wire format between fleet members of different builds. The
+// digests were taken from the tree that still compiled the frequent-value
+// and Morris-count queries, for this same path+latency+util plan and
+// stream, so they also hold that dropping those two kinds moved no byte
+// of the three that remain.
 func TestFlowStateBlobsUnchanged(t *testing.T) {
 	want := map[string]string{
-		"raw":      "cc84251fde44f4be",
-		"sketched": "390da681b65839d7",
+		"raw":      "73e3e4252a6775ec",
+		"sketched": "d09b3b2d6d4d4684",
 	}
 	for _, v := range storageVariants {
 		if v.latBits != 8 {
@@ -216,7 +218,7 @@ type flowStateRow struct {
 // breaks (each of those was accepted once, and re-emitted as something
 // else).
 func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateRow {
-	lat, freq := queries[1], queries[3]
+	lat, util := queries[1], queries[2]
 	sec := flowStateSections(t, reference)
 	for _, q := range queries {
 		if sec[q.Name()] == nil {
@@ -226,25 +228,26 @@ func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateR
 	blob := func(sections ...[]byte) []byte {
 		return slices.Concat(append([][]byte{{flowStateVersion, byte(len(sections))}}, sections...)...)
 	}
-	// One hop's frequency store: kind, then a SpaceSaving state (version,
-	// m, n, entries, then value/count/error triples).
-	freqStore := func(kind byte, state []byte) []byte {
-		return flowStateSection(freq, slices.Concat(uvarints(1), []byte{kind}, uvarints(uint64(len(state))), state))
+	// The util section re-spelled under another section kind: the payload
+	// is a valid series, only the kind byte changes.
+	utilAs := func(kind byte) []byte {
+		s := slices.Clone(sec["util"])
+		s[1+len(util.Name())] = kind
+		return s
 	}
-	ascending := uvarints(1, 16, 3, 2, 5, 2, 0, 9, 1, 0)
-	descending := uvarints(1, 16, 3, 2, 9, 1, 0, 5, 2, 0)
 	// A two-bucket sliding-window sketch with empty buckets, as kind 3
 	// carried one: version, buckets, span, k, cur, inCur, RNG, ring.
 	window := uvarints(1, 2, 1, 8, 0, 0, 1, 2, 3, 4, 0, 0)
-	path, util, cnt := sec["path"], sec["util"], sec["cnt"]
+	path := sec["path"]
 	return []flowStateRow{
 		{"reference", "", reference},
-		{"frequency summary alone", "", blob(freqStore(storeKLL, ascending))},
+		{"util series alone", "", blob(sec["util"])},
 		{"sections out of query order", `section "path" out of query order`,
-			blob(sec["lat"], path, util, sec["freq"], cnt)},
-		{"repeated section", `section "path" out of query order`, blob(path, path, util, sec["freq"], cnt)},
-		{"frequency store kind 1", "frequency store kind 1", blob(freqStore(storeRaw, ascending))},
-		{"SpaceSaving values descending", "value 5 follows 9", blob(freqStore(storeKLL, descending))},
+			blob(sec["lat"], path, sec["util"])},
+		{"repeated section", `section "path" out of query order`, blob(path, path, sec["util"])},
+		// 4 and 5 were the frequent-value and Morris-count families.
+		{"section kind 4", "section kind 4, want 3", blob(path, sec["lat"], utilAs(4))},
+		{"section kind 5", "section kind 5, want 3", blob(path, sec["lat"], utilAs(5))},
 		{"latency store kind 3", "latency store kind 3",
 			blob(flowStateSection(lat, slices.Concat(uvarints(1), []byte{3}, uvarints(uint64(len(window))), window)))},
 	}
@@ -252,10 +255,10 @@ func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateR
 
 // TestRestoreFlowStateRefusesWhatAppendNeverWrites: RestoreFlowState
 // accepts exactly the blobs AppendFlowState writes. Each refused row breaks
-// one rule of the layout — sections in query order, a frequency store that
-// is absent or present, SpaceSaving values ascending, latency store kinds
-// raw and KLL — and is refused naming it, leaving the destination
-// untouched; each accepted row re-emits byte for byte.
+// one rule of the layout — sections in query order, each section of its
+// query's kind (kinds 4 and 5 are no query's), latency store kinds raw and
+// KLL — and is refused naming it, leaving the destination untouched; each
+// accepted row re-emits byte for byte.
 func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
 	const flow = FlowKey(1)
 	rec, queries, blobs := referenceFlowStates(t, 0)
@@ -337,8 +340,8 @@ func FuzzFlowState(f *testing.F) {
 // the state record builds, and the flow survives a resize.
 func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	const flow = FlowKey(1)
-	eng, path, lat, util, freq, cnt := combinedTestPlan(t, 139)
-	queries := []Query{path, lat, util, freq, cnt}
+	eng, path, lat, util := combinedTestPlan(t, 139)
+	queries := []Query{path, lat, util}
 	pkts := cloneWorkload(t, eng, 173, 1, 600, 6)
 	// Lead with a packet that carries the path query and not the latency
 	// query; every packet after it arrives over the 5-hop route.
@@ -360,7 +363,7 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	if err := rec.RecordBatch(pkts); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []Query{path, lat, freq} {
+	for _, q := range []Query{path, lat} {
 		if got := rec.Hops(q, flow); got != 6 {
 			t.Errorf("%s answers for %d hops, want the flow's path length 6", q.Name(), got)
 		}

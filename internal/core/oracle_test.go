@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/approx"
 	"repro/internal/coding"
 )
 
@@ -12,8 +11,8 @@ import (
 // restated from the algorithm packages' own definitions —
 // coding.Encoder.EncodeHop for distributed coding, hash.Global's
 // ReservoirWrites for the reservoir, MultCompressor.Encode and
-// EncodeRandomized for value approximation, approx.Morris for randomized
-// counting — and from the plan as Compile published it (Plan().Sets), not
+// EncodeRandomized for value approximation — and from the plan as Compile
+// published it (Plan().Sets), not
 // the lowered ops. It shares no helper with the passes: no hash columns, no
 // threshold tables, no memoized decompositions, no word pack/unpack from
 // static.go. It also leaves in pkt what EncodeHopBatch caches there (the
@@ -64,17 +63,6 @@ func oracleEncodeHop(e *Engine, hop int, pkt *PacketDigest, v *HopValues) {
 		case *UtilQuery:
 			if code := q.comp.EncodeRandomized(float64(v.Util), q.g, id+uint64(hop)<<48); code > slice {
 				slice = code
-			}
-		case *FreqQuery:
-			if q.g.ReservoirWrites(id, hop) {
-				slice = v.FreqValue
-			}
-		case *CountQuery:
-			if v.CountFired != 0 {
-				m := approx.NewMorris(q.eps, q.bits)
-				m.SetCode(slice)
-				m.Increment(q.g, id, uint64(hop))
-				slice = m.Code()
 			}
 		}
 		pkt.Digest = pkt.Digest&^(mask<<off) | (slice&mask)<<off

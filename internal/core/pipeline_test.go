@@ -52,22 +52,3 @@ func TestLayoutSingleQueryNoSelector(t *testing.T) {
 		t.Fatalf("columns %+v: a single query needs no subset selection stage", l.Columns)
 	}
 }
-
-func TestFreqAndCountStageCosts(t *testing.T) {
-	// The extension queries map onto the same stage model: dynamic 4,
-	// per-packet 8.
-	fq, err := NewFreqQuery("f", 8, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cq, err := NewCountQuery("c", 6, 0.3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if StageCost(fq) != 4 || StageCost(cq) != 8 {
-		t.Fatalf("extension stage costs %d/%d, want 4/8", StageCost(fq), StageCost(cq))
-	}
-	if _, err := Layout([]Query{fq, cq}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/approx"
 	"repro/internal/coding"
 	"repro/internal/hash"
 )
@@ -26,11 +25,6 @@ type HopValues struct {
 	// Util feeds UtilQuery, pre-scaled to integer register units via
 	// UtilQuery.EncodeValue.
 	Util uint64
-	// FreqValue feeds FreqQuery (e.g. the egress port).
-	FreqValue uint64
-	// CountFired feeds CountQuery: nonzero means this hop's indicator
-	// fired.
-	CountFired uint64
 }
 
 // PacketDigest is one packet's telemetry state moving through the batch
@@ -76,8 +70,6 @@ const (
 	opPath opKind = iota
 	opLatency
 	opUtil
-	opFreq
-	opCount
 )
 
 // encodeOp is one query's slot in a compiled set: where its slice lives in
@@ -92,15 +84,7 @@ type encodeOp struct {
 	path  *PathQuery
 	lat   *LatencyQuery
 	util  *UtilQuery
-	freq  *FreqQuery
-	cnt   *CountQuery
-	// morrisBase is CountQuery's growth base, hoisted out of the loop.
-	morrisBase float64
-	// morrisThr[c] is the coin threshold for one Morris increment from
-	// code c (^0 = always fires), precomputed at compile time; nil when
-	// the counter is too wide to table.
-	morrisThr []uint64
-	// resG points at the latency/freq query's hash family so reservoir
+	// resG points at the latency query's hash family so reservoir
 	// decisions skip the per-hop 40-byte Global copy.
 	resG *hash.Global
 	// Path-query constants, hoisted so the per-hop loop unpacks and
@@ -120,7 +104,7 @@ type encodeProgram struct {
 }
 
 // compileProgram lowers one QuerySet. The query universe is closed (the
-// five core kinds), matching the Recording Module's dispatch; an unknown
+// three core kinds), matching the Recording Module's dispatch; an unknown
 // Query implementation is a compile-time error.
 func compileProgram(set QuerySet, slots map[Query]int) (encodeProgram, error) {
 	prog := encodeProgram{ops: make([]encodeOp, len(set.Queries))}
@@ -148,23 +132,6 @@ func compileProgram(set QuerySet, slots map[Query]int) (encodeProgram, error) {
 			op.resG = &qq.g
 		case *UtilQuery:
 			op.kind, op.util = opUtil, qq
-		case *FreqQuery:
-			op.kind, op.freq = opFreq, qq
-			op.resG = &qq.g
-		case *CountQuery:
-			op.kind, op.cnt = opCount, qq
-			op.morrisBase = approx.MorrisBase(qq.eps)
-			if qq.bits <= morrisTableMaxBits {
-				max := uint64(1)<<uint(qq.bits) - 1
-				op.morrisThr = make([]uint64, max)
-				for c := uint64(0); c < max; c++ {
-					thr, always := approx.MorrisIncrementThreshold(op.morrisBase, c)
-					if always {
-						thr = ^uint64(0)
-					}
-					op.morrisThr[c] = thr
-				}
-			}
 		default:
 			return encodeProgram{}, fmt.Errorf("core: query %q has unsupported type %T", q.Name(), q)
 		}

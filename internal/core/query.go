@@ -53,7 +53,7 @@ func (a AggregationType) String() string {
 // Query is one telemetry query compiled into the execution plan: what the
 // Query Engine needs to place it (name, aggregation type, bit budget,
 // frequency). The query universe is closed — Compile lowers each of the
-// five kinds to an op (program.go) — and the switch-side Encoding Module is
+// three kinds to an op (program.go) — and the switch-side Encoding Module is
 // that op's column pass in soa.go: it transforms only the query's slice of
 // the packet digest and is stateless per the switch constraints of §3.5
 // (all state lives in the global hash family and the digest itself).
@@ -66,31 +66,6 @@ type Query interface {
 	Bits() int
 	// Frequency is the fraction of packets that must serve this query.
 	Frequency() float64
-}
-
-// UseCase is one row of Table 2: an application enabled by PINT, its
-// aggregation mode and the measurement primitives it consumes.
-type UseCase struct {
-	Name       string
-	Agg        AggregationType
-	Primitives []string
-}
-
-// Catalog reproduces Table 2's use-case inventory.
-func Catalog() []UseCase {
-	return []UseCase{
-		{"Congestion Control", PerPacket, []string{"timestamp", "port utilization", "queue occupancy"}},
-		{"Congestion Analysis", PerPacket, []string{"queue occupancy"}},
-		{"Network Tomography", PerPacket, []string{"switchID", "queue occupancy"}},
-		{"Power Management", PerPacket, []string{"switchID", "port utilization"}},
-		{"Real-Time Anomaly Detection", PerPacket, []string{"timestamp", "port utilization", "queue occupancy"}},
-		{"Path Tracing", StaticPerFlow, []string{"switchID"}},
-		{"Routing Misconfiguration", StaticPerFlow, []string{"switchID"}},
-		{"Path Conformance", StaticPerFlow, []string{"switchID"}},
-		{"Utilization-aware Routing", DynamicPerFlow, []string{"switchID", "port utilization"}},
-		{"Load Imbalance", DynamicPerFlow, []string{"switchID", "port utilization"}},
-		{"Network Troubleshooting", DynamicPerFlow, []string{"switchID", "timestamp"}},
-	}
 }
 
 // FlowKey identifies a flow at the Recording Module (the query's

@@ -49,10 +49,9 @@ type flowState struct {
 // the flow yet. Per-hop fields are sized by the flow's path length
 // (flowState.k).
 type querySlot struct {
-	dec    *coding.Decoder       // PathQuery
-	lat    []latStore            // LatencyQuery, one store per hop
-	freq   []*sketch.SpaceSaving // FreqQuery, one summary per hop
-	series []float64             // UtilQuery / CountQuery: decoded values in arrival order
+	dec    *coding.Decoder // PathQuery
+	lat    []latStore      // LatencyQuery, one store per hop
+	series []float64       // UtilQuery: decoded values in arrival order
 }
 
 // hops is the number of hops the slot holds state for: the decoder's k or
@@ -61,12 +60,8 @@ func (s querySlot) hops() int {
 	if s.dec != nil {
 		return s.dec.K()
 	}
-	return max(len(s.lat), len(s.freq))
+	return len(s.lat)
 }
-
-// freqCounters bounds the Space Saving summary per (flow, hop) for
-// frequent-value queries: Theorem 2's 1/ε counters at ε = 1/16.
-const freqCounters = 16
 
 // latStore holds one (flow, hop)'s latency samples in one of two forms.
 // The raw form keeps every code at the width the plan paid for it on the
@@ -273,20 +268,6 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 			}
 		case opUtil:
 			slot.series = append(slot.series, op.util.Decode(bits))
-		case opFreq:
-			if slot.freq == nil {
-				if slot.freq, err = r.newFreqStores(fs.k); err != nil {
-					return err
-				}
-			}
-			if hop := op.freq.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.freq) {
-				slot.freq[hop-1].Add(bits)
-			}
-		case opCount:
-			slot.series = append(slot.series, op.cnt.Decode(bits))
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil
@@ -304,17 +285,6 @@ func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latSto
 			if st.kll, err = sketch.NewKLL(r.sketchItems, r.sketchRNG(q.Name(), flow, i+1)); err != nil {
 				return nil, err
 			}
-		}
-	}
-	return stores, nil
-}
-
-func (r *Recording) newFreqStores(k int) ([]*sketch.SpaceSaving, error) {
-	stores := make([]*sketch.SpaceSaving, k)
-	for i := range stores {
-		var err error
-		if stores[i], err = sketch.NewSpaceSaving(freqCounters); err != nil {
-			return nil, err
 		}
 	}
 	return stores, nil
@@ -350,13 +320,13 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 // clones between batches and hands the copy to concurrent readers.
 //
 // What is copied and what is shared follows from how each piece of state
-// changes. KLL sketches, Space Saving summaries and path
-// decoders still peeling are bounded in size and mutated in place, so the
-// clone gets its own. A decoder that has decoded its path writes nothing
-// but two counters ever again (coding.Decoder's frozen-share rule): the
-// clone takes the counters and shares the solved state.
-// The three per-packet series — raw latency samples (one code-width
-// sample per packet, see latStore), util values, count values — grow with
+// changes. KLL sketches and path decoders still peeling are bounded in
+// size and mutated in place, so the clone gets its own. A decoder that has
+// decoded its path writes nothing but two counters ever again
+// (coding.Decoder's frozen-share rule): the clone takes the counters and
+// shares the solved state.
+// The two per-packet series — raw latency samples (one code-width
+// sample per packet, see latStore) and util values — grow with
 // every packet and are append-only: nothing in the repository writes an
 // element once it is appended. The clone therefore takes each series as
 // s[:len(s):len(s)], a prefix clamped in length AND capacity over the
@@ -409,14 +379,6 @@ func (fs *flowState) clone() *flowState {
 			cs.lat = make([]latStore, len(slot.lat))
 			for h := range slot.lat {
 				cs.lat[h] = slot.lat[h].clone()
-			}
-		}
-		if slot.freq != nil {
-			cs.freq = make([]*sketch.SpaceSaving, len(slot.freq))
-			for h, ss := range slot.freq {
-				if ss != nil {
-					cs.freq[h] = ss.Clone()
-				}
 			}
 		}
 		cs.series = slot.series[:len(slot.series):len(slot.series)]
@@ -492,9 +454,9 @@ func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
 	return dec.Inconsistent()
 }
 
-// Hops returns the number of hops a path, latency or frequent-values query
-// answers for on the flow — the flow's path length at its first packet —
-// and 0 when q has recorded nothing for the flow.
+// Hops returns the number of hops a path or latency query answers for on
+// the flow — the flow's path length at its first packet — and 0 when q
+// has recorded nothing for the flow.
 func (r *Recording) Hops(q Query, flow FlowKey) int {
 	return r.slot(q, flow).hops()
 }
@@ -564,32 +526,5 @@ func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
 // UtilSeries answers a per-packet query: the decoded bottleneck values in
 // arrival order.
 func (r *Recording) UtilSeries(q *UtilQuery, flow FlowKey) []float64 {
-	return r.slot(q, flow).series
-}
-
-// FrequentValues answers a frequent-values query (Theorem 2): the values
-// appearing in at least a theta-fraction of hop `hop`'s sampled stream.
-func (r *Recording) FrequentValues(q *FreqQuery, flow FlowKey, hop int, theta float64) []sketch.HeavyHitter {
-	hops := r.slot(q, flow).freq
-	if hop < 1 || hop > len(hops) {
-		return nil
-	}
-	return hops[hop-1].HeavyHitters(theta)
-}
-
-// FreqSamples returns the number of samples a frequent-values query has
-// for a hop.
-func (r *Recording) FreqSamples(q *FreqQuery, flow FlowKey, hop int) int {
-	hops := r.slot(q, flow).freq
-	if hop < 1 || hop > len(hops) {
-		return 0
-	}
-	return int(hops[hop-1].Count())
-}
-
-// CountSeries answers a randomized-counting query: the decoded per-packet
-// count estimates in arrival order. The mean of the series is an unbiased
-// estimate of the expected per-packet count.
-func (r *Recording) CountSeries(q *CountQuery, flow FlowKey) []float64 {
 	return r.slot(q, flow).series
 }

@@ -263,8 +263,8 @@ func recordingState(t *testing.T, rec *Recording, queries []Query) string {
 func TestRecordBatchFlowRunHazards(t *testing.T) {
 	const k = 6
 	for _, v := range storageVariants {
-		eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 103, v.latBits)
-		queries := []Query{path, lat, util, freq, cnt}
+		eng, path, lat, util := combinedTestPlanLat(t, 103, v.latBits)
+		queries := []Query{path, lat, util}
 		all := cloneWorkload(t, eng, 107, 4, 1600, k)
 		interleaved := cloneWorkload(t, eng, 109, 2, 600, k) // flows 1,2,1,2,…
 		scramble(v.latBits, 113, all, interleaved)
@@ -323,7 +323,7 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 					}
 				}
 				for _, f := range serial.Flows() {
-					assertSameAnswers(t, serial, batched, f, k, path, lat, util, freq, cnt)
+					assertSameAnswers(t, serial, batched, f, k, path, lat, util)
 				}
 			})
 		}
@@ -335,13 +335,13 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 // used to index past the flow's per-hop stores and panic the worker. The
 // per-hop sample whose winner hop has no store is dropped instead, and
 // deterministically: RecordBatch and packet-at-a-time Record agree bit for
-// bit, the flow keeps its first-seen hop count, and the latency and
-// frequent-value stores hold exactly the samples whose winner is within it.
+// bit, the flow keeps its first-seen hop count, and the latency stores hold
+// exactly the samples whose winner is within it.
 func TestLengtheningRouteRecords(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util, freq, cnt := combinedTestPlanLat(t, 127, v.latBits)
-			queries := []Query{path, lat, util, freq, cnt}
+			eng, path, lat, util := combinedTestPlanLat(t, 127, v.latBits)
+			queries := []Query{path, lat, util}
 			const flow, short, long = FlowKey(1), 3, 5
 			stream := slices.Concat(cloneWorkload(t, eng, 131, 1, 300, short), cloneWorkload(t, eng, 137, 1, 900, long))
 			scramble(v.latBits, 139, stream)
@@ -356,23 +356,19 @@ func TestLengtheningRouteRecords(t *testing.T) {
 			if err := batched.RecordBatch(stream); err != nil {
 				t.Fatal(err)
 			}
-			wantLat, wantFreq, dropped := 0, 0, 0
+			wantLat, dropped := 0, 0
 			for _, p := range stream {
 				if err := serial.Record(p.Flow, p.PathLen, p.PktID, p.Digest); err != nil {
 					t.Fatal(err)
 				}
 				for _, x := range eng.ExtractInto(p.PktID, p.Digest, nil) {
-					switch x.Query {
-					case Query(lat):
-						if lat.Winner(p.PktID, p.PathLen) <= short {
-							wantLat++
-						} else {
-							dropped++
-						}
-					case Query(freq):
-						if freq.Winner(p.PktID, p.PathLen) <= short {
-							wantFreq++
-						}
+					if x.Query != Query(lat) {
+						continue
+					}
+					if lat.Winner(p.PktID, p.PathLen) <= short {
+						wantLat++
+					} else {
+						dropped++
 					}
 				}
 			}
@@ -382,18 +378,17 @@ func TestLengtheningRouteRecords(t *testing.T) {
 			if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
 				t.Fatal("RecordBatch and packet-at-a-time Record diverge on a lengthening route")
 			}
-			assertSameAnswers(t, serial, batched, flow, short, path, lat, util, freq, cnt)
-			gotLat, gotFreq := 0, 0
+			assertSameAnswers(t, serial, batched, flow, short, path, lat, util)
+			gotLat := 0
 			for hop := 1; hop <= long; hop++ {
-				gotFreq += batched.FreqSamples(freq, flow, hop)
 				gotLat += batched.LatencySamples(lat, flow, hop)
 			}
-			if batched.Hops(lat, flow) != short || batched.Hops(freq, flow) != short || batched.Hops(path, flow) != short {
-				t.Fatalf("hop counts %d/%d/%d, want the first-seen %d", batched.Hops(path, flow), batched.Hops(lat, flow), batched.Hops(freq, flow), short)
+			if batched.Hops(lat, flow) != short || batched.Hops(path, flow) != short {
+				t.Fatalf("hop counts %d/%d, want the first-seen %d", batched.Hops(path, flow), batched.Hops(lat, flow), short)
 			}
-			if gotFreq != wantFreq || gotLat != wantLat {
-				t.Fatalf("stores hold %d latency / %d frequent-value samples, want %d / %d (winner within the first %d hops)",
-					gotLat, gotFreq, wantLat, wantFreq, short)
+			if gotLat != wantLat {
+				t.Fatalf("stores hold %d latency samples, want %d (winner within the first %d hops)",
+					gotLat, wantLat, short)
 			}
 		})
 	}

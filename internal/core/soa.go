@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/approx"
 	"repro/internal/coding"
 	"repro/internal/hash"
 )
@@ -17,10 +16,6 @@ import (
 // packet by packet from the algorithm packages' definitions, and
 // TestEncodeHopBatchSoAParity and FuzzEncodeBatchParity hold the passes to it
 // bit for bit.
-
-// morrisTableMaxBits bounds the per-op Morris coin-threshold table
-// (2^bits-1 entries); wider counters compute the coin per fired packet.
-const morrisTableMaxBits = 12
 
 // soaScratch is one batch's worth of column storage, pooled so
 // steady-state encoding allocates nothing. Engines are driven
@@ -100,42 +95,10 @@ func (p *encodeProgram) encodeColumns(hop int, s *soaScratch, idx []int32, pkts 
 			op.soaLatency(hop, s, idx, vals, pktCol, digCol)
 		case opUtil:
 			op.soaUtil(hop, s, idx, vals, pktCol, digCol)
-		case opFreq:
-			op.soaFreq(hop, s, idx, vals, pktCol, digCol)
-		case opCount:
-			op.soaCount(hop, s, idx, vals, pktCol, digCol)
 		}
 	}
 	for j, i := range idx {
 		pkts[i].Digest = digCol[j]
-	}
-}
-
-// soaFreq: reservoir overwrite with the raw value. Hop 1 writes
-// unconditionally (no hash at all); later hops compare one hash column
-// against the hoisted reservoir threshold with a mask&-cond select.
-func (op *encodeOp) soaFreq(hop int, s *soaScratch, idx []int32, vals []HopValues, pktCol, digCol []uint64) {
-	shift, mask := op.shift, op.mask
-	keep := ^(mask << shift)
-	if hop <= 1 {
-		for j, i := range idx {
-			digCol[j] = digCol[j]&keep | (vals[i].FreqValue&mask)<<shift
-		}
-		return
-	}
-	s.h = growCol(s.h, len(idx))
-	h := s.h
-	op.resG.ActHashColumn(h, pktCol, uint64(hop))
-	thr := hash.ReservoirThreshold(hop)
-	for j, i := range idx {
-		var c uint64
-		if h[j] < thr {
-			c = 1
-		}
-		m := -c // all-ones when this hop wins the reservoir
-		old := digCol[j] >> shift & mask
-		nw := vals[i].FreqValue&mask&m | old&^m
-		digCol[j] = digCol[j]&keep | nw<<shift
 	}
 }
 
@@ -209,55 +172,6 @@ func (op *encodeOp) soaUtil(hop int, s *soaScratch, idx []int32, vals []HopValue
 			code = old
 		}
 		digCol[j] = digCol[j]&keep | code<<shift
-	}
-}
-
-// soaCount: probabilistic Morris increments for the hops whose indicator
-// fired. Fired packets are compacted first (the indicator is typically
-// sparse); their coins — the global hash on (packet, hop), so switches
-// stay stateless — come from one fixed-salt hash column compared against
-// the compile-time per-code threshold table.
-func (op *encodeOp) soaCount(hop int, s *soaScratch, idx []int32, vals []HopValues, pktCol, digCol []uint64) {
-	shift, mask := op.shift, op.mask
-	keep := ^(mask << shift)
-	maxCode := uint64(1)<<uint(op.cnt.bits) - 1
-	s.act = s.act[:0]
-	for j, i := range idx {
-		if vals[i].CountFired != 0 {
-			s.act = append(s.act, int32(j))
-		}
-	}
-	act := s.act
-	if len(act) == 0 {
-		return
-	}
-	if op.morrisThr == nil {
-		// Counter too wide for the threshold table: one coin per fired
-		// packet.
-		for _, j := range act {
-			old := digCol[j] >> shift & mask
-			nw := approx.MorrisNextCode(op.morrisBase, op.cnt.bits, old, op.cnt.g, pktCol[j], uint64(hop))
-			digCol[j] = digCol[j]&keep | (nw&mask)<<shift
-		}
-		return
-	}
-	na := len(act)
-	s.tmp = growCol(s.tmp, na)
-	s.h = growCol(s.h, na)
-	tmp, h := s.tmp, s.h
-	for t, j := range act {
-		tmp[t] = pktCol[j]
-	}
-	op.cnt.g.ValueDigestFixedColumn(h, tmp, uint64(hop))
-	for t, j := range act {
-		old := digCol[j] >> shift & mask
-		if old >= maxCode {
-			continue // saturated: never increments
-		}
-		// thr == ^0 is the "always increments" sentinel (code 0).
-		if thr := op.morrisThr[old]; thr == ^uint64(0) || h[t] < thr {
-			digCol[j] = digCol[j]&keep | (old+1)<<shift
-		}
 	}
 }
 

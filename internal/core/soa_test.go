@@ -14,10 +14,11 @@ import (
 )
 
 // parityPlans builds one engine per plan shape the column passes have a
-// distinct branch for: the combined benchmark plan, reservoir+Morris,
-// raw/fragmented paths, a one-instance hashed path over two XOR layers,
-// three path queries (layer cache overflow), and a multi-set plan with
-// unassigned probability mass.
+// distinct branch for: the combined benchmark plan, a reservoir and a
+// max-aggregation slice at odd widths sharing a digest, raw/fragmented
+// paths, a one-instance hashed path over two XOR layers, three path
+// queries (layer cache overflow), and a multi-set plan with unassigned
+// probability mass.
 func parityPlans(t testing.TB) map[string]*Engine {
 	t.Helper()
 	master := hash.Seed(0x50A)
@@ -44,11 +45,11 @@ func parityPlans(t testing.TB) map[string]*Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := NewFreqQuery("port", 6, 0.5, master)
+	lat6, err := NewLatencyQuery("lat6", 6, 0.1, 0.5, master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := NewCountQuery("hot", 5, 0.25, 0.25, master)
+	util5, err := NewUtilQuery("util5", 5, 0.2, 0.25, 1000, master)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func parityPlans(t testing.TB) map[string]*Engine {
 		triple = append(triple, p)
 	}
 	return map[string]*Engine{
-		"combined":    build(path, lat, util),
-		"freq+count":  build(freq, cnt),
-		"raw-path":    build(rawPath),
-		"deep-path":   build(deepPath),
-		"triple-path": build(triple[0], triple[1], triple[2]),
-		"multi-set":   build(lat, freq, cnt), // total mass < 1: unassigned packets
+		"combined":     build(path, lat, util),
+		"latency+util": build(lat6, util5),
+		"raw-path":     build(rawPath),
+		"deep-path":    build(deepPath),
+		"triple-path":  build(triple[0], triple[1], triple[2]),
+		"multi-set":    build(lat, lat6, util5), // total mass < 1: unassigned packets
 	}
 }
 
@@ -96,11 +97,9 @@ func parityBatch(seed uint64, n int) ([]PacketDigest, []HopValues) {
 			PathLen: 1 + int(s.Hash2(u, 3)%8),
 		}
 		vals[i] = HopValues{
-			SwitchID:   1 + s.Hash2(u, 4)%5,
-			LatencyNs:  1 + s.Hash2(u, 5)%2000,
-			Util:       s.Hash2(u, 6) % 1500,
-			FreqValue:  s.Hash2(u, 7) % 64,
-			CountFired: s.Hash2(u, 8) & 1,
+			SwitchID:  1 + s.Hash2(u, 4)%5,
+			LatencyNs: 1 + s.Hash2(u, 5)%2000,
+			Util:      s.Hash2(u, 6) % 1500,
 		}
 	}
 	return pkts, vals
@@ -177,7 +176,7 @@ func FuzzEncodeBatchParity(f *testing.F) {
 	f.Add(uint8(5), uint64(42), []byte("{\xff\x00AA\x10zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz}"))
 
 	var plans []*Engine
-	names := []string{"combined", "freq+count", "raw-path", "deep-path", "triple-path", "multi-set"}
+	names := []string{"combined", "latency+util", "raw-path", "deep-path", "triple-path", "multi-set"}
 	built := parityPlans(f)
 	for _, name := range names {
 		plans = append(plans, built[name])

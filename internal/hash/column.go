@@ -44,14 +44,6 @@ func (g *Global) ValueHashColumn(dst, values []uint64, pktID uint64) {
 	kernels.HashPktHop(dst, values, uint64(g.h), pktID)
 }
 
-// ValueDigestFixedColumn fills dst[i] = ValueDigest(value, pktIDs[i], 64)
-// for a loop-invariant first argument — the Morris-coin shape, where the
-// salt is fixed for a whole hop pass. dst and pktIDs must have equal
-// length.
-func (g *Global) ValueDigestFixedColumn(dst, pktIDs []uint64, value uint64) {
-	kernels.HashFixedA(dst, pktIDs, kernels.Hash2Prefix(uint64(g.h), value))
-}
-
 // ReservoirThreshold returns the integer threshold T such that, for
 // hop >= 2, ReservoirWrites(pkt, hop) is exactly g(pkt, hop) < T. Hops
 // <= 1 always write and have no threshold — batch callers special-case

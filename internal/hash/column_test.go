@@ -28,7 +28,7 @@ func TestActHashColumnMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestValueDigestColumnsMatchScalar pins the three value-hash column shapes.
+// TestValueDigestColumnsMatchScalar pins the two value-hash column shapes.
 func TestValueDigestColumnsMatchScalar(t *testing.T) {
 	g := NewGlobal(Seed(0xC02))
 	const n = 67
@@ -44,14 +44,6 @@ func TestValueDigestColumnsMatchScalar(t *testing.T) {
 		for i := range dst {
 			if want := g.ValueDigest(vals[i], pkts[i], b); dst[i] != want {
 				t.Fatalf("b=%d i=%d: column %#x, want %#x", b, i, dst[i], want)
-			}
-		}
-	}
-	for _, salt := range []uint64{0, 1, 5, 1 << 40} {
-		g.ValueDigestFixedColumn(dst, pkts, salt)
-		for i := range dst {
-			if want := g.ValueDigest(salt, pkts[i], 64); dst[i] != want {
-				t.Fatalf("salt=%d i=%d: column %#x, want %#x", salt, i, dst[i], want)
 			}
 		}
 	}

@@ -43,25 +43,6 @@ func HashPktHop(dst, pkt []uint64, seed, hop uint64) {
 	}
 }
 
-// Hash2Prefix returns the first-round state of Hash2(seed; a, ·), i.e.
-// Mix64((seed^golden) ^ (a·golden+1)). Callers with a fixed first
-// argument hoist it once and stream the second argument through
-// HashFixedA.
-func Hash2Prefix(seed, a uint64) uint64 {
-	return mix64((seed ^ golden) ^ (a*golden + 1))
-}
-
-// HashFixedA fills dst[i] = Hash2(seed; a, b[i]) given the hoisted
-// prefix h1 = Hash2Prefix(seed, a). dst and b must have equal length.
-func HashFixedA(dst, b []uint64, h1 uint64) {
-	if len(dst) != len(b) {
-		panic("kernels: HashFixedA column length mismatch")
-	}
-	for i, v := range b {
-		dst[i] = mix64(h1 ^ (v*mixA + 2))
-	}
-}
-
 // Hash2Cols fills dst[i] = Hash2(seed; a[i], b[i]): the value-hash shape
 // h(value, pkt) of payload columns. dst, a, and b must have equal length.
 func Hash2Cols(dst, a, b []uint64, seed uint64) {

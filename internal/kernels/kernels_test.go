@@ -46,15 +46,6 @@ func TestKernelConstantsMatchHash(t *testing.T) {
 				}
 			}
 
-			fixed := rng.next()
-			kernels.HashFixedA(dst, b, kernels.Hash2Prefix(uint64(seed), fixed))
-			for i := range dst {
-				if want := seed.Hash2(fixed, b[i]); dst[i] != want {
-					t.Fatalf("HashFixedA(seed=%#x, n=%d)[%d] = %#x, want %#x",
-						uint64(seed), n, i, dst[i], want)
-				}
-			}
-
 			kernels.Hash2Cols(dst, a, b, uint64(seed))
 			for i := range dst {
 				if want := seed.Hash2(a[i], b[i]); dst[i] != want {
@@ -73,7 +64,6 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 		call func()
 	}{
 		{"HashPktHop", func() { kernels.HashPktHop(make([]uint64, 2), make([]uint64, 3), 1, 2) }},
-		{"HashFixedA", func() { kernels.HashFixedA(make([]uint64, 2), make([]uint64, 3), 1) }},
 		{"Hash2Cols/a", func() { kernels.Hash2Cols(make([]uint64, 2), make([]uint64, 3), make([]uint64, 2), 1) }},
 		{"Hash2Cols/b", func() { kernels.Hash2Cols(make([]uint64, 2), make([]uint64, 2), make([]uint64, 3), 1) }},
 	}
@@ -113,12 +103,6 @@ func FuzzHashKernels(f *testing.F) {
 		for i := range dst {
 			if want := s.Hash2(a[i], hop); dst[i] != want {
 				t.Fatalf("HashPktHop[%d] = %#x, want %#x", i, dst[i], want)
-			}
-		}
-		kernels.HashFixedA(dst, b, kernels.Hash2Prefix(seed, hop))
-		for i := range dst {
-			if want := s.Hash2(hop, b[i]); dst[i] != want {
-				t.Fatalf("HashFixedA[%d] = %#x, want %#x", i, dst[i], want)
 			}
 		}
 		kernels.Hash2Cols(dst, a, b, seed)

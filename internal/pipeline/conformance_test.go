@@ -26,7 +26,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 		{name: "sketched", sketchItems: 32},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util, freq, cnt := testPlan(t, 401)
+			eng, path, lat, util := testPlan(t, 401)
 			const (
 				nFlows      = 24
 				pktsPerFlow = 300
@@ -84,7 +84,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				snap := sink.Snapshot()
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial, snap.recording(flow), flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial, snap.recording(flow), flow, k, path, lat, util)
 				}
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)
@@ -94,7 +94,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				}
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
 				}
 				// Snapshot after Close still serves, from the quiesced
 				// recordings — and Merged folds the shards into a single
@@ -109,7 +109,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 				}
 				for f := 0; f < nFlows; f++ {
 					flow := core.FlowKey(uint64(f)*2654435761 + 1)
-					compareFlow(t, shards, serial, merged, flow, k, path, lat, util, freq, cnt)
+					compareFlow(t, shards, serial, merged, flow, k, path, lat, util)
 				}
 			}
 		})

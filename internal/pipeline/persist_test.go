@@ -34,7 +34,7 @@ func (r *recordingPersister) PersistCheckpoint(cp CheckpointStats) {
 // property replay depends on (persist.go). Nothing is lost, nothing is
 // duplicated, and within a shard nothing is reordered.
 func TestPersisterSeesPerShardOrder(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 101)
+	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 7, 12, 50, 6)
 	for _, shards := range []int{1, 4} {
 		p := &recordingPersister{}
@@ -95,7 +95,7 @@ func TestPersisterSeesPerShardOrder(t *testing.T) {
 // and emits one record per shard whose packet counts sum to everything
 // ingested — the conservation law recovery re-checks from the log.
 func TestPersisterCheckpointRounds(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 101)
+	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 7, 12, 40, 6)
 	for _, shards := range []int{1, 4} {
 		p := &recordingPersister{}
@@ -144,7 +144,7 @@ func TestPersisterCheckpointRounds(t *testing.T) {
 // TestSetPersisterDetach: a nil persister detaches cleanly and a replay
 // (persister-less ingest) is never re-logged.
 func TestSetPersisterDetach(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 101)
+	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 7, 6, 20, 6)
 	p := &recordingPersister{}
 	sink, err := NewSink(eng, Config{Shards: 2, Base: hash.Seed(0xD1CE)})
@@ -205,7 +205,7 @@ func (p *orderedPersister) PersistCheckpoint(cp CheckpointStats) {
 // the serial Ingest or from concurrent IngestStage callers that finished
 // before the Checkpoint call, and every round reports every shard once.
 func TestCheckpointOrdersAfterIngest(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 101)
+	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 7, 16, 60, 6)
 	for _, shards := range []int{1, 3} {
 		p := &orderedPersister{shards: uint64(shards)}

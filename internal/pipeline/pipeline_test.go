@@ -5,18 +5,16 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/sketch"
 )
 
-// testPlan compiles a plan covering every query kind under a 32-bit
+// testPlan compiles a plan covering every query kind under a 24-bit
 // budget (mirrors core's combined test plan).
-func testPlan(t testing.TB, master hash.Seed) (*core.Engine, *core.PathQuery, *core.LatencyQuery, *core.UtilQuery, *core.FreqQuery, *core.CountQuery) {
+func testPlan(t testing.TB, master hash.Seed) (*core.Engine, *core.PathQuery, *core.LatencyQuery, *core.UtilQuery) {
 	t.Helper()
 	universe := make([]uint64, 64)
 	for i := range universe {
@@ -38,35 +36,46 @@ func testPlan(t testing.TB, master hash.Seed) (*core.Engine, *core.PathQuery, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := core.NewFreqQuery("freq", 4, 1.0/4, master)
+	eng, err := core.Compile([]core.Query{path, lat, util}, 24, master.Derive(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := core.NewCountQuery("cnt", 4, 0.5, 1.0/8, master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.Compile([]core.Query{path, lat, util, freq, cnt}, 32, master.Derive(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, path, lat, util, freq, cnt
+	return eng, path, lat, util
 }
 
 // encodeWorkload produces an interleaved multi-flow digest stream through
 // the batch encode path: nFlows flows, k hops, pktsPerFlow packets each,
-// round-robin interleaved (the adversarial order for a sink).
+// round-robin interleaved (the adversarial order for a sink). Each packet
+// meets switches drawn at random from the first 16 of the plan's universe,
+// so a flow's path decoder keeps peeling.
 func encodeWorkload(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int) []core.PacketDigest {
+	return encodeFlows(eng, seed, nFlows, pktsPerFlow, k, func(_ int, h uint64, _ int) uint64 {
+		return 0xAB00 + (h%16)*3
+	})
+}
+
+// routedWorkload is encodeWorkload with every flow on one fixed route
+// through the plan's universe, so its path decodes.
+func routedWorkload(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int) []core.PacketDigest {
+	return encodeFlows(eng, seed, nFlows, pktsPerFlow, k, func(f int, _ uint64, hop int) uint64 {
+		return 0xAB00 + uint64((7*f+hop)%64)*3
+	})
+}
+
+// workloadFlow is the key of encodeFlows' flow f.
+func workloadFlow(f int) core.FlowKey {
+	// Spread keys so shards get uneven, realistic loads.
+	return core.FlowKey(uint64(f)*2654435761 + 1)
+}
+
+// encodeFlows is the stream behind encodeWorkload and routedWorkload;
+// switchID gives flow f's switch at a hop, h being the packet's hash there.
+func encodeFlows(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int, switchID func(f int, h uint64, hop int) uint64) []core.PacketDigest {
 	rng := hash.NewRNG(seed)
 	pkts := make([]core.PacketDigest, 0, nFlows*pktsPerFlow)
 	for p := 0; p < pktsPerFlow; p++ {
 		for f := 0; f < nFlows; f++ {
-			pkts = append(pkts, core.PacketDigest{
-				// Spread keys so shards get uneven, realistic loads.
-				Flow:    core.FlowKey(uint64(f)*2654435761 + 1),
-				PktID:   rng.Uint64(),
-				PathLen: k,
-			})
+			pkts = append(pkts, core.PacketDigest{Flow: workloadFlow(f), PktID: rng.Uint64(), PathLen: k})
 		}
 	}
 	vals := make([]core.HopValues, len(pkts))
@@ -74,11 +83,9 @@ func encodeWorkload(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int) [
 		for i := range pkts {
 			h := hash.Seed(42).Hash2(pkts[i].PktID, uint64(hop))
 			vals[i] = core.HopValues{
-				SwitchID:   0xAB00 + (h%16)*3,
-				LatencyNs:  1000 + h%100000,
-				Util:       1 + h%1500,
-				FreqValue:  h % 16,
-				CountFired: h % 3,
+				SwitchID:  switchID(i%nFlows, h, hop),
+				LatencyNs: 1000 + h%100000,
+				Util:      1 + h%1500,
 			}
 		}
 		eng.EncodeHopBatch(hop, pkts, vals)
@@ -92,7 +99,7 @@ func encodeWorkload(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int) [
 // latency storage.
 func TestShardedSinkMatchesSerial(t *testing.T) {
 	for _, sketchItems := range []int{0, 32} {
-		eng, path, lat, util, freq, cnt := testPlan(t, 101)
+		eng, path, lat, util := testPlan(t, 101)
 		const (
 			nFlows      = 24
 			pktsPerFlow = 400
@@ -124,7 +131,7 @@ func TestShardedSinkMatchesSerial(t *testing.T) {
 			}
 			for f := 0; f < nFlows; f++ {
 				flow := core.FlowKey(uint64(f)*2654435761 + 1)
-				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
+				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
 			}
 		}
 	}
@@ -137,15 +144,13 @@ type queryReader interface {
 	Path(*core.PathQuery, core.FlowKey) ([]uint64, bool)
 	LatencySamples(*core.LatencyQuery, core.FlowKey, int) int
 	LatencyQuantile(*core.LatencyQuery, core.FlowKey, int, float64) (float64, error)
-	FrequentValues(*core.FreqQuery, core.FlowKey, int, float64) []sketch.HeavyHitter
 	UtilSeries(*core.UtilQuery, core.FlowKey) []float64
-	CountSeries(*core.CountQuery, core.FlowKey) []float64
 }
 
 var _ queryReader = (*core.Recording)(nil)
 
 func compareFlow(t *testing.T, shards int, serial queryReader, sink queryReader, flow core.FlowKey, k int,
-	path *core.PathQuery, lat *core.LatencyQuery, util *core.UtilQuery, freq *core.FreqQuery, cnt *core.CountQuery) {
+	path *core.PathQuery, lat *core.LatencyQuery, util *core.UtilQuery) {
 	t.Helper()
 	pa, oka := serial.Path(path, flow)
 	pb, okb := sink.Path(path, flow)
@@ -170,16 +175,6 @@ func compareFlow(t *testing.T, shards int, serial queryReader, sink queryReader,
 				}
 			}
 		}
-		ha := serial.FrequentValues(freq, flow, hop, 0.2)
-		hb := sink.FrequentValues(freq, flow, hop, 0.2)
-		if len(ha) != len(hb) {
-			t.Fatalf("shards=%d flow %d hop %d: %d vs %d hitters", shards, flow, hop, len(ha), len(hb))
-		}
-		for i := range ha {
-			if ha[i] != hb[i] {
-				t.Fatalf("shards=%d flow %d hop %d: %+v vs %+v", shards, flow, hop, ha[i], hb[i])
-			}
-		}
 	}
 	ua, ub := serial.UtilSeries(util, flow), sink.UtilSeries(util, flow)
 	if len(ua) != len(ub) {
@@ -190,22 +185,13 @@ func compareFlow(t *testing.T, shards int, serial queryReader, sink queryReader,
 			t.Fatalf("shards=%d flow %d util[%d]: %v vs %v", shards, flow, i, ua[i], ub[i])
 		}
 	}
-	ca, cb := serial.CountSeries(cnt, flow), sink.CountSeries(cnt, flow)
-	if len(ca) != len(cb) {
-		t.Fatalf("shards=%d flow %d: count %d vs %d", shards, flow, len(ca), len(cb))
-	}
-	for i := range ca {
-		if ca[i] != cb[i] && !(math.IsNaN(ca[i]) && math.IsNaN(cb[i])) {
-			t.Fatalf("shards=%d flow %d count[%d]: %v vs %v", shards, flow, i, ca[i], cb[i])
-		}
-	}
 }
 
 // TestSinkRunToRunDeterminism re-runs the same sharded ingest twice and
 // requires identical answers — goroutine scheduling must not leak into
 // results.
 func TestSinkRunToRunDeterminism(t *testing.T) {
-	eng, path, lat, _, _, _ := testPlan(t, 201)
+	eng, path, lat, _ := testPlan(t, 201)
 	pkts := encodeWorkload(eng, 9, 16, 300, 6)
 	base := hash.Seed(0xBEEF)
 	run := func() *Sink {
@@ -250,7 +236,7 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 // path length fails its shard's decoder, Err() reports it mid-stream,
 // Snapshot keeps serving the healthy shards, and Close returns it too.
 func TestSinkErrSurfacesShardFailure(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 1001)
+	eng, _, _, _ := testPlan(t, 1001)
 	pkts := encodeWorkload(eng, 31, 8, 50, 6)
 	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 8, Base: 1})
 	if err != nil {
@@ -283,7 +269,7 @@ func TestSinkErrSurfacesShardFailure(t *testing.T) {
 // TestSinkFlushAndReuse checks Flush mid-stream is safe and Close is
 // idempotent.
 func TestSinkFlushAndReuse(t *testing.T) {
-	eng, path, _, _, _, _ := testPlan(t, 301)
+	eng, path, _, _ := testPlan(t, 301)
 	pkts := encodeWorkload(eng, 3, 8, 500, 6)
 	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 128, Base: 1})
 	if err != nil {
@@ -317,7 +303,7 @@ func TestSinkFlushAndReuse(t *testing.T) {
 // the synchronous read decode-progress harnesses rely on.
 func TestBarrierMakesStateReadable(t *testing.T) {
 	master := hash.Seed(41)
-	eng, path, _, _, _, _ := testPlan(t, master)
+	eng, path, _, _ := testPlan(t, master)
 	pkts := encodeWorkload(eng, 5, 6, 300, 6)
 
 	for _, shards := range []int{1, 4} {
@@ -361,7 +347,7 @@ func TestBarrierMakesStateReadable(t *testing.T) {
 // it shares with Checkpoint, WithFlow and Snapshot must cost it nothing:
 // a nil callback and the ingester-owned reply channel.
 func TestBarrierZeroAlloc(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 61)
+	eng, _, _, _ := testPlan(t, 61)
 	sink, err := NewSink(eng, Config{Shards: 3, Base: 1})
 	if err != nil {
 		t.Fatal(err)

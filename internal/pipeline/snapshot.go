@@ -11,14 +11,13 @@ import "repro/internal/core"
 // packets). Packets ingested after the call may or may not be visible.
 //
 // What a snapshot shares with the live shard: the backing arrays of the
-// three per-packet series (raw latency samples, util values, count
-// values), which it holds as length-and-capacity-clamped prefixes. That
-// is safe because those series are append-only — the worker writes only
-// past the prefix, and an append through the snapshot reallocates — so
-// neither side can see the other's writes; everything that is mutated in
-// place (path decoders, KLL sketches, Space Saving summaries) the
-// snapshot owns outright. Taking one therefore costs in the flows it
-// covers, not in the packets they carried.
+// two per-packet series (raw latency samples, util values), which it
+// holds as length-and-capacity-clamped prefixes. That is safe because
+// those series are append-only — the worker writes only past the prefix,
+// and an append through the snapshot reallocates — so neither side can
+// see the other's writes; everything that is mutated in place (path
+// decoders, KLL sketches) the snapshot owns outright. Taking one
+// therefore costs in the flows it covers, not in the packets they carried.
 //
 // A flow-scoped snapshot (Sink.SnapshotFlows) covers only the flows it
 // was asked for; any other flow reads as untracked, and a shard that

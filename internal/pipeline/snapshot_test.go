@@ -30,7 +30,7 @@ func (s *Snapshot) trackedFlows() int {
 // goroutine answers exactly like a serial recording of the packets
 // ingested so far — and stays frozen while ingestion continues.
 func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
-	eng, path, lat, util, freq, cnt := testPlan(t, 501)
+	eng, path, lat, util := testPlan(t, 501)
 	const (
 		nFlows = 16
 		k      = 6
@@ -56,7 +56,7 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 	}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, halfSerial, snap.recording(flow), flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, halfSerial, snap.recording(flow), flow, k, path, lat, util)
 	}
 
 	// Ingest the rest; the earlier snapshot must not move.
@@ -84,7 +84,7 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 	}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, fullSerial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, fullSerial, sink.Recording(flow), flow, k, path, lat, util)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 // reader's successive snapshots (each snapshot reflects a prefix of the
 // per-shard stream, and prefixes only grow).
 func TestSnapshotConcurrentWithIngest(t *testing.T) {
-	eng, path, lat, util, freq, cnt := testPlan(t, 601)
+	eng, path, lat, util := testPlan(t, 601)
 	const (
 		nFlows  = 16
 		k       = 6
@@ -131,11 +131,9 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 								return
 							}
 						}
-						snap.recording(flow).FrequentValues(freq, flow, hop, 0.2)
 					}
 					snap.recording(flow).Path(path, flow)
 					snap.recording(flow).UtilSeries(util, flow)
-					snap.recording(flow).CountSeries(cnt, flow)
 					if n < last[flow] {
 						t.Errorf("reader %d flow %d: samples went backwards %d -> %d", r, flow, last[flow], n)
 						return
@@ -160,7 +158,7 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 	snap := sink.Snapshot()
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, sink.Recording(flow), snap.recording(flow), flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, sink.Recording(flow), snap.recording(flow), flow, k, path, lat, util)
 	}
 }
 
@@ -188,7 +186,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 	} {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
-				eng, path, lat, util, freq, cnt := testPlan(t, 701)
+				eng, path, lat, util := testPlan(t, 701)
 				pkts := encodeWorkload(eng, 29, nFlows, 120, k)
 				cfg := Config{Shards: shards, BatchSize: 16, SketchItems: v.sketch, Base: 0x5EED}
 				sink, err := NewSink(eng, cfg)
@@ -230,7 +228,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 						if ref.HasFlow(flow) {
 							tracked++
 						}
-						compareFlow(t, shards, ref, snap.recording(flow), flow, k, path, lat, util, freq, cnt)
+						compareFlow(t, shards, ref, snap.recording(flow), flow, k, path, lat, util)
 					}
 					if got := snap.trackedFlows(); got != tracked {
 						t.Fatalf("prefix %d: scoped snapshot tracks %d flows, want %d", n, got, tracked)
@@ -246,7 +244,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 						t.Fatalf("prefix %d: merging a scoped snapshot: %v", n, err)
 					}
 					for _, flow := range asked {
-						compareFlow(t, shards, ref, merged, flow, k, path, lat, util, freq, cnt)
+						compareFlow(t, shards, ref, merged, flow, k, path, lat, util)
 					}
 					if got := merged.TrackedFlows(); got != tracked {
 						t.Fatalf("prefix %d: merged scoped snapshot tracks %d flows, want %d", n, got, tracked)

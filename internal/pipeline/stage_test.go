@@ -40,7 +40,7 @@ func staged(st *Stage) int {
 // counts, and whatever interleaving the scheduler produces. Run under
 // -race this is also the data-race acceptance test for the striped locks.
 func TestConcurrentStageMatchesSerial(t *testing.T) {
-	eng, path, lat, util, freq, cnt := testPlan(t, 101)
+	eng, path, lat, util := testPlan(t, 101)
 	const (
 		nFlows      = 24
 		pktsPerFlow = 300
@@ -94,7 +94,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 			}
 			for f := 0; f < nFlows; f++ {
 				flow := core.FlowKey(uint64(f)*2654435761 + 1)
-				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
+				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 // Ingest routes through the same striped locks. Answers still match the
 // serial Recording exactly.
 func TestSerialIngestAlongsideStages(t *testing.T) {
-	eng, path, lat, util, freq, cnt := testPlan(t, 101)
+	eng, path, lat, util := testPlan(t, 101)
 	const (
 		nFlows      = 16
 		pktsPerFlow = 200
@@ -160,7 +160,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 	}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f)*2654435761 + 1)
-		compareFlow(t, 4, serial, sink.Recording(flow), flow, k, path, lat, util, freq, cnt)
+		compareFlow(t, 4, serial, sink.Recording(flow), flow, k, path, lat, util)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 // staged, Reset discards it, and the stage remains usable — no stale
 // packets leak into the next IngestStage.
 func TestStageResetAfterDecodeError(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 101)
+	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 3, 8, 4, 6)
 	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64, Base: hash.Seed(1)})
 	if err != nil {
@@ -221,19 +221,19 @@ func bufferedPackets(s *Sink) int {
 // the buffers are warm, frame payload → AppendUnmarshalSharded →
 // IngestStage → Barrier allocates nothing. The Barrier after every frame
 // means no worker queue ever fills here; the saturated path is
-// TestBackpressureZeroAlloc's. The plan is frequent-values only — the one
-// query whose per-flow state is fixed-size — so every allocation the
-// counter sees is a recycling leak in the decode/stage/dispatch machinery,
-// not data-structure growth (KLL compactors and raw sample buffers grow
-// O(log n) with the stream; that is real work, bounded separately by
-// core's TestRecordStageAllocationPins).
+// TestBackpressureZeroAlloc's. The plan is path-only and every flow's path
+// has decoded by the end of warm-up, so recording allocates nothing and
+// every allocation the counter sees is a recycling leak in the
+// decode/stage/dispatch machinery, not data-structure growth (KLL
+// compactors and raw sample buffers grow O(log n) with the stream; that
+// is real work, bounded separately by core's TestRecordStageAllocationPins).
 func TestStageZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	eng := freqOnlyEngine(t)
-	const k = 6
-	pkts := encodeWorkload(eng, 5, 32, 64, k)
+	eng, path := pathOnlyEngine(t)
+	const k, flows = 6, 32
+	pkts := routedWorkload(eng, 5, flows, 64, k)
 	payload, err := wire.AppendMarshal(nil, pkts)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ingestFrame()
 	}
-	sink.Barrier()
+	requireDecoded(t, sink, path, flows)
 	allocs := testing.AllocsPerRun(32, func() {
 		ingestFrame()
 		sink.Barrier()
@@ -275,21 +275,44 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// freqOnlyEngine compiles the frequent-values-only plan the allocation
-// tests record: its per-flow state is fixed-size, so once the flows are
-// admitted recording allocates nothing.
-func freqOnlyEngine(t *testing.T) *core.Engine {
+// pathOnlyEngine compiles the plan the allocation tests record: testPlan's
+// path query alone, on every packet. Fed routedWorkload, a flow's path
+// decodes within its first few dozen packets, and recording into a decoded
+// flow allocates nothing (coding's TestObserveFinishedDecoderZeroAlloc).
+func pathOnlyEngine(t *testing.T) (*core.Engine, *core.PathQuery) {
 	t.Helper()
 	master := hash.Seed(77)
-	freq, err := core.NewFreqQuery("freq", 4, 1.0, master)
+	universe := make([]uint64, 64)
+	for i := range universe {
+		universe[i] = uint64(0xAB00 + i*3)
+	}
+	cfg, err := core.DefaultPathConfig(4, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Compile([]core.Query{freq}, 16, master.Derive(9))
+	path, err := core.NewPathQuery("path", cfg, 1, master, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	eng, err := core.Compile([]core.Query{path}, 8, master.Derive(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, path
+}
+
+// requireDecoded drains the sink and fails the test unless every flow of
+// a routedWorkload over that many flows has decoded its path: the warm-up
+// an allocation count needs before recording stops allocating.
+func requireDecoded(t *testing.T, sink *Sink, path *core.PathQuery, flows int) {
+	t.Helper()
+	sink.Barrier()
+	for f := 0; f < flows; f++ {
+		flow := workloadFlow(f)
+		if dec := sink.Recording(flow).PathDecoder(path, flow); dec == nil || !dec.Done() {
+			t.Fatalf("flow %d has not decoded its path after warm-up", flow)
+		}
+	}
 }
 
 // allocsDuring counts the heap objects and bytes the whole process
@@ -313,15 +336,15 @@ func TestBackpressureZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	eng := freqOnlyEngine(t)
-	const batchSize, queueDepth = 256, 4
+	eng, path := pathOnlyEngine(t)
+	const batchSize, queueDepth, flows = 256, 4, 32
 	sink, err := NewSink(eng, Config{
 		Shards: 1, BatchSize: batchSize, QueueDepth: queueDepth, Base: hash.Seed(0xD1CE)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	burst := encodeWorkload(eng, 5, 32, (queueDepth+3)*batchSize/32, 6)
+	burst := routedWorkload(eng, 5, flows, (queueDepth+3)*batchSize/flows, 6)
 	cycle := func() {
 		sink.Ingest(burst)
 		sink.Barrier()
@@ -329,6 +352,7 @@ func TestBackpressureZeroAlloc(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
+	requireDecoded(t, sink, path, flows)
 	if n, _ := allocsDuring(func() {
 		for i := 0; i < 200; i++ {
 			cycle()
@@ -354,15 +378,15 @@ func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	eng := freqOnlyEngine(t)
-	const batchSize, queueDepth, ingesters = 256, 4, 2
+	eng, path := pathOnlyEngine(t)
+	const batchSize, queueDepth, ingesters, flows = 256, 4, 2, 32
 	sink, err := NewSink(eng, Config{
 		Shards: 2, BatchSize: batchSize, QueueDepth: queueDepth, Base: hash.Seed(0xD1CE)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	payload, err := wire.AppendMarshal(nil, encodeWorkload(eng, 5, 32, 2*(queueDepth+3)*batchSize/32, 6))
+	payload, err := wire.AppendMarshal(nil, routedWorkload(eng, 5, flows, 2*(queueDepth+3)*batchSize/flows, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +418,7 @@ func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 		}
 	}
 	run(16)
+	requireDecoded(t, sink, path, flows)
 	oneBuffer := uint64(batchSize) * uint64(unsafe.Sizeof(core.PacketDigest{}))
 	if n, b := allocsDuring(func() { run(200) }); b >= oneBuffer {
 		t.Errorf("%d×200 saturated bursts allocated %d B in %d objects, want less than one %d B buffer",

@@ -13,7 +13,7 @@ import (
 // and its mutations — eviction here, the hand-off drain in production —
 // must be visible to later snapshots.
 func TestWithFlowSeesDispatchedIngest(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 303)
+	eng, _, _, _ := testPlan(t, 303)
 	const (
 		nFlows      = 8
 		pktsPerFlow = 120
@@ -61,7 +61,7 @@ func TestWithFlowSeesDispatchedIngest(t *testing.T) {
 // still works after Close (it runs the callback directly on the drained
 // shard).
 func TestWithFlowErrorAndClose(t *testing.T) {
-	eng, _, _, _, _, _ := testPlan(t, 304)
+	eng, _, _, _ := testPlan(t, 304)
 	pkts := encodeWorkload(eng, 13, 4, 60, 6)
 	sink, err := NewSink(eng, Config{Shards: 2, Base: hash.Seed(0xF01)})
 	if err != nil {

@@ -29,13 +29,4 @@ func BenchmarkKLLQuantile(b *testing.B) {
 	benchSink = acc
 }
 
-func BenchmarkSpaceSavingAdd(b *testing.B) {
-	s, _ := NewSpaceSaving(64)
-	rng := hash.NewRNG(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(uint64(rng.Intn(10000)))
-	}
-}
-
 var benchSink float64

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/hash"
 	"repro/internal/stateread"
@@ -96,73 +95,6 @@ func RestoreKLL(data []byte) (*KLL, error) {
 			level[i] = math.Float64frombits(r.Uvarint())
 		}
 		s.compactors[h] = level
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// AppendState appends the summary's complete state. Counters are emitted
-// in ascending value order so the encoding is deterministic.
-func (s *SpaceSaving) AppendState(dst []byte) []byte {
-	dst = append(dst, sketchCodecVersion)
-	dst = appendUvarint(dst, uint64(s.m))
-	dst = appendUvarint(dst, s.n)
-	vals := make([]uint64, 0, len(s.cnt))
-	for v := range s.cnt {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	dst = appendUvarint(dst, uint64(len(vals)))
-	for _, v := range vals {
-		dst = appendUvarint(dst, v)
-		dst = appendUvarint(dst, s.cnt[v])
-		dst = appendUvarint(dst, s.err[v])
-	}
-	return dst
-}
-
-// RestoreSpaceSaving rebuilds a summary from AppendState bytes.
-func RestoreSpaceSaving(data []byte) (*SpaceSaving, error) {
-	r := stateread.New("sketch: state", data)
-	if v := r.Uvarint(); r.Err == nil && v != sketchCodecVersion {
-		return nil, fmt.Errorf("sketch: SpaceSaving state version %d (have %d)", v, sketchCodecVersion)
-	}
-	m := int(r.Uvarint())
-	n := r.Uvarint()
-	entries := r.Uvarint()
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("sketch: SpaceSaving state m=%d", m)
-	}
-	if entries > uint64(m) {
-		return nil, fmt.Errorf("sketch: SpaceSaving state has %d entries for m=%d", entries, m)
-	}
-	s := &SpaceSaving{
-		m:   m,
-		n:   n,
-		cnt: make(map[uint64]uint64, m),
-		err: make(map[uint64]uint64, m),
-	}
-	var prev uint64
-	for i := uint64(0); i < entries; i++ {
-		v := r.Uvarint()
-		c := r.Uvarint()
-		e := r.Uvarint()
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		// AppendState writes the values strictly ascending; any other order
-		// (or a repeat) is a blob it could not have written.
-		if i > 0 && v <= prev {
-			return nil, fmt.Errorf("sketch: SpaceSaving state value %d follows %d", v, prev)
-		}
-		prev = v
-		s.cnt[v] = c
-		s.err[v] = e
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -49,61 +49,25 @@ func TestKLLCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpaceSavingCodecRoundTrip(t *testing.T) {
-	orig, err := NewSpaceSaving(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 400; i++ {
-		orig.Add(uint64(i % 23))
-	}
-	restored, err := RestoreSpaceSaving(orig.AppendState(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orig.Count() != restored.Count() {
-		t.Fatalf("count %d vs %d", orig.Count(), restored.Count())
-	}
-	for v := uint64(0); v < 23; v++ {
-		a, aok := orig.cnt[v]
-		b, bok := restored.cnt[v]
-		if a != b || aok != bok {
-			t.Fatalf("estimate(%d): (%d,%v) vs (%d,%v)", v, a, aok, b, bok)
-		}
-	}
-	if !bytes.Equal(orig.AppendState(nil), restored.AppendState(nil)) {
-		t.Fatal("restored SpaceSaving re-serializes differently")
-	}
-}
-
 func TestCodecRejectsCorrupt(t *testing.T) {
 	kll, _ := NewKLL(32, hash.NewRNG(1))
 	kll.Add(3)
-	ss, _ := NewSpaceSaving(4)
-	ss.Add(9)
-	for name, c := range map[string]struct {
-		state   []byte
-		restore func([]byte) error
-	}{
-		"kll": {kll.AppendState(nil), func(b []byte) error { _, err := RestoreKLL(b); return err }},
-		"ss":  {ss.AppendState(nil), func(b []byte) error { _, err := RestoreSpaceSaving(b); return err }},
-	} {
-		state := c.state
-		// Truncations at every prefix must error, never panic.
-		for cut := 0; cut < len(state); cut++ {
-			if c.restore(state[:cut]) == nil {
-				t.Fatalf("%s: truncation at %d/%d accepted", name, cut, len(state))
-			}
+	state := kll.AppendState(nil)
+	restore := func(b []byte) error { _, err := RestoreKLL(b); return err }
+	// Truncations at every prefix must error, never panic.
+	for cut := 0; cut < len(state); cut++ {
+		if restore(state[:cut]) == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(state))
 		}
-		// Trailing garbage is an error too.
-		if c.restore(append(append([]byte(nil), state...), 0xEE)) == nil {
-			t.Fatalf("%s: trailing byte accepted", name)
-		}
-		// So is a varint AppendState could not have written: byte 1 (k, m —
-		// both below 128) re-spelled in two bytes, same value.
-		err := c.restore(slices.Concat(state[:1], []byte{state[1] | 0x80, 0x00}, state[2:]))
-		if err == nil || !strings.Contains(err.Error(), "at byte 1 is not minimally encoded") {
-			t.Fatalf("%s: non-minimal varint: got %v, want an error naming byte 1", name, err)
-		}
+	}
+	// Trailing garbage is an error too.
+	if restore(append(append([]byte(nil), state...), 0xEE)) == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	// So is a varint AppendState could not have written: byte 1 (k, below
+	// 128) re-spelled in two bytes, same value.
+	err := restore(slices.Concat(state[:1], []byte{state[1] | 0x80, 0x00}, state[2:]))
+	if err == nil || !strings.Contains(err.Error(), "at byte 1 is not minimally encoded") {
+		t.Fatalf("non-minimal varint: got %v, want an error naming byte 1", err)
 	}
 }

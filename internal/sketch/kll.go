@@ -1,10 +1,8 @@
-// Package sketch implements the streaming summaries PINT's Recording and
+// Package sketch implements the streaming summary PINT's Recording and
 // Inference modules use to bound per-flow storage (§3.4, §4.1, §6.2):
 //
 //   - KLL, the optimal quantile sketch of Karnin, Lang and Liberty [39],
 //     used to estimate median/tail latencies from the sampled sub-streams,
-//   - SpaceSaving, the heavy-hitters summary of Metwally et al. [50], used
-//     for the frequent-values aggregation of Theorem 2,
 //   - exact-quantile helpers used as ground truth by tests and experiments.
 //
 // Everything is deterministic given a seeded RNG and uses only the standard

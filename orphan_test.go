@@ -22,12 +22,7 @@ import (
 // whose identifier gains a caller (or disappears) fails the test as stale.
 var orphanAllowlist = map[string]string{
 	"internal/approx.MultCompressor.EncodeRandomized": "the definition of [·]_R: reference of core/oracle_test.go (oracleEncodeHop) and approx TestRandomizedPartsMatchEncodeRandomized",
-	"internal/approx.Morris.Increment":                "the Morris step on a counter value: reference of core/oracle_test.go (oracleEncodeHop) and approx TestMorrisEstimateAccuracy",
-	"internal/approx.Morris.Code":                     "reads back what Morris.Increment did, for the same two references",
 	"internal/wire.AppendFrame":                       "the obvious frame encoder: oracle of segstore/oracle_test.go (appendBlock), wire TestAppendMarshalFrame and collector/failure_test.go's hand-built frames",
-	"internal/core.Catalog":                           "paper feature awaiting a scenario (ROADMAP State)",
-	"internal/core.NewFreqQuery":                      "paper feature awaiting a scenario (ROADMAP State)",
-	"internal/core.NewCountQuery":                     "paper feature awaiting a scenario (ROADMAP State)",
 }
 
 // TestNoOrphanExports is the caller audit as a tier-1 test: every exported
@@ -72,8 +67,10 @@ func TestNoOrphanExports(t *testing.T) {
 			t.Errorf("stale allowlist entry %s: it has a non-test reference or no longer exists", name)
 		}
 	}
-	if len(orphanAllowlist) > 10 {
-		t.Errorf("allowlist holds %d entries, budget is 10", len(orphanAllowlist))
+	// The budget is a bound, not room: raising it is the reviewed change a
+	// new entry needs.
+	if len(orphanAllowlist) > 4 {
+		t.Errorf("allowlist holds %d entries, budget is 4", len(orphanAllowlist))
 	}
 }
 

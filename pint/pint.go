@@ -27,6 +27,11 @@
 //	rec.RecordBatch(pkts)
 //	ids, done := rec.Path(q, flowKey)
 //
+// A latency query (NewLatencyQuery, answered by LatencyQuantile) and a
+// utilization query (NewUtilQuery, answered by UtilSeries) compile into the
+// same engine; the switch fills HopValues.LatencyNs and HopValues.Util for
+// them. These three are the whole query universe, one per aggregation mode.
+//
 // EncodeHopBatch is the one encode path: the compiled plan run as column
 // passes over the batch, with no interface dispatch, no closures and zero
 // per-packet allocations, at every batch size (Engine.EncodeHopValues is
@@ -170,25 +175,6 @@ func NewUtilQuery(name string, bits int, eps, freq, scale float64, seed Seed) (*
 	return core.NewUtilQuery(name, bits, eps, freq, scale, seed)
 }
 
-// FreqQuery reports values appearing in at least a θ-fraction of a
-// (flow, hop) stream (Theorem 2) — e.g. which egress port a switch used.
-type FreqQuery = core.FreqQuery
-
-// NewFreqQuery creates a frequent-values query; observed values must fit
-// the bit budget.
-func NewFreqQuery(name string, bits int, freq float64, seed Seed) (*FreqQuery, error) {
-	return core.NewFreqQuery(name, bits, freq, seed)
-}
-
-// CountQuery counts indicator-firing hops along the path with a Morris
-// counter (§4.3, randomized counting).
-type CountQuery = core.CountQuery
-
-// NewCountQuery creates a randomized-counting query with accuracy eps.
-func NewCountQuery(name string, bits int, eps, freq float64, seed Seed) (*CountQuery, error) {
-	return core.NewCountQuery(name, bits, eps, freq, seed)
-}
-
 // Engine coordinates compiled queries between switches and the sink.
 type Engine = core.Engine
 
@@ -284,9 +270,3 @@ type LoopDetector = core.LoopDetector
 func NewLoopDetector(bits int, T uint64, seed Seed) (*LoopDetector, error) {
 	return core.NewLoopDetector(bits, T, seed)
 }
-
-// UseCase is one Table 2 row; Catalog lists all of them.
-type UseCase = core.UseCase
-
-// Catalog returns the use cases PINT enables (Table 2).
-func Catalog() []UseCase { return core.Catalog() }

@@ -5,7 +5,6 @@ package pint_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"testing"
 	"time"
@@ -92,55 +91,6 @@ func TestPublicMultiQueryBudget(t *testing.T) {
 	}
 }
 
-func TestPublicFreqAndCountQueries(t *testing.T) {
-	fq, err := pint.NewFreqQuery("ports", 8, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cq, err := pint.NewCountQuery("spikes", 6, 0.3, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := pint.Compile([]pint.Query{fq, cq}, 14, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := pint.NewRecording(engine, 0, pint.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow := pint.FlowKey(9)
-	rng := pint.NewRNG(7)
-	const k = 4
-	for i := 0; i < 20000; i++ {
-		pkt := rng.Uint64()
-		var digest uint64
-		for hop := 1; hop <= k; hop++ {
-			v := pint.HopValues{FreqValue: uint64(hop)} // hop h always uses port h
-			if hop == 2 {
-				v.CountFired = 1 // exactly one indicator hop
-			}
-			digest = engine.EncodeHopValues(pkt, hop, digest, &v)
-		}
-		if err := rec.Record(flow, k, pkt, digest); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hh := rec.FrequentValues(fq, flow, 3, 0.5)
-	if len(hh) != 1 || hh[0].Value != 3 {
-		t.Fatalf("hop 3 frequent values: %v, want port 3", hh)
-	}
-	series := rec.CountSeries(cq, flow)
-	var mean float64
-	for _, v := range series {
-		mean += v
-	}
-	mean /= float64(len(series))
-	if math.Abs(mean-1) > 0.15 {
-		t.Fatalf("mean indicator count %v, want ~1", mean)
-	}
-}
-
 func TestPublicLoopDetector(t *testing.T) {
 	d, err := pint.NewLoopDetector(16, 1, 7)
 	if err != nil {
@@ -159,11 +109,34 @@ func TestPublicLoopDetector(t *testing.T) {
 	}
 }
 
-func TestPublicCatalog(t *testing.T) {
-	if len(pint.Catalog()) != 11 {
-		t.Fatal("catalog must expose Table 2's 11 use cases")
+// TestPublicAggregationModes: the three query kinds are §3.1's three
+// aggregation modes, one each.
+func TestPublicAggregationModes(t *testing.T) {
+	cfg, err := pint.DefaultPathConfig(8, 1, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pint.StaticPerFlow == pint.DynamicPerFlow {
+	path, err := pint.NewPathQuery("path", cfg, 1, 3, universe(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := pint.NewLatencyQuery("lat", 8, 0.04, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	util, err := pint.NewUtilQuery("hpcc", 8, 0.025, 1, 1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    pint.Query
+		want pint.AggregationType
+	}{{path, pint.StaticPerFlow}, {lat, pint.DynamicPerFlow}, {util, pint.PerPacket}} {
+		if got := c.q.Agg(); got != c.want {
+			t.Errorf("%s: aggregation %v, want %v", c.q.Name(), got, c.want)
+		}
+	}
+	if pint.StaticPerFlow == pint.DynamicPerFlow || pint.DynamicPerFlow == pint.PerPacket || pint.PerPacket == pint.StaticPerFlow {
 		t.Fatal("aggregation constants must be distinct")
 	}
 }
