@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/hash"
@@ -372,13 +373,14 @@ func TestClonePrefixProperty(t *testing.T) {
 	}
 }
 
-// TestCloneAppendsStayPrivate pins the capacity clamp. A clone shares the
-// origin's series arrays, and those arrays have spare capacity past the
-// shared prefix; an append through a clone must reallocate instead of
-// writing there, or it would show through to the origin's next append
-// and to every sibling clone. Origin and two sibling clones each record a
-// different continuation; each must equal a Recording rebuilt from
-// scratch from the prefix plus its own continuation.
+// TestCloneAppendsStayPrivate pins the clamp and the copy-on-write tail.
+// A clone shares the origin's util series, whose array has spare capacity
+// past the shared prefix, and its raw latency chunks, whose last chunk has
+// room past the shared samples; an append through a clone must reallocate
+// or copy instead of writing there, or it would show through to the
+// origin's next append and to every sibling clone. Origin and two sibling
+// clones each record a different continuation; each must equal a
+// Recording rebuilt from scratch from the prefix plus its own continuation.
 func TestCloneAppendsStayPrivate(t *testing.T) {
 	const (
 		nFlows = 4
@@ -406,18 +408,20 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The test means something only if an append could land in
-			// shared memory: some origin series must have room to spare.
-			spare, spareRaw := false, v.sketchItems != 0
+			// shared memory: some origin series must have room to spare,
+			// and some origin raw store must end mid-chunk.
+			per := latChunk / codeWidth(v.latBits)
+			spare, midChunk := false, v.sketchItems != 0
 			for _, fs := range orig.flows {
 				for _, slot := range fs.slots {
 					spare = spare || cap(slot.series) > len(slot.series)
 					for _, st := range slot.lat {
-						spareRaw = spareRaw || cap(st.raw) >= len(st.raw)+st.width
+						midChunk = midChunk || st.n%per != 0
 					}
 				}
 			}
-			if !spare || !spareRaw {
-				t.Fatal("no origin series has spare capacity; pick another prefix length")
+			if !spare || !midChunk {
+				t.Fatal("no origin series has spare capacity or no raw store ends mid-chunk; pick another prefix length")
 			}
 			holders := []*Recording{orig, orig.Clone(), orig.Clone()}
 			for _, c := range holders[1:] {
@@ -427,9 +431,9 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 							t.Fatalf("flow %d: clone's series has cap %d > len %d", f, cap(vs), len(vs))
 						}
 						for _, st := range slot.lat {
-							if cap(st.raw) != len(st.raw) || len(st.raw)%st.width != 0 {
-								t.Fatalf("flow %d: clone's raw samples have len %d cap %d at %d bytes a sample",
-									f, len(st.raw), cap(st.raw), st.width)
+							if cap(st.chunks) != len(st.chunks) || len(st.chunks) != (st.n+per-1)/per {
+								t.Fatalf("flow %d: clone holds %d samples in %d chunks of a list of cap %d, want a clamped list of %d",
+									f, st.n, len(st.chunks), cap(st.chunks), (st.n+per-1)/per)
 							}
 						}
 					}
@@ -454,6 +458,113 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 				}
 				for f := 1; f <= nFlows; f++ {
 					assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util)
+				}
+			}
+		})
+	}
+}
+
+// TestHeldCloneRacesOwnerTail is the copy-on-write tail under the race
+// detector. Two clones are held while the owner records on: one only
+// answers, the other answers — quantiles of every hop and the hand-off
+// blob — between appends of its own continuation. The owner fills the
+// very tail chunks both clones share, the appending clone copies its part
+// of them while the owner writes past it, and the reading clone ranks the
+// shared bytes throughout. Any shared byte written by one side while
+// another reads it fails under -race; afterwards each holder must carry
+// the state of a Recording rebuilt from its own packets, blob for blob.
+func TestHeldCloneRacesOwnerTail(t *testing.T) {
+	const (
+		nFlows = 4
+		k      = 6
+		cont   = 800
+		step   = 16
+	)
+	for _, v := range storageVariants {
+		t.Run(v.name, func(t *testing.T) {
+			eng, path, lat, util := combinedTestPlanLat(t, 151, v.latBits)
+			queries := []Query{path, lat, util}
+			mk := func(batches ...[]PacketDigest) *Recording {
+				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range batches {
+					if err := rec.RecordBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return rec
+			}
+			prefix := cloneWorkload(t, eng, 157, nFlows, 600, k)
+			ownerCont := cloneWorkload(t, eng, 163, nFlows, cont, k)
+			cloneCont := cloneWorkload(t, eng, 167, nFlows, cont, k)
+			scramble(v.latBits, 173, prefix, ownerCont, cloneCont)
+			owner := mk(prefix)
+			per := latChunk / codeWidth(v.latBits)
+			midChunk := v.sketchItems != 0
+			for _, fs := range owner.flows {
+				for _, st := range fs.slots[eng.slots[lat]].lat {
+					midChunk = midChunk || st.n%per != 0
+				}
+			}
+			if !midChunk {
+				t.Fatal("no raw store ends mid-chunk; pick another prefix length")
+			}
+			reader, writer := owner.Clone(), owner.Clone()
+			answer := func(rec *Recording, blob []byte) []byte {
+				for f := FlowKey(1); f <= nFlows; f++ {
+					for hop := 1; hop <= k; hop++ {
+						if _, err := rec.LatencyQuantiles(lat, f, hop, 0, 0.5, 0.99, 1); err != nil && rec.LatencySamples(lat, f, hop) != 0 {
+							t.Error(err)
+						}
+					}
+					var err error
+					if blob, err = rec.AppendFlowState(blob[:0], queries, f); err != nil {
+						t.Error(err)
+					}
+				}
+				return blob
+			}
+			var wg sync.WaitGroup
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				for off := 0; off < cont; off += step {
+					if err := owner.RecordBatch(ownerCont[off : off+step]); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				var blob []byte
+				for off := 0; off < cont; off += step {
+					blob = answer(writer, blob)
+					if err := writer.RecordBatch(cloneCont[off : off+step]); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				var blob []byte
+				for off := 0; off < cont; off += step {
+					blob = answer(reader, blob)
+				}
+			}()
+			wg.Wait()
+			for _, h := range []struct {
+				name string
+				got  *Recording
+				want *Recording
+			}{
+				{"owner", owner, mk(prefix, ownerCont)},
+				{"appending clone", writer, mk(prefix, cloneCont)},
+				{"reading clone", reader, mk(prefix)},
+			} {
+				if recordingState(t, h.got, queries) != recordingState(t, h.want, queries) {
+					t.Fatalf("%s: state differs from a Recording rebuilt from its own packets", h.name)
 				}
 			}
 		})

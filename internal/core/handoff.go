@@ -85,9 +85,9 @@ func sectionKind(q Query) byte {
 
 // appendLatStores is a latency section's payload: the hop count, then one
 // store per hop — its kind, then for a sketch its length-prefixed state. A
-// raw sample travels as the uvarint of its code, whatever width it is held
-// at in memory.
-func appendLatStores(dst []byte, stores []latStore) []byte {
+// raw sample travels as the uvarint of its code, in arrival order, whatever
+// width (here width bytes) it is held at in memory.
+func appendLatStores(dst []byte, stores []latStore, width int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(stores)))
 	for i := range stores {
 		switch st := &stores[i]; {
@@ -95,10 +95,9 @@ func appendLatStores(dst []byte, stores []latStore) []byte {
 			at := len(dst) + 1
 			dst = prefixLen(st.kll.AppendState(append(dst, storeKLL)), at)
 		default:
-			n := st.samples()
-			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(n))
-			for j := 0; j < n; j++ {
-				dst = binary.AppendUvarint(dst, st.code(j))
+			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(st.n))
+			for code := range st.codes(width) {
+				dst = binary.AppendUvarint(dst, code)
 			}
 		}
 	}
@@ -140,7 +139,7 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 		case slot.dec != nil:
 			dst = slot.dec.AppendState(dst)
 		case slot.lat != nil:
-			dst = appendLatStores(dst, slot.lat)
+			dst = appendLatStores(dst, slot.lat, codeWidth(q.Bits()))
 		default:
 			dst = appendFloatSeries(dst, slot.series)
 		}
@@ -250,7 +249,10 @@ func restoreDecoder(q *PathQuery, payload []byte) (*coding.Decoder, error) {
 
 // restoreLatStores decodes a latency section for q. The raw samples are
 // held at q's code width, so a sample q's digest slice could not have
-// carried is rejected here rather than truncated into some other code.
+// carried is rejected here rather than truncated into some other code. A
+// raw store's chunk list is sized once, from the count the payload has
+// already bounded, with the one spare slot that marks a store owning its
+// tail (see latStore).
 func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore, error) {
 	rd := stateread.New(flowStateWhat, payload)
 	n := rd.Uvarint()
@@ -261,9 +263,9 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 		return nil, fmt.Errorf("core: latency section claims %d stores", n)
 	}
 	stores := make([]latStore, n)
+	width := codeWidth(q.Bits())
 	for i := range stores {
 		st := &stores[i]
-		st.width = codeWidth(q.Bits())
 		kind := rd.Bytes(1)
 		if rd.Err != nil {
 			return nil, rd.Err
@@ -277,14 +279,15 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 			if cnt > uint64(rd.Len())+1 {
 				return nil, fmt.Errorf("core: raw latency store claims %d samples", cnt)
 			}
-			st.raw = make([]byte, 0, int(cnt)*st.width)
+			per := uint64(latChunk / width)
+			st.chunks = make([]*[latChunk]byte, 0, (cnt+per-1)/per+1)
 			for j := uint64(0); j < cnt; j++ {
 				code := rd.Uvarint()
 				if code&^digestMask(q.Bits()) != 0 {
 					return nil, fmt.Errorf("core: flow %d hop %d: raw latency sample %d does not fit %d bits",
 						flow, i+1, code, q.Bits())
 				}
-				st.add(code)
+				st.add(code, width)
 			}
 		case storeKLL:
 			sub := rd.Bytes(rd.Uvarint())

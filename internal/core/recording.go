@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 
@@ -65,47 +66,108 @@ func (s querySlot) hops() int {
 
 // latStore holds one (flow, hop)'s latency samples in one of two forms.
 // The raw form keeps every code at the width the plan paid for it on the
-// wire: ⌈bits/8⌉ bytes per sample, little-endian, packed back to back in
-// raw (the benchmark plan's 8-bit codes cost one byte each). It is
-// append-only, which is what lets a Clone share it as a prefix.
+// wire: ⌈bits/8⌉ bytes per sample, little-endian, n samples packed in
+// arrival order into fixed latChunk-byte chunks (the benchmark plan's
+// 8-bit codes cost one byte each). A sample is written once, where it
+// stays: a new chunk is allocated every latChunk/width samples and nothing
+// is ever copied to grow. That pays off for long stores only: a store's
+// first sample takes a whole chunk and a two-slot list (144 B), where
+// append growth took 8 to 120 B for up to 64 one-byte samples; from 65
+// samples on, chunks allocate less. The width is the query's
+// (codeWidth(q.Bits())), passed in by every caller rather than held here,
+// which keeps the store at 40 bytes and a 5-hop flow's stores in one
+// 208-byte size class.
+//
+// A clone shares the chunk list as a clamped prefix (chunks[:m:m]),
+// partly filled tail chunk included, so a store whose list has no spare
+// capacity may share its tail; an owner always keeps spare capacity (see
+// grow). The owner only ever writes tail bytes past the clone's n; a clone
+// that records copies its own part of the tail first (copy-on-write).
 type latStore struct {
-	raw   []byte
-	width int // bytes per raw sample, fixed from the query at creation
-	kll   *sketch.KLL
+	chunks []*[latChunk]byte // the samples, latChunk/width to a chunk
+	n      int               // raw samples held
+	kll    *sketch.KLL
 }
+
+// latChunk is the bytes in one raw-latency chunk. A chunk holds
+// latChunk/width samples; a wide code never straddles two chunks, and the
+// latChunk mod width bytes left over stay unused.
+const latChunk = 128
 
 // codeWidth is the bytes one raw sample of a bits-wide code occupies.
 func codeWidth(bits int) int { return (bits + 7) / 8 }
 
-func (st *latStore) samples() int { return len(st.raw) / st.width }
-
-func (st *latStore) code(i int) uint64 {
-	if st.width == 1 {
-		return uint64(st.raw[i])
-	}
-	var b [8]byte
-	copy(b[:], st.raw[i*st.width:(i+1)*st.width])
-	return binary.LittleEndian.Uint64(b[:])
+// filled returns the bytes of chunk j that hold samples.
+func (st *latStore) filled(j, width int) []byte {
+	per := latChunk / width
+	return st.chunks[j][:min(st.n-j*per, per)*width]
 }
 
-func (st *latStore) add(code uint64) {
+// codes yields the raw samples' codes in arrival order.
+func (st *latStore) codes(width int) iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		for j := range st.chunks {
+			b := st.filled(j, width)
+			for i := 0; i < len(b); i += width {
+				// A byte at a time: a width-long copy would be a memmove call
+				// per sample.
+				code := uint64(b[i])
+				for k := 1; k < width; k++ {
+					code |= uint64(b[i+k]) << (8 * k)
+				}
+				if !yield(code) {
+					return
+				}
+			}
+		}
+	}
+}
+
+func (st *latStore) add(code uint64, width int) {
 	switch {
 	case st.kll != nil:
 		st.kll.Add(float64(code))
-	case st.width == 1: // the 8-bit plan's case, ~5 ns a packet cheaper than the general append
-		st.raw = append(st.raw, byte(code))
+	case width == 1: // the 8-bit plan's case: a constant modulus, no division per packet
+		i := st.n % latChunk
+		if i == 0 || len(st.chunks) == cap(st.chunks) {
+			st.grow(i, 1)
+		}
+		st.chunks[len(st.chunks)-1][i] = byte(code)
+		st.n++
 	default:
+		i := st.n % (latChunk / width)
+		if i == 0 || len(st.chunks) == cap(st.chunks) {
+			st.grow(i, width)
+		}
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], code)
-		st.raw = append(st.raw, b[:st.width]...)
+		copy(st.chunks[len(st.chunks)-1][i*width:], b[:width])
+		st.n++
 	}
 }
 
-// clone shares the raw samples as a capacity-clamped prefix (always a
-// whole number of samples: add appends a sample in one step) and copies
-// the sketch, which is mutated in place.
+// grow makes the last chunk a private one with room at sample slot i: a
+// fresh chunk when i is 0, and otherwise a copy of the first i samples of
+// a tail this store may share (its list is clamped). The copy takes only
+// those i·width bytes, never the whole chunk: the owner may be writing the
+// rest concurrently. Either way the list is left with spare capacity, the
+// mark of a store that owns its tail.
+func (st *latStore) grow(i, width int) {
+	c := new([latChunk]byte)
+	if i == 0 {
+		st.chunks = append(slices.Grow(st.chunks, 2), c)
+		return
+	}
+	last := len(st.chunks) - 1
+	copy(c[:], st.chunks[last][:i*width])
+	st.chunks = slices.Grow(st.chunks, 2)
+	st.chunks[last] = c
+}
+
+// clone shares the raw chunks as a clamped prefix (see latStore) and
+// copies the sketch, which is mutated in place.
 func (st *latStore) clone() latStore {
-	c := latStore{raw: st.raw[:len(st.raw):len(st.raw)], width: st.width}
+	c := latStore{chunks: st.chunks[:len(st.chunks):len(st.chunks)], n: st.n}
 	if st.kll != nil {
 		c.kll = st.kll.Clone()
 	}
@@ -117,23 +179,23 @@ func (st *latStore) clone() latStore {
 // codes — the benchmark plan's — are counted into a histogram of the code
 // domain on the stack and walked to the rank, neither copied nor sorted;
 // wider codes sort one copy held at their own width.
-func (st *latStore) rawQuantiles(phis, out []float64) {
+func (st *latStore) rawQuantiles(width int, phis, out []float64) {
 	switch {
-	case st.width == 1:
+	case width == 1:
 		st.countQuantiles(phis, out)
-	case st.width == 2:
-		sortQuantiles[uint16](st, phis, out)
-	case st.width <= 4:
-		sortQuantiles[uint32](st, phis, out)
+	case width == 2:
+		sortQuantiles[uint16](st, width, phis, out)
+	case width <= 4:
+		sortQuantiles[uint32](st, width, phis, out)
 	default:
-		sortQuantiles[uint64](st, phis, out)
+		sortQuantiles[uint64](st, width, phis, out)
 	}
 }
 
-func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, phis, out []float64) {
-	sorted := make([]T, st.samples())
-	for i := range sorted {
-		sorted[i] = T(st.code(i))
+func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, width int, phis, out []float64) {
+	sorted := make([]T, 0, st.n)
+	for code := range st.codes(width) {
+		sorted = append(sorted, T(code))
 	}
 	slices.Sort(sorted)
 	for i, phi := range phis {
@@ -144,13 +206,15 @@ func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, phis, out []float64
 // countQuantiles is rawQuantiles for one-byte samples.
 func (st *latStore) countQuantiles(phis, out []float64) {
 	var hist [1 << 8]uint32
-	for _, code := range st.raw {
-		hist[code]++
+	for j := range st.chunks {
+		for _, code := range st.filled(j, 1) {
+			hist[code]++
+		}
 	}
 	for i, phi := range phis {
 		// The code at sorted index rank is the first whose cumulative
 		// count exceeds rank.
-		rank, code := sketch.RankIndex(phi, len(st.raw)), 0
+		rank, code := sketch.RankIndex(phi, st.n), 0
 		for seen := int(hist[0]); seen <= rank; seen += int(hist[code]) {
 			code++
 		}
@@ -204,7 +268,9 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // A flow's state is looked up once per run of packets with equal Flow
 // (exporters frame per flow) — it stays valid through the run, because
 // recording never evicts — and a packet whose queries have all seen its
-// flow before allocates only when a series grows.
+// flow before allocates only when a store needs room: a raw latency store
+// takes a new chunk every latChunk/width samples (and copies a tail it
+// shares with a clone once), a util series grows by append.
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
 	var fs *flowState
 	for i := range batch {
@@ -264,7 +330,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 				}
 			}
 			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.lat) {
-				slot.lat[hop-1].add(bits)
+				slot.lat[hop-1].add(bits, codeWidth(op.lat.bits))
 			}
 		case opUtil:
 			slot.series = append(slot.series, op.util.Decode(bits))
@@ -277,12 +343,10 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 // Recording is configured for.
 func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latStore, error) {
 	stores := make([]latStore, k)
-	for i := range stores {
-		st := &stores[i]
-		st.width = codeWidth(q.Bits())
-		if r.sketchItems > 0 {
+	if r.sketchItems > 0 {
+		for i := range stores {
 			var err error
-			if st.kll, err = sketch.NewKLL(r.sketchItems, r.sketchRNG(q.Name(), flow, i+1)); err != nil {
+			if stores[i].kll, err = sketch.NewKLL(r.sketchItems, r.sketchRNG(q.Name(), flow, i+1)); err != nil {
 				return nil, err
 			}
 		}
@@ -326,16 +390,19 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 // (coding.Decoder's frozen-share rule): the clone takes the counters and
 // shares the solved state.
 // The two per-packet series — raw latency samples (one code-width
-// sample per packet, see latStore) and util values — grow with
-// every packet and are append-only: nothing in the repository writes an
-// element once it is appended. The clone therefore takes each series as
-// s[:len(s):len(s)], a prefix clamped in length AND capacity over the
-// same backing array. The owner's later appends land beyond the clone's
-// length (or in a fresh array once the old one is full), so they never
-// touch an element the clone can see; the clone's own appends find no
-// spare capacity and reallocate, so they never write into the owner's
-// array. Neither side observes the other, a clone costs O(flows) rather
-// than O(packets), and a held clone keeps alive only the backing arrays
+// sample per packet, see latStore) and util values — grow with every
+// packet and are append-only: nothing in the repository writes a sample
+// once it is stored. The clone therefore shares them as prefixes clamped
+// in length AND capacity. A util series is taken as s[:len(s):len(s)]
+// over the same backing array; the owner's later appends land beyond the
+// clone's length (or in a fresh array once the old one is full), and the
+// clone's own appends find no spare capacity and reallocate. A raw
+// latency store shares its chunk list the same way, partly filled tail
+// chunk included: the owner writes that chunk only past the clone's
+// samples, and a clone that records copies its own samples of the tail
+// into a private chunk first (copy-on-write), never the bytes past them.
+// Neither side observes the other, a clone costs O(flows) rather than
+// O(packets), and a held clone keeps alive only the arrays and chunks
 // that existed when it was taken.
 func (r *Recording) Clone() *Recording {
 	c := r.cloneShell(len(r.flows))
@@ -499,10 +566,10 @@ func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow 
 		}
 		copy(codes, st.kll.Quantiles(phis...))
 	} else {
-		if len(st.raw) == 0 {
+		if st.n == 0 {
 			return dst, fmt.Errorf("core: no samples for hop %d", hop)
 		}
-		st.rawQuantiles(phis, codes)
+		st.rawQuantiles(codeWidth(q.Bits()), phis, codes)
 	}
 	for i, code := range codes {
 		codes[i] = q.Decode(uint64(code + 0.5))
@@ -520,7 +587,7 @@ func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
 	if st.kll != nil {
 		return int(st.kll.Count())
 	}
-	return st.samples()
+	return st.n
 }
 
 // UtilSeries answers a per-packet query: the decoded bottleneck values in
