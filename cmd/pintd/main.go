@@ -56,7 +56,6 @@ func main() {
 	k := flag.Int("k", 5, "testbench flow hop count (exporters must match)")
 	batchSize := flag.Int("batch-size", 256, "sink per-shard dispatch batch (packets)")
 	queueDepth := flag.Int("queue-depth", 4, "sink per-shard queue depth (batches); smaller = earlier backpressure")
-	maxFrame := flag.Int("max-frame", 0, "frame payload cap in bytes (0 = 1 MiB default)")
 	epoch := flag.Uint64("epoch", 0, "cluster partitioning epoch (fleet members and exporters must match; 0 = standalone)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the HTTP address")
 	dataDir := flag.String("data-dir", "", "segment-log directory for durable storage ('' disables)")
@@ -113,7 +112,6 @@ func main() {
 	opts := []collector.Option{
 		collector.WithSink(sink),
 		collector.WithQueries(tb.Queries()...),
-		collector.WithMaxFramePayload(*maxFrame),
 		collector.WithEpoch(*epoch),
 		collector.WithDurable(durable),
 		collector.WithCheckpointEvery(*ckptEvery),

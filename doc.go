@@ -1,13 +1,16 @@
 // Package repro is a from-scratch Go reproduction of "PINT: Probabilistic
 // In-band Network Telemetry" (Ben Basat et al., SIGCOMM 2020).
 //
-// The public API lives in the pint subpackage. README.md is the tour: the
-// quick start, the package map, and one section per tier below.
+// The engine is internal/core: the Query Engine, the Encoding Module and
+// the Recording/Inference pair of the paper's §3.4; examples/ drives it
+// directly. README.md is the tour: the quick start, the package map, and
+// one section per tier below.
 //
 //   - The compiled batch/sharded pipeline runs the per-packet hot path.
 //   - The streaming collector (internal/pipeline, internal/wire) keeps
-//     bounded flow state, defines the digest wire format and answers
-//     snapshot queries.
+//     each flow's state until a fleet resize hands it to another collector
+//     (nothing else retires a flow), defines the digest wire format and
+//     answers snapshot queries.
 //   - The networked collector daemon (internal/collector, run by cmd/pintd
 //     with cmd/pintload as its load generator) takes framed TCP ingest
 //     from many exporters. Each connection is a parallel ingest pipeline
@@ -33,8 +36,8 @@
 //     to one that never crashed, modulo an explicitly-reported unflushed
 //     tail (README.md, "Durable storage": segment format, recovery
 //     guarantees, retention knobs).
-//   - The scenario engine (internal/scenario, re-exported by pint and
-//     driven by cmd/pintfig -list/-run) holds every experiment — each
+//   - The scenario engine (internal/scenario, driven by cmd/pintfig
+//     -list/-run) holds every experiment — each
 //     paper figure, table and ablation and the non-paper workloads — in a
 //     declarative registry whose trial runner executes across a worker
 //     pool with bit-identical results at any parallelism (README.md,

@@ -13,8 +13,9 @@ import (
 	"log"
 	"math"
 
+	"repro/internal/core"
+	"repro/internal/hash"
 	"repro/internal/sketch"
-	"repro/pint"
 )
 
 func main() {
@@ -22,8 +23,8 @@ func main() {
 		k       = 5     // hops
 		packets = 20000 // flow length
 	)
-	seed := pint.Seed(33)
-	rng := pint.NewRNG(5)
+	seed := hash.Seed(33)
+	rng := hash.NewRNG(5)
 
 	// Synthetic per-hop latency regimes: hop 3 is congested with a heavy
 	// tail, the others are quiet.
@@ -46,19 +47,19 @@ func main() {
 		{"b=8, 64-item KLL sketches (PINTS)", 8, 0.04, 64},
 		{"b=4, raw samples (coarse compression)", 4, 0.9, 0},
 	} {
-		q, err := pint.NewLatencyQuery("lat", tc.bits, tc.eps, 1, seed)
+		q, err := core.NewLatencyQuery("lat", tc.bits, tc.eps, 1, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		engine, err := pint.Compile([]pint.Query{q}, tc.bits, seed)
+		engine, err := core.Compile([]core.Query{q}, tc.bits, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rec, err := pint.NewRecording(engine, tc.sketchItems, pint.NewRNG(rng.Uint64()))
+		rec, err := core.NewRecording(engine, tc.sketchItems, hash.NewRNG(rng.Uint64()))
 		if err != nil {
 			log.Fatal(err)
 		}
-		flow := pint.FlowKey(1)
+		flow := core.FlowKey(1)
 
 		truth := make([][]float64, k)
 		for i := 0; i < packets; i++ {
@@ -68,7 +69,7 @@ func main() {
 				v := sample(hop)
 				truth[hop-1] = append(truth[hop-1], v)
 				digest = engine.EncodeHopValues(pktID, hop, digest,
-					&pint.HopValues{LatencyNs: uint64(v)})
+					&core.HopValues{LatencyNs: uint64(v)})
 			}
 			if err := rec.Record(flow, k, pktID, digest); err != nil {
 				log.Fatal(err)

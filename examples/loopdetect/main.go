@@ -11,14 +11,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/pint"
+	"repro/internal/core"
+	"repro/internal/hash"
 )
 
 func main() {
-	seed := pint.Seed(404)
+	seed := hash.Seed(404)
 	prefix := []uint64{0x10, 0x11, 0x12, 0x13, 0x14}
 	loop := []uint64{0x20, 0x21, 0x22}
-	rng := pint.NewRNG(8)
+	rng := hash.NewRNG(8)
 
 	fmt.Println("packets enter a 3-switch forwarding loop after a 5-hop prefix")
 	fmt.Println()
@@ -32,7 +33,7 @@ func main() {
 		{15, 1},
 		{14, 3},
 	} {
-		d, err := pint.NewLoopDetector(tc.bits, tc.T, seed)
+		d, err := core.NewLoopDetector(tc.bits, tc.T, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

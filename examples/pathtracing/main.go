@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
+	"repro/internal/hash"
 	"repro/internal/topology"
-	"repro/pint"
 )
 
 func main() {
@@ -25,8 +26,8 @@ func main() {
 	fmt.Printf("topology: %s (%d switches, diameter %d)\n\n",
 		g.Name, len(universe), 36)
 
-	seed := pint.Seed(7)
-	rng := pint.NewRNG(99)
+	seed := hash.Seed(7)
+	rng := hash.NewRNG(99)
 
 	for _, tc := range []struct {
 		label     string
@@ -49,23 +50,23 @@ func main() {
 				values = append(values, g.Nodes[n].SwitchID)
 			}
 
-			cfg, err := pint.DefaultPathConfig(tc.bits, tc.instances, 10)
+			cfg, err := core.DefaultPathConfig(tc.bits, tc.instances, 10)
 			if err != nil {
 				log.Fatal(err)
 			}
-			q, err := pint.NewPathQuery("path", cfg, 1, seed, universe)
+			q, err := core.NewPathQuery("path", cfg, 1, seed, universe)
 			if err != nil {
 				log.Fatal(err)
 			}
-			engine, err := pint.Compile([]pint.Query{q}, tc.bits*tc.instances, seed)
+			engine, err := core.Compile([]core.Query{q}, tc.bits*tc.instances, seed)
 			if err != nil {
 				log.Fatal(err)
 			}
-			rec, err := pint.NewRecording(engine, 0, pint.NewRNG(rng.Uint64()))
+			rec, err := core.NewRecording(engine, 0, hash.NewRNG(rng.Uint64()))
 			if err != nil {
 				log.Fatal(err)
 			}
-			flow := pint.FlowKey(uint64(hops))
+			flow := core.FlowKey(uint64(hops))
 
 			packets := 0
 			for {
@@ -74,7 +75,7 @@ func main() {
 				var digest uint64
 				for hop := 1; hop <= len(values); hop++ {
 					digest = engine.EncodeHopValues(pktID, hop, digest,
-						&pint.HopValues{SwitchID: values[hop-1]})
+						&core.HopValues{SwitchID: values[hop-1]})
 				}
 				if err := rec.Record(flow, len(values), pktID, digest); err != nil {
 					log.Fatal(err)

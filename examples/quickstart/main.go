@@ -1,4 +1,4 @@
-// Command quickstart is a one-minute tour of the public PINT API: trace a
+// Command quickstart is a one-minute tour of the PINT engine (core): trace a
 // 10-hop flow's path with an 8-bit per-packet budget, watch the decoder
 // converge, then run a latency-quantile query on the same engine.
 //
@@ -11,12 +11,13 @@ import (
 	"fmt"
 	"log"
 
-	"repro/pint"
+	"repro/internal/core"
+	"repro/internal/hash"
 )
 
 func main() {
 	const (
-		seed   = pint.Seed(2020) // shared by switches and the collector
+		seed   = hash.Seed(2020) // shared by switches and the collector
 		k      = 10              // path length
 		budget = 16              // global per-packet bit budget
 	)
@@ -31,40 +32,40 @@ func main() {
 
 	// Two concurrent queries sharing the 16-bit budget: path tracing on
 	// every packet, per-hop latency on every packet.
-	cfg, err := pint.DefaultPathConfig(8, 1, k)
+	cfg, err := core.DefaultPathConfig(8, 1, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pathQ, err := pint.NewPathQuery("path", cfg, 1.0, seed, universe)
+	pathQ, err := core.NewPathQuery("path", cfg, 1.0, seed, universe)
 	if err != nil {
 		log.Fatal(err)
 	}
-	latQ, err := pint.NewLatencyQuery("latency", 8, 0.04, 1.0, seed)
+	latQ, err := core.NewLatencyQuery("latency", 8, 0.04, 1.0, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := pint.Compile([]pint.Query{pathQ, latQ}, budget, seed)
+	engine, err := core.Compile([]core.Query{pathQ, latQ}, budget, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(engine.Plan())
 
-	rec, err := pint.NewRecording(engine, 0, pint.NewRNG(1))
+	rec, err := core.NewRecording(engine, 0, hash.NewRNG(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	flow := pint.FlowKeyOf(seed, "10.0.0.1:1234->10.0.0.2:80")
+	flow := core.FlowKeyOf(seed, "10.0.0.1:1234->10.0.0.2:80")
 
 	// Simulate the flow's packets: every switch on the path runs the
 	// engine's Encoding Module; the sink records the extracted digest.
-	rng := pint.NewRNG(42)
+	rng := hash.NewRNG(42)
 	hopLatency := []uint64{900, 1100, 20000, 1000, 950, 5000, 1000, 1050, 980, 1020}
 	packets := 0
 	for decodedAt := 0; decodedAt == 0; packets++ {
 		pktID := rng.Uint64()
 		var digest uint64
 		for hop := 1; hop <= k; hop++ {
-			digest = engine.EncodeHopValues(pktID, hop, digest, &pint.HopValues{
+			digest = engine.EncodeHopValues(pktID, hop, digest, &core.HopValues{
 				SwitchID:  path[hop-1],                          // the switch writes its own ID
 				LatencyNs: hopLatency[hop-1] + rng.Uint64()%300, // jittered per-hop latency
 			})

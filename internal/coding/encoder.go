@@ -197,20 +197,6 @@ func (e *Encoder) EncodeHop(pktID uint64, hop int, d Digest, value uint64) Diges
 // instead of rehashing at every hop.
 func (e *Encoder) LayerOf(pktID uint64) int { return e.layerOf(pktID) }
 
-// ApplyWords folds hop's payload into words in place for a layer returned
-// by LayerOf. It allocates nothing and does not retain the slice — the
-// compiled batch pipeline's per-packet primitive.
-func (e *Encoder) ApplyWords(pktID uint64, layer int, words []uint64, value uint64) {
-	for i := range words {
-		p := e.payload(pktID, i, value)
-		if layer == 0 {
-			words[i] = p // overwrite: reservoir write
-		} else {
-			words[i] ^= p // xor layer
-		}
-	}
-}
-
 // EncodePath runs the packet through the whole path values[0..k-1]
 // (values[i] is hop i+1's block) and returns the final digest the sink
 // extracts. Convenience for simulations that do not model queuing.

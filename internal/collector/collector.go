@@ -2,7 +2,7 @@
 // Recording Module: a TCP daemon that accepts many concurrent exporter
 // connections — simulated switches, or cmd/pintload — each streaming
 // length-prefixed, checksummed frames of internal/wire digest batches
-// into one pipeline.ShardedSink.
+// into one pipeline.Sink.
 //
 // The deployment model follows the paper (§2, §5): switches emit tiny
 // per-packet digests; a central collector ingests every stream and
@@ -70,9 +70,6 @@ type config struct {
 	// routing flows under a stale fleet map must not ingest here, or a
 	// repartitioned flow's digests would split across two homes.
 	Epoch uint64
-	// MaxFramePayload caps a frame's payload bytes (default
-	// wire.DefaultMaxFramePayload). Larger frames kill the connection.
-	MaxFramePayload int
 	// Durable, when non-nil, attaches the collector's durable tier (built
 	// with OpenDurableSink). Sink may be left nil — it defaults to
 	// Durable.Sink — and /snapshot gains the ?since=/?until= historical
@@ -202,9 +199,6 @@ func New(engine *core.Engine, opts ...Option) (*Server, error) {
 	}
 	if cfg.Sink == nil {
 		return nil, fmt.Errorf("collector: nil sink")
-	}
-	if cfg.MaxFramePayload <= 0 {
-		cfg.MaxFramePayload = wire.DefaultMaxFramePayload
 	}
 	admitter, err := admit.NewAdmitter(cfg.TenantPolicy)
 	if err != nil {
@@ -405,7 +399,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// during unmarshal) and lands the staged chunks under the sink's
 	// per-shard locks. No cross-connection mutex — sessions feeding
 	// disjoint shards never contend at all.
-	fr := wire.NewFrameReader(conn, s.cfg.MaxFramePayload)
+	fr := wire.NewFrameReader(conn, wire.DefaultMaxFramePayload)
 	st := s.cfg.Sink.NewStage()
 	bufs := st.Buffers()
 	for {

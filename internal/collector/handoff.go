@@ -2,6 +2,9 @@ package collector
 
 import (
 	"fmt"
+	"io"
+	"net"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -130,12 +133,12 @@ func (s *Server) ingestHandoffFrame(payload []byte) (int, error) {
 // ordinary handshaked session (hello must carry the destination's plan
 // hash and — critically — the *new* cluster epoch), batching states into
 // CRC-framed hand-off payloads. It returns the number of flows shipped.
-// The connection is closed before returning. Returning is not importing:
-// a clean close means every frame was written, not that the destination
-// has read it, nor that it imported every state — a refused state tears
-// the connection down, which shows here as a write error only if frames
-// are still being sent. Callers confirm the import at the destination, as
-// the federation coordinator does by polling HandoffFlows.
+// The destination acknowledges by closing: after the last frame the
+// session half-closes, and SendHandoff returns only once the destination
+// has closed its end, which it does after folding every frame it read. So
+// when SendHandoff returns, the destination's HandoffFlows already counts
+// every state it imported. A refused state also ends the session; it shows
+// there, not here, unless frames were still being sent.
 func SendHandoff(addr string, hello wire.Hello, states []wire.FlowState) (int, error) {
 	if len(states) == 0 {
 		return 0, nil
@@ -171,8 +174,21 @@ func SendHandoff(addr string, hello wire.Hello, states []wire.FlowState) (int, e
 		ex.Close()
 		return sent, err
 	}
-	// Close flushes nothing further (the frames were written directly)
-	// but ends the session cleanly, so the destination reads to EOF — its
-	// deferred sink flush then makes every imported flow queryable.
-	return len(states), ex.Close()
+	// Half-close so the destination reads EOF after the last frame, then
+	// wait for its close: the import is done once the session is.
+	err = ex.conn.(*net.TCPConn).CloseWrite()
+	if err == nil {
+		ex.conn.SetReadDeadline(time.Now().Add(handoffAckTimeout))
+		if _, err = io.Copy(io.Discard, ex.conn); err != nil {
+			err = fmt.Errorf("collector: hand-off: waiting for the destination to close: %w", err)
+		}
+	}
+	if cerr := ex.conn.Close(); err == nil {
+		err = cerr
+	}
+	return len(states), err
 }
+
+// handoffAckTimeout bounds how long SendHandoff waits for the destination
+// to close the session after the last frame.
+const handoffAckTimeout = 30 * time.Second

@@ -68,7 +68,9 @@ func TestHandoffLoopback(t *testing.T) {
 	if sent != len(moving) {
 		t.Fatalf("shipped %d of %d flows", sent, len(moving))
 	}
-	waitHandoffFlows(t, srvB, uint64(len(moving)))
+	if got := srvB.HandoffFlows(); got != uint64(len(moving)) {
+		t.Fatalf("imported %d of %d handed-off flows when SendHandoff returned", got, len(moving))
+	}
 
 	// Phase B: second halves to each flow's current home.
 	exA, err = dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "post-a"))
@@ -160,13 +162,14 @@ func TestHandoffDuplicateRefused(t *testing.T) {
 	if _, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "dup-1"), states); err != nil {
 		t.Fatal(err)
 	}
-	waitHandoffFlows(t, srvB, 1)
+	if got := srvB.HandoffFlows(); got != 1 {
+		t.Fatalf("imported %d of 1 handed-off flow when SendHandoff returned", got)
+	}
 
 	// Ship the same flow again: the import must not count a second time.
 	if _, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "dup-2"), states); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
 	if got := srvB.HandoffFlows(); got != 1 {
 		t.Fatalf("duplicate import counted: HandoffFlows = %d, want 1", got)
 	}
@@ -220,16 +223,80 @@ func TestHandoffRefusedFrameCountsItsPrefix(t *testing.T) {
 	if _, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "handoff"), states); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); srvB.Stats().ConnErrors == refusals; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the frame carrying a flow the destination tracks was not refused")
-		}
+	if srvB.Stats().ConnErrors == refusals {
+		t.Fatal("the frame carrying a flow the destination tracks was not refused")
 	}
 	if got := srvB.HandoffFlows(); got != 1 {
 		t.Errorf("HandoffFlows = %d after a frame whose first state was imported, want 1", got)
 	}
 	if got := answersOfA(sinkB); !bytes.Equal(got, want) {
 		t.Errorf("flow A at the destination answers\n%s\nwant the source's\n%s", got, want)
+	}
+}
+
+// TestHandoffCloseIsAck: SendHandoff returns only once the destination has
+// folded what it shipped. The destination's one shard worker is held in a
+// WithFlow call, so the import cannot finish and SendHandoff must still be
+// waiting; once the worker is released, HandoffFlows counts every shipped
+// flow the moment SendHandoff returns.
+func TestHandoffCloseIsAck(t *testing.T) {
+	tb := mustTestbench(t, 47)
+	_, srvA := newServedSink(t, tb, 1)
+	sinkB, srvB := newServedSink(t, tb, 1)
+	const exp, pkts = uint64(4), 50
+	ex, err := dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "source"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 2; f++ {
+		if err := ex.Send(tb.FlowBatch(exp, f, pkts, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitPackets(t, srvA, 2*pkts)
+	states, err := srvA.ExportFlows([]core.FlowKey{tb.FlowKeyFor(exp, 0), tb.FlowKeyFor(exp, 1)})
+	if err != nil || len(states) != 2 {
+		t.Fatalf("export: %d states, %v", len(states), err)
+	}
+
+	held, release, released := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		released <- sinkB.WithFlow(tb.FlowKeyFor(exp, 0), func(*core.Recording) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	type result struct {
+		sent int
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		sent, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "handoff"), states)
+		done <- result{sent, err}
+	}()
+	select {
+	case r := <-done:
+		close(release)
+		t.Fatalf("SendHandoff returned (%d, %v) while the destination's worker was held", r.sent, r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	r := <-done
+	imported := srvB.HandoffFlows()
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.sent != len(states) || imported != uint64(len(states)) {
+		t.Fatalf("shipped %d, imported %d when SendHandoff returned, want %d each", r.sent, imported, len(states))
+	}
+	if err := <-released; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -248,22 +315,6 @@ func TestExportFlowsRequiresQueries(t *testing.T) {
 	}
 	if _, err := srv.ExportFlows([]core.FlowKey{1}); err == nil {
 		t.Fatal("ExportFlows without WithQueries succeeded")
-	}
-}
-
-// waitHandoffFlows polls the import counter — hand-off sessions close
-// without waiting for the destination's read loop to drain.
-func waitHandoffFlows(t *testing.T, s *Server, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.HandoffFlows() < want {
-		if !time.Now().Before(deadline) {
-			t.Fatalf("imported %d of %d handed-off flows at deadline", s.HandoffFlows(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := s.HandoffFlows(); got != want {
-		t.Fatalf("imported %d flows, want %d", got, want)
 	}
 }
 

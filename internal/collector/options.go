@@ -45,12 +45,6 @@ func WithEpoch(epoch uint64) Option {
 	return func(c *config) { c.Epoch = epoch }
 }
 
-// WithMaxFramePayload caps a frame's payload bytes (default
-// wire.DefaultMaxFramePayload). Larger frames kill the connection.
-func WithMaxFramePayload(n int) Option {
-	return func(c *config) { c.MaxFramePayload = n }
-}
-
 // WithDurable attaches the collector's durable tier (built with
 // OpenDurableSink): the sink defaults to d.Sink, /snapshot gains the
 // ?since=/?until= historical window parameters, and the server owns the

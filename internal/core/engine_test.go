@@ -91,6 +91,26 @@ func TestCompileCombinedPlan(t *testing.T) {
 	}
 }
 
+// TestAggregationModes: the three query kinds are §3.1's three
+// aggregation modes, one each.
+func TestAggregationModes(t *testing.T) {
+	for _, c := range []struct {
+		q    Query
+		want AggregationType
+	}{
+		{mustPath(t, "path", 8, 1, 1, testUniverse(10, 8)), StaticPerFlow},
+		{mustLat(t, "lat", 8, 1), DynamicPerFlow},
+		{mustUtil(t, "hpcc", 8, 1), PerPacket},
+	} {
+		if got := c.q.Agg(); got != c.want {
+			t.Errorf("%s: aggregation %v, want %v", c.q.Name(), got, c.want)
+		}
+	}
+	if StaticPerFlow == DynamicPerFlow || DynamicPerFlow == PerPacket || PerPacket == StaticPerFlow {
+		t.Fatal("aggregation constants must be distinct")
+	}
+}
+
 func TestCompileRejections(t *testing.T) {
 	uni := testUniverse(10, 100)
 	path := mustPath(t, "p", 8, 1, 1, uni)

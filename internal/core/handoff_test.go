@@ -483,7 +483,7 @@ func TestNewPathQueryRejectsBadUniverse(t *testing.T) {
 		t.Errorf("duplicated universe: got %v, want an error naming the value", err)
 	}
 	raw := coding.Config{Bits: 16, Mode: coding.ModeRaw, ValueBits: 16, Layering: coding.PureBaseline()}
-	if _, err := NewPathQuery("path", raw, 1, 151, nil); err != nil {
-		t.Errorf("raw mode needs no universe: %v", err)
+	if _, err := NewPathQuery("path", raw, 1, 151, nil); err == nil || !strings.Contains(err.Error(), "raw") {
+		t.Errorf("raw path query: got %v, want a refusal naming the mode", err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/coding"
 	"repro/internal/hash"
 )
 
@@ -175,12 +174,12 @@ func (op *encodeOp) soaUtil(hop int, s *soaScratch, idx []int32, vals []HopValue
 	}
 }
 
-// soaPath: the distributed-coding op. Layer selections ride the
-// PacketDigest cache; act decisions are one hash column against per-layer
-// thresholds; acting packets are compacted and, in
-// hashed mode, each hash instance's payload is one value-hash column
-// folded into the digest column with overwrite (Baseline) or xor (XOR
-// layers) selects. Raw/fragmented mode folds the words per actor.
+// soaPath: the distributed-coding op (hashed mode, the only one
+// NewPathQuery admits). Layer selections ride the PacketDigest cache; act
+// decisions are one hash column against per-layer thresholds; acting
+// packets are compacted and each hash instance's payload is one value-hash
+// column folded into the digest column with overwrite (Baseline) or xor
+// (XOR layers) selects.
 func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDigest, vals []HopValues, pktCol, digCol []uint64) {
 	enc := op.pathEnc
 	cfg := enc.Config()
@@ -232,18 +231,6 @@ func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDi
 		return
 	}
 
-	shift, mask := op.shift, op.mask
-	keep := ^(mask << shift)
-	if cfg.Mode != coding.ModeHashed {
-		for _, j := range act {
-			slice := digCol[j] >> shift & mask
-			slice = applyPathWords(enc, pktCol[j], int(lay[j]), slice,
-				op.pathN, op.pathBits, op.pathWordMask, vals[idx[j]].SwitchID)
-			digCol[j] = digCol[j]&keep | (slice&mask)<<shift
-		}
-		return
-	}
-
 	na := len(act)
 	s.val = growCol(s.val, na)
 	s.tmp = growCol(s.tmp, na)
@@ -256,7 +243,7 @@ func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDi
 	width, wmask := op.pathBits, op.pathWordMask
 	for inst := 0; inst < op.pathN; inst++ {
 		enc.InstanceGlobal(inst).ValueDigestColumn(pay, valCol, tmp, cfg.Bits)
-		ishift := shift + uint(inst)*width
+		ishift := op.shift + uint(inst)*width
 		ikeep := ^(wmask << ishift)
 		for t, j := range act {
 			w := pay[t]

@@ -15,8 +15,8 @@ import (
 
 // parityPlans builds one engine per plan shape the column passes have a
 // distinct branch for: the combined benchmark plan, a reservoir and a
-// max-aggregation slice at odd widths sharing a digest, raw/fragmented
-// paths, a one-instance hashed path over two XOR layers, three path
+// max-aggregation slice at odd widths sharing a digest, the paper's b=1
+// path, a one-instance hashed path over two XOR layers, three path
 // queries (layer cache overflow), and a multi-set plan with unassigned
 // probability mass.
 func parityPlans(t testing.TB) map[string]*Engine {
@@ -53,9 +53,11 @@ func parityPlans(t testing.TB) map[string]*Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawPath, err := NewPathQuery("raw",
-		coding.Config{Bits: 4, Mode: coding.ModeRaw, ValueBits: 16, Layering: coding.MultiLayer(5, true)},
-		1, master, nil)
+	bitCfg, err := DefaultPathConfig(1, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitPath, err := NewPathQuery("bit", bitCfg, 1, master, []uint64{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func parityPlans(t testing.TB) map[string]*Engine {
 	return map[string]*Engine{
 		"combined":     build(path, lat, util),
 		"latency+util": build(lat6, util5),
-		"raw-path":     build(rawPath),
+		"bit-path":     build(bitPath),
 		"deep-path":    build(deepPath),
 		"triple-path":  build(triple[0], triple[1], triple[2]),
 		"multi-set":    build(lat, lat6, util5), // total mass < 1: unassigned packets
@@ -176,7 +178,7 @@ func FuzzEncodeBatchParity(f *testing.F) {
 	f.Add(uint8(5), uint64(42), []byte("{\xff\x00AA\x10zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz}"))
 
 	var plans []*Engine
-	names := []string{"combined", "latency+util", "raw-path", "deep-path", "triple-path", "multi-set"}
+	names := []string{"combined", "latency+util", "bit-path", "deep-path", "triple-path", "multi-set"}
 	built := parityPlans(f)
 	for _, name := range names {
 		plans = append(plans, built[name])

@@ -21,11 +21,16 @@ type PathQuery struct {
 	plan *coding.Plan
 }
 
-// NewPathQuery builds a path-tracing query. cfg.Bits is the budget of one
-// hash instance; the query's total footprint is cfg.TotalBits(). universe
-// is the switch-ID universe for hashed decoding — distinct values, at
-// least one — and is ignored in raw mode.
+// NewPathQuery builds a path-tracing query. cfg must be hashed-mode coding
+// (DefaultPathConfig builds one): the engine compiles no other; raw and
+// fragmented coding run only in internal/coding's simulations. cfg.Bits is
+// the budget of one hash instance; the query's total footprint is
+// cfg.TotalBits(). universe is the switch-ID universe the decoder matches
+// hashes against — distinct values, at least one.
 func NewPathQuery(name string, cfg coding.Config, freq float64, master hash.Seed, universe []uint64) (*PathQuery, error) {
+	if cfg.Mode != coding.ModeHashed {
+		return nil, fmt.Errorf("core: path query %q: %v coding is not compiled; the engine runs hashed path queries only", name, cfg.Mode)
+	}
 	g := hash.NewGlobal(master.Derive(hash.Seed(0).HashString(name)))
 	enc, err := coding.NewEncoder(cfg, g)
 	if err != nil {
@@ -65,31 +70,7 @@ func unpackWords(buf *[8]uint64, bits uint64, n int, width uint, mask uint64) []
 	return words
 }
 
-// packWords is unpackWords' inverse.
-func packWords(words []uint64, width uint, mask uint64) uint64 {
-	var bits uint64
-	for i, w := range words {
-		bits |= (w & mask) << (uint(i) * width)
-	}
-	return bits
-}
-
-// applyPathWords unpacks a path query's flat digest slice into its
-// per-instance words, folds in the acting hop's payload, and repacks;
-// n/width/mask are the op's precomputed instance geometry.
-func applyPathWords(enc *coding.Encoder, pktID uint64, layer int, bits uint64, n int, width uint, mask, value uint64) uint64 {
-	var buf [8]uint64
-	words := unpackWords(&buf, bits, n, width, mask)
-	enc.ApplyWords(pktID, layer, words, value)
-	return packWords(words, width, mask)
-}
-
-func (q *PathQuery) instances() int {
-	if q.cfg.Mode == coding.ModeHashed && q.cfg.Instances > 1 {
-		return q.cfg.Instances
-	}
-	return 1
-}
+func (q *PathQuery) instances() int { return max(q.cfg.Instances, 1) }
 
 // NewDecoder creates the Inference-side decoder for one flow whose path
 // length is k (known from the packet TTL at the sink, §4.1).

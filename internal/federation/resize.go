@@ -150,26 +150,14 @@ func (f *Fleet) Resize(ctx context.Context, n int) ([]Move, error) {
 	if shipped != len(moves) {
 		return nil, fmt.Errorf("federation: resize: shipped %d of %d planned flows", shipped, len(moves))
 	}
-	// A hand-off session closes as soon as its frames are written; the
-	// destination acknowledges nothing, so its import counter trails the
-	// close by however long its read loop takes to drain — poll, don't
-	// read once.
-	importDeadline := time.Now().Add(30 * time.Second)
-	if d, ok := ctx.Deadline(); ok {
-		importDeadline = d
+	// SendHandoff returns only once the destination has closed the session,
+	// which it does after folding every frame, so one read is final.
+	var imported uint64
+	for _, m := range target {
+		imported += m.Srv.HandoffFlows() - importedBefore[m.Name]
 	}
-	for {
-		var imported uint64
-		for _, m := range target {
-			imported += m.Srv.HandoffFlows() - importedBefore[m.Name]
-		}
-		if imported == uint64(len(moves)) {
-			break
-		}
-		if imported > uint64(len(moves)) || !time.Now().Before(importDeadline) {
-			return nil, fmt.Errorf("federation: resize: destinations imported %d of %d moved flows", imported, len(moves))
-		}
-		time.Sleep(2 * time.Millisecond)
+	if imported != uint64(len(moves)) {
+		return nil, fmt.Errorf("federation: resize: destinations imported %d of %d moved flows", imported, len(moves))
 	}
 
 	// 6. Shrink: departing members are empty now; stop them.

@@ -11,7 +11,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,12 +28,10 @@ var orphanAllowlist = map[string]string{
 // function, method, type, constant, variable and interface method declared
 // in a non-test file under internal/ must be referenced by some non-test
 // file of the module (cmd/ including the pintbench module, examples/,
-// internal/, pint/). References are resolved by object, not by name, so a
+// internal/). References are resolved by object, not by name, so a
 // Sink.Path nobody calls is not saved by a Recording.Path somebody does.
 // A name is in the tree because something runs it; what only tests reach
 // is deleted or lives in a _test.go file. Struct fields are not audited.
-// The pint facade is seen through: its re-export of a name counts only if
-// something outside pint/ reaches that re-export (audit.reached).
 //
 // Exempt by rule: a method that an interface the type implements also
 // declares (UnmarshalJSON, WriteHeader, Read, Close, Less, String, Error
@@ -75,11 +72,9 @@ func TestNoOrphanExports(t *testing.T) {
 }
 
 // TestOrphanAuditCatches runs the audit on a small module: an export with
-// a caller, an interface method reached only through the interface, two
-// exports only the pint facade re-exports — one re-export has a caller
-// outside pint/, one (reaching its export through a helper) has none —
-// and `func Orphan()`, which only a test calls. Orphan, the method nobody
-// calls and the facade-only export must be the names reported. Its Config
+// a caller, an interface method reached only through the interface, and
+// `func Orphan()`, which only a test calls. Orphan and the method nobody
+// calls must be the names reported. Its Config
 // has a field a program sets by key, one it sets by assignment, one only a
 // test sets and an unexported one: the test-only field is the one unset
 // setting.
@@ -98,8 +93,6 @@ func (T) Lost()          {}
 
 func Used() fmt.Stringer { return T{N: 1} }
 func Orphan()            {}
-func ViaFacade() int     { return 1 }
-func FacadeOnly() int    { return 2 }
 
 type Config struct {
 	Keyed, Assigned, TestOnly int
@@ -109,16 +102,7 @@ type Config struct {
 func New(c Config) int { c.Assigned = 2; return c.Keyed + c.hidden }
 `,
 		"internal/x/x_test.go": "package x\n\nfunc init() { Orphan(); _ = Config{TestOnly: 1} }\n",
-		"pint/pint.go": `package pint
-
-import "tiny/internal/x"
-
-func Live() int { return helper() }
-func Dead() int { return x.FacadeOnly() }
-
-func helper() int { return x.ViaFacade() }
-`,
-		"cmd/y/main.go": "package main\n\nimport (\n\t\"tiny/internal/x\"\n\t\"tiny/pint\"\n)\n\nfunc main() { println(x.Used().String(), pint.Live(), x.New(x.Config{Keyed: 1})) }\n",
+		"cmd/y/main.go":        "package main\n\nimport \"tiny/internal/x\"\n\nfunc main() { println(x.Used().String(), x.New(x.Config{Keyed: 1})) }\n",
 	} {
 		p := filepath.Join(dir, name)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -132,9 +116,9 @@ func helper() int { return x.ViaFacade() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/x.FacadeOnly", "internal/x.Orphan", "internal/x.T.Lost"}
-	if fmt.Sprint(got) != fmt.Sprint(want) || audited != 9 {
-		t.Fatalf("orphans = %v of %d audited, want %v of 9 (T, String, Lost, Used, Orphan, ViaFacade, FacadeOnly, Config, New)", got, audited, want)
+	want := []string{"internal/x.Orphan", "internal/x.T.Lost"}
+	if fmt.Sprint(got) != fmt.Sprint(want) || audited != 7 {
+		t.Fatalf("orphans = %v of %d audited, want %v of 7 (T, String, Lost, Used, Orphan, Config, New)", got, audited, want)
 	}
 	if want := []string{"internal/x.Config.TestOnly"}; fmt.Sprint(unset) != fmt.Sprint(want) {
 		t.Fatalf("unset settings = %v, want %v", unset, want)
@@ -228,7 +212,10 @@ func orphanExports(root string) (orphans, unset []string, audited int, err error
 		}
 	}
 
-	used := a.reached(modPath + "/pint")
+	used := map[types.Object]bool{}
+	for _, obj := range a.info.Uses {
+		used[origin(obj)] = true
+	}
 	ifaces := a.interfaces()
 	for id, obj := range a.info.Defs {
 		if obj == nil || !id.IsExported() ||
@@ -311,65 +298,6 @@ type audit struct {
 	files  map[string][]*ast.File // import path -> its non-test files
 	stdlib types.Importer
 	info   *types.Info
-}
-
-// reached returns every object some non-test file references, seen
-// through the facade package: a reference from inside the facade counts
-// only when the facade declaration holding it (a func, or one type, const
-// or var spec) is itself reached — from outside the facade, or from a
-// facade declaration that is. A re-export nobody calls keeps nothing alive.
-func (a *audit) reached(facade string) map[types.Object]bool {
-	type decl struct {
-		pos, end token.Pos
-		defs     []types.Object
-		uses     []types.Object
-		live     bool
-	}
-	var decls []*decl
-	for _, f := range a.files[facade] {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				decls = append(decls, &decl{pos: d.Pos(), end: d.End(), defs: []types.Object{a.info.Defs[d.Name]}})
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					dd := &decl{pos: s.Pos(), end: s.End()}
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						dd.defs = append(dd.defs, a.info.Defs[s.Name])
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							dd.defs = append(dd.defs, a.info.Defs[n])
-						}
-					}
-					decls = append(decls, dd)
-				}
-			}
-		}
-	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].pos < decls[j].pos })
-	used := map[types.Object]bool{}
-	for id, obj := range a.info.Uses {
-		i := sort.Search(len(decls), func(i int) bool { return decls[i].end > id.Pos() })
-		if i < len(decls) && decls[i].pos <= id.Pos() {
-			decls[i].uses = append(decls[i].uses, origin(obj))
-		} else {
-			used[origin(obj)] = true
-		}
-	}
-	for grew := true; grew; {
-		grew = false
-		for _, d := range decls {
-			if d.live || !slices.ContainsFunc(d.defs, func(o types.Object) bool { return used[o] }) {
-				continue
-			}
-			d.live, grew = true, true
-			for _, o := range d.uses {
-				used[o] = true
-			}
-		}
-	}
-	return used
 }
 
 // Import serves the module's own packages from source and everything else
