@@ -376,11 +376,14 @@ func TestClonePrefixProperty(t *testing.T) {
 // TestCloneAppendsStayPrivate pins the clamp and the copy-on-write tail.
 // A clone shares the origin's util series, whose array has spare capacity
 // past the shared prefix, and its raw latency chunks, whose last chunk has
-// room past the shared samples; an append through a clone must reallocate
-// or copy instead of writing there, or it would show through to the
-// origin's next append and to every sibling clone. Origin and two sibling
-// clones each record a different continuation; each must equal a
-// Recording rebuilt from scratch from the prefix plus its own continuation.
+// room past the shared samples. Only the origin, the flows' owner, may go
+// on appending there; the copy any clone writes through must be clamped,
+// so that its appends reallocate or copy, or they would show through to
+// the origin's next append and to every sibling clone. So must the copy of
+// a Recording that merged a clone: merging one makes it a clone. Origin,
+// two sibling clones and an empty Recording that merged a third each
+// record a different continuation; each must equal a Recording rebuilt
+// from scratch from the prefix plus its own continuation.
 func TestCloneAppendsStayPrivate(t *testing.T) {
 	const (
 		nFlows = 4
@@ -403,6 +406,9 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 				cloneWorkload(t, eng, 127, nFlows, 800, k),
 			}
 			scramble(v.latBits, 131, append(conts, prefix)...)
+			adopterCont := cloneWorkload(t, eng, 137, nFlows, 800, k)
+			scramble(v.latBits, 139, adopterCont)
+			conts = append(conts, adopterCont)
 			orig := mk()
 			if err := orig.RecordBatch(prefix); err != nil {
 				t.Fatal(err)
@@ -423,23 +429,44 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 			if !spare || !midChunk {
 				t.Fatal("no origin series has spare capacity or no raw store ends mid-chunk; pick another prefix length")
 			}
-			holders := []*Recording{orig, orig.Clone(), orig.Clone()}
-			for _, c := range holders[1:] {
-				for f, fs := range c.flows {
-					for _, slot := range fs.slots {
-						if vs := slot.series; cap(vs) != len(vs) {
-							t.Fatalf("flow %d: clone's series has cap %d > len %d", f, cap(vs), len(vs))
+			adopter := mk()
+			if err := adopter.Merge(orig.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			holders := []*Recording{orig, orig.Clone(), orig.Clone(), adopter}
+			// A write through any holder first swaps in its own copy of the
+			// flow. The owner's copy keeps the shared lists as they are,
+			// spare capacity included; a clone's is clamped.
+			for i, h := range holders {
+				wantCap := func(l, c int) int {
+					if h == orig {
+						return c
+					}
+					return l
+				}
+				for f := FlowKey(1); f <= nFlows; f++ {
+					shared := h.flows[f]
+					fs := h.stateOf(f)
+					if fs == shared {
+						t.Fatalf("holder %d flow %d: a write would land in the state the clones share", i, f)
+					}
+					for s, slot := range fs.slots {
+						was := shared.slots[s]
+						if vs := slot.series; len(vs) != len(was.series) || cap(vs) != wantCap(len(was.series), cap(was.series)) {
+							t.Fatalf("holder %d flow %d: a series of len %d cap %d copied as len %d cap %d",
+								i, f, len(was.series), cap(was.series), len(vs), cap(vs))
 						}
-						for _, st := range slot.lat {
-							if cap(st.chunks) != len(st.chunks) || len(st.chunks) != (st.n+per-1)/per {
-								t.Fatalf("flow %d: clone holds %d samples in %d chunks of a list of cap %d, want a clamped list of %d",
-									f, st.n, len(st.chunks), cap(st.chunks), (st.n+per-1)/per)
+						for hop, st := range slot.lat {
+							ws := was.lat[hop]
+							if len(st.chunks) != len(ws.chunks) || cap(st.chunks) != wantCap(len(ws.chunks), cap(ws.chunks)) {
+								t.Fatalf("holder %d flow %d: %d samples in %d chunks of a list of cap %d copied as %d chunks of cap %d",
+									i, f, st.n, len(ws.chunks), cap(ws.chunks), len(st.chunks), cap(st.chunks))
 							}
 						}
 					}
 				}
 			}
-			// Interleave the three continuations chunk by chunk, so every
+			// Interleave the continuations chunk by chunk, so every
 			// holder appends while the others' arrays are still live.
 			for off := 0; off < 800; off += 50 {
 				for i, h := range holders {
@@ -467,12 +494,14 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 // TestHeldCloneRacesOwnerTail is the copy-on-write tail under the race
 // detector. Two clones are held while the owner records on: one only
 // answers, the other answers — quantiles of every hop and the hand-off
-// blob — between appends of its own continuation. The owner fills the
-// very tail chunks both clones share, the appending clone copies its part
-// of them while the owner writes past it, and the reading clone ranks the
-// shared bytes throughout. Any shared byte written by one side while
-// another reads it fails under -race; afterwards each holder must carry
-// the state of a Recording rebuilt from its own packets, blob for blob.
+// blob — between appends of its own continuation. A fourth goroutine
+// clones the reading clone while it is read and does the same with that
+// clone of a clone. The owner fills the very tail chunks every clone
+// shares, the appending clones copy their part of them while the owner
+// writes past it, and the reading clone ranks the shared bytes throughout.
+// Any shared byte written by one side while another reads it fails under
+// -race; afterwards each holder must carry the state of a Recording
+// rebuilt from its own packets, blob for blob.
 func TestHeldCloneRacesOwnerTail(t *testing.T) {
 	const (
 		nFlows = 4
@@ -499,7 +528,8 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 			prefix := cloneWorkload(t, eng, 157, nFlows, 600, k)
 			ownerCont := cloneWorkload(t, eng, 163, nFlows, cont, k)
 			cloneCont := cloneWorkload(t, eng, 167, nFlows, cont, k)
-			scramble(v.latBits, 173, prefix, ownerCont, cloneCont)
+			grandCont := cloneWorkload(t, eng, 179, nFlows, cont, k)
+			scramble(v.latBits, 173, prefix, ownerCont, cloneCont, grandCont)
 			owner := mk(prefix)
 			per := latChunk / codeWidth(v.latBits)
 			midChunk := v.sketchItems != 0
@@ -526,8 +556,20 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 				}
 				return blob
 			}
+			// appendAll answers from rec and records cont into it, a step at a
+			// time.
+			appendAll := func(rec *Recording, cont []PacketDigest) {
+				var blob []byte
+				for off := 0; off < len(cont); off += step {
+					blob = answer(rec, blob)
+					if err := rec.RecordBatch(cont[off : off+step]); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			var grand *Recording
 			var wg sync.WaitGroup
-			wg.Add(3)
+			wg.Add(4)
 			go func() {
 				defer wg.Done()
 				for off := 0; off < cont; off += step {
@@ -538,13 +580,7 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
-				var blob []byte
-				for off := 0; off < cont; off += step {
-					blob = answer(writer, blob)
-					if err := writer.RecordBatch(cloneCont[off : off+step]); err != nil {
-						t.Error(err)
-					}
-				}
+				appendAll(writer, cloneCont)
 			}()
 			go func() {
 				defer wg.Done()
@@ -552,6 +588,11 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 				for off := 0; off < cont; off += step {
 					blob = answer(reader, blob)
 				}
+			}()
+			go func() {
+				defer wg.Done()
+				grand = reader.Clone()
+				appendAll(grand, grandCont)
 			}()
 			wg.Wait()
 			for _, h := range []struct {
@@ -562,6 +603,7 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 				{"owner", owner, mk(prefix, ownerCont)},
 				{"appending clone", writer, mk(prefix, cloneCont)},
 				{"reading clone", reader, mk(prefix)},
+				{"appending clone of the reading clone", grand, mk(prefix, grandCont)},
 			} {
 				if recordingState(t, h.got, queries) != recordingState(t, h.want, queries) {
 					t.Fatalf("%s: state differs from a Recording rebuilt from its own packets", h.name)

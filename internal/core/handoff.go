@@ -217,9 +217,9 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 		// flowState.k); the first one to state a hop count restores it.
 		if hops := slot.hops(); hops > 0 {
 			if fs.k == 0 {
-				fs.k = hops
+				fs.k = int32(hops)
 			}
-			if hops != fs.k {
+			if hops != int(fs.k) {
 				return fmt.Errorf("core: flow %d query %q: state for %d hops, the flow's path length is %d",
 					flow, name, hops, fs.k)
 			}

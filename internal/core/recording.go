@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 
 	"repro/internal/coding"
 	"repro/internal/hash"
@@ -30,6 +29,11 @@ type Recording struct {
 	// flows is the whole per-flow state, flow-major: one lookup reaches
 	// everything a packet touches.
 	flows map[FlowKey]*flowState
+	// clone is set on a clone and on a Recording that merged one. Such a
+	// Recording owns none of the series it shares: the Recording it was
+	// cloned from may go on appending to them, so its own copies of a
+	// shared flow clamp them (see Clone).
+	clone bool
 }
 
 // flowState is what the Recording holds for one flow: its path length and
@@ -41,8 +45,15 @@ type flowState struct {
 	// slot's query, so a route that shortens mid-flow (§7) leaves the
 	// later hops empty instead of giving the queries different hop counts.
 	// 0 until a packet arrives (a restored flow with no per-hop state).
-	k     int
-	slots []querySlot
+	// An int32, which keeps the state in the 32-byte size class with
+	// shared: the wire and the decoders stop at 64 hops.
+	k int32
+	// shared is set once a clone holds the state too. From then on nobody
+	// writes to it: every holder that records swaps in a private copy
+	// first (stateOf). Only an unshared state, which one Recording alone
+	// reaches, sets it.
+	shared bool
+	slots  []querySlot
 }
 
 // querySlot is one query's state for one flow. The query's kind decides
@@ -78,11 +89,13 @@ func (s querySlot) hops() int {
 // which keeps the store at 40 bytes and a 5-hop flow's stores in one
 // 208-byte size class.
 //
-// A clone shares the chunk list as a clamped prefix (chunks[:m:m]),
-// partly filled tail chunk included, so a store whose list has no spare
-// capacity may share its tail; an owner always keeps spare capacity (see
-// grow). The owner only ever writes tail bytes past the clone's n; a clone
-// that records copies its own part of the tail first (copy-on-write).
+// A clone shares the store with the rest of its flow's state (see
+// Recording.Clone). The owner's private copy keeps the chunk list as it
+// is, spare capacity and partly filled tail chunk included, and only ever
+// writes tail bytes past the clone's n. A clone's copy takes the list as
+// a clamped prefix (chunks[:m:m]), so a store whose list has no
+// spare capacity may share its tail, and it copies its own part of the
+// tail before its first write (copy-on-write, see grow).
 type latStore struct {
 	chunks []*[latChunk]byte // the samples, latChunk/width to a chunk
 	n      int               // raw samples held
@@ -164,10 +177,14 @@ func (st *latStore) grow(i, width int) {
 	st.chunks[last] = c
 }
 
-// clone shares the raw chunks as a clamped prefix (see latStore) and
-// copies the sketch, which is mutated in place.
-func (st *latStore) clone() latStore {
-	c := latStore{chunks: st.chunks[:len(st.chunks):len(st.chunks)], n: st.n}
+// clone shares the raw chunks, as they are for the store's owner and as a
+// clamped prefix for a clone (see latStore), and copies the sketch, which
+// is mutated in place.
+func (st *latStore) clone(clamp bool) latStore {
+	c := latStore{chunks: st.chunks, n: st.n}
+	if clamp {
+		c.chunks = slices.Clip(c.chunks)
+	}
 	if st.kll != nil {
 		c.kll = st.kll.Clone()
 	}
@@ -269,8 +286,9 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // (exporters frame per flow) — it stays valid through the run, because
 // recording never evicts — and a packet whose queries have all seen its
 // flow before allocates only when a store needs room: a raw latency store
-// takes a new chunk every latChunk/width samples (and copies a tail it
-// shares with a clone once), a util series grows by append.
+// takes a new chunk every latChunk/width samples, a util series grows by
+// append. A flow a clone shares is copied once, at its first packet after
+// the clone (stateOf).
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
 	var fs *flowState
 	for i := range batch {
@@ -284,13 +302,20 @@ func (r *Recording) RecordBatch(batch []PacketDigest) error {
 	return nil
 }
 
-// stateOf returns flow's state, starting it if the flow is new.
+// stateOf returns flow's state ready to write to: started if the flow is
+// new, and swapped for a private copy if a clone shares it. Every write
+// goes through here.
 func (r *Recording) stateOf(flow FlowKey) *flowState {
 	fs := r.flows[flow]
-	if fs == nil {
+	switch {
+	case fs == nil:
 		fs = &flowState{slots: make([]querySlot, len(r.engine.slots))}
-		r.flows[flow] = fs
+	case fs.shared:
+		fs = fs.unshare(r.clone)
+	default:
+		return fs
 	}
+	r.flows[flow] = fs
 	return fs
 }
 
@@ -303,7 +328,7 @@ func (r *Recording) stateOf(flow FlowKey) *flowState {
 // the same samples, so every replay of the stream still agrees.
 func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 	if fs.k == 0 {
-		fs.k = pkt.PathLen
+		fs.k = int32(pkt.PathLen)
 	}
 	si := r.engine.setIndexOf(pkt)
 	if si < 0 {
@@ -318,14 +343,14 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 		switch op.kind {
 		case opPath:
 			if slot.dec == nil {
-				if slot.dec, err = op.path.NewDecoder(fs.k); err != nil {
+				if slot.dec, err = op.path.NewDecoder(int(fs.k)); err != nil {
 					return err
 				}
 			}
 			op.path.ObserveInto(slot.dec, pkt.PktID, bits)
 		case opLatency:
 			if slot.lat == nil {
-				if slot.lat, err = r.newLatStores(op.lat, pkt.Flow, fs.k); err != nil {
+				if slot.lat, err = r.newLatStores(op.lat, pkt.Flow, int(fs.k)); err != nil {
 					return err
 				}
 			}
@@ -369,7 +394,7 @@ func (r *Recording) Flows() []FlowKey {
 	for f := range r.flows {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -383,59 +408,77 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 // is what makes the pipeline's snapshot queries race-free: a shard worker
 // clones between batches and hands the copy to concurrent readers.
 //
-// What is copied and what is shared follows from how each piece of state
-// changes. KLL sketches and path decoders still peeling are bounded in
-// size and mutated in place, so the clone gets its own. A decoder that has
-// decoded its path writes nothing but two counters ever again
-// (coding.Decoder's frozen-share rule): the clone takes the counters and
-// shares the solved state.
+// A clone copies no flow. It shares each flow's state with r and marks
+// that flow, not r, as shared; a shared state is never written again.
+// Whichever holder next records into the flow — r, the clone, or a clone
+// of the clone — first swaps in a private copy of that one flow (stateOf),
+// so a clone costs one map entry per flow, and each flow written after it
+// pays one copy. What the copy copies and what it shares follows from how
+// each piece of state changes. KLL sketches and path decoders still
+// peeling are bounded in size and mutated in place, so the copy gets its
+// own. A decoder that has decoded its path writes nothing but two counters
+// ever again (coding.Decoder's frozen-share rule): the copy takes the
+// counters and shares the solved state.
 // The two per-packet series — raw latency samples (one code-width
 // sample per packet, see latStore) and util values — grow with every
 // packet and are append-only: nothing in the repository writes a sample
-// once it is stored. The clone therefore shares them as prefixes clamped
-// in length AND capacity. A util series is taken as s[:len(s):len(s)]
-// over the same backing array; the owner's later appends land beyond the
-// clone's length (or in a fresh array once the old one is full), and the
-// clone's own appends find no spare capacity and reallocate. A raw
-// latency store shares its chunk list the same way, partly filled tail
-// chunk included: the owner writes that chunk only past the clone's
-// samples, and a clone that records copies its own samples of the tail
-// into a private chunk first (copy-on-write), never the bytes past them.
-// Neither side observes the other, a clone costs O(flows) rather than
-// O(packets), and a held clone keeps alive only the arrays and chunks
-// that existed when it was taken.
+// once it is stored. The copy therefore shares them. The copy the flow's
+// owner makes — r, or any Recording that is not a clone and merged none —
+// keeps them as they are, spare capacity included: its appends land past
+// every clone's samples, in the shared raw tail chunk too, or in a fresh
+// array once the old one is full. A clone's copy takes them as prefixes
+// clamped in length AND capacity: a util series as s[:len(s):len(s)],
+// whose appends find no spare capacity and reallocate, and a raw latency
+// store's chunk list the same way, partly filled tail chunk included,
+// whose first write copies its own samples of the tail into a private
+// chunk (copy-on-write), never the bytes past them. Neither side observes
+// the other, a clone costs O(flows) rather than O(packets), and a held
+// clone keeps alive only the flow states, arrays and chunks that existed
+// when it was taken.
 func (r *Recording) Clone() *Recording {
 	c := r.cloneShell(len(r.flows))
 	for f, fs := range r.flows {
-		c.flows[f] = fs.clone()
+		c.flows[f] = fs.share()
 	}
 	return c
 }
 
 // CloneFlows is Clone restricted to the listed flows: the copy tracks
-// exactly those of them that r tracks, and costs nothing for any other
-// flow. A flow-scoped snapshot is built from it.
+// exactly those of them that r tracks, and neither it nor r's next write
+// costs anything for any other flow. A flow-scoped snapshot is built from
+// it.
 func (r *Recording) CloneFlows(flows []FlowKey) *Recording {
 	c := r.cloneShell(len(flows))
 	for _, f := range flows {
 		if fs := r.flows[f]; fs != nil {
-			c.flows[f] = fs.clone()
+			c.flows[f] = fs.share()
 		}
 	}
 	return c
 }
 
-// cloneShell returns a Recording with r's engine and configuration, room
-// for nFlows flows, and no flows.
+// cloneShell returns an empty clone of r: r's engine and configuration,
+// room for nFlows flows, and no flows.
 func (r *Recording) cloneShell(nFlows int) *Recording {
 	c := *r
 	c.flows = make(map[FlowKey]*flowState, nFlows)
+	c.clone = true
 	return &c
 }
 
-// clone copies one flow's state (see Clone for what is copied and what is
-// shared).
-func (fs *flowState) clone() *flowState {
+// share marks fs as held by one more Recording and returns it. A state
+// already shared is only read: other goroutines may hold it.
+func (fs *flowState) share() *flowState {
+	if !fs.shared {
+		fs.shared = true
+	}
+	return fs
+}
+
+// unshare returns a private copy of a shared fs to write to (see Clone for
+// what is copied and what is shared). The owner's copy keeps the series'
+// spare capacity; a clone's copy clamps them.
+func (fs *flowState) unshare(clamp bool) *flowState {
 	c := &flowState{k: fs.k, slots: make([]querySlot, len(fs.slots))}
 	for i := range fs.slots {
 		slot, cs := &fs.slots[i], &c.slots[i]
@@ -445,10 +488,13 @@ func (fs *flowState) clone() *flowState {
 		if slot.lat != nil {
 			cs.lat = make([]latStore, len(slot.lat))
 			for h := range slot.lat {
-				cs.lat[h] = slot.lat[h].clone()
+				cs.lat[h] = slot.lat[h].clone(clamp)
 			}
 		}
-		cs.series = slot.series[:len(slot.series):len(slot.series)]
+		cs.series = slot.series
+		if clamp {
+			cs.series = slices.Clip(cs.series)
+		}
 	}
 	return c
 }
@@ -457,7 +503,8 @@ func (fs *flowState) clone() *flowState {
 // same engine and must track disjoint flow sets — the shape produced by
 // the sharded sink, where a flow's state lives wholly inside one shard —
 // so merging is adoption, not sketch arithmetic. o's per-flow state moves
-// into r by reference; o must not be used afterwards.
+// into r by reference; o must not be used afterwards. Merging a clone
+// makes r one (see Clone): r then shares what o shared.
 func (r *Recording) Merge(o *Recording) error {
 	if o == nil {
 		return nil
@@ -473,6 +520,7 @@ func (r *Recording) Merge(o *Recording) error {
 	for f, fs := range o.flows {
 		r.flows[f] = fs
 	}
+	r.clone = r.clone || o.clone
 	return nil
 }
 

@@ -437,7 +437,9 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // per (flow, hop). Before the decoder split into a per-query plan and a
 // flat per-flow state a 500-packet flow cost 7.3 KB in 50 objects to
 // record (3.2 KB of it re-checking the universe for duplicates) and 1.4 KB
-// in 12.6 to clone. Raw latency in fixed 128-byte chunks is a trade: a
+// in 12.6 to clone; while a clone copied every flow's state it cost 532 B
+// in 4 objects, and sharing the state leaves the clone its flow map's
+// share (~36 B). Raw latency in fixed 128-byte chunks is a trade: a
 // store's first sample takes a whole chunk and a two-slot list (144 B),
 // which append growth only passes at 65 samples. While raw latency grew
 // by append, the rows cost 751 B in 10.1 objects, 834 B in 15.0 and
@@ -500,14 +502,110 @@ func TestColdFlowAllocationShape(t *testing.T) {
 
 	var clone *Recording
 	bytes, mallocs := allocDelta(func() { clone = rec.Clone() })
-	// The flow map's buckets are the clone's, not a flow's; what is left
-	// of them per flow is inside the budget.
-	t.Logf("Clone: %.0f B and %.1f objects per finished flow", bytes/flows, mallocs/flows)
-	if bytes/flows > 700 || mallocs/flows > 5 {
-		t.Errorf("Clone: %.0f B and %.1f objects per finished flow, want at most 700 B and 5", bytes/flows, mallocs/flows)
+	// A clone copies no flow: all it allocates is its flow map.
+	t.Logf("Clone: %.0f B and %.2f objects per finished flow", bytes/flows, mallocs/flows)
+	if bytes/flows > 64 || mallocs/flows > 1 {
+		t.Errorf("Clone: %.0f B and %.2f objects per finished flow, want at most 64 B and 1", bytes/flows, mallocs/flows)
 	}
 	if clone.TrackedFlows() != flows {
 		t.Fatalf("clone tracks %d flows, want %d", clone.TrackedFlows(), flows)
+	}
+}
+
+// convergedTwins records the same 500 packets of each of n testbench flows
+// into two Recordings, checks that every flow decoded, and returns both
+// with each flow's next frame of packets.
+func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]PacketDigest) {
+	t.Helper()
+	const warm = 500
+	eng, path, _ := testbenchPlan(t, 71)
+	var err error
+	if rec, err = NewRecordingSeeded(eng, 0, 0xA110C); err != nil {
+		t.Fatal(err)
+	}
+	if twin, err = NewRecordingSeeded(eng, 0, 0xA110C); err != nil {
+		t.Fatal(err)
+	}
+	for f := FlowKey(1); f <= FlowKey(n); f++ {
+		pkts := testbenchFlow(eng, f, uint64(1000+f), warm+frame)
+		for _, r := range []*Recording{rec, twin} {
+			if err := r.RecordBatch(pkts[:warm]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dec := rec.PathDecoder(path, f); dec == nil || !dec.Done() {
+			t.Fatalf("flow %d did not decode in %d packets; the pin needs converged flows", f, warm)
+		}
+		next = append(next, pkts[warm:])
+	}
+	return rec, twin, next
+}
+
+// TestOwnerWriteAfterCloneCopiesOnce pins the writer's side of a
+// snapshot: after a Clone, the owner's next frame into each converged flow
+// costs at most one copy of that flow's state (~500 B in 4 objects) over
+// what the same frame costs with no snapshot, and no latency chunk. The
+// owner's copy keeps the spare capacity of its chunk lists and its partly
+// filled tail chunks; a copy that clamped them would pay a chunk and a
+// list per hop on top.
+func TestOwnerWriteAfterCloneCopiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	const flows, frame = 128, 64
+	rec, twin, next := convergedTwins(t, flows, frame)
+	clone := rec.Clone()
+	record := func(r *Recording) (bytes, mallocs float64) {
+		return allocDelta(func() {
+			for _, b := range next {
+				if err := r.RecordBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	bytes, mallocs := record(rec)
+	baseBytes, baseMallocs := record(twin)
+	extra, extraObjs := (bytes-baseBytes)/flows, (mallocs-baseMallocs)/flows
+	t.Logf("a %d-packet frame after a Clone: %.0f B and %.2f objects per flow over the same frame with no snapshot", frame, extra, extraObjs)
+	if extra > 600 || extraObjs > 4 {
+		t.Errorf("a %d-packet frame after a Clone: %.0f B and %.2f objects per flow over the same frame with no snapshot, want at most one flow-state copy (600 B, 4 objects)",
+			frame, extra, extraObjs)
+	}
+	if clone.TrackedFlows() != flows {
+		t.Fatalf("clone tracks %d flows, want %d", clone.TrackedFlows(), flows)
+	}
+}
+
+// TestCloneFlowsSharesOnlyItsFlows pins that a flow-scoped clone marks
+// only the flows it holds as shared: recording into any other flow
+// afterwards allocates exactly what it does with no snapshot, while the
+// held flow pays for its copy.
+func TestCloneFlowsSharesOnlyItsFlows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	rec, twin, next := convergedTwins(t, 2, 256)
+	clone := rec.CloneFlows([]FlowKey{1})
+	record := func(r *Recording, f FlowKey) (bytes, mallocs float64) {
+		return allocDelta(func() {
+			if err := r.RecordBatch(next[f-1]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bytes, mallocs := record(rec, 2)
+	baseBytes, baseMallocs := record(twin, 2)
+	if bytes != baseBytes || mallocs != baseMallocs {
+		t.Errorf("a frame into a flow CloneFlows did not take: %.0f B in %.0f objects, %.0f B in %.0f with no snapshot",
+			bytes, mallocs, baseBytes, baseMallocs)
+	}
+	bytes, _ = record(rec, 1)
+	if baseBytes, _ = record(twin, 1); bytes <= baseBytes {
+		t.Errorf("a frame into the flow CloneFlows took: %.0f B, %.0f B with no snapshot; want the copy of the shared state on top", bytes, baseBytes)
+	}
+	if clone.TrackedFlows() != 1 {
+		t.Fatalf("clone tracks %d flows, want 1", clone.TrackedFlows())
 	}
 }
 
@@ -566,9 +664,10 @@ func TestLongFlowBytesPerPacket(t *testing.T) {
 
 // TestLatStoreSize pins the per-hop store's size: a 5-hop flow's stores
 // (5 × 40 B) fit the 208-byte size class, and one more word would move
-// them to 240 B and a full snapshot's allocation with them.
+// them to 240 B and, with them, the copy a writer makes of each flow it
+// records into after a snapshot.
 func TestLatStoreSize(t *testing.T) {
 	if got := unsafe.Sizeof(latStore{}); got > 40 {
-		t.Errorf("latStore is %d B, want at most 40: five of them must stay in the 208-byte size class a snapshot clones per flow", got)
+		t.Errorf("latStore is %d B, want at most 40: five of them must stay in the 208-byte size class a writer copies per flow after a snapshot", got)
 	}
 }

@@ -10,14 +10,18 @@ import "repro/internal/core"
 // called from the ingesting goroutine (Flush first to include buffered
 // packets). Packets ingested after the call may or may not be visible.
 //
-// What a snapshot shares with the live shard: the backing arrays of the
-// two per-packet series (raw latency samples, util values), which it
-// holds as length-and-capacity-clamped prefixes. That is safe because
-// those series are append-only — the worker writes only past the prefix,
-// and an append through the snapshot reallocates — so neither side can
-// see the other's writes; everything that is mutated in place (path
-// decoders, KLL sketches) the snapshot owns outright. Taking one
-// therefore costs in the flows it covers, not in the packets they carried.
+// What a snapshot shares with the live shard: every flow's state it
+// covers, whole. The clone marks each such flow as shared, and a shared
+// flow is never written again: the worker's next packet for it swaps in a
+// private copy first, as does a write through the snapshot. The worker's
+// copy keeps appending to the two per-packet series (raw latency samples,
+// util values) past the snapshot's samples, in the same backing arrays;
+// any other copy holds them as length-and-capacity-clamped prefixes, so
+// its appends reallocate. Everything mutated in place (path decoders
+// still decoding, KLL sketches) each copy gets its own. Taking a snapshot
+// therefore costs one map entry per flow it covers, and the worker one
+// copy of each flow it records into afterwards, never anything in the
+// packets they carried.
 //
 // A flow-scoped snapshot (Sink.SnapshotFlows) covers only the flows it
 // was asked for; any other flow reads as untracked, and a shard that
