@@ -33,7 +33,7 @@ func TestAIMDSequence(t *testing.T) {
 		t.Helper()
 		now = uint64(at * 1e9)
 		c.Observe(stalled)
-		if got := c.Capacity(); got != wantCap {
+		if got := c.Stats().Capacity; got != wantCap {
 			t.Fatalf("t=%vs stalled=%v: capacity %v, want %v", at, stalled, got, wantCap)
 		}
 	}
@@ -52,7 +52,7 @@ func TestAIMDSequence(t *testing.T) {
 		now += uint64(1.1e9)
 		c.Observe(true)
 	}
-	if got := c.Capacity(); got != 100 {
+	if got := c.Stats().Capacity; got != 100 {
 		t.Fatalf("capacity after collapse %v, want the 100 floor", got)
 	}
 	// Quiet recovery: probes every window until Max clamps.
@@ -60,7 +60,7 @@ func TestAIMDSequence(t *testing.T) {
 		now += uint64(1.1e9)
 		c.Observe(false)
 	}
-	if got := c.Capacity(); got != 2000 {
+	if got := c.Stats().Capacity; got != 2000 {
 		t.Fatalf("capacity after recovery %v, want the 2000 ceiling", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestGrantBucket(t *testing.T) {
 	}
 	now += uint64(10e9) // a long idle caps at the burst depth, not 10k
 	g := c.grantAt(now, 200)
-	if want := c.Capacity() * 0.1 / 200; math.Abs(g-want) > 1e-9 || g >= 1 {
+	if want := c.Stats().Capacity * 0.1 / 200; math.Abs(g-want) > 1e-9 || g >= 1 {
 		t.Fatalf("burst-capped grant: %v, want %v", g, want)
 	}
 }
@@ -111,7 +111,7 @@ func TestCapacityProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := now
-		capMax := c.Capacity()
+		capMax := c.Stats().Capacity
 		granted := 0.0 // cumulative expected packets admitted
 		for i := 0; i < 2000; i++ {
 			now += uint64(rng.Intn(20e6)) // 0-20ms between frames
@@ -120,7 +120,7 @@ func TestCapacityProperty(t *testing.T) {
 			if rng.Bool(0.3) {
 				c.Observe(rng.Bool(0.5))
 			}
-			if cap := c.Capacity(); cap > capMax {
+			if cap := c.Stats().Capacity; cap > capMax {
 				capMax = cap
 			}
 			elapsed := float64(now-start) / 1e9
@@ -202,6 +202,74 @@ func TestStarvation(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("Decide over quota allocates %.2f times per frame, want 0", got)
+	}
+}
+
+// TestHogShedInsideEnvelope is the QoS contract on the meter alone, under
+// an injected clock: a hog offering 5× its quota in one frame per 10 ms
+// tick, its four flows' packets riding together, is admitted no more than
+// burst + quota × elapsed + the minimum-sample residue (+4σ of hash
+// scatter), and each flow's kept count, rescaled by the published
+// CountScale, lands inside the 4σ binomial envelope of what it offered. A
+// victim at half its quota loses nothing.
+func TestHogShedInsideEnvelope(t *testing.T) {
+	const (
+		tickNs    = 10_000_000
+		ticks     = 60
+		quota     = 10_000.0 // pkt/s, both tenants
+		burst     = quota * tickNs / 1e9
+		minSample = 0.01
+		hogFlows  = 4
+		hogPer    = 125 // per flow per tick: 50k pkt/s offered in all
+		vicPkts   = 50  // per tick: 5k pkt/s
+	)
+	now := uint64(1e9)
+	a, err := NewAdmitter(Policy{
+		Tenants: map[string]Quota{
+			"hog":    {Rate: quota, Burst: burst, MinSample: minSample},
+			"victim": {Rate: quota, Burst: burst, MinSample: minSample},
+		},
+		Seed:  0x7E4A7,
+		Clock: func() uint64 { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hog, victim := a.Tenant("hog"), a.Tenant("victim")
+	rng := hash.NewRNG(3)
+	kept := make([]int, hogFlows)
+	for tick := 0; tick < ticks; tick++ {
+		now += tickNs
+		d, n := hog.Decide(hogFlows*hogPer), 0
+		for f := 0; f < hogFlows; f++ {
+			for i := 0; i < hogPer; i++ {
+				if hog.Keep(d, uint64(f+1), rng.Uint64()) {
+					kept[f]++
+					n++
+				}
+			}
+		}
+		hog.Account(n, hogFlows*hogPer)
+		if d := victim.Decide(vicPkts); !d.Admit() {
+			t.Fatalf("tick %d: victim inside its quota sampled at p=%v", tick, d.P)
+		}
+		victim.Account(vicPkts, vicPkts)
+	}
+
+	st := hog.Stats()
+	bound := burst + quota*ticks*tickNs/1e9 + minSample*float64(st.Offered) + 4*math.Sqrt(float64(st.Offered)*0.25)
+	if st.Shed == 0 || float64(st.Admitted) > bound {
+		t.Fatalf("hog admitted %d of %d (shed %d), quota bounds it at %.0f", st.Admitted, st.Offered, st.Shed, bound)
+	}
+	offered := float64(ticks * hogPer)
+	envelope := 4 * math.Sqrt((1-st.SampleRate)/(st.SampleRate*offered))
+	for f, k := range kept {
+		if rel := math.Abs(float64(k)*st.CountScale-offered) / offered; rel > envelope {
+			t.Errorf("hog flow %d: rescaled count off by %.4f of %v offered, envelope %.4f", f, rel, offered, envelope)
+		}
+	}
+	if vs := victim.Stats(); vs.Shed != 0 || vs.Offered != ticks*vicPkts {
+		t.Fatalf("victim accounting %+v", vs)
 	}
 }
 

@@ -232,13 +232,3 @@ func (c *Controller) Stats() CapacityStats {
 	defer c.mu.Unlock()
 	return CapacityStats{Capacity: c.capacity, Stalls: c.stalls, Backoffs: c.backoffs, Probes: c.probes}
 }
-
-// Capacity returns the current estimate in packets/second (0 for nil).
-func (c *Controller) Capacity() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}

@@ -1,9 +1,6 @@
 package collector
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -129,28 +126,6 @@ func (d *DurableSink) Close() error {
 	return err
 }
 
-// Abandon simulates a SIGKILL for the torture suites: the persistence
-// queue is dropped, the store closes without sealing or syncing, and the
-// sink tears down with no final flush. Whatever had not reached the file
-// is the unflushed tail recovery explicitly reports lost.
-func (d *DurableSink) Abandon() {
-	d.Sink.SetPersister(nil)
-	d.Writer.Abandon()
-	d.Sink.Close()
-}
-
-// WindowAnswers answers every query for the [since, until] time window
-// from the log alone: the window replays into one fresh Recording
-// (windowRecording) and the standard fixed-order evaluator runs over the
-// result. flows nil means every flow seen in the window.
-func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) ([]FlowAnswers, error) {
-	rec, flows, err := d.windowRecording(since, until, flows)
-	if err != nil {
-		return nil, err
-	}
-	return Answers(rec, d.queries, flows), nil
-}
-
 // windowRecording replays the [since, until] window's digest blocks, in
 // log order, into one fresh Recording (shard count never changes answers —
 // the pipeline determinism contract) and returns it with the flows to
@@ -190,33 +165,6 @@ func (d *DurableSink) windowRecording(since, until uint64, flows []core.FlowKey)
 		flows = rec.Flows()
 	}
 	return rec, flows, nil
-}
-
-// VerifyAgainstLive proves the headline guarantee on a quiescent durable
-// sink: the log-only answer for the full window must be byte-identical
-// to the live sink's snapshot answer. It is the self-check the
-// kill-recover suites run after every recovery.
-func (d *DurableSink) VerifyAgainstLive() error {
-	live, err := SnapshotAnswers(d.Sink.Snapshot(), d.queries, nil)
-	if err != nil {
-		return err
-	}
-	replayed, err := d.WindowAnswers(0, ^uint64(0), nil)
-	if err != nil {
-		return err
-	}
-	a, err := json.Marshal(live)
-	if err != nil {
-		return err
-	}
-	b, err := json.Marshal(replayed)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("collector: durable replay diverges from live state (%d vs %d bytes)", len(b), len(a))
-	}
-	return nil
 }
 
 // runCheckpoints is the Server's background durability cadence.

@@ -3,10 +3,15 @@ package collector
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,6 +30,43 @@ func durableOpts(dir string) DurableOptions {
 		DataDir: dir,
 		Options: segstore.Options{NoSync: true, Now: func() uint64 { ts += 10; return ts }},
 	}
+}
+
+// WindowAnswers answers every query for the [since, until] time window
+// from the log alone: the Recording the HTTP window path answers from,
+// evaluated in memory. flows nil means every flow seen in the window.
+func (d *DurableSink) WindowAnswers(since, until uint64, flows []core.FlowKey) ([]FlowAnswers, error) {
+	rec, flows, err := d.windowRecording(since, until, flows)
+	if err != nil {
+		return nil, err
+	}
+	return Answers(rec, d.queries, flows), nil
+}
+
+// VerifyAgainstLive checks the durable tier's headline guarantee on a
+// quiescent durable sink: the log-only answer for the full window is
+// byte-identical to the live sink's snapshot answer.
+func (d *DurableSink) VerifyAgainstLive() error {
+	live, err := SnapshotAnswers(d.Sink.Snapshot(), d.queries, nil)
+	if err != nil {
+		return err
+	}
+	replayed, err := d.WindowAnswers(0, ^uint64(0), nil)
+	if err != nil {
+		return err
+	}
+	a, err := json.Marshal(live)
+	if err != nil {
+		return err
+	}
+	b, err := json.Marshal(replayed)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("collector: durable replay diverges from live state (%d vs %d bytes)", len(b), len(a))
+	}
+	return nil
 }
 
 // ingestWaves streams nFlows testbench flows of pktsPer packets into the
@@ -143,9 +185,21 @@ func TestDurableConfigShapes(t *testing.T) {
 	}
 }
 
-// TestDurableAbandonRecovers is the in-process SIGKILL: whatever reached
-// the file is recovered bit-identically to an uncrashed collector fed
-// the same durable prefix, and the loss is exactly the unflushed tail.
+// crashImage copies the live data dir to a fresh one and returns it: the
+// files a SIGKILL at this instant would leave, since every append is one
+// write through to the file.
+func crashImage(t *testing.T, dir string) string {
+	t.Helper()
+	image := filepath.Join(t.TempDir(), "image")
+	if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
+// TestDurableAbandonRecovers is the SIGKILL on a crash image: whatever
+// reached the file is recovered bit-identically to an uncrashed collector
+// fed the same durable prefix, and the loss is exactly the unflushed tail.
 func TestDurableAbandonRecovers(t *testing.T) {
 	tb := mustTestbench(t, 13)
 	dir := t.TempDir()
@@ -154,16 +208,17 @@ func TestDurableAbandonRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	stream := ingestWaves(t, tb, d, 1, 3, 200)
 	if err := d.Checkpoint(); err != nil { // first wave is durable
 		t.Fatal(err)
 	}
 	stream = append(stream, ingestWaves(t, tb, d, 2, 3, 200)...) // second wave races the writer
-	d.Abandon()
+	image := crashImage(t, dir)
 
-	re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+	re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(image))
 	if err != nil {
-		t.Fatalf("recovery after abandon: %v", err)
+		t.Fatalf("recovery from the crash image: %v", err)
 	}
 	defer re.Close()
 	replayed := re.Replayed
@@ -196,6 +251,122 @@ func TestDurableAbandonRecovers(t *testing.T) {
 	}
 	if !bytes.Equal(answersJSON(t, got), answersJSON(t, want)) {
 		t.Fatalf("recovered answers differ from an uncrashed run over the durable prefix (%d pkts)", replayed)
+	}
+}
+
+// tornTail is a frame header promising far more payload than follows,
+// then five of those bytes: the shape a crash in the middle of an append
+// leaves after the last whole block.
+func tornTail() []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 1<<12) // claimed payload length
+	buf = binary.LittleEndian.AppendUint32(buf, 0xDEAD) // crc of bytes that never landed
+	return append(buf, 0x01, 0x02, 0x03, 0x04, 0x05)
+}
+
+// plantTornTail appends tornTail to the segment a crashed store was
+// appending to (the last by name) and returns how many bytes it planted.
+func plantTornTail(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.pint"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment in %s (%v)", dir, err)
+	}
+	sort.Strings(segs)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := f.Write(tornTail())
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(n)
+}
+
+// TestDurableCrashImageRecovery is the crash whose loss is exactly known:
+// a collector checkpoints two waves, then dies in the middle of an append.
+// Its crash image is the data dir after the last checkpoint plus a torn
+// half-block. Recovery must cut the torn bytes to the byte, replay every
+// checkpointed packet, answer like a collector that never crashed and like
+// its own log, and after a third wave, a clean close and a second restart
+// still replay every packet, at sink shards {1, 4}.
+func TestDurableCrashImageRecovery(t *testing.T) {
+	tb := mustTestbench(t, 29)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pcfg := pipeline.Config{Shards: shards, BatchSize: 64, Base: tb.Base}
+			dir := t.TempDir()
+			d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			stream := ingestWaves(t, tb, d, 1, 4, 200)
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			stream = append(stream, ingestWaves(t, tb, d, 2, 2, 200)...)
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			image := crashImage(t, dir)
+			torn := plantTornTail(t, image)
+
+			re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(image))
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeRe := re.Close
+			defer func() { closeRe() }()
+			if re.Recovery.TornBytes != torn {
+				t.Fatalf("recovery cut %d torn bytes, planted %d", re.Recovery.TornBytes, torn)
+			}
+			if re.Replayed != uint64(len(stream)) {
+				t.Fatalf("recovery replayed %d packets, %d were checkpointed", re.Replayed, len(stream))
+			}
+			ref, err := pipeline.NewSink(tb.Engine, pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Ingest(stream)
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := SnapshotAnswers(ref.Snapshot(), tb.Queries(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SnapshotAnswers(re.Sink.Snapshot(), tb.Queries(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(answersJSON(t, got), answersJSON(t, want)) {
+				t.Fatal("recovered answers differ from a collector that never crashed")
+			}
+			if err := re.VerifyAgainstLive(); err != nil {
+				t.Fatal(err)
+			}
+
+			stream = append(stream, ingestWaves(t, tb, re, 3, 2, 200)...)
+			if err := re.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			closeRe = func() error { return nil }
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			final, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(image))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer final.Close()
+			if final.Replayed != uint64(len(stream)) {
+				t.Fatalf("second restart replayed %d packets, want %d", final.Replayed, len(stream))
+			}
+		})
 	}
 }
 

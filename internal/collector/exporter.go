@@ -11,8 +11,8 @@ import (
 
 // Exporter is the switch side of a collector session: it dials the
 // daemon, performs the wire.Hello handshake, and streams digest batches
-// as checksummed frames. It is the transmit path cmd/pintload, the
-// collector-scale scenario, and any embedded switch agent share.
+// as checksummed frames. It is the transmit path cmd/pintload, pintbench
+// and any embedded switch agent share.
 //
 // An Exporter is not safe for concurrent use; give each sending
 // goroutine its own (each simulated switch owns one connection).

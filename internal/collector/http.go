@@ -14,12 +14,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 )
 
 // This file serves snapshot queries over HTTP/JSON. The answer encoding
-// is factored into Answers so the loopback conformance path (the
-// collector-scale scenario) can compute the identical structure against
+// is factored into Answers so the loopback conformance tests
+// (TestLoopbackBitIdentical) can compute the identical structure against
 // an in-process sink and demand bit-identical JSON.
 
 // HopAnswer is one (flow, hop)'s dynamic per-flow summary.
@@ -124,19 +123,6 @@ func evalFlow(rec *core.Recording, queries []core.Query, flow core.FlowKey, fa *
 			a.Series = rec.UtilSeries(q, flow)
 		}
 	}
-}
-
-// SnapshotAnswers folds a sink snapshot into one merged Recording and
-// answers every query for every tracked flow (or just the listed flows).
-func SnapshotAnswers(snap *pipeline.Snapshot, queries []core.Query, flows []core.FlowKey) ([]FlowAnswers, error) {
-	merged, err := snap.Merged()
-	if err != nil {
-		return nil, err
-	}
-	if flows == nil {
-		flows = merged.Flows()
-	}
-	return Answers(merged, queries, flows), nil
 }
 
 // Handler serves the collector's observability surface:

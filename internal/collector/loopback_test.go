@@ -11,23 +11,11 @@ import (
 )
 
 // LoopbackResult is one end-to-end run's outcome: the JSON-stable query
-// answers for every flow, plus transfer accounting. Answers, Packets,
-// and WireBytes are pure functions of the testbench shape; Elapsed is
-// wall clock (reporting only — never part of a conformance comparison).
+// answers for every flow and the packets the collector ingested. Both are
+// pure functions of the testbench shape.
 type LoopbackResult struct {
-	Answers   []FlowAnswers
-	Packets   uint64
-	WireBytes uint64
-	Elapsed   time.Duration
-}
-
-// BytesPerPacket returns the mean wire cost of one digest, frame headers
-// included.
-func (r *LoopbackResult) BytesPerPacket() float64 {
-	if r.Packets == 0 {
-		return 0
-	}
-	return float64(r.WireBytes) / float64(r.Packets)
+	Answers []FlowAnswers
+	Packets uint64
 }
 
 // RunLoopback stands up a collector on an ephemeral loopback listener,
@@ -38,12 +26,6 @@ func (r *LoopbackResult) BytesPerPacket() float64 {
 // networked twin of RunInProcess: identical inputs must yield
 // byte-identical answers.
 func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch int) (*LoopbackResult, error) {
-	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
-		return nil, err
-	}
-	if batch < 1 || batch > pktsPer {
-		batch = pktsPer
-	}
 	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
 	if err != nil {
 		return nil, err
@@ -59,10 +41,8 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	addr := ln.Addr().String()
 
-	start := time.Now()
-	packets, bytes, err := tb.StreamDeployment(Standalone(addr), nExporters, flowsPer, pktsPer, batch)
+	packets, _, err := tb.StreamDeployment(Standalone(ln.Addr().String()), nExporters, flowsPer, pktsPer, batch)
 	if err != nil {
 		srv.Shutdown(context.Background())
 		return nil, err
@@ -78,7 +58,6 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	if err := sink.Err(); err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
 	st := srv.Stats()
 	if st.Packets != packets {
 		return nil, fmt.Errorf("collector: drain lost packets: sent %d, collector ingested %d",
@@ -88,12 +67,7 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 	if err != nil {
 		return nil, err
 	}
-	return &LoopbackResult{
-		Answers:   answers,
-		Packets:   st.Packets,
-		WireBytes: bytes,
-		Elapsed:   elapsed,
-	}, nil
+	return &LoopbackResult{Answers: answers, Packets: st.Packets}, nil
 }
 
 // RunInProcess runs the identical deployment without a socket in sight:
@@ -102,15 +76,11 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 // of the collector daemon is Answers(RunLoopback) == Answers(RunInProcess),
 // byte for byte, at every shard count.
 func (tb *Testbench) RunInProcess(shards, nExporters, flowsPer, pktsPer int) (*LoopbackResult, error) {
-	if err := ValidateShape(nExporters, flowsPer, pktsPer); err != nil {
-		return nil, err
-	}
 	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
 	if err != nil {
 		return nil, err
 	}
 	defer sink.Close()
-	start := time.Now()
 	var pkts []core.PacketDigest
 	vals := make([]core.HopValues, pktsPer)
 	var packets uint64
@@ -129,9 +99,31 @@ func (tb *Testbench) RunInProcess(shards, nExporters, flowsPer, pktsPer int) (*L
 	if err != nil {
 		return nil, err
 	}
-	return &LoopbackResult{
-		Answers: answers,
-		Packets: packets,
-		Elapsed: time.Since(start),
-	}, nil
+	return &LoopbackResult{Answers: answers, Packets: packets}, nil
+}
+
+// SnapshotAnswers folds a sink snapshot into one merged Recording and
+// answers every query for every tracked flow (or just the listed flows).
+func SnapshotAnswers(snap *pipeline.Snapshot, queries []core.Query, flows []core.FlowKey) ([]FlowAnswers, error) {
+	merged, err := snap.Merged()
+	if err != nil {
+		return nil, err
+	}
+	if flows == nil {
+		flows = merged.Flows()
+	}
+	return Answers(merged, queries, flows), nil
+}
+
+// Flows enumerates every flow key of a deployment of nExporters
+// exporters with flowsPer flows each, in (exporter, flow) order — the
+// order the conformance comparison queries them in.
+func (tb *Testbench) Flows(nExporters, flowsPer int) []core.FlowKey {
+	out := make([]core.FlowKey, 0, nExporters*flowsPer)
+	for exp := 0; exp < nExporters; exp++ {
+		for f := 0; f < flowsPer; f++ {
+			out = append(out, tb.FlowKeyFor(uint64(exp)+1, f))
+		}
+	}
+	return out
 }

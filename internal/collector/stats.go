@@ -8,8 +8,8 @@ import (
 
 // This file defines the versioned /stats document. Three consumers used
 // to parse three ad-hoc JSON shapes (the daemon's map, the federation
-// frontend's anonymous structs, the scenarios' substring probes); all of
-// them now share one declared type, stamped with a schema tag so a
+// frontend's anonymous structs, substring probes); all of them now share
+// one declared type, stamped with a schema tag so a
 // consumer can refuse a document it does not understand instead of
 // silently misreading it.
 

@@ -3,8 +3,6 @@ package collector
 import (
 	"fmt"
 	"math"
-	"os"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -13,7 +11,7 @@ import (
 
 // Testbench is the canonical loopback deployment plan: the query set,
 // compiled engine, and deterministic traffic model that cmd/pintd,
-// cmd/pintload, and the collector-scale scenario share. Daemon and load
+// cmd/pintload, cmd/pintbench and the collector tests share. Daemon and load
 // generator each construct it independently from the same (seed, k) and
 // arrive at the same engine — the handshake's PlanHash check then proves
 // it on the wire, exactly how a switch fleet and its collector coordinate
@@ -136,37 +134,8 @@ func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, v
 	return pkts
 }
 
-// Flows enumerates every flow key of a deployment of nExporters
-// exporters with flowsPer flows each, in (exporter, flow) order — the
-// order the conformance comparison queries them in.
-func (tb *Testbench) Flows(nExporters, flowsPer int) []core.FlowKey {
-	out := make([]core.FlowKey, 0, nExporters*flowsPer)
-	for exp := 0; exp < nExporters; exp++ {
-		for f := 0; f < flowsPer; f++ {
-			out = append(out, tb.FlowKeyFor(uint64(exp)+1, f))
-		}
-	}
-	return out
-}
-
-// ScratchDir creates a throwaway data directory for durable-daemon
-// suites and returns it with an idempotent cleanup closure. The cleanup
-// is bound at creation — t.TempDir-style — not in the daemon's own
-// teardown: harnesses that removed the directory only when the daemon
-// shut down cleanly leaked it whenever the daemon failed to start, and
-// the kill-recover suites start (and kill) daemons constantly. Callers
-// defer the cleanup immediately after the error check.
-func (tb *Testbench) ScratchDir(prefix string) (string, func(), error) {
-	dir, err := os.MkdirTemp("", prefix)
-	if err != nil {
-		return "", nil, fmt.Errorf("collector: scratch dir: %w", err)
-	}
-	var once sync.Once
-	return dir, func() { once.Do(func() { os.RemoveAll(dir) }) }, nil
-}
-
-// ValidateShape sanity-checks the deployment shape shared by pintload's
-// flags and the scenario.
+// ValidateShape sanity-checks the deployment shape the streaming helpers
+// take from pintload's flags.
 func ValidateShape(nExporters, flowsPer, pktsPer int) error {
 	switch {
 	case nExporters < 1 || nExporters > 1<<16:

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -603,33 +604,39 @@ func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]
 // what the same frame costs with no snapshot, and no latency chunk. The
 // owner's copy keeps the spare capacity of its chunk lists and its partly
 // filled tail chunks; a copy that clamped them would pay a chunk and a
-// list per hop on top.
+// list per hop on top. The copy costs exactly the budget's 4 objects, so a
+// runtime allocation landing inside one measurement would fail it: the
+// test measures three fresh triples and keeps the smallest excess, as
+// noise only adds.
 func TestOwnerWriteAfterCloneCopiesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
 	const flows, frame = 128, 64
-	rec, twin, next := convergedTwins(t, flows, frame)
-	clone := rec.Clone()
-	record := func(r *Recording) (bytes, mallocs float64) {
-		return allocDelta(func() {
-			for _, b := range next {
-				if err := r.RecordBatch(b); err != nil {
-					t.Fatal(err)
+	extra, extraObjs := math.Inf(1), math.Inf(1)
+	for range 3 {
+		rec, twin, next := convergedTwins(t, flows, frame)
+		clone := rec.Clone()
+		record := func(r *Recording) (bytes, mallocs float64) {
+			return allocDelta(func() {
+				for _, b := range next {
+					if err := r.RecordBatch(b); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
+		bytes, mallocs := record(rec)
+		baseBytes, baseMallocs := record(twin)
+		extra, extraObjs = min(extra, (bytes-baseBytes)/flows), min(extraObjs, (mallocs-baseMallocs)/flows)
+		if clone.TrackedFlows() != flows {
+			t.Fatalf("clone tracks %d flows, want %d", clone.TrackedFlows(), flows)
+		}
 	}
-	bytes, mallocs := record(rec)
-	baseBytes, baseMallocs := record(twin)
-	extra, extraObjs := (bytes-baseBytes)/flows, (mallocs-baseMallocs)/flows
 	t.Logf("a %d-packet frame after a Clone: %.0f B and %.2f objects per flow over the same frame with no snapshot", frame, extra, extraObjs)
 	if extra > 600 || extraObjs > 4 {
 		t.Errorf("a %d-packet frame after a Clone: %.0f B and %.2f objects per flow over the same frame with no snapshot, want at most one flow-state copy (600 B, 4 objects)",
 			frame, extra, extraObjs)
-	}
-	if clone.TrackedFlows() != flows {
-		t.Fatalf("clone tracks %d flows, want %d", clone.TrackedFlows(), flows)
 	}
 }
 
@@ -745,32 +752,40 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 // TestCloneFlowsSharesOnlyItsFlows pins that a flow-scoped clone marks
 // only the flows it holds as shared: recording into any other flow
 // afterwards allocates exactly what it does with no snapshot, while the
-// held flow pays for its copy.
+// held flow pays for its copy. A runtime allocation landing inside one
+// measurement would break the equality, so every figure is the smallest
+// of three fresh measurements: noise only adds.
 func TestCloneFlowsSharesOnlyItsFlows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
-	rec, twin, next := convergedTwins(t, 2, 256)
-	clone := rec.CloneFlows([]FlowKey{1})
-	record := func(r *Recording, f FlowKey) (bytes, mallocs float64) {
-		return allocDelta(func() {
-			if err := r.RecordBatch(next[f-1]); err != nil {
-				t.Fatal(err)
-			}
-		})
+	inf := [2]float64{math.Inf(1), math.Inf(1)} // per flow
+	bytes, mallocs, baseBytes, baseMallocs := inf, inf, inf, inf
+	for range 3 {
+		rec, twin, next := convergedTwins(t, 2, 256)
+		clone := rec.CloneFlows([]FlowKey{1})
+		record := func(r *Recording, f FlowKey, bytes, mallocs *[2]float64) {
+			b, m := allocDelta(func() {
+				if err := r.RecordBatch(next[f-1]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			bytes[f-1], mallocs[f-1] = min(bytes[f-1], b), min(mallocs[f-1], m)
+		}
+		for _, f := range []FlowKey{2, 1} {
+			record(rec, f, &bytes, &mallocs)
+			record(twin, f, &baseBytes, &baseMallocs)
+		}
+		if clone.TrackedFlows() != 1 {
+			t.Fatalf("clone tracks %d flows, want 1", clone.TrackedFlows())
+		}
 	}
-	bytes, mallocs := record(rec, 2)
-	baseBytes, baseMallocs := record(twin, 2)
-	if bytes != baseBytes || mallocs != baseMallocs {
+	if bytes[1] != baseBytes[1] || mallocs[1] != baseMallocs[1] {
 		t.Errorf("a frame into a flow CloneFlows did not take: %.0f B in %.0f objects, %.0f B in %.0f with no snapshot",
-			bytes, mallocs, baseBytes, baseMallocs)
+			bytes[1], mallocs[1], baseBytes[1], baseMallocs[1])
 	}
-	bytes, _ = record(rec, 1)
-	if baseBytes, _ = record(twin, 1); bytes <= baseBytes {
-		t.Errorf("a frame into the flow CloneFlows took: %.0f B, %.0f B with no snapshot; want the copy of the shared state on top", bytes, baseBytes)
-	}
-	if clone.TrackedFlows() != 1 {
-		t.Fatalf("clone tracks %d flows, want 1", clone.TrackedFlows())
+	if bytes[0] <= baseBytes[0] {
+		t.Errorf("a frame into the flow CloneFlows took: %.0f B, %.0f B with no snapshot; want the copy of the shared state on top", bytes[0], baseBytes[0])
 	}
 }
 

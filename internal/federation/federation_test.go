@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -91,6 +92,51 @@ func TestPartitionerConsistency(t *testing.T) {
 	}
 }
 
+// Stream pushes the (nExporters × flowsPer × pktsPer) testbench
+// deployment into the fleet over real TCP, each flow routed to its home
+// member under the fleet's current map.
+func (f *Fleet) Stream(nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
+	return f.TB.StreamDeployment(f.CurrentMap(), nExporters, flowsPer, pktsPer, batch)
+}
+
+// MergedAnswers folds the fleet's state into one answer set exactly like
+// one collector would: each member's sink snapshot collapses via
+// Snapshot.Merged, the per-member Recordings fold into one with
+// core.Recording.Merge (members hold disjoint flows — the partitioner's
+// invariant — so the merge is pure adoption), and the fixed-order answer
+// encoder runs once over the union. flows nil means every tracked flow in
+// sorted key order, mirroring the daemon's /snapshot.
+func (f *Fleet) MergedAnswers(flows []core.FlowKey) ([]collector.FlowAnswers, error) {
+	var merged *core.Recording
+	for _, m := range f.Members {
+		rec, err := m.Sink.Snapshot().Merged()
+		if err != nil {
+			return nil, err
+		}
+		if merged == nil {
+			merged = rec
+		} else if err := merged.Merge(rec); err != nil {
+			return nil, fmt.Errorf("federation: folding %s: %w", m.Name, err)
+		}
+	}
+	if flows == nil {
+		flows = merged.Flows()
+	}
+	return collector.Answers(merged, f.TB.Queries(), flows), nil
+}
+
+// deploymentFlows lists every flow key of a deployment of nExporters
+// exporters with flowsPer flows each, in (exporter, flow) order.
+func deploymentFlows(tb *collector.Testbench, nExporters, flowsPer int) []core.FlowKey {
+	var out []core.FlowKey
+	for e := 0; e < nExporters; e++ {
+		for f := 0; f < flowsPer; f++ {
+			out = append(out, tb.FlowKeyFor(uint64(e)+1, f))
+		}
+	}
+	return out
+}
+
 // streamFleet stands a fleet up, streams a deployment through loopback
 // TCP, and waits until every packet is ingested and flushed.
 func streamFleet(t *testing.T, seed uint64, fleetN, shards, nExporters, flowsPer, pktsPer int) (*Fleet, *collector.Testbench) {
@@ -134,12 +180,8 @@ func TestFleetMergedAnswersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := tb.RunInProcess(2, nExporters, flowsPer, pktsPer)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, _ := json.Marshal(fleetAnswers)
-	want, _ := json.Marshal(local.Answers)
+	want, _ := json.Marshal(inProcessAnswers(t, tb, 2, nExporters, flowsPer, pktsPer, nil))
 	if string(got) != string(want) {
 		t.Fatalf("fleet-merged answers diverge from in-process:\nfleet: %.400s\nlocal: %.400s", got, want)
 	}

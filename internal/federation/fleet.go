@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/core"
 	"repro/internal/pipeline"
 )
 
@@ -37,7 +36,7 @@ func (m *Member) HTTPURL() string { return "http://" + m.httpLn.Addr().String() 
 // n collector daemons on loopback listeners, every member compiled under
 // the same engine and seeded with the same recording base, so the fleet
 // as a whole answers byte-identically to one collector that ingested the
-// same flows. It is the test and scenario harness; production runs the
+// same flows. It is the test and pintbench harness; production runs the
 // same shape as n cmd/pintd processes plus cmd/pintgate.
 type Fleet struct {
 	TB *collector.Testbench
@@ -206,13 +205,6 @@ func (f *Fleet) HTTPURLs() []string {
 	return out
 }
 
-// Stream pushes the (nExporters × flowsPer × pktsPer) testbench
-// deployment into the fleet over real TCP, each flow routed to its home
-// member under the fleet's current map.
-func (f *Fleet) Stream(nExporters, flowsPer, pktsPer, batch int) (packets, bytes uint64, err error) {
-	return f.TB.StreamDeployment(f.CurrentMap(), nExporters, flowsPer, pktsPer, batch)
-}
-
 // WaitIngested blocks until the fleet's members have collectively
 // ingested want packets with no active sessions — at which point every
 // ingested packet is dispatched (collectors flush at session end) and
@@ -238,44 +230,6 @@ func (f *Fleet) WaitIngested(want uint64, deadline time.Duration) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// MergedAnswers folds the fleet's state into one answer set exactly like
-// one collector would: each member's sink snapshot collapses via
-// Snapshot.Merged, the per-member Recordings fold into one with
-// core.Recording.Merge (members hold disjoint flows — the partitioner's
-// invariant — so the merge is pure adoption), and the fixed-order answer
-// encoder runs once over the union. flows nil means every tracked flow in
-// sorted key order, mirroring the daemon's /snapshot.
-func (f *Fleet) MergedAnswers(flows []core.FlowKey) ([]collector.FlowAnswers, error) {
-	merged, err := f.MergedRecording()
-	if err != nil {
-		return nil, err
-	}
-	if flows == nil {
-		flows = merged.Flows()
-	}
-	return collector.Answers(merged, f.TB.Queries(), flows), nil
-}
-
-// MergedRecording snapshots every member and folds the per-member
-// Recordings into one via core.Recording.Merge.
-func (f *Fleet) MergedRecording() (*core.Recording, error) {
-	var merged *core.Recording
-	for _, m := range f.Members {
-		rec, err := m.Sink.Snapshot().Merged()
-		if err != nil {
-			return nil, err
-		}
-		if merged == nil {
-			merged = rec
-			continue
-		}
-		if err := merged.Merge(rec); err != nil {
-			return nil, fmt.Errorf("federation: folding %s: %w", m.Name, err)
-		}
-	}
-	return merged, nil
 }
 
 // StopMember drains one member and closes its listeners — the "kill one

@@ -21,7 +21,8 @@ import (
 // are missing from the merge, instead of failing the whole query or
 // silently presenting a subset as the truth.
 //
-// The /snapshot merge is the HTTP twin of Fleet.MergedAnswers: members
+// The /snapshot merge is the HTTP twin of folding the members' snapshots
+// with core.Recording.Merge: members
 // hold disjoint flows (the partitioner's invariant) and list them in
 // sorted key order, so folding is a k-way merge by flow key — the wire
 // image of core.Recording.Merge's pure adoption. It is a streaming merge:

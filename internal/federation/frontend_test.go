@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,11 +53,14 @@ func inProcessAnswers(t *testing.T, tb *collector.Testbench, shards, nExporters,
 		}
 	}
 	sink.Barrier()
-	answers, err := collector.SnapshotAnswers(sink.Snapshot(), tb.Queries(), flows)
+	merged, err := sink.Snapshot().Merged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return answers
+	if flows == nil {
+		flows = merged.Flows()
+	}
+	return collector.Answers(merged, tb.Queries(), flows)
 }
 
 // TestFrontendSnapshotByteIdentical is the tentpole contract at the HTTP
@@ -120,23 +124,64 @@ func TestFrontendSnapshotByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFrontendPartialResult is the degradation contract: killing one
-// fleet member yields a partial /snapshot naming the dead node while the
-// survivors' flows still merge; /healthz flips to not-ok naming the node.
+// TestFrontendPartialResult is the degradation contract at fleets {2, 4}
+// × sink shards {1, 4}: a healthy fleet's /snapshot is byte-identical to
+// one collector's and its /stats accounts for every packet; killing one
+// member then yields a partial /snapshot naming the dead node while the
+// survivors' flows still merge, and /healthz flips to not-ok naming it.
 func TestFrontendPartialResult(t *testing.T) {
 	const (
 		nExporters = 2
 		flowsPer   = 4
 		pktsPer    = 100
+		dead       = 1
 	)
-	fleet, tb := streamFleet(t, 31, 3, 1, nExporters, flowsPer, pktsPer)
-	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
-	if err != nil {
+	for _, fleetN := range []int{2, 4} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("fleet=%d/shards=%d", fleetN, shards), func(t *testing.T) {
+				fleet, tb := streamFleet(t, 31, fleetN, shards, nExporters, flowsPer, pktsPer)
+				fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fe.Handler()
+				testFrontendHealthy(t, h, tb, shards, nExporters, flowsPer, pktsPer)
+				testFrontendPartial(t, h, fleet, deploymentFlows(tb, nExporters, flowsPer), dead)
+			})
+		}
+	}
+}
+
+// testFrontendHealthy requires the gate of a healthy fleet to answer
+// /snapshot byte for byte like one collector that ingested the whole
+// deployment, unmarked, and its /stats total to count every packet.
+func testFrontendHealthy(t *testing.T, h http.Handler, tb *collector.Testbench, shards, nExporters, flowsPer, pktsPer int) {
+	t.Helper()
+	rec := get(t, h, "/snapshot")
+	if rec.Code != http.StatusOK || rec.Header().Get(PartialHeader) != "" {
+		t.Fatalf("healthy snapshot: status %d, %s=%q", rec.Code, PartialHeader, rec.Header().Get(PartialHeader))
+	}
+	if want := envelope(t, inProcessAnswers(t, tb, shards, nExporters, flowsPer, pktsPer, nil)); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("merged snapshot body diverges from single-collector body:\ngate: %.400s\nwant: %.400s", rec.Body.Bytes(), want)
+	}
+	var stats struct {
+		Total struct {
+			Server collector.Stats `json:"server"`
+		} `json:"total"`
+	}
+	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	h := fe.Handler()
+	if want := uint64(nExporters * flowsPer * pktsPer); stats.Total.Server.Packets != want {
+		t.Fatalf("gate total %d packets, want %d", stats.Total.Server.Packets, want)
+	}
+}
 
-	const dead = 1
+// testFrontendPartial stops member dead and requires the gate to answer
+// partial, name the dead node, and merge exactly the flows of all that
+// homed elsewhere.
+func testFrontendPartial(t *testing.T, h http.Handler, fleet *Fleet, all []core.FlowKey, dead int) {
+	t.Helper()
 	deadURL := fleet.HTTPURLs()[dead]
 	if err := fleet.StopMember(context.Background(), dead); err != nil {
 		t.Fatal(err)
@@ -163,22 +208,18 @@ func TestFrontendPartialResult(t *testing.T) {
 	// The surviving members' flows all merge: exactly the flows whose
 	// home is not the dead member, in sorted order.
 	var want []uint64
-	for _, flow := range tb.Flows(nExporters, flowsPer) {
+	for _, flow := range all {
 		if fleet.CurrentMap().FlowHome(flow) != dead {
 			want = append(want, uint64(flow))
 		}
 	}
+	slices.Sort(want)
 	var got []uint64
 	for _, fa := range partial.Flows {
 		got = append(got, fa.Flow)
 	}
-	if len(got) != len(want) || len(got) == 0 {
-		t.Fatalf("survivor merge has %d flows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("survivor flow[%d] = %d, want %d", i, got[i], want[i])
-		}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("survivor merge has flows %v, want %v", got, want)
 	}
 
 	// Health names the dead node and flips the fleet verdict.

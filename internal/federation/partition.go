@@ -19,10 +19,11 @@
 //     disjoint flows), so the merged answer is byte-identical to a single
 //     collector that ingested everything.
 //
-// The federated-scale scenario (internal/scenario) pins that identity at
-// fleet sizes {1,2,4} × sink shards {1,4}; cmd/pintgate is the frontend
-// as a daemon, and cmd/pintd -epoch / cmd/pintload -gate are the member
-// and exporter sides.
+// The package's tests pin that identity against one in-process sink, and
+// through the frontend at fleet sizes {2,4} × sink shards {1,4}
+// (TestFrontendPartialResult); cmd/pintgate is the frontend as a daemon,
+// and cmd/pintd -epoch / cmd/pintload -gate are the member and exporter
+// sides.
 //
 // One document describes a fleet to all of them: the FleetMap (epoch,
 // member names, addresses). Routing is derived from it, never configured

@@ -67,8 +67,9 @@ func driveResize(t *testing.T, fleet *Fleet, exps []*collector.FleetExporter, to
 // testResizeLive is the live-resize conformance driver shared by the
 // grow and shrink tests: stream half of every flow into a fleet of fromN
 // over real TCP, resize to toN with the exporters live, stream the rest,
-// and require exact packet conservation plus answers byte-identical to a
-// fleet that ran at toN members from the start.
+// and require exact packet conservation plus answers byte-identical to
+// one in-process sink and to a fleet that ran at toN members from the
+// start.
 func testResizeLive(t *testing.T, fromN, toN int) {
 	const (
 		nExp     = 3
@@ -128,7 +129,8 @@ func testResizeLive(t *testing.T, fromN, toN int) {
 	for _, mv := range moves {
 		movedSet[mv.Flow] = true
 	}
-	for _, flow := range tb.Flows(nExp, flowsPer) {
+	all := deploymentFlows(tb, nExp, flowsPer)
+	for _, flow := range all {
 		changed := oldMap.HomeName(flow) != newMap.HomeName(flow)
 		if changed != movedSet[flow] {
 			t.Errorf("flow %d: moved=%v home changed=%v", flow, movedSet[flow], changed)
@@ -156,7 +158,7 @@ func testResizeLive(t *testing.T, fromN, toN int) {
 	// share that departed with a shrink's stopped members.
 	total := uint64(nExp * flowsPer * pktsPer)
 	departedA := uint64(0)
-	for _, flow := range tb.Flows(nExp, flowsPer) {
+	for _, flow := range all {
 		if oldMap.FlowHome(flow) >= toN {
 			departedA += uint64(pktsA)
 		}
@@ -172,6 +174,13 @@ func testResizeLive(t *testing.T, fromN, toN int) {
 	resizedJSON, err := json.Marshal(resizedAnswers)
 	if err != nil {
 		t.Fatal(err)
+	}
+	localJSON, err := json.Marshal(inProcessAnswers(t, tb, shards, nExp, flowsPer, pktsPer, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resizedJSON, localJSON) {
+		t.Fatalf("resized %d->%d fleet diverges from one in-process sink", fromN, toN)
 	}
 
 	// Reference: a fleet that ran at toN members from the start, same

@@ -94,6 +94,16 @@ func TestRegistryHygiene(t *testing.T) {
 			t.Errorf("README.md's scenario catalog has no row for %q", name)
 		}
 	}
+	for _, line := range strings.Split(catalog, "\n") {
+		row, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			continue
+		}
+		name, _, _ := strings.Cut(row, "`")
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("README.md's scenario catalog has a row for %q, which is not registered", name)
+		}
+	}
 }
 
 // TestShardsDoNotChangeAnswers runs the recording-stack scenarios with

@@ -1,10 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
-
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/pipeline"
@@ -13,30 +9,6 @@ import (
 
 // The recording path the digest-recording trials share: engine batch
 // encode → wire marshal/unmarshal → sharded sink.
-
-// answersJSON answers every query for flows (nil: every tracked flow) out
-// of a fresh snapshot of sink, as the canonical JSON the conformance
-// trials compare byte for byte.
-func answersJSON(sink *pipeline.Sink, queries []core.Query, flows []core.FlowKey) ([]byte, error) {
-	answers, err := collector.SnapshotAnswers(sink.Snapshot(), queries, flows)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(answers)
-}
-
-// sameAnswers reports whether two answer sets are the same canonical JSON.
-func sameAnswers(a, b []collector.FlowAnswers) (bool, error) {
-	aJSON, err := json.Marshal(a)
-	if err != nil {
-		return false, err
-	}
-	bJSON, err := json.Marshal(b)
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(aJSON, bJSON), nil
-}
 
 // shipBlocks runs an encoded packet block switch→collector: wire round
 // trip, then sink ingest. The returned buffers are reused across calls.

@@ -11,7 +11,7 @@ func TestSuggestNearMisses(t *testing.T) {
 		want  string // must appear among the suggestions
 	}{
 		{"fig10x", "fig10a"},
-		{"colector-scale", "collector-scale"},
+		{"ablaton-lnc", "ablation-lnc"},
 		{"route-chang", "route-change"},
 		{"pathtrac", "pathtrace"},
 		{"FIG9", "fig9"},
@@ -37,12 +37,12 @@ func TestSuggestNearMisses(t *testing.T) {
 }
 
 func TestUnknownScenarioErrorSuggests(t *testing.T) {
-	_, err := RunNames([]string{"colector-scale"}, Options{Scale: Quick()})
+	_, err := RunNames([]string{"ablaton-lnc"}, Options{Scale: Quick()})
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 	if !strings.Contains(err.Error(), "did you mean") ||
-		!strings.Contains(err.Error(), "collector-scale") {
+		!strings.Contains(err.Error(), "ablation-lnc") {
 		t.Fatalf("miss error lacks suggestions: %v", err)
 	}
 }

@@ -57,12 +57,3 @@ func F(v float64) string {
 		return fmt.Sprintf("%.3f", v)
 	}
 }
-
-// yesNo renders a conformance verdict; a failure is upper-case so it
-// stands out in a column of passes.
-func yesNo(ok bool) string {
-	if ok {
-		return "yes"
-	}
-	return "NO"
-}

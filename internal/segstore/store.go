@@ -748,20 +748,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Abandon closes the store without sealing, syncing, or truncating —
-// the simulated SIGKILL the torture tests use. Bytes already written are
-// on disk (or in the page cache, which a process kill does not lose);
-// everything else is gone, exactly like a real crash.
-func (s *Store) Abandon() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.f.Close()
-}
-
 // Stats is the store's live accounting.
 type Stats struct {
 	// Segments counts sealed segments; the active segment rides in

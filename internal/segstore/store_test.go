@@ -21,6 +21,20 @@ func testClock() func() uint64 {
 	return func() uint64 { ts += 10; return ts }
 }
 
+// Abandon closes the store without sealing, syncing, or truncating —
+// the simulated SIGKILL the torture tests use. Bytes already written are
+// on disk (or in the page cache, which a process kill does not lose);
+// everything else is gone, exactly like a real crash.
+func (s *Store) Abandon() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.closed = true
+	s.f.Close()
+}
+
 func openTest(t *testing.T, dir string, opts Options) (*Store, *RecoveryReport) {
 	t.Helper()
 	if opts.Now == nil {

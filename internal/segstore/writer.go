@@ -128,7 +128,7 @@ func (w *Writer) Err() error {
 }
 
 // send enqueues an op, blocking when the queue is full (backpressure)
-// but never blocking past Abandon.
+// but never blocking once the writer has stopped.
 func (w *Writer) send(op wop) {
 	select {
 	case w.ops <- op:
@@ -224,19 +224,4 @@ func (w *Writer) Close() error {
 	w.mu.Unlock()
 	<-w.done
 	return err
-}
-
-// Abandon stops the writer immediately, dropping everything still
-// queued, and abandons the store — the simulated SIGKILL. Producers
-// blocked on a full queue unblock (their events are lost, like any
-// in-process buffer at a crash).
-func (w *Writer) Abandon() {
-	w.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.quit)
-	}
-	w.mu.Unlock()
-	<-w.done
-	w.store.Abandon()
 }

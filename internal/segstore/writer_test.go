@@ -72,6 +72,21 @@ func TestWriterErrorSticksAndDrains(t *testing.T) {
 	}
 }
 
+// Abandon stops the writer immediately, dropping everything still
+// queued, and abandons the store — the simulated SIGKILL. Producers
+// blocked on a full queue unblock (their events are lost, like any
+// in-process buffer at a crash).
+func (w *Writer) Abandon() {
+	w.mu.Lock()
+	if !w.closed {
+		w.closed = true
+		close(w.quit)
+	}
+	w.mu.Unlock()
+	<-w.done
+	w.store.Abandon()
+}
+
 func TestWriterAbandonUnblocks(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTest(t, dir, Options{})

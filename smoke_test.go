@@ -39,8 +39,6 @@ func TestSmokeBinariesAndExamples(t *testing.T) {
 		{name: "pintfig-quick", args: []string{"./cmd/pintfig", "-scale", "quick", "-run", "fig5"}, marker: "Fig 5"},
 		{name: "pintfig-parallel-json", args: []string{"./cmd/pintfig", "-scale", "quick",
 			"-run", "route-change,pathtrace", "-parallel", "4", "-json"}, marker: "\"scenario\": \"route-change\""},
-		{name: "pintfig-federated", args: []string{"./cmd/pintfig", "-scale", "quick",
-			"-run", "federated-scale"}, marker: "Federated conformance"},
 		{name: "pinttrace", args: []string{"./cmd/pinttrace", "-topo", "fattree", "-len", "5",
 			"-trials", "20", "-parallel", "2", "-baselines=false"}, marker: "PINT"},
 		{name: "example-quickstart", args: []string{"./examples/quickstart"}},
@@ -94,7 +92,7 @@ func TestSmokePintfigUnknownScenario(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, "go", "run", "./cmd/pintfig", "-run", "colector-scale").CombinedOutput()
+	out, err := exec.CommandContext(ctx, "go", "run", "./cmd/pintfig", "-run", "ablaton-lnc").CombinedOutput()
 	if err == nil {
 		t.Fatalf("unknown scenario exited 0:\n%s", out)
 	}
@@ -102,7 +100,7 @@ func TestSmokePintfigUnknownScenario(t *testing.T) {
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() == 0 {
 		t.Fatalf("want a non-zero exit code, got %v:\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "did you mean") || !strings.Contains(string(out), "collector-scale") {
+	if !strings.Contains(string(out), "did you mean") || !strings.Contains(string(out), "ablation-lnc") {
 		t.Fatalf("miss output lacks a suggestion:\n%s", out)
 	}
 }
