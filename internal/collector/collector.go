@@ -32,7 +32,10 @@
 //
 // Snapshot queries are served over HTTP by Handler (see http.go): the
 // same Sink.Snapshot()/Merged path the in-process harness uses, so a
-// loopback deployment answers bit-identically to a direct sink.
+// loopback deployment answers bit-identically to a direct sink. The
+// handler closes its snapshot however the request ends, handing the
+// shard workers back the flows it held, so a query costs ingest only
+// while it is being answered.
 package collector
 
 import (

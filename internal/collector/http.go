@@ -204,7 +204,11 @@ func (s *Server) Handler() http.Handler {
 			s.serveWindow(w, q, flows)
 			return
 		}
-		merged, err := s.cfg.Sink.SnapshotFlows(flows).Merged()
+		// The snapshot's leases go back to the shard workers however the
+		// request ends, so a query costs ingest only while it is answered.
+		snap := s.cfg.Sink.SnapshotFlows(flows)
+		defer snap.Close()
+		merged, err := snap.Merged()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -13,13 +13,16 @@ import (
 
 // These tests guard what the read path now rests on: a snapshot shares
 // the live shard's flow states, and the worker copies a flow before its
-// next write to it, keeping the append-only series' arrays
-// (core.Recording.Clone); and a flow-scoped snapshot costs in the flows
-// asked for. The independence of clones from their origin and from each
-// other is pinned one layer down (core: TestCloneAppendsStayPrivate,
-// TestClonePrefixProperty, TestHeldCloneRacesOwnerTail), and so is what a
-// snapshot costs the writer (TestOwnerWriteAfterCloneCopiesOnce,
-// TestCloneFlowsSharesOnlyItsFlows).
+// next write to it while the snapshot is open, keeping the append-only
+// series' arrays (core.Recording.Lease); and a flow-scoped snapshot costs
+// in the flows asked for. The independence of clones from their origin
+// and from each other is pinned one layer down (core:
+// TestCloneAppendsStayPrivate, TestClonePrefixProperty,
+// TestHeldCloneRacesOwnerTail), and so is what a snapshot costs the writer
+// (TestOwnerWriteAfterCloneCopiesOnce, TestLeaseSharesOnlyItsFlows) and,
+// in the pipeline, once a snapshot is closed
+// (TestClosedSnapshotCostsWriterNothing); lease_test.go pins that the
+// /snapshot handler gives its snapshot back.
 
 // TestHeldSnapshotsSurviveIngest is the sharing invariant under -race:
 // readers take snapshots — full and flow-scoped — render their answers,

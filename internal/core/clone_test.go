@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -273,14 +274,16 @@ func randomWorkload(eng *Engine, rng *hash.RNG, nFlows, n, k int) []PacketDigest
 
 // TestClonePrefixProperty is the sharing invariant stated as a property:
 // for random digest streams, at EVERY prefix, a Clone — and a flow-scoped
-// CloneFlows — of the live state answers exactly like a Recording rebuilt
+// Lease — of the live state answers exactly like a Recording rebuilt
 // from scratch from that prefix. The rebuilt Recording never shares an
 // array with anything, so it is an independent oracle: a clone that saw
 // a later append, or lost a sample to one, diverges from it. The live
 // state is spread over 1, 2 and 4 Recordings by the sink's routing
 // function and the clones are folded with Merge, which is exactly what a
 // pipeline snapshot does; shards a scoped clone does not ask contribute
-// an empty Recording.
+// an empty Recording. Leases are released before the next packet, so the
+// live state records on into states that were shared and are its own
+// again.
 func TestClonePrefixProperty(t *testing.T) {
 	const k = 6
 	for _, v := range storageVariants {
@@ -317,16 +320,27 @@ func TestClonePrefixProperty(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						// Every flow, from full clones.
+						// Every flow, from full clones: leases on even trials,
+						// released below, and Clones held for good on odd ones.
 						full := mk()
-						for _, rec := range live {
-							if err := full.Merge(rec.Clone()); err != nil {
+						leases := make([]*Lease, 2*shards)
+						for i, rec := range live {
+							var clone *Recording
+							if trial%2 == 0 {
+								clone, leases[shards+i] = rec.Lease(nil)
+							} else {
+								clone = rec.Clone()
+							}
+							if err := full.Merge(clone); err != nil {
 								t.Fatal(err)
 							}
 						}
 						ref := rebuilt(pkts[:n])
 						if got, want := full.TrackedFlows(), ref.TrackedFlows(); got != want {
 							t.Fatalf("prefix %d: clone tracks %d flows, rebuilt %d", n, got, want)
+						}
+						if got, want := full.Flows(), ref.Flows(); !slices.Equal(got, want) {
+							t.Fatalf("prefix %d: merged clones list flows %v, rebuilt %v", n, got, want)
 						}
 						for f := 1; f <= nFlows; f++ {
 							assertSameAnswers(t, ref, full, FlowKey(f), k, path, lat, util)
@@ -348,7 +362,9 @@ func TestClonePrefixProperty(t *testing.T) {
 							if len(byShard[i]) == 0 {
 								continue
 							}
-							if err := scoped.Merge(rec.CloneFlows(byShard[i])); err != nil {
+							var clone *Recording
+							clone, leases[i] = rec.Lease(byShard[i])
+							if err := scoped.Merge(clone); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -365,6 +381,11 @@ func TestClonePrefixProperty(t *testing.T) {
 						}
 						if got := scoped.TrackedFlows(); got != tracked {
 							t.Fatalf("prefix %d: scoped clone tracks %d flows, asked for %d tracked ones", n, got, tracked)
+						}
+						for i, l := range leases {
+							if l != nil {
+								live[i%shards].Release(l)
+							}
 						}
 					}
 				}
@@ -445,7 +466,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 					return l
 				}
 				for f := FlowKey(1); f <= nFlows; f++ {
-					shared := h.flows[f]
+					shared := h.find(f)
 					fs := h.stateOf(f)
 					if fs == shared {
 						t.Fatalf("holder %d flow %d: a write would land in the state the clones share", i, f)
@@ -672,6 +693,117 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 						if gerr == nil && got[i] != want {
 							t.Fatalf("flow %d hop %d phi %v: batched %v, single %v", f, hop, phi, got[i], want)
 						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLeaseHoldCount walks one flow's state through sequences of leases,
+// Clones, releases and writes, and after each step requires the state
+// installed in the owner to be private exactly when nobody holds it: the
+// owner's next write then lands in place, and before that it copies. A
+// Clone holds for good; so does a lease a clone was taken from, directly
+// or through a Recording that merged it. A state the owner replaced — by
+// writing through a copy, or by evicting the flow and importing it again
+// under the same key — is never made private by a release.
+func TestLeaseHoldCount(t *testing.T) {
+	const flow = FlowKey(1)
+	eng, path, lat := testbenchPlan(t, 71)
+	queries := []Query{path, lat}
+	pkts := testbenchFlow(eng, flow, 5, 96)
+	type step struct {
+		op, name string // op on the lease or clone called name
+		private  bool   // the installed state is private afterwards
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"two leases released in order", []step{
+			{"lease", "a", false}, {"lease", "b", false}, {"release", "a", false}, {"release", "b", true}}},
+		{"two leases released in reverse", []step{
+			{"lease", "a", false}, {"lease", "b", false}, {"release", "b", false}, {"release", "a", true}}},
+		{"two leases and a Clone", []step{
+			{"lease", "a", false}, {"clone", "", false}, {"lease", "b", false},
+			{"release", "a", false}, {"release", "b", false}}},
+		{"a Clone, then two leases released in reverse", []step{
+			{"clone", "", false}, {"lease", "a", false}, {"lease", "b", false},
+			{"release", "b", false}, {"release", "a", false}}},
+		{"a released lease released again", []step{
+			{"lease", "a", false}, {"lease", "b", false}, {"release", "a", false}, {"release", "a", false},
+			{"release", "b", true}}},
+		{"a clone of the leased clone, then release", []step{
+			{"lease", "a", false}, {"clone-of", "a", false}, {"release", "a", false}}},
+		{"a clone of a Recording that merged the leased clone", []step{
+			{"lease", "a", false}, {"lease", "b", false}, {"merge-clone-of", "a", false},
+			{"release", "b", false}, {"release", "a", false}}},
+		{"a lease of the leased clone", []step{
+			{"lease", "a", false}, {"lease-of", "a", false}, {"release", "a", false}}},
+		{"a write while leased", []step{
+			{"lease", "a", false}, {"write", "", true}, {"lease", "b", false},
+			{"release", "a", false}, {"release", "b", true}}},
+		{"evicted and imported again while leased", []step{
+			{"lease", "a", false}, {"reimport", "", true}, {"release", "a", true}, {"write", "", true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			owner, err := NewRecordingSeeded(eng, 0, 0xA110C)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := owner.RecordBatch(pkts[:64]); err != nil {
+				t.Fatal(err)
+			}
+			clones, leases := map[string]*Recording{}, map[string]*Lease{}
+			var replaced []*flowState // states the owner no longer holds installed
+			for i, s := range tc.steps {
+				was := owner.flows[flow]
+				switch s.op {
+				case "lease":
+					clones[s.name], leases[s.name] = owner.Lease(nil)
+				case "release":
+					owner.Release(leases[s.name])
+				case "clone":
+					owner.Clone()
+				case "clone-of":
+					clones[s.name].Clone()
+				case "lease-of":
+					_, l := clones[s.name].Lease(nil)
+					owner.Release(l)
+				case "merge-clone-of":
+					adopter, err := NewRecordingSeeded(eng, 0, 0xA110C)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := adopter.Merge(clones[s.name]); err != nil {
+						t.Fatal(err)
+					}
+					adopter.Clone()
+				case "write":
+					if err := owner.RecordBatch(pkts[64+i : 65+i]); err != nil {
+						t.Fatal(err)
+					}
+				case "reimport":
+					blob, err := owner.AppendFlowState(nil, queries, flow)
+					if err != nil {
+						t.Fatal(err)
+					}
+					owner.Evict(flow)
+					if err := owner.RestoreFlowState(queries, flow, blob); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fs := owner.flows[flow]
+				if fs != was {
+					replaced = append(replaced, was)
+				}
+				if fs.shared == s.private {
+					t.Fatalf("step %d (%s %s): installed state shared=%v, want %v", i, s.op, s.name, fs.shared, !s.private)
+				}
+				for _, old := range replaced {
+					if !old.shared {
+						t.Fatalf("step %d (%s %s): a state the owner replaced was made private", i, s.op, s.name)
 					}
 				}
 			}

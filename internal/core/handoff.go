@@ -250,8 +250,8 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 		// Every per-hop section is sized by the flow's path length (see
 		// flowState.k); the first one to state a hop count restores it.
 		if hops := slot.hops(); hops > 0 {
-			if fs.k == 0 {
-				fs.k = int32(hops)
+			if fs.k == 0 && hops <= math.MaxInt16 {
+				fs.k = int16(hops)
 			}
 			if hops != int(fs.k) {
 				return fmt.Errorf("core: flow %d query %q: state for %d hops, the flow's path length is %d",
@@ -265,7 +265,7 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	if r.HasFlow(flow) {
 		return fmt.Errorf("core: merge would duplicate flow %v", flow)
 	}
-	r.flows[flow] = fs
+	r.index()[flow] = fs
 	return nil
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/coding"
 	"repro/internal/hash"
@@ -26,13 +29,26 @@ type Recording struct {
 	// state is independent of cross-flow arrival order — the property
 	// that makes the sharded pipeline bit-identical to the serial path.
 	base hash.Seed
-	// flows is the whole per-flow state, flow-major: one lookup reaches
-	// everything a packet touches.
+	// flows indexes the whole per-flow state, flow-major: one lookup
+	// reaches everything a packet touches. A clone has no map until its
+	// first write (index): its runs index it instead.
 	flows map[FlowKey]*flowState
+	// runs are the leases (see Lease) whose flow states the Recording
+	// shares with the Recording they were taken from: a clone's one run,
+	// and those of every Recording it merged. While flows is nil they are
+	// the index, disjoint and at most one per shard, searched in turn; once
+	// a clone has written, they only name the leases a clone of it pins.
+	runs []*Lease
+	// found is the run entry find returned last: an answer looks a flow up
+	// a dozen times, and only the first searches the runs. Concurrent
+	// readers may all set it, hence atomic.
+	found atomic.Pointer[leased]
 	// clone is set on a clone and on a Recording that merged one. Such a
 	// Recording owns none of the series it shares: the Recording it was
 	// cloned from may go on appending to them, so its own copies of a
-	// shared flow clamp them (see Clone).
+	// shared flow clamp them (see Clone). Nor does it count holds: the
+	// owner of a state counts them on its own goroutine, so the leases a
+	// clone gives out are pinned from the start.
 	clone bool
 }
 
@@ -45,16 +61,27 @@ type flowState struct {
 	// slot's query, so a route that shortens mid-flow (§7) leaves the
 	// later hops empty instead of giving the queries different hop counts.
 	// 0 until a packet arrives (a restored flow with no per-hop state).
-	// An int32, which keeps the state in the 32-byte size class with
-	// shared: the wire and the decoders stop at 64 hops.
-	k int32
-	// shared is set once a clone holds the state too. From then on nobody
-	// writes to it: every holder that records swaps in a private copy
-	// first (stateOf). Only an unshared state, which one Recording alone
-	// reaches, sets it.
+	// An int16, which keeps the state in the 32-byte size class with
+	// shared and holds: the wire and the decoders stop at 64 hops.
+	k int16
+	// shared is set while a clone may hold the state too. While it is set
+	// nobody writes to the state: every holder that records swaps in a
+	// private copy first (stateOf). Only the Recording the state is
+	// installed in sets it, and clears it (Release) once no clone holds the
+	// state; every other holder only reads it, and only while it holds the
+	// state.
 	shared bool
-	slots  []querySlot
+	// holds counts the leases the owning Recording gave out on the state
+	// and has not had back (see Lease). maxHolds is a count that stays:
+	// such a state is shared for good. Only the owner's goroutine reads or
+	// writes it.
+	holds uint32
+	slots []querySlot
 }
+
+// maxHolds is the hold count of a state shared for good; a count that
+// reaches it is never decremented.
+const maxHolds = math.MaxUint32
 
 // querySlot is one query's state for one flow. The query's kind decides
 // which field is live; a nil field means the query has seen no packet of
@@ -430,7 +457,8 @@ func (r *Recording) RecordBatch(batch []PacketDigest) error {
 // new, and swapped for a private copy if a clone shares it. Every write
 // goes through here.
 func (r *Recording) stateOf(flow FlowKey) *flowState {
-	fs := r.flows[flow]
+	flows := r.index()
+	fs := flows[flow]
 	switch {
 	case fs == nil:
 		fs = &flowState{slots: make([]querySlot, len(r.engine.slots))}
@@ -439,8 +467,72 @@ func (r *Recording) stateOf(flow FlowKey) *flowState {
 	default:
 		return fs
 	}
-	r.flows[flow] = fs
+	flows[flow] = fs
 	return fs
+}
+
+// index returns the map of r's flows to write through. A clone, indexed
+// by its runs until then, builds it at its first write: one transition,
+// after which the map is the index.
+func (r *Recording) index() map[FlowKey]*flowState {
+	if r.flows == nil {
+		r.flows = make(map[FlowKey]*flowState, r.TrackedFlows())
+		for _, l := range r.runs {
+			for _, p := range l.run {
+				r.flows[p.key] = p.fs
+			}
+		}
+	}
+	return r.flows
+}
+
+// find returns flow's state, nil when r does not track the flow.
+func (r *Recording) find(flow FlowKey) *flowState {
+	if r.flows != nil {
+		return r.flows[flow]
+	}
+	if p := r.found.Load(); p != nil && p.key == flow {
+		return p.fs
+	}
+	for _, l := range r.runs {
+		// slices.BinarySearchFunc, written out: its compare call per step
+		// doubles the cost of a search.
+		run := l.run
+		i, j := 0, len(run)
+		for i < j {
+			if h := int(uint(i+j) >> 1); run[h].key < flow {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		if i < len(run) && run[i].key == flow {
+			r.found.Store(&run[i])
+			return run[i].fs
+		}
+	}
+	return nil
+}
+
+// all yields every flow r tracks with its state, in no set order.
+func (r *Recording) all() iter.Seq2[FlowKey, *flowState] {
+	return func(yield func(FlowKey, *flowState) bool) {
+		if r.flows != nil {
+			for f, fs := range r.flows {
+				if !yield(f, fs) {
+					return
+				}
+			}
+			return
+		}
+		for _, l := range r.runs {
+			for _, p := range l.run {
+				if !yield(p.key, p.fs) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // record runs one packet of fs's flow through the compiled program of its
@@ -452,7 +544,10 @@ func (r *Recording) stateOf(flow FlowKey) *flowState {
 // the same samples, so every replay of the stream still agrees.
 func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 	if fs.k == 0 {
-		fs.k = int32(pkt.PathLen)
+		if pkt.PathLen > math.MaxInt16 {
+			return fmt.Errorf("core: flow %v: path length %d", pkt.Flow, pkt.PathLen)
+		}
+		fs.k = int16(pkt.PathLen)
 	}
 	si := r.engine.setIndexOf(pkt)
 	if si < 0 {
@@ -506,42 +601,69 @@ func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latSto
 
 // Evict drops all recorded state for one flow. The hand-off's export is
 // its one caller: a flow leaves a Recording no other way.
-func (r *Recording) Evict(flow FlowKey) { delete(r.flows, flow) }
+func (r *Recording) Evict(flow FlowKey) { delete(r.index(), flow) }
 
 // TrackedFlows returns the number of flows with live state.
-func (r *Recording) TrackedFlows() int { return len(r.flows) }
+func (r *Recording) TrackedFlows() int {
+	if r.flows != nil {
+		return len(r.flows)
+	}
+	n := 0
+	for _, l := range r.runs {
+		n += len(l.run)
+	}
+	return n
+}
 
 // Flows returns every flow with live state in sorted key order, so
 // iterating a Recording's flows (reports, snapshot endpoints) is
-// deterministic.
+// deterministic. A Recording indexed by runs merges them, each already in
+// key order.
 func (r *Recording) Flows() []FlowKey {
-	out := make([]FlowKey, 0, len(r.flows))
-	for f := range r.flows {
-		out = append(out, f)
+	out := make([]FlowKey, 0, r.TrackedFlows())
+	if r.flows != nil {
+		for f := range r.flows {
+			out = append(out, f)
+		}
+		slices.Sort(out)
+		return out
 	}
-	slices.Sort(out)
-	return out
+	next := make([]int, len(r.runs)) // each run's first flow not yet out
+	for {
+		low := -1
+		for i, l := range r.runs {
+			if next[i] < len(l.run) && (low < 0 || l.run[next[i]].key < r.runs[low].run[next[low]].key) {
+				low = i
+			}
+		}
+		if low < 0 {
+			return out
+		}
+		out = append(out, r.runs[low].run[next[low]].key)
+		next[low]++
+	}
 }
 
 // HasFlow reports whether a flow currently has live state — what the
 // hand-off asks before it exports a flow and evicts it.
-func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
+func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
 
 // Clone copies the Recording so that the copy answers every query
 // bit-identically to the original at the moment of the copy, and both
 // sides can keep recording (or be queried) independently afterwards. This
 // is what makes the pipeline's snapshot queries race-free: a shard worker
-// clones between batches and hands the copy to concurrent readers.
+// clones between batches and hands the copy to concurrent readers. A
+// Clone is a Lease nobody releases: the flows it shares stay shared.
 //
 // A clone copies no flow. It shares each flow's state with r and marks
-// that flow, not r, as shared; a shared state is never written again.
+// that flow, not r, as shared; a shared state is not written while it is.
 // Whichever holder next records into the flow — r, the clone, or a clone
 // of the clone — first swaps in a private copy of that one flow (stateOf),
-// so a clone costs one map entry per flow, and each flow written after it
-// pays one copy. What the copy copies and what it shares follows from how
-// each piece of state changes. KLL sketches and path decoders still
-// peeling are bounded in size and mutated in place, so the copy gets its
-// own. A decoder that has decoded its path writes nothing but two counters
+// so a clone costs 16 bytes of its sorted run per flow, and each flow
+// written after it pays one copy. What the copy copies and what it shares
+// follows from how each piece of state changes. KLL sketches and path
+// decoders still peeling are bounded in size and mutated in place, so the
+// copy gets its own. A decoder that has decoded its path writes nothing but two counters
 // ever again (coding.Decoder's frozen-share rule): the copy takes the
 // counters and shares the solved state.
 // The two per-packet series — raw latency samples (one code-width
@@ -564,43 +686,101 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.flows[flow] != nil }
 // O(packets), and a held clone keeps alive only the flow states, arrays,
 // chunks and histograms that existed when it was taken.
 func (r *Recording) Clone() *Recording {
-	c := r.cloneShell(len(r.flows))
-	for f, fs := range r.flows {
-		c.flows[f] = fs.share()
-	}
+	c, _ := r.Lease(nil)
 	return c
 }
 
-// CloneFlows is Clone restricted to the listed flows: the copy tracks
-// exactly those of them that r tracks, and neither it nor r's next write
-// costs anything for any other flow. A flow-scoped snapshot is built from
-// it.
-func (r *Recording) CloneFlows(flows []FlowKey) *Recording {
-	c := r.cloneShell(len(flows))
-	for _, f := range flows {
-		if fs := r.flows[f]; fs != nil {
-			c.flows[f] = fs.share()
+// Lease is a clone's index and its claim on the flow states it shares:
+// one run of (flow, state) pairs in key order, 16 bytes a flow, filled in
+// one allocation when the clone is taken. While a Lease is out, the flows
+// in it stay shared and the owner copies a flow before writing to it;
+// once the owner has it back (Recording.Release) and no other lease holds
+// a flow, the owner writes to that flow in place again.
+type Lease struct {
+	run []leased
+	// pinned is set once releasing the lease must do nothing: it was
+	// released, it was given out by a clone, or a clone was taken of a
+	// Recording holding it, which then holds its states for good. Any
+	// goroutine holding the lease may set it; Release reads it.
+	pinned atomic.Bool
+}
+
+// leased is one flow of a Lease's run.
+type leased struct {
+	key FlowKey
+	fs  *flowState
+}
+
+// Lease is Clone restricted to the listed flows (nil means every flow),
+// returning the clone and its Lease, which is the clone's index: the copy
+// tracks exactly those of the flows that r tracks, and neither it nor r's
+// next write costs anything for any other flow. It runs on r's goroutine,
+// as Clone does, and counts a hold on each state it shares. Once the
+// clone and everything taken from it are no longer used, hand the Lease
+// back to Release on r's goroutine, and r's writes to the leased flows
+// stop paying for the clone. A Lease never released costs what a Clone
+// does. Cloning the returned clone, or a Recording that merged it, pins
+// the Lease: its states then stay shared for good, and Release does
+// nothing.
+func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
+	l := &Lease{}
+	if flows == nil {
+		l.run = make([]leased, 0, r.TrackedFlows())
+		for f, fs := range r.all() {
+			l.run = append(l.run, leased{f, fs})
+		}
+	} else {
+		l.run = make([]leased, 0, len(flows))
+		for _, f := range flows {
+			if fs := r.find(f); fs != nil {
+				l.run = append(l.run, leased{f, fs})
+			}
 		}
 	}
-	return c
-}
-
-// cloneShell returns an empty clone of r: r's engine and configuration,
-// room for nFlows flows, and no flows.
-func (r *Recording) cloneShell(nFlows int) *Recording {
-	c := *r
-	c.flows = make(map[FlowKey]*flowState, nFlows)
-	c.clone = true
-	return &c
-}
-
-// share marks fs as held by one more Recording and returns it. A state
-// already shared is only read: other goroutines may hold it.
-func (fs *flowState) share() *flowState {
-	if !fs.shared {
-		fs.shared = true
+	slices.SortFunc(l.run, func(a, b leased) int { return cmp.Compare(a.key, b.key) })
+	l.run = slices.CompactFunc(l.run, func(a, b leased) bool { return a.key == b.key })
+	for _, p := range l.run {
+		fs := p.fs
+		// A state already shared is only read here: other goroutines may
+		// hold it, and only its owner counts its holds.
+		if !fs.shared {
+			fs.shared = true
+		}
+		if !r.clone && fs.holds < maxHolds {
+			fs.holds++
+		}
 	}
-	return fs
+	for _, held := range r.runs {
+		held.pinned.Store(true)
+	}
+	if r.clone {
+		l.pinned.Store(true)
+	}
+	return &Recording{engine: r.engine, sketchItems: r.sketchItems, base: r.base,
+		runs: []*Lease{l}, clone: true}, l
+}
+
+// Release takes back a Lease r gave out, on r's goroutine, once the clone
+// it indexes and everything taken from that clone are no longer used: the
+// hand-over must happen-before the call (a channel does). Each state in
+// it loses a hold; one still installed in r that nobody holds any more is
+// r's alone again, so r's next write to it lands in place instead of in a
+// copy. A state r has since replaced — written through a copy, evicted,
+// re-imported — keeps its mark. Releasing a pinned Lease, or one already
+// released, does nothing.
+func (r *Recording) Release(l *Lease) {
+	if l.pinned.Swap(true) {
+		return
+	}
+	for _, p := range l.run {
+		fs := p.fs
+		if fs.holds == maxHolds {
+			continue
+		}
+		if fs.holds--; fs.holds == 0 && r.flows[p.key] == fs {
+			fs.shared = false
+		}
+	}
 }
 
 // unshare returns a private copy of a shared fs to write to (see Clone for
@@ -632,7 +812,9 @@ func (fs *flowState) unshare(clamp bool) *flowState {
 // the sharded sink, where a flow's state lives wholly inside one shard —
 // so merging is adoption, not sketch arithmetic. o's per-flow state moves
 // into r by reference; o must not be used afterwards. Merging a clone
-// makes r one (see Clone): r then shares what o shared.
+// makes r one (see Clone): r then shares what o shared, and holds o's
+// leases. Two Recordings indexed by runs merge by appending o's runs to
+// r's, building no map; an empty r adopts o's index as it is.
 func (r *Recording) Merge(o *Recording) error {
 	if o == nil {
 		return nil
@@ -640,13 +822,23 @@ func (r *Recording) Merge(o *Recording) error {
 	if o.engine != r.engine {
 		return fmt.Errorf("core: merging recordings of different engines")
 	}
-	for f := range o.flows {
+	for f := range o.all() {
 		if r.HasFlow(f) {
 			return fmt.Errorf("core: merge would duplicate flow %v", f)
 		}
 	}
-	for f, fs := range o.flows {
-		r.flows[f] = fs
+	switch {
+	case o.TrackedFlows() == 0 && len(o.runs) == 0:
+	case r.TrackedFlows() == 0 && len(r.runs) == 0:
+		r.flows, r.runs = o.flows, o.runs
+	case r.flows == nil && o.flows == nil:
+		r.runs = append(r.runs, o.runs...)
+	default:
+		flows := r.index()
+		for f, fs := range o.all() {
+			flows[f] = fs
+		}
+		r.runs = append(r.runs, o.runs...)
 	}
 	r.clone = r.clone || o.clone
 	return nil
@@ -655,7 +847,7 @@ func (r *Recording) Merge(o *Recording) error {
 // slot returns flow's state for q: the zero querySlot when the flow is not
 // tracked, has not reached q yet, or the engine does not serve q.
 func (r *Recording) slot(q Query, flow FlowKey) querySlot {
-	fs := r.flows[flow]
+	fs := r.find(flow)
 	i, ok := r.engine.slots[q]
 	if fs == nil || !ok {
 		return querySlot{}

@@ -749,13 +749,13 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 	}
 }
 
-// TestCloneFlowsSharesOnlyItsFlows pins that a flow-scoped clone marks
-// only the flows it holds as shared: recording into any other flow
-// afterwards allocates exactly what it does with no snapshot, while the
-// held flow pays for its copy. A runtime allocation landing inside one
-// measurement would break the equality, so every figure is the smallest
-// of three fresh measurements: noise only adds.
-func TestCloneFlowsSharesOnlyItsFlows(t *testing.T) {
+// TestLeaseSharesOnlyItsFlows pins that a flow-scoped lease marks only
+// the flows it holds as shared: recording into any other flow afterwards
+// allocates exactly what it does with no snapshot, while the held flow
+// pays for its copy. A runtime allocation landing inside one measurement
+// would break the equality, so every figure is the smallest of three
+// fresh measurements: noise only adds.
+func TestLeaseSharesOnlyItsFlows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
@@ -763,7 +763,7 @@ func TestCloneFlowsSharesOnlyItsFlows(t *testing.T) {
 	bytes, mallocs, baseBytes, baseMallocs := inf, inf, inf, inf
 	for range 3 {
 		rec, twin, next := convergedTwins(t, 2, 256)
-		clone := rec.CloneFlows([]FlowKey{1})
+		clone, _ := rec.Lease([]FlowKey{1})
 		record := func(r *Recording, f FlowKey, bytes, mallocs *[2]float64) {
 			b, m := allocDelta(func() {
 				if err := r.RecordBatch(next[f-1]); err != nil {
@@ -781,11 +781,11 @@ func TestCloneFlowsSharesOnlyItsFlows(t *testing.T) {
 		}
 	}
 	if bytes[1] != baseBytes[1] || mallocs[1] != baseMallocs[1] {
-		t.Errorf("a frame into a flow CloneFlows did not take: %.0f B in %.0f objects, %.0f B in %.0f with no snapshot",
+		t.Errorf("a frame into a flow the Lease did not take: %.0f B in %.0f objects, %.0f B in %.0f with no snapshot",
 			bytes[1], mallocs[1], baseBytes[1], baseMallocs[1])
 	}
 	if bytes[0] <= baseBytes[0] {
-		t.Errorf("a frame into the flow CloneFlows took: %.0f B, %.0f B with no snapshot; want the copy of the shared state on top", bytes[0], baseBytes[0])
+		t.Errorf("a frame into the flow the Lease took: %.0f B, %.0f B with no snapshot; want the copy of the shared state on top", bytes[0], baseBytes[0])
 	}
 }
 
@@ -852,5 +852,15 @@ func TestLongFlowBytesPerPacket(t *testing.T) {
 func TestLatStoreSize(t *testing.T) {
 	if got := unsafe.Sizeof(latStore{}); got > 40 {
 		t.Errorf("latStore is %d B, want at most 40: five of them must stay in the 208-byte size class a writer copies per flow after a snapshot", got)
+	}
+}
+
+// TestFlowStateSize pins the per-flow state's size class: a writer
+// allocates one flowState per flow it copies after a snapshot, and a hold
+// count that pushed the state into the 48-byte class would raise what
+// every such copy costs.
+func TestFlowStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(flowState{}); got > 32 {
+		t.Errorf("flowState is %d B, want at most 32: the copy a writer makes of each flow it records into after a snapshot must stay in the 32-byte size class", got)
 	}
 }

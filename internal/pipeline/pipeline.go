@@ -10,7 +10,8 @@
 //   - snapshot queries: Sink.Snapshot() (every flow) and SnapshotFlows
 //     (the listed ones) return a view whose queries run concurrently with
 //     ingestion, without a global flush, at a cost in the flows asked for
-//     rather than the packets ingested;
+//     rather than the packets ingested, and a view that is closed costs
+//     the workers nothing after;
 //   - a wire-friendly shape: Ingest consumes the same core.PacketDigest
 //     batches internal/wire marshals, so a remote tap's stream replays
 //     into the sink unchanged.
@@ -308,8 +309,10 @@ func (s *Sink) WithFlow(flow core.FlowKey, fn func(*core.Recording) error) error
 // shard's live Recording on its worker goroutine at a batch boundary,
 // after the worker has drained its queue, and returns once all have run.
 // The requests fan out first, so the workers run concurrently: the wait
-// is the slowest shard's fn, not the sum. fn must only read rec (the
-// copies it takes are its own). Sink.mu is held throughout, which keeps
+// is the slowest shard's fn, not the sum. fn must not record into rec;
+// what it may write is the hold counts and shared marks of rec's flow
+// states, through Recording.Lease and Recording.Release, which is why
+// those run here and nowhere else. Sink.mu is held throughout, which keeps
 // Close from retiring the workers under a request; after Close the
 // shards are quiescent and fn runs inline.
 func (s *Sink) readShards(want func(i int) bool, fn func(i int, rec *core.Recording)) {
@@ -398,48 +401,40 @@ func (sh *shard) consume(b []core.PacketDigest) {
 
 // Snapshot returns a view of every flow of every shard's Recording, safe
 // to take from any goroutine while ingestion continues. Each worker
-// clones at a batch boundary after draining its queue, so the snapshot
-// includes at least every packet dispatched (Ingest of a full batch, or
-// Flush) before the call, happens-before respected. See Snapshot's doc
-// for what the view shares with the live shards and its own concurrency
-// contract.
+// leases its flows at a batch boundary after draining its queue, so the
+// snapshot includes at least every packet dispatched (Ingest of a full
+// batch, or Flush) before the call, happens-before respected. See
+// Snapshot's doc for what the view shares with the live shards, its own
+// concurrency contract, and why a reader Closes it when done.
 func (s *Sink) Snapshot() *Snapshot { return s.SnapshotFlows(nil) }
 
 // SnapshotFlows is Snapshot restricted to the listed flows (nil means
 // every flow): only the shards that own a listed flow are asked, and each
-// clones only its listed flows, so the cost follows the flows asked for —
+// leases only its listed flows, so the cost follows the flows asked for —
 // a point query touches one flow on one shard however much the sink
 // holds. The view answers for the listed flows exactly as a full
 // snapshot taken at the same instant would, and reports every other flow
 // as untracked.
 func (s *Sink) SnapshotFlows(flows []core.FlowKey) *Snapshot {
-	recs := make([]*core.Recording, len(s.shards))
-	var byShard [][]core.FlowKey
-	if flows != nil {
-		byShard = make([][]core.FlowKey, len(s.shards))
-		for _, f := range flows {
-			i := s.shardOf(f).idx
-			byShard[i] = append(byShard[i], f)
-		}
+	snap := &Snapshot{sink: s, recs: make([]*core.Recording, len(s.shards)),
+		leases: make([]*core.Lease, len(s.shards))}
+	byShard := make([][]core.FlowKey, len(s.shards)) // all nil: every flow
+	for _, f := range flows {
+		i := s.shardOf(f).idx
+		byShard[i] = append(byShard[i], f)
 	}
 	s.readShards(
 		func(i int) bool { return flows == nil || len(byShard[i]) > 0 },
-		func(i int, rec *core.Recording) {
-			if flows == nil {
-				recs[i] = rec.Clone()
-			} else {
-				recs[i] = rec.CloneFlows(byShard[i])
-			}
-		})
-	for i := range recs {
-		if recs[i] == nil {
+		func(i int, rec *core.Recording) { snap.recs[i], snap.leases[i] = rec.Lease(byShard[i]) })
+	for i := range snap.recs {
+		if snap.recs[i] == nil {
 			// A shard nobody asked contributes no flows. An empty Recording
 			// in its slot keeps routing, Merged and every accessor uniform.
 			// The configuration built the shards, so it cannot fail here.
-			recs[i], _ = NewRecording(s.engine, s.cfg)
+			snap.recs[i], _ = NewRecording(s.engine, s.cfg)
 		}
 	}
-	return &Snapshot{recs: recs}
+	return snap
 }
 
 // Flows lists every tracked flow in sorted key order without copying any

@@ -35,13 +35,23 @@ type Writer struct {
 	mu     sync.Mutex // guards closed and free
 	closed bool
 	// free holds every copy buffer not queued, being applied or in a
-	// PersistIngest call. It is a stack, not a sized channel, because the
-	// population has no bound the writer could declare — the queue, the one
-	// being applied, and one per caller blocked in send, and the callers are
-	// the sink's shard stripes — so an applied buffer is never dropped, and
-	// one is made only when more are in flight than ever before.
+	// PersistIngest call, as a stack, so a writer that keeps up reuses one
+	// buffer. A buffer is made only when the stack is empty, and only by a
+	// caller holding one of inFlight's tokens, so however many callers (the
+	// sink's shard stripes) block at once, no more than writerBuffers
+	// buffers ever exist. Bounding them by the most ever in flight instead
+	// let a rare schedule with one more caller parked in send than any
+	// before make a new buffer long after start-up.
 	free [][]core.PacketDigest
+	// inFlight holds a token for every buffer out of free: a caller takes
+	// one before it pops a buffer, and waits while none is left, as it
+	// would on a full queue; apply returns it with the buffer.
+	inFlight chan struct{}
 }
+
+// writerBuffers bounds the copy buffers: a full queue of batches and the
+// one being applied.
+const writerBuffers = writerQueueDepth + 1
 
 // wop is one queued writer operation.
 type wop struct {
@@ -59,10 +69,11 @@ const (
 // NewWriter starts a writer over store.
 func NewWriter(store *Store) *Writer {
 	w := &Writer{
-		store: store,
-		ops:   make(chan wop, writerQueueDepth),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		store:    store,
+		ops:      make(chan wop, writerQueueDepth),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		inFlight: make(chan struct{}, writerBuffers),
 	}
 	go w.run()
 	return w
@@ -90,6 +101,7 @@ func (w *Writer) apply(op wop) {
 		w.mu.Lock()
 		w.free = append(w.free, op.batch)
 		w.mu.Unlock()
+		<-w.inFlight
 	case KindCheckpoint:
 		if w.Err() == nil {
 			err = w.store.AppendCheckpoint(op.cp)
@@ -137,8 +149,15 @@ func (w *Writer) send(op wop) {
 }
 
 // PersistIngest implements pipeline.Persister: it copies the batch into
-// a recycled buffer and queues it, so steady state allocates nothing.
+// a recycled buffer and queues it, so steady state allocates nothing. It
+// waits while writerBuffers buffers are in flight, and, like send, never
+// once the writer has stopped.
 func (w *Writer) PersistIngest(batch []core.PacketDigest) {
+	select {
+	case w.inFlight <- struct{}{}:
+	case <-w.quit:
+		return
+	}
 	var buf []core.PacketDigest
 	w.mu.Lock()
 	if n := len(w.free); n > 0 {

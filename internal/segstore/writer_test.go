@@ -109,27 +109,49 @@ func TestWriterAbandonUnblocks(t *testing.T) {
 
 // TestWriterBackpressureSteadyStateAllocs parks the writer goroutine in
 // an unanswered flush while several PersistIngest callers (a sink's shard
-// stripes) fill the queue and block in send, each holding a copy buffer,
-// then lets it drain the lot: more buffers come back at once than the
-// queue holds. None may be dropped — after the first cycles a fill/drain
-// cycle allocates less than one buffer.
+// stripes) fill the queue and block, in send holding a copy buffer or
+// waiting for one, then lets it drain the lot: more buffers come back at
+// once than the queue holds. None may be dropped, and however the callers
+// interleave none may be made — after the first cycles a fill/drain cycle
+// allocates less than one buffer.
 func TestWriterBackpressureSteadyStateAllocs(t *testing.T) {
+	saturatedCycles(t, 4, 4, 20)
+}
+
+// TestWriterBuffersBounded warms the writer with three callers, then
+// parks eight at once: the buffers in flight must not outnumber those the
+// three brought in, so five such cycles allocate less than one buffer. A free
+// stack that made a buffer whenever more were in flight than ever before
+// made one here per caller parked in send past the warm-up's — and, with
+// four callers throughout, whenever a rare schedule parked one more of
+// them holding a buffer than any warm-up cycle had.
+func TestWriterBuffersBounded(t *testing.T) {
+	saturatedCycles(t, 3, 8, 5)
+}
+
+// saturatedCycles runs fill/drain cycles against a writer parked in an
+// unanswered flush, warmCallers PersistIngest callers in each warm-up cycle
+// and callers in each of cycles measured ones, and fails if the measured
+// cycles allocate a copy buffer's worth, the callers' own goroutines
+// included. Each cycle must fill the queue: at
+// least three callers.
+func saturatedCycles(t *testing.T, warmCallers, callers, cycles int) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const callers, perCaller, warm, cycles = 4, writerQueueDepth / 2, 3, 20
+	const perCaller, warm = writerQueueDepth / 2, 3
 	st, _ := openTest(t, t.TempDir(), Options{SegmentBytes: 1 << 30})
 	defer st.Close()
 	// The block index grows by one entry per batch; that growth is the
 	// store's, so it is bought up front.
-	st.idx = slices.Grow(st.idx, (warm+cycles)*callers*perCaller)
+	st.idx = slices.Grow(st.idx, (warm*warmCallers+cycles*callers)*perCaller)
 	w := NewWriter(st)
 	defer w.Close()
 	batch := testDigests(256, 3)
 	held := make(chan error) // unbuffered: the writer waits for the receive
 	var wg sync.WaitGroup
-	cycle := func() {
+	cycle := func(callers int) {
 		w.ops <- wop{kind: opFlush, reply: held}
 		for c := 0; c < callers; c++ {
 			wg.Add(1)
@@ -141,7 +163,7 @@ func TestWriterBackpressureSteadyStateAllocs(t *testing.T) {
 			}()
 		}
 		// One P: each yield runs the callers until they block, so a full
-		// queue plus a few more yields is every caller parked in send.
+		// queue plus a few more yields is every caller parked.
 		for spins := 0; len(w.ops) < cap(w.ops) || spins < callers; spins++ {
 			runtime.Gosched()
 		}
@@ -152,12 +174,12 @@ func TestWriterBackpressureSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < warm; i++ {
-		cycle()
+		cycle(warmCallers)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < cycles; i++ {
-		cycle()
+		cycle(callers)
 	}
 	runtime.ReadMemStats(&after)
 	oneBuffer := uint64(len(batch)) * uint64(unsafe.Sizeof(batch[0]))
