@@ -39,9 +39,9 @@ type Writer struct {
 	// buffer. A buffer is made only when the stack is empty, and only by a
 	// caller holding one of inFlight's tokens, so however many callers (the
 	// sink's shard stripes) block at once, no more than writerBuffers
-	// buffers ever exist. Bounding them by the most ever in flight instead
-	// let a rare schedule with one more caller parked in send than any
-	// before make a new buffer long after start-up.
+	// buffers ever exist: without the bound, a schedule that parked one
+	// more caller in send than any before would make a buffer long after
+	// start-up.
 	free [][]core.PacketDigest
 	// inFlight holds a token for every buffer out of free: a caller takes
 	// one before it pops a buffer, and waits while none is left, as it
