@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -130,7 +130,7 @@ func evalFlow(rec *core.Recording, queries []core.Query, flow core.FlowKey, fa *
 //	GET /healthz         {"ok":true,"plan_hash":"0x…"}
 //	GET /stats           server counters + per-shard sink + per-connection ingest counters
 //	GET /snapshot        all flows' query answers from a fresh snapshot
-//	GET /snapshot?flow=N one flow (repeatable)
+//	GET /snapshot?flow=N one flow, N in decimal (repeatable)
 //
 // Snapshots run concurrently with ingestion (the sink's snapshot
 // contract), so querying a live collector never pauses exporters, and a
@@ -193,7 +193,9 @@ func (s *Server) Handler() http.Handler {
 		q := r.URL.Query() // every call re-parses the string: parse once
 		var flows []core.FlowKey
 		for _, raw := range q["flow"] {
-			v, err := strconv.ParseUint(raw, 0, 64)
+			// Decimal, like ?since=/?until=: the body's "flow" must name
+			// the key the client wrote, not 010's octal 8 or 0x10's 16.
+			v, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
 				http.Error(w, fmt.Sprintf("bad flow %q: %v", raw, err), http.StatusBadRequest)
 				return
@@ -362,30 +364,40 @@ func HardenedHTTPServer(h http.Handler) *http.Server {
 }
 
 // WriteSnapshot writes the /snapshot document {"flows": [...]} one flow
-// at a time: each FlowAnswers the sequence yields is encoded into a reused
-// buffer and handed to w before the next is evaluated, so neither the
-// answers nor the response ever exist whole in memory. The bytes are
-// exactly WriteJSON(w, map[string]any{"flows": list}) for the non-nil list
-// of what the sequence yields — which the conformance goldens and the
-// benchmark's oracle compare against.
+// at a time: each FlowAnswers the sequence yields is appended to a pooled
+// buffer (appendFlowJSON) and handed to w before the next is evaluated, so
+// neither the answers nor the response ever exist whole in memory. The
+// bytes are exactly WriteJSON(w, map[string]any{"flows": list}) for the
+// non-nil list of what the sequence yields — which the conformance goldens
+// and the benchmark's oracle compare against.
 func WriteSnapshot(w http.ResponseWriter, flows iter.Seq[*FlowAnswers]) {
 	sw := NewSnapshotWriter(w, nil)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	// The encoder indents every line after an element's first by the
-	// element's depth in the document; SnapshotWriter indents the first.
-	enc.SetIndent(snapshotElemIndent, "  ")
-	for fa := range flows {
-		buf.Reset()
-		if err := enc.Encode(fa); err != nil {
-			return // plain structs: cannot happen; leave the body cut short
+	bp := elemBufs.Get().(*[]byte)
+	defer func() {
+		// A util series has no length bound: a buffer one long answer grew
+		// is left to the collector rather than pinned by the pool.
+		if cap(*bp) <= maxPooledElem {
+			elemBufs.Put(bp)
 		}
-		if err := sw.Element(buf.Bytes()[:buf.Len()-1]); err != nil { // less Encode's newline
+	}()
+	for fa := range flows {
+		var err error
+		if *bp, err = appendFlowJSON((*bp)[:0], fa); err != nil {
+			return // a non-finite answer: leave the body cut short
+		}
+		if err := sw.Element(*bp); err != nil {
 			return // the client went away
 		}
 	}
 	sw.Close()
 }
+
+// elemBufs holds the buffers WriteSnapshot appends elements into, one per
+// call in flight.
+var elemBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledElem is the largest buffer elemBufs keeps.
+const maxPooledElem = 64 << 10
 
 // snapshotElemIndent is the indentation of a flows[] element, two levels
 // deep in the document.
@@ -449,9 +461,11 @@ func (sw *SnapshotWriter) Close() error {
 	return err
 }
 
-// WriteJSON writes v as indented JSON — the one encoder shape every
-// collector-tier endpoint shares, so a query frontend that re-emits a
-// merged structure stays byte-identical to a single daemon emitting it.
+// WriteJSON writes v as indented JSON: /healthz, /stats and /fleetmap,
+// and the documents the query frontend re-emits (a merged /stats, a fleet
+// with no member to splice from), so those stay byte-identical to a single
+// daemon's. /snapshot elements are appended by appendFlowJSON, which
+// writes the same bytes this encoder would.
 func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +72,43 @@ func TestHandlerErrorPaths(t *testing.T) {
 				t.Fatalf("%s %s: body lacks %q:\n%s", tc.method, tc.path, tc.body, rec.Body.String())
 			}
 		})
+	}
+}
+
+// TestFlowFilterIsDecimal: a ?flow= key is a decimal uint64, as the body's
+// "flow" member spells it, so the answer names the flow the client asked
+// for. A leading zero is still decimal (010 is flow 10, not octal 8), and
+// a hex, octal or binary prefix, an underscore, a sign or an overflow is
+// the client's 400 — never some other flow's answer.
+func TestFlowFilterIsDecimal(t *testing.T) {
+	srv, flows, answers := recordedAnswers(t, 4)
+	h := srv.Handler()
+	tracked := httptest.NewRecorder()
+	WriteJSON(tracked, map[string]any{"flows": answers[1:2]})
+	for _, tc := range []struct {
+		raw    string
+		status int
+		body   string // the whole body, or a fragment of it
+	}{
+		{fmt.Sprint(uint64(flows[1])), http.StatusOK, tracked.Body.String()},
+		{"0" + fmt.Sprint(uint64(flows[1])), http.StatusOK, tracked.Body.String()},
+		{"10", http.StatusOK, `"flow": 10,`},
+		{"010", http.StatusOK, `"flow": 10,`},
+		{"0010", http.StatusOK, `"flow": 10,`},
+		{"0x10", http.StatusBadRequest, "bad flow"},
+		{"0X10", http.StatusBadRequest, "bad flow"},
+		{"0o17", http.StatusBadRequest, "bad flow"},
+		{"0b101", http.StatusBadRequest, "bad flow"},
+		{"1_0", http.StatusBadRequest, "bad flow"},
+		{"+10", http.StatusBadRequest, "bad flow"},
+		{"-1", http.StatusBadRequest, "bad flow"},
+		{"18446744073709551616", http.StatusBadRequest, "bad flow"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/snapshot?flow="+url.QueryEscape(tc.raw), nil))
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.body) {
+			t.Errorf("?flow=%s: status %d, body\n%s\nwant %d with\n%s", tc.raw, rec.Code, rec.Body.String(), tc.status, tc.body)
+		}
 	}
 }
 
@@ -233,10 +273,14 @@ func TestEpochMismatchRefused(t *testing.T) {
 
 // TestWriteSnapshotMatchesWholeDocumentEncoder pins the streaming
 // /snapshot writer to the bytes of the encoder it replaced — one
-// json.Encoder pass over map{"flows": …} — for an empty list, one flow, and
+// json.Encoder pass over map{"flows": …} — for an empty list, one flow,
 // many flows of every answer shape, including strings the encoder
-// HTML-escapes; and the degraded-fleet framing (SnapshotWriter with an
-// error list) to one pass over map{"errors": …, "flows": …}.
+// HTML-escapes, and the boundary answers FuzzSnapshotElement seeds with
+// (escapes, float format switches, negative counters, nil and empty
+// lists); and the degraded-fleet framing (SnapshotWriter with an error
+// list) to one pass over map{"errors": …, "flows": …}. A non-finite answer
+// cuts the body short after the elements before it, with no closing
+// bracket: a client can never take it for a whole document.
 func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
 	many := []FlowAnswers{
 		{Flow: 1, Tracked: true, Answers: []QueryAnswer{
@@ -254,7 +298,7 @@ func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
 	}
 	errs := []nodeErr{{Node: "http://a", Error: "status 503 <draining>"}, {Node: "http://b", Error: "x", Kind: "epoch_stale"}}
 	for name, flows := range map[string][]FlowAnswers{
-		"empty": {}, "one": many[:1], "many": many,
+		"empty": {}, "one": many[:1], "many": many, "boundary": boundaryFlows(),
 	} {
 		seq := func(yield func(*FlowAnswers) bool) {
 			for i := range flows {
@@ -292,6 +336,27 @@ func TestWriteSnapshotMatchesWholeDocumentEncoder(t *testing.T) {
 		}
 		if got.Body.String() != want.Body.String() {
 			t.Errorf("%s: degraded framing differs from the whole-document encoding:\n got: %q\nwant: %q", name, got.Body.String(), want.Body.String())
+		}
+	}
+
+	good := many[:1]
+	whole := httptest.NewRecorder()
+	WriteJSON(whole, map[string]any{"flows": good})
+	prefix, _, _ := strings.Cut(whole.Body.String(), "\n  ]\n}\n")
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cutShort := append(append([]FlowAnswers{}, good...),
+			FlowAnswers{Flow: 9, Answers: []QueryAnswer{{Query: "util", Kind: "per-packet", Series: []float64{1, bad}}}},
+			FlowAnswers{Flow: 10, Answers: []QueryAnswer{}})
+		got := httptest.NewRecorder()
+		WriteSnapshot(got, func(yield func(*FlowAnswers) bool) {
+			for i := range cutShort {
+				if !yield(&cutShort[i]) {
+					return
+				}
+			}
+		})
+		if got.Body.String() != prefix {
+			t.Errorf("%v answer: body %q, want it cut short after the good element: %q", bad, got.Body.String(), prefix)
 		}
 	}
 }

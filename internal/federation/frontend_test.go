@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"testing"
@@ -121,6 +122,59 @@ func TestFrontendSnapshotByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "bad flow") {
 		t.Fatalf("propagated 400 lost the member's message: %s", rec.Body.String())
+	}
+}
+
+// TestFrontendFlowFilterIsDecimal: the gate forwards ?flow= to every
+// member unparsed, so the members' decimal parsing is the gate's. A key
+// with a hex, octal or binary prefix, an underscore or a sign is refused
+// by every member alike and reaches the client as one 400 — not a
+// degraded fleet, and never some other flow's answer — while a leading
+// zero is still the decimal key, tracked or not.
+func TestFrontendFlowFilterIsDecimal(t *testing.T) {
+	const (
+		nExporters = 2
+		flowsPer   = 2
+		pktsPer    = 100
+		shards     = 1
+	)
+	fleet, tb := streamFleet(t, 29, 2, shards, nExporters, flowsPer, pktsPer)
+	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fe.Handler()
+	tracked := tb.FlowKeyFor(2, 1)
+	want := string(envelope(t, inProcessAnswers(t, tb, shards, nExporters, flowsPer, pktsPer, []core.FlowKey{tracked})))
+	untracked := string(envelope(t, inProcessAnswers(t, tb, shards, nExporters, flowsPer, pktsPer, []core.FlowKey{10})))
+	for _, tc := range []struct {
+		raw    string
+		status int
+		body   string
+	}{
+		{fmt.Sprint(uint64(tracked)), http.StatusOK, want},
+		{"0" + fmt.Sprint(uint64(tracked)), http.StatusOK, want},
+		{"010", http.StatusOK, untracked},
+		{"0x10", http.StatusBadRequest, "bad flow"},
+		{"0o12", http.StatusBadRequest, "bad flow"},
+		{"0b1010", http.StatusBadRequest, "bad flow"},
+		{"1_0", http.StatusBadRequest, "bad flow"},
+		{"+10", http.StatusBadRequest, "bad flow"},
+	} {
+		rec := get(t, h, "/snapshot?flow="+url.QueryEscape(tc.raw))
+		if rec.Code != tc.status {
+			t.Errorf("?flow=%s: status %d, want %d (%s)", tc.raw, rec.Code, tc.status, rec.Body.String())
+			continue
+		}
+		if p := rec.Header().Get(PartialHeader); p != "" {
+			t.Errorf("?flow=%s: answered as a degraded fleet (%s=%s): %s", tc.raw, PartialHeader, p, rec.Body.String())
+		}
+		if tc.status == http.StatusOK && rec.Body.String() != tc.body {
+			t.Errorf("?flow=%s: body\n%s\nwant\n%s", tc.raw, rec.Body.String(), tc.body)
+		}
+		if tc.status != http.StatusOK && !strings.Contains(rec.Body.String(), tc.body) {
+			t.Errorf("?flow=%s: refusal lost the member's message: %s", tc.raw, rec.Body.String())
+		}
 	}
 }
 

@@ -127,17 +127,19 @@ func New(c Config) int { c.Assigned = 2; return c.Keyed + c.hidden }
 
 // TestOneBuildPerFile keeps a second implementation from returning behind
 // a build selector no benchmark sets: the tree holds no assembly, and the
-// only build constraints are the race/!race pairs that tell three
+// only build constraints are the race/!race pairs that tell four
 // packages' allocation tests whether the race runtime is inflating their
 // counts.
 func TestOneBuildPerFile(t *testing.T) {
 	constrained := map[string]bool{
-		"internal/core/race_enabled_test.go":      true,
-		"internal/core/race_disabled_test.go":     true,
-		"internal/pipeline/race_enabled_test.go":  true,
-		"internal/pipeline/race_disabled_test.go": true,
-		"internal/segstore/race_enabled_test.go":  true,
-		"internal/segstore/race_disabled_test.go": true,
+		"internal/collector/race_enabled_test.go":  true,
+		"internal/collector/race_disabled_test.go": true,
+		"internal/core/race_enabled_test.go":       true,
+		"internal/core/race_disabled_test.go":      true,
+		"internal/pipeline/race_enabled_test.go":   true,
+		"internal/pipeline/race_disabled_test.go":  true,
+		"internal/segstore/race_enabled_test.go":   true,
+		"internal/segstore/race_disabled_test.go":  true,
 	}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
