@@ -396,15 +396,18 @@ func TestClonePrefixProperty(t *testing.T) {
 
 // TestCloneAppendsStayPrivate pins the clamp and the copy-on-write tail.
 // A clone shares the origin's util series, whose array has spare capacity
-// past the shared prefix, and its raw latency chunks, whose last chunk has
-// room past the shared samples. Only the origin, the flows' owner, may go
-// on appending there; the copy any clone writes through must be clamped,
-// so that its appends reallocate or copy, or they would show through to
-// the origin's next append and to every sibling clone. So must the copy of
-// a Recording that merged a clone: merging one makes it a clone. Origin,
-// two sibling clones and an empty Recording that merged a third each
-// record a different continuation; each must equal a Recording rebuilt
-// from scratch from the prefix plus its own continuation.
+// past the shared prefix, and, under a wide latency query (the 12- and
+// 40-bit variants), its raw latency chunks, whose last chunk has room past
+// the shared samples. Only the origin, the flows' owner, may go on
+// appending there; the copy any clone writes through must be clamped, so
+// that its appends reallocate or copy, or they would show through to the
+// origin's next append and to every sibling clone. So must the copy of a
+// Recording that merged a clone: merging one makes it a clone. A one-byte
+// store's copy takes its inline tail by value and shares its histogram,
+// marked shared. Origin, two sibling clones and an empty Recording that
+// merged a third each record a different continuation; each must equal a
+// Recording rebuilt from scratch from the prefix plus its own
+// continuation.
 func TestCloneAppendsStayPrivate(t *testing.T) {
 	const (
 		nFlows = 4
@@ -436,19 +439,19 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 			}
 			// The test means something only if an append could land in
 			// shared memory: some origin series must have room to spare,
-			// and some origin raw store must end mid-chunk.
-			per := latChunk / codeWidth(v.latBits)
-			spare, midChunk := false, v.sketchItems != 0
+			// and some origin wide store must end mid-chunk.
+			width := codeWidth(v.latBits)
+			spare, midChunk := false, v.sketchItems != 0 || width == 1
 			for _, fs := range orig.flows {
 				for _, slot := range fs.slots {
 					spare = spare || cap(slot.series) > len(slot.series)
 					for _, st := range slot.lat {
-						midChunk = midChunk || int(st.n)%per != 0
+						midChunk = midChunk || st.samples()%(latChunk/width) != 0
 					}
 				}
 			}
 			if !spare || !midChunk {
-				t.Fatal("no origin series has spare capacity or no raw store ends mid-chunk; pick another prefix length")
+				t.Fatal("no origin series has spare capacity or no wide store ends mid-chunk; pick another prefix length")
 			}
 			adopter := mk()
 			if err := adopter.Merge(orig.Clone()); err != nil {
@@ -479,9 +482,19 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 						}
 						for hop, st := range slot.lat {
 							ws := was.lat[hop]
-							if len(st.chunks) != len(ws.chunks) || cap(st.chunks) != wantCap(len(ws.chunks), cap(ws.chunks)) {
-								t.Fatalf("holder %d flow %d: %d samples in %d chunks of a list of cap %d copied as %d chunks of cap %d",
-									i, f, st.n, len(ws.chunks), cap(ws.chunks), len(st.chunks), cap(st.chunks))
+							switch {
+							case v.sketchItems != 0:
+							case width == 1:
+								if st.sum != ws.sum || st.lo != ws.lo || st.tail != ws.tail || !st.shared {
+									t.Fatalf("holder %d flow %d hop %d: a one-byte store copied with its own histogram (%v), another tail, or not marked shared (%v)",
+										i, f, hop+1, st.sum != ws.sum, st.shared)
+								}
+							case ws.sum != nil:
+								wc, c := ws.sum.chunks, st.sum.chunks
+								if st.sum == ws.sum || st.sum.n != ws.sum.n || len(c) != len(wc) || cap(c) != wantCap(len(wc), cap(wc)) {
+									t.Fatalf("holder %d flow %d: %d samples in %d chunks of a list of cap %d copied as %d in %d chunks of cap %d (shared %v)",
+										i, f, ws.sum.n, len(wc), cap(wc), st.sum.n, len(c), cap(c), st.sum == ws.sum)
+								}
 							}
 						}
 					}
@@ -517,12 +530,14 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 // answers, the other answers — quantiles of every hop and the hand-off
 // blob — between appends of its own continuation. A fourth goroutine
 // clones the reading clone while it is read and does the same with that
-// clone of a clone. The owner fills the very tail chunks every clone
-// shares, the appending clones copy their part of them while the owner
-// writes past it, and the reading clone ranks the shared bytes throughout.
-// Any shared byte written by one side while another reads it fails under
-// -race; afterwards each holder must carry the state of a Recording
-// rebuilt from its own packets, blob for blob.
+// clone of a clone. Under a wide latency query (the 12- and 40-bit
+// variants) the owner fills the very tail chunks every clone shares, the
+// appending clones copy their part of them while the owner writes past
+// it, and the reading clone ranks the shared bytes throughout; a one-byte
+// store's inline tail is each holder's own. Any shared byte written by
+// one side while another reads it fails under -race; afterwards each
+// holder must carry the state of a Recording rebuilt from its own
+// packets, blob for blob.
 func TestHeldCloneRacesOwnerTail(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
@@ -533,12 +548,19 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 
 // TestHeldCloneRacesFold is TestHeldCloneRacesOwnerTail for one-byte
 // stores long enough to fold. The prefix folds every store in place, so
-// the clones share a histogram as well as a tail; each continuation then
-// grows its shared tail to eight chunks, folds them into a copy of the
-// histogram while the reading clone ranks the original, and folds in
-// place after that.
+// the clones share a histogram; each continuation's first fold, when a
+// code falls outside its inline tail's window or a counter fills, counts
+// into a copy of the histogram while the reading clone ranks the
+// original, and its later folds count in place.
 func TestHeldCloneRacesFold(t *testing.T) {
-	lat, owner, writer, grand := raceHeldClones(t, 0, 8, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
+	lat, reader, owner, writer, grand := raceHeldClones(t, 0, 8, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
+	for _, f := range reader.Flows() {
+		for hop, st := range reader.slot(lat, f).lat {
+			if st.sum == nil {
+				t.Fatalf("flow %d hop %d: the prefix folded none of its %d samples; the clones share no histogram", f, hop+1, st.samples())
+			}
+		}
+	}
 	for name, rec := range map[string]*Recording{"owner": owner, "appending clone": writer, "appending clone of the reading clone": grand} {
 		for _, f := range rec.Flows() {
 			for hop, st := range rec.slot(lat, f).lat {
@@ -558,9 +580,9 @@ type heldRace struct{ nFlows, k, prefix, cont, step int }
 
 // raceHeldClones runs the race TestHeldCloneRacesOwnerTail describes on a
 // three-query plan whose latency query is latBits wide, and returns that
-// query and the three holders that recorded on: the owner, the appending
-// clone and the clone of the reading clone.
-func raceHeldClones(t *testing.T, sketchItems, latBits int, s heldRace) (lat *LatencyQuery, owner, writer, grand *Recording) {
+// query, the reading clone and the three holders that recorded on: the
+// owner, the appending clone and the clone of the reading clone.
+func raceHeldClones(t *testing.T, sketchItems, latBits int, s heldRace) (lat *LatencyQuery, reader, owner, writer, grand *Recording) {
 	eng, path, lat, util := combinedTestPlanLat(t, 151, latBits)
 	queries := []Query{path, lat, util}
 	mk := func(batches ...[]PacketDigest) *Recording {
@@ -581,17 +603,17 @@ func raceHeldClones(t *testing.T, sketchItems, latBits int, s heldRace) (lat *La
 	grandCont := cloneWorkload(t, eng, 179, s.nFlows, s.cont, s.k)
 	scramble(latBits, 173, prefix, ownerCont, cloneCont, grandCont)
 	owner = mk(prefix)
-	per := latChunk / codeWidth(latBits)
-	midChunk := sketchItems != 0
+	width := codeWidth(latBits)
+	midChunk := sketchItems != 0 || width == 1
 	for _, fs := range owner.flows {
 		for _, st := range fs.slots[eng.slots[lat]].lat {
-			midChunk = midChunk || int(st.n)%per != 0
+			midChunk = midChunk || st.samples()%(latChunk/width) != 0
 		}
 	}
 	if !midChunk {
-		t.Fatal("no raw store ends mid-chunk; pick another prefix length")
+		t.Fatal("no wide store ends mid-chunk; pick another prefix length")
 	}
-	reader, writer := owner.Clone(), owner.Clone()
+	reader, writer = owner.Clone(), owner.Clone()
 	answer := func(rec *Recording, blob []byte) []byte {
 		for f := FlowKey(1); f <= FlowKey(s.nFlows); f++ {
 			for hop := 1; hop <= s.k; hop++ {
@@ -658,7 +680,7 @@ func raceHeldClones(t *testing.T, sketchItems, latBits int, s heldRace) (lat *La
 			t.Fatalf("%s: state differs from a Recording rebuilt from its own packets", h.name)
 		}
 	}
-	return lat, owner, writer, grand
+	return lat, reader, owner, writer, grand
 }
 
 // TestLatencyQuantilesMatchesSingleCalls pins the batched form to the

@@ -27,10 +27,10 @@ import (
 //	  sections × { nameLen uvarint | name | kind byte | payloadLen uvarint | payload }
 //
 // The version has not moved since one-byte latency stores began to travel
-// as counts (store kind 4): an older build's blob that holds a raw one-byte
-// store of latChunk samples or more is refused here, and an older build
-// refuses store kind 4. Source and destination of a hand-off must run one
-// build.
+// as counts (store kind 4). Raw samples (store kind 1) are wide codes only,
+// so an older build's blob with raw one-byte samples is refused here, and
+// an older build refuses kind 4 below latChunk samples. Source and
+// destination of a hand-off must run one build.
 //
 // Section kinds, one per query family. Kinds 4 and 5, once the frequent-value
 // and randomized-count families, are unassigned: no query's kind matches them,
@@ -93,12 +93,11 @@ func sectionKind(q Query) byte {
 
 // appendLatStores is a latency section's payload: the hop count, then one
 // store per hop — its kind, then for a sketch its length-prefixed state. A
-// raw sample travels as the uvarint of its code, in arrival order, whatever
-// width (here width bytes) it is held at in memory. A one-byte store of
-// latChunk samples or more travels as a histogram (appendHist), so that
-// its bytes depend on its samples alone, not on when it folded. A build
-// from before one-byte stores folded sent every sample raw, and a blob of
-// one is refused (restoreRaw): a hand-off needs members of one build.
+// nonempty one-byte store travels as a histogram (appendHist), its bytes
+// independent of how its tail and histogram split its samples. A wide
+// store's raw sample travels as the uvarint of its code, in arrival order,
+// whatever width (here width bytes) it is held at in memory; an empty
+// store travels raw, as a count of 0.
 func appendLatStores(dst []byte, stores []latStore, width int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(stores)))
 	for i := range stores {
@@ -106,10 +105,10 @@ func appendLatStores(dst []byte, stores []latStore, width int) []byte {
 		case st.kll() != nil:
 			at := len(dst) + 1
 			dst = prefixLen(st.kll().AppendState(append(dst, storeKLL)), at)
-		case width == 1 && st.samples() >= latChunk:
+		case width == 1 && st.samples() > 0:
 			dst = appendHist(dst, st)
 		default:
-			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(st.n))
+			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(st.samples()))
 			for code := range st.codes(width) {
 				dst = binary.AppendUvarint(dst, code)
 			}
@@ -118,8 +117,8 @@ func appendLatStores(dst []byte, stores []latStore, width int) []byte {
 	return dst
 }
 
-// appendHist writes a one-byte store of latChunk samples or more as kind
-// 4: the counts of all its samples, folded or in its tail, for the codes
+// appendHist writes a nonempty one-byte store as kind 4: the counts of
+// all its samples, folded or in its tail, for the codes
 // lo to hi, the lowest and highest among them, as lo, hi-lo+1 and one
 // uvarint count per code.
 func appendHist(dst []byte, st *latStore) []byte {
@@ -306,6 +305,7 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 			err = restoreRaw(rd, st, q, flow, i+1)
 		case storeHist:
 			st.sum, err = restoreHist(rd, q, flow, i+1)
+			st.lo = tailClosed
 		case storeKLL:
 			sub := rd.Bytes(rd.Uvarint())
 			if rd.Err != nil {
@@ -313,7 +313,7 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 			}
 			var kll *sketch.KLL
 			if kll, err = sketch.RestoreKLL(sub); err == nil {
-				st.sum = &latSum{kll: kll}
+				*st = latStore{sum: &latSum{kll: kll}, lo: tailClosed}
 			}
 		default:
 			err = fmt.Errorf("core: latency store kind %d", kind[0])
@@ -329,10 +329,9 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 }
 
 // restoreRaw reads a raw store's samples into st: a count, then the codes.
-// One-byte samples arrive raw only below latChunk of them: appendHist
-// writes a longer store as counts. The chunk list is sized once, from the
-// count the payload has already bounded, with the one spare slot that
-// marks a store owning its tail (see latStore).
+// A one-byte store arrives raw only when empty. A wide store's chunk list
+// is sized once, from the count the payload has already bounded, with the
+// one spare slot that marks a store owning its tail chunk (see latStore).
 func restoreRaw(rd *stateread.Reader, st *latStore, q *LatencyQuery, flow FlowKey, hop int) error {
 	width := codeWidth(q.Bits())
 	cnt := rd.Uvarint()
@@ -342,12 +341,13 @@ func restoreRaw(rd *stateread.Reader, st *latStore, q *LatencyQuery, flow FlowKe
 	if cnt > uint64(rd.Len())+1 {
 		return fmt.Errorf("core: raw latency store claims %d samples", cnt)
 	}
-	if width == 1 && cnt >= latChunk {
-		return fmt.Errorf("core: flow %d hop %d: %d raw one-byte latency samples, which this build takes only as counts (store kind %d) from %d on; the blob is corrupt or from a build that sent them raw",
-			flow, hop, cnt, storeHist, latChunk)
+	if width == 1 && cnt > 0 {
+		return fmt.Errorf("core: flow %d hop %d: %d raw one-byte latency samples, which this build takes only as counts (store kind %d); the blob is corrupt or from another build, and a hand-off needs members of one build",
+			flow, hop, cnt, storeHist)
 	}
-	per := uint64(latChunk / width)
-	st.chunks = make([]*[latChunk]byte, 0, (cnt+per-1)/per+1)
+	if per := uint64(latChunk / width); cnt > 0 {
+		st.sum = &latSum{chunks: make([]*[latChunk]byte, 0, (cnt+per-1)/per+1)}
+	}
 	for j := uint64(0); j < cnt; j++ {
 		code := rd.Uvarint()
 		if code&^digestMask(q.Bits()) != 0 {
@@ -360,9 +360,9 @@ func restoreRaw(rd *stateread.Reader, st *latStore, q *LatencyQuery, flow FlowKe
 }
 
 // restoreHist reads the counts appendHist writes: one-byte codes only,
-// trimmed to a nonzero first and last count, at least latChunk samples
-// and at most maxLatSamples. They become the store's histogram, with an
-// empty tail.
+// trimmed to a nonzero first and last count, at least one sample and at
+// most maxLatSamples. They become the store's histogram, with an empty
+// tail whose window stays closed until its first sample checks the cap.
 func restoreHist(rd *stateread.Reader, q *LatencyQuery, flow FlowKey, hop int) (*latSum, error) {
 	if w := codeWidth(q.Bits()); w != 1 {
 		return nil, fmt.Errorf("core: flow %d hop %d: a latency histogram for %d-byte codes", flow, hop, w)
@@ -378,18 +378,17 @@ func restoreHist(rd *stateread.Reader, q *LatencyQuery, flow FlowKey, hop int) (
 	sum := &latSum{lo: int(lo), counts: make([]uint64, span)}
 	for j := range sum.counts {
 		c := rd.Uvarint()
-		if c > maxLatSamples-uint64(sum.folded) {
+		if c > maxLatSamples-uint64(sum.n) {
 			return nil, fmt.Errorf("core: flow %d hop %d: latency histogram counts more than 2^62 samples", flow, hop)
 		}
 		sum.counts[j] = c
-		sum.folded += int(c)
+		sum.n += int(c)
 	}
 	switch {
 	case rd.Err != nil:
 		return nil, rd.Err
-	case sum.folded < latChunk:
-		return nil, fmt.Errorf("core: flow %d hop %d: latency histogram of %d samples, which travel raw below %d",
-			flow, hop, sum.folded, latChunk)
+	case sum.n == 0:
+		return nil, fmt.Errorf("core: flow %d hop %d: latency histogram of 0 samples, which travel raw", flow, hop)
 	case sum.counts[0] == 0 || sum.counts[span-1] == 0:
 		return nil, fmt.Errorf("core: flow %d hop %d: latency histogram not trimmed to its first and last code", flow, hop)
 	}

@@ -69,15 +69,18 @@ func flowStateDigest(t *testing.T, sketchItems, n int) string {
 
 // TestFlowStateBlobsUnchanged pins AppendFlowState's bytes: the hand-off
 // format is a wire format between fleet members of different builds. The
-// digests were taken from the tree that still compiled the frequent-value
-// and Morris-count queries, for this same path+latency+util plan and
-// stream, so they also hold that dropping those two kinds moved no byte
-// of the three that remain. Their raw stores stay under latChunk samples;
-// the third digest is of a longer stream, whose raw stores travel as
-// counts (kind 4), and was taken when one-byte stores began to fold.
+// sketched digest was taken from the tree that still compiled the
+// frequent-value and Morris-count queries, for this same
+// path+latency+util plan and stream, so it also holds that dropping those
+// two kinds moved no byte of the three that remain. The third digest is
+// of a longer stream, whose raw stores hold more than latChunk samples
+// each, and was taken when one-byte stores began to travel as counts
+// (kind 4) from latChunk samples on. The raw digest was taken when every
+// nonempty one-byte store began to travel as counts; the two streams'
+// stores now travel alike.
 func TestFlowStateBlobsUnchanged(t *testing.T) {
 	want := map[string]string{
-		"raw":      "73e3e4252a6775ec",
+		"raw":      "2a079615c18a9f36",
 		"sketched": "d09b3b2d6d4d4684",
 	}
 	for _, v := range storageVariants {
@@ -113,12 +116,12 @@ func flowStateSections(t testing.TB, blob []byte) map[string][]byte {
 	return out
 }
 
-// TestRestoreFlowStateRejectsImpossibleState: a raw latency sample the
-// query's digest slice could not have carried, and a latency section
-// whose hop count disagrees with the flow's path length, are refused with
-// an error naming flow and hop — not stored (where a code-width store
-// would truncate the sample into some other code) — and the destination
-// stays untouched.
+// TestRestoreFlowStateRejectsImpossibleState: a latency code the query's
+// digest slice could not have carried, and a latency section whose hop
+// count disagrees with the flow's path length, are refused with an error
+// naming flow and hop — not stored (where a code-width store would
+// truncate the sample into some other code) — and the destination stays
+// untouched.
 func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 	const flow = FlowKey(77)
 	cfg, err := DefaultPathConfig(4, 2, 5)
@@ -169,17 +172,17 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 		t.Fatalf("valid blob refused: %v", err)
 	}
 
-	// The latency section is last and its last byte is hop 5's last
-	// sample: a 4-bit code, one uvarint byte. 0x7F is still one byte, so
-	// the blob stays well-formed — only the sample is out of range.
-	patched := append([]byte(nil), good...)
-	if patched[len(patched)-1] >= 16 {
-		t.Fatalf("last byte %#x is not a 4-bit sample", patched[len(patched)-1])
+	// The latency section re-spelled with hop 5 counting codes 15 and 16:
+	// the blob stays well-formed, only code 16 is out of range.
+	five := flowStateSections(t, good)
+	store := histStore(3, 1)
+	lat5 := flowStateSection(lat, slices.Concat(uvarints(5), store, store, store, store, histStore(15, 1, 1)))
+	if err := restore(slices.Concat(good[:2], five["path"], flowStateSection(lat, slices.Concat(uvarints(5), store, store, store, store, store)))); err != nil {
+		t.Fatalf("hand-built latency section refused: %v", err)
 	}
-	patched[len(patched)-1] = 0x7F
-	err = restore(patched)
+	err = restore(slices.Concat(good[:2], five["path"], lat5))
 	if err == nil || !strings.Contains(err.Error(), "flow 77 hop 5") {
-		t.Fatalf("out-of-range sample: got %v, want an error naming flow 77 hop 5", err)
+		t.Fatalf("out-of-range code: got %v, want an error naming flow 77 hop 5", err)
 	}
 
 	// The section count (2, byte 1) re-spelled in two bytes: same value,
@@ -190,7 +193,7 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 	}
 
 	// Path section from a 5-hop recording, latency section from a 6-hop one.
-	five, six := flowStateSections(t, good), flowStateSections(t, blobAt(6))
+	six := flowStateSections(t, blobAt(6))
 	if !bytes.Equal(slices.Concat(good[:2], five["path"], five["lat"]), good) {
 		t.Fatal("section splitter does not reassemble the blob it split")
 	}
@@ -263,16 +266,22 @@ func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateR
 			blob(flowStateSection(lat, slices.Concat(uvarints(1), []byte{3}, uvarints(uint64(len(window))), window)))},
 		// A one-byte store of latChunk samples or more travels as counts
 		// (kind 4), and only then.
-		{"raw store of 127 one-byte samples", "", oneStore(lat, rawStore(127))},
+		{"raw store of no one-byte samples", "", oneStore(lat, rawStore(0))},
+		{"raw store of 1 one-byte sample", "1 raw one-byte latency samples, which this build takes only as counts",
+			oneStore(lat, rawStore(1))},
+		{"raw store of 127 one-byte samples", "127 raw one-byte latency samples, which this build takes only as counts",
+			oneStore(lat, rawStore(127))},
 		{"raw store of 128 one-byte samples", "128 raw one-byte latency samples, which this build takes only as counts",
 			oneStore(lat, rawStore(128))},
 		{"histogram", "", oneStore(lat, histStore(10, 100, 28))},
 		{"histogram of 129 samples", "", oneStore(lat, histStore(10, 100, 29))},
+		{"histogram of 1 sample", "", oneStore(lat, histStore(10, 1))},
 		{"histogram of code 255 alone", "", oneStore(lat, histStore(255, 256))},
 		{"histogram counting 2^32 samples of one code", "", oneStore(lat, histStore(10, math.MaxUint32, 1))},
 		{"histogram counting 2^62 samples", "", oneStore(lat, histStore(10, 1<<62-1, 1))},
 		{"histogram of no samples", "latency histogram of 0 samples", oneStore(lat, histStore(10))},
-		{"histogram of 127 samples", "latency histogram of 127 samples", oneStore(lat, histStore(10, 100, 27))},
+		{"histogram counting a total of 0", "latency histogram of 0 samples", oneStore(lat, histStore(10, 0, 0))},
+		{"histogram of 127 samples", "", oneStore(lat, histStore(10, 100, 27))},
 		{"histogram with a zero first count", "not trimmed", oneStore(lat, histStore(9, 0, 100, 28))},
 		{"histogram with a zero last count", "not trimmed", oneStore(lat, histStore(10, 100, 28, 0))},
 		{"histogram past code 255", "codes 251 to 256 does not fit 8 bits", oneStore(lat, histStore(251, 64, 0, 0, 0, 0, 64))},
@@ -301,11 +310,11 @@ func histStore(lo uint64, counts ...uint64) []byte {
 // accepts exactly the blobs AppendFlowState writes. Each refused row breaks
 // one rule of the layout — sections in query order, each section of its
 // query's kind (kinds 4 and 5 are no query's), latency store kinds raw,
-// KLL and, for one-byte codes, histogram, a one-byte store raw below
-// latChunk samples and counts from there on (the histogram trimmed, within
-// the codes, of at most 2^62 samples) — and is refused naming it, leaving
-// the destination untouched; each accepted row re-emits byte for byte and
-// answers every latency quantile.
+// KLL and, for one-byte codes, histogram, a one-byte store raw only when
+// empty and counts otherwise (the histogram trimmed, within the codes, of
+// at least one and at most 2^62 samples) — and is refused naming it,
+// leaving the destination untouched; each accepted row re-emits byte for
+// byte and answers every latency quantile.
 func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
 	const flow = FlowKey(1)
 	rec, queries, blobs := referenceFlowStates(t, 0, referencePkts)
@@ -383,13 +392,13 @@ func TestLatencyHistogramCounts(t *testing.T) {
 		return rec, &rec.flows[flow].slots[eng.slots[lat]].lat[0]
 	}
 	rec, st := restore(math.MaxUint32, 1)
-	for range latChunk + 1 {
+	for range math.MaxUint8 + 1 {
 		st.add(10, 1)
 	}
-	if got, want := st.sum.counts[0], uint64(math.MaxUint32)+latChunk; got != want {
+	if got, want := st.sum.counts[0], uint64(math.MaxUint32)+math.MaxUint8; got != want {
 		t.Fatalf("code 10 counted %d times, want %d", got, want)
 	}
-	if got, want := rec.LatencySamples(lat, flow, 1), math.MaxUint32+1+latChunk+1; got != want {
+	if got, want := rec.LatencySamples(lat, flow, 1), math.MaxUint32+1+math.MaxUint8+1; got != want {
 		t.Fatalf("%d samples, want %d", got, want)
 	}
 	codes := make([]float64, 3)
@@ -402,8 +411,8 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	for range 3 * latChunk {
 		st.add(11, 1)
 	}
-	// The first tail chunk fits, the second could pass the cap.
-	if short := maxLatSamples - uint64(st.samples()); short != 2 {
+	// No tail fits: a full one could pass the cap.
+	if short := maxLatSamples - uint64(st.samples()); short != latChunk+2 {
 		t.Fatalf("a store restored %d samples short of maxLatSamples ends %d short of it, want 2", latChunk+2, short)
 	}
 	blob, err := rec.AppendFlowState(nil, queries, flow)

@@ -102,88 +102,66 @@ func (s querySlot) hops() int {
 	return len(s.lat)
 }
 
-// latStore holds one (flow, hop)'s latency samples in one of two forms.
-// The raw form keeps each code at the width the plan paid for it on the
-// wire: ⌈bits/8⌉ bytes per sample, little-endian, n samples packed in
-// arrival order into fixed latChunk-byte chunks. A sample is written once,
-// where it stays: a new chunk is allocated every latChunk/width samples
-// and nothing is ever copied to grow. That pays off for long stores only:
-// a store's first sample takes a whole chunk and a two-slot list (144 B),
-// where append growth took 8 to 120 B for up to 64 one-byte samples; from
-// 65 samples on, chunks allocate less. The width is the query's
-// (codeWidth(q.Bits())), passed in by every caller rather than held here,
-// which keeps the store at 40 bytes and a 5-hop flow's stores in one
-// 208-byte size class.
+// latStore holds one (flow, hop)'s latency samples. A one-byte code (the
+// benchmark plan's 8-bit query) is counted, not kept: a quantile depends
+// only on how often each code was seen. add counts it in place, in an
+// inline tail of counters for the codes lo..lo+latTail-1; a code outside
+// that window slides it while the codes held still fit, and otherwise, or
+// at a full counter, the tail folds into a histogram of 64-bit counts
+// behind sum (count, fold). A cold 5-hop flow's stores are one 208-byte
+// array and no other object.
 //
-// A one-byte code (the benchmark plan's 8-bit query) is kept only until
-// it can be counted: a quantile depends on how often each code was seen,
-// not on their order. When the tail's chunk is full and the next sample
-// arrives, the store folds the tail into a histogram of code counts (see
-// fold), so it holds the counts plus one partly filled chunk, not a byte
-// per packet; a store a clone may share lets its tail grow to
-// latFoldChunks chunks first. Wider codes keep every sample.
+// A wider code is kept as the plan paid for it on the wire, ⌈bits/8⌉ bytes
+// a sample, little-endian, in arrival order, in latChunk-byte chunks behind
+// sum, written once and never copied. The width, codeWidth(q.Bits()), is
+// passed in by every caller, which keeps the store at 40 bytes.
 //
-// A clone shares the store with the rest of its flow's state (see
-// Recording.Clone), and each holder's private copy of the flow marks the
-// store shared: its histogram and chunks may be a clone's too. The owner's
-// copy keeps the chunk list as it is, spare capacity and partly filled
-// tail chunk included, and only ever writes tail bytes past the clone's n.
-// A clone's copy takes the list as a clamped prefix (chunks[:m:m]), so a
-// store whose list has no spare capacity may share its tail, and it
-// copies its own part of the tail before its first write (copy-on-write,
-// see grow). A shared histogram is never written: a shared store folds
-// into a copy.
+// Each holder's private copy of a flow a clone shares (Recording.Clone)
+// copies the store (clone): the tail by value, the histogram by reference
+// and marked shared, so the store folds into a copy of it; a wide store's
+// chunk list behind a latSum of its own, as it is for the owner, whose
+// writes land past every clone's samples, and clamped (chunks[:m:m]) for a
+// clone, which copies its part of a shared tail chunk before it writes.
 type latStore struct {
-	chunks []*[latChunk]byte // the samples not folded, latChunk/width to a chunk
-	n      uint32            // samples in chunks
+	sum *latSum // nil until a one-byte store folds or a wide one takes a sample
+	// lo is the tail's first code, or tailClosed, which sends every sample
+	// to the slow path: in a sketch's store, and in a one-byte store that
+	// may be near maxLatSamples (restored or full).
+	lo uint16
 	// shared is set on every store of a flow state copied after a clone
-	// (flowState.unshare) and cleared by the first fold, which leaves the
-	// store a histogram and a chunk of its own.
+	// (flowState.unshare) and cleared by the fold into a histogram of its own.
 	shared bool
-	sum    *latSum // nil until the store folds or when it is a sketch
+	tail   [latTail]uint8 // the samples not folded, counted per code from lo
 }
 
-// latSum is what a store keeps in place of samples: a KLL sketch, or the
-// code counts of the one-byte samples folded out of its chunks. A
-// histogram covers the codes lo..lo+len(counts)-1, the lowest and highest
-// it has counted. Its counts are 64-bit: a long flow's hop may well see
-// 2^32 samples of one code.
+// latSum is what a store keeps behind its one pointer: a KLL sketch, a wide
+// store's chunks, or the code counts of the one-byte samples folded out of
+// its tail, for the codes lo..lo+len(counts)-1, the lowest and highest it
+// has counted; 64-bit, as a long flow's hop may see 2^32 of one code.
 type latSum struct {
 	kll    *sketch.KLL
+	chunks []*[latChunk]byte // a wide store's samples, latChunk/width to a chunk
+	n      int               // samples in chunks or counted in counts
 	lo     int
-	folded int // samples counted
 	counts []uint64
 }
 
-// latChunk is the bytes in one raw-latency chunk. A chunk holds
-// latChunk/width samples; a wide code never straddles two chunks, and the
-// latChunk mod width bytes left over stay unused.
+// latChunk is the bytes in a wide store's chunk: latChunk/width samples,
+// none straddling two chunks, and latChunk mod width bytes unused.
 const latChunk = 128
 
-// latFoldChunks is the tail a shared one-byte store lets grow before it
-// folds, in chunks. A shared store's fold copies its histogram and takes a
-// fresh chunk and chunk list, three objects more than growing by a chunk;
-// a store that is snapshotted again before its next fold would pay them
-// at every chunk it fills. Eight chunks keep a flow snapshotted every
-// frame at one such copy per 1,024 samples.
-const latFoldChunks = 8
+// latTail is the counters in a one-byte store's inline tail, as many as
+// keep latStore at 40 bytes, and tailClosed the lo of a closed tail.
+const latTail, tailClosed = 29, 1 << 8
 
-// maxLatSamples is the most samples a one-byte store takes: it starts no
-// tail chunk that could carry it past them, and drops every sample after.
-// No flow's hop sees 2^62 packets, and below that neither a count nor a
-// store's total wraps. A restored histogram may count up to this many
-// (restoreHist), so a store restored from any blob records on into one
-// that is accepted again.
+// maxLatSamples is the most samples a one-byte store takes: more than any
+// flow's hop sees, and few enough that no count or total wraps. A restored
+// histogram may count up to it (restoreHist), so a store restored from any
+// blob records on into one that is accepted again.
 const maxLatSamples = 1 << 62
 
 // codeWidth is the bytes one raw sample of a bits-wide code occupies.
 func codeWidth(bits int) int { return (bits + 7) / 8 }
-
-// filled returns the bytes of chunk j that hold samples.
-func (st *latStore) filled(j, width int) []byte {
-	per := latChunk / width
-	return st.chunks[j][:min(int(st.n)-j*per, per)*width]
-}
 
 // kll returns the store's sketch, nil for a raw store.
 func (st *latStore) kll() *sketch.KLL {
@@ -193,21 +171,24 @@ func (st *latStore) kll() *sketch.KLL {
 	return st.sum.kll
 }
 
-// samples is the number of raw samples the store has taken: those folded
-// and those in its chunks.
-func (st *latStore) samples() int {
-	if st.sum == nil {
-		return int(st.n)
+// samples is the number of raw samples the store has taken: those in its
+// chunks or histogram and those in its tail.
+func (st *latStore) samples() (n int) {
+	if st.sum != nil {
+		n = st.sum.n
 	}
-	return st.sum.folded + int(st.n)
+	for _, c := range st.tail {
+		n += int(c)
+	}
+	return n
 }
 
-// codes yields the codes in the store's chunks in arrival order: every
-// raw sample of a store that has not folded.
+// codes yields a wide store's samples in arrival order.
 func (st *latStore) codes(width int) iter.Seq[uint64] {
 	return func(yield func(uint64) bool) {
-		for j := range st.chunks {
-			b := st.filled(j, width)
+		for j := 0; st.sum != nil && j < len(st.sum.chunks); j++ {
+			per := latChunk / width
+			b := st.sum.chunks[j][:min(st.sum.n-j*per, per)*width]
 			for i := 0; i < len(b); i += width {
 				// A byte at a time: a width-long copy would be a memmove call
 				// per sample.
@@ -224,65 +205,92 @@ func (st *latStore) codes(width int) iter.Seq[uint64] {
 }
 
 func (st *latStore) add(code uint64, width int) {
+	if i := code - uint64(st.lo); width == 1 && i < latTail && st.tail[i] < math.MaxUint8 {
+		st.tail[i]++
+		return
+	}
 	switch {
-	case st.sum != nil && st.sum.kll != nil:
+	case st.kll() != nil:
 		st.sum.kll.Add(float64(code))
-	case width == 1: // the 8-bit plan's case: a constant modulus, no division per packet
-		i := int(st.n % latChunk)
-		if i == 0 || len(st.chunks) == cap(st.chunks) {
-			switch {
-			case i == 0 && uint64(st.samples()) > maxLatSamples-latChunk:
-				return
-			case i == 0 && st.n >= latChunk && (!st.shared || st.n >= latFoldChunks*latChunk):
-				st.fold()
-			default:
-				st.grow(i, 1)
-			}
-		}
-		st.chunks[len(st.chunks)-1][st.n%latChunk] = byte(code)
-		st.n++
+	case width == 1:
+		st.count(int(code))
 	default:
-		i := int(st.n) % (latChunk / width)
-		if i == 0 || len(st.chunks) == cap(st.chunks) {
-			st.grow(i, width)
+		if st.sum == nil {
+			st.sum = &latSum{}
+		}
+		sum := st.sum
+		i := sum.n % (latChunk / width)
+		if i == 0 || len(sum.chunks) == cap(sum.chunks) {
+			sum.grow(i, width)
 		}
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], code)
-		copy(st.chunks[len(st.chunks)-1][i*width:], b[:width])
-		st.n++
+		copy(sum.chunks[len(sum.chunks)-1][i*width:], b[:width])
+		sum.n++
 	}
 }
 
-// grow makes the last chunk a private one with room at sample slot i: a
-// fresh chunk when i is 0, and otherwise a copy of the first i samples of
-// a tail this store may share (its list is clamped). The copy takes only
-// those i·width bytes, never the whole chunk: the owner may be writing the
-// rest concurrently. Either way the list is left with spare capacity, the
-// mark of a store that owns its tail.
-func (st *latStore) grow(i, width int) {
-	c := new([latChunk]byte)
-	if i == 0 {
-		st.chunks = append(slices.Grow(st.chunks, 2), c)
+// count is add for a one-byte code the tail cannot take as it is: outside
+// the window, at a full counter, or any while the tail is closed. The
+// window slides to centre the held codes and the code when they fit it;
+// otherwise the tail folds and a new one starts at the code. A tail opens
+// only while a full one cannot carry the store past maxLatSamples.
+func (st *latStore) count(code int) {
+	lo, hi, held := st.held()
+	lo, hi = min(lo, code), max(hi, code)
+	if held && (hi-lo >= latTail || uint(code-int(st.lo)) < latTail) {
+		st.fold()
+		lo, hi, held = code, code, false
+	}
+	if !held && st.sum != nil && st.sum.n > maxLatSamples-latTail*math.MaxUint8 {
+		st.lo = tailClosed
 		return
 	}
-	last := len(st.chunks) - 1
-	copy(c[:], st.chunks[last][:i*width])
-	st.chunks = slices.Grow(st.chunks, 2)
-	st.chunks[last] = c
-}
-
-// fold counts the samples in a one-byte store's chunks into its histogram
-// and empties the tail. A private store counts into its own histogram,
-// widened when a code falls outside it, and keeps its chunk to refill. A
-// shared store's histogram and chunks may be a clone's, so it counts into
-// a copy and takes a fresh chunk, and is private from then on.
-func (st *latStore) fold() {
-	lo, hi := 1<<8, -1
-	for j := range st.chunks {
-		for _, code := range st.filled(j, 1) {
-			lo, hi = min(lo, int(code)), max(hi, int(code))
+	var tail [latTail]uint8
+	at := min(max(lo-(latTail-1-(hi-lo))/2, 0), 1<<8-latTail)
+	for j, c := range st.tail {
+		if c != 0 {
+			tail[int(st.lo)+j-at] = c
 		}
 	}
+	st.lo, st.tail = uint16(at), tail
+	st.tail[code-at]++
+}
+
+// held returns the lowest and highest code the tail counts and true, or,
+// for an empty tail, a range every code widens, and false.
+func (st *latStore) held() (lo, hi int, ok bool) {
+	lo, hi = 1<<8, -1
+	for j, c := range st.tail {
+		if c != 0 {
+			lo, hi = min(lo, int(st.lo)+j), int(st.lo)+j
+		}
+	}
+	return lo, hi, hi >= 0
+}
+
+// grow makes a wide store's last chunk a private one with room at sample
+// slot i: a fresh chunk, or a copy of the first i samples of a tail chunk
+// it may share (its list is clamped), never of the rest, which the owner
+// may be writing. Either way the list keeps spare capacity, the mark of a
+// store that owns its tail chunk.
+func (sum *latSum) grow(i, width int) {
+	c := new([latChunk]byte)
+	if i == 0 {
+		sum.chunks = append(slices.Grow(sum.chunks, 2), c)
+		return
+	}
+	last := len(sum.chunks) - 1
+	copy(c[:], sum.chunks[last][:i*width])
+	sum.chunks = slices.Grow(sum.chunks, 2)
+	sum.chunks[last] = c
+}
+
+// fold counts a nonempty tail into the store's histogram, widened to the
+// tail's codes, and empties it. A shared store's histogram may be a
+// clone's, so it counts into a copy and is private from then on.
+func (st *latStore) fold() {
+	lo, hi, _ := st.held()
 	sum := st.sum
 	if sum != nil {
 		lo, hi = min(lo, sum.lo), max(hi, sum.lo+len(sum.counts)-1)
@@ -294,47 +302,43 @@ func (st *latStore) fold() {
 			sum = &latSum{}
 		case st.shared:
 			copy(counts[sum.lo-lo:], sum.counts)
-			sum = &latSum{folded: sum.folded}
+			sum = &latSum{n: sum.n}
 		default:
 			copy(counts[sum.lo-lo:], sum.counts)
 		}
 		sum.lo, sum.counts = lo, counts
 	}
-	for j := range st.chunks {
-		for _, code := range st.filled(j, 1) {
-			sum.counts[int(code)-sum.lo]++
+	for j, c := range st.tail {
+		if c != 0 {
+			sum.counts[int(st.lo)+j-sum.lo] += uint64(c)
+			sum.n += int(c)
 		}
 	}
-	sum.folded += int(st.n)
-	st.sum, st.n = sum, 0
-	if st.shared {
-		st.chunks = append(make([]*[latChunk]byte, 0, 2), new([latChunk]byte))
-		st.shared = false
-	}
-	st.chunks = st.chunks[:1]
+	st.sum, st.tail, st.shared = sum, [latTail]uint8{}, false
 }
 
-// clone shares the raw chunks, as they are for the store's owner and as a
-// clamped prefix for a clone (see latStore), and the histogram, which is
-// never written once shared; it copies the sketch, which is mutated in
-// place.
+// clone copies the store for a private copy of its flow (see latStore);
+// the sketch, mutated in place, is copied too.
 func (st *latStore) clone(clamp bool) latStore {
-	c := latStore{chunks: st.chunks, n: st.n, shared: true, sum: st.sum}
-	if clamp {
-		c.chunks = slices.Clip(c.chunks)
-	}
-	if kll := st.kll(); kll != nil {
-		c.sum = &latSum{kll: kll.Clone()}
+	c := *st
+	c.shared = true
+	switch {
+	case st.kll() != nil:
+		c.sum = &latSum{kll: st.sum.kll.Clone()}
+	case st.sum != nil && st.sum.counts == nil: // a wide store's chunks
+		sum := *st.sum
+		if clamp {
+			sum.chunks = slices.Clip(sum.chunks)
+		}
+		c.sum = &sum
 	}
 	return c
 }
 
 // rawQuantiles writes the phi-quantile code of the raw samples to out[i]
 // for each phis[i], by the nearest-rank rule (sketch.RankIndex). One-byte
-// codes — the benchmark plan's — are counted into a histogram of the code
-// domain on the stack, from the store's own counts and the tail's bytes,
-// and walked to the rank, neither copied nor sorted; wider codes sort one
-// copy held at their own width.
+// codes are counted into a histogram of the code domain on the stack and
+// walked to the rank; wider codes sort one copy held at their own width.
 func (st *latStore) rawQuantiles(width int, phis, out []float64) {
 	switch {
 	case width == 1:
@@ -349,7 +353,7 @@ func (st *latStore) rawQuantiles(width int, phis, out []float64) {
 }
 
 func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, width int, phis, out []float64) {
-	sorted := make([]T, 0, int(st.n))
+	sorted := make([]T, 0, st.samples())
 	for code := range st.codes(width) {
 		sorted = append(sorted, T(code))
 	}
@@ -363,10 +367,11 @@ func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, width int, phis, ou
 func (st *latStore) countQuantiles(phis, out []float64) {
 	var hist [1 << 8]uint64
 	st.countInto(&hist)
+	n := st.samples()
 	for i, phi := range phis {
 		// The code at sorted index rank is the first whose cumulative
 		// count exceeds rank.
-		rank, code := sketch.RankIndex(phi, st.samples()), 0
+		rank, code := sketch.RankIndex(phi, n), 0
 		for seen := int(hist[0]); seen <= rank; seen += int(hist[code]) {
 			code++
 		}
@@ -374,17 +379,16 @@ func (st *latStore) countQuantiles(phis, out []float64) {
 	}
 }
 
-// countInto adds a one-byte store's histogram and the samples of its tail
-// to hist.
+// countInto adds a one-byte store's histogram and tail to hist.
 func (st *latStore) countInto(hist *[1 << 8]uint64) {
 	if st.sum != nil {
 		for i, c := range st.sum.counts {
 			hist[st.sum.lo+i] += c
 		}
 	}
-	for j := range st.chunks {
-		for _, code := range st.filled(j, 1) {
-			hist[code]++
+	for j, c := range st.tail {
+		if c != 0 {
+			hist[int(st.lo)+j] += uint64(c)
 		}
 	}
 }
@@ -436,10 +440,11 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // (exporters frame per flow) — it stays valid through the run, because
 // recording never evicts — and a packet whose queries have all seen its
 // flow before allocates only when a store needs room: a wide raw latency
-// store takes a new chunk every latChunk/width samples, a one-byte one only
-// when its histogram widens or it folds a shared tail (latStore.fold), a
-// util series grows by append. A flow a clone shares is copied once, at its
-// first packet after the clone (stateOf).
+// store takes a new chunk every latChunk/width samples, a one-byte one
+// counts in place and allocates only when it folds its tail into a new,
+// widened or shared histogram (latStore.fold), a util series grows by
+// append. A new flow's latency stores are one array; a flow a clone shares
+// is copied once, at its first packet after the clone (stateOf).
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
 	var fs *flowState
 	for i := range batch {
@@ -593,7 +598,7 @@ func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latSto
 			if err != nil {
 				return nil, err
 			}
-			stores[i].sum = &latSum{kll: kll}
+			stores[i] = latStore{sum: &latSum{kll: kll}, lo: tailClosed}
 		}
 	}
 	return stores, nil
@@ -663,28 +668,23 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
 // written after it pays one copy. What the copy copies and what it shares
 // follows from how each piece of state changes. KLL sketches and path
 // decoders still peeling are bounded in size and mutated in place, so the
-// copy gets its own. A decoder that has decoded its path writes nothing but two counters
-// ever again (coding.Decoder's frozen-share rule): the copy takes the
-// counters and shares the solved state.
-// The two per-packet series — raw latency samples (one code-width
-// sample per packet, see latStore) and util values — grow with every
-// packet and are append-only: nothing in the repository writes a sample
-// once it is stored. The copy therefore shares them. The copy the flow's
-// owner makes — r, or any Recording that is not a clone and merged none —
-// keeps them as they are, spare capacity included: its appends land past
-// every clone's samples, in the shared raw tail chunk too, or in a fresh
-// array once the old one is full. A clone's copy takes them as prefixes
-// clamped in length AND capacity: a util series as s[:len(s):len(s)],
-// whose appends find no spare capacity and reallocate, and a raw latency
-// store's chunk list the same way, partly filled tail chunk included,
-// whose first write copies its own samples of the tail into a private
-// chunk (copy-on-write), never the bytes past them. A one-byte store's
-// histogram of folded codes is shared too, and is immutable once a clone
-// can see it: every copy marks its stores shared, and a shared store
-// folds into a copy of the histogram and a fresh chunk (latStore.fold).
-// Neither side observes the other, a clone costs O(flows) rather than
-// O(packets), and a held clone keeps alive only the flow states, arrays,
-// chunks and histograms that existed when it was taken.
+// copy gets its own. A decoder that has decoded its path writes nothing
+// but two counters ever again (coding.Decoder's frozen-share rule): the
+// copy takes the counters and shares the solved state. A one-byte latency
+// store's inline tail of counters is part of the per-hop array the copy
+// makes anyway; its histogram, never written once a clone can see it, is
+// shared, and the copy's next fold counts into a copy of it. The two per-packet
+// series — wide latency samples (see latStore) and util values — are
+// append-only, so the copy shares them. The owner's copy — r's, or that of
+// any Recording that is not a clone and merged none — keeps them as they
+// are, spare capacity included: its appends land past every clone's
+// samples, in the shared tail chunk too, or in a fresh array. A clone's
+// copy clamps them in length AND capacity (s[:len(s):len(s)], a chunk list
+// the same way), so its appends reallocate, and its first write to a
+// shared tail chunk copies its own samples of it (copy-on-write). Neither
+// side observes the other, a clone costs O(flows) rather than O(packets),
+// and a held clone keeps alive only the flow states, arrays, chunks and
+// histograms that existed when it was taken.
 func (r *Recording) Clone() *Recording {
 	c, _ := r.Lease(nil)
 	return c

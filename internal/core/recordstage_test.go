@@ -143,21 +143,23 @@ func TestRecordStageAllocationPins(t *testing.T) {
 	}
 }
 
-// TestRawStoreMatchesModel is the property the code-width store must
-// hold at every digest width 1..64 — the byte boundaries 8/9, 16/17,
-// 32/33 and 63/64 among them: for random, all-equal, all-max-code and
-// single-sample streams, the sample count, the tail chunks held and every
-// quantile equal a from-scratch model that keeps the codes in a plain
-// slice and ranks them with sketch.ExactQuantile; the hand-off blob is
-// the one the model's codes spell (modelBlob), and the state survives a
-// hand-off round trip byte for byte. At widths 1 and 8, whose samples
-// fill a chunk exactly, and 3, 5 and 7, which leave bytes of it unused,
-// hop 1 is also filled to one sample short of a chunk, a full chunk and
-// one sample into the next. A one-byte store folds its tail into counts
-// when the tail's chunk is full and the next sample arrives, or, while a
-// clone may share it, when eight chunks are: at width 1, hop 1 is also
-// filled to 1,023, 1,024 and 1,025 samples with a clone taken after the
-// flow's first packet, so its tail is shared from the start.
+// TestRawStoreMatchesModel is the property the raw store must hold at
+// every digest width 1..64 — the byte boundaries 8/9, 16/17, 32/33 and
+// 63/64 among them: for random, all-equal, all-max-code and single-sample
+// streams, the sample count, the samples held unfolded and every quantile
+// equal a from-scratch model that keeps the codes in a plain slice and
+// ranks them with sketch.ExactQuantile; the hand-off blob is the one the
+// model's codes spell (modelBlob), and the state survives a hand-off round
+// trip byte for byte. A wide store keeps every sample in chunks: at widths
+// 8, whose samples fill a chunk exactly, and 3, 5 and 7, which leave bytes
+// of it unused, hop 1 is also filled to one sample short of a chunk, a
+// full chunk and one sample into the next. A one-byte store counts in its
+// inline tail and folds it into its histogram when a code does not fit:
+// random codes span more than the tail's window, and a stream of one code
+// folds at every 256th sample, when its counter is full. At width 1, hop 1
+// is also filled to 255, 256 and 511 samples with a clone taken after the
+// flow's first packet, so its first fold goes into a copy of a histogram
+// the clone may hold; the clone must still answer for that first packet.
 func TestRawStoreMatchesModel(t *testing.T) {
 	const k = 3
 	phis := []float64{0, 1e-9, 0.5, 0.99, 1}
@@ -187,11 +189,11 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				hop1, shared bool
 			}
 			lengths := []length{{1, false, false}, {2 + rng.Intn(700), false, false}}
-			if slices.Contains([]int{1, 3, 5, 7, 8}, width) {
+			if slices.Contains([]int{3, 5, 7, 8}, width) {
 				lengths = append(lengths, length{per - 1, true, false}, length{per, true, false}, length{per + 1, true, false})
 			}
 			if width == 1 {
-				for _, n := range []int{latFoldChunks*per - 1, latFoldChunks * per, latFoldChunks*per + 1} {
+				for _, n := range []int{math.MaxUint8, math.MaxUint8 + 1, 2*math.MaxUint8 + 1} {
 					lengths = append(lengths, length{n, true, true})
 				}
 			}
@@ -202,12 +204,16 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				}
 				const flow = FlowKey(5)
 				model, raw := make([][]float64, k), make([][]uint64, k)
-				// tail and shared model each store's chunks: the samples it
-				// has not folded, and whether a clone may share them.
+				// tail and shared model each store's samples not folded, and
+				// whether a clone may share its histogram; a random stream's
+				// one-byte folds are not modelled.
 				tail, shared := make([]int, k), make([]bool, k)
+				modelled := width > 1 || stream.name != "random"
+				var clone *Recording
+				var cloneRaw [][]uint64
 				for i := 0; l.hop1 && len(model[0]) < l.n || !l.hop1 && i < l.n; i++ {
 					if l.shared && i == 1 {
-						rec.Clone()
+						clone, cloneRaw = rec.Clone(), slices.Clone(raw)
 						for h := range shared {
 							shared[h] = true
 						}
@@ -219,7 +225,7 @@ func TestRawStoreMatchesModel(t *testing.T) {
 					hop := lat.Winner(pktID, k)
 					model[hop-1] = append(model[hop-1], float64(digest&mask))
 					raw[hop-1] = append(raw[hop-1], digest&mask)
-					if n := tail[hop-1]; width == 1 && n >= per && n%per == 0 && (!shared[hop-1] || n >= latFoldChunks*per) {
+					if width == 1 && tail[hop-1] == math.MaxUint8 {
 						tail[hop-1], shared[hop-1] = 0, false
 					}
 					tail[hop-1]++
@@ -228,9 +234,16 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				for hop := 1; hop <= k; hop++ {
 					want := model[hop-1]
 					st := &rec.flows[flow].slots[0].lat[hop-1]
-					if chunks := (tail[hop-1] + per - 1) / per; len(st.chunks) != chunks || int(st.n) != tail[hop-1] {
-						t.Fatalf("%s hop %d: %d tail samples in %d chunks of %d samples, want %d in %d",
-							ctx, hop, st.n, len(st.chunks), len(want), tail[hop-1], chunks)
+					held := st.samples()
+					if width == 1 && st.sum != nil {
+						held -= st.sum.n
+					}
+					if modelled && (held != tail[hop-1] || width == 1 && st.shared != shared[hop-1]) {
+						t.Fatalf("%s hop %d: %d of %d samples not folded (shared %v), want %d (shared %v)",
+							ctx, hop, held, len(want), st.shared, tail[hop-1], shared[hop-1])
+					}
+					if chunks := (held + per - 1) / per; width > 1 && held > 0 && len(st.sum.chunks) != chunks {
+						t.Fatalf("%s hop %d: %d samples in %d chunks, want %d", ctx, hop, held, len(st.sum.chunks), chunks)
 					}
 					if got := rec.LatencySamples(lat, flow, hop); got != len(want) {
 						t.Fatalf("%s hop %d: %d samples, model %d", ctx, hop, got, len(want))
@@ -274,6 +287,11 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				if err != nil || !bytes.Equal(blob, again) {
 					t.Fatalf("%s: hand-off round trip changed the blob (err %v)", ctx, err)
 				}
+				if clone != nil {
+					if held, err := clone.AppendFlowState(nil, []Query{lat}, flow); err != nil || !bytes.Equal(held, modelBlob(lat, cloneRaw)) {
+						t.Fatalf("%s: the clone taken after the first packet no longer holds it (err %v)", ctx, err)
+					}
+				}
 				// The restored stores record on as the originals do: into
 				// the last chunk of the restored block, or past it.
 				for range per + 1 {
@@ -295,12 +313,12 @@ func TestRawStoreMatchesModel(t *testing.T) {
 
 // modelBlob is the hand-off blob of a flow whose one latency query holds
 // codes[hop-1] at each hop: each store's samples raw (kind 1), or, at one
-// byte a sample and latChunk samples or more, the counts of all its
-// samples, trimmed to the first and last nonzero code (kind 4).
+// byte a sample and at least one sample, the counts of all its samples,
+// trimmed to the first and last nonzero code (kind 4).
 func modelBlob(lat *LatencyQuery, codes [][]uint64) []byte {
 	payload := uvarints(uint64(len(codes)))
 	for _, c := range codes {
-		if codeWidth(lat.Bits()) > 1 || len(c) < latChunk {
+		if codeWidth(lat.Bits()) > 1 || len(c) == 0 {
 			payload = slices.Concat(payload, []byte{storeRaw}, uvarints(uint64(len(c))), uvarints(c...))
 			continue
 		}
@@ -319,6 +337,47 @@ func modelBlob(lat *LatencyQuery, codes [][]uint64) []byte {
 			uvarints(hist[lo:hi+1]...))
 	}
 	return append([]byte{flowStateVersion, 1}, flowStateSection(lat, payload)...)
+}
+
+// TestInlineTailWindow walks a one-byte store's inline tail through its
+// rules. The first code centres the window on itself, within the code
+// domain; a code outside the window slides it to centre the codes held
+// while they still fit; a code that would spread them past latTail, and
+// one whose counter is full, fold the tail into the histogram and start a
+// new window at the code. After every step the store's histogram and tail
+// together count what a plain histogram of the codes does.
+func TestInlineTailWindow(t *testing.T) {
+	var st latStore
+	var model [1 << 8]uint64
+	for i, step := range []struct {
+		code, times int
+		lo          uint16 // the window's first code afterwards
+		folded      int    // samples in the histogram afterwards
+	}{
+		{100, 1, 86, 0},
+		{120, 1, 96, 0},  // 100..120 fit: the window slides
+		{80, 1, 66, 2},   // 80..120 do not: fold
+		{0, 1, 0, 3},     // clamped at code 0
+		{255, 1, 227, 4}, // and at code 255
+		{255, math.MaxUint8 - 1, 227, 4},
+		{255, 1, 227, 4 + math.MaxUint8}, // a full counter folds
+		{230, 1, 227, 4 + math.MaxUint8},
+	} {
+		for range step.times {
+			st.add(uint64(step.code), 1)
+			model[step.code]++
+		}
+		folded := 0
+		if st.sum != nil {
+			folded = st.sum.n
+		}
+		var hist [1 << 8]uint64
+		st.countInto(&hist)
+		if st.lo != step.lo || folded != step.folded || hist != model {
+			t.Fatalf("step %d (code %d ×%d): window at %d with %d samples folded, want %d and %d; counts match a plain histogram: %v",
+				i, step.code, step.times, st.lo, folded, step.lo, step.folded, hist == model)
+		}
+	}
 }
 
 // recordingState is everything observable about a Recording's flows: the
@@ -496,12 +555,13 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // record (3.2 KB of it re-checking the universe for duplicates) and 1.4 KB
 // in 12.6 to clone; while a clone copied every flow's state it cost 532 B
 // in 4 objects, and sharing the state leaves the clone its flow map's
-// share (~36 B). Raw latency in fixed 128-byte chunks is a trade: a
-// store's first sample takes a whole chunk and a two-slot list (144 B),
-// which append growth only passes at 65 samples. While raw latency grew
-// by append, the rows cost 751 B in 10.1 objects, 834 B in 15.0 and
-// 1,953 B in 30.3; in chunks they cost 1,407 B in 15.0, 1,433 B in 15.3
-// and 1,433 B in 15.3.
+// share (~36 B). While one-byte latency grew by append, the rows cost
+// 751 B in 10.1 objects, 834 B in 15.0 and 1,953 B in 30.3; in fixed
+// 128-byte chunks, whose first sample took a whole chunk and a two-slot
+// list (144 B a store), 1,408 B in 15.0, 1,433 B in 15.3 and 1,433 B in
+// 15.3. Counted in each store's inline tail they cost 713 B in 5.3 at
+// every length: the stores are one array, and none folds in 500 packets.
+// The budgets are that measurement plus 4 % (27 B) and 0.7 objects.
 func TestColdFlowAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
@@ -512,7 +572,7 @@ func TestColdFlowAllocationShape(t *testing.T) {
 	for _, row := range []struct {
 		pkts              int
 		maxBytes, maxObjs float64
-	}{{16, 1550, 17}, {64, 1580, 17}, {pkts, 1600, 17}} { // the last row's flows stay in rec
+	}{{16, 740, 6}, {64, 740, 6}, {pkts, 740, 6}} { // the last row's flows stay in rec
 		batch := make([]PacketDigest, 0, flows*row.pkts)
 		for f := 1; f <= flows; f++ {
 			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
@@ -601,10 +661,9 @@ func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]
 // TestOwnerWriteAfterCloneCopiesOnce pins the writer's side of a
 // snapshot: after a Clone, the owner's next frame into each converged flow
 // costs at most one copy of that flow's state (~500 B in 4 objects) over
-// what the same frame costs with no snapshot, and no latency chunk. The
-// owner's copy keeps the spare capacity of its chunk lists and its partly
-// filled tail chunks; a copy that clamped them would pay a chunk and a
-// list per hop on top. The copy costs exactly the budget's 4 objects, so a
+// what the same frame costs with no snapshot, and no latency object: each
+// store's inline tail is copied with the per-hop array, and its histogram
+// is shared until it folds. The copy costs exactly the budget's 4 objects, so a
 // runtime allocation landing inside one measurement would fail it: the
 // test measures three fresh triples and keeps the smallest excess, as
 // noise only adds.
@@ -642,17 +701,18 @@ func TestOwnerWriteAfterCloneCopiesOnce(t *testing.T) {
 
 // TestOwnerFoldAfterCloneCopiesOnce pins the writer's side of a snapshot
 // for long one-byte stores. After a Clone, the owner's copy of a flow
-// shares each store's histogram and tail with the clone, so the store lets
-// its tail grow until eight chunks are full and then folds them into a
-// copy of the histogram and a fresh chunk: one copy per store over the
-// 1,100 and more samples per hop that follow. From then on it folds in
-// place: a frame allocates what it does in a twin that was never cloned.
-// The clone still holds the state it was taken with.
+// takes each store's inline tail by value and shares its histogram with
+// the clone, so the store's next fold, when a counter fills or a code
+// falls outside the tail's window, counts into a copy of the histogram:
+// one copy per store over the 1,100 and more samples per hop that follow,
+// made at a fold its twin, never cloned, makes in place at the same
+// sample. From then on it folds in place too: a frame allocates what it
+// does in the twin. The clone still holds the state it was taken with.
 func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
-	const flows, warm, more, last, frame, k = 16, 1000, 6400, 1024, 64, 5
+	const flows, warm, more, last, frame, k = 16, 14000, 14000, 1024, 64, 5
 	eng, path, lat := testbenchPlan(t, 71)
 	queries := []Query{path, lat}
 	si := eng.slots[lat]
@@ -682,13 +742,14 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		recordInto(twin, from, to)
 	}
 	record(0, warm)
-	store := func(f, hop int) *latStore { return &rec.flows[FlowKey(f+1)].slots[si].lat[hop] }
-	sums := make([][k]*latSum, flows)
+	store := func(r *Recording, f, hop int) *latStore { return &r.flows[FlowKey(f+1)].slots[si].lat[hop] }
+	sums, folded := make([][k]*latSum, flows), make([][k]int, flows)
 	for f := range sums {
 		for hop := range k {
-			if sums[f][hop] = store(f, hop).sum; sums[f][hop] == nil {
+			if sums[f][hop] = store(rec, f, hop).sum; sums[f][hop] == nil {
 				t.Fatalf("flow %d hop %d has not folded in %d packets; the pin needs folded stores", f+1, hop+1, warm)
 			}
+			folded[f][hop] = store(twin, f, hop).sum.n
 		}
 	}
 	held := recordingState(t, rec, queries)
@@ -705,10 +766,12 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		record(off, off+frame)
 		for f := range sums {
 			for hop := range k {
-				if st := store(f, hop); st.sum != sums[f][hop] {
-					if int(st.n) > frame || samples(f, hop)-from[f][hop] < (latFoldChunks-1)*latChunk {
-						t.Fatalf("flow %d hop %d: a new histogram with %d tail samples, %d samples after the clone; want a fold into a copy at the eighth full chunk",
-							f+1, hop+1, st.n, samples(f, hop)-from[f][hop])
+				st, was := store(rec, f, hop), folded[f][hop]
+				folded[f][hop] = store(twin, f, hop).sum.n
+				if st.sum != sums[f][hop] {
+					if folded[f][hop] == was || copies[f][hop] > 0 {
+						t.Fatalf("flow %d hop %d: a new histogram %d samples after the clone, in a frame its twin folded %d samples in; want one copy, at a fold",
+							f+1, hop+1, samples(f, hop)-from[f][hop], folded[f][hop]-was)
 					}
 					sums[f][hop] = st.sum
 					copies[f][hop]++
@@ -718,7 +781,7 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 	}
 	for f := range copies {
 		for hop := range k {
-			st := store(f, hop)
+			st := store(rec, f, hop)
 			if n := samples(f, hop) - from[f][hop]; n < 1100 {
 				t.Fatalf("flow %d hop %d took %d samples after the clone; the pin needs 1,100", f+1, hop+1, n)
 			}
@@ -745,7 +808,7 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		t.Fatal("the clone's state moved while the owner recorded on")
 	}
 	if recordingState(t, rec, queries) != recordingState(t, twin, queries) {
-		t.Fatal("the owner's state differs from its twin's: a blob depends on when the store folded")
+		t.Fatal("the owner's state differs from its twin's")
 	}
 }
 
@@ -797,9 +860,9 @@ func TestLeaseSharesOnlyItsFlows(t *testing.T) {
 // append this cost 2.73 B a packet, the growth re-allocating and copying
 // each one-byte sample several times; in fixed chunks it cost 1.16 B, each
 // sample allocated once in a 128-byte chunk, plus the chunk lists' growth.
-// Folded into counts it is 0.16 B: a store refills one chunk and keeps a
-// histogram of 64-bit counts of the codes it has seen, widened now and
-// then.
+// Folded into counts it was 0.16 B, a store refilling one chunk. Counted
+// in place in each store's inline tail it is ~0 B: a store allocates only
+// when it folds, and a testbench store folds every ~2,000 samples.
 func TestLongFlowBytesPerPacket(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
