@@ -88,6 +88,12 @@ func main() {
 		log.Fatalf("pintgate: %v", err)
 	}
 	srv := collector.HardenedHTTPServer(fe.Handler())
+	// The handler must be in place before the gate announces itself: a
+	// supervisor takes the "serving on" line as license to signal, and a
+	// SIGTERM landing in the gap would kill the process instead of
+	// draining it.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	fmt.Printf("pintgate: serving on %s, fronting %d nodes (epoch %d)\n", ln.Addr(), len(fm.Members), fm.Epoch)
 	for i, m := range fm.Members {
 		fmt.Printf("pintgate: node %d: %s %s\n", i, m.Name, m.Query)
@@ -96,8 +102,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigs:
 		fmt.Printf("pintgate: %v: draining (grace %v)\n", sig, *grace)

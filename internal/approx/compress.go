@@ -37,7 +37,7 @@ type MultCompressor struct {
 // for the utilization ranges HPCC needs (§4.3); 16 bits support ε = 0.0025
 // for 32-bit values.
 func NewMultCompressor(eps float64, bits int) (*MultCompressor, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(0 < eps && eps < 1) {
 		return nil, fmt.Errorf("approx: eps %v out of (0,1)", eps)
 	}
 	if bits < 1 || bits > 32 {

@@ -15,6 +15,11 @@ func TestMultCompressorConstruct(t *testing.T) {
 	if _, err := NewMultCompressor(1.5, 8); err == nil {
 		t.Fatal("eps>=1 must be rejected")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewMultCompressor(eps, 8); err == nil {
+			t.Errorf("eps=%v must be rejected", eps)
+		}
+	}
 	if _, err := NewMultCompressor(0.1, 0); err == nil {
 		t.Fatal("bits=0 must be rejected")
 	}

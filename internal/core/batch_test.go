@@ -12,14 +12,6 @@ import (
 // 1/8 — 24-bit global budget, so the plan has three sets.
 func combinedTestPlan(t testing.TB, master hash.Seed) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery) {
 	t.Helper()
-	return combinedTestPlanLat(t, master, 8)
-}
-
-// combinedTestPlanLat is combinedTestPlan with the latency query's digest
-// width chosen by the caller (the budget grows with it), so tests can put
-// multi-byte raw samples through the same three-query plan.
-func combinedTestPlanLat(t testing.TB, master hash.Seed, latBits int) (*Engine, *PathQuery, *LatencyQuery, *UtilQuery) {
-	t.Helper()
 	universe := make([]uint64, 64)
 	for i := range universe {
 		universe[i] = uint64(0xAB00 + i*3)
@@ -32,12 +24,12 @@ func combinedTestPlanLat(t testing.TB, master hash.Seed, latBits int) (*Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := latQueryOfBits(t, latBits, 7.0/8, master)
+	lat := latQueryOfBits(t, 8, 7.0/8, master)
 	util, err := NewUtilQuery("util", 8, 0.025, 1.0/8, 1000, master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Compile([]Query{path, lat, util}, 16+latBits, master.Derive(9))
+	eng, err := Compile([]Query{path, lat, util}, 24, master.Derive(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,33 +29,13 @@ func cloneWorkload(t testing.TB, eng *Engine, seed uint64, nFlows, n, k int) []P
 }
 
 // storageVariants are the two latency storages a Recording can run on
-// the 8-bit combined plan, plus raw storage under a 12-bit and a 40-bit
-// latency query — 2 and 5 bytes a sample, so a shared prefix that cut a
-// sample in half would show. The wide variants scramble their digests
-// (see plan), so every byte of a sample carries bits.
+// the combined plan: counted one-byte codes and KLL sketches.
 var storageVariants = []struct {
 	name        string
 	sketchItems int
-	latBits     int
 }{
-	{name: "raw", latBits: 8},
-	{name: "sketched", sketchItems: 24, latBits: 8},
-	{name: "raw-lat12", latBits: 12},
-	{name: "raw-lat40", latBits: 40},
-}
-
-// scramble overwrites the digests of an encoded stream with random bits
-// when the variant's latency query is wider than its compressor's codes.
-func scramble(latBits int, seed uint64, streams ...[]PacketDigest) {
-	if latBits == 8 {
-		return
-	}
-	rng := hash.NewRNG(seed)
-	for _, pkts := range streams {
-		for i := range pkts {
-			pkts[i].Digest = rng.Uint64()
-		}
-	}
+	{name: "raw"},
+	{name: "sketched", sketchItems: 24},
 }
 
 // TestRecordingCloneIsIndependentAndIdentical is the contract snapshot
@@ -66,13 +46,12 @@ func scramble(latBits int, seed uint64, streams ...[]PacketDigest) {
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util := combinedTestPlanLat(t, 37, v.latBits)
+			eng, path, lat, util := combinedTestPlan(t, 37)
 			const (
 				nFlows = 6
 				k      = 6
 			)
 			pkts := cloneWorkload(t, eng, 91, nFlows, 4096, k)
-			scramble(v.latBits, 93, pkts)
 			half := len(pkts) / 2
 			mk := func() *Recording {
 				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
@@ -289,7 +268,7 @@ func TestClonePrefixProperty(t *testing.T) {
 	for _, v := range storageVariants {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
-				eng, path, lat, util := combinedTestPlanLat(t, 59, v.latBits)
+				eng, path, lat, util := combinedTestPlan(t, 59)
 				mk := func() *Recording {
 					rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 					if err != nil {
@@ -308,7 +287,6 @@ func TestClonePrefixProperty(t *testing.T) {
 				for trial := 0; trial < 3; trial++ {
 					nFlows := 2 + rng.Intn(6)
 					pkts := randomWorkload(eng, rng, nFlows, 64+rng.Intn(96), k)
-					scramble(v.latBits, rng.Uint64(), pkts)
 					live := make([]*Recording, shards)
 					for i := range live {
 						live[i] = mk()
@@ -394,20 +372,17 @@ func TestClonePrefixProperty(t *testing.T) {
 	}
 }
 
-// TestCloneAppendsStayPrivate pins the clamp and the copy-on-write tail.
-// A clone shares the origin's util series, whose array has spare capacity
-// past the shared prefix, and, under a wide latency query (the 12- and
-// 40-bit variants), its raw latency chunks, whose last chunk has room past
-// the shared samples. Only the origin, the flows' owner, may go on
-// appending there; the copy any clone writes through must be clamped, so
-// that its appends reallocate or copy, or they would show through to the
-// origin's next append and to every sibling clone. So must the copy of a
-// Recording that merged a clone: merging one makes it a clone. A one-byte
-// store's copy takes its inline tail by value and shares its histogram,
-// marked shared. Origin, two sibling clones and an empty Recording that
-// merged a third each record a different continuation; each must equal a
-// Recording rebuilt from scratch from the prefix plus its own
-// continuation.
+// TestCloneAppendsStayPrivate pins the clamp. A clone shares the origin's
+// util series, whose array has spare capacity past the shared prefix. Only
+// the origin, the flows' owner, may go on appending there; the copy any
+// clone writes through must be clamped, so that its appends reallocate, or
+// they would show through to the origin's next append and to every sibling
+// clone. So must the copy of a Recording that merged a clone: merging one
+// makes it a clone. A latency store's copy takes its inline tail by value
+// and shares its histogram, marked shared. Origin, two sibling clones and
+// an empty Recording that merged a third each record a different
+// continuation; each must equal a Recording rebuilt from scratch from the
+// prefix plus its own continuation.
 func TestCloneAppendsStayPrivate(t *testing.T) {
 	const (
 		nFlows = 4
@@ -415,7 +390,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 	)
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util := combinedTestPlanLat(t, 61, v.latBits)
+			eng, path, lat, util := combinedTestPlan(t, 61)
 			mk := func() *Recording {
 				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 				if err != nil {
@@ -429,29 +404,21 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 				cloneWorkload(t, eng, 113, nFlows, 800, k),
 				cloneWorkload(t, eng, 127, nFlows, 800, k),
 			}
-			scramble(v.latBits, 131, append(conts, prefix)...)
-			adopterCont := cloneWorkload(t, eng, 137, nFlows, 800, k)
-			scramble(v.latBits, 139, adopterCont)
-			conts = append(conts, adopterCont)
+			conts = append(conts, cloneWorkload(t, eng, 137, nFlows, 800, k))
 			orig := mk()
 			if err := orig.RecordBatch(prefix); err != nil {
 				t.Fatal(err)
 			}
 			// The test means something only if an append could land in
-			// shared memory: some origin series must have room to spare,
-			// and some origin wide store must end mid-chunk.
-			width := codeWidth(v.latBits)
-			spare, midChunk := false, v.sketchItems != 0 || width == 1
+			// shared memory: some origin series must have room to spare.
+			spare := false
 			for _, fs := range orig.flows {
 				for _, slot := range fs.slots {
 					spare = spare || cap(slot.series) > len(slot.series)
-					for _, st := range slot.lat {
-						midChunk = midChunk || st.samples()%(latChunk/width) != 0
-					}
 				}
 			}
-			if !spare || !midChunk {
-				t.Fatal("no origin series has spare capacity or no wide store ends mid-chunk; pick another prefix length")
+			if !spare {
+				t.Fatal("no origin series has spare capacity; pick another prefix length")
 			}
 			adopter := mk()
 			if err := adopter.Merge(orig.Clone()); err != nil {
@@ -482,19 +449,9 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 						}
 						for hop, st := range slot.lat {
 							ws := was.lat[hop]
-							switch {
-							case v.sketchItems != 0:
-							case width == 1:
-								if st.sum != ws.sum || st.lo != ws.lo || st.tail != ws.tail || !st.shared {
-									t.Fatalf("holder %d flow %d hop %d: a one-byte store copied with its own histogram (%v), another tail, or not marked shared (%v)",
-										i, f, hop+1, st.sum != ws.sum, st.shared)
-								}
-							case ws.sum != nil:
-								wc, c := ws.sum.chunks, st.sum.chunks
-								if st.sum == ws.sum || st.sum.n != ws.sum.n || len(c) != len(wc) || cap(c) != wantCap(len(wc), cap(wc)) {
-									t.Fatalf("holder %d flow %d: %d samples in %d chunks of a list of cap %d copied as %d in %d chunks of cap %d (shared %v)",
-										i, f, ws.sum.n, len(wc), cap(wc), st.sum.n, len(c), cap(c), st.sum == ws.sum)
-								}
+							if v.sketchItems == 0 && (st.sum != ws.sum || st.lo != ws.lo || st.tail != ws.tail || !st.shared) {
+								t.Fatalf("holder %d flow %d hop %d: a latency store copied with its own histogram (%v), another tail, or not marked shared (%v)",
+									i, f, hop+1, st.sum != ws.sum, st.shared)
 							}
 						}
 					}
@@ -525,35 +482,32 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 	}
 }
 
-// TestHeldCloneRacesOwnerTail is the copy-on-write tail under the race
-// detector. Two clones are held while the owner records on: one only
-// answers, the other answers — quantiles of every hop and the hand-off
-// blob — between appends of its own continuation. A fourth goroutine
-// clones the reading clone while it is read and does the same with that
-// clone of a clone. Under a wide latency query (the 12- and 40-bit
-// variants) the owner fills the very tail chunks every clone shares, the
-// appending clones copy their part of them while the owner writes past
-// it, and the reading clone ranks the shared bytes throughout; a one-byte
-// store's inline tail is each holder's own. Any shared byte written by
-// one side while another reads it fails under -race; afterwards each
-// holder must carry the state of a Recording rebuilt from its own
-// packets, blob for blob.
+// TestHeldCloneRacesOwnerTail is held clones under the race detector. Two
+// clones are held while the owner records on: one only answers, the other
+// answers — quantiles of every hop and the hand-off blob — between appends
+// of its own continuation. A fourth goroutine clones the reading clone
+// while it is read and does the same with that clone of a clone. The owner
+// appends to the util series every clone shares, past their values; a
+// latency store's inline tail is each holder's own, and a KLL sketch is
+// copied. Any shared byte written by one side while another reads it fails
+// under -race; afterwards each holder must carry the state of a Recording
+// rebuilt from its own packets, blob for blob.
 func TestHeldCloneRacesOwnerTail(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			raceHeldClones(t, v.sketchItems, v.latBits, heldRace{nFlows: 4, k: 6, prefix: 600, cont: 800, step: 16})
+			raceHeldClones(t, v.sketchItems, heldRace{nFlows: 4, k: 6, prefix: 600, cont: 800, step: 16})
 		})
 	}
 }
 
-// TestHeldCloneRacesFold is TestHeldCloneRacesOwnerTail for one-byte
+// TestHeldCloneRacesFold is TestHeldCloneRacesOwnerTail for latency
 // stores long enough to fold. The prefix folds every store in place, so
 // the clones share a histogram; each continuation's first fold, when a
 // code falls outside its inline tail's window or a counter fills, counts
 // into a copy of the histogram while the reading clone ranks the
 // original, and its later folds count in place.
 func TestHeldCloneRacesFold(t *testing.T) {
-	lat, reader, owner, writer, grand := raceHeldClones(t, 0, 8, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
+	lat, reader, owner, writer, grand := raceHeldClones(t, 0, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
 	for _, f := range reader.Flows() {
 		for hop, st := range reader.slot(lat, f).lat {
 			if st.sum == nil {
@@ -578,12 +532,12 @@ func TestHeldCloneRacesFold(t *testing.T) {
 // and the packets recorded between two answers.
 type heldRace struct{ nFlows, k, prefix, cont, step int }
 
-// raceHeldClones runs the race TestHeldCloneRacesOwnerTail describes on a
-// three-query plan whose latency query is latBits wide, and returns that
-// query, the reading clone and the three holders that recorded on: the
-// owner, the appending clone and the clone of the reading clone.
-func raceHeldClones(t *testing.T, sketchItems, latBits int, s heldRace) (lat *LatencyQuery, reader, owner, writer, grand *Recording) {
-	eng, path, lat, util := combinedTestPlanLat(t, 151, latBits)
+// raceHeldClones runs the race TestHeldCloneRacesOwnerTail describes on
+// the three-query plan, and returns its latency query, the reading clone
+// and the three holders that recorded on: the owner, the appending clone
+// and the clone of the reading clone.
+func raceHeldClones(t *testing.T, sketchItems int, s heldRace) (lat *LatencyQuery, reader, owner, writer, grand *Recording) {
+	eng, path, lat, util := combinedTestPlan(t, 151)
 	queries := []Query{path, lat, util}
 	mk := func(batches ...[]PacketDigest) *Recording {
 		rec, err := NewRecordingSeeded(eng, sketchItems, 0xC10)
@@ -601,18 +555,7 @@ func raceHeldClones(t *testing.T, sketchItems, latBits int, s heldRace) (lat *La
 	ownerCont := cloneWorkload(t, eng, 163, s.nFlows, s.cont, s.k)
 	cloneCont := cloneWorkload(t, eng, 167, s.nFlows, s.cont, s.k)
 	grandCont := cloneWorkload(t, eng, 179, s.nFlows, s.cont, s.k)
-	scramble(latBits, 173, prefix, ownerCont, cloneCont, grandCont)
 	owner = mk(prefix)
-	width := codeWidth(latBits)
-	midChunk := sketchItems != 0 || width == 1
-	for _, fs := range owner.flows {
-		for _, st := range fs.slots[eng.slots[lat]].lat {
-			midChunk = midChunk || st.samples()%(latChunk/width) != 0
-		}
-	}
-	if !midChunk {
-		t.Fatal("no wide store ends mid-chunk; pick another prefix length")
-	}
 	reader, writer = owner.Clone(), owner.Clone()
 	answer := func(rec *Recording, blob []byte) []byte {
 		for f := FlowKey(1); f <= FlowKey(s.nFlows); f++ {
@@ -694,13 +637,12 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 	phis := []float64{0.5, 0.99, 0, 1, 0.5}
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, _, lat, _ := combinedTestPlanLat(t, 67, v.latBits)
+			eng, _, lat, _ := combinedTestPlan(t, 67)
 			rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pkts := cloneWorkload(t, eng, 131, nFlows, 1500, k)
-			scramble(v.latBits, 137, pkts)
 			if err := rec.RecordBatch(pkts); err != nil {
 				t.Fatal(err)
 			}

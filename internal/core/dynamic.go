@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/approx"
 	"repro/internal/hash"
@@ -21,9 +22,13 @@ type LatencyQuery struct {
 }
 
 // NewLatencyQuery builds a latency-quantile query with the given digest
-// budget. eps is the multiplicative compression error (§6.2 pairs b=8 with
-// fine eps and b=4 with coarse; the value floor in Fig 9 comes from here).
+// budget, at most 8 bits: the Recording counts one-byte codes (latStore).
+// eps is the multiplicative compression error (§6.2 pairs b=8 with fine
+// eps and b=4 with coarse; the value floor in Fig 9 comes from here).
 func NewLatencyQuery(name string, bits int, eps, freq float64, master hash.Seed) (*LatencyQuery, error) {
+	if bits < 1 || bits > 8 {
+		return nil, fmt.Errorf("core: latency query %q: %d bits out of [1,8]: the recording counts one-byte codes", name, bits)
+	}
 	comp, err := approx.NewMultCompressor(eps, bits)
 	if err != nil {
 		return nil, err
@@ -69,8 +74,8 @@ type UtilQuery struct {
 // dimensionless utilization into the compressor's v >= 1 domain (1000 by
 // convention: U=1.0 → 1001).
 func NewUtilQuery(name string, bits int, eps, freq, scale float64, master hash.Seed) (*UtilQuery, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("core: scale must be positive")
+	if !(scale > 0 && scale <= math.MaxFloat64) {
+		return nil, fmt.Errorf("core: scale %v must be positive and finite", scale)
 	}
 	comp, err := approx.NewMultCompressor(eps, bits)
 	if err != nil {

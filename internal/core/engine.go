@@ -77,7 +77,7 @@ func Compile(queries []Query, globalBits int, master hash.Seed) (*Engine, error)
 				q.Name(), q.Bits(), globalBits)
 		}
 		f := q.Frequency()
-		if f <= 0 || f > 1 {
+		if !(0 < f && f <= 1) {
 			return nil, fmt.Errorf("core: query %q frequency %v out of (0,1]", q.Name(), f)
 		}
 		if names[q.Name()] {

@@ -133,6 +133,18 @@ func TestCompileRejections(t *testing.T) {
 	if _, err := Compile([]Query{path, dup}, 16, 1); err == nil {
 		t.Fatal("duplicate names must fail")
 	}
+	// A frequency outside (0,1], NaN and the infinities among them, and a
+	// util scale that is not positive and finite.
+	for _, f := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Compile([]Query{mustLat(t, "l", 8, f)}, 16, 1); err == nil {
+			t.Errorf("frequency %v must fail", f)
+		}
+	}
+	for _, scale := range []float64{0, -1000, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewUtilQuery("u", 8, 0.025, 1, scale, 1234); err == nil {
+			t.Errorf("util scale %v must fail", scale)
+		}
+	}
 }
 
 func TestCompileUnderfullPlan(t *testing.T) {

@@ -26,11 +26,11 @@ import (
 //	version (1) | sections uvarint |
 //	  sections × { nameLen uvarint | name | kind byte | payloadLen uvarint | payload }
 //
-// The version has not moved since one-byte latency stores began to travel
-// as counts (store kind 4). Raw samples (store kind 1) are wide codes only,
-// so an older build's blob with raw one-byte samples is refused here, and
-// an older build refuses kind 4 below latChunk samples. Source and
-// destination of a hand-off must run one build.
+// The version has not moved since latency stores began to travel as counts
+// (store kind 4). A raw store (kind 1) is an empty one only, so an older
+// build's blob with raw samples is refused here, and an older build refuses
+// kind 4 below 128 samples. Source and destination of a hand-off must run
+// one build.
 //
 // Section kinds, one per query family. Kinds 4 and 5, once the frequent-value
 // and randomized-count families, are unassigned: no query's kind matches them,
@@ -45,8 +45,8 @@ const (
 // flowStateWhat opens every error the blob's reader produces.
 const flowStateWhat = "core: flow state"
 
-// Per-hop store kinds inside a latency section: raw, KLL, or a one-byte
-// store's code counts. Kind 3, once a sliding-window sketch, is
+// Per-hop store kinds inside a latency section: raw (an empty store), KLL,
+// or a store's code counts. Kind 3, once a sliding-window sketch, is
 // unassigned: a blob that carries it is refused by number.
 const (
 	storeRaw  byte = 1
@@ -93,31 +93,26 @@ func sectionKind(q Query) byte {
 
 // appendLatStores is a latency section's payload: the hop count, then one
 // store per hop — its kind, then for a sketch its length-prefixed state. A
-// nonempty one-byte store travels as a histogram (appendHist), its bytes
-// independent of how its tail and histogram split its samples. A wide
-// store's raw sample travels as the uvarint of its code, in arrival order,
-// whatever width (here width bytes) it is held at in memory; an empty
-// store travels raw, as a count of 0.
-func appendLatStores(dst []byte, stores []latStore, width int) []byte {
+// nonempty counting store travels as a histogram (appendHist), its bytes
+// independent of how its tail and histogram split its samples; an empty
+// one travels raw, as a count of 0.
+func appendLatStores(dst []byte, stores []latStore) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(stores)))
 	for i := range stores {
 		switch st := &stores[i]; {
 		case st.kll() != nil:
 			at := len(dst) + 1
 			dst = prefixLen(st.kll().AppendState(append(dst, storeKLL)), at)
-		case width == 1 && st.samples() > 0:
+		case st.samples() > 0:
 			dst = appendHist(dst, st)
 		default:
-			dst = binary.AppendUvarint(append(dst, storeRaw), uint64(st.samples()))
-			for code := range st.codes(width) {
-				dst = binary.AppendUvarint(dst, code)
-			}
+			dst = append(dst, storeRaw, 0)
 		}
 	}
 	return dst
 }
 
-// appendHist writes a nonempty one-byte store as kind 4: the counts of
+// appendHist writes a nonempty counting store as kind 4: the counts of
 // all its samples, folded or in its tail, for the codes
 // lo to hi, the lowest and highest among them, as lo, hi-lo+1 and one
 // uvarint count per code.
@@ -172,7 +167,7 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 		case slot.dec != nil:
 			dst = slot.dec.AppendState(dst)
 		case slot.lat != nil:
-			dst = appendLatStores(dst, slot.lat, codeWidth(q.Bits()))
+			dst = appendLatStores(dst, slot.lat)
 		default:
 			dst = appendFloatSeries(dst, slot.series)
 		}
@@ -280,9 +275,9 @@ func restoreDecoder(q *PathQuery, payload []byte) (*coding.Decoder, error) {
 	return dec, dec.RestoreState(payload)
 }
 
-// restoreLatStores decodes a latency section for q. The raw samples are
-// held at q's code width, so a sample q's digest slice could not have
-// carried is rejected here rather than truncated into some other code.
+// restoreLatStores decodes a latency section for q. A code q's digest slice
+// could not have carried is rejected here rather than truncated into some
+// other code.
 func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore, error) {
 	rd := stateread.New(flowStateWhat, payload)
 	n := rd.Uvarint()
@@ -302,7 +297,7 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 		var err error
 		switch kind[0] {
 		case storeRaw:
-			err = restoreRaw(rd, st, q, flow, i+1)
+			err = restoreRaw(rd, flow, i+1)
 		case storeHist:
 			st.sum, err = restoreHist(rd, q, flow, i+1)
 			st.lo = tailClosed
@@ -328,45 +323,20 @@ func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore
 	return stores, nil
 }
 
-// restoreRaw reads a raw store's samples into st: a count, then the codes.
-// A one-byte store arrives raw only when empty. A wide store's chunk list
-// is sized once, from the count the payload has already bounded, with the
-// one spare slot that marks a store owning its tail chunk (see latStore).
-func restoreRaw(rd *stateread.Reader, st *latStore, q *LatencyQuery, flow FlowKey, hop int) error {
-	width := codeWidth(q.Bits())
-	cnt := rd.Uvarint()
-	if rd.Err != nil {
-		return rd.Err
-	}
-	if cnt > uint64(rd.Len())+1 {
-		return fmt.Errorf("core: raw latency store claims %d samples", cnt)
-	}
-	if width == 1 && cnt > 0 {
+// restoreRaw reads a raw store, which is an empty one: a count of 0.
+func restoreRaw(rd *stateread.Reader, flow FlowKey, hop int) error {
+	if cnt := rd.Uvarint(); rd.Err == nil && cnt > 0 {
 		return fmt.Errorf("core: flow %d hop %d: %d raw one-byte latency samples, which this build takes only as counts (store kind %d); the blob is corrupt or from another build, and a hand-off needs members of one build",
 			flow, hop, cnt, storeHist)
 	}
-	if per := uint64(latChunk / width); cnt > 0 {
-		st.sum = &latSum{chunks: make([]*[latChunk]byte, 0, (cnt+per-1)/per+1)}
-	}
-	for j := uint64(0); j < cnt; j++ {
-		code := rd.Uvarint()
-		if code&^digestMask(q.Bits()) != 0 {
-			return fmt.Errorf("core: flow %d hop %d: raw latency sample %d does not fit %d bits",
-				flow, hop, code, q.Bits())
-		}
-		st.add(code, width)
-	}
-	return nil
+	return rd.Err
 }
 
-// restoreHist reads the counts appendHist writes: one-byte codes only,
+// restoreHist reads the counts appendHist writes: codes within q's bits,
 // trimmed to a nonzero first and last count, at least one sample and at
 // most maxLatSamples. They become the store's histogram, with an empty
 // tail whose window stays closed until its first sample checks the cap.
 func restoreHist(rd *stateread.Reader, q *LatencyQuery, flow FlowKey, hop int) (*latSum, error) {
-	if w := codeWidth(q.Bits()); w != 1 {
-		return nil, fmt.Errorf("core: flow %d hop %d: a latency histogram for %d-byte codes", flow, hop, w)
-	}
 	lo, span := rd.Uvarint(), rd.Uvarint()
 	if rd.Err != nil {
 		return nil, rd.Err

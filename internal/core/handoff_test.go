@@ -14,8 +14,8 @@ import (
 )
 
 // The reference stream's length, ~87 latency samples per (flow, hop), and
-// a length at which every raw one-byte store holds more than latChunk
-// samples (~350) and travels as counts.
+// a length at which every raw store holds more than 128 samples (~350),
+// the length from which stores once began to travel as counts.
 const referencePkts, foldedPkts = 3000, 12000
 
 // referenceFlowStates records the first n packets of the three-query
@@ -73,9 +73,9 @@ func flowStateDigest(t *testing.T, sketchItems, n int) string {
 // frequent-value and Morris-count queries, for this same
 // path+latency+util plan and stream, so it also holds that dropping those
 // two kinds moved no byte of the three that remain. The third digest is
-// of a longer stream, whose raw stores hold more than latChunk samples
-// each, and was taken when one-byte stores began to travel as counts
-// (kind 4) from latChunk samples on. The raw digest was taken when every
+// of a longer stream, whose raw stores hold more than 128 samples each,
+// and was taken when one-byte stores began to travel as counts (kind 4)
+// from 128 samples on. The raw digest was taken when every
 // nonempty one-byte store began to travel as counts; the two streams'
 // stores now travel alike.
 func TestFlowStateBlobsUnchanged(t *testing.T) {
@@ -84,15 +84,12 @@ func TestFlowStateBlobsUnchanged(t *testing.T) {
 		"sketched": "d09b3b2d6d4d4684",
 	}
 	for _, v := range storageVariants {
-		if v.latBits != 8 {
-			continue
-		}
 		if got := flowStateDigest(t, v.sketchItems, referencePkts); got != want[v.name] {
 			t.Errorf("%s: flow-state blobs hash to %s, want %s", v.name, got, want[v.name])
 		}
 	}
 	if got, want := flowStateDigest(t, 0, foldedPkts), "0b631441da02f0d3"; got != want {
-		t.Errorf("raw, past %d samples a store: flow-state blobs hash to %s, want %s", latChunk, got, want)
+		t.Errorf("raw, %d packets: flow-state blobs hash to %s, want %s", foldedPkts, got, want)
 	}
 }
 
@@ -264,8 +261,8 @@ func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateR
 		{"section kind 5", "section kind 5, want 3", blob(path, sec["lat"], utilAs(5))},
 		{"latency store kind 3", "latency store kind 3",
 			blob(flowStateSection(lat, slices.Concat(uvarints(1), []byte{3}, uvarints(uint64(len(window))), window)))},
-		// A one-byte store of latChunk samples or more travels as counts
-		// (kind 4), and only then.
+		// A nonempty store travels as counts (kind 4): a raw one (kind 1)
+		// is an empty one.
 		{"raw store of no one-byte samples", "", oneStore(lat, rawStore(0))},
 		{"raw store of 1 one-byte sample", "1 raw one-byte latency samples, which this build takes only as counts",
 			oneStore(lat, rawStore(1))},
@@ -310,24 +307,16 @@ func histStore(lo uint64, counts ...uint64) []byte {
 // accepts exactly the blobs AppendFlowState writes. Each refused row breaks
 // one rule of the layout — sections in query order, each section of its
 // query's kind (kinds 4 and 5 are no query's), latency store kinds raw,
-// KLL and, for one-byte codes, histogram, a one-byte store raw only when
-// empty and counts otherwise (the histogram trimmed, within the codes, of
-// at least one and at most 2^62 samples) — and is refused naming it,
-// leaving the destination untouched; each accepted row re-emits byte for
-// byte and answers every latency quantile.
+// KLL and histogram, a store raw only when empty and counts otherwise (the
+// histogram trimmed, within the codes, of at least one and at most 2^62
+// samples) — and is refused naming it, leaving the destination untouched;
+// each accepted row re-emits byte for byte and answers every latency
+// quantile.
 func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
 	const flow = FlowKey(1)
 	rec, queries, blobs := referenceFlowStates(t, 0, referencePkts)
 	for _, row := range flowStateRows(t, queries, blobs[0]) {
 		checkRestoreRow(t, rec.engine, queries, flow, row)
-	}
-	// Two-byte codes keep every sample: a histogram of them is no store's.
-	eng, path, lat, util := combinedTestPlanLat(t, 139, 12)
-	for _, row := range []flowStateRow{
-		{"raw store of 128 two-byte samples", "", oneStore(lat, rawStore(128))},
-		{"histogram of two-byte codes", "latency histogram for 2-byte codes", oneStore(lat, histStore(10, 128))},
-	} {
-		checkRestoreRow(t, eng, []Query{path, lat, util}, flow, row)
 	}
 }
 
@@ -393,7 +382,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	}
 	rec, st := restore(math.MaxUint32, 1)
 	for range math.MaxUint8 + 1 {
-		st.add(10, 1)
+		st.add(10)
 	}
 	if got, want := st.sum.counts[0], uint64(math.MaxUint32)+math.MaxUint8; got != want {
 		t.Fatalf("code 10 counted %d times, want %d", got, want)
@@ -402,18 +391,19 @@ func TestLatencyHistogramCounts(t *testing.T) {
 		t.Fatalf("%d samples, want %d", got, want)
 	}
 	codes := make([]float64, 3)
-	st.rawQuantiles(1, []float64{0, 0.5, 1}, codes)
+	st.countQuantiles([]float64{0, 0.5, 1}, codes)
 	if !slices.Equal(codes, []float64{10, 10, 11}) {
 		t.Fatalf("codes at phi 0, 0.5, 1: %v, want [10 10 11]", codes)
 	}
 
-	rec, st = restore(maxLatSamples-latChunk-3, 1)
-	for range 3 * latChunk {
-		st.add(11, 1)
+	const short = 130
+	rec, st = restore(maxLatSamples-short-1, 1)
+	for range 3 * short {
+		st.add(11)
 	}
 	// No tail fits: a full one could pass the cap.
-	if short := maxLatSamples - uint64(st.samples()); short != latChunk+2 {
-		t.Fatalf("a store restored %d samples short of maxLatSamples ends %d short of it, want 2", latChunk+2, short)
+	if got := maxLatSamples - uint64(st.samples()); got != short {
+		t.Fatalf("a store restored %d samples short of maxLatSamples ends %d short of it", short, got)
 	}
 	blob, err := rec.AppendFlowState(nil, queries, flow)
 	if err != nil {
@@ -425,6 +415,74 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	}
 	if err := back.RestoreFlowState(queries, flow, blob); err != nil {
 		t.Fatalf("the blob of a store at its cap is refused: %v", err)
+	}
+}
+
+// TestLatencyCodeIsOneByte: a latency query's code is at most one byte,
+// which is all the Recording counts. NewLatencyQuery accepts 1 to 8 bits
+// and refuses anything else naming the limit. A flow recorded under a
+// 4-bit and under an 8-bit query hands off and restores to the same
+// answers and the same blob.
+func TestLatencyCodeIsOneByte(t *testing.T) {
+	for bits := -1; bits <= 64; bits++ {
+		_, err := NewLatencyQuery("lat", bits, 0.04, 1, 191)
+		if ok := bits >= 1 && bits <= 8; ok != (err == nil) || !ok && !strings.Contains(err.Error(), "one-byte codes") {
+			t.Errorf("%d bits: %v", bits, err)
+		}
+	}
+	const flow, k = FlowKey(1), 5 // cloneWorkload's one flow
+	for _, c := range []struct {
+		bits int
+		eps  float64
+	}{{4, 0.9}, {8, 0.04}} {
+		lat, err := NewLatencyQuery("lat", c.bits, c.eps, 1, 193)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := Compile([]Query{lat}, c.bits, 197)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := NewRecordingSeeded(eng, 0, 199)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.RecordBatch(cloneWorkload(t, eng, 211, 1, 2000, k)); err != nil {
+			t.Fatal(err)
+		}
+		queries := []Query{lat}
+		blob, err := rec.AppendFlowState(nil, queries, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := NewRecordingSeeded(eng, 0, 199)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.RestoreFlowState(queries, flow, blob); err != nil {
+			t.Fatalf("%d bits: %v", c.bits, err)
+		}
+		if again, err := back.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("%d bits: hand-off round trip changed the blob (err %v)", c.bits, err)
+		}
+		codes := map[float64]bool{}
+		for hop := 1; hop <= k; hop++ {
+			phis := []float64{0, 0.25, 0.5, 0.9, 0.99, 1}
+			want, err := rec.LatencyQuantiles(lat, flow, hop, phis...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := back.LatencyQuantiles(lat, flow, hop, phis...)
+			if err != nil || !slices.Equal(got, want) || back.LatencySamples(lat, flow, hop) != rec.LatencySamples(lat, flow, hop) {
+				t.Fatalf("%d bits hop %d: restored answers %v (err %v), want %v", c.bits, hop, got, err, want)
+			}
+			for _, v := range want {
+				codes[v] = true
+			}
+		}
+		if len(codes) < 3 {
+			t.Fatalf("%d bits: the flow's quantiles take %d values; the case needs spread codes", c.bits, len(codes))
+		}
 	}
 }
 

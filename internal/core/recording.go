@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"iter"
 	"math"
@@ -22,7 +21,7 @@ import (
 type Recording struct {
 	engine *Engine
 	// sketchItems > 0 stores latency samples in KLL sketches with that
-	// accuracy parameter (PINTS in Fig 9); 0 keeps raw sample lists.
+	// accuracy parameter (PINTS in Fig 9); 0 counts one-byte codes.
 	sketchItems int
 	// base seeds the recording-side sketches: each (query, flow, hop)
 	// store derives its RNG from base deterministically, so a flow's
@@ -44,8 +43,8 @@ type Recording struct {
 	// readers may all set it, hence atomic.
 	found atomic.Pointer[leased]
 	// clone is set on a clone and on a Recording that merged one. Such a
-	// Recording owns none of the series it shares: the Recording it was
-	// cloned from may go on appending to them, so its own copies of a
+	// Recording owns none of the util series it shares: the Recording it
+	// was cloned from may go on appending to them, so its own copies of a
 	// shared flow clamp them (see Clone). Nor does it count holds: the
 	// owner of a state counts them on its own goroutine, so the leases a
 	// clone gives out are pinned from the start.
@@ -102,31 +101,24 @@ func (s querySlot) hops() int {
 	return len(s.lat)
 }
 
-// latStore holds one (flow, hop)'s latency samples. A one-byte code (the
-// benchmark plan's 8-bit query) is counted, not kept: a quantile depends
-// only on how often each code was seen. add counts it in place, in an
-// inline tail of counters for the codes lo..lo+latTail-1; a code outside
-// that window slides it while the codes held still fit, and otherwise, or
-// at a full counter, the tail folds into a histogram of 64-bit counts
-// behind sum (count, fold). A cold 5-hop flow's stores are one 208-byte
-// array and no other object.
-//
-// A wider code is kept as the plan paid for it on the wire, ⌈bits/8⌉ bytes
-// a sample, little-endian, in arrival order, in latChunk-byte chunks behind
-// sum, written once and never copied. The width, codeWidth(q.Bits()), is
-// passed in by every caller, which keeps the store at 40 bytes.
+// latStore holds one (flow, hop)'s latency samples: in a KLL sketch behind
+// sum when the Recording sketches them, and otherwise counted. A latency
+// code is one byte (NewLatencyQuery), so a quantile depends only on how
+// often each code was seen. add counts a code in place, in an inline tail
+// of counters for the codes lo..lo+latTail-1; a code outside that window
+// slides it while the codes held still fit, and otherwise, or at a full
+// counter, the tail folds into a histogram of 64-bit counts behind sum
+// (count, fold). A cold 5-hop flow's stores are one 208-byte array and no
+// other object.
 //
 // Each holder's private copy of a flow a clone shares (Recording.Clone)
 // copies the store (clone): the tail by value, the histogram by reference
-// and marked shared, so the store folds into a copy of it; a wide store's
-// chunk list behind a latSum of its own, as it is for the owner, whose
-// writes land past every clone's samples, and clamped (chunks[:m:m]) for a
-// clone, which copies its part of a shared tail chunk before it writes.
+// and marked shared, so the store folds into a copy of it.
 type latStore struct {
-	sum *latSum // nil until a one-byte store folds or a wide one takes a sample
+	sum *latSum // a sketch's from the start, a counting store's from its first fold
 	// lo is the tail's first code, or tailClosed, which sends every sample
-	// to the slow path: in a sketch's store, and in a one-byte store that
-	// may be near maxLatSamples (restored or full).
+	// to the slow path: in a sketch's store, and in a store that may be near
+	// maxLatSamples (restored or full).
 	lo uint16
 	// shared is set on every store of a flow state copied after a clone
 	// (flowState.unshare) and cleared by the fold into a histogram of its own.
@@ -134,36 +126,28 @@ type latStore struct {
 	tail   [latTail]uint8 // the samples not folded, counted per code from lo
 }
 
-// latSum is what a store keeps behind its one pointer: a KLL sketch, a wide
-// store's chunks, or the code counts of the one-byte samples folded out of
-// its tail, for the codes lo..lo+len(counts)-1, the lowest and highest it
-// has counted; 64-bit, as a long flow's hop may see 2^32 of one code.
+// latSum is what a store keeps behind its one pointer: a KLL sketch, or the
+// code counts of the samples folded out of its tail, for the codes
+// lo..lo+len(counts)-1, the lowest and highest it has counted; 64-bit, as a
+// long flow's hop may see 2^32 of one code.
 type latSum struct {
 	kll    *sketch.KLL
-	chunks []*[latChunk]byte // a wide store's samples, latChunk/width to a chunk
-	n      int               // samples in chunks or counted in counts
+	n      int // samples counted in counts
 	lo     int
 	counts []uint64
 }
 
-// latChunk is the bytes in a wide store's chunk: latChunk/width samples,
-// none straddling two chunks, and latChunk mod width bytes unused.
-const latChunk = 128
-
-// latTail is the counters in a one-byte store's inline tail, as many as
-// keep latStore at 40 bytes, and tailClosed the lo of a closed tail.
+// latTail is the counters in a store's inline tail, as many as keep
+// latStore at 40 bytes, and tailClosed the lo of a closed tail.
 const latTail, tailClosed = 29, 1 << 8
 
-// maxLatSamples is the most samples a one-byte store takes: more than any
+// maxLatSamples is the most samples a counting store takes: more than any
 // flow's hop sees, and few enough that no count or total wraps. A restored
 // histogram may count up to it (restoreHist), so a store restored from any
 // blob records on into one that is accepted again.
 const maxLatSamples = 1 << 62
 
-// codeWidth is the bytes one raw sample of a bits-wide code occupies.
-func codeWidth(bits int) int { return (bits + 7) / 8 }
-
-// kll returns the store's sketch, nil for a raw store.
+// kll returns the store's sketch, nil for a counting store.
 func (st *latStore) kll() *sketch.KLL {
 	if st.sum == nil {
 		return nil
@@ -171,8 +155,8 @@ func (st *latStore) kll() *sketch.KLL {
 	return st.sum.kll
 }
 
-// samples is the number of raw samples the store has taken: those in its
-// chunks or histogram and those in its tail.
+// samples is the number of samples a counting store has taken: those in
+// its histogram and those in its tail.
 func (st *latStore) samples() (n int) {
 	if st.sum != nil {
 		n = st.sum.n
@@ -183,54 +167,19 @@ func (st *latStore) samples() (n int) {
 	return n
 }
 
-// codes yields a wide store's samples in arrival order.
-func (st *latStore) codes(width int) iter.Seq[uint64] {
-	return func(yield func(uint64) bool) {
-		for j := 0; st.sum != nil && j < len(st.sum.chunks); j++ {
-			per := latChunk / width
-			b := st.sum.chunks[j][:min(st.sum.n-j*per, per)*width]
-			for i := 0; i < len(b); i += width {
-				// A byte at a time: a width-long copy would be a memmove call
-				// per sample.
-				code := uint64(b[i])
-				for k := 1; k < width; k++ {
-					code |= uint64(b[i+k]) << (8 * k)
-				}
-				if !yield(code) {
-					return
-				}
-			}
-		}
-	}
-}
-
-func (st *latStore) add(code uint64, width int) {
-	if i := code - uint64(st.lo); width == 1 && i < latTail && st.tail[i] < math.MaxUint8 {
+func (st *latStore) add(code uint64) {
+	if i := code - uint64(st.lo); i < latTail && st.tail[i] < math.MaxUint8 {
 		st.tail[i]++
 		return
 	}
-	switch {
-	case st.kll() != nil:
-		st.sum.kll.Add(float64(code))
-	case width == 1:
-		st.count(int(code))
-	default:
-		if st.sum == nil {
-			st.sum = &latSum{}
-		}
-		sum := st.sum
-		i := sum.n % (latChunk / width)
-		if i == 0 || len(sum.chunks) == cap(sum.chunks) {
-			sum.grow(i, width)
-		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], code)
-		copy(sum.chunks[len(sum.chunks)-1][i*width:], b[:width])
-		sum.n++
+	if kll := st.kll(); kll != nil {
+		kll.Add(float64(code))
+		return
 	}
+	st.count(int(code))
 }
 
-// count is add for a one-byte code the tail cannot take as it is: outside
+// count is add for a code the tail cannot take as it is: outside
 // the window, at a full counter, or any while the tail is closed. The
 // window slides to centre the held codes and the code when they fit it;
 // otherwise the tail folds and a new one starts at the code. A tail opens
@@ -269,23 +218,6 @@ func (st *latStore) held() (lo, hi int, ok bool) {
 	return lo, hi, hi >= 0
 }
 
-// grow makes a wide store's last chunk a private one with room at sample
-// slot i: a fresh chunk, or a copy of the first i samples of a tail chunk
-// it may share (its list is clamped), never of the rest, which the owner
-// may be writing. Either way the list keeps spare capacity, the mark of a
-// store that owns its tail chunk.
-func (sum *latSum) grow(i, width int) {
-	c := new([latChunk]byte)
-	if i == 0 {
-		sum.chunks = append(slices.Grow(sum.chunks, 2), c)
-		return
-	}
-	last := len(sum.chunks) - 1
-	copy(c[:], sum.chunks[last][:i*width])
-	sum.chunks = slices.Grow(sum.chunks, 2)
-	sum.chunks[last] = c
-}
-
 // fold counts a nonempty tail into the store's histogram, widened to the
 // tail's codes, and empties it. A shared store's histogram may be a
 // clone's, so it counts into a copy and is private from then on.
@@ -319,51 +251,19 @@ func (st *latStore) fold() {
 
 // clone copies the store for a private copy of its flow (see latStore);
 // the sketch, mutated in place, is copied too.
-func (st *latStore) clone(clamp bool) latStore {
+func (st *latStore) clone() latStore {
 	c := *st
 	c.shared = true
-	switch {
-	case st.kll() != nil:
-		c.sum = &latSum{kll: st.sum.kll.Clone()}
-	case st.sum != nil && st.sum.counts == nil: // a wide store's chunks
-		sum := *st.sum
-		if clamp {
-			sum.chunks = slices.Clip(sum.chunks)
-		}
-		c.sum = &sum
+	if kll := st.kll(); kll != nil {
+		c.sum = &latSum{kll: kll.Clone()}
 	}
 	return c
 }
 
-// rawQuantiles writes the phi-quantile code of the raw samples to out[i]
-// for each phis[i], by the nearest-rank rule (sketch.RankIndex). One-byte
-// codes are counted into a histogram of the code domain on the stack and
-// walked to the rank; wider codes sort one copy held at their own width.
-func (st *latStore) rawQuantiles(width int, phis, out []float64) {
-	switch {
-	case width == 1:
-		st.countQuantiles(phis, out)
-	case width == 2:
-		sortQuantiles[uint16](st, width, phis, out)
-	case width <= 4:
-		sortQuantiles[uint32](st, width, phis, out)
-	default:
-		sortQuantiles[uint64](st, width, phis, out)
-	}
-}
-
-func sortQuantiles[T uint16 | uint32 | uint64](st *latStore, width int, phis, out []float64) {
-	sorted := make([]T, 0, st.samples())
-	for code := range st.codes(width) {
-		sorted = append(sorted, T(code))
-	}
-	slices.Sort(sorted)
-	for i, phi := range phis {
-		out[i] = float64(sorted[sketch.RankIndex(phi, len(sorted))])
-	}
-}
-
-// countQuantiles is rawQuantiles for one-byte samples.
+// countQuantiles writes the phi-quantile code of a counting store's samples
+// to out[i] for each phis[i], by the nearest-rank rule (sketch.RankIndex):
+// it counts them into a histogram of the code domain on the stack and
+// walks that to the rank.
 func (st *latStore) countQuantiles(phis, out []float64) {
 	var hist [1 << 8]uint64
 	st.countInto(&hist)
@@ -379,7 +279,7 @@ func (st *latStore) countQuantiles(phis, out []float64) {
 	}
 }
 
-// countInto adds a one-byte store's histogram and tail to hist.
+// countInto adds a counting store's histogram and tail to hist.
 func (st *latStore) countInto(hist *[1 << 8]uint64) {
 	if st.sum != nil {
 		for i, c := range st.sum.counts {
@@ -395,7 +295,7 @@ func (st *latStore) countInto(hist *[1 << 8]uint64) {
 
 // NewRecording creates a Recording Module for an engine. sketchItems > 0
 // stores latency samples in KLL sketches with that accuracy parameter
-// (PINTS in Fig 9); 0 keeps raw sample lists. The RNG provides
+// (PINTS in Fig 9); 0 counts one-byte codes. The RNG provides
 // only the sketch seed base; see NewRecordingSeeded for the explicit form.
 func NewRecording(engine *Engine, sketchItems int, rng *hash.RNG) (*Recording, error) {
 	if rng == nil {
@@ -439,8 +339,7 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // A flow's state is looked up once per run of packets with equal Flow
 // (exporters frame per flow) — it stays valid through the run, because
 // recording never evicts — and a packet whose queries have all seen its
-// flow before allocates only when a store needs room: a wide raw latency
-// store takes a new chunk every latChunk/width samples, a one-byte one
+// flow before allocates only when a store needs room: a latency store
 // counts in place and allocates only when it folds its tail into a new,
 // widened or shared histogram (latStore.fold), a util series grows by
 // append. A new flow's latency stores are one array; a flow a clone shares
@@ -579,7 +478,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 				}
 			}
 			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.lat) {
-				slot.lat[hop-1].add(bits, codeWidth(op.lat.bits))
+				slot.lat[hop-1].add(bits)
 			}
 		case opUtil:
 			slot.series = append(slot.series, op.util.Decode(bits))
@@ -670,21 +569,18 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
 // decoders still peeling are bounded in size and mutated in place, so the
 // copy gets its own. A decoder that has decoded its path writes nothing
 // but two counters ever again (coding.Decoder's frozen-share rule): the
-// copy takes the counters and shares the solved state. A one-byte latency
-// store's inline tail of counters is part of the per-hop array the copy
-// makes anyway; its histogram, never written once a clone can see it, is
-// shared, and the copy's next fold counts into a copy of it. The two per-packet
-// series — wide latency samples (see latStore) and util values — are
-// append-only, so the copy shares them. The owner's copy — r's, or that of
-// any Recording that is not a clone and merged none — keeps them as they
-// are, spare capacity included: its appends land past every clone's
-// samples, in the shared tail chunk too, or in a fresh array. A clone's
-// copy clamps them in length AND capacity (s[:len(s):len(s)], a chunk list
-// the same way), so its appends reallocate, and its first write to a
-// shared tail chunk copies its own samples of it (copy-on-write). Neither
-// side observes the other, a clone costs O(flows) rather than O(packets),
-// and a held clone keeps alive only the flow states, arrays, chunks and
-// histograms that existed when it was taken.
+// copy takes the counters and shares the solved state. A latency store's
+// inline tail of counters is part of the per-hop array the copy makes
+// anyway; its histogram, never written once a clone can see it, is shared,
+// and the copy's next fold counts into a copy of it. A util series is
+// append-only, so the copy shares it. The owner's copy — r's, or that of
+// any Recording that is not a clone and merged none — keeps it as it is,
+// spare capacity included: its appends land past every clone's values, or
+// in a fresh array. A clone's copy clamps it in length AND capacity
+// (s[:len(s):len(s)]), so its appends reallocate. Neither side observes
+// the other, a clone costs O(flows) rather than O(packets), and a held
+// clone keeps alive only the flow states, arrays and histograms that
+// existed when it was taken.
 func (r *Recording) Clone() *Recording {
 	c, _ := r.Lease(nil)
 	return c
@@ -784,8 +680,8 @@ func (r *Recording) Release(l *Lease) {
 }
 
 // unshare returns a private copy of a shared fs to write to (see Clone for
-// what is copied and what is shared). The owner's copy keeps the series'
-// spare capacity; a clone's copy clamps them.
+// what is copied and what is shared). The owner's copy keeps a util
+// series' spare capacity; a clone's copy clamps it.
 func (fs *flowState) unshare(clamp bool) *flowState {
 	c := &flowState{k: fs.k, slots: make([]querySlot, len(fs.slots))}
 	for i := range fs.slots {
@@ -796,7 +692,7 @@ func (fs *flowState) unshare(clamp bool) *flowState {
 		if slot.lat != nil {
 			cs.lat = make([]latStore, len(slot.lat))
 			for h := range slot.lat {
-				cs.lat[h] = slot.lat[h].clone(clamp)
+				cs.lat[h] = slot.lat[h].clone()
 			}
 		}
 		cs.series = slot.series
@@ -909,8 +805,8 @@ func (r *Recording) LatencyQuantile(q *LatencyQuery, flow FlowKey, hop int, phi 
 
 // LatencyQuantiles answers several quantiles of one (flow, hop) at once,
 // each exactly what LatencyQuantile returns for it, doing the per-store
-// preparation once: raw storage ranks its samples once and allocates only
-// the result (rawQuantiles: one-byte codes are neither copied nor sorted),
+// preparation once: a counting store ranks its counts once and allocates
+// only the result (countQuantiles: no sample is copied or sorted),
 // a KLL sketch builds its weighted list once. Like every answer method, it
 // only reads the Recording.
 func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
@@ -937,7 +833,7 @@ func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow 
 		if st.samples() == 0 {
 			return dst, fmt.Errorf("core: no samples for hop %d", hop)
 		}
-		st.rawQuantiles(codeWidth(q.Bits()), phis, codes)
+		st.countQuantiles(phis, codes)
 	}
 	for i, code := range codes {
 		codes[i] = q.Decode(uint64(code + 0.5))

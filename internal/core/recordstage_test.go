@@ -9,30 +9,18 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/approx"
 	"repro/internal/hash"
 	"repro/internal/sketch"
 )
 
-// latQueryOfBits builds a latency query of any digest width 1..64. The
-// constructor stops at 32 bits (the compressor's domain); wider queries
-// are assembled around a 32-bit compressor, which only Decode consults —
-// the record stage stores and ranks codes, it never interprets them.
+// latQueryOfBits builds a latency query named lat of a digest width 1..8.
 func latQueryOfBits(t testing.TB, bits int, freq float64, master hash.Seed) *LatencyQuery {
 	t.Helper()
-	if bits <= 32 {
-		q, err := NewLatencyQuery("lat", bits, 0.04, freq, master)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	comp, err := approx.NewMultCompressor(0.04, 32)
+	q, err := NewLatencyQuery("lat", bits, 0.04, freq, master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := hash.NewGlobal(master.Derive(hash.Seed(0).HashString("lat")))
-	return &LatencyQuery{name: "lat", bits: bits, freq: freq, g: g, comp: comp}
+	return q
 }
 
 // testbenchPlan mirrors collector.NewTestbench's plan (which this package
@@ -143,35 +131,29 @@ func TestRecordStageAllocationPins(t *testing.T) {
 	}
 }
 
-// TestRawStoreMatchesModel is the property the raw store must hold at
-// every digest width 1..64 — the byte boundaries 8/9, 16/17, 32/33 and
-// 63/64 among them: for random, all-equal, all-max-code and single-sample
-// streams, the sample count, the samples held unfolded and every quantile
-// equal a from-scratch model that keeps the codes in a plain slice and
-// ranks them with sketch.ExactQuantile; the hand-off blob is the one the
-// model's codes spell (modelBlob), and the state survives a hand-off round
-// trip byte for byte. A wide store keeps every sample in chunks: at widths
-// 8, whose samples fill a chunk exactly, and 3, 5 and 7, which leave bytes
-// of it unused, hop 1 is also filled to one sample short of a chunk, a
-// full chunk and one sample into the next. A one-byte store counts in its
-// inline tail and folds it into its histogram when a code does not fit:
-// random codes span more than the tail's window, and a stream of one code
-// folds at every 256th sample, when its counter is full. At width 1, hop 1
-// is also filled to 255, 256 and 511 samples with a clone taken after the
-// flow's first packet, so its first fold goes into a copy of a histogram
-// the clone may hold; the clone must still answer for that first packet.
+// TestRawStoreMatchesModel is the property the counting store must hold at
+// every digest width 1..8: for random, all-equal, all-max-code and
+// single-sample streams, the sample count, the samples held unfolded and
+// every quantile equal a from-scratch model that keeps the codes in a plain
+// slice and ranks them with sketch.ExactQuantile; the hand-off blob is the
+// one the model's codes spell (modelBlob), and the state survives a
+// hand-off round trip byte for byte. A store counts in its inline tail and
+// folds it into its histogram when a code does not fit: random 8-bit codes
+// span more than the tail's window, and a stream of one code folds at
+// every 256th sample, when its counter is full. Hop 1 is also filled to
+// 255, 256 and 511 samples with a clone taken after the flow's first
+// packet, so its first fold goes into a copy of a histogram the clone may
+// hold; the clone must still answer for that first packet.
 func TestRawStoreMatchesModel(t *testing.T) {
 	const k = 3
 	phis := []float64{0, 1e-9, 0.5, 0.99, 1}
-	for bits := 1; bits <= 64; bits++ {
+	for bits := 1; bits <= 8; bits++ {
 		lat := latQueryOfBits(t, bits, 1, 89)
 		eng, err := Compile([]Query{lat}, bits, 97)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mask := digestMask(bits)
-		width := codeWidth(bits)
-		per := latChunk / width
 		rng := hash.NewRNG(uint64(1009 * bits))
 		streams := []struct {
 			name string
@@ -183,19 +165,14 @@ func TestRawStoreMatchesModel(t *testing.T) {
 		}
 		for _, stream := range streams {
 			// A length counts packets recorded, or with hop1 the samples
-			// hop 1 ends with; shared takes a clone after the first packet.
+			// hop 1 ends with, a clone taken after the first packet.
 			type length struct {
-				n            int
-				hop1, shared bool
+				n    int
+				hop1 bool
 			}
-			lengths := []length{{1, false, false}, {2 + rng.Intn(700), false, false}}
-			if slices.Contains([]int{3, 5, 7, 8}, width) {
-				lengths = append(lengths, length{per - 1, true, false}, length{per, true, false}, length{per + 1, true, false})
-			}
-			if width == 1 {
-				for _, n := range []int{math.MaxUint8, math.MaxUint8 + 1, 2*math.MaxUint8 + 1} {
-					lengths = append(lengths, length{n, true, true})
-				}
+			lengths := []length{{1, false}, {2 + rng.Intn(700), false}}
+			for _, n := range []int{math.MaxUint8, math.MaxUint8 + 1, 2*math.MaxUint8 + 1} {
+				lengths = append(lengths, length{n, true})
 			}
 			for _, l := range lengths {
 				rec, err := NewRecordingSeeded(eng, 0, 101)
@@ -206,13 +183,13 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				model, raw := make([][]float64, k), make([][]uint64, k)
 				// tail and shared model each store's samples not folded, and
 				// whether a clone may share its histogram; a random stream's
-				// one-byte folds are not modelled.
+				// folds are not modelled.
 				tail, shared := make([]int, k), make([]bool, k)
-				modelled := width > 1 || stream.name != "random"
+				modelled := stream.name != "random"
 				var clone *Recording
 				var cloneRaw [][]uint64
 				for i := 0; l.hop1 && len(model[0]) < l.n || !l.hop1 && i < l.n; i++ {
-					if l.shared && i == 1 {
+					if l.hop1 && i == 1 {
 						clone, cloneRaw = rec.Clone(), slices.Clone(raw)
 						for h := range shared {
 							shared[h] = true
@@ -225,25 +202,22 @@ func TestRawStoreMatchesModel(t *testing.T) {
 					hop := lat.Winner(pktID, k)
 					model[hop-1] = append(model[hop-1], float64(digest&mask))
 					raw[hop-1] = append(raw[hop-1], digest&mask)
-					if width == 1 && tail[hop-1] == math.MaxUint8 {
+					if tail[hop-1] == math.MaxUint8 {
 						tail[hop-1], shared[hop-1] = 0, false
 					}
 					tail[hop-1]++
 				}
-				ctx := fmt.Sprintf("bits=%d %s n=%d hop1=%v shared=%v", bits, stream.name, l.n, l.hop1, l.shared)
+				ctx := fmt.Sprintf("bits=%d %s n=%d hop1=%v", bits, stream.name, l.n, l.hop1)
 				for hop := 1; hop <= k; hop++ {
 					want := model[hop-1]
 					st := &rec.flows[flow].slots[0].lat[hop-1]
 					held := st.samples()
-					if width == 1 && st.sum != nil {
+					if st.sum != nil {
 						held -= st.sum.n
 					}
-					if modelled && (held != tail[hop-1] || width == 1 && st.shared != shared[hop-1]) {
+					if modelled && (held != tail[hop-1] || st.shared != shared[hop-1]) {
 						t.Fatalf("%s hop %d: %d of %d samples not folded (shared %v), want %d (shared %v)",
 							ctx, hop, held, len(want), st.shared, tail[hop-1], shared[hop-1])
-					}
-					if chunks := (held + per - 1) / per; width > 1 && held > 0 && len(st.sum.chunks) != chunks {
-						t.Fatalf("%s hop %d: %d samples in %d chunks, want %d", ctx, hop, held, len(st.sum.chunks), chunks)
 					}
 					if got := rec.LatencySamples(lat, flow, hop); got != len(want) {
 						t.Fatalf("%s hop %d: %d samples, model %d", ctx, hop, got, len(want))
@@ -258,10 +232,10 @@ func TestRawStoreMatchesModel(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s hop %d: %v", ctx, hop, err)
 					}
-					// Decode saturates on wide codes, so the codes themselves
-					// are compared too, straight from the store.
+					// Decode may map two codes to one value, so the codes
+					// themselves are compared too, straight from the store.
 					codes := make([]float64, len(phis))
-					st.rawQuantiles(width, phis, codes)
+					st.countQuantiles(phis, codes)
 					for i, phi := range phis {
 						code := sketch.ExactQuantile(want, phi)
 						if w := lat.Decode(uint64(code + 0.5)); got[i] != w || codes[i] != code {
@@ -292,9 +266,9 @@ func TestRawStoreMatchesModel(t *testing.T) {
 						t.Fatalf("%s: the clone taken after the first packet no longer holds it (err %v)", ctx, err)
 					}
 				}
-				// The restored stores record on as the originals do: into
-				// the last chunk of the restored block, or past it.
-				for range per + 1 {
+				// The restored stores record on as the originals do, past a
+				// full counter of an all-equal stream.
+				for range math.MaxUint8 + 1 {
 					pktID, digest := rng.Uint64(), stream.gen()
 					for _, r := range []*Recording{rec, back} {
 						if err := r.Record(flow, k, pktID, digest); err != nil {
@@ -312,14 +286,14 @@ func TestRawStoreMatchesModel(t *testing.T) {
 }
 
 // modelBlob is the hand-off blob of a flow whose one latency query holds
-// codes[hop-1] at each hop: each store's samples raw (kind 1), or, at one
-// byte a sample and at least one sample, the counts of all its samples,
-// trimmed to the first and last nonzero code (kind 4).
+// codes[hop-1] at each hop: an empty store raw (kind 1, a count of 0), and
+// any other the counts of all its samples, trimmed to the first and last
+// nonzero code (kind 4).
 func modelBlob(lat *LatencyQuery, codes [][]uint64) []byte {
 	payload := uvarints(uint64(len(codes)))
 	for _, c := range codes {
-		if codeWidth(lat.Bits()) > 1 || len(c) == 0 {
-			payload = slices.Concat(payload, []byte{storeRaw}, uvarints(uint64(len(c))), uvarints(c...))
+		if len(c) == 0 {
+			payload = append(payload, storeRaw, 0)
 			continue
 		}
 		var hist [1 << 8]uint64
@@ -339,7 +313,7 @@ func modelBlob(lat *LatencyQuery, codes [][]uint64) []byte {
 	return append([]byte{flowStateVersion, 1}, flowStateSection(lat, payload)...)
 }
 
-// TestInlineTailWindow walks a one-byte store's inline tail through its
+// TestInlineTailWindow walks a latency store's inline tail through its
 // rules. The first code centres the window on itself, within the code
 // domain; a code outside the window slides it to centre the codes held
 // while they still fit; a code that would spread them past latTail, and
@@ -364,7 +338,7 @@ func TestInlineTailWindow(t *testing.T) {
 		{230, 1, 227, 4 + math.MaxUint8},
 	} {
 		for range step.times {
-			st.add(uint64(step.code), 1)
+			st.add(uint64(step.code))
 			model[step.code]++
 		}
 		folded := 0
@@ -404,12 +378,11 @@ func recordingState(t *testing.T, rec *Recording, queries []Query) string {
 func TestRecordBatchFlowRunHazards(t *testing.T) {
 	const k = 6
 	for _, v := range storageVariants {
-		eng, path, lat, util := combinedTestPlanLat(t, 103, v.latBits)
+		eng, path, lat, util := combinedTestPlan(t, 103)
 		queries := []Query{path, lat, util}
 		all := cloneWorkload(t, eng, 107, 4, 1600, k)
 		interleaved := cloneWorkload(t, eng, 109, 2, 600, k) // flows 1,2,1,2,…
-		scramble(v.latBits, 113, all, interleaved)
-		fl := make([][]PacketDigest, 4) // all, split by flow
+		fl := make([][]PacketDigest, 4)                      // all, split by flow
 		for _, p := range all {
 			fl[p.Flow-1] = append(fl[p.Flow-1], p)
 		}
@@ -481,11 +454,10 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 func TestLengtheningRouteRecords(t *testing.T) {
 	for _, v := range storageVariants {
 		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util := combinedTestPlanLat(t, 127, v.latBits)
+			eng, path, lat, util := combinedTestPlan(t, 127)
 			queries := []Query{path, lat, util}
 			const flow, short, long = FlowKey(1), 3, 5
 			stream := slices.Concat(cloneWorkload(t, eng, 131, 1, 300, short), cloneWorkload(t, eng, 137, 1, 900, long))
-			scramble(v.latBits, 139, stream)
 			mk := func() *Recording {
 				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xCAC4E)
 				if err != nil {

@@ -57,7 +57,7 @@ type Config struct {
 	// cross-shard-count reproducibility.
 	Base hash.Seed
 	// SketchItems > 0 stores latency samples in KLL sketches of that
-	// accuracy parameter (core.NewRecordingSeeded); 0 keeps raw samples.
+	// accuracy parameter (core.NewRecordingSeeded); 0 counts one-byte codes.
 	SketchItems int
 }
 

@@ -16,11 +16,12 @@ import "repro/internal/core"
 // shard's lease. The lease marks each such flow as shared, and a shared
 // flow is not written while it is: the worker's next packet for it swaps
 // in a private copy first, as does a write through the snapshot. The
-// worker's copy keeps appending to the two per-packet series (raw latency
-// samples, util values) past the snapshot's samples, in the same backing
-// arrays; any other copy holds them as length-and-capacity-clamped
-// prefixes, so its appends reallocate. Everything mutated in place (path
-// decoders still decoding, KLL sketches) each copy gets its own. Taking a
+// worker's copy keeps appending to a util series past the snapshot's
+// values, in the same backing array; any other copy holds it as a
+// length-and-capacity-clamped prefix, so its appends reallocate. A latency
+// store's histogram is shared until the copy's next fold, which counts
+// into a copy of it. Everything mutated in place (path decoders still
+// decoding, KLL sketches) each copy gets its own. Taking a
 // snapshot therefore costs 16 bytes of run per flow it covers, never
 // anything in the packets the flows carried; and while it is held, the
 // worker pays one copy of each flow it records into.

@@ -219,14 +219,10 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 // epsFor picks the compression error so the b-bit code space covers the
 // nanosecond latency range (up to ~10^8 ns): (1+eps)^(2^b) >= 1e8.
 func epsFor(b int) float64 {
-	switch {
-	case b >= 16:
-		return 0.0025
-	case b >= 8:
+	if b >= 8 {
 		return 0.04
-	default:
-		return 0.9 // 4 bits: very coarse, the paper's high-error floor
 	}
+	return 0.9 // 4 bits: very coarse, the paper's high-error floor
 }
 
 // collectHopStreams runs a loaded simulation and harvests per-hop latency

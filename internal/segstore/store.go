@@ -128,7 +128,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		opts.SegmentBytes = 4 << 20
 	}
 	// A rotation threshold below one metadata block would rotate forever;
-	// 4 KiB is the floor (tests forcing rotation call Rotate directly).
+	// 4 KiB is the floor.
 	if opts.SegmentBytes < 4096 {
 		opts.SegmentBytes = 4096
 	}

@@ -315,6 +315,49 @@ func TestSmokeFederatedDrain(t *testing.T) {
 	}
 }
 
+// TestSmokePintgateEarlySigterm: a supervisor may signal pintgate as soon
+// as it prints "serving on". The gate installs its signal handler before
+// that line, so a SIGTERM sent right after it drains the gate, exit code 0
+// and "pintgate: drained", instead of killing it by the default action.
+// The fleet has so many members that the gate's per-member lines after
+// "serving on" overfill the pipe, which is not read until the signal is
+// sent: the gate is still announcing when it arrives.
+func TestSmokePintgateEarlySigterm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests exec the go tool; skipped in -short")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	bin := t.TempDir()
+	gateBin := filepath.Join(bin, "pintgate")
+	if out, err := exec.CommandContext(ctx, "go", "build", "-o", gateBin, "./cmd/pintgate").CombinedOutput(); err != nil {
+		t.Fatalf("go build pintgate: %v\n%s", err, out)
+	}
+	// The gate contacts no member until a request arrives, so the members
+	// need not run.
+	members := make([]string, 3000)
+	for i := range members {
+		members[i] = fmt.Sprintf(`{"name": "m%d", "ingest": "127.0.0.1:1", "query": "http://127.0.0.1:1"}`, i)
+	}
+	mapFile := filepath.Join(bin, "fleet.json")
+	fleetMap := `{"epoch": 1, "members": [` + strings.Join(members, ",") + `]}`
+	if err := os.WriteFile(mapFile, []byte(fleetMap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate := startDaemon(t, ctx, gateBin, "-http", "127.0.0.1:0", "-fleetmap", mapFile)
+	gate.scrape(t, "serving on ")
+	if err := gate.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	out := gate.drainOutput()
+	if err := gate.cmd.Wait(); err != nil {
+		t.Fatalf("pintgate exited non-zero on a SIGTERM right after it announced itself: %v\n%.300s", err, out)
+	}
+	if !strings.Contains(out, "pintgate: drained") {
+		t.Fatalf("pintgate drain report missing:\n%.300s", out[max(0, len(out)-300):])
+	}
+}
+
 // TestSmokeKillRecover is the binary-level half of the kill-recover
 // torture suite (the scenario registry holds the in-process half): a real
 // pintd with -data-dir takes a full pintload deployment, is SIGKILLed —
