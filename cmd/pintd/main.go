@@ -136,8 +136,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("pintd: %v", err)
 	}
+	_, perShard := sink.Stats()
 	fmt.Printf("pintd: listening on %s (plan 0x%016x, shards %d, k %d, epoch %d)\n",
-		ln.Addr(), srv.PlanHash(), *shards, *k, *epoch)
+		ln.Addr(), srv.PlanHash(), len(perShard), tb.K, *epoch)
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {

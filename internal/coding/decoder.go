@@ -67,34 +67,28 @@ func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
 //     reference it.
 //
 // The decoder needs the path length k (derived from the packet TTL in a
-// deployment, §4.1); everything else comes from its Plan. Its own state is
-// flat: one block allocated with it (known, vals, cand) and one slab of
-// stored packets that grows while the path is still being peeled.
-//
-// Frozen-share rule: once Done(), Observe writes nothing but the observed
-// and inconsistent counters, which live in the Decoder struct itself — so
-// Clone of a finished decoder copies the struct and shares block and slab,
-// and the two sides may keep observing from different goroutines.
+// deployment, §4.1); everything else comes from its Plan. A Decoder is a
+// view: its state is Plan.Words(k) words it does not own — two counters,
+// the listed mask, then known, vals and cand — and a slab of stored
+// packets that grows while the path is still being peeled. Plan.Bind binds
+// one over a caller's words, as the Recording does over each flow's block
+// for a run of the flow's packets or for one answer; the caller keeps the
+// slab (Slab) when the view is done. Plan.NewDecoder allocates the words for a
+// decoder of its own. Once Done, Observe writes nothing but the two
+// counters: a copy of a finished decoder may share its slab.
 type Decoder struct {
 	plan *Plan
 	k    int
-
-	observed     int
-	inconsistent int // packets contradicting the decoded prefix (§7: path change signal)
-	decodedHops  int
-
-	// known[f] is the bitmask of hops (bit h = hop h+1) whose fragment f is
-	// decoded, vals[f*k+h] that fragment; hashed mode has the single
-	// fragment row 0 holding whole values.
-	known []uint64
-	vals  []uint64
-	// cand[h*setWords:][:setWords] is hop h+1's candidate set as a bitset
-	// over the universe index (hashed mode only). It is live only once
-	// listed has bit h: until a constraint narrows it a hop's set is the
-	// whole universe and its row stays all-zero.
-	cand   []uint64
-	listed uint64
-
+	// w holds the state words: see the st* offsets. known[f] is the
+	// bitmask of hops (bit h = hop h+1) whose fragment f is decoded,
+	// vals[f*k+h] that fragment; hashed mode has the single fragment row 0
+	// holding whole values. cand[h*setWords:][:setWords] is hop h+1's
+	// candidate set as a bitset over the universe index (hashed mode only).
+	// It is live only once listed has bit h: until a constraint narrows it a
+	// hop's set is the whole universe and its row stays all-zero. A hop is
+	// decoded when every fragment of it is known, so the decoded count is
+	// the known rows' intersection, stored nowhere.
+	w []uint64
 	// pkts is the slab of packets stored for cascading, plan.stride words
 	// each: id, mask of still-unknown acting hops, frag<<1|dead, then the
 	// residual words. Packets are never removed — a hand-off ships the
@@ -104,6 +98,18 @@ type Decoder struct {
 	pkts []uint64
 }
 
+// MaxPathLen is the longest path a decoder takes: its hop sets are 64-bit
+// masks.
+const MaxPathLen = 64
+
+// Word offsets within a decoder's state words.
+const (
+	stObserved     = 0
+	stInconsistent = 1 // packets contradicting the decoded prefix (§7: path change signal)
+	stListed       = 2
+	stKnown        = 3 // known, then vals, then cand
+)
+
 // Word offsets within one stored packet of the slab.
 const (
 	recID     = 0
@@ -112,21 +118,48 @@ const (
 	recHeader = 3 // the residual words follow
 )
 
-// NewDecoder builds a decoder for a k-hop path of the plan's query.
+// Words returns how many state words a decoder for a k-hop path takes: a
+// fixed part and a part per hop, so a caller laying out many decoders'
+// words can place them from k.
+func (p *Plan) Words(k int) int { return stKnown + p.frags + k*(p.frags+p.setWords) }
+
+// Bind makes d a decoder for a k-hop path of the plan's query over state
+// words (Words(k) of them, all zero for a decoder that has seen nothing)
+// and a slab of stored packets (nil for none). Observe writes the words in
+// place and may grow the slab; the caller stores Slab afterwards. k must be
+// in [1, MaxPathLen]. d is filled in place, not returned, so a caller can
+// bind a decoder it keeps, as the Recording keeps one per path query for
+// a run of a flow's packets.
+func (p *Plan) Bind(d *Decoder, k int, words, pkts []uint64) {
+	n := p.Words(k)
+	d.plan, d.k, d.w, d.pkts = p, k, words[:n:n], pkts
+}
+
+// NewDecoder builds a decoder for a k-hop path of the plan's query, with
+// state words of its own.
 func (p *Plan) NewDecoder(k int) (*Decoder, error) {
-	if k < 1 || k > 64 {
-		return nil, fmt.Errorf("coding: path length %d out of [1,64]", k)
+	if k < 1 || k > MaxPathLen {
+		return nil, fmt.Errorf("coding: path length %d out of [1,%d]", k, MaxPathLen)
 	}
-	d := &Decoder{plan: p, k: k}
-	d.carve(make([]uint64, p.frags+p.frags*k+k*p.setWords))
+	d := &Decoder{}
+	p.Bind(d, k, make([]uint64, p.Words(k)), nil)
 	return d, nil
 }
 
-// carve points known, vals and cand at their parts of one block.
-func (d *Decoder) carve(block []uint64) {
-	f, fk := d.plan.frags, d.plan.frags*d.k
-	d.known, d.vals, d.cand = block[:f:f], block[f:f+fk:f+fk], block[f+fk:]
+// Slab returns the decoder's stored packets, which Observe and
+// RestoreState may have grown: a caller that bound the view keeps it for
+// the next one.
+func (d *Decoder) Slab() []uint64 { return d.pkts }
+
+// known, vals and cand are the parts of the state words (see Decoder.w).
+func (d *Decoder) known() []uint64 { return d.w[stKnown : stKnown+d.plan.frags] }
+
+func (d *Decoder) vals() []uint64 {
+	at := stKnown + d.plan.frags
+	return d.w[at : at+d.plan.frags*d.k]
 }
+
+func (d *Decoder) cand() []uint64 { return d.w[stKnown+d.plan.frags*(1+d.k):] }
 
 // NewDecoder builds a one-off plan and a decoder for a k-hop path on it.
 // In hashed mode universe must hold the distinct possible block values; in
@@ -144,25 +177,9 @@ func NewDecoder(cfg Config, g hash.Global, k int, universe []uint64) (*Decoder, 
 	return p.NewDecoder(k)
 }
 
-// K returns the path length being decoded.
-func (d *Decoder) K() int { return d.k }
-
-// Clone returns a decoder that answers, serializes and keeps observing
-// exactly as d would, independently of it. A finished decoder's block and
-// slab are never written again (the frozen-share rule), so its clone is
-// the struct alone; an unfinished one is copied whole.
-func (d *Decoder) Clone() *Decoder {
-	c := *d
-	if !d.Done() {
-		c.carve(slices.Concat(d.known, d.vals, d.cand))
-		c.pkts = slices.Clone(d.pkts)
-	}
-	return &c
-}
-
 // Inconsistent returns the number of packets whose digest contradicted the
 // already-decoded blocks. A burst of these signals a route change (§7).
-func (d *Decoder) Inconsistent() int { return d.inconsistent }
+func (d *Decoder) Inconsistent() int { return int(d.w[stInconsistent]) }
 
 // actingSet recomputes which hops modified the packet, exactly as the
 // encoders decided.
@@ -172,13 +189,7 @@ func (d *Decoder) actingSet(id uint64, layer int) uint64 {
 		w := p.enc.g.ReservoirWinner(id, d.k)
 		return 1 << uint(w-1)
 	}
-	var mask uint64
-	for hop := 1; hop <= d.k; hop++ {
-		if p.enc.g.ActBelow(id, hop, p.enc.layerThresh[layer-1]) {
-			mask |= 1 << uint(hop-1)
-		}
-	}
-	return mask
+	return p.enc.g.ActMask(id, d.k, p.enc.layerThresh[layer-1])
 }
 
 // Observe consumes one extracted digest (the plan's words per digest; a
@@ -186,7 +197,7 @@ func (d *Decoder) actingSet(id uint64, layer int) uint64 {
 // decoded.
 func (d *Decoder) Observe(id uint64, dig Digest) bool {
 	p := d.plan
-	d.observed++
+	d.w[stObserved]++
 	layer := p.enc.cfg.Layering.Select(p.enc.g.LayerPoint(id))
 	mask := d.actingSet(id, layer)
 	if mask == 0 {
@@ -207,10 +218,11 @@ func (d *Decoder) Observe(id uint64, dig Digest) bool {
 	res = res[:p.words]
 	copy(res, dig.Words)
 	// Strip hops whose block (fragment) is already decoded.
-	for m := mask & d.known[frag]; m != 0; m &= m - 1 {
+	known := d.w[stKnown+frag]
+	for m := mask & known; m != 0; m &= m - 1 {
 		d.stripHop(bits.TrailingZeros64(m), frag, id, res)
 	}
-	mask &^= d.known[frag]
+	mask &^= known
 	switch bits.OnesCount64(mask) {
 	case 0:
 		// Fully explained; verify consistency as a route-change detector.
@@ -232,7 +244,7 @@ func (d *Decoder) Observe(id uint64, dig Digest) bool {
 func (d *Decoder) checkExplained(res []uint64) {
 	for _, w := range res {
 		if w != 0 {
-			d.inconsistent++
+			d.w[stInconsistent]++
 			return
 		}
 	}
@@ -241,7 +253,7 @@ func (d *Decoder) checkExplained(res []uint64) {
 // stripHop xors decoded hop's (0-based) contribution out of a residual.
 func (d *Decoder) stripHop(hop, frag int, id uint64, res []uint64) {
 	p := d.plan
-	v := d.vals[frag*d.k+hop]
+	v := d.w[stKnown+p.frags+frag*d.k+hop]
 	if p.enc.cfg.Mode == ModeRaw {
 		res[0] ^= v
 		return
@@ -275,9 +287,9 @@ func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
 		d.setFragment(hop, frag, res[0])
 		return
 	}
-	row := d.cand[hop*p.setWords:][:p.setWords]
+	row := d.cand()[hop*p.setWords:][:p.setWords]
 	n, last := 0, 0
-	if d.listed>>uint(hop)&1 == 0 {
+	if d.w[stListed]>>uint(hop)&1 == 0 {
 		// First filter of the hop: instance 0 of the whole universe, 64
 		// values (one bitset word) at a time through the column kernel. The
 		// row is all-zero until now and stays so if nothing survives.
@@ -295,10 +307,10 @@ func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
 			row[w] = word
 		}
 		if n == 0 {
-			d.inconsistent++
+			d.w[stInconsistent]++
 			return
 		}
-		d.listed |= 1 << uint(hop)
+		d.w[stListed] |= 1 << uint(hop)
 	} else {
 		// Narrowing a listed set in place: nothing is cleared before the
 		// first survivor is found, so a filter no candidate passes has
@@ -319,7 +331,7 @@ func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
 			}
 		}
 		if first < 0 {
-			d.inconsistent++
+			d.w[stInconsistent]++
 			return
 		}
 		clear(row[:first/64])
@@ -332,34 +344,26 @@ func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
 
 // setValue marks a hashed-mode hop as decoded and cascades.
 func (d *Decoder) setValue(hop int, v uint64) {
-	if d.known[0]>>uint(hop)&1 != 0 {
+	if d.w[stKnown]>>uint(hop)&1 != 0 {
 		return
 	}
-	d.known[0] |= 1 << uint(hop)
-	d.vals[hop] = v
-	d.decodedHops++
+	d.w[stKnown] |= 1 << uint(hop)
+	d.vals()[hop] = v
 	d.cascade(hop, 0)
 }
 
 // setFragment records fragment frag of hop (raw mode) and cascades within
 // that fragment's packet population.
 func (d *Decoder) setFragment(hop, frag int, bitsVal uint64) {
-	bit := uint64(1) << uint(hop)
-	if d.known[frag]&bit != 0 {
-		if d.vals[frag*d.k+hop] != bitsVal {
-			d.inconsistent++
+	bit, vals := uint64(1)<<uint(hop), d.vals()
+	if d.w[stKnown+frag]&bit != 0 {
+		if vals[frag*d.k+hop] != bitsVal {
+			d.w[stInconsistent]++
 		}
 		return
 	}
-	d.known[frag] |= bit
-	d.vals[frag*d.k+hop] = bitsVal
-	full := true
-	for _, known := range d.known {
-		full = full && known&bit != 0
-	}
-	if full {
-		d.decodedHops++
-	}
+	d.w[stKnown+frag] |= bit
+	vals[frag*d.k+hop] = bitsVal
 	d.cascade(hop, frag)
 }
 
@@ -390,10 +394,19 @@ func (d *Decoder) cascade(hop, frag int) {
 
 // MissingHops returns the number of hops not yet fully decoded — Fig 5's
 // y-axis.
-func (d *Decoder) MissingHops() int { return d.k - d.decodedHops }
+func (d *Decoder) MissingHops() int { return d.k - d.decodedHops() }
 
 // Done reports whether every hop is decoded.
-func (d *Decoder) Done() bool { return d.decodedHops == d.k }
+func (d *Decoder) Done() bool { return d.decodedHops() == d.k }
+
+// decodedHops counts the hops whose every fragment is known.
+func (d *Decoder) decodedHops() int {
+	all := ^uint64(0)
+	for _, known := range d.known() {
+		all &= known
+	}
+	return bits.OnesCount64(all)
+}
 
 // Path returns the decoded block per hop (index 0 = first hop) and a
 // parallel mask of which entries are trustworthy.
@@ -424,11 +437,12 @@ func (d *Decoder) AppendPath(dst []uint64) ([]uint64, bool) {
 // trustworthy: every fragment known, the fragments reassembled.
 func (d *Decoder) hopBlock(h int) (uint64, bool) {
 	var v uint64
-	for f, known := range d.known {
+	vals := d.vals()
+	for f, known := range d.known() {
 		if known>>uint(h)&1 == 0 {
 			return 0, false
 		}
-		v |= d.vals[f*d.k+h] << uint(f*d.plan.enc.cfg.Bits)
+		v |= vals[f*d.k+h] << uint(f*d.plan.enc.cfg.Bits)
 	}
 	return v, true
 }
@@ -436,10 +450,10 @@ func (d *Decoder) hopBlock(h int) (uint64, bool) {
 // candidates returns hop h's (0-based) narrowed candidate set, nil while
 // it is still the whole universe (hashed mode).
 func (d *Decoder) candidates(h int) []uint64 {
-	if d.listed>>uint(h)&1 == 0 {
+	if d.w[stListed]>>uint(h)&1 == 0 {
 		return nil
 	}
-	return d.cand[h*d.plan.setWords:][:d.plan.setWords]
+	return d.cand()[h*d.plan.setWords:][:d.plan.setWords]
 }
 
 // CandidateCount returns the number of values still possible for a hop
@@ -457,7 +471,7 @@ func (d *Decoder) CandidateCount(hop int) int {
 		}
 		return n
 	}
-	if d.known[0]>>uint(h)&1 != 0 {
+	if d.w[stKnown]>>uint(h)&1 != 0 {
 		return 1
 	}
 	if p.enc.cfg.ValueBits >= 62 {

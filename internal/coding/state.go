@@ -17,9 +17,10 @@ import (
 // decoder whose every future Observe/Path/MissingHops answer is
 // identical to the original's. Only observation state travels — the
 // plan-derived configuration (Config, hash globals, universe) is rebuilt
-// on the destination from its own compiled plan via PathQuery.NewDecoder,
-// and the blob carries the geometry (k, fragments, universe size) so a
-// mismatched plan is an error, not silent corruption.
+// on the destination from its own compiled plan, a decoder bound over
+// fresh words (Plan.Bind), and the blob carries the geometry (k,
+// fragments, universe size) so a mismatched plan is an error, not silent
+// corruption.
 
 const decoderStateVersion = 1
 
@@ -44,8 +45,8 @@ func readCount(r *stateread.Reader, what string) int {
 }
 
 // StateK peeks the path length out of an AppendState blob, so a caller
-// can construct the right decoder (PathQuery.NewDecoder(k)) before
-// calling RestoreState.
+// can lay out the right decoder (Plan.Words(k), Plan.Bind) before calling
+// RestoreState.
 func StateK(data []byte) (int, error) {
 	r := stateread.New(stateWhat, data)
 	if v := r.Uvarint(); r.Err == nil && v != decoderStateVersion {
@@ -65,13 +66,14 @@ func (d *Decoder) AppendState(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(d.k))
 	dst = binary.AppendUvarint(dst, uint64(p.frags))
 	dst = binary.AppendUvarint(dst, uint64(len(p.universe)))
-	dst = binary.AppendUvarint(dst, uint64(d.observed))
-	dst = binary.AppendUvarint(dst, uint64(d.inconsistent))
-	dst = binary.AppendUvarint(dst, uint64(d.decodedHops))
-	for f, known := range d.known {
+	dst = binary.AppendUvarint(dst, d.w[stObserved])
+	dst = binary.AppendUvarint(dst, d.w[stInconsistent])
+	dst = binary.AppendUvarint(dst, uint64(d.decodedHops()))
+	vals := d.vals()
+	for f, known := range d.known() {
 		for h := 0; h < d.k; h++ {
 			dst = append(dst, byte(known>>uint(h)&1))
-			dst = binary.AppendUvarint(dst, d.vals[f*d.k+h])
+			dst = binary.AppendUvarint(dst, vals[f*d.k+h])
 		}
 	}
 	if p.enc.cfg.Mode != ModeHashed {
@@ -108,7 +110,7 @@ func (d *Decoder) AppendState(dst []byte) []byte {
 	// The pending index of each (fragment, hop): the stored packets a
 	// decode of it would cascade into, absent once it is decoded or when
 	// there are none.
-	for f := range d.known {
+	for f := range d.known() {
 		for h := 0; h < d.k; h++ {
 			n := 0
 			for ix := d.nextPending(f, h, 0); ix >= 0; ix = d.nextPending(f, h, ix+1) {
@@ -134,7 +136,7 @@ func (d *Decoder) AppendState(dst []byte) []byte {
 // A decoded hop has none: its cascade has run.
 func (d *Decoder) nextPending(f, h, from int) int {
 	bit := uint64(1) << uint(h)
-	if d.known[f]&bit != 0 {
+	if d.w[stKnown+f]&bit != 0 {
 		return -1
 	}
 	stride := d.plan.stride
@@ -148,7 +150,7 @@ func (d *Decoder) nextPending(f, h, from int) int {
 
 // RestoreState loads an AppendState blob into a freshly constructed
 // decoder (same query, same path length — the blob's geometry is
-// checked). The decoder must not have observed anything yet. A blob is
+// checked): one whose state words are all zero and whose slab is empty. A blob is
 // accepted only if AppendState could have written it for this plan —
 // canonical varints and flags, every stored packet within the decoder's
 // geometry, candidate lists in universe order, the pending indices and the
@@ -157,7 +159,7 @@ func (d *Decoder) nextPending(f, h, from int) int {
 // on a later Observe. On error the decoder must be discarded.
 func (d *Decoder) RestoreState(data []byte) error {
 	p := d.plan
-	if d.observed != 0 || len(d.pkts) != 0 {
+	if d.w[stObserved] != 0 || len(d.pkts) != 0 {
 		return fmt.Errorf("coding: RestoreState on a decoder that already observed packets")
 	}
 	r := stateread.New(stateWhat, data)
@@ -181,12 +183,13 @@ func (d *Decoder) RestoreState(data []byte) error {
 		return fmt.Errorf("coding: decoder state counters (%d observed, %d inconsistent) overflow", observed, inconsistent)
 	}
 	decoded := ^uint64(0)
-	for f := range d.known {
+	known, vals := d.known(), d.vals()
+	for f := range known {
 		for h := 0; h < k; h++ {
-			d.known[f] |= readFlag(r) << uint(h)
-			d.vals[f*k+h] = r.Uvarint()
+			known[f] |= readFlag(r) << uint(h)
+			vals[f*k+h] = r.Uvarint()
 		}
-		decoded &= d.known[f]
+		decoded &= known[f]
 	}
 	hashed := readFlag(r) != 0
 	if r.Err != nil {
@@ -211,7 +214,7 @@ func (d *Decoder) RestoreState(data []byte) error {
 		}
 		// The list must be a subsequence of the universe: anything else is
 		// not a set the bitset can hold, nor one a filter could have left.
-		row, at := d.cand[h*p.setWords:][:p.setWords], 0
+		row, at := d.cand()[h*p.setWords:][:p.setWords], 0
 		for ; n > 0; n-- {
 			v := r.Uvarint()
 			for at < len(p.universe) && p.universe[at] != v {
@@ -226,7 +229,7 @@ func (d *Decoder) RestoreState(data []byte) error {
 			row[at/64] |= 1 << uint(at%64)
 			at++
 		}
-		d.listed |= 1 << uint(h)
+		d.w[stListed] |= 1 << uint(h)
 	}
 	nPkts := readCount(r, "packets")
 	if r.Err != nil {
@@ -253,7 +256,7 @@ func (d *Decoder) RestoreState(data []byte) error {
 			d.pkts = append(d.pkts, r.Uvarint())
 		}
 	}
-	for f := range d.known {
+	for f := range known {
 		for h := 0; h < k; h++ {
 			want, n := d.nextPending(f, h, 0), 0
 			if readFlag(r) != 0 {
@@ -279,8 +282,6 @@ func (d *Decoder) RestoreState(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	d.observed = int(observed)
-	d.inconsistent = int(inconsistent)
-	d.decodedHops = int(decodedHops)
+	d.w[stObserved], d.w[stInconsistent] = observed, inconsistent
 	return nil
 }

@@ -51,9 +51,9 @@ func TestDecoderStateRoundTrip(t *testing.T) {
 	if err := restored.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
-	if orig.observed != restored.observed || orig.Inconsistent() != restored.Inconsistent() {
+	if orig.w[stObserved] != restored.w[stObserved] || orig.Inconsistent() != restored.Inconsistent() {
 		t.Fatalf("counters diverge after restore: %d/%d vs %d/%d",
-			orig.observed, orig.Inconsistent(), restored.observed, restored.Inconsistent())
+			orig.w[stObserved], orig.Inconsistent(), restored.w[stObserved], restored.Inconsistent())
 	}
 	if !bytes.Equal(state, restored.AppendState(nil)) {
 		t.Fatal("restored decoder re-serializes differently")
@@ -244,36 +244,35 @@ func TestRestoredHostileStateSurvivesObserve(t *testing.T) {
 	}
 }
 
-// TestFinishedCloneSharesSafely is the frozen-share rule: the clone of a
-// finished decoder shares its solved state, an unfinished one's does not,
-// and either way both sides keep observing — consistent packets and
-// contradicting ones, from two goroutines under -race — exactly as two
-// deep copies (rebuilt from the serialized state) do.
+// sharing binds a decoder over a copy of d's state words and d's own
+// slab, through Plan.Bind, as a Recording binds a holder's copy of a flow
+// whose path is decoded (flowState.unshare copies the words and shares the
+// slab of a finished decoder).
+func sharing(d *Decoder) *Decoder {
+	c := &Decoder{}
+	d.plan.Bind(c, d.k, slices.Clone(d.w), d.pkts)
+	return c
+}
+
+// TestFinishedCloneSharesSafely is the frozen-share rule: once a decoder is
+// done, Observe writes nothing but its two counters, so a decoder over a
+// copy of its state words may share its slab, and both sides keep
+// observing — consistent packets and contradicting ones, from two
+// goroutines under -race — exactly as two deep copies (rebuilt from the
+// serialized state) do. That a Recording copies the slab of a decoder not
+// yet done is core's TestUnshareSharesOnlyAFinishedSlab.
 func TestFinishedCloneSharesSafely(t *testing.T) {
 	for _, c := range stateCases {
 		s := newStateStream(t, c, 5)
 		d := s.decoder(t)
 		half := len(s.ids) / 2
 		for i := 0; i < half; i++ {
-			if i == 3 {
-				if d.Done() {
-					t.Fatalf("%s: done after 3 packets; no unfinished state to clone", c.name)
-				}
-				early := d.Clone()
-				if &early.known[0] == &d.known[0] || (len(d.pkts) > 0 && &early.pkts[0] == &d.pkts[0]) {
-					t.Fatalf("%s: clone of an unfinished decoder shares its state", c.name)
-				}
-				before := d.AppendState(nil)
-				early.Observe(s.ids[len(s.ids)-1], s.digs[len(s.digs)-1])
-				if !bytes.Equal(before, d.AppendState(nil)) {
-					t.Fatalf("%s: observing on an unfinished decoder's clone changed the original", c.name)
-				}
-			}
 			d.Observe(s.ids[i], s.digs[i])
 		}
 		if !d.Done() {
 			t.Fatalf("%s: not done after %d packets", c.name, half)
 		}
+		slab, solved := slices.Clone(d.pkts), slices.Clone(d.w[stListed:])
 		deepCopy := func() *Decoder {
 			c := s.decoder(t)
 			if err := c.RestoreState(d.AppendState(nil)); err != nil {
@@ -282,10 +281,7 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 			return c
 		}
 		controlA, controlB := deepCopy(), deepCopy()
-		clone := d.Clone()
-		if &clone.known[0] != &d.known[0] {
-			t.Errorf("%s: clone of a finished decoder copied its block", c.name)
-		}
+		clone := sharing(d)
 		// d sees the rest of the stream (every eleventh packet contradicts
 		// the decoded path); the clone sees only the contradicting ones.
 		var wg sync.WaitGroup
@@ -315,9 +311,13 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		if !bytes.Equal(clone.AppendState(nil), controlB.AppendState(nil)) {
 			t.Errorf("%s: clone diverged from its deep-copied control", c.name)
 		}
-		if d.observed == clone.observed || d.Inconsistent() == 0 || clone.Inconsistent() == 0 {
+		if !slices.Equal(d.pkts, slab) || !slices.Equal(clone.pkts, slab) ||
+			!slices.Equal(d.w[stListed:], solved) || !slices.Equal(clone.w[stListed:], solved) {
+			t.Errorf("%s: a finished decoder's slab or solved words were written", c.name)
+		}
+		if d.w[stObserved] == clone.w[stObserved] || d.Inconsistent() == 0 || clone.Inconsistent() == 0 {
 			t.Errorf("%s: the two sides did not run apart: observed %d/%d, inconsistent %d/%d",
-				c.name, d.observed, clone.observed, d.Inconsistent(), clone.Inconsistent())
+				c.name, d.w[stObserved], clone.w[stObserved], d.Inconsistent(), clone.Inconsistent())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/hash"
@@ -65,9 +66,11 @@ func FuzzDecoderState(f *testing.F) {
 			}
 			d.Observe(id, dig)
 			if i%64 == 63 {
-				c := d.Clone()
+				// Go on in a decoder bound over copies of d's state.
+				c := &Decoder{}
+				d.plan.Bind(c, d.k, slices.Clone(d.w), slices.Clone(d.pkts))
 				if !bytes.Equal(c.AppendState(nil), d.AppendState(nil)) {
-					t.Fatal("clone serializes differently from its original")
+					t.Fatal("a copy serializes differently from its original")
 				}
 				d = c
 			}
@@ -79,7 +82,7 @@ func FuzzDecoderState(f *testing.F) {
 			t.Fatalf("a state the decoder reached was refused: %v", err)
 		}
 		d.Path()
-		for h := 1; h <= d.K(); h++ {
+		for h := 1; h <= d.k; h++ {
 			d.CandidateCount(h)
 		}
 	})

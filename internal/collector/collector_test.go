@@ -65,6 +65,22 @@ func mustTestbench(t *testing.T, seed uint64) *Testbench {
 	return tb
 }
 
+// TestNewTestbenchHopCount: the testbench takes the hop counts the wire
+// carries, [1, coding.MaxPathLen], and refuses the rest naming that range;
+// below 1 it used to run 5 hops while pintd announced what it was given,
+// and above 64 it failed only at the first Send.
+func TestNewTestbenchHopCount(t *testing.T) {
+	for _, k := range []int{-1, 0, 1, 64, 65} {
+		tb, err := NewTestbench(7, k)
+		switch ok := k >= 1 && k <= 64; {
+		case ok && (err != nil || tb.K != k):
+			t.Errorf("NewTestbench(k=%d): %v, want a testbench of %d hops", k, err, k)
+		case !ok && (err == nil || !strings.Contains(err.Error(), "[1,64]")):
+			t.Errorf("NewTestbench(k=%d): %v, want an error naming [1,64]", k, err)
+		}
+	}
+}
+
 func answersJSON(t *testing.T, answers []FlowAnswers) []byte {
 	t.Helper()
 	b, err := json.Marshal(answers)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/topology"
@@ -43,11 +44,11 @@ type Testbench struct {
 	universe []uint64
 }
 
-// NewTestbench builds the testbench at a seed. k is the flow hop count
-// (default 5 when < 1).
+// NewTestbench builds the testbench at a seed. k is the flow hop count,
+// within the path lengths the wire carries.
 func NewTestbench(seed uint64, k int) (*Testbench, error) {
-	if k < 1 {
-		k = 5
+	if k < 1 || k > coding.MaxPathLen {
+		return nil, fmt.Errorf("collector: testbench hop count %d out of [1,%d]", k, coding.MaxPathLen)
 	}
 	g, err := topology.FatTree(8)
 	if err != nil {

@@ -413,8 +413,8 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 			// shared memory: some origin series must have room to spare.
 			spare := false
 			for _, fs := range orig.flows {
-				for _, slot := range fs.slots {
-					spare = spare || cap(slot.series) > len(slot.series)
+				for _, series := range fs.more.series {
+					spare = spare || cap(series) > len(series)
 				}
 			}
 			if !spare {
@@ -441,17 +441,18 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 					if fs == shared {
 						t.Fatalf("holder %d flow %d: a write would land in the state the clones share", i, f)
 					}
-					for s, slot := range fs.slots {
-						was := shared.slots[s]
-						if vs := slot.series; len(vs) != len(was.series) || cap(vs) != wantCap(len(was.series), cap(was.series)) {
+					for s := range eng.places {
+						pl := &eng.places[s]
+						if vs, was := fs.series(pl), shared.series(pl); pl.kind == opUtil &&
+							(len(vs) != len(was) || cap(vs) != wantCap(len(was), cap(was))) {
 							t.Fatalf("holder %d flow %d: a series of len %d cap %d copied as len %d cap %d",
-								i, f, len(was.series), cap(was.series), len(vs), cap(vs))
+								i, f, len(was), cap(was), len(vs), cap(vs))
 						}
-						for hop, st := range slot.lat {
-							ws := was.lat[hop]
-							if v.sketchItems == 0 && (st.sum != ws.sum || st.lo != ws.lo || st.tail != ws.tail || !st.shared) {
+						for hop := 1; pl.kind == opLatency && hop <= k; hop++ {
+							st, ws := fs.store(eng, pl, hop), shared.store(eng, pl, hop)
+							if v.sketchItems == 0 && (st.sum() != ws.sum() || st.lo() != ws.lo() || st.tail() != ws.tail() || !st.shared()) {
 								t.Fatalf("holder %d flow %d hop %d: a latency store copied with its own histogram (%v), another tail, or not marked shared (%v)",
-									i, f, hop+1, st.sum != ws.sum, st.shared)
+									i, f, hop, st.sum() != ws.sum(), st.shared())
 							}
 						}
 					}
@@ -509,18 +510,18 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 func TestHeldCloneRacesFold(t *testing.T) {
 	lat, reader, owner, writer, grand := raceHeldClones(t, 0, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
 	for _, f := range reader.Flows() {
-		for hop, st := range reader.slot(lat, f).lat {
-			if st.sum == nil {
-				t.Fatalf("flow %d hop %d: the prefix folded none of its %d samples; the clones share no histogram", f, hop+1, st.samples())
+		for hop := 1; hop <= reader.Hops(lat, f); hop++ {
+			if st, _ := reader.store(lat, f, hop); st.sum() == nil {
+				t.Fatalf("flow %d hop %d: the prefix folded none of its %d samples; the clones share no histogram", f, hop, st.samples())
 			}
 		}
 	}
 	for name, rec := range map[string]*Recording{"owner": owner, "appending clone": writer, "appending clone of the reading clone": grand} {
 		for _, f := range rec.Flows() {
-			for hop, st := range rec.slot(lat, f).lat {
-				if st.sum == nil || st.shared {
+			for hop := 1; hop <= rec.Hops(lat, f); hop++ {
+				if st, _ := rec.store(lat, f, hop); st.sum() == nil || st.shared() {
 					t.Errorf("%s flow %d hop %d: shared %v after %d samples; the continuation did not fold into a copy",
-						name, f, hop+1, st.shared, st.samples())
+						name, f, hop, st.shared(), st.samples())
 				}
 			}
 		}
@@ -772,5 +773,119 @@ func TestLeaseHoldCount(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnshareSharesOnlyAFinishedSlab is the frozen-share rule as the
+// Recording runs it. The private copy a holder of a shared flow writes to
+// (flowState.unshare) has block words of its own; it shares a finished
+// path decoder's slab, which no Observe writes again, and copies a slab
+// still being peeled. Afterwards the owner and the clone each record on
+// exactly as a Recording that was never cloned does.
+func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
+	eng, path, _ := testbenchPlan(t, 73)
+	newRec := func() *Recording {
+		r, err := NewRecordingSeeded(eng, 0, 0x5EED)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	const n = 600
+	// Find a flow whose decoder stores packets, and the packet after which
+	// its slab is nonempty (peeling) and the one after which it is done.
+	var flow FlowKey
+	var pkts []PacketDigest
+	peeling, finished := 0, 0
+	for f := FlowKey(1); f <= 64 && finished == 0; f++ {
+		probe, stream := newRec(), testbenchFlow(eng, f, uint64(7000+f), n)
+		peeling = 0
+		for i := range stream {
+			if err := probe.RecordBatch(stream[i : i+1]); err != nil {
+				t.Fatal(err)
+			}
+			fs := probe.find(f)
+			stored := fs.slabs != nil && len(fs.slabs[0]) > 0
+			if done := probe.PathDecoder(path, f).Done(); stored && !done && peeling == 0 {
+				peeling = i + 1
+			} else if done && peeling > 0 {
+				flow, pkts, finished = f, stream, i+1
+				break
+			}
+		}
+	}
+	if finished == 0 {
+		t.Fatal("no flow stored a packet before decoding its path")
+	}
+	for _, c := range []struct {
+		name   string
+		prefix int
+		shared bool
+	}{{"peeling", peeling, false}, {"finished", finished, true}} {
+		rec, control := newRec(), newRec()
+		if err := rec.RecordBatch(pkts[:c.prefix]); err != nil {
+			t.Fatal(err)
+		}
+		clone := rec.Clone()
+		orig := rec.find(flow)
+		mine := rec.stateOf(flow)
+		if mine == orig {
+			t.Fatalf("%s: a shared flow was written in place", c.name)
+		}
+		if &mine.words[0] == &orig.words[0] {
+			t.Errorf("%s: the private copy shares the block's words", c.name)
+		}
+		if got := &mine.slabs[0][0] == &orig.slabs[0][0]; got != c.shared {
+			t.Errorf("%s: slab shared %v, want %v", c.name, got, c.shared)
+		}
+		if err := control.RecordBatch(pkts); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Recording{rec, clone} {
+			if err := r.RecordBatch(pkts[c.prefix:]); err != nil {
+				t.Fatal(err)
+			}
+			got, want := r.PathDecoder(path, flow).AppendState(nil), control.PathDecoder(path, flow).AppendState(nil)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: a holder's decoder diverged from a Recording never cloned", c.name)
+			}
+		}
+	}
+}
+
+// TestPathDecoderIsACopy pins PathDecoder's contract: the decoder it
+// returns owns its state, so the Recording's later packets do not show in
+// it and observing through it leaves the Recording's answers as they were.
+func TestPathDecoderIsACopy(t *testing.T) {
+	eng, path, _ := testbenchPlan(t, 74)
+	rec, err := NewRecordingSeeded(eng, 0, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := testbenchFlow(eng, 1, 7100, 400)
+	if err := rec.RecordBatch(pkts[:8]); err != nil {
+		t.Fatal(err)
+	}
+	dec := rec.PathDecoder(path, 1)
+	before, answer := dec.AppendState(nil), rec.PathDecoder(path, 1).AppendState(nil)
+	for _, p := range pkts[8:] {
+		set := eng.SetFor(p.PktID)
+		for i, q := range set.Queries {
+			if q == Query(path) {
+				path.ObserveInto(dec, p.PktID, p.Digest>>uint(set.Offsets[i])&(1<<uint(path.Bits())-1))
+			}
+		}
+	}
+	if !dec.Done() {
+		t.Fatal("the copy did not decode the path from the rest of the stream")
+	}
+	if got := rec.PathDecoder(path, 1).AppendState(nil); !slices.Equal(got, answer) {
+		t.Error("observing through PathDecoder's result changed the Recording")
+	}
+	if err := rec.RecordBatch(pkts[8:]); err != nil {
+		t.Fatal(err)
+	}
+	if again := rec.PathDecoder(path, 1); !again.Done() || slices.Equal(again.AppendState(nil), before) {
+		t.Error("the Recording did not record on after a copy was taken")
 	}
 }

@@ -50,10 +50,16 @@ type Engine struct {
 	cum []float64
 	// progs[i] is set i lowered to a flat encode/record program.
 	progs []encodeProgram
-	// slots numbers the compiled queries: slots[q] indexes q's state in
-	// every flow the Recording Module tracks (flowState.slots), and each
-	// compiled op carries its query's number.
+	// slots numbers the compiled queries: slots[q] is q's place in every
+	// flow the Recording Module tracks (places), and each compiled op
+	// carries its query's number.
 	slots map[Query]int
+	// places lays out a flow's block (flowState.words): where each query's
+	// state is in it, laid out for the flow's k. A k-hop flow's block is
+	// blockBase+blockPerHop*k words; kinds counts the queries of each kind.
+	places                 []slotPlace
+	blockBase, blockPerHop int
+	kinds                  [3]int
 }
 
 // Compile builds an execution plan for concurrent queries under a global
@@ -172,6 +178,7 @@ func Compile(queries []Query, globalBits int, master hash.Seed) (*Engine, error)
 		}
 		e.progs = append(e.progs, prog)
 	}
+	e.layOut(queries)
 	return e, nil
 }
 

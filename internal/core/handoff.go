@@ -96,10 +96,10 @@ func sectionKind(q Query) byte {
 // nonempty counting store travels as a histogram (appendHist), its bytes
 // independent of how its tail and histogram split its samples; an empty
 // one travels raw, as a count of 0.
-func appendLatStores(dst []byte, stores []latStore) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(stores)))
-	for i := range stores {
-		switch st := &stores[i]; {
+func appendLatStores(dst []byte, e *Engine, fs *flowState, pl *slotPlace) []byte {
+	dst = binary.AppendUvarint(dst, uint64(fs.k))
+	for hop := 1; hop <= int(fs.k); hop++ {
+		switch st := fs.store(e, pl, hop); {
 		case st.kll() != nil:
 			at := len(dst) + 1
 			dst = prefixLen(st.kll().AppendState(append(dst, storeKLL)), at)
@@ -116,7 +116,7 @@ func appendLatStores(dst []byte, stores []latStore) []byte {
 // all its samples, folded or in its tail, for the codes
 // lo to hi, the lowest and highest among them, as lo, hi-lo+1 and one
 // uvarint count per code.
-func appendHist(dst []byte, st *latStore) []byte {
+func appendHist(dst []byte, st latStore) []byte {
 	var hist [1 << 8]uint64
 	st.countInto(&hist)
 	lo := slices.IndexFunc(hist[:], func(c uint64) bool { return c != 0 })
@@ -137,7 +137,8 @@ func appendHist(dst []byte, st *latStore) []byte {
 // queries with no state for the flow are skipped). The flow must be
 // tracked.
 func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) ([]byte, error) {
-	if !r.HasFlow(flow) {
+	fs := r.find(flow)
+	if fs == nil {
 		return dst, fmt.Errorf("core: flow %d is not tracked", flow)
 	}
 	dst = append(dst, flowStateVersion)
@@ -152,24 +153,26 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 		if kind == 0 {
 			return dst, fmt.Errorf("core: flow state for unknown query type %T", q)
 		}
-		slot := r.slot(q, flow)
-		if slot.dec == nil && slot.lat == nil && slot.series == nil {
+		i, ok := r.engine.slots[q]
+		if !ok || !fs.started(i) {
 			continue
 		}
 		// A section is its query's name, its kind, and the length-prefixed
-		// payload — one field of a slot is live, the one q's kind uses —
-		// encoded where it lands in dst.
+		// payload, encoded where it lands in dst.
+		pl := &r.engine.places[i]
 		name := q.Name()
 		dst = binary.AppendUvarint(dst, uint64(len(name)))
 		dst = append(append(dst, name...), kind)
 		at := len(dst)
-		switch {
-		case slot.dec != nil:
-			dst = slot.dec.AppendState(dst)
-		case slot.lat != nil:
-			dst = appendLatStores(dst, slot.lat)
+		switch pl.kind {
+		case opPath:
+			var dec coding.Decoder
+			fs.bindDecoder(&dec, pl)
+			dst = dec.AppendState(dst)
+		case opLatency:
+			dst = appendLatStores(dst, r.engine, fs, pl)
 		default:
-			dst = appendFloatSeries(dst, slot.series)
+			dst = appendFloatSeries(dst, fs.series(pl))
 		}
 		dst = prefixLen(dst, at)
 		sections++
@@ -191,7 +194,8 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	for i, q := range queries {
 		byName[q.Name()] = i
 	}
-	fs := &flowState{slots: make([]querySlot, len(r.engine.slots))}
+	e := r.engine
+	fs := &flowState{words: e.newBlock(0, nil)}
 	rd := stateread.New(flowStateWhat, data)
 	if v := rd.Uvarint(); rd.Err == nil && v != flowStateVersion {
 		return fmt.Errorf("core: flow state version %d (have %d)", v, flowStateVersion)
@@ -228,30 +232,23 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 		if want := sectionKind(q); kind != want {
 			return fmt.Errorf("core: query %q: section kind %d, want %d", name, kind, want)
 		}
-		slot := &fs.slots[si]
+		pl := &e.places[si]
 		var err error
 		switch q := q.(type) {
 		case *PathQuery:
-			slot.dec, err = restoreDecoder(q, payload)
+			err = restoreDecoder(fs, e, pl, flow, payload)
 		case *LatencyQuery:
-			slot.lat, err = restoreLatStores(q, flow, payload)
+			err = restoreLatStores(fs, e, pl, q, flow, payload)
 		default:
-			slot.series, err = restoreFloatSeries(payload)
+			var series []float64
+			if series, err = restoreFloatSeries(payload); err == nil {
+				fs.setSeries(e, pl, series)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("core: query %q: %w", name, err)
 		}
-		// Every per-hop section is sized by the flow's path length (see
-		// flowState.k); the first one to state a hop count restores it.
-		if hops := slot.hops(); hops > 0 {
-			if fs.k == 0 && hops <= math.MaxInt16 {
-				fs.k = int16(hops)
-			}
-			if hops != int(fs.k) {
-				return fmt.Errorf("core: flow %d query %q: state for %d hops, the flow's path length is %d",
-					flow, name, hops, fs.k)
-			}
-		}
+		fs.start(si)
 	}
 	if err := rd.Done(); err != nil {
 		return err
@@ -263,64 +260,93 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	return nil
 }
 
-func restoreDecoder(q *PathQuery, payload []byte) (*coding.Decoder, error) {
-	k, err := coding.StateK(payload)
-	if err != nil {
-		return nil, err
+// sizeFlow checks that a per-hop section states the flow's path length:
+// the first one to state a hop count restores it (see flowState.k) and
+// lays out the flow's block for it. No recording writes state for 0 hops.
+func sizeFlow(fs *flowState, e *Engine, flow FlowKey, hops int) error {
+	if hops < 1 {
+		return fmt.Errorf("core: flow %d: state for %d hops, a path length no recording takes", flow, hops)
 	}
-	dec, err := q.NewDecoder(k)
-	if err != nil {
-		return nil, err
+	if fs.k == 0 && hops <= math.MaxInt16 {
+		fs.k = int16(hops)
+		fs.words = e.newBlock(hops, fs.words)
 	}
-	return dec, dec.RestoreState(payload)
+	if hops != int(fs.k) {
+		return fmt.Errorf("core: flow %d: state for %d hops, the flow's path length is %d", flow, hops, fs.k)
+	}
+	return nil
 }
 
-// restoreLatStores decodes a latency section for q. A code q's digest slice
-// could not have carried is rejected here rather than truncated into some
-// other code.
-func restoreLatStores(q *LatencyQuery, flow FlowKey, payload []byte) ([]latStore, error) {
+// restoreDecoder restores a path section into the flow's decoder words.
+func restoreDecoder(fs *flowState, e *Engine, pl *slotPlace, flow FlowKey, payload []byte) error {
+	k, err := coding.StateK(payload)
+	if err != nil {
+		return err
+	}
+	if k > coding.MaxPathLen {
+		return fmt.Errorf("core: flow %d: path length %d out of [1,%d]", flow, k, coding.MaxPathLen)
+	}
+	if err := sizeFlow(fs, e, flow, k); err != nil {
+		return err
+	}
+	var dec coding.Decoder
+	fs.bindDecoder(&dec, pl)
+	if err := dec.RestoreState(payload); err != nil {
+		return err
+	}
+	fs.keepSlab(e, pl, dec.Slab())
+	return nil
+}
+
+// restoreLatStores decodes a latency section for q into the flow's
+// stores. A code q's digest slice could not have carried is rejected here
+// rather than truncated into some other code.
+func restoreLatStores(fs *flowState, e *Engine, pl *slotPlace, q *LatencyQuery, flow FlowKey, payload []byte) error {
 	rd := stateread.New(flowStateWhat, payload)
 	n := rd.Uvarint()
 	if rd.Err != nil {
-		return nil, rd.Err
+		return rd.Err
 	}
 	if n > uint64(rd.Len())+1 {
-		return nil, fmt.Errorf("core: latency section claims %d stores", n)
+		return fmt.Errorf("core: latency section claims %d stores", n)
 	}
-	stores := make([]latStore, n)
-	for i := range stores {
-		st := &stores[i]
+	if err := sizeFlow(fs, e, flow, int(n)); err != nil {
+		return err
+	}
+	for hop := 1; hop <= int(n); hop++ {
+		st := fs.store(e, pl, hop)
 		kind := rd.Bytes(1)
 		if rd.Err != nil {
-			return nil, rd.Err
+			return rd.Err
 		}
 		var err error
 		switch kind[0] {
 		case storeRaw:
-			err = restoreRaw(rd, flow, i+1)
+			err = restoreRaw(rd, flow, hop)
 		case storeHist:
-			st.sum, err = restoreHist(rd, q, flow, i+1)
-			st.lo = tailClosed
+			var sum *latSum
+			if sum, err = restoreHist(rd, q, flow, hop); err == nil {
+				st.setSum(sum)
+				st.setTail(tailClosed, [latTail]uint8{})
+			}
 		case storeKLL:
 			sub := rd.Bytes(rd.Uvarint())
 			if rd.Err != nil {
-				return nil, rd.Err
+				return rd.Err
 			}
 			var kll *sketch.KLL
 			if kll, err = sketch.RestoreKLL(sub); err == nil {
-				*st = latStore{sum: &latSum{kll: kll}, lo: tailClosed}
+				st.setSum(&latSum{kll: kll})
+				st.setTail(tailClosed, [latTail]uint8{})
 			}
 		default:
 			err = fmt.Errorf("core: latency store kind %d", kind[0])
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := rd.Done(); err != nil {
-		return nil, err
-	}
-	return stores, nil
+	return rd.Done()
 }
 
 // restoreRaw reads a raw store, which is an empty one: a count of 0.

@@ -306,7 +306,8 @@ func histStore(lo uint64, counts ...uint64) []byte {
 // TestRestoreFlowStateRefusesWhatAppendNeverWrites: RestoreFlowState
 // accepts exactly the blobs AppendFlowState writes. Each refused row breaks
 // one rule of the layout — sections in query order, each section of its
-// query's kind (kinds 4 and 5 are no query's), latency store kinds raw,
+// query's kind (kinds 4 and 5 are no query's), a latency section of at
+// least one hop, latency store kinds raw,
 // KLL and histogram, a store raw only when empty and counts otherwise (the
 // histogram trimmed, within the codes, of at least one and at most 2^62
 // samples) — and is refused naming it, leaving the destination untouched;
@@ -318,6 +319,10 @@ func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
 	for _, row := range flowStateRows(t, queries, blobs[0]) {
 		checkRestoreRow(t, rec.engine, queries, flow, row)
 	}
+	// A flow's path length is at least 1 (Recording.record), so no
+	// latency section holds 0 stores.
+	checkRestoreRow(t, rec.engine, queries, flow, flowStateRow{"latency section of 0 hops", "state for 0 hops",
+		append([]byte{flowStateVersion, 1}, flowStateSection(queries[1], uvarints(0))...)})
 }
 
 // checkRestoreRow restores row's blob as flow into an empty Recording of
@@ -370,7 +375,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	const flow = FlowKey(1)
 	ref, queries, _ := referenceFlowStates(t, 0, referencePkts)
 	eng, lat := ref.engine, queries[1].(*LatencyQuery)
-	restore := func(counts ...uint64) (*Recording, *latStore) {
+	restore := func(counts ...uint64) (*Recording, latStore) {
 		rec, err := NewRecordingSeeded(eng, 0, 0xB10B)
 		if err != nil {
 			t.Fatal(err)
@@ -378,13 +383,14 @@ func TestLatencyHistogramCounts(t *testing.T) {
 		if err := rec.RestoreFlowState(queries, flow, oneStore(lat, histStore(10, counts...))); err != nil {
 			t.Fatal(err)
 		}
-		return rec, &rec.flows[flow].slots[eng.slots[lat]].lat[0]
+		st, _ := rec.store(lat, flow, 1)
+		return rec, st
 	}
 	rec, st := restore(math.MaxUint32, 1)
 	for range math.MaxUint8 + 1 {
 		st.add(10)
 	}
-	if got, want := st.sum.counts[0], uint64(math.MaxUint32)+math.MaxUint8; got != want {
+	if got, want := st.sum().counts[0], uint64(math.MaxUint32)+math.MaxUint8; got != want {
 		t.Fatalf("code 10 counted %d times, want %d", got, want)
 	}
 	if got, want := rec.LatencySamples(lat, flow, 1), math.MaxUint32+1+math.MaxUint8+1; got != want {

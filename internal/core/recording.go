@@ -49,248 +49,10 @@ type Recording struct {
 	// owner of a state counts them on its own goroutine, so the leases a
 	// clone gives out are pinned from the start.
 	clone bool
-}
-
-// flowState is what the Recording holds for one flow: its path length and
-// one slot per compiled query, indexed by the slot number the query's ops
-// carry (Engine.slots).
-type flowState struct {
-	// k is the path length of the flow's first recorded packet. Every
-	// per-hop slot is sized by it, whichever packet first reaches the
-	// slot's query, so a route that shortens mid-flow (§7) leaves the
-	// later hops empty instead of giving the queries different hop counts.
-	// 0 until a packet arrives (a restored flow with no per-hop state).
-	// An int16, which keeps the state in the 32-byte size class with
-	// shared and holds: the wire and the decoders stop at 64 hops.
-	k int16
-	// shared is set while a clone may hold the state too. While it is set
-	// nobody writes to the state: every holder that records swaps in a
-	// private copy first (stateOf). Only the Recording the state is
-	// installed in sets it, and clears it (Release) once no clone holds the
-	// state; every other holder only reads it, and only while it holds the
-	// state.
-	shared bool
-	// holds counts the leases the owning Recording gave out on the state
-	// and has not had back (see Lease). maxHolds is a count that stays:
-	// such a state is shared for good. Only the owner's goroutine reads or
-	// writes it.
-	holds uint32
-	slots []querySlot
-}
-
-// maxHolds is the hold count of a state shared for good; a count that
-// reaches it is never decremented.
-const maxHolds = math.MaxUint32
-
-// querySlot is one query's state for one flow. The query's kind decides
-// which field is live; a nil field means the query has seen no packet of
-// the flow yet. Per-hop fields are sized by the flow's path length
-// (flowState.k).
-type querySlot struct {
-	dec    *coding.Decoder // PathQuery
-	lat    []latStore      // LatencyQuery, one store per hop
-	series []float64       // UtilQuery: decoded values in arrival order
-}
-
-// hops is the number of hops the slot holds state for: the decoder's k or
-// the number of per-hop stores, 0 when the slot has none.
-func (s querySlot) hops() int {
-	if s.dec != nil {
-		return s.dec.K()
-	}
-	return len(s.lat)
-}
-
-// latStore holds one (flow, hop)'s latency samples: in a KLL sketch behind
-// sum when the Recording sketches them, and otherwise counted. A latency
-// code is one byte (NewLatencyQuery), so a quantile depends only on how
-// often each code was seen. add counts a code in place, in an inline tail
-// of counters for the codes lo..lo+latTail-1; a code outside that window
-// slides it while the codes held still fit, and otherwise, or at a full
-// counter, the tail folds into a histogram of 64-bit counts behind sum
-// (count, fold). A cold 5-hop flow's stores are one 208-byte array and no
-// other object.
-//
-// Each holder's private copy of a flow a clone shares (Recording.Clone)
-// copies the store (clone): the tail by value, the histogram by reference
-// and marked shared, so the store folds into a copy of it.
-type latStore struct {
-	sum *latSum // a sketch's from the start, a counting store's from its first fold
-	// lo is the tail's first code, or tailClosed, which sends every sample
-	// to the slow path: in a sketch's store, and in a store that may be near
-	// maxLatSamples (restored or full).
-	lo uint16
-	// shared is set on every store of a flow state copied after a clone
-	// (flowState.unshare) and cleared by the fold into a histogram of its own.
-	shared bool
-	tail   [latTail]uint8 // the samples not folded, counted per code from lo
-}
-
-// latSum is what a store keeps behind its one pointer: a KLL sketch, or the
-// code counts of the samples folded out of its tail, for the codes
-// lo..lo+len(counts)-1, the lowest and highest it has counted; 64-bit, as a
-// long flow's hop may see 2^32 of one code.
-type latSum struct {
-	kll    *sketch.KLL
-	n      int // samples counted in counts
-	lo     int
-	counts []uint64
-}
-
-// latTail is the counters in a store's inline tail, as many as keep
-// latStore at 40 bytes, and tailClosed the lo of a closed tail.
-const latTail, tailClosed = 29, 1 << 8
-
-// maxLatSamples is the most samples a counting store takes: more than any
-// flow's hop sees, and few enough that no count or total wraps. A restored
-// histogram may count up to it (restoreHist), so a store restored from any
-// blob records on into one that is accepted again.
-const maxLatSamples = 1 << 62
-
-// kll returns the store's sketch, nil for a counting store.
-func (st *latStore) kll() *sketch.KLL {
-	if st.sum == nil {
-		return nil
-	}
-	return st.sum.kll
-}
-
-// samples is the number of samples a counting store has taken: those in
-// its histogram and those in its tail.
-func (st *latStore) samples() (n int) {
-	if st.sum != nil {
-		n = st.sum.n
-	}
-	for _, c := range st.tail {
-		n += int(c)
-	}
-	return n
-}
-
-func (st *latStore) add(code uint64) {
-	if i := code - uint64(st.lo); i < latTail && st.tail[i] < math.MaxUint8 {
-		st.tail[i]++
-		return
-	}
-	if kll := st.kll(); kll != nil {
-		kll.Add(float64(code))
-		return
-	}
-	st.count(int(code))
-}
-
-// count is add for a code the tail cannot take as it is: outside
-// the window, at a full counter, or any while the tail is closed. The
-// window slides to centre the held codes and the code when they fit it;
-// otherwise the tail folds and a new one starts at the code. A tail opens
-// only while a full one cannot carry the store past maxLatSamples.
-func (st *latStore) count(code int) {
-	lo, hi, held := st.held()
-	lo, hi = min(lo, code), max(hi, code)
-	if held && (hi-lo >= latTail || uint(code-int(st.lo)) < latTail) {
-		st.fold()
-		lo, hi, held = code, code, false
-	}
-	if !held && st.sum != nil && st.sum.n > maxLatSamples-latTail*math.MaxUint8 {
-		st.lo = tailClosed
-		return
-	}
-	var tail [latTail]uint8
-	at := min(max(lo-(latTail-1-(hi-lo))/2, 0), 1<<8-latTail)
-	for j, c := range st.tail {
-		if c != 0 {
-			tail[int(st.lo)+j-at] = c
-		}
-	}
-	st.lo, st.tail = uint16(at), tail
-	st.tail[code-at]++
-}
-
-// held returns the lowest and highest code the tail counts and true, or,
-// for an empty tail, a range every code widens, and false.
-func (st *latStore) held() (lo, hi int, ok bool) {
-	lo, hi = 1<<8, -1
-	for j, c := range st.tail {
-		if c != 0 {
-			lo, hi = min(lo, int(st.lo)+j), int(st.lo)+j
-		}
-	}
-	return lo, hi, hi >= 0
-}
-
-// fold counts a nonempty tail into the store's histogram, widened to the
-// tail's codes, and empties it. A shared store's histogram may be a
-// clone's, so it counts into a copy and is private from then on.
-func (st *latStore) fold() {
-	lo, hi, _ := st.held()
-	sum := st.sum
-	if sum != nil {
-		lo, hi = min(lo, sum.lo), max(hi, sum.lo+len(sum.counts)-1)
-	}
-	if sum == nil || st.shared || lo < sum.lo || hi >= sum.lo+len(sum.counts) {
-		counts := make([]uint64, hi-lo+1)
-		switch {
-		case sum == nil:
-			sum = &latSum{}
-		case st.shared:
-			copy(counts[sum.lo-lo:], sum.counts)
-			sum = &latSum{n: sum.n}
-		default:
-			copy(counts[sum.lo-lo:], sum.counts)
-		}
-		sum.lo, sum.counts = lo, counts
-	}
-	for j, c := range st.tail {
-		if c != 0 {
-			sum.counts[int(st.lo)+j-sum.lo] += uint64(c)
-			sum.n += int(c)
-		}
-	}
-	st.sum, st.tail, st.shared = sum, [latTail]uint8{}, false
-}
-
-// clone copies the store for a private copy of its flow (see latStore);
-// the sketch, mutated in place, is copied too.
-func (st *latStore) clone() latStore {
-	c := *st
-	c.shared = true
-	if kll := st.kll(); kll != nil {
-		c.sum = &latSum{kll: kll.Clone()}
-	}
-	return c
-}
-
-// countQuantiles writes the phi-quantile code of a counting store's samples
-// to out[i] for each phis[i], by the nearest-rank rule (sketch.RankIndex):
-// it counts them into a histogram of the code domain on the stack and
-// walks that to the rank.
-func (st *latStore) countQuantiles(phis, out []float64) {
-	var hist [1 << 8]uint64
-	st.countInto(&hist)
-	n := st.samples()
-	for i, phi := range phis {
-		// The code at sorted index rank is the first whose cumulative
-		// count exceeds rank.
-		rank, code := sketch.RankIndex(phi, n), 0
-		for seen := int(hist[0]); seen <= rank; seen += int(hist[code]) {
-			code++
-		}
-		out[i] = float64(code)
-	}
-}
-
-// countInto adds a counting store's histogram and tail to hist.
-func (st *latStore) countInto(hist *[1 << 8]uint64) {
-	if st.sum != nil {
-		for i, c := range st.sum.counts {
-			hist[st.sum.lo+i] += c
-		}
-	}
-	for j, c := range st.tail {
-		if c != 0 {
-			hist[int(st.lo)+j] += uint64(c)
-		}
-	}
+	// decs holds the path decoders bound over one flow's block for a run
+	// of its packets (recordRun), by the query's ordinal among the
+	// engine's path queries; unbound between runs.
+	decs []coding.Decoder
 }
 
 // NewRecording creates a Recording Module for an engine. sketchItems > 0
@@ -329,30 +91,32 @@ func (r *Recording) sketchRNG(qname string, flow FlowKey, hop int) *hash.RNG {
 // Record processes one sink-extracted digest for a flow whose path length
 // is k (derived from the received TTL).
 func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) error {
-	pkt := PacketDigest{Flow: flow, PktID: pktID, PathLen: k, Digest: digest}
-	return r.record(r.stateOf(flow), &pkt)
+	pkt := [1]PacketDigest{{Flow: flow, PktID: pktID, PathLen: k, Digest: digest}}
+	return r.recordRun(r.stateOf(flow), pkt[:])
 }
 
 // RecordBatch ingests a batch of sink-extracted digests — the shape shard
 // workers and the batch experiment harness drive. Packets that came
 // through EncodeHopBatch carry their query-set selection already cached.
-// A flow's state is looked up once per run of packets with equal Flow
-// (exporters frame per flow) — it stays valid through the run, because
-// recording never evicts — and a packet whose queries have all seen its
-// flow before allocates only when a store needs room: a latency store
-// counts in place and allocates only when it folds its tail into a new,
-// widened or shared histogram (latStore.fold), a util series grows by
-// append. A new flow's latency stores are one array; a flow a clone shares
-// is copied once, at its first packet after the clone (stateOf).
+// A flow's state is looked up, and its path decoders bound, once per run
+// of packets with equal Flow (exporters frame per flow) — it stays valid
+// through the run, because recording never evicts — and a packet whose
+// queries have all seen its flow before allocates only when a store needs
+// room: a latency store counts in place and allocates only when it folds
+// its tail into a new, widened or shared histogram (latStore.fold), a util
+// series grows by append. A new flow is its header and its block (flowState); a flow a
+// clone shares is copied once, at its first packet after the clone
+// (stateOf).
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
-	var fs *flowState
-	for i := range batch {
-		if fs == nil || batch[i].Flow != batch[i-1].Flow {
-			fs = r.stateOf(batch[i].Flow)
+	for len(batch) > 0 {
+		n := 1
+		for n < len(batch) && batch[n].Flow == batch[0].Flow {
+			n++
 		}
-		if err := r.record(fs, &batch[i]); err != nil {
+		if err := r.recordRun(r.stateOf(batch[0].Flow), batch[:n]); err != nil {
 			return err
 		}
+		batch = batch[n:]
 	}
 	return nil
 }
@@ -365,9 +129,9 @@ func (r *Recording) stateOf(flow FlowKey) *flowState {
 	fs := flows[flow]
 	switch {
 	case fs == nil:
-		fs = &flowState{slots: make([]querySlot, len(r.engine.slots))}
+		fs = &flowState{}
 	case fs.shared:
-		fs = fs.unshare(r.clone)
+		fs = fs.unshare(r.engine, r.clone)
 	default:
 		return fs
 	}
@@ -439,68 +203,107 @@ func (r *Recording) all() iter.Seq2[FlowKey, *flowState] {
 	}
 }
 
+// recordRun records a run of packets of fs's flow. The flow's first
+// packet lays out its block for its path length. Each path query's decoder
+// is bound over the block for the whole run, and its slab, which Observe
+// may have grown, is kept at the run's end, also when a packet fails.
+func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
+	e := r.engine
+	if fs.k == 0 {
+		if k := run[0].PathLen; k < 1 || k > math.MaxInt16 {
+			return fmt.Errorf("core: flow %v: path length %d", run[0].Flow, k)
+		}
+		fs.k = int16(run[0].PathLen)
+		fs.words = e.newBlock(int(fs.k), fs.words)
+	}
+	if len(r.decs) != e.kinds[opPath] {
+		r.decs = make([]coding.Decoder, e.kinds[opPath])
+	}
+	bound := fs.k <= coding.MaxPathLen
+	if bound {
+		for i := range e.places {
+			if pl := &e.places[i]; pl.kind == opPath {
+				fs.bindDecoder(&r.decs[pl.ord], pl)
+			}
+		}
+	}
+	var err error
+	for i := range run {
+		if err = r.record(fs, &run[i]); err != nil {
+			break
+		}
+	}
+	if bound {
+		for i := range e.places {
+			if pl := &e.places[i]; pl.kind == opPath {
+				fs.keepSlab(e, pl, r.decs[pl.ord].Slab())
+				r.decs[pl.ord] = coding.Decoder{}
+			}
+		}
+	}
+	return err
+}
+
 // record runs one packet of fs's flow through the compiled program of its
 // query set: direct kind dispatch on precomputed ops, no Extracted
-// materialization, no type switches on interfaces. The flow's per-hop
-// stores were sized by its first packet's path length; a later packet
-// claiming a longer path (any exporter can send one) may elect a hop past
-// them, and that per-hop sample is dropped — the same packets always drop
-// the same samples, so every replay of the stream still agrees.
+// materialization, no type switches on interfaces. A packet claiming a
+// longer path than the flow's first (any exporter can send one) may elect
+// a hop past the flow's per-hop stores, and that per-hop sample is dropped
+// — the same packets always drop the same samples, so every replay of the
+// stream still agrees.
 func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
-	if fs.k == 0 {
-		if pkt.PathLen > math.MaxInt16 {
-			return fmt.Errorf("core: flow %v: path length %d", pkt.Flow, pkt.PathLen)
-		}
-		fs.k = int16(pkt.PathLen)
-	}
-	si := r.engine.setIndexOf(pkt)
+	e := r.engine
+	si := e.setIndexOf(pkt)
 	if si < 0 {
 		return nil
 	}
-	ops := r.engine.progs[si].ops
+	k, ops := int(fs.k), e.progs[si].ops
 	for i := range ops {
 		op := &ops[i]
 		bits := pkt.Digest >> op.shift & op.mask
-		slot := &fs.slots[op.slot]
-		var err error
+		pl := &e.places[op.slot]
 		switch op.kind {
 		case opPath:
-			if slot.dec == nil {
-				if slot.dec, err = op.path.NewDecoder(int(fs.k)); err != nil {
-					return err
-				}
+			if k > coding.MaxPathLen {
+				return fmt.Errorf("core: flow %v: path length %d out of [1,%d] for path query %q", pkt.Flow, k, coding.MaxPathLen, op.path.Name())
 			}
-			op.path.ObserveInto(slot.dec, pkt.PktID, bits)
+			fs.start(op.slot)
+			op.path.ObserveInto(&r.decs[pl.ord], pkt.PktID, bits)
 		case opLatency:
-			if slot.lat == nil {
-				if slot.lat, err = r.newLatStores(op.lat, pkt.Flow, int(fs.k)); err != nil {
+			if !fs.started(op.slot) {
+				if err := r.startLatency(fs, op, pkt.Flow); err != nil {
 					return err
 				}
 			}
-			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= len(slot.lat) {
-				slot.lat[hop-1].add(bits)
+			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= k {
+				fs.store(e, pl, hop).add(bits)
 			}
 		case opUtil:
-			slot.series = append(slot.series, op.util.Decode(bits))
+			fs.start(op.slot)
+			fs.setSeries(e, pl, append(fs.series(pl), op.util.Decode(bits)))
 		}
 	}
 	return nil
 }
 
-// newLatStores builds a flow's k per-hop stores for q in the storage the
-// Recording is configured for.
-func (r *Recording) newLatStores(q *LatencyQuery, flow FlowKey, k int) ([]latStore, error) {
-	stores := make([]latStore, k)
+// startLatency starts a flow's per-hop stores for a latency query in the
+// storage the Recording is configured for: counting ones are their tails,
+// all zero already; a sketching Recording gives each a KLL sketch and
+// closes its tail.
+func (r *Recording) startLatency(fs *flowState, op *encodeOp, flow FlowKey) error {
 	if r.sketchItems > 0 {
-		for i := range stores {
-			kll, err := sketch.NewKLL(r.sketchItems, r.sketchRNG(q.Name(), flow, i+1))
+		for hop := 1; hop <= int(fs.k); hop++ {
+			kll, err := sketch.NewKLL(r.sketchItems, r.sketchRNG(op.lat.Name(), flow, hop))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			stores[i] = latStore{sum: &latSum{kll: kll}, lo: tailClosed}
+			st := fs.store(r.engine, &r.engine.places[op.slot], hop)
+			st.setSum(&latSum{kll: kll})
+			st.setTail(tailClosed, [latTail]uint8{})
 		}
 	}
-	return stores, nil
+	fs.start(op.slot)
+	return nil
 }
 
 // Evict drops all recorded state for one flow. The hand-off's export is
@@ -565,14 +368,15 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
 // of the clone — first swaps in a private copy of that one flow (stateOf),
 // so a clone costs 16 bytes of its sorted run per flow, and each flow
 // written after it pays one copy. What the copy copies and what it shares
-// follows from how each piece of state changes. KLL sketches and path
-// decoders still peeling are bounded in size and mutated in place, so the
-// copy gets its own. A decoder that has decoded its path writes nothing
-// but two counters ever again (coding.Decoder's frozen-share rule): the
-// copy takes the counters and shares the solved state. A latency store's
-// inline tail of counters is part of the per-hop array the copy makes
-// anyway; its histogram, never written once a clone can see it, is shared,
-// and the copy's next fold counts into a copy of it. A util series is
+// follows from how each piece of state changes. The flow's block — every
+// decoder's words, every latency store's inline tail — is bounded in
+// size and written in place, so the copy gets its own, and so do KLL
+// sketches and the slab of a path decoder still peeling. A decoder that
+// has decoded its path writes nothing but two counters in its words ever
+// again (coding.Decoder): the copy shares its slab. A latency store's
+// histogram, never written once a clone can see it, is shared, the copied
+// tail is marked shared, and the copy's next fold counts into a copy of
+// the histogram. A util series is
 // append-only, so the copy shares it. The owner's copy — r's, or that of
 // any Recording that is not a clone and merged none — keeps it as it is,
 // spare capacity included: its appends land past every clone's values, or
@@ -679,30 +483,6 @@ func (r *Recording) Release(l *Lease) {
 	}
 }
 
-// unshare returns a private copy of a shared fs to write to (see Clone for
-// what is copied and what is shared). The owner's copy keeps a util
-// series' spare capacity; a clone's copy clamps it.
-func (fs *flowState) unshare(clamp bool) *flowState {
-	c := &flowState{k: fs.k, slots: make([]querySlot, len(fs.slots))}
-	for i := range fs.slots {
-		slot, cs := &fs.slots[i], &c.slots[i]
-		if slot.dec != nil {
-			cs.dec = slot.dec.Clone()
-		}
-		if slot.lat != nil {
-			cs.lat = make([]latStore, len(slot.lat))
-			for h := range slot.lat {
-				cs.lat[h] = slot.lat[h].clone()
-			}
-		}
-		cs.series = slot.series
-		if clamp {
-			cs.series = slices.Clip(cs.series)
-		}
-	}
-	return c
-}
-
 // Merge adopts every flow of o into r. The two recordings must serve the
 // same engine and must track disjoint flow sets — the shape produced by
 // the sharded sink, where a flow's state lives wholly inside one shard —
@@ -740,15 +520,35 @@ func (r *Recording) Merge(o *Recording) error {
 	return nil
 }
 
-// slot returns flow's state for q: the zero querySlot when the flow is not
-// tracked, has not reached q yet, or the engine does not serve q.
-func (r *Recording) slot(q Query, flow FlowKey) querySlot {
+// stateFor returns flow's state and q's place in it, nil when the flow is
+// not tracked, has not reached q yet, or the engine does not serve q.
+func (r *Recording) stateFor(q Query, flow FlowKey) (*flowState, *slotPlace) {
 	fs := r.find(flow)
 	i, ok := r.engine.slots[q]
-	if fs == nil || !ok {
-		return querySlot{}
+	if fs == nil || !ok || !fs.started(i) {
+		return nil, nil
 	}
-	return fs.slots[i]
+	return fs, &r.engine.places[i]
+}
+
+// decoder binds dec as a view of flow's decoder for q and reports whether
+// q has state for the flow.
+func (r *Recording) decoder(dec *coding.Decoder, q *PathQuery, flow FlowKey) bool {
+	fs, pl := r.stateFor(q, flow)
+	if fs != nil {
+		fs.bindDecoder(dec, pl)
+	}
+	return fs != nil
+}
+
+// store binds a view of flow's store for q at hop (1-based), ok false when
+// there is none.
+func (r *Recording) store(q *LatencyQuery, flow FlowKey, hop int) (st latStore, ok bool) {
+	fs, pl := r.stateFor(q, flow)
+	if fs == nil || hop < 1 || hop > int(fs.k) {
+		return st, false
+	}
+	return fs.store(r.engine, pl, hop), true
 }
 
 // Path answers a path query: the decoded switch IDs and whether decoding
@@ -760,16 +560,27 @@ func (r *Recording) Path(q *PathQuery, flow FlowKey) ([]uint64, bool) {
 // AppendPath is Path appending the switch IDs to dst, for a caller that
 // answers flow after flow from one buffer.
 func (r *Recording) AppendPath(dst []uint64, q *PathQuery, flow FlowKey) ([]uint64, bool) {
-	dec := r.PathDecoder(q, flow)
-	if dec == nil {
+	var dec coding.Decoder
+	if !r.decoder(&dec, q, flow) {
 		return dst, false
 	}
 	return dec.AppendPath(dst)
 }
 
-// PathDecoder exposes a flow's decoder for progress inspection.
+// PathDecoder returns a copy of a flow's decoder for progress inspection,
+// nil when q has no state for the flow. The copy owns its state: the
+// Recording's later packets do not show in it, and observing through it
+// changes nothing in the Recording.
 func (r *Recording) PathDecoder(q *PathQuery, flow FlowKey) *coding.Decoder {
-	return r.slot(q, flow).dec
+	fs, pl := r.stateFor(q, flow)
+	if fs == nil {
+		return nil
+	}
+	var view coding.Decoder
+	fs.bindDecoder(&view, pl)
+	k, dec := int(fs.k), new(coding.Decoder)
+	pl.plan.Bind(dec, k, slices.Clone(fs.words[pl.at(k):][:pl.plan.Words(k)]), slices.Clone(view.Slab()))
+	return dec
 }
 
 // PathInconsistencies returns the number of packets whose digests
@@ -778,8 +589,8 @@ func (r *Recording) PathDecoder(q *PathQuery, flow FlowKey) *coding.Decoder {
 // post-change packet, so a short burst is near-certain evidence the path
 // moved (e.g. flowlet re-routing or a failover).
 func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
-	dec := r.PathDecoder(q, flow)
-	if dec == nil {
+	var dec coding.Decoder
+	if !r.decoder(&dec, q, flow) {
 		return 0
 	}
 	return dec.Inconsistent()
@@ -789,7 +600,10 @@ func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
 // the flow — the flow's path length at its first packet — and 0 when q
 // has recorded nothing for the flow.
 func (r *Recording) Hops(q Query, flow FlowKey) int {
-	return r.slot(q, flow).hops()
+	if fs, pl := r.stateFor(q, flow); fs != nil && pl.kind != opUtil {
+		return int(fs.k)
+	}
+	return 0
 }
 
 // LatencyQuantile answers a dynamic query: the phi-quantile of hop
@@ -817,11 +631,10 @@ func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phi
 // (returned unextended on error), for a caller that answers hop after hop
 // from one buffer.
 func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
-	hops := r.slot(q, flow).lat
-	if hop < 1 || hop > len(hops) {
+	st, ok := r.store(q, flow, hop)
+	if !ok {
 		return dst, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
 	}
-	st := &hops[hop-1]
 	out := slices.Grow(dst, len(phis))[:len(dst)+len(phis)]
 	codes := out[len(dst):]
 	if kll := st.kll(); kll != nil {
@@ -843,11 +656,10 @@ func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow 
 
 // LatencySamples returns how many samples hop `hop` has accumulated.
 func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
-	hops := r.slot(q, flow).lat
-	if hop < 1 || hop > len(hops) {
+	st, ok := r.store(q, flow, hop)
+	if !ok {
 		return 0
 	}
-	st := &hops[hop-1]
 	if kll := st.kll(); kll != nil {
 		return int(kll.Count())
 	}
@@ -857,5 +669,8 @@ func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
 // UtilSeries answers a per-packet query: the decoded bottleneck values in
 // arrival order.
 func (r *Recording) UtilSeries(q *UtilQuery, flow FlowKey) []float64 {
-	return r.slot(q, flow).series
+	if fs, pl := r.stateFor(q, flow); fs != nil {
+		return fs.series(pl)
+	}
+	return nil
 }

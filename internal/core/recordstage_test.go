@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -140,10 +141,14 @@ func TestRecordStageAllocationPins(t *testing.T) {
 // hand-off round trip byte for byte. A store counts in its inline tail and
 // folds it into its histogram when a code does not fit: random 8-bit codes
 // span more than the tail's window, and a stream of one code folds at
-// every 256th sample, when its counter is full. Hop 1 is also filled to
-// 255, 256 and 511 samples with a clone taken after the flow's first
-// packet, so its first fold goes into a copy of a histogram the clone may
-// hold; the clone must still answer for that first packet.
+// every 256th sample, when its counter is full. At 8 bits a stream per
+// counter position j opens each hop's window at code 100 with code 114 and
+// then sends code 100+j, so every one of the 29 packed counters, the five
+// in the tail's first word beside lo and the shared mark among them,
+// counts to 254 and 255 and folds. Hop 1 is also filled to 255, 256, 257
+// and 511 samples with a clone taken after the flow's first packet, so its
+// first fold goes into a copy of a histogram the clone may hold; the clone
+// must still answer for that first packet.
 func TestRawStoreMatchesModel(t *testing.T) {
 	const k = 3
 	phis := []float64{0, 1e-9, 0.5, 0.99, 1}
@@ -155,13 +160,23 @@ func TestRawStoreMatchesModel(t *testing.T) {
 		}
 		mask := digestMask(bits)
 		rng := hash.NewRNG(uint64(1009 * bits))
-		streams := []struct {
+		// A stream's gen is given the samples the packet's hop holds.
+		type stream struct {
 			name string
-			gen  func() uint64
-		}{
-			{"random", rng.Uint64},
-			{"all-equal", func() uint64 { return 0x5A5A5A5A5A5A5A5A }},
-			{"all-max", func() uint64 { return ^uint64(0) }},
+			gen  func(n int) uint64
+		}
+		streams := []stream{
+			{"random", func(int) uint64 { return rng.Uint64() }},
+			{"all-equal", func(int) uint64 { return 0x5A5A5A5A5A5A5A5A }},
+			{"all-max", func(int) uint64 { return ^uint64(0) }},
+		}
+		for j := 0; bits == 8 && j < latTail; j++ {
+			streams = append(streams, stream{fmt.Sprintf("counter-%d", j), func(n int) uint64 {
+				if n == 0 {
+					return 114
+				}
+				return uint64(100 + j)
+			}})
 		}
 		for _, stream := range streams {
 			// A length counts packets recorded, or with hop1 the samples
@@ -171,7 +186,7 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				hop1 bool
 			}
 			lengths := []length{{1, false}, {2 + rng.Intn(700), false}}
-			for _, n := range []int{math.MaxUint8, math.MaxUint8 + 1, 2*math.MaxUint8 + 1} {
+			for _, n := range []int{math.MaxUint8, math.MaxUint8 + 1, math.MaxUint8 + 2, 2*math.MaxUint8 + 1} {
 				lengths = append(lengths, length{n, true})
 			}
 			for _, l := range lengths {
@@ -181,10 +196,12 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				}
 				const flow = FlowKey(5)
 				model, raw := make([][]float64, k), make([][]uint64, k)
-				// tail and shared model each store's samples not folded, and
-				// whether a clone may share its histogram; a random stream's
+				// tail and shared model each store's samples not folded, per
+				// code, and whether a clone may share its histogram: every
+				// stream but the random one keeps its codes within one window,
+				// so a store folds when a counter is full. A random stream's
 				// folds are not modelled.
-				tail, shared := make([]int, k), make([]bool, k)
+				tail, shared := make([][1 << 8]int, k), make([]bool, k)
 				modelled := stream.name != "random"
 				var clone *Recording
 				var cloneRaw [][]uint64
@@ -195,29 +212,33 @@ func TestRawStoreMatchesModel(t *testing.T) {
 							shared[h] = true
 						}
 					}
-					pktID, digest := rng.Uint64(), stream.gen()
+					pktID := rng.Uint64()
+					hop := lat.Winner(pktID, k)
+					digest := stream.gen(len(model[hop-1]))
 					if err := rec.Record(flow, k, pktID, digest); err != nil {
 						t.Fatal(err)
 					}
-					hop := lat.Winner(pktID, k)
-					model[hop-1] = append(model[hop-1], float64(digest&mask))
-					raw[hop-1] = append(raw[hop-1], digest&mask)
-					if tail[hop-1] == math.MaxUint8 {
-						tail[hop-1], shared[hop-1] = 0, false
+					code := digest & mask
+					model[hop-1] = append(model[hop-1], float64(code))
+					raw[hop-1] = append(raw[hop-1], code)
+					if tail[hop-1][code] == math.MaxUint8 {
+						tail[hop-1], shared[hop-1] = [1 << 8]int{}, false
 					}
-					tail[hop-1]++
+					tail[hop-1][code]++
 				}
 				ctx := fmt.Sprintf("bits=%d %s n=%d hop1=%v", bits, stream.name, l.n, l.hop1)
 				for hop := 1; hop <= k; hop++ {
 					want := model[hop-1]
-					st := &rec.flows[flow].slots[0].lat[hop-1]
-					held := st.samples()
-					if st.sum != nil {
-						held -= st.sum.n
+					st, _ := rec.store(lat, flow, hop)
+					var held [1 << 8]int
+					for j, c := range st.tail() {
+						if c != 0 {
+							held[st.lo()+j] = int(c)
+						}
 					}
-					if modelled && (held != tail[hop-1] || st.shared != shared[hop-1]) {
-						t.Fatalf("%s hop %d: %d of %d samples not folded (shared %v), want %d (shared %v)",
-							ctx, hop, held, len(want), st.shared, tail[hop-1], shared[hop-1])
+					if modelled && (held != tail[hop-1] || st.shared() != shared[hop-1]) {
+						t.Fatalf("%s hop %d: of %d samples, the tail holds %v (shared %v), want %v (shared %v)",
+							ctx, hop, len(want), held, st.shared(), tail[hop-1], shared[hop-1])
 					}
 					if got := rec.LatencySamples(lat, flow, hop); got != len(want) {
 						t.Fatalf("%s hop %d: %d samples, model %d", ctx, hop, got, len(want))
@@ -269,7 +290,7 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				// The restored stores record on as the originals do, past a
 				// full counter of an all-equal stream.
 				for range math.MaxUint8 + 1 {
-					pktID, digest := rng.Uint64(), stream.gen()
+					pktID, digest := rng.Uint64(), stream.gen(1)
 					for _, r := range []*Recording{rec, back} {
 						if err := r.Record(flow, k, pktID, digest); err != nil {
 							t.Fatal(err)
@@ -320,13 +341,82 @@ func modelBlob(lat *LatencyQuery, codes [][]uint64) []byte {
 // one whose counter is full, fold the tail into the histogram and start a
 // new window at the code. After every step the store's histogram and tail
 // together count what a plain histogram of the codes does.
+//
+// The tail is packed in four words, lo and the shared mark in the low three
+// bytes of the first: every counter position, the five in word 0 among
+// them, counts to 254 and 255 beside an untouched lo and mark, and its
+// next sample folds the tail and clears the mark; a slide moves counts
+// between the words and keeps the mark.
 func TestInlineTailWindow(t *testing.T) {
-	var st latStore
-	var model [1 << 8]uint64
+	newStore := func() (latStore, *[1 << 8]uint64) {
+		return latStore{t: new([tailWords]uint64), fs: &flowState{}, n: 1}, new([1 << 8]uint64)
+	}
+	add := func(st latStore, model *[1 << 8]uint64, code, times int) {
+		for range times {
+			st.add(uint64(code))
+			model[code]++
+		}
+	}
+	// check holds the store to a window at lo, the given counts at codes,
+	// folded samples in its histogram, the mark and the model histogram.
+	check := func(ctx string, st latStore, model *[1 << 8]uint64, lo int, counts map[int]int, folded int, shared bool) {
+		t.Helper()
+		n := 0
+		if st.sum() != nil {
+			n = st.sum().n
+		}
+		var hist [1 << 8]uint64
+		st.countInto(&hist)
+		tail := st.tail()
+		for code, c := range counts {
+			if code-lo < 0 || code-lo >= latTail || int(tail[code-lo]) != c {
+				t.Fatalf("%s: code %d not counted %d times in a window at %d (tail %v)", ctx, code, c, st.lo(), tail)
+			}
+		}
+		if st.lo() != lo || n != folded || st.shared() != shared || hist != *model {
+			t.Fatalf("%s: window at %d, %d samples folded, shared %v; want %d, %d, %v; counts match a plain histogram: %v",
+				ctx, st.lo(), n, st.shared(), lo, folded, shared, hist == *model)
+		}
+	}
+	for j := range latTail {
+		st, model := newStore()
+		add(st, model, 114, 1) // opens the window at 100
+		st.t[0] |= markShared
+		code, opener := 100+j, map[int]int{114: 1}
+		if j == 14 {
+			opener = nil
+		}
+		held := func(c int) map[int]int {
+			m := map[int]int{code: c}
+			for code, c := range opener {
+				m[code] = c
+			}
+			return m
+		}
+		add(st, model, code, math.MaxUint8-1-int(model[code]))
+		check(fmt.Sprintf("counter %d at 254", j), st, model, 100, held(254), 0, true)
+		add(st, model, code, 1)
+		check(fmt.Sprintf("counter %d at 255", j), st, model, 100, held(255), 0, true)
+		add(st, model, code, 1)
+		check(fmt.Sprintf("counter %d's fold", j), st, model, code-(latTail-1)/2, map[int]int{code: 1},
+			math.MaxUint8+len(opener), false)
+	}
+	for d := 15; d < latTail; d++ {
+		for _, other := range []int{114 + d, 114 - d} {
+			st, model := newStore()
+			add(st, model, 114, 3) // counter 14, in word 2
+			st.t[0] |= markShared
+			add(st, model, other, 2)
+			lo := min(114, other) - (latTail-1-d)/2
+			check(fmt.Sprintf("slide to %d", other), st, model, lo, map[int]int{114: 3, other: 2}, 0, true)
+		}
+	}
+
+	st, model := newStore()
 	for i, step := range []struct {
 		code, times int
-		lo          uint16 // the window's first code afterwards
-		folded      int    // samples in the histogram afterwards
+		lo          int // the window's first code afterwards
+		folded      int // samples in the histogram afterwards
 	}{
 		{100, 1, 86, 0},
 		{120, 1, 96, 0},  // 100..120 fit: the window slides
@@ -337,20 +427,8 @@ func TestInlineTailWindow(t *testing.T) {
 		{255, 1, 227, 4 + math.MaxUint8}, // a full counter folds
 		{230, 1, 227, 4 + math.MaxUint8},
 	} {
-		for range step.times {
-			st.add(uint64(step.code))
-			model[step.code]++
-		}
-		folded := 0
-		if st.sum != nil {
-			folded = st.sum.n
-		}
-		var hist [1 << 8]uint64
-		st.countInto(&hist)
-		if st.lo != step.lo || folded != step.folded || hist != model {
-			t.Fatalf("step %d (code %d ×%d): window at %d with %d samples folded, want %d and %d; counts match a plain histogram: %v",
-				i, step.code, step.times, st.lo, folded, step.lo, step.folded, hist == model)
-		}
+		add(st, model, step.code, step.times)
+		check(fmt.Sprintf("step %d (code %d ×%d)", i, step.code, step.times), st, model, step.lo, nil, step.folded, false)
 	}
 }
 
@@ -531,26 +609,31 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // 751 B in 10.1 objects, 834 B in 15.0 and 1,953 B in 30.3; in fixed
 // 128-byte chunks, whose first sample took a whole chunk and a two-slot
 // list (144 B a store), 1,408 B in 15.0, 1,433 B in 15.3 and 1,433 B in
-// 15.3. Counted in each store's inline tail they cost 713 B in 5.3 at
-// every length: the stores are one array, and none folds in 500 packets.
-// The budgets are that measurement plus 4 % (27 B) and 0.7 objects.
+// 15.3. Counted in each store's inline tail, in an array of stores beside
+// a decoder struct with a block of its own and a slot per query, they
+// cost 713 B in 5.3 at every length. As one 64-byte header and one
+// 40-word block, the decoder's words and the tails in it, they cost 479 B
+// in 2.6: the header, the block, the flow's share of the map, and for
+// about a quarter of flows a slab of stored packets and the one-entry
+// array that holds it. The budgets are that measurement plus 4 % (19 B)
+// and 0.4 objects.
+//
+// Two more rows price what hangs off the header: the same 500-packet flows
+// recorded into KLL sketches (a sketch per store from the first packet:
+// 6,455 B in 49.6 objects, 6,593 B in 50.3 before), and 500-packet 6-hop
+// flows of the combined plan, whose util query takes 1/8 of packets into a
+// series that grows by append and whose latency codes span the whole code
+// domain, so every store folds (10,010 B in 43.7 objects, 10,169 B in 43.3
+// before). Their budgets are the measurement plus 4 % and 1 object.
 func TestColdFlowAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
 	const flows, pkts = 512, 500
 	eng, path, _ := testbenchPlan(t, 71)
-	var rec *Recording
-	for _, row := range []struct {
-		pkts              int
-		maxBytes, maxObjs float64
-	}{{16, 740, 6}, {64, 740, 6}, {pkts, 740, 6}} { // the last row's flows stay in rec
-		batch := make([]PacketDigest, 0, flows*row.pkts)
-		for f := 1; f <= flows; f++ {
-			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
-		}
-		var err error
-		if rec, err = NewRecordingSeeded(eng, 0, 0xA110C); err != nil {
+	cost := func(eng *Engine, sketchItems int, batch []PacketDigest) (*Recording, float64, float64) {
+		rec, err := NewRecordingSeeded(eng, sketchItems, 0xA110C)
+		if err != nil {
 			t.Fatal(err)
 		}
 		bytes, mallocs := allocDelta(func() {
@@ -558,10 +641,51 @@ func TestColdFlowAllocationShape(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow", bytes/flows, mallocs/flows, row.pkts)
-		if bytes/flows > row.maxBytes || mallocs/flows > row.maxObjs {
-			t.Errorf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow, want at most %.0f B and %.0f",
-				bytes/flows, mallocs/flows, row.pkts, row.maxBytes, row.maxObjs)
+		return rec, bytes / flows, mallocs / flows
+	}
+	var rec *Recording
+	var batch []PacketDigest
+	for _, row := range []struct {
+		pkts              int
+		maxBytes, maxObjs float64
+	}{{16, 498, 3}, {64, 498, 3}, {pkts, 498, 3}} { // the last row's flows stay in rec
+		batch = make([]PacketDigest, 0, flows*row.pkts)
+		for f := 1; f <= flows; f++ {
+			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
+		}
+		var bytes, objs float64
+		rec, bytes, objs = cost(eng, 0, batch)
+		t.Logf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow", bytes, objs, row.pkts)
+		if bytes > row.maxBytes || objs > row.maxObjs {
+			t.Errorf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow, want at most %.0f B and %.1f",
+				bytes, objs, row.pkts, row.maxBytes, row.maxObjs)
+		}
+	}
+
+	utilEng, _, _, _ := combinedTestPlan(t, 71)
+	var utilBatch []PacketDigest
+	for f := 1; f <= flows; f++ {
+		stream := cloneWorkload(t, utilEng, uint64(1000+f), 1, pkts, 6)
+		for i := range stream {
+			stream[i].Flow = FlowKey(f)
+		}
+		utilBatch = append(utilBatch, stream...)
+	}
+	for _, row := range []struct {
+		name              string
+		eng               *Engine
+		sketchItems       int
+		batch             []PacketDigest
+		maxBytes, maxObjs float64
+	}{
+		{"testbench flow into KLL sketches", eng, 24, batch, 6713, 50.6},
+		{"6-hop flow of the combined plan", utilEng, 0, utilBatch, 10410, 44.7},
+	} {
+		_, bytes, objs := cost(row.eng, row.sketchItems, row.batch)
+		t.Logf("RecordBatch: %.0f B and %.1f objects per cold 500-packet %s", bytes, objs, row.name)
+		if bytes > row.maxBytes || objs > row.maxObjs {
+			t.Errorf("RecordBatch: %.0f B and %.1f objects per cold 500-packet %s, want at most %.0f B and %.1f",
+				bytes, objs, row.name, row.maxBytes, row.maxObjs)
 		}
 	}
 
@@ -632,12 +756,15 @@ func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]
 
 // TestOwnerWriteAfterCloneCopiesOnce pins the writer's side of a
 // snapshot: after a Clone, the owner's next frame into each converged flow
-// costs at most one copy of that flow's state (~500 B in 4 objects) over
-// what the same frame costs with no snapshot, and no latency object: each
-// store's inline tail is copied with the per-hop array, and its histogram
-// is shared until it folds. The copy costs exactly the budget's 4 objects, so a
-// runtime allocation landing inside one measurement would fail it: the
-// test measures three fresh triples and keeps the smallest excess, as
+// costs at most one copy of that flow's state over what the same frame
+// costs with no snapshot, and no latency object: each store's inline tail
+// is copied with the flow's block, and its histogram is shared until it
+// folds. The copy is the header and the block (384 B in 2 objects), and
+// for a quarter of flows the one-entry array holding the decoder's slab,
+// which a finished decoder shares: ~390 B in 2.3 objects, ~496 B in 4
+// while the decoder and the stores were objects of their own. A runtime
+// allocation landing inside one measurement could fail the budget, so
+// the test measures three fresh triples and keeps the smallest excess, as
 // noise only adds.
 func TestOwnerWriteAfterCloneCopiesOnce(t *testing.T) {
 	if raceEnabled {
@@ -687,7 +814,6 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 	const flows, warm, more, last, frame, k = 16, 14000, 14000, 1024, 64, 5
 	eng, path, lat := testbenchPlan(t, 71)
 	queries := []Query{path, lat}
-	si := eng.slots[lat]
 	rec, err := NewRecordingSeeded(eng, 0, 0xA110C)
 	if err != nil {
 		t.Fatal(err)
@@ -714,14 +840,17 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		recordInto(twin, from, to)
 	}
 	record(0, warm)
-	store := func(r *Recording, f, hop int) *latStore { return &r.flows[FlowKey(f+1)].slots[si].lat[hop] }
+	store := func(r *Recording, f, hop int) latStore {
+		st, _ := r.store(lat, FlowKey(f+1), hop+1)
+		return st
+	}
 	sums, folded := make([][k]*latSum, flows), make([][k]int, flows)
 	for f := range sums {
 		for hop := range k {
-			if sums[f][hop] = store(rec, f, hop).sum; sums[f][hop] == nil {
+			if sums[f][hop] = store(rec, f, hop).sum(); sums[f][hop] == nil {
 				t.Fatalf("flow %d hop %d has not folded in %d packets; the pin needs folded stores", f+1, hop+1, warm)
 			}
-			folded[f][hop] = store(twin, f, hop).sum.n
+			folded[f][hop] = store(twin, f, hop).sum().n
 		}
 	}
 	held := recordingState(t, rec, queries)
@@ -739,13 +868,13 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		for f := range sums {
 			for hop := range k {
 				st, was := store(rec, f, hop), folded[f][hop]
-				folded[f][hop] = store(twin, f, hop).sum.n
-				if st.sum != sums[f][hop] {
+				folded[f][hop] = store(twin, f, hop).sum().n
+				if st.sum() != sums[f][hop] {
 					if folded[f][hop] == was || copies[f][hop] > 0 {
 						t.Fatalf("flow %d hop %d: a new histogram %d samples after the clone, in a frame its twin folded %d samples in; want one copy, at a fold",
 							f+1, hop+1, samples(f, hop)-from[f][hop], folded[f][hop]-was)
 					}
-					sums[f][hop] = st.sum
+					sums[f][hop] = st.sum()
 					copies[f][hop]++
 				}
 			}
@@ -757,9 +886,9 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 			if n := samples(f, hop) - from[f][hop]; n < 1100 {
 				t.Fatalf("flow %d hop %d took %d samples after the clone; the pin needs 1,100", f+1, hop+1, n)
 			}
-			if copies[f][hop] != 1 || st.shared {
+			if copies[f][hop] != 1 || st.shared() {
 				t.Errorf("flow %d hop %d: %d histogram copies after the clone (still shared: %v), want 1",
-					f+1, hop+1, copies[f][hop], st.shared)
+					f+1, hop+1, copies[f][hop], st.shared())
 			}
 		}
 	}
@@ -880,22 +1009,53 @@ func TestLongFlowBytesPerPacket(t *testing.T) {
 	}
 }
 
-// TestLatStoreSize pins the per-hop store's size: a 5-hop flow's stores
-// (5 × 40 B) fit the 208-byte size class, and one more word would move
-// them to 240 B and, with them, the copy a writer makes of each flow it
-// records into after a snapshot.
-func TestLatStoreSize(t *testing.T) {
-	if got := unsafe.Sizeof(latStore{}); got > 40 {
-		t.Errorf("latStore is %d B, want at most 40: five of them must stay in the 208-byte size class a writer copies per flow after a snapshot", got)
+// TestFlowBlockWords pins a testbench flow's block at 5 hops: the started
+// bits (1 word), the path decoder's 19 words (two counters, the listed
+// mask, the known mask, 5 values, 5 two-word candidate rows) and five
+// 4-word latency tails, 40 words in all. 320 B is a size class: one more
+// word would move every flow's block to 352 B.
+func TestFlowBlockWords(t *testing.T) {
+	eng, path, lat := testbenchPlan(t, 71)
+	const k = 5
+	if got := eng.blockBase + eng.blockPerHop*k; got != 40 {
+		t.Errorf("a %d-hop testbench flow's block is %d words, want 40 (320 B)", k, got)
+	}
+	pl, ll := eng.places[eng.slots[path]], eng.places[eng.slots[lat]]
+	if got := ll.at(k) - pl.at(k); got != path.plan.Words(k) || got != 19 {
+		t.Errorf("the path decoder takes %d words (Plan.Words %d), want 19", got, path.plan.Words(k))
 	}
 }
 
-// TestFlowStateSize pins the per-flow state's size class: a writer
-// allocates one flowState per flow it copies after a snapshot, and a hold
-// count that pushed the state into the 48-byte class would raise what
-// every such copy costs.
+// TestRecordRefusesPathLength: a flow's first packet lays out its block
+// for its path length, so a length below 1, which no wire carries, is
+// refused like one past an int16, and the flow records nothing. A latency
+// query alone used to take a length of 0 as a flow of no hops, and a
+// negative one panicked.
+func TestRecordRefusesPathLength(t *testing.T) {
+	lat := latQueryOfBits(t, 8, 1, 89)
+	eng, err := Compile([]Query{lat}, 8, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{-1, 0, math.MaxInt16 + 1} {
+		rec, err := NewRecordingSeeded(eng, 0, 101)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Record(1, k, 7, 42); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("path length %d", k)) {
+			t.Errorf("Record at path length %d: %v, want it refused naming the length", k, err)
+		}
+		if rec.Hops(lat, 1) != 0 {
+			t.Errorf("path length %d: the flow holds state for %d hops", k, rec.Hops(lat, 1))
+		}
+	}
+}
+
+// TestFlowStateSize pins the per-flow header's size class: every flow has
+// one, and a writer allocates one per flow it copies after a snapshot; a
+// field more would move it from the 64-byte class to 80.
 func TestFlowStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(flowState{}); got > 32 {
-		t.Errorf("flowState is %d B, want at most 32: the copy a writer makes of each flow it records into after a snapshot must stay in the 32-byte size class", got)
+	if got := unsafe.Sizeof(flowState{}); got > 64 {
+		t.Errorf("flowState is %d B, want at most 64: every flow's header must stay in the 64-byte size class", got)
 	}
 }

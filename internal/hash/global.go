@@ -111,15 +111,40 @@ func (g *Global) ActBelow(pktID uint64, hop int, threshold uint64) bool {
 	return g.g.Hash2(pktID, uint64(hop)) < threshold
 }
 
+// ActMask returns the hops among 1..k that ActBelow reports acting on
+// pktID, hop i as bit i-1, running g's first round on the packet ID once
+// for all of them. k is at most 64.
+func (g *Global) ActMask(pktID uint64, k int, threshold uint64) uint64 {
+	if threshold == ^uint64(0) {
+		return ^uint64(0) >> uint(64-k)
+	}
+	first, mask := g.g.hash2First(pktID), uint64(0)
+	for i := 1; i <= k; i++ {
+		if hash2Second(first, uint64(i)) < threshold {
+			mask |= 1 << uint(i-1)
+		}
+	}
+	return mask
+}
+
 // ReservoirWinner returns the 1-based hop whose value survives on a packet
 // that traversed k hops under reservoir sampling: the *last* hop i with
 // g(pkt,i) < 1/i. This is the computation the Recording Module performs to
 // attribute a digest to a hop without any hop ID on the wire. The first hop
 // always writes, so a winner always exists for k >= 1.
+//
+// It runs g's first round on the packet ID once for all k hops, and
+// decides the hops the threshold table covers in a loop of their own.
 func (g Global) ReservoirWinner(pktID uint64, k int) int {
-	w := 1
-	for i := 2; i <= k; i++ {
-		if g.ReservoirWrites(pktID, i) {
+	first, w := g.g.hash2First(pktID), 1
+	n := min(k, len(reservoirThreshold)-1)
+	for i := 2; i <= n; i++ {
+		if hash2Second(first, uint64(i)) < reservoirThreshold[i] {
+			w = i
+		}
+	}
+	for i := n + 1; i <= k; i++ {
+		if Below(hash2Second(first, uint64(i)), 1/float64(i)) {
 			w = i
 		}
 	}

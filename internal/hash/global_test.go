@@ -37,9 +37,10 @@ func TestReservoirFirstHopAlwaysWrites(t *testing.T) {
 func TestReservoirWinnerMatchesSequentialSimulation(t *testing.T) {
 	// The Recording Module's offline computation must agree with what the
 	// switches actually did on the wire — the central coordination claim.
+	// k runs past 64, where ReservoirWrites leaves its threshold table.
 	g := NewGlobal(3)
 	for p := uint64(0); p < 20000; p++ {
-		k := 1 + int(p%30)
+		k := 1 + int(p%70)
 		cur := 0
 		for i := 1; i <= k; i++ { // the on-path sequential overwrites
 			if g.ReservoirWrites(p, i) {
@@ -162,5 +163,26 @@ func TestInstanceIndependence(t *testing.T) {
 	// 16-bit digests collide w.p. 2^-16; a thousand trials should see ~0.
 	if same > 3 {
 		t.Fatalf("instances look correlated: %d matches", same)
+	}
+}
+
+// TestActMaskMatchesActBelow: the decoder's one-call acting set is ActBelow
+// asked hop by hop, for every path length the wire carries and for the
+// saturated and empty thresholds too.
+func TestActMaskMatchesActBelow(t *testing.T) {
+	g := NewGlobal(5)
+	for _, threshold := range []uint64{0, Threshold(0.04), Threshold(0.5), ^uint64(0)} {
+		for p := uint64(0); p < 3000; p++ {
+			k := 1 + int(p%64)
+			var want uint64
+			for hop := 1; hop <= k; hop++ {
+				if g.ActBelow(p, hop, threshold) {
+					want |= 1 << uint(hop-1)
+				}
+			}
+			if got := g.ActMask(p, k, threshold); got != want {
+				t.Fatalf("pkt=%d k=%d threshold=%#x: mask %#x, ActBelow says %#x", p, k, threshold, got, want)
+			}
+		}
 	}
 }

@@ -65,12 +65,13 @@ func (s Seed) Hash1(a uint64) uint64 {
 
 // Hash2 hashes a pair of 64-bit words under the seed. It is the workhorse
 // for g(pkt, hop) and h(value, pkt) style functions.
-func (s Seed) Hash2(a, b uint64) uint64 {
-	h := uint64(s) ^ golden
-	h = Mix64(h ^ (a*golden + 1))
-	h = Mix64(h ^ (b*mixA + 2))
-	return h
-}
+func (s Seed) Hash2(a, b uint64) uint64 { return hash2Second(s.hash2First(a), b) }
+
+// hash2First and hash2Second are Hash2's two rounds, split so that a
+// caller hashing one a with many b runs the first round once.
+func (s Seed) hash2First(a uint64) uint64 { return Mix64(uint64(s) ^ golden ^ (a*golden + 1)) }
+
+func hash2Second(h, b uint64) uint64 { return Mix64(h ^ (b*mixA + 2)) }
 
 // Hash3 hashes a triple of 64-bit words under the seed.
 func (s Seed) Hash3(a, b, c uint64) uint64 {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -19,7 +20,7 @@ func randDigests(rng *rand.Rand, n int) []core.PacketDigest {
 		out[i] = core.PacketDigest{
 			Flow:    core.FlowKey(rng.Uint64() >> uint(rng.Intn(64))),
 			PktID:   rng.Uint64() >> uint(rng.Intn(64)),
-			PathLen: 1 + rng.Intn(wire.MaxPathLen),
+			PathLen: 1 + rng.Intn(coding.MaxPathLen),
 			Digest:  rng.Uint64() >> uint(rng.Intn(64)),
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 )
 
@@ -45,9 +46,9 @@ func referenceColumn(dst []byte, col []uint64) []byte {
 // run columns, the first ID, the two fixed-width columns.
 func referenceMarshal(dst []byte, batch []core.PacketDigest) ([]byte, error) {
 	for i, p := range batch {
-		if p.PathLen < 1 || p.PathLen > MaxPathLen {
+		if p.PathLen < 1 || p.PathLen > coding.MaxPathLen {
 			return nil, fmt.Errorf("wire: packet %d has path length %d outside [1, %d]",
-				i, p.PathLen, MaxPathLen)
+				i, p.PathLen, coding.MaxPathLen)
 		}
 	}
 	dst = append(dst, 'P', 'D', 2)
@@ -237,7 +238,7 @@ func referenceUnmarshal(data []byte) ([]core.PacketDigest, error) {
 // deltas), a flow and a path length that change on every packet.
 func adversarialBatch() []core.PacketDigest {
 	return []core.PacketDigest{
-		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: MaxPathLen, Digest: ^uint64(0)},
+		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: coding.MaxPathLen, Digest: ^uint64(0)},
 		{Flow: 0, PktID: 0, PathLen: 1, Digest: 0},
 		{Flow: 1 << 63, PktID: 1<<63 - 1, PathLen: 64, Digest: 1 << 62},
 		{Flow: 127, PktID: 128, PathLen: 2, Digest: 16383},
@@ -440,7 +441,7 @@ func fuzzBatch(data []byte) []core.PacketDigest {
 			Flow:    core.FlowKey(binary.LittleEndian.Uint64(data[i:])),
 			PktID:   binary.LittleEndian.Uint64(data[i+8:]),
 			Digest:  binary.LittleEndian.Uint64(data[i+16:]),
-			PathLen: 1 + int(data[i+24]%MaxPathLen),
+			PathLen: 1 + int(data[i+24]%coding.MaxPathLen),
 		})
 	}
 	return batch

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/hash"
 )
@@ -89,8 +90,8 @@ func parse(data []byte) (columns, error) {
 			return columns{}, fmt.Errorf("wire: path-length run %d: truncated", run)
 		}
 		k := data[off]
-		if k < 1 || k > MaxPathLen {
-			return columns{}, fmt.Errorf("wire: path-length run %d: length %d outside [1, %d]", run, k, MaxPathLen)
+		if k < 1 || k > coding.MaxPathLen {
+			return columns{}, fmt.Errorf("wire: path-length run %d: length %d outside [1, %d]", run, k, coding.MaxPathLen)
 		}
 		if k == prev {
 			return columns{}, fmt.Errorf("wire: path-length run %d repeats its predecessor's length", run)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 )
 
@@ -37,7 +38,7 @@ func decodeSeeds(t testing.TB) []decodeSeed {
 	valid("one-packet", []core.PacketDigest{{Flow: 7, PktID: 99, PathLen: 12, Digest: 0xABCD}})
 	valid("many-packets", sampleBatch(64))
 	valid("extreme-values", []core.PacketDigest{
-		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: MaxPathLen, Digest: ^uint64(0)},
+		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: coding.MaxPathLen, Digest: ^uint64(0)},
 		{Flow: 0, PktID: 0, PathLen: 1, Digest: 0},
 	})
 	valid("testbench-frame", testbenchFrame(32))
@@ -82,7 +83,7 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("Count = %d, %v of a batch that decodes to %d packets", n, countErr, len(pkts))
 		}
 		for i := range pkts {
-			if pkts[i].PathLen < 1 || pkts[i].PathLen > MaxPathLen {
+			if pkts[i].PathLen < 1 || pkts[i].PathLen > coding.MaxPathLen {
 				t.Fatalf("packet %d decoded with path length %d", i, pkts[i].PathLen)
 			}
 		}

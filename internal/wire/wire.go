@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 )
 
@@ -73,17 +74,14 @@ import (
 // varints) is gone: a batch carrying any other number is refused by it.
 const Version = 2
 
-// MaxPathLen mirrors the Inference Module's path-length domain: the
-// decoder peels hop sets held in one 64-bit mask.
-const MaxPathLen = 64
-
 const headerLen = 4 // magic (2) + version (1) + count (>= 1)
 
 var magic = [2]byte{'P', 'D'}
 
 // AppendMarshal appends the encoding of batch to dst (which may be nil or
 // a reused buffer's dst[:0]) and returns the extended slice. It errors if
-// any packet's PathLen is outside [1, MaxPathLen] — such a packet could
+// any packet's PathLen is outside [1, coding.MaxPathLen], the Inference
+// Module's path-length domain — such a packet could
 // never have been produced by a sink and would be rejected by the
 // receiving side; on error dst is not extended (nil is returned) and no
 // bytes were written.
@@ -97,9 +95,9 @@ func AppendMarshal(dst []byte, batch []core.PacketDigest) ([]byte, error) {
 	var idBits, dgBits uint64 // OR of each column: its highest set bit sizes the column
 	for i := range batch {
 		p := &batch[i]
-		if p.PathLen < 1 || p.PathLen > MaxPathLen {
+		if p.PathLen < 1 || p.PathLen > coding.MaxPathLen {
 			return nil, fmt.Errorf("wire: packet %d has path length %d outside [1, %d]",
-				i, p.PathLen, MaxPathLen)
+				i, p.PathLen, coding.MaxPathLen)
 		}
 		if i > 0 {
 			idBits |= zigzag(int64(p.PktID - batch[i-1].PktID))

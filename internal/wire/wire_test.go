@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/hash"
 )
@@ -53,7 +54,7 @@ func TestRoundTrip(t *testing.T) {
 func TestRoundTripExtremes(t *testing.T) {
 	batch := []core.PacketDigest{
 		{Flow: 0, PktID: 0, PathLen: 1, Digest: 0},
-		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: MaxPathLen, Digest: ^uint64(0)},
+		{Flow: ^core.FlowKey(0), PktID: ^uint64(0), PathLen: coding.MaxPathLen, Digest: ^uint64(0)},
 		{Flow: 1, PktID: 1, PathLen: 1, Digest: 1},
 		{Flow: ^core.FlowKey(0) - 1, PktID: 2, PathLen: 64, Digest: 1<<63 + 7},
 	}
@@ -160,7 +161,7 @@ func TestAppendFormsReuseBuffers(t *testing.T) {
 }
 
 func TestMarshalRejectsBadPathLen(t *testing.T) {
-	for _, k := range []int{0, -1, MaxPathLen + 1} {
+	for _, k := range []int{0, -1, coding.MaxPathLen + 1} {
 		if _, err := AppendMarshal(nil, []core.PacketDigest{{PathLen: k}}); err == nil {
 			t.Fatalf("marshal accepted path length %d", k)
 		}

@@ -566,3 +566,45 @@ func TestSmokePintdSigtermDrain(t *testing.T) {
 		t.Fatalf("pintd drain report lacks %q / %q:\n%s", drained, tracked, out)
 	}
 }
+
+// TestSmokeHopCountRange pins what the daemon and the load generator do
+// with a hop count the wire cannot carry: `pintd -k 0` and `pintload -k
+// 65` exit 1 naming the range [1,64], where the daemon used to announce
+// k 0 and run 5 hops. A daemon started with -shards -1 announces the one
+// shard its sink runs, not the -1 it was given.
+func TestSmokeHopCountRange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests exec the go tool; skipped in -short")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	bin := t.TempDir()
+	for _, cmd := range []string{"pintd", "pintload"} {
+		out, err := exec.CommandContext(ctx, "go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"pintd", "-k", "0", "-listen", "127.0.0.1:0", "-http", ""},
+		{"pintload", "-k", "65", "-addr", "127.0.0.1:1"},
+	} {
+		out, err := exec.CommandContext(ctx, filepath.Join(bin, args[0]), args[1:]...).CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 || !strings.Contains(string(out), "[1,64]") {
+			t.Errorf("%s: %v, want exit status 1 naming [1,64]:\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+
+	daemon := startDaemon(t, ctx, filepath.Join(bin, "pintd"), "-listen", "127.0.0.1:0", "-http", "", "-shards", "-1")
+	if line := daemon.scrapeLine(t, "listening on "); !strings.Contains(line, "shards 1, k 5,") {
+		t.Errorf("pintd -shards -1 announced %q, want the one shard its sink runs", line)
+	}
+	if err := daemon.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	daemon.drainOutput()
+	if err := daemon.cmd.Wait(); err != nil {
+		t.Fatalf("pintd -shards -1 did not drain cleanly: %v\n%s", err, strings.Join(daemon.lines, "\n"))
+	}
+}
