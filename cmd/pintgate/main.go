@@ -1,8 +1,9 @@
 // Command pintgate is the federated collector fleet's query frontend: it
 // fans /snapshot, /stats, and /healthz out to every fleet member
-// (cmd/pintd daemons), folds the per-member answers into the same
-// fixed-order JSON a single daemon emits, and degrades explicitly when a
-// member is down — the response carries an X-Pint-Partial header plus a
+// (cmd/pintd daemons) — a /snapshot?flow= query only to the listed flows'
+// home members — folds the per-member answers into the same fixed-order
+// JSON a single daemon emits, and degrades explicitly when a member it
+// asked is down — the response carries an X-Pint-Partial header plus a
 // per-node error list naming exactly which members are missing.
 //
 // Usage:
@@ -30,14 +31,20 @@
 // the home the map derives from the member names; see the README's
 // federated-deployment section), so the /snapshot merge is a k-way merge
 // by flow key — byte-identical to one collector that ingested everything.
-// The merge streams: the gate reads each member's body one flow element
-// at a time and writes the winning element's bytes on as it got them, so
-// it holds one pending element per member per request, not the fleet's
-// answer. A member that is down, refusing or stale when the query starts
-// is named in the partial result; one that fails after the response has
-// begun (dies, truncates, sends a malformed or out-of-order element, goes
-// silent) makes the gate abort the response — the client sees a transport
-// error and retries, never a complete-looking answer with a hole in it.
+// The merge streams: the gate scans each member's body one flow element
+// at a time, checking its grammar as encoding/json would, and writes the
+// winning element's bytes on as it got them, so it holds one buffered
+// element per member per request, not the fleet's answer. A ?flow= query
+// is routed by the same map: the gate parses the list (a bad key is a
+// single daemon's 400, and no member is asked), sends each home member
+// its own flows in request order, and splices the answers back in that
+// order — so a point query costs one member request, and a member that is
+// no listed flow's home is never asked. A member asked that is down,
+// refusing or stale when the query starts is named in the partial result;
+// one that fails after the response has begun (dies, truncates, sends a
+// malformed, out-of-order or unasked-for element, goes silent) makes the
+// gate abort the response — the client sees a transport error and
+// retries, never a complete-looking answer with a hole in it.
 // -timeout bounds a member's silence (before its headers, or between two
 // reads of its body), not the time a slow client takes to read.
 // On SIGTERM/SIGINT the gate stops serving and exits 0.

@@ -50,9 +50,9 @@ type QueryAnswer struct {
 type FlowAnswers struct {
 	Flow uint64 `json:"flow"`
 	// Tracked reports whether the answering Recording holds live state
-	// for the flow. A federated query frontend uses it to pick the home
-	// collector's answer when an explicitly requested flow fans out to
-	// every fleet member (non-home members answer with empty state).
+	// for the flow: false is the empty answer to a ?flow= for a flow the
+	// collector never saw. A federated query frontend asks each flow's
+	// home member only, so the answer it splices is the home's either way.
 	Tracked bool          `json:"tracked,omitempty"`
 	Answers []QueryAnswer `json:"answers"`
 }
@@ -191,16 +191,10 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		q := r.URL.Query() // every call re-parses the string: parse once
-		var flows []core.FlowKey
-		for _, raw := range q["flow"] {
-			// Decimal, like ?since=/?until=: the body's "flow" must name
-			// the key the client wrote, not 010's octal 8 or 0x10's 16.
-			v, err := strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad flow %q: %v", raw, err), http.StatusBadRequest)
-				return
-			}
-			flows = append(flows, core.FlowKey(v))
+		flows, err := ParseFlowFilter(q)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		if q.Has("since") || q.Has("until") {
 			s.serveWindow(w, q, flows)
@@ -221,6 +215,24 @@ func (s *Server) Handler() http.Handler {
 		WriteSnapshot(w, EachFlow(merged, s.cfg.Queries, flows))
 	}))
 	return mux
+}
+
+// ParseFlowFilter reads a /snapshot query's ?flow= list, in request
+// order with repeats kept; nil when there is none. A key is decimal, like
+// ?since=/?until=: the body's "flow" must name the key the client wrote,
+// not 010's octal 8 or 0x10's 16. The error is the 400 body's text, which
+// the federated query frontend, parsing the same list before it routes
+// the flows to their home members, answers word for word.
+func ParseFlowFilter(q url.Values) ([]core.FlowKey, error) {
+	var flows []core.FlowKey
+	for _, raw := range q["flow"] {
+		v, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad flow %q: %v", raw, err)
+		}
+		flows = append(flows, core.FlowKey(v))
+	}
+	return flows, nil
 }
 
 // EpochHeader carries the answering member's cluster epoch on every

@@ -109,16 +109,6 @@ func (m *FleetMap) IngestAddrs() []string {
 	return out
 }
 
-// QueryURLs returns the members' query base URLs in home-index order —
-// the list a frontend fans out over.
-func (m *FleetMap) QueryURLs() []string {
-	out := make([]string, len(m.Members))
-	for i, mem := range m.Members {
-		out[i] = mem.Query
-	}
-	return out
-}
-
 // FlowHome implements collector.FleetRoster: the index of the member
 // that owns flow. It panics on an unvalidated map — routing with a map
 // that skipped Validate is a programming error, not a runtime condition.

@@ -91,10 +91,6 @@ func TestFleetMapRosterInterface(t *testing.T) {
 	if len(addrs) != 2 || addrs[0] != "x:1" || addrs[1] != "y:1" {
 		t.Fatalf("IngestAddrs = %v", addrs)
 	}
-	urls := fm.QueryURLs()
-	if len(urls) != 2 || urls[0] != "http://x:2" || urls[1] != "http://y:2" {
-		t.Fatalf("QueryURLs = %v", urls)
-	}
 }
 
 // TestConnectSendsEachFlowToItsMapHome is the single-keying property: a

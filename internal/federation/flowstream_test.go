@@ -3,6 +3,8 @@ package federation
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strconv"
@@ -170,12 +172,83 @@ func TestFlowStreamRejects(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotElements: the element reader parses bytes from another
+// snapshotShape is encoding/json's account of whether a body it accepts
+// is a snapshot document the gate may splice: an object whose one member
+// is "flows", spelled without escapes, holding null or a list of objects;
+// each of those objects names its own members without escapes, holds
+// "flow" once, a 64-bit unsigned integer, and "tracked" at most once, a
+// boolean. It returns the elements, their flows and tracked marks.
+func snapshotShape(body []byte) (streamed, error) {
+	var out streamed
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return out, err
+	}
+	if keys := rawKeys(body); len(keys) != 1 || keys[0] != `"flows"` {
+		return out, fmt.Errorf("document members %q", keys)
+	}
+	if string(doc["flows"]) == "null" {
+		return out, nil
+	}
+	var elems []json.RawMessage
+	if err := json.Unmarshal(doc["flows"], &elems); err != nil {
+		return out, err
+	}
+	for i, elem := range elems {
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(elem, &members); err != nil {
+			return out, fmt.Errorf("element %d: %v", i, err)
+		}
+		var flows, tracks int
+		for _, k := range rawKeys(elem) {
+			switch {
+			case strings.Contains(k, `\`):
+				return out, fmt.Errorf("element %d: escaped key %s", i, k)
+			case k == `"flow"`:
+				flows++
+			case k == `"tracked"`:
+				tracks++
+			}
+		}
+		flow, err := strconv.ParseUint(string(members["flow"]), 10, 64)
+		if flows != 1 || tracks > 1 || err != nil {
+			return out, fmt.Errorf("element %d: flow %s ×%d, tracked ×%d", i, members["flow"], flows, tracks)
+		}
+		tracked, ok := map[string]bool{"": false, "true": true, "false": false}[string(members["tracked"])]
+		if !ok {
+			return out, fmt.Errorf("element %d: tracked %s", i, members["tracked"])
+		}
+		out.elems = append(out.elems, elem)
+		out.flows = append(out.flows, flow)
+		out.tracked = append(out.tracked, tracked)
+	}
+	return out, nil
+}
+
+// rawKeys lists the member names of the JSON object v, as spelled: each
+// key's bytes between the offsets a json.Decoder reports around it.
+func rawKeys(v []byte) []string {
+	dec := json.NewDecoder(bytes.NewReader(v))
+	dec.Token() // {
+	var keys []string
+	for dec.More() {
+		from := dec.InputOffset()
+		dec.Token()
+		keys = append(keys, string(bytes.TrimLeft(v[from:dec.InputOffset()], " \t\r\n,")))
+		var skip json.RawMessage
+		dec.Decode(&skip)
+	}
+	return keys
+}
+
+// FuzzSnapshotElements: the element scanner parses bytes from another
 // process. Whatever they are, it must reach the same verdict however the
-// bytes are cut into reads, and when it accepts — every element handed on
-// — the body is valid JSON, the elements are exactly encoding/json's
-// elements of its "flows" list, byte for byte (never mis-split), and each
-// element's flow and tracked are what encoding/json decodes from it.
+// bytes are cut into reads, and that verdict is encoding/json's both ways:
+// it accepts exactly the bodies encoding/json accepts that have a snapshot
+// document's shape (snapshotShape), and then its elements are exactly
+// encoding/json's elements of the "flows" list, byte for byte (never
+// mis-split), each with the flow and tracked encoding/json decodes; and
+// it calls a body's grammar wrong only when encoding/json refuses it.
 func FuzzSnapshotElements(f *testing.F) {
 	f.Add(memberBody(f), uint16(4096))
 	f.Add(cannedBody(), uint16(1))
@@ -188,6 +261,16 @@ func FuzzSnapshotElements(f *testing.F) {
 	f.Add([]byte(`{"flows":[{"fl\u006fw":1}]}`), uint16(9))
 	f.Add([]byte(`{"flows":[{"flow":1},{"flow":1e3}]}`), uint16(4))
 	f.Add([]byte(`{"flows":[{"flow":1,"s":"a\"},{\"flow\":2"}]}`), uint16(1))
+	for _, bad := range []string{`"\q"`, `"\u12g4"`, `"\u12"`, "01", "-", "-x", "1.", "1.e1", "1e", "1e+", "1E-x", "tru", "nulL", "\"a\x01b\"", "\"a\tb\"", "\"\x7f\xff\""} {
+		f.Add([]byte(`{"flows":[{"flow":1,"x":`+bad+`}]}`), uint16(3))
+	}
+	for _, depth := range []int{maxDepth - 3, maxDepth - 2} { // the limit, and one past it
+		f.Add([]byte(`{"flows":[{"flow":1,"x":`+strings.Repeat("[", depth)+strings.Repeat("]", depth)+`}]}`), uint16(64))
+	}
+	f.Add([]byte(`{"flows":[]} x`), uint16(1))
+	f.Add([]byte("{\"flows\":[]}\n\t \r"), uint16(2))
+	f.Add([]byte(`{"flows":[{"flow":1}]}{}`), uint16(5))
+	f.Add([]byte(`{"flows":[{"flow":1}],"flows":[]}`), uint16(5))
 	f.Fuzz(func(t *testing.T, body []byte, chunk uint16) {
 		got, err := drain(body, int(chunk)+1)
 		whole, wholeErr := drain(body, len(body)+1)
@@ -199,32 +282,33 @@ func FuzzSnapshotElements(f *testing.F) {
 				t.Fatalf("element %d depends on how the body was read:\n%q\n%q", i, got.elems[i], whole.elems[i])
 			}
 		}
+		valid := json.Valid(body)
+		var syntax *syntaxError
+		if (errors.As(err, &syntax) || errors.Is(err, io.ErrUnexpectedEOF)) && valid {
+			t.Fatalf("called a body encoding/json accepts malformed: %v", err)
+		}
+		if !valid {
+			if err == nil {
+				t.Fatalf("accepted a body encoding/json refuses")
+			}
+			return
+		}
+		want, shapeErr := snapshotShape(body)
+		if (err == nil) != (shapeErr == nil) {
+			t.Fatalf("scanner: %v; encoding/json's shape check: %v", err, shapeErr)
+		}
 		if err != nil {
 			return
 		}
-		var doc struct {
-			Flows []json.RawMessage `json:"flows"`
-		}
-		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("accepted a body encoding/json rejects: %v", err)
-		}
-		if len(doc.Flows) != len(got.elems) {
-			t.Fatalf("%d elements, encoding/json finds %d", len(got.elems), len(doc.Flows))
+		if len(want.elems) != len(got.elems) {
+			t.Fatalf("%d elements, encoding/json finds %d", len(got.elems), len(want.elems))
 		}
 		for i, elem := range got.elems {
-			if !bytes.Equal(elem, doc.Flows[i]) {
-				t.Fatalf("element %d mis-split:\n got: %q\nwant: %q", i, elem, doc.Flows[i])
+			if !bytes.Equal(elem, want.elems[i]) {
+				t.Fatalf("element %d mis-split:\n got: %q\nwant: %q", i, elem, want.elems[i])
 			}
-			var members map[string]json.RawMessage
-			if err := json.Unmarshal(elem, &members); err != nil {
-				t.Fatalf("element %d: %v", i, err)
-			}
-			flow, err := strconv.ParseUint(string(members["flow"]), 10, 64)
-			if err != nil || flow != got.flows[i] {
-				t.Fatalf("element %d: read flow %d, its \"flow\" member is %s", i, got.flows[i], members["flow"])
-			}
-			if tracked := string(members["tracked"]) == "true"; tracked != got.tracked[i] {
-				t.Fatalf("element %d: read tracked %v, its \"tracked\" member is %s", i, got.tracked[i], members["tracked"])
+			if got.flows[i] != want.flows[i] || got.tracked[i] != want.tracked[i] {
+				t.Fatalf("element %d: read flow %d tracked %v, encoding/json decodes %d, %v", i, got.flows[i], got.tracked[i], want.flows[i], want.tracked[i])
 			}
 		}
 	})

@@ -6,39 +6,43 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/collector"
+	"repro/internal/core"
 )
 
 // Frontend is the fleet's single query endpoint: it fans /snapshot,
-// /stats, and /healthz out to every member, folds the per-member answers
-// into the same fixed-order JSON a single collector emits, and degrades
-// explicitly when a member is down — the response carries the
-// PartialHeader plus a per-node error list naming exactly which members
-// are missing from the merge, instead of failing the whole query or
-// silently presenting a subset as the truth.
+// /stats, and /healthz out to every member — a ?flow= query only to the
+// listed flows' home members — folds the per-member answers into the same
+// fixed-order JSON a single collector emits, and degrades explicitly when
+// a member is down — the response carries the PartialHeader plus a
+// per-node error list naming exactly which members are missing from the
+// merge, instead of failing the whole query or silently presenting a
+// subset as the truth.
 //
 // The /snapshot merge is the HTTP twin of folding the members' snapshots
 // with core.Recording.Merge: members
 // hold disjoint flows (the partitioner's invariant) and list them in
 // sorted key order, so folding is a k-way merge by flow key — the wire
 // image of core.Recording.Merge's pure adoption. It is a streaming merge:
-// the frontend reads each member's body one flows[] element at a time,
-// parses only the element's flow key, and writes the winning element's
-// bytes to the client as it got them, so what it holds per request is one
-// pending element per member, whatever the fleet tracks — and the merged
-// body is byte-identical to the single-collector body whenever the fleet
-// is healthy. The price of not buffering is paid by a member that fails
-// after the response has begun: see serveSnapshot.
+// the frontend scans each member's body one flows[] element at a time,
+// picking out only the element's flow key, and writes the winning
+// element's bytes to the client as it got them, so what it holds per
+// request is one buffered element per member, whatever the fleet tracks —
+// and the merged body is byte-identical to the single-collector body
+// whenever the fleet is healthy. The price of not buffering is paid by a
+// member that fails after the response has begun: see serveSnapshot.
 type Frontend struct {
 	// client issues the fan-out requests; timeout is how long a member may
 	// stay silent — before its response headers, or between two reads of
 	// its body — before it counts as not answering.
 	client  *http.Client
 	timeout time.Duration
+	silent  error // why a member silent for timeout was given up on
 	// bodyCap caps one member's response body (maxNodeResponse).
 	bodyCap int64
 
@@ -104,7 +108,12 @@ func NewFrontend(opts ...FrontendOption) (*Frontend, error) {
 	if cfg.timeout <= 0 {
 		cfg.timeout = 10 * time.Second
 	}
-	g := &Frontend{client: &http.Client{}, timeout: cfg.timeout, bodyCap: maxNodeResponse}
+	g := &Frontend{
+		client:  &http.Client{},
+		timeout: cfg.timeout,
+		silent:  fmt.Errorf("member did not answer within %v", cfg.timeout),
+		bodyCap: maxNodeResponse,
+	}
 	if err := g.SetFleetMap(cfg.fm); err != nil {
 		return nil, err
 	}
@@ -158,34 +167,51 @@ type NodeError struct {
 // from a different fleet epoch than the frontend's map.
 const NodeErrorEpochStale = "epoch_stale"
 
-// fanOut GETs path (plus rawQuery) from every member of fm concurrently,
-// under ctx — the incoming request's, so a caller that goes away takes its
-// member requests with it. A member that fails in a way visible at header
-// time (transport error, non-200 status, epoch-stale answer) lands in the
-// error list; every other member's body is handed to use, on the member's
-// own goroutine, with the member's index in fm. use owns the body — it
-// closes it or keeps it — and an error from it puts the member in the
-// error list too. Errors are listed in member order.
-func (g *Frontend) fanOut(ctx context.Context, fm *FleetMap, path, rawQuery string, use func(i int, body io.ReadCloser) error) []NodeError {
-	nodes, wantEpoch := fm.QueryURLs(), strconv.FormatUint(fm.Epoch, 10)
-	nodeErrs := make([]*NodeError, len(nodes))
+// memberQuery is one request of a fan-out: the member's index in the
+// fleet map, and the raw query it is sent.
+type memberQuery struct {
+	member int
+	query  string
+}
+
+// everyMember asks every member of fm the same query.
+func everyMember(fm *FleetMap, rawQuery string) []memberQuery {
+	asks := make([]memberQuery, len(fm.Members))
+	for i := range asks {
+		asks[i] = memberQuery{i, rawQuery}
+	}
+	return asks
+}
+
+// fanOut GETs path from the members asks lists, each with its own query,
+// concurrently, under ctx — the incoming request's, so a caller that goes
+// away takes its member requests with it. A member that fails in a way
+// visible at header time (transport error, non-200 status, epoch-stale
+// answer) lands in the error list; every other member's body is handed to
+// use, on the member's own goroutine, with the member's index in fm. use
+// owns the body — it closes it or keeps it — and an error from it puts the
+// member in the error list too. Errors are listed in the order of asks.
+func (g *Frontend) fanOut(ctx context.Context, fm *FleetMap, path string, asks []memberQuery, use func(member int, body io.ReadCloser) error) []NodeError {
+	wantEpoch := strconv.FormatUint(fm.Epoch, 10)
+	nodeErrs := make([]*NodeError, len(asks))
 	var wg sync.WaitGroup
-	for i, node := range nodes {
+	for i, ask := range asks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			node := fm.Members[ask.member].Query
 			url := node + path
-			if rawQuery != "" {
-				url += "?" + rawQuery
+			if ask.query != "" {
+				url += "?" + ask.query
 			}
 			body, ne := g.get(ctx, url, wantEpoch)
 			if ne == nil {
-				if err := use(i, body); err != nil {
+				if err := use(ask.member, body); err != nil {
 					ne = &NodeError{Error: err.Error()}
 				}
 			}
 			if ne != nil {
-				ne.Node, ne.member = node, i
+				ne.Node, ne.member = node, ask.member
 				nodeErrs[i] = ne
 			}
 		}()
@@ -204,10 +230,9 @@ func (g *Frontend) fanOut(ctx context.Context, fm *FleetMap, path, rawQuery stri
 // time. The returned body reads under the frontend's silence bound and
 // releases the request when closed.
 func (g *Frontend) get(ctx context.Context, url, wantEpoch string) (io.ReadCloser, *NodeError) {
-	silent := fmt.Errorf("member did not answer within %v", g.timeout)
 	ctx, cancel := context.WithCancelCause(ctx)
 	body := &nodeBody{ctx: ctx, cancel: cancel, timeout: g.timeout, cap: g.bodyCap}
-	body.watch = time.AfterFunc(g.timeout, func() { cancel(silent) })
+	body.watch = time.AfterFunc(g.timeout, func() { cancel(g.silent) })
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		body.Close()
@@ -296,10 +321,10 @@ func (b *nodeBody) Close() error {
 	return b.body.Close()
 }
 
-// unanimousStatus reports the HTTP status every member answered with,
-// when every member failed at the HTTP level with the same status — the
-// shape of a client error (bad ?flow=) or a fleet-wide drain, which must
-// propagate as that status rather than masquerade as a fleet outage.
+// unanimousStatus reports the HTTP status every member asked answered
+// with, when each failed at the HTTP level with the same status — the
+// shape of a client error (a bad ?since=) or a fleet-wide drain, which
+// must propagate as that status rather than masquerade as a fleet outage.
 func unanimousStatus(nNodes int, errs []NodeError) (int, bool) {
 	if len(errs) != nNodes || nNodes == 0 {
 		return 0, false
@@ -337,7 +362,7 @@ func markPartial(w http.ResponseWriter, errs []NodeError) {
 //	GET /healthz         fleet-wide health: ok iff every member is ok
 //	GET /stats           per-node counters plus fleet totals
 //	GET /snapshot        all members' flows, merged in flow-key order
-//	GET /snapshot?flow=N the home member's answer for one flow
+//	GET /snapshot?flow=N the home member's answer for one flow (repeatable)
 //
 // Serve it through collector.HardenedHTTPServer (cmd/pintgate does).
 func (g *Frontend) Handler() http.Handler {
@@ -389,7 +414,7 @@ type nodeHealth struct {
 func (g *Frontend) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	fm := g.CurrentFleetMap()
 	nodes := make([]nodeHealth, len(fm.Members))
-	errs := g.fanOut(r.Context(), fm, "/healthz", "", func(i int, body io.ReadCloser) error {
+	errs := g.fanOut(r.Context(), fm, "/healthz", everyMember(fm, ""), func(i int, body io.ReadCloser) error {
 		defer body.Close()
 		if err := json.NewDecoder(body).Decode(&nodes[i]); err != nil {
 			return fmt.Errorf("bad health body: %v", err)
@@ -431,7 +456,7 @@ type nodeStats struct {
 func (g *Frontend) serveStats(w http.ResponseWriter, r *http.Request) {
 	fm := g.CurrentFleetMap()
 	stats := make([]collector.StatsV1, len(fm.Members))
-	errs := g.fanOut(r.Context(), fm, "/stats", "", func(i int, body io.ReadCloser) error {
+	errs := g.fanOut(r.Context(), fm, "/stats", everyMember(fm, ""), func(i int, body io.ReadCloser) error {
 		defer body.Close()
 		if err := json.NewDecoder(body).Decode(&stats[i]); err != nil {
 			return fmt.Errorf("bad stats body: %v", err)
@@ -464,43 +489,59 @@ func (g *Frontend) serveStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveSnapshot streams the members' /snapshot answers into one. Every
-// member's response is opened and its first element read before anything
-// is written, so whatever is wrong with a member by then — down, refusing,
-// epoch-stale, not a snapshot document — still makes it a named entry of a
-// well-formed partial answer. After that the response is committed: each
-// step writes one member's pending element and reads that member's next.
-// A member that then dies, truncates, sends a malformed or out-of-order
+// serveSnapshot streams the members' /snapshot answers into one. A full
+// query asks every member; a ?flow= query asks each listed flow's home
+// member under the map for its own flows only, so a point query costs one
+// member request whatever the fleet's size. Every member asked has its
+// response opened and its first element read before anything is written,
+// so whatever is wrong with a member by then — down, refusing, epoch-stale,
+// not a snapshot document — still makes it a named entry of a well-formed
+// partial answer. After that the response is committed: each step writes
+// one member's pending element and reads that member's next. A member that
+// then dies, truncates, sends a malformed, out-of-order or unasked-for
 // element, or overruns the body cap can no longer be reported in a document
-// whose "errors" list is already on the wire, and finishing without it would
-// pass a hole off as a complete answer — so the frontend aborts the
+// whose "errors" list is already on the wire, and finishing without it
+// would pass a hole off as a complete answer — so the frontend aborts the
 // response instead (http.ErrAbortHandler): the client sees a transport
 // error, never a clean end, and retries.
 func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	fm := g.CurrentFleetMap()
+	q := r.URL.Query()
+	flows, err := collector.ParseFlowFilter(q)
+	if err != nil {
+		// A single collector's 400, word for word, and nobody asked.
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var homes []int
+	var asks []memberQuery
+	if flows == nil {
+		asks = everyMember(fm, r.URL.RawQuery)
+	} else {
+		homes, asks = homeQueries(fm, flows, q)
+	}
 	streams := make([]*flowStream, len(fm.Members))
-	errs := g.fanOut(r.Context(), fm, "/snapshot", r.URL.RawQuery, func(i int, body io.ReadCloser) error {
+	errs := g.fanOut(r.Context(), fm, "/snapshot", asks, func(i int, body io.ReadCloser) error {
 		s := &flowStream{body: body}
 		if err := s.next(); err != nil {
-			body.Close()
+			s.close()
 			return fmt.Errorf("bad snapshot body: %w", err)
 		}
 		streams[i] = s
 		return nil
 	})
-	// The survivors, in member order.
-	live := streams[:0]
+	live := 0
 	for _, s := range streams {
 		if s != nil {
-			defer s.body.Close()
-			live = append(live, s)
+			defer s.close()
+			live++
 		}
 	}
-	// Every member refusing with one status is that status, not a
-	// degraded fleet: a bad ?flow= is the client's 400 and a fleet-wide
+	// Every member asked refusing with one status is that status, not a
+	// degraded fleet: a bad ?since= is the client's 400 and a fleet-wide
 	// drain is the members' 503 — exactly what a single collector would
 	// answer. Mixed failures fall through to the partial-result merge.
-	if status, ok := unanimousStatus(len(streams), errs); ok {
+	if status, ok := unanimousStatus(len(asks), errs); ok {
 		// A fleet-wide drain keeps the single collector's retry hint.
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
@@ -508,16 +549,15 @@ func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errs[0].Error, status)
 		return
 	}
-	explicit := len(r.URL.Query()["flow"]) > 0
 	markPartial(w, errs)
-	if len(live) == 0 {
+	if live == 0 {
 		// Nobody to stream from: the document is its error list. (An
 		// explicit query's empty answer has always been null.)
-		flows := []collector.FlowAnswers{}
-		if explicit {
-			flows = nil
+		list := []collector.FlowAnswers{}
+		if flows != nil {
+			list = nil
 		}
-		collector.WriteJSON(w, map[string]any{"errors": errs, "flows": flows})
+		collector.WriteJSON(w, map[string]any{"errors": errs, "flows": list})
 		return
 	}
 	// A healthy fleet's body is byte-identical to a single collector's:
@@ -527,17 +567,45 @@ func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 		failed = errs
 	}
 	sw := collector.NewSnapshotWriter(w, failed)
-	splice := spliceByKey
-	if explicit {
-		splice = spliceInStep
+	if flows == nil {
+		err = spliceByKey(sw, streams)
+	} else {
+		err = spliceByHome(sw, flows, homes, streams)
 	}
-	err := splice(sw, live)
 	if err == nil {
 		err = sw.Close()
 	}
 	if err != nil {
 		panic(http.ErrAbortHandler)
 	}
+}
+
+// homeQueries routes an explicit ?flow= list by fm.FlowHome: each flow's
+// home, and for each home, in member order, the query asking it for its
+// own flows — in request order, repeats kept, the keys in canonical
+// decimal — with the window bounds (?since=, ?until=) passed through.
+func homeQueries(fm *FleetMap, flows []core.FlowKey, q url.Values) ([]int, []memberQuery) {
+	homes := make([]int, len(flows))
+	queries := make([][]byte, len(fm.Members))
+	for i, flow := range flows {
+		h := fm.FlowHome(flow)
+		homes[i] = h
+		if queries[h] != nil {
+			queries[h] = append(queries[h], '&')
+		}
+		queries[h] = strconv.AppendUint(append(queries[h], "flow="...), uint64(flow), 10)
+	}
+	var window string
+	if q.Has("since") || q.Has("until") {
+		window = "&" + url.Values{"since": q["since"], "until": q["until"]}.Encode()
+	}
+	var asks []memberQuery
+	for m, query := range queries {
+		if query != nil {
+			asks = append(asks, memberQuery{m, string(append(query, window...))})
+		}
+	}
+	return homes, asks
 }
 
 // spliceByKey k-way-merges the members' elements by ascending flow key.
@@ -547,12 +615,13 @@ func (g *Frontend) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 // two members (a partitioning violation — some exporter routed under a
 // different map) keeps the lowest-indexed member's answer
 // deterministically; a member whose own keys do not ascend is an error.
-func spliceByKey(sw *collector.SnapshotWriter, live []*flowStream) error {
+// streams is indexed by member, nil for a member not merged.
+func spliceByKey(sw *collector.SnapshotWriter, streams []*flowStream) error {
 	var last uint64
 	for wrote := false; ; {
 		var best *flowStream
-		for _, s := range live {
-			if s.ok && (best == nil || s.cur.flow < best.cur.flow) {
+		for _, s := range streams {
+			if s != nil && s.ok && (best == nil || s.cur.flow < best.cur.flow) {
 				best = s
 			}
 		}
@@ -574,37 +643,34 @@ func spliceByKey(sw *collector.SnapshotWriter, live []*flowStream) error {
 	}
 }
 
-// spliceInStep folds answers for an explicit ?flow= list: every member
-// answers every requested flow, in request order (non-home members with
-// empty state), so the members advance together and per flow the home
-// member's answer — the one marked tracked — wins; if no member tracks the
-// flow, all answers are identically empty and the first is kept. Request
-// order is preserved, matching the single-collector body. Members that
-// fall out of step — different flows at one position, or lists of different
-// lengths — are an error.
-func spliceInStep(sw *collector.SnapshotWriter, live []*flowStream) error {
-	for live[0].ok {
-		pick := live[0]
-		for _, s := range live[1:] {
-			if !s.ok || s.cur.flow != live[0].cur.flow {
-				return fmt.Errorf("flows[%d]: members disagree on the flow answered", live[0].seen-1)
-			}
-			if s.cur.tracked && !pick.cur.tracked {
-				pick = s
-			}
+// spliceByHome writes the answers to an explicit ?flow= list in request
+// order, each from the stream of its home member (homes[i] for flows[i]),
+// which was asked for exactly its own flows in that order. A home whose
+// stream is nil failed before the response began and is in the error
+// list: its flows' answers are left out. A member that answers another
+// flow than the one asked for next, or fewer or more answers than it was
+// asked for, is an error.
+func spliceByHome(sw *collector.SnapshotWriter, flows []core.FlowKey, homes []int, streams []*flowStream) error {
+	for i, flow := range flows {
+		s := streams[homes[i]]
+		switch {
+		case s == nil:
+			continue
+		case !s.ok:
+			return fmt.Errorf("flows[%d]: the answer ends where flow %d belongs", s.seen, uint64(flow))
+		case s.cur.flow != uint64(flow):
+			return fmt.Errorf("flows[%d]: flow %d answered where flow %d belongs", s.seen-1, s.cur.flow, uint64(flow))
 		}
-		if err := sw.Element(pick.cur.raw); err != nil {
+		if err := sw.Element(s.cur.raw); err != nil {
 			return err
 		}
-		for _, s := range live {
-			if err := s.next(); err != nil {
-				return err
-			}
+		if err := s.next(); err != nil {
+			return err
 		}
 	}
-	for _, s := range live[1:] {
-		if s.ok {
-			return fmt.Errorf("flows[%d]: members disagree on the flow answered", s.seen-1)
+	for _, s := range streams {
+		if s != nil && s.ok {
+			return fmt.Errorf("flows[%d]: flow %d answered, but not asked for", s.seen-1, s.cur.flow)
 		}
 	}
 	return nil

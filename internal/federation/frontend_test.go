@@ -110,9 +110,9 @@ func TestFrontendSnapshotByteIdentical(t *testing.T) {
 		t.Fatalf("filtered snapshot body diverges:\ngate: %.400s\nwant: %.400s", rec.Body.Bytes(), want)
 	}
 
-	// A malformed filter is the client's fault: every member answers 400
-	// with the same status, so the gate propagates 400 — exactly what a
-	// single collector would do — rather than faking a fleet outage.
+	// A malformed filter is the client's fault: the gate parses it as a
+	// member does and answers a member's 400, byte for byte — exactly what
+	// a single collector would do — rather than faking a fleet outage.
 	rec = get(t, h, "/snapshot?flow=banana")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad filter: status %d, want 400 (%s)", rec.Code, rec.Body.String())
@@ -120,16 +120,27 @@ func TestFrontendSnapshotByteIdentical(t *testing.T) {
 	if rec.Header().Get(PartialHeader) != "" {
 		t.Fatalf("client error misreported as a degraded fleet: %s", rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), "bad flow") {
-		t.Fatalf("propagated 400 lost the member's message: %s", rec.Body.String())
+	if member := memberBody400(t, fleet, "/snapshot?flow=banana"); rec.Body.String() != member {
+		t.Fatalf("gate's 400 body %q, a member's %q", rec.Body.String(), member)
 	}
 }
 
-// TestFrontendFlowFilterIsDecimal: the gate forwards ?flow= to every
-// member unparsed, so the members' decimal parsing is the gate's. A key
+// memberBody400 GETs path from the fleet's first member, which must
+// refuse it with 400, and returns the refusal's body.
+func memberBody400(t *testing.T, fleet *Fleet, path string) string {
+	t.Helper()
+	resp, body, err := fetchAll(fleet.HTTPURLs()[0] + path)
+	if err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("member GET %s: err %v, response %+v", path, err, resp)
+	}
+	return string(body)
+}
+
+// TestFrontendFlowFilterIsDecimal: the gate parses ?flow= itself, with
+// the members' own parser, before it routes each flow to its home. A key
 // with a hex, octal or binary prefix, an underscore or a sign is refused
-// by every member alike and reaches the client as one 400 — not a
-// degraded fleet, and never some other flow's answer — while a leading
+// with a member's 400, byte for byte and without asking any member — not
+// a degraded fleet, and never some other flow's answer — while a leading
 // zero is still the decimal key, tracked or not.
 func TestFrontendFlowFilterIsDecimal(t *testing.T) {
 	const (
@@ -174,6 +185,9 @@ func TestFrontendFlowFilterIsDecimal(t *testing.T) {
 		}
 		if tc.status != http.StatusOK && !strings.Contains(rec.Body.String(), tc.body) {
 			t.Errorf("?flow=%s: refusal lost the member's message: %s", tc.raw, rec.Body.String())
+		}
+		if path := "/snapshot?flow=" + url.QueryEscape(tc.raw); tc.status != http.StatusOK && rec.Body.String() != memberBody400(t, fleet, path) {
+			t.Errorf("?flow=%s: the gate's refusal %q is not a member's", tc.raw, rec.Body.String())
 		}
 	}
 }

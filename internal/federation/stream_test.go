@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/collector"
+	"repro/internal/core"
 )
 
 // This file drives the frontend's streaming /snapshot merge against stub
@@ -61,6 +64,35 @@ func ascendingBody(n int, first, step uint64) []byte {
 // serveBody is a stub member answering every request with body.
 func serveBody(body []byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) { w.Write(body) }
+}
+
+// stubFlows returns the first n flow keys whose home, in a fleet of the
+// stub members stubGate names for a fleet of size, is member.
+func stubFlows(size, member, n int) []uint64 {
+	names := make([]string, size)
+	for i := range names {
+		names[i] = fmt.Sprintf("stub-%d", i)
+	}
+	p, err := NewPartitioner(names)
+	if err != nil {
+		panic(err)
+	}
+	var out []uint64
+	for flow := uint64(1); len(out) < n; flow++ {
+		if p.Home(core.FlowKey(flow)) == member {
+			out = append(out, flow)
+		}
+	}
+	return out
+}
+
+// flowQuery is the ?flow= query for flows, in order.
+func flowQuery(flows ...uint64) string {
+	q := ""
+	for _, f := range flows {
+		q += fmt.Sprintf("&flow=%d", f)
+	}
+	return "?" + q[1:]
 }
 
 // stubGate starts one stub member per handler and a frontend over them,
@@ -172,28 +204,139 @@ func TestSnapshotMidBodyFailureAborts(t *testing.T) {
 	}
 }
 
-// TestSnapshotExplicitOutOfStepAborts: on a ?flow= query the members
-// answer the same flows in the same order; one that answers another flow,
-// or fewer, breaks the lock-step and aborts the response.
+// TestSnapshotExplicitOutOfStepAborts: on a ?flow= query each home
+// member is asked for its own flows, in request order, and its answer is
+// held to that list element by element: a member that answers another
+// flow, or fewer or more flows than it was asked for, aborts the response.
 func TestSnapshotExplicitOutOfStepAborts(t *testing.T) {
-	home := cannedBody(cannedFlow(5, true, "home"), cannedFlow(9, false, ""))
-	for name, other := range map[string][]byte{
-		"different flow": cannedBody(cannedFlow(5, false, ""), cannedFlow(8, false, "")),
-		"shorter":        cannedBody(cannedFlow(5, false, "")),
-		"longer":         cannedBody(cannedFlow(5, false, ""), cannedFlow(9, false, ""), cannedFlow(9, false, "")),
+	a, b := stubFlows(2, 0, 2), stubFlows(2, 1, 1)[0]
+	query := flowQuery(a[0], b, a[1])
+	other := serveBody(cannedBody(cannedFlow(b, true, "one")))
+	for name, home := range map[string][]byte{
+		"different flow": cannedBody(cannedFlow(a[0], true, "zero"), cannedFlow(a[1]+1, false, "")),
+		"shorter":        cannedBody(cannedFlow(a[0], true, "zero")),
+		"longer":         cannedBody(cannedFlow(a[0], true, "zero"), cannedFlow(a[1], true, "zero"), cannedFlow(a[1], true, "zero")),
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, url := stubGate(t, nil, serveBody(other), serveBody(home))
-			if resp, body, err := fetchAll(url + "/snapshot?flow=5&flow=9"); err == nil {
+			_, url := stubGate(t, nil, serveBody(home), other)
+			if resp, body, err := fetchAll(url + "/snapshot" + query); err == nil {
 				t.Fatalf("status %d, body read to a clean end; want a transport error\n%s", resp.StatusCode, body)
 			}
 		})
 	}
-	// In step, the tracked answer wins wherever it sits.
-	_, url := stubGate(t, nil, serveBody(cannedBody(cannedFlow(5, false, ""), cannedFlow(9, false, ""))), serveBody(home))
-	_, body, err := fetchAll(url + "/snapshot?flow=5&flow=9")
-	if err != nil || !bytes.Equal(body, home) {
-		t.Fatalf("in-step explicit merge: err %v\n got: %s\nwant: %s", err, body, home)
+	// Answering what it was asked, each member's elements land in request
+	// order.
+	_, url := stubGate(t, nil, serveBody(cannedBody(cannedFlow(a[0], true, "zero"), cannedFlow(a[1], false, ""))), other)
+	want := cannedBody(cannedFlow(a[0], true, "zero"), cannedFlow(b, true, "one"), cannedFlow(a[1], false, ""))
+	if _, body, err := fetchAll(url + "/snapshot" + query); err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("explicit merge: err %v\n got: %s\nwant: %s", err, body, want)
+	}
+}
+
+// echoMember is a stub collector answering a ?flow= query with a tracked
+// answer for each flow asked, in order, and counting the requests it gets
+// and their queries.
+type echoMember struct {
+	name    string // the note on its answers
+	mu      sync.Mutex
+	queries []string
+}
+
+func (m *echoMember) serve(w http.ResponseWriter, r *http.Request) {
+	m.mu.Lock()
+	m.queries = append(m.queries, r.URL.RawQuery)
+	m.mu.Unlock()
+	flows, err := collector.ParseFlowFilter(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	answers := make([]collector.FlowAnswers, len(flows))
+	for i, f := range flows {
+		answers[i] = cannedFlow(uint64(f), true, m.name)
+	}
+	w.Write(cannedBody(answers...))
+}
+
+// dead is a stub member whose connection drops before it answers.
+func dead(w http.ResponseWriter, r *http.Request) { panic(http.ErrAbortHandler) }
+
+// TestSnapshotPointQueryAsksOnlyHomes: a ?flow= list spanning two of four
+// members' flows, one flow repeated, reaches exactly those two members,
+// once each, each asked for its own flows in request order with the
+// repeat kept and the window bounds passed through; the answer lists every
+// flow asked for, in request order. A dead member that is no flow's home
+// costs the answer nothing; a dead home leaves its flows' answers out and
+// is named, alone, in a partial answer.
+func TestSnapshotPointQueryAsksOnlyHomes(t *testing.T) {
+	one, three := stubFlows(4, 1, 2), stubFlows(4, 3, 1)[0]
+	order := []uint64{one[0], three, one[1], one[0]}
+	query := flowQuery(order...) + "&since=5&until=2026-10-17T00%3A00%3A00Z"
+	members := make([]*echoMember, 4)
+	handlers := make([]http.HandlerFunc, 4)
+	for i := range members {
+		members[i] = &echoMember{name: fmt.Sprint(i)}
+		handlers[i] = members[i].serve
+	}
+	fe, url := stubGate(t, nil, handlers...)
+	resp, body, err := fetchAll(url + "/snapshot" + query)
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) != "" {
+		t.Fatalf("err %v, response %+v", err, resp)
+	}
+	answers := make([]collector.FlowAnswers, len(order))
+	for i, f := range order {
+		answers[i] = cannedFlow(f, true, fmt.Sprint(fe.CurrentFleetMap().FlowHome(core.FlowKey(f))))
+	}
+	if want := cannedBody(answers...); !bytes.Equal(body, want) {
+		t.Fatalf("answer:\n got: %s\nwant: %s", body, want)
+	}
+	window := "&since=5&until=2026-10-17T00%3A00%3A00Z"
+	wantQueries := [][]string{
+		nil,
+		{fmt.Sprintf("flow=%d&flow=%d&flow=%d", one[0], one[1], one[0]) + window},
+		nil,
+		{fmt.Sprintf("flow=%d", three) + window},
+	}
+	for i, m := range members {
+		if !slices.Equal(m.queries, wantQueries[i]) {
+			t.Errorf("member %d was asked %q, want %q", i, m.queries, wantQueries[i])
+		}
+	}
+
+	// Member 2 dead, but home to none of the flows: the answer is
+	// complete, byte for byte the healthy one.
+	handlers[2] = dead
+	_, url = stubGate(t, nil, handlers...)
+	healthy := body
+	resp, body, err = fetchAll(url + "/snapshot" + query)
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) != "" {
+		t.Fatalf("dead non-home member: err %v, response %+v", err, resp)
+	}
+	if !bytes.Equal(body, healthy) {
+		t.Fatalf("dead non-home member changed the answer:\n got: %s\nwant: %s", body, healthy)
+	}
+
+	// Member 1 dead, home to three of the four: they are left out, and
+	// the answer names member 1 alone.
+	handlers[1], handlers[2] = dead, members[2].serve
+	fe, url = stubGate(t, nil, handlers...)
+	resp, body, err = fetchAll(url + "/snapshot" + query)
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get(PartialHeader) != "1" {
+		t.Fatalf("dead home: err %v, response %+v", err, resp)
+	}
+	errs, reencoded := degraded(t, body)
+	if len(errs) != 1 || errs[0].Node != fe.CurrentFleetMap().Members[1].Query {
+		t.Fatalf("dead home: errors %+v, want member 1 alone", errs)
+	}
+	if !bytes.Equal(body, reencoded) {
+		t.Fatalf("dead home: partial answer is not WriteJSON of its own structure:\n got: %s\nwant: %s", body, reencoded)
+	}
+	var doc struct {
+		Flows []collector.FlowAnswers `json:"flows"`
+	}
+	json.Unmarshal(body, &doc)
+	if len(doc.Flows) != 1 || doc.Flows[0].Flow != three {
+		t.Fatalf("dead home: flows %+v, want flow %d's answer alone", doc.Flows, three)
 	}
 }
 
@@ -223,7 +366,8 @@ func TestSnapshotDuplicateFlowLowestMemberWins(t *testing.T) {
 // exactly WriteJSON of {"errors": …, "flows": …} — the document the
 // frontend built when it still decoded and re-encoded every answer — for
 // every shape of the flow list: some, none ([]), and nobody left to ask
-// ([] for a full query, null for an explicit one).
+// ([] for a full query, null for an explicit one). An explicit query asks
+// only its flows' homes, so only a failed home is named.
 func TestSnapshotDegradedDocumentBytes(t *testing.T) {
 	refuse := func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "collector: on fire\nsecond line", http.StatusInternalServerError)
@@ -235,6 +379,8 @@ func TestSnapshotDegradedDocumentBytes(t *testing.T) {
 	notJSON := serveBody([]byte("<html>proxy error</html>"))
 	empty := serveBody(cannedBody())
 	flows := serveBody(ascendingBody(5, 10, 3))
+	// Flows homed on stub members 0 and 2 of three, and on member 1 of two.
+	at0, at2, at1 := stubFlows(3, 0, 1)[0], stubFlows(3, 2, 1)[0], stubFlows(2, 1, 1)[0]
 	for _, tc := range []struct {
 		name    string
 		query   string
@@ -247,8 +393,8 @@ func TestSnapshotDegradedDocumentBytes(t *testing.T) {
 		{"survivors empty", "", []http.HandlerFunc{empty, stale, empty}, "1", []string{"member is at fleet epoch 99, frontend map is at 1"}, `"flows": []`},
 		{"bad first bytes", "", []http.HandlerFunc{flows, notJSON}, "1", []string{"bad snapshot body: flows[0]: invalid character '<'"}, `"flows": [` + "\n"},
 		{"all down, full", "", []http.HandlerFunc{refuse, stale}, "2", []string{"status 500", "epoch 99"}, `"flows": []`},
-		{"all down, explicit", "?flow=5", []http.HandlerFunc{stale, refuse, notJSON}, "3", []string{"epoch 99", "status 500", "bad snapshot body"}, `"flows": null`},
-		{"explicit survivor", "?flow=12", []http.HandlerFunc{refuse, serveBody(cannedBody(cannedFlow(12, true, "m")))}, "1", []string{"status 500"}, `"flows": [` + "\n"},
+		{"all down, explicit", flowQuery(at2, at0), []http.HandlerFunc{stale, refuse, notJSON}, "2", []string{"epoch 99", "bad snapshot body"}, `"flows": null`},
+		{"explicit survivor", flowQuery(at1, stubFlows(2, 0, 1)[0]), []http.HandlerFunc{refuse, serveBody(cannedBody(cannedFlow(at1, true, "m")))}, "1", []string{"status 500"}, `"flows": [` + "\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, url := stubGate(t, nil, tc.members...)
@@ -423,14 +569,16 @@ func (d *discard) Write(p []byte) (int, error) { d.n += len(p); return len(p), n
 
 // TestSnapshotAllocationShape is the streaming merge's memory contract as
 // a count: what the frontend allocates to answer a full /snapshot is a
-// fixed overhead — the fan-out's requests and one element-sized buffer per
-// member, ~26 KB here — that does not grow with the number of flows merged.
+// fixed overhead — the fan-out's requests, and per member a stream whose
+// buffer comes from a pool, ~20 KB here (~26 KB while a json.Decoder read
+// each member) — that does not grow with the number of flows merged.
 // (Buffering and decoding every member's body cost about five times the
 // body: ~10 MB for the 4096-flow case below.) The stub members run in this
-// process, so their serving a canned body is inside the count, which is why
-// the budget is not tighter.
+// process, so their serving a canned body is inside the count, and under
+// -race, whose runtime empties pools at random, the count reads up to
+// ~27 KB: hence the margin.
 func TestSnapshotAllocationShape(t *testing.T) {
-	const budget = 128 << 10
+	const budget = 32 << 10
 	for _, flows := range []int{64, 4096} {
 		half := flows / 2
 		a, b := ascendingBody(half, 1, 2), ascendingBody(half, 2, 2)
@@ -456,5 +604,107 @@ func TestSnapshotAllocationShape(t *testing.T) {
 		if per > budget {
 			t.Errorf("%d flows (%d-byte body): %d bytes allocated per query, budget %d", flows, len(a)+len(b), per, budget)
 		}
+	}
+}
+
+// TestWarmMergeAllocsFlatInElements: a warm merge allocates nothing per
+// element. Splicing two members' bodies — a full query's k-way merge, and
+// an explicit query's splice in request order — costs the same number of
+// heap objects at 64 flows as at 4,096: the streams and the writer. The
+// streams read into buffers handed to them, as a warm gate's come from the
+// pool (which the race runtime empties at random, so it stays out of the
+// count).
+func TestWarmMergeAllocsFlatInElements(t *testing.T) {
+	var allocs [2][2]float64
+	for size, flows := range []int{64, 4096} {
+		a, b := ascendingBody(flows/2, 1, 2), ascendingBody(flows/2, 2, 2)
+		asked := make([]core.FlowKey, flows)
+		homes := make([]int, flows)
+		for i := range asked {
+			asked[i], homes[i] = core.FlowKey(i+1), i%2
+		}
+		w := &discard{header: http.Header{}}
+		bufs := [][]byte{make([]byte, 0, minRead), make([]byte, 0, minRead)}
+		for kind := range allocs[size] {
+			merge := func() {
+				streams := []*flowStream{
+					{body: io.NopCloser(bytes.NewReader(a)), pooled: &bufs[0], buf: bufs[0]},
+					{body: io.NopCloser(bytes.NewReader(b)), pooled: &bufs[1], buf: bufs[1]},
+				}
+				for _, s := range streams {
+					if err := s.next(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sw := collector.NewSnapshotWriter(w, nil)
+				var err error
+				if kind == 0 {
+					err = spliceByKey(sw, streams)
+				} else {
+					err = spliceByHome(sw, asked, homes, streams)
+				}
+				if err != nil || sw.Close() != nil {
+					t.Fatalf("%d flows: %v", flows, err)
+				}
+				for _, s := range streams {
+					s.body.Close()
+				}
+			}
+			w.n = 0
+			merge()
+			if want := len(ascendingBody(flows, 1, 1)); w.n != want {
+				t.Fatalf("%d flows: merged body is %d bytes, want %d", flows, w.n, want)
+			}
+			allocs[size][kind] = testing.AllocsPerRun(20, merge)
+		}
+	}
+	t.Logf("heap objects per merge of 64 and 4,096 flows: by key %v and %v, by home %v and %v",
+		allocs[0][0], allocs[1][0], allocs[0][1], allocs[1][1])
+	for kind, name := range []string{"by key", "by home"} {
+		if allocs[0][kind] != allocs[1][kind] {
+			t.Errorf("merge %s: %v objects over 64 flows, %v over 4,096", name, allocs[0][kind], allocs[1][kind])
+		}
+	}
+}
+
+// TestPointQueryCostFlatInFleetSize: a ?flow= query asks only the flow's
+// home member, so what the gate allocates to answer it does not grow with
+// the fleet: ~15 KB here at 2 members and at 4, where asking every member
+// cost 28.6 KB and 50.0 KB.
+func TestPointQueryCostFlatInFleetSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures allocation over many requests")
+	}
+	var per [2]uint64
+	for i, size := range []int{2, 4} {
+		handlers := make([]http.HandlerFunc, size)
+		for m := range handlers {
+			handlers[m] = (&echoMember{name: "m"}).serve
+		}
+		fe, _ := stubGate(t, nil, handlers...)
+		h := fe.Handler()
+		path := fmt.Sprintf("/snapshot?flow=%d", stubFlows(size, size-1, 1)[0])
+		query := func() *discard {
+			d := &discard{header: http.Header{}}
+			h.ServeHTTP(d, httptest.NewRequest("GET", path, nil))
+			return d
+		}
+		for range 5 {
+			if d := query(); d.n == 0 || d.header.Get(PartialHeader) != "" {
+				t.Fatalf("%d members: %d-byte answer, partial %q", size, d.n, d.header.Get(PartialHeader))
+			}
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		per[i] = (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%d members: %d bytes allocated per point query", size, per[i])
+	}
+	if per[1] > per[0]+2<<10 {
+		t.Errorf("a point query costs %d bytes with 2 members, %d with 4: it grows with the fleet", per[0], per[1])
 	}
 }
