@@ -110,6 +110,12 @@ func (tb *Testbench) flowPath(exp uint64, f int, path []uint64) []uint64 {
 // of (testbench seed, exp, f, n), so a loopback exporter and an
 // in-process reference produce bit-identical digests. pkts and vals are
 // reusable scratch (pass nil to allocate).
+//
+// Every (packet, hop) draws its latency's uniforms, but only a packet's
+// reservoir winner (LatencyQuery.Winner) pays for the lognormal: the
+// latency slot keeps the last hop that writes it, so the codes the other
+// hops write never reach a digest. So vals, as each hop encodes it, holds
+// the drawn latency only at each packet's winning hop, and 0 elsewhere.
 func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, vals []core.HopValues) []core.PacketDigest {
 	if cap(pkts) < n {
 		pkts = make([]core.PacketDigest, n)
@@ -120,15 +126,30 @@ func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, v
 	pkts, vals = pkts[:n], vals[:n]
 	flow := tb.FlowKeyFor(exp, f)
 	rng := hash.NewRNG(uint64(hash.Seed(tb.Seed).Derive(0x7AF).Hash2(exp, uint64(f))))
-	for j := range pkts {
-		pkts[j] = core.PacketDigest{Flow: flow, PktID: rng.Uint64(), PathLen: tb.K}
+	// win[j] is packet j's winning hop (k <= coding.MaxPathLen fits a
+	// byte). pintbench's flows of 256 and 500 packets and pintload's
+	// default of 1,000 fit the stack.
+	var winBuf [1024]uint8
+	win := winBuf[:]
+	if n > len(win) {
+		win = make([]uint8, n)
 	}
-	path := tb.flowPath(exp, f, nil)
+	for j := range pkts {
+		id := rng.Uint64()
+		pkts[j] = core.PacketDigest{Flow: flow, PktID: id, PathLen: tb.K}
+		win[j] = uint8(tb.LatQ.Winner(id, tb.K))
+	}
+	path := tb.flowPath(exp, f, make([]uint64, 0, coding.MaxPathLen))
+	mu := math.Log(8000)
 	for hop := 1; hop <= tb.K; hop++ {
 		sw := path[hop-1]
 		for j := range vals {
-			lat := math.Exp(math.Log(8000) + 0.25*rng.NormFloat64())
-			vals[j] = core.HopValues{SwitchID: sw, LatencyNs: uint64(lat)}
+			u1, u2 := rng.NormUniforms()
+			var lat uint64
+			if int(win[j]) == hop {
+				lat = uint64(math.Exp(mu + 0.25*hash.BoxMuller(u1, u2)))
+			}
+			vals[j] = core.HopValues{SwitchID: sw, LatencyNs: lat}
 		}
 		tb.Engine.EncodeHopBatch(hop, pkts, vals)
 	}

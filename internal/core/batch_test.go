@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/hash"
 )
 
@@ -63,6 +64,68 @@ func TestCompiledEncodeMatchesLegacy(t *testing.T) {
 			vals[i] = hopValuesFor(pkts[i].PktID, hop, 0xAB00)
 		}
 		checkParity(t, eng, pkts, vals, []int{hop})
+	}
+}
+
+// TestOverwrittenLatencyUnobservable is the encoder-side reason a
+// generator may draw a packet's latency only at its reservoir winner
+// (LatencyQuery.Winner) and pass 0 at every other hop: the latency slot
+// keeps the last hop that writes it, so what the other hops write never
+// reaches a digest. On the testbench plan and on the three-kind plan, for
+// every path length the wire carries, the final digests of both encodings
+// must be equal, while zeroing the winner's latency too must show.
+func TestOverwrittenLatencyUnobservable(t *testing.T) {
+	tbEng, _, tbLat := testbenchPlan(t, 31)
+	combEng, _, combLat, _ := combinedTestPlan(t, 37)
+	plans := []struct {
+		name string
+		eng  *Engine
+		lat  *LatencyQuery
+		uni0 uint64
+	}{
+		{"testbench", tbEng, tbLat, testUniverse(5, 80)[0]},
+		{"combined", combEng, combLat, 0xAB00},
+	}
+	const n = 257
+	for _, pl := range plans {
+		for k := 1; k <= coding.MaxPathLen; k++ {
+			rng := hash.NewRNG(uint64(k))
+			every := make([]PacketDigest, n)
+			for i := range every {
+				every[i] = PacketDigest{Flow: FlowKey(i % 7), PktID: rng.Uint64(), PathLen: k}
+			}
+			winner := append([]PacketDigest(nil), every...)
+			none := append([]PacketDigest(nil), every...)
+			vEvery := make([]HopValues, n)
+			vWinner := make([]HopValues, n)
+			vNone := make([]HopValues, n)
+			for hop := 1; hop <= k; hop++ {
+				for i := range every {
+					v := hopValuesFor(every[i].PktID, hop, pl.uni0)
+					vEvery[i], vWinner[i], vNone[i] = v, v, v
+					vNone[i].LatencyNs = 0
+					if pl.lat.Winner(every[i].PktID, k) != hop {
+						vWinner[i].LatencyNs = 0
+					}
+				}
+				pl.eng.EncodeHopBatch(hop, every, vEvery)
+				pl.eng.EncodeHopBatch(hop, winner, vWinner)
+				pl.eng.EncodeHopBatch(hop, none, vNone)
+			}
+			differ := 0
+			for i := range every {
+				if winner[i].Digest != every[i].Digest {
+					t.Fatalf("%s k=%d pkt %d: digest %#x with latency only at the winner, %#x with it at every hop",
+						pl.name, k, i, winner[i].Digest, every[i].Digest)
+				}
+				if none[i].Digest != every[i].Digest {
+					differ++
+				}
+			}
+			if differ == 0 {
+				t.Fatalf("%s k=%d: zeroing every latency changed no digest; the test cannot see latency", pl.name, k)
+			}
+		}
 	}
 }
 

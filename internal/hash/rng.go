@@ -76,12 +76,22 @@ func (r *RNG) ExpFloat64() float64 {
 }
 
 // NormFloat64 returns a standard normal value (Box–Muller, one branch).
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
+func (r *RNG) NormFloat64() float64 { return BoxMuller(r.NormUniforms()) }
+
+// NormUniforms draws the two uniforms NormFloat64 consumes, u1 in (0,1)
+// (a zero is drawn again) and u2 in [0,1), leaving the stream where
+// NormFloat64 would. A caller that needs only some of its normals draws
+// these for every value and pays BoxMuller for the ones it keeps.
+func (r *RNG) NormUniforms() (u1, u2 float64) {
+	u1 = r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
 	}
-	u2 := r.Float64()
+	return u1, r.Float64()
+}
+
+// BoxMuller maps NormUniforms' pair to a standard normal value.
+func BoxMuller(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 

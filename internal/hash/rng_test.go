@@ -1,6 +1,9 @@
 package hash
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -102,6 +105,57 @@ func TestRNGNormMoments(t *testing.T) {
 	variance := sq/n - mean*mean
 	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.05 {
 		t.Fatalf("normal moments mean=%v var=%v", mean, variance)
+	}
+}
+
+// normStreamPins are the sha256 of the bits of NormFloat64's first 10,000
+// values per seed, as the single-function Box–Muller drew them: composing
+// NormUniforms and BoxMuller must keep the stream, draw for draw.
+var normStreamPins = map[uint64]string{
+	1:         "507acc839dfb722fc74ffd6cff2aa5ce36f0e38dc3598b7e6601458f3f1e5c43",
+	10:        "c4bcc9887f750a76c77230d4393800bf81cf6b99fbcba03153d529bed30684f7",
+	0xC011EC7: "91e28212ab84bf37f1b2a2e8598bfb75a08321f6d4bedcba6fb104893d1fe702",
+}
+
+func TestNormFloat64StreamPinned(t *testing.T) {
+	for seed, want := range normStreamPins {
+		r := NewRNG(seed)
+		h := sha256.New()
+		var word [8]byte
+		for i := 0; i < 10000; i++ {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(r.NormFloat64()))
+			h.Write(word[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("seed %#x: NormFloat64 stream %s, pinned %s", seed, got, want)
+		}
+	}
+}
+
+// TestNormUniformsRedrawsZero starts the generator where its first draw is
+// exactly 0 (xoshiro256++ returns rotl(s0+s3, 23) + s0, so s0 = s3 = 0),
+// the case NormFloat64 draws u1 again for. NormFloat64 and NormUniforms
+// must consume the same three draws and agree on the value.
+func TestNormUniformsRedrawsZero(t *testing.T) {
+	start := RNG{s: [4]uint64{0, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0}}
+	probe := start
+	if u := probe.Float64(); u != 0 {
+		t.Fatalf("first draw %v, want exactly 0", u)
+	}
+	a, b, c := start, start, start
+	z := a.NormFloat64()
+	u1, u2 := b.NormUniforms()
+	if u1 == 0 {
+		t.Fatal("NormUniforms returned u1 = 0")
+	}
+	if got := BoxMuller(u1, u2); math.Float64bits(got) != math.Float64bits(z) {
+		t.Fatalf("BoxMuller(NormUniforms()) = %v, NormFloat64 = %v", got, z)
+	}
+	for range 3 {
+		c.Uint64()
+	}
+	if a.s != b.s || a.s != c.s {
+		t.Fatalf("states after one normal: NormFloat64 %x, NormUniforms %x, three draws %x", a.s, b.s, c.s)
 	}
 }
 
