@@ -78,7 +78,6 @@ func main() {
 		Shards:     *shards,
 		BatchSize:  *batchSize,
 		QueueDepth: *queueDepth,
-		Base:       tb.Base,
 	}
 	var sink *pipeline.Sink
 	var durable *collector.DurableSink

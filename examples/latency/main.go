@@ -1,7 +1,8 @@
 // Command latency demonstrates the dynamic per-flow aggregation (§4.1,
-// §6.2): estimating each hop's median and tail latency from b-bit digests,
-// with and without KLL sketches bounding per-flow storage, against exact
-// ground truth.
+// §6.2): estimating each hop's median and tail latency from b-bit digests
+// against exact ground truth. The Recording counts each hop's codes; the
+// PINTS configuration instead feeds them, as the sink extracts them, to
+// one KLL sketch per hop, which bounds per-flow storage.
 //
 // Run with:
 //
@@ -55,11 +56,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rec, err := core.NewRecording(engine, tc.sketchItems, hash.NewRNG(rng.Uint64()))
+		rec, err := core.NewRecording(engine)
 		if err != nil {
 			log.Fatal(err)
 		}
 		flow := core.FlowKey(1)
+		// Each configuration draws the sketches' seed, so the samples
+		// after it are the same whichever way the codes are kept.
+		sketches, err := hopSketches(q, flow, k, tc.sketchItems, hash.Seed(hash.NewRNG(rng.Uint64()).Uint64()))
+		if err != nil {
+			log.Fatal(err)
+		}
+		var ex []core.Extracted
 
 		truth := make([][]float64, k)
 		for i := 0; i < packets; i++ {
@@ -71,9 +79,28 @@ func main() {
 				digest = engine.EncodeHopValues(pktID, hop, digest,
 					&core.HopValues{LatencyNs: uint64(v)})
 			}
-			if err := rec.Record(flow, k, pktID, digest); err != nil {
-				log.Fatal(err)
+			if sketches == nil {
+				if err := rec.Record(flow, k, pktID, digest); err != nil {
+					log.Fatal(err)
+				}
+				continue
 			}
+			ex = engine.ExtractInto(pktID, digest, ex[:0])
+			for _, x := range ex {
+				if x.Query == q {
+					sketches[q.Winner(pktID, k)-1].Add(float64(x.Bits))
+				}
+			}
+		}
+		estimate := func(hop int, phi float64) (float64, error) {
+			if sketches == nil {
+				return rec.LatencyQuantile(q, flow, hop, phi)
+			}
+			s := sketches[hop-1]
+			if s.Count() == 0 {
+				return 0, fmt.Errorf("no samples for hop %d", hop)
+			}
+			return q.Decode(uint64(s.Quantiles(phi)[0] + 0.5)), nil
 		}
 
 		fmt.Printf("--- %s ---\n", tc.label)
@@ -82,11 +109,11 @@ func main() {
 		for hop := 1; hop <= k; hop++ {
 			tm := sketch.ExactQuantile(truth[hop-1], 0.5)
 			tt := sketch.ExactQuantile(truth[hop-1], 0.99)
-			em, err := rec.LatencyQuantile(q, flow, hop, 0.5)
+			em, err := estimate(hop, 0.5)
 			if err != nil {
 				log.Fatal(err)
 			}
-			et, err := rec.LatencyQuantile(q, flow, hop, 0.99)
+			et, err := estimate(hop, 0.99)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -96,4 +123,22 @@ func main() {
 	}
 	fmt.Println("note the congested hop 3 stands out in every configuration;")
 	fmt.Println("b=4's coarse codes shift absolute values but preserve the ranking.")
+}
+
+// hopSketches returns one KLL sketch of accuracy parameter items per hop
+// of a k-hop flow, nil when items is 0. The sketch of a hop draws from an
+// RNG seeded by (base, q's name, flow, hop).
+func hopSketches(q *core.LatencyQuery, flow core.FlowKey, k, items int, base hash.Seed) ([]*sketch.KLL, error) {
+	if items == 0 {
+		return nil, nil
+	}
+	sketches := make([]*sketch.KLL, k)
+	for hop := 1; hop <= k; hop++ {
+		rng := hash.NewRNG(base.Hash3(hash.Seed(0).HashString(q.Name()), uint64(flow), uint64(hop)))
+		var err error
+		if sketches[hop-1], err = sketch.NewKLL(items, rng); err != nil {
+			return nil, err
+		}
+	}
+	return sketches, nil
 }

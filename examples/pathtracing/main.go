@@ -62,7 +62,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rec, err := core.NewRecording(engine, 0, hash.NewRNG(rng.Uint64()))
+			rng.Uint64() // once a Recording's seed; drawn so later packet IDs stay put
+			rec, err := core.NewRecording(engine)
 			if err != nil {
 				log.Fatal(err)
 			}

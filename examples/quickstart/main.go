@@ -50,7 +50,7 @@ func main() {
 	}
 	fmt.Print(engine.Plan())
 
-	rec, err := core.NewRecording(engine, 0, hash.NewRNG(1))
+	rec, err := core.NewRecording(engine)
 	if err != nil {
 		log.Fatal(err)
 	}

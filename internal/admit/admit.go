@@ -9,7 +9,7 @@
 // known sampling probability p, chosen per frame, and the realized
 // admitted/offered ratio is published per tenant so every query answer
 // carries its exact error inflation: count-style answers scale by 1/p̂,
-// KLL-backed quantile ranks widen by a computable ε (see TenantStats).
+// quantile ranks widen by a computable ε (see TenantStats).
 // Degradation is a measured accuracy trade, not data loss of unknown
 // shape.
 //

@@ -240,11 +240,11 @@ const quantileDelta = 0.05
 //     frequency sample counts) were computed from an Admitted-sized
 //     sample of an Offered-sized population, so their expectations scale
 //     by CountScale = Offered/Admitted = 1/p̂.
-//   - KLL-backed quantile answers (latency percentiles) keep their
-//     sketch accuracy but gain sampling error: by Hoeffding, the rank of
-//     a reported quantile is within QuantileRankError =
-//     sqrt((1-p̂)·ln(2/δ)/(2·Admitted)) of the true rank with
-//     probability ≥ 1-δ (δ = 0.05). The (1-p̂) factor is the
+//   - Quantile answers (latency percentiles), which a counting store
+//     gives exactly over the admitted samples, gain sampling error: by
+//     Hoeffding, the rank of a reported quantile is within
+//     QuantileRankError = sqrt((1-p̂)·ln(2/δ)/(2·Admitted)) of the true
+//     rank with probability ≥ 1-δ (δ = 0.05). The (1-p̂) factor is the
 //     finite-population correction — it vanishes when nothing was shed.
 type TenantStats struct {
 	Tenant   string `json:"tenant"`
@@ -263,7 +263,7 @@ type TenantStats struct {
 	// everything offered was shed (no data to scale).
 	CountScale float64 `json:"count_scale"`
 	// QuantileRankError is the rank-space half-width ε added to
-	// KLL-backed quantile answers by sampling, at δ = 0.05.
+	// quantile answers by sampling, at δ = 0.05.
 	QuantileRankError float64 `json:"quantile_rank_error"`
 }
 

@@ -18,7 +18,7 @@ import (
 // test's to Shutdown.
 func newServedSink(t *testing.T, tb *Testbench, shards int, opts ...Option) (*pipeline.Sink, *Server) {
 	t.Helper()
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestShutdownIdempotent(t *testing.T) {
 // accepted, and the drained sink must stay queryable.
 func TestServeAfterShutdown(t *testing.T) {
 	tb := mustTestbench(t, 13)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

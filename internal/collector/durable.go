@@ -36,7 +36,6 @@ type DurableSink struct {
 
 	engine  *core.Engine
 	queries []core.Query
-	pcfg    pipeline.Config
 }
 
 // OpenDurableSink opens (recovering if needed) the segment log, builds
@@ -59,7 +58,6 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 		Recovery: *report,
 		engine:   engine,
 		queries:  queries,
-		pcfg:     pcfg,
 	}
 	if d.Replayed, err = ReplayInto(store, sink); err != nil {
 		sink.Close()
@@ -134,7 +132,7 @@ func (d *DurableSink) Close() error {
 // flow's answers are a function of its own digests — so the replay costs a
 // read of the window plus the digests and state of the flows asked for.
 func (d *DurableSink) windowRecording(since, until uint64, flows []core.FlowKey) (*core.Recording, []core.FlowKey, error) {
-	rec, err := pipeline.NewRecording(d.engine, d.pcfg)
+	rec, err := core.NewRecording(d.engine)
 	if err != nil {
 		return nil, nil, err
 	}

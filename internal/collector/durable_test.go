@@ -89,7 +89,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	tb := mustTestbench(t, 7)
 	for _, shards := range []int{1, 4} {
 		dir := t.TempDir()
-		pcfg := pipeline.Config{Shards: shards, BatchSize: 64, Base: tb.Base}
+		pcfg := pipeline.Config{Shards: shards, BatchSize: 64}
 		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 		if err != nil {
 			t.Fatal(err)
@@ -137,8 +137,7 @@ func TestDurableRoundTrip(t *testing.T) {
 }
 
 // TestDurableConfigShapes: every shape a pipeline.Config can take — shard
-// counts, KLL latency storage, and a batch/queue shape small enough to
-// stall — keeps the durable guarantee: the log-only answer is
+// counts and a batch/queue shape small enough to stall — keeps the durable guarantee: the log-only answer is
 // byte-identical to the live one after ingest and again after a restart.
 func TestDurableConfigShapes(t *testing.T) {
 	tb := mustTestbench(t, 17)
@@ -149,14 +148,11 @@ func TestDurableConfigShapes(t *testing.T) {
 		{"shards=1", pipeline.Config{Shards: 1}},
 		{"shards=2", pipeline.Config{Shards: 2}},
 		{"shards=3", pipeline.Config{Shards: 3}},
-		{"kll", pipeline.Config{Shards: 2, SketchItems: 24}},
 		{"batch8-queue1", pipeline.Config{Shards: 2, BatchSize: 8, QueueDepth: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pcfg := tc.cfg
-			pcfg.Base = tb.Base
 			dir := t.TempDir()
-			d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+			d, err := OpenDurableSink(tb.Engine, tb.Queries(), tc.cfg, durableOpts(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +166,7 @@ func TestDurableConfigShapes(t *testing.T) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+			re, err := OpenDurableSink(tb.Engine, tb.Queries(), tc.cfg, durableOpts(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +199,7 @@ func crashImage(t *testing.T, dir string) string {
 func TestDurableAbandonRecovers(t *testing.T) {
 	tb := mustTestbench(t, 13)
 	dir := t.TempDir()
-	pcfg := pipeline.Config{Shards: 4, BatchSize: 64, Base: tb.Base}
+	pcfg := pipeline.Config{Shards: 4, BatchSize: 64}
 	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +293,7 @@ func TestDurableCrashImageRecovery(t *testing.T) {
 	tb := mustTestbench(t, 29)
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pcfg := pipeline.Config{Shards: shards, BatchSize: 64, Base: tb.Base}
+			pcfg := pipeline.Config{Shards: shards, BatchSize: 64}
 			dir := t.TempDir()
 			d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 			if err != nil {
@@ -374,7 +370,7 @@ func TestDurableCrashImageRecovery(t *testing.T) {
 // background checkpoint ticker disabled so tests control flush points.
 func newDurableServer(t *testing.T, tb *Testbench, dir string, opts DurableOptions) (*Server, *DurableSink) {
 	t.Helper()
-	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: 2, Base: tb.Base}, opts)
+	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: 2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +497,7 @@ func TestSnapshotWindowErrorPaths(t *testing.T) {
 
 func mustPlainSink(t *testing.T, tb *Testbench) *pipeline.Sink {
 	t.Helper()
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +514,7 @@ func mustPlainSink(t *testing.T, tb *Testbench) *pipeline.Sink {
 func TestDurableCheckpointTicker(t *testing.T) {
 	tb := mustTestbench(t, 5)
 	dir := t.TempDir()
-	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: 2, Base: tb.Base}, durableOpts(dir))
+	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: 2}, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +603,7 @@ func TestWindowAnswersFlowScoped(t *testing.T) {
 	tb := mustTestbench(t, 19)
 	const nFlows, perRound, rounds = 6, 48, 8
 	for _, shards := range []int{1, 3} {
-		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: shards, BatchSize: 32, Base: tb.Base},
+		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: shards, BatchSize: 32},
 			durableOpts(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
@@ -707,7 +703,7 @@ func TestWindowQueryFlushesNotCheckpoints(t *testing.T) {
 	}()
 
 	const wave1Flows, pkts = 3, 200
-	ref, err := pipeline.NewRecording(tb.Engine, pipeline.Config{Base: tb.Base})
+	ref, err := core.NewRecording(tb.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}

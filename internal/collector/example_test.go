@@ -50,7 +50,7 @@ func ExampleConnect() {
 
 	// Collector side: a sharded sink behind the daemon, with a QoS policy
 	// giving every tenant a roomy quota.
-	sink, err := pipeline.NewSink(engine, pipeline.Config{Shards: 2, Base: 9})
+	sink, err := pipeline.NewSink(engine, pipeline.Config{Shards: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -286,7 +286,6 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 		Shards:     1,
 		BatchSize:  8,
 		QueueDepth: 1,
-		Base:       tb.Base,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +372,7 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 // never closes cannot hold the drain hostage past the grace period.
 func TestShutdownForceClosesHungExporter(t *testing.T) {
 	tb := mustTestbench(t, 31)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

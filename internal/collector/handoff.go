@@ -34,7 +34,7 @@ const handoffFrameBudget = 512 << 10
 
 // ExportFlows drains the listed flows out of this collector: for each
 // flow that is tracked here, its complete recording state is serialized
-// (decoders, sketches with RNG positions, series) and the flow is
+// (decoders, latency counts, series) and the flow is
 // evicted, atomically with respect to ingest on the owning shard's
 // worker. Flows not tracked here are skipped — the caller plans moves
 // from a membership-wide flow list. A durable collector refuses: its

@@ -114,7 +114,7 @@ func TestHandoffLoopback(t *testing.T) {
 	}
 	got := answersJSON(t, Answers(recA, tb.Queries(), recA.Flows()))
 
-	ref, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
+	ref, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestHandoffCloseIsAck(t *testing.T) {
 // cannot serialize flow state and must say so.
 func TestExportFlowsRequiresQueries(t *testing.T) {
 	tb := mustTestbench(t, 44)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

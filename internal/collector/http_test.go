@@ -26,7 +26,7 @@ func newQuietServer(t *testing.T) (*Server, *pipeline.Sink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestEpochMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestEachFlowMatchesAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := pipeline.NewRecording(tb.Engine, pipeline.Config{Base: tb.Base})
+	rec, err := core.NewRecording(tb.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}

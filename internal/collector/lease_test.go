@@ -55,7 +55,7 @@ func TestSnapshotHandlerReleasesOnEveryPath(t *testing.T) {
 		streams[f] = tb.FlowBatch(1, f, warm+3*rounds*frame, nil, nil)
 	}
 	mk := func() *pipeline.Sink {
-		sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2, Base: tb.Base})
+		sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func (w *blockedWriter) Write(p []byte) (int, error) {
 // handler's Close of it, now after Sink.Close, must run inline and return.
 func TestSnapshotHandlerOutlivesSinkClose(t *testing.T) {
 	tb := mustTestbench(t, 29)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type LoopbackResult struct {
 // networked twin of RunInProcess: identical inputs must yield
 // byte-identical answers.
 func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch int) (*LoopbackResult, error) {
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 // of the collector daemon is Answers(RunLoopback) == Answers(RunInProcess),
 // byte for byte, at every shard count.
 func (tb *Testbench) RunInProcess(shards, nExporters, flowsPer, pktsPer int) (*LoopbackResult, error) {
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		return nil, err
 	}

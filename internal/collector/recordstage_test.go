@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 )
 
 // TestLengtheningRouteOverLoopback is the remote half of core's
@@ -47,7 +46,7 @@ func TestLengtheningRouteOverLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := pipeline.NewRecording(tb.Engine, pipeline.Config{Base: tb.Base})
+	ref, err := core.NewRecording(tb.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}

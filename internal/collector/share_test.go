@@ -41,7 +41,7 @@ func TestHeldSnapshotsSurviveIngest(t *testing.T) {
 		hold    = 28 // rounds a snapshot is held across: ≥ 3 doublings of every series it shares
 		readers = 3
 	)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2, BatchSize: 32, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestHeldSnapshotsSurviveIngest(t *testing.T) {
 
 	// The final state is still exactly the serial one.
 	sink.Barrier()
-	ref, err := core.NewRecordingSeeded(tb.Engine, 0, tb.Base)
+	ref, err := core.NewRecording(tb.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestPointQueryAllocationIsFlowScoped(t *testing.T) {
 	)
 	asked := tb.FlowKeyFor(1, 0)
 	measure := func(otherFlows, pktsPerOther int) uint64 {
-		sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2, Base: tb.Base})
+		sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,10 @@ type Testbench struct {
 	LatQ  *core.LatencyQuery
 	// Engine is the compiled plan.
 	Engine *core.Engine
-	// Base seeds the sink's recordings (pipeline.Config.Base).
+	// Base is zero and read by nothing: a Recording takes no seed.
+	//
+	// Deprecated: do not read it. It goes with ROADMAP item 10, the
+	// benchmark harness's unfreeze, which removes its last reader.
 	Base hash.Seed
 	// Tenant, when non-empty, labels every session the testbench's
 	// streaming helpers open (pintload -tenant): the Hello carries it and
@@ -77,7 +80,6 @@ func NewTestbench(seed uint64, k int) (*Testbench, error) {
 		PathQ:    pathQ,
 		LatQ:     latQ,
 		Engine:   eng,
-		Base:     master.Derive(2),
 		universe: g.SwitchIDUniverse(),
 	}, nil
 }

@@ -157,51 +157,48 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 }
 
 // TestRecordBatchMatchesRecord checks batched ingest leaves a Recording in
-// exactly the state per-packet ingest does, for raw and sketched storage.
+// exactly the state per-packet ingest does.
 func TestRecordBatchMatchesRecord(t *testing.T) {
-	for _, sketchItems := range []int{0, 32} {
-		eng, path, lat, util := combinedTestPlan(t, 19)
-		const k = 6
-		const nFlows = 8
-		rng := hash.NewRNG(23)
-		pkts := make([]PacketDigest, 4096)
-		vals := make([]HopValues, len(pkts))
+	eng, path, lat, util := combinedTestPlan(t, 19)
+	const k = 6
+	const nFlows = 8
+	rng := hash.NewRNG(23)
+	pkts := make([]PacketDigest, 4096)
+	vals := make([]HopValues, len(pkts))
+	for i := range pkts {
+		pkts[i] = PacketDigest{Flow: FlowKey(i % nFlows), PktID: rng.Uint64(), PathLen: k}
+	}
+	for hop := 1; hop <= k; hop++ {
 		for i := range pkts {
-			pkts[i] = PacketDigest{Flow: FlowKey(i % nFlows), PktID: rng.Uint64(), PathLen: k}
+			vals[i] = hopValuesFor(pkts[i].PktID, hop, 0xAB00)
 		}
-		for hop := 1; hop <= k; hop++ {
-			for i := range pkts {
-				vals[i] = hopValuesFor(pkts[i].PktID, hop, 0xAB00)
-			}
-			eng.EncodeHopBatch(hop, pkts, vals)
-		}
-		base := hash.Seed(rng.Uint64())
-		serial, err := NewRecordingSeeded(eng, sketchItems, base)
-		if err != nil {
+		eng.EncodeHopBatch(hop, pkts, vals)
+	}
+	serial, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pkts {
+		if err := serial.Record(pkts[i].Flow, pkts[i].PathLen, pkts[i].PktID, pkts[i].Digest); err != nil {
 			t.Fatal(err)
 		}
-		batched, err := NewRecordingSeeded(eng, sketchItems, base)
-		if err != nil {
+	}
+	for off := 0; off < len(pkts); off += 100 {
+		end := off + 100
+		if end > len(pkts) {
+			end = len(pkts)
+		}
+		if err := batched.RecordBatch(pkts[off:end]); err != nil {
 			t.Fatal(err)
 		}
-		for i := range pkts {
-			if err := serial.Record(pkts[i].Flow, pkts[i].PathLen, pkts[i].PktID, pkts[i].Digest); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for off := 0; off < len(pkts); off += 100 {
-			end := off + 100
-			if end > len(pkts) {
-				end = len(pkts)
-			}
-			if err := batched.RecordBatch(pkts[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for f := 0; f < nFlows; f++ {
-			flow := FlowKey(f)
-			assertSameAnswers(t, serial, batched, flow, k, path, lat, util)
-		}
+	}
+	for f := 0; f < nFlows; f++ {
+		flow := FlowKey(f)
+		assertSameAnswers(t, serial, batched, flow, k, path, lat, util)
 	}
 }
 

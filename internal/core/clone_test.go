@@ -28,76 +28,64 @@ func cloneWorkload(t testing.TB, eng *Engine, seed uint64, nFlows, n, k int) []P
 	return pkts
 }
 
-// storageVariants are the two latency storages a Recording can run on
-// the combined plan: counted one-byte codes and KLL sketches.
-var storageVariants = []struct {
-	name        string
-	sketchItems int
-}{
-	{name: "raw"},
-	{name: "sketched", sketchItems: 24},
-}
-
 // TestRecordingCloneIsIndependentAndIdentical is the contract snapshot
 // queries rely on: a clone answers bit-identically at the copy point, and
 // recording into the original afterwards leaves the clone untouched while
 // the clone, fed the same continuation, stays bit-identical to the
-// original — for raw and sketched latency storage.
+// original.
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
-	for _, v := range storageVariants {
-		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util := combinedTestPlan(t, 37)
-			const (
-				nFlows = 6
-				k      = 6
-			)
-			pkts := cloneWorkload(t, eng, 91, nFlows, 4096, k)
-			half := len(pkts) / 2
-			mk := func() *Recording {
-				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rec
-			}
-			orig := mk()
-			if err := orig.RecordBatch(pkts[:half]); err != nil {
+	t.Run("raw", func(t *testing.T) {
+		eng, path, lat, util := combinedTestPlan(t, 37)
+		const (
+			nFlows = 6
+			k      = 6
+		)
+		pkts := cloneWorkload(t, eng, 91, nFlows, 4096, k)
+		half := len(pkts) / 2
+		mk := func() *Recording {
+			rec, err := NewRecording(eng)
+			if err != nil {
 				t.Fatal(err)
 			}
-			// Three clones and a reference, all taken at the copy point.
-			cloneA, cloneB, cloneC, halfRef := orig.Clone(), orig.Clone(), orig.Clone(), orig.Clone()
-			if got, want := cloneA.TrackedFlows(), orig.TrackedFlows(); got != want {
-				t.Fatalf("clone tracks %d flows, original %d", got, want)
-			}
+			return rec
+		}
+		orig := mk()
+		if err := orig.RecordBatch(pkts[:half]); err != nil {
+			t.Fatal(err)
+		}
+		// Three clones and a reference, all taken at the copy point.
+		cloneA, cloneB, cloneC, halfRef := orig.Clone(), orig.Clone(), orig.Clone(), orig.Clone()
+		if got, want := cloneA.TrackedFlows(), orig.TrackedFlows(); got != want {
+			t.Fatalf("clone tracks %d flows, original %d", got, want)
+		}
 
-			// At the copy point a clone answers bit-identically.
-			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, halfRef, cloneA, FlowKey(f), k, path, lat, util)
-			}
+		// At the copy point a clone answers bit-identically.
+		for f := 1; f <= nFlows; f++ {
+			assertSameAnswers(t, halfRef, cloneA, FlowKey(f), k, path, lat, util)
+		}
 
-			// Recording the continuation into the original must not leak
-			// into the clones...
-			if err := orig.RecordBatch(pkts[half:]); err != nil {
-				t.Fatal(err)
-			}
-			fresh := mk()
-			if err := fresh.RecordBatch(pkts[:half]); err != nil {
-				t.Fatal(err)
-			}
-			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, fresh, cloneB, FlowKey(f), k, path, lat, util)
-			}
+		// Recording the continuation into the original must not leak
+		// into the clones...
+		if err := orig.RecordBatch(pkts[half:]); err != nil {
+			t.Fatal(err)
+		}
+		fresh := mk()
+		if err := fresh.RecordBatch(pkts[:half]); err != nil {
+			t.Fatal(err)
+		}
+		for f := 1; f <= nFlows; f++ {
+			assertSameAnswers(t, fresh, cloneB, FlowKey(f), k, path, lat, util)
+		}
 
-			// ...and feeding a clone the same continuation converges it
-			// with the original, bit for bit.
-			if err := cloneC.RecordBatch(pkts[half:]); err != nil {
-				t.Fatal(err)
-			}
-			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, orig, cloneC, FlowKey(f), k, path, lat, util)
-			}
-		})
-	}
+		// ...and feeding a clone the same continuation converges it
+		// with the original, bit for bit.
+		if err := cloneC.RecordBatch(pkts[half:]); err != nil {
+			t.Fatal(err)
+		}
+		for f := 1; f <= nFlows; f++ {
+			assertSameAnswers(t, orig, cloneC, FlowKey(f), k, path, lat, util)
+		}
+	})
 }
 
 // TestRecordingMergeAdoptsDisjointFlows splits a stream by flow parity
@@ -111,7 +99,7 @@ func TestRecordingMergeAdoptsDisjointFlows(t *testing.T) {
 	)
 	pkts := cloneWorkload(t, eng, 97, nFlows, 4096, k)
 	mk := func() *Recording {
-		rec, err := NewRecordingSeeded(eng, 24, 0xE5)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +145,7 @@ func TestRecordingMergeManyWay(t *testing.T) {
 	)
 	pkts := cloneWorkload(t, eng, 103, nFlows, 4096, k)
 	mk := func() *Recording {
-		rec, err := NewRecordingSeeded(eng, 24, 0xF7)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +194,11 @@ func TestRecordingMergeManyWay(t *testing.T) {
 func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 	eng, _, _, _ := combinedTestPlan(t, 43)
 	pkts := cloneWorkload(t, eng, 101, 4, 512, 6)
-	a, err := NewRecordingSeeded(eng, 0, 1)
+	a, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRecordingSeeded(eng, 0, 1)
+	b, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +212,7 @@ func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 		t.Fatal("merge accepted overlapping flow sets")
 	}
 	eng2, _, _, _ := combinedTestPlan(t, 47)
-	c, err := NewRecordingSeeded(eng2, 0, 1)
+	c, err := NewRecording(eng2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,110 +253,108 @@ func randomWorkload(eng *Engine, rng *hash.RNG, nFlows, n, k int) []PacketDigest
 // again.
 func TestClonePrefixProperty(t *testing.T) {
 	const k = 6
-	for _, v := range storageVariants {
-		for _, shards := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
-				eng, path, lat, util := combinedTestPlan(t, 59)
-				mk := func() *Recording {
-					rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return rec
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("raw/shards=%d", shards), func(t *testing.T) {
+			eng, path, lat, util := combinedTestPlan(t, 59)
+			mk := func() *Recording {
+				rec, err := NewRecording(eng)
+				if err != nil {
+					t.Fatal(err)
 				}
-				rebuilt := func(prefix []PacketDigest) *Recording {
-					rec := mk()
-					if err := rec.RecordBatch(prefix); err != nil {
-						t.Fatal(err)
-					}
-					return rec
+				return rec
+			}
+			rebuilt := func(prefix []PacketDigest) *Recording {
+				rec := mk()
+				if err := rec.RecordBatch(prefix); err != nil {
+					t.Fatal(err)
 				}
-				rng := hash.NewRNG(uint64(7919*shards + len(v.name)))
-				for trial := 0; trial < 3; trial++ {
-					nFlows := 2 + rng.Intn(6)
-					pkts := randomWorkload(eng, rng, nFlows, 64+rng.Intn(96), k)
-					live := make([]*Recording, shards)
-					for i := range live {
-						live[i] = mk()
+				return rec
+			}
+			rng := hash.NewRNG(uint64(7919*shards + len("raw")))
+			for trial := 0; trial < 3; trial++ {
+				nFlows := 2 + rng.Intn(6)
+				pkts := randomWorkload(eng, rng, nFlows, 64+rng.Intn(96), k)
+				live := make([]*Recording, shards)
+				for i := range live {
+					live[i] = mk()
+				}
+				home := func(f FlowKey) int { return int(hash.ShardOf(uint64(f), uint64(shards))) }
+				for n := 0; n <= len(pkts); n++ {
+					if n > 0 {
+						if err := live[home(pkts[n-1].Flow)].RecordBatch(pkts[n-1 : n]); err != nil {
+							t.Fatal(err)
+						}
 					}
-					home := func(f FlowKey) int { return int(hash.ShardOf(uint64(f), uint64(shards))) }
-					for n := 0; n <= len(pkts); n++ {
-						if n > 0 {
-							if err := live[home(pkts[n-1].Flow)].RecordBatch(pkts[n-1 : n]); err != nil {
-								t.Fatal(err)
-							}
+					// Every flow, from full clones: leases on even trials,
+					// released below, and Clones held for good on odd ones.
+					full := mk()
+					leases := make([]*Lease, 2*shards)
+					for i, rec := range live {
+						var clone *Recording
+						if trial%2 == 0 {
+							clone, leases[shards+i] = rec.Lease(nil)
+						} else {
+							clone = rec.Clone()
 						}
-						// Every flow, from full clones: leases on even trials,
-						// released below, and Clones held for good on odd ones.
-						full := mk()
-						leases := make([]*Lease, 2*shards)
-						for i, rec := range live {
-							var clone *Recording
-							if trial%2 == 0 {
-								clone, leases[shards+i] = rec.Lease(nil)
-							} else {
-								clone = rec.Clone()
-							}
-							if err := full.Merge(clone); err != nil {
-								t.Fatal(err)
-							}
+						if err := full.Merge(clone); err != nil {
+							t.Fatal(err)
 						}
-						ref := rebuilt(pkts[:n])
-						if got, want := full.TrackedFlows(), ref.TrackedFlows(); got != want {
-							t.Fatalf("prefix %d: clone tracks %d flows, rebuilt %d", n, got, want)
+					}
+					ref := rebuilt(pkts[:n])
+					if got, want := full.TrackedFlows(), ref.TrackedFlows(); got != want {
+						t.Fatalf("prefix %d: clone tracks %d flows, rebuilt %d", n, got, want)
+					}
+					if got, want := full.Flows(), ref.Flows(); !slices.Equal(got, want) {
+						t.Fatalf("prefix %d: merged clones list flows %v, rebuilt %v", n, got, want)
+					}
+					for f := 1; f <= nFlows; f++ {
+						assertSameAnswers(t, ref, full, FlowKey(f), k, path, lat, util)
+					}
+					// A random subset (plus one flow nobody ever sent), from
+					// flow-scoped clones of only the shards that own them.
+					asked := []FlowKey{FlowKey(nFlows + 100)}
+					for f := 1; f <= nFlows; f++ {
+						if rng.Intn(2) == 0 {
+							asked = append(asked, FlowKey(f))
 						}
-						if got, want := full.Flows(), ref.Flows(); !slices.Equal(got, want) {
-							t.Fatalf("prefix %d: merged clones list flows %v, rebuilt %v", n, got, want)
+					}
+					byShard := make([][]FlowKey, shards)
+					for _, f := range asked {
+						byShard[home(f)] = append(byShard[home(f)], f)
+					}
+					scoped := mk()
+					for i, rec := range live {
+						if len(byShard[i]) == 0 {
+							continue
 						}
-						for f := 1; f <= nFlows; f++ {
-							assertSameAnswers(t, ref, full, FlowKey(f), k, path, lat, util)
+						var clone *Recording
+						clone, leases[i] = rec.Lease(byShard[i])
+						if err := scoped.Merge(clone); err != nil {
+							t.Fatal(err)
 						}
-						// A random subset (plus one flow nobody ever sent), from
-						// flow-scoped clones of only the shards that own them.
-						asked := []FlowKey{FlowKey(nFlows + 100)}
-						for f := 1; f <= nFlows; f++ {
-							if rng.Intn(2) == 0 {
-								asked = append(asked, FlowKey(f))
-							}
+					}
+					ref = rebuilt(pkts[:n])
+					tracked := 0
+					for _, f := range asked {
+						if ref.HasFlow(f) {
+							tracked++
 						}
-						byShard := make([][]FlowKey, shards)
-						for _, f := range asked {
-							byShard[home(f)] = append(byShard[home(f)], f)
+						if scoped.HasFlow(f) != ref.HasFlow(f) {
+							t.Fatalf("prefix %d flow %d: scoped clone tracked=%v, rebuilt %v", n, f, scoped.HasFlow(f), ref.HasFlow(f))
 						}
-						scoped := mk()
-						for i, rec := range live {
-							if len(byShard[i]) == 0 {
-								continue
-							}
-							var clone *Recording
-							clone, leases[i] = rec.Lease(byShard[i])
-							if err := scoped.Merge(clone); err != nil {
-								t.Fatal(err)
-							}
-						}
-						ref = rebuilt(pkts[:n])
-						tracked := 0
-						for _, f := range asked {
-							if ref.HasFlow(f) {
-								tracked++
-							}
-							if scoped.HasFlow(f) != ref.HasFlow(f) {
-								t.Fatalf("prefix %d flow %d: scoped clone tracked=%v, rebuilt %v", n, f, scoped.HasFlow(f), ref.HasFlow(f))
-							}
-							assertSameAnswers(t, ref, scoped, f, k, path, lat, util)
-						}
-						if got := scoped.TrackedFlows(); got != tracked {
-							t.Fatalf("prefix %d: scoped clone tracks %d flows, asked for %d tracked ones", n, got, tracked)
-						}
-						for i, l := range leases {
-							if l != nil {
-								live[i%shards].Release(l)
-							}
+						assertSameAnswers(t, ref, scoped, f, k, path, lat, util)
+					}
+					if got := scoped.TrackedFlows(); got != tracked {
+						t.Fatalf("prefix %d: scoped clone tracks %d flows, asked for %d tracked ones", n, got, tracked)
+					}
+					for i, l := range leases {
+						if l != nil {
+							live[i%shards].Release(l)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -388,99 +374,97 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 		nFlows = 4
 		k      = 6
 	)
-	for _, v := range storageVariants {
-		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util := combinedTestPlan(t, 61)
-			mk := func() *Recording {
-				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rec
-			}
-			prefix := cloneWorkload(t, eng, 107, nFlows, 1200, k)
-			conts := [][]PacketDigest{
-				cloneWorkload(t, eng, 109, nFlows, 800, k),
-				cloneWorkload(t, eng, 113, nFlows, 800, k),
-				cloneWorkload(t, eng, 127, nFlows, 800, k),
-			}
-			conts = append(conts, cloneWorkload(t, eng, 137, nFlows, 800, k))
-			orig := mk()
-			if err := orig.RecordBatch(prefix); err != nil {
+	t.Run("raw", func(t *testing.T) {
+		eng, path, lat, util := combinedTestPlan(t, 61)
+		mk := func() *Recording {
+			rec, err := NewRecording(eng)
+			if err != nil {
 				t.Fatal(err)
 			}
-			// The test means something only if an append could land in
-			// shared memory: some origin series must have room to spare.
-			spare := false
-			for _, fs := range orig.flows {
-				for _, series := range fs.more.series {
-					spare = spare || cap(series) > len(series)
+			return rec
+		}
+		prefix := cloneWorkload(t, eng, 107, nFlows, 1200, k)
+		conts := [][]PacketDigest{
+			cloneWorkload(t, eng, 109, nFlows, 800, k),
+			cloneWorkload(t, eng, 113, nFlows, 800, k),
+			cloneWorkload(t, eng, 127, nFlows, 800, k),
+		}
+		conts = append(conts, cloneWorkload(t, eng, 137, nFlows, 800, k))
+		orig := mk()
+		if err := orig.RecordBatch(prefix); err != nil {
+			t.Fatal(err)
+		}
+		// The test means something only if an append could land in
+		// shared memory: some origin series must have room to spare.
+		spare := false
+		for _, fs := range orig.flows {
+			for _, series := range fs.more.series {
+				spare = spare || cap(series) > len(series)
+			}
+		}
+		if !spare {
+			t.Fatal("no origin series has spare capacity; pick another prefix length")
+		}
+		adopter := mk()
+		if err := adopter.Merge(orig.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		holders := []*Recording{orig, orig.Clone(), orig.Clone(), adopter}
+		// A write through any holder first swaps in its own copy of the
+		// flow. The owner's copy keeps the shared lists as they are,
+		// spare capacity included; a clone's is clamped.
+		for i, h := range holders {
+			wantCap := func(l, c int) int {
+				if h == orig {
+					return c
 				}
+				return l
 			}
-			if !spare {
-				t.Fatal("no origin series has spare capacity; pick another prefix length")
-			}
-			adopter := mk()
-			if err := adopter.Merge(orig.Clone()); err != nil {
-				t.Fatal(err)
-			}
-			holders := []*Recording{orig, orig.Clone(), orig.Clone(), adopter}
-			// A write through any holder first swaps in its own copy of the
-			// flow. The owner's copy keeps the shared lists as they are,
-			// spare capacity included; a clone's is clamped.
-			for i, h := range holders {
-				wantCap := func(l, c int) int {
-					if h == orig {
-						return c
-					}
-					return l
+			for f := FlowKey(1); f <= nFlows; f++ {
+				shared := h.find(f)
+				fs := h.stateOf(f)
+				if fs == shared {
+					t.Fatalf("holder %d flow %d: a write would land in the state the clones share", i, f)
 				}
-				for f := FlowKey(1); f <= nFlows; f++ {
-					shared := h.find(f)
-					fs := h.stateOf(f)
-					if fs == shared {
-						t.Fatalf("holder %d flow %d: a write would land in the state the clones share", i, f)
+				for s := range eng.places {
+					pl := &eng.places[s]
+					if vs, was := fs.series(pl), shared.series(pl); pl.kind == opUtil &&
+						(len(vs) != len(was) || cap(vs) != wantCap(len(was), cap(was))) {
+						t.Fatalf("holder %d flow %d: a series of len %d cap %d copied as len %d cap %d",
+							i, f, len(was), cap(was), len(vs), cap(vs))
 					}
-					for s := range eng.places {
-						pl := &eng.places[s]
-						if vs, was := fs.series(pl), shared.series(pl); pl.kind == opUtil &&
-							(len(vs) != len(was) || cap(vs) != wantCap(len(was), cap(was))) {
-							t.Fatalf("holder %d flow %d: a series of len %d cap %d copied as len %d cap %d",
-								i, f, len(was), cap(was), len(vs), cap(vs))
-						}
-						for hop := 1; pl.kind == opLatency && hop <= k; hop++ {
-							st, ws := fs.store(eng, pl, hop), shared.store(eng, pl, hop)
-							if v.sketchItems == 0 && (st.sum() != ws.sum() || st.lo() != ws.lo() || st.tail() != ws.tail() || !st.shared()) {
-								t.Fatalf("holder %d flow %d hop %d: a latency store copied with its own histogram (%v), another tail, or not marked shared (%v)",
-									i, f, hop, st.sum() != ws.sum(), st.shared())
-							}
+					for hop := 1; pl.kind == opLatency && hop <= k; hop++ {
+						st, ws := fs.store(eng, pl, hop), shared.store(eng, pl, hop)
+						if st.sum() != ws.sum() || st.lo() != ws.lo() || st.tail() != ws.tail() || !st.shared() {
+							t.Fatalf("holder %d flow %d hop %d: a latency store copied with its own histogram (%v), another tail, or not marked shared (%v)",
+								i, f, hop, st.sum() != ws.sum(), st.shared())
 						}
 					}
 				}
 			}
-			// Interleave the continuations chunk by chunk, so every
-			// holder appends while the others' arrays are still live.
-			for off := 0; off < 800; off += 50 {
-				for i, h := range holders {
-					if err := h.RecordBatch(conts[i][off : off+50]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+		}
+		// Interleave the continuations chunk by chunk, so every
+		// holder appends while the others' arrays are still live.
+		for off := 0; off < 800; off += 50 {
 			for i, h := range holders {
-				ref := mk()
-				if err := ref.RecordBatch(prefix); err != nil {
+				if err := h.RecordBatch(conts[i][off : off+50]); err != nil {
 					t.Fatal(err)
-				}
-				if err := ref.RecordBatch(conts[i]); err != nil {
-					t.Fatal(err)
-				}
-				for f := 1; f <= nFlows; f++ {
-					assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util)
 				}
 			}
-		})
-	}
+		}
+		for i, h := range holders {
+			ref := mk()
+			if err := ref.RecordBatch(prefix); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.RecordBatch(conts[i]); err != nil {
+				t.Fatal(err)
+			}
+			for f := 1; f <= nFlows; f++ {
+				assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util)
+			}
+		}
+	})
 }
 
 // TestHeldCloneRacesOwnerTail is held clones under the race detector. Two
@@ -489,16 +473,13 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 // of its own continuation. A fourth goroutine clones the reading clone
 // while it is read and does the same with that clone of a clone. The owner
 // appends to the util series every clone shares, past their values; a
-// latency store's inline tail is each holder's own, and a KLL sketch is
-// copied. Any shared byte written by one side while another reads it fails
+// latency store's inline tail is each holder's own. Any shared byte written by one side while another reads it fails
 // under -race; afterwards each holder must carry the state of a Recording
 // rebuilt from its own packets, blob for blob.
 func TestHeldCloneRacesOwnerTail(t *testing.T) {
-	for _, v := range storageVariants {
-		t.Run(v.name, func(t *testing.T) {
-			raceHeldClones(t, v.sketchItems, heldRace{nFlows: 4, k: 6, prefix: 600, cont: 800, step: 16})
-		})
-	}
+	t.Run("raw", func(t *testing.T) {
+		raceHeldClones(t, heldRace{nFlows: 4, k: 6, prefix: 600, cont: 800, step: 16})
+	})
 }
 
 // TestHeldCloneRacesFold is TestHeldCloneRacesOwnerTail for latency
@@ -508,7 +489,7 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 // into a copy of the histogram while the reading clone ranks the
 // original, and its later folds count in place.
 func TestHeldCloneRacesFold(t *testing.T) {
-	lat, reader, owner, writer, grand := raceHeldClones(t, 0, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
+	lat, reader, owner, writer, grand := raceHeldClones(t, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
 	for _, f := range reader.Flows() {
 		for hop := 1; hop <= reader.Hops(lat, f); hop++ {
 			if st, _ := reader.store(lat, f, hop); st.sum() == nil {
@@ -537,11 +518,11 @@ type heldRace struct{ nFlows, k, prefix, cont, step int }
 // the three-query plan, and returns its latency query, the reading clone
 // and the three holders that recorded on: the owner, the appending clone
 // and the clone of the reading clone.
-func raceHeldClones(t *testing.T, sketchItems int, s heldRace) (lat *LatencyQuery, reader, owner, writer, grand *Recording) {
+func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner, writer, grand *Recording) {
 	eng, path, lat, util := combinedTestPlan(t, 151)
 	queries := []Query{path, lat, util}
 	mk := func(batches ...[]PacketDigest) *Recording {
-		rec, err := NewRecordingSeeded(eng, sketchItems, 0xC10)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -628,41 +609,38 @@ func raceHeldClones(t *testing.T, sketchItems int, s heldRace) (lat *LatencyQuer
 }
 
 // TestLatencyQuantilesMatchesSingleCalls pins the batched form to the
-// single-phi one it now backs: for every storage, LatencyQuantiles(phis)
-// equals LatencyQuantile per phi on the same Recording.
+// single-phi one it now backs: LatencyQuantiles(phis) equals LatencyQuantile per phi on the same Recording.
 func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 	const (
 		nFlows = 3
 		k      = 6
 	)
 	phis := []float64{0.5, 0.99, 0, 1, 0.5}
-	for _, v := range storageVariants {
-		t.Run(v.name, func(t *testing.T) {
-			eng, _, lat, _ := combinedTestPlan(t, 67)
-			rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xC10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkts := cloneWorkload(t, eng, 131, nFlows, 1500, k)
-			if err := rec.RecordBatch(pkts); err != nil {
-				t.Fatal(err)
-			}
-			for f := 1; f <= nFlows; f++ {
-				for hop := 0; hop <= k+1; hop++ {
-					got, gerr := rec.LatencyQuantiles(lat, FlowKey(f), hop, phis...)
-					for i, phi := range phis {
-						want, werr := rec.LatencyQuantile(lat, FlowKey(f), hop, phi)
-						if (gerr == nil) != (werr == nil) {
-							t.Fatalf("flow %d hop %d: batched err %v, single err %v", f, hop, gerr, werr)
-						}
-						if gerr == nil && got[i] != want {
-							t.Fatalf("flow %d hop %d phi %v: batched %v, single %v", f, hop, phi, got[i], want)
-						}
+	t.Run("raw", func(t *testing.T) {
+		eng, _, lat, _ := combinedTestPlan(t, 67)
+		rec, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := cloneWorkload(t, eng, 131, nFlows, 1500, k)
+		if err := rec.RecordBatch(pkts); err != nil {
+			t.Fatal(err)
+		}
+		for f := 1; f <= nFlows; f++ {
+			for hop := 0; hop <= k+1; hop++ {
+				got, gerr := rec.LatencyQuantiles(lat, FlowKey(f), hop, phis...)
+				for i, phi := range phis {
+					want, werr := rec.LatencyQuantile(lat, FlowKey(f), hop, phi)
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("flow %d hop %d: batched err %v, single err %v", f, hop, gerr, werr)
+					}
+					if gerr == nil && got[i] != want {
+						t.Fatalf("flow %d hop %d phi %v: batched %v, single %v", f, hop, phi, got[i], want)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestLeaseHoldCount walks one flow's state through sequences of leases,
@@ -713,7 +691,7 @@ func TestLeaseHoldCount(t *testing.T) {
 			{"lease", "a", false}, {"reimport", "", true}, {"release", "a", true}, {"write", "", true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			owner, err := NewRecordingSeeded(eng, 0, 0xA110C)
+			owner, err := NewRecording(eng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -737,7 +715,7 @@ func TestLeaseHoldCount(t *testing.T) {
 					_, l := clones[s.name].Lease(nil)
 					owner.Release(l)
 				case "merge-clone-of":
-					adopter, err := NewRecordingSeeded(eng, 0, 0xA110C)
+					adopter, err := NewRecording(eng)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -785,7 +763,7 @@ func TestLeaseHoldCount(t *testing.T) {
 func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 	eng, path, _ := testbenchPlan(t, 73)
 	newRec := func() *Recording {
-		r, err := NewRecordingSeeded(eng, 0, 0x5EED)
+		r, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -858,7 +836,7 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 // it and observing through it leaves the Recording's answers as they were.
 func TestPathDecoderIsACopy(t *testing.T) {
 	eng, path, _ := testbenchPlan(t, 74)
-	rec, err := NewRecordingSeeded(eng, 0, 0x5EED)
+	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestEndToEndPathDecoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecording(e, 0, hash.NewRNG(1))
+	rec, err := NewRecording(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,38 +278,36 @@ func TestEndToEndLatencyQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sketchItems := range []int{0, 64} {
-		rec, err := NewRecording(e, sketchItems, hash.NewRNG(3))
+	rec, err := NewRecording(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow := FlowKey(88)
+	rng := hash.NewRNG(4)
+	medians := []float64{1000, 5000, 20000, 800, 60000}
+	for i := 0; i < 40000; i++ {
+		pkt := rng.Uint64()
+		var digest uint64
+		for hop := 1; hop <= k; hop++ {
+			v := medians[hop-1] * math.Exp(rng.NormFloat64()*0.3)
+			digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{LatencyNs: uint64(v)})
+		}
+		if err := rec.Record(flow, k, pkt, digest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for hop := 1; hop <= k; hop++ {
+		got, err := rec.LatencyQuantile(lat, flow, hop, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flow := FlowKey(88)
-		rng := hash.NewRNG(4)
-		medians := []float64{1000, 5000, 20000, 800, 60000}
-		for i := 0; i < 40000; i++ {
-			pkt := rng.Uint64()
-			var digest uint64
-			for hop := 1; hop <= k; hop++ {
-				v := medians[hop-1] * math.Exp(rng.NormFloat64()*0.3)
-				digest = e.EncodeHopValues(pkt, hop, digest, &HopValues{LatencyNs: uint64(v)})
-			}
-			if err := rec.Record(flow, k, pkt, digest); err != nil {
-				t.Fatal(err)
-			}
+		relErr := math.Abs(got-medians[hop-1]) / medians[hop-1]
+		if relErr > 0.15 {
+			t.Fatalf("hop %d: median %v, want %v (err %.1f%%)",
+				hop, got, medians[hop-1], relErr*100)
 		}
-		for hop := 1; hop <= k; hop++ {
-			got, err := rec.LatencyQuantile(lat, flow, hop, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			relErr := math.Abs(got-medians[hop-1]) / medians[hop-1]
-			if relErr > 0.15 {
-				t.Fatalf("sketch=%d hop %d: median %v, want %v (err %.1f%%)",
-					sketchItems, hop, got, medians[hop-1], relErr*100)
-			}
-			if rec.LatencySamples(lat, flow, hop) < 40000/k/2 {
-				t.Fatalf("hop %d undersampled: %d", hop, rec.LatencySamples(lat, flow, hop))
-			}
+		if rec.LatencySamples(lat, flow, hop) < 40000/k/2 {
+			t.Fatalf("hop %d undersampled: %d", hop, rec.LatencySamples(lat, flow, hop))
 		}
 	}
 }
@@ -320,7 +318,7 @@ func TestEndToEndUtilMaxAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecording(e, 0, hash.NewRNG(5))
+	rec, err := NewRecording(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +398,7 @@ func TestPathQueryTwoInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := NewRecording(e, 0, hash.NewRNG(7))
+	rec, _ := NewRecording(e)
 	truth := uni[:10]
 	rng := hash.NewRNG(8)
 	flow := FlowKey(1)

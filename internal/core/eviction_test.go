@@ -11,7 +11,7 @@ func TestEvictUnknownFlowHarmless(t *testing.T) {
 	cfg, _ := DefaultPathConfig(8, 1, 5)
 	q, _ := NewPathQuery("p", cfg, 1, 95, uni)
 	e, _ := Compile([]Query{q}, 8, 96)
-	rec, _ := NewRecording(e, 0, hash.NewRNG(97))
+	rec, _ := NewRecording(e)
 	rec.Evict(FlowKey(42)) // no state; must not panic
 	if rec.TrackedFlows() != 0 {
 		t.Fatal("phantom flow appeared")
@@ -23,7 +23,7 @@ func TestUnlimitedFlowsByDefault(t *testing.T) {
 	cfg, _ := DefaultPathConfig(8, 1, 3)
 	q, _ := NewPathQuery("p", cfg, 1, 98, uni)
 	e, _ := Compile([]Query{q}, 8, 99)
-	rec, _ := NewRecording(e, 0, hash.NewRNG(100))
+	rec, _ := NewRecording(e)
 	rng := hash.NewRNG(101)
 	for f := 1; f <= 100; f++ {
 		pkt := rng.Uint64()

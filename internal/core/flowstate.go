@@ -15,8 +15,8 @@ import (
 // state — a path query's decoder words, a latency query's per-hop inline
 // tails — at the place the engine gives the query (Engine.places). What
 // only some flows need hangs off the header and is allocated when first
-// needed: a decoder's slab of stored packets, a latency store's histogram
-// or sketch, a util series. coding.Decoder and latStore are views the
+// needed: a decoder's slab of stored packets, a latency store's histogram,
+// a util series. coding.Decoder and latStore are views the
 // Recording binds over these: a path decoder for a run of the flow's
 // packets (Recording.recordRun) or one answer, a latency store, on the
 // stack, for one packet or one answer. A cold testbench flow is the
@@ -49,13 +49,13 @@ type flowState struct {
 	// by the query's ordinal among the engine's path queries: nil until a
 	// decoder stores a packet.
 	slabs [][]uint64
-	// more is nil until a latency store takes a histogram or a sketch, or a
-	// util query a series.
+	// more is nil until a latency store takes a histogram, or a util query
+	// a series.
 	more *flowMore
 }
 
 // flowMore is the per-flow state outside the block that only some flows
-// need: each latency store's histogram or sketch, at the query's ordinal
+// need: each latency store's histogram, at the query's ordinal
 // among the engine's latency queries times k plus the hop's index, and
 // each util query's decoded values in arrival order, at its ordinal.
 type flowMore struct {
@@ -204,11 +204,7 @@ func (fs *flowState) unshare(e *Engine, clamp bool) *flowState {
 			}
 		case opLatency:
 			for hop := 1; hop <= int(c.k); hop++ {
-				st := c.store(e, pl, hop)
-				st.t[0] |= markShared
-				if kll := st.kll(); kll != nil {
-					st.setSum(&latSum{kll: kll.Clone()})
-				}
+				c.store(e, pl, hop).t[0] |= markShared
 			}
 		case opUtil:
 			if clamp {
@@ -219,9 +215,8 @@ func (fs *flowState) unshare(e *Engine, clamp bool) *flowState {
 	return c
 }
 
-// latStore is a view of one (flow, hop)'s latency samples: in a KLL sketch
-// behind the store's latSum when the Recording sketches them, and otherwise
-// counted. A latency code is one byte (NewLatencyQuery), so a quantile
+// latStore is a view of one (flow, hop)'s latency samples, counted. A
+// latency code is one byte (NewLatencyQuery), so a quantile
 // depends only on how often each code was seen. add counts a code in
 // place, in an inline tail of counters for the codes lo..lo+latTail-1 that
 // lives in the flow's block; a code outside that window slides it while
@@ -243,12 +238,11 @@ type latStore struct {
 	n  int                // flowMore.sums' length, once allocated
 }
 
-// latSum is what a store keeps outside the block: a KLL sketch, or the
-// code counts of the samples folded out of its tail, for the codes
+// latSum is what a store keeps outside the block: the code counts of the
+// samples folded out of its tail, for the codes
 // lo..lo+len(counts)-1, the lowest and highest it has counted; 64-bit, as a
 // long flow's hop may see 2^32 of one code.
 type latSum struct {
-	kll    *sketch.KLL
 	n      int // samples counted in counts
 	lo     int
 	counts []uint64
@@ -271,8 +265,8 @@ const (
 const maxLatSamples = 1 << 62
 
 // lo is the tail's first code, or tailClosed, which sends every sample to
-// the slow path: in a sketch's store, and in a store that may be near
-// maxLatSamples (restored or full).
+// the slow path: in a store that may be near maxLatSamples (restored or
+// full).
 func (st latStore) lo() int { return int(st.t[0] & 0xFFFF) }
 
 // shared reports the shared mark.
@@ -298,8 +292,7 @@ func (st latStore) setTail(lo int, tail [latTail]uint8) {
 	}
 }
 
-// sum returns the store's latSum, nil for a counting store that has not
-// folded.
+// sum returns the store's latSum, nil for a store that has not folded.
 func (st latStore) sum() *latSum {
 	if m := st.fs.more; m != nil && m.sums != nil {
 		return m.sums[st.at]
@@ -316,15 +309,7 @@ func (st latStore) setSum(s *latSum) {
 	m.sums[st.at] = s
 }
 
-// kll returns the store's sketch, nil for a counting store.
-func (st latStore) kll() *sketch.KLL {
-	if sum := st.sum(); sum != nil {
-		return sum.kll
-	}
-	return nil
-}
-
-// samples is the number of samples a counting store has taken: those in
+// samples is the number of samples the store has taken: those in
 // its histogram and those in its tail, whose counters each word sums in
 // place (bytes into 16-bit lanes, lanes by a multiply).
 func (st latStore) samples() (n int) {
@@ -342,8 +327,7 @@ func (st latStore) samples() (n int) {
 }
 
 // add counts a code: in place in the tail when the window holds it and its
-// counter is not full, and otherwise into the store's sketch or through
-// count.
+// counter is not full, and otherwise through count.
 func (st latStore) add(code uint64) {
 	if i := code - st.t[0]&0xFFFF; i < latTail {
 		w, shift := &st.t[(3+i)>>3&(tailWords-1)], (3+i)&7*8
@@ -351,10 +335,6 @@ func (st latStore) add(code uint64) {
 			*w += 1 << shift
 			return
 		}
-	}
-	if kll := st.kll(); kll != nil {
-		kll.Add(float64(code))
-		return
 	}
 	st.count(int(code))
 }
@@ -433,7 +413,7 @@ func (st latStore) fold() {
 	st.setTail(at, [latTail]uint8{})
 }
 
-// countQuantiles writes the phi-quantile code of a counting store's samples
+// countQuantiles writes the phi-quantile code of the store's samples
 // to out[i] for each phis[i], by the nearest-rank rule (sketch.RankIndex):
 // it counts them into a histogram of the code domain on the stack and
 // walks that to the rank.
@@ -451,7 +431,7 @@ func (st latStore) countQuantiles(phis, out []float64) {
 	}
 }
 
-// countInto adds a counting store's histogram and tail to hist and
+// countInto adds the store's histogram and tail to hist and
 // returns how many samples it added.
 func (st latStore) countInto(hist *[1 << 8]uint64) (n int) {
 	if sum := st.sum(); sum != nil {

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/coding"
-	"repro/internal/sketch"
 	"repro/internal/stateread"
 )
 
@@ -45,12 +44,12 @@ const (
 // flowStateWhat opens every error the blob's reader produces.
 const flowStateWhat = "core: flow state"
 
-// Per-hop store kinds inside a latency section: raw (an empty store), KLL,
-// or a store's code counts. Kind 3, once a sliding-window sketch, is
-// unassigned: a blob that carries it is refused by number.
+// Per-hop store kinds inside a latency section: raw (an empty store) or a
+// store's code counts. Kinds 2 and 3, once a KLL sketch and a
+// sliding-window sketch, are unassigned: a blob that carries either is
+// refused by number.
 const (
 	storeRaw  byte = 1
-	storeKLL  byte = 2
 	storeHist byte = 4
 )
 
@@ -92,27 +91,22 @@ func sectionKind(q Query) byte {
 }
 
 // appendLatStores is a latency section's payload: the hop count, then one
-// store per hop — its kind, then for a sketch its length-prefixed state. A
-// nonempty counting store travels as a histogram (appendHist), its bytes
-// independent of how its tail and histogram split its samples; an empty
-// one travels raw, as a count of 0.
+// store per hop. A nonempty store travels as a histogram (appendHist), its
+// bytes independent of how its tail and histogram split its samples; an
+// empty one travels raw, as a count of 0.
 func appendLatStores(dst []byte, e *Engine, fs *flowState, pl *slotPlace) []byte {
 	dst = binary.AppendUvarint(dst, uint64(fs.k))
 	for hop := 1; hop <= int(fs.k); hop++ {
-		switch st := fs.store(e, pl, hop); {
-		case st.kll() != nil:
-			at := len(dst) + 1
-			dst = prefixLen(st.kll().AppendState(append(dst, storeKLL)), at)
-		case st.samples() > 0:
+		if st := fs.store(e, pl, hop); st.samples() > 0 {
 			dst = appendHist(dst, st)
-		default:
+		} else {
 			dst = append(dst, storeRaw, 0)
 		}
 	}
 	return dst
 }
 
-// appendHist writes a nonempty counting store as kind 4: the counts of
+// appendHist writes a nonempty store as kind 4: the counts of
 // all its samples, folded or in its tail, for the codes
 // lo to hi, the lowest and highest among them, as lo, hi-lo+1 and one
 // uvarint count per code.
@@ -327,16 +321,6 @@ func restoreLatStores(fs *flowState, e *Engine, pl *slotPlace, q *LatencyQuery, 
 			var sum *latSum
 			if sum, err = restoreHist(rd, q, flow, hop); err == nil {
 				st.setSum(sum)
-				st.setTail(tailClosed, [latTail]uint8{})
-			}
-		case storeKLL:
-			sub := rd.Bytes(rd.Uvarint())
-			if rd.Err != nil {
-				return rd.Err
-			}
-			var kll *sketch.KLL
-			if kll, err = sketch.RestoreKLL(sub); err == nil {
-				st.setSum(&latSum{kll: kll})
 				st.setTail(tailClosed, [latTail]uint8{})
 			}
 		default:

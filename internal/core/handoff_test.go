@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -19,13 +21,13 @@ import (
 const referencePkts, foldedPkts = 3000, 12000
 
 // referenceFlowStates records the first n packets of the three-query
-// plan's reference stream with sketchItems and returns the Recording, its
-// queries in section order, and every flow's hand-off blob in flow order.
-func referenceFlowStates(t testing.TB, sketchItems, n int) (*Recording, []Query, [][]byte) {
+// plan's reference stream and returns the Recording, its queries in
+// section order, and every flow's hand-off blob in flow order.
+func referenceFlowStates(t testing.TB, n int) (*Recording, []Query, [][]byte) {
 	t.Helper()
 	eng, path, lat, util := combinedTestPlan(t, 139)
 	queries := []Query{path, lat, util}
-	rec, err := NewRecordingSeeded(eng, sketchItems, 0xB10B)
+	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +47,9 @@ func referenceFlowStates(t testing.TB, sketchItems, n int) (*Recording, []Query,
 
 // flowStateDigest hashes, in flow order, the hand-off blob of every flow
 // of a Recording fed n packets of the three-query plan's reference stream.
-func flowStateDigest(t *testing.T, sketchItems, n int) string {
+func flowStateDigest(t *testing.T, n int) string {
 	t.Helper()
-	rec, queries, blobs := referenceFlowStates(t, sketchItems, n)
+	rec, queries, blobs := referenceFlowStates(t, n)
 	h := sha256.New()
 	arena := []byte("earlier states")
 	for i, f := range rec.Flows() {
@@ -69,27 +71,97 @@ func flowStateDigest(t *testing.T, sketchItems, n int) string {
 
 // TestFlowStateBlobsUnchanged pins AppendFlowState's bytes: the hand-off
 // format is a wire format between fleet members of different builds. The
-// sketched digest was taken from the tree that still compiled the
-// frequent-value and Morris-count queries, for this same
-// path+latency+util plan and stream, so it also holds that dropping those
-// two kinds moved no byte of the three that remain. The third digest is
-// of a longer stream, whose raw stores hold more than 128 samples each,
-// and was taken when one-byte stores began to travel as counts (kind 4)
-// from 128 samples on. The raw digest was taken when every
+// second digest is of a longer stream, whose raw stores hold more than 128
+// samples each, and was taken when one-byte stores began to travel as
+// counts (kind 4) from 128 samples on. The raw digest was taken when every
 // nonempty one-byte store began to travel as counts; the two streams'
-// stores now travel alike.
+// stores now travel alike. The blobs of sketched stores are pinned, and
+// refused, by TestSketchedFlowStatesRefused.
 func TestFlowStateBlobsUnchanged(t *testing.T) {
-	want := map[string]string{
-		"raw":      "2a079615c18a9f36",
-		"sketched": "d09b3b2d6d4d4684",
+	if got, want := flowStateDigest(t, referencePkts), "2a079615c18a9f36"; got != want {
+		t.Errorf("raw: flow-state blobs hash to %s, want %s", got, want)
 	}
-	for _, v := range storageVariants {
-		if got := flowStateDigest(t, v.sketchItems, referencePkts); got != want[v.name] {
-			t.Errorf("%s: flow-state blobs hash to %s, want %s", v.name, got, want[v.name])
+	if got, want := flowStateDigest(t, foldedPkts), "0b631441da02f0d3"; got != want {
+		t.Errorf("raw, %d packets: flow-state blobs hash to %s, want %s", foldedPkts, got, want)
+	}
+}
+
+// sketchedFlowStates returns, in flow order, the hand-off blobs of the
+// reference stream's first referencePkts packets recorded into 24-item KLL
+// sketches (latency store kind 2), as the last build that kept sketches
+// wrote them.
+func sketchedFlowStates(t testing.TB) [][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "sketched-flowstate", "*.bin"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no sketched flow states in testdata (%v)", err)
+	}
+	var blobs [][]byte
+	for _, p := range paths {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
+// TestSketchedFlowStatesRefused: latency store kind 2, once a KLL sketch,
+// is a refused number. The sketched reference blobs still hash to the
+// digest TestFlowStateBlobsUnchanged pinned for them while sketches
+// travelled, so they are those very bytes, and each is now refused with
+// no flow left behind.
+func TestSketchedFlowStatesRefused(t *testing.T) {
+	const flow = FlowKey(1)
+	blobs := sketchedFlowStates(t)
+	h := sha256.New()
+	for _, blob := range blobs {
+		h.Write(blob)
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)[:8]), "d09b3b2d6d4d4684"; got != want {
+		t.Fatalf("sketched flow-state blobs hash to %s, want %s", got, want)
+	}
+	eng, path, lat, util := combinedTestPlan(t, 139)
+	queries := []Query{path, lat, util}
+	for i, blob := range blobs {
+		dst, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = dst.RestoreFlowState(queries, flow, blob)
+		if err == nil || !strings.Contains(err.Error(), "latency store kind 2") {
+			t.Errorf("blob %d: restore returned %v, want a refusal of store kind 2", i, err)
+		}
+		if dst.TrackedFlows() != 0 {
+			t.Errorf("blob %d: the refused restore left %d flows behind", i, dst.TrackedFlows())
 		}
 	}
-	if got, want := flowStateDigest(t, 0, foldedPkts), "0b631441da02f0d3"; got != want {
-		t.Errorf("raw, %d packets: flow-state blobs hash to %s, want %s", foldedPkts, got, want)
+}
+
+// TestNewRecordingSeededRefusesSketches: the deprecated constructor
+// refuses a caller that asks for latency sketches, and otherwise is
+// NewRecording whatever the seed: fed the reference stream, it writes the
+// reference blobs.
+func TestNewRecordingSeededRefusesSketches(t *testing.T) {
+	ref, queries, want := referenceFlowStates(t, referencePkts)
+	if rec, err := NewRecordingSeeded(ref.engine, 24, 0xB10B); err == nil || rec != nil {
+		t.Fatalf("NewRecordingSeeded with 24 sketch items returned (%v, %v), want a refusal", rec, err)
+	}
+	rec, err := NewRecordingSeeded(ref.engine, 0, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RecordBatch(cloneWorkload(t, ref.engine, 149, 5, referencePkts, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if rec.TrackedFlows() != len(want) {
+		t.Fatalf("a seeded Recording tracks %d flows, NewRecording's %d", rec.TrackedFlows(), len(want))
+	}
+	for i, f := range rec.Flows() {
+		if got, err := rec.AppendFlowState(nil, queries, f); err != nil || !bytes.Equal(got, want[i]) {
+			t.Fatalf("flow %d: a seeded Recording's state differs from NewRecording's (err %v)", f, err)
+		}
 	}
 }
 
@@ -136,7 +208,7 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 		t.Fatal(err)
 	}
 	blobAt := func(k int) []byte {
-		rec, err := NewRecordingSeeded(eng, 0, 163)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +226,7 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 		return blob
 	}
 	restore := func(blob []byte) error {
-		dst, err := NewRecordingSeeded(eng, 0, 163)
+		dst, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,15 +379,15 @@ func histStore(lo uint64, counts ...uint64) []byte {
 // accepts exactly the blobs AppendFlowState writes. Each refused row breaks
 // one rule of the layout — sections in query order, each section of its
 // query's kind (kinds 4 and 5 are no query's), a latency section of at
-// least one hop, latency store kinds raw,
-// KLL and histogram, a store raw only when empty and counts otherwise (the
+// least one hop, latency store kinds raw and histogram (kinds 2 and 3 are
+// no store's), a store raw only when empty and counts otherwise (the
 // histogram trimmed, within the codes, of at least one and at most 2^62
 // samples) — and is refused naming it, leaving the destination untouched;
 // each accepted row re-emits byte for byte and answers every latency
 // quantile.
 func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
 	const flow = FlowKey(1)
-	rec, queries, blobs := referenceFlowStates(t, 0, referencePkts)
+	rec, queries, blobs := referenceFlowStates(t, referencePkts)
 	for _, row := range flowStateRows(t, queries, blobs[0]) {
 		checkRestoreRow(t, rec.engine, queries, flow, row)
 	}
@@ -329,7 +401,7 @@ func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
 // eng and checks what RestoreFlowState says against the row.
 func checkRestoreRow(t *testing.T, eng *Engine, queries []Query, flow FlowKey, row flowStateRow) {
 	t.Helper()
-	dst, err := NewRecordingSeeded(eng, 0, 0xB10B)
+	dst, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +445,10 @@ func answerLatency(t *testing.T, rec *Recording, queries []Query, flow FlowKey) 
 // accepted again.
 func TestLatencyHistogramCounts(t *testing.T) {
 	const flow = FlowKey(1)
-	ref, queries, _ := referenceFlowStates(t, 0, referencePkts)
+	ref, queries, _ := referenceFlowStates(t, referencePkts)
 	eng, lat := ref.engine, queries[1].(*LatencyQuery)
 	restore := func(counts ...uint64) (*Recording, latStore) {
-		rec, err := NewRecordingSeeded(eng, 0, 0xB10B)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +487,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := NewRecordingSeeded(eng, 0, 0xB10B)
+	back, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +521,7 @@ func TestLatencyCodeIsOneByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := NewRecordingSeeded(eng, 0, 199)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +533,7 @@ func TestLatencyCodeIsOneByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := NewRecordingSeeded(eng, 0, 199)
+		back, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,13 +569,14 @@ func TestLatencyCodeIsOneByte(t *testing.T) {
 // or yields a flow that (1) re-emits the very same bytes — the blob was one
 // AppendFlowState could have written — and (2) keeps recording packets of
 // the plan into a state that is again accepted. Seeds are every flow's
-// blob of the raw and sketched reference Recordings, of a raw one fed the
-// longer stream whose stores travel as counts, and flowStateRows.
+// blob of the raw reference Recording, the sketched reference blobs (all
+// refused), every flow's blob of a raw Recording fed the longer stream
+// whose stores travel as counts, and flowStateRows.
 func FuzzFlowState(f *testing.F) {
 	const flow = FlowKey(1)
-	rec, queries, raw := referenceFlowStates(f, 0, referencePkts)
-	_, _, sketched := referenceFlowStates(f, 24, referencePkts)
-	_, _, folded := referenceFlowStates(f, 0, foldedPkts)
+	rec, queries, raw := referenceFlowStates(f, referencePkts)
+	sketched := sketchedFlowStates(f)
+	_, _, folded := referenceFlowStates(f, foldedPkts)
 	for _, blob := range slices.Concat(raw, sketched, folded) {
 		f.Add(blob)
 	}
@@ -513,7 +586,7 @@ func FuzzFlowState(f *testing.F) {
 	more := cloneWorkload(f, rec.engine, 151, 1, 64, 6)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		restore := func(data []byte) (*Recording, error) {
-			dst, err := NewRecordingSeeded(rec.engine, 0, 0xB10B)
+			dst, err := NewRecording(rec.engine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -568,7 +641,7 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	for i := 1; i < len(pkts); i++ {
 		pkts[i].PathLen = 5
 	}
-	rec, err := NewRecordingSeeded(eng, 0, 179)
+	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +660,7 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewRecordingSeeded(eng, 0, 179)
+	dst, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +731,7 @@ func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
 	}
 	for _, c := range cases {
 		blob := append([]byte{flowStateVersion, 1}, flowStateSection(path, uvarints(slices.Concat(c.parts...)...))...)
-		dst, err := NewRecordingSeeded(eng, 0, 163)
+		dst, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}

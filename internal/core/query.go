@@ -9,7 +9,7 @@
 //
 //   - PathQuery (static per-flow): distributed coding over switch IDs,
 //   - LatencyQuery (dynamic per-flow): reservoir-sampled compressed
-//     per-hop values, recorded into quantile sketches,
+//     per-hop values, recorded as counts of their one-byte codes,
 //   - UtilQuery (per-packet): max-aggregated compressed bottleneck values
 //     (the congestion-control feed, §4.3 Example #3).
 //

@@ -10,24 +10,18 @@ import (
 
 	"repro/internal/coding"
 	"repro/internal/hash"
-	"repro/internal/sketch"
 )
 
 // Recording is the sink-side Recording Module (§3.4): it intercepts the
 // digests the PINT Sink extracts, attributes each slice to its query, and
 // maintains the per-flow state queries need — coding decoders for path
-// queries, per-(flow,hop) samples or sketches for latency queries, value
-// streams for per-packet queries. All of this state lives off-switch.
+// queries, per-(flow,hop) counts of the one-byte codes for latency
+// queries, value streams for per-packet queries. All of this state lives
+// off-switch. It draws no randomness: a flow's state is a function of its
+// own digest stream, whatever the order flows interleave in — the property
+// that makes the sharded pipeline bit-identical to the serial path.
 type Recording struct {
 	engine *Engine
-	// sketchItems > 0 stores latency samples in KLL sketches with that
-	// accuracy parameter (PINTS in Fig 9); 0 counts one-byte codes.
-	sketchItems int
-	// base seeds the recording-side sketches: each (query, flow, hop)
-	// store derives its RNG from base deterministically, so a flow's
-	// state is independent of cross-flow arrival order — the property
-	// that makes the sharded pipeline bit-identical to the serial path.
-	base hash.Seed
 	// flows indexes the whole per-flow state, flow-major: one lookup
 	// reaches everything a packet touches. A clone has no map until its
 	// first write (index): its runs index it instead.
@@ -55,37 +49,25 @@ type Recording struct {
 	decs []coding.Decoder
 }
 
-// NewRecording creates a Recording Module for an engine. sketchItems > 0
-// stores latency samples in KLL sketches with that accuracy parameter
-// (PINTS in Fig 9); 0 counts one-byte codes. The RNG provides
-// only the sketch seed base; see NewRecordingSeeded for the explicit form.
-func NewRecording(engine *Engine, sketchItems int, rng *hash.RNG) (*Recording, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("core: recording requires an RNG")
-	}
-	return NewRecordingSeeded(engine, sketchItems, hash.Seed(rng.Uint64()))
-}
-
-// NewRecordingSeeded creates a Recording Module whose sketch randomness
-// derives entirely from base. Two recordings with the same engine and base
-// produce bit-identical per-flow answers for the same per-flow digest
-// streams regardless of how flows interleave — the contract the sharded
-// pipeline's workers rely on.
-func NewRecordingSeeded(engine *Engine, sketchItems int, base hash.Seed) (*Recording, error) {
+// NewRecording creates a Recording Module for an engine.
+func NewRecording(engine *Engine) (*Recording, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("core: nil engine")
 	}
-	return &Recording{
-		engine:      engine,
-		sketchItems: sketchItems,
-		base:        base,
-		flows:       map[FlowKey]*flowState{},
-	}, nil
+	return &Recording{engine: engine, flows: map[FlowKey]*flowState{}}, nil
 }
 
-// sketchRNG derives the RNG for one (query, flow, hop) store.
-func (r *Recording) sketchRNG(qname string, flow FlowKey, hop int) *hash.RNG {
-	return hash.NewRNG(r.base.Hash3(hash.Seed(0).HashString(qname), uint64(flow), uint64(hop)))
+// NewRecordingSeeded is NewRecording for a caller that still passes a
+// latency-sketch size and a seed: a Recording no longer sketches or draws
+// randomness, so it refuses sketchItems other than 0 and ignores base.
+//
+// Deprecated: use NewRecording. It goes with ROADMAP item 10, the
+// benchmark harness's unfreeze, which removes its last caller.
+func NewRecordingSeeded(engine *Engine, sketchItems int, base hash.Seed) (*Recording, error) {
+	if sketchItems != 0 {
+		return nil, fmt.Errorf("core: a recording counts latency codes and keeps no sketches (sketch items %d)", sketchItems)
+	}
+	return NewRecording(engine)
 }
 
 // Record processes one sink-extracted digest for a flow whose path length
@@ -270,11 +252,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 			fs.start(op.slot)
 			op.path.ObserveInto(&r.decs[pl.ord], pkt.PktID, bits)
 		case opLatency:
-			if !fs.started(op.slot) {
-				if err := r.startLatency(fs, op, pkt.Flow); err != nil {
-					return err
-				}
-			}
+			fs.start(op.slot)
 			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= k {
 				fs.store(e, pl, hop).add(bits)
 			}
@@ -283,26 +261,6 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 			fs.setSeries(e, pl, append(fs.series(pl), op.util.Decode(bits)))
 		}
 	}
-	return nil
-}
-
-// startLatency starts a flow's per-hop stores for a latency query in the
-// storage the Recording is configured for: counting ones are their tails,
-// all zero already; a sketching Recording gives each a KLL sketch and
-// closes its tail.
-func (r *Recording) startLatency(fs *flowState, op *encodeOp, flow FlowKey) error {
-	if r.sketchItems > 0 {
-		for hop := 1; hop <= int(fs.k); hop++ {
-			kll, err := sketch.NewKLL(r.sketchItems, r.sketchRNG(op.lat.Name(), flow, hop))
-			if err != nil {
-				return err
-			}
-			st := fs.store(r.engine, &r.engine.places[op.slot], hop)
-			st.setSum(&latSum{kll: kll})
-			st.setTail(tailClosed, [latTail]uint8{})
-		}
-	}
-	fs.start(op.slot)
 	return nil
 }
 
@@ -370,8 +328,8 @@ func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
 // written after it pays one copy. What the copy copies and what it shares
 // follows from how each piece of state changes. The flow's block — every
 // decoder's words, every latency store's inline tail — is bounded in
-// size and written in place, so the copy gets its own, and so do KLL
-// sketches and the slab of a path decoder still peeling. A decoder that
+// size and written in place, so the copy gets its own, and so does the
+// slab of a path decoder still peeling. A decoder that
 // has decoded its path writes nothing but two counters in its words ever
 // again (coding.Decoder): the copy shares its slab. A latency store's
 // histogram, never written once a clone can see it, is shared, the copied
@@ -456,8 +414,7 @@ func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
 	if r.clone {
 		l.pinned.Store(true)
 	}
-	return &Recording{engine: r.engine, sketchItems: r.sketchItems, base: r.base,
-		runs: []*Lease{l}, clone: true}, l
+	return &Recording{engine: r.engine, runs: []*Lease{l}, clone: true}, l
 }
 
 // Release takes back a Lease r gave out, on r's goroutine, once the clone
@@ -486,7 +443,7 @@ func (r *Recording) Release(l *Lease) {
 // Merge adopts every flow of o into r. The two recordings must serve the
 // same engine and must track disjoint flow sets — the shape produced by
 // the sharded sink, where a flow's state lives wholly inside one shard —
-// so merging is adoption, not sketch arithmetic. o's per-flow state moves
+// so merging is adoption, not state arithmetic. o's per-flow state moves
 // into r by reference; o must not be used afterwards. Merging a clone
 // makes r one (see Clone): r then shares what o shared, and holds o's
 // leases. Two Recordings indexed by runs merge by appending o's runs to
@@ -620,9 +577,8 @@ func (r *Recording) LatencyQuantile(q *LatencyQuery, flow FlowKey, hop int, phi 
 // LatencyQuantiles answers several quantiles of one (flow, hop) at once,
 // each exactly what LatencyQuantile returns for it, doing the per-store
 // preparation once: a counting store ranks its counts once and allocates
-// only the result (countQuantiles: no sample is copied or sorted),
-// a KLL sketch builds its weighted list once. Like every answer method, it
-// only reads the Recording.
+// only the result (countQuantiles: no sample is copied or sorted). Like
+// every answer method, it only reads the Recording.
 func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
 	return r.AppendLatencyQuantiles(nil, q, flow, hop, phis...)
 }
@@ -635,19 +591,12 @@ func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow 
 	if !ok {
 		return dst, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
 	}
+	if st.samples() == 0 {
+		return dst, fmt.Errorf("core: no samples for hop %d", hop)
+	}
 	out := slices.Grow(dst, len(phis))[:len(dst)+len(phis)]
 	codes := out[len(dst):]
-	if kll := st.kll(); kll != nil {
-		if kll.Count() == 0 {
-			return dst, fmt.Errorf("core: empty sketch for hop %d", hop)
-		}
-		copy(codes, kll.Quantiles(phis...))
-	} else {
-		if st.samples() == 0 {
-			return dst, fmt.Errorf("core: no samples for hop %d", hop)
-		}
-		st.countQuantiles(phis, codes)
-	}
+	st.countQuantiles(phis, codes)
 	for i, code := range codes {
 		codes[i] = q.Decode(uint64(code + 0.5))
 	}
@@ -659,9 +608,6 @@ func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
 	st, ok := r.store(q, flow, hop)
 	if !ok {
 		return 0
-	}
-	if kll := st.kll(); kll != nil {
-		return int(kll.Count())
 	}
 	return st.samples()
 }

@@ -75,7 +75,7 @@ func TestRecordStageAllocationPins(t *testing.T) {
 	}
 	eng, path, lat := testbenchPlan(t, 71)
 	const flow = FlowKey(9)
-	rec, err := NewRecordingSeeded(eng, 0, 0xA110C)
+	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRecordStageAllocationPins(t *testing.T) {
 	}
 
 	quantileAllocs := func(pkts int) float64 {
-		rec, err := NewRecordingSeeded(eng, 0, 0xA110C)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				lengths = append(lengths, length{n, true})
 			}
 			for _, l := range lengths {
-				rec, err := NewRecordingSeeded(eng, 0, 101)
+				rec, err := NewRecording(eng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func TestRawStoreMatchesModel(t *testing.T) {
 				if !bytes.Equal(blob, modelBlob(lat, raw)) {
 					t.Fatalf("%s: the hand-off blob is not the one the model's samples spell", ctx)
 				}
-				back, err := NewRecordingSeeded(eng, 0, 101)
+				back, err := NewRecording(eng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -455,70 +455,68 @@ func recordingState(t *testing.T, rec *Recording, queries []Query) string {
 // through Record one at a time (with the same Evict calls).
 func TestRecordBatchFlowRunHazards(t *testing.T) {
 	const k = 6
-	for _, v := range storageVariants {
-		eng, path, lat, util := combinedTestPlan(t, 103)
-		queries := []Query{path, lat, util}
-		all := cloneWorkload(t, eng, 107, 4, 1600, k)
-		interleaved := cloneWorkload(t, eng, 109, 2, 600, k) // flows 1,2,1,2,…
-		fl := make([][]PacketDigest, 4)                      // all, split by flow
-		for _, p := range all {
-			fl[p.Flow-1] = append(fl[p.Flow-1], p)
-		}
-		concat := slices.Concat[[]PacketDigest]
-		cases := []struct {
-			name    string
-			batches [][]PacketDigest
-			evict   []FlowKey // evict[i] (if nonzero) is evicted after batch i
-		}{
-			{
-				// The flow a batch ends on is evicted before the next batch
-				// opens with it again: the next batch must start it afresh.
-				name: "evict-between-batches",
-				batches: [][]PacketDigest{
-					concat(fl[0][:150], fl[1][:150]),
-					concat(fl[1][150:300], fl[0][150:300]),
-					concat(fl[0][300:400], fl[1][300:400]),
-				},
-				evict: []FlowKey{2, 1, 0},
+	eng, path, lat, util := combinedTestPlan(t, 103)
+	queries := []Query{path, lat, util}
+	all := cloneWorkload(t, eng, 107, 4, 1600, k)
+	interleaved := cloneWorkload(t, eng, 109, 2, 600, k) // flows 1,2,1,2,…
+	fl := make([][]PacketDigest, 4)                      // all, split by flow
+	for _, p := range all {
+		fl[p.Flow-1] = append(fl[p.Flow-1], p)
+	}
+	concat := slices.Concat[[]PacketDigest]
+	cases := []struct {
+		name    string
+		batches [][]PacketDigest
+		evict   []FlowKey // evict[i] (if nonzero) is evicted after batch i
+	}{
+		{
+			// The flow a batch ends on is evicted before the next batch
+			// opens with it again: the next batch must start it afresh.
+			name: "evict-between-batches",
+			batches: [][]PacketDigest{
+				concat(fl[0][:150], fl[1][:150]),
+				concat(fl[1][150:300], fl[0][150:300]),
+				concat(fl[0][300:400], fl[1][300:400]),
 			},
-			{
-				name:    "interleaved-packet-by-packet",
-				batches: [][]PacketDigest{interleaved[:256], interleaved[256:]},
-				evict:   []FlowKey{0, 0},
-			},
-		}
-		for _, tc := range cases {
-			t.Run(tc.name+"/"+v.name, func(t *testing.T) {
-				mk := func() *Recording {
-					rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xCAC4E)
-					if err != nil {
+			evict: []FlowKey{2, 1, 0},
+		},
+		{
+			name:    "interleaved-packet-by-packet",
+			batches: [][]PacketDigest{interleaved[:256], interleaved[256:]},
+			evict:   []FlowKey{0, 0},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/raw", func(t *testing.T) {
+			mk := func() *Recording {
+				rec, err := NewRecording(eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rec
+			}
+			batched, serial := mk(), mk()
+			for i, b := range tc.batches {
+				if err := batched.RecordBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range b {
+					if err := serial.Record(p.Flow, p.PathLen, p.PktID, p.Digest); err != nil {
 						t.Fatal(err)
 					}
-					return rec
 				}
-				batched, serial := mk(), mk()
-				for i, b := range tc.batches {
-					if err := batched.RecordBatch(b); err != nil {
-						t.Fatal(err)
-					}
-					for _, p := range b {
-						if err := serial.Record(p.Flow, p.PathLen, p.PktID, p.Digest); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if f := tc.evict[i]; f != 0 {
-						batched.Evict(f)
-						serial.Evict(f)
-					}
-					if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
-						t.Fatalf("after batch %d the batched state diverges from packet-at-a-time Record", i)
-					}
+				if f := tc.evict[i]; f != 0 {
+					batched.Evict(f)
+					serial.Evict(f)
 				}
-				for _, f := range serial.Flows() {
-					assertSameAnswers(t, serial, batched, f, k, path, lat, util)
+				if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
+					t.Fatalf("after batch %d the batched state diverges from packet-at-a-time Record", i)
 				}
-			})
-		}
+			}
+			for _, f := range serial.Flows() {
+				assertSameAnswers(t, serial, batched, f, k, path, lat, util)
+			}
+		})
 	}
 }
 
@@ -530,59 +528,57 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 // bit, the flow keeps its first-seen hop count, and the latency stores hold
 // exactly the samples whose winner is within it.
 func TestLengtheningRouteRecords(t *testing.T) {
-	for _, v := range storageVariants {
-		t.Run(v.name, func(t *testing.T) {
-			eng, path, lat, util := combinedTestPlan(t, 127)
-			queries := []Query{path, lat, util}
-			const flow, short, long = FlowKey(1), 3, 5
-			stream := slices.Concat(cloneWorkload(t, eng, 131, 1, 300, short), cloneWorkload(t, eng, 137, 1, 900, long))
-			mk := func() *Recording {
-				rec, err := NewRecordingSeeded(eng, v.sketchItems, 0xCAC4E)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rec
-			}
-			batched, serial := mk(), mk()
-			if err := batched.RecordBatch(stream); err != nil {
+	t.Run("raw", func(t *testing.T) {
+		eng, path, lat, util := combinedTestPlan(t, 127)
+		queries := []Query{path, lat, util}
+		const flow, short, long = FlowKey(1), 3, 5
+		stream := slices.Concat(cloneWorkload(t, eng, 131, 1, 300, short), cloneWorkload(t, eng, 137, 1, 900, long))
+		mk := func() *Recording {
+			rec, err := NewRecording(eng)
+			if err != nil {
 				t.Fatal(err)
 			}
-			wantLat, dropped := 0, 0
-			for _, p := range stream {
-				if err := serial.Record(p.Flow, p.PathLen, p.PktID, p.Digest); err != nil {
-					t.Fatal(err)
+			return rec
+		}
+		batched, serial := mk(), mk()
+		if err := batched.RecordBatch(stream); err != nil {
+			t.Fatal(err)
+		}
+		wantLat, dropped := 0, 0
+		for _, p := range stream {
+			if err := serial.Record(p.Flow, p.PathLen, p.PktID, p.Digest); err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range eng.ExtractInto(p.PktID, p.Digest, nil) {
+				if x.Query != Query(lat) {
+					continue
 				}
-				for _, x := range eng.ExtractInto(p.PktID, p.Digest, nil) {
-					if x.Query != Query(lat) {
-						continue
-					}
-					if lat.Winner(p.PktID, p.PathLen) <= short {
-						wantLat++
-					} else {
-						dropped++
-					}
+				if lat.Winner(p.PktID, p.PathLen) <= short {
+					wantLat++
+				} else {
+					dropped++
 				}
 			}
-			if dropped == 0 {
-				t.Fatal("no packet elected a hop past the flow's stores; the case is not exercised")
-			}
-			if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
-				t.Fatal("RecordBatch and packet-at-a-time Record diverge on a lengthening route")
-			}
-			assertSameAnswers(t, serial, batched, flow, short, path, lat, util)
-			gotLat := 0
-			for hop := 1; hop <= long; hop++ {
-				gotLat += batched.LatencySamples(lat, flow, hop)
-			}
-			if batched.Hops(lat, flow) != short || batched.Hops(path, flow) != short {
-				t.Fatalf("hop counts %d/%d, want the first-seen %d", batched.Hops(path, flow), batched.Hops(lat, flow), short)
-			}
-			if gotLat != wantLat {
-				t.Fatalf("stores hold %d latency samples, want %d (winner within the first %d hops)",
-					gotLat, wantLat, short)
-			}
-		})
-	}
+		}
+		if dropped == 0 {
+			t.Fatal("no packet elected a hop past the flow's stores; the case is not exercised")
+		}
+		if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
+			t.Fatal("RecordBatch and packet-at-a-time Record diverge on a lengthening route")
+		}
+		assertSameAnswers(t, serial, batched, flow, short, path, lat, util)
+		gotLat := 0
+		for hop := 1; hop <= long; hop++ {
+			gotLat += batched.LatencySamples(lat, flow, hop)
+		}
+		if batched.Hops(lat, flow) != short || batched.Hops(path, flow) != short {
+			t.Fatalf("hop counts %d/%d, want the first-seen %d", batched.Hops(path, flow), batched.Hops(lat, flow), short)
+		}
+		if gotLat != wantLat {
+			t.Fatalf("stores hold %d latency samples, want %d (winner within the first %d hops)",
+				gotLat, wantLat, short)
+		}
+	})
 }
 
 // allocDelta runs f and returns the bytes and heap objects it allocated.
@@ -618,21 +614,19 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // array that holds it. The budgets are that measurement plus 4 % (19 B)
 // and 0.4 objects.
 //
-// Two more rows price what hangs off the header: the same 500-packet flows
-// recorded into KLL sketches (a sketch per store from the first packet:
-// 6,455 B in 49.6 objects, 6,593 B in 50.3 before), and 500-packet 6-hop
-// flows of the combined plan, whose util query takes 1/8 of packets into a
-// series that grows by append and whose latency codes span the whole code
-// domain, so every store folds (10,010 B in 43.7 objects, 10,169 B in 43.3
-// before). Their budgets are the measurement plus 4 % and 1 object.
+// One more row prices what hangs off the header: 500-packet 6-hop flows of
+// the combined plan, whose util query takes 1/8 of packets into a series
+// that grows by append and whose latency codes span the whole code domain,
+// so every store folds (10,010 B in 43.7 objects, 10,169 B in 43.3
+// before). Its budget is the measurement plus 4 % and 1 object.
 func TestColdFlowAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
 	const flows, pkts = 512, 500
 	eng, path, _ := testbenchPlan(t, 71)
-	cost := func(eng *Engine, sketchItems int, batch []PacketDigest) (*Recording, float64, float64) {
-		rec, err := NewRecordingSeeded(eng, sketchItems, 0xA110C)
+	cost := func(eng *Engine, batch []PacketDigest) (*Recording, float64, float64) {
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -654,7 +648,7 @@ func TestColdFlowAllocationShape(t *testing.T) {
 			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
 		}
 		var bytes, objs float64
-		rec, bytes, objs = cost(eng, 0, batch)
+		rec, bytes, objs = cost(eng, batch)
 		t.Logf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow", bytes, objs, row.pkts)
 		if bytes > row.maxBytes || objs > row.maxObjs {
 			t.Errorf("RecordBatch: %.0f B and %.1f objects per cold %d-packet flow, want at most %.0f B and %.1f",
@@ -671,22 +665,12 @@ func TestColdFlowAllocationShape(t *testing.T) {
 		}
 		utilBatch = append(utilBatch, stream...)
 	}
-	for _, row := range []struct {
-		name              string
-		eng               *Engine
-		sketchItems       int
-		batch             []PacketDigest
-		maxBytes, maxObjs float64
-	}{
-		{"testbench flow into KLL sketches", eng, 24, batch, 6713, 50.6},
-		{"6-hop flow of the combined plan", utilEng, 0, utilBatch, 10410, 44.7},
-	} {
-		_, bytes, objs := cost(row.eng, row.sketchItems, row.batch)
-		t.Logf("RecordBatch: %.0f B and %.1f objects per cold 500-packet %s", bytes, objs, row.name)
-		if bytes > row.maxBytes || objs > row.maxObjs {
-			t.Errorf("RecordBatch: %.0f B and %.1f objects per cold 500-packet %s, want at most %.0f B and %.1f",
-				bytes, objs, row.name, row.maxBytes, row.maxObjs)
-		}
+	const maxBytes, maxObjs = 10410.0, 44.7
+	_, bytes, objs := cost(utilEng, utilBatch)
+	t.Logf("RecordBatch: %.0f B and %.1f objects per cold 500-packet 6-hop flow of the combined plan", bytes, objs)
+	if bytes > maxBytes || objs > maxObjs {
+		t.Errorf("RecordBatch: %.0f B and %.1f objects per cold 500-packet 6-hop flow of the combined plan, want at most %.0f B and %.1f",
+			bytes, objs, maxBytes, maxObjs)
 	}
 
 	for f := 1; f <= flows; f++ {
@@ -733,10 +717,10 @@ func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]
 	const warm = 500
 	eng, path, _ := testbenchPlan(t, 71)
 	var err error
-	if rec, err = NewRecordingSeeded(eng, 0, 0xA110C); err != nil {
+	if rec, err = NewRecording(eng); err != nil {
 		t.Fatal(err)
 	}
-	if twin, err = NewRecordingSeeded(eng, 0, 0xA110C); err != nil {
+	if twin, err = NewRecording(eng); err != nil {
 		t.Fatal(err)
 	}
 	for f := FlowKey(1); f <= FlowKey(n); f++ {
@@ -814,11 +798,11 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 	const flows, warm, more, last, frame, k = 16, 14000, 14000, 1024, 64, 5
 	eng, path, lat := testbenchPlan(t, 71)
 	queries := []Query{path, lat}
-	rec, err := NewRecordingSeeded(eng, 0, 0xA110C)
+	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := NewRecordingSeeded(eng, 0, 0xA110C)
+	twin, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -974,7 +958,7 @@ func TestLongFlowBytesPerPacket(t *testing.T) {
 	for f := range stream {
 		stream[f] = testbenchFlow(eng, FlowKey(f+1), uint64(2000+f), pkts)
 	}
-	rec, err := NewRecordingSeeded(eng, 0, 0xA110C)
+	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1038,7 +1022,7 @@ func TestRecordRefusesPathLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{-1, 0, math.MaxInt16 + 1} {
-		rec, err := NewRecordingSeeded(eng, 0, 101)
+		rec, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestRouteChangeDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecording(e, 0, hash.NewRNG(79))
+	rec, err := NewRecording(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRouteChangedRequiresDecodedPath(t *testing.T) {
 	cfg, _ := DefaultPathConfig(8, 1, 5)
 	q, _ := NewPathQuery("p", cfg, 1, 81, uni)
 	e, _ := Compile([]Query{q}, 8, 82)
-	rec, _ := NewRecording(e, 0, hash.NewRNG(83))
+	rec, _ := NewRecording(e)
 	if rec.PathInconsistencies(q, FlowKey(1)) != 0 {
 		t.Fatal("unknown flow must report zero inconsistencies")
 	}

@@ -34,7 +34,7 @@ func (m *Member) HTTPURL() string { return "http://" + m.httpLn.Addr().String() 
 
 // Fleet is an in-process federated deployment over one Testbench plan:
 // n collector daemons on loopback listeners, every member compiled under
-// the same engine and seeded with the same recording base, so the fleet
+// the same engine, so the fleet
 // as a whole answers byte-identically to one collector that ingested the
 // same flows. It is the test and pintbench harness; production runs the
 // same shape as n cmd/pintd processes plus cmd/pintgate.
@@ -157,7 +157,7 @@ func (f *Fleet) RosterFetch() func() (collector.FleetRoster, error) {
 }
 
 func startMember(tb *collector.Testbench, name string, shards int, epoch uint64) (*Member, error) {
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/pipeline"
 )
 
 // chunked hands out its bytes at most n at a time, the way a socket does.
@@ -62,7 +61,7 @@ func memberBody(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rec, err := pipeline.NewRecording(bench.Engine, pipeline.Config{Base: bench.Base})
+	rec, err := core.NewRecording(bench.Engine)
 	if err != nil {
 		tb.Fatal(err)
 	}

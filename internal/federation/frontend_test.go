@@ -40,7 +40,7 @@ func envelope(t *testing.T, answers []collector.FlowAnswers) []byte {
 func inProcessAnswers(t *testing.T, tb *collector.Testbench, shards, nExporters, flowsPer, pktsPer int,
 	flows []core.FlowKey) []collector.FlowAnswers {
 	t.Helper()
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards, Base: tb.Base})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

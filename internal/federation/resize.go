@@ -13,7 +13,7 @@ import (
 // Resize grows or shrinks the fleet to n members mid-deployment with
 // zero loss: every in-flight packet is either ingested at its old home
 // before the hand-off or re-routed to its new home after, and every
-// moving flow's recording state (decoder positions, sketch RNGs, series)
+// moving flow's recording state (decoder positions, latency counts, series)
 // ships to its new home before any fresh digest for it can arrive — so
 // the resized fleet's answers are byte-identical to a fleet that ran at
 // the new membership from the start.

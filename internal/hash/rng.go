@@ -101,12 +101,3 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // Split derives an independent generator, useful for giving each simulated
 // host or experiment arm its own stream while keeping global determinism.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
-// Clone copies the generator at its current state: the clone and the
-// original emit identical streams from here on, without affecting each
-// other. Snapshots of sketch-bearing state use this so a copied sketch
-// evolves exactly as the original would have.
-func (r *RNG) Clone() *RNG {
-	c := *r
-	return &c
-}

@@ -29,7 +29,7 @@ func TestClosedSnapshotCostsWriterNothing(t *testing.T) {
 	for range 3 {
 		sinks := make([]*Sink, 3) // closed snapshot, held snapshot, no snapshot
 		for i := range sinks {
-			sink, err := NewSink(eng, Config{Shards: 2, Base: 0xC105E})
+			sink, err := NewSink(eng, Config{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	queries := []core.Query{path, lat, util}
 	const nFlows, k, readers, step = 8, 6, 3, 48
 	pkts := encodeWorkload(eng, 41, nFlows, 1200, k)
-	cfg := Config{Shards: 2, BatchSize: 16, Base: 0xC105E}
+	cfg := Config{Shards: 2, BatchSize: 16}
 	sink, err := NewSink(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 		return string(b)
 	}
 	oracle := func(n int, flows []core.FlowKey) string {
-		rec, err := NewRecording(eng, cfg)
+		rec, err := core.NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}

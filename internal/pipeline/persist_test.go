@@ -38,7 +38,7 @@ func TestPersisterSeesPerShardOrder(t *testing.T) {
 	pkts := encodeWorkload(eng, 7, 12, 50, 6)
 	for _, shards := range []int{1, 4} {
 		p := &recordingPersister{}
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 32, Base: hash.Seed(0xD1CE)})
+		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestPersisterCheckpointRounds(t *testing.T) {
 	pkts := encodeWorkload(eng, 7, 12, 40, 6)
 	for _, shards := range []int{1, 4} {
 		p := &recordingPersister{}
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64, Base: hash.Seed(0xD1CE)})
+		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSetPersisterDetach(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 7, 6, 20, 6)
 	p := &recordingPersister{}
-	sink, err := NewSink(eng, Config{Shards: 2, Base: hash.Seed(0xD1CE)})
+	sink, err := NewSink(eng, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCheckpointOrdersAfterIngest(t *testing.T) {
 	pkts := encodeWorkload(eng, 7, 16, 60, 6)
 	for _, shards := range []int{1, 3} {
 		p := &orderedPersister{shards: uint64(shards)}
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 16, QueueDepth: 1, Base: hash.Seed(0xD1CE)})
+		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 16, QueueDepth: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,10 +25,9 @@
 // ingest surfaces — the serial Ingest tap and the concurrent
 // per-connection Stage/IngestStage path (stage.go) — append a flow's
 // digests to its shard in the order the ingester saw them. core.Recording
-// derives all sketch randomness from a (query, flow, hop) seed rather
-// than arrival order, so a flow's state depends only on its own digest
-// stream and the shared seed base — not on how flows interleave, how many
-// shards exist, or how many connections fed the sink. Hence Sink(n
+// draws no randomness, so a flow's state depends only on its own digest
+// stream — not on how flows interleave, how many shards exist, or how
+// many connections fed the sink. Hence Sink(n
 // shards, m ingesters) ≡ Sink(1) ≡ serial Recording, bit for bit, for
 // any n and m.
 package pipeline
@@ -53,12 +52,12 @@ type Config struct {
 	BatchSize int
 	// QueueDepth is the per-shard channel capacity in batches (default 4).
 	QueueDepth int
-	// Base seeds every shard's Recording identically; required for
-	// cross-shard-count reproducibility.
+	// Base is ignored: a Recording draws no randomness, so the shards need
+	// no seed to agree.
+	//
+	// Deprecated: leave it unset. It goes with ROADMAP item 10, the
+	// benchmark harness's unfreeze, which removes its last setter.
 	Base hash.Seed
-	// SketchItems > 0 stores latency samples in KLL sketches of that
-	// accuracy parameter (core.NewRecordingSeeded); 0 counts one-byte codes.
-	SketchItems int
 }
 
 // Sink is the sharded Recording Module. Ingest feeds it from one ingester
@@ -147,7 +146,7 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	// returns buffers after a failure too, and outlives every Flush) is done.
 	buffers := cfg.QueueDepth + 2
 	for i := range s.shards {
-		rec, err := NewRecording(engine, cfg)
+		rec, err := core.NewRecording(engine)
 		if err != nil {
 			return nil, err
 		}
@@ -167,14 +166,6 @@ func NewSink(engine *core.Engine, cfg Config) (*Sink, error) {
 	s.istage = s.NewStage()
 	s.start()
 	return s, nil
-}
-
-// NewRecording builds an empty Recording configured as cfg says — what
-// every shard starts from, what stands in for a shard a flow-scoped
-// snapshot did not ask, and what a replay of the sink's durable log
-// records into to land on the sink's answers.
-func NewRecording(engine *core.Engine, cfg Config) (*core.Recording, error) {
-	return core.NewRecordingSeeded(engine, cfg.SketchItems, cfg.Base)
 }
 
 // shardOf maps a flow to its owning shard via hash.ShardOf — the one
@@ -430,8 +421,8 @@ func (s *Sink) SnapshotFlows(flows []core.FlowKey) *Snapshot {
 		if snap.recs[i] == nil {
 			// A shard nobody asked contributes no flows. An empty Recording
 			// in its slot keeps routing, Merged and every accessor uniform.
-			// The configuration built the shards, so it cannot fail here.
-			snap.recs[i], _ = NewRecording(s.engine, s.cfg)
+			// The engine built the shards, so it cannot fail here.
+			snap.recs[i], _ = core.NewRecording(s.engine)
 		}
 	}
 	return snap

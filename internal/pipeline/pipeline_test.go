@@ -95,44 +95,39 @@ func encodeFlows(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int, swit
 
 // TestShardedSinkMatchesSerial is the determinism acceptance test: for a
 // fixed seed, every query answer from an N-shard sink is bit-identical to
-// the serial Recording, for N in {1, 2, 3, 8}, with raw and sketched
-// latency storage.
+// the serial Recording, for N in {1, 2, 3, 8}.
 func TestShardedSinkMatchesSerial(t *testing.T) {
-	for _, sketchItems := range []int{0, 32} {
-		eng, path, lat, util := testPlan(t, 101)
-		const (
-			nFlows      = 24
-			pktsPerFlow = 400
-			k           = 6
-		)
-		pkts := encodeWorkload(eng, 7, nFlows, pktsPerFlow, k)
-		base := hash.Seed(0xD1CE)
+	eng, path, lat, util := testPlan(t, 101)
+	const (
+		nFlows      = 24
+		pktsPerFlow = 400
+		k           = 6
+	)
+	pkts := encodeWorkload(eng, 7, nFlows, pktsPerFlow, k)
 
-		serial, err := core.NewRecordingSeeded(eng, sketchItems, base)
+	serial, err := core.NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.RecordBatch(pkts); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, shards := range []int{1, 2, 3, 8} {
+		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := serial.RecordBatch(pkts); err != nil {
+		sink.Ingest(pkts)
+		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
-
-		for _, shards := range []int{1, 2, 3, 8} {
-			sink, err := NewSink(eng, Config{
-				Shards: shards, BatchSize: 64, SketchItems: sketchItems, Base: base})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink.Ingest(pkts)
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sink.TrackedFlows(); got != serial.TrackedFlows() {
-				t.Fatalf("shards=%d: tracked %d flows, serial %d", shards, got, serial.TrackedFlows())
-			}
-			for f := 0; f < nFlows; f++ {
-				flow := core.FlowKey(uint64(f)*2654435761 + 1)
-				compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
-			}
+		if got := sink.TrackedFlows(); got != serial.TrackedFlows() {
+			t.Fatalf("shards=%d: tracked %d flows, serial %d", shards, got, serial.TrackedFlows())
+		}
+		for f := 0; f < nFlows; f++ {
+			flow := core.FlowKey(uint64(f)*2654435761 + 1)
+			compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
 		}
 	}
 }
@@ -193,9 +188,8 @@ func compareFlow(t *testing.T, shards int, serial queryReader, sink queryReader,
 func TestSinkRunToRunDeterminism(t *testing.T) {
 	eng, path, lat, _ := testPlan(t, 201)
 	pkts := encodeWorkload(eng, 9, 16, 300, 6)
-	base := hash.Seed(0xBEEF)
 	run := func() *Sink {
-		sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 32, SketchItems: 24, Base: base})
+		sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +232,7 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 func TestSinkErrSurfacesShardFailure(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 1001)
 	pkts := encodeWorkload(eng, 31, 8, 50, 6)
-	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 8, Base: 1})
+	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +265,7 @@ func TestSinkErrSurfacesShardFailure(t *testing.T) {
 func TestSinkFlushAndReuse(t *testing.T) {
 	eng, path, _, _ := testPlan(t, 301)
 	pkts := encodeWorkload(eng, 3, 8, 500, 6)
-	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 128, Base: 1})
+	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +301,11 @@ func TestBarrierMakesStateReadable(t *testing.T) {
 	pkts := encodeWorkload(eng, 5, 6, 300, 6)
 
 	for _, shards := range []int{1, 4} {
-		sink, err := NewSink(eng, Config{Shards: shards, SketchItems: 16, Base: master.Derive(7)})
+		sink, err := NewSink(eng, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := core.NewRecordingSeeded(eng, 16, master.Derive(7))
+		serial, err := core.NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +342,7 @@ func TestBarrierMakesStateReadable(t *testing.T) {
 // a nil callback and the ingester-owned reply channel.
 func TestBarrierZeroAlloc(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 61)
-	sink, err := NewSink(eng, Config{Shards: 3, Base: 1})
+	sink, err := NewSink(eng, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

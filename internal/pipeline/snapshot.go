@@ -20,8 +20,8 @@ import "repro/internal/core"
 // values, in the same backing array; any other copy holds it as a
 // length-and-capacity-clamped prefix, so its appends reallocate. A latency
 // store's histogram is shared until the copy's next fold, which counts
-// into a copy of it. Everything mutated in place (path decoders still
-// decoding, KLL sketches) each copy gets its own. Taking a
+// into a copy of it. What is mutated in place (path decoders still
+// decoding) each copy gets its own. Taking a
 // snapshot therefore costs 16 bytes of run per flow it covers, never
 // anything in the packets the flows carried; and while it is held, the
 // worker pays one copy of each flow it records into.

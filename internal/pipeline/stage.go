@@ -21,8 +21,8 @@ import (
 // every flow's digests — which arrive on one connection and route to one
 // shard — reach their worker in connection order. Cross-connection
 // interleaving within a shard is arbitrary, and that is enough:
-// core.Recording derives all randomness from (query, flow, hop) seeds,
-// so per-flow answers depend only on the flow's own stream order.
+// core.Recording draws no randomness, so per-flow answers depend only on
+// the flow's own stream order.
 
 // Stage is a per-ingester set of per-shard staging buffers, the
 // destination array for wire.AppendUnmarshalSharded's fused

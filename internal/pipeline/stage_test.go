@@ -47,9 +47,8 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 		k           = 6
 	)
 	pkts := encodeWorkload(eng, 7, nFlows, pktsPerFlow, k)
-	base := hash.Seed(0xD1CE)
 
-	serial, err := core.NewRecordingSeeded(eng, 0, base)
+	serial, err := core.NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 8} {
 		for _, conns := range []int{1, 4} {
-			sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64, Base: base})
+			sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,9 +111,8 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 		k           = 6
 	)
 	pkts := encodeWorkload(eng, 11, nFlows, pktsPerFlow, k)
-	base := hash.Seed(0xFACE)
 
-	serial, err := core.NewRecordingSeeded(eng, 0, base)
+	serial, err := core.NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64, Base: base})
+	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 func TestStageResetAfterDecodeError(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 3, 8, 4, 6)
-	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64, Base: hash.Seed(1)})
+	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +237,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink, err := NewSink(eng, Config{
-		Shards: 4, BatchSize: 256, Base: hash.Seed(0xD1CE)})
+		Shards: 4, BatchSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +337,7 @@ func TestBackpressureZeroAlloc(t *testing.T) {
 	eng, path := pathOnlyEngine(t)
 	const batchSize, queueDepth, flows = 256, 4, 32
 	sink, err := NewSink(eng, Config{
-		Shards: 1, BatchSize: batchSize, QueueDepth: queueDepth, Base: hash.Seed(0xD1CE)})
+		Shards: 1, BatchSize: batchSize, QueueDepth: queueDepth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +379,7 @@ func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 	eng, path := pathOnlyEngine(t)
 	const batchSize, queueDepth, ingesters, flows = 256, 4, 2, 32
 	sink, err := NewSink(eng, Config{
-		Shards: 2, BatchSize: batchSize, QueueDepth: queueDepth, Base: hash.Seed(0xD1CE)})
+		Shards: 2, BatchSize: batchSize, QueueDepth: queueDepth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hash"
 )
 
 // TestWithFlowSeesDispatchedIngest: the callback must observe everything
@@ -20,7 +19,7 @@ func TestWithFlowSeesDispatchedIngest(t *testing.T) {
 		k           = 6
 	)
 	pkts := encodeWorkload(eng, 11, nFlows, pktsPerFlow, k)
-	sink, err := NewSink(eng, Config{Shards: 3, BatchSize: 32, Base: hash.Seed(0xF00)})
+	sink, err := NewSink(eng, Config{Shards: 3, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestWithFlowSeesDispatchedIngest(t *testing.T) {
 func TestWithFlowErrorAndClose(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 304)
 	pkts := encodeWorkload(eng, 13, 4, 60, 6)
-	sink, err := NewSink(eng, Config{Shards: 2, Base: hash.Seed(0xF01)})
+	sink, err := NewSink(eng, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

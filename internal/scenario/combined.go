@@ -181,14 +181,9 @@ func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec,
 	if err != nil {
 		return nil, err
 	}
-	// The sink seed base reproduces the retired serial Recording's
-	// (first draw of RNG(s.Seed+21)); with raw latency storage no sketch
-	// randomness is consumed, but keeping the base identical makes the
-	// equivalence exact by construction.
-	sink, err := pipeline.NewSink(eng, pipeline.Config{
-		Shards: s.ShardCount(),
-		Base:   hash.Seed(hash.NewRNG(s.Seed + 21).Uint64()),
-	})
+	// A Recording draws no randomness, so the sink takes no seed: its
+	// answers are those of any serial Recording of the same digests.
+	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: s.ShardCount()})
 	if err != nil {
 		return nil, err
 	}

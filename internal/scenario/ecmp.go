@@ -122,7 +122,7 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 	if err != nil {
 		return out, err
 	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards, Base: master.Derive(2)})
+	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
 	if err != nil {
 		return out, err
 	}
@@ -322,7 +322,7 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 	if err != nil {
 		return out, err
 	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards, Base: master.Derive(2)})
+	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
 	if err != nil {
 		return out, err
 	}

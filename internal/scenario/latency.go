@@ -174,9 +174,11 @@ func sketchParamFor(bytes, b int) int {
 
 // latencyTrial runs `trials` independent PINT samplings of z packets over
 // the per-hop streams and returns the mean relative quantile error (%)
-// across hops and trials. Packets run through the compiled batch pipeline:
-// EncodeHopBatch per hop, then batched recording — sharded across workers
-// when shards > 1 (the answers are bit-identical either way).
+// across hops and trials. Packets are encoded by the compiled batch
+// pipeline (EncodeHopBatch per hop). With sketchItems 0 they are recorded
+// through the sink, sharded across workers when shards > 1 (the answers
+// are bit-identical either way); otherwise each hop's codes go to a KLL
+// sketch of that accuracy parameter (sketchHops), PINTS.
 func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketchItems, trials, shards int, rng *hash.RNG) (float64, error) {
 	k := len(streams)
 	var errSum float64
@@ -192,16 +194,36 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 		if err != nil {
 			return 0, err
 		}
+		// base seeds the sketches; every trial draws it, so the draws
+		// after it do not depend on the storage.
 		base := hash.Seed(rng.Uint64())
 		flow := core.FlowKey(1)
 		encodeHopStreams(eng, streams, flow, rng, pkts, vals)
-		rec, err := recordPackets(eng, pkts, sketchItems, shards, base, flow)
-		if err != nil {
-			return 0, err
+		var estimate func(hop int) (float64, bool)
+		if sketchItems > 0 {
+			sketches, err := sketchHops(eng, q, pkts, k, sketchItems, base, flow)
+			if err != nil {
+				return 0, err
+			}
+			estimate = func(hop int) (float64, bool) {
+				if s := sketches[hop-1]; s.Count() > 0 {
+					return q.Decode(uint64(s.Quantiles(phi)[0] + 0.5)), true
+				}
+				return 0, false
+			}
+		} else {
+			rec, err := recordPackets(eng, pkts, shards, flow)
+			if err != nil {
+				return 0, err
+			}
+			estimate = func(hop int) (float64, bool) {
+				est, err := rec.LatencyQuantile(q, flow, hop, phi)
+				return est, err == nil
+			}
 		}
 		for hop := 1; hop <= k; hop++ {
-			est, err := rec.LatencyQuantile(q, flow, hop, phi)
-			if err != nil {
+			est, ok := estimate(hop)
+			if !ok {
 				continue // hop got no samples this trial
 			}
 			if truth[hop-1] > 0 {
@@ -214,6 +236,38 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 		return math.NaN(), nil
 	}
 	return errSum / float64(errN), nil
+}
+
+// sketchHops is PINTS's per-flow storage: one KLL sketch of the given
+// accuracy parameter per hop of a k-hop flow, fed in arrival order with
+// the latency codes pkts carry for q, each attributed to its packet's
+// reservoir winner (a winner past k is dropped, as the Recording drops
+// it). The sketch of a hop draws from an RNG seeded by (base, q's name,
+// flow, hop), so a flow's sketches depend on nothing but its own packets.
+// A hop no packet reached keeps an empty sketch.
+func sketchHops(eng *core.Engine, q *core.LatencyQuery, pkts []core.PacketDigest, k, items int, base hash.Seed, flow core.FlowKey) ([]*sketch.KLL, error) {
+	sketches := make([]*sketch.KLL, k)
+	for hop := 1; hop <= k; hop++ {
+		rng := hash.NewRNG(base.Hash3(hash.Seed(0).HashString(q.Name()), uint64(flow), uint64(hop)))
+		var err error
+		if sketches[hop-1], err = sketch.NewKLL(items, rng); err != nil {
+			return nil, err
+		}
+	}
+	var ex []core.Extracted
+	for _, p := range pkts {
+		hop := q.Winner(p.PktID, p.PathLen)
+		if hop > k {
+			continue
+		}
+		ex = eng.ExtractInto(p.PktID, p.Digest, ex[:0])
+		for _, x := range ex {
+			if x.Query == q {
+				sketches[hop-1].Add(float64(x.Bits))
+			}
+		}
+	}
+	return sketches, nil
 }
 
 // epsFor picks the compression error so the b-bit code space covers the

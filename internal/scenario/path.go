@@ -311,7 +311,7 @@ func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.S
 	if err != nil {
 		return 0, err
 	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards, Base: master.Derive(2)})
+	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
 	if err != nil {
 		return 0, err
 	}

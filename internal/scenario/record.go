@@ -43,9 +43,8 @@ func encodeHopStreams(eng *core.Engine, streams [][]float64, flow core.FlowKey, 
 // serial included. It returns the Recording that owns `flow`'s state;
 // answers are bit-identical to recording the in-memory batch directly,
 // for any shard count.
-func recordPackets(eng *core.Engine, pkts []core.PacketDigest, sketchItems, shards int, base hash.Seed, flow core.FlowKey) (*core.Recording, error) {
-	sink, err := pipeline.NewSink(eng, pipeline.Config{
-		Shards: shards, SketchItems: sketchItems, Base: base})
+func recordPackets(eng *core.Engine, pkts []core.PacketDigest, shards int, flow core.FlowKey) (*core.Recording, error) {
+	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,12 @@
-// Package sketch implements the streaming summary PINT's Recording and
-// Inference modules use to bound per-flow storage (§3.4, §4.1, §6.2):
+// Package sketch implements the quantile summaries of the latency
+// experiments (§4.1, §6.2):
 //
-//   - KLL, the optimal quantile sketch of Karnin, Lang and Liberty [39],
-//     used to estimate median/tail latencies from the sampled sub-streams,
-//   - exact-quantile helpers used as ground truth by tests and experiments.
+//   - KLL, the optimal quantile sketch of Karnin, Lang and Liberty [39]:
+//     Fig 9's PINTS curves and examples/latency feed one per hop with the
+//     hop's sampled latency codes, to bound per-flow storage,
+//   - exact-quantile helpers: the nearest-rank rule (RankIndex) the
+//     Recording's latency stores answer by, and ground truth for tests and
+//     experiments.
 //
 // Everything is deterministic given a seeded RNG and uses only the standard
 // library.
@@ -156,18 +159,6 @@ func weightedQuantile(vs []float64, ws []uint64, totalW uint64, phi float64) flo
 		}
 	}
 	return vs[len(vs)-1]
-}
-
-// Clone deep-copies the sketch, including its RNG state, so the copy
-// answers queries and absorbs further insertions independently while
-// staying bit-identical to what the original would have produced.
-func (s *KLL) Clone() *KLL {
-	c := &KLL{k: s.k, c: s.c, n: s.n, rng: s.rng.Clone()}
-	c.compactors = make([][]float64, len(s.compactors))
-	for h, comp := range s.compactors {
-		c.compactors[h] = append(make([]float64, 0, cap(comp)), comp...)
-	}
-	return c
 }
 
 // ExactQuantile computes the phi-quantile of a slice exactly (for ground

@@ -1,7 +1,6 @@
 // Package stateread is the one strict reader behind every uvarint-based
-// state blob of the hand-off path: the decoder state (internal/coding), the
-// sketch states (internal/sketch) and the flow-state envelope that carries
-// them (internal/core). It refuses what the matching AppendState could not
+// state blob of the hand-off path: the decoder state (internal/coding) and
+// the flow-state envelope that carries it (internal/core). It refuses what the matching AppendState could not
 // have written — a truncated or non-minimally encoded varint, a length
 // running past the blob, bytes left over — so every valid blob has exactly
 // one spelling and a corrupted one is an error, never a silently different
