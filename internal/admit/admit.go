@@ -127,7 +127,7 @@ func (p Policy) Validate() (Policy, error) {
 		}
 		p.Tenants = norm
 	}
-	if p.Capacity, err = p.Capacity.valid(); err != nil {
+	if err = p.Capacity.valid(); err != nil {
 		return p, err
 	}
 	if p.Clock == nil {

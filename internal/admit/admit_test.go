@@ -4,19 +4,16 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/hash"
 )
 
 // testCapacity is the AIMD config every deterministic test scripts
-// against: round numbers so the expected sequences are hand-checkable.
-func testCapacity() CapacityConfig {
-	return CapacityConfig{
-		Initial: 1000, Min: 100, Max: 2000, Probe: 100, Beta: 0.5,
-		ProbeEvery: time.Second, Window: time.Second, Burst: 0.1,
-	}
-}
+// against: a round Initial, so that the shape the constants give it —
+// bounds 15.625 and 64,000, probes of 62.5 every second, halving on a
+// stall, a 100-packet bucket — keeps the expected sequences
+// hand-checkable.
+func testCapacity() CapacityConfig { return CapacityConfig{Initial: 1000} }
 
 // TestAIMDSequence pins the controller's probe/backoff dynamics under a
 // scripted clock: additive increase after every stall-free window,
@@ -37,12 +34,12 @@ func TestAIMDSequence(t *testing.T) {
 			t.Fatalf("t=%vs stalled=%v: capacity %v, want %v", at, stalled, got, wantCap)
 		}
 	}
-	step(2.0, false, 1100) // quiet window elapsed: probe +100
-	step(2.5, true, 550)   // stall: ×0.5
-	step(2.9, true, 550)   // second stall inside the window: absorbed
-	step(3.6, true, 275)   // window elapsed: next backoff lands
-	step(4.7, false, 375)  // stall-free window: probing resumes
-	step(5.8, false, 475)
+	step(2.0, false, 1062.5)  // quiet window elapsed: probe +62.5
+	step(2.5, true, 531.25)   // stall: ×0.5
+	step(2.9, true, 531.25)   // second stall inside the window: absorbed
+	step(3.6, true, 265.625)  // window elapsed: next backoff lands
+	step(4.7, false, 328.125) // stall-free window: probing resumes
+	step(5.8, false, 390.625)
 	st := c.Stats()
 	if st.Stalls != 3 || st.Backoffs != 2 || st.Probes != 3 {
 		t.Fatalf("stats %+v, want stalls=3 backoffs=2 probes=3", st)
@@ -52,16 +49,17 @@ func TestAIMDSequence(t *testing.T) {
 		now += uint64(1.1e9)
 		c.Observe(true)
 	}
-	if got := c.Stats().Capacity; got != 100 {
-		t.Fatalf("capacity after collapse %v, want the 100 floor", got)
+	if got := c.Stats().Capacity; got != 15.625 {
+		t.Fatalf("capacity after collapse %v, want the 15.625 floor", got)
 	}
-	// Quiet recovery: probes every window until Max clamps.
-	for i := 0; i < 40; i++ {
+	// Quiet recovery: probes every window until the ceiling clamps, 1,024
+	// probes up from the floor.
+	for i := 0; i < 1100; i++ {
 		now += uint64(1.1e9)
 		c.Observe(false)
 	}
-	if got := c.Stats().Capacity; got != 2000 {
-		t.Fatalf("capacity after recovery %v, want the 2000 ceiling", got)
+	if got := c.Stats().Capacity; got != 64_000 {
+		t.Fatalf("capacity after recovery %v, want the 64,000 ceiling", got)
 	}
 }
 
@@ -105,8 +103,7 @@ func TestCapacityProperty(t *testing.T) {
 		rng := hash.NewRNG(seed)
 		now := uint64(1e9)
 		clock := func() uint64 { return now }
-		cfg := testCapacity()
-		c, err := NewController(cfg, clock)
+		c, err := NewController(testCapacity(), clock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +121,7 @@ func TestCapacityProperty(t *testing.T) {
 				capMax = cap
 			}
 			elapsed := float64(now-start) / 1e9
-			bound := capMax * (elapsed + cfg.Burst)
+			bound := capMax * (elapsed + burstSeconds)
 			if granted > bound+1e-6 {
 				t.Fatalf("seed %d step %d: granted %v exceeds capacity bound %v (capMax %v, elapsed %vs)",
 					seed, i, granted, bound, capMax, elapsed)
@@ -387,9 +384,8 @@ func TestPolicyValidate(t *testing.T) {
 		{Default: Quota{Rate: math.Inf(1)}},
 		{Default: Quota{MinSample: 1.5}},
 		{Tenants: map[string]Quota{"": {Rate: 1}}},
-		{Capacity: CapacityConfig{Initial: 1000, Min: 2000}},
-		{Capacity: CapacityConfig{Initial: 1000, Beta: 1.5}},
-		{Capacity: CapacityConfig{Min: 5}}, // bounds without an Initial
+		{Capacity: CapacityConfig{Initial: -5}},
+		{Capacity: CapacityConfig{Initial: math.Inf(1)}},
 	} {
 		if _, err := bad.Validate(); err == nil {
 			t.Fatalf("policy %+v validated", bad)

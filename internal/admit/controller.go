@@ -13,75 +13,36 @@ import (
 // TCP's CWND discipline applied to admission instead of transmission.
 type CapacityConfig struct {
 	// Initial is the starting capacity estimate in packets/second.
-	// 0 disables the controller entirely (quotas still apply).
+	// 0 disables the controller entirely (quotas still apply). The rest of
+	// the controller's shape follows from it and the constants below.
 	Initial float64
-	// Min and Max clamp the estimate. Min defaults to Initial/64 (the
-	// deepest a congestion collapse can cut), Max to 64×Initial.
-	Min, Max float64
-	// Probe is the additive increase in packets/second applied after
-	// every stall-free ProbeEvery interval. Defaults to Initial/16.
-	Probe float64
-	// Beta is the multiplicative decrease applied on stall feedback,
-	// in (0,1). Defaults to 0.5.
-	Beta float64
-	// ProbeEvery is the additive-increase cadence. Defaults to 1s.
-	ProbeEvery time.Duration
-	// Window is the stall-feedback sliding window: at most one backoff
-	// per window, and probing resumes only after a stall-free window.
-	// Defaults to ProbeEvery.
-	Window time.Duration
-	// Burst is the admission bucket depth in seconds of capacity — how
-	// much of an idle period's unused budget may be spent at once.
-	// Defaults to 0.1s.
-	Burst float64
 }
+
+// The controller's shape. The estimate stays within [Initial/capacitySpan,
+// Initial×capacitySpan] (the deepest a congestion collapse can cut, and
+// the highest probing climbs). Every stall-free probeEvery it grows by
+// Initial/probeDivisor; stall feedback cuts it by backoffBeta, at most
+// once per probeEvery, and probing resumes only after a stall-free
+// probeEvery. The admission bucket holds burstSeconds of capacity — how
+// much of an idle period's unused budget may be spent at once.
+const (
+	capacitySpan = 64
+	probeDivisor = 16
+	backoffBeta  = 0.5
+	probeEvery   = time.Second
+	burstSeconds = 0.1
+)
 
 func (c CapacityConfig) enabled() bool { return c.Initial > 0 }
 
-func (c CapacityConfig) valid() (CapacityConfig, error) {
-	if !c.enabled() {
-		if c != (CapacityConfig{}) && c.Initial <= 0 {
-			return c, fmt.Errorf("admit: capacity config without a positive Initial")
-		}
-		return c, nil
-	}
-	if math.IsNaN(c.Initial) || math.IsInf(c.Initial, 0) {
-		return c, fmt.Errorf("admit: capacity initial %v out of range", c.Initial)
-	}
-	if c.Min == 0 {
-		c.Min = c.Initial / 64
-	}
-	if c.Max == 0 {
-		c.Max = c.Initial * 64
-	}
-	if c.Probe == 0 {
-		c.Probe = c.Initial / 16
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.5
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = time.Second
-	}
-	if c.Window == 0 {
-		c.Window = c.ProbeEvery
-	}
-	if c.Burst == 0 {
-		c.Burst = 0.1
-	}
+func (c CapacityConfig) valid() error {
 	switch {
-	case c.Min <= 0 || c.Max < c.Min || c.Initial < c.Min || c.Initial > c.Max:
-		return c, fmt.Errorf("admit: capacity bounds min=%v initial=%v max=%v inconsistent", c.Min, c.Initial, c.Max)
-	case c.Probe <= 0:
-		return c, fmt.Errorf("admit: capacity probe %v must be positive", c.Probe)
-	case c.Beta <= 0 || c.Beta >= 1:
-		return c, fmt.Errorf("admit: capacity beta %v outside (0,1)", c.Beta)
-	case c.ProbeEvery <= 0 || c.Window <= 0:
-		return c, fmt.Errorf("admit: capacity probe/window cadence must be positive")
-	case c.Burst <= 0:
-		return c, fmt.Errorf("admit: capacity burst %v must be positive", c.Burst)
+	case c.Initial < 0:
+		return fmt.Errorf("admit: capacity config without a positive Initial")
+	case math.IsInf(c.Initial, 0):
+		return fmt.Errorf("admit: capacity initial %v out of range", c.Initial)
 	}
-	return c, nil
+	return nil
 }
 
 // Controller is the AIMD capacity estimator plus its admission bucket.
@@ -93,8 +54,10 @@ func (c CapacityConfig) valid() (CapacityConfig, error) {
 // over time plus one bucket depth — whatever the offered load and
 // whatever the stall pattern, admission is bounded by the estimate.
 type Controller struct {
-	cfg   CapacityConfig
-	clock Clock
+	// min, max and probe are the estimate's bounds and its additive
+	// increase, scaled from CapacityConfig.Initial.
+	min, max, probe float64
+	clock           Clock
 
 	mu          sync.Mutex
 	capacity    float64 // current estimate, packets/second
@@ -111,8 +74,7 @@ type Controller struct {
 // NewController builds a controller from a validated config. Returns
 // nil when the config disables the controller.
 func NewController(cfg CapacityConfig, clock Clock) (*Controller, error) {
-	cfg, err := cfg.valid()
-	if err != nil {
+	if err := cfg.valid(); err != nil {
 		return nil, err
 	}
 	if !cfg.enabled() {
@@ -123,10 +85,12 @@ func NewController(cfg CapacityConfig, clock Clock) (*Controller, error) {
 	}
 	now := clock()
 	return &Controller{
-		cfg:      cfg,
+		min:      cfg.Initial / capacitySpan,
+		max:      cfg.Initial * capacitySpan,
+		probe:    cfg.Initial / probeDivisor,
 		clock:    clock,
 		capacity: cfg.Initial,
-		tokens:   cfg.Initial * cfg.Burst,
+		tokens:   cfg.Initial * burstSeconds,
 		last:     now, lastProbe: now, lastBackoff: now, lastStall: now,
 	}, nil
 }
@@ -144,15 +108,15 @@ func (c *Controller) refill(now uint64) {
 	// last stall, not the last backoff: a stall absorbed inside the
 	// backoff window still means the sink was behind, and probing into
 	// it would oscillate.
-	if now-c.lastStall >= uint64(c.cfg.Window) && now-c.lastProbe >= uint64(c.cfg.ProbeEvery) {
-		if c.capacity += c.cfg.Probe; c.capacity > c.cfg.Max {
-			c.capacity = c.cfg.Max
+	if now-c.lastStall >= uint64(probeEvery) && now-c.lastProbe >= uint64(probeEvery) {
+		if c.capacity += c.probe; c.capacity > c.max {
+			c.capacity = c.max
 		}
 		c.lastProbe = now
 		c.probes++
 	}
-	if c.tokens += c.capacity * dt; c.tokens > c.capacity*c.cfg.Burst {
-		c.tokens = c.capacity * c.cfg.Burst
+	if c.tokens += c.capacity * dt; c.tokens > c.capacity*burstSeconds {
+		c.tokens = c.capacity * burstSeconds
 	}
 }
 
@@ -178,14 +142,14 @@ func (c *Controller) Observe(stalled bool) {
 	if !stalled {
 		return
 	}
-	if now-c.lastBackoff < uint64(c.cfg.Window) {
+	if now-c.lastBackoff < uint64(probeEvery) {
 		return
 	}
-	c.capacity = math.Max(c.cfg.Min, c.capacity*c.cfg.Beta)
+	c.capacity = math.Max(c.min, c.capacity*backoffBeta)
 	c.lastBackoff = now
 	c.lastProbe = now
 	c.backoffs++
-	c.tokens = math.Min(c.tokens, c.capacity*c.cfg.Burst)
+	c.tokens = math.Min(c.tokens, c.capacity*burstSeconds)
 }
 
 // grantAt asks the controller at clock reading now for permission to

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,8 +34,8 @@ func cloneWorkload(t testing.TB, eng *Engine, seed uint64, nFlows, n, k int) []P
 // TestRecordingCloneIsIndependentAndIdentical is the contract snapshot
 // queries rely on: a clone answers bit-identically at the copy point, and
 // recording into the original afterwards leaves the clone untouched while
-// the clone, fed the same continuation, stays bit-identical to the
-// original.
+// the original, writing through copies of the flows the clones hold, ends
+// bit-identical to a Recording that was never cloned.
 func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		eng, path, lat, util := combinedTestPlan(t, 37)
@@ -53,8 +56,8 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 		if err := orig.RecordBatch(pkts[:half]); err != nil {
 			t.Fatal(err)
 		}
-		// Three clones and a reference, all taken at the copy point.
-		cloneA, cloneB, cloneC, halfRef := orig.Clone(), orig.Clone(), orig.Clone(), orig.Clone()
+		// Two clones and a reference, all taken at the copy point.
+		cloneA, cloneB, halfRef := orig.Clone(), orig.Clone(), orig.Clone()
 		if got, want := cloneA.TrackedFlows(), orig.TrackedFlows(); got != want {
 			t.Fatalf("clone tracks %d flows, original %d", got, want)
 		}
@@ -77,20 +80,20 @@ func TestRecordingCloneIsIndependentAndIdentical(t *testing.T) {
 			assertSameAnswers(t, fresh, cloneB, FlowKey(f), k, path, lat, util)
 		}
 
-		// ...and feeding a clone the same continuation converges it
-		// with the original, bit for bit.
-		if err := cloneC.RecordBatch(pkts[half:]); err != nil {
+		// ...and the original records on as if no clone had been taken.
+		whole := mk()
+		if err := whole.RecordBatch(pkts); err != nil {
 			t.Fatal(err)
 		}
 		for f := 1; f <= nFlows; f++ {
-			assertSameAnswers(t, orig, cloneC, FlowKey(f), k, path, lat, util)
+			assertSameAnswers(t, whole, orig, FlowKey(f), k, path, lat, util)
 		}
 	})
 }
 
 // TestRecordingMergeAdoptsDisjointFlows splits a stream by flow parity
-// into two recordings and merges them; every answer must match a single
-// recording that saw the whole stream.
+// into two recordings and merges a view of each into an empty Recording;
+// every answer must match a single recording that saw the whole stream.
 func TestRecordingMergeAdoptsDisjointFlows(t *testing.T) {
 	eng, path, lat, util := combinedTestPlan(t, 41)
 	const (
@@ -120,20 +123,23 @@ func TestRecordingMergeAdoptsDisjointFlows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := left.Merge(right); err != nil {
-		t.Fatal(err)
+	merged := mk()
+	for _, part := range []*Recording{left, right} {
+		if err := merged.Merge(part.Clone()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := left.TrackedFlows(), whole.TrackedFlows(); got != want {
+	if got, want := merged.TrackedFlows(), whole.TrackedFlows(); got != want {
 		t.Fatalf("merged tracks %d flows, want %d", got, want)
 	}
 	for f := 1; f <= nFlows; f++ {
-		assertSameAnswers(t, whole, left, FlowKey(f), k, path, lat, util)
+		assertSameAnswers(t, whole, merged, FlowKey(f), k, path, lat, util)
 	}
 }
 
-// TestRecordingMergeManyWay folds K recordings holding disjoint flow
-// slices into one — the shape a federated query frontend produces when it
-// folds per-collector snapshots — including empty members, and demands
+// TestRecordingMergeManyWay folds views of K recordings holding disjoint
+// flow slices into one — the shape a federated query frontend produces when
+// it folds per-collector snapshots — including empty members, and demands
 // answers identical to a single recording that saw everything. A single
 // overlapping flow anywhere in the chain must abort the fold.
 func TestRecordingMergeManyWay(t *testing.T) {
@@ -165,9 +171,9 @@ func TestRecordingMergeManyWay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged := parts[0]
-	for _, part := range parts[1:] {
-		if err := merged.Merge(part); err != nil {
+	merged := mk()
+	for _, part := range parts {
+		if err := merged.Merge(part.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,13 +190,14 @@ func TestRecordingMergeManyWay(t *testing.T) {
 	if err := dup.RecordBatch(pkts[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := merged.Merge(dup); err == nil {
+	if err := merged.Merge(dup.Clone()); err == nil {
 		t.Fatal("merge accepted a single-flow overlap after a clean many-way fold")
 	}
 }
 
 // TestRecordingMergeRejectsOverlapAndForeignEngine pins Merge's error
-// cases: duplicated flows and mismatched engines.
+// cases: duplicated flows and mismatched engines. (TestViewsAreReadOnly
+// pins the third: a merge with a Recording that records.)
 func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 	eng, _, _, _ := combinedTestPlan(t, 43)
 	pkts := cloneWorkload(t, eng, 101, 4, 512, 6)
@@ -208,7 +215,8 @@ func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 	if err := b.RecordBatch(pkts); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(b); err == nil {
+	view := a.Clone()
+	if err := view.Merge(b.Clone()); err == nil {
 		t.Fatal("merge accepted overlapping flow sets")
 	}
 	eng2, _, _, _ := combinedTestPlan(t, 47)
@@ -216,7 +224,7 @@ func TestRecordingMergeRejectsOverlapAndForeignEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(c); err == nil {
+	if err := view.Merge(c.Clone()); err == nil {
 		t.Fatal("merge accepted a recording from a different engine")
 	}
 }
@@ -347,9 +355,9 @@ func TestClonePrefixProperty(t *testing.T) {
 					if got := scoped.TrackedFlows(); got != tracked {
 						t.Fatalf("prefix %d: scoped clone tracks %d flows, asked for %d tracked ones", n, got, tracked)
 					}
-					for i, l := range leases {
+					for _, l := range leases {
 						if l != nil {
-							live[i%shards].Release(l)
+							l.Release()
 						}
 					}
 				}
@@ -358,17 +366,14 @@ func TestClonePrefixProperty(t *testing.T) {
 	}
 }
 
-// TestCloneAppendsStayPrivate pins the clamp. A clone shares the origin's
-// util series, whose array has spare capacity past the shared prefix. Only
-// the origin, the flows' owner, may go on appending there; the copy any
-// clone writes through must be clamped, so that its appends reallocate, or
-// they would show through to the origin's next append and to every sibling
-// clone. So must the copy of a Recording that merged a clone: merging one
-// makes it a clone. A latency store's copy takes its inline tail by value
-// and shares its histogram, marked shared. Origin, two sibling clones and
-// an empty Recording that merged a third each record a different
-// continuation; each must equal a Recording rebuilt from scratch from the
-// prefix plus its own continuation.
+// TestCloneAppendsStayPrivate pins where the owner's appends land. A view
+// shares the owner's util series, whose array has spare capacity past the
+// shared prefix. Only the owner appends, so its copy of a held flow keeps
+// the array, spare capacity included, and appends past every view's
+// values; a latency store's copy takes its inline tail by value and shares
+// its histogram, marked shared. Views taken at several points of the
+// owner's continuation must each equal a Recording rebuilt from scratch
+// from the packets before it, and the owner one rebuilt from all of them.
 func TestCloneAppendsStayPrivate(t *testing.T) {
 	const (
 		nFlows = 4
@@ -376,24 +381,21 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 	)
 	t.Run("raw", func(t *testing.T) {
 		eng, path, lat, util := combinedTestPlan(t, 61)
-		mk := func() *Recording {
+		mk := func(batches ...[]PacketDigest) *Recording {
 			rec, err := NewRecording(eng)
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, b := range batches {
+				if err := rec.RecordBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
 			return rec
 		}
 		prefix := cloneWorkload(t, eng, 107, nFlows, 1200, k)
-		conts := [][]PacketDigest{
-			cloneWorkload(t, eng, 109, nFlows, 800, k),
-			cloneWorkload(t, eng, 113, nFlows, 800, k),
-			cloneWorkload(t, eng, 127, nFlows, 800, k),
-		}
-		conts = append(conts, cloneWorkload(t, eng, 137, nFlows, 800, k))
-		orig := mk()
-		if err := orig.RecordBatch(prefix); err != nil {
-			t.Fatal(err)
-		}
+		cont := cloneWorkload(t, eng, 109, nFlows, 800, k)
+		orig := mk(prefix)
 		// The test means something only if an append could land in
 		// shared memory: some origin series must have room to spare.
 		spare := false
@@ -405,77 +407,67 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 		if !spare {
 			t.Fatal("no origin series has spare capacity; pick another prefix length")
 		}
-		adopter := mk()
-		if err := adopter.Merge(orig.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		holders := []*Recording{orig, orig.Clone(), orig.Clone(), adopter}
-		// A write through any holder first swaps in its own copy of the
-		// flow. The owner's copy keeps the shared lists as they are,
-		// spare capacity included; a clone's is clamped.
-		for i, h := range holders {
-			wantCap := func(l, c int) int {
-				if h == orig {
-					return c
-				}
-				return l
+		first := orig.Clone()
+		// The owner's next write first swaps in its own copy of the flow,
+		// which keeps the shared series as they are, spare capacity
+		// included.
+		for f := FlowKey(1); f <= nFlows; f++ {
+			shared := first.find(f)
+			fs := orig.stateOf(f)
+			if fs == shared {
+				t.Fatalf("flow %d: a write would land in the state the view holds", f)
 			}
-			for f := FlowKey(1); f <= nFlows; f++ {
-				shared := h.find(f)
-				fs := h.stateOf(f)
-				if fs == shared {
-					t.Fatalf("holder %d flow %d: a write would land in the state the clones share", i, f)
+			for s := range eng.places {
+				pl := &eng.places[s]
+				if vs, was := fs.series(pl), shared.series(pl); pl.kind == opUtil && (len(vs) != len(was) || cap(vs) != cap(was)) {
+					t.Fatalf("flow %d: a series of len %d cap %d copied as len %d cap %d",
+						f, len(was), cap(was), len(vs), cap(vs))
 				}
-				for s := range eng.places {
-					pl := &eng.places[s]
-					if vs, was := fs.series(pl), shared.series(pl); pl.kind == opUtil &&
-						(len(vs) != len(was) || cap(vs) != wantCap(len(was), cap(was))) {
-						t.Fatalf("holder %d flow %d: a series of len %d cap %d copied as len %d cap %d",
-							i, f, len(was), cap(was), len(vs), cap(vs))
-					}
-					for hop := 1; pl.kind == opLatency && hop <= k; hop++ {
-						st, ws := fs.store(eng, pl, hop), shared.store(eng, pl, hop)
-						if st.sum() != ws.sum() || st.lo() != ws.lo() || st.tail() != ws.tail() || !st.shared() {
-							t.Fatalf("holder %d flow %d hop %d: a latency store copied with its own histogram (%v), another tail, or not marked shared (%v)",
-								i, f, hop, st.sum() != ws.sum(), st.shared())
-						}
+				for hop := 1; pl.kind == opLatency && hop <= k; hop++ {
+					st, ws := fs.store(eng, pl, hop), shared.store(eng, pl, hop)
+					if st.sum() != ws.sum() || st.lo() != ws.lo() || st.tail() != ws.tail() || !st.shared() {
+						t.Fatalf("flow %d hop %d: a latency store copied with its own histogram (%v), another tail, or not marked shared (%v)",
+							f, hop, st.sum() != ws.sum(), st.shared())
 					}
 				}
 			}
 		}
-		// Interleave the continuations chunk by chunk, so every
-		// holder appends while the others' arrays are still live.
-		for off := 0; off < 800; off += 50 {
-			for i, h := range holders {
-				if err := h.RecordBatch(conts[i][off : off+50]); err != nil {
-					t.Fatal(err)
-				}
+		// The owner records on in chunks, with a view taken every fourth
+		// chunk, so every append lands beside arrays some view still reads.
+		views := map[int]*Recording{0: first}
+		for off := 0; off < len(cont); off += 50 {
+			if off%200 == 0 && off > 0 {
+				views[off] = orig.Clone()
+			}
+			if err := orig.RecordBatch(cont[off : off+50]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for i, h := range holders {
-			ref := mk()
-			if err := ref.RecordBatch(prefix); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.RecordBatch(conts[i]); err != nil {
-				t.Fatal(err)
-			}
+		for off, v := range views {
+			ref := mk(prefix, cont[:off])
 			for f := 1; f <= nFlows; f++ {
-				assertSameAnswers(t, ref, h, FlowKey(f), k, path, lat, util)
+				assertSameAnswers(t, ref, v, FlowKey(f), k, path, lat, util)
 			}
+		}
+		ref := mk(prefix, cont)
+		for f := 1; f <= nFlows; f++ {
+			assertSameAnswers(t, ref, orig, FlowKey(f), k, path, lat, util)
 		}
 	})
 }
 
-// TestHeldCloneRacesOwnerTail is held clones under the race detector. Two
-// clones are held while the owner records on: one only answers, the other
-// answers — quantiles of every hop and the hand-off blob — between appends
-// of its own continuation. A fourth goroutine clones the reading clone
-// while it is read and does the same with that clone of a clone. The owner
-// appends to the util series every clone shares, past their values; a
-// latency store's inline tail is each holder's own. Any shared byte written by one side while another reads it fails
-// under -race; afterwards each holder must carry the state of a Recording
-// rebuilt from its own packets, blob for blob.
+// TestHeldCloneRacesOwnerTail is held views under the race detector. The
+// owner records on while a Clone taken before is answered — quantiles of
+// every hop and the hand-off blob — on one goroutine, and each lease the
+// owner takes between its batches is answered and released on another.
+// The owner appends to the util series every view shares, past their
+// values; a latency store's inline tail is the owner's own copy; and every
+// other step the owner waits for its lease to come back and writes the
+// states only that lease held in place.
+// Any shared byte written by one side while another reads it fails under
+// -race. Each lease must carry the state of a Recording rebuilt from the
+// packets before it, and afterwards the owner and the clone theirs, blob
+// for blob.
 func TestHeldCloneRacesOwnerTail(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		raceHeldClones(t, heldRace{nFlows: 4, k: 6, prefix: 600, cont: 800, step: 16})
@@ -484,41 +476,40 @@ func TestHeldCloneRacesOwnerTail(t *testing.T) {
 
 // TestHeldCloneRacesFold is TestHeldCloneRacesOwnerTail for latency
 // stores long enough to fold. The prefix folds every store in place, so
-// the clones share a histogram; each continuation's first fold, when a
+// the views share a histogram; the continuation's first fold, when a
 // code falls outside its inline tail's window or a counter fills, counts
 // into a copy of the histogram while the reading clone ranks the
-// original, and its later folds count in place.
+// original.
 func TestHeldCloneRacesFold(t *testing.T) {
-	lat, reader, owner, writer, grand := raceHeldClones(t, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
+	lat, reader, owner := raceHeldClones(t, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
 	for _, f := range reader.Flows() {
 		for hop := 1; hop <= reader.Hops(lat, f); hop++ {
 			if st, _ := reader.store(lat, f, hop); st.sum() == nil {
-				t.Fatalf("flow %d hop %d: the prefix folded none of its %d samples; the clones share no histogram", f, hop, st.samples())
+				t.Fatalf("flow %d hop %d: the prefix folded none of its %d samples; the views share no histogram", f, hop, st.samples())
 			}
 		}
 	}
-	for name, rec := range map[string]*Recording{"owner": owner, "appending clone": writer, "appending clone of the reading clone": grand} {
-		for _, f := range rec.Flows() {
-			for hop := 1; hop <= rec.Hops(lat, f); hop++ {
-				if st, _ := rec.store(lat, f, hop); st.sum() == nil || st.shared() {
-					t.Errorf("%s flow %d hop %d: shared %v after %d samples; the continuation did not fold into a copy",
-						name, f, hop, st.shared(), st.samples())
-				}
+	for _, f := range owner.Flows() {
+		for hop := 1; hop <= owner.Hops(lat, f); hop++ {
+			st, _ := owner.store(lat, f, hop)
+			if held, _ := reader.store(lat, f, hop); st.sum() == nil || st.sum() == held.sum() {
+				t.Errorf("owner flow %d hop %d: the clone's histogram after %d samples; the continuation did not fold into a copy",
+					f, hop, st.samples())
 			}
 		}
 	}
 }
 
 // heldRace is the shape of one raceHeldClones run: flows, hops, the
-// packets recorded before the clones are taken and in each continuation,
-// and the packets recorded between two answers.
+// packets recorded before the clone is taken and in the continuation,
+// and the packets the owner records between two leases, at least nFlows,
+// so that every step writes every flow.
 type heldRace struct{ nFlows, k, prefix, cont, step int }
 
 // raceHeldClones runs the race TestHeldCloneRacesOwnerTail describes on
 // the three-query plan, and returns its latency query, the reading clone
-// and the three holders that recorded on: the owner, the appending clone
-// and the clone of the reading clone.
-func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner, writer, grand *Recording) {
+// and the owner.
+func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner *Recording) {
 	eng, path, lat, util := combinedTestPlan(t, 151)
 	queries := []Query{path, lat, util}
 	mk := func(batches ...[]PacketDigest) *Recording {
@@ -534,61 +525,83 @@ func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner,
 		return rec
 	}
 	prefix := cloneWorkload(t, eng, 157, s.nFlows, s.prefix, s.k)
-	ownerCont := cloneWorkload(t, eng, 163, s.nFlows, s.cont, s.k)
-	cloneCont := cloneWorkload(t, eng, 167, s.nFlows, s.cont, s.k)
-	grandCont := cloneWorkload(t, eng, 179, s.nFlows, s.cont, s.k)
+	cont := cloneWorkload(t, eng, 163, s.nFlows, s.cont, s.k)
+	// What each lease must read: the state after every step of the
+	// continuation, rebuilt by a Recording nobody leases.
+	var want []string
+	for ref, off := mk(prefix), 0; off < s.cont; off += s.step {
+		want = append(want, recordingState(t, ref, queries))
+		if err := ref.RecordBatch(cont[off : off+s.step]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	owner = mk(prefix)
-	reader, writer = owner.Clone(), owner.Clone()
-	answer := func(rec *Recording, blob []byte) []byte {
-		for f := FlowKey(1); f <= FlowKey(s.nFlows); f++ {
+	reader = owner.Clone()
+	// answer answers every hop's quantiles and renders every flow's blob.
+	answer := func(rec *Recording) string {
+		var b strings.Builder
+		for _, f := range rec.Flows() {
 			for hop := 1; hop <= s.k; hop++ {
 				if _, err := rec.LatencyQuantiles(lat, f, hop, 0, 0.5, 0.99, 1); err != nil && rec.LatencySamples(lat, f, hop) != 0 {
 					t.Error(err)
 				}
 			}
-			var err error
-			if blob, err = rec.AppendFlowState(blob[:0], queries, f); err != nil {
+			blob, err := rec.AppendFlowState(nil, queries, f)
+			if err != nil {
 				t.Error(err)
 			}
+			fmt.Fprintf(&b, "%d:%x\n", f, blob)
 		}
-		return blob
+		return b.String()
 	}
-	// appendAll answers from rec and records cont into it, a step at a
-	// time.
-	appendAll := func(rec *Recording, cont []PacketDigest) {
-		var blob []byte
-		for off := 0; off < len(cont); off += s.step {
-			blob = answer(rec, blob)
-			if err := rec.RecordBatch(cont[off : off+s.step]); err != nil {
-				t.Error(err)
-			}
-		}
+	type lease struct {
+		view *Recording
+		l    *Lease
+		step int
 	}
+	leased := make(chan lease)
 	var wg sync.WaitGroup
-	wg.Add(4)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
+		defer close(leased)
 		for off := 0; off < s.cont; off += s.step {
-			if err := owner.RecordBatch(ownerCont[off : off+s.step]); err != nil {
+			view, l := owner.Lease(nil)
+			leased <- lease{view, l, off / s.step}
+			// Every other step waits for the lease to come back, through the
+			// hold counts alone, as stateOf reads them: the owner then
+			// writes the states only that lease held in place.
+			inPlace := off/s.step%2 == 1
+			before := maps.Clone(owner.flows)
+			for _, fs := range before {
+				for inPlace && fs.holds.Load() != 0 {
+					runtime.Gosched()
+				}
+			}
+			if err := owner.RecordBatch(cont[off : off+s.step]); err != nil {
 				t.Error(err)
+			}
+			for f, fs := range before {
+				if inPlace && owner.flows[f] != fs {
+					t.Errorf("step %d flow %d: written through a copy after its lease came back", off/s.step, f)
+				}
 			}
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		appendAll(writer, cloneCont)
-	}()
-	go func() {
-		defer wg.Done()
-		var blob []byte
-		for off := 0; off < s.cont; off += s.step {
-			blob = answer(reader, blob)
+		for v := range leased {
+			if answer(v.view) != want[v.step] {
+				t.Errorf("lease %d: state differs from a Recording rebuilt from the packets before it", v.step)
+			}
+			v.l.Release()
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		grand = reader.Clone()
-		appendAll(grand, grandCont)
+		for range s.cont / s.step {
+			answer(reader)
+		}
 	}()
 	wg.Wait()
 	for _, h := range []struct {
@@ -596,16 +609,14 @@ func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner,
 		got  *Recording
 		want *Recording
 	}{
-		{"owner", owner, mk(prefix, ownerCont)},
-		{"appending clone", writer, mk(prefix, cloneCont)},
+		{"owner", owner, mk(prefix, cont)},
 		{"reading clone", reader, mk(prefix)},
-		{"appending clone of the reading clone", grand, mk(prefix, grandCont)},
 	} {
 		if recordingState(t, h.got, queries) != recordingState(t, h.want, queries) {
 			t.Fatalf("%s: state differs from a Recording rebuilt from its own packets", h.name)
 		}
 	}
-	return lat, reader, owner, writer, grand
+	return lat, reader, owner
 }
 
 // TestLatencyQuantilesMatchesSingleCalls pins the batched form to the
@@ -647,10 +658,9 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 // Clones, releases and writes, and after each step requires the state
 // installed in the owner to be private exactly when nobody holds it: the
 // owner's next write then lands in place, and before that it copies. A
-// Clone holds for good; so does a lease a clone was taken from, directly
-// or through a Recording that merged it. A state the owner replaced — by
-// writing through a copy, or by evicting the flow and importing it again
-// under the same key — is never made private by a release.
+// Clone holds for good. A state the owner replaced — by writing through a
+// copy, or by evicting the flow and importing it again under the same key
+// — is never written again, whatever is released.
 func TestLeaseHoldCount(t *testing.T) {
 	const flow = FlowKey(1)
 	eng, path, lat := testbenchPlan(t, 71)
@@ -677,13 +687,6 @@ func TestLeaseHoldCount(t *testing.T) {
 		{"a released lease released again", []step{
 			{"lease", "a", false}, {"lease", "b", false}, {"release", "a", false}, {"release", "a", false},
 			{"release", "b", true}}},
-		{"a clone of the leased clone, then release", []step{
-			{"lease", "a", false}, {"clone-of", "a", false}, {"release", "a", false}}},
-		{"a clone of a Recording that merged the leased clone", []step{
-			{"lease", "a", false}, {"lease", "b", false}, {"merge-clone-of", "a", false},
-			{"release", "b", false}, {"release", "a", false}}},
-		{"a lease of the leased clone", []step{
-			{"lease", "a", false}, {"lease-of", "a", false}, {"release", "a", false}}},
 		{"a write while leased", []step{
 			{"lease", "a", false}, {"write", "", true}, {"lease", "b", false},
 			{"release", "a", false}, {"release", "b", true}}},
@@ -698,31 +701,19 @@ func TestLeaseHoldCount(t *testing.T) {
 			if err := owner.RecordBatch(pkts[:64]); err != nil {
 				t.Fatal(err)
 			}
-			clones, leases := map[string]*Recording{}, map[string]*Lease{}
-			var replaced []*flowState // states the owner no longer holds installed
+			leases := map[string]*Lease{}
+			// States the owner no longer holds installed, and their words
+			// when it replaced them.
+			replaced := map[*flowState][]uint64{}
 			for i, s := range tc.steps {
 				was := owner.flows[flow]
 				switch s.op {
 				case "lease":
-					clones[s.name], leases[s.name] = owner.Lease(nil)
+					_, leases[s.name] = owner.Lease(nil)
 				case "release":
-					owner.Release(leases[s.name])
+					leases[s.name].Release()
 				case "clone":
 					owner.Clone()
-				case "clone-of":
-					clones[s.name].Clone()
-				case "lease-of":
-					_, l := clones[s.name].Lease(nil)
-					owner.Release(l)
-				case "merge-clone-of":
-					adopter, err := NewRecording(eng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := adopter.Merge(clones[s.name]); err != nil {
-						t.Fatal(err)
-					}
-					adopter.Clone()
 				case "write":
 					if err := owner.RecordBatch(pkts[64+i : 65+i]); err != nil {
 						t.Fatal(err)
@@ -739,14 +730,14 @@ func TestLeaseHoldCount(t *testing.T) {
 				}
 				fs := owner.flows[flow]
 				if fs != was {
-					replaced = append(replaced, was)
+					replaced[was] = slices.Clone(was.words)
 				}
-				if fs.shared == s.private {
-					t.Fatalf("step %d (%s %s): installed state shared=%v, want %v", i, s.op, s.name, fs.shared, !s.private)
+				if held := fs.holds.Load() != 0; held == s.private {
+					t.Fatalf("step %d (%s %s): installed state held=%v, want %v", i, s.op, s.name, held, !s.private)
 				}
-				for _, old := range replaced {
-					if !old.shared {
-						t.Fatalf("step %d (%s %s): a state the owner replaced was made private", i, s.op, s.name)
+				for old, words := range replaced {
+					if !slices.Equal(old.words, words) {
+						t.Fatalf("step %d (%s %s): a state the owner replaced was written", i, s.op, s.name)
 					}
 				}
 			}
@@ -754,12 +745,86 @@ func TestLeaseHoldCount(t *testing.T) {
 	}
 }
 
+// TestViewsAreReadOnly pins the one-writer rule: a view — a Lease, a
+// Clone, or a Recording that merged one — refuses every write, and taking a
+// view of it panics. Merge takes views only, into a view or an empty
+// Recording; a Recording that records neither merges into another nor
+// takes a view's flows once it has its own.
+func TestViewsAreReadOnly(t *testing.T) {
+	eng, path, lat, util := combinedTestPlan(t, 79)
+	queries := []Query{path, lat, util}
+	pkts := cloneWorkload(t, eng, 173, 3, 300, 6)
+	owner, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.RecordBatch(pkts); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := owner.AppendFlowState(nil, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased, l := owner.Lease([]FlowKey{1})
+	defer l.Release()
+	adopter, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adopter.Merge(owner.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	before := recordingState(t, owner, queries)
+	for name, view := range map[string]*Recording{"lease": leased, "clone": owner.Clone(), "merged": adopter} {
+		want := recordingState(t, view, queries)
+		if err := view.RecordBatch(pkts[:4]); err == nil {
+			t.Errorf("%s: RecordBatch accepted", name)
+		}
+		if err := view.Record(1, 6, pkts[0].PktID, pkts[0].Digest); err == nil {
+			t.Errorf("%s: Record accepted", name)
+		}
+		if err := view.RestoreFlowState(queries, 9, blob); err == nil {
+			t.Errorf("%s: RestoreFlowState accepted", name)
+		}
+		for op, take := range map[string]func(){"Lease": func() { view.Lease(nil) }, "Clone": func() { view.Clone() }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s of a view did not panic", name, op)
+					}
+				}()
+				take()
+			}()
+		}
+		if err := owner.Merge(view); err == nil {
+			t.Errorf("%s: merged into a Recording that records", name)
+		}
+		if err := view.Merge(empty); err != nil {
+			t.Errorf("%s: merging an empty Recording: %v", name, err)
+		}
+		if got := recordingState(t, view, queries); got != want {
+			t.Errorf("%s: a refused write changed the view", name)
+		}
+	}
+	if err := adopter.Merge(owner); err == nil {
+		t.Error("a Recording that records merged into a view")
+	}
+	if got := recordingState(t, owner, queries); got != before {
+		t.Error("a refused merge changed the owner")
+	}
+}
+
 // TestUnshareSharesOnlyAFinishedSlab is the frozen-share rule as the
-// Recording runs it. The private copy a holder of a shared flow writes to
+// Recording runs it. The private copy the owner of a held flow writes to
 // (flowState.unshare) has block words of its own; it shares a finished
 // path decoder's slab, which no Observe writes again, and copies a slab
-// still being peeled. Afterwards the owner and the clone each record on
-// exactly as a Recording that was never cloned does.
+// still being peeled. Afterwards the owner records on exactly as a
+// Recording that was never cloned does, and the clone still reads the
+// decoder at the copy point.
 func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 	eng, path, _ := testbenchPlan(t, 73)
 	newRec := func() *Recording {
@@ -816,16 +881,23 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 		if got := &mine.slabs[0][0] == &orig.slabs[0][0]; got != c.shared {
 			t.Errorf("%s: slab shared %v, want %v", c.name, got, c.shared)
 		}
-		if err := control.RecordBatch(pkts); err != nil {
+		if err := control.RecordBatch(pkts[:c.prefix]); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []*Recording{rec, clone} {
-			if err := r.RecordBatch(pkts[c.prefix:]); err != nil {
-				t.Fatal(err)
-			}
-			got, want := r.PathDecoder(path, flow).AppendState(nil), control.PathDecoder(path, flow).AppendState(nil)
-			if !slices.Equal(got, want) {
-				t.Errorf("%s: a holder's decoder diverged from a Recording never cloned", c.name)
+		atCopy := control.PathDecoder(path, flow).AppendState(nil)
+		if err := control.RecordBatch(pkts[c.prefix:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.RecordBatch(pkts[c.prefix:]); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []struct {
+			name string
+			got  *Recording
+			want []byte
+		}{{"owner", rec, control.PathDecoder(path, flow).AppendState(nil)}, {"clone", clone, atCopy}} {
+			if got := h.got.PathDecoder(path, flow).AppendState(nil); !slices.Equal(got, h.want) {
+				t.Errorf("%s: the %s's decoder diverged from a Recording never cloned", c.name, h.name)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/coding"
 	"repro/internal/sketch"
@@ -27,21 +28,15 @@ type flowState struct {
 	// query, so a route that shortens mid-flow (§7) leaves the later hops
 	// empty instead of giving the queries different hop counts. 0 until a
 	// packet arrives (a restored flow with no per-hop state). An int16,
-	// which keeps the header's first word for k, shared and holds: the wire
-	// and the decoders stop at 64 hops.
+	// which keeps the header's first word for k and holds: the wire and the
+	// decoders stop at 64 hops.
 	k int16
-	// shared is set while a clone may hold the state too. While it is set
-	// nobody writes to the state: every holder that records swaps in a
-	// private copy first (stateOf). Only the Recording the state is
-	// installed in sets it, and clears it (Release) once no clone holds the
-	// state; every other holder only reads it, and only while it holds the
-	// state.
-	shared bool
-	// holds counts the leases the owning Recording gave out on the state
-	// and has not had back (see Lease). maxHolds is a count that stays:
-	// such a state is shared for good. Only the owner's goroutine reads or
-	// writes it.
-	holds uint32
+	// holds counts the leases on the state not yet released (see Lease).
+	// While it is not 0 nobody writes to the state: the owner swaps in a
+	// private copy first (stateOf). The owner counts up, on its goroutine;
+	// a lease counts down on any (Lease.Release). maxHolds is a count that
+	// stays: such a state is shared for good.
+	holds atomic.Uint32
 	// words is the block: a bit per query, set once the query has state
 	// for the flow (started), then each query's words (Engine.places).
 	words []uint64
@@ -182,10 +177,9 @@ func (fs *flowState) setSeries(e *Engine, pl *slotPlace, s []float64) {
 	m.series[pl.ord] = s
 }
 
-// unshare returns a private copy of a shared fs to write to (see Clone for
-// what is copied and what is shared). The owner's copy keeps a util
-// series' spare capacity; a clone's copy clamps it.
-func (fs *flowState) unshare(e *Engine, clamp bool) *flowState {
+// unshare returns a private copy of a held fs for its owner to write to
+// (see Recording.Lease for what is copied and what is shared).
+func (fs *flowState) unshare(e *Engine) *flowState {
 	c := &flowState{k: fs.k, words: slices.Clone(fs.words), slabs: slices.Clone(fs.slabs)}
 	if fs.more != nil {
 		c.more = &flowMore{sums: slices.Clone(fs.more.sums), series: slices.Clone(fs.more.series)}
@@ -206,10 +200,6 @@ func (fs *flowState) unshare(e *Engine, clamp bool) *flowState {
 			for hop := 1; hop <= int(c.k); hop++ {
 				c.store(e, pl, hop).t[0] |= markShared
 			}
-		case opUtil:
-			if clamp {
-				c.setSeries(e, pl, slices.Clip(c.series(pl)))
-			}
 		}
 	}
 	return c
@@ -228,9 +218,9 @@ func (fs *flowState) unshare(e *Engine, clamp bool) *flowState {
 // A tail is packed into tailWords words: lo in the low 16 bits of word 0,
 // the shared mark in the next 8, then the latTail one-byte counters, byte
 // 3+j of the tail (little-endian within each word) counting code lo+j.
-// Each holder's private copy of a flow a clone shares (Recording.Clone)
-// copies the tail with the block and marks it shared: its histogram is
-// shared with the clone, so the store folds into a copy of it.
+// The owner's private copy of a flow a view holds (Recording.Lease) copies
+// the tail with the block and marks it shared: its histogram is shared
+// with the view, so the store folds into a copy of it.
 type latStore struct {
 	t  *[tailWords]uint64 // the tail's words in the flow's block
 	fs *flowState         // whose flowMore holds the store's latSum
@@ -251,8 +241,8 @@ type latSum struct {
 // latTail is the counters in a store's inline tail, as many as fill
 // tailWords words beside lo and the mark, and tailClosed the lo of a closed
 // tail. markShared is the shared mark's bit in word 0: set on every store
-// of a flow state copied after a clone (flowState.unshare) and cleared by
-// the fold into a histogram of its own.
+// of a held flow state's copy (flowState.unshare) and cleared by the fold
+// into a histogram of its own.
 const (
 	latTail, tailWords, tailClosed = 29, 4, 1 << 8
 	markShared                     = 1 << 16
@@ -381,7 +371,7 @@ func (st latStore) held() (lo, hi int, ok bool) {
 
 // fold counts a nonempty tail into the store's histogram, widened to the
 // tail's codes, and empties it. A shared store's histogram may be a
-// clone's, so it counts into a copy and is private from then on.
+// view's, so it counts into a copy and is private from then on.
 func (st latStore) fold() {
 	lo, hi, _ := st.held()
 	sum, shared := st.sum(), st.shared()

@@ -176,14 +176,17 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 }
 
 // RestoreFlowState rebuilds a flow's state from an AppendFlowState blob
-// and adopts it as Merge adopts a flow — the fold the federation frontend
-// applies to member snapshots. queries resolves section names to this
+// and installs it in r, which must record (a view refuses) — the fold the
+// federation frontend applies to member snapshots. queries resolves section names to this
 // Recording's compiled queries, in the order AppendFlowState was given
 // them: sections must name queries strictly in that order. A flow r
 // already tracks (a flow's state must never split across two recordings)
 // and a blob no Recording of this plan could have produced are errors
 // that leave r untouched.
 func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte) error {
+	if r.flows == nil {
+		return errView
+	}
 	byName := make(map[string]int, len(queries))
 	for i, q := range queries {
 		byName[q.Name()] = i
@@ -250,7 +253,7 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	if r.HasFlow(flow) {
 		return fmt.Errorf("core: merge would duplicate flow %v", flow)
 	}
-	r.index()[flow] = fs
+	r.flows[flow] = fs
 	return nil
 }
 

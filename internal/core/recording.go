@@ -2,8 +2,8 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -20,34 +20,34 @@ import (
 // off-switch. It draws no randomness: a flow's state is a function of its
 // own digest stream, whatever the order flows interleave in — the property
 // that makes the sharded pipeline bit-identical to the serial path.
+//
+// A Recording is one of two kinds. One that records (NewRecording) is the
+// one writer of its flows' state, on one goroutine. A view (Lease, Clone,
+// Merge of views) is what the Inference Module reads: it answers from the
+// flow states it shares with the Recording it was taken from, and refuses
+// every write.
 type Recording struct {
 	engine *Engine
-	// flows indexes the whole per-flow state, flow-major: one lookup
-	// reaches everything a packet touches. A clone has no map until its
-	// first write (index): its runs index it instead.
+	// flows indexes the whole per-flow state of a Recording that records,
+	// flow-major: one lookup reaches everything a packet touches. It is nil
+	// on a view (Lease), which only reads.
 	flows map[FlowKey]*flowState
-	// runs are the leases (see Lease) whose flow states the Recording
-	// shares with the Recording they were taken from: a clone's one run,
-	// and those of every Recording it merged. While flows is nil they are
-	// the index, disjoint and at most one per shard, searched in turn; once
-	// a clone has written, they only name the leases a clone of it pins.
+	// runs index a view: the leases whose flow states it reads, its own
+	// and those of every view it merged, disjoint and at most one per shard,
+	// searched in turn.
 	runs []*Lease
 	// found is the run entry find returned last: an answer looks a flow up
 	// a dozen times, and only the first searches the runs. Concurrent
 	// readers may all set it, hence atomic.
 	found atomic.Pointer[leased]
-	// clone is set on a clone and on a Recording that merged one. Such a
-	// Recording owns none of the util series it shares: the Recording it
-	// was cloned from may go on appending to them, so its own copies of a
-	// shared flow clamp them (see Clone). Nor does it count holds: the
-	// owner of a state counts them on its own goroutine, so the leases a
-	// clone gives out are pinned from the start.
-	clone bool
 	// decs holds the path decoders bound over one flow's block for a run
 	// of its packets (recordRun), by the query's ordinal among the
 	// engine's path queries; unbound between runs.
 	decs []coding.Decoder
 }
+
+// errView is what a write to a view returns.
+var errView = errors.New("core: a view of a recording (Lease, Clone, Merge) only reads")
 
 // NewRecording creates a Recording Module for an engine.
 func NewRecording(engine *Engine) (*Recording, error) {
@@ -74,7 +74,7 @@ func NewRecordingSeeded(engine *Engine, sketchItems int, base hash.Seed) (*Recor
 // is k (derived from the received TTL).
 func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) error {
 	pkt := [1]PacketDigest{{Flow: flow, PktID: pktID, PathLen: k, Digest: digest}}
-	return r.recordRun(r.stateOf(flow), pkt[:])
+	return r.RecordBatch(pkt[:])
 }
 
 // RecordBatch ingests a batch of sink-extracted digests — the shape shard
@@ -87,9 +87,12 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // room: a latency store counts in place and allocates only when it folds
 // its tail into a new, widened or shared histogram (latStore.fold), a util
 // series grows by append. A new flow is its header and its block (flowState); a flow a
-// clone shares is copied once, at its first packet after the clone
+// view holds is copied once, at its first packet after the Lease
 // (stateOf).
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
+	if r.flows == nil {
+		return errView
+	}
 	for len(batch) > 0 {
 		n := 1
 		for n < len(batch) && batch[n].Flow == batch[0].Flow {
@@ -104,36 +107,20 @@ func (r *Recording) RecordBatch(batch []PacketDigest) error {
 }
 
 // stateOf returns flow's state ready to write to: started if the flow is
-// new, and swapped for a private copy if a clone shares it. Every write
+// new, and swapped for a private copy if a lease holds it. Every write
 // goes through here.
 func (r *Recording) stateOf(flow FlowKey) *flowState {
-	flows := r.index()
-	fs := flows[flow]
+	fs := r.flows[flow]
 	switch {
 	case fs == nil:
 		fs = &flowState{}
-	case fs.shared:
-		fs = fs.unshare(r.engine, r.clone)
+	case fs.holds.Load() != 0:
+		fs = fs.unshare(r.engine)
 	default:
 		return fs
 	}
-	flows[flow] = fs
+	r.flows[flow] = fs
 	return fs
-}
-
-// index returns the map of r's flows to write through. A clone, indexed
-// by its runs until then, builds it at its first write: one transition,
-// after which the map is the index.
-func (r *Recording) index() map[FlowKey]*flowState {
-	if r.flows == nil {
-		r.flows = make(map[FlowKey]*flowState, r.TrackedFlows())
-		for _, l := range r.runs {
-			for _, p := range l.run {
-				r.flows[p.key] = p.fs
-			}
-		}
-	}
-	return r.flows
 }
 
 // find returns flow's state, nil when r does not track the flow.
@@ -162,27 +149,6 @@ func (r *Recording) find(flow FlowKey) *flowState {
 		}
 	}
 	return nil
-}
-
-// all yields every flow r tracks with its state, in no set order.
-func (r *Recording) all() iter.Seq2[FlowKey, *flowState] {
-	return func(yield func(FlowKey, *flowState) bool) {
-		if r.flows != nil {
-			for f, fs := range r.flows {
-				if !yield(f, fs) {
-					return
-				}
-			}
-			return
-		}
-		for _, l := range r.runs {
-			for _, p := range l.run {
-				if !yield(p.key, p.fs) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // recordRun records a run of packets of fs's flow. The flow's first
@@ -266,7 +232,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 
 // Evict drops all recorded state for one flow. The hand-off's export is
 // its one caller: a flow leaves a Recording no other way.
-func (r *Recording) Evict(flow FlowKey) { delete(r.index(), flow) }
+func (r *Recording) Evict(flow FlowKey) { delete(r.flows, flow) }
 
 // TrackedFlows returns the number of flows with live state.
 func (r *Recording) TrackedFlows() int {
@@ -313,54 +279,19 @@ func (r *Recording) Flows() []FlowKey {
 // hand-off asks before it exports a flow and evicts it.
 func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
 
-// Clone copies the Recording so that the copy answers every query
-// bit-identically to the original at the moment of the copy, and both
-// sides can keep recording (or be queried) independently afterwards. This
-// is what makes the pipeline's snapshot queries race-free: a shard worker
-// clones between batches and hands the copy to concurrent readers. A
-// Clone is a Lease nobody releases: the flows it shares stay shared.
-//
-// A clone copies no flow. It shares each flow's state with r and marks
-// that flow, not r, as shared; a shared state is not written while it is.
-// Whichever holder next records into the flow — r, the clone, or a clone
-// of the clone — first swaps in a private copy of that one flow (stateOf),
-// so a clone costs 16 bytes of its sorted run per flow, and each flow
-// written after it pays one copy. What the copy copies and what it shares
-// follows from how each piece of state changes. The flow's block — every
-// decoder's words, every latency store's inline tail — is bounded in
-// size and written in place, so the copy gets its own, and so does the
-// slab of a path decoder still peeling. A decoder that
-// has decoded its path writes nothing but two counters in its words ever
-// again (coding.Decoder): the copy shares its slab. A latency store's
-// histogram, never written once a clone can see it, is shared, the copied
-// tail is marked shared, and the copy's next fold counts into a copy of
-// the histogram. A util series is
-// append-only, so the copy shares it. The owner's copy — r's, or that of
-// any Recording that is not a clone and merged none — keeps it as it is,
-// spare capacity included: its appends land past every clone's values, or
-// in a fresh array. A clone's copy clamps it in length AND capacity
-// (s[:len(s):len(s)]), so its appends reallocate. Neither side observes
-// the other, a clone costs O(flows) rather than O(packets), and a held
-// clone keeps alive only the flow states, arrays and histograms that
-// existed when it was taken.
+// Clone is a view of every flow (Lease) whose Lease nobody releases: the
+// flows it shares stay held, and r's next write to each is a copy.
 func (r *Recording) Clone() *Recording {
 	c, _ := r.Lease(nil)
 	return c
 }
 
-// Lease is a clone's index and its claim on the flow states it shares:
-// one run of (flow, state) pairs in key order, 16 bytes a flow, filled in
-// one allocation when the clone is taken. While a Lease is out, the flows
-// in it stay shared and the owner copies a flow before writing to it;
-// once the owner has it back (Recording.Release) and no other lease holds
-// a flow, the owner writes to that flow in place again.
+// Lease is a view's index and its claim on the flow states it shares: one
+// run of (flow, state) pairs in key order, 16 bytes a flow, filled in one
+// allocation when the view is taken. Each state in it counts a hold until
+// Release.
 type Lease struct {
 	run []leased
-	// pinned is set once releasing the lease must do nothing: it was
-	// released, it was given out by a clone, or a clone was taken of a
-	// Recording holding it, which then holds its states for good. Any
-	// goroutine holding the lease may set it; Release reads it.
-	pinned atomic.Bool
 }
 
 // leased is one flow of a Lease's run.
@@ -369,28 +300,46 @@ type leased struct {
 	fs  *flowState
 }
 
-// Lease is Clone restricted to the listed flows (nil means every flow),
-// returning the clone and its Lease, which is the clone's index: the copy
-// tracks exactly those of the flows that r tracks, and neither it nor r's
-// next write costs anything for any other flow. It runs on r's goroutine,
-// as Clone does, and counts a hold on each state it shares. Once the
-// clone and everything taken from it are no longer used, hand the Lease
-// back to Release on r's goroutine, and r's writes to the leased flows
-// stop paying for the clone. A Lease never released costs what a Clone
-// does. Cloning the returned clone, or a Recording that merged it, pins
-// the Lease: its states then stay shared for good, and Release does
-// nothing.
+// Lease returns a view of the listed flows (nil means every flow) and its
+// Lease, which is the view's index: the view answers every query for
+// exactly those of the flows that r tracks, bit-identically to r at the
+// moment of the call, however r records on, and neither it nor r's next
+// write costs anything for any other flow. It runs on r's goroutine, the
+// one r records on, between writes — the pipeline's shard worker leases at
+// a batch boundary and hands the view to concurrent readers. r must record;
+// a Lease of a view is a programming error and panics.
+//
+// A view copies no flow. It shares each flow's state with r, which counts
+// a hold on the state; a held state is not written. r's next write to a
+// held flow first swaps in a private copy of that one flow (stateOf), so
+// a view costs 16 bytes of its run per flow, and each flow written while
+// it is held pays one copy. What the copy copies and what it shares
+// follows from how each piece of state changes. The flow's block — every
+// decoder's words, every latency store's inline tail — is bounded in size
+// and written in place, so the copy gets its own, and so does the slab of
+// a path decoder still peeling. A decoder that has decoded its path writes
+// nothing but two counters in its words ever again (coding.Decoder): the
+// copy shares its slab. A latency store's histogram, never written once a
+// view can see it, is shared, the copied tail is marked shared, and the
+// copy's next fold counts into a copy of the histogram. A util series is
+// append-only, and only r appends, past every view's values or into a
+// fresh array: the copy shares it, spare capacity included. A held view
+// keeps alive only the flow states, arrays and histograms that existed
+// when it was taken.
 func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
+	if r.flows == nil {
+		panic("core: Lease of a view")
+	}
 	l := &Lease{}
 	if flows == nil {
-		l.run = make([]leased, 0, r.TrackedFlows())
-		for f, fs := range r.all() {
+		l.run = make([]leased, 0, len(r.flows))
+		for f, fs := range r.flows {
 			l.run = append(l.run, leased{f, fs})
 		}
 	} else {
 		l.run = make([]leased, 0, len(flows))
 		for _, f := range flows {
-			if fs := r.find(f); fs != nil {
+			if fs := r.flows[f]; fs != nil {
 				l.run = append(l.run, leased{f, fs})
 			}
 		}
@@ -398,56 +347,42 @@ func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
 	slices.SortFunc(l.run, func(a, b leased) int { return cmp.Compare(a.key, b.key) })
 	l.run = slices.CompactFunc(l.run, func(a, b leased) bool { return a.key == b.key })
 	for _, p := range l.run {
-		fs := p.fs
-		// A state already shared is only read here: other goroutines may
-		// hold it, and only its owner counts its holds.
-		if !fs.shared {
-			fs.shared = true
-		}
-		if !r.clone && fs.holds < maxHolds {
-			fs.holds++
+		// Only r's goroutine counts up, so the count cannot pass maxHolds.
+		if p.fs.holds.Load() < maxHolds {
+			p.fs.holds.Add(1)
 		}
 	}
-	for _, held := range r.runs {
-		held.pinned.Store(true)
-	}
-	if r.clone {
-		l.pinned.Store(true)
-	}
-	return &Recording{engine: r.engine, runs: []*Lease{l}, clone: true}, l
+	return &Recording{engine: r.engine, runs: []*Lease{l}}, l
 }
 
-// Release takes back a Lease r gave out, on r's goroutine, once the clone
-// it indexes and everything taken from that clone are no longer used: the
-// hand-over must happen-before the call (a channel does). Each state in
-// it loses a hold; one still installed in r that nobody holds any more is
-// r's alone again, so r's next write to it lands in place instead of in a
-// copy. A state r has since replaced — written through a copy, evicted,
-// re-imported — keeps its mark. Releasing a pinned Lease, or one already
-// released, does nothing.
-func (r *Recording) Release(l *Lease) {
-	if l.pinned.Swap(true) {
-		return
-	}
+// Release gives the Lease's holds back, on any goroutine, once the view it
+// indexes and every view that merged it are no longer used. A state the
+// owner still has installed and nobody holds any more is the owner's alone
+// again, so its next write to it lands in place instead of in a copy.
+// Releasing a Lease twice does nothing the second time.
+//
+// Only the owner's goroutine counts a hold up, and only before it hands
+// the view out; each decrement here follows the reader's last read of the
+// state, so the owner's load that sees the count at 0 is ordered after
+// every read.
+func (l *Lease) Release() {
 	for _, p := range l.run {
-		fs := p.fs
-		if fs.holds == maxHolds {
-			continue
-		}
-		if fs.holds--; fs.holds == 0 && r.flows[p.key] == fs {
-			fs.shared = false
+		for h := &p.fs.holds; ; {
+			if n := h.Load(); n == maxHolds || h.CompareAndSwap(n, n-1) {
+				break
+			}
 		}
 	}
+	l.run = nil
 }
 
-// Merge adopts every flow of o into r. The two recordings must serve the
-// same engine and must track disjoint flow sets — the shape produced by
-// the sharded sink, where a flow's state lives wholly inside one shard —
-// so merging is adoption, not state arithmetic. o's per-flow state moves
-// into r by reference; o must not be used afterwards. Merging a clone
-// makes r one (see Clone): r then shares what o shared, and holds o's
-// leases. Two Recordings indexed by runs merge by appending o's runs to
-// r's, building no map; an empty r adopts o's index as it is.
+// Merge adopts every flow of the view o into r. The two must serve the
+// same engine and track disjoint flow sets — the shape produced by the
+// sharded sink, where a flow's state lives wholly inside one shard — so
+// merging is adoption, not state arithmetic: a view r appends o's runs,
+// and an empty Recording becomes o's view. o must not be used afterwards.
+// Merging a Recording that records any flow, or into one, is refused: the
+// merged Recording would have two writers.
 func (r *Recording) Merge(o *Recording) error {
 	if o == nil {
 		return nil
@@ -455,25 +390,22 @@ func (r *Recording) Merge(o *Recording) error {
 	if o.engine != r.engine {
 		return fmt.Errorf("core: merging recordings of different engines")
 	}
-	for f := range o.all() {
-		if r.HasFlow(f) {
-			return fmt.Errorf("core: merge would duplicate flow %v", f)
-		}
-	}
 	switch {
-	case o.TrackedFlows() == 0 && len(o.runs) == 0:
-	case r.TrackedFlows() == 0 && len(r.runs) == 0:
-		r.flows, r.runs = o.flows, o.runs
-	case r.flows == nil && o.flows == nil:
-		r.runs = append(r.runs, o.runs...)
+	case o.flows != nil && len(o.flows) == 0:
+	case o.flows != nil || r.flows != nil && len(r.flows) > 0:
+		return fmt.Errorf("core: merge takes views into a view or an empty recording")
+	case r.flows != nil:
+		r.flows, r.runs = nil, o.runs
 	default:
-		flows := r.index()
-		for f, fs := range o.all() {
-			flows[f] = fs
+		for _, l := range o.runs {
+			for _, p := range l.run {
+				if r.HasFlow(p.key) {
+					return fmt.Errorf("core: merge would duplicate flow %v", p.key)
+				}
+			}
 		}
 		r.runs = append(r.runs, o.runs...)
 	}
-	r.clone = r.clone || o.clone
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -73,15 +74,13 @@ func TestClosedSnapshotCostsWriterNothing(t *testing.T) {
 
 // TestClosedSnapshotsRaceIngest is the lease under the race detector.
 // Readers answer from a full and a flow-scoped snapshot while the ingester
-// keeps feeding the sink; one reader clones the full snapshot first and
-// holds the clone on. The snapshots are then closed — the scoped one by
-// its reader, the full one as soon as every reader is done — while ingest
-// continues, so the workers take their flows back and write to them in
-// place, except where the held clone pinned them: the clone is read while
-// the flows it holds take packets again. A second snapshot is taken
-// later, read while ingest continues and closed. Every answer and every
-// flow's hand-off blob must be byte-identical to a serial Recording of the
-// packets before the snapshot's cut, the held clone's too, to the end.
+// keeps feeding the sink. The snapshots are then closed on the readers'
+// goroutines — the scoped one by its reader, the full one as soon as every
+// reader is done — while ingest continues, so the workers take their flows
+// back and write to them in place. A second snapshot is taken later, read
+// while ingest continues and closed. Every answer and every flow's
+// hand-off blob must be byte-identical to a serial Recording of the
+// packets before the snapshot's cut.
 func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	eng, path, lat, util := testPlan(t, 821)
 	queries := []core.Query{path, lat, util}
@@ -143,8 +142,8 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	}
 	// Between the first snapshot's cut and its Close only the hot flows
 	// take packets, so the cold flows' leased states are still installed
-	// in the workers when it closes: without the held clone's pin, the
-	// workers would take them back and write to them in place.
+	// in the workers when it closes: the workers take them back and write
+	// to them in place.
 	hot := map[core.FlowKey]bool{}
 	for f := 0; f < nFlows; f += 2 {
 		hot[workloadFlow(f)] = true
@@ -183,17 +182,11 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var heldClone *core.Recording
 	var readersDone sync.WaitGroup
 	for r := range readers {
 		check(&readersDone, fmt.Sprintf("reader %d, first snapshot", r), m1, all, want1, nil)
 	}
 	check(&readersDone, "reader of the scoped snapshot", s1, scoped, wantScoped1, scoped1.Close)
-	readersDone.Add(1)
-	go func() {
-		defer readersDone.Done()
-		heldClone = m1.Clone()
-	}()
 	closed := make(chan struct{})
 	go func() {
 		readersDone.Wait()
@@ -203,11 +196,8 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	ingest(cut1, cut2, isHot)
 	<-closed
 
-	var held sync.WaitGroup
-	check(&held, "clone held across Close", heldClone, all, want1, nil)
 	ingest(cut1, cut2, isCold)
 	ingest(cut2, cut3, every)
-	held.Wait()
 	full2 := sink.Snapshot()
 	m2, err := full2.Merged()
 	if err != nil {
@@ -217,7 +207,6 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	for r := range readers {
 		check(&second, fmt.Sprintf("reader %d, second snapshot", r), m2, all, want3, nil)
 	}
-	check(&second, "clone held across Close, later", heldClone, all, want1, nil)
 	closeWhenRead := make(chan struct{})
 	go func() {
 		second.Wait()
@@ -237,7 +226,80 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	if got, want := render(merged, all), oracle(len(pkts), all); got != want {
 		t.Fatal("the sink's final answers differ from a serial Recording of every packet")
 	}
-	if got := render(heldClone, all); got != want1 {
-		t.Fatal("the clone held across Close moved")
+}
+
+// TestSnapshotCloseWaitsForNoWorker: Close gives a snapshot's leases back
+// on the caller's goroutine, so it returns while every shard worker is held
+// inside a WithFlow call. Once free, the workers record on into the flows
+// the snapshot held, and the sink answers as a serial Recording does.
+func TestSnapshotCloseWaitsForNoWorker(t *testing.T) {
+	eng, path, lat, util := testPlan(t, 831)
+	const nFlows, k, shards = 8, 6, 2
+	pkts := encodeWorkload(eng, 43, nFlows, 200, k)
+	sink, err := NewSink(eng, Config{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	half := len(pkts) / 2
+	sink.Ingest(pkts[:half])
+	snap := sink.Snapshot()
+	merged, err := snap.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.TrackedFlows(); got != nFlows {
+		t.Fatalf("the snapshot tracks %d flows, want %d", got, nFlows)
+	}
+	entered, free := make(chan struct{}), make(chan struct{})
+	var workers sync.WaitGroup
+	held := map[int]bool{}
+	for f := range nFlows {
+		flow := workloadFlow(f)
+		if i := sink.shardOf(flow).idx; !held[i] {
+			held[i] = true
+			workers.Add(1)
+			go func() {
+				defer workers.Done()
+				if err := sink.WithFlow(flow, func(*core.Recording) error {
+					entered <- struct{}{}
+					<-free
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	if len(held) != shards {
+		t.Fatalf("the workload's flows reach %d of %d shards", len(held), shards)
+	}
+	for range held {
+		<-entered
+	}
+	closed := make(chan struct{})
+	go func() {
+		snap.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		close(free)
+	case <-time.After(10 * time.Second):
+		close(free)
+		t.Fatal("Close waited for the shard workers")
+	}
+	workers.Wait()
+	sink.Ingest(pkts[half:])
+	sink.Barrier()
+	serial, err := core.NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.RecordBatch(pkts); err != nil {
+		t.Fatal(err)
+	}
+	for f := range nFlows {
+		compareFlow(t, shards, serial, sink.Recording(workloadFlow(f)), workloadFlow(f), k, path, lat, util)
 	}
 }

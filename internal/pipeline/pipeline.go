@@ -8,10 +8,11 @@
 //     once (QueueDepth+2 of them, argued in NewSink), so steady-state
 //     ingest allocates nothing whether or not the workers keep up;
 //   - snapshot queries: Sink.Snapshot() (every flow) and SnapshotFlows
-//     (the listed ones) return a view whose queries run concurrently with
-//     ingestion, without a global flush, at a cost in the flows asked for
-//     rather than the packets ingested, and a view that is closed costs
-//     the workers nothing after;
+//     (the listed ones) return a read-only view whose queries run
+//     concurrently with ingestion, without a global flush, at a cost in
+//     the flows asked for rather than the packets ingested; the reader
+//     closes it on its own goroutine, and a closed view costs the workers
+//     nothing after;
 //   - a wire-friendly shape: Ingest consumes the same core.PacketDigest
 //     batches internal/wire marshals, so a remote tap's stream replays
 //     into the sink unchanged.
@@ -301,9 +302,9 @@ func (s *Sink) WithFlow(flow core.FlowKey, fn func(*core.Recording) error) error
 // after the worker has drained its queue, and returns once all have run.
 // The requests fan out first, so the workers run concurrently: the wait
 // is the slowest shard's fn, not the sum. fn must not record into rec;
-// what it may write is the hold counts and shared marks of rec's flow
-// states, through Recording.Lease and Recording.Release, which is why
-// those run here and nowhere else. Sink.mu is held throughout, which keeps
+// what it may write is the hold counts of rec's flow states, through
+// Recording.Lease, which is why a lease is taken here and nowhere else
+// (any goroutine releases one). Sink.mu is held throughout, which keeps
 // Close from retiring the workers under a request; after Close the
 // shards are quiescent and fn runs inline.
 func (s *Sink) readShards(want func(i int) bool, fn func(i int, rec *core.Recording)) {
@@ -407,8 +408,7 @@ func (s *Sink) Snapshot() *Snapshot { return s.SnapshotFlows(nil) }
 // snapshot taken at the same instant would, and reports every other flow
 // as untracked.
 func (s *Sink) SnapshotFlows(flows []core.FlowKey) *Snapshot {
-	snap := &Snapshot{sink: s, recs: make([]*core.Recording, len(s.shards)),
-		leases: make([]*core.Lease, len(s.shards))}
+	snap := &Snapshot{recs: make([]*core.Recording, len(s.shards)), leases: make([]*core.Lease, len(s.shards))}
 	byShard := make([][]core.FlowKey, len(s.shards)) // all nil: every flow
 	for _, f := range flows {
 		i := s.shardOf(f).idx

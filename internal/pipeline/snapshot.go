@@ -13,26 +13,22 @@ import "repro/internal/core"
 //
 // What a snapshot shares with the live shard: every flow's state it
 // covers, whole, indexed by one sorted run per shard that is also the
-// shard's lease. The lease marks each such flow as shared, and a shared
-// flow is not written while it is: the worker's next packet for it swaps
-// in a private copy first, as does a write through the snapshot. The
-// worker's copy keeps appending to a util series past the snapshot's
-// values, in the same backing array; any other copy holds it as a
-// length-and-capacity-clamped prefix, so its appends reallocate. A latency
-// store's histogram is shared until the copy's next fold, which counts
-// into a copy of it. What is mutated in place (path decoders still
-// decoding) each copy gets its own. Taking a
+// shard's lease. The lease holds each such flow, and a held flow is not
+// written: the worker's next packet for it swaps in a private copy first.
+// The snapshot only reads; the worker is each flow's one writer. Its copy
+// keeps appending to a util series past the snapshot's values, in the
+// same backing array, and a latency store's histogram is shared until the
+// copy's next fold, which counts into a copy of it. What is mutated in
+// place (path decoders still decoding) the copy gets its own. Taking a
 // snapshot therefore costs 16 bytes of run per flow it covers, never
 // anything in the packets the flows carried; and while it is held, the
 // worker pays one copy of each flow it records into.
 //
-// Close ends that cost: it hands each shard's lease back to its worker,
-// which makes every flow no other snapshot holds the worker's alone
-// again, to write in place. After Close the snapshot, the Recording
-// Merged returned and any Recording that merged it must not be used;
-// Clone that Recording before Close to keep it, which pins its leases so
-// that Close gives nothing back. A snapshot never closed costs the worker
-// what a held one does, for good.
+// Close ends that cost: it releases each shard's lease on the caller's
+// goroutine, which makes every flow no other snapshot holds the worker's
+// alone again, to write in place. After Close the snapshot and the
+// Recording Merged returned must not be used. A snapshot never closed
+// costs the worker what a held one does, for good.
 //
 // A flow-scoped snapshot (Sink.SnapshotFlows) covers only the flows it
 // was asked for; any other flow reads as untracked, and a shard that
@@ -42,11 +38,10 @@ import "repro/internal/core"
 // of goroutines may query it at once, and the same question asked twice
 // gets the same answer.
 type Snapshot struct {
-	sink *Sink
 	recs []*core.Recording
 	// leases are the shards' leases by shard, nil for a shard not asked;
 	// each is the run that indexes its shard's flows in recs or in the
-	// Recording Merged made of them. Close sets it to nil.
+	// Recording Merged made of them.
 	leases []*core.Lease
 }
 
@@ -67,18 +62,14 @@ func (s *Snapshot) Merged() (*core.Recording, error) {
 	return merged, nil
 }
 
-// Close gives the snapshot's leases back to the shard workers, each at a
-// batch boundary on its worker goroutine (after Sink.Close, inline), and
-// returns once all have taken them. It must follow every use of the
-// snapshot and of what Merged returned (see Snapshot); a second Close does
+// Close releases the snapshot's leases, on the caller's goroutine, without
+// waiting for any shard worker. It must follow every use of the snapshot
+// and of what Merged returned (see Snapshot); a second Close does
 // nothing.
 func (s *Snapshot) Close() {
-	leases := s.leases
-	if leases == nil {
-		return
+	for _, l := range s.leases {
+		if l != nil {
+			l.Release()
+		}
 	}
-	s.leases = nil
-	s.sink.readShards(
-		func(i int) bool { return leases[i] != nil },
-		func(i int, rec *core.Recording) { rec.Release(leases[i]) })
 }

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/workload"
 )
 
@@ -138,7 +140,26 @@ func TestCodingMediansTable(t *testing.T) {
 	if len(tab.Rows) != 5 {
 		t.Fatalf("want 5 schemes, got %d", len(tab.Rows))
 	}
-	_ = tab.String()
+	median := map[string]float64{}
+	for _, row := range tab.Rows {
+		v, err := strconv.ParseFloat(row[2], 64)
+		if err != nil {
+			t.Fatalf("%s: median %q: %v", row[0], row[2], err)
+		}
+		median[row[0]] = v
+	}
+	// Appendix A's bound on the multi-layer scheme, §4.2's ordering of
+	// Hybrid before Baseline, and LNC, which needs k independent packets
+	// at least.
+	if bound := analysis.Theorem3Packets(codingK); median["MultiLayer"] > bound {
+		t.Errorf("MultiLayer median %v above Theorem 3's %v packets at k=%d", median["MultiLayer"], bound, codingK)
+	}
+	if median["Hybrid"] >= median["Baseline"] {
+		t.Errorf("Hybrid median %v not below Baseline's %v", median["Hybrid"], median["Baseline"])
+	}
+	if median["LNC"] < codingK {
+		t.Errorf("LNC median %v below k=%d", median["LNC"], codingK)
+	}
 }
 
 func TestFig09HadoopMedian(t *testing.T) {

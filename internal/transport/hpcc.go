@@ -44,8 +44,7 @@ type HPCCConfig struct {
 	// echoed data-packet ID and full digest it returns the bottleneck
 	// utilization and whether this packet carried the HPCC query — how a
 	// multi-query execution plan (§6.4) feeds the sender.
-	ExtractU   func(pktID, digest uint64) (float64, bool)
-	ExtraBytes int // additional fixed overhead, if any
+	ExtractU func(pktID, digest uint64) (float64, bool)
 }
 
 // DefaultHPCCConfig returns the paper's recommended settings scaled to a
@@ -115,7 +114,6 @@ func StartHPCC(net *netsim.Network, src, dst int, stats *FlowStats, cfg HPCCConf
 		h.wc = h.w
 	}
 	core.decorate = func(pkt *netsim.Packet) {
-		pkt.ExtraBytes = cfg.ExtraBytes
 		switch cfg.Mode {
 		case FeedbackINT:
 			// Mark the packet as INT-carrying; switches append HopINT

@@ -39,9 +39,9 @@ var orphanAllowlist = map[string]string{
 // interface.
 //
 // Settings get the same rule one level down: every exported field of an
-// internal/ struct type named Config is a setting, and a non-test file
-// must set it — as a composite-literal key or on the left of an
-// assignment. A setting only tests turn on is a mode no program runs.
+// exported internal/ struct type whose name ends in Config is a setting,
+// and a non-test file must set it — as a composite-literal key or on the
+// left of an assignment. A setting only tests turn on is a mode no program runs.
 func TestNoOrphanExports(t *testing.T) {
 	orphans, unset, audited, err := orphanExports(".")
 	if err != nil {
@@ -76,8 +76,8 @@ func TestNoOrphanExports(t *testing.T) {
 // `func Orphan()`, which only a test calls. Orphan and the method nobody
 // calls must be the names reported. Its Config
 // has a field a program sets by key, one it sets by assignment, one only a
-// test sets and an unexported one: the test-only field is the one unset
-// setting.
+// test sets and an unexported one, and its PoolConfig a field nobody sets:
+// the test-only field and PoolConfig's are the unset settings.
 func TestOrphanAuditCatches(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -100,9 +100,13 @@ type Config struct {
 }
 
 func New(c Config) int { c.Assigned = 2; return c.Keyed + c.hidden }
+
+type PoolConfig struct{ Size int }
+
+func Pool(c PoolConfig) int { return c.Size }
 `,
 		"internal/x/x_test.go": "package x\n\nfunc init() { Orphan(); _ = Config{TestOnly: 1} }\n",
-		"cmd/y/main.go":        "package main\n\nimport \"tiny/internal/x\"\n\nfunc main() { println(x.Used().String(), x.New(x.Config{Keyed: 1})) }\n",
+		"cmd/y/main.go":        "package main\n\nimport \"tiny/internal/x\"\n\nfunc main() { println(x.Used().String(), x.New(x.Config{Keyed: 1}), x.Pool(x.PoolConfig{})) }\n",
 	} {
 		p := filepath.Join(dir, name)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -117,10 +121,10 @@ func New(c Config) int { c.Assigned = 2; return c.Keyed + c.hidden }
 		t.Fatal(err)
 	}
 	want := []string{"internal/x.Orphan", "internal/x.T.Lost"}
-	if fmt.Sprint(got) != fmt.Sprint(want) || audited != 7 {
-		t.Fatalf("orphans = %v of %d audited, want %v of 7 (T, String, Lost, Used, Orphan, Config, New)", got, audited, want)
+	if fmt.Sprint(got) != fmt.Sprint(want) || audited != 9 {
+		t.Fatalf("orphans = %v of %d audited, want %v of 9 (T, String, Lost, Used, Orphan, Config, New, PoolConfig, Pool)", got, audited, want)
 	}
-	if want := []string{"internal/x.Config.TestOnly"}; fmt.Sprint(unset) != fmt.Sprint(want) {
+	if want := []string{"internal/x.Config.TestOnly", "internal/x.PoolConfig.Size"}; fmt.Sprint(unset) != fmt.Sprint(want) {
 		t.Fatalf("unset settings = %v, want %v", unset, want)
 	}
 }
@@ -246,9 +250,10 @@ func orphanExports(root string) (orphans, unset []string, audited int, err error
 	return orphans, a.unsetSettings(modPath), audited, nil
 }
 
-// unsetSettings returns, sorted, every exported field of a struct type
-// named Config declared under internal/ that no non-test file sets: none
-// names it as a composite-literal key or assigns to it.
+// unsetSettings returns, sorted, every exported field of an exported
+// struct type whose name ends in Config declared under internal/ that no
+// non-test file sets: none names it as a composite-literal key or assigns
+// to it.
 func (a *audit) unsetSettings(modPath string) []string {
 	set := map[types.Object]bool{}
 	for _, files := range a.files {
@@ -275,17 +280,19 @@ func (a *audit) unsetSettings(modPath string) []string {
 		if !strings.HasPrefix(path, modPath+"/internal/") {
 			continue
 		}
-		tn, ok := pkg.Scope().Lookup("Config").(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() && !set[f] {
-				unset = append(unset, strings.TrimPrefix(path, modPath+"/")+".Config."+f.Name())
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !set[f] {
+					unset = append(unset, strings.TrimPrefix(path, modPath+"/")+"."+name+"."+f.Name())
+				}
 			}
 		}
 	}
