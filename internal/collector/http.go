@@ -91,6 +91,22 @@ func EachFlow(rec *core.Recording, queries []core.Query, flows []core.FlowKey) i
 	}
 }
 
+// eachTracked is EachFlow over every flow rec tracks, in key order, with
+// no list of them: a view's AllFlows walks its runs in place, and each
+// flow it yields is the one rec finds without a search. It is a loop of
+// its own so that EachFlow's, ranging over a slice, costs what it did.
+func eachTracked(rec *core.Recording, queries []core.Query) iter.Seq[*FlowAnswers] {
+	return func(yield func(*FlowAnswers) bool) {
+		var fa FlowAnswers
+		for flow := range rec.AllFlows() {
+			evalFlow(rec, queries, flow, &fa)
+			if !yield(&fa) {
+				return
+			}
+		}
+	}
+}
+
 // evalFlow evaluates every query for one flow into fa, reusing the
 // capacity of whatever slices fa already holds (a zero fa gets fresh
 // ones).
@@ -210,7 +226,8 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if flows == nil {
-			flows = merged.Flows()
+			WriteSnapshot(w, eachTracked(merged, s.cfg.Queries))
+			return
 		}
 		WriteSnapshot(w, EachFlow(merged, s.cfg.Queries, flows))
 	}))

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 )
 
 // boundaryFloats are the values where encoding/json's float spelling
@@ -331,5 +332,89 @@ func TestPointSnapshotByteBudget(t *testing.T) {
 	t.Logf("GET %s: %d B allocated per request (budget %d)", path, per, pointQueryBudget)
 	if per > pointQueryBudget {
 		t.Errorf("GET %s allocates %d B per request, over the %d B budget", path, per, pointQueryBudget)
+	}
+}
+
+// fullQueryBudget bounds the bytes one warm GET /snapshot allocates
+// through the handler at any flow count: ~7 KB measured on linux/amd64,
+// Go 1.24. While each query leased a fresh run (16 B a flow) and listed
+// the flows (8 B more), it measured ~58 KB at 2,048 flows and ~212 KB at
+// 8,192.
+const fullQueryBudget = 16 << 10
+
+// TestFullSnapshotBytesFlatInFlows pins a warm full query's heap cost to
+// the request, not the flow: through Server.Handler() on two shards, once
+// a query has left each shard a spare run, the next allocates the same
+// bytes over 2,048 flows as over 8,192 (within 1 KB), and no more than
+// fullQueryBudget. The response body is discarded, so a recorder's growing
+// buffer is not what is measured; what it would hold is checked once,
+// against the answers of a merged snapshot's sorted flow list.
+func TestFullSnapshotBytesFlatInFlows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled buffers at random")
+	}
+	tb, err := NewTestbench(7, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sink.Close() })
+	srv, err := New(tb.Engine, WithSink(sink), WithQueries(tb.Queries()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	w := &discardResponse{h: http.Header{}}
+	var pkts []core.PacketDigest
+	vals := make([]core.HopValues, 4)
+	recorded := 0
+	perQuery := func(n int) uint64 {
+		for ; recorded < n; recorded++ {
+			pkts = tb.FlowBatch(1, recorded, 4, pkts, vals)
+			sink.Ingest(pkts)
+		}
+		sink.Barrier()
+		if got := sink.TrackedFlows(); got != n {
+			t.Fatalf("%d flows tracked, want %d", got, n)
+		}
+		serve := func() { h.ServeHTTP(w, httptest.NewRequest("GET", "/snapshot", nil)) }
+		for range 3 {
+			serve()
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("GET /snapshot over %d flows: %d B allocated per request (budget %d)", n, per, fullQueryBudget)
+		return per
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	small := perQuery(2048)
+	snap := sink.Snapshot()
+	merged, err := snap.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := httptest.NewRecorder()
+	WriteJSON(want, map[string]any{"flows": Answers(merged, srv.cfg.Queries, merged.Flows())})
+	snap.Close()
+	got := httptest.NewRecorder()
+	h.ServeHTTP(got, httptest.NewRequest("GET", "/snapshot", nil))
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("GET /snapshot over two shards differs from the answers of its sorted flows (%d bytes, want %d)", got.Body.Len(), want.Body.Len())
+	}
+	large := perQuery(8192)
+	if large > fullQueryBudget {
+		t.Errorf("a warm full query over 8,192 flows allocates %d B, over the %d B budget", large, fullQueryBudget)
+	}
+	if large > small+1<<10 || small > large+1<<10 {
+		t.Errorf("a warm full query allocates %d B over 2,048 flows but %d B over 8,192: something is allocated per flow", small, large)
 	}
 }

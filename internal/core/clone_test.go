@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/hash"
 )
@@ -937,5 +938,181 @@ func TestPathDecoderIsACopy(t *testing.T) {
 	}
 	if again := rec.PathDecoder(path, 1); !again.Done() || slices.Equal(again.AppendState(nil), before) {
 		t.Error("the Recording did not record on after a copy was taken")
+	}
+}
+
+// TestLeaseRunReuse pins how a released Lease's run is reused. Release
+// gives the run back to the Recording that made it, whose next Lease
+// fills it again; the Lease itself is never reused, so releasing it a
+// second time, after its run already indexes another Lease, gives back
+// none of that Lease's holds. A point Lease that took a large spare
+// returns it, a smaller run returned does not displace a larger spare,
+// and a state the owner replaced while a Lease held it, which only that
+// Lease's run still pointed at, is not kept alive by the spare.
+func TestLeaseRunReuse(t *testing.T) {
+	eng, path, lat := testbenchPlan(t, 83)
+	queries := []Query{path, lat}
+	flows := []FlowKey{3, 5, 8, 13}
+	newOwner := func(t *testing.T) (*Recording, map[FlowKey][]PacketDigest) {
+		owner, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := map[FlowKey][]PacketDigest{}
+		for i, f := range flows {
+			pkts[f] = testbenchFlow(eng, f, uint64(90+i), 48)
+			if err := owner.RecordBatch(pkts[f][:40]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return owner, pkts
+	}
+	first := func(l *Lease) *leased { return &l.run[:1][0] }
+
+	t.Run("a second release after the run was reused", func(t *testing.T) {
+		owner, pkts := newOwner(t)
+		_, a := owner.Lease(nil)
+		arr := first(a)
+		a.Release()
+		view, b := owner.Lease(nil)
+		if first(b) != arr {
+			t.Fatal("the next Lease did not refill the released run")
+		}
+		want := recordingState(t, view, queries)
+		a.Release()
+		for _, f := range flows {
+			if n := owner.flows[f].holds.Load(); n != 1 {
+				t.Fatalf("flow %v: %d holds after the first Lease was released again, want 1 (the second Lease's)", f, n)
+			}
+		}
+		for _, f := range flows {
+			was := owner.flows[f]
+			if err := owner.RecordBatch(pkts[f][40:42]); err != nil {
+				t.Fatal(err)
+			}
+			if owner.flows[f] == was {
+				t.Fatalf("flow %v: the owner wrote a state the second Lease holds in place", f)
+			}
+		}
+		if got := recordingState(t, view, queries); got != want {
+			t.Fatal("the owner's writes showed in the second Lease's view")
+		}
+		b.Release()
+		for _, f := range flows {
+			if n := owner.flows[f].holds.Load(); n != 0 {
+				t.Fatalf("flow %v: %d holds after every Lease was released", f, n)
+			}
+		}
+	})
+
+	t.Run("a point lease gives the large spare back", func(t *testing.T) {
+		owner, _ := newOwner(t)
+		_, full := owner.Lease(nil)
+		arr := first(full)
+		full.Release()
+		_, point := owner.Lease([]FlowKey{flows[1]})
+		if first(point) != arr {
+			t.Fatal("a point Lease did not take the spare")
+		}
+		point.Release()
+		_, held := owner.Lease(nil)
+		if first(held) != arr {
+			t.Fatal("the spare a point Lease took did not come back")
+		}
+		// The spare is out, so a point Lease makes its own run; returned
+		// first, it waits as the spare until the larger run comes back.
+		_, small := owner.Lease([]FlowKey{flows[2]})
+		if first(small) == arr {
+			t.Fatal("a point Lease shares a run a held Lease indexes")
+		}
+		small.Release()
+		held.Release()
+		_, again := owner.Lease(nil)
+		if first(again) != arr {
+			t.Fatal("a smaller run returned displaced the larger spare")
+		}
+		again.Release()
+	})
+
+	t.Run("the spare keeps no replaced state alive", func(t *testing.T) {
+		owner, pkts := newOwner(t)
+		_, l := owner.Lease(nil)
+		f := flows[0]
+		replaced := weak.Make(owner.flows[f])
+		if err := owner.RecordBatch(pkts[f][40:41]); err != nil {
+			t.Fatal(err)
+		}
+		if owner.flows[f] == replaced.Value() {
+			t.Fatal("the owner wrote a held state in place")
+		}
+		l.Release()
+		if cap(owner.spare.run) < len(flows) {
+			t.Fatalf("the spare holds %d entries after Release, want the run back", cap(owner.spare.run))
+		}
+		runtime.GC()
+		runtime.GC()
+		if replaced.Value() != nil {
+			t.Fatal("a state only the released run pointed at is still reachable")
+		}
+		runtime.KeepAlive(owner) // and with it the spare
+	})
+}
+
+// TestAllFlowsWalksRunsInPlace pins the walk a full snapshot streams
+// from: over a view merged from several owners' Leases, AllFlows yields
+// Flows' keys in the same order, each already the entry find returns
+// without a search, and stops when the consumer does. A Recording that
+// records yields its sorted flows too.
+func TestAllFlowsWalksRunsInPlace(t *testing.T) {
+	eng, _, _ := testbenchPlan(t, 89)
+	view, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owners []*Recording
+	for o := range 3 {
+		owner, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := FlowKey(o + 1); f < 40; f += 3 {
+			if err := owner.RecordBatch(testbenchFlow(eng, f*7919, uint64(f), 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		owners = append(owners, owner)
+		leased, l := owner.Lease(nil)
+		defer l.Release()
+		if err := view.Merge(leased); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := view.Flows()
+	if len(want) != view.TrackedFlows() || !slices.IsSorted(want) {
+		t.Fatalf("Flows: %d keys of %d, sorted %v", len(want), view.TrackedFlows(), slices.IsSorted(want))
+	}
+	var got []FlowKey
+	for f := range view.AllFlows() {
+		if p := view.found.Load(); p == nil || p.key != f {
+			t.Fatalf("flow %v yielded before find would return it without a search", f)
+		}
+		got = append(got, f)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("AllFlows yields %v, want %v", got, want)
+	}
+	n := 0
+	for range view.AllFlows() {
+		if n++; n == 5 {
+			break
+		}
+	}
+	if n != 5 {
+		t.Fatalf("the walk yielded %d flows before the break, want 5", n)
+	}
+	for _, owner := range owners {
+		if got := slices.Collect(owner.AllFlows()); !slices.Equal(got, owner.Flows()) {
+			t.Fatalf("a Recording that records yields %v, want %v", got, owner.Flows())
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/coding"
@@ -44,6 +46,9 @@ type Recording struct {
 	// of its packets (recordRun), by the query's ordinal among the
 	// engine's path queries; unbound between runs.
 	decs []coding.Decoder
+	// spare takes back the runs of r's released Leases; made at r's first
+	// Lease, nil on a view.
+	spare *spareRun
 }
 
 // errView is what a write to a view returns.
@@ -248,17 +253,34 @@ func (r *Recording) TrackedFlows() int {
 
 // Flows returns every flow with live state in sorted key order, so
 // iterating a Recording's flows (reports, snapshot endpoints) is
-// deterministic. A Recording indexed by runs merges them, each already in
-// key order.
+// deterministic. On a view it collects AllFlows' walk.
 func (r *Recording) Flows() []FlowKey {
 	out := make([]FlowKey, 0, r.TrackedFlows())
-	if r.flows != nil {
-		for f := range r.flows {
-			out = append(out, f)
-		}
-		slices.Sort(out)
-		return out
+	if r.flows == nil {
+		return slices.AppendSeq(out, r.walk)
 	}
+	for f := range r.flows {
+		out = append(out, f)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// AllFlows yields the flows Flows lists, in the same order. A view walks
+// its runs in place, allocating nothing per flow, and makes each flow it
+// yields the one find returns without a search, so answering the flow
+// before the next is yielded costs no lookup; a Recording that records
+// yields the sorted list Flows makes.
+func (r *Recording) AllFlows() iter.Seq[FlowKey] {
+	if r.flows != nil {
+		return slices.Values(r.Flows())
+	}
+	return r.walk
+}
+
+// walk is AllFlows on a view: a merge of its runs, each already in key
+// order.
+func (r *Recording) walk(yield func(FlowKey) bool) {
 	next := make([]int, len(r.runs)) // each run's first flow not yet out
 	for {
 		low := -1
@@ -268,10 +290,14 @@ func (r *Recording) Flows() []FlowKey {
 			}
 		}
 		if low < 0 {
-			return out
+			return
 		}
-		out = append(out, r.runs[low].run[next[low]].key)
+		p := &r.runs[low].run[next[low]]
 		next[low]++
+		r.found.Store(p)
+		if !yield(p.key) {
+			return
+		}
 	}
 }
 
@@ -287,11 +313,13 @@ func (r *Recording) Clone() *Recording {
 }
 
 // Lease is a view's index and its claim on the flow states it shares: one
-// run of (flow, state) pairs in key order, 16 bytes a flow, filled in one
-// allocation when the view is taken. Each state in it counts a hold until
-// Release.
+// run of (flow, state) pairs in key order, 16 bytes a flow. Each state in
+// it counts a hold until Release, which gives the run back to the
+// Recording it came from: that Recording's next Lease fills it again, so a
+// warm view allocates no run.
 type Lease struct {
-	run []leased
+	run   []leased
+	spare *spareRun // where Release leaves run
 }
 
 // leased is one flow of a Lease's run.
@@ -312,8 +340,9 @@ type leased struct {
 // A view copies no flow. It shares each flow's state with r, which counts
 // a hold on the state; a held state is not written. r's next write to a
 // held flow first swaps in a private copy of that one flow (stateOf), so
-// a view costs 16 bytes of its run per flow, and each flow written while
-// it is held pays one copy. What the copy copies and what it shares
+// a view costs 16 bytes of its run per flow — none when r has a released
+// run large enough to refill — and each flow written while it is held
+// pays one copy. What the copy copies and what it shares
 // follows from how each piece of state changes. The flow's block — every
 // decoder's words, every latency store's inline tail — is bounded in size
 // and written in place, so the copy gets its own, and so does the slab of
@@ -330,14 +359,19 @@ func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
 	if r.flows == nil {
 		panic("core: Lease of a view")
 	}
-	l := &Lease{}
+	need := len(flows)
 	if flows == nil {
-		l.run = make([]leased, 0, len(r.flows))
+		need = len(r.flows)
+	}
+	if r.spare == nil {
+		r.spare = &spareRun{}
+	}
+	l := &Lease{run: r.spare.take(need), spare: r.spare}
+	if flows == nil {
 		for f, fs := range r.flows {
 			l.run = append(l.run, leased{f, fs})
 		}
 	} else {
-		l.run = make([]leased, 0, len(flows))
 		for _, f := range flows {
 			if fs := r.flows[f]; fs != nil {
 				l.run = append(l.run, leased{f, fs})
@@ -355,18 +389,55 @@ func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
 	return &Recording{engine: r.engine, runs: []*Lease{l}}, l
 }
 
+// spareRun keeps one Recording's spare run: the largest run its released
+// Leases gave back, all zero, for its next Lease to fill. Lease takes it
+// on the owner's goroutine and Release gives one back from any goroutine,
+// hence the mutex; recording never touches it.
+type spareRun struct {
+	mu  sync.Mutex
+	run []leased
+}
+
+// take returns an empty run with room for n flows: the spare when it is
+// large enough, otherwise a new one, leaving the spare to a larger Lease.
+func (s *spareRun) take(n int) []leased {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if run := s.run; cap(run) >= n {
+		s.run = nil
+		return run
+	}
+	return make([]leased, 0, n)
+}
+
+// put offers a zeroed run back; the larger of it and the spare is kept.
+func (s *spareRun) put(run []leased) {
+	s.mu.Lock()
+	if cap(run) > cap(s.run) {
+		s.run = run[:0]
+	}
+	s.mu.Unlock()
+}
+
 // Release gives the Lease's holds back, on any goroutine, once the view it
 // indexes and every view that merged it are no longer used. A state the
 // owner still has installed and nobody holds any more is the owner's alone
 // again, so its next write to it lands in place instead of in a copy.
-// Releasing a Lease twice does nothing the second time.
+// Releasing a Lease twice does nothing the second time: the Lease has let
+// go of its run, which may index another Lease by then.
 //
 // Only the owner's goroutine counts a hold up, and only before it hands
 // the view out; each decrement here follows the reader's last read of the
 // state, so the owner's load that sees the count at 0 is ordered after
 // every read.
+//
+// The run is zeroed, so it keeps no state the owner replaced alive, and
+// becomes its Recording's spare if it is the largest returned. Zeroing up
+// to its length zeroes the whole array: slices.CompactFunc zeroes what it
+// drops.
 func (l *Lease) Release() {
-	for _, p := range l.run {
+	run := l.run
+	for _, p := range run {
 		for h := &p.fs.holds; ; {
 			if n := h.Load(); n == maxHolds || h.CompareAndSwap(n, n-1) {
 				break
@@ -374,6 +445,8 @@ func (l *Lease) Release() {
 		}
 	}
 	l.run = nil
+	clear(run)
+	l.spare.put(run)
 }
 
 // Merge adopts every flow of the view o into r. The two must serve the

@@ -20,13 +20,15 @@ import "repro/internal/core"
 // same backing array, and a latency store's histogram is shared until the
 // copy's next fold, which counts into a copy of it. What is mutated in
 // place (path decoders still decoding) the copy gets its own. Taking a
-// snapshot therefore costs 16 bytes of run per flow it covers, never
-// anything in the packets the flows carried; and while it is held, the
-// worker pays one copy of each flow it records into.
+// snapshot therefore costs at most 16 bytes of run per flow it covers,
+// never anything in the packets the flows carried; and while it is held,
+// the worker pays one copy of each flow it records into.
 //
 // Close ends that cost: it releases each shard's lease on the caller's
 // goroutine, which makes every flow no other snapshot holds the worker's
-// alone again, to write in place. After Close the snapshot and the
+// alone again, to write in place, and gives the lease's run back to the
+// shard's Recording, whose next lease refills it: a snapshot whose flows
+// fit a closed one's run allocates none. After Close the snapshot and the
 // Recording Merged returned must not be used. A snapshot never closed
 // costs the worker what a held one does, for good.
 //
