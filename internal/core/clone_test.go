@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"weak"
 
 	"repro/internal/hash"
 )
@@ -1037,24 +1036,30 @@ func TestLeaseRunReuse(t *testing.T) {
 	t.Run("the spare keeps no replaced state alive", func(t *testing.T) {
 		owner, pkts := newOwner(t)
 		_, l := owner.Lease(nil)
+		arr := first(l)
 		f := flows[0]
-		replaced := weak.Make(owner.flows[f])
+		replaced := owner.flows[f]
 		if err := owner.RecordBatch(pkts[f][40:41]); err != nil {
 			t.Fatal(err)
 		}
-		if owner.flows[f] == replaced.Value() {
+		if owner.flows[f] == replaced {
 			t.Fatal("the owner wrote a held state in place")
 		}
+		if !slices.ContainsFunc(l.run, func(p leased) bool { return p.fs == replaced }) {
+			t.Fatal("the Lease's run does not point at the state the owner replaced")
+		}
 		l.Release()
-		if cap(owner.spare.run) < len(flows) {
-			t.Fatalf("the spare holds %d entries after Release, want the run back", cap(owner.spare.run))
+		spare := owner.spare.run
+		if cap(spare) < len(flows) || &spare[:1][0] != arr {
+			t.Fatalf("the spare holds %d entries after Release, want the released run back", cap(spare))
 		}
-		runtime.GC()
-		runtime.GC()
-		if replaced.Value() != nil {
-			t.Fatal("a state only the released run pointed at is still reachable")
+		// A spare that points at nothing keeps nothing alive, however long
+		// it waits for the next Lease.
+		for i, p := range spare[:cap(spare)] {
+			if p != (leased{}) {
+				t.Fatalf("spare entry %d still points at flow %v's state", i, p.key)
+			}
 		}
-		runtime.KeepAlive(owner) // and with it the spare
 	})
 }
 
