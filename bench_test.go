@@ -1,5 +1,6 @@
-// The one benchmark nothing else times: the scenario registry's wall
-// clock. It is not gated. Every layer's clock is a per-layer row of
+// The benchmarks nothing else times: the scenario registry's wall clock
+// and what a full garbage collection costs a collector per flow it holds.
+// Neither is gated. Every layer's clock is a per-layer row of
 // cmd/pintbench, read against BENCHMARK.json, and every zero-allocation
 // claim is a testing.AllocsPerRun test in the package that makes it.
 package repro
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/collector"
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -33,4 +36,35 @@ func BenchmarkScenarioRunner(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "s/catalog")
 		})
 	}
+}
+
+// BenchmarkFullGCWithFlows reports the wall time of a forced full
+// collection, in ns per flow, while one Recording holds 262,144 cold
+// 16-packet testbench flows (~100 MB of heap): the mark work a
+// collector's flow state costs every GC cycle.
+func BenchmarkFullGCWithFlows(b *testing.B) {
+	const flows, pkts = 1 << 18, 16
+	tb, err := collector.NewTestbench(1, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := core.NewRecording(tb.Engine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batch []core.PacketDigest
+	vals := make([]core.HopValues, pkts)
+	for f := range flows {
+		batch = tb.FlowBatch(1, f, pkts, batch, vals)
+		if err := rec.RecordBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.GC()
+	b.ResetTimer()
+	for range b.N {
+		runtime.GC()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/flows, "ns/flow")
+	runtime.KeepAlive(rec)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -399,8 +398,8 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 		// The test means something only if an append could land in
 		// shared memory: some origin series must have room to spare.
 		spare := false
-		for _, fs := range orig.flows {
-			for _, series := range fs.more.series {
+		for _, fs := range orig.states() {
+			for _, series := range fs.more().series {
 				spare = spare || cap(series) > len(series)
 			}
 		}
@@ -412,9 +411,9 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 		// which keeps the shared series as they are, spare capacity
 		// included.
 		for f := FlowKey(1); f <= nFlows; f++ {
-			shared := first.find(f)
+			shared, _ := first.find(f)
 			fs := orig.stateOf(f)
-			if fs == shared {
+			if fs.off == shared.off {
 				t.Fatalf("flow %d: a write would land in the state the view holds", f)
 			}
 			for s := range eng.places {
@@ -484,15 +483,15 @@ func TestHeldCloneRacesFold(t *testing.T) {
 	lat, reader, owner := raceHeldClones(t, heldRace{nFlows: 2, k: 2, prefix: 800, cont: 5120, step: 64})
 	for _, f := range reader.Flows() {
 		for hop := 1; hop <= reader.Hops(lat, f); hop++ {
-			if st, _ := reader.store(lat, f, hop); st.sum() == nil {
+			if st, _ := reader.storeOf(lat, f, hop); st.sum() == nil {
 				t.Fatalf("flow %d hop %d: the prefix folded none of its %d samples; the views share no histogram", f, hop, st.samples())
 			}
 		}
 	}
 	for _, f := range owner.Flows() {
 		for hop := 1; hop <= owner.Hops(lat, f); hop++ {
-			st, _ := owner.store(lat, f, hop)
-			if held, _ := reader.store(lat, f, hop); st.sum() == nil || st.sum() == held.sum() {
+			st, _ := owner.storeOf(lat, f, hop)
+			if held, _ := reader.storeOf(lat, f, hop); st.sum() == nil || st.sum() == held.sum() {
 				t.Errorf("owner flow %d hop %d: the clone's histogram after %d samples; the continuation did not fold into a copy",
 					f, hop, st.samples())
 			}
@@ -569,20 +568,21 @@ func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner 
 			view, l := owner.Lease(nil)
 			leased <- lease{view, l, off / s.step}
 			// Every other step waits for the lease to come back, through the
-			// hold counts alone, as stateOf reads them: the owner then
+			// hold counts alone, as the owner's write reads them: the owner then
 			// writes the states only that lease held in place.
 			inPlace := off/s.step%2 == 1
-			before := maps.Clone(owner.flows)
-			for _, fs := range before {
-				for inPlace && fs.holds.Load() != 0 {
+			before := map[FlowKey]uint32{}
+			for f, fs := range owner.states() {
+				before[f] = fs.off
+				for inPlace && holds(fs.w) != 0 {
 					runtime.Gosched()
 				}
 			}
 			if err := owner.RecordBatch(cont[off : off+s.step]); err != nil {
 				t.Error(err)
 			}
-			for f, fs := range before {
-				if inPlace && owner.flows[f] != fs {
+			for f, was := range before {
+				if inPlace && owner.blockOf(f) != was {
 					t.Errorf("step %d flow %d: written through a copy after its lease came back", off/s.step, f)
 				}
 			}
@@ -658,9 +658,9 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 // Clones, releases and writes, and after each step requires the state
 // installed in the owner to be private exactly when nobody holds it: the
 // owner's next write then lands in place, and before that it copies. A
-// Clone holds for good. A state the owner replaced — by writing through a
+// Clone holds for good. A block the owner replaced — by writing through a
 // copy, or by evicting the flow and importing it again under the same key
-// — is never written again, whatever is released.
+// — is not written while a lease holds it.
 func TestLeaseHoldCount(t *testing.T) {
 	const flow = FlowKey(1)
 	eng, path, lat := testbenchPlan(t, 71)
@@ -702,11 +702,11 @@ func TestLeaseHoldCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			leases := map[string]*Lease{}
-			// States the owner no longer holds installed, and their words
-			// when it replaced them.
-			replaced := map[*flowState][]uint64{}
+			// Blocks the owner no longer has installed, and their words when
+			// it replaced them.
+			replaced := map[uint32][]uint64{}
 			for i, s := range tc.steps {
-				was := owner.flows[flow]
+				was, _ := owner.find(flow)
 				switch s.op {
 				case "lease":
 					_, leases[s.name] = owner.Lease(nil)
@@ -728,16 +728,18 @@ func TestLeaseHoldCount(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				fs := owner.flows[flow]
-				if fs != was {
-					replaced[was] = slices.Clone(was.words)
+				fs, _ := owner.find(flow)
+				if fs.off != was.off {
+					replaced[was.off] = slices.Clone(was.w)
 				}
-				if held := fs.holds.Load() != 0; held == s.private {
+				if held := holds(fs.w) != 0; held == s.private {
 					t.Fatalf("step %d (%s %s): installed state held=%v, want %v", i, s.op, s.name, held, !s.private)
 				}
 				for old, words := range replaced {
-					if !slices.Equal(old.words, words) {
-						t.Fatalf("step %d (%s %s): a state the owner replaced was written", i, s.op, s.name)
+					if owner.holdsAt(old) == 0 {
+						delete(replaced, old) // free to reuse
+					} else if !slices.Equal(owner.flows.block(old)[hdrK:], words[hdrK:]) {
+						t.Fatalf("step %d (%s %s): a held block the owner replaced was written", i, s.op, s.name)
 					}
 				}
 			}
@@ -847,8 +849,8 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 			if err := probe.RecordBatch(stream[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
-			fs := probe.find(f)
-			stored := fs.slabs != nil && len(fs.slabs[0]) > 0
+			fs, _ := probe.find(f)
+			stored := len(fs.slab(0)) > 0
 			if done := probe.PathDecoder(path, f).Done(); stored && !done && peeling == 0 {
 				peeling = i + 1
 			} else if done && peeling > 0 {
@@ -870,15 +872,15 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 		clone := rec.Clone()
-		orig := rec.find(flow)
+		orig, _ := rec.find(flow)
 		mine := rec.stateOf(flow)
-		if mine == orig {
+		if mine.off == orig.off {
 			t.Fatalf("%s: a shared flow was written in place", c.name)
 		}
-		if &mine.words[0] == &orig.words[0] {
+		if &mine.w[0] == &orig.w[0] {
 			t.Errorf("%s: the private copy shares the block's words", c.name)
 		}
-		if got := &mine.slabs[0][0] == &orig.slabs[0][0]; got != c.shared {
+		if got := &mine.slab(0)[0] == &orig.slab(0)[0]; got != c.shared {
 			t.Errorf("%s: slab shared %v, want %v", c.name, got, c.shared)
 		}
 		if err := control.RecordBatch(pkts[:c.prefix]); err != nil {
@@ -946,8 +948,8 @@ func TestPathDecoderIsACopy(t *testing.T) {
 // second time, after its run already indexes another Lease, gives back
 // none of that Lease's holds. A point Lease that took a large spare
 // returns it, a smaller run returned does not displace a larger spare,
-// and a state the owner replaced while a Lease held it, which only that
-// Lease's run still pointed at, is not kept alive by the spare.
+// and a block the owner replaced while a Lease held it, which only that
+// Lease's run still pointed at, is not kept from reuse by the spare.
 func TestLeaseRunReuse(t *testing.T) {
 	eng, path, lat := testbenchPlan(t, 83)
 	queries := []Query{path, lat}
@@ -980,16 +982,16 @@ func TestLeaseRunReuse(t *testing.T) {
 		want := recordingState(t, view, queries)
 		a.Release()
 		for _, f := range flows {
-			if n := owner.flows[f].holds.Load(); n != 1 {
+			if n := owner.holdsAt(owner.blockOf(f)); n != 1 {
 				t.Fatalf("flow %v: %d holds after the first Lease was released again, want 1 (the second Lease's)", f, n)
 			}
 		}
 		for _, f := range flows {
-			was := owner.flows[f]
+			was := owner.blockOf(f)
 			if err := owner.RecordBatch(pkts[f][40:42]); err != nil {
 				t.Fatal(err)
 			}
-			if owner.flows[f] == was {
+			if owner.blockOf(f) == was {
 				t.Fatalf("flow %v: the owner wrote a state the second Lease holds in place", f)
 			}
 		}
@@ -998,7 +1000,7 @@ func TestLeaseRunReuse(t *testing.T) {
 		}
 		b.Release()
 		for _, f := range flows {
-			if n := owner.flows[f].holds.Load(); n != 0 {
+			if n := owner.holdsAt(owner.blockOf(f)); n != 0 {
 				t.Fatalf("flow %v: %d holds after every Lease was released", f, n)
 			}
 		}
@@ -1038,27 +1040,33 @@ func TestLeaseRunReuse(t *testing.T) {
 		_, l := owner.Lease(nil)
 		arr := first(l)
 		f := flows[0]
-		replaced := owner.flows[f]
+		replaced := owner.blockOf(f)
 		if err := owner.RecordBatch(pkts[f][40:41]); err != nil {
 			t.Fatal(err)
 		}
-		if owner.flows[f] == replaced {
+		if owner.blockOf(f) == replaced {
 			t.Fatal("the owner wrote a held state in place")
 		}
-		if !slices.ContainsFunc(l.run, func(p leased) bool { return p.fs == replaced }) {
-			t.Fatal("the Lease's run does not point at the state the owner replaced")
+		if !slices.ContainsFunc(l.run, func(p leased) bool { return p.off == replaced }) {
+			t.Fatal("the Lease's run does not point at the block the owner replaced")
 		}
 		l.Release()
 		spare := owner.spare.run
 		if cap(spare) < len(flows) || &spare[:1][0] != arr {
 			t.Fatalf("the spare holds %d entries after Release, want the released run back", cap(spare))
 		}
-		// A spare that points at nothing keeps nothing alive, however long
-		// it waits for the next Lease.
+		// A spare that points at nothing holds nothing, however long it
+		// waits for the next Lease: the next batch reuses the replaced block.
 		for i, p := range spare[:cap(spare)] {
 			if p != (leased{}) {
 				t.Fatalf("spare entry %d still points at flow %v's state", i, p.key)
 			}
+		}
+		if err := owner.RecordBatch(testbenchFlow(eng, 99, 99, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if owner.blockOf(99) != replaced {
+			t.Fatal("a new flow did not reuse the block the released Lease held")
 		}
 	})
 }
@@ -1098,7 +1106,7 @@ func TestAllFlowsWalksRunsInPlace(t *testing.T) {
 	}
 	var got []FlowKey
 	for f := range view.AllFlows() {
-		if p := view.found.Load(); p == nil || p.key != f {
+		if p := view.found.Load(); p == 0 || view.runs[p>>32-1].run[uint32(p)].key != f {
 			t.Fatalf("flow %v yielded before find would return it without a search", f)
 		}
 		got = append(got, f)

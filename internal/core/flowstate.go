@@ -3,50 +3,25 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/coding"
 	"repro/internal/sketch"
 )
 
-// flowState is what the Recording holds for one flow: a header and one
-// block of words laid out for the flow's path length when its first packet
-// arrives. The block is pointer-free and holds every query's fixed-size
-// state — a path query's decoder words, a latency query's per-hop inline
-// tails — at the place the engine gives the query (Engine.places). What
-// only some flows need hangs off the header and is allocated when first
-// needed: a decoder's slab of stored packets, a latency store's histogram,
-// a util series. coding.Decoder and latStore are views the
-// Recording binds over these: a path decoder for a run of the flow's
-// packets (Recording.recordRun) or one answer, a latency store, on the
-// stack, for one packet or one answer. A cold testbench flow is the
-// header and the block.
+// flowState is a handle on what a Recording holds for one flow: a
+// pointer-free block in its arena (see arena), laid out for the flow's
+// path length, with every query's fixed-size state — decoder words,
+// latency tails — at its place (Engine.places), and a side entry, made
+// when first needed, for a decoder's slab, a histogram or a util series.
+// coding.Decoder and latStore are views bound over these, for a run of
+// packets (Recording.recordRun) or one answer. A cold testbench flow is
+// its block.
 type flowState struct {
-	// k is the path length of the flow's first recorded packet. Every
-	// per-hop state is sized by it, whichever packet first reaches the
-	// query, so a route that shortens mid-flow (§7) leaves the later hops
-	// empty instead of giving the queries different hop counts. 0 until a
-	// packet arrives (a restored flow with no per-hop state). An int16,
-	// which keeps the header's first word for k and holds: the wire and the
-	// decoders stop at 64 hops.
-	k int16
-	// holds counts the leases on the state not yet released (see Lease).
-	// While it is not 0 nobody writes to the state: the owner swaps in a
-	// private copy first (stateOf). The owner counts up, on its goroutine;
-	// a lease counts down on any (Lease.Release). maxHolds is a count that
-	// stays: such a state is shared for good.
-	holds atomic.Uint32
-	// words is the block: a bit per query, set once the query has state
-	// for the flow (started), then each query's words (Engine.places).
-	words []uint64
-	// slabs holds each path query's stored packets (coding.Decoder.Slab)
-	// by the query's ordinal among the engine's path queries: nil until a
-	// decoder stores a packet.
-	slabs [][]uint64
-	// more is nil until a latency store takes a histogram, or a util query
-	// a series.
-	more *flowMore
+	w   []uint64 // the block
+	ps  *pageSet // where its side entry is
+	a   *arena   // the arena that writes it; nil on a view
+	off uint32   // the block's offset
 }
 
 // flowMore is the per-flow state outside the block that only some flows
@@ -64,7 +39,7 @@ const maxHolds = math.MaxUint32
 
 // slotPlace is where one compiled query keeps its state in every flow: its
 // kind, its words in a k-hop flow's block from base+perHop*k on, its
-// ordinal among the engine's queries of its kind (flowState.slabs,
+// ordinal among the engine's queries of its kind (the side entry's slabs,
 // flowMore), and a path query's decode plan.
 type slotPlace struct {
 	kind         opKind
@@ -76,13 +51,13 @@ type slotPlace struct {
 // at returns the place's first word in a k-hop flow's block.
 func (pl *slotPlace) at(k int) int { return pl.base + pl.perHop*k }
 
-// layOut places every query's state in a flow's block: the started bits
-// first, then each query in slot order. A path query's decoder words are a
-// fixed part and a part per hop (coding.Plan.Words), a latency query's are
+// layOut places every query's state in a flow's block: the header first,
+// then each query in slot order. A path query's decoder words are a fixed
+// part and a part per hop (coding.Plan.Words), a latency query's are
 // tailWords per hop, a util query's are none.
 func (e *Engine) layOut(queries []Query) {
 	e.places = make([]slotPlace, len(queries))
-	e.blockBase = (len(queries) + 63) / 64
+	e.blockBase = headerWords(len(queries))
 	for i, q := range queries {
 		pl := &e.places[i]
 		switch q := q.(type) {
@@ -102,70 +77,96 @@ func (e *Engine) layOut(queries []Query) {
 	}
 }
 
-// newBlock allocates a k-hop flow's block, keeping the started bits of
-// old, a block laid out for another k.
-func (e *Engine) newBlock(k int, old []uint64) []uint64 {
-	words := make([]uint64, e.blockBase+e.blockPerHop*k)
-	copy(words, old[:min(len(old), (len(e.places)+63)/64)])
-	return words
-}
+// k is the path length of the flow's first recorded packet, which sizes
+// every per-hop state, so a route that shortens mid-flow (§7) leaves the
+// later hops empty; 0 for a restored flow with no per-hop state, at most
+// math.MaxInt16 (the wire and the decoders stop at 64).
+func (fs *flowState) k() int { return int(fs.w[hdrK] & (1<<kBits - 1)) }
 
 // started reports whether query slot i has state for the flow.
 func (fs *flowState) started(i int) bool {
-	return fs.words != nil && fs.words[i/64]>>uint(i%64)&1 != 0
+	b := kBits + i
+	return fs.w[hdrK+b/64]>>uint(b%64)&1 != 0
 }
 
 // start marks query slot i as having state for the flow.
-func (fs *flowState) start(i int) { fs.words[i/64] |= 1 << uint(i%64) }
+func (fs *flowState) start(i int) {
+	b := kBits + i
+	fs.w[hdrK+b/64] |= 1 << uint(b%64)
+}
+
+// sideOf is a block's side index+1, 0 for none.
+func sideOf(w []uint64) int { return int(atomic.LoadUint64(&w[hdrHolds]) >> 32) }
+
+func (fs *flowState) side() int { return sideOf(fs.w) }
+
+// ensureSide returns the side index+1, making a side entry if there is
+// none: only the owner, on a block no lease holds.
+func (fs *flowState) ensureSide() int {
+	s := fs.side()
+	if s == 0 {
+		s = fs.a.newSide()
+		atomic.StoreUint64(&fs.w[hdrHolds], uint64(s)<<32)
+	}
+	return s
+}
+
+// slab returns a path query's stored packets, by its ordinal.
+func (fs *flowState) slab(ord int) []uint64 {
+	if s := fs.side(); s != 0 {
+		return fs.ps.slabsOf(s)[ord]
+	}
+	return nil
+}
 
 // bindDecoder binds dec as a view of a path query's decoder over the
 // flow's words. The flow's k must be at most coding.MaxPathLen.
 func (fs *flowState) bindDecoder(dec *coding.Decoder, pl *slotPlace) {
-	k := int(fs.k)
-	var slab []uint64
-	if fs.slabs != nil {
-		slab = fs.slabs[pl.ord]
-	}
-	pl.plan.Bind(dec, k, fs.words[pl.at(k):], slab)
+	k := fs.k()
+	pl.plan.Bind(dec, k, fs.w[pl.at(k):], fs.slab(pl.ord))
 }
 
 // keepSlab stores what a decoder view left in its slab, which only ever
 // grows.
-func (fs *flowState) keepSlab(e *Engine, pl *slotPlace, slab []uint64) {
-	switch {
-	case fs.slabs != nil && len(fs.slabs[pl.ord]) == len(slab):
-		return
-	case fs.slabs == nil && len(slab) == 0:
-		return
-	case fs.slabs == nil:
-		fs.slabs = make([][]uint64, e.kinds[opPath])
+func (fs *flowState) keepSlab(pl *slotPlace, slab []uint64) {
+	if len(fs.slab(pl.ord)) != len(slab) {
+		fs.ps.slabsOf(fs.ensureSide())[pl.ord] = slab
 	}
-	fs.slabs[pl.ord] = slab
 }
 
 // store binds a view of a latency query's store for hop (1-based) over
 // the flow's words.
 func (fs *flowState) store(e *Engine, pl *slotPlace, hop int) latStore {
-	k := int(fs.k)
+	k := fs.k()
 	at := pl.at(k) + (hop-1)*tailWords
-	return latStore{t: (*[tailWords]uint64)(fs.words[at:]), fs: fs,
+	return latStore{t: (*[tailWords]uint64)(fs.w[at:]), fs: fs,
 		at: pl.ord*k + hop - 1, n: e.kinds[opLatency] * k}
 }
 
-// lazy returns the flow's flowMore, allocated at first use.
-func (fs *flowState) lazy() *flowMore {
-	if fs.more == nil {
-		fs.more = &flowMore{}
+// more returns the flow's flowMore, nil before it needs one.
+func (fs *flowState) more() *flowMore {
+	if s := fs.side(); s != 0 && s <= len(fs.ps.more) {
+		return fs.ps.more[s-1]
 	}
-	return fs.more
+	return nil
+}
+
+// lazy returns the flow's flowMore, made at first use.
+func (fs *flowState) lazy() *flowMore {
+	m := fs.more()
+	if m == nil {
+		m = &flowMore{}
+		fs.a.setMore(fs.ensureSide(), m)
+	}
+	return m
 }
 
 // series returns a util query's values.
 func (fs *flowState) series(pl *slotPlace) []float64 {
-	if fs.more == nil || fs.more.series == nil {
-		return nil
+	if m := fs.more(); m != nil && m.series != nil {
+		return m.series[pl.ord]
 	}
-	return fs.more.series[pl.ord]
+	return nil
 }
 
 // setSeries stores a util query's values.
@@ -175,34 +176,6 @@ func (fs *flowState) setSeries(e *Engine, pl *slotPlace, s []float64) {
 		m.series = make([][]float64, e.kinds[opUtil])
 	}
 	m.series[pl.ord] = s
-}
-
-// unshare returns a private copy of a held fs for its owner to write to
-// (see Recording.Lease for what is copied and what is shared).
-func (fs *flowState) unshare(e *Engine) *flowState {
-	c := &flowState{k: fs.k, words: slices.Clone(fs.words), slabs: slices.Clone(fs.slabs)}
-	if fs.more != nil {
-		c.more = &flowMore{sums: slices.Clone(fs.more.sums), series: slices.Clone(fs.more.series)}
-	}
-	for i := range e.places {
-		pl := &e.places[i]
-		if !c.started(i) {
-			continue
-		}
-		switch pl.kind {
-		case opPath:
-			// A finished decoder never writes its slab again.
-			var dec coding.Decoder
-			if c.bindDecoder(&dec, pl); !dec.Done() && c.slabs != nil {
-				c.slabs[pl.ord] = slices.Clone(c.slabs[pl.ord])
-			}
-		case opLatency:
-			for hop := 1; hop <= int(c.k); hop++ {
-				c.store(e, pl, hop).t[0] |= markShared
-			}
-		}
-	}
-	return c
 }
 
 // latStore is a view of one (flow, hop)'s latency samples, counted. A
@@ -230,10 +203,10 @@ type latStore struct {
 
 // latSum is what a store keeps outside the block: the code counts of the
 // samples folded out of its tail, for the codes
-// lo..lo+len(counts)-1, the lowest and highest it has counted; 64-bit, as a
-// long flow's hop may see 2^32 of one code.
+// lo..lo+len(counts)-1, the lowest and highest it has counted; 64-bit on
+// every platform, as a long flow's hop may see 2^32 of one code.
 type latSum struct {
-	n      int // samples counted in counts
+	n      uint64 // samples counted in counts
 	lo     int
 	counts []uint64
 }
@@ -241,7 +214,7 @@ type latSum struct {
 // latTail is the counters in a store's inline tail, as many as fill
 // tailWords words beside lo and the mark, and tailClosed the lo of a closed
 // tail. markShared is the shared mark's bit in word 0: set on every store
-// of a held flow state's copy (flowState.unshare) and cleared by the fold
+// of a held flow state's copy (arena.unshare) and cleared by the fold
 // into a histogram of its own.
 const (
 	latTail, tailWords, tailClosed = 29, 4, 1 << 8
@@ -284,7 +257,7 @@ func (st latStore) setTail(lo int, tail [latTail]uint8) {
 
 // sum returns the store's latSum, nil for a store that has not folded.
 func (st latStore) sum() *latSum {
-	if m := st.fs.more; m != nil && m.sums != nil {
+	if m := st.fs.more(); m != nil && m.sums != nil {
 		return m.sums[st.at]
 	}
 	return nil
@@ -302,7 +275,7 @@ func (st latStore) setSum(s *latSum) {
 // samples is the number of samples the store has taken: those in
 // its histogram and those in its tail, whose counters each word sums in
 // place (bytes into 16-bit lanes, lanes by a multiply).
-func (st latStore) samples() (n int) {
+func (st latStore) samples() (n uint64) {
 	if sum := st.sum(); sum != nil {
 		n = sum.n
 	}
@@ -311,7 +284,7 @@ func (st latStore) samples() (n int) {
 			w &^= 1<<24 - 1 // lo and the mark
 		}
 		w = w&0x00FF00FF00FF00FF + w>>8&0x00FF00FF00FF00FF
-		n += int(w * 0x0001000100010001 >> 48)
+		n += w * 0x0001000100010001 >> 48
 	}
 	return n
 }
@@ -396,7 +369,7 @@ func (st latStore) fold() {
 	for j, c := range st.tail() {
 		if c != 0 {
 			sum.counts[at+j-sum.lo] += uint64(c)
-			sum.n += int(c)
+			sum.n += uint64(c)
 		}
 	}
 	st.t[0] &^= markShared
@@ -413,8 +386,8 @@ func (st latStore) countQuantiles(phis, out []float64) {
 	for i, phi := range phis {
 		// The code at sorted index rank is the first whose cumulative
 		// count exceeds rank.
-		rank, code := sketch.RankIndex(phi, n), 0
-		for seen := int(hist[0]); seen <= rank; seen += int(hist[code]) {
+		rank, code := rankIndex(phi, n), 0
+		for seen := hist[0]; seen <= rank; seen += hist[code] {
 			code++
 		}
 		out[i] = float64(code)
@@ -423,7 +396,7 @@ func (st latStore) countQuantiles(phis, out []float64) {
 
 // countInto adds the store's histogram and tail to hist and
 // returns how many samples it added.
-func (st latStore) countInto(hist *[1 << 8]uint64) (n int) {
+func (st latStore) countInto(hist *[1 << 8]uint64) (n uint64) {
 	if sum := st.sum(); sum != nil {
 		for i, c := range sum.counts {
 			hist[sum.lo+i] += c
@@ -434,8 +407,22 @@ func (st latStore) countInto(hist *[1 << 8]uint64) (n int) {
 	for j, c := range st.tail() {
 		if c != 0 {
 			hist[at+j] += uint64(c)
-			n += int(c)
+			n += uint64(c)
 		}
 	}
 	return n
+}
+
+// rankIndex is sketch.RankIndex for a count of n samples, which may pass
+// math.MaxInt on a 32-bit platform.
+func rankIndex(phi float64, n uint64) uint64 {
+	switch {
+	case n <= math.MaxInt:
+		return uint64(sketch.RankIndex(phi, int(n)))
+	case phi >= 1:
+		return n - 1
+	case phi*float64(n) >= 1:
+		return uint64(math.Ceil(phi*float64(n))) - 1
+	}
+	return 0
 }

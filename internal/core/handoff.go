@@ -95,8 +95,8 @@ func sectionKind(q Query) byte {
 // bytes independent of how its tail and histogram split its samples; an
 // empty one travels raw, as a count of 0.
 func appendLatStores(dst []byte, e *Engine, fs *flowState, pl *slotPlace) []byte {
-	dst = binary.AppendUvarint(dst, uint64(fs.k))
-	for hop := 1; hop <= int(fs.k); hop++ {
+	dst = binary.AppendUvarint(dst, uint64(fs.k()))
+	for hop := 1; hop <= fs.k(); hop++ {
 		if st := fs.store(e, pl, hop); st.samples() > 0 {
 			dst = appendHist(dst, st)
 		} else {
@@ -131,8 +131,8 @@ func appendHist(dst []byte, st latStore) []byte {
 // queries with no state for the flow are skipped). The flow must be
 // tracked.
 func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) ([]byte, error) {
-	fs := r.find(flow)
-	if fs == nil {
+	fs, ok := r.find(flow)
+	if !ok {
 		return dst, fmt.Errorf("core: flow %d is not tracked", flow)
 	}
 	dst = append(dst, flowStateVersion)
@@ -164,7 +164,7 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 			fs.bindDecoder(&dec, pl)
 			dst = dec.AppendState(dst)
 		case opLatency:
-			dst = appendLatStores(dst, r.engine, fs, pl)
+			dst = appendLatStores(dst, r.engine, &fs, pl)
 		default:
 			dst = appendFloatSeries(dst, fs.series(pl))
 		}
@@ -183,16 +183,24 @@ func (r *Recording) AppendFlowState(dst []byte, queries []Query, flow FlowKey) (
 // already tracks (a flow's state must never split across two recordings)
 // and a blob no Recording of this plan could have produced are errors
 // that leave r untouched.
-func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte) error {
-	if r.flows == nil {
+func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte) (err error) {
+	if !r.records() {
 		return errView
 	}
 	byName := make(map[string]int, len(queries))
 	for i, q := range queries {
 		byName[q.Name()] = i
 	}
-	e := r.engine
-	fs := &flowState{words: e.newBlock(0, nil)}
+	e, a := r.engine, r.own()
+	// The flow is built in a block of its own, which joins the table last
+	// or, on an error, is freed.
+	off, w := a.cut(flow, e.blockWords(0))
+	fs := &flowState{w: w, ps: &a.pageSet, a: a, off: off}
+	defer func() {
+		if err != nil {
+			a.drop(fs.off)
+		}
+	}()
 	rd := stateread.New(flowStateWhat, data)
 	if v := rd.Uvarint(); rd.Err == nil && v != flowStateVersion {
 		return fmt.Errorf("core: flow state version %d (have %d)", v, flowStateVersion)
@@ -230,7 +238,6 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 			return fmt.Errorf("core: query %q: section kind %d, want %d", name, kind, want)
 		}
 		pl := &e.places[si]
-		var err error
 		switch q := q.(type) {
 		case *PathQuery:
 			err = restoreDecoder(fs, e, pl, flow, payload)
@@ -253,23 +260,22 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	if r.HasFlow(flow) {
 		return fmt.Errorf("core: merge would duplicate flow %v", flow)
 	}
-	r.flows[flow] = fs
+	a.insert(fs.off)
 	return nil
 }
 
 // sizeFlow checks that a per-hop section states the flow's path length:
 // the first one to state a hop count restores it (see flowState.k) and
 // lays out the flow's block for it. No recording writes state for 0 hops.
-func sizeFlow(fs *flowState, e *Engine, flow FlowKey, hops int) error {
+func sizeFlow(fs *flowState, flow FlowKey, hops int) error {
 	if hops < 1 {
 		return fmt.Errorf("core: flow %d: state for %d hops, a path length no recording takes", flow, hops)
 	}
-	if fs.k == 0 && hops <= math.MaxInt16 {
-		fs.k = int16(hops)
-		fs.words = e.newBlock(hops, fs.words)
+	if fs.k() == 0 && hops <= math.MaxInt16 {
+		fs.a.move(fs, hops)
 	}
-	if hops != int(fs.k) {
-		return fmt.Errorf("core: flow %d: state for %d hops, the flow's path length is %d", flow, hops, fs.k)
+	if hops != fs.k() {
+		return fmt.Errorf("core: flow %d: state for %d hops, the flow's path length is %d", flow, hops, fs.k())
 	}
 	return nil
 }
@@ -283,7 +289,7 @@ func restoreDecoder(fs *flowState, e *Engine, pl *slotPlace, flow FlowKey, paylo
 	if k > coding.MaxPathLen {
 		return fmt.Errorf("core: flow %d: path length %d out of [1,%d]", flow, k, coding.MaxPathLen)
 	}
-	if err := sizeFlow(fs, e, flow, k); err != nil {
+	if err := sizeFlow(fs, flow, k); err != nil {
 		return err
 	}
 	var dec coding.Decoder
@@ -291,7 +297,7 @@ func restoreDecoder(fs *flowState, e *Engine, pl *slotPlace, flow FlowKey, paylo
 	if err := dec.RestoreState(payload); err != nil {
 		return err
 	}
-	fs.keepSlab(e, pl, dec.Slab())
+	fs.keepSlab(pl, dec.Slab())
 	return nil
 }
 
@@ -307,7 +313,7 @@ func restoreLatStores(fs *flowState, e *Engine, pl *slotPlace, q *LatencyQuery, 
 	if n > uint64(rd.Len())+1 {
 		return fmt.Errorf("core: latency section claims %d stores", n)
 	}
-	if err := sizeFlow(fs, e, flow, int(n)); err != nil {
+	if err := sizeFlow(fs, flow, int(n)); err != nil {
 		return err
 	}
 	for hop := 1; hop <= int(n); hop++ {
@@ -361,11 +367,11 @@ func restoreHist(rd *stateread.Reader, q *LatencyQuery, flow FlowKey, hop int) (
 	sum := &latSum{lo: int(lo), counts: make([]uint64, span)}
 	for j := range sum.counts {
 		c := rd.Uvarint()
-		if c > maxLatSamples-uint64(sum.n) {
+		if c > maxLatSamples-sum.n {
 			return nil, fmt.Errorf("core: flow %d hop %d: latency histogram counts more than 2^62 samples", flow, hop)
 		}
 		sum.counts[j] = c
-		sum.n += int(c)
+		sum.n += c
 	}
 	switch {
 	case rd.Err != nil:

@@ -455,7 +455,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 		if err := rec.RestoreFlowState(queries, flow, oneStore(lat, histStore(10, counts...))); err != nil {
 			t.Fatal(err)
 		}
-		st, _ := rec.store(lat, flow, 1)
+		st, _ := rec.storeOf(lat, flow, 1)
 		return rec, st
 	}
 	rec, st := restore(math.MaxUint32, 1)
@@ -465,7 +465,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	if got, want := st.sum().counts[0], uint64(math.MaxUint32)+math.MaxUint8; got != want {
 		t.Fatalf("code 10 counted %d times, want %d", got, want)
 	}
-	if got, want := rec.LatencySamples(lat, flow, 1), math.MaxUint32+1+math.MaxUint8+1; got != want {
+	if got, want := uint64(rec.LatencySamples(lat, flow, 1)), min(math.MaxUint32+1+math.MaxUint8+1, uint64(math.MaxInt)); got != want {
 		t.Fatalf("%d samples, want %d", got, want)
 	}
 	codes := make([]float64, 3)
@@ -480,7 +480,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 		st.add(11)
 	}
 	// No tail fits: a full one could pass the cap.
-	if got := maxLatSamples - uint64(st.samples()); got != short {
+	if got := maxLatSamples - st.samples(); got != short {
 		t.Fatalf("a store restored %d samples short of maxLatSamples ends %d short of it", short, got)
 	}
 	blob, err := rec.AppendFlowState(nil, queries, flow)
@@ -672,8 +672,8 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	}
 	// The restored flow keeps its path length: a query it reaches only now
 	// is sized like the rest.
-	if dst.flows[flow].k != 6 {
-		t.Errorf("restored path length %d, want 6", dst.flows[flow].k)
+	if fs, _ := dst.find(flow); fs.k() != 6 {
+		t.Errorf("restored path length %d, want 6", fs.k())
 	}
 }
 

@@ -30,18 +30,19 @@ import (
 // every write.
 type Recording struct {
 	engine *Engine
-	// flows indexes the whole per-flow state of a Recording that records,
+	// flows holds the whole per-flow state of a Recording that records,
 	// flow-major: one lookup reaches everything a packet touches. It is nil
-	// on a view (Lease), which only reads.
-	flows map[FlowKey]*flowState
+	// until the first write, and on a view (Lease), which only reads.
+	flows *arena
 	// runs index a view: the leases whose flow states it reads, its own
 	// and those of every view it merged, disjoint and at most one per shard,
-	// searched in turn.
+	// searched in turn. It is nil on a Recording that records.
 	runs []*Lease
-	// found is the run entry find returned last: an answer looks a flow up
-	// a dozen times, and only the first searches the runs. Concurrent
-	// readers may all set it, hence atomic.
-	found atomic.Pointer[leased]
+	// found is the run entry find returned last, as its run's index+1 in
+	// runs above 32 bits and its index in the run below, 0 for none: an
+	// answer looks a flow up a dozen times, and only the first searches the
+	// runs. Concurrent readers may all set it, hence atomic.
+	found atomic.Uint64
 	// decs holds the path decoders bound over one flow's block for a run
 	// of its packets (recordRun), by the query's ordinal among the
 	// engine's path queries; unbound between runs.
@@ -59,7 +60,18 @@ func NewRecording(engine *Engine) (*Recording, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("core: nil engine")
 	}
-	return &Recording{engine: engine, flows: map[FlowKey]*flowState{}}, nil
+	return &Recording{engine: engine}, nil
+}
+
+// records reports whether r records, rather than being a view.
+func (r *Recording) records() bool { return r.runs == nil }
+
+// own returns r's arena, made at its first write.
+func (r *Recording) own() *arena {
+	if r.flows == nil {
+		r.flows = &arena{pageSet: pageSet{e: r.engine}}
+	}
+	return r.flows
 }
 
 // NewRecordingSeeded is NewRecording for a caller that still passes a
@@ -91,19 +103,25 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 // queries have all seen its flow before allocates only when a store needs
 // room: a latency store counts in place and allocates only when it folds
 // its tail into a new, widened or shared histogram (latStore.fold), a util
-// series grows by append. A new flow is its header and its block (flowState); a flow a
+// series grows by append. A new flow is its block in r's arena; a flow a
 // view holds is copied once, at its first packet after the Lease
-// (stateOf).
+// (arena.writable), and a block the Lease no longer holds is reused.
 func (r *Recording) RecordBatch(batch []PacketDigest) error {
-	if r.flows == nil {
+	if !r.records() {
 		return errView
 	}
+	a := r.own()
+	r.reclaim()
 	for len(batch) > 0 {
 		n := 1
 		for n < len(batch) && batch[n].Flow == batch[0].Flow {
 			n++
 		}
-		if err := r.recordRun(r.stateOf(batch[0].Flow), batch[:n]); err != nil {
+		fs, err := a.writable(batch[0].Flow, batch[0].PathLen)
+		if err == nil {
+			err = r.recordRun(&fs, batch[:n])
+		}
+		if err != nil {
 			return err
 		}
 		batch = batch[n:]
@@ -111,32 +129,26 @@ func (r *Recording) RecordBatch(batch []PacketDigest) error {
 	return nil
 }
 
-// stateOf returns flow's state ready to write to: started if the flow is
-// new, and swapped for a private copy if a lease holds it. Every write
-// goes through here.
-func (r *Recording) stateOf(flow FlowKey) *flowState {
-	fs := r.flows[flow]
-	switch {
-	case fs == nil:
-		fs = &flowState{}
-	case fs.holds.Load() != 0:
-		fs = fs.unshare(r.engine)
-	default:
-		return fs
+// reclaim frees the blocks r retired while leases held them, once a
+// Release since the last reclaim may have let go of them.
+func (r *Recording) reclaim() {
+	if len(r.flows.retired) > 0 && r.spare.released.Swap(false) {
+		r.flows.reclaim()
 	}
-	r.flows[flow] = fs
-	return fs
 }
 
-// find returns flow's state, nil when r does not track the flow.
-func (r *Recording) find(flow FlowKey) *flowState {
-	if r.flows != nil {
-		return r.flows[flow]
+// find returns flow's state and true, or false when r does not track the
+// flow.
+func (r *Recording) find(flow FlowKey) (flowState, bool) {
+	if r.records() {
+		return r.flows.find(flow)
 	}
-	if p := r.found.Load(); p != nil && p.key == flow {
-		return p.fs
+	if p := r.found.Load(); p != 0 {
+		if l := r.runs[p>>32-1]; l.run[uint32(p)].key == flow {
+			return l.ps.state(l.run[uint32(p)].off), true
+		}
 	}
-	for _, l := range r.runs {
+	for n, l := range r.runs {
 		// slices.BinarySearchFunc, written out: its compare call per step
 		// doubles the cost of a search.
 		run := l.run
@@ -149,30 +161,23 @@ func (r *Recording) find(flow FlowKey) *flowState {
 			}
 		}
 		if i < len(run) && run[i].key == flow {
-			r.found.Store(&run[i])
-			return run[i].fs
+			r.found.Store(uint64(n+1)<<32 | uint64(i))
+			return l.ps.state(run[i].off), true
 		}
 	}
-	return nil
+	return flowState{}, false
 }
 
-// recordRun records a run of packets of fs's flow. The flow's first
-// packet lays out its block for its path length. Each path query's decoder
-// is bound over the block for the whole run, and its slab, which Observe
-// may have grown, is kept at the run's end, also when a packet fails.
+// recordRun records a run of packets of fs's flow, whose block is laid
+// out for its path length. Each path query's decoder is bound over the
+// block for the whole run, and its slab, which Observe may have grown, is
+// kept at the run's end, also when a packet fails.
 func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 	e := r.engine
-	if fs.k == 0 {
-		if k := run[0].PathLen; k < 1 || k > math.MaxInt16 {
-			return fmt.Errorf("core: flow %v: path length %d", run[0].Flow, k)
-		}
-		fs.k = int16(run[0].PathLen)
-		fs.words = e.newBlock(int(fs.k), fs.words)
-	}
 	if len(r.decs) != e.kinds[opPath] {
 		r.decs = make([]coding.Decoder, e.kinds[opPath])
 	}
-	bound := fs.k <= coding.MaxPathLen
+	bound := fs.k() <= coding.MaxPathLen
 	if bound {
 		for i := range e.places {
 			if pl := &e.places[i]; pl.kind == opPath {
@@ -189,7 +194,7 @@ func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 	if bound {
 		for i := range e.places {
 			if pl := &e.places[i]; pl.kind == opPath {
-				fs.keepSlab(e, pl, r.decs[pl.ord].Slab())
+				fs.keepSlab(pl, r.decs[pl.ord].Slab())
 				r.decs[pl.ord] = coding.Decoder{}
 			}
 		}
@@ -210,7 +215,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 	if si < 0 {
 		return nil
 	}
-	k, ops := int(fs.k), e.progs[si].ops
+	k, ops := fs.k(), e.progs[si].ops
 	for i := range ops {
 		op := &ops[i]
 		bits := pkt.Digest >> op.shift & op.mask
@@ -236,13 +241,22 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 }
 
 // Evict drops all recorded state for one flow. The hand-off's export is
-// its one caller: a flow leaves a Recording no other way.
-func (r *Recording) Evict(flow FlowKey) { delete(r.flows, flow) }
+// its one caller: a flow leaves a Recording no other way. A lease that
+// holds the flow still reads it; its block is reused once none does.
+func (r *Recording) Evict(flow FlowKey) {
+	if a := r.flows; a != nil {
+		if i, ok := a.lookup(flow); ok {
+			off := a.slots[i] - 1
+			a.remove(i)
+			a.retire(off)
+		}
+	}
+}
 
 // TrackedFlows returns the number of flows with live state.
 func (r *Recording) TrackedFlows() int {
-	if r.flows != nil {
-		return len(r.flows)
+	if r.records() && r.flows != nil {
+		return r.flows.n
 	}
 	n := 0
 	for _, l := range r.runs {
@@ -256,11 +270,13 @@ func (r *Recording) TrackedFlows() int {
 // deterministic. On a view it collects AllFlows' walk.
 func (r *Recording) Flows() []FlowKey {
 	out := make([]FlowKey, 0, r.TrackedFlows())
-	if r.flows == nil {
+	if !r.records() {
 		return slices.AppendSeq(out, r.walk)
 	}
-	for f := range r.flows {
-		out = append(out, f)
+	for i := 0; r.flows != nil && i < len(r.flows.slots); i++ {
+		if s := r.flows.slots[i]; s != 0 {
+			out = append(out, r.flows.key(s-1))
+		}
 	}
 	slices.Sort(out)
 	return out
@@ -272,7 +288,7 @@ func (r *Recording) Flows() []FlowKey {
 // before the next is yielded costs no lookup; a Recording that records
 // yields the sorted list Flows makes.
 func (r *Recording) AllFlows() iter.Seq[FlowKey] {
-	if r.flows != nil {
+	if r.records() {
 		return slices.Values(r.Flows())
 	}
 	return r.walk
@@ -292,9 +308,9 @@ func (r *Recording) walk(yield func(FlowKey) bool) {
 		if low < 0 {
 			return
 		}
-		p := &r.runs[low].run[next[low]]
+		p := r.runs[low].run[next[low]]
+		r.found.Store(uint64(low+1)<<32 | uint64(next[low]))
 		next[low]++
-		r.found.Store(p)
 		if !yield(p.key) {
 			return
 		}
@@ -303,29 +319,35 @@ func (r *Recording) walk(yield func(FlowKey) bool) {
 
 // HasFlow reports whether a flow currently has live state — what the
 // hand-off asks before it exports a flow and evicts it.
-func (r *Recording) HasFlow(flow FlowKey) bool { return r.find(flow) != nil }
+func (r *Recording) HasFlow(flow FlowKey) bool {
+	_, ok := r.find(flow)
+	return ok
+}
 
 // Clone is a view of every flow (Lease) whose Lease nobody releases: the
-// flows it shares stay held, and r's next write to each is a copy.
+// flows it shares stay held, and r's next write to each is a copy. The
+// blocks those writes replace are never reused.
 func (r *Recording) Clone() *Recording {
 	c, _ := r.Lease(nil)
 	return c
 }
 
 // Lease is a view's index and its claim on the flow states it shares: one
-// run of (flow, state) pairs in key order, 16 bytes a flow. Each state in
-// it counts a hold until Release, which gives the run back to the
-// Recording it came from: that Recording's next Lease fills it again, so a
-// warm view allocates no run.
+// run of (flow, block offset) pairs in key order, 16 bytes a flow, and the
+// pages and side entries of r's arena as they were at the Lease. Each
+// block in it counts a hold until Release, which gives the run back to
+// the Recording it came from: that Recording's next Lease fills it again,
+// so a warm view allocates no run.
 type Lease struct {
 	run   []leased
+	ps    pageSet
 	spare *spareRun // where Release leaves run
 }
 
 // leased is one flow of a Lease's run.
 type leased struct {
 	key FlowKey
-	fs  *flowState
+	off uint32
 }
 
 // Lease returns a view of the listed flows (nil means every flow) and its
@@ -337,65 +359,67 @@ type leased struct {
 // a batch boundary and hands the view to concurrent readers. r must record;
 // a Lease of a view is a programming error and panics.
 //
-// A view copies no flow. It shares each flow's state with r, which counts
-// a hold on the state; a held state is not written. r's next write to a
-// held flow first swaps in a private copy of that one flow (stateOf), so
-// a view costs 16 bytes of its run per flow — none when r has a released
-// run large enough to refill — and each flow written while it is held
-// pays one copy. What the copy copies and what it shares
-// follows from how each piece of state changes. The flow's block — every
-// decoder's words, every latency store's inline tail — is bounded in size
-// and written in place, so the copy gets its own, and so does the slab of
-// a path decoder still peeling. A decoder that has decoded its path writes
-// nothing but two counters in its words ever again (coding.Decoder): the
-// copy shares its slab. A latency store's histogram, never written once a
-// view can see it, is shared, the copied tail is marked shared, and the
-// copy's next fold counts into a copy of the histogram. A util series is
-// append-only, and only r appends, past every view's values or into a
-// fresh array: the copy shares it, spare capacity included. A held view
-// keeps alive only the flow states, arrays and histograms that existed
-// when it was taken.
+// A view copies no flow. It shares each flow's block with r, which counts
+// a hold on the block; a held block is not written. r's next write to a
+// held flow first copies that one flow to a fresh block (arena.unshare),
+// so a view costs 16 bytes of its run per flow — none when r has a
+// released run large enough to refill — and each flow written while it is
+// held pays one copy; the held block is reused once no lease holds it.
+// What the copy copies and what it shares follows from how each piece of
+// state changes. The flow's block — every decoder's words, every latency
+// store's inline tail — is bounded in size and written in place, so the
+// copy gets its own, and so does the slab of a path decoder still
+// peeling. A decoder that has decoded its path writes nothing but two
+// counters in its words ever again (coding.Decoder): the copy shares its
+// slab. A latency store's histogram, never written once a view can see it,
+// is shared, the copied tail is marked shared, and the copy's next fold
+// counts into a copy of the histogram. A util series is append-only, and
+// only r appends, past every view's values or into a fresh array: the copy
+// shares it, spare capacity included. A held view keeps alive only the
+// blocks, arrays and histograms that existed when it was taken.
 func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
-	if r.flows == nil {
+	if !r.records() {
 		panic("core: Lease of a view")
 	}
+	a := r.own()
 	need := len(flows)
 	if flows == nil {
-		need = len(r.flows)
+		need = a.n
 	}
 	if r.spare == nil {
 		r.spare = &spareRun{}
 	}
-	l := &Lease{run: r.spare.take(need), spare: r.spare}
+	r.reclaim()
+	l := &Lease{run: r.spare.take(need), ps: a.pageSet, spare: r.spare}
 	if flows == nil {
-		for f, fs := range r.flows {
-			l.run = append(l.run, leased{f, fs})
-		}
-	} else {
-		for _, f := range flows {
-			if fs := r.flows[f]; fs != nil {
-				l.run = append(l.run, leased{f, fs})
+		for _, s := range a.slots {
+			if s != 0 {
+				l.run = append(l.run, leased{a.key(s - 1), s - 1})
 			}
+		}
+	}
+	for _, f := range flows {
+		if i, ok := a.lookup(f); ok {
+			l.run = append(l.run, leased{f, a.slots[i] - 1})
 		}
 	}
 	slices.SortFunc(l.run, func(a, b leased) int { return cmp.Compare(a.key, b.key) })
 	l.run = slices.CompactFunc(l.run, func(a, b leased) bool { return a.key == b.key })
 	for _, p := range l.run {
-		// Only r's goroutine counts up, so the count cannot pass maxHolds.
-		if p.fs.holds.Load() < maxHolds {
-			p.fs.holds.Add(1)
-		}
+		hold(a.block(p.off))
 	}
 	return &Recording{engine: r.engine, runs: []*Lease{l}}, l
 }
 
-// spareRun keeps one Recording's spare run: the largest run its released
-// Leases gave back, all zero, for its next Lease to fill. Lease takes it
-// on the owner's goroutine and Release gives one back from any goroutine,
-// hence the mutex; recording never touches it.
+// spareRun is what a Recording's released Leases give back: the largest
+// run, all zero, for its next Lease to fill, and a note that holds went
+// down, so its next batch or Lease reclaims the blocks it retired. Lease
+// takes the run on the owner's goroutine and Release gives one back from
+// any goroutine, hence the mutex; recording only reads the note.
 type spareRun struct {
-	mu  sync.Mutex
-	run []leased
+	mu       sync.Mutex
+	run      []leased
+	released atomic.Bool
 }
 
 // take returns an empty run with room for n flows: the spare when it is
@@ -420,33 +444,30 @@ func (s *spareRun) put(run []leased) {
 }
 
 // Release gives the Lease's holds back, on any goroutine, once the view it
-// indexes and every view that merged it are no longer used. A state the
+// indexes and every view that merged it are no longer used. A block the
 // owner still has installed and nobody holds any more is the owner's alone
-// again, so its next write to it lands in place instead of in a copy.
+// again, so its next write to it lands in place instead of in a copy, and
+// one it replaced or evicted is reused from its next batch or Lease on.
 // Releasing a Lease twice does nothing the second time: the Lease has let
 // go of its run, which may index another Lease by then.
 //
 // Only the owner's goroutine counts a hold up, and only before it hands
 // the view out; each decrement here follows the reader's last read of the
-// state, so the owner's load that sees the count at 0 is ordered after
+// block, so the owner's load that sees the count at 0 is ordered after
 // every read.
 //
-// The run is zeroed, so it keeps no state the owner replaced alive, and
-// becomes its Recording's spare if it is the largest returned. Zeroing up
-// to its length zeroes the whole array: slices.CompactFunc zeroes what it
-// drops.
+// The run is zeroed and becomes its Recording's spare if it is the
+// largest returned. Zeroing up to its length zeroes the whole array:
+// slices.CompactFunc zeroes what it drops.
 func (l *Lease) Release() {
 	run := l.run
 	for _, p := range run {
-		for h := &p.fs.holds; ; {
-			if n := h.Load(); n == maxHolds || h.CompareAndSwap(n, n-1) {
-				break
-			}
-		}
+		unhold(l.ps.block(p.off))
 	}
-	l.run = nil
+	l.run, l.ps = nil, pageSet{}
 	clear(run)
 	l.spare.put(run)
+	l.spare.released.Store(true)
 }
 
 // Merge adopts every flow of the view o into r. The two must serve the
@@ -464,10 +485,10 @@ func (r *Recording) Merge(o *Recording) error {
 		return fmt.Errorf("core: merging recordings of different engines")
 	}
 	switch {
-	case o.flows != nil && len(o.flows) == 0:
-	case o.flows != nil || r.flows != nil && len(r.flows) > 0:
+	case o.records() && o.TrackedFlows() == 0:
+	case o.records() || r.records() && r.TrackedFlows() > 0:
 		return fmt.Errorf("core: merge takes views into a view or an empty recording")
-	case r.flows != nil:
+	case r.records():
 		r.flows, r.runs = nil, o.runs
 	default:
 		for _, l := range o.runs {
@@ -482,32 +503,32 @@ func (r *Recording) Merge(o *Recording) error {
 	return nil
 }
 
-// stateFor returns flow's state and q's place in it, nil when the flow is
-// not tracked, has not reached q yet, or the engine does not serve q.
-func (r *Recording) stateFor(q Query, flow FlowKey) (*flowState, *slotPlace) {
-	fs := r.find(flow)
-	i, ok := r.engine.slots[q]
-	if fs == nil || !ok || !fs.started(i) {
-		return nil, nil
+// stateFor returns flow's state and q's place in it, false when the flow
+// is not tracked, has not reached q yet, or the engine does not serve q.
+func (r *Recording) stateFor(q Query, flow FlowKey) (flowState, *slotPlace, bool) {
+	fs, ok := r.find(flow)
+	i, served := r.engine.slots[q]
+	if !ok || !served || !fs.started(i) {
+		return fs, nil, false
 	}
-	return fs, &r.engine.places[i]
+	return fs, &r.engine.places[i], true
 }
 
 // decoder binds dec as a view of flow's decoder for q and reports whether
 // q has state for the flow.
 func (r *Recording) decoder(dec *coding.Decoder, q *PathQuery, flow FlowKey) bool {
-	fs, pl := r.stateFor(q, flow)
-	if fs != nil {
+	fs, pl, ok := r.stateFor(q, flow)
+	if ok {
 		fs.bindDecoder(dec, pl)
 	}
-	return fs != nil
+	return ok
 }
 
-// store binds a view of flow's store for q at hop (1-based), ok false when
-// there is none.
-func (r *Recording) store(q *LatencyQuery, flow FlowKey, hop int) (st latStore, ok bool) {
-	fs, pl := r.stateFor(q, flow)
-	if fs == nil || hop < 1 || hop > int(fs.k) {
+// store binds a view of flow's store for q at hop (1-based) over *fs, ok
+// false when there is none.
+func (r *Recording) store(fs *flowState, q *LatencyQuery, flow FlowKey, hop int) (st latStore, ok bool) {
+	var pl *slotPlace
+	if *fs, pl, ok = r.stateFor(q, flow); !ok || hop < 1 || hop > fs.k() {
 		return st, false
 	}
 	return fs.store(r.engine, pl, hop), true
@@ -534,14 +555,14 @@ func (r *Recording) AppendPath(dst []uint64, q *PathQuery, flow FlowKey) ([]uint
 // Recording's later packets do not show in it, and observing through it
 // changes nothing in the Recording.
 func (r *Recording) PathDecoder(q *PathQuery, flow FlowKey) *coding.Decoder {
-	fs, pl := r.stateFor(q, flow)
-	if fs == nil {
+	fs, pl, ok := r.stateFor(q, flow)
+	if !ok {
 		return nil
 	}
 	var view coding.Decoder
 	fs.bindDecoder(&view, pl)
-	k, dec := int(fs.k), new(coding.Decoder)
-	pl.plan.Bind(dec, k, slices.Clone(fs.words[pl.at(k):][:pl.plan.Words(k)]), slices.Clone(view.Slab()))
+	k, dec := fs.k(), new(coding.Decoder)
+	pl.plan.Bind(dec, k, slices.Clone(fs.w[pl.at(k):][:pl.plan.Words(k)]), slices.Clone(view.Slab()))
 	return dec
 }
 
@@ -562,8 +583,8 @@ func (r *Recording) PathInconsistencies(q *PathQuery, flow FlowKey) int {
 // the flow — the flow's path length at its first packet — and 0 when q
 // has recorded nothing for the flow.
 func (r *Recording) Hops(q Query, flow FlowKey) int {
-	if fs, pl := r.stateFor(q, flow); fs != nil && pl.kind != opUtil {
-		return int(fs.k)
+	if fs, pl, ok := r.stateFor(q, flow); ok && pl.kind != opUtil {
+		return fs.k()
 	}
 	return 0
 }
@@ -592,7 +613,8 @@ func (r *Recording) LatencyQuantiles(q *LatencyQuery, flow FlowKey, hop int, phi
 // (returned unextended on error), for a caller that answers hop after hop
 // from one buffer.
 func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow FlowKey, hop int, phis ...float64) ([]float64, error) {
-	st, ok := r.store(q, flow, hop)
+	var fs flowState
+	st, ok := r.store(&fs, q, flow, hop)
 	if !ok {
 		return dst, fmt.Errorf("core: no samples for flow %v hop %d", flow, hop)
 	}
@@ -608,19 +630,21 @@ func (r *Recording) AppendLatencyQuantiles(dst []float64, q *LatencyQuery, flow 
 	return out, nil
 }
 
-// LatencySamples returns how many samples hop `hop` has accumulated.
+// LatencySamples returns how many samples hop `hop` has accumulated, or
+// math.MaxInt for more: a store counts up to 2^62, past a 32-bit int.
 func (r *Recording) LatencySamples(q *LatencyQuery, flow FlowKey, hop int) int {
-	st, ok := r.store(q, flow, hop)
+	var fs flowState
+	st, ok := r.store(&fs, q, flow, hop)
 	if !ok {
 		return 0
 	}
-	return st.samples()
+	return int(min(st.samples(), math.MaxInt))
 }
 
 // UtilSeries answers a per-packet query: the decoded bottleneck values in
 // arrival order.
 func (r *Recording) UtilSeries(q *UtilQuery, flow FlowKey) []float64 {
-	if fs, pl := r.stateFor(q, flow); fs != nil {
+	if fs, pl, ok := r.stateFor(q, flow); ok {
 		return fs.series(pl)
 	}
 	return nil
