@@ -205,10 +205,10 @@ func (a *arena) drop(off uint32) {
 	a.free[len(w)] = append(a.free[len(w)], off)
 }
 
-// retire frees a block that left the table, or keeps it for reclaim while
-// a lease holds it.
-func (a *arena) retire(off uint32) {
-	if holds(a.block(off)) != 0 {
+// retire frees a block that left the table, or keeps a held one for
+// reclaim.
+func (a *arena) retire(off uint32, held bool) {
+	if held {
 		a.retired = append(a.retired, off)
 	} else {
 		a.drop(off)
@@ -292,11 +292,7 @@ func (a *arena) move(fs *flowState, k int) {
 	if i, ok := a.lookup(a.key(off)); ok && a.slots[i] == fs.off+1 {
 		a.slots[i] = off + 1
 	}
-	if held {
-		a.retired = append(a.retired, fs.off)
-	} else {
-		a.drop(fs.off)
-	}
+	a.retire(fs.off, held)
 	fs.w, fs.off = w, off
 }
 

@@ -248,7 +248,7 @@ func (r *Recording) Evict(flow FlowKey) {
 		if i, ok := a.lookup(flow); ok {
 			off := a.slots[i] - 1
 			a.remove(i)
-			a.retire(off)
+			a.retire(off, holds(a.block(off)) != 0)
 		}
 	}
 }
