@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -76,15 +77,17 @@ func Answers(rec *core.Recording, queries []core.Query, flows []core.FlowKey) []
 
 // EachFlow yields Answers' elements one at a time without building the
 // list: every flow is evaluated into the same FlowAnswers, which — like
-// its path, hop and answer slices — is overwritten by the next
-// iteration, so a consumer encodes or copies what it keeps before moving
-// on.
+// its path, hop and answer slices — is overwritten by the next iteration
+// and, once the loop ends, by another call's, so a consumer encodes or
+// copies what it keeps before moving on. The FlowAnswers comes from a
+// pool (answerBufs), so a query that served before builds no answer tree.
 func EachFlow(rec *core.Recording, queries []core.Query, flows []core.FlowKey) iter.Seq[*FlowAnswers] {
 	return func(yield func(*FlowAnswers) bool) {
-		var fa FlowAnswers
+		fa := answerBufs.Get().(*FlowAnswers)
+		defer putAnswers(fa)
 		for _, flow := range flows {
-			evalFlow(rec, queries, flow, &fa)
-			if !yield(&fa) {
+			evalFlow(rec, queries, flow, fa)
+			if !yield(fa) {
 				return
 			}
 		}
@@ -97,14 +100,36 @@ func EachFlow(rec *core.Recording, queries []core.Query, flows []core.FlowKey) i
 // its own so that EachFlow's, ranging over a slice, costs what it did.
 func eachTracked(rec *core.Recording, queries []core.Query) iter.Seq[*FlowAnswers] {
 	return func(yield func(*FlowAnswers) bool) {
-		var fa FlowAnswers
+		fa := answerBufs.Get().(*FlowAnswers)
+		defer putAnswers(fa)
 		for flow := range rec.AllFlows() {
-			evalFlow(rec, queries, flow, &fa)
-			if !yield(&fa) {
+			evalFlow(rec, queries, flow, fa)
+			if !yield(fa) {
 				return
 			}
 		}
 	}
+}
+
+// answerBufs holds the FlowAnswers EachFlow and eachTracked evaluate into,
+// one per call in flight.
+var answerBufs = sync.Pool{New: func() any { return new(FlowAnswers) }}
+
+// maxPooledHops is the most hops of one answer a pooled FlowAnswers keeps
+// room for: a latency query's hops are bounded only by a flow's path
+// length, and one long path's array is left to the collector.
+const maxPooledHops = 64
+
+// putAnswers gives fa back to answerBufs without the util series it
+// shares with a Recording, which the pool must not keep alive.
+func putAnswers(fa *FlowAnswers) {
+	for i := range fa.Answers {
+		if cap(fa.Answers[i].Hops) > maxPooledHops {
+			return
+		}
+		fa.Answers[i].Series = nil
+	}
+	answerBufs.Put(fa)
 }
 
 // evalFlow evaluates every query for one flow into fa, reusing the
@@ -125,7 +150,9 @@ func evalFlow(rec *core.Recording, queries []core.Query, flow core.FlowKey, fa *
 			a.Inconsistencies = rec.PathInconsistencies(q, flow)
 		case *core.LatencyQuery:
 			var ps [2]float64
-			for hop, hops := 1, rec.Hops(q, flow); hop <= hops; hop++ {
+			hops := rec.Hops(q, flow)
+			a.Hops = slices.Grow(a.Hops, hops)
+			for hop := 1; hop <= hops; hop++ {
 				n := rec.LatencySamples(q, flow, hop)
 				if n == 0 {
 					continue

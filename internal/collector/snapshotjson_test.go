@@ -289,11 +289,13 @@ func TestWriteSnapshotAllocsFlatInFlows(t *testing.T) {
 }
 
 // pointQueryBudget bounds the bytes one GET /snapshot?flow=F allocates
-// through the handler, request and recorder included: ~9.4 KB measured on
-// linux/amd64, Go 1.24, about 4 KB of it the recorder's body growing. The
-// reflective encoder this replaced, with a fresh buffer per request and
-// another to indent into, measured ~14.1 KB.
-const pointQueryBudget = 12 << 10
+// through the handler, request and recorder included: 8,698 B measured on
+// linux/amd64, Go 1.24, about 4 KB of it the recorder's body growing, and
+// the budget is that plus 10 %. While each request evaluated into a
+// FlowAnswers of its own, growing its answers, path and hops, it measured
+// ~9.5 KB; with the reflective encoder, a fresh buffer per request and
+// another to indent into, ~14.1 KB.
+const pointQueryBudget = 9568
 
 // TestPointSnapshotByteBudget pins what a one-flow query costs the
 // daemon's heap end to end through Server.Handler(): parsing, the
@@ -336,7 +338,7 @@ func TestPointSnapshotByteBudget(t *testing.T) {
 }
 
 // fullQueryBudget bounds the bytes one warm GET /snapshot allocates
-// through the handler at any flow count: ~7 KB measured on linux/amd64,
+// through the handler at any flow count: ~6.3 KB measured on linux/amd64,
 // Go 1.24. While each query leased a fresh run (16 B a flow) and listed
 // the flows (8 B more), it measured ~58 KB at 2,048 flows and ~212 KB at
 // 8,192.
@@ -416,5 +418,72 @@ func TestFullSnapshotBytesFlatInFlows(t *testing.T) {
 	}
 	if large > small+1<<10 || small > large+1<<10 {
 		t.Errorf("a warm full query allocates %d B over 2,048 flows but %d B over 8,192: something is allocated per flow", small, large)
+	}
+}
+
+// TestColdFullSnapshotBytesPerFlow pins what the first full query costs a
+// daemon that has answered only point queries: no shard has a spare run
+// large enough, so each leases a fresh one of 4 B a flow (its blocks'
+// offsets), and nothing else the query allocates grows with the flows.
+// Through Server.Handler() on two shards, over 2,048 and 8,192 flows, the
+// first GET /snapshot allocates at most a warm one's bytes plus 4 B a flow,
+// an eighth of that for the size class a run rounds up to, and 1 KiB:
+// measured on linux/amd64, Go 1.24, 8,960 B over 2,048 flows and 34,816 B
+// over 8,192 (shards of ~4,150 and ~4,040 flows take 18,432 and 16,384 B).
+// While a run kept each flow's key beside its offset, the first query cost
+// 16 B a flow more than a warm one.
+func TestColdFullSnapshotBytesPerFlow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled buffers at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{2048, 8192} {
+		tb, err := NewTestbench(7, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(tb.Engine, WithSink(sink), WithQueries(tb.Queries()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pkts []core.PacketDigest
+		vals := make([]core.HopValues, 4)
+		for f := range n {
+			pkts = tb.FlowBatch(1, f, 4, pkts, vals)
+			sink.Ingest(pkts)
+		}
+		sink.Barrier()
+		h, w := srv.Handler(), &discardResponse{h: http.Header{}}
+		serve := func(path string) uint64 {
+			req := httptest.NewRequest("GET", path, nil)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(w, req)
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		for i := range 32 {
+			serve(fmt.Sprintf("/snapshot?flow=%d", uint64(tb.FlowKeyFor(1, i*n/32))))
+		}
+		cold := serve("/snapshot")
+		for range 3 {
+			serve("/snapshot")
+		}
+		const runs = 10
+		var warm uint64
+		for range runs {
+			warm += serve("/snapshot")
+		}
+		warm /= runs
+		budget := warm + 4*uint64(n)*9/8 + 1<<10
+		t.Logf("the first GET /snapshot over %d flows allocates %d B, a warm one %d B (budget %d)", n, cold, warm, budget)
+		if cold > budget {
+			t.Errorf("the first GET /snapshot over %d flows allocates %d B, over a warm one's %d B + 4.5 B a flow + 1 KiB", n, cold, warm)
+		}
+		sink.Close()
 	}
 }

@@ -97,8 +97,9 @@ func unhold(w []uint64) {
 	}
 }
 
-func (a *arena) key(off uint32) FlowKey {
-	return FlowKey(a.pages[off>>pageShift][off&(1<<pageShift-1)+hdrKey])
+// key returns the key of the block at off.
+func (ps *pageSet) key(off uint32) FlowKey {
+	return FlowKey(ps.pages[off>>pageShift][off&(1<<pageShift-1)+hdrKey])
 }
 
 func (a *arena) home(flow FlowKey) int { return int(uint64(flow) * 0x9E3779B97F4A7C15 >> a.shift) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -116,6 +117,159 @@ func TestBlockReclamation(t *testing.T) {
 		record(2001, 0, 1, owner)
 		if owner.blockOf(2001) != evicted {
 			t.Error("the evicted block was not reused once its lease was released")
+		}
+	})
+}
+
+// TestRestoreReusesEvictedBlocks pins what flows that leave a Recording
+// and come back cost its arena, as a hand-off's export and a later import
+// do: half of the flows are exported (AppendFlowState) and evicted, then
+// restored from their blobs. Each restore takes an evicted block from the
+// free lists, so the arena cuts no word from a page and adds no page, and
+// the Recording answers as before.
+func TestRestoreReusesEvictedBlocks(t *testing.T) {
+	eng, path, lat := testbenchPlan(t, 137)
+	queries := []Query{path, lat}
+	rec, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows = 512
+	for f := FlowKey(1); f <= flows; f++ {
+		if err := rec.RecordBatch(testbenchFlow(eng, f, uint64(f)*3, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := recordingState(t, rec, queries)
+	var blobs [][]byte
+	for f := FlowKey(2); f <= flows; f += 2 {
+		blob, err := rec.AppendFlowState(nil, queries, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+		rec.Evict(f)
+	}
+	pages, fill := len(rec.flows.pages), rec.flows.fill
+	for i, blob := range blobs {
+		if err := rec.RestoreFlowState(queries, FlowKey(2*i+2), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(rec.flows.pages); got != pages || rec.flows.fill != fill {
+		t.Errorf("restoring %d evicted flows grew the arena from %d pages (%d words cut from the last) to %d (%d)",
+			len(blobs), pages, fill, got, rec.flows.fill)
+	}
+	if recordingState(t, rec, queries) != want {
+		t.Error("the restored flows answer differently from before their export")
+	}
+}
+
+// FuzzLeaseLookup holds views over runs of block offsets to a sorted-set
+// model. Flows 1..256 (a byte plus one) are recorded, in the order tracked
+// lists them, into shards+1 Recordings, a flow into the one its key picks
+// modulo their number. Each shard then leases every flow when its bit in
+// full is set, else the flows leased lists, repeats and flows it does not
+// track included, and one Recording merges every view. HasFlow over every
+// key from 0 to 257, Flows, AllFlows and the key in each block found must
+// agree with the model, before and after the owners write: for each byte of
+// writes, a packet to its flow when the byte is even (a held flow's copy,
+// or a new flow) and an Evict when it is odd. Once every Lease is
+// released, no flow an owner tracks is held.
+func FuzzLeaseLookup(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{5, 3, 9, 1}, []byte{0, 3, 3, 4, 9, 200}, []byte(nil))
+	f.Add(uint8(0), uint8(1), []byte{5, 3, 9, 1}, []byte(nil), []byte{3, 4, 10})
+	f.Add(uint8(1), uint8(1), []byte{7, 2, 11, 4, 30, 8}, []byte{0, 2, 2, 5, 11, 29, 30, 255}, []byte{2, 7, 100})
+	f.Add(uint8(2), uint8(7), []byte{40, 1, 2, 3, 90, 17, 64}, []byte{3}, []byte{1, 2, 40, 41, 90})
+	f.Add(uint8(3), uint8(10), []byte{200, 12, 13, 14, 15, 99, 6, 0, 255}, []byte{0, 13, 13, 14, 50, 99, 254, 255}, []byte{12, 13, 0, 255})
+	f.Add(uint8(3), uint8(0), []byte(nil), []byte{1, 2, 3}, []byte{4})
+	eng, _, _ := testbenchPlan(f, 131)
+	pkts := make([][]PacketDigest, 258)
+	for k := range pkts {
+		pkts[k] = testbenchFlow(eng, FlowKey(k), uint64(k)+1, 2)
+	}
+	f.Fuzz(func(t *testing.T, shards, full uint8, tracked, leased, writes []byte) {
+		owners := make([]*Recording, shards%4+1)
+		for i := range owners {
+			owners[i], _ = NewRecording(eng)
+		}
+		owner := func(b byte) (*Recording, FlowKey) {
+			k := FlowKey(b) + 1
+			return owners[int(k)%len(owners)], k
+		}
+		for _, b := range tracked {
+			if r, k := owner(b); !r.HasFlow(k) {
+				if err := r.RecordBatch(pkts[k][:1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var list []FlowKey
+		for _, b := range leased {
+			list = append(list, FlowKey(b)+1)
+		}
+		merged, _ := NewRecording(eng)
+		var model []FlowKey
+		var leases []*Lease
+		for s, r := range owners {
+			flows := list
+			if full>>s&1 != 0 {
+				flows = nil
+			}
+			for _, k := range r.Flows() {
+				if flows == nil || slices.Contains(flows, k) {
+					model = append(model, k)
+				}
+			}
+			view, l := r.Lease(flows)
+			leases = append(leases, l)
+			if err := merged.Merge(view); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slices.Sort(model)
+		check := func(when string) {
+			t.Helper()
+			if got := merged.Flows(); merged.TrackedFlows() != len(model) || !slices.Equal(got, model) {
+				t.Fatalf("%s: Flows %v (%d tracked), want %v", when, got, merged.TrackedFlows(), model)
+			}
+			var walked []FlowKey
+			for k := range merged.AllFlows() {
+				if fs, ok := merged.find(k); !ok || FlowKey(fs.w[hdrKey]) != k {
+					t.Fatalf("%s: flow %v yielded by AllFlows finds block of flow %v", when, k, FlowKey(fs.w[hdrKey]))
+				}
+				walked = append(walked, k)
+			}
+			if !slices.Equal(walked, model) {
+				t.Fatalf("%s: AllFlows %v, want %v", when, walked, model)
+			}
+			for k := FlowKey(0); k <= 257; k++ {
+				_, want := slices.BinarySearch(model, k)
+				if merged.HasFlow(k) != want {
+					t.Fatalf("%s: HasFlow(%v) = %v, want %v", when, k, !want, want)
+				}
+			}
+		}
+		check("after the leases")
+		for _, b := range writes {
+			if r, k := owner(b); b&1 == 0 {
+				if err := r.RecordBatch(pkts[k][1:]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				r.Evict(k)
+			}
+		}
+		check("after the owners wrote")
+		for _, l := range leases {
+			l.Release()
+		}
+		for _, r := range owners {
+			for _, k := range r.Flows() {
+				if n := r.holdsAt(r.blockOf(k)); n != 0 {
+					t.Fatalf("flow %v: %d holds after every Lease was released", k, n)
+				}
+			}
 		}
 	})
 }

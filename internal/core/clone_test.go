@@ -968,7 +968,7 @@ func TestLeaseRunReuse(t *testing.T) {
 		}
 		return owner, pkts
 	}
-	first := func(l *Lease) *leased { return &l.run[:1][0] }
+	first := func(l *Lease) *uint32 { return &l.run[:1][0] }
 
 	t.Run("a second release after the run was reused", func(t *testing.T) {
 		owner, pkts := newOwner(t)
@@ -1047,7 +1047,7 @@ func TestLeaseRunReuse(t *testing.T) {
 		if owner.blockOf(f) == replaced {
 			t.Fatal("the owner wrote a held state in place")
 		}
-		if !slices.ContainsFunc(l.run, func(p leased) bool { return p.off == replaced }) {
+		if !slices.Contains(l.run, replaced) {
 			t.Fatal("the Lease's run does not point at the block the owner replaced")
 		}
 		l.Release()
@@ -1055,13 +1055,8 @@ func TestLeaseRunReuse(t *testing.T) {
 		if cap(spare) < len(flows) || &spare[:1][0] != arr {
 			t.Fatalf("the spare holds %d entries after Release, want the released run back", cap(spare))
 		}
-		// A spare that points at nothing holds nothing, however long it
-		// waits for the next Lease: the next batch reuses the replaced block.
-		for i, p := range spare[:cap(spare)] {
-			if p != (leased{}) {
-				t.Fatalf("spare entry %d still points at flow %v's state", i, p.key)
-			}
-		}
+		// The spare's offsets are not holds, however long it waits for the
+		// next Lease: the next batch reuses the replaced block.
 		if err := owner.RecordBatch(testbenchFlow(eng, 99, 99, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -1106,7 +1101,7 @@ func TestAllFlowsWalksRunsInPlace(t *testing.T) {
 	}
 	var got []FlowKey
 	for f := range view.AllFlows() {
-		if p := view.found.Load(); p == 0 || view.runs[p>>32-1].run[uint32(p)].key != f {
+		if p := view.found.Load(); p == 0 || view.runs[p>>32-1].ps.key(uint32(p)) != f {
 			t.Fatalf("flow %v yielded before find would return it without a search", f)
 		}
 		got = append(got, f)

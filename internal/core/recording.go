@@ -39,9 +39,9 @@ type Recording struct {
 	// searched in turn. It is nil on a Recording that records.
 	runs []*Lease
 	// found is the run entry find returned last, as its run's index+1 in
-	// runs above 32 bits and its index in the run below, 0 for none: an
-	// answer looks a flow up a dozen times, and only the first searches the
-	// runs. Concurrent readers may all set it, hence atomic.
+	// runs above 32 bits and its block offset below, 0 for none: an answer
+	// looks a flow up a dozen times, and only the first searches the runs.
+	// Concurrent readers may all set it, hence atomic.
 	found atomic.Uint64
 	// decs holds the path decoders bound over one flow's block for a run
 	// of its packets (recordRun), by the query's ordinal among the
@@ -144,8 +144,8 @@ func (r *Recording) find(flow FlowKey) (flowState, bool) {
 		return r.flows.find(flow)
 	}
 	if p := r.found.Load(); p != 0 {
-		if l := r.runs[p>>32-1]; l.run[uint32(p)].key == flow {
-			return l.ps.state(l.run[uint32(p)].off), true
+		if l := r.runs[p>>32-1]; l.ps.key(uint32(p)) == flow {
+			return l.ps.state(uint32(p)), true
 		}
 	}
 	for n, l := range r.runs {
@@ -154,15 +154,15 @@ func (r *Recording) find(flow FlowKey) (flowState, bool) {
 		run := l.run
 		i, j := 0, len(run)
 		for i < j {
-			if h := int(uint(i+j) >> 1); run[h].key < flow {
+			if h := int(uint(i+j) >> 1); l.ps.key(run[h]) < flow {
 				i = h + 1
 			} else {
 				j = h
 			}
 		}
-		if i < len(run) && run[i].key == flow {
-			r.found.Store(uint64(n+1)<<32 | uint64(i))
-			return l.ps.state(run[i].off), true
+		if i < len(run) && l.ps.key(run[i]) == flow {
+			r.found.Store(uint64(n+1)<<32 | uint64(run[i]))
+			return l.ps.state(run[i]), true
 		}
 	}
 	return flowState{}, false
@@ -299,19 +299,20 @@ func (r *Recording) AllFlows() iter.Seq[FlowKey] {
 func (r *Recording) walk(yield func(FlowKey) bool) {
 	next := make([]int, len(r.runs)) // each run's first flow not yet out
 	for {
-		low := -1
+		low, key := -1, FlowKey(0)
 		for i, l := range r.runs {
-			if next[i] < len(l.run) && (low < 0 || l.run[next[i]].key < r.runs[low].run[next[low]].key) {
-				low = i
+			if next[i] < len(l.run) {
+				if k := l.ps.key(l.run[next[i]]); low < 0 || k < key {
+					low, key = i, k
+				}
 			}
 		}
 		if low < 0 {
 			return
 		}
-		p := r.runs[low].run[next[low]]
-		r.found.Store(uint64(low+1)<<32 | uint64(next[low]))
+		r.found.Store(uint64(low+1)<<32 | uint64(r.runs[low].run[next[low]]))
 		next[low]++
-		if !yield(p.key) {
+		if !yield(key) {
 			return
 		}
 	}
@@ -333,21 +334,16 @@ func (r *Recording) Clone() *Recording {
 }
 
 // Lease is a view's index and its claim on the flow states it shares: one
-// run of (flow, block offset) pairs in key order, 16 bytes a flow, and the
-// pages and side entries of r's arena as they were at the Lease. Each
-// block in it counts a hold until Release, which gives the run back to
-// the Recording it came from: that Recording's next Lease fills it again,
-// so a warm view allocates no run.
+// run of block offsets, 4 bytes a flow, in the order of the key each
+// block's header holds, and the pages and side entries of r's arena as
+// they were at the Lease. Each block in it counts a hold until Release,
+// which gives the run back to the Recording it came from: that
+// Recording's next Lease fills it again, so a warm view allocates no run.
+// A held block is never cut again, so its key stays put for the run.
 type Lease struct {
-	run   []leased
+	run   []uint32
 	ps    pageSet
 	spare *spareRun // where Release leaves run
-}
-
-// leased is one flow of a Lease's run.
-type leased struct {
-	key FlowKey
-	off uint32
 }
 
 // Lease returns a view of the listed flows (nil means every flow) and its
@@ -362,7 +358,7 @@ type leased struct {
 // A view copies no flow. It shares each flow's block with r, which counts
 // a hold on the block; a held block is not written. r's next write to a
 // held flow first copies that one flow to a fresh block (arena.unshare),
-// so a view costs 16 bytes of its run per flow — none when r has a
+// so a view costs 4 bytes of its run per flow — none when r has a
 // released run large enough to refill — and each flow written while it is
 // held pays one copy; the held block is reused once no lease holds it.
 // What the copy copies and what it shares follows from how each piece of
@@ -394,48 +390,49 @@ func (r *Recording) Lease(flows []FlowKey) (*Recording, *Lease) {
 	if flows == nil {
 		for _, s := range a.slots {
 			if s != 0 {
-				l.run = append(l.run, leased{a.key(s - 1), s - 1})
+				l.run = append(l.run, s-1)
 			}
 		}
 	}
 	for _, f := range flows {
 		if i, ok := a.lookup(f); ok {
-			l.run = append(l.run, leased{f, a.slots[i] - 1})
+			l.run = append(l.run, a.slots[i]-1)
 		}
 	}
-	slices.SortFunc(l.run, func(a, b leased) int { return cmp.Compare(a.key, b.key) })
-	l.run = slices.CompactFunc(l.run, func(a, b leased) bool { return a.key == b.key })
-	for _, p := range l.run {
-		hold(a.block(p.off))
+	// A flow has one block, so a repeated flow is a repeated offset.
+	slices.SortFunc(l.run, func(x, y uint32) int { return cmp.Compare(a.key(x), a.key(y)) })
+	l.run = slices.Compact(l.run)
+	for _, off := range l.run {
+		hold(a.block(off))
 	}
 	return &Recording{engine: r.engine, runs: []*Lease{l}}, l
 }
 
 // spareRun is what a Recording's released Leases give back: the largest
-// run, all zero, for its next Lease to fill, and a note that holds went
-// down, so its next batch or Lease reclaims the blocks it retired. Lease
+// run, for its next Lease to fill, and a note that holds went down, so
+// its next batch or Lease reclaims the blocks it retired. Lease
 // takes the run on the owner's goroutine and Release gives one back from
 // any goroutine, hence the mutex; recording only reads the note.
 type spareRun struct {
 	mu       sync.Mutex
-	run      []leased
+	run      []uint32
 	released atomic.Bool
 }
 
 // take returns an empty run with room for n flows: the spare when it is
 // large enough, otherwise a new one, leaving the spare to a larger Lease.
-func (s *spareRun) take(n int) []leased {
+func (s *spareRun) take(n int) []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if run := s.run; cap(run) >= n {
 		s.run = nil
 		return run
 	}
-	return make([]leased, 0, n)
+	return make([]uint32, 0, n)
 }
 
-// put offers a zeroed run back; the larger of it and the spare is kept.
-func (s *spareRun) put(run []leased) {
+// put offers a run back; the larger of it and the spare is kept.
+func (s *spareRun) put(run []uint32) {
 	s.mu.Lock()
 	if cap(run) > cap(s.run) {
 		s.run = run[:0]
@@ -456,16 +453,14 @@ func (s *spareRun) put(run []leased) {
 // block, so the owner's load that sees the count at 0 is ordered after
 // every read.
 //
-// The run is zeroed and becomes its Recording's spare if it is the
-// largest returned. Zeroing up to its length zeroes the whole array:
-// slices.CompactFunc zeroes what it drops.
+// The run becomes its Recording's spare if it is the largest returned.
+// Its offsets are neither holds nor pointers, so it is left as it is.
 func (l *Lease) Release() {
 	run := l.run
-	for _, p := range run {
-		unhold(l.ps.block(p.off))
+	for _, off := range run {
+		unhold(l.ps.block(off))
 	}
 	l.run, l.ps = nil, pageSet{}
-	clear(run)
 	l.spare.put(run)
 	l.spare.released.Store(true)
 }
@@ -492,9 +487,9 @@ func (r *Recording) Merge(o *Recording) error {
 		r.flows, r.runs = nil, o.runs
 	default:
 		for _, l := range o.runs {
-			for _, p := range l.run {
-				if r.HasFlow(p.key) {
-					return fmt.Errorf("core: merge would duplicate flow %v", p.key)
+			for _, off := range l.run {
+				if k := l.ps.key(off); r.HasFlow(k) {
+					return fmt.Errorf("core: merge would duplicate flow %v", k)
 				}
 			}
 		}
