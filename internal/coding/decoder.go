@@ -69,26 +69,34 @@ func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
 // The decoder needs the path length k (derived from the packet TTL in a
 // deployment, §4.1); everything else comes from its Plan. A Decoder is a
 // view: its state is Plan.Words(k) words it does not own — two counters,
-// the listed mask, then known, vals and cand — and a slab of stored
-// packets that grows while the path is still being peeled. Plan.Bind binds
-// one over a caller's words, as the Recording does over each flow's block
-// for a run of the flow's packets or for one answer; the caller keeps the
-// slab (Slab) when the view is done. Plan.NewDecoder allocates the words for a
-// decoder of its own. Once Done, Observe writes nothing but the two
-// counters: a copy of a finished decoder may share its slab.
+// the listed mask, then known and vals — the Plan.RowWords(k) words of its
+// candidate rows, and a slab of stored packets that grows while the path is
+// still being peeled. Plan.Bind binds one over a caller's words, as the
+// Recording does over each flow's block for a run of the flow's packets or
+// for one answer; the caller keeps the slab (Slab) when the view is done.
+// Plan.NewDecoder allocates the words for a decoder of its own. Once Done,
+// Observe writes nothing but the two counters, so a copy of a finished
+// decoder may share its slab, and it reads no candidate row again: a
+// decoded hop's row is the one bit of its value, so a done decoder may be
+// bound without its rows, and every answer comes from vals. The Recording
+// drops a flow's rows once its path decodes, 10 of a testbench flow's 42
+// block words.
 type Decoder struct {
 	plan *Plan
 	k    int
 	// w holds the state words: see the st* offsets. known[f] is the
 	// bitmask of hops (bit h = hop h+1) whose fragment f is decoded,
 	// vals[f*k+h] that fragment; hashed mode has the single fragment row 0
-	// holding whole values. cand[h*setWords:][:setWords] is hop h+1's
-	// candidate set as a bitset over the universe index (hashed mode only).
-	// It is live only once listed has bit h: until a constraint narrows it a
-	// hop's set is the whole universe and its row stays all-zero. A hop is
-	// decoded when every fragment of it is known, so the decoded count is
-	// the known rows' intersection, stored nowhere.
+	// holding whole values. A hop is decoded when every fragment of it is
+	// known, so the decoded count is the known rows' intersection, stored
+	// nowhere.
 	w []uint64
+	// rows[h*setWords:][:setWords] is hop h+1's candidate set as a bitset
+	// over the universe index (hashed mode only). It is live only once
+	// listed has bit h: until a constraint narrows it a hop's set is the
+	// whole universe and its row stays all-zero. Empty in a done decoder
+	// bound without its rows.
+	rows []uint64
 	// pkts is the slab of packets stored for cascading, plan.stride words
 	// each: id, mask of still-unknown acting hops, frag<<1|dead, then the
 	// residual words. Packets are never removed — a hand-off ships the
@@ -107,7 +115,7 @@ const (
 	stObserved     = 0
 	stInconsistent = 1 // packets contradicting the decoded prefix (§7: path change signal)
 	stListed       = 2
-	stKnown        = 3 // known, then vals, then cand
+	stKnown        = 3 // known, then vals
 )
 
 // Word offsets within one stored packet of the slab.
@@ -121,18 +129,26 @@ const (
 // Words returns how many state words a decoder for a k-hop path takes: a
 // fixed part and a part per hop, so a caller laying out many decoders'
 // words can place them from k.
-func (p *Plan) Words(k int) int { return stKnown + p.frags + k*(p.frags+p.setWords) }
+func (p *Plan) Words(k int) int { return stKnown + p.frags + k*p.frags }
+
+// RowWords returns how many words a k-hop decoder's candidate rows take:
+// k bitsets over the universe in hashed mode, none in raw mode.
+func (p *Plan) RowWords(k int) int { return k * p.setWords }
 
 // Bind makes d a decoder for a k-hop path of the plan's query over state
-// words (Words(k) of them, all zero for a decoder that has seen nothing)
-// and a slab of stored packets (nil for none). Observe writes the words in
-// place and may grow the slab; the caller stores Slab afterwards. k must be
-// in [1, MaxPathLen]. d is filled in place, not returned, so a caller can
-// bind a decoder it keeps, as the Recording keeps one per path query for
-// a run of a flow's packets.
-func (p *Plan) Bind(d *Decoder, k int, words, pkts []uint64) {
+// words (Words(k) of them, all zero for a decoder that has seen nothing),
+// candidate rows (RowWords(k) of them, all zero likewise, or nil for a
+// done decoder) and a slab of stored packets (nil for none). Observe
+// writes the words and rows in place and may grow the slab; the caller
+// stores Slab afterwards. k must be in [1, MaxPathLen]. d is filled in
+// place, not returned, so a caller can bind a decoder it keeps, as the
+// Recording keeps one per path query for a run of a flow's packets.
+func (p *Plan) Bind(d *Decoder, k int, words, rows, pkts []uint64) {
 	n := p.Words(k)
-	d.plan, d.k, d.w, d.pkts = p, k, words[:n:n], pkts
+	if rows != nil {
+		rows = rows[:p.RowWords(k):p.RowWords(k)]
+	}
+	d.plan, d.k, d.w, d.rows, d.pkts = p, k, words[:n:n], rows, pkts
 }
 
 // NewDecoder builds a decoder for a k-hop path of the plan's query, with
@@ -141,9 +157,26 @@ func (p *Plan) NewDecoder(k int) (*Decoder, error) {
 	if k < 1 || k > MaxPathLen {
 		return nil, fmt.Errorf("coding: path length %d out of [1,%d]", k, MaxPathLen)
 	}
-	d := &Decoder{}
-	p.Bind(d, k, make([]uint64, p.Words(k)), nil)
+	d, w := &Decoder{}, make([]uint64, p.Words(k)+p.RowWords(k))
+	p.Bind(d, k, w, w[p.Words(k):], nil)
 	return d, nil
+}
+
+// Clone returns a decoder equal to d with state of its own: its words,
+// rows and slab are copies, and a done decoder bound without its rows
+// gets them back, each hop's the bit of its value.
+func (d *Decoder) Clone() *Decoder {
+	p, rows := d.plan, slices.Clone(d.rows)
+	if len(rows) < p.RowWords(d.k) {
+		rows = make([]uint64, p.RowWords(d.k))
+		for h, v := range d.vals() {
+			i := slices.Index(p.universe, v)
+			rows[h*p.setWords+i/64] |= 1 << uint(i%64)
+		}
+	}
+	c := &Decoder{}
+	p.Bind(c, d.k, slices.Clone(d.w), rows, slices.Clone(d.pkts))
+	return c
 }
 
 // Slab returns the decoder's stored packets, which Observe and
@@ -151,15 +184,13 @@ func (p *Plan) NewDecoder(k int) (*Decoder, error) {
 // the next one.
 func (d *Decoder) Slab() []uint64 { return d.pkts }
 
-// known, vals and cand are the parts of the state words (see Decoder.w).
+// known and vals are the parts of the state words (see Decoder.w).
 func (d *Decoder) known() []uint64 { return d.w[stKnown : stKnown+d.plan.frags] }
 
 func (d *Decoder) vals() []uint64 {
 	at := stKnown + d.plan.frags
 	return d.w[at : at+d.plan.frags*d.k]
 }
-
-func (d *Decoder) cand() []uint64 { return d.w[stKnown+d.plan.frags*(1+d.k):] }
 
 // NewDecoder builds a one-off plan and a decoder for a k-hop path on it.
 // In hashed mode universe must hold the distinct possible block values; in
@@ -287,7 +318,7 @@ func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
 		d.setFragment(hop, frag, res[0])
 		return
 	}
-	row := d.cand()[hop*p.setWords:][:p.setWords]
+	row := d.rows[hop*p.setWords:][:p.setWords]
 	n, last := 0, 0
 	if d.w[stListed]>>uint(hop)&1 == 0 {
 		// First filter of the hop: instance 0 of the whole universe, 64
@@ -453,13 +484,19 @@ func (d *Decoder) candidates(h int) []uint64 {
 	if d.w[stListed]>>uint(h)&1 == 0 {
 		return nil
 	}
-	return d.cand()[h*d.plan.setWords:][:d.plan.setWords]
+	return d.rows[h*d.plan.setWords:][:d.plan.setWords]
 }
 
 // CandidateCount returns the number of values still possible for a hop
-// (1-based); raw mode returns 1 when decoded and the full space otherwise.
+// (1-based): 1 once it is decoded (a decoded hashed-mode hop's row is the
+// bit of its value, and a done decoder may have none), and otherwise its
+// candidate set's size in hashed mode and the full space in raw mode,
+// which counts a hop decoded when its first fragment is.
 func (d *Decoder) CandidateCount(hop int) int {
 	h, p := hop-1, d.plan
+	if d.w[stKnown]>>uint(h)&1 != 0 {
+		return 1
+	}
 	if p.enc.cfg.Mode == ModeHashed {
 		row := d.candidates(h)
 		if row == nil {
@@ -470,9 +507,6 @@ func (d *Decoder) CandidateCount(hop int) int {
 			n += bits.OnesCount64(w)
 		}
 		return n
-	}
-	if d.w[stKnown]>>uint(h)&1 != 0 {
-		return 1
 	}
 	if p.enc.cfg.ValueBits >= 62 {
 		return math.MaxInt32

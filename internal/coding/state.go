@@ -44,19 +44,25 @@ func readCount(r *stateread.Reader, what string) int {
 	return int(n)
 }
 
-// StateK peeks the path length out of an AppendState blob, so a caller
-// can lay out the right decoder (Plan.Words(k), Plan.Bind) before calling
-// RestoreState.
-func StateK(data []byte) (int, error) {
+// PeekState reads the path length out of an AppendState blob, and
+// whether it claims every hop decoded, so a caller can lay out the right
+// decoder (Plan.Words(k), Plan.RowWords(k), Plan.Bind) before calling
+// RestoreState: one that claims a decoded path may be restored without
+// candidate rows.
+func PeekState(data []byte) (k int, decoded bool, err error) {
 	r := stateread.New(stateWhat, data)
 	if v := r.Uvarint(); r.Err == nil && v != decoderStateVersion {
-		return 0, fmt.Errorf("coding: decoder state version %d (have %d)", v, decoderStateVersion)
+		return 0, false, fmt.Errorf("coding: decoder state version %d (have %d)", v, decoderStateVersion)
 	}
-	k := int(r.Uvarint())
+	n := r.Uvarint()
+	for range 4 { // fragments, universe size, observed, inconsistent
+		r.Uvarint()
+	}
+	hops := r.Uvarint()
 	if r.Err != nil {
-		return 0, r.Err
+		return 0, false, r.Err
 	}
-	return k, nil
+	return int(n), hops == n, nil
 }
 
 // AppendState appends the decoder's complete observation state to dst.
@@ -81,14 +87,19 @@ func (d *Decoder) AppendState(dst []byte) []byte {
 	} else {
 		dst = append(dst, 1)
 		for h := 0; h < d.k; h++ {
-			row := d.candidates(h)
-			if row == nil {
+			if d.w[stListed]>>uint(h)&1 == 0 {
 				dst = append(dst, 0)
 				continue
 			}
 			dst = append(dst, 1)
 			dst = binary.AppendUvarint(dst, uint64(d.CandidateCount(h+1)))
-			for w, word := range row {
+			if d.w[stKnown]>>uint(h)&1 != 0 {
+				// The one candidate of a decoded hop, which a done decoder
+				// may hold no row for.
+				dst = binary.AppendUvarint(dst, vals[h])
+				continue
+			}
+			for w, word := range d.candidates(h) {
 				for ; word != 0; word &= word - 1 {
 					dst = binary.AppendUvarint(dst, p.universe[w*64+bits.TrailingZeros64(word)])
 				}
@@ -150,13 +161,18 @@ func (d *Decoder) nextPending(f, h, from int) int {
 
 // RestoreState loads an AppendState blob into a freshly constructed
 // decoder (same query, same path length — the blob's geometry is
-// checked): one whose state words are all zero and whose slab is empty. A blob is
-// accepted only if AppendState could have written it for this plan —
+// checked): one whose state words and candidate rows are all zero, or
+// that has no rows for a decoded state, and whose slab is empty. A blob
+// is accepted only if AppendState could have written it for this plan —
 // canonical varints and flags, every stored packet within the decoder's
-// geometry, candidate lists in universe order, the pending indices and the
-// decoded-hop count those the rest of the state implies — so an accepted
-// blob re-serializes to the same bytes and cannot index outside the state
-// on a later Observe. On error the decoder must be discarded.
+// geometry, no value for an undecoded block,
+// candidate lists in universe order, a decoded hashed-mode hop listed with
+// its value alone and an undecoded one with more than one candidate or
+// none, the pending indices and the decoded-hop count those the rest of
+// the state implies — so an accepted blob re-serializes to the same bytes,
+// cannot index outside the state on a later Observe, and holds the rows a
+// decoder that observed its way there would hold. On error the decoder
+// must be discarded.
 func (d *Decoder) RestoreState(data []byte) error {
 	p := d.plan
 	if d.w[stObserved] != 0 || len(d.pkts) != 0 {
@@ -188,6 +204,9 @@ func (d *Decoder) RestoreState(data []byte) error {
 		for h := 0; h < k; h++ {
 			known[f] |= readFlag(r) << uint(h)
 			vals[f*k+h] = r.Uvarint()
+			if r.Err == nil && known[f]>>uint(h)&1 == 0 && vals[f*k+h] != 0 {
+				return fmt.Errorf("coding: fragment %d hop %d: value %d for an undecoded block", f, h+1, vals[f*k+h])
+			}
 		}
 		decoded &= known[f]
 	}
@@ -201,22 +220,37 @@ func (d *Decoder) RestoreState(data []byte) error {
 	if hashed != (p.enc.cfg.Mode == ModeHashed) {
 		return fmt.Errorf("coding: decoder state mode does not match decoder (hashed=%v)", p.enc.cfg.Mode == ModeHashed)
 	}
+	if len(d.rows) < p.RowWords(k) && decodedHops != uint64(k) {
+		return fmt.Errorf("coding: decoder state of %d decoded hops of %d for a decoder without candidate rows", decodedHops, k)
+	}
 	for h := 0; hashed && h < k; h++ {
+		// A hop decodes when a filter leaves it one candidate, its value.
+		decodedHop := known[0]>>uint(h)&1 != 0
 		if readFlag(r) == 0 {
+			if r.Err == nil && decodedHop {
+				return fmt.Errorf("coding: hop %d: decoded, and no candidate list", h+1)
+			}
 			continue
 		}
 		n := readCount(r, "candidates")
-		if r.Err != nil {
+		switch {
+		case r.Err != nil:
 			return r.Err
-		}
-		if n == 0 {
+		case n == 0:
 			return fmt.Errorf("coding: hop %d: empty candidate list", h+1)
+		case n == 1 && !decodedHop:
+			return fmt.Errorf("coding: hop %d: one candidate, and not decoded", h+1)
+		case n > 1 && decodedHop:
+			return fmt.Errorf("coding: hop %d: decoded, and %d candidates", h+1, n)
 		}
 		// The list must be a subsequence of the universe: anything else is
 		// not a set the bitset can hold, nor one a filter could have left.
-		row, at := d.cand()[h*p.setWords:][:p.setWords], 0
+		at := 0
 		for ; n > 0; n-- {
 			v := r.Uvarint()
+			if r.Err == nil && decodedHop && v != vals[h] {
+				return fmt.Errorf("coding: hop %d: decoded as %d, and its candidate is %d", h+1, vals[h], v)
+			}
 			for at < len(p.universe) && p.universe[at] != v {
 				at++
 			}
@@ -226,7 +260,9 @@ func (d *Decoder) RestoreState(data []byte) error {
 			if at == len(p.universe) {
 				return fmt.Errorf("coding: hop %d: candidate %d is not in the universe, or out of universe order", h+1, v)
 			}
-			row[at/64] |= 1 << uint(at%64)
+			if len(d.rows) > 0 {
+				d.rows[h*p.setWords+at/64] |= 1 << uint(at%64)
+			}
 			at++
 		}
 		d.w[stListed] |= 1 << uint(h)

@@ -41,8 +41,8 @@ func TestDecoderStateRoundTrip(t *testing.T) {
 	}
 
 	state := orig.AppendState(nil)
-	if k, err := StateK(state); err != nil || k != 10 {
-		t.Fatalf("StateK = %d, %v; want 10", k, err)
+	if k, decoded, err := PeekState(state); err != nil || k != 10 || decoded {
+		t.Fatalf("PeekState = %d, %v, %v; want 10, false", k, decoded, err)
 	}
 	restored, err := NewDecoder(cfg, g, 10, universe)
 	if err != nil {
@@ -206,6 +206,21 @@ func hostileStates(universe []uint64) []hostileState {
 		{"decodedHops below what is known",
 			state(head, []uint64{9, 1, 0}, blocks, cands, pkts, pending),
 			"claims 0 decoded hops"},
+		{"value for an undecoded block",
+			state(head, counters, []uint64{0, 0, 0, 7, 0, 0, 0, 0, 1, u[4]}, cands, pkts, pending),
+			"fragment 0 hop 2: value 7 for an undecoded block"},
+		{"decoded hop not listed",
+			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 0}, pkts, pending),
+			"hop 5: decoded, and no candidate list"},
+		{"decoded hop listed with another value",
+			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 1, u[5]}, pkts, pending),
+			"hop 5: decoded as"},
+		{"decoded hop listed with its value and another",
+			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 2, u[4], u[5]}, pkts, pending),
+			"hop 5: decoded, and 2 candidates"},
+		{"undecoded hop listed with one candidate",
+			state(head, counters, blocks, []uint64{1, 0, 0, 1, 1, u[1], 0, 1, 1, u[4]}, pkts, pending),
+			"hop 3: one candidate, and not decoded"},
 		{"raw-mode state into a hashed decoder",
 			state(head, counters, blocks, []uint64{0}, pkts, pending),
 			"mode does not match"},
@@ -244,13 +259,14 @@ func TestRestoredHostileStateSurvivesObserve(t *testing.T) {
 	}
 }
 
-// sharing binds a decoder over a copy of d's state words and d's own
-// slab, through Plan.Bind, as a Recording binds a holder's copy of a flow
-// whose path is decoded (flowState.unshare copies the words and shares the
-// slab of a finished decoder).
+// sharing binds a decoder over a copy of d's state words, no candidate
+// rows and d's own slab, through Plan.Bind, as a Recording binds a
+// holder's copy of a flow whose path is decoded (flowState.unshare copies
+// the words and shares the slab of a finished decoder, whose rows the
+// flow dropped when it decoded).
 func sharing(d *Decoder) *Decoder {
 	c := &Decoder{}
-	d.plan.Bind(c, d.k, slices.Clone(d.w), d.pkts)
+	d.plan.Bind(c, d.k, slices.Clone(d.w), nil, d.pkts)
 	return c
 }
 
@@ -318,6 +334,68 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		if d.w[stObserved] == clone.w[stObserved] || d.Inconsistent() == 0 || clone.Inconsistent() == 0 {
 			t.Errorf("%s: the two sides did not run apart: observed %d/%d, inconsistent %d/%d",
 				c.name, d.w[stObserved], clone.w[stObserved], d.Inconsistent(), clone.Inconsistent())
+		}
+	}
+}
+
+// TestDoneDecoderWithoutRows: a done decoder reads no candidate row again,
+// so one bound over its state words without its rows, as a Recording binds
+// a decoded flow, answers, serializes and observes the rest of the stream
+// exactly as the decoder that kept them, and Clone gives the rows back:
+// a decoded hop's row is the bit of its value.
+func TestDoneDecoderWithoutRows(t *testing.T) {
+	for _, c := range stateCases {
+		for _, k := range []int{5, 25} {
+			s := newStateStream(t, c, k)
+			d := s.decoder(t)
+			i := 0
+			for ; i < len(s.ids) && !d.Done(); i++ {
+				d.Observe(s.ids[i], s.digs[i])
+			}
+			if !d.Done() {
+				t.Fatalf("%s k=%d: not done after %d packets", c.name, k, i)
+			}
+			rowless := &Decoder{}
+			d.plan.Bind(rowless, k, slices.Clone(d.w), nil, slices.Clone(d.pkts))
+			same := func(when string) {
+				t.Helper()
+				if !bytes.Equal(rowless.AppendState(nil), d.AppendState(nil)) {
+					t.Errorf("%s k=%d %s: the decoder without rows serializes differently", c.name, k, when)
+				}
+				for h := 1; h <= k; h++ {
+					if got, want := rowless.CandidateCount(h), d.CandidateCount(h); got != want {
+						t.Errorf("%s k=%d %s: hop %d has %d candidates without rows, %d with", c.name, k, when, h, got, want)
+					}
+				}
+				got, _ := rowless.AppendPath(nil)
+				want, _ := d.AppendPath(nil)
+				if !slices.Equal(got, want) || rowless.Inconsistent() != d.Inconsistent() {
+					t.Errorf("%s k=%d %s: the decoder without rows answers differently", c.name, k, when)
+				}
+			}
+			same("at decode")
+			// A decoded state restores without rows; an undecoded one
+			// needs them.
+			restored := &Decoder{}
+			d.plan.Bind(restored, k, make([]uint64, d.plan.Words(k)), nil, nil)
+			if err := restored.RestoreState(d.AppendState(nil)); err != nil || !bytes.Equal(restored.AppendState(nil), d.AppendState(nil)) {
+				t.Errorf("%s k=%d: a decoded state restored without rows: %v, or serializes differently", c.name, k, err)
+			}
+			if d.plan.RowWords(k) > 0 {
+				d.plan.Bind(restored, k, make([]uint64, d.plan.Words(k)), nil, nil)
+				if err := restored.RestoreState(s.decoder(t).AppendState(nil)); err == nil {
+					t.Errorf("%s k=%d: an undecoded state restored into a decoder without rows", c.name, k)
+				}
+			}
+			clone := rowless.Clone()
+			if !slices.Equal(clone.rows, d.rows) || !slices.Equal(clone.w, d.w) || len(clone.rows) != d.plan.RowWords(k) {
+				t.Errorf("%s k=%d: Clone of the decoder without rows did not rebuild them", c.name, k)
+			}
+			for ; i < len(s.ids); i++ {
+				d.Observe(s.ids[i], s.digs[i])
+				rowless.Observe(s.ids[i], s.digs[i])
+			}
+			same("at the stream's end")
 		}
 	}
 }

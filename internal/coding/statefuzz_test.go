@@ -66,9 +66,14 @@ func FuzzDecoderState(f *testing.F) {
 			}
 			d.Observe(id, dig)
 			if i%64 == 63 {
-				// Go on in a decoder bound over copies of d's state.
+				// Go on in a decoder bound over copies of d's state, without
+				// candidate rows once it is done.
+				rows := slices.Clone(d.rows)
+				if d.Done() {
+					rows = nil
+				}
 				c := &Decoder{}
-				d.plan.Bind(c, d.k, slices.Clone(d.w), slices.Clone(d.pkts))
+				d.plan.Bind(c, d.k, slices.Clone(d.w), rows, slices.Clone(d.pkts))
 				if !bytes.Equal(c.AppendState(nil), d.AppendState(nil)) {
 					t.Fatal("a copy serializes differently from its original")
 				}

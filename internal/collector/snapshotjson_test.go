@@ -487,3 +487,46 @@ func TestColdFullSnapshotBytesPerFlow(t *testing.T) {
 		sink.Close()
 	}
 }
+
+// statsBudget bounds the bytes one GET /stats allocates through the
+// handler on an idle one-shard daemon, the response written to a
+// discarding writer: 328 B measured on linux/amd64, Go 1.24 (256 B on
+// 386), and the budget is that plus a fifth. While every call made an
+// encoder of its own, whose indent buffer regrew each time, and encoded
+// straight into the response, it measured 1,344 B.
+const statsBudget = 400
+
+// TestStatsByteBudget pins what a /stats poll costs the daemon's heap:
+// pintbench's settle loop polls it every millisecond inside every timed
+// window, so it is paid on each workload's clock.
+func TestStatsByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled buffers at random")
+	}
+	srv, _ := newQuietServer(t)
+	h, req := srv.Handler(), httptest.NewRequest("GET", "/stats", nil)
+	want := httptest.NewRecorder()
+	h.ServeHTTP(want, req)
+	body := httptest.NewRecorder()
+	WriteJSON(body, srv.StatsV1())
+	if want.Code != http.StatusOK || want.Body.String() != body.Body.String() {
+		t.Fatalf("GET /stats: status %d, body\n%s\nwant\n%s", want.Code, want.Body.String(), body.Body.String())
+	}
+	w := &discardResponse{h: http.Header{}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 5 {
+		h.ServeHTTP(w, req)
+	}
+	const runs = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		h.ServeHTTP(w, req)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("GET /stats: %d B allocated per request (budget %d)", per, statsBudget)
+	if per > statsBudget {
+		t.Errorf("GET /stats allocates %d B per request, over the %d B budget", per, statsBudget)
+	}
+}

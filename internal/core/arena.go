@@ -16,11 +16,14 @@ import (
 // never move, a pointer-free table maps its key to the block's offset,
 // and what only some flows need (a slab, the flowMore) is in a side entry.
 // A block's header is the key (hdrKey); the hold count and, above 32
-// bits, the side index+1 or 0 (hdrHolds); k in the low kBits, then a
-// started bit per query slot (hdrK on). The owner writes only blocks no
-// lease holds, copying a held one first (unshare) and freeing it once its
-// holds reach 0 (reclaim); views read through the pageSet their Lease
-// kept. Both touch the hold word only with atomics.
+// bits, the side index+1 or 0 (hdrHolds); k in the low kBits, the rowless
+// bit, then a started bit per query slot (hdrK on). k and the rowless bit
+// size the block: a flow's block holds its path decoders' candidate rows
+// until every one has decoded, and from then on is rowless (recordRun). The
+// owner writes only blocks no lease holds, copying a held one first
+// (unshare) and freeing it once its holds reach 0 (reclaim); views read
+// through the pageSet their Lease kept. Both touch the hold word only with
+// atomics.
 type arena struct {
 	pageSet
 	// slots is the flow table, nil until the first flow: a power of two of
@@ -50,24 +53,35 @@ type pageSet struct {
 
 // An offset's page index sits above pageShift bits, its word in the page
 // below. Pages start at pageFirst words and double while one stays at
-// most 1/16 of those before it.
+// most 1/16 of those before it. layout is the bits of hdrK that size a
+// block: k and rowless.
 const (
 	hdrKey, hdrHolds, hdrK = 0, 1, 2
-	kBits                  = 16
+	kBits                  = 15
+	rowless                = 1 << kBits
+	layout                 = rowless<<1 - 1
 	pageShift, pageFirst   = 16, 1024
 	sideChunk              = 64
 )
 
 // headerWords is the header's length for nq query slots.
-func headerWords(nq int) int { return hdrK + (kBits+nq+63)/64 }
+func headerWords(nq int) int { return hdrK + (kBits+1+nq+63)/64 }
 
-// blockWords is a k-hop flow's block length.
-func (e *Engine) blockWords(k int) int { return e.blockBase + e.blockPerHop*k }
+// blockWords is the length of a block laid out as lay says (its layout
+// bits): every query's words for its k hops, then its path decoders'
+// candidate rows, which a rowless block has none of.
+func (e *Engine) blockWords(lay uint64) int {
+	k := int(lay & (1<<kBits - 1))
+	if lay&rowless != 0 {
+		return e.blockBase + e.blockPerHop*k
+	}
+	return e.blockBase + (e.blockPerHop+e.rowsPerHop)*k
+}
 
 // block returns the block at off.
 func (ps *pageSet) block(off uint32) []uint64 {
 	w := ps.pages[off>>pageShift][off&(1<<pageShift-1):]
-	return w[:ps.e.blockWords(int(w[hdrK]&(1<<kBits-1)))]
+	return w[:ps.e.blockWords(w[hdrK])]
 }
 
 // state is a reader's handle on the block at off.
@@ -272,20 +286,23 @@ func (a *arena) writable(flow FlowKey, k int) (flowState, error) {
 		if !valid {
 			return fs, fmt.Errorf("core: flow %v: path length %d", flow, k)
 		}
-		a.move(&fs, k)
+		a.move(&fs, uint64(k))
 	}
 	return fs, nil
 }
 
-// move copies fs's block to a fresh one laid out for k hops and repoints
-// the table. An unheld block is freed and its side entry moves with it; a
-// held one is retired with its side entry, which its copy has none of
-// (unshare). One load decides both, so a Release meanwhile cannot free
-// the side entry unshare copies from.
-func (a *arena) move(fs *flowState, k int) {
-	off, w := a.cut(a.key(fs.off), a.e.blockWords(k))
+// move copies fs's block to a fresh one laid out as lay says (layout
+// bits: k hops, with candidate rows or rowless) and repoints the table.
+// The block's layout is either the same, one with no per-hop state, or
+// the same k with rows, whose rows, last in the block, are not copied. An
+// unheld block is freed and its side entry moves with it; a held one is
+// retired with its side entry, which its copy has none of (unshare). One
+// load decides both, so a Release meanwhile cannot free the side entry
+// unshare copies from.
+func (a *arena) move(fs *flowState, lay uint64) {
+	off, w := a.cut(a.key(fs.off), a.e.blockWords(lay))
 	copy(w[hdrK:], fs.w[hdrK:])
-	w[hdrK] |= uint64(k)
+	w[hdrK] = w[hdrK]&^layout | lay
 	held := holds(fs.w) != 0
 	if !held {
 		w[hdrHolds] = atomic.SwapUint64(&fs.w[hdrHolds], 0)
@@ -301,7 +318,7 @@ func (a *arena) move(fs *flowState, k int) {
 // Recording.Lease for what is copied and what is shared).
 func (a *arena) unshare(fs *flowState) {
 	held := *fs
-	a.move(fs, fs.k())
+	a.move(fs, fs.w[hdrK]&layout)
 	if s := held.side(); s != 0 {
 		copy(a.slabsOf(fs.ensureSide()), a.slabsOf(s))
 		if m := held.more(); m != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -102,6 +103,9 @@ func TestBlockReclamation(t *testing.T) {
 		record(1, 0, 40, owner)
 		view, l := owner.Lease(nil)
 		want := recordingState(t, view, queries)
+		if !owner.PathDecoder(path, flow).Done() {
+			t.Fatalf("flow %v did not decode in 40 packets; the pin needs a decoded flow", flow)
+		}
 		evicted := owner.blockOf(flow)
 		owner.Evict(flow)
 		record(1001, 0, 40, owner)
@@ -114,11 +118,142 @@ func TestBlockReclamation(t *testing.T) {
 			t.Fatal("the view's answers changed after the owner evicted a flow it holds")
 		}
 		l.Release()
-		record(2001, 0, 1, owner)
+		// The evicted flow had decoded, so its block is rowless; a new flow
+		// takes it once it has decoded too.
+		record(2001, 0, 64, owner)
+		if !owner.PathDecoder(path, 2001).Done() {
+			t.Fatal("flow 2001 did not decode in 64 packets; the pin needs a decoded flow")
+		}
 		if owner.blockOf(2001) != evicted {
 			t.Error("the evicted block was not reused once its lease was released")
 		}
 	})
+}
+
+// TestDecodeWhileHeld pins a flow whose path decodes while a view holds
+// its block. The owner's first write after the Lease (or Clone) copies
+// the held 42-word block, and the run in which the path decodes moves the
+// copy into a 32-word block without the decoder's candidate rows
+// (Recording.recordRun), freeing the copy. A reader answers from the view
+// on its own goroutine meanwhile, as at the Lease, and releases it there;
+// the held block is not written, new flows do not take it until the
+// Release, and the next one after it does (a Clone's, never). The decoded flow's
+// path section is the state of a coding.Decoder that kept its rows and
+// observed the same packets, and restoring the flow's blob lays out the
+// 32-word block directly, cutting no 42-word one.
+func TestDecodeWhileHeld(t *testing.T) {
+	const flow, early = FlowKey(1), 2
+	eng, path, lat := testbenchPlan(t, 163)
+	queries := []Query{path, lat}
+	pkts := testbenchFlow(eng, flow, 167, 200)
+	for _, clone := range []bool{false, true} {
+		owner, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record := func(pkts []PacketDigest) {
+			t.Helper()
+			if err := owner.RecordBatch(pkts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		record(pkts[:early])
+		if owner.PathDecoder(path, flow).Done() {
+			t.Fatalf("the flow decoded in %d packets; the pin needs one still decoding", early)
+		}
+		held := owner.blockOf(flow)
+		words := slices.Clone(owner.flows.block(held))
+		var view *Recording
+		var l *Lease
+		if clone {
+			view = owner.Clone()
+		} else {
+			view, l = owner.Lease(nil)
+		}
+		want, err := view.AppendFlowState(nil, queries, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				if got, err := view.AppendFlowState(nil, queries, flow); err != nil || !slices.Equal(got, want) {
+					t.Errorf("the view's blob changed while the owner recorded on (err %v)", err)
+				}
+				select {
+				case <-stop:
+					if l != nil {
+						l.Release()
+					}
+					return
+				default:
+				}
+			}
+		}()
+		record(pkts[early:])
+		if !owner.PathDecoder(path, flow).Done() {
+			t.Fatalf("the flow did not decode in %d packets", len(pkts))
+		}
+		if fs, _ := owner.find(flow); len(fs.w) != 32 {
+			t.Errorf("a decoded flow's block is %d words, want 32", len(fs.w))
+		}
+		for f := FlowKey(100); f < 104; f++ {
+			record(testbenchFlow(eng, f, uint64(f), early))
+			if owner.blockOf(f) == held {
+				t.Fatalf("new flow %v took a block a view holds", f)
+			}
+		}
+		if !slices.Equal(owner.flows.block(held)[hdrK:], words[hdrK:]) {
+			t.Error("the owner wrote the block a view holds")
+		}
+		close(stop)
+		<-done
+		record(testbenchFlow(eng, 200, 200, early))
+		if reused := owner.blockOf(200) == held; reused == clone {
+			t.Errorf("clone %v: the next new flow took the held block %v, want %v", clone, reused, !clone)
+		}
+
+		dec, err := path.NewDecoder(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			for _, x := range eng.ExtractInto(p.PktID, p.Digest, nil) {
+				if x.Query == Query(path) {
+					path.ObserveInto(dec, p.PktID, x.Bits)
+				}
+			}
+		}
+		st := dec.AppendState(nil)
+		section := append(append(binary.AppendUvarint([]byte{flowStateVersion, 1}, uint64(len(path.Name()))), path.Name()...), sectionPath)
+		section = append(binary.AppendUvarint(section, uint64(len(st))), st...)
+		if got, err := owner.AppendFlowState(nil, []Query{path}, flow); err != nil || !slices.Equal(got, section) {
+			t.Errorf("the decoded flow's path section differs from a decoder that kept its rows (err %v)", err)
+		}
+		if got := owner.PathDecoder(path, flow).AppendState(nil); !slices.Equal(got, st) {
+			t.Error("PathDecoder's copy of the decoded flow serializes differently from a decoder that kept its rows")
+		}
+
+		blob, err := owner.AppendFlowState(nil, queries, flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.RestoreFlowState(queries, flow, blob); err != nil {
+			t.Fatal(err)
+		}
+		if fs, _ := dst.find(flow); len(fs.w) != 32 || len(dst.flows.free[42]) != 0 {
+			t.Errorf("the restored flow's block is %d words with %d 42-word blocks freed, want 32 and none cut",
+				len(fs.w), len(dst.flows.free[42]))
+		}
+		if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !slices.Equal(again, blob) {
+			t.Errorf("the restored flow re-emits a different blob (err %v)", err)
+		}
+	}
 }
 
 // TestRestoreReusesEvictedBlocks pins what flows that leave a Recording

@@ -1056,9 +1056,17 @@ func TestLeaseRunReuse(t *testing.T) {
 			t.Fatalf("the spare holds %d entries after Release, want the released run back", cap(spare))
 		}
 		// The spare's offsets are not holds, however long it waits for the
-		// next Lease: the next batch reuses the replaced block.
-		if err := owner.RecordBatch(testbenchFlow(eng, 99, 99, 1)); err != nil {
+		// next Lease: the next batch reuses the replaced block, once the
+		// new flow is decoded like the replaced one and so takes a rowless
+		// block too.
+		if !owner.PathDecoder(path, f).Done() {
+			t.Fatalf("flow %v did not decode in 41 packets; the pin needs a decoded flow", f)
+		}
+		if err := owner.RecordBatch(testbenchFlow(eng, 99, 99, 64)); err != nil {
 			t.Fatal(err)
+		}
+		if !owner.PathDecoder(path, 99).Done() {
+			t.Fatal("flow 99 did not decode in 64 packets; the pin needs a decoded flow")
 		}
 		if owner.blockOf(99) != replaced {
 			t.Fatal("a new flow did not reuse the block the released Lease held")

@@ -56,10 +56,12 @@ type Engine struct {
 	slots map[Query]int
 	// places lays out a flow's block (flowState.words): where each query's
 	// state is in it, laid out for the flow's k. A k-hop flow's block is
-	// blockBase+blockPerHop*k words; kinds counts the queries of each kind.
-	places                 []slotPlace
-	blockBase, blockPerHop int
-	kinds                  [3]int
+	// blockBase+blockPerHop*k words, and rowsPerHop*k more of candidate
+	// rows until its paths decode (blockWords); kinds counts the queries
+	// of each kind.
+	places                             []slotPlace
+	blockBase, blockPerHop, rowsPerHop int
+	kinds                              [3]int
 }
 
 // Compile builds an execution plan for concurrent queries under a global

@@ -12,11 +12,13 @@ import (
 // flowState is a handle on what a Recording holds for one flow: a
 // pointer-free block in its arena (see arena), laid out for the flow's
 // path length, with every query's fixed-size state — decoder words,
-// latency tails — at its place (Engine.places), and a side entry, made
+// latency tails — at its place (Engine.places), then the path decoders'
+// candidate rows until the flow's paths decode, and a side entry, made
 // when first needed, for a decoder's slab, a histogram or a util series.
 // coding.Decoder and latStore are views bound over these, for a run of
-// packets (Recording.recordRun) or one answer. A cold testbench flow is
-// its block.
+// packets (Recording.recordRun, which drops the rows) or one answer. A
+// cold testbench flow is its block: 42 words while it decodes, 32 once it
+// has.
 type flowState struct {
 	w   []uint64 // the block
 	ps  *pageSet // where its side entry is
@@ -40,11 +42,12 @@ const maxHolds = math.MaxUint32
 // slotPlace is where one compiled query keeps its state in every flow: its
 // kind, its words in a k-hop flow's block from base+perHop*k on, its
 // ordinal among the engine's queries of its kind (the side entry's slabs,
-// flowMore), and a path query's decode plan.
+// flowMore), and a path query's decode plan and the candidate row words
+// per hop of the path queries before it (rowAt).
 type slotPlace struct {
 	kind         opKind
 	base, perHop int
-	ord          int
+	ord, rowAt   int
 	plan         *coding.Plan
 }
 
@@ -52,7 +55,9 @@ type slotPlace struct {
 func (pl *slotPlace) at(k int) int { return pl.base + pl.perHop*k }
 
 // layOut places every query's state in a flow's block: the header first,
-// then each query in slot order. A path query's decoder words are a fixed
+// then each query in slot order, then the path queries' candidate rows
+// (coding.Plan.RowWords), in slot order too, so a rowless block is the
+// same words without the last. A path query's decoder words are a fixed
 // part and a part per hop (coding.Plan.Words), a latency query's are
 // tailWords per hop, a util query's are none.
 func (e *Engine) layOut(queries []Query) {
@@ -62,8 +67,9 @@ func (e *Engine) layOut(queries []Query) {
 		pl := &e.places[i]
 		switch q := q.(type) {
 		case *PathQuery:
-			pl.kind, pl.plan = opPath, q.plan
+			pl.kind, pl.plan, pl.rowAt = opPath, q.plan, e.rowsPerHop
 			pl.base, pl.perHop = q.plan.Words(0), q.plan.Words(1)-q.plan.Words(0)
+			e.rowsPerHop += q.plan.RowWords(1)
 		case *LatencyQuery:
 			pl.kind, pl.perHop = opLatency, tailWords
 		default:
@@ -85,13 +91,13 @@ func (fs *flowState) k() int { return int(fs.w[hdrK] & (1<<kBits - 1)) }
 
 // started reports whether query slot i has state for the flow.
 func (fs *flowState) started(i int) bool {
-	b := kBits + i
+	b := kBits + 1 + i
 	return fs.w[hdrK+b/64]>>uint(b%64)&1 != 0
 }
 
 // start marks query slot i as having state for the flow.
 func (fs *flowState) start(i int) {
-	b := kBits + i
+	b := kBits + 1 + i
 	fs.w[hdrK+b/64] |= 1 << uint(b%64)
 }
 
@@ -120,10 +126,15 @@ func (fs *flowState) slab(ord int) []uint64 {
 }
 
 // bindDecoder binds dec as a view of a path query's decoder over the
-// flow's words. The flow's k must be at most coding.MaxPathLen.
+// flow's words, without candidate rows in a rowless block. The flow's k
+// must be at most coding.MaxPathLen.
 func (fs *flowState) bindDecoder(dec *coding.Decoder, pl *slotPlace) {
 	k := fs.k()
-	pl.plan.Bind(dec, k, fs.w[pl.at(k):], fs.slab(pl.ord))
+	var rows []uint64
+	if fs.w[hdrK]&rowless == 0 {
+		rows = fs.w[fs.ps.e.blockWords(uint64(k)|rowless)+pl.rowAt*k:]
+	}
+	pl.plan.Bind(dec, k, fs.w[pl.at(k):], rows, fs.slab(pl.ord))
 }
 
 // keepSlab stores what a decoder view left in its slab, which only ever

@@ -193,8 +193,12 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	}
 	e, a := r.engine, r.own()
 	// The flow is built in a block of its own, which joins the table last
-	// or, on an error, is freed.
-	off, w := a.cut(flow, e.blockWords(0))
+	// or, on an error, is freed: rowless from the start when every path
+	// query's state is decoded (Recording.recordRun).
+	off, w := a.cut(flow, e.blockBase)
+	if e.rowsPerHop > 0 && decodedPaths(data) == e.kinds[opPath] {
+		w[hdrK] |= rowless
+	}
 	fs := &flowState{w: w, ps: &a.pageSet, a: a, off: off}
 	defer func() {
 		if err != nil {
@@ -264,15 +268,34 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	return nil
 }
 
+// decodedPaths counts the path sections of an AppendFlowState blob that
+// claim a decoded path, for RestoreFlowState to lay the flow out by
+// before it checks them.
+func decodedPaths(data []byte) (n int) {
+	rd := stateread.New(flowStateWhat, data)
+	rd.Uvarint()
+	for s := rd.Uvarint(); s > 0 && rd.Err == nil; s-- {
+		rd.Bytes(rd.Uvarint())
+		kind, payload := rd.Bytes(1), rd.Bytes(rd.Uvarint())
+		if rd.Err == nil && kind[0] == sectionPath {
+			if _, decoded, err := coding.PeekState(payload); err == nil && decoded {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // sizeFlow checks that a per-hop section states the flow's path length:
 // the first one to state a hop count restores it (see flowState.k) and
-// lays out the flow's block for it. No recording writes state for 0 hops.
+// lays out the flow's block for it, rowless or not as the block with no
+// per-hop state was marked. No recording writes state for 0 hops.
 func sizeFlow(fs *flowState, flow FlowKey, hops int) error {
 	if hops < 1 {
 		return fmt.Errorf("core: flow %d: state for %d hops, a path length no recording takes", flow, hops)
 	}
 	if fs.k() == 0 && hops <= math.MaxInt16 {
-		fs.a.move(fs, hops)
+		fs.a.move(fs, uint64(hops)|fs.w[hdrK]&rowless)
 	}
 	if hops != fs.k() {
 		return fmt.Errorf("core: flow %d: state for %d hops, the flow's path length is %d", flow, hops, fs.k())
@@ -282,7 +305,7 @@ func sizeFlow(fs *flowState, flow FlowKey, hops int) error {
 
 // restoreDecoder restores a path section into the flow's decoder words.
 func restoreDecoder(fs *flowState, e *Engine, pl *slotPlace, flow FlowKey, payload []byte) error {
-	k, err := coding.StateK(payload)
+	k, _, err := coding.PeekState(payload)
 	if err != nil {
 		return err
 	}

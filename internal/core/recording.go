@@ -171,7 +171,11 @@ func (r *Recording) find(flow FlowKey) (flowState, bool) {
 // recordRun records a run of packets of fs's flow, whose block is laid
 // out for its path length. Each path query's decoder is bound over the
 // block for the whole run, and its slab, which Observe may have grown, is
-// kept at the run's end, also when a packet fails.
+// kept at the run's end, also when a packet fails. A flow whose paths
+// have all decoded by then moves into a rowless block: a done decoder
+// reads no candidate row again (coding.Decoder), so a decoded flow keeps
+// only its answer, and the block with rows, unheld (writable copied a
+// held one), goes back to the free list for the next new flow.
 func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 	e := r.engine
 	if len(r.decs) != e.kinds[opPath] {
@@ -192,11 +196,16 @@ func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 		}
 	}
 	if bound {
+		decoded := true
 		for i := range e.places {
 			if pl := &e.places[i]; pl.kind == opPath {
 				fs.keepSlab(pl, r.decs[pl.ord].Slab())
+				decoded = decoded && r.decs[pl.ord].Done()
 				r.decs[pl.ord] = coding.Decoder{}
 			}
+		}
+		if decoded && e.rowsPerHop > 0 && fs.w[hdrK]&rowless == 0 {
+			fs.a.move(fs, uint64(fs.k())|rowless)
 		}
 	}
 	return err
@@ -556,9 +565,7 @@ func (r *Recording) PathDecoder(q *PathQuery, flow FlowKey) *coding.Decoder {
 	}
 	var view coding.Decoder
 	fs.bindDecoder(&view, pl)
-	k, dec := fs.k(), new(coding.Decoder)
-	pl.plan.Bind(dec, k, slices.Clone(fs.w[pl.at(k):][:pl.plan.Words(k)]), slices.Clone(view.Slab()))
-	return dec
+	return view.Clone()
 }
 
 // PathInconsistencies returns the number of packets whose digests

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -616,10 +617,15 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // block cut from a page (the header grew by the key and the hold word),
 // the flow's share of the pages (~16 B) and of a table of 4-byte slots
 // (~16 B), and for about a quarter of flows a slab and its side entry.
-// The budgets are that measurement plus 4 % (16 B) and 0.4 objects. Each
-// row is measured three times and the lowest bytes and objects are held
-// to them: allocDelta counts the runtime's own mallocs in its window too,
-// which once in a dozen 386 runs put five objects on one measurement.
+// Now a flow whose path has decoded moves into a 32-word block without
+// its decoder's candidate rows, and the 42-word block it leaves is the
+// next flow's, so they cost 335 B in 0.37 at every length: the pages are
+// cut in doubling sizes, so the bytes move in steps, and the 16-packet
+// row, whose flows are not all decoded, shows the same step. The budgets
+// are that measurement plus 4 % (14 B) and 0.4 objects. Each row is
+// measured three times and the lowest bytes and objects are held to them:
+// allocDelta counts the runtime's own mallocs in its window too, which
+// once in a dozen 386 runs put five objects on one measurement.
 //
 // A clone's row is its run: 4.4 B in 0.008 objects per flow, a block
 // offset each (budget 6 B and 0.02). While the run kept each flow's key
@@ -628,9 +634,10 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // One more row prices what hangs off the side entry: 500-packet 6-hop
 // flows of the combined plan, whose util query takes 1/8 of packets into a
 // series that grows by append and whose latency codes span the whole code
-// domain, so every store folds (9,963 B in 41.4 objects; 10,010 B in 43.7
-// with a header object, 10,169 B in 43.3 before). Its budget is the
-// measurement plus 4 % and 1 object.
+// domain, so every store folds (9,899 B in 41.4 objects; 9,963 B while a
+// decoded flow kept its candidate rows, 10,010 B in 43.7 with a header
+// object, 10,169 B in 43.3 before). Its budget is the measurement plus 4 %
+// and 1 object.
 func TestColdFlowAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
@@ -660,7 +667,7 @@ func TestColdFlowAllocationShape(t *testing.T) {
 	for _, row := range []struct {
 		pkts              int
 		maxBytes, maxObjs float64
-	}{{16, 415, 0.4}, {64, 415, 0.4}, {pkts, 415, 0.4}} { // the last row's flows stay in rec
+	}{{16, 349, 0.4}, {64, 349, 0.4}, {pkts, 349, 0.4}} { // the last row's flows stay in rec
 		batch = make([]PacketDigest, 0, flows*row.pkts)
 		for f := 1; f <= flows; f++ {
 			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
@@ -683,7 +690,7 @@ func TestColdFlowAllocationShape(t *testing.T) {
 		}
 		utilBatch = append(utilBatch, stream...)
 	}
-	const maxBytes, maxObjs = 10361.0, 42.4
+	const maxBytes, maxObjs = 10295.0, 42.4
 	_, bytes, objs := cost(utilEng, utilBatch)
 	t.Logf("RecordBatch: %.0f B and %.1f objects per cold 500-packet 6-hop flow of the combined plan", bytes, objs)
 	if bytes > maxBytes || objs > maxObjs {
@@ -766,10 +773,12 @@ func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]
 // costs at most one copy of that flow's state over what the same frame
 // costs with no snapshot, and no latency object: each store's inline tail
 // is copied with the flow's block, and its histogram is shared until it
-// folds. The copy is a block cut from a page, and for a quarter of flows
-// a side entry sharing the finished decoder's slab: ~381 B in 0.14
-// objects; ~390 B in 2.3 while it was a header and a block, ~496 B in 4
-// while the decoder and the stores were objects of their own. A runtime
+// folds. The copy is a decoded flow's 32-word block cut from a page, and
+// for a quarter of flows a side entry sharing the finished decoder's
+// slab: ~281 B in 0.11 objects; ~345 B in 0.12 while the block kept the
+// decoder's candidate rows, ~390 B in 2.3 while it was a header and a
+// block, ~496 B in 4 while the decoder and the stores were objects of
+// their own. A runtime
 // allocation landing inside one measurement could fail the budget, so
 // the test measures three fresh triples and keeps the smallest excess, as
 // noise only adds.
@@ -1017,20 +1026,51 @@ func TestLongFlowBytesPerPacket(t *testing.T) {
 }
 
 // TestFlowBlockWords pins a testbench flow's block at 5 hops: the
-// header's 3 words (TestFlowStateSize), the path decoder's 19 words (two
-// counters, the listed mask, the known mask, 5 values, 5 two-word
-// candidate rows) and five 4-word latency tails, 42 words in all, cut from
-// a page. Before the arena it was 40 words in a 320 B object of its own,
-// the started bits its one header word.
+// header's 3 words (TestFlowStateSize), the path decoder's 9 words (two
+// counters, the listed mask, the known mask, 5 values), five 4-word
+// latency tails and, last, the decoder's 5 two-word candidate rows: 42
+// words in all, cut from a page, while the path decodes, and 32 from the
+// end of the run of packets in which it decodes (Recording.recordRun). Before the
+// arena it was 40 words in a 320 B object of its own, the started bits
+// its one header word; until a decoded flow dropped its rows it was 42
+// words for good.
 func TestFlowBlockWords(t *testing.T) {
 	eng, path, lat := testbenchPlan(t, 71)
 	const k = 5
 	if got := eng.blockWords(k); got != 42 {
 		t.Errorf("a %d-hop testbench flow's block is %d words, want 42 (336 B)", k, got)
 	}
+	if got := eng.blockWords(k | rowless); got != 32 {
+		t.Errorf("a decoded %d-hop testbench flow's block is %d words, want 32 (256 B)", k, got)
+	}
 	pl, ll := eng.places[eng.slots[path]], eng.places[eng.slots[lat]]
-	if got := ll.at(k) - pl.at(k); got != path.plan.Words(k) || got != 19 {
-		t.Errorf("the path decoder takes %d words (Plan.Words %d), want 19", got, path.plan.Words(k))
+	if got := ll.at(k) - pl.at(k); got != path.plan.Words(k) || got != 9 {
+		t.Errorf("the path decoder takes %d words (Plan.Words %d), want 9", got, path.plan.Words(k))
+	}
+	if got := path.plan.RowWords(k); got != 10 {
+		t.Errorf("the path decoder's candidate rows take %d words, want 10", got)
+	}
+	rec, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodedAt := 0
+	for i, p := range testbenchFlow(eng, 1, 1001, 200) {
+		if err := rec.RecordBatch([]PacketDigest{p}); err != nil {
+			t.Fatal(err)
+		}
+		fs, _ := rec.find(1)
+		want := 42
+		if rec.PathDecoder(path, 1).Done() {
+			want = 32
+			decodedAt = cmp.Or(decodedAt, i+1)
+		}
+		if len(fs.w) != want {
+			t.Fatalf("after packet %d (decoded at packet %d, 0: not yet) the flow's block is %d words, want %d", i+1, decodedAt, len(fs.w), want)
+		}
+	}
+	if decodedAt == 0 {
+		t.Fatal("the flow did not decode in 200 packets; the pin needs a decoded flow")
 	}
 }
 
