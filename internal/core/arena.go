@@ -268,27 +268,29 @@ func (a *arena) setMore(s int, m *flowMore) {
 }
 
 // writable returns flow's state for the owner to write to, laid out for k
-// hops: a new flow gets a block, a held one a private copy (unshare), and
-// one with no per-hop state (restored so) a block for k. A new flow whose
-// k no recording takes is tracked with no per-hop state, and refused.
+// hops: a held one a private copy (unshare), one with no per-hop state
+// (restored so) a block for k, and a new flow one block cut for k. A k no
+// recording takes is refused before anything is cut, so a refused new
+// flow is not tracked.
 func (a *arena) writable(flow FlowKey, k int) (flowState, error) {
-	valid := k >= 1 && k <= math.MaxInt16
 	fs, ok := a.find(flow)
-	switch {
-	case !ok:
-		off, w := a.cut(flow, a.e.blockBase)
-		a.insert(off)
-		fs = flowState{w: w, ps: &a.pageSet, a: a, off: off}
-	case holds(fs.w) != 0:
+	if ok && holds(fs.w) != 0 {
 		a.unshare(&fs)
 	}
-	if fs.k() == 0 {
-		if !valid {
-			return fs, fmt.Errorf("core: flow %v: path length %d", flow, k)
-		}
-		a.move(&fs, uint64(k))
+	if ok && fs.k() != 0 {
+		return fs, nil
 	}
-	return fs, nil
+	if k < 1 || k > math.MaxInt16 {
+		return fs, fmt.Errorf("core: flow %v: path length %d", flow, k)
+	}
+	if ok {
+		a.move(&fs, uint64(k))
+		return fs, nil
+	}
+	off, w := a.cut(flow, a.e.blockWords(uint64(k)))
+	w[hdrK] = uint64(k)
+	a.insert(off)
+	return flowState{w: w, ps: &a.pageSet, a: a, off: off}, nil
 }
 
 // move copies fs's block to a fresh one laid out as lay says (layout

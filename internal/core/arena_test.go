@@ -444,3 +444,55 @@ func TestLatencySamplesPastMaxInt(t *testing.T) {
 		t.Errorf("codes at phi 0.5, 1: %v, want [10 11]", codes)
 	}
 }
+
+// TestNewFlowCutsOneBlock: a new flow's first packet states its path
+// length, and a restored flow's blob does, so either gets one block cut
+// for it, and no block with no per-hop state is cut and freed on the way.
+// A first packet whose path length no recording takes is refused before
+// anything is cut, and leaves no flow tracked.
+func TestNewFlowCutsOneBlock(t *testing.T) {
+	eng, path, lat := testbenchPlan(t, 113)
+	rec, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RecordBatch(testbenchFlow(eng, 1, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.flows.free[eng.blockBase]); n != 0 {
+		t.Errorf("one new flow left %d %d-word blocks on the free list, want none", n, eng.blockBase)
+	}
+	if fs, _ := rec.find(1); len(fs.w) != eng.blockWords(5) || rec.flows.fill != eng.blockWords(5) {
+		t.Errorf("one new flow has a %d-word block with %d words cut, want %d and %d",
+			len(fs.w), rec.flows.fill, eng.blockWords(5), eng.blockWords(5))
+	}
+	for _, k := range []int{0, -1, math.MaxInt16 + 1} {
+		bad := testbenchFlow(eng, 2, 5, 1)
+		bad[0].PathLen = k
+		if err := rec.RecordBatch(bad); err == nil {
+			t.Errorf("path length %d: recorded, want refused", k)
+		}
+		if got := rec.TrackedFlows(); got != 1 {
+			t.Errorf("path length %d: %d flows tracked after the refusal, want 1", k, got)
+		}
+	}
+	if got := rec.flows.fill; got != eng.blockWords(5) {
+		t.Errorf("the refused flows cut %d words, want none", got-eng.blockWords(5))
+	}
+	queries := []Query{path, lat}
+	blob, err := rec.AppendFlowState(nil, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.RestoreFlowState(queries, 1, blob); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dst.flows.free[eng.blockBase]); n != 0 || dst.flows.fill != eng.blockWords(5) {
+		t.Errorf("one restored flow cut %d words and left %d %d-word blocks on the free list, want %d and none",
+			dst.flows.fill, n, eng.blockBase, eng.blockWords(5))
+	}
+}

@@ -192,13 +192,11 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 		byName[q.Name()] = i
 	}
 	e, a := r.engine, r.own()
-	// The flow is built in a block of its own, which joins the table last
-	// or, on an error, is freed: rowless from the start when every path
-	// query's state is decoded (Recording.recordRun).
-	off, w := a.cut(flow, e.blockBase)
-	if e.rowsPerHop > 0 && decodedPaths(data) == e.kinds[opPath] {
-		w[hdrK] |= rowless
-	}
+	// The flow is built in a block of its own, laid out as the blob says,
+	// which joins the table last or, on an error, is freed.
+	lay := e.restoredLayout(data)
+	off, w := a.cut(flow, e.blockWords(lay))
+	w[hdrK] = lay
 	fs := &flowState{w: w, ps: &a.pageSet, a: a, off: off}
 	defer func() {
 		if err != nil {
@@ -268,34 +266,54 @@ func (r *Recording) RestoreFlowState(queries []Query, flow FlowKey, data []byte)
 	return nil
 }
 
-// decodedPaths counts the path sections of an AppendFlowState blob that
-// claim a decoded path, for RestoreFlowState to lay the flow out by
-// before it checks them.
-func decodedPaths(data []byte) (n int) {
+// restoredLayout reads the layout RestoreFlowState cuts a blob's block
+// for, before it checks the blob: k from the first per-hop section that
+// states a hop count within the bounds the check holds it to, and rowless
+// when every path query's section claims a decoded path
+// (Recording.recordRun). A blob with no per-hop section gets a block with
+// no per-hop state; one the check refuses, a block that is freed.
+func (e *Engine) restoredLayout(data []byte) (lay uint64) {
 	rd := stateread.New(flowStateWhat, data)
 	rd.Uvarint()
+	decoded := 0
 	for s := rd.Uvarint(); s > 0 && rd.Err == nil; s-- {
 		rd.Bytes(rd.Uvarint())
 		kind, payload := rd.Bytes(1), rd.Bytes(rd.Uvarint())
-		if rd.Err == nil && kind[0] == sectionPath {
-			if _, decoded, err := coding.PeekState(payload); err == nil && decoded {
-				n++
+		if rd.Err != nil {
+			break
+		}
+		hops := 0
+		switch kind[0] {
+		case sectionPath:
+			k, done, err := coding.PeekState(payload)
+			if err == nil && done {
+				decoded++
+			}
+			if err == nil && k <= coding.MaxPathLen {
+				hops = k
+			}
+		case sectionLatency:
+			pr := stateread.New(flowStateWhat, payload)
+			if n := pr.Uvarint(); pr.Err == nil && n <= uint64(pr.Len())+1 {
+				hops = int(n)
 			}
 		}
+		if lay == 0 && hops >= 1 && hops <= math.MaxInt16 {
+			lay = uint64(hops)
+		}
 	}
-	return n
+	if e.rowsPerHop > 0 && decoded == e.kinds[opPath] {
+		lay |= rowless
+	}
+	return lay
 }
 
-// sizeFlow checks that a per-hop section states the flow's path length:
-// the first one to state a hop count restores it (see flowState.k) and
-// lays out the flow's block for it, rowless or not as the block with no
-// per-hop state was marked. No recording writes state for 0 hops.
+// sizeFlow checks that a per-hop section states the flow's path length,
+// which restoredLayout laid the flow's block out for. No recording writes
+// state for 0 hops.
 func sizeFlow(fs *flowState, flow FlowKey, hops int) error {
 	if hops < 1 {
 		return fmt.Errorf("core: flow %d: state for %d hops, a path length no recording takes", flow, hops)
-	}
-	if fs.k() == 0 && hops <= math.MaxInt16 {
-		fs.a.move(fs, uint64(hops)|fs.w[hdrK]&rowless)
 	}
 	if hops != fs.k() {
 		return fmt.Errorf("core: flow %d: state for %d hops, the flow's path length is %d", flow, hops, fs.k())
