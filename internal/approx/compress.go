@@ -18,6 +18,7 @@ package approx
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/hash"
 )
@@ -30,6 +31,9 @@ type MultCompressor struct {
 	base float64 // (1+ε)²
 	lnB  float64 // ln base
 	bits int     // digest width
+
+	once  sync.Once   // builds match on the first EncodeUint
+	match *matchTable // EncodeUint's ranges; nil: Encode's float path
 }
 
 // NewMultCompressor builds a compressor with relative error parameter eps

@@ -222,9 +222,8 @@ func (tb *Testbench) StreamSteadyState(roster FleetRoster,
 	return tb.stream(roster, nExporters, flowsPer, pktsPer, batch, coalesce,
 		func(exp uint64, fe *FleetExporter) (time.Time, error) {
 			flows := make([][]core.PacketDigest, flowsPer)
-			vals := make([]core.HopValues, pktsPer)
 			for f := 0; f < flowsPer; f++ {
-				flows[f] = tb.FlowBatch(exp, f, pktsPer, nil, vals)
+				flows[f] = tb.FlowBatch(exp, f, pktsPer, nil, nil)
 			}
 			start := time.Now()
 			for ok := true; ok; ok = time.Now().Before(deadline) {
@@ -251,9 +250,8 @@ func (tb *Testbench) StreamDeployment(roster FleetRoster,
 		func(exp uint64, fe *FleetExporter) (time.Time, error) {
 			start := time.Now()
 			var pkts []core.PacketDigest
-			vals := make([]core.HopValues, pktsPer)
 			for f := 0; f < flowsPer; f++ {
-				pkts = tb.FlowBatch(exp, f, pktsPer, pkts, vals)
+				pkts = tb.FlowBatch(exp, f, pktsPer, pkts, nil)
 				if err := fe.Send(pkts); err != nil {
 					return start, err
 				}

@@ -3,6 +3,7 @@ package collector
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/coding"
 	"repro/internal/core"
@@ -107,25 +108,24 @@ func (tb *Testbench) flowPath(exp uint64, f int, path []uint64) []uint64 {
 }
 
 // FlowBatch generates flow (exp, f)'s complete digest stream: n packets
-// walked through every hop of the flow's path via the engine's batch
-// encoder, with lognormal hop latencies. The result is a pure function
-// of (testbench seed, exp, f, n), so a loopback exporter and an
-// in-process reference produce bit-identical digests. pkts and vals are
-// reusable scratch (pass nil to allocate).
+// walked through every hop of the flow's path by one Engine.EncodeHops
+// call, with lognormal hop latencies. The result is a pure function of
+// (testbench seed, exp, f, n), so a loopback exporter and an in-process
+// reference produce bit-identical digests. pkts is reusable scratch (pass
+// nil to allocate); the last argument is unused, as the k value columns
+// live in a pool, and stays for the callers that still pass one.
 //
-// Every (packet, hop) draws its latency's uniforms, but only a packet's
-// reservoir winner (LatencyQuery.Winner) pays for the lognormal: the
-// latency slot keeps the last hop that writes it, so the codes the other
-// hops write never reach a digest. So vals, as each hop encodes it, holds
-// the drawn latency only at each packet's winning hop, and 0 elsewhere.
-func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, vals []core.HopValues) []core.PacketDigest {
+// Every (packet, hop) draws its latency's two uniforms, but only a
+// packet's reservoir winner (LatencyQuery.Winner) turns them into a
+// lognormal: the latency slot keeps the last hop that writes it, so the
+// codes the other hops would write never reach a digest. The others
+// advance the stream as raw draws, a zero top 53 bits drawn again exactly
+// as RNG.NormUniforms does, and their latency column holds 0.
+func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, _ []core.HopValues) []core.PacketDigest {
 	if cap(pkts) < n {
 		pkts = make([]core.PacketDigest, n)
 	}
-	if cap(vals) < n {
-		vals = make([]core.HopValues, n)
-	}
-	pkts, vals = pkts[:n], vals[:n]
+	pkts = pkts[:n]
 	flow := tb.FlowKeyFor(exp, f)
 	rng := hash.NewRNG(uint64(hash.Seed(tb.Seed).Derive(0x7AF).Hash2(exp, uint64(f))))
 	// win[j] is packet j's winning hop (k <= coding.MaxPathLen fits a
@@ -142,20 +142,47 @@ func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, v
 		win[j] = uint8(tb.LatQ.Winner(id, tb.K))
 	}
 	path := tb.flowPath(exp, f, make([]uint64, 0, coding.MaxPathLen))
+	hv := hopValuesPool.Get().(*hopValues)
+	cols := hv.columns(tb.K, n)
 	mu := math.Log(8000)
-	for hop := 1; hop <= tb.K; hop++ {
-		sw := path[hop-1]
-		for j := range vals {
-			u1, u2 := rng.NormUniforms()
-			var lat uint64
-			if int(win[j]) == hop {
-				lat = uint64(math.Exp(mu + 0.25*hash.BoxMuller(u1, u2)))
+	for hop, col := range cols {
+		sw := path[hop]
+		for j := range col {
+			u1 := rng.Uint64()
+			for u1>>11 == 0 {
+				u1 = rng.Uint64()
 			}
-			vals[j] = core.HopValues{SwitchID: sw, LatencyNs: lat}
+			u2 := rng.Uint64()
+			var lat uint64
+			if int(win[j]) == hop+1 {
+				lat = uint64(math.Exp(mu + 0.25*hash.BoxMuller(hash.Unit(u1), hash.Unit(u2))))
+			}
+			col[j] = core.HopValues{SwitchID: sw, LatencyNs: lat}
 		}
-		tb.Engine.EncodeHopBatch(hop, pkts, vals)
 	}
+	tb.Engine.EncodeHops(1, pkts, cols)
+	hopValuesPool.Put(hv)
 	return pkts
+}
+
+// hopValues is FlowBatch's pooled scratch: k value columns of n each, cut
+// from one buffer.
+type hopValues struct {
+	buf  []core.HopValues
+	cols [][]core.HopValues
+}
+
+var hopValuesPool = sync.Pool{New: func() any { return new(hopValues) }}
+
+func (hv *hopValues) columns(k, n int) [][]core.HopValues {
+	if cap(hv.buf) < k*n {
+		hv.buf = make([]core.HopValues, k*n)
+	}
+	hv.cols = hv.cols[:0]
+	for h := 0; h < k; h++ {
+		hv.cols = append(hv.cols, hv.buf[h*n:(h+1)*n:(h+1)*n])
+	}
+	return hv.cols
 }
 
 // ValidateShape sanity-checks the deployment shape the streaming helpers

@@ -279,6 +279,11 @@ func TestEncodeBatchZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+	cols := make([][]HopValues, k)
+	for h := range cols {
+		cols[h] = vals
+	}
+	runs["EncodeHops n=256"] = func() { eng.EncodeHops(1, pkts, cols) }
 	for name, run := range runs {
 		// The column scratch rides a sync.Pool, and under -race the pool
 		// deliberately drops a fraction of Puts to surface reuse bugs — the
@@ -290,5 +295,46 @@ func TestEncodeBatchZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per run, want 0", name, allocs)
 		}
+	}
+}
+
+// BenchmarkEncodeHopBatch times the one-hop entry point on the three-kind
+// plan: a flow of fresh packets (no cached set or layer selections)
+// through k = 6 hops one call at a time, in ns per packet and hop, at the
+// simulator's n = 1 and an exporter's n = 256; EncodeHops is the same
+// flow in one call, for comparison.
+func BenchmarkEncodeHopBatch(b *testing.B) {
+	eng, _, _, _ := combinedTestPlan(b, 29)
+	const k = 6
+	for _, n := range []int{1, 256} {
+		rng := hash.NewRNG(31)
+		fresh := make([]PacketDigest, n)
+		cols := make([][]HopValues, k)
+		for h := range cols {
+			cols[h] = make([]HopValues, n)
+		}
+		for i := range fresh {
+			fresh[i] = PacketDigest{Flow: 1, PktID: rng.Uint64(), PathLen: k}
+			for h := range cols {
+				cols[h][i] = hopValuesFor(fresh[i].PktID, h+1, 0xAB00)
+			}
+		}
+		pkts := make([]PacketDigest, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(pkts, fresh)
+				for hop := 1; hop <= k; hop++ {
+					eng.EncodeHopBatch(hop, pkts, cols[hop-1])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*k), "ns/pkt-hop")
+		})
+		b.Run(fmt.Sprintf("EncodeHops/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(pkts, fresh)
+				eng.EncodeHops(1, pkts, cols)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*k), "ns/pkt-hop")
+		})
 	}
 }

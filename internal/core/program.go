@@ -12,7 +12,7 @@ import (
 // precomputed shifts, masks, and direct query-kind dispatch, so the
 // per-packet hot path runs with no interface calls, no closures, and no
 // allocations. The same ops drive switch-side encoding (the column passes
-// of soa.go behind EncodeHopBatch / EncodeHopValues), sink-side extraction
+// of soa.go behind EncodeHops / EncodeHopBatch / EncodeHopValues), sink-side extraction
 // (ExtractInto), and the Recording Module's batched ingest.
 
 // HopValues carries everything a switch observes at one hop, one field per

@@ -638,6 +638,16 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // decoded flow kept its candidate rows, 10,010 B in 43.7 with a header
 // object, 10,169 B in 43.3 before). Its budget is the measurement plus 4 %
 // and 1 object.
+// cutWords is the words a's blocks have been cut from: every page before
+// the last, whole, and the last up to fill.
+func cutWords(a *arena) int {
+	n := a.fill
+	for _, p := range a.pages[:len(a.pages)-1] {
+		n += len(p)
+	}
+	return n
+}
+
 func TestColdFlowAllocationShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
@@ -665,9 +675,9 @@ func TestColdFlowAllocationShape(t *testing.T) {
 	var rec *Recording
 	var batch []PacketDigest
 	for _, row := range []struct {
-		pkts              int
-		maxBytes, maxObjs float64
-	}{{16, 349, 0.4}, {64, 349, 0.4}, {pkts, 349, 0.4}} { // the last row's flows stay in rec
+		pkts                        int
+		maxBytes, maxObjs, maxWords float64
+	}{{16, 349, 0.4, 35.75}, {64, 349, 0.4, 32.25}, {pkts, 349, 0.4, 32.25}} { // the last row's flows stay in rec
 		batch = make([]PacketDigest, 0, flows*row.pkts)
 		for f := 1; f <= flows; f++ {
 			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
@@ -678,6 +688,15 @@ func TestColdFlowAllocationShape(t *testing.T) {
 		if bytes > row.maxBytes || objs > row.maxObjs {
 			t.Errorf("RecordBatch: %.0f B and %.2f objects per cold %d-packet flow, want at most %.0f B and %.2f",
 				bytes, objs, row.pkts, row.maxBytes, row.maxObjs)
+		}
+		// The allocator's bytes move in page steps; the words the arena
+		// has cut move with every block. A flow that decodes cuts its
+		// 42-word block and then its 32-word rowless one, and later new
+		// flows take the freed 42-word blocks first.
+		words := float64(cutWords(rec.flows)) / flows
+		t.Logf("RecordBatch: %.2f arena words (%.0f B) cut per cold %d-packet flow", words, words*8, row.pkts)
+		if words > row.maxWords {
+			t.Errorf("RecordBatch: %.2f arena words cut per cold %d-packet flow, want at most %.2f", words, row.pkts, row.maxWords)
 		}
 	}
 

@@ -7,14 +7,19 @@ import (
 )
 
 // This file is the Encoding Module: the one implementation of what a hop
-// does to a digest. A batch is partitioned by query set once, each compiled
-// op runs as one pass over flat columns (pktIDs, digests, per-op values),
-// and the per-packet work collapses to a hash-column evaluation
-// (internal/kernels) plus a branch-free select. The passes serve every
-// batch size from one packet up; oracle_test.go restates each query kind
-// packet by packet from the algorithm packages' definitions, and
-// TestEncodeHopBatchSoAParity and FuzzEncodeBatchParity hold the passes to it
-// bit for bit.
+// does to a digest. The unit is a range of consecutive hops: a batch is
+// partitioned by query set once, its PktID and Digest columns are gathered
+// once, each compiled op runs every hop of the range over those resident
+// columns, and the digests are scattered back once. Inside a range each op
+// does only what its semantics leave observable: the latency reservoir and
+// a Baseline path word keep the last hop that writes them, so each packet's
+// last writer is found from one first hash round (hash.ActKeyColumn) and
+// only its value is compressed or hashed; XOR path layers fold every
+// acting hop, and util takes the max of every hop's code. One hop is the
+// range of length one (EncodeHopBatch). oracle_test.go restates each query
+// kind packet by packet and hop by hop from the algorithm packages'
+// definitions, and TestEncodeHopBatchSoAParity, TestEncodeHopsParity and
+// the two parity fuzz targets hold the passes to it bit for bit.
 
 // soaScratch is one batch's worth of column storage, pooled so
 // steady-state encoding allocates nothing. Engines are driven
@@ -24,12 +29,13 @@ type soaScratch struct {
 	idx [][]int32 // per-set original packet indices
 	pkt []uint64  // set's PktID column
 	dig []uint64  // set's digest column
-	h   []uint64  // hash column
-	tmp []uint64  // offset / gathered-pktID column
-	val []uint64  // gathered value column
+	h   []uint64  // hash column: act keys, or coin hashes
+	tmp []uint64  // offset column, or acting packets' IDs
+	val []uint64  // acting packets' values
 	pay []uint64  // payload column
+	thr []uint64  // reservoir threshold of each hop of the range
 	lay []uint8   // per-packet coding-layer column
-	act []int32   // compacted actor positions within the set's columns
+	act []int32   // acting packets' positions within the set's columns
 }
 
 var soaPool = sync.Pool{New: func() any { return new(soaScratch) }}
@@ -41,17 +47,40 @@ func growCol(c []uint64, n int) []uint64 {
 	return c[:n]
 }
 
+func growIdx(c []int32, n int) []int32 {
+	if cap(c) < n {
+		return make([]int32, n, n+n/2+8)
+	}
+	return c[:n]
+}
+
 // EncodeHopBatch applies hop `hop`'s Encoding Modules to every packet of a
 // batch in place: pkts[i].Digest is rewritten using vals[i]. len(vals)
-// must be at least len(pkts). This is the shape a shard worker or a
-// line-rate simulation drives, 0 B/op at steady state. The packet's
-// query-set and coding-layer selections are computed at its first hop and
-// cached in the PacketDigest for the later hops and the Recording Module.
+// must be at least len(pkts). It is EncodeHops over the one hop. The
+// packet's query-set and coding-layer selections are computed at its first
+// hop and cached in the PacketDigest for the later hops and the Recording
+// Module.
 func (e *Engine) EncodeHopBatch(hop int, pkts []PacketDigest, vals []HopValues) {
-	if len(pkts) == 0 {
+	one := [1][]HopValues{vals}
+	e.EncodeHops(hop, pkts, one[:])
+}
+
+// EncodeHops applies hops first, first+1, …, first+len(vals)-1 to every
+// packet of a batch in place, in that order: vals[h][i] is what hop
+// first+h observed of pkts[i], and each vals[h] must be at least
+// len(pkts) long. The digests equal one EncodeHopBatch call per hop; a
+// caller that holds all of a flow's hops (a traffic generator, a
+// simulation without queues) pays the partition, gather and scatter once
+// and each packet's reservoir decisions from one hash round. This is the
+// shape an exporter or a line-rate simulation drives, 0 B/op at steady
+// state.
+func (e *Engine) EncodeHops(first int, pkts []PacketDigest, vals [][]HopValues) {
+	if len(pkts) == 0 || len(vals) == 0 {
 		return
 	}
-	_ = vals[len(pkts)-1] // bounds hint
+	for _, v := range vals {
+		_ = v[len(pkts)-1] // bounds: panic before any packet is touched
+	}
 	s := soaPool.Get().(*soaScratch)
 	// Pass 1: partition by query set, filling the per-packet set cache.
 	for len(s.idx) < len(e.progs) {
@@ -66,17 +95,21 @@ func (e *Engine) EncodeHopBatch(hop int, pkts []PacketDigest, vals []HopValues) 
 			s.idx[si] = append(s.idx[si], int32(i))
 		}
 	}
-	// Pass 2: per set, gather columns, run each op over the whole set,
+	s.thr = growCol(s.thr, len(vals))
+	for t := range s.thr {
+		s.thr[t] = hash.ReservoirThreshold(first + t)
+	}
+	// Pass 2: per set, gather columns, run each op over the whole range,
 	// scatter digests back.
 	for si := range e.progs {
 		if len(s.idx[si]) != 0 {
-			e.progs[si].encodeColumns(hop, s, s.idx[si], pkts, vals)
+			e.progs[si].encodeColumns(first, s, s.idx[si], pkts, vals)
 		}
 	}
 	soaPool.Put(s)
 }
 
-func (p *encodeProgram) encodeColumns(hop int, s *soaScratch, idx []int32, pkts []PacketDigest, vals []HopValues) {
+func (p *encodeProgram) encodeColumns(first int, s *soaScratch, idx []int32, pkts []PacketDigest, vals [][]HopValues) {
 	n := len(idx)
 	s.pkt = growCol(s.pkt, n)
 	s.dig = growCol(s.dig, n)
@@ -89,11 +122,11 @@ func (p *encodeProgram) encodeColumns(hop int, s *soaScratch, idx []int32, pkts 
 		op := &p.ops[oi]
 		switch op.kind {
 		case opPath:
-			op.soaPath(hop, s, idx, pkts, vals, pktCol, digCol)
+			op.soaPath(first, s, idx, pkts, vals, pktCol, digCol)
 		case opLatency:
-			op.soaLatency(hop, s, idx, vals, pktCol, digCol)
+			op.soaLatency(first, s, idx, vals, pktCol, digCol)
 		case opUtil:
-			op.soaUtil(hop, s, idx, vals, pktCol, digCol)
+			op.soaUtil(first, s, idx, vals, pktCol, digCol)
 		}
 	}
 	for j, i := range idx {
@@ -101,44 +134,60 @@ func (p *encodeProgram) encodeColumns(hop int, s *soaScratch, idx []int32, pkts 
 	}
 }
 
-// soaLatency: reservoir overwrite with the compressed value. Winners are
-// a 1/hop fraction, so the compressor runs only for them, behind a
-// one-entry value→code memo (hop latencies repeat heavily in a batch).
-func (op *encodeOp) soaLatency(hop int, s *soaScratch, idx []int32, vals []HopValues, pktCol, digCol []uint64) {
+// alwaysWrites returns the index of the last hop of the range [first,
+// first+nh) that writes under reservoir sampling whatever its hash (hops
+// <= 1), or -1 when every hop of the range decides by hash.
+func alwaysWrites(first, nh int) int {
+	if first > 1 {
+		return -1
+	}
+	return min(1-first, nh-1)
+}
+
+// lastWriter returns the index of the last hop of the range whose
+// reservoir write fires on the packet with act key key (thr[t]: hop
+// first+t's threshold), or -1 when none does. It searches down from the
+// range's end, so the hops before the winner are never hashed.
+func lastWriter(key uint64, first int, thr []uint64, always int) int {
+	for t := len(thr) - 1; t > always; t-- {
+		if hash.ActAt(key, uint64(first+t)) < thr[t] {
+			return t
+		}
+	}
+	return always
+}
+
+// soaLatency: reservoir overwrite with the compressed value. Only a
+// packet's last writing hop of the range shows, so its value alone is
+// compressed, by range match (MultCompressor.EncodeUint).
+func (op *encodeOp) soaLatency(first int, s *soaScratch, idx []int32, vals [][]HopValues, pktCol, digCol []uint64) {
 	shift, mask := op.shift, op.mask
 	keep := ^(mask << shift)
 	comp := op.lat.comp
-	var lastV, lastCode uint64
-	have := false
-	if hop <= 1 {
+	nh := len(vals)
+	always := alwaysWrites(first, nh)
+	if always == nh-1 {
+		last := vals[nh-1]
 		for j, i := range idx {
-			if v := vals[i].LatencyNs; !have || v != lastV {
-				lastV, lastCode, have = v, comp.Encode(float64(v)), true
-			}
-			digCol[j] = digCol[j]&keep | (lastCode&mask)<<shift
+			digCol[j] = digCol[j]&keep | (comp.EncodeUint(last[i].LatencyNs)&mask)<<shift
 		}
 		return
 	}
 	s.h = growCol(s.h, len(idx))
 	h := s.h
-	op.resG.ActHashColumn(h, pktCol, uint64(hop))
-	thr := hash.ReservoirThreshold(hop)
+	op.resG.ActKeyColumn(h, pktCol)
 	for j, i := range idx {
-		if h[j] >= thr {
-			continue
+		if t := lastWriter(h[j], first, s.thr, always); t >= 0 {
+			digCol[j] = digCol[j]&keep | (comp.EncodeUint(vals[t][i].LatencyNs)&mask)<<shift
 		}
-		if v := vals[i].LatencyNs; !have || v != lastV {
-			lastV, lastCode, have = v, comp.Encode(float64(v)), true
-		}
-		digCol[j] = digCol[j]&keep | (lastCode&mask)<<shift
 	}
 }
 
-// soaUtil: max-aggregation of randomized-rounded codes. The log/floor
-// decomposition is memoized per distinct value (RandomizedParts); the
-// per-packet coin is one hash column keyed pktID + hop<<48 under
-// EncodeRandomized's dedicated 1<<20 coin index.
-func (op *encodeOp) soaUtil(hop int, s *soaScratch, idx []int32, vals []HopValues, pktCol, digCol []uint64) {
+// soaUtil: max-aggregation of randomized-rounded codes, every hop of the
+// range in turn. The log/floor decomposition is memoized per distinct
+// value (RandomizedParts); the per-packet coin is one hash column keyed
+// pktID + hop<<48 under EncodeRandomized's dedicated 1<<20 coin index.
+func (op *encodeOp) soaUtil(first int, s *soaScratch, idx []int32, vals [][]HopValues, pktCol, digCol []uint64) {
 	n := len(idx)
 	shift, mask := op.shift, op.mask
 	keep := ^(mask << shift)
@@ -147,40 +196,44 @@ func (op *encodeOp) soaUtil(hop int, s *soaScratch, idx []int32, vals []HopValue
 	s.h = growCol(s.h, n)
 	s.tmp = growCol(s.tmp, n)
 	h, tmp := s.h, s.tmp
-	off := uint64(hop) << 48
-	for j, p := range pktCol {
-		tmp[j] = p + off
-	}
-	op.util.g.ActHashColumn(h, tmp, 1<<20)
 	var lastRaw, lo, coinThr uint64
 	var always, have bool
-	for j, i := range idx {
-		if raw := vals[i].Util; !have || raw != lastRaw {
-			lo, coinThr, always = comp.RandomizedParts(float64(raw))
-			lastRaw, have = raw, true
+	for t, hv := range vals {
+		off := uint64(first+t) << 48
+		for j, p := range pktCol {
+			tmp[j] = p + off
 		}
-		code := lo
-		if always || h[j] < coinThr {
-			code++
+		op.util.g.ActHashColumn(h, tmp, 1<<20)
+		for j, i := range idx {
+			if raw := hv[i].Util; !have || raw != lastRaw {
+				lo, coinThr, always = comp.RandomizedParts(float64(raw))
+				lastRaw, have = raw, true
+			}
+			code := lo
+			if always || h[j] < coinThr {
+				code++
+			}
+			if code > maxCode {
+				code = maxCode
+			}
+			old := digCol[j] >> shift & mask
+			if old > code {
+				code = old
+			}
+			digCol[j] = digCol[j]&keep | code<<shift
 		}
-		if code > maxCode {
-			code = maxCode
-		}
-		old := digCol[j] >> shift & mask
-		if old > code {
-			code = old
-		}
-		digCol[j] = digCol[j]&keep | code<<shift
 	}
 }
 
 // soaPath: the distributed-coding op (hashed mode, the only one
-// NewPathQuery admits). Layer selections ride the PacketDigest cache; act
-// decisions are one hash column against per-layer thresholds; acting
-// packets are compacted and each hash instance's payload is one value-hash
-// column folded into the digest column with overwrite (Baseline) or xor
-// (XOR layers) selects.
-func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDigest, vals []HopValues, pktCol, digCol []uint64) {
+// NewPathQuery admits). Layer selections ride the PacketDigest cache. Each
+// packet's act decisions over the range complete one act key: a Baseline
+// packet keeps only its last acting hop (the word is overwritten), an XOR
+// packet every acting hop. The (packet, hop) pairs are compacted and each
+// hash instance's payload is one value-hash column over all of them,
+// folded into the digest column with overwrite (Baseline) or xor (XOR
+// layers) selects.
+func (op *encodeOp) soaPath(first int, s *soaScratch, idx []int32, pkts []PacketDigest, vals [][]HopValues, pktCol, digCol []uint64) {
 	enc := op.pathEnc
 	cfg := enc.Config()
 	n := len(idx)
@@ -205,6 +258,8 @@ func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDi
 		}
 	}
 
+	// XOR layer l acts when its key completes below thr[l] (or always);
+	// the threshold does not depend on the hop. Layer 0 is the reservoir.
 	var thrArr [8]uint64
 	var alwArr [8]bool
 	thr, alw := thrArr[:], alwArr[:]
@@ -213,40 +268,50 @@ func (op *encodeOp) soaPath(hop int, s *soaScratch, idx []int32, pkts []PacketDi
 		thr = make([]uint64, nl+1)
 		alw = make([]bool, nl+1)
 	}
-	for l := 0; l <= nl; l++ {
-		thr[l], alw[l] = enc.ActConst(hop, l)
+	for l := 1; l <= nl; l++ {
+		thr[l], alw[l] = enc.ActConst(first, l)
 	}
+	nh := len(vals)
+	always := alwaysWrites(first, nh)
 	s.h = growCol(s.h, n)
 	h := s.h
-	enc.ActGlobal().ActHashColumn(h, pktCol, uint64(hop))
-	s.act = s.act[:0]
-	for j := range pktCol {
+	enc.ActGlobal().ActKeyColumn(h, pktCol)
+	// Compact the acting (packet, hop) pairs: each one's position, value
+	// and packet ID.
+	s.act = growIdx(s.act, n*nh)
+	s.val = growCol(s.val, n*nh)
+	s.tmp = growCol(s.tmp, n*nh)
+	act, valCol, tmp := s.act, s.val, s.tmp
+	na := 0
+	for j, i := range idx {
 		l := lay[j]
-		if alw[l] || h[j] < thr[l] {
-			s.act = append(s.act, int32(j))
+		if l == 0 {
+			if t := lastWriter(h[j], first, s.thr, always); t >= 0 {
+				act[na], valCol[na], tmp[na] = int32(j), vals[t][i].SwitchID, pktCol[j]
+				na++
+			}
+			continue
+		}
+		for t, hv := range vals {
+			if alw[l] || hash.ActAt(h[j], uint64(first+t)) < thr[l] {
+				act[na], valCol[na], tmp[na] = int32(j), hv[i].SwitchID, pktCol[j]
+				na++
+			}
 		}
 	}
-	act := s.act
-	if len(act) == 0 {
+	if na == 0 {
 		return
 	}
-
-	na := len(act)
-	s.val = growCol(s.val, na)
-	s.tmp = growCol(s.tmp, na)
+	act, valCol, tmp = act[:na], valCol[:na], tmp[:na]
 	s.pay = growCol(s.pay, na)
-	valCol, tmp, pay := s.val, s.tmp, s.pay
-	for t, j := range act {
-		valCol[t] = vals[idx[j]].SwitchID
-		tmp[t] = pktCol[j]
-	}
+	pay := s.pay
 	width, wmask := op.pathBits, op.pathWordMask
 	for inst := 0; inst < op.pathN; inst++ {
 		enc.InstanceGlobal(inst).ValueDigestColumn(pay, valCol, tmp, cfg.Bits)
 		ishift := op.shift + uint(inst)*width
 		ikeep := ^(wmask << ishift)
-		for t, j := range act {
-			w := pay[t]
+		for x, j := range act {
+			w := pay[x]
 			var c uint64
 			if lay[j] != 0 {
 				c = 1

@@ -122,6 +122,118 @@ func TestEncodeHopBatchSoAParity(t *testing.T) {
 	}
 }
 
+// hopColumns returns nh value columns for the packets of parityBatch(seed,
+// n), every hop observing other values.
+func hopColumns(seed uint64, n, nh int) [][]HopValues {
+	cols := make([][]HopValues, nh)
+	for t := range cols {
+		_, cols[t] = parityBatch(seed+uint64(t)*7919, n)
+	}
+	return cols
+}
+
+// checkHopsParity runs hops first..first+len(cols)-1 over a batch three
+// ways: one EncodeHops call, one EncodeHopBatch call per hop, and the
+// oracle hop by hop; all three must leave bit-identical packets.
+func checkHopsParity(t *testing.T, eng *Engine, pkts []PacketDigest, first int, cols [][]HopValues) {
+	t.Helper()
+	want := append([]PacketDigest(nil), pkts...)
+	each := append([]PacketDigest(nil), pkts...)
+	for h, col := range cols {
+		for i := range want {
+			oracleEncodeHop(eng, first+h, &want[i], &col[i])
+		}
+		eng.EncodeHopBatch(first+h, each, col)
+	}
+	eng.EncodeHops(first, pkts, cols)
+	for i := range pkts {
+		if pkts[i] != want[i] || each[i] != want[i] {
+			t.Fatalf("n=%d hops [%d,%d] pkt %d diverged:\noracle    %+v\nper hop   %+v\none range %+v",
+				len(pkts), first, first+len(cols)-1, i, want[i], each[i], pkts[i])
+		}
+	}
+}
+
+// TestEncodeHopsParity holds a range of hops in one pass to the same hops
+// one at a time and to the oracle, for every plan shape: ranges from hop
+// 1 and from above it, one hop up to 64, across the reservoir threshold
+// table's end (hop 64), and ranges applied after earlier ones.
+func TestEncodeHopsParity(t *testing.T) {
+	ranges := [][2]int{{1, 1}, {1, 2}, {1, 5}, {1, 25}, {1, 64}, {0, 3}, {2, 2}, {2, 9}, {5, 5}, {3, 64}, {60, 70}}
+	for name, eng := range parityPlans(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, n := range []int{1, 16, 17, 301} {
+				for _, r := range ranges {
+					seed := uint64(n)*31 + uint64(r[0])*977 + uint64(r[1])
+					pkts, _ := parityBatch(seed, n)
+					checkHopsParity(t, eng, pkts, r[0], hopColumns(seed, n, r[1]-r[0]+1))
+					// The same packets through a later range start from
+					// the digests and caches the first range left.
+					last := r[1] + 1
+					checkHopsParity(t, eng, pkts, last, hopColumns(seed+1, n, 3))
+				}
+			}
+		})
+	}
+}
+
+// TestEncodeHopsShortValsPanics: any short column panics before a packet
+// is touched.
+func TestEncodeHopsShortValsPanics(t *testing.T) {
+	eng := parityPlans(t)["combined"]
+	pkts, _ := parityBatch(5, 20)
+	cols := hopColumns(5, 20, 4)
+	cols[2] = cols[2][:19]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a short column did not panic")
+		}
+		for i := range pkts {
+			if pkts[i].Digest != 0 || pkts[i].set != 0 {
+				t.Fatalf("packet %d mutated before bounds panic: %+v", i, pkts[i])
+			}
+		}
+	}()
+	eng.EncodeHops(1, pkts, cols)
+}
+
+// FuzzEncodeHopsParity: arbitrary bytes pick a plan, a batch, a range of
+// up to 64 hops and where it starts; one EncodeHops call must agree with
+// the hops one at a time and with the oracle bit for bit.
+func FuzzEncodeHopsParity(f *testing.F) {
+	f.Add(uint8(0), uint64(1), uint8(1), uint8(5), []byte("pint"))
+	f.Add(uint8(1), uint64(0xF16), uint8(2), uint8(63), make([]byte, 25*24))
+	f.Add(uint8(3), ^uint64(0), uint8(60), uint8(10), []byte("\x01\x02\x03\x04\x05\x06\x07\x08hops-range-seed!"))
+	f.Add(uint8(4), uint64(42), uint8(0), uint8(2), []byte("{\xff\x00AA\x10zzzzzzzzzzzzzzzz}"))
+
+	var plans []*Engine
+	built := parityPlans(f)
+	for _, name := range []string{"combined", "latency+util", "bit-path", "deep-path", "triple-path", "multi-set"} {
+		plans = append(plans, built[name])
+	}
+	f.Fuzz(func(t *testing.T, planSel uint8, seed uint64, first, nh uint8, data []byte) {
+		eng := plans[int(planSel)%len(plans)]
+		n := min(len(data)/8+1, 200)
+		pkts, _ := parityBatch(seed, n)
+		cols := hopColumns(seed, n, int(nh)%64+1)
+		for i := 0; i+8 <= len(data) && i/8 < n; i += 8 {
+			v := binary.LittleEndian.Uint64(data[i:])
+			col := cols[(i/8)%len(cols)]
+			switch (i / 8) % 4 {
+			case 0:
+				pkts[i/8].PktID = v
+			case 1:
+				col[i/8].Util = v
+			case 2:
+				col[i/8].LatencyNs = v
+			case 3:
+				col[i/8].SwitchID = v
+			}
+		}
+		checkHopsParity(t, eng, pkts, int(first)%80, cols)
+	})
+}
+
 // TestOneEncodePath keeps the oracle the only second implementation of a
 // hop: no non-test file of this package may declare an EncodeHop method
 // (the per-query extension point Compile could never dispatch to) or a

@@ -17,6 +17,21 @@ func (g *Global) ActHashColumn(dst, pktIDs []uint64, hop uint64) {
 	kernels.HashPktHop(dst, pktIDs, uint64(g.g), hop)
 }
 
+// ActKeyColumn fills dst[i] with the half of g(pktIDs[i], hop) that does
+// not depend on the hop, so ActAt(dst[i], hop) is g(pktIDs[i], hop) for
+// every hop: a pass that decides one packet at many hops runs the first
+// hash round once, as ReservoirWinner does. dst and pktIDs must have
+// equal length.
+func (g *Global) ActKeyColumn(dst, pktIDs []uint64) {
+	dst = dst[:len(pktIDs)]
+	for i, p := range pktIDs {
+		dst[i] = g.g.hash2First(p)
+	}
+}
+
+// ActAt completes g(pkt, hop) from pkt's ActKeyColumn entry.
+func ActAt(key, hop uint64) uint64 { return hash2Second(key, hop) }
+
 // ValueDigestColumn fills dst[i] = ValueDigest(values[i], pktIDs[i], b).
 // All three columns must have equal length.
 func (g *Global) ValueDigestColumn(dst, values, pktIDs []uint64, b int) {

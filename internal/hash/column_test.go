@@ -28,6 +28,29 @@ func TestActHashColumnMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestActKeyColumnMatchesScalar: one first round per packet, completed by
+// ActAt at any hop, is the act-decision hash itself.
+func TestActKeyColumnMatchesScalar(t *testing.T) {
+	g := NewGlobal(Seed(0xC03))
+	const n = 97
+	pkts := make([]uint64, n)
+	for i := range pkts {
+		pkts[i] = Seed(9).Hash1(uint64(i))
+	}
+	pkts[0], pkts[1] = 0, ^uint64(0)
+	keys := make([]uint64, n)
+	g.ActKeyColumn(keys, pkts)
+	h := make([]uint64, n)
+	for _, hop := range []int{0, 1, 2, 5, 64, 65, 1 << 20} {
+		g.ActHashColumn(h, pkts, uint64(hop))
+		for i, pkt := range pkts {
+			if got := ActAt(keys[i], uint64(hop)); got != h[i] || got != g.g.Hash2(pkt, uint64(hop)) {
+				t.Fatalf("hop %d pkt %#x: ActAt %#x, column %#x", hop, pkt, got, h[i])
+			}
+		}
+	}
+}
+
 // TestValueDigestColumnsMatchScalar pins the two value-hash column shapes.
 func TestValueDigestColumnsMatchScalar(t *testing.T) {
 	g := NewGlobal(Seed(0xC02))

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"sort"
 	"testing"
 
+	"repro/internal/hash"
 	"repro/internal/topology"
 )
 
@@ -24,6 +26,81 @@ func TestSimEventOrdering(t *testing.T) {
 	}
 	if s.Now() != 100 {
 		t.Fatalf("clock %d, want advanced to until=100", s.Now())
+	}
+}
+
+// TestEventHeapTieOrder: events fire in (time, scheduling order), ties
+// included, with many events per timestamp, events scheduled from inside
+// a running event at its own time (after every event already due then)
+// and slots reused across Run calls.
+func TestEventHeapTieOrder(t *testing.T) {
+	s := NewSim()
+	rng := hash.NewRNG(17)
+	type ev struct {
+		t   int64
+		seq int
+	}
+	var want, got []ev
+	seq := 0
+	schedule := func(at int64) {
+		seq++
+		e := ev{at, seq}
+		want = append(want, e)
+		s.At(at, func() {
+			got = append(got, e)
+			if e.seq%5 == 0 { // a follow-up due at the same time
+				seq++
+				f := ev{s.Now(), seq}
+				want = append(want, f)
+				s.At(s.Now(), func() { got = append(got, f) })
+			}
+		})
+	}
+	for round := 0; round < 3; round++ {
+		base := s.Now()
+		for i := 0; i < 400; i++ {
+			schedule(base + int64(rng.Intn(8)))
+		}
+		s.Run(base + 100)
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].t != want[j].t {
+			return want[i].t < want[j].t
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%d events fired, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: fired %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(s.fns) > 480 {
+		t.Fatalf("%d closure slots for at most ~480 pending events: fired slots are not reused", len(s.fns))
+	}
+}
+
+// TestSimAtRunZeroAlloc pins scheduling and running at a steady event
+// count at no allocation: keys are values in the heap's slice, closures
+// reuse freed slots.
+func TestSimAtRunZeroAlloc(t *testing.T) {
+	s := NewSim()
+	n := 0
+	fn := func() { n++ }
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			s.At(s.Now()+int64(i%7), fn)
+		}
+		s.Run(s.Now() + 10)
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("At+Run: %v allocations per 64 events, want 0", allocs)
+	}
+	if n != 64*102 {
+		t.Fatalf("%d events fired, want %d", n, 64*102)
 	}
 }
 

@@ -17,16 +17,31 @@
 // same timestamp fire in scheduling order.
 package netsim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Sim is the event loop. Times are int64 nanoseconds.
+//
+// The queue is a binary min-heap of pointer-free (t, seq, slot) keys,
+// ordered by (t, seq): seq is unique, so the order is total and the pop
+// order is the scheduling order among equal times. The closures wait in
+// a slot table beside it, and a fired event's slot is reused, so at a
+// steady event count scheduling and running allocate nothing.
 type Sim struct {
 	now    int64
-	events eventHeap
+	events []eventKey // the heap
+	fns    []func()   // slot → closure; nil while the slot is free
+	free   []uint32   // free slots
 	seq    uint64
+}
+
+type eventKey struct {
+	t    int64
+	seq  uint64
+	slot uint32
+}
+
+func (a eventKey) before(b eventKey) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
 // NewSim creates an empty simulation at t=0.
@@ -40,8 +55,18 @@ func (s *Sim) At(t int64, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("netsim: scheduling into the past (%d < %d)", t, s.now))
 	}
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.fns[slot] = fn
+	} else {
+		slot = uint32(len(s.fns))
+		s.fns = append(s.fns, fn)
+	}
 	s.seq++
-	heap.Push(&s.events, event{t: t, seq: s.seq, fn: fn})
+	s.events = append(s.events, eventKey{t: t, seq: s.seq, slot: slot})
+	s.up(len(s.events) - 1)
 }
 
 // After schedules fn d nanoseconds from now.
@@ -56,9 +81,15 @@ func (s *Sim) Run(until int64) int {
 		if ev.t > until {
 			break
 		}
-		heap.Pop(&s.events)
+		last := len(s.events) - 1
+		s.events[0] = s.events[last]
+		s.events = s.events[:last]
+		s.down(0)
+		fn := s.fns[ev.slot]
+		s.fns[ev.slot] = nil
+		s.free = append(s.free, ev.slot)
 		s.now = ev.t
-		ev.fn()
+		fn()
 		n++
 	}
 	if s.now < until {
@@ -67,27 +98,32 @@ func (s *Sim) Run(until int64) int {
 	return n
 }
 
-type event struct {
-	t   int64
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (s *Sim) up(i int) {
+	h := s.events
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (s *Sim) down(i int) {
+	h := s.events
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

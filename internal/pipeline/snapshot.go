@@ -20,9 +20,9 @@ import "repro/internal/core"
 // same backing array, and a latency store's histogram is shared until the
 // copy's next fold, which counts into a copy of it. What is mutated in
 // place (path decoders still decoding) the copy gets its own. Taking a
-// snapshot therefore costs at most 16 bytes of run per flow it covers,
-// never anything in the packets the flows carried; and while it is held,
-// the worker pays one copy of each flow it records into.
+// snapshot therefore costs at most 4 bytes of run per flow it covers (one
+// block offset), never anything in the packets the flows carried; and
+// while it is held, the worker pays one copy of each flow it records into.
 //
 // Close ends that cost: it releases each shard's lease on the caller's
 // goroutine, which makes every flow no other snapshot holds the worker's

@@ -130,19 +130,19 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 	const flow = core.FlowKey(1)
 	stream := hash.NewRNG(uint64(master.Derive(3)))
 	pkts := make([]core.PacketDigest, block)
-	vals := make([]core.HopValues, block)
+	vals := hopColumns(k, block)
 	var wireBuf []byte
 	var rx []core.PacketDigest
 	encodeAndShip := func(path []uint64) error {
 		for j := range pkts {
 			pkts[j] = core.PacketDigest{Flow: flow, PktID: stream.Uint64(), PathLen: k}
 		}
-		for hop := 1; hop <= k; hop++ {
-			for j := range vals {
-				vals[j].SwitchID = path[hop-1]
+		for hop, col := range vals {
+			for j := range col {
+				col[j].SwitchID = path[hop]
 			}
-			eng.EncodeHopBatch(hop, pkts, vals)
 		}
+		eng.EncodeHops(1, pkts, vals)
 		wireBuf, rx, err = shipBlocks(sink, pkts, wireBuf, rx)
 		return err
 	}
@@ -330,7 +330,7 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 
 	rng := hash.NewRNG(uint64(master.Derive(3)))
 	pkts := make([]core.PacketDigest, pktsFlow)
-	vals := make([]core.HopValues, pktsFlow)
+	vals := hopColumns(k, pktsFlow)
 	var wireBuf []byte
 	var rx []core.PacketDigest
 	for f := 0; f < nFlows; f++ {
@@ -338,17 +338,17 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 		for j := range pkts {
 			pkts[j] = core.PacketDigest{Flow: flow, PktID: rng.Uint64(), PathLen: k}
 		}
-		for hop := 1; hop <= k; hop++ {
-			sw := paths[f][hop-1]
-			for j := range vals {
+		for hop, col := range vals {
+			sw := paths[f][hop]
+			for j := range col {
 				lat := math.Exp(math.Log(8000) + 0.25*rng.NormFloat64())
 				if sw == hot {
 					lat *= float64(hotBoost)
 				}
-				vals[j] = core.HopValues{SwitchID: sw, LatencyNs: uint64(lat)}
+				col[j] = core.HopValues{SwitchID: sw, LatencyNs: uint64(lat)}
 			}
-			eng.EncodeHopBatch(hop, pkts, vals)
 		}
+		eng.EncodeHops(1, pkts, vals)
 		if wireBuf, rx, err = shipBlocks(sink, pkts, wireBuf, rx); err != nil {
 			return out, err
 		}

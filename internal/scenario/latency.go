@@ -184,7 +184,7 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 	var errSum float64
 	var errN int
 	pkts := make([]core.PacketDigest, z)
-	vals := make([]core.HopValues, z)
+	vals := hopColumns(k, z)
 	for tr := 0; tr < trials; tr++ {
 		q, err := core.NewLatencyQuery("lat", b, epsFor(b), 1, hash.Seed(rng.Uint64()))
 		if err != nil {

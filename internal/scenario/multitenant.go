@@ -137,7 +137,7 @@ func estimateHopQuantileErr(streams [][]float64, master hash.Seed, shards int) (
 	}
 	const flow = core.FlowKey(1)
 	pkts := make([]core.PacketDigest, z)
-	encodeHopStreams(eng, streams, flow, hash.NewRNG(uint64(master.Derive(3))), pkts, make([]core.HopValues, z))
+	encodeHopStreams(eng, streams, flow, hash.NewRNG(uint64(master.Derive(3))), pkts, hopColumns(len(streams), z))
 	rec, err := recordPackets(eng, pkts, shards, flow)
 	if err != nil {
 		return 0, 0, err

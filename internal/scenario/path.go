@@ -299,10 +299,15 @@ func PathTrace(spec PathTraceSpec) Scenario {
 func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.Seed, stream uint64, flow core.FlowKey, maxPkts, shards int) (int, error) {
 	const block = 32
 	pkts := make([]core.PacketDigest, block)
-	vals := make([]core.HopValues, block)
+	k := len(values)
+	vals := hopColumns(k, block)
+	for hop, col := range vals {
+		for j := range col {
+			col[j].SwitchID = values[hop]
+		}
+	}
 	wireBuf := make([]byte, 0, block*12)
 	rx := make([]core.PacketDigest, 0, block)
-	k := len(values)
 	q, err := core.NewPathQuery("path", cfg, 1, master, universe)
 	if err != nil {
 		return 0, err
@@ -322,12 +327,7 @@ func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.S
 		for j := 0; j < b; j++ {
 			pkts[j] = core.PacketDigest{Flow: flow, PktID: sub.Uint64(), PathLen: k}
 		}
-		for hop := 1; hop <= k; hop++ {
-			for j := 0; j < b; j++ {
-				vals[j].SwitchID = values[hop-1]
-			}
-			eng.EncodeHopBatch(hop, pkts[:b], vals[:b])
-		}
+		eng.EncodeHops(1, pkts[:b], vals)
 		// Ship the block switch→collector through the wire format, as
 		// a deployment would; the collector records the decoded copy.
 		if rx, wireBuf, err = wire.Roundtrip(rx, wireBuf, pkts[:b]); err != nil {
