@@ -2,7 +2,6 @@ package coding
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -179,9 +178,8 @@ func (d *Decoder) Clone() *Decoder {
 	return c
 }
 
-// Slab returns the decoder's stored packets, which Observe and
-// RestoreState may have grown: a caller that bound the view keeps it for
-// the next one.
+// Slab returns the decoder's stored packets, which Observe may have grown:
+// a caller that bound the view keeps it for the next one.
 func (d *Decoder) Slab() []uint64 { return d.pkts }
 
 // known and vals are the parts of the state words (see Decoder.w).
@@ -476,40 +474,4 @@ func (d *Decoder) hopBlock(h int) (uint64, bool) {
 		v |= vals[f*d.k+h] << uint(f*d.plan.enc.cfg.Bits)
 	}
 	return v, true
-}
-
-// candidates returns hop h's (0-based) narrowed candidate set, nil while
-// it is still the whole universe (hashed mode).
-func (d *Decoder) candidates(h int) []uint64 {
-	if d.w[stListed]>>uint(h)&1 == 0 {
-		return nil
-	}
-	return d.rows[h*d.plan.setWords:][:d.plan.setWords]
-}
-
-// CandidateCount returns the number of values still possible for a hop
-// (1-based): 1 once it is decoded (a decoded hashed-mode hop's row is the
-// bit of its value, and a done decoder may have none), and otherwise its
-// candidate set's size in hashed mode and the full space in raw mode,
-// which counts a hop decoded when its first fragment is.
-func (d *Decoder) CandidateCount(hop int) int {
-	h, p := hop-1, d.plan
-	if d.w[stKnown]>>uint(h)&1 != 0 {
-		return 1
-	}
-	if p.enc.cfg.Mode == ModeHashed {
-		row := d.candidates(h)
-		if row == nil {
-			return len(p.universe)
-		}
-		n := 0
-		for _, w := range row {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	if p.enc.cfg.ValueBits >= 62 {
-		return math.MaxInt32
-	}
-	return 1 << uint(p.enc.cfg.ValueBits)
 }

@@ -33,9 +33,9 @@
 // value universe, validated once (NewPlan). A Decoder is one flow's
 // state, flat and small — solved blocks, one candidate bitset over the
 // universe index per hop, a slab of stored packets at a fixed stride —
-// and serializes byte for byte (AppendState/RestoreState) as the
-// hand-off format between collectors; RestoreState accepts only what
-// AppendState could have written. Frozen-share rule: once Done, a Decoder
+// and these words are the hand-off format between collectors, which
+// Plan.Check accepts only as a state observing could have reached.
+// Frozen-share rule: once Done, a Decoder
 // writes nothing but its observed/inconsistent counters, so Clone of a
 // finished decoder copies the struct and shares the state, and both sides
 // may keep observing concurrently; an unfinished decoder is deep-copied.

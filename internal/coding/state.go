@@ -1,323 +1,145 @@
 package coding
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-
-	"repro/internal/stateread"
+	"slices"
 )
 
-// Exact decoder-state serialization for the fleet-resize hand-off path.
-// A flow's decoder is incremental: the packets it has buffered, the
-// blocks it has solved, and the candidate sets it has narrowed all feed
-// future Observe calls. Moving the flow to another collector therefore
-// ships this complete mutable state; the destination reconstructs a
-// decoder whose every future Observe/Path/MissingHops answer is
-// identical to the original's. Only observation state travels — the
-// plan-derived configuration (Config, hash globals, universe) is rebuilt
-// on the destination from its own compiled plan, a decoder bound over
-// fresh words (Plan.Bind), and the blob carries the geometry (k,
-// fragments, universe size) so a mismatched plan is an error, not silent
-// corruption.
+// A decoder's state is its words, its candidate rows and its slab
+// (Decoder): the fleet-resize hand-off moves them as they are, and the
+// destination binds a decoder over its copies (Bind) once Check has
+// accepted them. Only observation state travels; the plan — Config, hash
+// families, universe — is the destination's own, which the hand-off's
+// plan hash holds equal to the source's.
 
-const decoderStateVersion = 1
-
-const stateWhat = "coding: decoder state"
-
-// readFlag reads a byte AppendState writes as 0 or 1.
-func readFlag(r *stateread.Reader) uint64 {
-	v := r.Uvarint()
-	if r.Err == nil && v > 1 {
-		r.Failf("flag %d is neither 0 nor 1", v)
-		return 0
+// Check reports whether words, rows and slab are a state a decoder for a
+// k-hop path of the plan could have reached by observing packets, so that
+// one bound over them answers, observes and clones without indexing
+// outside its state: Words(k) state words, RowWords(k) rows or none for a
+// done decoder, and a slab of whole stored packets. It holds
+//
+//   - k to [1, MaxPathLen], both counters to at most math.MaxInt, and the
+//     known and listed hops to the path;
+//   - a zero value for every undecoded block, and a decoded hashed-mode
+//     hop's value to the universe;
+//   - in hashed mode, a hop listed exactly when its row is nonempty, rows
+//     only over the universe, a decoded hop listed and its row exactly its
+//     value's bit, and an undecoded listed hop's row more than one bit; in
+//     raw mode, no hop listed;
+//   - the slab to whole packets, each of a fragment of the plan and on hops
+//     of the path: a live one waiting on two hops or more, none of them
+//     decoded in its fragment, a dead one on one hop at most.
+func (p *Plan) Check(k int, words, rows, slab []uint64) error {
+	if k < 1 || k > MaxPathLen {
+		return fmt.Errorf("coding: path length %d out of [1,%d]", k, MaxPathLen)
 	}
-	return v
-}
-
-func readCount(r *stateread.Reader, what string) int {
-	n := r.Uvarint()
-	if r.Err == nil && n > uint64(r.Len())+1 { // every element is >= 1 byte
-		r.Failf("claims %d %s with %d bytes left", n, what, r.Len())
+	if len(words) != p.Words(k) {
+		return fmt.Errorf("coding: %d state words for a %d-hop decoder of %d", len(words), k, p.Words(k))
 	}
-	return int(n)
-}
-
-// PeekState reads the path length out of an AppendState blob, and
-// whether it claims every hop decoded, so a caller can lay out the right
-// decoder (Plan.Words(k), Plan.RowWords(k), Plan.Bind) before calling
-// RestoreState: one that claims a decoded path may be restored without
-// candidate rows.
-func PeekState(data []byte) (k int, decoded bool, err error) {
-	r := stateread.New(stateWhat, data)
-	if v := r.Uvarint(); r.Err == nil && v != decoderStateVersion {
-		return 0, false, fmt.Errorf("coding: decoder state version %d (have %d)", v, decoderStateVersion)
+	d := Decoder{plan: p, k: k, w: words}
+	if d.w[stObserved] > math.MaxInt || d.w[stInconsistent] > math.MaxInt {
+		return fmt.Errorf("coding: decoder state counters (%d observed, %d inconsistent) overflow", d.w[stObserved], d.w[stInconsistent])
 	}
-	n := r.Uvarint()
-	for range 4 { // fragments, universe size, observed, inconsistent
-		r.Uvarint()
+	path := ^uint64(0)
+	if k < 64 {
+		path = 1<<uint(k) - 1
 	}
-	hops := r.Uvarint()
-	if r.Err != nil {
-		return 0, false, r.Err
-	}
-	return int(n), hops == n, nil
-}
-
-// AppendState appends the decoder's complete observation state to dst.
-func (d *Decoder) AppendState(dst []byte) []byte {
-	p := d.plan
-	dst = append(dst, decoderStateVersion)
-	dst = binary.AppendUvarint(dst, uint64(d.k))
-	dst = binary.AppendUvarint(dst, uint64(p.frags))
-	dst = binary.AppendUvarint(dst, uint64(len(p.universe)))
-	dst = binary.AppendUvarint(dst, d.w[stObserved])
-	dst = binary.AppendUvarint(dst, d.w[stInconsistent])
-	dst = binary.AppendUvarint(dst, uint64(d.decodedHops()))
-	vals := d.vals()
-	for f, known := range d.known() {
-		for h := 0; h < d.k; h++ {
-			dst = append(dst, byte(known>>uint(h)&1))
-			dst = binary.AppendUvarint(dst, vals[f*d.k+h])
-		}
-	}
-	if p.enc.cfg.Mode != ModeHashed {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		for h := 0; h < d.k; h++ {
-			if d.w[stListed]>>uint(h)&1 == 0 {
-				dst = append(dst, 0)
-				continue
-			}
-			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(d.CandidateCount(h+1)))
-			if d.w[stKnown]>>uint(h)&1 != 0 {
-				// The one candidate of a decoded hop, which a done decoder
-				// may hold no row for.
-				dst = binary.AppendUvarint(dst, vals[h])
-				continue
-			}
-			for w, word := range d.candidates(h) {
-				for ; word != 0; word &= word - 1 {
-					dst = binary.AppendUvarint(dst, p.universe[w*64+bits.TrailingZeros64(word)])
-				}
-			}
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(d.pkts)/p.stride))
-	for at := 0; at < len(d.pkts); at += p.stride {
-		rec := d.pkts[at : at+p.stride]
-		dst = binary.AppendUvarint(dst, rec[recID])
-		dst = binary.AppendUvarint(dst, rec[recFlags]>>1)
-		dst = binary.AppendUvarint(dst, rec[recMask])
-		dst = append(dst, byte(rec[recFlags]&1))
-		dst = binary.AppendUvarint(dst, uint64(p.words))
-		for _, w := range rec[recHeader:] {
-			dst = binary.AppendUvarint(dst, w)
-		}
-	}
-	// The pending index of each (fragment, hop): the stored packets a
-	// decode of it would cascade into, absent once it is decoded or when
-	// there are none.
-	for f := range d.known() {
-		for h := 0; h < d.k; h++ {
-			n := 0
-			for ix := d.nextPending(f, h, 0); ix >= 0; ix = d.nextPending(f, h, ix+1) {
-				n++
-			}
-			if n == 0 {
-				dst = append(dst, 0)
-				continue
-			}
-			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(n))
-			for ix := d.nextPending(f, h, 0); ix >= 0; ix = d.nextPending(f, h, ix+1) {
-				dst = binary.AppendUvarint(dst, uint64(ix))
-			}
-		}
-	}
-	return dst
-}
-
-// nextPending returns the index of the first stored packet at or after
-// from that a decode of fragment f of hop h (0-based) would cascade into —
-// one of that fragment still carrying the hop's bit, dead or not — or -1.
-// A decoded hop has none: its cascade has run.
-func (d *Decoder) nextPending(f, h, from int) int {
-	bit := uint64(1) << uint(h)
-	if d.w[stKnown+f]&bit != 0 {
-		return -1
-	}
-	stride := d.plan.stride
-	for at := from * stride; at < len(d.pkts); at += stride {
-		if d.pkts[at+recFlags]>>1 == uint64(f) && d.pkts[at+recMask]&bit != 0 {
-			return at / stride
-		}
-	}
-	return -1
-}
-
-// RestoreState loads an AppendState blob into a freshly constructed
-// decoder (same query, same path length — the blob's geometry is
-// checked): one whose state words and candidate rows are all zero, or
-// that has no rows for a decoded state, and whose slab is empty. A blob
-// is accepted only if AppendState could have written it for this plan —
-// canonical varints and flags, every stored packet within the decoder's
-// geometry, no value for an undecoded block,
-// candidate lists in universe order, a decoded hashed-mode hop listed with
-// its value alone and an undecoded one with more than one candidate or
-// none, the pending indices and the decoded-hop count those the rest of
-// the state implies — so an accepted blob re-serializes to the same bytes,
-// cannot index outside the state on a later Observe, and holds the rows a
-// decoder that observed its way there would hold. On error the decoder
-// must be discarded.
-func (d *Decoder) RestoreState(data []byte) error {
-	p := d.plan
-	if d.w[stObserved] != 0 || len(d.pkts) != 0 {
-		return fmt.Errorf("coding: RestoreState on a decoder that already observed packets")
-	}
-	r := stateread.New(stateWhat, data)
-	if v := r.Uvarint(); r.Err == nil && v != decoderStateVersion {
-		return fmt.Errorf("coding: decoder state version %d (have %d)", v, decoderStateVersion)
-	}
-	k := int(r.Uvarint())
-	frags := int(r.Uvarint())
-	uniLen := int(r.Uvarint())
-	observed := r.Uvarint()
-	inconsistent := r.Uvarint()
-	decodedHops := r.Uvarint()
-	if r.Err != nil {
-		return r.Err
-	}
-	if k != d.k || frags != p.frags || uniLen != len(p.universe) {
-		return fmt.Errorf("coding: decoder state geometry (k=%d frags=%d universe=%d) does not match decoder (k=%d frags=%d universe=%d)",
-			k, frags, uniLen, d.k, p.frags, len(p.universe))
-	}
-	if observed > math.MaxInt || inconsistent > math.MaxInt {
-		return fmt.Errorf("coding: decoder state counters (%d observed, %d inconsistent) overflow", observed, inconsistent)
-	}
-	decoded := ^uint64(0)
 	known, vals := d.known(), d.vals()
-	for f := range known {
-		for h := 0; h < k; h++ {
-			known[f] |= readFlag(r) << uint(h)
-			vals[f*k+h] = r.Uvarint()
-			if r.Err == nil && known[f]>>uint(h)&1 == 0 && vals[f*k+h] != 0 {
-				return fmt.Errorf("coding: fragment %d hop %d: value %d for an undecoded block", f, h+1, vals[f*k+h])
+	for f, m := range known {
+		if m&^path != 0 {
+			return fmt.Errorf("coding: fragment %d known on hops %#x beyond the path length %d", f, m, k)
+		}
+		for h := range k {
+			if v := vals[f*k+h]; m>>uint(h)&1 == 0 && v != 0 {
+				return fmt.Errorf("coding: fragment %d hop %d: value %d for an undecoded block", f, h+1, v)
 			}
 		}
-		decoded &= known[f]
 	}
-	hashed := readFlag(r) != 0
-	if r.Err != nil {
-		return r.Err
+	if err := d.checkRows(rows, path); err != nil {
+		return err
 	}
-	if n := bits.OnesCount64(decoded); decodedHops != uint64(n) {
-		return fmt.Errorf("coding: decoder state claims %d decoded hops, its known blocks make %d", decodedHops, n)
+	if len(slab)%p.stride != 0 {
+		return fmt.Errorf("coding: slab of %d words is no whole number of %d-word packets", len(slab), p.stride)
 	}
-	if hashed != (p.enc.cfg.Mode == ModeHashed) {
-		return fmt.Errorf("coding: decoder state mode does not match decoder (hashed=%v)", p.enc.cfg.Mode == ModeHashed)
+	for at := 0; at < len(slab); at += p.stride {
+		i, mask, frag, dead := at/p.stride, slab[at+recMask], slab[at+recFlags]>>1, slab[at+recFlags]&1 != 0
+		switch n := bits.OnesCount64(mask); {
+		case frag >= uint64(p.frags):
+			return fmt.Errorf("coding: packet %d fragment %d out of range", i, frag)
+		case mask&^path != 0:
+			return fmt.Errorf("coding: packet %d mask %#x has hops beyond the path length %d", i, mask, k)
+		case dead && n > 1:
+			return fmt.Errorf("coding: packet %d is dead and waits on %d hops", i, n)
+		case !dead && n < 2:
+			return fmt.Errorf("coding: packet %d is live and waits on %d hops", i, n)
+		case !dead && mask&known[frag] != 0:
+			return fmt.Errorf("coding: packet %d waits on decoded hops %#x", i, mask&known[frag])
+		}
 	}
-	if len(d.rows) < p.RowWords(k) && decodedHops != uint64(k) {
-		return fmt.Errorf("coding: decoder state of %d decoded hops of %d for a decoder without candidate rows", decodedHops, k)
+	return nil
+}
+
+// checkRows is Check's part for the listed hops and candidate rows.
+func (d *Decoder) checkRows(rows []uint64, path uint64) error {
+	p, k, listed := d.plan, d.k, d.w[stListed]
+	if p.enc.cfg.Mode != ModeHashed {
+		if listed != 0 || len(rows) != 0 {
+			return fmt.Errorf("coding: raw-mode decoder state with hops listed (%#x) or %d row words", listed, len(rows))
+		}
+		return nil
 	}
-	for h := 0; hashed && h < k; h++ {
-		// A hop decodes when a filter leaves it one candidate, its value.
-		decodedHop := known[0]>>uint(h)&1 != 0
-		if readFlag(r) == 0 {
-			if r.Err == nil && decodedHop {
-				return fmt.Errorf("coding: hop %d: decoded, and no candidate list", h+1)
+	if listed&^path != 0 {
+		return fmt.Errorf("coding: hops %#x listed beyond the path length %d", listed, k)
+	}
+	switch {
+	case len(rows) == 0 && !d.Done():
+		return fmt.Errorf("coding: decoder state of %d decoded hops of %d without candidate rows", d.decodedHops(), k)
+	case len(rows) != 0 && len(rows) != p.RowWords(k):
+		return fmt.Errorf("coding: %d candidate row words for a %d-hop decoder of %d", len(rows), k, p.RowWords(k))
+	}
+	spare := uint(len(p.universe) % 64)
+	for h := range k {
+		decoded, isListed := d.w[stKnown]>>uint(h)&1 != 0, listed>>uint(h)&1 != 0
+		if decoded {
+			if !isListed {
+				return fmt.Errorf("coding: hop %d: decoded, and not listed", h+1)
+			}
+			at := slices.Index(p.universe, d.vals()[h])
+			if at < 0 {
+				return fmt.Errorf("coding: hop %d: decoded as %d, which is not in the universe", h+1, d.vals()[h])
+			}
+			if len(rows) == 0 {
+				continue
+			}
+			row := rows[h*p.setWords:][:p.setWords]
+			for w, word := range row {
+				if want := uint64(1) << uint(at%64); w == at/64 && word != want || w != at/64 && word != 0 {
+					return fmt.Errorf("coding: hop %d: decoded as %d, and its row holds other candidates", h+1, d.vals()[h])
+				}
 			}
 			continue
 		}
-		n := readCount(r, "candidates")
+		if len(rows) == 0 {
+			continue
+		}
+		row := rows[h*p.setWords:][:p.setWords]
+		if spare != 0 && row[len(row)-1]>>spare != 0 {
+			return fmt.Errorf("coding: hop %d: candidates beyond the universe's %d values", h+1, len(p.universe))
+		}
+		n := 0
+		for _, word := range row {
+			n += bits.OnesCount64(word)
+		}
 		switch {
-		case r.Err != nil:
-			return r.Err
-		case n == 0:
-			return fmt.Errorf("coding: hop %d: empty candidate list", h+1)
-		case n == 1 && !decodedHop:
+		case isListed && n == 0:
+			return fmt.Errorf("coding: hop %d: listed, and no candidate", h+1)
+		case !isListed && n != 0:
+			return fmt.Errorf("coding: hop %d: not listed, and %d candidates", h+1, n)
+		case isListed && n == 1:
 			return fmt.Errorf("coding: hop %d: one candidate, and not decoded", h+1)
-		case n > 1 && decodedHop:
-			return fmt.Errorf("coding: hop %d: decoded, and %d candidates", h+1, n)
-		}
-		// The list must be a subsequence of the universe: anything else is
-		// not a set the bitset can hold, nor one a filter could have left.
-		at := 0
-		for ; n > 0; n-- {
-			v := r.Uvarint()
-			if r.Err == nil && decodedHop && v != vals[h] {
-				return fmt.Errorf("coding: hop %d: decoded as %d, and its candidate is %d", h+1, vals[h], v)
-			}
-			for at < len(p.universe) && p.universe[at] != v {
-				at++
-			}
-			if r.Err != nil {
-				return r.Err
-			}
-			if at == len(p.universe) {
-				return fmt.Errorf("coding: hop %d: candidate %d is not in the universe, or out of universe order", h+1, v)
-			}
-			if len(d.rows) > 0 {
-				d.rows[h*p.setWords+at/64] |= 1 << uint(at%64)
-			}
-			at++
-		}
-		d.w[stListed] |= 1 << uint(h)
-	}
-	nPkts := readCount(r, "packets")
-	if r.Err != nil {
-		return r.Err
-	}
-	d.pkts = make([]uint64, 0, nPkts*p.stride)
-	for i := 0; i < nPkts; i++ {
-		id, frag, mask, dead := r.Uvarint(), r.Uvarint(), r.Uvarint(), readFlag(r)
-		nRes := r.Uvarint()
-		if r.Err != nil {
-			return r.Err
-		}
-		if frag >= uint64(frags) {
-			return fmt.Errorf("coding: packet %d fragment %d out of range", i, frag)
-		}
-		if k < 64 && mask>>uint(k) != 0 {
-			return fmt.Errorf("coding: packet %d mask %#x has hops beyond the path length %d", i, mask, k)
-		}
-		if nRes != uint64(p.words) {
-			return fmt.Errorf("coding: packet %d carries %d residual words, the decoder's digests have %d", i, nRes, p.words)
-		}
-		d.pkts = append(d.pkts, id, mask, frag<<1|dead)
-		for w := 0; w < p.words; w++ {
-			d.pkts = append(d.pkts, r.Uvarint())
 		}
 	}
-	for f := range known {
-		for h := 0; h < k; h++ {
-			want, n := d.nextPending(f, h, 0), 0
-			if readFlag(r) != 0 {
-				if n = readCount(r, "pending indices"); n == 0 && r.Err == nil {
-					return fmt.Errorf("coding: fragment %d hop %d: empty pending index", f, h+1)
-				}
-			}
-			for ; n > 0; n-- {
-				ix := r.Uvarint()
-				if r.Err != nil {
-					return r.Err
-				}
-				if want < 0 || ix != uint64(want) {
-					return fmt.Errorf("coding: fragment %d hop %d: pending index lists packet %d where the stored packets make it %d (-1: none)", f, h+1, ix, want)
-				}
-				want = d.nextPending(f, h, want+1)
-			}
-			if r.Err == nil && want >= 0 {
-				return fmt.Errorf("coding: fragment %d hop %d: pending index omits packet %d", f, h+1, want)
-			}
-		}
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	d.w[stObserved], d.w[stInconsistent] = observed, inconsistent
 	return nil
 }

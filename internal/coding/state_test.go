@@ -3,6 +3,7 @@ package coding
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -11,11 +12,37 @@ import (
 	"repro/internal/hash"
 )
 
-// TestDecoderStateRoundTrip is the hand-off contract: a decoder's
-// serialized state restored into a fresh decoder must observe the rest
-// of the stream exactly like the original — same solved hops, same
-// counters, same re-serialization — so a flow moved mid-decode finishes
-// decoding at its new home as if it never moved.
+// appendImage appends a decoder's state as the hand-off moves it — its
+// words, its candidate rows and its slab — as little-endian words.
+func appendImage(dst []byte, d *Decoder) []byte {
+	for _, part := range [][]uint64{d.w, d.rows, d.pkts} {
+		for _, w := range part {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	}
+	return dst
+}
+
+// bindCopy binds a decoder of d's plan over copies of words, rows (nil:
+// none) and slab, as a hand-off's destination does.
+func bindCopy(p *Plan, k int, words, rows, slab []uint64) *Decoder {
+	d := &Decoder{}
+	p.Bind(d, k, slices.Clone(words), slices.Clone(rows), slices.Clone(slab))
+	return d
+}
+
+// sameState reports whether two decoders hold the same words and slab, and
+// the same rows where both have them.
+func sameState(a, b *Decoder) bool {
+	return slices.Equal(a.w, b.w) && slices.Equal(a.pkts, b.pkts) &&
+		(a.rows == nil || b.rows == nil || slices.Equal(a.rows, b.rows))
+}
+
+// TestDecoderStateRoundTrip is the hand-off contract: a decoder's state,
+// checked and bound over copies at the destination, observes the rest of
+// the stream exactly like the original — same solved hops, same counters,
+// same image — so a flow moved mid-decode finishes decoding at its new
+// home as if it never moved.
 func TestDecoderStateRoundTrip(t *testing.T) {
 	cfg := Config{Bits: 8, Mode: ModeHashed, Layering: MultiLayer(10, true)}
 	g := hash.NewGlobal(77)
@@ -39,24 +66,13 @@ func TestDecoderStateRoundTrip(t *testing.T) {
 	if orig.Done() {
 		t.Skip("decode finished before a partial state could be captured")
 	}
-
-	state := orig.AppendState(nil)
-	if k, decoded, err := PeekState(state); err != nil || k != 10 || decoded {
-		t.Fatalf("PeekState = %d, %v, %v; want 10, false", k, decoded, err)
-	}
-	restored, err := NewDecoder(cfg, g, 10, universe)
-	if err != nil {
+	p := orig.plan
+	if err := p.Check(10, orig.w, orig.rows, orig.pkts); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	if orig.w[stObserved] != restored.w[stObserved] || orig.Inconsistent() != restored.Inconsistent() {
-		t.Fatalf("counters diverge after restore: %d/%d vs %d/%d",
-			orig.w[stObserved], orig.Inconsistent(), restored.w[stObserved], restored.Inconsistent())
-	}
-	if !bytes.Equal(state, restored.AppendState(nil)) {
-		t.Fatal("restored decoder re-serializes differently")
+	restored := bindCopy(p, 10, orig.w, orig.rows, orig.pkts)
+	if !bytes.Equal(appendImage(nil, orig), appendImage(nil, restored)) {
+		t.Fatal("restored decoder's image differs")
 	}
 
 	// Drive both with the identical remaining stream.
@@ -76,51 +92,31 @@ func TestDecoderStateRoundTrip(t *testing.T) {
 			t.Fatalf("hop %d: %d (known=%v) vs %d (known=%v)", i+1, a[i], aKnown[i], b[i], bKnown[i])
 		}
 	}
-	if !bytes.Equal(orig.AppendState(nil), restored.AppendState(nil)) {
+	if !bytes.Equal(appendImage(nil, orig), appendImage(nil, restored)) {
 		t.Fatal("final states diverge after identical streams")
 	}
 }
 
-// TestDecoderStateRejectsCorrupt: truncations and trailing bytes must
-// error, never panic, and a state for the wrong k must be refused.
+// TestDecoderStateRejectsCorrupt: Check refuses, naming what is wrong,
+// every hand-built state no decoder of the plan could have reached, a
+// path length out of range, a state for another path length, every cut
+// of a real slab that is no whole number of packets, and a raw-mode state
+// with a hop listed.
 func TestDecoderStateRejectsCorrupt(t *testing.T) {
 	cfg := Config{Bits: 8, Mode: ModeHashed, Layering: MultiLayer(5, true)}
 	g := hash.NewGlobal(3)
 	path := pathValues(5)
 	universe := universeWith(path, 60)
-	enc, _ := NewEncoder(cfg, g)
 	d, err := NewDecoder(cfg, g, 5, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := hash.NewRNG(4)
-	for i := 0; i < 6; i++ {
-		pkt := rng.Uint64()
-		d.Observe(pkt, enc.EncodePath(pkt, path))
-	}
-	state := d.AppendState(nil)
-	for cut := 0; cut < len(state); cut++ {
-		fresh, _ := NewDecoder(cfg, g, 5, universe)
-		if err := fresh.RestoreState(state[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d accepted", cut, len(state))
-		}
-	}
-	fresh, _ := NewDecoder(cfg, g, 5, universe)
-	if err := fresh.RestoreState(append(append([]byte(nil), state...), 7)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	wrongK, _ := NewDecoder(cfg, g, 6, universeWith(pathValues(6), 60))
-	if err := wrongK.RestoreState(state); err == nil {
-		t.Fatal("k=5 state restored into a k=6 decoder")
-	}
-
-	// Well-formed blobs no decoder of this plan could have written. Before
-	// RestoreState checked them they restored, and a later packet indexed
-	// outside the state (the first case: index out of range in stripHop as
-	// soon as hop 2 decoded) and took the shard worker down with it.
+	p := d.plan
+	// Well-formed states no decoder of this plan could have reached. Before
+	// the hand-off checked them they restored, and a later packet indexed
+	// outside the state and took the shard worker down with it.
 	for _, c := range hostileStates(universe) {
-		fresh, _ := NewDecoder(cfg, g, 5, universe)
-		err := fresh.RestoreState(c.blob)
+		err := p.Check(5, c.words, c.rows, c.slab)
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)
@@ -130,124 +126,119 @@ func TestDecoderStateRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: refused with %q, want an error containing %q", c.name, err, c.wantErr)
 		}
 	}
-}
-
-// uvarints spells a decoder state as the numbers AppendState writes: the
-// blob is uvarints throughout, its flag bytes 0 and 1 among them.
-func uvarints(vs ...uint64) []byte {
-	var b []byte
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
+	for _, k := range []int{0, MaxPathLen + 1} {
+		if err := p.Check(k, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "out of [1,64]") {
+			t.Errorf("k=%d: got %v, want a refusal of the path length", k, err)
+		}
 	}
-	return b
+
+	s := newStateStream(t, stateCases[0], 25)
+	real := s.decoder(t)
+	for i := 0; i < len(s.ids) && len(real.pkts) < 2*real.plan.stride; i++ {
+		real.Observe(s.ids[i], s.digs[i])
+	}
+	rp, stride := real.plan, real.plan.stride
+	if len(real.pkts) < 2*stride {
+		t.Fatalf("the stream stored %d slab words, the case needs two packets", len(real.pkts))
+	}
+	if err := rp.Check(25, real.w, real.rows, real.pkts); err != nil {
+		t.Fatalf("a real state refused: %v", err)
+	}
+	if err := rp.Check(26, real.w, real.rows, real.pkts); err == nil {
+		t.Fatal("a k=25 state accepted as a k=26 one")
+	}
+	for cut := 1; cut < len(real.pkts); cut++ {
+		if err := rp.Check(25, real.w, real.rows, real.pkts[:cut]); (err == nil) != (cut%stride == 0) {
+			t.Fatalf("slab cut at %d of %d words: %v", cut, len(real.pkts), err)
+		}
+	}
+
+	raw, err := NewDecoder(Config{Bits: 16, Mode: ModeRaw, ValueBits: 16, Layering: MultiLayer(5, true)}, g, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.w[stListed] = 1
+	if err := raw.plan.Check(5, raw.w, raw.rows, nil); err == nil || !strings.Contains(err.Error(), "raw-mode decoder state with hops listed") {
+		t.Fatalf("raw-mode state with a hop listed: got %v", err)
+	}
 }
 
 type hostileState struct {
-	name    string
-	blob    []byte
-	wantErr string // "" for a blob that must restore
+	name              string
+	words, rows, slab []uint64 // rows nil: none
+	wantErr           string   // "" for a state that must be accepted
+}
+
+// image is the state's words, rows and slab, as the fuzz target reads
+// them.
+func (h hostileState) image() []byte {
+	d := &Decoder{w: h.words, rows: h.rows, pkts: h.slab}
+	return appendImage(nil, d)
 }
 
 // hostileStates builds states of a hashed, one-instance, k=5 decoder over
-// universe by hand: one valid (a live packet waiting on hops 1 and 2, hop
-// 3 narrowed to two candidates, hop 5 decoded) and the ways to break it.
-func hostileStates(universe []uint64) []hostileState {
-	u := universe
-	head := []uint64{decoderStateVersion, 5, 1, uint64(len(u))}
-	counters := []uint64{9, 1, 1} // observed, inconsistent, decodedHops
-	blocks := []uint64{0, 0, 0, 0, 0, 0, 0, 0, 1, u[4]}
-	cands := []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 1, u[4]}
-	pkts := []uint64{2,
-		77, 0, 0b00011, 0, 1, 0xAB, // live, waiting on hops 1 and 2
-		78, 0, 0b10100, 1, 1, 0xCD} // dead: its constraint left hop 3 two candidates
-	pending := []uint64{1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 0}
-	state := func(parts ...[]uint64) []byte { return uvarints(slices.Concat(parts...)...) }
+// universe by hand: one valid (a live packet waiting on hops 1 and 2, a
+// dead one whose constraint left hop 3 two candidates, hop 5 decoded) and
+// one way to break it per rule Check holds.
+func hostileStates(u []uint64) []hostileState {
+	// observed, inconsistent, listed, known, then the five values.
+	words := []uint64{9, 1, 0b10100, 0b10000, 0, 0, 0, 0, u[4]}
+	rows := []uint64{0, 0, 1<<1 | 1<<7, 0, 1 << 4}
+	slab := []uint64{
+		77, 0b00011, 0, 0xAB, // live, waiting on hops 1 and 2
+		78, 0b00100, 1, 0xCD, // dead: its constraint left hop 3 two candidates
+	}
+	// with returns a copy of the valid state's part with v at i.
+	with := func(part []uint64, i int, v uint64) []uint64 {
+		c := slices.Clone(part)
+		c[i] = v
+		return c
+	}
+	valid := func(name string) hostileState { return hostileState{name, words, rows, slab, ""} }
+	bad := func(name, wantErr string, w, r, s []uint64) hostileState { return hostileState{name, w, r, s, wantErr} }
 	return []hostileState{
-		{"valid", state(head, counters, blocks, cands, pkts, pending), ""},
-		{"three residual words into a one-word decoder",
-			state(head, counters, blocks, cands, []uint64{1, 77, 0, 0b00011, 0, 3, 1, 2, 3}, []uint64{1, 1, 0, 1, 1, 0, 0, 0, 0}),
-			"packet 0 carries 3 residual words"},
-		{"no residual words",
-			state(head, counters, blocks, cands, []uint64{1, 77, 0, 0b00011, 0, 0}, []uint64{1, 1, 0, 1, 1, 0, 0, 0, 0}),
-			"packet 0 carries 0 residual words"},
-		{"mask bit beyond k",
-			state(head, counters, blocks, cands, []uint64{2, 77, 0, 0b00011, 0, 1, 0xAB, 78, 0, 0b100100, 1, 1, 0xCD}, pending),
-			"packet 1 mask 0x24"},
-		{"pending index entry without the hop's bit",
-			state(head, counters, blocks, cands, pkts, []uint64{1, 1, 0, 1, 1, 0, 1, 2, 0, 1, 0, 0}),
-			"hop 3: pending index lists packet 0"},
-		{"pending index out of range",
-			state(head, counters, blocks, cands, pkts, []uint64{1, 1, 0, 1, 1, 0, 1, 1, 2, 0, 0}),
-			"hop 3: pending index lists packet 2"},
-		{"pending index of a decoded hop",
-			state(head, counters, blocks, cands, pkts, []uint64{1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1}),
-			"hop 5: pending index lists packet 1"},
-		{"pending index omits a waiting packet",
-			state(head, counters, blocks, cands, pkts, []uint64{1, 1, 0, 0, 1, 1, 1, 0, 0}),
-			"hop 2: pending index omits packet 0"},
-		{"empty pending index",
-			state(head, counters, blocks, cands, pkts, []uint64{1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0}),
-			"hop 4: empty pending index"},
-		{"candidates out of universe order",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[7], u[1], 0, 1, 1, u[4]}, pkts, pending),
-			"hop 3: candidate"},
-		{"candidate listed twice",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[1], 0, 1, 1, u[4]}, pkts, pending),
-			"hop 3: candidate"},
-		{"candidate outside the universe",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], 424242, 0, 1, 1, u[4]}, pkts, pending),
-			"hop 3: candidate 424242"},
-		{"empty candidate list",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 0, 0, 1, 1, u[4]}, pkts, pending),
-			"hop 3: empty candidate list"},
-		{"decodedHops above what is known",
-			state(head, []uint64{9, 1, 2}, blocks, cands, pkts, pending),
-			"claims 2 decoded hops"},
-		{"decodedHops below what is known",
-			state(head, []uint64{9, 1, 0}, blocks, cands, pkts, pending),
-			"claims 0 decoded hops"},
-		{"value for an undecoded block",
-			state(head, counters, []uint64{0, 0, 0, 7, 0, 0, 0, 0, 1, u[4]}, cands, pkts, pending),
-			"fragment 0 hop 2: value 7 for an undecoded block"},
-		{"decoded hop not listed",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 0}, pkts, pending),
-			"hop 5: decoded, and no candidate list"},
-		{"decoded hop listed with another value",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 1, u[5]}, pkts, pending),
-			"hop 5: decoded as"},
-		{"decoded hop listed with its value and another",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 2, u[4], u[5]}, pkts, pending),
-			"hop 5: decoded, and 2 candidates"},
-		{"undecoded hop listed with one candidate",
-			state(head, counters, blocks, []uint64{1, 0, 0, 1, 1, u[1], 0, 1, 1, u[4]}, pkts, pending),
-			"hop 3: one candidate, and not decoded"},
-		{"raw-mode state into a hashed decoder",
-			state(head, counters, blocks, []uint64{0}, pkts, pending),
-			"mode does not match"},
-		{"flag byte 2",
-			state(head, counters, []uint64{0, 0, 0, 0, 0, 0, 0, 0, 2, u[4]}, cands, pkts, pending),
-			"neither 0 nor 1"},
-		{"over-long varint",
-			slices.Concat(uvarints(head...), []byte{0x89, 0x00}, uvarints(slices.Concat([]uint64{1, 1}, blocks, cands, pkts, pending)...)),
-			"not minimally encoded"},
+		valid("valid"),
+		bad("observed counter past MaxInt", "overflow", with(words, 0, math.MaxInt+1), rows, slab),
+		bad("inconsistent counter past MaxInt", "overflow", with(words, 1, math.MaxInt+1), rows, slab),
+		bad("hop known beyond k", "known on hops 0x30", with(words, 3, 0b110000), rows, slab),
+		bad("hop listed beyond k", "hops 0x54 listed beyond", with(words, 2, 0b1010100), rows, slab),
+		bad("value for an undecoded block", "fragment 0 hop 2: value 7 for an undecoded block", with(words, 5, 7), rows, slab),
+		bad("decoded hop not listed", "hop 5: decoded, and not listed", with(words, 2, 0b00100), rows, slab),
+		bad("decoded value outside the universe", "hop 5: decoded as 424242, which is not in the universe", with(words, 8, 424242), rows, slab),
+		bad("decoded hop's row with its value and another", "hop 5: decoded as", words, with(rows, 4, 1<<4|1<<5), slab),
+		bad("decoded hop's row another value's", "hop 5: decoded as", words, with(rows, 4, 1<<5), slab),
+		bad("listed hop with an empty row", "hop 3: listed, and no candidate", words, with(rows, 2, 0), slab),
+		bad("unlisted hop with a candidate", "hop 1: not listed, and 1 candidates", words, with(rows, 0, 1<<3), slab),
+		bad("undecoded hop listed with one candidate", "hop 3: one candidate, and not decoded", words, with(rows, 2, 1<<1), slab),
+		bad("candidate outside the universe", "hop 3: candidates beyond the universe's 60 values", words, with(rows, 2, 1<<1|1<<7|1<<60), slab),
+		bad("undecoded state without rows", "without candidate rows", words, nil, slab),
+		bad("rows of another path length", "4 candidate row words", words, rows[:4], slab),
+		bad("slab of a packet and a word", "slab of 9 words", words, rows, append(slices.Clone(slab), 0)),
+		bad("packet fragment out of range", "packet 0 fragment 1 out of range", words, rows, with(slab, 2, 1<<1)),
+		bad("packet mask bit beyond k", "packet 1 mask 0x24", words, rows, with(slab, 5, 0b100100)),
+		bad("live packet waiting on one hop", "packet 0 is live and waits on 1 hops", words, rows, with(slab, 1, 0b00001)),
+		bad("live packet waiting on a decoded hop", "packet 0 waits on decoded hops 0x10", words, rows, with(slab, 1, 0b10001)),
+		bad("dead packet on two hops", "packet 1 is dead and waits on 2 hops", words, rows, with(slab, 5, 0b00110)),
+		bad("words of another path length", "8 state words", words[:8], rows, slab),
 	}
 }
 
 // TestRestoredHostileStateSurvivesObserve: the valid hand-built state is
-// not only accepted — the decoder it makes keeps decoding.
+// not only accepted — the decoder bound over it keeps decoding.
 func TestRestoredHostileStateSurvivesObserve(t *testing.T) {
 	cfg := Config{Bits: 8, Mode: ModeHashed, Layering: MultiLayer(5, true)}
 	g := hash.NewGlobal(3)
 	path := pathValues(5)
 	universe := universeWith(path, 60)
 	enc, _ := NewEncoder(cfg, g)
-	d, _ := NewDecoder(cfg, g, 5, universe)
-	blob := hostileStates(universe)[0].blob
-	if err := d.RestoreState(blob); err != nil {
+	fresh, _ := NewDecoder(cfg, g, 5, universe)
+	h := hostileStates(universe)[0]
+	if err := fresh.plan.Check(5, h.words, h.rows, h.slab); err != nil {
 		t.Fatal(err)
 	}
-	if again := d.AppendState(nil); !bytes.Equal(again, blob) {
-		t.Fatalf("hand-built state re-serializes differently:\n got %x\nwant %x", again, blob)
+	d := bindCopy(fresh.plan, 5, h.words, h.rows, h.slab)
+	if again := appendImage(nil, d); !bytes.Equal(again, h.image()) {
+		t.Fatalf("hand-built state binds to another image:\n got %x\nwant %x", again, h.image())
 	}
 	rng := hash.NewRNG(4)
 	for i := 0; i < 2000 && !d.Done(); i++ {
@@ -256,6 +247,9 @@ func TestRestoredHostileStateSurvivesObserve(t *testing.T) {
 	}
 	if !d.Done() {
 		t.Fatal("restored decoder never finished")
+	}
+	if err := d.plan.Check(5, d.w, d.rows, d.pkts); err != nil {
+		t.Fatalf("the state it finished in is refused: %v", err)
 	}
 }
 
@@ -274,9 +268,9 @@ func sharing(d *Decoder) *Decoder {
 // done, Observe writes nothing but its two counters, so a decoder over a
 // copy of its state words may share its slab, and both sides keep
 // observing — consistent packets and contradicting ones, from two
-// goroutines under -race — exactly as two deep copies (rebuilt from the
-// serialized state) do. That a Recording copies the slab of a decoder not
-// yet done is core's TestUnshareSharesOnlyAFinishedSlab.
+// goroutines under -race — exactly as two deep copies (Clone) do. That a
+// Recording copies the slab of a decoder not yet done is core's
+// TestUnshareSharesOnlyAFinishedSlab.
 func TestFinishedCloneSharesSafely(t *testing.T) {
 	for _, c := range stateCases {
 		s := newStateStream(t, c, 5)
@@ -289,14 +283,7 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 			t.Fatalf("%s: not done after %d packets", c.name, half)
 		}
 		slab, solved := slices.Clone(d.pkts), slices.Clone(d.w[stListed:])
-		deepCopy := func() *Decoder {
-			c := s.decoder(t)
-			if err := c.RestoreState(d.AppendState(nil)); err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}
-		controlA, controlB := deepCopy(), deepCopy()
+		controlA, controlB := d.Clone(), d.Clone()
 		clone := sharing(d)
 		// d sees the rest of the stream (every eleventh packet contradicts
 		// the decoded path); the clone sees only the contradicting ones.
@@ -321,10 +308,10 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		for i := 10; i < len(s.ids); i += 11 {
 			controlB.Observe(s.ids[i], s.digs[i])
 		}
-		if !bytes.Equal(d.AppendState(nil), controlA.AppendState(nil)) {
+		if !sameState(d, controlA) {
 			t.Errorf("%s: original diverged from its deep-copied control", c.name)
 		}
-		if !bytes.Equal(clone.AppendState(nil), controlB.AppendState(nil)) {
+		if !sameState(clone, controlB) {
 			t.Errorf("%s: clone diverged from its deep-copied control", c.name)
 		}
 		if !slices.Equal(d.pkts, slab) || !slices.Equal(clone.pkts, slab) ||
@@ -340,9 +327,10 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 
 // TestDoneDecoderWithoutRows: a done decoder reads no candidate row again,
 // so one bound over its state words without its rows, as a Recording binds
-// a decoded flow, answers, serializes and observes the rest of the stream
-// exactly as the decoder that kept them, and Clone gives the rows back:
-// a decoded hop's row is the bit of its value.
+// a decoded flow, answers and observes the rest of the stream exactly as
+// the decoder that kept them, and Clone gives the rows back: a decoded
+// hop's row is the bit of its value. Check takes a done state without rows
+// and refuses an undecoded one.
 func TestDoneDecoderWithoutRows(t *testing.T) {
 	for _, c := range stateCases {
 		for _, k := range []int{5, 25} {
@@ -355,17 +343,11 @@ func TestDoneDecoderWithoutRows(t *testing.T) {
 			if !d.Done() {
 				t.Fatalf("%s k=%d: not done after %d packets", c.name, k, i)
 			}
-			rowless := &Decoder{}
-			d.plan.Bind(rowless, k, slices.Clone(d.w), nil, slices.Clone(d.pkts))
+			rowless := bindCopy(d.plan, k, d.w, nil, d.pkts)
 			same := func(when string) {
 				t.Helper()
-				if !bytes.Equal(rowless.AppendState(nil), d.AppendState(nil)) {
-					t.Errorf("%s k=%d %s: the decoder without rows serializes differently", c.name, k, when)
-				}
-				for h := 1; h <= k; h++ {
-					if got, want := rowless.CandidateCount(h), d.CandidateCount(h); got != want {
-						t.Errorf("%s k=%d %s: hop %d has %d candidates without rows, %d with", c.name, k, when, h, got, want)
-					}
+				if !sameState(rowless, d) {
+					t.Errorf("%s k=%d %s: the decoder without rows holds another state", c.name, k, when)
 				}
 				got, _ := rowless.AppendPath(nil)
 				want, _ := d.AppendPath(nil)
@@ -374,17 +356,12 @@ func TestDoneDecoderWithoutRows(t *testing.T) {
 				}
 			}
 			same("at decode")
-			// A decoded state restores without rows; an undecoded one
-			// needs them.
-			restored := &Decoder{}
-			d.plan.Bind(restored, k, make([]uint64, d.plan.Words(k)), nil, nil)
-			if err := restored.RestoreState(d.AppendState(nil)); err != nil || !bytes.Equal(restored.AppendState(nil), d.AppendState(nil)) {
-				t.Errorf("%s k=%d: a decoded state restored without rows: %v, or serializes differently", c.name, k, err)
+			if err := d.plan.Check(k, d.w, nil, d.pkts); err != nil {
+				t.Errorf("%s k=%d: a decoded state without rows refused: %v", c.name, k, err)
 			}
-			if d.plan.RowWords(k) > 0 {
-				d.plan.Bind(restored, k, make([]uint64, d.plan.Words(k)), nil, nil)
-				if err := restored.RestoreState(s.decoder(t).AppendState(nil)); err == nil {
-					t.Errorf("%s k=%d: an undecoded state restored into a decoder without rows", c.name, k)
+			if fresh := s.decoder(t); d.plan.RowWords(k) > 0 {
+				if err := d.plan.Check(k, fresh.w, nil, nil); err == nil {
+					t.Errorf("%s k=%d: an undecoded state without rows accepted", c.name, k)
 				}
 			}
 			clone := rowless.Clone()

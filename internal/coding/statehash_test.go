@@ -86,47 +86,48 @@ func (s *stateStream) decoder(t testing.TB) *Decoder {
 	return d
 }
 
-// TestDecoderStateHashes pins AppendState after every packet of fixed
-// streams to what the per-slice decoder before the plan/state split
-// produced (hashes taken on that tree, except hashed-8bit's, pinned when
-// its stream lost the power-of-two act-vector variant): the hand-off
-// format is a wire format between builds, and a flow moves mid-decode, so
-// every intermediate state — stored and dead packets, narrowed candidate
-// sets in universe order, pending hop indices — must serialize to the same
-// bytes, not only the finished one. Each entry chains SHA-256 over the
-// states of one stream, so one differing byte after any packet changes it.
+// TestDecoderStateHashes pins a decoder's image (words, candidate rows,
+// slab) after every packet of fixed streams, and Check accepts each of
+// them. The table was taken on the tree whose table of the serialized
+// states before them (what the per-slice decoder before the plan/state
+// split produced, hashed-8bit's since its stream lost the power-of-two
+// act-vector variant) still held, so the per-packet evolution it pins is
+// that one's: a flow moves mid-decode, and every intermediate state —
+// stored and dead packets, narrowed candidate sets, solved blocks —
+// matters, not only the finished one. Each entry chains SHA-256 over the
+// images of one stream, so one differing word after any packet changes it.
 func TestDecoderStateHashes(t *testing.T) {
 	want := map[string]string{
-		"hashed-1bit/k=1":         "0ad48d79024be6a4",
-		"hashed-1bit/k=5":         "210c8ca47f00fc68",
-		"hashed-1bit/k=25":        "22e5dcd595a1e50d",
-		"hashed-1bit/k=59":        "52a51f84eb531899",
-		"hashed-1bit/k=64":        "d04dbde1cb20de9d",
-		"hashed-4bit/k=1":         "845c9de4437bbc80",
-		"hashed-4bit/k=5":         "907f9d0678675951",
-		"hashed-4bit/k=25":        "16c81cdc44aac720",
-		"hashed-4bit/k=59":        "6f91497a4c874238",
-		"hashed-4bit/k=64":        "8f57d8e5e081c362",
-		"hashed-8bit/k=1":         "66a44a7e75e5771d",
-		"hashed-8bit/k=5":         "e40318380fb0e1a4",
-		"hashed-8bit/k=25":        "401d78843acb9a13",
-		"hashed-8bit/k=59":        "46ed058060e9c7ce",
-		"hashed-8bit/k=64":        "eb8180dcc2d85c9f",
-		"hashed-2x4bit/k=1":       "25d9c59a5084cc7d",
-		"hashed-2x4bit/k=5":       "2a66100e30069b90",
-		"hashed-2x4bit/k=25":      "e464df13b47661ab",
-		"hashed-2x4bit/k=59":      "9cdc717217fc05f0",
-		"hashed-2x4bit/k=64":      "56099c8735f6fb5c",
-		"raw-fragmented/k=1":      "e0b3b07c663bbd86",
-		"raw-fragmented/k=5":      "9a9950d01e091f80",
-		"raw-fragmented/k=25":     "ac1be172d3917485",
-		"raw-fragmented/k=59":     "4cacbb79bcdb9935",
-		"raw-fragmented/k=64":     "0424ebd0f5e27ac1",
-		"raw-xor-multilayer/k=1":  "b84b1cb828a0975e",
-		"raw-xor-multilayer/k=5":  "4e2927336b1890e9",
-		"raw-xor-multilayer/k=25": "58e6634d8ad8f77c",
-		"raw-xor-multilayer/k=59": "643919ccfd6e2163",
-		"raw-xor-multilayer/k=64": "d300cba3bb0b2a9b",
+		"hashed-1bit/k=1":         "d3de1abbb9c5e816",
+		"hashed-1bit/k=5":         "6c45403eac934af6",
+		"hashed-1bit/k=25":        "654a728a71a509de",
+		"hashed-1bit/k=59":        "aef81b6d76526f32",
+		"hashed-1bit/k=64":        "a0fd85729cba9e2b",
+		"hashed-4bit/k=1":         "2d639a7791a0ef24",
+		"hashed-4bit/k=5":         "c788fa5e63719a8b",
+		"hashed-4bit/k=25":        "fb6a94182ca198db",
+		"hashed-4bit/k=59":        "3bcae27ff57c15ea",
+		"hashed-4bit/k=64":        "88890c0266cff298",
+		"hashed-8bit/k=1":         "f610c0df912e2bda",
+		"hashed-8bit/k=5":         "733e7b9c39881e32",
+		"hashed-8bit/k=25":        "dff0a78ff03e6ea1",
+		"hashed-8bit/k=59":        "7447965db4b12d74",
+		"hashed-8bit/k=64":        "c121c0d540bc82b7",
+		"hashed-2x4bit/k=1":       "c47fa3bdbc2a4996",
+		"hashed-2x4bit/k=5":       "87c9a86442d35d20",
+		"hashed-2x4bit/k=25":      "8a59f5b9367d2c7d",
+		"hashed-2x4bit/k=59":      "bb3f681624740ee9",
+		"hashed-2x4bit/k=64":      "d0cd03fbad68f210",
+		"raw-fragmented/k=1":      "a97ff073d8cc60ea",
+		"raw-fragmented/k=5":      "1604d06f66166104",
+		"raw-fragmented/k=25":     "ad10b88784ed484e",
+		"raw-fragmented/k=59":     "21aa1aedb38a6f01",
+		"raw-fragmented/k=64":     "5fd431a64aa86184",
+		"raw-xor-multilayer/k=1":  "b5973061371a600e",
+		"raw-xor-multilayer/k=5":  "f6adff97c9c29231",
+		"raw-xor-multilayer/k=25": "79bfd37783c45715",
+		"raw-xor-multilayer/k=59": "6dc5f4d5c8a28109",
+		"raw-xor-multilayer/k=64": "2d102929c9e9b79f",
 	}
 	for _, c := range stateCases {
 		for _, k := range stateKs {
@@ -134,23 +135,26 @@ func TestDecoderStateHashes(t *testing.T) {
 			s := newStateStream(t, c, k)
 			d := s.decoder(t)
 			var chain [sha256.Size]byte
-			var blob []byte
+			var buf []byte
 			doneAt := 0
 			for i, id := range s.ids {
 				if d.Observe(id, s.digs[i]) && doneAt == 0 {
 					doneAt = i + 1
 				}
-				blob = d.AppendState(append(blob[:0], chain[:]...))
-				chain = sha256.Sum256(blob)
+				if err := d.plan.Check(k, d.w, d.rows, d.pkts); err != nil {
+					t.Fatalf("%s: the state after packet %d is refused: %v", name, i, err)
+				}
+				buf = appendImage(append(buf[:0], chain[:]...), d)
+				chain = sha256.Sum256(buf)
 			}
 			got := fmt.Sprintf("%x", chain[:8])
 			if *printStateHashes {
-				fmt.Printf("\t\t%-26s %q, // done at %d of %d, %d inconsistent, final blob %d B\n",
-					`"`+name+`":`, got, doneAt, len(s.ids), d.Inconsistent(), len(blob)-len(chain))
+				fmt.Printf("\t\t%-26s %q, // done at %d of %d, %d inconsistent, final image %d B\n",
+					`"`+name+`":`, got, doneAt, len(s.ids), d.Inconsistent(), len(buf)-len(chain))
 				continue
 			}
 			if got != want[name] {
-				t.Errorf("%s: states chain to %s, want %s", name, got, want[name])
+				t.Errorf("%s: images chain to %s, want %s", name, got, want[name])
 			}
 		}
 	}

@@ -18,12 +18,18 @@ import (
 // test's to Shutdown.
 func newServedSink(t *testing.T, tb *Testbench, shards int, opts ...Option) (*pipeline.Sink, *Server) {
 	t.Helper()
+	return serveSink(t, tb, shards, append([]Option{WithQueries(tb.Queries()...)}, opts...)...)
+}
+
+// serveSink is newServedSink with only the options given.
+func serveSink(t *testing.T, tb *Testbench, shards int, opts ...Option) (*pipeline.Sink, *Server) {
+	t.Helper()
 	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sink.Close() })
-	srv, err := New(tb.Engine, append([]Option{WithSink(sink), WithQueries(tb.Queries()...)}, opts...)...)
+	srv, err := New(tb.Engine, append([]Option{WithSink(sink)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

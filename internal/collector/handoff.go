@@ -16,16 +16,16 @@ import (
 // the owning shard's worker — and ships the states to each flow's new
 // home with SendHandoff, an ordinary handshaked session at the new epoch
 // whose frames carry hand-off payloads instead of digest batches. The
-// receiving session (handleConn) folds every state into its sink via
-// core.Recording.RestoreFlowState, i.e. Recording.Merge — the same fold
-// the query frontend uses — so post-resize answers are byte-identical to
-// a fleet that ran at the new membership from the start.
+// receiving session (handleConn) installs every state in its sink with
+// core.Recording.RestoreFlowState, which copies the flow's image into a
+// block of the owning shard's arena, so post-resize answers are
+// byte-identical to a fleet that ran at the new membership from the start.
 //
 // Ordering is the coordinator's job: a destination must import a moving
-// flow's state before it ingests any fresh digest for that flow (Merge
-// refuses duplicate flows precisely to make a split detectable), so the
-// new fleet map is published to exporters only after every hand-off
-// session has closed.
+// flow's state before it ingests any fresh digest for that flow
+// (RestoreFlowState refuses a flow already tracked precisely to make a
+// split detectable), so the new fleet map is published to exporters only
+// after every hand-off session has closed.
 
 // handoffFrameBudget caps one hand-off frame's payload bytes, comfortably
 // under the default frame limit while amortizing framing over many small
@@ -33,8 +33,8 @@ import (
 const handoffFrameBudget = 512 << 10
 
 // ExportFlows drains the listed flows out of this collector: for each
-// flow that is tracked here, its complete recording state is serialized
-// (decoders, latency counts, series) and the flow is
+// flow that is tracked here, its complete recording state is written as
+// its image (core.Recording.AppendFlowState) and the flow is
 // evicted, atomically with respect to ingest on the owning shard's
 // worker. Flows not tracked here are skipped — the caller plans moves
 // from a membership-wide flow list. A durable collector refuses: its
@@ -43,9 +43,6 @@ const handoffFrameBudget = 512 << 10
 func (s *Server) ExportFlows(flows []core.FlowKey) ([]wire.FlowState, error) {
 	if s.cfg.Durable != nil {
 		return nil, fmt.Errorf("collector: hand-off out of a durable collector is not supported (log replay would resurrect the moved flows)")
-	}
-	if len(s.cfg.Queries) == 0 {
-		return nil, fmt.Errorf("collector: hand-off requires the server's query list (WithQueries)")
 	}
 	// Every state is encoded straight into one arena and sliced from it: a
 	// chunk at a time, so the arena never has to be copied to grow — a
@@ -69,7 +66,7 @@ func (s *Server) ExportFlows(flows []core.FlowKey) ([]wire.FlowState, error) {
 				return nil
 			}
 			var err error
-			if arena, err = rec.AppendFlowState(arena, s.cfg.Queries, flow); err != nil {
+			if arena, err = rec.AppendFlowState(arena, flow); err != nil {
 				return err
 			}
 			rec.Evict(flow)
@@ -95,21 +92,17 @@ const exportChunk = 256 << 10
 // the hand-off path since it started.
 func (s *Server) HandoffFlows() uint64 { return s.handoffFlows.Load() }
 
-// ingestHandoffFrame folds one hand-off frame's flow states into the
-// sink, one at a time in frame order, each on its owning shard's worker,
-// and returns how many flows were imported. A refused state (unknown
-// query, duplicate flow, corrupt state) stops the frame there: the states
+// ingestHandoffFrame folds one hand-off frame's flow states into the sink,
+// one at a time in frame order, each on its owning shard's worker, and
+// returns how many flows were imported. A refused state (another format or
+// plan, duplicate flow, corrupt state) stops the frame there: the states
 // before it stay imported and are counted in the returned number, the
 // refused one and every later one are not, and the error tears the session
 // down — a partially-imported resize must be loud, not silent. A frame
-// refused as a whole (durable member, no query list, malformed payload)
-// imports nothing.
+// refused as a whole (durable member, malformed payload) imports nothing.
 func (s *Server) ingestHandoffFrame(payload []byte) (int, error) {
 	if s.cfg.Durable != nil {
 		return 0, fmt.Errorf("collector: hand-off into a durable collector is not supported (imported state would not survive log replay)")
-	}
-	if len(s.cfg.Queries) == 0 {
-		return 0, fmt.Errorf("collector: hand-off requires the server's query list (WithQueries)")
 	}
 	states, err := wire.AppendUnmarshalHandoff(nil, payload)
 	if err != nil {
@@ -119,7 +112,7 @@ func (s *Server) ingestHandoffFrame(payload []byte) (int, error) {
 		fs := fs
 		s.ingestGate.RLock()
 		err := s.cfg.Sink.WithFlow(fs.Flow, func(rec *core.Recording) error {
-			return rec.RestoreFlowState(s.cfg.Queries, fs.Flow, fs.State)
+			return rec.RestoreFlowState(fs.Flow, fs.State)
 		})
 		s.ingestGate.RUnlock()
 		if err != nil {

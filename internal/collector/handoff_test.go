@@ -300,21 +300,45 @@ func TestHandoffCloseIsAck(t *testing.T) {
 	}
 }
 
-// TestExportFlowsRequiresQueries: a server built without its query list
-// cannot serialize flow state and must say so.
-func TestExportFlowsRequiresQueries(t *testing.T) {
+// TestHandoffWithoutQueries: a hand-off needs no query list — the image
+// is the flow's block, laid out by the engine both ends compiled — so two
+// collectors built without WithQueries move a flow, and the flow's image
+// at the destination is the source's, byte for byte.
+func TestHandoffWithoutQueries(t *testing.T) {
 	tb := mustTestbench(t, 44)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
+	sinkA, srvA := serveSink(t, tb, 1)
+	sinkB, srvB := serveSink(t, tb, 1)
+	const exp, pkts = 1, 40
+	flow := tb.FlowKeyFor(exp, 0)
+	ex, err := dial(srvA.Addr().String(), HelloFor(tb.Engine, exp, "pre"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close()
-	srv, err := New(tb.Engine, WithSink(sink))
-	if err != nil {
+	if err := ex.Send(tb.FlowBatch(exp, 0, pkts, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.ExportFlows([]core.FlowKey{1}); err == nil {
-		t.Fatal("ExportFlows without WithQueries succeeded")
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitPackets(t, srvA, pkts)
+	states, err := srvA.ExportFlows([]core.FlowKey{flow})
+	if err != nil || len(states) != 1 {
+		t.Fatalf("exported %d states: %v", len(states), err)
+	}
+	sinkA.Barrier()
+	if sinkA.Recording(flow).HasFlow(flow) {
+		t.Fatal("the exported flow is still tracked at the source")
+	}
+	if _, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "handoff"), states); err != nil {
+		t.Fatal(err)
+	}
+	if got := srvB.HandoffFlows(); got != 1 {
+		t.Fatalf("imported %d flows, want 1", got)
+	}
+	sinkB.Barrier()
+	img, err := sinkB.Recording(flow).AppendFlowState(nil, flow)
+	if err != nil || !bytes.Equal(img, states[0].State) {
+		t.Fatalf("the flow's image at the destination differs from the source's (err %v)", err)
 	}
 }
 

@@ -101,13 +101,13 @@ func TestSnapshotHandlerReleasesOnEveryPath(t *testing.T) {
 	dupFailure := func() {
 		a := tb.FlowKeyFor(1, 0)
 		for _, sink := range []*pipeline.Sink{served, twin} {
-			blob, err := sink.Recording(a).AppendFlowState(nil, tb.Queries(), a)
+			img, err := sink.Recording(a).AppendFlowState(nil, a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for f := 1; f < nFlows; f++ {
 				if b := tb.FlowKeyFor(1, f); sink.Recording(b) != sink.Recording(a) {
-					if err := sink.Recording(b).RestoreFlowState(tb.Queries(), a, blob); err != nil {
+					if err := sink.Recording(b).RestoreFlowState(a, img); err != nil {
 						t.Fatal(err)
 					}
 					break

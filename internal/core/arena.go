@@ -267,25 +267,19 @@ func (a *arena) setMore(s int, m *flowMore) {
 	}
 }
 
-// writable returns flow's state for the owner to write to, laid out for k
-// hops: a held one a private copy (unshare), one with no per-hop state
-// (restored so) a block for k, and a new flow one block cut for k. A k no
+// writable returns flow's state for the owner to write to: a held one a
+// private copy (unshare), and a new flow one block cut for k hops. A k no
 // recording takes is refused before anything is cut, so a refused new
 // flow is not tracked.
 func (a *arena) writable(flow FlowKey, k int) (flowState, error) {
-	fs, ok := a.find(flow)
-	if ok && holds(fs.w) != 0 {
-		a.unshare(&fs)
-	}
-	if ok && fs.k() != 0 {
+	if fs, ok := a.find(flow); ok {
+		if holds(fs.w) != 0 {
+			a.unshare(&fs)
+		}
 		return fs, nil
 	}
 	if k < 1 || k > math.MaxInt16 {
-		return fs, fmt.Errorf("core: flow %v: path length %d", flow, k)
-	}
-	if ok {
-		a.move(&fs, uint64(k))
-		return fs, nil
+		return flowState{}, fmt.Errorf("core: flow %v: path length %d", flow, k)
 	}
 	off, w := a.cut(flow, a.e.blockWords(uint64(k)))
 	w[hdrK] = uint64(k)
@@ -293,14 +287,13 @@ func (a *arena) writable(flow FlowKey, k int) (flowState, error) {
 	return flowState{w: w, ps: &a.pageSet, a: a, off: off}, nil
 }
 
-// move copies fs's block to a fresh one laid out as lay says (layout
-// bits: k hops, with candidate rows or rowless) and repoints the table.
-// The block's layout is either the same, one with no per-hop state, or
-// the same k with rows, whose rows, last in the block, are not copied. An
-// unheld block is freed and its side entry moves with it; a held one is
-// retired with its side entry, which its copy has none of (unshare). One
-// load decides both, so a Release meanwhile cannot free the side entry
-// unshare copies from.
+// move copies fs's block to a fresh one laid out as lay says (layout bits:
+// k hops, with candidate rows or rowless) and repoints the table. The
+// block's layout is either the same or the same k with rows, whose rows,
+// last in the block, are not copied. An unheld block is freed and its side
+// entry moves with it; a held one is retired with its side entry, which
+// its copy has none of (unshare). One load decides both, so a Release
+// meanwhile cannot free the side entry unshare copies from.
 func (a *arena) move(fs *flowState, lay uint64) {
 	off, w := a.cut(a.key(fs.off), a.e.blockWords(lay))
 	copy(w[hdrK:], fs.w[hdrK:])

@@ -1,10 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/coding"
 )
 
 // Test access to a recording's arena.
@@ -41,6 +43,13 @@ func (r *Recording) stateOf(flow FlowKey) flowState {
 }
 
 // storeOf is Recording.store with a state of its own.
+// decoderAnswers spells everything a decoder answers: its path, its
+// missing hops, its inconsistencies and its stored packets.
+func decoderAnswers(d *coding.Decoder) string {
+	vals, ok := d.Path()
+	return fmt.Sprintf("path %v %v, %d missing, %d inconsistent, slab %v", vals, ok, d.MissingHops(), d.Inconsistent(), d.Slab())
+}
+
 func (r *Recording) storeOf(q *LatencyQuery, flow FlowKey, hop int) (latStore, bool) {
 	return r.store(new(flowState), q, flow, hop)
 }
@@ -54,8 +63,7 @@ func (r *Recording) storeOf(q *LatencyQuery, flow FlowKey, hop int) (latStore, b
 // a lease holds it, as a hand-off's export does during a snapshot, is
 // still answered by the view, and its block is reused only after Release.
 func TestBlockReclamation(t *testing.T) {
-	eng, path, lat := testbenchPlan(t, 101)
-	queries := []Query{path, lat}
+	eng, path, _ := testbenchPlan(t, 101)
 	const flows = 64
 	record := func(first FlowKey, from, to int, recs ...*Recording) {
 		t.Helper()
@@ -80,10 +88,10 @@ func TestBlockReclamation(t *testing.T) {
 		owner, twin := newRec(), newRec()
 		record(1, 0, 40, owner, twin)
 		view, l := owner.Lease(nil)
-		want := recordingState(t, view, queries)
+		want := recordingState(t, view)
 		record(1, 40, 48, owner, twin)
 		record(1001, 0, 40, owner, twin)
-		if got := recordingState(t, view, queries); got != want {
+		if got := recordingState(t, view); got != want {
 			t.Fatal("new flows recorded into blocks the view still reads")
 		}
 		pages := len(owner.flows.pages)
@@ -92,7 +100,7 @@ func TestBlockReclamation(t *testing.T) {
 		if got := len(owner.flows.pages); got != pages {
 			t.Errorf("%d pages after the released blocks could be reused, want %d", got, pages)
 		}
-		if recordingState(t, owner, queries) != recordingState(t, twin, queries) {
+		if recordingState(t, owner) != recordingState(t, twin) {
 			t.Error("the owner's answers differ from a Recording never leased")
 		}
 	})
@@ -102,7 +110,7 @@ func TestBlockReclamation(t *testing.T) {
 		owner := newRec()
 		record(1, 0, 40, owner)
 		view, l := owner.Lease(nil)
-		want := recordingState(t, view, queries)
+		want := recordingState(t, view)
 		if !owner.PathDecoder(path, flow).Done() {
 			t.Fatalf("flow %v did not decode in 40 packets; the pin needs a decoded flow", flow)
 		}
@@ -114,7 +122,7 @@ func TestBlockReclamation(t *testing.T) {
 				t.Fatalf("flow %v took the block of a held flow the owner evicted", f)
 			}
 		}
-		if got := recordingState(t, view, queries); got != want {
+		if got := recordingState(t, view); got != want {
 			t.Fatal("the view's answers changed after the owner evicted a flow it holds")
 		}
 		l.Release()
@@ -137,14 +145,13 @@ func TestBlockReclamation(t *testing.T) {
 // (Recording.recordRun), freeing the copy. A reader answers from the view
 // on its own goroutine meanwhile, as at the Lease, and releases it there;
 // the held block is not written, new flows do not take it until the
-// Release, and the next one after it does (a Clone's, never). The decoded flow's
-// path section is the state of a coding.Decoder that kept its rows and
-// observed the same packets, and restoring the flow's blob lays out the
-// 32-word block directly, cutting no 42-word one.
+// Release, and the next one after it does (a Clone's, never). The decoded
+// flow's decoder answers as a coding.Decoder that kept its rows and
+// observed the same packets, down to its stored packets, and restoring the
+// flow's image lays out the 32-word block directly, cutting no 42-word one.
 func TestDecodeWhileHeld(t *testing.T) {
 	const flow, early = FlowKey(1), 2
-	eng, path, lat := testbenchPlan(t, 163)
-	queries := []Query{path, lat}
+	eng, path, _ := testbenchPlan(t, 163)
 	pkts := testbenchFlow(eng, flow, 167, 200)
 	for _, clone := range []bool{false, true} {
 		owner, err := NewRecording(eng)
@@ -170,7 +177,7 @@ func TestDecodeWhileHeld(t *testing.T) {
 		} else {
 			view, l = owner.Lease(nil)
 		}
-		want, err := view.AppendFlowState(nil, queries, flow)
+		want, err := view.AppendFlowState(nil, flow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,8 +185,8 @@ func TestDecodeWhileHeld(t *testing.T) {
 		go func() {
 			defer close(done)
 			for {
-				if got, err := view.AppendFlowState(nil, queries, flow); err != nil || !slices.Equal(got, want) {
-					t.Errorf("the view's blob changed while the owner recorded on (err %v)", err)
+				if got, err := view.AppendFlowState(nil, flow); err != nil || !slices.Equal(got, want) {
+					t.Errorf("the view's image changed while the owner recorded on (err %v)", err)
 				}
 				select {
 				case <-stop:
@@ -225,17 +232,11 @@ func TestDecodeWhileHeld(t *testing.T) {
 				}
 			}
 		}
-		st := dec.AppendState(nil)
-		section := append(append(binary.AppendUvarint([]byte{flowStateVersion, 1}, uint64(len(path.Name()))), path.Name()...), sectionPath)
-		section = append(binary.AppendUvarint(section, uint64(len(st))), st...)
-		if got, err := owner.AppendFlowState(nil, []Query{path}, flow); err != nil || !slices.Equal(got, section) {
-			t.Errorf("the decoded flow's path section differs from a decoder that kept its rows (err %v)", err)
-		}
-		if got := owner.PathDecoder(path, flow).AppendState(nil); !slices.Equal(got, st) {
-			t.Error("PathDecoder's copy of the decoded flow serializes differently from a decoder that kept its rows")
+		if got, want := decoderAnswers(owner.PathDecoder(path, flow)), decoderAnswers(dec); got != want {
+			t.Errorf("the decoded flow's decoder answers %s, a decoder that kept its rows %s", got, want)
 		}
 
-		blob, err := owner.AppendFlowState(nil, queries, flow)
+		img, err := owner.AppendFlowState(nil, flow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,15 +244,15 @@ func TestDecodeWhileHeld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.RestoreFlowState(queries, flow, blob); err != nil {
+		if err := dst.RestoreFlowState(flow, img); err != nil {
 			t.Fatal(err)
 		}
 		if fs, _ := dst.find(flow); len(fs.w) != 32 || len(dst.flows.free[42]) != 0 {
 			t.Errorf("the restored flow's block is %d words with %d 42-word blocks freed, want 32 and none cut",
 				len(fs.w), len(dst.flows.free[42]))
 		}
-		if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !slices.Equal(again, blob) {
-			t.Errorf("the restored flow re-emits a different blob (err %v)", err)
+		if again, err := dst.AppendFlowState(nil, flow); err != nil || !slices.Equal(again, img) {
+			t.Errorf("the restored flow re-emits a different image (err %v)", err)
 		}
 	}
 }
@@ -259,12 +260,11 @@ func TestDecodeWhileHeld(t *testing.T) {
 // TestRestoreReusesEvictedBlocks pins what flows that leave a Recording
 // and come back cost its arena, as a hand-off's export and a later import
 // do: half of the flows are exported (AppendFlowState) and evicted, then
-// restored from their blobs. Each restore takes an evicted block from the
+// restored from their images. Each restore takes an evicted block from the
 // free lists, so the arena cuts no word from a page and adds no page, and
 // the Recording answers as before.
 func TestRestoreReusesEvictedBlocks(t *testing.T) {
-	eng, path, lat := testbenchPlan(t, 137)
-	queries := []Query{path, lat}
+	eng, _, _ := testbenchPlan(t, 137)
 	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
@@ -275,27 +275,27 @@ func TestRestoreReusesEvictedBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := recordingState(t, rec, queries)
-	var blobs [][]byte
+	want := recordingState(t, rec)
+	var images [][]byte
 	for f := FlowKey(2); f <= flows; f += 2 {
-		blob, err := rec.AppendFlowState(nil, queries, f)
+		img, err := rec.AppendFlowState(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blobs = append(blobs, blob)
+		images = append(images, img)
 		rec.Evict(f)
 	}
 	pages, fill := len(rec.flows.pages), rec.flows.fill
-	for i, blob := range blobs {
-		if err := rec.RestoreFlowState(queries, FlowKey(2*i+2), blob); err != nil {
+	for i, img := range images {
+		if err := rec.RestoreFlowState(FlowKey(2*i+2), img); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := len(rec.flows.pages); got != pages || rec.flows.fill != fill {
 		t.Errorf("restoring %d evicted flows grew the arena from %d pages (%d words cut from the last) to %d (%d)",
-			len(blobs), pages, fill, got, rec.flows.fill)
+			len(images), pages, fill, got, rec.flows.fill)
 	}
-	if recordingState(t, rec, queries) != want {
+	if recordingState(t, rec) != want {
 		t.Error("the restored flows answer differently from before their export")
 	}
 }
@@ -415,13 +415,12 @@ func FuzzLeaseLookup(f *testing.F) {
 // count.
 func TestLatencySamplesPastMaxInt(t *testing.T) {
 	const flow = FlowKey(1)
-	ref, queries, _ := referenceFlowStates(t, referencePkts)
-	lat := queries[1].(*LatencyQuery)
+	ref, lat, img := histImage(t, 1, 10, 1, 1)
 	rec, err := NewRecording(ref.engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RestoreFlowState(queries, flow, oneStore(lat, histStore(10, 1, 1))); err != nil {
+	if err := rec.RestoreFlowState(flow, img); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := rec.storeOf(lat, flow, 1)
@@ -446,12 +445,12 @@ func TestLatencySamplesPastMaxInt(t *testing.T) {
 }
 
 // TestNewFlowCutsOneBlock: a new flow's first packet states its path
-// length, and a restored flow's blob does, so either gets one block cut
+// length, and a restored flow's image does, so either gets one block cut
 // for it, and no block with no per-hop state is cut and freed on the way.
 // A first packet whose path length no recording takes is refused before
 // anything is cut, and leaves no flow tracked.
 func TestNewFlowCutsOneBlock(t *testing.T) {
-	eng, path, lat := testbenchPlan(t, 113)
+	eng, _, _ := testbenchPlan(t, 113)
 	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
@@ -479,8 +478,7 @@ func TestNewFlowCutsOneBlock(t *testing.T) {
 	if got := rec.flows.fill; got != eng.blockWords(5) {
 		t.Errorf("the refused flows cut %d words, want none", got-eng.blockWords(5))
 	}
-	queries := []Query{path, lat}
-	blob, err := rec.AppendFlowState(nil, queries, 1)
+	img, err := rec.AppendFlowState(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +486,7 @@ func TestNewFlowCutsOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.RestoreFlowState(queries, 1, blob); err != nil {
+	if err := dst.RestoreFlowState(1, img); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(dst.flows.free[eng.blockBase]); n != 0 || dst.flows.fill != eng.blockWords(5) {

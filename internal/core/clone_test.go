@@ -457,7 +457,7 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 
 // TestHeldCloneRacesOwnerTail is held views under the race detector. The
 // owner records on while a Clone taken before is answered — quantiles of
-// every hop and the hand-off blob — on one goroutine, and each lease the
+// every hop and the hand-off image — on one goroutine, and each lease the
 // owner takes between its batches is answered and released on another.
 // The owner appends to the util series every view shares, past their
 // values; a latency store's inline tail is the owner's own copy; and every
@@ -465,8 +465,8 @@ func TestCloneAppendsStayPrivate(t *testing.T) {
 // states only that lease held in place.
 // Any shared byte written by one side while another reads it fails under
 // -race. Each lease must carry the state of a Recording rebuilt from the
-// packets before it, and afterwards the owner and the clone theirs, blob
-// for blob.
+// packets before it, and afterwards the owner and the clone theirs, image
+// for image.
 func TestHeldCloneRacesOwnerTail(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		raceHeldClones(t, heldRace{nFlows: 4, k: 6, prefix: 600, cont: 800, step: 16})
@@ -509,8 +509,7 @@ type heldRace struct{ nFlows, k, prefix, cont, step int }
 // the three-query plan, and returns its latency query, the reading clone
 // and the owner.
 func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner *Recording) {
-	eng, path, lat, util := combinedTestPlan(t, 151)
-	queries := []Query{path, lat, util}
+	eng, _, lat, _ := combinedTestPlan(t, 151)
 	mk := func(batches ...[]PacketDigest) *Recording {
 		rec, err := NewRecording(eng)
 		if err != nil {
@@ -529,14 +528,14 @@ func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner 
 	// continuation, rebuilt by a Recording nobody leases.
 	var want []string
 	for ref, off := mk(prefix), 0; off < s.cont; off += s.step {
-		want = append(want, recordingState(t, ref, queries))
+		want = append(want, recordingState(t, ref))
 		if err := ref.RecordBatch(cont[off : off+s.step]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	owner = mk(prefix)
 	reader = owner.Clone()
-	// answer answers every hop's quantiles and renders every flow's blob.
+	// answer answers every hop's quantiles and renders every flow's image.
 	answer := func(rec *Recording) string {
 		var b strings.Builder
 		for _, f := range rec.Flows() {
@@ -545,11 +544,11 @@ func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner 
 					t.Error(err)
 				}
 			}
-			blob, err := rec.AppendFlowState(nil, queries, f)
+			img, err := rec.AppendFlowState(nil, f)
 			if err != nil {
 				t.Error(err)
 			}
-			fmt.Fprintf(&b, "%d:%x\n", f, blob)
+			fmt.Fprintf(&b, "%d:%x\n", f, img)
 		}
 		return b.String()
 	}
@@ -612,7 +611,7 @@ func raceHeldClones(t *testing.T, s heldRace) (lat *LatencyQuery, reader, owner 
 		{"owner", owner, mk(prefix, cont)},
 		{"reading clone", reader, mk(prefix)},
 	} {
-		if recordingState(t, h.got, queries) != recordingState(t, h.want, queries) {
+		if recordingState(t, h.got) != recordingState(t, h.want) {
 			t.Fatalf("%s: state differs from a Recording rebuilt from its own packets", h.name)
 		}
 	}
@@ -663,8 +662,7 @@ func TestLatencyQuantilesMatchesSingleCalls(t *testing.T) {
 // — is not written while a lease holds it.
 func TestLeaseHoldCount(t *testing.T) {
 	const flow = FlowKey(1)
-	eng, path, lat := testbenchPlan(t, 71)
-	queries := []Query{path, lat}
+	eng, _, _ := testbenchPlan(t, 71)
 	pkts := testbenchFlow(eng, flow, 5, 96)
 	type step struct {
 		op, name string // op on the lease or clone called name
@@ -719,12 +717,12 @@ func TestLeaseHoldCount(t *testing.T) {
 						t.Fatal(err)
 					}
 				case "reimport":
-					blob, err := owner.AppendFlowState(nil, queries, flow)
+					img, err := owner.AppendFlowState(nil, flow)
 					if err != nil {
 						t.Fatal(err)
 					}
 					owner.Evict(flow)
-					if err := owner.RestoreFlowState(queries, flow, blob); err != nil {
+					if err := owner.RestoreFlowState(flow, img); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -753,8 +751,7 @@ func TestLeaseHoldCount(t *testing.T) {
 // Recording; a Recording that records neither merges into another nor
 // takes a view's flows once it has its own.
 func TestViewsAreReadOnly(t *testing.T) {
-	eng, path, lat, util := combinedTestPlan(t, 79)
-	queries := []Query{path, lat, util}
+	eng, _, _, _ := combinedTestPlan(t, 79)
 	pkts := cloneWorkload(t, eng, 173, 3, 300, 6)
 	owner, err := NewRecording(eng)
 	if err != nil {
@@ -763,7 +760,7 @@ func TestViewsAreReadOnly(t *testing.T) {
 	if err := owner.RecordBatch(pkts); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := owner.AppendFlowState(nil, queries, 1)
+	img, err := owner.AppendFlowState(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,16 +777,16 @@ func TestViewsAreReadOnly(t *testing.T) {
 	if err := adopter.Merge(owner.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	before := recordingState(t, owner, queries)
+	before := recordingState(t, owner)
 	for name, view := range map[string]*Recording{"lease": leased, "clone": owner.Clone(), "merged": adopter} {
-		want := recordingState(t, view, queries)
+		want := recordingState(t, view)
 		if err := view.RecordBatch(pkts[:4]); err == nil {
 			t.Errorf("%s: RecordBatch accepted", name)
 		}
 		if err := view.Record(1, 6, pkts[0].PktID, pkts[0].Digest); err == nil {
 			t.Errorf("%s: Record accepted", name)
 		}
-		if err := view.RestoreFlowState(queries, 9, blob); err == nil {
+		if err := view.RestoreFlowState(9, img); err == nil {
 			t.Errorf("%s: RestoreFlowState accepted", name)
 		}
 		for op, take := range map[string]func(){"Lease": func() { view.Lease(nil) }, "Clone": func() { view.Clone() }} {
@@ -808,14 +805,14 @@ func TestViewsAreReadOnly(t *testing.T) {
 		if err := view.Merge(empty); err != nil {
 			t.Errorf("%s: merging an empty Recording: %v", name, err)
 		}
-		if got := recordingState(t, view, queries); got != want {
+		if got := recordingState(t, view); got != want {
 			t.Errorf("%s: a refused write changed the view", name)
 		}
 	}
 	if err := adopter.Merge(owner); err == nil {
 		t.Error("a Recording that records merged into a view")
 	}
-	if got := recordingState(t, owner, queries); got != before {
+	if got := recordingState(t, owner); got != before {
 		t.Error("a refused merge changed the owner")
 	}
 }
@@ -886,7 +883,7 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 		if err := control.RecordBatch(pkts[:c.prefix]); err != nil {
 			t.Fatal(err)
 		}
-		atCopy := control.PathDecoder(path, flow).AppendState(nil)
+		atCopy := flowImage(t, control, flow)
 		if err := control.RecordBatch(pkts[c.prefix:]); err != nil {
 			t.Fatal(err)
 		}
@@ -897,9 +894,9 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 			name string
 			got  *Recording
 			want []byte
-		}{{"owner", rec, control.PathDecoder(path, flow).AppendState(nil)}, {"clone", clone, atCopy}} {
-			if got := h.got.PathDecoder(path, flow).AppendState(nil); !slices.Equal(got, h.want) {
-				t.Errorf("%s: the %s's decoder diverged from a Recording never cloned", c.name, h.name)
+		}{{"owner", rec, flowImage(t, control, flow)}, {"clone", clone, atCopy}} {
+			if got := flowImage(t, h.got, flow); !slices.Equal(got, h.want) {
+				t.Errorf("%s: the %s's state diverged from a Recording never cloned", c.name, h.name)
 			}
 		}
 	}
@@ -919,7 +916,7 @@ func TestPathDecoderIsACopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := rec.PathDecoder(path, 1)
-	before, answer := dec.AppendState(nil), rec.PathDecoder(path, 1).AppendState(nil)
+	before, answer := decoderAnswers(dec), decoderAnswers(rec.PathDecoder(path, 1))
 	for _, p := range pkts[8:] {
 		set := eng.SetFor(p.PktID)
 		for i, q := range set.Queries {
@@ -931,13 +928,13 @@ func TestPathDecoderIsACopy(t *testing.T) {
 	if !dec.Done() {
 		t.Fatal("the copy did not decode the path from the rest of the stream")
 	}
-	if got := rec.PathDecoder(path, 1).AppendState(nil); !slices.Equal(got, answer) {
+	if got := decoderAnswers(rec.PathDecoder(path, 1)); got != answer {
 		t.Error("observing through PathDecoder's result changed the Recording")
 	}
 	if err := rec.RecordBatch(pkts[8:]); err != nil {
 		t.Fatal(err)
 	}
-	if again := rec.PathDecoder(path, 1); !again.Done() || slices.Equal(again.AppendState(nil), before) {
+	if again := rec.PathDecoder(path, 1); !again.Done() || decoderAnswers(again) == before {
 		t.Error("the Recording did not record on after a copy was taken")
 	}
 }
@@ -951,8 +948,7 @@ func TestPathDecoderIsACopy(t *testing.T) {
 // and a block the owner replaced while a Lease held it, which only that
 // Lease's run still pointed at, is not kept from reuse by the spare.
 func TestLeaseRunReuse(t *testing.T) {
-	eng, path, lat := testbenchPlan(t, 83)
-	queries := []Query{path, lat}
+	eng, path, _ := testbenchPlan(t, 83)
 	flows := []FlowKey{3, 5, 8, 13}
 	newOwner := func(t *testing.T) (*Recording, map[FlowKey][]PacketDigest) {
 		owner, err := NewRecording(eng)
@@ -979,7 +975,7 @@ func TestLeaseRunReuse(t *testing.T) {
 		if first(b) != arr {
 			t.Fatal("the next Lease did not refill the released run")
 		}
-		want := recordingState(t, view, queries)
+		want := recordingState(t, view)
 		a.Release()
 		for _, f := range flows {
 			if n := owner.holdsAt(owner.blockOf(f)); n != 1 {
@@ -995,7 +991,7 @@ func TestLeaseRunReuse(t *testing.T) {
 				t.Fatalf("flow %v: the owner wrote a state the second Lease holds in place", f)
 			}
 		}
-		if got := recordingState(t, view, queries); got != want {
+		if got := recordingState(t, view); got != want {
 			t.Fatal("the owner's writes showed in the second Lease's view")
 		}
 		b.Release()

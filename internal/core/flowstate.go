@@ -39,12 +39,13 @@ type flowMore struct {
 // reaches it is never decremented.
 const maxHolds = math.MaxUint32
 
-// slotPlace is where one compiled query keeps its state in every flow: its
-// kind, its words in a k-hop flow's block from base+perHop*k on, its
-// ordinal among the engine's queries of its kind (the side entry's slabs,
-// flowMore), and a path query's decode plan and the candidate row words
-// per hop of the path queries before it (rowAt).
+// slotPlace is where one compiled query keeps its state in every flow: the
+// query and its kind, its words in a k-hop flow's block from base+perHop*k
+// on, its ordinal among the engine's queries of its kind (the side entry's
+// slabs, flowMore), and a path query's decode plan and the candidate row
+// words per hop of the path queries before it (rowAt).
 type slotPlace struct {
+	q            Query
 	kind         opKind
 	base, perHop int
 	ord, rowAt   int
@@ -65,6 +66,7 @@ func (e *Engine) layOut(queries []Query) {
 	e.blockBase = headerWords(len(queries))
 	for i, q := range queries {
 		pl := &e.places[i]
+		pl.q = q
 		switch q := q.(type) {
 		case *PathQuery:
 			pl.kind, pl.plan, pl.rowAt = opPath, q.plan, e.rowsPerHop
@@ -85,8 +87,8 @@ func (e *Engine) layOut(queries []Query) {
 
 // k is the path length of the flow's first recorded packet, which sizes
 // every per-hop state, so a route that shortens mid-flow (§7) leaves the
-// later hops empty; 0 for a restored flow with no per-hop state, at most
-// math.MaxInt16 (the wire and the decoders stop at 64).
+// later hops empty; at least 1 and at most math.MaxInt16 (the wire and the
+// decoders stop at 64).
 func (fs *flowState) k() int { return int(fs.w[hdrK] & (1<<kBits - 1)) }
 
 // started reports whether query slot i has state for the flow.
@@ -125,16 +127,29 @@ func (fs *flowState) slab(ord int) []uint64 {
 	return nil
 }
 
+// parts returns a query's words in the flow's block: a path query's
+// decoder words and its candidate rows, none in a rowless block, and a
+// latency query's tails.
+func (fs *flowState) parts(pl *slotPlace) (words, rows []uint64) {
+	k := fs.k()
+	switch pl.kind {
+	case opPath:
+		words = fs.w[pl.at(k):][:pl.plan.Words(k)]
+		if fs.w[hdrK]&rowless == 0 {
+			rows = fs.w[fs.ps.e.blockWords(uint64(k)|rowless)+pl.rowAt*k:][:pl.plan.RowWords(k)]
+		}
+	case opLatency:
+		words = fs.w[pl.at(k):][:tailWords*k]
+	}
+	return words, rows
+}
+
 // bindDecoder binds dec as a view of a path query's decoder over the
 // flow's words, without candidate rows in a rowless block. The flow's k
 // must be at most coding.MaxPathLen.
 func (fs *flowState) bindDecoder(dec *coding.Decoder, pl *slotPlace) {
-	k := fs.k()
-	var rows []uint64
-	if fs.w[hdrK]&rowless == 0 {
-		rows = fs.w[fs.ps.e.blockWords(uint64(k)|rowless)+pl.rowAt*k:]
-	}
-	pl.plan.Bind(dec, k, fs.w[pl.at(k):], rows, fs.slab(pl.ord))
+	words, rows := fs.parts(pl)
+	pl.plan.Bind(dec, fs.k(), words, rows, fs.slab(pl.ord))
 }
 
 // keepSlab stores what a decoder view left in its slab, which only ever
@@ -234,8 +249,8 @@ const (
 
 // maxLatSamples is the most samples a counting store takes: more than any
 // flow's hop sees, and few enough that no count or total wraps. A restored
-// histogram may count up to it (restoreHist), so a store restored from any
-// blob records on into one that is accepted again.
+// histogram may count up to it (latStore.restore), so a store restored
+// from any image records on into one that is accepted again.
 const maxLatSamples = 1 << 62
 
 // lo is the tail's first code, or tailClosed, which sends every sample to

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -16,17 +15,15 @@ import (
 )
 
 // The reference stream's length, ~87 latency samples per (flow, hop), and
-// a length at which every raw store holds more than 128 samples (~350),
-// the length from which stores once began to travel as counts.
+// a longer one, ~350, whose stores fold into histograms.
 const referencePkts, foldedPkts = 3000, 12000
 
 // referenceFlowStates records the first n packets of the three-query
-// plan's reference stream and returns the Recording, its queries in
-// section order, and every flow's hand-off blob in flow order.
+// plan's reference stream and returns the Recording, its queries (path,
+// latency, util), and every flow's image in flow order.
 func referenceFlowStates(t testing.TB, n int) (*Recording, []Query, [][]byte) {
 	t.Helper()
 	eng, path, lat, util := combinedTestPlan(t, 139)
-	queries := []Query{path, lat, util}
 	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
@@ -34,107 +31,144 @@ func referenceFlowStates(t testing.TB, n int) (*Recording, []Query, [][]byte) {
 	if err := rec.RecordBatch(cloneWorkload(t, eng, 149, 5, n, 6)); err != nil {
 		t.Fatal(err)
 	}
-	var blobs [][]byte
+	return rec, []Query{path, lat, util}, flowImages(t, rec)
+}
+
+// flowImages returns every flow's image in flow order.
+func flowImages(t testing.TB, rec *Recording) [][]byte {
+	t.Helper()
+	var images [][]byte
 	for _, f := range rec.Flows() {
-		blob, err := rec.AppendFlowState(nil, queries, f)
+		img, err := rec.AppendFlowState(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blobs = append(blobs, blob)
+		images = append(images, img)
 	}
-	return rec, queries, blobs
+	return images
 }
 
-// flowStateDigest hashes, in flow order, the hand-off blob of every flow
-// of a Recording fed n packets of the three-query plan's reference stream.
-func flowStateDigest(t *testing.T, n int) string {
+// flowImage is flow's image in rec.
+func flowImage(t testing.TB, rec *Recording, flow FlowKey) []byte {
 	t.Helper()
-	rec, queries, blobs := referenceFlowStates(t, n)
-	h := sha256.New()
-	arena := []byte("earlier states")
-	for i, f := range rec.Flows() {
-		blob := blobs[i]
-		h.Write(blob)
-		// The blob is encoded where it lands: behind other bytes it is the
-		// same blob, and they are untouched.
-		at := len(arena)
-		var err error
-		if arena, err = rec.AppendFlowState(arena, queries, f); err != nil {
+	img, err := rec.AppendFlowState(nil, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// readStates returns the files of testdata/dir matching glob, in name
+// order.
+func readStates(t testing.TB, dir, glob string) [][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", dir, glob))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no states in testdata/%s/%s (%v)", dir, glob, err)
+	}
+	var states [][]byte
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(arena[at:], blob) || !bytes.HasPrefix(arena, []byte("earlier states")) {
-			t.Fatalf("flow %d: state appended behind %d bytes differs from the state appended to nil", f, at)
-		}
+		states = append(states, b)
+	}
+	return states
+}
+
+// digestOf hashes states in order.
+func digestOf(states [][]byte) string {
+	h := sha256.New()
+	for _, s := range states {
+		h.Write(s)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestFlowStateBlobsUnchanged pins AppendFlowState's bytes: the hand-off
-// format is a wire format between fleet members of different builds. The
-// second digest is of a longer stream, whose raw stores hold more than 128
-// samples each, and was taken when one-byte stores began to travel as
-// counts (kind 4) from 128 samples on. The raw digest was taken when every
-// nonempty one-byte store began to travel as counts; the two streams'
-// stores now travel alike. The blobs of sketched stores are pinned, and
-// refused, by TestSketchedFlowStatesRefused.
-func TestFlowStateBlobsUnchanged(t *testing.T) {
-	if got, want := flowStateDigest(t, referencePkts), "2a079615c18a9f36"; got != want {
-		t.Errorf("raw: flow-state blobs hash to %s, want %s", got, want)
+// strays returns what restores may have lost in rec's arena, which must
+// have one page: the words cut that neither a tracked flow's block nor a
+// free or retired one holds, and the side entries given out that neither
+// a block nor the free list holds.
+func strays(rec *Recording) (words, sides int) {
+	a := rec.flows
+	if a == nil {
+		return 0, 0
 	}
-	if got, want := flowStateDigest(t, foldedPkts), "0b631441da02f0d3"; got != want {
-		t.Errorf("raw, %d packets: flow-state blobs hash to %s, want %s", foldedPkts, got, want)
-	}
-}
-
-// sketchedFlowStates returns, in flow order, the hand-off blobs of the
-// reference stream's first referencePkts packets recorded into 24-item KLL
-// sketches (latency store kind 2), as the last build that kept sketches
-// wrote them.
-func sketchedFlowStates(t testing.TB) [][]byte {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("testdata", "sketched-flowstate", "*.bin"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no sketched flow states in testdata (%v)", err)
-	}
-	var blobs [][]byte
-	for _, p := range paths {
-		blob, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
+	words, sides = a.fill, a.sides-len(a.freeSide)
+	count := func(off uint32) {
+		w := a.block(off)
+		words -= len(w)
+		if sideOf(w) != 0 {
+			sides--
 		}
-		blobs = append(blobs, blob)
 	}
-	return blobs
+	for _, s := range a.slots {
+		if s != 0 {
+			count(s - 1)
+		}
+	}
+	for n, offs := range a.free {
+		words -= n * len(offs)
+	}
+	for _, off := range a.retired {
+		count(off)
+	}
+	return words, sides
 }
 
-// TestSketchedFlowStatesRefused: latency store kind 2, once a KLL sketch,
-// is a refused number. The sketched reference blobs still hash to the
-// digest TestFlowStateBlobsUnchanged pinned for them while sketches
-// travelled, so they are those very bytes, and each is now refused with
-// no flow left behind.
-func TestSketchedFlowStatesRefused(t *testing.T) {
-	const flow = FlowKey(1)
-	blobs := sketchedFlowStates(t)
-	h := sha256.New()
-	for _, blob := range blobs {
-		h.Write(blob)
+// restoreInto restores img as flow into a fresh Recording of eng, and
+// fails t if a refusal leaves the flow or anything of its block behind.
+func restoreInto(t testing.TB, eng *Engine, flow FlowKey, img []byte) (*Recording, error) {
+	t.Helper()
+	dst, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", h.Sum(nil)[:8]), "d09b3b2d6d4d4684"; got != want {
+	err = dst.RestoreFlowState(flow, img)
+	if words, sides := strays(dst); err != nil && (dst.HasFlow(flow) || words != 0 || sides != 0) {
+		t.Fatalf("a refused restore left the flow (%v), %d words or %d side entries behind: %v", dst.HasFlow(flow), words, sides, err)
+	}
+	return dst, err
+}
+
+// TestFlowStateBlobsUnchanged: the blobs of the format before images, the
+// reference stream's at referencePkts and foldedPkts packets as the last
+// build that wrote them did, still hash to the digests that build pinned,
+// so they are those very bytes, and each is now refused by its version
+// number, 1, with no flow or block left behind.
+func TestFlowStateBlobsUnchanged(t *testing.T) {
+	eng, _, _, _ := combinedTestPlan(t, 139)
+	for _, c := range []struct {
+		n    int
+		want string
+	}{{referencePkts, "2a079615c18a9f36"}, {foldedPkts, "0b631441da02f0d3"}} {
+		blobs := readStates(t, "flowstate-v1", fmt.Sprintf("%05d-*.bin", c.n))
+		if got := digestOf(blobs); got != c.want {
+			t.Fatalf("%d packets: version-1 blobs hash to %s, want %s", c.n, got, c.want)
+		}
+		for i, blob := range blobs {
+			_, err := restoreInto(t, eng, FlowKey(i+1), blob)
+			if err == nil || !strings.Contains(err.Error(), "flow state version 1 (have 2)") {
+				t.Errorf("%d packets, blob %d: restore returned %v, want a refusal of version 1", c.n, i, err)
+			}
+		}
+	}
+}
+
+// TestSketchedFlowStatesRefused: the version-1 blobs of stores kept as
+// 24-item KLL sketches, as the last build that kept sketches wrote them,
+// still hash to the digest that build pinned, and each is refused by its
+// version number with no flow or block left behind.
+func TestSketchedFlowStatesRefused(t *testing.T) {
+	blobs := readStates(t, "sketched-flowstate", "*.bin")
+	if got, want := digestOf(blobs), "d09b3b2d6d4d4684"; got != want {
 		t.Fatalf("sketched flow-state blobs hash to %s, want %s", got, want)
 	}
-	eng, path, lat, util := combinedTestPlan(t, 139)
-	queries := []Query{path, lat, util}
+	eng, _, _, _ := combinedTestPlan(t, 139)
 	for i, blob := range blobs {
-		dst, err := NewRecording(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = dst.RestoreFlowState(queries, flow, blob)
-		if err == nil || !strings.Contains(err.Error(), "latency store kind 2") {
-			t.Errorf("blob %d: restore returned %v, want a refusal of store kind 2", i, err)
-		}
-		if dst.TrackedFlows() != 0 {
-			t.Errorf("blob %d: the refused restore left %d flows behind", i, dst.TrackedFlows())
+		if _, err := restoreInto(t, eng, 1, blob); err == nil || !strings.Contains(err.Error(), "flow state version 1 (have 2)") {
+			t.Errorf("blob %d: restore returned %v, want a refusal of version 1", i, err)
 		}
 	}
 }
@@ -142,9 +176,9 @@ func TestSketchedFlowStatesRefused(t *testing.T) {
 // TestNewRecordingSeededRefusesSketches: the deprecated constructor
 // refuses a caller that asks for latency sketches, and otherwise is
 // NewRecording whatever the seed: fed the reference stream, it writes the
-// reference blobs.
+// reference images.
 func TestNewRecordingSeededRefusesSketches(t *testing.T) {
-	ref, queries, want := referenceFlowStates(t, referencePkts)
+	ref, _, want := referenceFlowStates(t, referencePkts)
 	if rec, err := NewRecordingSeeded(ref.engine, 24, 0xB10B); err == nil || rec != nil {
 		t.Fatalf("NewRecordingSeeded with 24 sketch items returned (%v, %v), want a refusal", rec, err)
 	}
@@ -155,310 +189,274 @@ func TestNewRecordingSeededRefusesSketches(t *testing.T) {
 	if err := rec.RecordBatch(cloneWorkload(t, ref.engine, 149, 5, referencePkts, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if rec.TrackedFlows() != len(want) {
-		t.Fatalf("a seeded Recording tracks %d flows, NewRecording's %d", rec.TrackedFlows(), len(want))
+	if got := flowImages(t, rec); !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatal("a seeded Recording's images differ from NewRecording's")
 	}
+}
+
+// TestAppendFlowStateKeepsDst: an image is appended where it lands — behind
+// other bytes it is the same image, and they are untouched — and a flow
+// the Recording does not track appends nothing.
+func TestAppendFlowStateKeepsDst(t *testing.T) {
+	rec, _, images := referenceFlowStates(t, referencePkts)
+	dst := []byte("earlier states")
 	for i, f := range rec.Flows() {
-		if got, err := rec.AppendFlowState(nil, queries, f); err != nil || !bytes.Equal(got, want[i]) {
-			t.Fatalf("flow %d: a seeded Recording's state differs from NewRecording's (err %v)", f, err)
+		at := len(dst)
+		var err error
+		if dst, err = rec.AppendFlowState(dst, f); err != nil || !bytes.Equal(dst[at:], images[i]) {
+			t.Fatalf("flow %d: the image appended behind %d bytes differs from the one appended to nil (err %v)", f, at, err)
 		}
+	}
+	if !bytes.HasPrefix(dst, []byte("earlier states")) {
+		t.Fatal("appending images wrote over the bytes before them")
+	}
+	before := slices.Clip(dst)
+	got, err := rec.AppendFlowState(before, 99)
+	if err == nil || len(got) != len(before) || &got[0] != &before[0] {
+		t.Fatalf("an untracked flow: AppendFlowState returned %d bytes of %d (err %v), want dst unchanged and an error", len(got), len(before), err)
 	}
 }
 
-// flowStateSections splits a blob into its sections' raw bytes, keyed by
-// query name (test-side parse of the layout in handoff.go).
-func flowStateSections(t testing.TB, blob []byte) map[string][]byte {
-	t.Helper()
-	out := map[string][]byte{}
-	rest := blob[2:]
-	for n := int(blob[1]); n > 0; n-- {
-		nameLen, a := binary.Uvarint(rest)
-		name := string(rest[a : a+int(nameLen)])
-		at := a + int(nameLen) + 1
-		payloadLen, b := binary.Uvarint(rest[at:])
-		end := at + b + int(payloadLen)
-		out[name], rest = rest[:end], rest[end:]
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes after the last section", len(rest))
-	}
-	return out
+// image is an image taken apart: its block's words and the runs of its side
+// entries, nil for none.
+type image struct {
+	block []uint64
+	side  [][]uint64
 }
 
-// TestRestoreFlowStateRejectsImpossibleState: a latency code the query's
-// digest slice could not have carried, and a latency section whose hop
-// count disagrees with the flow's path length, are refused with an error
-// naming flow and hop — not stored (where a code-width store would
-// truncate the sample into some other code) — and the destination stays
-// untouched.
-func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
-	const flow = FlowKey(77)
-	cfg, err := DefaultPathConfig(4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
+// splitImage takes an image of e's plan apart.
+func splitImage(e *Engine, img []byte) image {
+	ws := make([]uint64, len(img)/8)
+	for i := range ws {
+		ws[i] = word(img, i)
 	}
-	path, err := NewPathQuery("path", cfg, 1, 151, testUniverse(5, 80))
-	if err != nil {
-		t.Fatal(err)
+	n := e.blockWords(ws[2+hdrK] & layout)
+	im, rest := image{block: ws[2 : 2+n]}, ws[2+n:]
+	for len(rest) > 0 {
+		m := int(rest[0])
+		im.side, rest = append(im.side, rest[1:1+m]), rest[1+m:]
 	}
-	lat := latQueryOfBits(t, 4, 1, 151)
-	queries := []Query{path, lat}
-	eng, err := Compile(queries, 12, 157)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobAt := func(k int) []byte {
-		rec, err := NewRecording(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkts := testbenchFlow(eng, flow, 167, 400)
-		for i := range pkts {
-			pkts[i].PathLen = k
-		}
-		if err := rec.RecordBatch(pkts); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := rec.AppendFlowState(nil, queries, flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	restore := func(blob []byte) error {
-		dst, err := NewRecording(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = dst.RestoreFlowState(queries, flow, blob)
-		if err != nil && dst.HasFlow(flow) {
-			t.Fatal("a refused restore left the flow behind")
-		}
-		return err
-	}
-	good := blobAt(5)
-	if err := restore(good); err != nil {
-		t.Fatalf("valid blob refused: %v", err)
-	}
-
-	// The latency section re-spelled with hop 5 counting codes 15 and 16:
-	// the blob stays well-formed, only code 16 is out of range.
-	five := flowStateSections(t, good)
-	store := histStore(3, 1)
-	lat5 := flowStateSection(lat, slices.Concat(uvarints(5), store, store, store, store, histStore(15, 1, 1)))
-	if err := restore(slices.Concat(good[:2], five["path"], flowStateSection(lat, slices.Concat(uvarints(5), store, store, store, store, store)))); err != nil {
-		t.Fatalf("hand-built latency section refused: %v", err)
-	}
-	err = restore(slices.Concat(good[:2], five["path"], lat5))
-	if err == nil || !strings.Contains(err.Error(), "flow 77 hop 5") {
-		t.Fatalf("out-of-range code: got %v, want an error naming flow 77 hop 5", err)
-	}
-
-	// The section count (2, byte 1) re-spelled in two bytes: same value,
-	// but not what AppendFlowState writes.
-	err = restore(slices.Concat(good[:1], []byte{good[1] | 0x80, 0x00}, good[2:]))
-	if err == nil || !strings.Contains(err.Error(), "at byte 1 is not minimally encoded") {
-		t.Fatalf("non-minimal varint: got %v, want an error naming byte 1", err)
-	}
-
-	// Path section from a 5-hop recording, latency section from a 6-hop one.
-	six := flowStateSections(t, blobAt(6))
-	if !bytes.Equal(slices.Concat(good[:2], five["path"], five["lat"]), good) {
-		t.Fatal("section splitter does not reassemble the blob it split")
-	}
-	err = restore(slices.Concat(good[:2], five["path"], six["lat"]))
-	if err == nil || !strings.Contains(err.Error(), "flow 77") || !strings.Contains(err.Error(), "path length is 5") {
-		t.Fatalf("hop-count mismatch: got %v, want an error naming flow 77 and its path length", err)
-	}
+	return im
 }
 
-// uvarints spells a blob fragment as the uvarints it is.
-func uvarints(vs ...uint64) []byte {
-	var b []byte
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
+// bytes puts an image together under e's plan hash.
+func (im image) bytes(e *Engine) []byte {
+	img := appendWords(appendWords(nil, imageVersion, e.PlanHash()), im.block...)
+	for _, run := range im.side {
+		img = appendWords(appendWords(img, uint64(len(run))), run...)
 	}
-	return b
+	return img
 }
 
-// flowStateSection is one section of a hand-off blob: q's name, its kind,
-// and the length-prefixed payload.
-func flowStateSection(q Query, payload []byte) []byte {
-	b := append(uvarints(uint64(len(q.Name()))), q.Name()...)
-	return slices.Concat(append(b, sectionKind(q)), uvarints(uint64(len(payload))), payload)
+// with returns a copy of the image with block word i set to v.
+func (im image) with(i int, v uint64) image {
+	c := image{block: slices.Clone(im.block), side: slices.Clone(im.side)}
+	c.block[i] = v
+	return c
 }
 
-// flowStateRow is a hand-off blob and what RestoreFlowState must say about
-// it ("" = accept).
+// withRun returns a copy of the image with side run i replaced.
+func (im image) withRun(i int, run ...uint64) image {
+	c := image{block: slices.Clone(im.block), side: slices.Clone(im.side)}
+	c.side[i] = run
+	return c
+}
+
+// tailAt is the first word of hop's latency tail in a k-hop block, for the
+// engine's query in slot i.
+func tailAt(e *Engine, i, k, hop int) int { return e.places[i].at(k) + (hop-1)*tailWords }
+
+// withHist returns a copy of im, an image of the combined plan, whose
+// latency store at hop holds a histogram of counts from code lo and an
+// empty tail, closed exactly when the histogram is too full for one to
+// open.
+func (im image) withHist(e *Engine, hop int, lo uint64, counts ...uint64) image {
+	k := int(im.block[hdrK] & (1<<kBits - 1))
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	c := im.withRun(hop, append([]uint64{lo}, counts...)...)
+	at := tailAt(e, 1, k, hop)
+	clear(c.block[at : at+tailWords])
+	if n > maxLatSamples-latTail*math.MaxUint8 {
+		c.block[at] = tailClosed
+	}
+	return c
+}
+
+// flowStateRow is an image and what RestoreFlowState must say about it
+// ("" = accept).
 type flowStateRow struct {
 	name, wantErr string
-	blob          []byte
+	img           []byte
 }
 
-// flowStateRows are blobs around the edge of what AppendFlowState writes
-// for the reference Recording's plan: one it wrote, hand-built ones it
-// could have written, and one per rule a blob it could not have written
-// breaks (each of those was accepted once, and re-emitted as something
-// else).
-func flowStateRows(t testing.TB, queries []Query, reference []byte) []flowStateRow {
-	lat, util := queries[1], queries[2]
-	sec := flowStateSections(t, reference)
-	for _, q := range queries {
-		if sec[q.Name()] == nil {
-			t.Fatalf("reference blob has no %s section", q.Name())
-		}
+// flowStateRows are images around the edge of what AppendFlowState writes
+// for flow 1 of the reference Recording, whose path has decoded and whose
+// side entries are the path's slab, six latency histograms and a util
+// series: the image it wrote, hand-built ones it could have written, and
+// one per rule of RestoreFlowState's check an image it could not have
+// written breaks.
+func flowStateRows(t testing.TB, rec *Recording, reference []byte) []flowStateRow {
+	t.Helper()
+	e := rec.engine
+	im := splitImage(e, reference)
+	const k = 6
+	n := e.blockWords(k | rowless)
+	if len(im.block) != n || len(im.side) != 1+k+1 {
+		t.Fatalf("the reference image is %d block words and %d side runs, want a decoded %d-hop flow's %d and %d",
+			len(im.block), len(im.side), k, n, 1+k+1)
 	}
-	blob := func(sections ...[]byte) []byte {
-		return slices.Concat(append([][]byte{{flowStateVersion, byte(len(sections))}}, sections...)...)
+	// The block with the path's candidate rows back: each hop's row the bit
+	// of its decoded value in combinedTestPlan's universe.
+	vals, done := rec.Path(e.places[0].q.(*PathQuery), 1)
+	if !done {
+		t.Fatal("the reference flow's path has not decoded")
 	}
-	// The util section re-spelled under another section kind: the payload
-	// is a valid series, only the kind byte changes.
-	utilAs := func(kind byte) []byte {
-		s := slices.Clone(sec["util"])
-		s[1+len(util.Name())] = kind
-		return s
+	rows := slices.Clone(im.block)
+	rows[hdrK] &^= rowless
+	for _, v := range vals {
+		rows = append(rows, 1<<((v-0xAB00)/3))
 	}
-	// A two-bucket sliding-window sketch with empty buckets, as kind 3
-	// carried one: version, buckets, span, k, cur, inCur, RNG, ring.
-	window := uvarints(1, 2, 1, 8, 0, 0, 1, 2, 3, 4, 0, 0)
-	path := sec["path"]
+	withRows := image{block: rows, side: im.side}
+	// The path decoder's words: observed, inconsistent, listed, known, then
+	// the values. Unknown, every hop, it needs its rows.
+	dec := e.places[0].at(k)
+	undecoded := im
+	for i := dec + 3; i < dec+3+1+k; i++ {
+		undecoded = undecoded.with(i, 0)
+	}
+	tail, full := tailAt(e, 1, k, 1), uint64(maxLatSamples-latTail*math.MaxUint8)
+	empty := make([][]uint64, len(im.side))
+	for i := range empty {
+		empty[i] = []uint64{}
+	}
+	v1 := readStates(t, "flowstate-v1", "03000-00.bin")[0]
+	row := func(name, wantErr string, img image) flowStateRow { return flowStateRow{name, wantErr, img.bytes(e)} }
 	return []flowStateRow{
 		{"reference", "", reference},
-		{"util series alone", "", blob(sec["util"])},
-		{"sections out of query order", `section "path" out of query order`,
-			blob(sec["lat"], path, sec["util"])},
-		{"repeated section", `section "path" out of query order`, blob(path, path, sec["util"])},
-		// 4 and 5 were the frequent-value and Morris-count families.
-		{"section kind 4", "section kind 4, want 3", blob(path, sec["lat"], utilAs(4))},
-		{"section kind 5", "section kind 5, want 3", blob(path, sec["lat"], utilAs(5))},
-		{"latency store kind 3", "latency store kind 3",
-			blob(flowStateSection(lat, slices.Concat(uvarints(1), []byte{3}, uvarints(uint64(len(window))), window)))},
-		// A nonempty store travels as counts (kind 4): a raw one (kind 1)
-		// is an empty one.
-		{"raw store of no one-byte samples", "", oneStore(lat, rawStore(0))},
-		{"raw store of 1 one-byte sample", "1 raw one-byte latency samples, which this build takes only as counts",
-			oneStore(lat, rawStore(1))},
-		{"raw store of 127 one-byte samples", "127 raw one-byte latency samples, which this build takes only as counts",
-			oneStore(lat, rawStore(127))},
-		{"raw store of 128 one-byte samples", "128 raw one-byte latency samples, which this build takes only as counts",
-			oneStore(lat, rawStore(128))},
-		{"histogram", "", oneStore(lat, histStore(10, 100, 28))},
-		{"histogram of 129 samples", "", oneStore(lat, histStore(10, 100, 29))},
-		{"histogram of 1 sample", "", oneStore(lat, histStore(10, 1))},
-		{"histogram of code 255 alone", "", oneStore(lat, histStore(255, 256))},
-		{"histogram counting 2^32 samples of one code", "", oneStore(lat, histStore(10, math.MaxUint32, 1))},
-		{"histogram counting 2^62 samples", "", oneStore(lat, histStore(10, 1<<62-1, 1))},
-		{"histogram of no samples", "latency histogram of 0 samples", oneStore(lat, histStore(10))},
-		{"histogram counting a total of 0", "latency histogram of 0 samples", oneStore(lat, histStore(10, 0, 0))},
-		{"histogram of 127 samples", "", oneStore(lat, histStore(10, 100, 27))},
-		{"histogram with a zero first count", "not trimmed", oneStore(lat, histStore(9, 0, 100, 28))},
-		{"histogram with a zero last count", "not trimmed", oneStore(lat, histStore(10, 100, 28, 0))},
-		{"histogram past code 255", "codes 251 to 256 does not fit 8 bits", oneStore(lat, histStore(251, 64, 0, 0, 0, 0, 64))},
-		{"histogram past 2^62 samples", "more than 2^62 samples", oneStore(lat, histStore(10, 1<<62, 1))},
-		{"histogram whose total wraps", "more than 2^62 samples", oneStore(lat, histStore(10, 1<<63, 1<<63, 128))},
+		{"version 1", "flow state version 1 (have 2)", v1},
+		{"version 3", "flow state version 3 (have 2)", append([]byte{3}, reference[1:]...)},
+		{"empty", "flow state of 0 bytes is no image", nil},
+		{"a byte short", "is no image", reference[:len(reference)-1]},
+		{"a header and no block", "is no image", reference[:8*(2+hdrK)]},
+		{"version word with a high byte", "flow state version word 0x100000000000002", slices.Concat(reference[:7], []byte{1}, reference[8:])},
+		{"another plan", "flow state of plan", slices.Concat(reference[:8], appendWords(nil, e.PlanHash()+1), reference[16:])},
+		row("another flow", "flow state of flow 2, restored as flow 1", im.with(hdrKey, 2)),
+		row("hold word", "hold word 0x100000001", im.with(hdrHolds, 1<<32|1)),
+		row("no hops", "state for 0 hops", im.with(hdrK, im.block[hdrK]&^(1<<kBits-1))),
+		{"block cut short", fmt.Sprintf("image of %d words, its block alone has %d", n-1, n), reference[:8*(2+n-1)]},
+		row("started bit past the plan's slots", "started bits beyond the plan's 3 query slots", im.with(hdrK, im.block[hdrK]|1<<(kBits+1+3))),
+		row("latency state, not started", `query "lat": state, and not started`, im.with(hdrK, im.block[hdrK]&^(1<<(kBits+1+1)))),
+		row("rows kept for a decoded path", "candidate rows kept = true, and every path decoder done = true", withRows),
+		row("rowless while decoding", "without candidate rows", undecoded),
+		row("decoder counter past MaxInt", "coding: decoder state counters", im.with(dec, math.MaxInt64+1)),
+		row("slab of a packet and a word", "no whole number", im.withRun(0, append(slices.Clone(im.side[0]), 0)...)),
+		row("tail's shared mark", "latency tail with mark byte 0x1", im.with(tail, im.block[tail]|markShared)),
+		row("tail past the last window", "latency tail at code 228", im.withHist(e, 1, 10, 5).with(tail, 1<<8-latTail+1)),
+		row("tail closed beside few samples", "latency tail closed = true beside a histogram of 5 samples", im.withHist(e, 1, 10, 5).with(tail, tailClosed)),
+		row("tail open beside a full histogram", "latency tail closed = false", im.withHist(e, 1, 10, full+1).with(tail, 0)),
+		row("closed tail counting a code", "latency tail counts code 256", im.withHist(e, 1, 10, full+1).with(tail, tailClosed|1<<24)),
+		row("histogram", "", im.withHist(e, 1, 10, 100, 28)),
+		row("histogram of 1 sample", "", im.withHist(e, 1, 10, 1)),
+		row("histogram of code 255 alone", "", im.withHist(e, 1, 255, 256)),
+		row("histogram counting 2^32 samples of one code", "", im.withHist(e, 1, 10, math.MaxUint32, 1)),
+		row("histogram just open", "", im.withHist(e, 1, 10, full)),
+		row("histogram just closed", "", im.withHist(e, 1, 10, full+1)),
+		row("histogram counting 2^62 samples", "", im.withHist(e, 1, 10, 1<<62-1, 1)),
+		row("histogram of no codes", "latency histogram of no codes", im.withHist(e, 1, 10)),
+		row("histogram with a zero first count", "not trimmed", im.withHist(e, 1, 9, 0, 100, 28)),
+		row("histogram with a zero last count", "not trimmed", im.withHist(e, 1, 10, 100, 28, 0)),
+		row("histogram past code 255", "latency histogram of 6 codes from 251 does not fit 8 bits", im.withHist(e, 1, 251, 64, 0, 0, 0, 0, 64)),
+		row("histogram past 2^62 samples", "more than 2^62 samples", im.withHist(e, 1, 10, 1<<62, 1)),
+		row("histogram whose total wraps", "more than 2^62 samples", im.withHist(e, 1, 10, 1<<63, 1<<63, 128)),
+		row("side entries that hold nothing", "side entries that hold nothing", image{block: im.block, side: empty}),
+		{"run past the end", "side entries end in a run", reference[:len(reference)-8]},
+		{"a word after the side entries", "1 words after the side entries", appendWords(slices.Clone(reference), 0)},
 	}
-}
-
-// oneStore is a blob holding only a latency section of one hop, that store.
-func oneStore(lat Query, store []byte) []byte {
-	return append([]byte{flowStateVersion, 1}, flowStateSection(lat, append(uvarints(1), store...))...)
-}
-
-// rawStore is a raw latency store (kind 1) of n samples of code 7.
-func rawStore(n int) []byte {
-	return append(append([]byte{storeRaw}, uvarints(uint64(n))...), bytes.Repeat([]byte{7}, n)...)
-}
-
-// histStore is a histogram store (kind 4): counts for the codes from lo
-// on.
-func histStore(lo uint64, counts ...uint64) []byte {
-	return slices.Concat([]byte{storeHist}, uvarints(lo, uint64(len(counts))), uvarints(counts...))
 }
 
 // TestRestoreFlowStateRefusesWhatAppendNeverWrites: RestoreFlowState
-// accepts exactly the blobs AppendFlowState writes. Each refused row breaks
-// one rule of the layout — sections in query order, each section of its
-// query's kind (kinds 4 and 5 are no query's), a latency section of at
-// least one hop, latency store kinds raw and histogram (kinds 2 and 3 are
-// no store's), a store raw only when empty and counts otherwise (the
-// histogram trimmed, within the codes, of at least one and at most 2^62
-// samples) — and is refused naming it, leaving the destination untouched;
-// each accepted row re-emits byte for byte and answers every latency
-// quantile.
+// accepts exactly the images AppendFlowState could write. Each refused row
+// breaks one rule of the check and is refused naming it, leaving the
+// destination untouched, its arena included; each accepted row re-emits
+// byte for byte and answers every query.
 func TestRestoreFlowStateRefusesWhatAppendNeverWrites(t *testing.T) {
-	const flow = FlowKey(1)
-	rec, queries, blobs := referenceFlowStates(t, referencePkts)
-	for _, row := range flowStateRows(t, queries, blobs[0]) {
-		checkRestoreRow(t, rec.engine, queries, flow, row)
+	rec, _, images := referenceFlowStates(t, referencePkts)
+	for _, row := range flowStateRows(t, rec, images[0]) {
+		checkRestoreRow(t, rec.engine, 1, row)
 	}
-	// A flow's path length is at least 1 (Recording.record), so no
-	// latency section holds 0 stores.
-	checkRestoreRow(t, rec.engine, queries, flow, flowStateRow{"latency section of 0 hops", "state for 0 hops",
-		append([]byte{flowStateVersion, 1}, flowStateSection(queries[1], uvarints(0))...)})
 }
 
-// checkRestoreRow restores row's blob as flow into an empty Recording of
+// checkRestoreRow restores row's image as flow into an empty Recording of
 // eng and checks what RestoreFlowState says against the row.
-func checkRestoreRow(t *testing.T, eng *Engine, queries []Query, flow FlowKey, row flowStateRow) {
+func checkRestoreRow(t *testing.T, eng *Engine, flow FlowKey, row flowStateRow) {
 	t.Helper()
-	dst, err := NewRecording(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = dst.RestoreFlowState(queries, flow, row.blob)
+	dst, err := restoreInto(t, eng, flow, row.img)
 	switch {
 	case row.wantErr == "" && err != nil:
 		t.Errorf("%s: refused: %v", row.name, err)
 	case row.wantErr == "":
-		if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(again, row.blob) {
+		if again, err := dst.AppendFlowState(nil, flow); err != nil || !bytes.Equal(again, row.img) {
 			t.Errorf("%s: re-emitted differently (err %v)", row.name, err)
 		}
-		answerLatency(t, dst, queries, flow)
+		answerAll(t, dst, flow)
 	case err == nil || !strings.Contains(err.Error(), row.wantErr):
 		t.Errorf("%s: got %v, want an error containing %q", row.name, err, row.wantErr)
-	case dst.HasFlow(flow):
-		t.Errorf("%s: a refused restore left the flow behind", row.name)
 	}
 }
 
-// answerLatency asks every latency query of rec for the lowest, median and
-// highest code of each of flow's hops that holds samples.
-func answerLatency(t *testing.T, rec *Recording, queries []Query, flow FlowKey) {
+// answerAll asks rec every question its engine's queries answer about
+// flow: the path and its decoder, the lowest, median and highest code of
+// each hop that holds samples, and the util series.
+func answerAll(t testing.TB, rec *Recording, flow FlowKey) {
 	t.Helper()
-	for _, q := range queries {
-		lat, ok := q.(*LatencyQuery)
-		if !ok {
-			continue
-		}
-		for hop := 1; hop <= rec.Hops(lat, flow); hop++ {
-			if _, err := rec.LatencyQuantiles(lat, flow, hop, 0, 0.5, 1); err != nil && rec.LatencySamples(lat, flow, hop) != 0 {
-				t.Errorf("flow %d hop %d: %v", flow, hop, err)
+	for _, pl := range rec.engine.places {
+		switch q := pl.q.(type) {
+		case *PathQuery:
+			rec.Path(q, flow)
+			if d := rec.PathDecoder(q, flow); d != nil {
+				d.MissingHops()
 			}
+		case *LatencyQuery:
+			for hop := 1; hop <= rec.Hops(q, flow); hop++ {
+				if _, err := rec.LatencyQuantiles(q, flow, hop, 0, 0.5, 1); err != nil && rec.LatencySamples(q, flow, hop) != 0 {
+					t.Errorf("flow %d hop %d: %v", flow, hop, err)
+				}
+			}
+		case *UtilQuery:
+			rec.UtilSeries(q, flow)
 		}
 	}
+}
+
+// histImage is flow 1's reference image with hop's latency store holding
+// a histogram of counts from code lo, and the reference Recording's
+// latency query.
+func histImage(t testing.TB, hop int, lo uint64, counts ...uint64) (*Recording, *LatencyQuery, []byte) {
+	t.Helper()
+	ref, queries, images := referenceFlowStates(t, referencePkts)
+	return ref, queries[1].(*LatencyQuery), splitImage(ref.engine, images[0]).withHist(ref.engine, hop, lo, counts...).bytes(ref.engine)
 }
 
 // TestLatencyHistogramCounts: a store restored with 2^32-1 samples of one
 // code and one of the next counts on past 32 bits, and its quantiles stay
 // within the codes it holds; a store restored a few samples short of
-// maxLatSamples takes samples up to it and no further, and its blob is
+// maxLatSamples, its tail closed, takes no sample more, and its image is
 // accepted again.
 func TestLatencyHistogramCounts(t *testing.T) {
 	const flow = FlowKey(1)
-	ref, queries, _ := referenceFlowStates(t, referencePkts)
-	eng, lat := ref.engine, queries[1].(*LatencyQuery)
-	restore := func(counts ...uint64) (*Recording, latStore) {
-		rec, err := NewRecording(eng)
+	restore := func(counts ...uint64) (*Recording, latStore, *LatencyQuery) {
+		ref, lat, img := histImage(t, 1, 10, counts...)
+		rec, err := restoreInto(t, ref.engine, flow, img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.RestoreFlowState(queries, flow, oneStore(lat, histStore(10, counts...))); err != nil {
-			t.Fatal(err)
-		}
 		st, _ := rec.storeOf(lat, flow, 1)
-		return rec, st
+		return rec, st, lat
 	}
-	rec, st := restore(math.MaxUint32, 1)
+	rec, st, lat := restore(math.MaxUint32, 1)
 	for range math.MaxUint8 + 1 {
 		st.add(10)
 	}
@@ -475,7 +473,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	}
 
 	const short = 130
-	rec, st = restore(maxLatSamples-short-1, 1)
+	rec, st, _ = restore(maxLatSamples-short-1, 1)
 	for range 3 * short {
 		st.add(11)
 	}
@@ -483,16 +481,12 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	if got := maxLatSamples - st.samples(); got != short {
 		t.Fatalf("a store restored %d samples short of maxLatSamples ends %d short of it", short, got)
 	}
-	blob, err := rec.AppendFlowState(nil, queries, flow)
+	img, err := rec.AppendFlowState(nil, flow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := NewRecording(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.RestoreFlowState(queries, flow, blob); err != nil {
-		t.Fatalf("the blob of a store at its cap is refused: %v", err)
+	if _, err := restoreInto(t, rec.engine, flow, img); err != nil {
+		t.Fatalf("the image of a store at its cap is refused: %v", err)
 	}
 }
 
@@ -500,7 +494,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 // which is all the Recording counts. NewLatencyQuery accepts 1 to 8 bits
 // and refuses anything else naming the limit. A flow recorded under a
 // 4-bit and under an 8-bit query hands off and restores to the same
-// answers and the same blob.
+// answers and the same image.
 func TestLatencyCodeIsOneByte(t *testing.T) {
 	for bits := -1; bits <= 64; bits++ {
 		_, err := NewLatencyQuery("lat", bits, 0.04, 1, 191)
@@ -528,20 +522,16 @@ func TestLatencyCodeIsOneByte(t *testing.T) {
 		if err := rec.RecordBatch(cloneWorkload(t, eng, 211, 1, 2000, k)); err != nil {
 			t.Fatal(err)
 		}
-		queries := []Query{lat}
-		blob, err := rec.AppendFlowState(nil, queries, flow)
+		img, err := rec.AppendFlowState(nil, flow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := NewRecording(eng)
+		back, err := restoreInto(t, eng, flow, img)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := back.RestoreFlowState(queries, flow, blob); err != nil {
 			t.Fatalf("%d bits: %v", c.bits, err)
 		}
-		if again, err := back.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(again, blob) {
-			t.Fatalf("%d bits: hand-off round trip changed the blob (err %v)", c.bits, err)
+		if again, err := back.AppendFlowState(nil, flow); err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("%d bits: hand-off round trip changed the image (err %v)", c.bits, err)
 		}
 		codes := map[float64]bool{}
 		for hop := 1; hop <= k; hop++ {
@@ -565,71 +555,62 @@ func TestLatencyCodeIsOneByte(t *testing.T) {
 }
 
 // FuzzFlowState: whatever bytes arrive as a flow's hand-off state,
-// RestoreFlowState either refuses them, leaving the destination untouched,
-// or yields a flow that (1) re-emits the very same bytes — the blob was one
-// AppendFlowState could have written — and (2) keeps recording packets of
-// the plan into a state that is again accepted. Seeds are every flow's
-// blob of the raw reference Recording, the sketched reference blobs (all
-// refused), every flow's blob of a raw Recording fed the longer stream
-// whose stores travel as counts, and flowStateRows.
+// RestoreFlowState either refuses them, leaving no flow and no block or
+// side entry out of reach behind, or yields a flow that (1) re-emits the
+// very same bytes — the image was one AppendFlowState could have written —
+// (2) answers every query, and (3) records packets of the plan on into a
+// state whose image is accepted again. The bytes are restored as the flow
+// their key word names. Seeds are the reference Recording's images at
+// both stream lengths, the version-1 and sketched blobs (all refused), and
+// flowStateRows.
 func FuzzFlowState(f *testing.F) {
-	const flow = FlowKey(1)
-	rec, queries, raw := referenceFlowStates(f, referencePkts)
-	sketched := sketchedFlowStates(f)
+	rec, _, raw := referenceFlowStates(f, referencePkts)
 	_, _, folded := referenceFlowStates(f, foldedPkts)
-	for _, blob := range slices.Concat(raw, sketched, folded) {
-		f.Add(blob)
+	old := slices.Concat(readStates(f, "flowstate-v1", "*.bin"), readStates(f, "sketched-flowstate", "*.bin"))
+	for _, img := range slices.Concat(raw, folded, old) {
+		f.Add(img)
 	}
-	for _, row := range flowStateRows(f, queries, raw[0]) {
-		f.Add(row.blob)
+	for _, row := range flowStateRows(f, rec, raw[0]) {
+		f.Add(row.img)
 	}
 	more := cloneWorkload(f, rec.engine, 151, 1, 64, 6)
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		restore := func(data []byte) (*Recording, error) {
-			dst, err := NewRecording(rec.engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = dst.RestoreFlowState(queries, flow, data)
-			if err != nil && dst.HasFlow(flow) {
-				t.Fatalf("a refused restore left the flow behind: %v", err)
-			}
-			return dst, err
+	f.Fuzz(func(t *testing.T, img []byte) {
+		flow := FlowKey(1)
+		if len(img) >= 8*(2+hdrKey+1) {
+			flow = FlowKey(word(img, 2+hdrKey))
 		}
-		dst, err := restore(blob)
+		dst, err := restoreInto(t, rec.engine, flow, img)
 		if err != nil {
 			return
 		}
-		if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(again, blob) {
-			t.Fatalf("accepted state re-emits differently (err %v):\n got %x\nwant %x", err, again, blob)
+		if again, err := dst.AppendFlowState(nil, flow); err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("accepted state re-emits differently (err %v):\n got %x\nwant %x", err, again, img)
 		}
-		answerLatency(t, dst, queries, flow)
-		if err := dst.RecordBatch(more); err != nil {
+		answerAll(t, dst, flow)
+		pkts := slices.Clone(more)
+		for i := range pkts {
+			pkts[i].Flow = flow
+		}
+		if err := dst.RecordBatch(pkts); err != nil {
 			t.Fatalf("recording into the restored flow: %v", err)
 		}
-		final, err := dst.AppendFlowState(nil, queries, flow)
+		answerAll(t, dst, flow)
+		final, err := dst.AppendFlowState(nil, flow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := restore(final); err != nil {
+		if _, err := restoreInto(t, rec.engine, flow, final); err != nil {
 			t.Fatalf("the state the restored flow recorded into is refused: %v", err)
 		}
 	})
 }
 
-// TestShortenedRouteFlowHandsOff: a flow whose route shortens (§7) between
-// the packet that starts its path decoder and the first packet that
-// reaches its latency query still states one hop count in every section —
-// the per-hop slots are sized by the flow's path length, not by whichever
-// packet first reached them — so the state RestoreFlowState insists on is
-// the state record builds, and the flow survives a resize.
-func TestShortenedRouteFlowHandsOff(t *testing.T) {
-	const flow = FlowKey(1)
-	eng, path, lat, util := combinedTestPlan(t, 139)
-	queries := []Query{path, lat, util}
+// shortenedRoute is a flow whose route shortens (§7) between the packet
+// that starts its path decoder, over 6 hops, and the first packet that
+// reaches its latency query: every packet after the first arrives over 5.
+func shortenedRoute(t testing.TB, eng *Engine, path *PathQuery, lat *LatencyQuery) []PacketDigest {
+	t.Helper()
 	pkts := cloneWorkload(t, eng, 173, 1, 600, 6)
-	// Lead with a packet that carries the path query and not the latency
-	// query; every packet after it arrives over the 5-hop route.
 	first := slices.IndexFunc(pkts, func(p PacketDigest) bool {
 		set := eng.SetFor(p.PktID).Queries
 		return slices.Contains(set, Query(path)) && !slices.Contains(set, Query(lat))
@@ -641,11 +622,21 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	for i := 1; i < len(pkts); i++ {
 		pkts[i].PathLen = 5
 	}
+	return pkts
+}
+
+// TestShortenedRouteFlowHandsOff: a flow whose route shortens keeps the
+// path length of its first packet for every query — the per-hop state is
+// sized by the flow, not by whichever packet first reached a query — so
+// its image states one path length, and the flow survives a resize.
+func TestShortenedRouteFlowHandsOff(t *testing.T) {
+	const flow = FlowKey(1)
+	eng, path, lat, _ := combinedTestPlan(t, 139)
 	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RecordBatch(pkts); err != nil {
+	if err := rec.RecordBatch(shortenedRoute(t, eng, path, lat)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []Query{path, lat} {
@@ -656,86 +647,234 @@ func TestShortenedRouteFlowHandsOff(t *testing.T) {
 	if n := rec.LatencySamples(lat, flow, 6); n != 0 {
 		t.Errorf("hop 6 holds %d samples; no packet crossed it after the route shortened", n)
 	}
-	blob, err := rec.AppendFlowState(nil, queries, flow)
+	img, err := rec.AppendFlowState(nil, flow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewRecording(eng)
+	dst, err := restoreInto(t, eng, flow, img)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.RestoreFlowState(queries, flow, blob); err != nil {
 		t.Fatalf("a state record built was refused: %v", err)
 	}
-	if again, err := dst.AppendFlowState(nil, queries, flow); err != nil || !bytes.Equal(blob, again) {
-		t.Fatalf("hand-off round trip changed the blob (err %v)", err)
+	if again, err := dst.AppendFlowState(nil, flow); err != nil || !bytes.Equal(img, again) {
+		t.Fatalf("hand-off round trip changed the image (err %v)", err)
 	}
-	// The restored flow keeps its path length: a query it reaches only now
-	// is sized like the rest.
 	if fs, _ := dst.find(flow); fs.k() != 6 {
 		t.Errorf("restored path length %d, want 6", fs.k())
 	}
 }
 
-// TestRestoreFlowStateRejectsHostileDecoderState: a path section that is
-// well-formed but that no decoder of the plan could have written — the
-// states coding.TestDecoderStateRejectsCorrupt refuses at the decoder —
-// is refused at the hand-off too, naming the packet, and the destination
-// stays untouched. Restored, the first of them used to panic the shard
-// worker on a later packet of the flow.
-func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
-	const flow = FlowKey(77)
-	cfg, err := DefaultPathConfig(8, 1, 5)
-	if err != nil {
-		t.Fatal(err)
+// TestRestoreThenRecordIdentity is the hand-off's contract: a flow handed
+// off after N packets and then fed M more at both ends holds the same
+// state at both, image for image — while its path decodes, once it has, on
+// a shortened route, with histograms folded, and exported from the copy
+// made while a Lease held it, whose tails are marked shared.
+func TestRestoreThenRecordIdentity(t *testing.T) {
+	eng, path, lat, _ := combinedTestPlan(t, 139)
+	all := cloneWorkload(t, eng, 149, 5, foldedPkts+600, 6)
+	short := shortenedRoute(t, eng, path, lat)
+	decoded := func(rec *Recording) bool {
+		for _, f := range rec.Flows() {
+			if _, done := rec.Path(path, f); !done {
+				return false
+			}
+		}
+		return true
 	}
-	u := testUniverse(5, 80)
-	path, err := NewPathQuery("path", cfg, 1, 151, u)
-	if err != nil {
-		t.Fatal(err)
+	folded := func(rec *Recording) bool {
+		for _, f := range rec.Flows() {
+			for hop := 1; hop <= rec.Hops(lat, f); hop++ {
+				if st, _ := rec.storeOf(lat, f, hop); st.sum() != nil {
+					return true
+				}
+			}
+		}
+		return false
 	}
-	queries := []Query{path}
-	eng, err := Compile(queries, 8, 157)
-	if err != nil {
-		t.Fatal(err)
+	shared := func(rec *Recording) bool {
+		st, _ := rec.storeOf(lat, 1, 1)
+		return folded(rec) && st.shared()
 	}
-	// A one-instance k=5 decoder state, spelled as the uvarints it is: a
-	// live packet waiting on hops 1 and 2, hop 3 narrowed to two
-	// candidates, hop 5 decoded.
-	head := []uint64{1, 5, 1, uint64(len(u)), 9, 1}
-	blocks := []uint64{0, 0, 0, 0, 0, 0, 0, 0, 1, u[4]}
-	cands := []uint64{1, 0, 0, 1, 2, u[1], u[7], 0, 1, 1, u[4]}
-	pkts := []uint64{1, 77, 0, 0b00011, 0, 1, 0xAB}
-	pending := []uint64{1, 1, 0, 1, 1, 0, 0, 0, 0}
-	cases := []struct {
-		name    string
-		parts   [][]uint64
-		wantErr string // "" for the state that must restore
+	for _, c := range []struct {
+		name        string
+		first, then []PacketDigest
+		lease       bool
+		shape       func(*Recording) bool // what the case needs of the source at hand-off
 	}{
-		{"valid", [][]uint64{head, {1}, blocks, cands, pkts, pending}, ""},
-		{"three residual words into a one-word decoder",
-			[][]uint64{head, {1}, blocks, cands, {1, 77, 0, 0b00011, 0, 3, 1, 2, 3}, pending},
-			"packet 0 carries 3 residual words"},
-		{"mask bit beyond k",
-			[][]uint64{head, {1}, blocks, cands, {1, 77, 0, 0b100011, 0, 1, 0xAB}, pending},
-			"packet 0 mask 0x23"},
-		{"pending index entry without the hop's bit",
-			[][]uint64{head, {1}, blocks, cands, pkts, {1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0}},
-			"hop 3: pending index lists packet 0"},
-		{"candidates out of universe order",
-			[][]uint64{head, {1}, blocks, {1, 0, 0, 1, 2, u[7], u[1], 0, 1, 1, u[4]}, pkts, pending},
-			"hop 3: candidate"},
-		{"decodedHops disagreeing with known",
-			[][]uint64{head, {3}, blocks, cands, pkts, pending},
-			"claims 3 decoded hops"},
-	}
-	for _, c := range cases {
-		blob := append([]byte{flowStateVersion, 1}, flowStateSection(path, uvarints(slices.Concat(c.parts...)...))...)
+		{"decoding", all[:40], all[40:640], false, func(r *Recording) bool { return !decoded(r) }},
+		{"decoded", all[:referencePkts], all[referencePkts : referencePkts+600], false, decoded},
+		{"shortened route", short[:300], short[300:], false, func(*Recording) bool { return true }},
+		{"folded", all[:foldedPkts], all[foldedPkts:], false, folded},
+		{"folded, held", all[:foldedPkts-5], all[foldedPkts:], true, shared},
+	} {
+		src, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.RecordBatch(c.first); err != nil {
+			t.Fatal(err)
+		}
+		if c.lease {
+			// A packet of each flow after the Lease copies the flow, its
+			// tails marked shared.
+			_, l := src.Lease(nil)
+			defer l.Release()
+			if err := src.RecordBatch(all[foldedPkts-5 : foldedPkts]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !c.shape(src) {
+			t.Fatalf("%s: the source does not have the case's shape at hand-off", c.name)
+		}
 		dst, err := NewRecording(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = dst.RestoreFlowState(queries, flow, blob)
+		for _, f := range src.Flows() {
+			img, err := src.AppendFlowState(nil, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.RestoreFlowState(f, img); err != nil {
+				t.Fatalf("%s: flow %d: %v", c.name, f, err)
+			}
+		}
+		for _, r := range []*Recording{src, dst} {
+			if err := r.RecordBatch(c.then); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, got := flowImages(t, src), flowImages(t, dst)
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d flows at the source, %d at the destination", c.name, len(want), len(got))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: flow %d's image differs after recording on at both ends", c.name, src.Flows()[i])
+			}
+		}
+	}
+}
+
+// flowImageCases are the images testdata/flowimage-v2 holds, in file
+// order: flow 1 of the reference stream while its path decodes (two hops
+// to go, its candidate rows kept), once it has, and with its histograms
+// folded, and the shortened-route flow.
+func flowImageCases(t testing.TB) [][]byte {
+	t.Helper()
+	eng, path, lat, _ := combinedTestPlan(t, 139)
+	all := cloneWorkload(t, eng, 149, 5, foldedPkts, 6)
+	var images [][]byte
+	for _, pkts := range [][]PacketDigest{all[:30], all[:referencePkts], all, shortenedRoute(t, eng, path, lat)} {
+		rec, err := NewRecording(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.RecordBatch(pkts); err != nil {
+			t.Fatal(err)
+		}
+		img, err := rec.AppendFlowState(nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	return images
+}
+
+// TestFlowImagesPinned pins the image format: the committed images hash to
+// the digest they were written at, this build writes them byte for byte,
+// and each restores, re-emits itself and answers — on every platform CI
+// builds for, 32-bit included, as an image is words, not the platform's
+// ints.
+func TestFlowImagesPinned(t *testing.T) {
+	files := readStates(t, "flowimage-v2", "*.bin")
+	if got, want := digestOf(files), "3cd98c14c743f815"; got != want {
+		t.Fatalf("the committed images hash to %s, want %s", got, want)
+	}
+	if got := flowImageCases(t); !slices.EqualFunc(got, files, bytes.Equal) {
+		t.Fatal("this build writes other images than the committed ones")
+	}
+	eng, _, _, _ := combinedTestPlan(t, 139)
+	if splitImage(eng, files[0]).block[hdrK]&rowless != 0 {
+		t.Fatal("the first image's path has decoded; it pins a block with candidate rows")
+	}
+	for i, img := range files {
+		dst, err := restoreInto(t, eng, 1, img)
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		if again, err := dst.AppendFlowState(nil, 1); err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("image %d re-emits differently (err %v)", i, err)
+		}
+		answerAll(t, dst, 1)
+	}
+}
+
+// TestRestoreFlowStateRejectsHostileDecoderState: a decoder state that is
+// well-formed but that no decoder of the plan could have reached — the
+// states coding.TestDecoderStateRejectsCorrupt refuses — is refused at the
+// hand-off too, naming the query and what is wrong, and the destination
+// stays untouched. Restored, such states used to panic the shard worker
+// on a later packet of the flow.
+func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
+	const flow, k = FlowKey(77), 5
+	cfg, err := DefaultPathConfig(8, 1, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := testUniverse(k, 80)
+	path, err := NewPathQuery("path", cfg, 1, 151, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Compile([]Query{path}, 8, 157)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RecordBatch(testbenchFlow(eng, flow, 167, 1)); err != nil {
+		t.Fatal(err)
+	}
+	img, err := rec.AppendFlowState(nil, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := splitImage(eng, img)
+	if base.block[hdrK]&rowless != 0 {
+		t.Fatal("the flow decoded on its first packet; the case needs rows")
+	}
+	// A one-instance k=5 decoder state: a live packet waiting on hops 1 and
+	// 2, hop 3 narrowed to two candidates by a dead packet, hop 5 decoded.
+	// Its words are observed, inconsistent, listed, known, then the values;
+	// its rows two words a hop.
+	words := []uint64{9, 1, 0b10100, 0b10000, 0, 0, 0, 0, u[4]}
+	rows := []uint64{0, 0, 0, 0, 1<<1 | 1<<7, 0, 0, 0, 1 << 4, 0}
+	slab := []uint64{77, 0b00011, 0, 0xAB, 78, 0b00100, 1, 0xCD}
+	with := func(part []uint64, i int, v uint64) []uint64 {
+		c := slices.Clone(part)
+		c[i] = v
+		return c
+	}
+	for _, c := range []struct {
+		name              string
+		words, rows, slab []uint64
+		wantErr           string // "" for the image that must restore
+	}{
+		{"valid", words, rows, slab, ""},
+		{"mask bit beyond k", words, rows, with(slab, 1, 0b100011), `query "path": coding: packet 0 mask 0x23`},
+		{"live packet waiting on a decoded hop", words, rows, with(slab, 1, 0b10001), "packet 0 waits on decoded hops 0x10"},
+		{"decoded hop not listed", with(words, 2, 0b00100), rows, slab, "hop 5: decoded, and not listed"},
+		{"candidate outside the universe", words, with(rows, 5, 1<<16), slab, "hop 3: candidates beyond the universe's 80 values"},
+		{"slab of a packet and a word", words, rows, append(slices.Clone(slab), 0), "slab of 9 words"},
+	} {
+		block := slices.Clone(base.block)
+		copy(block[eng.places[0].at(k):], c.words)
+		copy(block[eng.blockWords(k|rowless):], c.rows)
+		h := image{block: block, side: [][]uint64{c.slab}}
+		dst, err := restoreInto(t, eng, flow, h.bytes(eng))
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)
@@ -747,9 +886,83 @@ func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
 			}
 		case err == nil || !strings.Contains(err.Error(), c.wantErr):
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.wantErr)
-		case dst.HasFlow(flow):
-			t.Errorf("%s: a refused restore left the flow behind", c.name)
 		}
+	}
+}
+
+// TestRestoreFlowStateRejectsImpossibleState: a latency code the query's
+// digest slice could not have carried, in a tail or in a histogram, is
+// refused with an error naming flow and hop — not stored, where a
+// code-width store would truncate the sample into some other code — and
+// the destination stays untouched; so are an image offered as another
+// flow, one of another plan, and one whose block is cut short.
+func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
+	const flow, k = FlowKey(77), 5
+	cfg, err := DefaultPathConfig(4, 2, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := NewPathQuery("path", cfg, 1, 151, testUniverse(k, 80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := latQueryOfBits(t, 4, 1, 151)
+	eng, err := Compile([]Query{path, lat}, 12, 157)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RecordBatch(testbenchFlow(eng, flow, 167, 400)); err != nil {
+		t.Fatal(err)
+	}
+	good, err := rec.AppendFlowState(nil, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreInto(t, eng, flow, good); err != nil {
+		t.Fatalf("valid image refused: %v", err)
+	}
+	im := splitImage(eng, good)
+	if st, _ := rec.storeOf(lat, flow, 5); st.sum() != nil || st.lo() != 0 {
+		t.Fatal("hop 5's store folded or slid; the case needs its tail at code 0")
+	}
+	// Code 16 is the tail's counter 16, byte 3+16 of its words.
+	at := tailAt(eng, 1, k, 5)
+	tail16 := im.with(at+2, im.block[at+2]|1<<(3*8))
+	hist := im
+	if hist.side == nil {
+		hist.side = make([][]uint64, 1+k)
+		for i := range hist.side {
+			hist.side[i] = []uint64{}
+		}
+	}
+	hist = hist.withRun(5, 15, 1, 1)
+	n := len(im.block)
+	for _, c := range []struct {
+		name, wantErr string
+		img           []byte
+	}{
+		{"tail counting code 16", "hop 5: latency tail counts code 16, beyond the 4-bit codes", tail16.bytes(eng)},
+		{"histogram of codes 15 and 16", "hop 5: latency histogram of 2 codes from 15 does not fit 4 bits", hist.bytes(eng)},
+		{"block cut short", fmt.Sprintf("image of %d words, its block alone has %d", n-1, n), good[:8*(2+n-1)]},
+	} {
+		_, err := restoreInto(t, eng, flow, c.img)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) || !strings.Contains(err.Error(), "flow 77") {
+			t.Errorf("%s: got %v, want an error naming flow 77 and containing %q", c.name, err, c.wantErr)
+		}
+	}
+	if _, err := restoreInto(t, eng, flow+1, good); err == nil || !strings.Contains(err.Error(), "flow state of flow 77, restored as flow 78") {
+		t.Errorf("another flow: got %v", err)
+	}
+	other, err := Compile([]Query{path, lat}, 12, 158)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreInto(t, other, flow, good); err == nil || !strings.Contains(err.Error(), "flow state of plan") {
+		t.Errorf("another plan: got %v", err)
 	}
 }
 

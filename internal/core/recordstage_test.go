@@ -137,8 +137,8 @@ func TestRecordStageAllocationPins(t *testing.T) {
 // every digest width 1..8: for random, all-equal, all-max-code and
 // single-sample streams, the sample count, the samples held unfolded and
 // every quantile equal a from-scratch model that keeps the codes in a plain
-// slice and ranks them with sketch.ExactQuantile; the hand-off blob is the
-// one the model's codes spell (modelBlob), and the state survives a
+// slice and ranks them with sketch.ExactQuantile; the stores count the
+// model's codes, tail and histogram together, and the state survives a
 // hand-off round trip byte for byte. A store counts in its inline tail and
 // folds it into its histogram when a code does not fit: random 8-bit codes
 // span more than the tail's window, and a stream of one code folds at
@@ -265,27 +265,27 @@ func TestRawStoreMatchesModel(t *testing.T) {
 						}
 					}
 				}
-				blob, err := rec.AppendFlowState(nil, []Query{lat}, flow)
+				img, err := rec.AppendFlowState(nil, flow)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(blob, modelBlob(lat, raw)) {
-					t.Fatalf("%s: the hand-off blob is not the one the model's samples spell", ctx)
+				if !slices.Equal(storeCounts(rec, lat, flow, k), modelCounts(raw)) {
+					t.Fatalf("%s: the stores count other codes than the model's samples", ctx)
 				}
 				back, err := NewRecording(eng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := back.RestoreFlowState([]Query{lat}, flow, blob); err != nil {
+				if err := back.RestoreFlowState(flow, img); err != nil {
 					t.Fatalf("%s: restore: %v", ctx, err)
 				}
-				again, err := back.AppendFlowState(nil, []Query{lat}, flow)
-				if err != nil || !bytes.Equal(blob, again) {
-					t.Fatalf("%s: hand-off round trip changed the blob (err %v)", ctx, err)
+				again, err := back.AppendFlowState(nil, flow)
+				if err != nil || !bytes.Equal(img, again) {
+					t.Fatalf("%s: hand-off round trip changed the image (err %v)", ctx, err)
 				}
 				if clone != nil {
-					if held, err := clone.AppendFlowState(nil, []Query{lat}, flow); err != nil || !bytes.Equal(held, modelBlob(lat, cloneRaw)) {
-						t.Fatalf("%s: the clone taken after the first packet no longer holds it (err %v)", ctx, err)
+					if !slices.Equal(storeCounts(clone, lat, flow, k), modelCounts(cloneRaw)) {
+						t.Fatalf("%s: the clone taken after the first packet no longer holds it", ctx)
 					}
 				}
 				// The restored stores record on as the originals do, past a
@@ -298,8 +298,8 @@ func TestRawStoreMatchesModel(t *testing.T) {
 						}
 					}
 				}
-				blob, _ = rec.AppendFlowState(nil, []Query{lat}, flow)
-				if again, err = back.AppendFlowState(nil, []Query{lat}, flow); err != nil || !bytes.Equal(blob, again) {
+				img, _ = rec.AppendFlowState(nil, flow)
+				if again, err = back.AppendFlowState(nil, flow); err != nil || !bytes.Equal(img, again) {
 					t.Fatalf("%s: a restored flow records differently (err %v)", ctx, err)
 				}
 			}
@@ -307,32 +307,27 @@ func TestRawStoreMatchesModel(t *testing.T) {
 	}
 }
 
-// modelBlob is the hand-off blob of a flow whose one latency query holds
-// codes[hop-1] at each hop: an empty store raw (kind 1, a count of 0), and
-// any other the counts of all its samples, trimmed to the first and last
-// nonzero code (kind 4).
-func modelBlob(lat *LatencyQuery, codes [][]uint64) []byte {
-	payload := uvarints(uint64(len(codes)))
-	for _, c := range codes {
-		if len(c) == 0 {
-			payload = append(payload, storeRaw, 0)
-			continue
+// storeCounts is what rec's stores of lat count for flow at each of k
+// hops, tail and histogram together.
+func storeCounts(rec *Recording, lat *LatencyQuery, flow FlowKey, k int) [][1 << 8]uint64 {
+	out := make([][1 << 8]uint64, k)
+	for hop := 1; hop <= k; hop++ {
+		if st, ok := rec.storeOf(lat, flow, hop); ok {
+			st.countInto(&out[hop-1])
 		}
-		var hist [1 << 8]uint64
-		for _, code := range c {
-			hist[code]++
-		}
-		lo, hi := 0, len(hist)-1
-		for hist[lo] == 0 {
-			lo++
-		}
-		for hist[hi] == 0 {
-			hi--
-		}
-		payload = slices.Concat(payload, []byte{storeHist}, uvarints(uint64(lo), uint64(hi-lo+1)),
-			uvarints(hist[lo:hi+1]...))
 	}
-	return append([]byte{flowStateVersion, 1}, flowStateSection(lat, payload)...)
+	return out
+}
+
+// modelCounts is the counts of codes[hop-1] at each hop.
+func modelCounts(codes [][]uint64) [][1 << 8]uint64 {
+	out := make([][1 << 8]uint64, len(codes))
+	for h, c := range codes {
+		for _, code := range c {
+			out[h][code]++
+		}
+	}
+	return out
 }
 
 // TestInlineTailWindow walks a latency store's inline tail through its
@@ -436,16 +431,16 @@ func TestInlineTailWindow(t *testing.T) {
 }
 
 // recordingState is everything observable about a Recording's flows: the
-// tracked set and each flow's complete hand-off blob.
-func recordingState(t *testing.T, rec *Recording, queries []Query) string {
+// tracked set and each flow's complete hand-off image.
+func recordingState(t *testing.T, rec *Recording) string {
 	t.Helper()
 	var b bytes.Buffer
 	for _, f := range rec.Flows() {
-		blob, err := rec.AppendFlowState(nil, queries, f)
+		img, err := rec.AppendFlowState(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "%d:%x\n", f, blob)
+		fmt.Fprintf(&b, "%d:%x\n", f, img)
 	}
 	return b.String()
 }
@@ -459,7 +454,6 @@ func recordingState(t *testing.T, rec *Recording, queries []Query) string {
 func TestRecordBatchFlowRunHazards(t *testing.T) {
 	const k = 6
 	eng, path, lat, util := combinedTestPlan(t, 103)
-	queries := []Query{path, lat, util}
 	all := cloneWorkload(t, eng, 107, 4, 1600, k)
 	interleaved := cloneWorkload(t, eng, 109, 2, 600, k) // flows 1,2,1,2,…
 	fl := make([][]PacketDigest, 4)                      // all, split by flow
@@ -512,7 +506,7 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 					batched.Evict(f)
 					serial.Evict(f)
 				}
-				if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
+				if got, want := recordingState(t, batched), recordingState(t, serial); got != want {
 					t.Fatalf("after batch %d the batched state diverges from packet-at-a-time Record", i)
 				}
 			}
@@ -533,7 +527,6 @@ func TestRecordBatchFlowRunHazards(t *testing.T) {
 func TestLengtheningRouteRecords(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		eng, path, lat, util := combinedTestPlan(t, 127)
-		queries := []Query{path, lat, util}
 		const flow, short, long = FlowKey(1), 3, 5
 		stream := slices.Concat(cloneWorkload(t, eng, 131, 1, 300, short), cloneWorkload(t, eng, 137, 1, 900, long))
 		mk := func() *Recording {
@@ -566,7 +559,7 @@ func TestLengtheningRouteRecords(t *testing.T) {
 		if dropped == 0 {
 			t.Fatal("no packet elected a hop past the flow's stores; the case is not exercised")
 		}
-		if got, want := recordingState(t, batched, queries), recordingState(t, serial, queries); got != want {
+		if got, want := recordingState(t, batched), recordingState(t, serial); got != want {
 			t.Fatal("RecordBatch and packet-at-a-time Record diverge on a lengthening route")
 		}
 		assertSameAnswers(t, serial, batched, flow, short, path, lat, util)
@@ -847,8 +840,7 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		t.Skip("the race runtime instruments allocations")
 	}
 	const flows, warm, more, last, frame, k = 16, 14000, 14000, 1024, 64, 5
-	eng, path, lat := testbenchPlan(t, 71)
-	queries := []Query{path, lat}
+	eng, _, lat := testbenchPlan(t, 71)
 	rec, err := NewRecording(eng)
 	if err != nil {
 		t.Fatal(err)
@@ -888,7 +880,7 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 			folded[f][hop] = store(twin, f, hop).sum().n
 		}
 	}
-	held := recordingState(t, rec, queries)
+	held := recordingState(t, rec)
 	clone := rec.Clone()
 	samples := func(f, hop int) int { return rec.LatencySamples(lat, FlowKey(f+1), hop+1) }
 	from := make([][k]int, flows)
@@ -940,10 +932,10 @@ func TestOwnerFoldAfterCloneCopiesOnce(t *testing.T) {
 		t.Errorf("a %d-packet frame into each of %d flows after the fold: %.0f allocations, %.0f with no snapshot; want the in-place folds of a twin",
 			frame, flows, got, want)
 	}
-	if recordingState(t, clone, queries) != held {
+	if recordingState(t, clone) != held {
 		t.Fatal("the clone's state moved while the owner recorded on")
 	}
-	if recordingState(t, rec, queries) != recordingState(t, twin, queries) {
+	if recordingState(t, rec) != recordingState(t, twin) {
 		t.Fatal("the owner's state differs from its twin's")
 	}
 }

@@ -79,11 +79,10 @@ func TestClosedSnapshotCostsWriterNothing(t *testing.T) {
 // reader is done — while ingest continues, so the workers take their flows
 // back and write to them in place. A second snapshot is taken later, read
 // while ingest continues and closed. Every answer and every flow's
-// hand-off blob must be byte-identical to a serial Recording of the
+// hand-off image must be byte-identical to a serial Recording of the
 // packets before the snapshot's cut.
 func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	eng, path, lat, util := testPlan(t, 821)
-	queries := []core.Query{path, lat, util}
 	const nFlows, k, readers, step = 8, 6, 3, 48
 	pkts := encodeWorkload(eng, 41, nFlows, 1200, k)
 	cfg := Config{Shards: 2, BatchSize: 16}
@@ -100,12 +99,12 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	render := func(rec *core.Recording, flows []core.FlowKey) string {
 		var b []byte
 		for _, f := range flows {
-			blob, err := rec.AppendFlowState(nil, queries, f)
+			img, err := rec.AppendFlowState(nil, f)
 			if err != nil {
 				t.Error(err)
 				return ""
 			}
-			b = fmt.Appendf(b, "%d %x", f, blob)
+			b = fmt.Appendf(b, "%d %x", f, img)
 			p, done := rec.Path(path, f)
 			b = fmt.Appendf(b, " path %v %v", p, done)
 			for hop := 1; hop <= k; hop++ {

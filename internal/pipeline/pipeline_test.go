@@ -324,8 +324,10 @@ func TestBarrierMakesStateReadable(t *testing.T) {
 			if (want == nil) != (got == nil) {
 				t.Fatalf("shards=%d pkt %d: decoder presence diverged", shards, i)
 			}
-			if want != nil && !bytes.Equal(want.AppendState(nil), got.AppendState(nil)) {
-				t.Fatalf("shards=%d pkt %d: decoder state diverged: serial done=%v, sink done=%v",
+			wantImg, _ := serial.AppendFlowState(nil, flow)
+			gotImg, _ := sink.Recording(flow).AppendFlowState(nil, flow)
+			if want != nil && !bytes.Equal(wantImg, gotImg) {
+				t.Fatalf("shards=%d pkt %d: flow state diverged: serial done=%v, sink done=%v",
 					shards, i, want.Done(), got.Done())
 			}
 		}

@@ -8,14 +8,14 @@ import (
 )
 
 // Fleet-resize hand-off payloads. During a resize, the collector that is
-// losing a flow drains the flow's complete recording state (decoder,
-// sketches, series — see core.Recording.AppendFlowState) and ships it to
-// the flow's new home inside ordinary CRC-framed messages (AppendFrame),
-// on an ordinary handshaked session at the *new* epoch. A hand-off
-// payload is distinguished from a digest payload by its magic — 'PH'
-// instead of 'PD' — so a collector session sniffs the first two payload
-// bytes and dispatches; everything else about framing, checksums, and
-// strict canonical varints is shared with the digest path.
+// losing a flow drains the flow's complete recording state (its image:
+// decoders, latency counts, series — see core.Recording.AppendFlowState)
+// and ships it to the flow's new home inside ordinary CRC-framed messages
+// (AppendFrame), on an ordinary handshaked session at the *new* epoch. A
+// hand-off payload is distinguished from a digest payload by its magic —
+// 'PH' instead of 'PD' — so a collector session sniffs the first two
+// payload bytes and dispatches; everything else about framing, checksums,
+// and strict canonical varints is shared with the digest path.
 //
 // Layout (after the frame header):
 //
