@@ -12,7 +12,6 @@
 //	pintfig -run all -json                 machine-readable results
 //	pintfig -run all -parallel 8           8 trial workers
 //	pintfig -run all -scale quick          quick | bench | paper
-//	pintfig -run fig9 -shards 4            recording-sink workers (answers identical)
 package main
 
 import (
@@ -32,7 +31,6 @@ func main() {
 	run := flag.String("run", "", "scenario name(s) to run, comma-separated, or 'all'")
 	scaleName := flag.String("scale", "bench", "experiment scale: quick, bench or paper")
 	parallel := flag.Int("parallel", 1, "trial worker-pool size (results are bit-identical for any value)")
-	shards := flag.Int("shards", 0, "recording-sink shard workers for every scenario with a recording path (0 = 1; answers are bit-identical)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
 	seed := flag.Uint64("seed", 0, "override the scale's random seed (0 keeps the default)")
 	flag.Parse()
@@ -58,7 +56,6 @@ func main() {
 	default:
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
-	s.Shards = *shards
 	if *seed != 0 {
 		s.Seed = *seed
 	}
@@ -89,8 +86,8 @@ func main() {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ran %d scenario(s) at scale %s in %v (parallel=%d, shards=%d)\n",
-		len(results), *scaleName, time.Since(start).Round(time.Millisecond), *parallel, *shards)
+	fmt.Fprintf(os.Stderr, "ran %d scenario(s) at scale %s in %v (parallel=%d)\n",
+		len(results), *scaleName, time.Since(start).Round(time.Millisecond), *parallel)
 }
 
 func printScenarios() {

@@ -1,8 +1,8 @@
 // Command pinttrace measures packets-to-decode for path tracing over one
 // of the evaluation topologies with a configurable budget — a
 // parameterized instance of the scenario registry's path-trace scenario,
-// executed by the shared trial runner. Every digest runs the production
-// stack (engine batch encode → wire → sharded sink), and -parallel
+// executed by the shared trial runner. Every digest is encoded by the
+// compiled engine and recorded into a core.Recording, and -parallel
 // spreads the decode episodes over workers with bit-identical output.
 //
 // Usage:
@@ -27,7 +27,6 @@ func main() {
 	trials := flag.Int("trials", 1000, "trials")
 	seed := flag.Uint64("seed", 1, "random seed")
 	parallel := flag.Int("parallel", 1, "trial worker-pool size (output is bit-identical for any value)")
-	shards := flag.Int("shards", 0, "recording-sink shard workers (answers are bit-identical)")
 	baselines := flag.Bool("baselines", true, "also run PPM and AMS2")
 	flag.Parse()
 
@@ -43,7 +42,6 @@ func main() {
 	s := scenario.Bench()
 	s.Trials = *trials
 	s.Seed = *seed
-	s.Shards = *shards
 	if err := s.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -325,8 +325,14 @@ func TestHandoffWithoutQueries(t *testing.T) {
 	if err != nil || len(states) != 1 {
 		t.Fatalf("exported %d states: %v", len(states), err)
 	}
-	sinkA.Barrier()
-	if sinkA.Recording(flow).HasFlow(flow) {
+	var tracked bool
+	if err := sinkA.WithFlow(flow, func(rec *core.Recording) error {
+		tracked = rec.HasFlow(flow)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tracked {
 		t.Fatal("the exported flow is still tracked at the source")
 	}
 	if _, err := SendHandoff(srvB.Addr().String(), HelloFor(tb.Engine, 1<<40, "handoff"), states); err != nil {
@@ -335,8 +341,11 @@ func TestHandoffWithoutQueries(t *testing.T) {
 	if got := srvB.HandoffFlows(); got != 1 {
 		t.Fatalf("imported %d flows, want 1", got)
 	}
-	sinkB.Barrier()
-	img, err := sinkB.Recording(flow).AppendFlowState(nil, flow)
+	var img []byte
+	err = sinkB.WithFlow(flow, func(rec *core.Recording) (err error) {
+		img, err = rec.AppendFlowState(nil, flow)
+		return err
+	})
 	if err != nil || !bytes.Equal(img, states[0].State) {
 		t.Fatalf("the flow's image at the destination differs from the source's (err %v)", err)
 	}

@@ -69,7 +69,15 @@ func TestSnapshotHandlerReleasesOnEveryPath(t *testing.T) {
 	served, twin := mk(), mk()
 	for f := range nFlows {
 		flow := tb.FlowKeyFor(1, f)
-		if dec := served.Recording(flow).PathDecoder(tb.PathQ, flow); dec == nil || !dec.Done() {
+		var done bool
+		if err := served.WithFlow(flow, func(rec *core.Recording) error {
+			dec := rec.PathDecoder(tb.PathQ, flow)
+			done = dec != nil && dec.Done()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !done {
 			t.Fatalf("flow %d has not decoded its path after %d packets; the pin needs converged flows", flow, warm)
 		}
 	}
@@ -101,15 +109,27 @@ func TestSnapshotHandlerReleasesOnEveryPath(t *testing.T) {
 	dupFailure := func() {
 		a := tb.FlowKeyFor(1, 0)
 		for _, sink := range []*pipeline.Sink{served, twin} {
-			img, err := sink.Recording(a).AppendFlowState(nil, a)
-			if err != nil {
+			var recA *core.Recording
+			var img []byte
+			if err := sink.WithFlow(a, func(rec *core.Recording) (err error) {
+				recA = rec
+				img, err = rec.AppendFlowState(nil, a)
+				return err
+			}); err != nil {
 				t.Fatal(err)
 			}
 			for f := 1; f < nFlows; f++ {
-				if b := tb.FlowKeyFor(1, f); sink.Recording(b) != sink.Recording(a) {
-					if err := sink.Recording(b).RestoreFlowState(a, img); err != nil {
-						t.Fatal(err)
+				placed := false
+				if err := sink.WithFlow(tb.FlowKeyFor(1, f), func(rec *core.Recording) error {
+					if rec == recA {
+						return nil
 					}
+					placed = true
+					return rec.RestoreFlowState(a, img)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if placed {
 					break
 				}
 			}

@@ -37,7 +37,7 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rx, err = wire.AppendUnmarshal(rx, buf)
+			rx, err = wire.AppendUnmarshalFlows(rx, buf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,8 +62,8 @@ type Config struct {
 }
 
 // Sink is the sharded Recording Module. Ingest feeds it from one ingester
-// goroutine; Snapshot serves concurrent readers at any time; Recording
-// hands the ingester a flow's live shard state after a Barrier or Close.
+// goroutine; Snapshot serves concurrent readers at any time; WithFlow
+// runs a function against a flow's live shard state on its worker.
 type Sink struct {
 	engine *core.Engine
 	cfg    Config
@@ -238,10 +238,9 @@ func (s *Sink) Flush() {
 
 // Barrier flushes every shard's partial buffer and blocks until all the
 // packets ingested so far are recorded, so the ingester may read shard
-// Recordings (via Recording) without racing the workers — until it
-// ingests again. Unlike Close it leaves the workers running, which is what
-// decode-progress harnesses need: ingest a packet, Barrier, ask the
-// flow's decoder whether it just finished. It shares Ingest's
+// Recordings without racing the workers — until it ingests again. Unlike
+// Close it leaves the workers running: a drain or a replay waits on it
+// and the sink keeps serving. It shares Ingest's
 // single-ingester contract (never call it concurrently with Ingest, Flush,
 // or Close) and allocates nothing. After Close it is a no-op: everything
 // is already drained.
@@ -516,14 +515,6 @@ func (s *Sink) Close() error {
 	}
 	s.wg.Wait()
 	return s.Err()
-}
-
-// Recording exposes the shard-private Recording that owns a flow's state —
-// since a flow's state is wholly inside one shard, merging is routing. The
-// ingester may read it after a Barrier (until it ingests again) or after
-// Close; concurrent readers take a Snapshot instead.
-func (s *Sink) Recording(flow core.FlowKey) *core.Recording {
-	return s.shardOf(flow).rec
 }
 
 // TrackedFlows sums live flows across shards.

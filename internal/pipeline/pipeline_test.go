@@ -93,9 +93,21 @@ func encodeFlows(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, k int, swit
 	return pkts
 }
 
+// routeFlipWorkload is routedWorkload followed by flipPkts more packets
+// a flow on a route sharing no switch with its first: each flow decodes
+// its path, then moves, and its path decoder counts inconsistencies.
+func routeFlipWorkload(eng *core.Engine, seed uint64, nFlows, pktsPerFlow, flipPkts, k int) []core.PacketDigest {
+	pkts := routedWorkload(eng, seed, nFlows, pktsPerFlow, k)
+	return append(pkts, encodeFlows(eng, seed+1, nFlows, flipPkts, k, func(f int, _ uint64, hop int) uint64 {
+		return 0xAB00 + uint64((7*f+hop+32)%64)*3
+	})...)
+}
+
 // TestShardedSinkMatchesSerial is the determinism acceptance test: for a
 // fixed seed, every query answer from an N-shard sink is bit-identical to
-// the serial Recording, for N in {1, 2, 3, 8}.
+// the serial Recording, for N in {1, 2, 3, 8}. The route-flip input
+// carries the route-change signal (§7): every flow's inconsistency count
+// must match too, and some flow's must be above 0.
 func TestShardedSinkMatchesSerial(t *testing.T) {
 	eng, path, lat, util := testPlan(t, 101)
 	const (
@@ -103,32 +115,51 @@ func TestShardedSinkMatchesSerial(t *testing.T) {
 		pktsPerFlow = 400
 		k           = 6
 	)
-	pkts := encodeWorkload(eng, 7, nFlows, pktsPerFlow, k)
-
-	serial, err := core.NewRecording(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.RecordBatch(pkts); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shards := range []int{1, 2, 3, 8} {
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink.Ingest(pkts)
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := sink.TrackedFlows(); got != serial.TrackedFlows() {
-			t.Fatalf("shards=%d: tracked %d flows, serial %d", shards, got, serial.TrackedFlows())
-		}
-		for f := 0; f < nFlows; f++ {
-			flow := core.FlowKey(uint64(f)*2654435761 + 1)
-			compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
-		}
+	for _, in := range []struct {
+		name string
+		pkts []core.PacketDigest
+		flip bool
+	}{
+		{"random", encodeWorkload(eng, 7, nFlows, pktsPerFlow, k), false},
+		{"route-flip", routeFlipWorkload(eng, 7, nFlows, pktsPerFlow, 50, k), true},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			serial, err := core.NewRecording(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := serial.RecordBatch(in.pkts); err != nil {
+				t.Fatal(err)
+			}
+			if in.flip {
+				flagged := 0
+				for f := 0; f < nFlows; f++ {
+					if serial.PathInconsistencies(path, workloadFlow(f)) > 0 {
+						flagged++
+					}
+				}
+				if flagged == 0 {
+					t.Fatal("no flow counts an inconsistency after its route flipped")
+				}
+			}
+			for _, shards := range []int{1, 2, 3, 8} {
+				sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink.Ingest(in.pkts)
+				if err := sink.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := sink.TrackedFlows(); got != serial.TrackedFlows() {
+					t.Fatalf("shards=%d: tracked %d flows, serial %d", shards, got, serial.TrackedFlows())
+				}
+				for f := 0; f < nFlows; f++ {
+					flow := workloadFlow(f)
+					compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
+				}
+			}
+		})
 	}
 }
 
@@ -137,6 +168,7 @@ func TestShardedSinkMatchesSerial(t *testing.T) {
 // it all are; the conformance suite compares them pairwise.
 type queryReader interface {
 	Path(*core.PathQuery, core.FlowKey) ([]uint64, bool)
+	PathInconsistencies(*core.PathQuery, core.FlowKey) int
 	LatencySamples(*core.LatencyQuery, core.FlowKey, int) int
 	LatencyQuantile(*core.LatencyQuery, core.FlowKey, int, float64) (float64, error)
 	UtilSeries(*core.UtilQuery, core.FlowKey) []float64
@@ -156,6 +188,9 @@ func compareFlow(t *testing.T, shards int, serial queryReader, sink queryReader,
 		if pa[i] != pb[i] {
 			t.Fatalf("shards=%d flow %d hop %d: path %d vs %d", shards, flow, i+1, pa[i], pb[i])
 		}
+	}
+	if ia, ib := serial.PathInconsistencies(path, flow), sink.PathInconsistencies(path, flow); ia != ib {
+		t.Fatalf("shards=%d flow %d: %d vs %d path inconsistencies", shards, flow, ia, ib)
 	}
 	for hop := 1; hop <= k; hop++ {
 		if na, nb := serial.LatencySamples(lat, flow, hop), sink.LatencySamples(lat, flow, hop); na != nb {

@@ -10,6 +10,14 @@ import (
 	"repro/internal/hash"
 )
 
+// Recording exposes the shard-private Recording that owns a flow's state —
+// since a flow's state is wholly inside one shard, merging is routing. The
+// ingester may read it after a Barrier (until it ingests again) or after
+// Close; concurrent readers take a Snapshot instead.
+func (s *Sink) Recording(flow core.FlowKey) *core.Recording {
+	return s.shardOf(flow).rec
+}
+
 // recording resolves a flow to the snapshot's clone of its shard, by the
 // sink's own routing function.
 func (s *Snapshot) recording(flow core.FlowKey) *core.Recording {

@@ -8,11 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
 	"repro/internal/sketch"
 	"repro/internal/topology"
 	"repro/internal/transport"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -69,7 +67,7 @@ func fig11Scenario() Scenario {
 		Workload:  "hadoop",
 		Transport: transportPINTd,
 		Queries:   "path 2×(b=4) + latency 8b + HPCC 8b",
-		Stack:     stackFullSink,
+		Stack:     stackRecording,
 	}, func(s Scale) ([]trial[*combinedMetrics], error) {
 		var trials []trial[*combinedMetrics]
 		for _, arm := range fig11Arms {
@@ -163,11 +161,9 @@ func soloLatSpec(master hash.Seed, _ []uint64) (planSpec, error) {
 	return planSpec{queries: []core.Query{lat, util}, global: 16, lat: lat, util: util}, nil
 }
 
-// runPlanSim runs the full PINT system — engine on switches, a wire-format
-// switch→collector transfer and the sharded sink at the recording side,
-// HPCC fed from the utilization query — over a Hadoop-loaded leaf-spine
-// network and extracts Fig 11's metrics. Scale.Shards sets the sink's
-// worker count; per-flow answers are bit-identical for any value.
+// runPlanSim runs the full PINT system — engine on switches, a Recording
+// of every delivered digest, HPCC fed from the utilization query — over
+// a Hadoop-loaded leaf-spine network and extracts Fig 11's metrics.
 func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec, error)) (*combinedMetrics, error) {
 	g, err := topology.LeafSpine(s.Pods, 2, 2, s.HostsPerTor, 2)
 	if err != nil {
@@ -181,13 +177,10 @@ func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec,
 	if err != nil {
 		return nil, err
 	}
-	// A Recording draws no randomness, so the sink takes no seed: its
-	// answers are those of any serial Recording of the same digests.
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: s.ShardCount()})
+	rec, err := core.NewRecording(eng)
 	if err != nil {
 		return nil, err
 	}
-	defer sink.Close()
 
 	sim := netsim.NewSim()
 	buf := 1 << 21
@@ -238,33 +231,27 @@ func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec,
 		}
 	}
 
-	// Sink-side: every delivered digest travels the production collector
-	// path — wire marshal/unmarshal (the switch→collector transfer), then
-	// the sharded sink. Packets-to-decode tracking stays exact: while a
-	// flow's path is undecoded, the sink is barriered after its packet so
-	// the decoder can be consulted synchronously.
+	// Recording side: every delivered digest is recorded as it arrives,
+	// so packets-to-decode is exact: while a flow's path is undecoded,
+	// its decoder is consulted after each of its packets. The first
+	// recording error stops the tap and is returned after the run.
 	pktsSeen := map[core.FlowKey]int{}
 	decodedAt := map[core.FlowKey]int{}
 	var tap [1]core.PacketDigest
-	wireBuf := make([]byte, 0, 16)
-	rxBuf := make([]core.PacketDigest, 0, 1)
+	var recErr error
 	net.OnDeliver = func(h *netsim.HostNode, pkt *netsim.Packet) {
-		if pkt.Ack || pkt.Dst != h.ID || pkt.Hops == 0 {
+		if recErr != nil || pkt.Ack || pkt.Dst != h.ID || pkt.Hops == 0 {
 			return
 		}
 		fk := core.FlowKey(pkt.FlowID)
 		pktsSeen[fk]++
 		tap[0] = core.PacketDigest{Flow: fk, PktID: pkt.ID, PathLen: pkt.Hops, Digest: pkt.Digest}
-		var err error
-		rxBuf, wireBuf, err = wire.Roundtrip(rxBuf, wireBuf, tap[:])
-		if err != nil {
-			panic(err)
+		if recErr = rec.RecordBatch(tap[:]); recErr != nil {
+			return
 		}
-		sink.Ingest(rxBuf)
 		if spec.path != nil {
 			if _, done := decodedAt[fk]; !done {
-				sink.Barrier()
-				if dec := sink.Recording(fk).PathDecoder(spec.path, fk); dec != nil && dec.Done() {
+				if dec := rec.PathDecoder(spec.path, fk); dec != nil && dec.Done() {
 					decodedAt[fk] = pktsSeen[fk]
 				}
 			}
@@ -309,8 +296,8 @@ func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec,
 		})
 	}
 	sim.Run(s.DurationNs * 4)
-	if err := sink.Close(); err != nil {
-		return nil, err
+	if recErr != nil {
+		return nil, recErr
 	}
 
 	// Metrics.
@@ -351,7 +338,6 @@ func runPlanSim(s Scale, mk func(master hash.Seed, universe []uint64) (planSpec,
 		for _, flowID := range flowIDs {
 			hops := truthLat[flowID]
 			fk := core.FlowKey(flowID)
-			rec := sink.Recording(fk)
 			for h := 1; h <= len(hops); h++ {
 				truth := hops[h-1]
 				if len(truth) < 64 || rec.LatencySamples(spec.lat, fk, h) < 16 {

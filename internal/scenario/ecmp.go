@@ -8,16 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/pipeline"
 	"repro/internal/sketch"
 	"repro/internal/topology"
 )
 
 // Two scenarios the paper never evaluated, both over a fat tree's
-// equal-cost paths and end to end through the production stack (engine
-// batch encode → wire marshal/unmarshal → sharded sink): detecting a
-// mid-flow ECMP reroute, and localizing a slow switch across ECMP-spread
-// flows.
+// equal-cost paths, encoded by the compiled engine and recorded into a
+// Recording: detecting a mid-flow ECMP reroute, and localizing a slow
+// switch across ECMP-spread flows.
 
 func init() {
 	Register(routeChangeScenario())
@@ -48,7 +46,7 @@ func routeChangeScenario() Scenario {
 		Topology: "fat tree (K=8)",
 		Workload: "uniform packet IDs, path flips mid-stream",
 		Queries:  "path 2×(b=8), d=5",
-		Stack:    stackFullSink,
+		Stack:    stackRecording,
 	}, func(s Scale) ([]trial[routeChangeOut], error) {
 		g, err := topology.FatTree(8)
 		if err != nil {
@@ -61,7 +59,7 @@ func routeChangeScenario() Scenario {
 			trials = append(trials, trial[routeChangeOut]{
 				Name: fmt.Sprintf("reroute-%d", t),
 				Run: func() (routeChangeOut, error) {
-					return runRouteChangeTrial(g, master, k, block, maxPkts, s.ShardCount())
+					return runRouteChangeTrial(g, master, k, block, maxPkts)
 				},
 			})
 		}
@@ -101,7 +99,7 @@ func routeChangeScenario() Scenario {
 // runRouteChangeTrial decodes a path, flips the flow onto a different
 // equal-cost path, and measures how many packets the decoder needs before
 // its inconsistency counter crosses each detection threshold.
-func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts, shards int) (routeChangeOut, error) {
+func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts int) (routeChangeOut, error) {
 	out := routeChangeOut{detectAt: make([]int, len(routeThresholds))}
 	for i := range out.detectAt {
 		out.detectAt[i] = -1
@@ -122,18 +120,15 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 	if err != nil {
 		return out, err
 	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
+	rec, err := core.NewRecording(eng)
 	if err != nil {
 		return out, err
 	}
-	defer sink.Close()
 	const flow = core.FlowKey(1)
 	stream := hash.NewRNG(uint64(master.Derive(3)))
 	pkts := make([]core.PacketDigest, block)
 	vals := hopColumns(k, block)
-	var wireBuf []byte
-	var rx []core.PacketDigest
-	encodeAndShip := func(path []uint64) error {
+	encodeAndRecord := func(path []uint64) error {
 		for j := range pkts {
 			pkts[j] = core.PacketDigest{Flow: flow, PktID: stream.Uint64(), PathLen: k}
 		}
@@ -143,35 +138,32 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 			}
 		}
 		eng.EncodeHops(1, pkts, vals)
-		wireBuf, rx, err = shipBlocks(sink, pkts, wireBuf, rx)
-		return err
+		return rec.RecordBatch(pkts)
 	}
 
 	// Phase 1: the flow runs on path A until decoded.
 	n := 0
 	for n < maxPkts {
-		if err := encodeAndShip(pathA); err != nil {
+		if err := encodeAndRecord(pathA); err != nil {
 			return out, err
 		}
 		n += block
-		sink.Barrier()
-		if dec := sink.Recording(flow).PathDecoder(q, flow); dec != nil && dec.Done() {
+		if dec := rec.PathDecoder(q, flow); dec != nil && dec.Done() {
 			break
 		}
 	}
 	out.decodePkts = n
-	out.fpBefore = sink.Recording(flow).PathInconsistencies(q, flow)
+	out.fpBefore = rec.PathInconsistencies(q, flow)
 
 	// Phase 2: the route flips to path B; count packets until the
 	// inconsistency counter crosses each threshold.
 	n = 0
 	for n < maxPkts {
-		if err := encodeAndShip(pathB); err != nil {
+		if err := encodeAndRecord(pathB); err != nil {
 			return out, err
 		}
 		n += block
-		sink.Barrier()
-		inc := sink.Recording(flow).PathInconsistencies(q, flow) - out.fpBefore
+		inc := rec.PathInconsistencies(q, flow) - out.fpBefore
 		done := true
 		for i, thr := range routeThresholds {
 			if out.detectAt[i] < 0 {
@@ -186,7 +178,7 @@ func runRouteChangeTrial(g *topology.Graph, master hash.Seed, k, block, maxPkts,
 			break
 		}
 	}
-	return out, sink.Close()
+	return out, nil
 }
 
 // equalCostPathPair returns two distinct equal-length switch paths of k
@@ -234,7 +226,7 @@ func ecmpImbalanceScenario() Scenario {
 		Topology: "fat tree (K=8)",
 		Workload: "synthetic ECMP flow fan-out, lognormal hop latencies",
 		Queries:  "path 2×(b=4) + latency 8b in 16 bits",
-		Stack:    stackFullSink,
+		Stack:    stackRecording,
 	}, func(s Scale) ([]trial[ecmpOut], error) {
 		g, err := topology.FatTree(8)
 		if err != nil {
@@ -247,7 +239,7 @@ func ecmpImbalanceScenario() Scenario {
 			trials = append(trials, trial[ecmpOut]{
 				Name: fmt.Sprintf("localize-%d", t),
 				Run: func() (ecmpOut, error) {
-					return runEcmpTrial(g, master, k, nFlows, pktsFlow, hotBoost, s.ShardCount())
+					return runEcmpTrial(g, master, k, nFlows, pktsFlow, hotBoost)
 				},
 			})
 		}
@@ -286,10 +278,9 @@ func ecmpImbalanceScenario() Scenario {
 }
 
 // runEcmpTrial spreads flows across a fat tree's equal-cost paths, plants
-// one slow core switch, drives every packet through the production stack,
-// and localizes the hot switch from decoded paths + per-hop latency
-// medians.
-func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotBoost, shards int) (ecmpOut, error) {
+// one slow core switch, records every packet, and localizes the hot
+// switch from decoded paths + per-hop latency medians.
+func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotBoost int) (ecmpOut, error) {
 	var out ecmpOut
 	pairs := g.SwitchPairsAtDistance(k-1, 2, uint64(master))
 	if len(pairs) == 0 {
@@ -322,17 +313,14 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 	if err != nil {
 		return out, err
 	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
+	rec, err := core.NewRecording(eng)
 	if err != nil {
 		return out, err
 	}
-	defer sink.Close()
 
 	rng := hash.NewRNG(uint64(master.Derive(3)))
 	pkts := make([]core.PacketDigest, pktsFlow)
 	vals := hopColumns(k, pktsFlow)
-	var wireBuf []byte
-	var rx []core.PacketDigest
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f) + 1)
 		for j := range pkts {
@@ -349,12 +337,9 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 			}
 		}
 		eng.EncodeHops(1, pkts, vals)
-		if wireBuf, rx, err = shipBlocks(sink, pkts, wireBuf, rx); err != nil {
+		if err := rec.RecordBatch(pkts); err != nil {
 			return out, err
 		}
-	}
-	if err := sink.Close(); err != nil {
-		return out, err
 	}
 
 	// Localization: attribute each decoded (flow, hop) latency median to
@@ -362,7 +347,6 @@ func runEcmpTrial(g *topology.Graph, master hash.Seed, k, nFlows, pktsFlow, hotB
 	scores := map[uint64][]float64{}
 	for f := 0; f < nFlows; f++ {
 		flow := core.FlowKey(uint64(f) + 1)
-		rec := sink.Recording(flow)
 		ids, done := rec.Path(pathQ, flow)
 		if !done {
 			continue

@@ -105,26 +105,3 @@ func TestRegistryHygiene(t *testing.T) {
 		}
 	}
 }
-
-// TestShardsDoNotChangeAnswers runs the recording-stack scenarios with
-// different sink shard counts and demands byte-identical JSON — the
-// pipeline determinism property surfaced at the scenario level.
-func TestShardsDoNotChangeAnswers(t *testing.T) {
-	for _, name := range []string{"pathtrace", "route-change", "ecmp-imbalance"} {
-		var ref []byte
-		for _, shards := range []int{1, 3} {
-			s := Quick()
-			s.Shards = shards
-			res, err := runByName(name, Options{Scale: s, Parallel: 2})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			b := marshalResult(t, res)
-			if ref == nil {
-				ref = b
-			} else if !bytes.Equal(ref, b) {
-				t.Fatalf("%s: shards=1 vs shards=%d outputs differ:\n%s\nvs\n%s", name, shards, ref, b)
-			}
-		}
-	}
-}

@@ -33,7 +33,7 @@ func fig9Scenario() Scenario {
 		Workload:  "websearch + hadoop",
 		Transport: transportPINTd,
 		Queries:   "latency (b=4/8, raw + KLL-sketched)",
-		Stack:     stackFullSink,
+		Stack:     stackRecording,
 	}, func(s Scale) ([]trial[[]latencySeries], error) {
 		var trials []trial[[]latencySeries]
 		for _, p := range panels {
@@ -106,7 +106,7 @@ func fig09(s Scale, panel fig09Panel) ([]latencySeries, error) {
 			if panel.BySketch {
 				for _, bytes := range []int{50, 100, 150, 200, 250, 300} {
 					e, err := latencyTrial(streams, truth, panel.Quantile, b, 500,
-						sketchParamFor(bytes, b), s.Trials, s.ShardCount(), rng)
+						sketchParamFor(bytes, b), s.Trials, rng)
 					if err != nil {
 						return nil, err
 					}
@@ -119,7 +119,7 @@ func fig09(s Scale, panel fig09Panel) ([]latencySeries, error) {
 				}
 				for _, z := range []int{100, 200, 400, 600, 800, 1000} {
 					e, err := latencyTrial(streams, truth, panel.Quantile, b, z,
-						items, s.Trials, s.ShardCount(), rng)
+						items, s.Trials, rng)
 					if err != nil {
 						return nil, err
 					}
@@ -175,11 +175,10 @@ func sketchParamFor(bytes, b int) int {
 // latencyTrial runs `trials` independent PINT samplings of z packets over
 // the per-hop streams and returns the mean relative quantile error (%)
 // across hops and trials. Packets are encoded by the compiled batch
-// pipeline (EncodeHopBatch per hop). With sketchItems 0 they are recorded
-// through the sink, sharded across workers when shards > 1 (the answers
-// are bit-identical either way); otherwise each hop's codes go to a KLL
-// sketch of that accuracy parameter (sketchHops), PINTS.
-func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketchItems, trials, shards int, rng *hash.RNG) (float64, error) {
+// pipeline (one EncodeHops call). With sketchItems 0 they are recorded
+// into a Recording; otherwise each hop's codes go to a KLL sketch of that
+// accuracy parameter (sketchHops), PINTS.
+func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketchItems, trials int, rng *hash.RNG) (float64, error) {
 	k := len(streams)
 	var errSum float64
 	var errN int
@@ -212,7 +211,7 @@ func latencyTrial(streams [][]float64, truth []float64, phi float64, b, z, sketc
 				return 0, false
 			}
 		} else {
-			rec, err := recordPackets(eng, pkts, shards, flow)
+			rec, err := recordPackets(eng, pkts)
 			if err != nil {
 				return 0, err
 			}

@@ -35,7 +35,7 @@ func multiTenantScenario() Scenario {
 		Workload:  "hadoop + websearch tenants, merged Poisson arrivals",
 		Transport: transportPINTd,
 		Queries:   "latency 8b per tenant",
-		Stack:     stackFullSink,
+		Stack:     stackRecording,
 	}, func(s Scale) ([]trial[[]tenantMetrics], error) {
 		base := hash.Seed(s.Seed).Derive(0x377)
 		var trials []trial[[]tenantMetrics]
@@ -107,7 +107,7 @@ func runMultiTenantTrial(s Scale, master hash.Seed, spec []Tenant) ([]tenantMetr
 	for ti := range spec {
 		out[ti].flows = len(slowByTenant[ti])
 		out[ti].slowP95 = sketch.ExactQuantile(slowByTenant[ti], 0.95)
-		med, tail, err := estimateHopQuantileErr(streams[ti], master.Derive(uint64(0x100+ti)), s.ShardCount())
+		med, tail, err := estimateHopQuantileErr(streams[ti], master.Derive(uint64(0x100+ti)))
 		if err != nil {
 			return nil, err
 		}
@@ -117,10 +117,9 @@ func runMultiTenantTrial(s Scale, master hash.Seed, spec []Tenant) ([]tenantMetr
 }
 
 // estimateHopQuantileErr drives one tenant's hop-latency streams through
-// the production telemetry stack — an 8-bit latency query, batch encode,
-// wire round trip, sharded sink — and returns the mean relative error of
-// the median and p99 estimates across hops.
-func estimateHopQuantileErr(streams [][]float64, master hash.Seed, shards int) (float64, float64, error) {
+// an 8-bit latency query — batch encode, then a Recording — and returns
+// the mean relative error of the median and p99 estimates across hops.
+func estimateHopQuantileErr(streams [][]float64, master hash.Seed) (float64, float64, error) {
 	const z = 500
 	for h := range streams {
 		if len(streams[h]) < 50 {
@@ -138,7 +137,7 @@ func estimateHopQuantileErr(streams [][]float64, master hash.Seed, shards int) (
 	const flow = core.FlowKey(1)
 	pkts := make([]core.PacketDigest, z)
 	encodeHopStreams(eng, streams, flow, hash.NewRNG(uint64(master.Derive(3))), pkts, hopColumns(len(streams), z))
-	rec, err := recordPackets(eng, pkts, shards, flow)
+	rec, err := recordPackets(eng, pkts)
 	if err != nil {
 		return 0, 0, err
 	}

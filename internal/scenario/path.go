@@ -6,10 +6,8 @@ import (
 	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/wire"
 )
 
 func init() {
@@ -174,13 +172,13 @@ func fig10AtLength(g *topology.Graph, universe []uint64, d int, s Scale, l int) 
 	return out, nil
 }
 
-// --- pathtrace: the same question through the full collection stack ---
+// --- pathtrace: the same question through the compiled engine ---
 
 // PathTraceSpec parameterizes an engine-driven path-tracing scenario:
 // packets-to-decode for one path of the chosen topology, driven through
-// the full production stack (Compile, EncodeHopBatch, wire round trip,
-// sharded sink). cmd/pinttrace builds one of these from its flags; the
-// registry's "pathtrace" entry is the default instance.
+// the compiled engine (Compile, EncodeHops, a Recording).
+// cmd/pinttrace builds one of these from its flags; the registry's
+// "pathtrace" entry is the default instance.
 type PathTraceSpec struct {
 	Topo      string // kentucky, uscarrier, fattree
 	PathLen   int    // switches on the traced path
@@ -201,18 +199,17 @@ type pathTraceOut struct {
 // PathTrace builds the scenario: one trial per decode episode, each with
 // its seeds drawn at plan time (two RNG draws per episode, in episode
 // order), plus (optionally) one trial per traceback baseline.
-// Scale.Trials sets the episode count, Scale.Seed the seed, Scale.Shards
-// the sink worker count.
+// Scale.Trials sets the episode count, Scale.Seed the seed.
 func PathTrace(spec PathTraceSpec) Scenario {
 	baselines := fig10Schemes[3:]
 	return define(Scenario{
 		Name:     "pathtrace",
 		Figure:   "new",
-		Desc:     "packets-to-decode for one path through the full engine→wire→sink stack",
+		Desc:     "packets-to-decode for one path through the compiled engine and a Recording",
 		Topology: spec.Topo,
 		Workload: "uniform packet IDs",
 		Queries:  fmt.Sprintf("path %dx(b=%d), d=%d", spec.Instances, spec.Bits, spec.D),
-		Stack:    stackFullSink,
+		Stack:    stackRecording,
 	}, func(s Scale) ([]trial[pathTraceOut], error) {
 		g, err := buildTopology(spec.Topo)
 		if err != nil {
@@ -238,7 +235,7 @@ func PathTrace(spec PathTraceSpec) Scenario {
 			trials = append(trials, trial[pathTraceOut]{
 				Name: fmt.Sprintf("episode-%d", t),
 				Run: func() (pathTraceOut, error) {
-					n, err := enginePathTrial(cfg, values, universe, master, stream, core.FlowKey(t), maxPkts, s.ShardCount())
+					n, err := enginePathTrial(cfg, values, universe, master, stream, core.FlowKey(t), maxPkts)
 					return pathTraceOut{pkts: n}, err
 				},
 			})
@@ -288,15 +285,13 @@ func PathTrace(spec PathTraceSpec) Scenario {
 	})
 }
 
-// enginePathTrial runs one packets-to-decode episode through the full
-// production stack: Compile, EncodeHopBatch per hop, a wire-format round
-// trip per block (the switch→collector transfer), and the sharded sink
-// (shards workers; answers are bit-identical for any count). master seeds
-// the query, engine and recording, stream the packet-ID generator. The
-// decode count is exact: each packet is ingested individually and the
-// sink is barriered before the decoder is consulted. It returns -1 when
-// the path did not decode within maxPkts.
-func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.Seed, stream uint64, flow core.FlowKey, maxPkts, shards int) (int, error) {
+// enginePathTrial runs one packets-to-decode episode through the
+// compiled engine: Compile, one EncodeHops call per block, and a
+// Recording. master seeds the query and engine, stream the packet-ID
+// generator. The decode count is exact: each packet is recorded on its
+// own before the decoder is consulted. It returns -1 when the path did
+// not decode within maxPkts.
+func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.Seed, stream uint64, flow core.FlowKey, maxPkts int) (int, error) {
 	const block = 32
 	pkts := make([]core.PacketDigest, block)
 	k := len(values)
@@ -306,8 +301,6 @@ func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.S
 			col[j].SwitchID = values[hop]
 		}
 	}
-	wireBuf := make([]byte, 0, block*12)
-	rx := make([]core.PacketDigest, 0, block)
 	q, err := core.NewPathQuery("path", cfg, 1, master, universe)
 	if err != nil {
 		return 0, err
@@ -316,11 +309,10 @@ func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.S
 	if err != nil {
 		return 0, err
 	}
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
+	rec, err := core.NewRecording(eng)
 	if err != nil {
 		return 0, err
 	}
-	defer sink.Close()
 	sub := hash.NewRNG(stream)
 	for n := 0; n < maxPkts; {
 		b := min(block, maxPkts-n)
@@ -328,20 +320,15 @@ func enginePathTrial(cfg coding.Config, values, universe []uint64, master hash.S
 			pkts[j] = core.PacketDigest{Flow: flow, PktID: sub.Uint64(), PathLen: k}
 		}
 		eng.EncodeHops(1, pkts[:b], vals)
-		// Ship the block switch→collector through the wire format, as
-		// a deployment would; the collector records the decoded copy.
-		if rx, wireBuf, err = wire.Roundtrip(rx, wireBuf, pkts[:b]); err != nil {
-			return 0, err
-		}
-		// Ingest one packet at a time so the decode count is exact.
 		for j := 0; j < b; j++ {
-			sink.Ingest(rx[j : j+1])
+			if err := rec.RecordBatch(pkts[j : j+1]); err != nil {
+				return 0, err
+			}
 			n++
-			sink.Barrier()
-			if dec := sink.Recording(flow).PathDecoder(q, flow); dec != nil && dec.Done() {
-				return n, sink.Close()
+			if dec := rec.PathDecoder(q, flow); dec != nil && dec.Done() {
+				return n, nil
 			}
 		}
 	}
-	return -1, sink.Close()
+	return -1, nil
 }

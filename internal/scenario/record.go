@@ -3,23 +3,10 @@ package scenario
 import (
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/pipeline"
-	"repro/internal/wire"
 )
 
-// The recording path the digest-recording trials share: engine batch
-// encode → wire marshal/unmarshal → sharded sink.
-
-// shipBlocks runs an encoded packet block switch→collector: wire round
-// trip, then sink ingest. The returned buffers are reused across calls.
-func shipBlocks(sink *pipeline.Sink, pkts []core.PacketDigest, wireBuf []byte, rx []core.PacketDigest) ([]byte, []core.PacketDigest, error) {
-	rx, wireBuf, err := wire.Roundtrip(rx, wireBuf, pkts)
-	if err != nil {
-		return wireBuf, rx, err
-	}
-	sink.Ingest(rx)
-	return wireBuf, rx, nil
-}
+// The encode-and-record helpers the digest-recording trials share: engine
+// batch encode, then a Recording of the digests.
 
 // encodeHopStreams stamps pkts with fresh IDs from rng and encodes every
 // hop's stream into them in one EncodeHops call: packet j consumes sample
@@ -50,23 +37,14 @@ func hopColumns(k, n int) [][]core.HopValues {
 	return cols
 }
 
-// recordPackets ships an encoded batch through the wire format (the
-// switch→collector transfer) and ingests the decoded copy through the
-// sharded sink — the production collector stack on every latency trial,
-// serial included. It returns the Recording that owns `flow`'s state;
-// answers are bit-identical to recording the in-memory batch directly,
-// for any shard count.
-func recordPackets(eng *core.Engine, pkts []core.PacketDigest, shards int, flow core.FlowKey) (*core.Recording, error) {
-	sink, err := pipeline.NewSink(eng, pipeline.Config{Shards: shards})
+// recordPackets records an encoded batch into a fresh Recording.
+func recordPackets(eng *core.Engine, pkts []core.PacketDigest) (*core.Recording, error) {
+	rec, err := core.NewRecording(eng)
 	if err != nil {
 		return nil, err
 	}
-	defer sink.Close()
-	if _, _, err := shipBlocks(sink, pkts, nil, nil); err != nil {
+	if err := rec.RecordBatch(pkts); err != nil {
 		return nil, err
 	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	return sink.Recording(flow), nil
+	return rec, nil
 }

@@ -8,8 +8,8 @@ import (
 
 // Options configures one Runner invocation.
 type Options struct {
-	// Scale is validated up front (see Scale.Validate), so a
-	// bad knob — including Shards — fails loudly for every scenario.
+	// Scale is validated up front (see Scale.Validate), so a bad knob
+	// fails loudly for every scenario.
 	Scale Scale
 	// Parallel is the trial worker-pool size; values < 1 mean 1. Results
 	// are bit-identical for any value: trials are hermetic, outputs land
@@ -17,8 +17,8 @@ type Options struct {
 	Parallel int
 }
 
-// MaxParallel bounds Options.Parallel the way MaxShards bounds
-// Scale.Shards.
+// MaxParallel bounds Options.Parallel: a larger pool is almost certainly
+// a typo.
 const MaxParallel = 256
 
 func (o Options) validate() error {

@@ -73,11 +73,6 @@ func TestRunnerDeterministicError(t *testing.T) {
 func TestRunnerValidatesScale(t *testing.T) {
 	sc := syntheticScenario("synth-scale", 4, -1)
 	bad := Quick()
-	bad.Shards = -3
-	if _, err := Run(&sc, Options{Scale: bad}); err == nil {
-		t.Fatal("invalid Shards accepted")
-	}
-	bad = Quick()
 	bad.Trials = 0
 	if _, err := Run(&sc, Options{Scale: bad}); err == nil {
 		t.Fatal("invalid Trials accepted")

@@ -22,21 +22,7 @@ type Scale struct {
 	Trials int
 	// Seed drives all randomness.
 	Seed uint64
-	// Shards sets the worker count of every scenario's recording sink:
-	// wherever an experiment records digests (Fig 9's latency trials,
-	// Fig 11's delivery tap, the engine path trials, the non-paper
-	// scenarios), the stream runs through the sharded batch pipeline
-	// (internal/pipeline) with this many workers. Answers are
-	// bit-identical for any value, so figures do not change; 0 means 1.
-	// Experiments with no recording path (pure transport or coding
-	// studies) have nothing to shard. Validate rejects invalid values —
-	// they are never silently ignored.
-	Shards int
 }
-
-// MaxShards bounds Scale.Shards: beyond this, per-shard state dominates
-// and the configuration is almost certainly a typo.
-const MaxShards = 256
 
 // Validate rejects scales no experiment can run: the scenario runner and
 // the CLIs call it up front so a bad knob fails loudly instead of being
@@ -53,19 +39,8 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("scenario: topology shape %dx%d invalid", s.Pods, s.HostsPerTor)
 	case s.Trials < 1:
 		return fmt.Errorf("scenario: Trials %d below 1", s.Trials)
-	case s.Shards < 0 || s.Shards > MaxShards:
-		return fmt.Errorf("scenario: Shards %d out of [0,%d]", s.Shards, MaxShards)
 	}
 	return nil
-}
-
-// ShardCount returns the effective recording-sink worker count (Shards,
-// with 0 meaning serial-in-a-worker).
-func (s Scale) ShardCount() int {
-	if s.Shards < 1 {
-		return 1
-	}
-	return s.Shards
 }
 
 // Bench returns the default scale of cmd/pintfig and cmd/pinttrace:

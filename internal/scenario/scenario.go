@@ -22,9 +22,11 @@
 // and doubling the worker pool halves the wall clock without changing a
 // byte of output.
 //
-// Scenarios that record digests do so through the production collector
-// stack — Engine batch encode, the internal/wire switch→collector format,
-// and the sharded sink (internal/pipeline) with Scale.Shards workers.
+// Scenarios that record digests encode them with the compiled Engine and
+// record them into a core.Recording: the figures measure what the
+// Recording and Inference modules get from the digests, not how a
+// collector moves them. The collector stack (wire format, sharded sink,
+// daemons) is tested by its own packages, which scenario does not import.
 //
 // An experiment lives in one file: its simulation or trial function, its
 // trial axis and its table sit next to the Scenario that registers them
@@ -32,7 +34,7 @@
 // collection.go, ecmp.go, multitenant.go, ablation.go, and one file per
 // system scenario). The harness they share is scale.go (Scale and its
 // presets), load.go (the loaded-network simulation), record.go (the
-// engine→wire→sink recording path) and table.go.
+// engine→Recording path) and table.go.
 package scenario
 
 import (
@@ -62,7 +64,7 @@ type Scenario struct {
 	Desc string
 	// Topology/Workload/Transport/Queries/Stack describe the setup:
 	// network shape, traffic, transport protocol, telemetry query set,
-	// and the recording path ("engine→wire→sink" for scenarios that
+	// and the recording path ("engine→Recording" for scenarios that
 	// record digests; transport- or coding-only studies have none).
 	Topology  string
 	Workload  string
@@ -80,7 +82,7 @@ type Scenario struct {
 const (
 	stackNone      = "transport sim (no recording path)"
 	stackCoding    = "coding harness (no recording path)"
-	stackFullSink  = "engine→wire→sharded sink"
+	stackRecording = "engine→Recording"
 	leafSpineTopo  = "leaf-spine (Scale.Pods)"
 	transportHPCC  = "HPCC(INT) vs HPCC(PINT)"
 	transportPINTd = "HPCC(PINT)"

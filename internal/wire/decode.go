@@ -14,8 +14,7 @@ import (
 // marshaled batch against every rule of the package comment and maps its
 // columns, and appendRuns — the package's one decode loop — materializes
 // packets from a validated batch, one flow run at a time. Every entry
-// point (Count, AppendUnmarshal, AppendUnmarshalSharded,
-// AppendUnmarshalFlows) is parse followed by as much of the loop as it
+// point (Count, AppendUnmarshalFlows, AppendUnmarshalSharded) is parse followed by as much of the loop as it
 // needs, so they accept the same bytes and fail with the same text.
 
 // columns maps a validated batch: where each column starts in its bytes.
@@ -168,15 +167,10 @@ func Count(data []byte) (int, error) {
 	return c.count, err
 }
 
-// AppendUnmarshal appends the decoded packets to dst (pass a reused
-// buffer's dst[:0] to avoid allocation on the replay hot path) and returns
-// the extended slice. On error dst is returned unextended.
-func AppendUnmarshal(dst []core.PacketDigest, data []byte) ([]core.PacketDigest, error) {
-	return AppendUnmarshalFlows(dst, data, nil)
-}
-
-// AppendUnmarshalFlows is AppendUnmarshal restricted to the packets whose
-// flow is in only (nil: every packet). The flow runs are the first bytes
+// AppendUnmarshalFlows appends the decoded packets whose flow is in only
+// (nil: every packet) to dst (pass a reused buffer's dst[:0] to avoid
+// allocation on the replay hot path) and returns the extended slice. On
+// error dst is returned unextended. The flow runs are the first bytes
 // of a batch, so a run that is not asked for is stepped over without
 // reading its IDs or digests, and a batch holding no asked-for flow is
 // validated and left at that — the cost a time-window query pays for the

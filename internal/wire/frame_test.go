@@ -277,7 +277,7 @@ func TestHelloErrors(t *testing.T) {
 }
 
 // TestFramedBatchEndToEnd drives a digest batch through the full stream
-// stack: AppendMarshal → frame → FrameReader → AppendUnmarshal.
+// stack: AppendMarshal → frame → FrameReader → AppendUnmarshalFlows.
 func TestFramedBatchEndToEnd(t *testing.T) {
 	batch := sampleBatch(300)
 	payload, err := AppendMarshal(nil, batch)
@@ -293,7 +293,7 @@ func TestFramedBatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := AppendUnmarshal(nil, got)
+	decoded, err := AppendUnmarshalFlows(nil, got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func decodeSeeds(t testing.TB) []decodeSeed {
 // FuzzUnmarshal drives arbitrary byte streams through the strict decoder.
 // The contract under fuzzing:
 //
-//   - AppendUnmarshal never panics and never allocates disproportionately to its
+//   - AppendUnmarshalFlows never panics and never allocates disproportionately to its
 //     input (the count-vs-remaining-bytes guard),
 //   - on error it returns a nil slice, and Count fails with the same text,
 //   - on success the format is canonical: re-marshaling the decoded batch
@@ -68,14 +68,14 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pkts, err := AppendUnmarshal(nil, data)
+		pkts, err := AppendUnmarshalFlows(nil, data, nil)
 		n, countErr := Count(data)
 		if err != nil {
 			if pkts != nil {
 				t.Fatalf("error %v with non-nil packets", err)
 			}
 			if countErr == nil || countErr.Error() != err.Error() {
-				t.Fatalf("AppendUnmarshal refused with %q, Count with %v", err, countErr)
+				t.Fatalf("AppendUnmarshalFlows refused with %q, Count with %v", err, countErr)
 			}
 			return
 		}
@@ -94,7 +94,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("encoding not canonical:\n in  %x\n out %x", data, again)
 		}
-		second, err := AppendUnmarshal(nil, again)
+		second, err := AppendUnmarshalFlows(nil, again, nil)
 		if err != nil {
 			t.Fatalf("second decode failed: %v", err)
 		}

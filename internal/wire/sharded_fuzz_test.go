@@ -9,9 +9,9 @@ import (
 )
 
 // FuzzUnmarshalSharded pins the run-routed decode-and-shard pass to the
-// unfused reference — AppendUnmarshal followed by a separate per-packet
-// hash.ShardOf routing pass — over arbitrary inputs and shard counts, and
-// AppendUnmarshalFlows to the same decode filtered. The contract:
+// unfused reference — a flat AppendUnmarshalFlows followed by a separate
+// per-packet hash.ShardOf routing pass — over arbitrary inputs and shard
+// counts, and a filtered AppendUnmarshalFlows to the same decode filtered. The contract:
 //
 //   - both decoders accept exactly the same byte strings,
 //   - on rejection the error text is identical (the collector logs it when
@@ -30,7 +30,7 @@ func FuzzUnmarshalSharded(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, shards uint8, data []byte) {
 		n := int(shards%32) + 1 // 1..32 destinations; zero is tested separately
-		flat, refErr := AppendUnmarshal(nil, data)
+		flat, refErr := AppendUnmarshalFlows(nil, data, nil)
 		dsts := make([][]core.PacketDigest, n)
 		count, gotErr := AppendUnmarshalSharded(dsts, data)
 		if refErr != nil {

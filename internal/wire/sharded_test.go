@@ -116,7 +116,7 @@ func TestUnmarshalShardedErrorParity(t *testing.T) {
 		cases = append(cases, h.data)
 	}
 	for ci, data := range cases {
-		_, refErr := AppendUnmarshal(nil, data)
+		_, refErr := AppendUnmarshalFlows(nil, data, nil)
 		dsts := make([][]core.PacketDigest, 3)
 		_, gotErr := AppendUnmarshalSharded(dsts, data)
 		switch {

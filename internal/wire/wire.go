@@ -43,7 +43,7 @@
 //
 // # Strictness
 //
-// The encoding is canonical: every byte string AppendUnmarshal accepts
+// The encoding is canonical: every byte string the decoder accepts
 // re-marshals to itself. Rejected with an error, never a panic: unknown magic or
 // version, truncation anywhere, a non-minimal or overflowing varint, a
 // width outside 1..8 or wider than its column needs, a run of zero
@@ -228,20 +228,6 @@ func zigzag(x int64) uint64 {
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) uint64 {
 	return u>>1 ^ -(u & 1)
-}
-
-// Roundtrip encodes batch and decodes it straight back — the
-// switch→collector transfer every recording hot path exercises per block.
-// dst and buf may be nil or recycled buffers (they are truncated before
-// use); the decoded batch and the grown scratch buffer are returned for
-// reuse so steady-state round trips allocate nothing.
-func Roundtrip(dst []core.PacketDigest, buf []byte, batch []core.PacketDigest) ([]core.PacketDigest, []byte, error) {
-	buf, err := AppendMarshal(buf[:0], batch)
-	if err != nil {
-		return dst, buf, err
-	}
-	dst, err = AppendUnmarshal(dst[:0], buf)
-	return dst, buf, err
 }
 
 // uvarint reads one canonical unsigned varint. Unlike binary.Uvarint it

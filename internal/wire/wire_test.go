@@ -36,7 +36,7 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: marshal: %v", n, err)
 		}
-		got, err := AppendUnmarshal(nil, data)
+		got, err := AppendUnmarshalFlows(nil, data, nil)
 		if err != nil {
 			t.Fatalf("n=%d: unmarshal: %v", n, err)
 		}
@@ -62,7 +62,7 @@ func TestRoundTripExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AppendUnmarshal(nil, data)
+	got, err := AppendUnmarshalFlows(nil, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestAppendFormsReuseBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkts, err = AppendUnmarshal(pkts[:0], buf)
+		pkts, err = AppendUnmarshalFlows(pkts[:0], buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,14 +228,14 @@ var hostileBatches = []struct {
 // error with the rule's text, no packets, never a panic.
 func TestUnmarshalRejectsMalformed(t *testing.T) {
 	good := rawBatch(2, []byte{14, 2}, []byte{5, 2}, []byte{9, 1, 2}, []byte{1, 3, 4})
-	pkts, err := AppendUnmarshal(nil, good)
+	pkts, err := AppendUnmarshalFlows(nil, good, nil)
 	if err != nil || len(pkts) != 2 ||
 		pkts[0] != (core.PacketDigest{Flow: 7, PktID: 9, PathLen: 5, Digest: 3}) ||
 		pkts[1] != (core.PacketDigest{Flow: 7, PktID: 10, PathLen: 5, Digest: 4}) {
 		t.Fatalf("the valid neighbour decodes to %+v, %v", pkts, err)
 	}
 	for _, tc := range hostileBatches {
-		pkts, err := AppendUnmarshal(nil, tc.data)
+		pkts, err := AppendUnmarshalFlows(nil, tc.data, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: unmarshal of %x: error %v, want one containing %q", tc.name, tc.data, err, tc.want)
 		}
@@ -243,7 +243,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: unmarshal returned packets alongside an error", tc.name)
 		}
 		if n, cerr := Count(tc.data); cerr == nil || n != 0 || cerr.Error() != err.Error() {
-			t.Errorf("%s: Count = %d, %v; AppendUnmarshal failed with %v", tc.name, n, cerr, err)
+			t.Errorf("%s: Count = %d, %v; AppendUnmarshalFlows failed with %v", tc.name, n, cerr, err)
 		}
 	}
 	valid, err := AppendMarshal(nil, sampleBatch(9))
@@ -251,7 +251,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(valid); i++ {
-		if pkts, err := AppendUnmarshal(nil, valid[:i]); err == nil || pkts != nil {
+		if pkts, err := AppendUnmarshalFlows(nil, valid[:i], nil); err == nil || pkts != nil {
 			t.Errorf("truncated@%d: unmarshal accepted %x", i, valid[:i])
 		}
 	}
@@ -282,7 +282,7 @@ func TestCountValidatesWithoutAllocating(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err1 := Count(hostile)
-	_, err2 := AppendUnmarshal(nil, hostile)
+	_, err2 := AppendUnmarshalFlows(nil, hostile, nil)
 	_, err3 := AppendUnmarshalSharded(dsts, hostile)
 	runtime.ReadMemStats(&after)
 	if err1 == nil || err2 == nil || err3 == nil {
@@ -343,7 +343,7 @@ func TestUnmarshalFlows(t *testing.T) {
 
 func TestUnmarshalErrorLeavesDstUnextended(t *testing.T) {
 	dst := make([]core.PacketDigest, 2, 8)
-	out, err := AppendUnmarshal(dst, rawBatch(3, []byte{14, 3}, []byte{5, 3}, []byte{9, 1, 2, 2}, []byte{1, 3, 4}))
+	out, err := AppendUnmarshalFlows(dst, rawBatch(3, []byte{14, 3}, []byte{5, 3}, []byte{9, 1, 2, 2}, []byte{1, 3, 4}), nil)
 	if err == nil {
 		t.Fatal("want error for truncated batch")
 	}

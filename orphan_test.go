@@ -176,6 +176,41 @@ func TestOneBuildPerFile(t *testing.T) {
 	}
 }
 
+// TestScenarioImportsNoCollectorStack holds the line between the paper's
+// figures and the system around them: scenarios reproduce the paper, so
+// a scenario records digests into a core.Recording, and the collector
+// stack (wire format, sharded sink, daemons, fleet, log, admission) is
+// tested by its own packages. No non-test file of internal/scenario may
+// import one of them.
+func TestScenarioImportsNoCollectorStack(t *testing.T) {
+	stack := map[string]bool{}
+	for _, p := range []string{"pipeline", "wire", "collector", "federation", "segstore", "admit"} {
+		stack["repro/internal/"+p] = true
+	}
+	files, err := filepath.Glob("internal/scenario/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no Go files under internal/scenario")
+	}
+	fset := token.NewFileSet()
+	for _, p := range files {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path := strings.Trim(imp.Path.Value, `"`); stack[path] {
+				t.Errorf("%s imports %s: a scenario records into a core.Recording; the collector stack is tested in its own package", p, path)
+			}
+		}
+	}
+}
+
 // orphanExports type-checks every package under root (test files and
 // build-excluded files left out) and returns, sorted, the exported
 // identifiers declared under internal/ that nothing references, the
