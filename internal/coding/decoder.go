@@ -27,6 +27,11 @@ type Plan struct {
 	words  int  // residual words per digest: one per hash instance
 	stride int  // slab words per stored packet: recHeader + words
 	shift  uint // 64 - Bits: a value hash's top Bits bits are its digest
+	// A decoded value is packed at width bits (a hashed hop's universe
+	// index, at least 1 bit; a raw hop's Bits-bit fragment), per values to
+	// a word.
+	width, per int
+	valMask    uint64
 }
 
 // NewPlan builds the decode side of enc. In hashed mode universe must hold
@@ -35,6 +40,7 @@ func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
 	cfg := enc.cfg
 	p := &Plan{enc: *enc, frags: cfg.Fragments(), words: cfg.instances(), shift: 64 - uint(cfg.Bits)}
 	p.stride = recHeader + p.words
+	p.width = cfg.Bits
 	if cfg.Mode == ModeHashed {
 		if len(universe) < 1 {
 			return nil, fmt.Errorf("coding: hashed mode requires a value universe")
@@ -48,7 +54,9 @@ func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
 		}
 		p.universe = universe
 		p.setWords = (len(universe) + 63) / 64
+		p.width = max(bits.Len(uint(len(universe)-1)), 1)
 	}
+	p.per, p.valMask = 64/p.width, 1<<uint(p.width)-1
 	return p, nil
 }
 
@@ -67,28 +75,30 @@ func NewPlan(enc *Encoder, universe []uint64) (*Plan, error) {
 //
 // The decoder needs the path length k (derived from the packet TTL in a
 // deployment, §4.1); everything else comes from its Plan. A Decoder is a
-// view: its state is Plan.Words(k) words it does not own — two counters,
-// the listed mask, then known and vals — the Plan.RowWords(k) words of its
-// candidate rows, and a slab of stored packets that grows while the path is
-// still being peeled. Plan.Bind binds one over a caller's words, as the
-// Recording does over each flow's block for a run of the flow's packets or
-// for one answer; the caller keeps the slab (Slab) when the view is done.
-// Plan.NewDecoder allocates the words for a decoder of its own. Once Done,
-// Observe writes nothing but the two counters, so a copy of a finished
-// decoder may share its slab, and it reads no candidate row again: a
-// decoded hop's row is the one bit of its value, so a done decoder may be
-// bound without its rows, and every answer comes from vals. The Recording
-// drops a flow's rows once its path decodes, 10 of a testbench flow's 42
-// block words.
+// view: its state is Plan.Words(k) words it does not own — the
+// inconsistency counter, the listed mask, the known masks, then the
+// decoded values packed at the plan's width — the Plan.RowWords(k) words
+// of its candidate rows, and a slab of stored packets that grows while the
+// path is still being peeled. Plan.Bind binds one over a caller's words,
+// as the Recording does over each flow's block for a run of the flow's
+// packets or for one answer; the caller keeps the slab (Slab) when the
+// view is done. Plan.NewDecoder allocates the words for a decoder of its
+// own. A done decoder has no hop left to cascade into its stored packets,
+// so it drops them (Observe leaves its slab empty) and reads no candidate
+// row again: a decoded hop's row is the one bit of its value, so a done
+// decoder may be bound without its rows, and every answer comes from the
+// values. Once done, Observe writes nothing but the inconsistency counter.
+// The Recording drops a flow's rows once its path decodes, 10 of a
+// testbench flow's 37 block words.
 type Decoder struct {
 	plan *Plan
 	k    int
 	// w holds the state words: see the st* offsets. known[f] is the
-	// bitmask of hops (bit h = hop h+1) whose fragment f is decoded,
-	// vals[f*k+h] that fragment; hashed mode has the single fragment row 0
-	// holding whole values. A hop is decoded when every fragment of it is
-	// known, so the decoded count is the known rows' intersection, stored
-	// nowhere.
+	// bitmask of hops (bit h = hop h+1) whose fragment f is decoded, and
+	// the packed value at f*k+h (val) that fragment; hashed mode has the
+	// single fragment row 0, holding each hop's universe index. A hop is
+	// decoded when every fragment of it is known, so the decoded count is
+	// the known rows' intersection, stored nowhere.
 	w []uint64
 	// rows[h*setWords:][:setWords] is hop h+1's candidate set as a bitset
 	// over the universe index (hashed mode only). It is live only once
@@ -111,10 +121,9 @@ const MaxPathLen = 64
 
 // Word offsets within a decoder's state words.
 const (
-	stObserved     = 0
-	stInconsistent = 1 // packets contradicting the decoded prefix (§7: path change signal)
-	stListed       = 2
-	stKnown        = 3 // known, then vals
+	stInconsistent = 0 // packets contradicting the decoded prefix (§7: path change signal)
+	stListed       = 1
+	stKnown        = 2 // known, then the packed values
 )
 
 // Word offsets within one stored packet of the slab.
@@ -125,10 +134,11 @@ const (
 	recHeader = 3 // the residual words follow
 )
 
-// Words returns how many state words a decoder for a k-hop path takes: a
-// fixed part and a part per hop, so a caller laying out many decoders'
-// words can place them from k.
-func (p *Plan) Words(k int) int { return stKnown + p.frags + k*p.frags }
+// Words returns how many state words a decoder for a k-hop path takes:
+// the two fixed words and a known mask per fragment, then the frags·k
+// decoded values packed per to a word — 4 for a 5-hop path over a
+// universe of up to 4,096 switches. It is not affine in k.
+func (p *Plan) Words(k int) int { return stKnown + p.frags + (p.frags*k+p.per-1)/p.per }
 
 // RowWords returns how many words a k-hop decoder's candidate rows take:
 // k bitsets over the universe in hashed mode, none in raw mode.
@@ -163,14 +173,14 @@ func (p *Plan) NewDecoder(k int) (*Decoder, error) {
 
 // Clone returns a decoder equal to d with state of its own: its words,
 // rows and slab are copies, and a done decoder bound without its rows
-// gets them back, each hop's the bit of its value.
+// gets them back, each hop's the bit of its universe index.
 func (d *Decoder) Clone() *Decoder {
 	p, rows := d.plan, slices.Clone(d.rows)
 	if len(rows) < p.RowWords(d.k) {
 		rows = make([]uint64, p.RowWords(d.k))
-		for h, v := range d.vals() {
-			i := slices.Index(p.universe, v)
-			rows[h*p.setWords+i/64] |= 1 << uint(i%64)
+		for h := range d.k {
+			i := d.val(h)
+			rows[uint64(h*p.setWords)+i/64] |= 1 << (i % 64)
 		}
 	}
 	c := &Decoder{}
@@ -178,16 +188,25 @@ func (d *Decoder) Clone() *Decoder {
 	return c
 }
 
-// Slab returns the decoder's stored packets, which Observe may have grown:
-// a caller that bound the view keeps it for the next one.
+// Slab returns the decoder's stored packets, which Observe may have grown
+// and empties once the decoder is done: a caller that bound the view keeps
+// them for the next one.
 func (d *Decoder) Slab() []uint64 { return d.pkts }
 
-// known and vals are the parts of the state words (see Decoder.w).
+// known is the known masks' part of the state words (see Decoder.w).
 func (d *Decoder) known() []uint64 { return d.w[stKnown : stKnown+d.plan.frags] }
 
-func (d *Decoder) vals() []uint64 {
-	at := stKnown + d.plan.frags
-	return d.w[at : at+d.plan.frags*d.k]
+// val returns the packed value at position j: fragment j/k of hop j%k+1.
+func (d *Decoder) val(j int) uint64 {
+	p := d.plan
+	return d.w[stKnown+p.frags+j/p.per] >> uint(j%p.per*p.width) & p.valMask
+}
+
+// setVal packs v, which fits the plan's width, at position j, whose field
+// is zero until its hop's fragment decodes.
+func (d *Decoder) setVal(j int, v uint64) {
+	p := d.plan
+	d.w[stKnown+p.frags+j/p.per] |= v << uint(j%p.per*p.width)
 }
 
 // NewDecoder builds a one-off plan and a decoder for a k-hop path on it.
@@ -226,7 +245,6 @@ func (d *Decoder) actingSet(id uint64, layer int) uint64 {
 // decoded.
 func (d *Decoder) Observe(id uint64, dig Digest) bool {
 	p := d.plan
-	d.w[stObserved]++
 	layer := p.enc.cfg.Layering.Select(p.enc.g.LayerPoint(id))
 	mask := d.actingSet(id, layer)
 	if mask == 0 {
@@ -265,7 +283,13 @@ func (d *Decoder) Observe(id uint64, dig Digest) bool {
 		// slab.
 		d.pkts = append(append(slices.Grow(d.pkts, p.stride), id, mask, uint64(frag)<<1), res...)
 	}
-	return d.Done()
+	if !d.Done() {
+		return false
+	}
+	// No hop is left to cascade into a stored packet: a done decoder keeps
+	// none.
+	d.pkts = d.pkts[:0]
+	return true
 }
 
 // checkExplained counts a packet whose acting hops are all decoded and
@@ -282,11 +306,12 @@ func (d *Decoder) checkExplained(res []uint64) {
 // stripHop xors decoded hop's (0-based) contribution out of a residual.
 func (d *Decoder) stripHop(hop, frag int, id uint64, res []uint64) {
 	p := d.plan
-	v := d.w[stKnown+p.frags+frag*d.k+hop]
+	v := d.val(frag*d.k + hop)
 	if p.enc.cfg.Mode == ModeRaw {
 		res[0] ^= v
 		return
 	}
+	v = p.universe[v]
 	for i := range res {
 		res[i] ^= p.enc.insts[i].ValueDigest(v, id, p.enc.cfg.Bits)
 	}
@@ -367,32 +392,35 @@ func (d *Decoder) applyConstraint(hop, frag int, id uint64, res []uint64) {
 		row[first/64] &^= 1<<uint(first%64) - 1
 	}
 	if n == 1 {
-		d.setValue(hop, p.universe[last])
+		d.setValue(hop, uint64(last))
 	}
 }
 
-// setValue marks a hashed-mode hop as decoded and cascades.
-func (d *Decoder) setValue(hop int, v uint64) {
+// setValue marks a hashed-mode hop as decoded as universe index i and
+// cascades.
+func (d *Decoder) setValue(hop int, i uint64) {
 	if d.w[stKnown]>>uint(hop)&1 != 0 {
 		return
 	}
 	d.w[stKnown] |= 1 << uint(hop)
-	d.vals()[hop] = v
+	d.setVal(hop, i)
 	d.cascade(hop, 0)
 }
 
 // setFragment records fragment frag of hop (raw mode) and cascades within
-// that fragment's packet population.
+// that fragment's packet population. A residual is a digest's Bits bits;
+// a wider one is cut to them.
 func (d *Decoder) setFragment(hop, frag int, bitsVal uint64) {
-	bit, vals := uint64(1)<<uint(hop), d.vals()
+	bit, j := uint64(1)<<uint(hop), frag*d.k+hop
+	bitsVal &= d.plan.valMask
 	if d.w[stKnown+frag]&bit != 0 {
-		if vals[frag*d.k+hop] != bitsVal {
+		if d.val(j) != bitsVal {
 			d.w[stInconsistent]++
 		}
 		return
 	}
 	d.w[stKnown+frag] |= bit
-	vals[frag*d.k+hop] = bitsVal
+	d.setVal(j, bitsVal)
 	d.cascade(hop, frag)
 }
 
@@ -466,12 +494,14 @@ func (d *Decoder) AppendPath(dst []uint64) ([]uint64, bool) {
 // trustworthy: every fragment known, the fragments reassembled.
 func (d *Decoder) hopBlock(h int) (uint64, bool) {
 	var v uint64
-	vals := d.vals()
 	for f, known := range d.known() {
 		if known>>uint(h)&1 == 0 {
 			return 0, false
 		}
-		v |= vals[f*d.k+h] << uint(f*d.plan.enc.cfg.Bits)
+		v |= d.val(f*d.k+h) << uint(f*d.plan.enc.cfg.Bits)
+	}
+	if d.plan.universe != nil {
+		v = d.plan.universe[v]
 	}
 	return v, true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // A decoder's state is its words, its candidate rows and its slab
@@ -18,15 +17,16 @@ import (
 // k-hop path of the plan could have reached by observing packets, so that
 // one bound over them answers, observes and clones without indexing
 // outside its state: Words(k) state words, RowWords(k) rows or none for a
-// done decoder, and a slab of whole stored packets. It holds
+// done decoder, and a slab of whole stored packets, none for a done one.
+// It holds
 //
-//   - k to [1, MaxPathLen], both counters to at most math.MaxInt, and the
+//   - k to [1, MaxPathLen], the counter to at most math.MaxInt, and the
 //     known and listed hops to the path;
-//   - a zero value for every undecoded block, and a decoded hashed-mode
-//     hop's value to the universe;
+//   - no packed bits for an undecoded block or past the path's values,
+//     and a decoded hashed-mode hop's index to the universe;
 //   - in hashed mode, a hop listed exactly when its row is nonempty, rows
 //     only over the universe, a decoded hop listed and its row exactly its
-//     value's bit, and an undecoded listed hop's row more than one bit; in
+//     index's bit, and an undecoded listed hop's row more than one bit; in
 //     raw mode, no hop listed;
 //   - the slab to whole packets, each of a fragment of the plan and on hops
 //     of the path: a live one waiting on two hops or more, none of them
@@ -39,22 +39,28 @@ func (p *Plan) Check(k int, words, rows, slab []uint64) error {
 		return fmt.Errorf("coding: %d state words for a %d-hop decoder of %d", len(words), k, p.Words(k))
 	}
 	d := Decoder{plan: p, k: k, w: words}
-	if d.w[stObserved] > math.MaxInt || d.w[stInconsistent] > math.MaxInt {
-		return fmt.Errorf("coding: decoder state counters (%d observed, %d inconsistent) overflow", d.w[stObserved], d.w[stInconsistent])
+	if d.w[stInconsistent] > math.MaxInt {
+		return fmt.Errorf("coding: decoder state counter (%d inconsistent) overflows", d.w[stInconsistent])
 	}
 	path := ^uint64(0)
 	if k < 64 {
 		path = 1<<uint(k) - 1
 	}
-	known, vals := d.known(), d.vals()
+	known := d.known()
 	for f, m := range known {
 		if m&^path != 0 {
 			return fmt.Errorf("coding: fragment %d known on hops %#x beyond the path length %d", f, m, k)
 		}
 		for h := range k {
-			if v := vals[f*k+h]; m>>uint(h)&1 == 0 && v != 0 {
+			if v := d.val(f*k + h); m>>uint(h)&1 == 0 && v != 0 {
 				return fmt.Errorf("coding: fragment %d hop %d: value %d for an undecoded block", f, h+1, v)
 			}
+		}
+	}
+	for i, w := range words[stKnown+p.frags:] {
+		n := min(p.per, p.frags*k-i*p.per)
+		if past := w &^ (1<<uint(n*p.width) - 1); past != 0 {
+			return fmt.Errorf("coding: packed value word %d: bits %#x past the path's %d values", i, past, p.frags*k)
 		}
 	}
 	if err := d.checkRows(rows, path); err != nil {
@@ -77,6 +83,9 @@ func (p *Plan) Check(k int, words, rows, slab []uint64) error {
 		case !dead && mask&known[frag] != 0:
 			return fmt.Errorf("coding: packet %d waits on decoded hops %#x", i, mask&known[frag])
 		}
+	}
+	if d.Done() && len(slab) != 0 {
+		return fmt.Errorf("coding: a done decoder with a slab of %d words", len(slab))
 	}
 	return nil
 }
@@ -106,17 +115,17 @@ func (d *Decoder) checkRows(rows []uint64, path uint64) error {
 			if !isListed {
 				return fmt.Errorf("coding: hop %d: decoded, and not listed", h+1)
 			}
-			at := slices.Index(p.universe, d.vals()[h])
-			if at < 0 {
-				return fmt.Errorf("coding: hop %d: decoded as %d, which is not in the universe", h+1, d.vals()[h])
+			at := d.val(h)
+			if at >= uint64(len(p.universe)) {
+				return fmt.Errorf("coding: hop %d: decoded as universe index %d, past the universe's %d values", h+1, at, len(p.universe))
 			}
 			if len(rows) == 0 {
 				continue
 			}
 			row := rows[h*p.setWords:][:p.setWords]
 			for w, word := range row {
-				if want := uint64(1) << uint(at%64); w == at/64 && word != want || w != at/64 && word != 0 {
-					return fmt.Errorf("coding: hop %d: decoded as %d, and its row holds other candidates", h+1, d.vals()[h])
+				if want := uint64(1) << (at % 64); uint64(w) == at/64 && word != want || uint64(w) != at/64 && word != 0 {
+					return fmt.Errorf("coding: hop %d: decoded as universe index %d, and its row holds other candidates", h+1, at)
 				}
 			}
 			continue

@@ -181,13 +181,21 @@ func (h hostileState) image() []byte {
 // dead one whose constraint left hop 3 two candidates, hop 5 decoded) and
 // one way to break it per rule Check holds.
 func hostileStates(u []uint64) []hostileState {
-	// observed, inconsistent, listed, known, then the five values.
-	words := []uint64{9, 1, 0b10100, 0b10000, 0, 0, 0, 0, u[4]}
+	// inconsistent, listed, known, then the five universe indices packed at
+	// 6 bits (the universe has 60 values): hop 5's is 4, u[4].
+	const idx5 = 4 << (4 * 6)
+	words := []uint64{1, 0b10100, 0b10000, idx5}
 	rows := []uint64{0, 0, 1<<1 | 1<<7, 0, 1 << 4}
 	slab := []uint64{
 		77, 0b00011, 0, 0xAB, // live, waiting on hops 1 and 2
 		78, 0b00100, 1, 0xCD, // dead: its constraint left hop 3 two candidates
 	}
+	// A done state: every hop decoded as index h, its row that bit.
+	done := []uint64{0, 0b11111, 0b11111, 0}
+	for h := range 5 {
+		done[3] |= uint64(h) << (6 * h)
+	}
+	doneRows := []uint64{1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4}
 	// with returns a copy of the valid state's part with v at i.
 	with := func(part []uint64, i int, v uint64) []uint64 {
 		c := slices.Clone(part)
@@ -198,13 +206,14 @@ func hostileStates(u []uint64) []hostileState {
 	bad := func(name, wantErr string, w, r, s []uint64) hostileState { return hostileState{name, w, r, s, wantErr} }
 	return []hostileState{
 		valid("valid"),
-		bad("observed counter past MaxInt", "overflow", with(words, 0, math.MaxInt+1), rows, slab),
-		bad("inconsistent counter past MaxInt", "overflow", with(words, 1, math.MaxInt+1), rows, slab),
-		bad("hop known beyond k", "known on hops 0x30", with(words, 3, 0b110000), rows, slab),
-		bad("hop listed beyond k", "hops 0x54 listed beyond", with(words, 2, 0b1010100), rows, slab),
-		bad("value for an undecoded block", "fragment 0 hop 2: value 7 for an undecoded block", with(words, 5, 7), rows, slab),
-		bad("decoded hop not listed", "hop 5: decoded, and not listed", with(words, 2, 0b00100), rows, slab),
-		bad("decoded value outside the universe", "hop 5: decoded as 424242, which is not in the universe", with(words, 8, 424242), rows, slab),
+		{"done, rowless and slabless", done, nil, nil, ""},
+		bad("inconsistent counter past MaxInt", "overflows", with(words, 0, math.MaxInt+1), rows, slab),
+		bad("hop known beyond k", "known on hops 0x30", with(words, 2, 0b110000), rows, slab),
+		bad("hop listed beyond k", "hops 0x54 listed beyond", with(words, 1, 0b1010100), rows, slab),
+		bad("value for an undecoded block", "fragment 0 hop 2: value 7 for an undecoded block", with(words, 3, idx5|7<<6), rows, slab),
+		bad("packed bits past the path's hops", "packed value word 0: bits 0x40000000 past the path's 5 values", with(words, 3, idx5|1<<30), rows, slab),
+		bad("decoded hop not listed", "hop 5: decoded, and not listed", with(words, 1, 0b00100), rows, slab),
+		bad("decoded index past the universe", "hop 5: decoded as universe index 60, past the universe's 60 values", with(words, 3, 60<<(4*6)), rows, slab),
 		bad("decoded hop's row with its value and another", "hop 5: decoded as", words, with(rows, 4, 1<<4|1<<5), slab),
 		bad("decoded hop's row another value's", "hop 5: decoded as", words, with(rows, 4, 1<<5), slab),
 		bad("listed hop with an empty row", "hop 3: listed, and no candidate", words, with(rows, 2, 0), slab),
@@ -213,13 +222,15 @@ func hostileStates(u []uint64) []hostileState {
 		bad("candidate outside the universe", "hop 3: candidates beyond the universe's 60 values", words, with(rows, 2, 1<<1|1<<7|1<<60), slab),
 		bad("undecoded state without rows", "without candidate rows", words, nil, slab),
 		bad("rows of another path length", "4 candidate row words", words, rows[:4], slab),
+		bad("done decoder with a slab", "a done decoder with a slab of 4 words", done, doneRows, slab[4:]),
+		bad("rowless done decoder with a slab", "a done decoder with a slab of 4 words", done, nil, slab[4:]),
 		bad("slab of a packet and a word", "slab of 9 words", words, rows, append(slices.Clone(slab), 0)),
 		bad("packet fragment out of range", "packet 0 fragment 1 out of range", words, rows, with(slab, 2, 1<<1)),
 		bad("packet mask bit beyond k", "packet 1 mask 0x24", words, rows, with(slab, 5, 0b100100)),
 		bad("live packet waiting on one hop", "packet 0 is live and waits on 1 hops", words, rows, with(slab, 1, 0b00001)),
 		bad("live packet waiting on a decoded hop", "packet 0 waits on decoded hops 0x10", words, rows, with(slab, 1, 0b10001)),
 		bad("dead packet on two hops", "packet 1 is dead and waits on 2 hops", words, rows, with(slab, 5, 0b00110)),
-		bad("words of another path length", "8 state words", words[:8], rows, slab),
+		bad("words of another path length", "3 state words", words[:3], rows, slab),
 	}
 }
 
@@ -255,22 +266,19 @@ func TestRestoredHostileStateSurvivesObserve(t *testing.T) {
 
 // sharing binds a decoder over a copy of d's state words, no candidate
 // rows and d's own slab, through Plan.Bind, as a Recording binds a
-// holder's copy of a flow whose path is decoded (flowState.unshare copies
-// the words and shares the slab of a finished decoder, whose rows the
-// flow dropped when it decoded).
+// holder's copy of a flow whose path is decoded.
 func sharing(d *Decoder) *Decoder {
 	c := &Decoder{}
 	d.plan.Bind(c, d.k, slices.Clone(d.w), nil, d.pkts)
 	return c
 }
 
-// TestFinishedCloneSharesSafely is the frozen-share rule: once a decoder is
-// done, Observe writes nothing but its two counters, so a decoder over a
-// copy of its state words may share its slab, and both sides keep
-// observing — consistent packets and contradicting ones, from two
-// goroutines under -race — exactly as two deep copies (Clone) do. That a
-// Recording copies the slab of a decoder not yet done is core's
-// TestUnshareSharesOnlyAFinishedSlab.
+// TestFinishedCloneSharesSafely is the frozen rule of a done decoder: it
+// keeps no stored packet, as none is left to cascade into, and Observe
+// writes nothing but its inconsistency counter, so a decoder over a copy
+// of its state words may share the rest, and both sides keep observing —
+// consistent packets and contradicting ones, from two goroutines under
+// -race — exactly as two deep copies (Clone) do.
 func TestFinishedCloneSharesSafely(t *testing.T) {
 	for _, c := range stateCases {
 		s := newStateStream(t, c, 5)
@@ -282,11 +290,11 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		if !d.Done() {
 			t.Fatalf("%s: not done after %d packets", c.name, half)
 		}
-		slab, solved := slices.Clone(d.pkts), slices.Clone(d.w[stListed:])
+		solved := slices.Clone(d.w[stListed:])
 		controlA, controlB := d.Clone(), d.Clone()
 		clone := sharing(d)
 		// d sees the rest of the stream (every eleventh packet contradicts
-		// the decoded path); the clone sees only the contradicting ones.
+		// the decoded path); the clone sees every other contradicting one.
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -297,7 +305,7 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			for i := 10; i < len(s.ids); i += 11 {
+			for i := 10; i < len(s.ids); i += 22 {
 				clone.Observe(s.ids[i], s.digs[i])
 			}
 		}()
@@ -305,7 +313,7 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		for i := half; i < len(s.ids); i++ {
 			controlA.Observe(s.ids[i], s.digs[i])
 		}
-		for i := 10; i < len(s.ids); i += 11 {
+		for i := 10; i < len(s.ids); i += 22 {
 			controlB.Observe(s.ids[i], s.digs[i])
 		}
 		if !sameState(d, controlA) {
@@ -314,13 +322,12 @@ func TestFinishedCloneSharesSafely(t *testing.T) {
 		if !sameState(clone, controlB) {
 			t.Errorf("%s: clone diverged from its deep-copied control", c.name)
 		}
-		if !slices.Equal(d.pkts, slab) || !slices.Equal(clone.pkts, slab) ||
+		if len(d.pkts) != 0 || len(clone.pkts) != 0 ||
 			!slices.Equal(d.w[stListed:], solved) || !slices.Equal(clone.w[stListed:], solved) {
-			t.Errorf("%s: a finished decoder's slab or solved words were written", c.name)
+			t.Errorf("%s: a finished decoder kept a slab or its solved words were written", c.name)
 		}
-		if d.w[stObserved] == clone.w[stObserved] || d.Inconsistent() == 0 || clone.Inconsistent() == 0 {
-			t.Errorf("%s: the two sides did not run apart: observed %d/%d, inconsistent %d/%d",
-				c.name, d.w[stObserved], clone.w[stObserved], d.Inconsistent(), clone.Inconsistent())
+		if d.Inconsistent() == clone.Inconsistent() || clone.Inconsistent() == 0 {
+			t.Errorf("%s: the two sides did not run apart: inconsistent %d/%d", c.name, d.Inconsistent(), clone.Inconsistent())
 		}
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
-
-	"repro/internal/coding"
 )
 
 // arena holds the flows of a Recording that records with no heap object
 // per flow, so a collection marks a few pages and a table however many
 // flows there are: a flow's state is a block of words cut from pages that
 // never move, a pointer-free table maps its key to the block's offset,
-// and what only some flows need (a slab, the flowMore) is in a side entry.
+// and what only some flows need (a slab while a path is undecoded, the
+// flowMore) is in a side entry, freed once it holds nothing.
 // A block's header is the key (hdrKey); the hold count and, above 32
 // bits, the side index+1 or 0 (hdrHolds); k in the low kBits, the rowless
 // bit, then a started bit per query slot (hdrK on). k and the rowless bit
@@ -72,10 +71,14 @@ func headerWords(nq int) int { return hdrK + (kBits+1+nq+63)/64 }
 // candidate rows, which a rowless block has none of.
 func (e *Engine) blockWords(lay uint64) int {
 	k := int(lay & (1<<kBits - 1))
-	if lay&rowless != 0 {
-		return e.blockBase + e.blockPerHop*k
+	n := e.blockBase + e.blockPerHop*k
+	for _, p := range e.paths {
+		n += p.Words(k)
 	}
-	return e.blockBase + (e.blockPerHop+e.rowsPerHop)*k
+	if lay&rowless == 0 {
+		n += e.rowsPerHop * k
+	}
+	return n
 }
 
 // block returns the block at off.
@@ -322,15 +325,7 @@ func (a *arena) unshare(fs *flowState) {
 	}
 	e := a.e
 	for i := range e.places {
-		switch pl := &e.places[i]; {
-		case !fs.started(i):
-		case pl.kind == opPath:
-			// A finished decoder never writes its slab again.
-			var dec coding.Decoder
-			if fs.bindDecoder(&dec, pl); !dec.Done() && dec.Slab() != nil {
-				a.slabsOf(fs.side())[pl.ord] = slices.Clone(dec.Slab())
-			}
-		case pl.kind == opLatency:
+		if pl := &e.places[i]; pl.kind == opLatency && fs.started(i) {
 			for hop := 1; hop <= fs.k(); hop++ {
 				fs.store(e, pl, hop).t[0] |= markShared
 			}

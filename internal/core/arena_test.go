@@ -140,15 +140,16 @@ func TestBlockReclamation(t *testing.T) {
 
 // TestDecodeWhileHeld pins a flow whose path decodes while a view holds
 // its block. The owner's first write after the Lease (or Clone) copies
-// the held 42-word block, and the run in which the path decodes moves the
-// copy into a 32-word block without the decoder's candidate rows
+// the held 37-word block, and the run in which the path decodes moves the
+// copy into a 27-word block without the decoder's candidate rows
 // (Recording.recordRun), freeing the copy. A reader answers from the view
 // on its own goroutine meanwhile, as at the Lease, and releases it there;
 // the held block is not written, new flows do not take it until the
 // Release, and the next one after it does (a Clone's, never). The decoded
 // flow's decoder answers as a coding.Decoder that kept its rows and
-// observed the same packets, down to its stored packets, and restoring the
-// flow's image lays out the 32-word block directly, cutting no 42-word one.
+// observed the same packets, down to its stored packets (none, once
+// done), and restoring the flow's image lays out the 27-word block
+// directly, cutting no 37-word one.
 func TestDecodeWhileHeld(t *testing.T) {
 	const flow, early = FlowKey(1), 2
 	eng, path, _ := testbenchPlan(t, 163)
@@ -202,8 +203,8 @@ func TestDecodeWhileHeld(t *testing.T) {
 		if !owner.PathDecoder(path, flow).Done() {
 			t.Fatalf("the flow did not decode in %d packets", len(pkts))
 		}
-		if fs, _ := owner.find(flow); len(fs.w) != 32 {
-			t.Errorf("a decoded flow's block is %d words, want 32", len(fs.w))
+		if fs, _ := owner.find(flow); len(fs.w) != 27 {
+			t.Errorf("a decoded flow's block is %d words, want 27", len(fs.w))
 		}
 		for f := FlowKey(100); f < 104; f++ {
 			record(testbenchFlow(eng, f, uint64(f), early))
@@ -247,9 +248,9 @@ func TestDecodeWhileHeld(t *testing.T) {
 		if err := dst.RestoreFlowState(flow, img); err != nil {
 			t.Fatal(err)
 		}
-		if fs, _ := dst.find(flow); len(fs.w) != 32 || len(dst.flows.free[42]) != 0 {
-			t.Errorf("the restored flow's block is %d words with %d 42-word blocks freed, want 32 and none cut",
-				len(fs.w), len(dst.flows.free[42]))
+		if fs, _ := dst.find(flow); len(fs.w) != 27 || len(dst.flows.free[37]) != 0 {
+			t.Errorf("the restored flow's block is %d words with %d 37-word blocks freed, want 27 and none cut",
+				len(fs.w), len(dst.flows.free[37]))
 		}
 		if again, err := dst.AppendFlowState(nil, flow); err != nil || !slices.Equal(again, img) {
 			t.Errorf("the restored flow re-emits a different image (err %v)", err)

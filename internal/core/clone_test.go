@@ -817,14 +817,15 @@ func TestViewsAreReadOnly(t *testing.T) {
 	}
 }
 
-// TestUnshareSharesOnlyAFinishedSlab is the frozen-share rule as the
-// Recording runs it. The private copy the owner of a held flow writes to
-// (flowState.unshare) has block words of its own; it shares a finished
-// path decoder's slab, which no Observe writes again, and copies a slab
-// still being peeled. Afterwards the owner records on exactly as a
-// Recording that was never cloned does, and the clone still reads the
-// decoder at the copy point.
-func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
+// TestUnshareSharesTheKeptSlab is the frozen-share rule as the Recording
+// runs it. The private copy the owner of a held flow writes to
+// (flowState.unshare) has block words of its own; it shares the slab a
+// path still being peeled kept, which no run writes again (a run grows the
+// Recording's scratch and keeps a fresh copy, Recording.recordRun), and a
+// finished path keeps no slab at all, nor a side entry for one.
+// Afterwards the owner records on exactly as a Recording that was never
+// cloned does, and the clone still reads the decoder at the copy point.
+func TestUnshareSharesTheKeptSlab(t *testing.T) {
 	eng, path, _ := testbenchPlan(t, 73)
 	newRec := func() *Recording {
 		r, err := NewRecording(eng)
@@ -863,7 +864,7 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 		name   string
 		prefix int
 		shared bool
-	}{{"peeling", peeling, false}, {"finished", finished, true}} {
+	}{{"peeling", peeling, true}, {"finished", finished, false}} {
 		rec, control := newRec(), newRec()
 		if err := rec.RecordBatch(pkts[:c.prefix]); err != nil {
 			t.Fatal(err)
@@ -877,8 +878,11 @@ func TestUnshareSharesOnlyAFinishedSlab(t *testing.T) {
 		if &mine.w[0] == &orig.w[0] {
 			t.Errorf("%s: the private copy shares the block's words", c.name)
 		}
-		if got := &mine.slab(0)[0] == &orig.slab(0)[0]; got != c.shared {
-			t.Errorf("%s: slab shared %v, want %v", c.name, got, c.shared)
+		switch {
+		case c.shared && (len(orig.slab(0)) == 0 || &mine.slab(0)[0] != &orig.slab(0)[0]):
+			t.Errorf("%s: the copy does not share the kept slab", c.name)
+		case !c.shared && (orig.slab(0) != nil || mine.slab(0) != nil || orig.side() != 0 || mine.side() != 0):
+			t.Errorf("%s: a finished path kept a slab (%d words) or a side entry", c.name, len(orig.slab(0)))
 		}
 		if err := control.RecordBatch(pkts[:c.prefix]); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/coding"
 	"repro/internal/hash"
 )
 
@@ -56,11 +57,12 @@ type Engine struct {
 	slots map[Query]int
 	// places lays out a flow's block (flowState.words): where each query's
 	// state is in it, laid out for the flow's k. A k-hop flow's block is
-	// blockBase+blockPerHop*k words, and rowsPerHop*k more of candidate
-	// rows until its paths decode (blockWords); kinds counts the queries
-	// of each kind.
+	// blockBase+blockPerHop*k words, then Words(k) for each decode plan
+	// of paths, and rowsPerHop*k more of candidate rows until its paths
+	// decode (blockWords); kinds counts the queries of each kind.
 	places                             []slotPlace
 	blockBase, blockPerHop, rowsPerHop int
+	paths                              []*coding.Plan
 	kinds                              [3]int
 }
 

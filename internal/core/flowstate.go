@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/coding"
@@ -14,11 +15,12 @@ import (
 // path length, with every query's fixed-size state — decoder words,
 // latency tails — at its place (Engine.places), then the path decoders'
 // candidate rows until the flow's paths decode, and a side entry, made
-// when first needed, for a decoder's slab, a histogram or a util series.
+// when first needed and freed when left empty, for an undecoded path's
+// slab, a histogram or a util series.
 // coding.Decoder and latStore are views bound over these, for a run of
-// packets (Recording.recordRun, which drops the rows) or one answer. A
-// cold testbench flow is its block: 42 words while it decodes, 32 once it
-// has.
+// packets (Recording.recordRun, which drops the rows and the slab) or one
+// answer. A cold testbench flow is its block: 37 words while it decodes,
+// 27 once it has.
 type flowState struct {
 	w   []uint64 // the block
 	ps  *pageSet // where its side entry is
@@ -40,27 +42,37 @@ type flowMore struct {
 const maxHolds = math.MaxUint32
 
 // slotPlace is where one compiled query keeps its state in every flow: the
-// query and its kind, its words in a k-hop flow's block from base+perHop*k
-// on, its ordinal among the engine's queries of its kind (the side entry's
-// slabs, flowMore), and a path query's decode plan and the candidate row
-// words per hop of the path queries before it (rowAt).
+// query and its kind, its words in a k-hop flow's block from
+// base+perHop*k on, past the words of the path decoders before it (a path
+// query's, after every other query's: coding.Plan.Words is not affine in
+// k), its ordinal among the engine's queries of its kind (the side
+// entry's slabs, flowMore), and a path query's decode plan and the
+// candidate row words per hop of the path queries before it (rowAt).
 type slotPlace struct {
 	q            Query
 	kind         opKind
 	base, perHop int
+	before       []*coding.Plan
 	ord, rowAt   int
 	plan         *coding.Plan
 }
 
 // at returns the place's first word in a k-hop flow's block.
-func (pl *slotPlace) at(k int) int { return pl.base + pl.perHop*k }
+func (pl *slotPlace) at(k int) int {
+	at := pl.base + pl.perHop*k
+	for _, p := range pl.before {
+		at += p.Words(k)
+	}
+	return at
+}
 
 // layOut places every query's state in a flow's block: the header first,
-// then each query in slot order, then the path queries' candidate rows
+// then each latency and util query in slot order, then each path query's
+// decoder words, then the path queries' candidate rows
 // (coding.Plan.RowWords), in slot order too, so a rowless block is the
-// same words without the last. A path query's decoder words are a fixed
-// part and a part per hop (coding.Plan.Words), a latency query's are
-// tailWords per hop, a util query's are none.
+// same words without the last. A latency query's words are tailWords per
+// hop, a util query's are none, and a path query's decoder words are
+// coding.Plan.Words(k), which packs the decoded values per word.
 func (e *Engine) layOut(queries []Query) {
 	e.places = make([]slotPlace, len(queries))
 	e.blockBase = headerWords(len(queries))
@@ -70,8 +82,8 @@ func (e *Engine) layOut(queries []Query) {
 		switch q := q.(type) {
 		case *PathQuery:
 			pl.kind, pl.plan, pl.rowAt = opPath, q.plan, e.rowsPerHop
-			pl.base, pl.perHop = q.plan.Words(0), q.plan.Words(1)-q.plan.Words(0)
 			e.rowsPerHop += q.plan.RowWords(1)
+			e.paths = append(e.paths, q.plan)
 		case *LatencyQuery:
 			pl.kind, pl.perHop = opLatency, tailWords
 		default:
@@ -79,9 +91,16 @@ func (e *Engine) layOut(queries []Query) {
 		}
 		pl.ord = e.kinds[pl.kind]
 		e.kinds[pl.kind]++
-		base, perHop := pl.base, pl.perHop
-		pl.base, pl.perHop = e.blockBase, e.blockPerHop
-		e.blockBase, e.blockPerHop = e.blockBase+base, e.blockPerHop+perHop
+		if pl.kind != opPath {
+			perHop := pl.perHop
+			pl.base, pl.perHop = e.blockBase, e.blockPerHop
+			e.blockPerHop += perHop
+		}
+	}
+	for i := range e.places {
+		if pl := &e.places[i]; pl.kind == opPath {
+			pl.base, pl.perHop, pl.before = e.blockBase, e.blockPerHop, e.paths[:pl.ord]
+		}
 	}
 }
 
@@ -152,11 +171,31 @@ func (fs *flowState) bindDecoder(dec *coding.Decoder, pl *slotPlace) {
 	pl.plan.Bind(dec, fs.k(), words, rows, fs.slab(pl.ord))
 }
 
-// keepSlab stores what a decoder view left in its slab, which only ever
-// grows.
+// keepSlab keeps what a decoder view left in its slab, which is the
+// caller's: nothing new when it holds what the flow kept, otherwise an
+// exact-length copy, or none for an empty slab, as a done decoder's is. A
+// kept slab is never written, and a side entry left holding nothing goes
+// back to the free list. Only the owner, on a block no lease holds.
 func (fs *flowState) keepSlab(pl *slotPlace, slab []uint64) {
-	if len(fs.slab(pl.ord)) != len(slab) {
-		fs.ps.slabsOf(fs.ensureSide())[pl.ord] = slab
+	if slices.Equal(fs.slab(pl.ord), slab) {
+		return
+	}
+	var kept []uint64
+	if len(slab) > 0 {
+		kept = make([]uint64, len(slab))
+		copy(kept, slab)
+	}
+	s := fs.ensureSide()
+	slabs := fs.ps.slabsOf(s)
+	slabs[pl.ord] = kept
+	for _, slab := range slabs {
+		if slab != nil {
+			return
+		}
+	}
+	if fs.more() == nil {
+		atomic.StoreUint64(&fs.w[hdrHolds], 0)
+		fs.a.freeSide = append(fs.a.freeSide, uint32(s))
 	}
 }
 

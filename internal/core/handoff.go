@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/coding"
 )
@@ -20,17 +21,23 @@ import (
 //
 // Image layout, little-endian 64-bit words:
 //
-//	version (2) | Engine.PlanHash |
+//	version (3) | Engine.PlanHash |
 //	  the block, its hold word 0 and every latency tail's shared mark clear |
 //	  if the flow has a side entry, per started query slot in slot order:
-//	    path:    its slab, as a run
+//	    path:    its slab, as a run (empty once the path decodes)
 //	    latency: per hop, its histogram as a run: empty, or lo and the counts
 //	    util:    its values' float64 bits, as a run
 //
-// where a run is its length in words, then those words. The first byte of
-// a hand-off state is its version in every format this build or an older
+// where a run is its length in words, then those words. A histogram whose
+// every count fits 32 bits packs them two to a word, the first in the low
+// half and a zero high half after an odd last one, and sets packedRun in
+// its length word; otherwise each count is a word. The first byte of a
+// hand-off state is its version in every format this build or an older
 // one wrote, so a state of another format is refused by number.
-const imageVersion = 2
+const imageVersion = 3
+
+// packedRun is the length-word flag of a run of 32-bit counts.
+const packedRun = 1 << 63
 
 // appendWords appends ws to dst as little-endian words.
 func appendWords(dst []byte, ws ...uint64) []byte {
@@ -74,11 +81,7 @@ func (r *Recording) AppendFlowState(dst []byte, flow FlowKey) ([]byte, error) {
 			dst = appendWords(appendWords(dst, uint64(len(slab))), slab...)
 		case opLatency:
 			for hop := 1; hop <= k; hop++ {
-				if sum := fs.store(e, pl, hop).sum(); sum != nil {
-					dst = appendWords(appendWords(dst, uint64(1+len(sum.counts)), uint64(sum.lo)), sum.counts...)
-				} else {
-					dst = appendWords(dst, 0)
-				}
+				dst = appendHist(dst, fs.store(e, pl, hop).sum())
 			}
 		default:
 			series := fs.series(pl)
@@ -89,6 +92,27 @@ func (r *Recording) AppendFlowState(dst []byte, flow FlowKey) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// appendHist appends a store's histogram as a run: empty for none, lo and
+// the counts packed two to a word when every one fits 32 bits, one to a
+// word otherwise.
+func appendHist(dst []byte, sum *latSum) []byte {
+	if sum == nil {
+		return appendWords(dst, 0)
+	}
+	if slices.Max(sum.counts) > math.MaxUint32 {
+		return appendWords(appendWords(dst, uint64(1+len(sum.counts)), uint64(sum.lo)), sum.counts...)
+	}
+	dst = appendWords(dst, packedRun|uint64(1+(len(sum.counts)+1)/2), uint64(sum.lo))
+	for i := 0; i < len(sum.counts); i += 2 {
+		w := sum.counts[i]
+		if i+1 < len(sum.counts) {
+			w |= sum.counts[i+1] << 32
+		}
+		dst = appendWords(dst, w)
+	}
+	return dst
 }
 
 // RestoreFlowState installs flow's state from an AppendFlowState image in
@@ -157,11 +181,15 @@ func (fs *flowState) restore(e *Engine, side []byte) error {
 		}
 	}
 	k, sided := fs.k(), len(side) > 0
-	next := func() ([]uint64, error) {
+	// next takes the next run; only a histogram's may be packed.
+	next := func(packable bool) (run []uint64, packed bool, err error) {
 		if !sided {
-			return nil, nil
+			return nil, false, nil
 		}
-		return nextRun(&side)
+		if run, packed, err = nextRun(&side); packed && !packable {
+			err = fmt.Errorf("a packed run that is no histogram")
+		}
+		return run, packed, err
 	}
 	decoded := e.rowsPerHop > 0
 	for i := range e.places {
@@ -175,10 +203,11 @@ func (fs *flowState) restore(e *Engine, side []byte) error {
 			continue
 		}
 		var run []uint64
+		var packed bool
 		var err error
 		switch pl.kind {
 		case opPath:
-			if run, err = next(); err == nil {
+			if run, _, err = next(false); err == nil {
 				err = pl.plan.Check(k, words, rows, run)
 			}
 			if err == nil {
@@ -189,15 +218,15 @@ func (fs *flowState) restore(e *Engine, side []byte) error {
 			}
 		case opLatency:
 			for hop := 1; hop <= k && err == nil; hop++ {
-				if run, err = next(); err == nil {
-					err = fs.store(e, pl, hop).restore(run, pl.q.Bits())
+				if run, packed, err = next(true); err == nil {
+					err = fs.store(e, pl, hop).restore(run, packed, pl.q.Bits())
 				}
 				if err != nil {
 					err = fmt.Errorf("hop %d: %w", hop, err)
 				}
 			}
 		default:
-			if run, err = next(); len(run) > 0 {
+			if run, _, err = next(false); len(run) > 0 {
 				series := make([]float64, len(run))
 				for j, b := range run {
 					series[j] = math.Float64frombits(b)
@@ -220,17 +249,18 @@ func (fs *flowState) restore(e *Engine, side []byte) error {
 	return nil
 }
 
-// nextRun takes a run of words off the front of *b.
-func nextRun(b *[]byte) ([]uint64, error) {
-	if len(*b) < 8 || word(*b, 0) > uint64(len(*b)/8-1) {
-		return nil, fmt.Errorf("side entries end in a run of more words than are left")
+// nextRun takes a run of words off the front of *b, and its packedRun
+// flag.
+func nextRun(b *[]byte) ([]uint64, bool, error) {
+	if len(*b) < 8 || word(*b, 0)&^packedRun > uint64(len(*b)/8-1) {
+		return nil, false, fmt.Errorf("side entries end in a run of more words than are left")
 	}
-	run := make([]uint64, word(*b, 0))
+	run, packed := make([]uint64, word(*b, 0)&^packedRun), word(*b, 0)&packedRun != 0
 	for i := range run {
 		run[i] = word(*b, 1+i)
 	}
 	*b = (*b)[8*(1+len(run)):]
-	return run, nil
+	return run, packed, nil
 }
 
 func allZero(ws []uint64) bool {
@@ -243,19 +273,34 @@ func allZero(ws []uint64) bool {
 }
 
 // restore checks the store's tail, copied from an image, and installs
-// the histogram run (lo, then the counts; none if empty). A tail is one
-// counting leaves: its shared mark and the byte it sits in clear, its
-// window within the codes or closed, every code it counts within the
-// query's bits, and closed exactly when the histogram is too full for a
-// tail to open (latStore.count) — a closed tail counts nothing. A
-// histogram is one folding leaves: its codes within the query's bits,
-// trimmed to a nonzero first and last count, and at most maxLatSamples
-// samples.
-func (st latStore) restore(run []uint64, bits int) error {
+// the histogram run (lo, then the counts, packed or not; none if empty).
+// A tail is one counting leaves: its shared mark and the byte it sits in
+// clear, its window within the codes or closed, every code it counts
+// within the query's bits, and closed exactly when the histogram is too
+// full for a tail to open (latStore.count) — a closed tail counts nothing.
+// A histogram is one folding leaves, as appendHist writes it: its codes
+// within the query's bits, trimmed to a nonzero first and last count, at
+// most maxLatSamples samples, and packed exactly when every count fits 32
+// bits.
+func (st latStore) restore(run []uint64, packed bool, bits int) error {
 	maxCode := digestMask(bits)
 	var sum *latSum
+	if packed && len(run) == 0 {
+		return fmt.Errorf("latency histogram run marked packed and empty")
+	}
 	if len(run) > 0 {
 		lo, counts := run[0], run[1:]
+		if packed {
+			counts = make([]uint64, 0, 2*len(run[1:]))
+			for _, w := range run[1:] {
+				counts = append(counts, w&math.MaxUint32, w>>32)
+			}
+			if n := len(counts); n > 0 && counts[n-1] == 0 {
+				counts = counts[:n-1] // an odd last count's high half
+			}
+		} else if len(counts) > 0 && slices.Max(counts) <= math.MaxUint32 {
+			return fmt.Errorf("latency histogram of 32-bit counts not packed")
+		}
 		if len(counts) == 0 {
 			return fmt.Errorf("latency histogram of no codes")
 		}

@@ -149,7 +149,7 @@ func TestFlowStateBlobsUnchanged(t *testing.T) {
 		}
 		for i, blob := range blobs {
 			_, err := restoreInto(t, eng, FlowKey(i+1), blob)
-			if err == nil || !strings.Contains(err.Error(), "flow state version 1 (have 2)") {
+			if err == nil || !strings.Contains(err.Error(), "flow state version 1 (have 3)") {
 				t.Errorf("%d packets, blob %d: restore returned %v, want a refusal of version 1", c.n, i, err)
 			}
 		}
@@ -167,7 +167,7 @@ func TestSketchedFlowStatesRefused(t *testing.T) {
 	}
 	eng, _, _, _ := combinedTestPlan(t, 139)
 	for i, blob := range blobs {
-		if _, err := restoreInto(t, eng, 1, blob); err == nil || !strings.Contains(err.Error(), "flow state version 1 (have 2)") {
+		if _, err := restoreInto(t, eng, 1, blob); err == nil || !strings.Contains(err.Error(), "flow state version 1 (have 3)") {
 			t.Errorf("blob %d: restore returned %v, want a refusal of version 1", i, err)
 		}
 	}
@@ -218,47 +218,83 @@ func TestAppendFlowStateKeepsDst(t *testing.T) {
 }
 
 // image is an image taken apart: its block's words and the runs of its side
-// entries, nil for none.
+// entries, nil for none, and which of them are packed (packedRun; a run
+// past the list's end is not).
 type image struct {
-	block []uint64
-	side  [][]uint64
+	block  []uint64
+	side   [][]uint64
+	packed []bool
 }
 
 // splitImage takes an image of e's plan apart.
 func splitImage(e *Engine, img []byte) image {
-	ws := make([]uint64, len(img)/8)
-	for i := range ws {
-		ws[i] = word(img, i)
-	}
-	n := e.blockWords(ws[2+hdrK] & layout)
-	im, rest := image{block: ws[2 : 2+n]}, ws[2+n:]
-	for len(rest) > 0 {
-		m := int(rest[0])
-		im.side, rest = append(im.side, rest[1:1+m]), rest[1+m:]
+	n := e.blockWords(word(img, 2+hdrK) & layout)
+	im := splitRuns(img[8*(2+n):])
+	im.block = imageWords(img[8*2 : 8*(2+n)])
+	return im
+}
+
+// splitRuns takes a sequence of runs apart.
+func splitRuns(b []byte) image {
+	var im image
+	for ws := imageWords(b); len(ws) > 0; {
+		m := int(ws[0] &^ packedRun)
+		im.side, im.packed = append(im.side, ws[1:1+m]), append(im.packed, ws[0]&packedRun != 0)
+		ws = ws[1+m:]
 	}
 	return im
+}
+
+// imageWords reads b as little-endian words.
+func imageWords(b []byte) []uint64 {
+	ws := make([]uint64, len(b)/8)
+	for i := range ws {
+		ws[i] = word(b, i)
+	}
+	return ws
 }
 
 // bytes puts an image together under e's plan hash.
 func (im image) bytes(e *Engine) []byte {
 	img := appendWords(appendWords(nil, imageVersion, e.PlanHash()), im.block...)
-	for _, run := range im.side {
-		img = appendWords(appendWords(img, uint64(len(run))), run...)
+	for i, run := range im.side {
+		n := uint64(len(run))
+		if i < len(im.packed) && im.packed[i] {
+			n |= packedRun
+		}
+		img = appendWords(appendWords(img, n), run...)
 	}
 	return img
 }
 
+// clone returns a copy of the image whose block and run lists are its own,
+// with a packed flag for every run.
+func (im image) clone() image {
+	packed := make([]bool, len(im.side))
+	copy(packed, im.packed)
+	return image{block: slices.Clone(im.block), side: slices.Clone(im.side), packed: packed}
+}
+
 // with returns a copy of the image with block word i set to v.
 func (im image) with(i int, v uint64) image {
-	c := image{block: slices.Clone(im.block), side: slices.Clone(im.side)}
+	c := im.clone()
 	c.block[i] = v
 	return c
 }
 
-// withRun returns a copy of the image with side run i replaced.
+// withRun returns a copy of the image with side run i replaced by an
+// unpacked run.
 func (im image) withRun(i int, run ...uint64) image {
-	c := image{block: slices.Clone(im.block), side: slices.Clone(im.side)}
-	c.side[i] = run
+	c := im.clone()
+	c.side[i], c.packed[i] = run, false
+	return c
+}
+
+// withPacked returns a copy of the image with side run i's packedRun flag
+// set to packed.
+func (im image) withPacked(i int, packed bool) image {
+	c := im.clone()
+	c.packed[i] = packed
 	return c
 }
 
@@ -267,16 +303,20 @@ func (im image) withRun(i int, run ...uint64) image {
 func tailAt(e *Engine, i, k, hop int) int { return e.places[i].at(k) + (hop-1)*tailWords }
 
 // withHist returns a copy of im, an image of the combined plan, whose
-// latency store at hop holds a histogram of counts from code lo and an
-// empty tail, closed exactly when the histogram is too full for one to
-// open.
+// latency store at hop holds a histogram of counts from code lo, written
+// as appendHist writes one (a run of lo alone for no counts), and an empty
+// tail, closed exactly when the histogram is too full for one to open.
 func (im image) withHist(e *Engine, hop int, lo uint64, counts ...uint64) image {
 	k := int(im.block[hdrK] & (1<<kBits - 1))
 	var n uint64
 	for _, c := range counts {
 		n += c
 	}
-	c := im.withRun(hop, append([]uint64{lo}, counts...)...)
+	c := im.withRun(hop, lo)
+	if len(counts) > 0 {
+		run := splitRuns(appendHist(nil, &latSum{lo: int(lo), counts: counts}))
+		c.side[hop], c.packed[hop] = run.side[0], run.packed[0]
+	}
 	at := tailAt(e, 1, k, hop)
 	clear(c.block[at : at+tailWords])
 	if n > maxLatSamples-latTail*math.MaxUint8 {
@@ -294,8 +334,8 @@ type flowStateRow struct {
 
 // flowStateRows are images around the edge of what AppendFlowState writes
 // for flow 1 of the reference Recording, whose path has decoded and whose
-// side entries are the path's slab, six latency histograms and a util
-// series: the image it wrote, hand-built ones it could have written, and
+// side entries are the path's slab (empty), six latency histograms and a
+// util series: the image it wrote, hand-built ones it could have written, and
 // one per rule of RestoreFlowState's check an image it could not have
 // written breaks.
 func flowStateRows(t testing.TB, rec *Recording, reference []byte) []flowStateRow {
@@ -320,28 +360,28 @@ func flowStateRows(t testing.TB, rec *Recording, reference []byte) []flowStateRo
 		rows = append(rows, 1<<((v-0xAB00)/3))
 	}
 	withRows := image{block: rows, side: im.side}
-	// The path decoder's words: observed, inconsistent, listed, known, then
-	// the values. Unknown, every hop, it needs its rows.
+	// The path decoder's words: inconsistent, listed, known, then the six
+	// universe indices packed at 6 bits (the universe has 64 values) in
+	// one word. Unknown, every hop, it needs its rows.
 	dec := e.places[0].at(k)
-	undecoded := im
-	for i := dec + 3; i < dec+3+1+k; i++ {
-		undecoded = undecoded.with(i, 0)
-	}
+	undecoded := im.with(dec+2, 0).with(dec+3, 0)
 	tail, full := tailAt(e, 1, k, 1), uint64(maxLatSamples-latTail*math.MaxUint8)
 	empty := make([][]uint64, len(im.side))
 	for i := range empty {
 		empty[i] = []uint64{}
 	}
 	v1 := readStates(t, "flowstate-v1", "03000-00.bin")[0]
+	v2 := readStates(t, "flowimage-v2", "1-decoded.bin")[0]
 	row := func(name, wantErr string, img image) flowStateRow { return flowStateRow{name, wantErr, img.bytes(e)} }
 	return []flowStateRow{
 		{"reference", "", reference},
-		{"version 1", "flow state version 1 (have 2)", v1},
-		{"version 3", "flow state version 3 (have 2)", append([]byte{3}, reference[1:]...)},
+		{"version 1", "flow state version 1 (have 3)", v1},
+		{"version 2", "flow state version 2 (have 3)", v2},
+		{"version 4", "flow state version 4 (have 3)", append([]byte{4}, reference[1:]...)},
 		{"empty", "flow state of 0 bytes is no image", nil},
 		{"a byte short", "is no image", reference[:len(reference)-1]},
 		{"a header and no block", "is no image", reference[:8*(2+hdrK)]},
-		{"version word with a high byte", "flow state version word 0x100000000000002", slices.Concat(reference[:7], []byte{1}, reference[8:])},
+		{"version word with a high byte", "flow state version word 0x100000000000003", slices.Concat(reference[:7], []byte{1}, reference[8:])},
 		{"another plan", "flow state of plan", slices.Concat(reference[:8], appendWords(nil, e.PlanHash()+1), reference[16:])},
 		row("another flow", "flow state of flow 2, restored as flow 1", im.with(hdrKey, 2)),
 		row("hold word", "hold word 0x100000001", im.with(hdrHolds, 1<<32|1)),
@@ -351,8 +391,12 @@ func flowStateRows(t testing.TB, rec *Recording, reference []byte) []flowStateRo
 		row("latency state, not started", `query "lat": state, and not started`, im.with(hdrK, im.block[hdrK]&^(1<<(kBits+1+1)))),
 		row("rows kept for a decoded path", "candidate rows kept = true, and every path decoder done = true", withRows),
 		row("rowless while decoding", "without candidate rows", undecoded),
-		row("decoder counter past MaxInt", "coding: decoder state counters", im.with(dec, math.MaxInt64+1)),
-		row("slab of a packet and a word", "no whole number", im.withRun(0, append(slices.Clone(im.side[0]), 0)...)),
+		row("decoder counter past MaxInt", "coding: decoder state counter", im.with(dec, math.MaxInt64+1)),
+		row("packed bits past the path's hops", "packed value word 0: bits 0x1000000000 past the path's 6 values", im.with(dec+3, im.block[dec+3]|1<<36)),
+		row("a decoded path's slab", "a done decoder with a slab of 5 words", im.withRun(0, 7, 0b1, 1, 1, 2)),
+		row("slab of a packet and a word", "no whole number", im.withRun(0, 0)),
+		row("a packed slab", "a packed run that is no histogram", im.withPacked(0, true)),
+		row("a packed util series", "a packed run that is no histogram", im.withPacked(1+k, true)),
 		row("tail's shared mark", "latency tail with mark byte 0x1", im.with(tail, im.block[tail]|markShared)),
 		row("tail past the last window", "latency tail at code 228", im.withHist(e, 1, 10, 5).with(tail, 1<<8-latTail+1)),
 		row("tail closed beside few samples", "latency tail closed = true beside a histogram of 5 samples", im.withHist(e, 1, 10, 5).with(tail, tailClosed)),
@@ -362,6 +406,11 @@ func flowStateRows(t testing.TB, rec *Recording, reference []byte) []flowStateRo
 		row("histogram of 1 sample", "", im.withHist(e, 1, 10, 1)),
 		row("histogram of code 255 alone", "", im.withHist(e, 1, 255, 256)),
 		row("histogram counting 2^32 samples of one code", "", im.withHist(e, 1, 10, math.MaxUint32, 1)),
+		row("histogram of 64-bit counts", "", im.withHist(e, 1, 10, math.MaxUint32+1, 1, 7)),
+		row("histogram of 32-bit counts, unpacked", "latency histogram of 32-bit counts not packed", im.withRun(1, 10, 100, 28)),
+		row("histogram run packed and empty", "latency histogram run marked packed and empty", im.withHist(e, 1, 10, 5).withRun(1).withPacked(1, true)),
+		row("histogram packed with a zero last word", "not trimmed", im.withHist(e, 1, 10, 100, 28).withRun(1, 10, 100|28<<32, 0).withPacked(1, true)),
+		row("histogram packed with a zero last half", "", im.withHist(e, 1, 10, 100, 28, 5)),
 		row("histogram just open", "", im.withHist(e, 1, 10, full)),
 		row("histogram just closed", "", im.withHist(e, 1, 10, full+1)),
 		row("histogram counting 2^62 samples", "", im.withHist(e, 1, 10, 1<<62-1, 1)),
@@ -561,13 +610,13 @@ func TestLatencyCodeIsOneByte(t *testing.T) {
 // (2) answers every query, and (3) records packets of the plan on into a
 // state whose image is accepted again. The bytes are restored as the flow
 // their key word names. Seeds are the reference Recording's images at
-// both stream lengths, the version-1 and sketched blobs (all refused), and
-// flowStateRows.
+// both stream lengths, the pinned flowimage-v3 set, the version-1,
+// sketched and version-2 blobs (all refused), and flowStateRows.
 func FuzzFlowState(f *testing.F) {
 	rec, _, raw := referenceFlowStates(f, referencePkts)
 	_, _, folded := referenceFlowStates(f, foldedPkts)
-	old := slices.Concat(readStates(f, "flowstate-v1", "*.bin"), readStates(f, "sketched-flowstate", "*.bin"))
-	for _, img := range slices.Concat(raw, folded, old) {
+	old := slices.Concat(readStates(f, "flowstate-v1", "*.bin"), readStates(f, "sketched-flowstate", "*.bin"), readStates(f, "flowimage-v2", "*.bin"))
+	for _, img := range slices.Concat(raw, folded, readStates(f, "flowimage-v3", "*.bin"), old) {
 		f.Add(img)
 	}
 	for _, row := range flowStateRows(f, rec, raw[0]) {
@@ -755,7 +804,7 @@ func TestRestoreThenRecordIdentity(t *testing.T) {
 	}
 }
 
-// flowImageCases are the images testdata/flowimage-v2 holds, in file
+// flowImageCases are the images testdata/flowimage-v3 holds, in file
 // order: flow 1 of the reference stream while its path decodes (two hops
 // to go, its candidate rows kept), once it has, and with its histograms
 // folded, and the shortened-route flow.
@@ -785,10 +834,26 @@ func flowImageCases(t testing.TB) [][]byte {
 // the digest they were written at, this build writes them byte for byte,
 // and each restores, re-emits itself and answers — on every platform CI
 // builds for, 32-bit included, as an image is words, not the platform's
-// ints.
+// ints. Their bytes, against the version-2 images of the same flows
+// (2 header words, the block, a length word a side run):
+//
+//   - 0-decoding, 312 B (360): the 37-word block with rows; the path
+//     decoder is 4 words, not 10 (no packet counter, six 6-bit universe
+//     indices in one word);
+//   - 1-decoded, 2,112 B (3,312): a 31-word block, an empty slab run, six
+//     histograms of 148 count words (292 at 64 bits, 2,336 B) beside their
+//     6 lo words, and a 69-word util series;
+//   - 2-folded, 4,176 B (5,528): six histograms of 168 count words (331)
+//     and a 307-word util series;
+//   - 3-shortened, 1,968 B (3,200): no slab (a 15-word one), five
+//     histograms of 136 count words (269) and a 64-word util series.
+//
+// Odd-length histograms pad their last word, so the counts shrink by a
+// little less than half, and each image by a little more, the decoder's
+// six words included.
 func TestFlowImagesPinned(t *testing.T) {
-	files := readStates(t, "flowimage-v2", "*.bin")
-	if got, want := digestOf(files), "3cd98c14c743f815"; got != want {
+	files := readStates(t, "flowimage-v3", "*.bin")
+	if got, want := digestOf(files), "ea9c1c4e7ba00a96"; got != want {
 		t.Fatalf("the committed images hash to %s, want %s", got, want)
 	}
 	if got := flowImageCases(t); !slices.EqualFunc(got, files, bytes.Equal) {
@@ -807,6 +872,25 @@ func TestFlowImagesPinned(t *testing.T) {
 			t.Fatalf("image %d re-emits differently (err %v)", i, err)
 		}
 		answerAll(t, dst, 1)
+	}
+	if im := splitImage(eng, files[3]); len(im.side[0]) != 0 {
+		t.Fatalf("the shortened-route image carries a %d-word slab; its path has decoded", len(im.side[0]))
+	}
+}
+
+// TestFlowImagesV2Refused: the version-2 images, as the last build that
+// wrote them did, still hash to the digest that build pinned, and each is
+// refused by its version number, with no flow or block left behind.
+func TestFlowImagesV2Refused(t *testing.T) {
+	files := readStates(t, "flowimage-v2", "*.bin")
+	if got, want := digestOf(files), "3cd98c14c743f815"; got != want {
+		t.Fatalf("the version-2 images hash to %s, want %s", got, want)
+	}
+	eng, _, _, _ := combinedTestPlan(t, 139)
+	for i, img := range files {
+		if _, err := restoreInto(t, eng, 1, img); err == nil || !strings.Contains(err.Error(), "flow state version 2 (have 3)") {
+			t.Errorf("image %d: restore returned %v, want a refusal of version 2", i, err)
+		}
 	}
 }
 
@@ -847,10 +931,11 @@ func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
 		t.Fatal("the flow decoded on its first packet; the case needs rows")
 	}
 	// A one-instance k=5 decoder state: a live packet waiting on hops 1 and
-	// 2, hop 3 narrowed to two candidates by a dead packet, hop 5 decoded.
-	// Its words are observed, inconsistent, listed, known, then the values;
-	// its rows two words a hop.
-	words := []uint64{9, 1, 0b10100, 0b10000, 0, 0, 0, 0, u[4]}
+	// 2, hop 3 narrowed to two candidates by a dead packet, hop 5 decoded
+	// as u[4]. Its words are inconsistent, listed, known, then the universe
+	// indices packed at 7 bits (the universe has 80 values); its rows two
+	// words a hop.
+	words := []uint64{1, 0b10100, 0b10000, 4 << (4 * 7)}
 	rows := []uint64{0, 0, 0, 0, 1<<1 | 1<<7, 0, 0, 0, 1 << 4, 0}
 	slab := []uint64{77, 0b00011, 0, 0xAB, 78, 0b00100, 1, 0xCD}
 	with := func(part []uint64, i int, v uint64) []uint64 {
@@ -866,7 +951,8 @@ func TestRestoreFlowStateRejectsHostileDecoderState(t *testing.T) {
 		{"valid", words, rows, slab, ""},
 		{"mask bit beyond k", words, rows, with(slab, 1, 0b100011), `query "path": coding: packet 0 mask 0x23`},
 		{"live packet waiting on a decoded hop", words, rows, with(slab, 1, 0b10001), "packet 0 waits on decoded hops 0x10"},
-		{"decoded hop not listed", with(words, 2, 0b00100), rows, slab, "hop 5: decoded, and not listed"},
+		{"decoded hop not listed", with(words, 1, 0b00100), rows, slab, "hop 5: decoded, and not listed"},
+		{"decoded index past the universe", with(words, 3, 80<<(4*7)), rows, slab, "hop 5: decoded as universe index 80, past the universe's 80 values"},
 		{"candidate outside the universe", words, with(rows, 5, 1<<16), slab, "hop 3: candidates beyond the universe's 80 values"},
 		{"slab of a packet and a word", words, rows, append(slices.Clone(slab), 0), "slab of 9 words"},
 	} {
@@ -939,7 +1025,7 @@ func TestRestoreFlowStateRejectsImpossibleState(t *testing.T) {
 			hist.side[i] = []uint64{}
 		}
 	}
-	hist = hist.withRun(5, 15, 1, 1)
+	hist = hist.withRun(5, 15, 1|1<<32).withPacked(5, true)
 	n := len(im.block)
 	for _, c := range []struct {
 		name, wantErr string

@@ -43,13 +43,21 @@ type Recording struct {
 	// looks a flow up a dozen times, and only the first searches the runs.
 	// Concurrent readers may all set it, hence atomic.
 	found atomic.Uint64
-	// decs holds the path decoders bound over one flow's block for a run
-	// of its packets (recordRun), by the query's ordinal among the
-	// engine's path queries; unbound between runs.
-	decs []coding.Decoder
+	// decs holds the path decoders bound for a run of one flow's packets
+	// (recordRun), by the query's ordinal among the engine's path queries.
+	decs []runDecoder
 	// spare takes back the runs of r's released Leases; made at r's first
 	// Lease, nil on a view.
 	spare *spareRun
+}
+
+// runDecoder is a path decoder bound over one flow's block for a run of
+// its packets, unbound between runs, and the scratch slab it is bound
+// over: the flow's stored packets copied in, grown in place by Observe,
+// and never a flow's own, so no Lease sees it.
+type runDecoder struct {
+	dec     coding.Decoder
+	scratch []uint64
 }
 
 // errView is what a write to a view returns.
@@ -170,8 +178,10 @@ func (r *Recording) find(flow FlowKey) (flowState, bool) {
 
 // recordRun records a run of packets of fs's flow, whose block is laid
 // out for its path length. Each path query's decoder is bound over the
-// block for the whole run, and its slab, which Observe may have grown, is
-// kept at the run's end, also when a packet fails. A flow whose paths
+// block and over r's scratch holding the flow's stored packets for the
+// whole run, and at the run's end, also when a packet fails, the flow
+// keeps an exact-length copy of the slab only if the path is still
+// undecoded (keepSlab): a done decoder keeps none. A flow whose paths
 // have all decoded by then moves into a rowless block: a done decoder
 // reads no candidate row again (coding.Decoder), so a decoded flow keeps
 // only its answer, and the block with rows, unheld (writable copied a
@@ -179,13 +189,16 @@ func (r *Recording) find(flow FlowKey) (flowState, bool) {
 func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 	e := r.engine
 	if len(r.decs) != e.kinds[opPath] {
-		r.decs = make([]coding.Decoder, e.kinds[opPath])
+		r.decs = make([]runDecoder, e.kinds[opPath])
 	}
 	bound := fs.k() <= coding.MaxPathLen
 	if bound {
 		for i := range e.places {
 			if pl := &e.places[i]; pl.kind == opPath {
-				fs.bindDecoder(&r.decs[pl.ord], pl)
+				rd := &r.decs[pl.ord]
+				words, rows := fs.parts(pl)
+				rd.scratch = append(rd.scratch[:0], fs.slab(pl.ord)...)
+				pl.plan.Bind(&rd.dec, fs.k(), words, rows, rd.scratch)
 			}
 		}
 	}
@@ -199,9 +212,11 @@ func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 		decoded := true
 		for i := range e.places {
 			if pl := &e.places[i]; pl.kind == opPath {
-				fs.keepSlab(pl, r.decs[pl.ord].Slab())
-				decoded = decoded && r.decs[pl.ord].Done()
-				r.decs[pl.ord] = coding.Decoder{}
+				rd := &r.decs[pl.ord]
+				fs.keepSlab(pl, rd.dec.Slab())
+				rd.scratch = rd.dec.Slab()[:0]
+				decoded = decoded && rd.dec.Done()
+				rd.dec = coding.Decoder{}
 			}
 		}
 		if decoded && e.rowsPerHop > 0 && fs.w[hdrK]&rowless == 0 {
@@ -235,7 +250,7 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 				return fmt.Errorf("core: flow %v: path length %d out of [1,%d] for path query %q", pkt.Flow, k, coding.MaxPathLen, op.path.Name())
 			}
 			fs.start(op.slot)
-			op.path.ObserveInto(&r.decs[pl.ord], pkt.PktID, bits)
+			op.path.ObserveInto(&r.decs[pl.ord].dec, pkt.PktID, bits)
 		case opLatency:
 			fs.start(op.slot)
 			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= k {
@@ -373,10 +388,10 @@ type Lease struct {
 // What the copy copies and what it shares follows from how each piece of
 // state changes. The flow's block — every decoder's words, every latency
 // store's inline tail — is bounded in size and written in place, so the
-// copy gets its own, and so does the slab of a path decoder still
-// peeling. A decoder that has decoded its path writes nothing but two
-// counters in its words ever again (coding.Decoder): the copy shares its
-// slab. A latency store's histogram, never written once a view can see it,
+// copy gets its own. A path decoder's slab, which only a decoder still
+// peeling keeps, is never written once kept: a run's decoder grows a
+// scratch copy, and the run's end keeps a fresh one (recordRun), so the
+// copy shares it. A latency store's histogram, never written once a view can see it,
 // is shared, the copied tail is marked shared, and the copy's next fold
 // counts into a copy of the histogram. A util series is append-only, and
 // only r appends, past every view's values or into a fresh array: the copy

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/coding"
 	"repro/internal/hash"
 	"repro/internal/sketch"
 )
@@ -610,15 +611,22 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // block cut from a page (the header grew by the key and the hold word),
 // the flow's share of the pages (~16 B) and of a table of 4-byte slots
 // (~16 B), and for about a quarter of flows a slab and its side entry.
-// Now a flow whose path has decoded moves into a 32-word block without
-// its decoder's candidate rows, and the 42-word block it leaves is the
-// next flow's, so they cost 335 B in 0.37 at every length: the pages are
-// cut in doubling sizes, so the bytes move in steps, and the 16-packet
-// row, whose flows are not all decoded, shows the same step. The budgets
-// are that measurement plus 4 % (14 B) and 0.4 objects. Each row is
-// measured three times and the lowest bytes and objects are held to them:
-// allocDelta counts the runtime's own mallocs in its window too, which
-// once in a dozen 386 runs put five objects on one measurement.
+// While a flow whose path had decoded moved into a 32-word block without
+// its decoder's candidate rows, and the 42-word block it left was the
+// next flow's, they cost 335 B in 0.37 at every length. Now the decoder
+// packs its values and keeps no packet counter, a run's decoder grows
+// the Recording's scratch, and a flow keeps a slab only while its path
+// is undecoded at a run's end, so a flow that decodes in its first run
+// is its 37-word block, then a 27-word one, and no side entry: 243 B in
+// 0.07 objects (the Recording's own pages, table and free lists, spread
+// over its flows) at 64 and 500 packets. At 16 packets some paths are
+// still undecoded, and each keeps an exact-length slab in a side entry:
+// 282 B in 0.14. The pages are cut in doubling sizes, so the bytes move
+// in steps. The budgets are each measurement plus 4 % and 0.03 objects.
+// Each row is measured three times and the lowest bytes and objects are
+// held to them: allocDelta counts the runtime's own mallocs in its window
+// too, which once in a dozen 386 runs put five objects on one
+// measurement.
 //
 // A clone's row is its run: 4.4 B in 0.008 objects per flow, a block
 // offset each (budget 6 B and 0.02). While the run kept each flow's key
@@ -627,8 +635,9 @@ func allocDelta(f func()) (bytes, mallocs float64) {
 // One more row prices what hangs off the side entry: 500-packet 6-hop
 // flows of the combined plan, whose util query takes 1/8 of packets into a
 // series that grows by append and whose latency codes span the whole code
-// domain, so every store folds (9,899 B in 41.4 objects; 9,963 B while a
-// decoded flow kept its candidate rows, 10,010 B in 43.7 with a header
+// domain, so every store folds (9,793 B in 40.8 objects; 9,899 B in 41.4
+// while the decoder was 10 words and a decoded flow kept its slab, 9,963 B
+// while it kept its candidate rows, 10,010 B in 43.7 with a header
 // object, 10,169 B in 43.3 before). Its budget is the measurement plus 4 %
 // and 1 object.
 // cutWords is the words a's blocks have been cut from: every page before
@@ -670,7 +679,7 @@ func TestColdFlowAllocationShape(t *testing.T) {
 	for _, row := range []struct {
 		pkts                        int
 		maxBytes, maxObjs, maxWords float64
-	}{{16, 349, 0.4, 35.75}, {64, 349, 0.4, 32.25}, {pkts, 349, 0.4, 32.25}} { // the last row's flows stay in rec
+	}{{16, 293, 0.17, 30.75}, {64, 253, 0.1, 27.75}, {pkts, 253, 0.1, 27.75}} { // the last row's flows stay in rec
 		batch = make([]PacketDigest, 0, flows*row.pkts)
 		for f := 1; f <= flows; f++ {
 			batch = append(batch, testbenchFlow(eng, FlowKey(f), uint64(1000+f), row.pkts)...)
@@ -684,8 +693,8 @@ func TestColdFlowAllocationShape(t *testing.T) {
 		}
 		// The allocator's bytes move in page steps; the words the arena
 		// has cut move with every block. A flow that decodes cuts its
-		// 42-word block and then its 32-word rowless one, and later new
-		// flows take the freed 42-word blocks first.
+		// 37-word block and then its 27-word rowless one, and later new
+		// flows take the freed 37-word blocks first.
 		words := float64(cutWords(rec.flows)) / flows
 		t.Logf("RecordBatch: %.2f arena words (%.0f B) cut per cold %d-packet flow", words, words*8, row.pkts)
 		if words > row.maxWords {
@@ -702,7 +711,7 @@ func TestColdFlowAllocationShape(t *testing.T) {
 		}
 		utilBatch = append(utilBatch, stream...)
 	}
-	const maxBytes, maxObjs = 10295.0, 42.4
+	const maxBytes, maxObjs = 10185.0, 41.8
 	_, bytes, objs := cost(utilEng, utilBatch)
 	t.Logf("RecordBatch: %.0f B and %.1f objects per cold 500-packet 6-hop flow of the combined plan", bytes, objs)
 	if bytes > maxBytes || objs > maxObjs {
@@ -785,10 +794,11 @@ func convergedTwins(t *testing.T, n, frame int) (rec, twin *Recording, next [][]
 // costs at most one copy of that flow's state over what the same frame
 // costs with no snapshot, and no latency object: each store's inline tail
 // is copied with the flow's block, and its histogram is shared until it
-// folds. The copy is a decoded flow's 32-word block cut from a page, and
-// for a quarter of flows a side entry sharing the finished decoder's
-// slab: ~281 B in 0.11 objects; ~345 B in 0.12 while the block kept the
-// decoder's candidate rows, ~390 B in 2.3 while it was a header and a
+// folds. The copy is a decoded flow's 27-word block cut from a page, and
+// no side entry, as a decoded path keeps no slab: ~201 B in 0.08 objects;
+// ~281 B in 0.11 while the block was 32 words and a quarter of flows kept
+// a side entry sharing the finished decoder's slab, ~345 B in 0.12 while
+// the block kept the decoder's candidate rows, ~390 B in 2.3 while it was a header and a
 // block, ~496 B in 4 while the decoder and the stores were objects of
 // their own. A runtime
 // allocation landing inside one measurement could fail the budget, so
@@ -1037,26 +1047,31 @@ func TestLongFlowBytesPerPacket(t *testing.T) {
 }
 
 // TestFlowBlockWords pins a testbench flow's block at 5 hops: the
-// header's 3 words (TestFlowStateSize), the path decoder's 9 words (two
-// counters, the listed mask, the known mask, 5 values), five 4-word
-// latency tails and, last, the decoder's 5 two-word candidate rows: 42
-// words in all, cut from a page, while the path decodes, and 32 from the
-// end of the run of packets in which it decodes (Recording.recordRun). Before the
-// arena it was 40 words in a 320 B object of its own, the started bits
-// its one header word; until a decoded flow dropped its rows it was 42
-// words for good.
+// header's 3 words (TestFlowStateSize), five 4-word latency tails, the
+// path decoder's 4 words (the inconsistency counter, the listed mask, the
+// known mask, and the 5 universe indices packed at 7 bits in one word)
+// and, last, the decoder's 5 two-word candidate rows: 37 words in all,
+// cut from a page, while the path decodes, and 27 from the end of the run
+// of packets in which it decodes (Recording.recordRun). Before the arena
+// it was 40 words in a 320 B object of its own, the started bits its one
+// header word; until a decoded flow dropped its rows it was 42 words for
+// good, and until the decoder packed its values and lost its packet
+// counter, 42 and 32 (a 9-word decoder with 64-bit switch IDs).
 func TestFlowBlockWords(t *testing.T) {
 	eng, path, lat := testbenchPlan(t, 71)
 	const k = 5
-	if got := eng.blockWords(k); got != 42 {
-		t.Errorf("a %d-hop testbench flow's block is %d words, want 42 (336 B)", k, got)
+	if got := eng.blockWords(k); got != 37 {
+		t.Errorf("a %d-hop testbench flow's block is %d words, want 37 (296 B)", k, got)
 	}
-	if got := eng.blockWords(k | rowless); got != 32 {
-		t.Errorf("a decoded %d-hop testbench flow's block is %d words, want 32 (256 B)", k, got)
+	if got := eng.blockWords(k | rowless); got != 27 {
+		t.Errorf("a decoded %d-hop testbench flow's block is %d words, want 27 (216 B)", k, got)
 	}
 	pl, ll := eng.places[eng.slots[path]], eng.places[eng.slots[lat]]
-	if got := ll.at(k) - pl.at(k); got != path.plan.Words(k) || got != 9 {
-		t.Errorf("the path decoder takes %d words (Plan.Words %d), want 9", got, path.plan.Words(k))
+	if got := eng.blockWords(k|rowless) - pl.at(k); got != path.plan.Words(k) || got != 4 {
+		t.Errorf("the path decoder takes %d words (Plan.Words %d), want 4", got, path.plan.Words(k))
+	}
+	if got := pl.at(k) - ll.at(k); got != tailWords*k {
+		t.Errorf("the path decoder starts %d words past the latency tails, want right after their %d", got, tailWords*k)
 	}
 	if got := path.plan.RowWords(k); got != 10 {
 		t.Errorf("the path decoder's candidate rows take %d words, want 10", got)
@@ -1071,9 +1086,9 @@ func TestFlowBlockWords(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs, _ := rec.find(1)
-		want := 42
+		want := 37
 		if rec.PathDecoder(path, 1).Done() {
-			want = 32
+			want = 27
 			decodedAt = cmp.Or(decodedAt, i+1)
 		}
 		if len(fs.w) != want {
@@ -1082,6 +1097,124 @@ func TestFlowBlockWords(t *testing.T) {
 	}
 	if decodedAt == 0 {
 		t.Fatal("the flow did not decode in 200 packets; the pin needs a decoded flow")
+	}
+}
+
+// TestRunSlabIsScratch pins where a path decoder's stored packets live.
+// A run of a flow's packets binds the decoder over the Recording's own
+// scratch, so a testbench flow that decodes within its first 256-packet
+// frame allocates no slab and no side entry: into blocks freed by evicted
+// flows, 64 such flows, of which some stored packets on the way, cost no
+// heap object at all. A flow still undecoded at a run's end keeps a slab
+// of exactly the packets a coding.Decoder fed the same packets stores, in
+// a side entry, and a Lease taken then reads that slab, never the
+// scratch: the owner's next runs, another flow's and the rest of this
+// one's, in which the stored packets are cascaded into and the path
+// decodes, leave the view's image as it was. The decoded flow keeps no
+// slab, and its side entry, then empty, goes back to the free list.
+func TestRunSlabIsScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	const flows, frame = 64, 256
+	eng, path, _ := testbenchPlan(t, 79)
+	rec, err := NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(pkts []PacketDigest) {
+		t.Helper()
+		if err := rec.RecordBatch(pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// stores replays one flow's packets into a decoder of its own and
+	// returns it and the most words its slab held.
+	stores := func(pkts []PacketDigest) (*coding.Decoder, int) {
+		dec, err := path.NewDecoder(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 0
+		for _, p := range pkts {
+			for _, x := range eng.ExtractInto(p.PktID, p.Digest, nil) {
+				if x.Query == Query(path) {
+					path.ObserveInto(dec, p.PktID, x.Bits)
+				}
+			}
+			most = max(most, len(dec.Slab()))
+		}
+		return dec, most
+	}
+	frames := func(first FlowKey) (batch []PacketDigest, storing int) {
+		for f := first; f < first+flows; f++ {
+			pkts := testbenchFlow(eng, f, uint64(f)*13, frame)
+			dec, most := stores(pkts)
+			if !dec.Done() {
+				t.Fatalf("flow %d did not decode in its first %d packets", f, frame)
+			}
+			if most > 0 {
+				storing++
+			}
+			batch = append(batch, pkts...)
+		}
+		return batch, storing
+	}
+	warm, _ := frames(1)
+	record(warm)
+	mallocs := math.Inf(1)
+	for try := range 3 {
+		for f := FlowKey(1); f <= flows; f++ {
+			rec.Evict(FlowKey(try*1000) + f)
+		}
+		batch, storing := frames(FlowKey(try*1000+1000) + 1)
+		if storing < 4 {
+			t.Fatalf("%d of %d flows stored a packet before decoding; the pin needs some", storing, flows)
+		}
+		_, m := allocDelta(func() { record(batch) })
+		mallocs = min(mallocs, m)
+	}
+	if mallocs != 0 || rec.flows.sides != 0 {
+		t.Errorf("%d flows decoding within a frame: %.0f heap objects and %d side entries, want none", flows, mallocs, rec.flows.sides)
+	}
+
+	// A flow undecoded after its first run, with packets stored.
+	var flow FlowKey
+	var pkts []PacketDigest
+	cut := 0
+	for f := FlowKey(100); f < 164 && cut == 0; f++ {
+		pkts = testbenchFlow(eng, f, uint64(f)*17, frame)
+		for n := 1; n < 16; n++ {
+			if dec, _ := stores(pkts[:n]); !dec.Done() && len(dec.Slab()) > 0 {
+				flow, cut = f, n
+			}
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no flow stored packets while undecoded; the pin needs one")
+	}
+	record(pkts[:cut])
+	dec, _ := stores(pkts[:cut])
+	fs, _ := rec.find(flow)
+	if kept := fs.slab(0); !slices.Equal(kept, dec.Slab()) || cap(kept) != len(kept) || fs.side() == 0 {
+		t.Fatalf("an undecoded flow kept %d slab words (capacity %d, side %d), want exactly the %d a decoder stores",
+			len(kept), cap(kept), fs.side(), len(dec.Slab()))
+	}
+	view, l := rec.Lease([]FlowKey{flow})
+	want := flowImage(t, view, flow)
+	record(testbenchFlow(eng, 999, 999, frame))
+	record(pkts[cut:])
+	if got := flowImage(t, view, flow); !slices.Equal(got, want) {
+		t.Error("the owner's runs after a Lease changed the view's image: the view read the scratch")
+	}
+	if !rec.PathDecoder(path, flow).Done() {
+		t.Fatalf("flow %d did not decode in %d packets", flow, frame)
+	}
+	l.Release()
+	record(nil) // reclaims the block the Lease held, and its side entry
+	if fs, _ := rec.find(flow); fs.slab(0) != nil || fs.side() != 0 || rec.flows.sides != len(rec.flows.freeSide) {
+		t.Errorf("the decoded flow keeps a %d-word slab and side %d; %d side entries given out, %d free",
+			len(fs.slab(0)), fs.side(), rec.flows.sides, len(rec.flows.freeSide))
 	}
 }
 
