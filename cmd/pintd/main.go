@@ -8,7 +8,7 @@
 //
 //	pintd                                    listen on 127.0.0.1:9777 (HTTP :9778)
 //	pintd -listen :9777 -http :9778          explicit addresses
-//	pintd -shards 8 -seed 3                  8 sink workers, seed-3 testbench plan
+//	pintd -shards 8 -seed 3                  8 sink shards, seed-3 testbench plan
 //	pintd -grace 10s                         SIGTERM drain grace period
 //	pintd -pprof                             mount /debug/pprof/ on the HTTP address
 //	pintd -data-dir /var/lib/pint            durable segment log with crash recovery
@@ -18,8 +18,8 @@
 // The daemon compiles the canonical testbench plan (collector.NewTestbench)
 // from -seed and -k; exporters must be compiled identically — the session
 // handshake's plan hash enforces it. On SIGTERM/SIGINT the daemon stops
-// accepting, gives open sessions -grace to finish, flushes and barriers
-// the sink so every ingested packet is counted, prints final stats, and
+// accepting, gives open sessions -grace to finish, barriers the sink so
+// every ingested packet is recorded, prints final stats, and
 // exits 0.
 //
 // With -data-dir the daemon runs the durable tier (internal/segstore):
@@ -51,11 +51,9 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9777", "TCP address for exporter sessions")
 	httpAddr := flag.String("http", "127.0.0.1:9778", "HTTP address for /healthz, /stats, /snapshot ('' disables)")
-	shards := flag.Int("shards", 1, "sink worker count (answers are bit-identical for any value)")
+	shards := flag.Int("shards", 1, "sink shard count (answers are bit-identical for any value)")
 	seed := flag.Uint64("seed", 1, "testbench plan seed (exporters must match)")
 	k := flag.Int("k", 5, "testbench flow hop count (exporters must match)")
-	batchSize := flag.Int("batch-size", 256, "sink per-shard dispatch batch (packets)")
-	queueDepth := flag.Int("queue-depth", 4, "sink per-shard queue depth (batches); smaller = earlier backpressure")
 	epoch := flag.Uint64("epoch", 0, "cluster partitioning epoch (fleet members and exporters must match; 0 = standalone)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the HTTP address")
 	dataDir := flag.String("data-dir", "", "segment-log directory for durable storage ('' disables)")
@@ -74,11 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("pintd: %v", err)
 	}
-	pcfg := pipeline.Config{
-		Shards:     *shards,
-		BatchSize:  *batchSize,
-		QueueDepth: *queueDepth,
-	}
+	pcfg := pipeline.Config{Shards: *shards}
 	var sink *pipeline.Sink
 	var durable *collector.DurableSink
 	if *dataDir != "" {
@@ -188,7 +182,8 @@ func main() {
 	} else if err := sink.Close(); err != nil {
 		log.Fatalf("pintd: sink: %v", err)
 	}
-	// Close has retired the workers, so the shards can be counted in place.
+	// Close has recorded every shard's slab, so the shards can be counted
+	// in place.
 	flows := sink.TrackedFlows()
 	fmt.Printf("pintd: drained: %d packets in %d frames from %d sessions (%d conn errors), %d flows tracked\n",
 		st.Packets, st.Frames, st.Sessions, st.ConnErrors, flows)

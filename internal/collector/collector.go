@@ -22,20 +22,20 @@
 //     lands them under the sink's per-shard locks, so connections ingest
 //     concurrently — the only serialization is between connections
 //     feeding the same shard at the same instant;
-//   - backpressure: the sink's bounded worker queues block a session's
-//     stage hand-off when its shard's worker falls behind; that reader
+//   - backpressure: a session whose chunk finds its shard busy and the
+//     shard's bounded pending slab full waits for the shard; that reader
 //     stops draining its socket and TCP flow control pushes the pressure
 //     back to exactly the exporters feeding the hot shard;
 //   - graceful drain: Shutdown stops accepting, gives in-flight sessions
-//     a grace period to finish, then flushes and barriers the sink so
-//     every ingested packet is queryable before the process exits.
+//     a grace period to finish, then barriers the sink so every ingested
+//     packet is recorded before the process exits.
 //
 // Snapshot queries are served over HTTP by Handler (see http.go): the
 // same Sink.Snapshot()/Merged path the in-process harness uses, so a
 // loopback deployment answers bit-identically to a direct sink. The
 // handler closes its snapshot however the request ends, handing the
-// shard workers back the flows it held, so a query costs ingest only
-// while it is being answered.
+// shards back the flows it held, so a query costs ingest only while it is
+// being answered.
 package collector
 
 import (
@@ -62,8 +62,8 @@ type config struct {
 	// exporter to share; its PlanHash gates the session handshake.
 	Engine *core.Engine
 	// Sink receives every decoded digest batch. Each connection ingests
-	// concurrently through its own pipeline.Stage; Shutdown flushes and
-	// barriers the sink; the caller still owns Close.
+	// concurrently through its own pipeline.Stage; Shutdown barriers the
+	// sink; the caller still owns Close.
 	Sink *pipeline.Sink
 	// Queries lists the engine's queries for the HTTP snapshot endpoints.
 	Queries []core.Query
@@ -363,17 +363,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.sessions.Add(1)
 	s.active.Add(1)
 	defer s.active.Add(-1)
-	// Flush the sink when the session ends (LIFO: before active is
-	// decremented), so a reader that observes zero active sessions and a
-	// stable ingest count knows every ingested packet has been dispatched
-	// to the workers — which is exactly what Snapshot then includes. This
-	// is what lets a query frontend poll /stats and then trust /snapshot
-	// to be complete without draining the daemon.
-	defer func() {
-		s.ingestGate.RLock()
-		s.cfg.Sink.Flush()
-		s.ingestGate.RUnlock()
-	}()
 	s.logf("collector: %s: exporter %d (%s) session open", conn.RemoteAddr(), hello.Exporter, hello.Name)
 
 	// Resolve the session's tenant meter (nil without a tenant policy —
@@ -480,26 +469,24 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		sess.staged.Store(int64(kept))
 		s.ingestGate.RLock()
-		start := time.Now()
-		s.cfg.Sink.IngestStage(st)
-		dur := time.Since(start)
-		sess.stallNs.Add(uint64(dur))
+		waited := s.cfg.Sink.IngestStage(st)
 		s.ingestGate.RUnlock()
+		sess.stallNs.Add(uint64(waited))
 		sess.staged.Store(0)
 		sess.batches.Add(1)
 		if s.admitter != nil {
-			// Feed the hand-off latency back to the capacity controller: a
-			// slow hand-off means the shard worker's queue blocked us —
-			// the sink is behind and admission should back off.
-			s.admitter.ReportStall(dur >= stallThreshold)
+			// Feed the wait on full slabs back to the capacity controller: a
+			// long one means the sink is behind and admission should back
+			// off. Time spent recording (other sessions' chunks too) is the
+			// sink working, and does not count.
+			s.admitter.ReportStall(waited >= stallThreshold)
 		}
 	}
 }
 
-// stallThreshold is the sink hand-off latency above which a frame's
-// ingest counts as a stall for the AIMD capacity controller. A healthy
-// hand-off is a few microseconds of per-shard lock work; a millisecond
-// means the shard worker's bounded queue blocked the session.
+// stallThreshold is the wait on a full shard slab above which a frame's
+// ingest counts as a stall for the AIMD capacity controller: a shard held
+// that long while its slab filled is behind.
 const stallThreshold = time.Millisecond
 
 // shedStaged filters every staged per-shard buffer in place through the
@@ -529,8 +516,8 @@ func isDeadlineErr(err error) bool {
 
 // Shutdown drains the server: it stops accepting sessions, waits for the
 // open ones to finish (exporters closing their connections) until ctx
-// expires, force-closes whatever remains, and finally flushes and
-// barriers the sink so every ingested packet is queryable. The sink is
+// expires, force-closes whatever remains, and finally barriers the sink
+// so every ingested packet is recorded. The sink is
 // left open — the caller queries it and owns its Close. Shutdown is
 // idempotent; concurrent calls share the drain.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -593,7 +580,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// All handlers are gone; the write side of the gate still fences any
 	// straggling hand-off.
 	s.ingestGate.Lock()
-	s.cfg.Sink.Flush()
 	s.cfg.Sink.Barrier()
 	if s.cfg.Durable != nil {
 		// End the log with a verifiable round covering everything the

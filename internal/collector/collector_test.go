@@ -170,11 +170,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForPackets(t, srv, 300)
-	// Barrier via a drainless route: snapshot visibility only needs the
-	// dispatched batches, and ingest dispatches full buffers; flush the
-	// remainder under the ingest gate like the shutdown drain would.
+	// Barrier under the ingest gate like the shutdown drain would.
 	srv.ingestGate.Lock()
-	sink.Flush()
 	sink.Barrier()
 	srv.ingestGate.Unlock()
 

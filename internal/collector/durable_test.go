@@ -89,7 +89,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	tb := mustTestbench(t, 7)
 	for _, shards := range []int{1, 4} {
 		dir := t.TempDir()
-		pcfg := pipeline.Config{Shards: shards, BatchSize: 64}
+		pcfg := pipeline.Config{Shards: shards}
 		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 		if err != nil {
 			t.Fatal(err)
@@ -137,18 +137,20 @@ func TestDurableRoundTrip(t *testing.T) {
 }
 
 // TestDurableConfigShapes: every shape a pipeline.Config can take — shard
-// counts and a batch/queue shape small enough to stall — keeps the durable guarantee: the log-only answer is
-// byte-identical to the live one after ingest and again after a restart.
+// counts — and a shard whose slab fills while it is held keep the durable
+// guarantee: the log-only answer is byte-identical to the live one after
+// ingest and again after a restart.
 func TestDurableConfigShapes(t *testing.T) {
 	tb := mustTestbench(t, 17)
 	for _, tc := range []struct {
-		name string
-		cfg  pipeline.Config
+		name     string
+		cfg      pipeline.Config
+		fullSlab bool
 	}{
-		{"shards=1", pipeline.Config{Shards: 1}},
-		{"shards=2", pipeline.Config{Shards: 2}},
-		{"shards=3", pipeline.Config{Shards: 3}},
-		{"batch8-queue1", pipeline.Config{Shards: 2, BatchSize: 8, QueueDepth: 1}},
+		{"shards=1", pipeline.Config{Shards: 1}, false},
+		{"shards=2", pipeline.Config{Shards: 2}, false},
+		{"shards=3", pipeline.Config{Shards: 3}, false},
+		{"full-slab", pipeline.Config{Shards: 2}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -156,7 +158,12 @@ func TestDurableConfigShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream := ingestWaves(t, tb, d, 1, 5, 120)
+			var stream []core.PacketDigest
+			if tc.fullSlab {
+				stream = ingestBehindHeldShard(t, tb, d)
+			} else {
+				stream = ingestWaves(t, tb, d, 1, 5, 120)
+			}
 			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -181,6 +188,36 @@ func TestDurableConfigShapes(t *testing.T) {
 	}
 }
 
+// ingestBehindHeldShard holds flow 0's shard in a WithFlow call while
+// five 1,200-packet flows ingest in 256-packet chunks, until a chunk finds
+// the shard's slab full: the slab is recorded, and logged, on release.
+func ingestBehindHeldShard(t *testing.T, tb *Testbench, d *DurableSink) []core.PacketDigest {
+	t.Helper()
+	held, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- d.Sink.WithFlow(tb.FlowKeyFor(1, 0), func(*core.Recording) error {
+			close(held)
+			for st, _ := d.Sink.Stats(); st.Stalls == 0; st, _ = d.Sink.Stats() {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+	}()
+	<-held
+	var all []core.PacketDigest
+	for f := range 5 {
+		batch := tb.FlowBatch(1, f, 1200, nil, nil)
+		for off := 0; off < len(batch); off += 256 {
+			d.Sink.Ingest(batch[off:min(off+256, len(batch))])
+		}
+		all = append(all, batch...)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
 // crashImage copies the live data dir to a fresh one and returns it: the
 // files a SIGKILL at this instant would leave, since every append is one
 // write through to the file.
@@ -199,7 +236,7 @@ func crashImage(t *testing.T, dir string) string {
 func TestDurableAbandonRecovers(t *testing.T) {
 	tb := mustTestbench(t, 13)
 	dir := t.TempDir()
-	pcfg := pipeline.Config{Shards: 4, BatchSize: 64}
+	pcfg := pipeline.Config{Shards: 4}
 	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +330,7 @@ func TestDurableCrashImageRecovery(t *testing.T) {
 	tb := mustTestbench(t, 29)
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pcfg := pipeline.Config{Shards: shards, BatchSize: 64}
+			pcfg := pipeline.Config{Shards: shards}
 			dir := t.TempDir()
 			d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 			if err != nil {
@@ -603,7 +640,7 @@ func TestWindowAnswersFlowScoped(t *testing.T) {
 	tb := mustTestbench(t, 19)
 	const nFlows, perRound, rounds = 6, 48, 8
 	for _, shards := range []int{1, 3} {
-		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: shards, BatchSize: 32},
+		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: shards},
 			durableOpts(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)

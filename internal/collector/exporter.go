@@ -110,8 +110,8 @@ func (e *Exporter) SetCoalesce(n int) {
 
 // Send marshals one digest batch and writes it as a single frame — or,
 // under SetCoalesce, stages it until the coalescing threshold fills.
-// Empty batches are a no-op. When the collector's sink workers fall
-// behind, the write blocks — TCP flow control carrying the sink's
+// Empty batches are a no-op. When the collector's sink falls behind
+// (a shard's pending slab is full), the write blocks — TCP flow control carrying the sink's
 // backpressure to the switch.
 func (e *Exporter) Send(batch []core.PacketDigest) error {
 	if len(batch) == 0 {

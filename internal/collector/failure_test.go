@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,8 +72,8 @@ func sendHealthyFlow(t *testing.T, tb *Testbench, srv *Server, exp uint64) {
 		t.Fatal(err)
 	}
 	// Packets counts a frame when it is decoded, before its hand-off to
-	// the sink; only the session's end (its deferred Flush runs before
-	// Active drops) means everything counted has reached the workers.
+	// the sink; only the session's end means everything counted has
+	// reached the sink.
 	waitFor(t, "healthy flow ingest", func() bool {
 		st := srv.Stats()
 		return st.Packets >= before+600 && st.Active == 0
@@ -275,18 +276,17 @@ func TestHandshakeGarbageRejected(t *testing.T) {
 	sendHealthyFlow(t, tb, srv, 43)
 }
 
-// TestSlowConsumerBackpressure holds the one shard worker of a tiny sink
-// (batches of 8, queue depth 1) inside a WithFlow call while the collector
-// streams into it, so dispatch must stall; the worker is released once
-// Stats shows the stall. The contract: the stall counter fires, no packet
-// is lost, and the stream still answers queries after drain.
+// TestSlowConsumerBackpressure holds the one shard of a sink inside a
+// WithFlow call while the collector streams into it: the session's chunks
+// fill the shard's pending slab, the next one waits for the shard, the
+// session stops reading its socket, and the exporter's Send blocks (its
+// send buffer is shrunk, so TCP stops it within a few frames of the
+// wait). The contract: Send blocks while the shard is held, the stall
+// counter fires, and after release no packet is lost and the stream
+// answers queries.
 func TestSlowConsumerBackpressure(t *testing.T) {
 	tb := mustTestbench(t, 29)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{
-		Shards:     1,
-		BatchSize:  8,
-		QueueDepth: 1,
-	})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,28 +311,49 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	const total = 2000
 	ex, err := dial(ln.Addr().String(), HelloFor(tb.Engine, 5, "firehose"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkts []core.PacketDigest
-	vals := make([]core.HopValues, 500)
-	for f := 0; f < total/500; f++ {
-		pkts = tb.FlowBatch(5, f, 500, pkts, vals)
-		if err := ex.Send(pkts); err != nil {
-			t.Fatal(err)
-		}
+	if err := ex.conn.(*net.TCPConn).SetWriteBuffer(4 << 10); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "a dispatch stall behind the held worker", func() bool {
+	// 200 frames of ~5 KB: far more than the slab and both sockets'
+	// buffers hold.
+	const nFlows, per, rounds = 4, 500, 50
+	const total = nFlows * per * rounds
+	var batches [][]core.PacketDigest
+	for f := range nFlows {
+		batches = append(batches, tb.FlowBatch(5, f, per, nil, nil))
+	}
+	var sent atomic.Int64
+	sendErr := make(chan error, 1)
+	go func() {
+		for range rounds {
+			for _, b := range batches {
+				if err := ex.Send(b); err != nil {
+					sendErr <- err
+					return
+				}
+				sent.Add(int64(len(b)))
+			}
+		}
+		sendErr <- ex.Close()
+	}()
+	waitFor(t, "a chunk to find the held shard's slab full", func() bool {
 		st, _ := sink.Stats()
 		return st.Stalls > 0
+	})
+	waitFor(t, "the exporter's Send to block", func() bool {
+		before := sent.Load()
+		time.Sleep(50 * time.Millisecond)
+		return sent.Load() == before && before < total
 	})
 	close(release)
 	if err := <-released; err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.Close(); err != nil {
+	if err := <-sendErr; err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -348,13 +369,10 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 	}
 	st, _ := sink.Stats()
 	if st.Packets != total {
-		t.Fatalf("sink dispatched %d packets, want %d", st.Packets, total)
-	}
-	if st.Stalls == 0 {
-		t.Fatal("no dispatch stalls despite a held worker and queue depth 1")
+		t.Fatalf("sink accepted %d packets, want %d", st.Packets, total)
 	}
 	var flows []core.FlowKey
-	for f := 0; f < total/500; f++ {
+	for f := range nFlows {
 		flows = append(flows, tb.FlowKeyFor(5, f))
 	}
 	answers, err := SnapshotAnswers(sink.Snapshot(), tb.Queries(), flows)

@@ -12,8 +12,8 @@ import (
 
 // Fleet-resize hand-off: the collector-side drain/import path. During a
 // resize the coordinator (internal/federation) asks each member that is
-// losing flows to ExportFlows them — an atomic per-flow drain+evict on
-// the owning shard's worker — and ships the states to each flow's new
+// losing flows to ExportFlows them — an atomic per-flow drain+evict under
+// the owning shard's lock — and ships the states to each flow's new
 // home with SendHandoff, an ordinary handshaked session at the new epoch
 // whose frames carry hand-off payloads instead of digest batches. The
 // receiving session (handleConn) installs every state in its sink with
@@ -35,8 +35,8 @@ const handoffFrameBudget = 512 << 10
 // ExportFlows drains the listed flows out of this collector: for each
 // flow that is tracked here, its complete recording state is written as
 // its image (core.Recording.AppendFlowState) and the flow is
-// evicted, atomically with respect to ingest on the owning shard's
-// worker. Flows not tracked here are skipped — the caller plans moves
+// evicted, atomically with respect to ingest on the owning shard (under
+// its lock). Flows not tracked here are skipped — the caller plans moves
 // from a membership-wide flow list. A durable collector refuses: its
 // segment log would resurrect the exported flows on replay (resize of a
 // durable member needs a log marker — see ROADMAP).
@@ -93,7 +93,7 @@ const exportChunk = 256 << 10
 func (s *Server) HandoffFlows() uint64 { return s.handoffFlows.Load() }
 
 // ingestHandoffFrame folds one hand-off frame's flow states into the sink,
-// one at a time in frame order, each on its owning shard's worker, and
+// one at a time in frame order, each under its owning shard's lock, and
 // returns how many flows were imported. A refused state (another format or
 // plan, duplicate flow, corrupt state) stops the frame there: the states
 // before it stay imported and are counted in the returned number, the

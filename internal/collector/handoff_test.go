@@ -235,9 +235,9 @@ func TestHandoffRefusedFrameCountsItsPrefix(t *testing.T) {
 }
 
 // TestHandoffCloseIsAck: SendHandoff returns only once the destination has
-// folded what it shipped. The destination's one shard worker is held in a
+// folded what it shipped. The destination's one shard is held in a
 // WithFlow call, so the import cannot finish and SendHandoff must still be
-// waiting; once the worker is released, HandoffFlows counts every shipped
+// waiting; once the shard is released, HandoffFlows counts every shipped
 // flow the moment SendHandoff returns.
 func TestHandoffCloseIsAck(t *testing.T) {
 	tb := mustTestbench(t, 47)
@@ -283,7 +283,7 @@ func TestHandoffCloseIsAck(t *testing.T) {
 	select {
 	case r := <-done:
 		close(release)
-		t.Fatalf("SendHandoff returned (%d, %v) while the destination's worker was held", r.sent, r.err)
+		t.Fatalf("SendHandoff returned (%d, %v) while the destination's shard was held", r.sent, r.err)
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(release)

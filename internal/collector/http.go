@@ -244,7 +244,7 @@ func (s *Server) Handler() http.Handler {
 			s.serveWindow(w, q, flows)
 			return
 		}
-		// The snapshot's leases go back to the shard workers however the
+		// The snapshot's leases go back to the shards however the
 		// request ends, so a query costs ingest only while it is answered.
 		snap := s.cfg.Sink.SnapshotFlows(flows)
 		defer snap.Close()
@@ -316,13 +316,15 @@ func parseWindowBound(raw string) (uint64, error) {
 }
 
 // serveWindow answers /snapshot?since=S&until=U from the segment log:
-// the persistence queue is flushed first, then the window replays from the
-// file. Every packet's log record is queued under its shard's stripe lock
-// before the packet is handed to a worker (pipeline.Persister), so once the
-// queue has drained the file holds every packet ingested before the query
-// — the log is the complete record, nothing is read from the live shards
-// and so nothing is counted twice — and no exporter is paused for a read:
-// a window query takes no ingest gate, runs no barrier and syncs nothing.
+// every shard's pending slab is recorded and the persistence queue flushed
+// first, then the window replays from the file. A packet's log record is
+// queued in the shard-lock hold that records it (pipeline.Persister), and
+// a packet whose ingest returned is recorded or in its shard's slab, so
+// after Sink.Barrier and the flush the file holds every packet ingested
+// before the query — the log is the complete record, nothing is read from
+// the live shards and so nothing is counted twice. No exporter is paused
+// for a read: a window query takes no ingest gate and syncs nothing, and
+// the barrier holds each shard's lock only while its slab records.
 // A window reaching at or below the retention horizon answers partially
 // (PartialHeader: 1) if it extends past the horizon, 400 if not.
 func (s *Server) serveWindow(w http.ResponseWriter, q url.Values, flows []core.FlowKey) {
@@ -355,6 +357,7 @@ func (s *Server) serveWindow(w http.ResponseWriter, q url.Values, flows []core.F
 			until, horizon), http.StatusBadRequest)
 		return
 	}
+	s.cfg.Sink.Barrier()
 	if err := d.Writer.Flush(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -40,7 +40,7 @@ func (w *cutWriter) Write(p []byte) (int, error) {
 }
 
 // TestSnapshotHandlerReleasesOnEveryPath requires /snapshot to give its
-// snapshot back to the shard workers however the request ends: after a
+// snapshot back to the shards however the request ends: after a
 // request whose client goes away mid-body, and after one whose merge
 // fails, the next frame into every flow allocates what it does in a twin
 // sink that served no query, within 16 B per flow — no flow copies its
@@ -208,7 +208,6 @@ func TestSnapshotHandlerOutlivesSinkClose(t *testing.T) {
 	for f := range 8 {
 		sink.Ingest(tb.FlowBatch(1, f, 64, nil, nil))
 	}
-	sink.Flush()
 	srv, err := New(tb.Engine, WithSink(sink), WithQueries(tb.Queries()...))
 	if err != nil {
 		t.Fatal(err)

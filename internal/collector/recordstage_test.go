@@ -10,7 +10,7 @@ import (
 // TestLengtheningRouteOverLoopback is the remote half of core's
 // TestLengtheningRouteRecords: one exporter session sends a flow at path
 // length 3, then the same flow at path length 5 — nothing on the wire
-// forbids it. The shard worker used to panic on the first packet that
+// forbids it. The shard used to panic on the first packet that
 // elected hop 4 or 5; now the daemon keeps serving, and its answer for the
 // flow is byte-identical to a serial Recording fed the same packets.
 func TestLengtheningRouteOverLoopback(t *testing.T) {
@@ -60,6 +60,6 @@ func TestLengtheningRouteOverLoopback(t *testing.T) {
 	if hops := want[0].Answers[1].Hops; len(hops) != short.K {
 		t.Fatalf("latency answer covers %d hops, want the first-seen %d", len(hops), short.K)
 	}
-	// The session's worker is still alive: a fresh exporter decodes.
+	// The sink still records: a fresh exporter decodes.
 	sendHealthyFlow(t, tb, srv, 7)
 }

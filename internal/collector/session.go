@@ -35,11 +35,10 @@ type ConnStats struct {
 	// Shed counts packets the QoS layer sampled away from this session;
 	// Packets-Shed is what reached the sink.
 	Shed uint64 `json:"shed"`
-	// StallNs is cumulative time spent inside IngestStage — handing
-	// staged packets to shard workers, including any blocking on full
-	// worker queues. A connection whose StallNs grows much faster than
-	// its peers' is feeding the hot shard; TCP backpressure is reaching
-	// its exporter.
+	// StallNs is cumulative time IngestStage waited for a busy shard
+	// whose pending slab was full (time spent recording is not counted).
+	// A connection whose StallNs grows much faster than its peers' is
+	// feeding the hot shard; TCP backpressure is reaching its exporter.
 	StallNs uint64 `json:"stall_ns"`
 	// StagedDepth is the number of packets currently decoded but not yet
 	// handed to the sink (a point-in-time read of the session's stage).

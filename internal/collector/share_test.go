@@ -12,7 +12,7 @@ import (
 )
 
 // These tests guard what the read path now rests on: a snapshot shares
-// the live shard's flow states, and the worker copies a flow before its
+// the live shard's flow states, and the shard copies a flow before its
 // next write to it while the snapshot is open, keeping the append-only
 // series' arrays (core.Recording.Lease); and a flow-scoped snapshot costs
 // in the flows asked for. The independence of clones from their origin
@@ -29,7 +29,7 @@ import (
 // then HOLD them while the ingester appends enough to double the shared
 // series several times over, and render again. The two renderings must
 // be byte-identical (raw storage: answering only reads), and the race
-// detector must see no access in common between the worker's appends and
+// detector must see no access in common between the shard's appends and
 // the readers' reads of the shared arrays.
 func TestHeldSnapshotsSurviveIngest(t *testing.T) {
 	tb := mustTestbench(t, 17)
@@ -41,7 +41,7 @@ func TestHeldSnapshotsSurviveIngest(t *testing.T) {
 		hold    = 28 // rounds a snapshot is held across: ≥ 3 doublings of every series it shares
 		readers = 3
 	)
-	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2, BatchSize: 32})
+	sink, err := pipeline.NewSink(tb.Engine, pipeline.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestHeldSnapshotsSurviveIngest(t *testing.T) {
 	all := tb.Flows(1, nFlows)
 	scoped := []core.FlowKey{all[1], all[2]}
 
-	// roundDone[r] closes once round r is ingested and flushed; cur is the
+	// roundDone[r] closes once round r is ingested; cur is the
 	// number of rounds finished.
 	roundDone := make([]chan struct{}, rounds)
 	for i := range roundDone {
@@ -65,7 +65,6 @@ func TestHeldSnapshotsSurviveIngest(t *testing.T) {
 			for f := range streams {
 				sink.Ingest(streams[f][r*perFlow : (r+1)*perFlow])
 			}
-			sink.Flush()
 			cur.Add(1)
 			close(roundDone[r])
 		}

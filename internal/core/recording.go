@@ -102,8 +102,8 @@ func (r *Recording) Record(flow FlowKey, k int, pktID uint64, digest uint64) err
 	return r.RecordBatch(pkt[:])
 }
 
-// RecordBatch ingests a batch of sink-extracted digests — the shape shard
-// workers and the batch experiment harness drive. Packets that came
+// RecordBatch ingests a batch of sink-extracted digests — the shape the
+// pipeline's shards and the batch experiment harness drive. Packets that came
 // through EncodeHopBatch carry their query-set selection already cached.
 // A flow's state is looked up, and its path decoders bound, once per run
 // of packets with equal Flow (exporters frame per flow) — it stays valid
@@ -374,9 +374,9 @@ type Lease struct {
 // Lease, which is the view's index: the view answers every query for
 // exactly those of the flows that r tracks, bit-identically to r at the
 // moment of the call, however r records on, and neither it nor r's next
-// write costs anything for any other flow. It runs on r's goroutine, the
-// one r records on, between writes — the pipeline's shard worker leases at
-// a batch boundary and hands the view to concurrent readers. r must record;
+// write costs anything for any other flow. It runs between r's writes,
+// ordered with them — the pipeline leases under a shard's lock, between
+// chunks, and hands the view to concurrent readers. r must record;
 // a Lease of a view is a programming error and panics.
 //
 // A view copies no flow. It shares each flow's block with r, which counts

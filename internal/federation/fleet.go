@@ -207,8 +207,8 @@ func (f *Fleet) HTTPURLs() []string {
 
 // WaitIngested blocks until the fleet's members have collectively
 // ingested want packets with no active sessions — at which point every
-// ingested packet is dispatched (collectors flush at session end) and
-// visible to snapshots — or until the deadline.
+// ingested packet is in its shard, recorded or in the slab a snapshot
+// records first, and so visible to snapshots — or until the deadline.
 func (f *Fleet) WaitIngested(want uint64, deadline time.Duration) error {
 	t0 := time.Now()
 	for {

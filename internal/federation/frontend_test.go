@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/collector"
 	"repro/internal/core"
@@ -359,22 +358,6 @@ func TestFrontendStatsAggregation(t *testing.T) {
 	fe, err := NewFrontend(WithFleetMap(fleet.CurrentMap()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	// WaitIngested counts dispatched packets, and a worker may still hold a
-	// batch in its queue: Queued is a live channel length, so both reads
-	// below must come after every member's queue has drained.
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		queued := 0
-		for _, m := range fleet.Members {
-			total, _ := m.Sink.Stats()
-			queued += total.Queued
-		}
-		if queued == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d batches still queued after 30 s", queued)
-		}
 	}
 	rec := get(t, fe.Handler(), "/stats")
 	if rec.Code != http.StatusOK {

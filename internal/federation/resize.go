@@ -26,8 +26,8 @@ import (
 //     and each stale live session gets the one-byte reroute nudge.
 //  3. Quiesce: wait until no exporter session remains on the old
 //     members. A nudged exporter flushes and closes cleanly, so a clean
-//     quiesce means everything sent is ingested and (sessions closed ⇒
-//     deferred sink flush ran) visible to snapshots.
+//     quiesce means everything sent is ingested and visible to snapshots
+//     (a snapshot records a shard's pending slab before it leases).
 //  4. Plan: list every member's flow keys (Sink.Flows — keys only, no
 //     flow's state is copied) and run Rebalance — exactly the flows
 //     whose rendezvous home changed, nothing else.

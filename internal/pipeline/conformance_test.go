@@ -61,15 +61,14 @@ func TestConformanceWireSinkSnapshot(t *testing.T) {
 		}
 
 		for _, shards := range []int{1, 4, 16} {
-			sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
+			sink, err := NewSink(eng, Config{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sink.Ingest(rx)
-			sink.Flush()
-			// Snapshot while the workers are still live: answerable
-			// without Close, and already complete because Flush
-			// dispatched everything from this goroutine.
+			// Snapshot while the sink is still open: answerable without
+			// Close, and already complete because Ingest returned on
+			// this goroutine.
 			snap := sink.Snapshot()
 			for f := 0; f < nFlows; f++ {
 				flow := core.FlowKey(uint64(f)*2654435761 + 1)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestClosedSnapshotCostsWriterNothing pins what Snapshot.Close buys the
-// shard workers. After a full snapshot of converged flows is read and
+// shards' writers. After a full snapshot of converged flows is read and
 // closed, the next frame into each flow allocates within 16 B per flow of
 // what it allocates in a twin sink that was never snapshotted: no flow
 // copies its state. A snapshot still held when the frame arrives costs a
@@ -76,7 +76,7 @@ func TestClosedSnapshotCostsWriterNothing(t *testing.T) {
 // Readers answer from a full and a flow-scoped snapshot while the ingester
 // keeps feeding the sink. The snapshots are then closed on the readers'
 // goroutines — the scoped one by its reader, the full one as soon as every
-// reader is done — while ingest continues, so the workers take their flows
+// reader is done — while ingest continues, so the shards take their flows
 // back and write to them in place. A second snapshot is taken later, read
 // while ingest continues and closed. Every answer and every flow's
 // hand-off image must be byte-identical to a serial Recording of the
@@ -85,7 +85,7 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 	eng, path, lat, util := testPlan(t, 821)
 	const nFlows, k, readers, step = 8, 6, 3, 48
 	pkts := encodeWorkload(eng, 41, nFlows, 1200, k)
-	cfg := Config{Shards: 2, BatchSize: 16}
+	cfg := Config{Shards: 2}
 	sink, err := NewSink(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +137,10 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 		for off := 0; off < len(part); off += step {
 			sink.Ingest(part[off:min(off+step, len(part))])
 		}
-		sink.Flush()
 	}
 	// Between the first snapshot's cut and its Close only the hot flows
 	// take packets, so the cold flows' leased states are still installed
-	// in the workers when it closes: the workers take them back and write
+	// in the shards when it closes: the shards take them back and write
 	// to them in place.
 	hot := map[core.FlowKey]bool{}
 	for f := 0; f < nFlows; f += 2 {
@@ -228,9 +227,10 @@ func TestClosedSnapshotsRaceIngest(t *testing.T) {
 }
 
 // TestSnapshotCloseWaitsForNoWorker: Close gives a snapshot's leases back
-// on the caller's goroutine, so it returns while every shard worker is held
-// inside a WithFlow call. Once free, the workers record on into the flows
-// the snapshot held, and the sink answers as a serial Recording does.
+// on the caller's goroutine, so it returns while every shard's lock is
+// held inside a WithFlow call. Once free, the shards record on into the
+// flows the snapshot held, and the sink answers as a serial Recording
+// does.
 func TestSnapshotCloseWaitsForNoWorker(t *testing.T) {
 	eng, path, lat, util := testPlan(t, 831)
 	const nFlows, k, shards = 8, 6, 2
@@ -251,15 +251,15 @@ func TestSnapshotCloseWaitsForNoWorker(t *testing.T) {
 		t.Fatalf("the snapshot tracks %d flows, want %d", got, nFlows)
 	}
 	entered, free := make(chan struct{}), make(chan struct{})
-	var workers sync.WaitGroup
-	held := map[int]bool{}
+	var holders sync.WaitGroup
+	held := map[*shard]bool{}
 	for f := range nFlows {
 		flow := workloadFlow(f)
-		if i := sink.shardOf(flow).idx; !held[i] {
-			held[i] = true
-			workers.Add(1)
+		if sh := sink.shardOf(flow); !held[sh] {
+			held[sh] = true
+			holders.Add(1)
 			go func() {
-				defer workers.Done()
+				defer holders.Done()
 				if err := sink.WithFlow(flow, func(*core.Recording) error {
 					entered <- struct{}{}
 					<-free
@@ -286,9 +286,9 @@ func TestSnapshotCloseWaitsForNoWorker(t *testing.T) {
 		close(free)
 	case <-time.After(10 * time.Second):
 		close(free)
-		t.Fatal("Close waited for the shard workers")
+		t.Fatal("Close waited for the shard locks")
 	}
-	workers.Wait()
+	holders.Wait()
 	sink.Ingest(pkts[half:])
 	sink.Barrier()
 	serial, err := core.NewRecording(eng)

@@ -38,12 +38,12 @@ func TestPersisterSeesPerShardOrder(t *testing.T) {
 	pkts := encodeWorkload(eng, 7, 12, 50, 6)
 	for _, shards := range []int{1, 4} {
 		p := &recordingPersister{}
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 32})
+		sink, err := NewSink(eng, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sink.SetPersister(p)
-		const batchLen = 37 // deliberately unaligned with BatchSize
+		const batchLen = 37 // deliberately unaligned with the slab
 		for off := 0; off < len(pkts); off += batchLen {
 			end := off + batchLen
 			if end > len(pkts) {
@@ -99,7 +99,7 @@ func TestPersisterCheckpointRounds(t *testing.T) {
 	pkts := encodeWorkload(eng, 7, 12, 40, 6)
 	for _, shards := range []int{1, 4} {
 		p := &recordingPersister{}
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
+		sink, err := NewSink(eng, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,11 +197,10 @@ func (p *orderedPersister) PersistCheckpoint(cp CheckpointStats) {
 	p.events = append(p.events, persistEvent{shard: cp.Shard, ckpt: &cp})
 }
 
-// TestCheckpointOrdersAfterIngest is the property the single worker
-// request must keep for Checkpoint: every PersistCheckpoint of round r on
-// shard s follows all of that shard's earlier PersistIngest events and
-// reports Packets equal to their sum — partial buffers are flushed and the
-// queue drained before the record is cut — whether the packets came from
+// TestCheckpointOrdersAfterIngest is the property Checkpoint's lock hold
+// must keep: every PersistCheckpoint of round r on shard s follows all of
+// that shard's earlier PersistIngest events and reports Packets equal to
+// their sum — the slab is recorded before the record is cut — whether the packets came from
 // the serial Ingest or from concurrent IngestStage callers that finished
 // before the Checkpoint call, and every round reports every shard once.
 func TestCheckpointOrdersAfterIngest(t *testing.T) {
@@ -209,7 +208,7 @@ func TestCheckpointOrdersAfterIngest(t *testing.T) {
 	pkts := encodeWorkload(eng, 7, 16, 60, 6)
 	for _, shards := range []int{1, 3} {
 		p := &orderedPersister{shards: uint64(shards)}
-		sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 16, QueueDepth: 1})
+		sink, err := NewSink(eng, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

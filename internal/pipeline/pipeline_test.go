@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"slices"
+	"io/fs"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -143,7 +145,7 @@ func TestShardedSinkMatchesSerial(t *testing.T) {
 				}
 			}
 			for _, shards := range []int{1, 2, 3, 8} {
-				sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
+				sink, err := NewSink(eng, Config{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,7 +226,7 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 	eng, path, lat, _ := testPlan(t, 201)
 	pkts := encodeWorkload(eng, 9, 16, 300, 6)
 	run := func() *Sink {
-		sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 32})
+		sink, err := NewSink(eng, Config{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +269,7 @@ func TestSinkRunToRunDeterminism(t *testing.T) {
 func TestSinkErrSurfacesShardFailure(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 1001)
 	pkts := encodeWorkload(eng, 31, 8, 50, 6)
-	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 8})
+	sink, err := NewSink(eng, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +283,9 @@ func TestSinkErrSurfacesShardFailure(t *testing.T) {
 		bad.PathLen = 65
 		sink.Ingest([]core.PacketDigest{bad})
 	}
-	sink.Flush()
-	// The failure surfaces once the owning worker reaches the packet.
-	snap := sink.Snapshot() // forces the workers to drain their queues
+	// The failure surfaces once the packet is recorded: Ingest records it,
+	// or leaves it in the slab the snapshot drains.
+	snap := sink.Snapshot()
 	if snap == nil {
 		t.Fatal("nil snapshot")
 	}
@@ -295,18 +297,17 @@ func TestSinkErrSurfacesShardFailure(t *testing.T) {
 	}
 }
 
-// TestSinkFlushAndReuse checks Flush mid-stream is safe and Close is
-// idempotent.
-func TestSinkFlushAndReuse(t *testing.T) {
+// TestSinkCloseTwice checks ingest through a sharded sink decodes paths
+// and Close is idempotent.
+func TestSinkCloseTwice(t *testing.T) {
 	eng, path, _, _ := testPlan(t, 301)
 	pkts := encodeWorkload(eng, 3, 8, 500, 6)
-	sink, err := NewSink(eng, Config{Shards: 2, BatchSize: 128})
+	sink, err := NewSink(eng, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	half := len(pkts) / 2
 	sink.Ingest(pkts[:half])
-	sink.Flush()
 	sink.Ingest(pkts[half:])
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -374,9 +375,8 @@ func TestBarrierMakesStateReadable(t *testing.T) {
 }
 
 // TestBarrierZeroAlloc: Barrier is called once per packet by the
-// decode-progress harnesses (scenario/path.go), so the one worker request
-// it shares with Checkpoint, WithFlow and Snapshot must cost it nothing:
-// a nil callback and the ingester-owned reply channel.
+// decode-progress harnesses, so taking and draining every shard's lock
+// must cost it nothing.
 func TestBarrierZeroAlloc(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 61)
 	sink, err := NewSink(eng, Config{Shards: 3})
@@ -389,31 +389,49 @@ func TestBarrierZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOneWorkerRequest: a shard has one channel for batches (ch), one
-// for their recycling (free) and exactly one for everything else the
-// worker is asked to do (exec) — a second request kind has to replace it,
-// not join it.
-func TestOneWorkerRequest(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "pipeline.go", nil, 0)
+// TestNoWorkers: a sink records on its ingesters' goroutines, so the
+// package's non-test code starts no goroutine and has no channel and no
+// WaitGroup — a second goroutine would need all three back.
+func TestNoWorkers(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chans []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok || ts.Name.Name != "shard" {
-			return true
-		}
-		for _, fld := range ts.Type.(*ast.StructType).Fields.List {
-			if _, ok := fld.Type.(*ast.ChanType); ok {
-				for _, name := range fld.Names {
-					chans = append(chans, name.Name)
+	for _, f := range pkgs["pipeline"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("go statement at %d", n.Pos())
+			case *ast.ChanType:
+				t.Errorf("channel type at %d", n.Pos())
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "WaitGroup" {
+					t.Errorf("sync.WaitGroup at %d", n.Pos())
 				}
 			}
-		}
-		return false
-	})
-	if want := []string{"ch", "free", "exec"}; !slices.Equal(chans, want) {
-		t.Fatalf("shard's channels are %v, want %v", chans, want)
+			return true
+		})
+	}
+}
+
+// TestSinkStartsNoGoroutine counts goroutines around NewSink and Close.
+func TestSinkStartsNoGoroutine(t *testing.T) {
+	eng, _, _, _ := testPlan(t, 61)
+	before := runtime.NumGoroutine()
+	sink, err := NewSink(eng, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("NewSink: %d goroutines, %d before", n, before)
+	}
+	sink.Ingest(encodeWorkload(eng, 3, 8, 50, 6))
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("Close: %d goroutines, %d before", n, before)
 	}
 }

@@ -3,34 +3,33 @@ package pipeline
 import "repro/internal/core"
 
 // Snapshot is a point-in-time view of the sink's per-shard Recordings,
-// answerable (through Merged) while ingestion keeps running. Each shard
-// worker leases its Recording's flows (core.Recording.Lease) at a batch
-// boundary, so a snapshot is internally consistent per flow (never
-// mid-packet) and reflects every packet dispatched to the workers before
-// Snapshot was called from the ingesting goroutine (Flush first to include
-// buffered packets). Packets ingested after the call may or may not be
-// visible.
+// answerable (through Merged) while ingestion keeps running. Each shard's
+// Recording leases its flows (core.Recording.Lease) under the shard's
+// lock, between chunks and after its pending slab is recorded, so a
+// snapshot is internally consistent per flow (never mid-packet) and
+// reflects every packet whose ingest call returned before Snapshot was
+// called. Packets ingested after the call may or may not be visible.
 //
 // What a snapshot shares with the live shard: every flow's state it
 // covers, whole, indexed by one sorted run per shard that is also the
 // shard's lease. The lease holds each such flow, and a held flow is not
-// written: the worker's next packet for it swaps in a private copy first.
-// The snapshot only reads; the worker is each flow's one writer. Its copy
-// keeps appending to a util series past the snapshot's values, in the
-// same backing array, and a latency store's histogram is shared until the
-// copy's next fold, which counts into a copy of it. What is mutated in
+// written: the shard's next packet for it swaps in a private copy first.
+// The snapshot only reads; the shard's lock holder is each flow's one
+// writer. Its copy keeps appending to a util series past the snapshot's
+// values, in the same backing array, and a latency store's histogram is
+// shared until the copy's next fold, which counts into a copy of it. What is mutated in
 // place (path decoders still decoding) the copy gets its own. Taking a
 // snapshot therefore costs at most 4 bytes of run per flow it covers (one
 // block offset), never anything in the packets the flows carried; and
-// while it is held, the worker pays one copy of each flow it records into.
+// while it is held, ingest pays one copy of each flow it records into.
 //
 // Close ends that cost: it releases each shard's lease on the caller's
-// goroutine, which makes every flow no other snapshot holds the worker's
+// goroutine, which makes every flow no other snapshot holds the shard's
 // alone again, to write in place, and gives the lease's run back to the
 // shard's Recording, whose next lease refills it: a snapshot whose flows
 // fit a closed one's run allocates none. After Close the snapshot and the
 // Recording Merged returned must not be used. A snapshot never closed
-// costs the worker what a held one does, for good.
+// costs ingest what a held one does, for good.
 //
 // A flow-scoped snapshot (Sink.SnapshotFlows) covers only the flows it
 // was asked for; any other flow reads as untracked, and a shard that
@@ -65,7 +64,7 @@ func (s *Snapshot) Merged() (*core.Recording, error) {
 }
 
 // Close releases the snapshot's leases, on the caller's goroutine, without
-// waiting for any shard worker. It must follow every use of the snapshot
+// taking any shard's lock. It must follow every use of the snapshot
 // and of what Merged returned (see Snapshot); a second Close does
 // nothing.
 func (s *Snapshot) Close() {

@@ -34,7 +34,7 @@ func (s *Snapshot) trackedFlows() int {
 }
 
 // TestSnapshotMidStreamMatchesPrefix checks the snapshot completeness
-// guarantee: a snapshot taken after Ingest+Flush from the ingesting
+// guarantee: a snapshot taken after Ingest from the ingesting
 // goroutine answers exactly like a serial recording of the packets
 // ingested so far — and stays frozen while ingestion continues.
 func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
@@ -46,12 +46,11 @@ func TestSnapshotMidStreamMatchesPrefix(t *testing.T) {
 	pkts := encodeWorkload(eng, 13, nFlows, 400, k)
 	half := len(pkts) / 2
 
-	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 32})
+	sink, err := NewSink(eng, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink.Ingest(pkts[:half])
-	sink.Flush()
 	snap := sink.Snapshot()
 
 	halfSerial, err := core.NewRecording(eng)
@@ -108,7 +107,7 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 		readers = 3
 	)
 	pkts := encodeWorkload(eng, 17, nFlows, 500, k)
-	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 16})
+	sink, err := NewSink(eng, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,6 @@ func TestSnapshotConcurrentWithIngest(t *testing.T) {
 		end := min(off+64, len(pkts))
 		sink.Ingest(pkts[off:end])
 	}
-	sink.Flush()
 	close(done)
 	wg.Wait()
 	if err := sink.Close(); err != nil {
@@ -197,7 +195,7 @@ func TestSnapshotFlowsMatchesRebuilt(t *testing.T) {
 	} {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", v.name, shards), func(t *testing.T) {
-				testSnapshotFlowsMatchesRebuilt(t, Config{Shards: shards, BatchSize: 16, Base: v.base}, flowKey, nFlows, k)
+				testSnapshotFlowsMatchesRebuilt(t, Config{Shards: shards, Base: v.base}, flowKey, nFlows, k)
 			})
 		}
 	}
@@ -227,7 +225,6 @@ func testSnapshotFlowsMatchesRebuilt(t *testing.T, cfg Config, flowKey func(int)
 	fed := 0
 	for _, n := range []int{0, 5, 100, 101, 700, len(pkts)} {
 		sink.Ingest(pkts[fed:n])
-		sink.Flush()
 		fed = n
 
 		ref := rebuilt(n)

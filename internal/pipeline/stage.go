@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"time"
+
 	"repro/internal/core"
 )
 
@@ -8,21 +10,15 @@ import (
 // classic path (Ingest) is a single tap point; a multi-connection
 // collector instead gives every connection its own Stage — a private set
 // of per-shard staging buffers — and lands them with IngestStage, which
-// takes only the locks of the shards a batch actually touched. The
-// ingest fan-in then scales with connections × shards instead of
-// serializing on one mutex:
+// takes only the locks of the shards a batch actually touched, and
+// records on the connection's own goroutine:
 //
-//	conn 1 ─ decode → Stage ─┐            ┌─ shard 0 worker
-//	conn 2 ─ decode → Stage ─┼─ striped ──┼─ shard 1 worker
-//	conn N ─ decode → Stage ─┘   locks    └─ shard K worker
+//	conn 1 ─ decode → Stage ─┐  stripe lock  ┌─ shard 0 Recording
+//	conn 2 ─ decode → Stage ─┼─ or pending ──┼─ shard 1 Recording
+//	conn N ─ decode → Stage ─┘     slab      └─ shard K Recording
 //
-// Ordering model: a Stage is filled by one goroutine and IngestStage
-// appends each shard's chunk atomically (under that shard's lock), so
-// every flow's digests — which arrive on one connection and route to one
-// shard — reach their worker in connection order. Cross-connection
-// interleaving within a shard is arbitrary, and that is enough:
-// core.Recording draws no randomness, so per-flow answers depend only on
-// the flow's own stream order.
+// A connection that finds a shard's lock held leaves its chunk in the
+// shard's pending slab and decodes on; the holder records it.
 
 // Stage is a per-ingester set of per-shard staging buffers, the
 // destination array for wire.AppendUnmarshalSharded's fused
@@ -56,47 +52,30 @@ func (st *Stage) Reset() {
 	}
 }
 
-// IngestStage lands every staged packet in its shard and empties the
-// stage (capacity retained). Unlike Ingest it is safe to call from many
-// goroutines at once, one Stage each: per-shard striped locks serialize
-// the appends, and the persister (if attached) sees each shard's chunk
-// under that shard's lock, so the durable log preserves per-shard append
-// order — the property recovery replay needs (see persist.go).
+// IngestStage lands every staged packet in its shard, empties the stage
+// (capacity retained) and returns how long it waited on full slabs. Unlike
+// Ingest it is safe to call from many goroutines at once, one Stage each:
+// per-shard striped locks serialize the recording, and the persister (if
+// attached) sees each chunk in the lock hold that records it, so the
+// durable log preserves per-shard record order — the property recovery
+// replay needs (see persist.go).
 //
-// Backpressure: a full worker queue blocks the dispatch inside the
-// owning shard's lock, which blocks this call — and only ingesters
-// touching that shard — until the worker catches up. A networked
-// collector therefore stalls exactly the connections feeding the hot
-// shard, and TCP propagates the stall to their exporters.
-func (s *Sink) IngestStage(st *Stage) {
-	if s.closed {
+// Backpressure: a chunk that finds its shard's lock held and its slab
+// full waits for the lock, which blocks this call — and only ingesters
+// touching that shard. A networked collector therefore stalls exactly the
+// connections feeding the hot shard, and TCP propagates the stall to
+// their exporters. The time returned is that wait alone: the time spent
+// recording other sessions' chunks is the sink working, not congestion.
+func (s *Sink) IngestStage(st *Stage) (waited time.Duration) {
+	if s.closed.Load() {
 		panic("pipeline: Ingest after Close")
 	}
 	for idx := range st.bufs {
 		if len(st.bufs[idx]) == 0 {
 			continue
 		}
-		s.ingestShard(s.shards[idx], st.bufs[idx])
+		waited += s.ingestShard(s.shards[idx], st.bufs[idx])
 		st.bufs[idx] = st.bufs[idx][:0]
 	}
-}
-
-// ingestShard appends one shard's chunk under its stripe lock: log it
-// (per-shard order = append order, the relaxed WAL property), then move
-// it into the shard buffer in buffer-sized copies, dispatching each full
-// buffer to the worker.
-func (s *Sink) ingestShard(sh *shard, chunk []core.PacketDigest) {
-	sh.mu.Lock()
-	if p := s.persister(); p != nil {
-		p.PersistIngest(chunk)
-	}
-	for len(chunk) > 0 {
-		n := copy(sh.buf[len(sh.buf):cap(sh.buf)], chunk)
-		sh.buf = sh.buf[:len(sh.buf)+n]
-		chunk = chunk[n:]
-		if len(sh.buf) == cap(sh.buf) {
-			sh.dispatchLocked()
-		}
-	}
-	sh.mu.Unlock()
+	return waited
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -58,7 +57,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 
 	for _, shards := range []int{1, 3, 8} {
 		for _, conns := range []int{1, 4} {
-			sink, err := NewSink(eng, Config{Shards: shards, BatchSize: 64})
+			sink, err := NewSink(eng, Config{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +71,7 @@ func TestConcurrentStageMatchesSerial(t *testing.T) {
 					mod := uint64(len(bufs))
 					// Stage in frame-sized slices, landing each "frame"
 					// like a connection goroutine would.
-					const frame = 37 // unaligned with BatchSize on purpose
+					const frame = 37 // unaligned with the slab on purpose
 					for off := 0; off < len(stream); off += frame {
 						end := min(off+frame, len(stream))
 						for i := off; i < end; i++ {
@@ -120,7 +119,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64})
+	sink, err := NewSink(eng, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestSerialIngestAlongsideStages(t *testing.T) {
 func TestStageResetAfterDecodeError(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 101)
 	pkts := encodeWorkload(eng, 3, 8, 4, 6)
-	sink, err := NewSink(eng, Config{Shards: 4, BatchSize: 64})
+	sink, err := NewSink(eng, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,33 +195,19 @@ func TestStageResetAfterDecodeError(t *testing.T) {
 	if staged(st) != 0 {
 		t.Fatalf("%d packets staged after IngestStage", staged(st))
 	}
-	sink.Barrier()
-	total, _ := sink.Stats()
-	if total.Packets+uint64(bufferedPackets(sink)) != uint64(len(pkts)) {
-		t.Fatalf("sink holds %d dispatched + %d buffered packets, want %d",
-			total.Packets, bufferedPackets(sink), len(pkts))
+	if total, _ := sink.Stats(); total.Packets != uint64(len(pkts)) {
+		t.Fatalf("sink accepted %d packets, want %d", total.Packets, len(pkts))
 	}
-}
-
-func bufferedPackets(s *Sink) int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.buf)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // TestStageZeroAllocSteadyState pins the acceptance criterion for the
 // per-connection decode path, un-backlogged: once flows are admitted and
 // the buffers are warm, frame payload → AppendUnmarshalSharded →
-// IngestStage → Barrier allocates nothing. The Barrier after every frame
-// means no worker queue ever fills here; the saturated path is
-// TestBackpressureZeroAlloc's. The plan is path-only and every flow's path
+// IngestStage → Barrier allocates nothing. Nothing holds a shard here, so
+// no slab ever fills; the saturated path is TestBackpressureZeroAlloc's. The plan is path-only and every flow's path
 // has decoded by the end of warm-up, so recording allocates nothing and
 // every allocation the counter sees is a recycling leak in the
-// decode/stage/dispatch machinery, not data-structure growth (KLL
+// decode/stage/record machinery, not data-structure growth (KLL
 // compactors and raw sample buffers grow O(log n) with the stream; that
 // is real work, bounded separately by core's TestRecordStageAllocationPins).
 func TestStageZeroAllocSteadyState(t *testing.T) {
@@ -237,7 +222,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink, err := NewSink(eng, Config{
-		Shards: 4, BatchSize: 256})
+		Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +234,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 		}
 		sink.IngestStage(st)
 	}
-	// Warm up: admit every flow, grow the staging buffers and the
-	// dispatch free lists to steady-state shape.
+	// Warm up: admit every flow and grow the staging buffers.
 	for i := 0; i < 4; i++ {
 		ingestFrame()
 	}
@@ -262,8 +246,7 @@ func TestStageZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state decode path allocates %.1f/op, want 0", allocs)
 	}
-	// The in-process entry (scenarios, pintfig -shards) shares the
-	// dispatch machinery and its free lists.
+	// The in-process entry shares the stripe locks and the slabs.
 	allocs = testing.AllocsPerRun(32, func() {
 		sink.Ingest(pkts)
 		sink.Barrier()
@@ -314,7 +297,7 @@ func requireDecoded(t *testing.T, sink *Sink, path *core.PathQuery, flows int) {
 }
 
 // allocsDuring counts the heap objects and bytes the whole process
-// allocates while fn runs — every goroutine's, so a worker's count too.
+// allocates while fn runs — every goroutine's.
 func allocsDuring(fn func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -323,43 +306,72 @@ func allocsDuring(fn func()) (objects, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestBackpressureZeroAlloc saturates a shard's hand-off — QueueDepth+3
-// full batches back to back, so the queue fills, the ingester parks in a
-// blocked send and the worker drains the whole backlog before the ingester
-// runs again (one P makes that schedule certain) — and requires that the
-// dispatch buffers all come back: a pool one slot short drops a buffer per
-// cycle here and makes a fresh one on the next.
+// holdShard takes sh's lock in a WithFlow call on its own goroutine each
+// time a value arrives on take, and keeps it until the shard's stall
+// counter passes that value: until a chunk has found the slab full. It
+// allocates nothing per hold.
+func holdShard(sink *Sink, flow core.FlowKey) (take chan<- uint64, held <-chan struct{}) {
+	takes, helds := make(chan uint64), make(chan struct{})
+	sh := sink.shardOf(flow)
+	var until uint64
+	hold := func(*core.Recording) error {
+		helds <- struct{}{}
+		for sh.stalls.Load() <= until {
+			runtime.Gosched()
+		}
+		return nil
+	}
+	go func() {
+		for until = range takes {
+			sink.WithFlow(flow, hold)
+		}
+	}()
+	return takes, helds
+}
+
+// TestBackpressureZeroAlloc runs full-slab cycles on one shard: while
+// another goroutine holds the shard's lock, four 256-packet chunks fill
+// the slab and a fifth finds it full and waits; the holder, released by
+// that stall, records the slab before it lets go, and the fifth chunk is
+// recorded after it. A cycle allocates nothing (parked goroutines cost
+// the runtime an occasional wait record, below one per cycle).
 func TestBackpressureZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	eng, path := pathOnlyEngine(t)
-	const batchSize, queueDepth, flows = 256, 4, 32
-	sink, err := NewSink(eng, Config{
-		Shards: 1, BatchSize: batchSize, QueueDepth: queueDepth})
+	const chunk, flows = 256, 32
+	sink, err := NewSink(eng, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	burst := routedWorkload(eng, 5, flows, (queueDepth+3)*batchSize/flows, 6)
-	cycle := func() {
-		sink.Ingest(burst)
-		sink.Barrier()
-	}
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
+	warm := routedWorkload(eng, 5, flows, 64, 6)
+	sink.Ingest(warm)
 	requireDecoded(t, sink, path, flows)
-	if n, _ := allocsDuring(func() {
-		for i := 0; i < 200; i++ {
-			cycle()
+	burst := warm[:chunk]
+	sh := sink.shards[0]
+	take, held := holdShard(sink, burst[0].Flow)
+	defer close(take)
+	cycle := func() {
+		stalls := sh.stalls.Load()
+		take <- stalls
+		<-held
+		for i := 0; i < slabPackets/chunk; i++ {
+			sink.Ingest(burst) // into the slab: the lock is held
 		}
-	}); n != 0 {
-		t.Errorf("200 saturated cycles made %d heap objects, want 0", n)
+		sink.Ingest(burst) // the slab is full: wait
+		if sh.stalls.Load() != stalls+1 {
+			t.Fatalf("%d stalls in a cycle, want 1", sh.stalls.Load()-stalls)
+		}
 	}
-	if total, _ := sink.Stats(); total.Stalls == 0 {
-		t.Error("no dispatch stalled: the test did not reach backpressure")
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a full-slab cycle allocates %v objects, want 0", n)
+	}
+	if total, _ := sink.Stats(); total.Packets != uint64(len(warm)+102*(slabPackets+chunk)) {
+		t.Errorf("sink accepted %d packets", total.Packets)
 	}
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
@@ -367,37 +379,40 @@ func TestBackpressureZeroAlloc(t *testing.T) {
 }
 
 // TestBackpressureZeroAllocConcurrentStages is the same requirement on the
-// collector's surface: two ingesters with their own Stages contend for the
-// shards with no Barrier between bursts, so whatever schedule the run
-// gets, a blocked sender, a full queue and a busy worker coexist. Parked
-// goroutines cost the runtime an occasional ~100 B wait record, so the
-// bound here is bytes: all bursts together allocate less than one buffer.
+// collector's surface: two ingesters with their own Stages feed two
+// shards with no Barrier between frames while a third goroutine holds
+// shard 0, so shard 0's slab fills and an ingester waits on it while the
+// other shard records. A cycle allocates nothing.
 func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	eng, path := pathOnlyEngine(t)
-	const batchSize, queueDepth, ingesters, flows = 256, 4, 2, 32
-	sink, err := NewSink(eng, Config{
-		Shards: 2, BatchSize: batchSize, QueueDepth: queueDepth})
+	const ingesters, flows = 2, 32
+	sink, err := NewSink(eng, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	payload, err := wire.AppendMarshal(nil, routedWorkload(eng, 5, flows, 2*(queueDepth+3)*batchSize/flows, 6))
+	warm := routedWorkload(eng, 5, flows, 64, 6)
+	sink.Ingest(warm)
+	requireDecoded(t, sink, path, flows)
+	pkts := warm[:256] // both shards' flows
+	payload, err := wire.AppendMarshal(nil, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ingesters live across both phases, so the measured one starts no
-	// goroutine; phase hands them a burst count, done reports one finished.
-	phase := make([]chan int, ingesters)
+	// Each ingester sends a slab's worth of frames a cycle, so the two
+	// together overfill shard 0's slab.
+	frames := slabPackets / len(pkts) * 2
+	phase := make([]chan struct{}, ingesters)
 	done := make(chan struct{})
 	for i := range phase {
-		phase[i] = make(chan int)
-		go func(bursts <-chan int) {
+		phase[i] = make(chan struct{})
+		go func(cycles <-chan struct{}) {
 			st := sink.NewStage()
-			for n := range bursts {
-				for ; n > 0; n-- {
+			for range cycles {
+				for range frames {
 					if _, err := wire.AppendUnmarshalSharded(st.Buffers(), payload); err != nil {
 						t.Error(err)
 					}
@@ -407,25 +422,137 @@ func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 			}
 		}(phase[i])
 	}
-	run := func(bursts int) {
+	defer func() {
 		for _, c := range phase {
-			c <- bursts
+			close(c)
+		}
+	}()
+	run := func() {
+		for _, c := range phase {
+			c <- struct{}{}
 		}
 		for range phase {
 			<-done
 		}
 	}
-	run(16)
-	requireDecoded(t, sink, path, flows)
-	oneBuffer := uint64(batchSize) * uint64(unsafe.Sizeof(core.PacketDigest{}))
-	if n, b := allocsDuring(func() { run(200) }); b >= oneBuffer {
-		t.Errorf("%d×200 saturated bursts allocated %d B in %d objects, want less than one %d B buffer",
-			ingesters, b, n, oneBuffer)
+	flow0 := pkts[0].Flow
+	for i := 1; sink.shardOf(flow0) != sink.shards[0]; i++ {
+		flow0 = pkts[i].Flow
 	}
-	for _, c := range phase {
-		close(c)
+	sh := sink.shards[0]
+	take, held := holdShard(sink, flow0)
+	defer close(take)
+	cycle := func() {
+		take <- sh.stalls.Load()
+		<-held
+		run()
 	}
-	if total, _ := sink.Stats(); total.Stalls == 0 {
-		t.Error("no dispatch stalled: the test did not reach backpressure")
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Errorf("a full-slab cycle of %d×%d frames allocates %v objects, want 0", ingesters, frames, n)
+	}
+	if total, _ := sink.Stats(); total.Packets != uint64(len(warm)+52*ingesters*frames*len(pkts)) {
+		t.Errorf("sink accepted %d packets, want %d", total.Packets, len(warm)+52*ingesters*frames*len(pkts))
+	}
+}
+
+// TestDrainingIsNotAStall: a session that takes a shard's lock and
+// records a full slab of other sessions' chunks reports no wait, and no
+// stall: it did the sink's work, it was not held back.
+func TestDrainingIsNotAStall(t *testing.T) {
+	eng, _, _, _ := testPlan(t, 61)
+	pkts := routedWorkload(eng, 5, 16, slabPackets/16, 6)
+	sink, err := NewSink(eng, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sh := sink.shards[0]
+	st := sink.NewStage()
+	sh.mu.Lock() // a holder that lets go below without draining
+	for off := 0; off < len(pkts); off += 128 {
+		st.bufs[0] = append(st.bufs[0], pkts[off:off+128]...)
+		if waited := sink.IngestStage(st); waited != 0 {
+			t.Fatalf("a chunk offered to the slab waited %v", waited)
+		}
+	}
+	if len(sh.pending.pkts) != cap(sh.pending.pkts) {
+		t.Fatalf("the slab holds %d of %d packets", len(sh.pending.pkts), cap(sh.pending.pkts))
+	}
+	sh.mu.Unlock()
+	st.bufs[0] = append(st.bufs[0], pkts[:64]...)
+	if waited := sink.IngestStage(st); waited != 0 {
+		t.Fatalf("draining a full slab reported a %v wait", waited)
+	}
+	if len(sh.pending.pkts) != 0 {
+		t.Fatalf("%d packets left in the slab", len(sh.pending.pkts))
+	}
+	if total, _ := sink.Stats(); total.Stalls != 0 || total.Packets != uint64(len(pkts)+64) {
+		t.Fatalf("stats %+v after draining a full slab", total)
+	}
+}
+
+// TestNoChunkLost races sessions on one or two shards at one and two Ps,
+// with random chunk sizes (some larger than a slab) and no Barrier: once
+// the last IngestStage returns, the sink has accepted every packet and
+// answers as the serial Recording does, read straight off the shards — a
+// chunk left in a slab with no holder would show as a missing packet.
+func TestNoChunkLost(t *testing.T) {
+	eng, path, lat, util := testPlan(t, 101)
+	const nFlows, k, sessions = 24, 6, 3
+	pkts := encodeWorkload(eng, 17, nFlows, 300, k)
+	serial, err := core.NewRecording(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.RecordBatch(pkts); err != nil {
+		t.Fatal(err)
+	}
+	streams := stageWorkload(pkts, sessions)
+	for _, procs := range []int{1, 2} {
+		for _, shards := range []int{1, 2} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				sink, err := NewSink(eng, Config{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for c, stream := range streams {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rng := hash.NewRNG(uint64(100*procs + 10*shards + c))
+						st := sink.NewStage()
+						for off := 0; off < len(stream); {
+							n := 1 + int(rng.Uint64()%uint64(slabPackets*3/2))
+							if rng.Uint64()%4 != 0 {
+								n = 1 + n%64
+							}
+							end := min(off+n, len(stream))
+							for _, pd := range stream[off:end] {
+								sh := hash.ShardOf(uint64(pd.Flow), uint64(shards))
+								st.bufs[sh] = append(st.bufs[sh], pd)
+							}
+							sink.IngestStage(st)
+							off = end
+						}
+					}()
+				}
+				wg.Wait()
+				if total, _ := sink.Stats(); total.Packets != uint64(len(pkts)) {
+					t.Fatalf("procs=%d shards=%d: sink accepted %d packets, want %d", procs, shards, total.Packets, len(pkts))
+				}
+				for i, sh := range sink.shards {
+					if len(sh.pending.pkts) != 0 {
+						t.Fatalf("procs=%d shards=%d: %d packets left in shard %d's slab", procs, shards, len(sh.pending.pkts), i)
+					}
+				}
+				for f := range nFlows {
+					flow := workloadFlow(f)
+					compareFlow(t, shards, serial, sink.Recording(flow), flow, k, path, lat, util)
+				}
+			}()
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWithFlowSeesDispatchedIngest: the callback must observe everything
-// Ingest dispatched before the call (the worker drains its queue first),
+// Ingest handed over before the call (the shard's slab is recorded first),
 // and its mutations — eviction here, the hand-off drain in production —
 // must be visible to later snapshots.
 func TestWithFlowSeesDispatchedIngest(t *testing.T) {
@@ -19,7 +19,7 @@ func TestWithFlowSeesDispatchedIngest(t *testing.T) {
 		k           = 6
 	)
 	pkts := encodeWorkload(eng, 11, nFlows, pktsPerFlow, k)
-	sink, err := NewSink(eng, Config{Shards: 3, BatchSize: 32})
+	sink, err := NewSink(eng, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestWithFlowSeesDispatchedIngest(t *testing.T) {
 	sink.Ingest(pkts)
 
 	flow := pkts[0].Flow
-	// No Flush/Barrier in between: WithFlow itself must drain the queue.
+	// No Barrier in between: WithFlow itself must record the slab.
 	var sawPackets bool
 	err = sink.WithFlow(flow, func(rec *core.Recording) error {
 		if !rec.HasFlow(flow) {
@@ -57,8 +57,7 @@ func TestWithFlowSeesDispatchedIngest(t *testing.T) {
 }
 
 // TestWithFlowErrorAndClose: callback errors propagate, and WithFlow
-// still works after Close (it runs the callback directly on the drained
-// shard).
+// still works after Close.
 func TestWithFlowErrorAndClose(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 304)
 	pkts := encodeWorkload(eng, 13, 4, 60, 6)

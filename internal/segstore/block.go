@@ -180,7 +180,7 @@ type Checkpoint struct {
 	// Shard / Shards locate the record within its round.
 	Shard  int
 	Shards int
-	// Packets is the shard's dispatched-packet counter at the barrier —
+	// Packets is the shard's accepted-packet counter at the barrier —
 	// after a barrier that equals everything the shard has recorded.
 	Packets uint64
 	// Flows is the shard's live flow count at the barrier.

@@ -11,7 +11,7 @@ import (
 // writerQueueDepth bounds the pending-operation queue. A full queue blocks
 // PersistIngest — the ingester — which is the durability tier's
 // backpressure: TCP flow control then slows the exporters, exactly like a
-// slow sink worker would.
+// sink shard whose pending slab is full would.
 const writerQueueDepth = 64
 
 // Writer is the pipeline.Persister that feeds a Store: every event is
