@@ -43,7 +43,11 @@ func serveSink(t *testing.T, tb *Testbench, shards int, opts ...Option) (*pipeli
 		time.Sleep(100 * time.Microsecond)
 	}
 	t.Cleanup(func() {
-		srv.Shutdown(context.Background())
+		// Bounded, so a test that fails with an exporter still connected
+		// reports its failure instead of waiting on the session for good.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
 		if err := <-serveErr; err != nil {
 			t.Errorf("serve: %v", err)
 		}
@@ -228,9 +232,17 @@ func TestPerConnStats(t *testing.T) {
 	if err := exB.Send(tb.FlowBatch(2, 0, 100, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
+	// A session counts a frame's packets once it decodes them and the
+	// batch once IngestStage returns, which may first record other chunks.
 	waitForPackets(t, srv, 300)
-
-	conns := srv.ConnStats()
+	var conns []ConnStats
+	deadline := time.Now().Add(10 * time.Second)
+	for conns = srv.ConnStats(); len(conns) == 2 && conns[0].Batches+conns[1].Batches < 2; conns = srv.ConnStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions handed %d and %d batches to the sink, want 1 each", conns[0].Batches, conns[1].Batches)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if len(conns) != 2 {
 		t.Fatalf("live sessions: got %d, want 2: %+v", len(conns), conns)
 	}
@@ -271,7 +283,7 @@ func TestPerConnStats(t *testing.T) {
 	if err := exB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for len(srv.ConnStats()) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("sessions lingered after close: %+v", srv.ConnStats())

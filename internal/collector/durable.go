@@ -1,11 +1,14 @@
 package collector
 
 import (
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/segstore"
+	"repro/internal/wire"
 )
 
 // This file wires the durable tier (internal/segstore) into the
@@ -69,31 +72,55 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 	return d, nil
 }
 
-// ReplayInto feeds every digest block in the store, in log order, into
-// the sink and barriers it, returning the packet count. The sink must
-// not have a persister attached yet (the replay would re-log itself) and
-// the caller must hold the single-ingester role.
+// ReplayInto feeds every digest block in the store into the sink and
+// barriers it, returning the packet count. Each shard records its packets
+// in log order, which is the order it recorded them in before (see
+// pipeline's persist.go), so the sink ends as the logging one did. The
+// shards are dealt to lanes, one a CPU; each lane scans the log on its
+// own goroutine and records only its shards' packets, so replay records
+// on every CPU and hands nothing between goroutines. The sink must not
+// have a persister attached yet (the replay would re-log itself), and
+// nothing else may ingest until ReplayInto returns.
 func ReplayInto(store *segstore.Store, sink *pipeline.Sink) (uint64, error) {
-	var scratch []core.PacketDigest
-	var packets uint64
-	err := store.Scan(0, ^uint64(0), func(b segstore.Block) error {
-		if b.Kind != segstore.KindDigests {
-			return nil
+	lanes := min(len(sink.NewStage().Buffers()), runtime.GOMAXPROCS(0))
+	packets := make([]uint64, lanes)
+	errs := make([]error, lanes)
+	var wg sync.WaitGroup
+	for lane := range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := sink.NewStage()
+			bufs := st.Buffers()
+			errs[lane] = store.Scan(0, ^uint64(0), func(b segstore.Block) error {
+				if b.Kind != segstore.KindDigests {
+					return nil
+				}
+				if _, err := wire.AppendUnmarshalSharded(bufs, b.Body); err != nil {
+					return err
+				}
+				for i := range bufs {
+					if i%lanes == lane {
+						packets[lane] += uint64(len(bufs[i]))
+					} else {
+						bufs[i] = bufs[i][:0]
+					}
+				}
+				sink.IngestStage(st)
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
+	var total uint64
+	for lane := range lanes {
+		if errs[lane] != nil {
+			return 0, errs[lane]
 		}
-		var err error
-		scratch, err = segstore.DecodeDigests(scratch, b.Body, nil)
-		if err != nil {
-			return err
-		}
-		sink.Ingest(scratch)
-		packets += uint64(len(scratch))
-		return nil
-	})
-	if err != nil {
-		return 0, err
+		total += packets[lane]
 	}
 	sink.Barrier()
-	return packets, sink.Err()
+	return total, sink.Err()
 }
 
 // Checkpoint runs one full durability interval: a sink checkpoint

@@ -4,9 +4,10 @@
 // per-flow answer stays bit-identical to the serial path. A sink starts no
 // goroutine. Each chunk is recorded on the goroutine that ingests it,
 // under its shard's stripe lock, by flat combining (Hendler, Incze, Shavit
-// and Tzafrir, SPAA 2010): an ingester that finds the lock held copies its
-// chunk into the shard's pending slab and goes back to decoding, and the
-// holder records the slab before it lets go.
+// and Tzafrir, SPAA 2010): an ingester that finds the shard busy (its
+// lock held, or about to be taken) copies its chunk into the shard's
+// pending slab and goes back to decoding, and the holder records the slab
+// before it lets go.
 //
 //   - Bounded buffers: a shard's two slabs (the pending one and the one
 //     its holder records from) are made once, in NewSink, so ingest
@@ -76,9 +77,13 @@ type shard struct {
 	mu    sync.Mutex
 	rec   *core.Recording
 	spare slab
-	// pmu guards pending: the chunks of sessions that found mu held, in
-	// the order they landed.
+	// pmu guards busy and pending. busy is set by a goroutine that holds
+	// mu or is about to take it, and cleared only by a holder that finds
+	// pending empty, in the same pmu hold, before it lets go of mu. A
+	// session appends to pending only while busy is set, so no chunk waits
+	// there without a holder bound to record it.
 	pmu     sync.Mutex
+	busy    bool
 	pending slab
 	// packets/batches/stalls are the shard's ingest counters (ShardStats),
 	// written by ingesters and read from any goroutine, hence atomic.
@@ -149,42 +154,51 @@ func (s *Sink) Ingest(batch []core.PacketDigest) {
 	s.IngestStage(st)
 }
 
-// ingestShard lands one shard's chunk: it records it after the slab if
-// the lock is free, and copies it into the slab for the holder if not.
-// Only a chunk the slab cannot take waits; it returns that wait.
+// ingestShard lands one shard's chunk: it leaves it in the slab if the
+// shard is busy, and otherwise takes the lock and records it after the
+// slab. Only a chunk the slab cannot take waits; it returns that wait.
 func (s *Sink) ingestShard(sh *shard, chunk []core.PacketDigest) (waited time.Duration) {
 	sh.packets.Add(uint64(len(chunk)))
 	sh.batches.Add(1)
-	if !sh.mu.TryLock() {
-		if sh.offer(chunk) {
-			// The holder may have let go before the copy landed.
-			s.settle(sh)
-			return 0
-		}
+	sh.pmu.Lock()
+	if sh.busy && sh.offer(chunk) {
+		sh.pmu.Unlock()
+		return 0
+	}
+	full := sh.busy
+	sh.busy = true
+	sh.pmu.Unlock()
+	if full {
 		sh.stalls.Add(1)
 		start := time.Now()
 		sh.mu.Lock()
 		waited = time.Since(start)
+	} else {
+		sh.mu.Lock()
 	}
 	s.drain(sh)
+	sh.pmu.Unlock()
 	s.record(sh, chunk, []int{len(chunk)})
 	s.unlock(sh)
 	return waited
 }
 
-// lock takes sh's lock and records its slab, so the Recording it returns
-// holds every packet ingested before the call. Release it with unlock.
+// lock marks sh busy (sessions leave their chunks in the slab), takes its
+// lock and records the slab, so the Recording it returns holds every
+// packet ingested before the call. Release it with unlock.
 func (s *Sink) lock(sh *shard) *core.Recording {
+	sh.pmu.Lock()
+	sh.busy = true
+	sh.pmu.Unlock()
 	sh.mu.Lock()
 	s.drain(sh)
+	sh.pmu.Unlock()
 	return sh.rec
 }
 
 // offer appends a copy of chunk to the pending slab, unless it does not
-// fit.
+// fit. The caller holds sh.pmu.
 func (sh *shard) offer(chunk []core.PacketDigest) bool {
-	sh.pmu.Lock()
-	defer sh.pmu.Unlock()
 	p := &sh.pending
 	if len(p.pkts)+len(chunk) > cap(p.pkts) {
 		return false
@@ -194,47 +208,33 @@ func (sh *shard) offer(chunk []core.PacketDigest) bool {
 	return true
 }
 
-// drain records the pending slab until it is empty, swapping in the spare
-// so sessions keep landing chunks while the full one records. The caller
-// holds sh.mu.
+// drain records the pending slab until it finds it empty, swapping in the
+// spare so sessions keep landing chunks meanwhile, and returns holding
+// sh.pmu. It marks the shard busy again for a holder that took the lock
+// after another cleared busy. The caller holds sh.mu.
 func (s *Sink) drain(sh *shard) {
 	for {
 		sh.pmu.Lock()
+		sh.busy = true
 		b := sh.pending
-		if len(b.pkts) > 0 {
-			sh.pending = sh.spare
-		}
-		sh.pmu.Unlock()
 		if len(b.pkts) == 0 {
 			return
 		}
+		sh.pending = sh.spare
+		sh.pmu.Unlock()
 		s.record(sh, b.pkts, b.ends)
 		sh.spare = slab{b.pkts[:0], b.ends[:0]}
 	}
 }
 
-// unlock drains the slab, lets go of sh.mu and settles the slab.
+// unlock drains the slab, clears busy in the pmu hold that finds it empty
+// and only then lets go of sh.mu: a chunk either landed before that look,
+// and this holder recorded it, or finds busy clear and takes the lock.
 func (s *Sink) unlock(sh *shard) {
 	s.drain(sh)
+	sh.busy = false
+	sh.pmu.Unlock()
 	sh.mu.Unlock()
-	s.settle(sh)
-}
-
-// settle gives a chunk that landed in the slab after the last drain a
-// holder: unless the slab is empty, or another goroutine holds the lock
-// (and will drain before it lets go), it takes the lock and drains. So no
-// chunk waits in the slab with no holder.
-func (s *Sink) settle(sh *shard) {
-	for {
-		sh.pmu.Lock()
-		empty := len(sh.pending.pkts) == 0
-		sh.pmu.Unlock()
-		if empty || !sh.mu.TryLock() {
-			return
-		}
-		s.drain(sh)
-		sh.mu.Unlock()
-	}
 }
 
 // record logs b's chunks, each ending at one of ends, to the persister

@@ -17,8 +17,9 @@ import (
 //	conn 2 ─ decode → Stage ─┼─ or pending ──┼─ shard 1 Recording
 //	conn N ─ decode → Stage ─┘     slab      └─ shard K Recording
 //
-// A connection that finds a shard's lock held leaves its chunk in the
-// shard's pending slab and decodes on; the holder records it.
+// A connection that finds a shard busy (its lock held, or about to be
+// taken) leaves its chunk in the shard's pending slab and decodes on; the
+// holder records it.
 
 // Stage is a per-ingester set of per-shard staging buffers, the
 // destination array for wire.AppendUnmarshalSharded's fused
@@ -60,8 +61,8 @@ func (st *Stage) Reset() {
 // durable log preserves per-shard record order — the property recovery
 // replay needs (see persist.go).
 //
-// Backpressure: a chunk that finds its shard's lock held and its slab
-// full waits for the lock, which blocks this call — and only ingesters
+// Backpressure: a chunk that finds its shard busy and its slab full
+// waits for the lock, which blocks this call — and only ingesters
 // touching that shard. A networked collector therefore stalls exactly the
 // connections feeding the hot shard, and TCP propagates the stall to
 // their exporters. The time returned is that wait alone: the time spent

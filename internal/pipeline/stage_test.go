@@ -3,7 +3,9 @@ package pipeline
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -456,9 +458,30 @@ func TestBackpressureZeroAllocConcurrentStages(t *testing.T) {
 	}
 }
 
-// TestDrainingIsNotAStall: a session that takes a shard's lock and
-// records a full slab of other sessions' chunks reports no wait, and no
-// stall: it did the sink's work, it was not held back.
+// gatePersister parks the first PersistIngest call until release is
+// closed, so a test can stop a session inside the lock hold that records
+// its chunk; it counts the chunks persisted.
+type gatePersister struct {
+	entered, release chan struct{}
+	once             sync.Once
+	chunks           atomic.Int64
+}
+
+func (g *gatePersister) PersistIngest([]core.PacketDigest) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	g.chunks.Add(1)
+}
+
+func (g *gatePersister) PersistCheckpoint(CheckpointStats) {}
+
+// TestDrainingIsNotAStall stops a session inside its lock hold while
+// other chunks fill the shard's slab. Those chunks return at once; the
+// session, let go, records the full slab before its IngestStage returns,
+// and reports no wait and no stall: it did the sink's work, it was not
+// held back. Nothing is left in the slab and the shard is not busy.
 func TestDrainingIsNotAStall(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 61)
 	pkts := routedWorkload(eng, 5, 16, slabPackets/16, 6)
@@ -467,25 +490,36 @@ func TestDrainingIsNotAStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
+	gate := &gatePersister{entered: make(chan struct{}), release: make(chan struct{})}
+	sink.SetPersister(gate)
 	sh := sink.shards[0]
+	waited := make(chan time.Duration)
+	go func() {
+		st := sink.NewStage()
+		st.bufs[0] = append(st.bufs[0], pkts[:64]...)
+		waited <- sink.IngestStage(st)
+	}()
+	<-gate.entered
 	st := sink.NewStage()
-	sh.mu.Lock() // a holder that lets go below without draining
-	for off := 0; off < len(pkts); off += 128 {
-		st.bufs[0] = append(st.bufs[0], pkts[off:off+128]...)
-		if waited := sink.IngestStage(st); waited != 0 {
-			t.Fatalf("a chunk offered to the slab waited %v", waited)
+	const chunk = 128
+	for off := 0; off < len(pkts); off += chunk {
+		st.bufs[0] = append(st.bufs[0], pkts[off:off+chunk]...)
+		if w := sink.IngestStage(st); w != 0 {
+			t.Fatalf("a chunk offered to the slab waited %v", w)
 		}
 	}
 	if len(sh.pending.pkts) != cap(sh.pending.pkts) {
 		t.Fatalf("the slab holds %d of %d packets", len(sh.pending.pkts), cap(sh.pending.pkts))
 	}
-	sh.mu.Unlock()
-	st.bufs[0] = append(st.bufs[0], pkts[:64]...)
-	if waited := sink.IngestStage(st); waited != 0 {
-		t.Fatalf("draining a full slab reported a %v wait", waited)
+	close(gate.release)
+	if w := <-waited; w != 0 {
+		t.Fatalf("draining a full slab reported a %v wait", w)
 	}
-	if len(sh.pending.pkts) != 0 {
-		t.Fatalf("%d packets left in the slab", len(sh.pending.pkts))
+	if n, want := gate.chunks.Load(), int64(1+len(pkts)/chunk); n != want {
+		t.Fatalf("%d chunks recorded by the time the holder returned, want %d", n, want)
+	}
+	if len(sh.pending.pkts) != 0 || sh.busy {
+		t.Fatalf("%d packets left in the slab, busy %v", len(sh.pending.pkts), sh.busy)
 	}
 	if total, _ := sink.Stats(); total.Stalls != 0 || total.Packets != uint64(len(pkts)+64) {
 		t.Fatalf("stats %+v after draining a full slab", total)
@@ -544,8 +578,8 @@ func TestNoChunkLost(t *testing.T) {
 					t.Fatalf("procs=%d shards=%d: sink accepted %d packets, want %d", procs, shards, total.Packets, len(pkts))
 				}
 				for i, sh := range sink.shards {
-					if len(sh.pending.pkts) != 0 {
-						t.Fatalf("procs=%d shards=%d: %d packets left in shard %d's slab", procs, shards, len(sh.pending.pkts), i)
+					if len(sh.pending.pkts) != 0 || sh.busy {
+						t.Fatalf("procs=%d shards=%d: %d packets left in shard %d's slab, busy %v", procs, shards, len(sh.pending.pkts), i, sh.busy)
 					}
 				}
 				for f := range nFlows {
