@@ -23,11 +23,11 @@
 // exits 0.
 //
 // With -data-dir the daemon runs the durable tier (internal/segstore):
-// every ingested batch is appended to a crash-safe segment log before the
-// next checkpoint fsync, and on startup the daemon replays the log —
-// recovering from torn tails a SIGKILL left behind — before accepting
-// connections, so a restarted collector answers exactly like one that
-// never died.
+// every ingested batch is appended to a crash-safe segment log as it is
+// recorded, fsynced at each checkpoint, and on startup the daemon replays
+// the log — recovering from torn tails a SIGKILL left behind — before
+// accepting connections, so a restarted collector answers exactly like
+// one that never died.
 package main
 
 import (

@@ -28,9 +28,14 @@ type DurableOptions struct {
 // answers live queries, the log makes every ingested packet durable, and
 // recovery rebuilds the sink from the log. Build with OpenDurableSink.
 type DurableSink struct {
-	Sink   *pipeline.Sink
-	Store  *segstore.Store
-	Writer *segstore.Writer
+	Sink *pipeline.Sink
+	// Store is the log, and the sink's persister.
+	Store *segstore.Store
+	// Writer holds the same pointer as Store.
+	//
+	// Deprecated: use Store. It goes with ROADMAP item 10, the benchmark
+	// harness's unfreeze, which removes its last user.
+	Writer *segstore.Store
 	// Recovery reports what Open found: surviving packets, and the torn
 	// tail (if any) a crash left behind.
 	Recovery segstore.RecoveryReport
@@ -44,7 +49,8 @@ type DurableSink struct {
 // OpenDurableSink opens (recovering if needed) the segment log, builds
 // the sink, replays the log into it — so the collector starts holding
 // every packet the previous incarnation made durable — and only then
-// attaches the persistence writer, so replayed packets are not re-logged.
+// attaches the store as the sink's persister, so replayed packets are not
+// re-logged.
 func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Config, opts DurableOptions) (*DurableSink, error) {
 	store, report, err := segstore.Open(opts.DataDir, opts.Options)
 	if err != nil {
@@ -58,6 +64,7 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 	d := &DurableSink{
 		Sink:     sink,
 		Store:    store,
+		Writer:   store,
 		Recovery: *report,
 		engine:   engine,
 		queries:  queries,
@@ -67,8 +74,7 @@ func OpenDurableSink(engine *core.Engine, queries []core.Query, pcfg pipeline.Co
 		store.Close()
 		return nil, err
 	}
-	d.Writer = segstore.NewWriter(store)
-	sink.SetPersister(d.Writer)
+	sink.SetPersister(store)
 	return d, nil
 }
 
@@ -124,25 +130,22 @@ func ReplayInto(store *segstore.Store, sink *pipeline.Sink) (uint64, error) {
 }
 
 // Checkpoint runs one full durability interval: a sink checkpoint
-// barrier (every shard drains and reports), then a writer flush+fsync.
+// barrier (every shard drains and reports), then a store fsync.
 // It requires a quiescent ingest surface — the Server runs it under the
 // write side of its ingest gate, so no connection's stage hand-off can
 // straddle the round and the per-round conservation law stays exact.
 func (d *DurableSink) Checkpoint() error {
 	d.Sink.Checkpoint()
-	return d.Writer.Sync()
+	return d.Store.Sync()
 }
 
 // Close shuts the durable sink down in dependency order: a final
 // checkpoint (so the log ends with a verifiable round), sink close, then
-// writer and store. The caller must hold the single-ingester role.
+// store. The caller must hold the single-ingester role.
 func (d *DurableSink) Close() error {
 	d.Sink.Checkpoint()
-	err := d.Writer.Sync()
+	err := d.Store.Sync()
 	if cerr := d.Sink.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := d.Writer.Close(); err == nil {
 		err = cerr
 	}
 	if cerr := d.Store.Close(); err == nil {

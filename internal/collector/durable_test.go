@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -232,7 +233,8 @@ func crashImage(t *testing.T, dir string) string {
 
 // TestDurableAbandonRecovers is the SIGKILL on a crash image: whatever
 // reached the file is recovered bit-identically to an uncrashed collector
-// fed the same durable prefix, and the loss is exactly the unflushed tail.
+// fed the same durable prefix, and, as every recorded chunk is written in
+// the hold that records it, that prefix is every packet ingested.
 func TestDurableAbandonRecovers(t *testing.T) {
 	tb := mustTestbench(t, 13)
 	dir := t.TempDir()
@@ -246,7 +248,7 @@ func TestDurableAbandonRecovers(t *testing.T) {
 	if err := d.Checkpoint(); err != nil { // first wave is durable
 		t.Fatal(err)
 	}
-	stream = append(stream, ingestWaves(t, tb, d, 2, 3, 200)...) // second wave races the writer
+	stream = append(stream, ingestWaves(t, tb, d, 2, 3, 200)...) // second wave is only written
 	image := crashImage(t, dir)
 
 	re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(image))
@@ -255,11 +257,8 @@ func TestDurableAbandonRecovers(t *testing.T) {
 	}
 	defer re.Close()
 	replayed := re.Replayed
-	if replayed < 600 {
-		t.Fatalf("checkpointed wave lost: only %d packets recovered", replayed)
-	}
-	if replayed > uint64(len(stream)) {
-		t.Fatalf("recovered %d packets, only %d were ever ingested — double count", replayed, len(stream))
+	if replayed != uint64(len(stream)) {
+		t.Fatalf("recovered %d packets; the sink had recorded %d when it crashed", replayed, len(stream))
 	}
 
 	// Bit-for-bit identity with an uncrashed collector that ingested the
@@ -661,7 +660,7 @@ func TestWindowAnswersFlowScoped(t *testing.T) {
 				d.Sink.Ingest(chunk)
 			}
 		}
-		if err := d.Writer.Flush(); err != nil {
+		if err := d.Store.Err(); err != nil {
 			t.Fatal(err)
 		}
 		var maxTS uint64
@@ -717,11 +716,12 @@ func TestWindowAnswersFlowScoped(t *testing.T) {
 // TestWindowQueryFlushesNotCheckpoints: /snapshot?since= asked while a
 // session is streaming answers with every packet the daemon had taken in
 // before the request — the session's hand-off counter is the
-// acknowledgement: a frame counted there has been queued for the log —
-// byte-identical to a serial Recording of those packets, and it gets
-// there by draining the persistence queue: no checkpoint round runs (the
-// cadence is off, so a checkpoint record in the log could only be the
-// query's), and the session keeps streaming throughout.
+// acknowledgement: a frame counted there is recorded or in its shard's
+// slab — byte-identical to a serial Recording of those packets, and it
+// gets there by recording the slabs, each chunk written to the log in the
+// hold that records it: no checkpoint round runs (the cadence is off, so
+// a checkpoint record in the log could only be the query's), and the
+// session keeps streaming throughout.
 func TestWindowQueryFlushesNotCheckpoints(t *testing.T) {
 	tb := mustTestbench(t, 23)
 	dir := t.TempDir()
@@ -810,9 +810,6 @@ func TestWindowQueryFlushesNotCheckpoints(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Writer.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.Store.Scan(0, ^uint64(0), func(b segstore.Block) error {
 		if b.Kind == segstore.KindCheckpoint {
 			t.Errorf("checkpoint record at ts %d: the window query ran a checkpoint round", b.TS)
@@ -820,5 +817,63 @@ func TestWindowQueryFlushesNotCheckpoints(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableSinkStartsNoGoroutine counts goroutines around
+// OpenDurableSink and Close, as pipeline's TestSinkStartsNoGoroutine does
+// for the sink: the log is written on the goroutine that records each
+// chunk, so the durable tier runs none of its own. The second round opens
+// a log to replay; replay's lanes have finished when OpenDurableSink
+// returns, though the scheduler may count them a moment longer.
+func TestDurableSinkStartsNoGoroutine(t *testing.T) {
+	tb := mustTestbench(t, 29)
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		waitFor(t, fmt.Sprintf("%s to leave at most the %d goroutines before it", what, before),
+			func() bool { return runtime.NumGoroutine() <= before })
+	}
+	for round := range 2 {
+		d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: 4}, durableOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled("OpenDurableSink")
+		ingestWaves(t, tb, d, uint64(round+1), 3, 100)
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		settled("ingest and checkpoint")
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		settled("Close")
+	}
+}
+
+// TestWindowQueryReportsStoreError: once the store has failed an append,
+// a window query answers 500 with the failure instead of a window the log
+// no longer holds whole, and Checkpoint and Close report it too.
+func TestWindowQueryReportsStoreError(t *testing.T) {
+	tb := mustTestbench(t, 31)
+	dir := t.TempDir()
+	srv, d := newDurableServer(t, tb, dir, durableOpts(dir))
+	d.Sink.Ingest(tb.FlowBatch(1, 0, 100, nil, nil))
+	if err := d.Store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d.Sink.Ingest(tb.FlowBatch(1, 1, 100, nil, nil)) // its append fails
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/snapshot?since=0", nil))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "after Close") {
+		t.Fatalf("window query after a failed append: status %d body %q", rec.Code, rec.Body.String())
+	}
+	if err := d.Checkpoint(); err == nil || !strings.Contains(err.Error(), "after Close") {
+		t.Fatalf("checkpoint after a failed append: %v", err)
+	}
+	if err := d.Close(); err == nil || !strings.Contains(err.Error(), "after Close") {
+		t.Fatalf("close after a failed append: %v", err)
 	}
 }

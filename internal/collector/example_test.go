@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"time"
 
 	"repro/internal/admit"
 	"repro/internal/collector"
@@ -86,7 +87,10 @@ func ExampleConnect() {
 	if err := ex.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if err := srv.Shutdown(context.Background()); err != nil {
+	// Drain: wait for every session to end, but not forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
 		log.Fatal(err)
 	}
 	if err := <-serveErr; err != nil {

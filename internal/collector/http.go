@@ -316,15 +316,16 @@ func parseWindowBound(raw string) (uint64, error) {
 }
 
 // serveWindow answers /snapshot?since=S&until=U from the segment log:
-// every shard's pending slab is recorded and the persistence queue flushed
-// first, then the window replays from the file. A packet's log record is
-// queued in the shard-lock hold that records it (pipeline.Persister), and
-// a packet whose ingest returned is recorded or in its shard's slab, so
-// after Sink.Barrier and the flush the file holds every packet ingested
-// before the query — the log is the complete record, nothing is read from
-// the live shards and so nothing is counted twice. No exporter is paused
-// for a read: a window query takes no ingest gate and syncs nothing, and
-// the barrier holds each shard's lock only while its slab records.
+// every shard's pending slab is recorded first, then the window replays
+// from the file. A packet's log record is written in the shard-lock hold
+// that records it (pipeline.Persister), and a packet whose ingest returned
+// is recorded or in its shard's slab, so after Sink.Barrier the file holds
+// every packet ingested before the query, unless the store failed an
+// append (Store.Err, a 500) — the log is the complete record, nothing is
+// read from the live shards and so nothing is counted twice. No exporter
+// is paused for a read: a window query takes no ingest gate and syncs
+// nothing, and the barrier holds each shard's lock only while its slab
+// records.
 // A window reaching at or below the retention horizon answers partially
 // (PartialHeader: 1) if it extends past the horizon, 400 if not.
 func (s *Server) serveWindow(w http.ResponseWriter, q url.Values, flows []core.FlowKey) {
@@ -358,7 +359,7 @@ func (s *Server) serveWindow(w http.ResponseWriter, q url.Values, flows []core.F
 		return
 	}
 	s.cfg.Sink.Barrier()
-	if err := d.Writer.Flush(); err != nil {
+	if err := d.Store.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

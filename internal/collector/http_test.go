@@ -246,7 +246,7 @@ func TestEpochMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	defer srv.Shutdown(context.Background())
+	defer shutdownServer(t, srv)
 
 	stale := HelloFor(tb.Engine, 1, "stale-map")
 	stale.Epoch = 2

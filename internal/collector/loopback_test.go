@@ -44,7 +44,11 @@ func (tb *Testbench) RunLoopback(shards, nExporters, flowsPer, pktsPer, batch in
 
 	packets, _, err := tb.StreamDeployment(Standalone(ln.Addr().String()), nExporters, flowsPer, pktsPer, batch)
 	if err != nil {
-		srv.Shutdown(context.Background())
+		// An exporter may still be connected: bound the drain, so a
+		// failing run returns instead of waiting out the test binary.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -7,9 +7,9 @@ import (
 // Persister is the sink's durability hook: it observes the two events a
 // durable tier needs — the ingested stream and checkpoint barriers — and
 // costs the hot path one atomic load per recorded chunk when none is
-// attached. internal/segstore's Writer is the production implementation:
-// it copies each event into a bounded queue and applies it on its own
-// goroutine, so persistence slows ingestion only when the disk is behind.
+// attached. internal/segstore's Store is the production implementation:
+// it appends each event to its log on the calling goroutine, under its
+// own lock taken inside the shard's, and never calls back into the sink.
 //
 // Contract:
 //

@@ -417,6 +417,7 @@ func TestNoWorkers(t *testing.T) {
 }
 
 // TestSinkStartsNoGoroutine counts goroutines around NewSink and Close.
+// The count may fall: an earlier test's goroutine can still be exiting.
 func TestSinkStartsNoGoroutine(t *testing.T) {
 	eng, _, _, _ := testPlan(t, 61)
 	before := runtime.NumGoroutine()
@@ -424,14 +425,14 @@ func TestSinkStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("NewSink: %d goroutines, %d before", n, before)
 	}
 	sink.Ingest(encodeWorkload(eng, 3, 8, 50, 6))
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("Close: %d goroutines, %d before", n, before)
 	}
 }

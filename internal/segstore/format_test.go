@@ -5,7 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/coding"
 	"repro/internal/core"
@@ -243,24 +247,51 @@ func TestParentLogIdentity(t *testing.T) {
 
 // TestAppendDigestsSteadyStateAllocs: once the block buffer has reached
 // the batch size, logging a batch allocates nothing — it is marshaled,
-// framed and checksummed in the buffer it is written from. (The block
-// directory grows by amortised doubling; the measurement runs where it
+// framed and checksummed in the buffer it is written from — and neither
+// do concurrent PersistIngest callers (a sink's shard stripes), which
+// take turns at the store's lock with no copy of their batch. (The block
+// directory grows by amortised doubling; the measurements run where it
 // has room.)
 func TestAppendDigestsSteadyStateAllocs(t *testing.T) {
+	const runs, callers, perCaller = 100, 4, 50
 	st, _ := openTest(t, t.TempDir(), Options{SegmentBytes: 1 << 30})
 	defer st.Close()
+	st.idx = slices.Grow(st.idx, 2*runs+callers*perCaller)
 	batch := testDigests(256, 3)
-	const runs = 100
-	for cap(st.idx)-len(st.idx) <= runs+1 {
-		if err := st.AppendDigests(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if got := testing.AllocsPerRun(runs, func() {
 		if err := st.AppendDigests(batch); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Fatalf("steady-state AppendDigests: %v allocs per batch, want 0", got)
+	}
+	if raceEnabled {
+		return // race instrumentation inflates allocation counts
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range perCaller {
+				st.PersistIngest(batch)
+			}
+		}()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	close(start)
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	// A copy of the batch per call would cost callers·perCaller of these.
+	oneCopy := uint64(len(batch)) * uint64(unsafe.Sizeof(batch[0]))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= oneCopy {
+		t.Fatalf("%d concurrent PersistIngest calls allocated %d B, want less than one %d B batch copy",
+			callers*perCaller, got, oneCopy)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

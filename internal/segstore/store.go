@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/wire"
 )
 
@@ -88,9 +89,15 @@ type segMeta struct {
 	blocks  int
 }
 
-// Store is the append-only segment log. Appends come from one writer
-// goroutine (segstore.Writer); Scan and the stats methods are safe from
-// any goroutine.
+// Store is the append-only segment log, and the sink's pipeline.Persister:
+// every append runs on its caller's goroutine under mu, so a chunk a sink
+// records is in the file when the shard-lock hold that records it ends.
+// The lock order is a sink's shard lock, then mu, never the reverse; Scan,
+// Sync and the stats methods take only mu and are safe from any goroutine.
+//
+// The first failed append is kept (err): after it the store writes
+// nothing more, not even a seal, and every later append, Sync and Close
+// return it, so a failed write is never followed by more blocks.
 type Store struct {
 	dir  string
 	opts Options
@@ -117,6 +124,7 @@ type Store struct {
 
 	scratch []byte
 	closed  bool
+	err     error
 }
 
 // Open opens (creating if needed) the segment log in dir, recovers it —
@@ -466,8 +474,9 @@ func checkIndex(idx Index, entries []IndexEntry, meta segMeta, name string) erro
 }
 
 // ckptChecker verifies the never-double-count invariant while scanning:
-// every digest block precedes the checkpoint round that covers it (the
-// writer's FIFO guarantees it at append time), so a completed round —
+// every digest block precedes the checkpoint round that covers it (a
+// shard's checkpoint is appended in a hold of its lock that follows every
+// append of its chunks), so a completed round —
 // all of its shards reported — claims exactly the digest packets logged
 // before it. Retention complicates the bookkeeping: a Retain marker
 // always lands later in the log than the checkpoints whose covered
@@ -612,19 +621,52 @@ func (s *Store) AppendDigests(batch []core.PacketDigest) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blk, err := wire.AppendMarshal(beginBlock(s.scratch), batch)
-	if err != nil {
-		return err
+	if s.err == nil {
+		blk, err := wire.AppendMarshal(beginBlock(s.scratch), batch)
+		if err == nil {
+			err = s.append(KindDigests, blk, uint64(len(batch)))
+		}
+		s.err = err
 	}
-	return s.append(KindDigests, blk, uint64(len(batch)))
+	return s.err
 }
 
 // AppendCheckpoint logs one shard's checkpoint record.
 func (s *Store) AppendCheckpoint(cp Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(KindCheckpoint, appendCheckpointBody(beginBlock(s.scratch), cp), 0)
+	if s.err == nil {
+		s.err = s.append(KindCheckpoint, appendCheckpointBody(beginBlock(s.scratch), cp), 0)
+	}
+	return s.err
 }
+
+// PersistIngest implements pipeline.Persister: it appends the batch on
+// the caller's goroutine, inside the sink's shard-lock hold that records
+// it. A failure is kept for Err.
+func (s *Store) PersistIngest(batch []core.PacketDigest) { s.AppendDigests(batch) }
+
+// PersistCheckpoint implements pipeline.Persister.
+func (s *Store) PersistCheckpoint(cp pipeline.CheckpointStats) {
+	s.AppendCheckpoint(Checkpoint{Round: cp.Round, Shard: cp.Shard, Shards: cp.Shards,
+		Packets: cp.Packets, Flows: cp.Flows})
+}
+
+// Err returns the store's first failed append, or nil. Ingestion goes on
+// after it, unlogged; the collector surfaces the error and the operator
+// decides.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// Writer is Store under the name the benchmark harness's timed persister
+// embeds.
+//
+// Deprecated: use Store. It goes with ROADMAP item 10, the benchmark
+// harness's unfreeze, which removes its last user.
+type Writer = Store
 
 func (s *Store) rotateLocked() error {
 	if s.blocks == 0 {
@@ -714,6 +756,9 @@ func (s *Store) retainLocked() error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
 	if s.closed || s.opts.NoSync {
 		return nil
 	}
@@ -723,14 +768,20 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close seals the active segment and closes the store.
+// Close seals the active segment and closes the store. After a failed
+// append it seals nothing: it closes the file and returns the failure,
+// and the next Open recovers the segment as a crash left it.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil
+		return s.err
 	}
 	s.closed = true
+	if s.err != nil {
+		s.f.Close()
+		return s.err
+	}
 	if s.blocks == 0 {
 		// Nothing appended since the last rotation: delete the empty file
 		// rather than sealing a blockless segment.
