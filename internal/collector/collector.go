@@ -143,14 +143,6 @@ type Server struct {
 	stopCkptOnce sync.Once
 	ckptDone     sync.WaitGroup
 
-	// ingestGate orders concurrent ingest against whole-sink operations.
-	// Connection handlers hold the read side per frame (their stage
-	// hand-offs already serialize per shard inside the sink); Checkpoint
-	// and Shutdown's final drain take the write side, so every in-flight
-	// hand-off completes before the barrier runs — which is what keeps the
-	// durable tier's per-round conservation law exact under concurrent
-	// ingest.
-	ingestGate sync.RWMutex
 	// sess tracks live sessions for the /stats per-connection section.
 	sess sessionSet
 
@@ -468,9 +460,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		}
 		sess.staged.Store(int64(kept))
-		s.ingestGate.RLock()
 		waited := s.cfg.Sink.IngestStage(st)
-		s.ingestGate.RUnlock()
 		sess.stallNs.Add(uint64(waited))
 		sess.staged.Store(0)
 		sess.batches.Add(1)
@@ -577,9 +567,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// in flight finishes on its own), so none can start after Shutdown
 	// returns and the caller closes the durable sink.
 	s.ckptDone.Wait()
-	// All handlers are gone; the write side of the gate still fences any
-	// straggling hand-off.
-	s.ingestGate.Lock()
 	s.cfg.Sink.Barrier()
 	if s.cfg.Durable != nil {
 		// End the log with a verifiable round covering everything the
@@ -589,7 +576,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	s.ingestGate.Unlock()
 	close(s.drained)
 	return err
 }

@@ -129,11 +129,9 @@ func ReplayInto(store *segstore.Store, sink *pipeline.Sink) (uint64, error) {
 	return total, sink.Err()
 }
 
-// Checkpoint runs one full durability interval: a sink checkpoint
-// barrier (every shard drains and reports), then a store fsync.
-// It requires a quiescent ingest surface — the Server runs it under the
-// write side of its ingest gate, so no connection's stage hand-off can
-// straddle the round and the per-round conservation law stays exact.
+// Checkpoint runs one full durability interval: a sink checkpoint round
+// (every shard records its slab and reports, all under their locks), then
+// a store fsync.
 func (d *DurableSink) Checkpoint() error {
 	d.Sink.Checkpoint()
 	return d.Store.Sync()
@@ -141,7 +139,7 @@ func (d *DurableSink) Checkpoint() error {
 
 // Close shuts the durable sink down in dependency order: a final
 // checkpoint (so the log ends with a verifiable round), sink close, then
-// store. The caller must hold the single-ingester role.
+// store.
 func (d *DurableSink) Close() error {
 	d.Sink.Checkpoint()
 	err := d.Store.Sync()
@@ -205,10 +203,7 @@ func (s *Server) runCheckpoints(every time.Duration) {
 		case <-s.stopCkpt:
 			return
 		case <-t.C:
-			s.ingestGate.Lock()
-			err := s.cfg.Durable.Checkpoint()
-			s.ingestGate.Unlock()
-			if err != nil {
+			if err := s.cfg.Durable.Checkpoint(); err != nil {
 				s.logf("collector: checkpoint: %v", err)
 			}
 		}

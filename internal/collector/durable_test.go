@@ -543,21 +543,22 @@ func mustPlainSink(t *testing.T, tb *Testbench) *pipeline.Sink {
 
 // TestDurableCheckpointTicker: a Server with a positive CheckpointEvery
 // runs the checkpoint cadence on its own once served — no explicit
-// Checkpoint call — and Shutdown stops the ticker and lands the final
-// checkpoint. The cadence must NOT start before Serve: a constructed-but
-// -never-served Server would otherwise leak a ticker goroutine that keeps
-// checkpointing a DurableSink its caller may already have closed.
+// Checkpoint call — while live exporter sessions stream into the sink,
+// and Shutdown stops the ticker and lands the final checkpoint. The
+// reopened log passes recovery's per-round conservation check and
+// answers byte-identically to a non-durable sink fed the same stream. The
+// cadence must NOT start before Serve: a constructed-but-never-served
+// Server would otherwise leak a ticker goroutine that keeps checkpointing
+// a DurableSink its caller may already have closed.
 func TestDurableCheckpointTicker(t *testing.T) {
 	tb := mustTestbench(t, 5)
 	dir := t.TempDir()
-	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pipeline.Config{Shards: 2}, durableOpts(dir))
+	pcfg := pipeline.Config{Shards: 2}
+	d, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	// Ingest before the server exists: the ticker goroutine must be the
-	// only checkpoint caller (single-ingester contract).
-	stream := ingestWaves(t, tb, d, 1, 3, 100)
 	srv, err := New(tb.Engine, WithSink(d.Sink), WithQueries(tb.Queries()...),
 		WithDurable(d), WithCheckpointEvery(2*time.Millisecond))
 	if err != nil {
@@ -587,22 +588,75 @@ func TestDurableCheckpointTicker(t *testing.T) {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	deadline := time.Now().Add(30 * time.Second)
-	for countCkpts() == 0 || d.Store.Stats().Packets != uint64(len(stream)) {
-		if time.Now().After(deadline) {
-			t.Fatalf("background cadence flushed %d of %d packets, %d checkpoint records",
-				d.Store.Stats().Packets, len(stream), countCkpts())
+
+	// Two sessions stream a frame a millisecond, so the cadence's rounds
+	// fall between and beside their frames. The reference sink gets each
+	// session's frames in order, which is each flow's order.
+	const sessions, flows, frames, pktsPer = 2, 3, 8, 40
+	ref := mustPlainSink(t, tb)
+	sendErr := make(chan error, sessions)
+	for e := range sessions {
+		exp := uint64(e + 1)
+		var batches [][]core.PacketDigest
+		for i := range frames {
+			batches = append(batches, tb.FlowBatch(exp, i%flows, pktsPer, nil, nil))
+			ref.Ingest(batches[i])
 		}
-		time.Sleep(time.Millisecond)
+		go func() {
+			ex, err := dial(ln.Addr().String(), HelloFor(tb.Engine, exp, "ticker"))
+			if err != nil {
+				sendErr <- err
+				return
+			}
+			for _, b := range batches {
+				if err := ex.Send(b); err != nil {
+					sendErr <- err
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+			sendErr <- ex.Close()
+		}()
 	}
+	for range sessions {
+		if err := <-sendErr; err != nil {
+			t.Fatal(err)
+		}
+	}
+	const total = sessions * frames * pktsPer
+	waitForPackets(t, srv, total)
+	waitFor(t, "a checkpoint round", func() bool { return countCkpts() > 0 })
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	if d.Store.Stats().Packets == 0 {
-		t.Fatal("flushed store holds no packets")
+	if got := d.Store.Stats().Packets; got != total {
+		t.Fatalf("the log holds %d packets, want %d", got, total)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDurableSink(tb.Engine, tb.Queries(), pcfg, durableOpts(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if re.Replayed != total {
+		t.Fatalf("replayed %d packets, want %d", re.Replayed, total)
+	}
+	want, err := SnapshotAnswers(ref.Snapshot(), tb.Queries(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SnapshotAnswers(re.Sink.Snapshot(), tb.Queries(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(answersJSON(t, got), answersJSON(t, want)) {
+		t.Fatal("the reopened log answers differently from a non-durable sink fed the same stream")
 	}
 }
 

@@ -60,7 +60,6 @@ func (s *Server) ExportFlows(flows []core.FlowKey) ([]wire.FlowState, error) {
 			arena = make([]byte, 0, max(4*largest, min(exportChunk, (len(flows)-i)<<10)))
 		}
 		at := len(arena)
-		s.ingestGate.RLock()
 		err := s.cfg.Sink.WithFlow(flow, func(rec *core.Recording) error {
 			if !rec.HasFlow(flow) {
 				return nil
@@ -72,7 +71,6 @@ func (s *Server) ExportFlows(flows []core.FlowKey) ([]wire.FlowState, error) {
 			rec.Evict(flow)
 			return nil
 		})
-		s.ingestGate.RUnlock()
 		if err != nil {
 			return out, fmt.Errorf("collector: exporting flow %d: %w", flow, err)
 		}
@@ -110,11 +108,9 @@ func (s *Server) ingestHandoffFrame(payload []byte) (int, error) {
 	}
 	for i, fs := range states {
 		fs := fs
-		s.ingestGate.RLock()
 		err := s.cfg.Sink.WithFlow(fs.Flow, func(rec *core.Recording) error {
 			return rec.RestoreFlowState(fs.Flow, fs.State)
 		})
-		s.ingestGate.RUnlock()
 		if err != nil {
 			return i, fmt.Errorf("collector: importing flow %d: %w", fs.Flow, err)
 		}

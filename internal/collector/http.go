@@ -323,9 +323,9 @@ func parseWindowBound(raw string) (uint64, error) {
 // every packet ingested before the query, unless the store failed an
 // append (Store.Err, a 500) — the log is the complete record, nothing is
 // read from the live shards and so nothing is counted twice. No exporter
-// is paused for a read: a window query takes no ingest gate and syncs
-// nothing, and the barrier holds each shard's lock only while its slab
-// records.
+// is paused for a read: a window query takes no lock outside the sink
+// and syncs nothing, and the barrier holds each shard's lock only while
+// its slab records.
 // A window reaching at or below the retention horizon answers partially
 // (PartialHeader: 1) if it extends past the horizon, 400 if not.
 func (s *Server) serveWindow(w http.ResponseWriter, q url.Values, flows []core.FlowKey) {

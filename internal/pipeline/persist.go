@@ -22,21 +22,23 @@ import (
 //     reproduces each shard's stream, and every flow's, verbatim. Calls
 //     may be concurrent; the slice is valid only during the call.
 //   - PersistCheckpoint runs on Sink.Checkpoint's goroutine, once per
-//     shard, under the shard's lock after its slab is recorded, so the
-//     stats describe a quiescent shard.
+//     shard, with every shard's lock held and every slab recorded. A
+//     round's records are cut in that one hold, so no PersistIngest falls
+//     between them: they are consecutive in the log, and each reports
+//     exactly what its shard logged before it.
 type Persister interface {
 	PersistIngest(batch []core.PacketDigest)
 	PersistCheckpoint(cp CheckpointStats)
 }
 
-// CheckpointStats is one shard's state at a checkpoint barrier.
+// CheckpointStats is one shard's state in a checkpoint round.
 type CheckpointStats struct {
 	// Round numbers the Checkpoint call (1, 2, …); every shard reports
 	// once per round, Shard of Shards.
 	Round         uint64
 	Shard, Shards int
-	// Packets is the shard's accepted-packet counter, all of them
-	// recorded; Flows its live flow count.
+	// Packets is how many packets the shard has recorded and logged;
+	// Flows its live flow count.
 	Packets uint64
 	Flows   int
 }
@@ -65,28 +67,30 @@ func (s *Sink) persister() Persister {
 	return nil
 }
 
-// Checkpoint runs a checkpoint barrier: under each shard's lock in turn
-// it records the shard's slab and reports its CheckpointStats to the
-// persister (if one is attached), so every packet ingested before the call
-// is recorded AND its checkpoint record follows all of those packets'
-// PersistIngest events, as the recovery cross-check needs. It shares
-// Ingest's single-ingester contract, and concurrent IngestStage callers
-// must be quiesced for the duration (the collector holds its ingest gate
-// exclusively): a chunk landing mid-barrier would count toward no round.
-// Returns the round number. After Close it is a no-op.
+// Checkpoint cuts a checkpoint round: it takes every shard's lock in
+// index order (see lock: each records its slab), reports every shard's
+// CheckpointStats to the persister (if one is attached), and only then
+// lets go of them all. No chunk is logged while the round is cut, so its
+// records are consecutive in the log and each claims exactly the packets
+// its shard logged before it, as the recovery cross-check needs. It is the
+// one caller that holds more than one shard's lock. Returns the round
+// number; after Close it cuts none and returns the last.
 func (s *Sink) Checkpoint() uint64 {
-	if s.closed.Load() {
-		return s.ckptRound
+	for _, sh := range s.shards {
+		s.lock(sh)
 	}
-	s.ckptRound++
-	p := s.persister()
-	for i, sh := range s.shards {
-		rec := s.lock(sh)
-		if p != nil {
-			p.PersistCheckpoint(CheckpointStats{Round: s.ckptRound, Shard: i,
-				Shards: len(s.shards), Packets: sh.packets.Load(), Flows: rec.TrackedFlows()})
+	if !s.closed.Load() {
+		s.ckptRound++
+		if p := s.persister(); p != nil {
+			for i, sh := range s.shards {
+				p.PersistCheckpoint(CheckpointStats{Round: s.ckptRound, Shard: i,
+					Shards: len(s.shards), Packets: sh.packets.Load(), Flows: sh.rec.TrackedFlows()})
+			}
 		}
+	}
+	round := s.ckptRound
+	for _, sh := range s.shards {
 		s.unlock(sh)
 	}
-	return s.ckptRound
+	return round
 }

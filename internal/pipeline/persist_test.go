@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hash"
@@ -245,27 +247,150 @@ func TestCheckpointOrdersAfterIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		ingested := make([]uint64, shards) // per shard, summed over the events so far
-		reported := map[uint64]int{}
-		for i, ev := range p.events {
-			if ev.ckpt == nil {
-				ingested[ev.shard] += ev.n
-				continue
-			}
-			cp := *ev.ckpt
-			if cp.Shards != shards || cp.Round < 1 || cp.Round > rounds {
-				t.Fatalf("shards=%d: malformed checkpoint record %+v", shards, cp)
-			}
-			if cp.Packets != ingested[cp.Shard] {
-				t.Fatalf("shards=%d event %d: round %d shard %d reports %d packets, its earlier PersistIngest events sum to %d",
-					shards, i, cp.Round, cp.Shard, cp.Packets, ingested[cp.Shard])
-			}
-			reported[cp.Round]++
+		if n, err := checkRounds(p.events, shards); err != nil || n != rounds {
+			t.Fatalf("shards=%d: %d rounds, want %d: %v", shards, n, rounds, err)
 		}
-		for r := uint64(1); r <= rounds; r++ {
-			if reported[r] != shards {
-				t.Fatalf("shards=%d: round %d has %d records, want one per shard", shards, r, reported[r])
+	}
+}
+
+// heldPersister is an orderedPersister that, in round 1, stops right
+// after it logs shard at's checkpoint record, signals held, and goes on
+// only once release closes.
+type heldPersister struct {
+	orderedPersister
+	at            int
+	held, release chan struct{}
+}
+
+func (p *heldPersister) PersistCheckpoint(cp CheckpointStats) {
+	p.orderedPersister.PersistCheckpoint(cp)
+	if cp.Round == 1 && cp.Shard == p.at {
+		close(p.held)
+		<-p.release
+	}
+}
+
+// checkRounds holds a log to what recovery assumes of checkpoint rounds
+// and returns how many it holds: round r (1, 2, …) has one record a
+// shard, in shard order, no chunk is logged between its first record and
+// its last, and each record claims exactly the packets its shard logged
+// before it.
+func checkRounds(events []persistEvent, shards int) (rounds uint64, err error) {
+	logged := make([]uint64, shards)
+	open := 0 // records of the round being cut
+	for i, ev := range events {
+		if ev.ckpt == nil {
+			if open > 0 {
+				return rounds, fmt.Errorf("event %d: shard %d logged %d packets inside a round, after %d of its %d records",
+					i, ev.shard, ev.n, open, shards)
 			}
+			logged[ev.shard] += ev.n
+			continue
 		}
+		cp := *ev.ckpt
+		if cp.Round != rounds+1 || cp.Shards != shards || cp.Shard != open {
+			return rounds, fmt.Errorf("event %d: record %+v, want round %d shard %d of %d", i, cp, rounds+1, open, shards)
+		}
+		if cp.Packets != logged[cp.Shard] {
+			return rounds, fmt.Errorf("event %d: round %d shard %d claims %d packets, it logged %d before it",
+				i, cp.Round, cp.Shard, cp.Packets, logged[cp.Shard])
+		}
+		if open++; open == shards {
+			open, rounds = 0, rounds+1
+		}
+	}
+	if open != 0 {
+		return rounds, fmt.Errorf("the log ends inside a round, after %d of its %d records", open, shards)
+	}
+	return rounds, nil
+}
+
+// TestCheckpointRoundIsAtomic runs Checkpoint while IngestStage callers
+// run, with no lock outside the sink. First it forces the interleaving:
+// round 1 stops at the middle shard's record while a stage into every
+// shard lands and returns. Its chunks must wait in the slabs, not be
+// logged between the round's records. Then ingesters and rounds run
+// freely. Either way each round's records are consecutive in the log,
+// and each claims what its shard logged before it.
+func TestCheckpointRoundIsAtomic(t *testing.T) {
+	eng, _, _, _ := testPlan(t, 101)
+	const shards = 3
+	pkts := encodeWorkload(eng, 7, 16, 60, 6)
+	p := &heldPersister{orderedPersister: orderedPersister{shards: shards}, at: 1,
+		held: make(chan struct{}), release: make(chan struct{})}
+	sink, err := NewSink(eng, Config{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.SetPersister(p)
+	stage := func(st *Stage, pkts []core.PacketDigest) {
+		for _, pd := range pkts {
+			sh := hash.ShardOf(uint64(pd.Flow), shards)
+			st.bufs[sh] = append(st.bufs[sh], pd)
+		}
+	}
+	sink.Ingest(pkts[:100])
+	round := make(chan uint64)
+	go func() { round <- sink.Checkpoint() }()
+	<-p.held
+	st := sink.NewStage()
+	stage(st, pkts[100:400])
+	for sh, buf := range st.bufs {
+		if len(buf) == 0 {
+			t.Fatalf("the held stage has no chunk for shard %d", sh)
+		}
+	}
+	landed := make(chan struct{})
+	go func() { sink.IngestStage(st); close(landed) }()
+	select {
+	case <-landed:
+	case <-time.After(10 * time.Second):
+		t.Error("a stage into held shards waited for their locks")
+	}
+	close(p.release)
+	if r := <-round; r != 1 {
+		t.Fatalf("checkpoint returned round %d, want 1", r)
+	}
+	<-landed
+	if _, err := checkRounds(p.events, shards); err != nil {
+		t.Fatalf("forced interleaving: %v", err)
+	}
+
+	rest := stageWorkload(pkts[400:], 3)
+	var wg sync.WaitGroup
+	for _, stream := range rest {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := sink.NewStage()
+			for off := 0; off < len(stream); off += 16 {
+				stage(st, stream[off:min(off+16, len(stream))])
+				sink.IngestStage(st)
+			}
+		}()
+	}
+	const rounds = 100
+	for r := uint64(2); r <= rounds; r++ {
+		if got := sink.Checkpoint(); got != r {
+			t.Fatalf("checkpoint returned round %d, want %d", got, r)
+		}
+	}
+	wg.Wait()
+	if got := sink.Checkpoint(); got != rounds+1 {
+		t.Fatalf("last checkpoint returned round %d, want %d", got, rounds+1)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := checkRounds(p.events, shards); err != nil || n != rounds+1 {
+		t.Fatalf("free-running rounds: %d rounds, want %d: %v", n, rounds+1, err)
+	}
+	last := p.events[len(p.events)-shards:]
+	var sum uint64
+	for _, ev := range last {
+		sum += ev.ckpt.Packets
+	}
+	if sum != uint64(len(pkts)) {
+		t.Fatalf("the last round claims %d packets, %d were ingested", sum, len(pkts))
 	}
 }

@@ -55,8 +55,8 @@ type Config struct {
 const slabPackets = 1024
 
 // Sink is the sharded Recording Module. Ingest feeds it from one ingester
-// goroutine and IngestStage from any number; Snapshot, Flows and WithFlow
-// serve any goroutine at any time.
+// goroutine and IngestStage from any number; Snapshot, Flows, WithFlow
+// and Checkpoint serve any goroutine at any time.
 type Sink struct {
 	engine *core.Engine
 	shards []*shard
@@ -66,7 +66,8 @@ type Sink struct {
 	istage *Stage
 	// persist is the attached durability hook (see persist.go).
 	persist atomic.Pointer[persistBox]
-	// ckptRound numbers Checkpoint barriers; ingester-goroutine only.
+	// ckptRound numbers Checkpoint rounds; Checkpoint moves it holding
+	// every shard's lock.
 	ckptRound uint64
 }
 
@@ -85,8 +86,9 @@ type shard struct {
 	pmu     sync.Mutex
 	busy    bool
 	pending slab
-	// packets/batches/stalls are the shard's ingest counters (ShardStats),
-	// written by ingesters and read from any goroutine, hence atomic.
+	// packets/batches/stalls are the shard's ingest counters (ShardStats):
+	// packets and batches written by the lock holder as it records,
+	// stalls by ingesters, all read from any goroutine, hence atomic.
 	packets atomic.Uint64
 	batches atomic.Uint64
 	stalls  atomic.Uint64
@@ -158,8 +160,6 @@ func (s *Sink) Ingest(batch []core.PacketDigest) {
 // shard is busy, and otherwise takes the lock and records it after the
 // slab. Only a chunk the slab cannot take waits; it returns that wait.
 func (s *Sink) ingestShard(sh *shard, chunk []core.PacketDigest) (waited time.Duration) {
-	sh.packets.Add(uint64(len(chunk)))
-	sh.batches.Add(1)
 	sh.pmu.Lock()
 	if sh.busy && sh.offer(chunk) {
 		sh.pmu.Unlock()
@@ -238,9 +238,10 @@ func (s *Sink) unlock(sh *shard) {
 }
 
 // record logs b's chunks, each ending at one of ends, to the persister
-// if one is attached, and records b: in one lock hold, so each shard's
-// log order is its record order. The shard's first recording error
-// freezes it. The caller holds sh.mu.
+// if one is attached, counts them and records b: in one lock hold, so
+// each shard's log order is its record order, and its counters are what
+// it has logged. The shard's first recording error freezes it. The
+// caller holds sh.mu.
 func (s *Sink) record(sh *shard, b []core.PacketDigest, ends []int) {
 	if p := s.persister(); p != nil {
 		from := 0
@@ -249,6 +250,8 @@ func (s *Sink) record(sh *shard, b []core.PacketDigest, ends []int) {
 			from = end
 		}
 	}
+	sh.packets.Add(uint64(len(b)))
+	sh.batches.Add(uint64(len(ends)))
 	if sh.err.Load() == nil {
 		if err := sh.rec.RecordBatch(b); err != nil {
 			sh.fail(err)
@@ -333,10 +336,9 @@ func (s *Sink) Flows() []core.FlowKey {
 
 // ShardStats is one shard's ingest counters.
 type ShardStats struct {
-	// Packets and Batches count the packets and chunks the shard accepted:
-	// a packet counts once the Ingest or IngestStage call that handed it
-	// over returns, recorded or still in the shard's slab, where any later
-	// reader or Barrier records it first.
+	// Packets and Batches count the packets and chunks the shard has
+	// recorded and logged. A chunk that waits in the shard's slab counts
+	// once its holder records it, which it does before it lets go.
 	Packets uint64 `json:"packets"`
 	Batches uint64 `json:"batches"`
 	// Stalls counts chunks that found the shard's slab full and waited for

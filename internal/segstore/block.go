@@ -180,8 +180,9 @@ type Checkpoint struct {
 	// Shard / Shards locate the record within its round.
 	Shard  int
 	Shards int
-	// Packets is the shard's accepted-packet counter at the barrier —
-	// after a barrier that equals everything the shard has recorded.
+	// Packets is how many packets the shard had recorded and logged when
+	// the round was cut: exactly the digest packets it logged before this
+	// record.
 	Packets uint64
 	// Flows is the shard's live flow count at the barrier.
 	Flows int
