@@ -120,7 +120,9 @@ func (tb *Testbench) flowPath(exp uint64, f int, path []uint64) []uint64 {
 // lognormal: the latency slot keeps the last hop that writes it, so the
 // codes the other hops would write never reach a digest. The others
 // advance the stream as raw draws, a zero top 53 bits drawn again exactly
-// as RNG.NormUniforms does, and their latency column holds 0.
+// as RNG.NormUniforms does, and their latency column holds 0. The hop
+// loop keeps only the winner's two draws; a second pass over the packets
+// evaluates each lognormal, so the hop loop carries no math.Exp.
 func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, _ []core.HopValues) []core.PacketDigest {
 	if cap(pkts) < n {
 		pkts = make([]core.PacketDigest, n)
@@ -143,8 +145,7 @@ func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, _
 	}
 	path := tb.flowPath(exp, f, make([]uint64, 0, coding.MaxPathLen))
 	hv := hopValuesPool.Get().(*hopValues)
-	cols := hv.columns(tb.K, n)
-	mu := math.Log(8000)
+	cols, u := hv.columns(tb.K, n)
 	for hop, col := range cols {
 		sw := path[hop]
 		for j := range col {
@@ -153,12 +154,15 @@ func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, _
 				u1 = rng.Uint64()
 			}
 			u2 := rng.Uint64()
-			var lat uint64
 			if int(win[j]) == hop+1 {
-				lat = uint64(math.Exp(mu + 0.25*hash.BoxMuller(hash.Unit(u1), hash.Unit(u2))))
+				u[2*j], u[2*j+1] = u1, u2
 			}
-			col[j] = core.HopValues{SwitchID: sw, LatencyNs: lat}
+			col[j] = core.HopValues{SwitchID: sw}
 		}
+	}
+	mu := math.Log(8000)
+	for j, w := range win[:n] {
+		cols[w-1][j].LatencyNs = uint64(math.Exp(mu + 0.25*hash.BoxMuller(hash.Unit(u[2*j]), hash.Unit(u[2*j+1]))))
 	}
 	tb.Engine.EncodeHops(1, pkts, cols)
 	hopValuesPool.Put(hv)
@@ -166,23 +170,27 @@ func (tb *Testbench) FlowBatch(exp uint64, f, n int, pkts []core.PacketDigest, _
 }
 
 // hopValues is FlowBatch's pooled scratch: k value columns of n each, cut
-// from one buffer.
+// from one buffer, and each packet's winning pair of uniforms.
 type hopValues struct {
 	buf  []core.HopValues
 	cols [][]core.HopValues
+	u    []uint64
 }
 
 var hopValuesPool = sync.Pool{New: func() any { return new(hopValues) }}
 
-func (hv *hopValues) columns(k, n int) [][]core.HopValues {
+func (hv *hopValues) columns(k, n int) ([][]core.HopValues, []uint64) {
 	if cap(hv.buf) < k*n {
 		hv.buf = make([]core.HopValues, k*n)
+	}
+	if cap(hv.u) < 2*n {
+		hv.u = make([]uint64, 2*n)
 	}
 	hv.cols = hv.cols[:0]
 	for h := 0; h < k; h++ {
 		hv.cols = append(hv.cols, hv.buf[h*n:(h+1)*n:(h+1)*n])
 	}
-	return hv.cols
+	return hv.cols, hv.u[:2*n]
 }
 
 // ValidateShape sanity-checks the deployment shape the streaming helpers

@@ -850,10 +850,14 @@ func flowImageCases(t testing.TB) [][]byte {
 //
 // Odd-length histograms pad their last word, so the counts shrink by a
 // little less than half, and each image by a little more, the decoder's
-// six words included.
+// six words included. The workload's switch IDs vary per packet, so the
+// three decoded images count inconsistencies, and since a decoded path
+// checks only sampled packets (checkShift) their counter word, image
+// word 29, holds the sampled count (74, 239 and 421, from 528, 2,032 and
+// 521 while every packet was checked).
 func TestFlowImagesPinned(t *testing.T) {
 	files := readStates(t, "flowimage-v3", "*.bin")
-	if got, want := digestOf(files), "ea9c1c4e7ba00a96"; got != want {
+	if got, want := digestOf(files), "92920133db79d708"; got != want {
 		t.Fatalf("the committed images hash to %s, want %s", got, want)
 	}
 	if got := flowImageCases(t); !slices.EqualFunc(got, files, bytes.Equal) {

@@ -226,13 +226,26 @@ func (r *Recording) recordRun(fs *flowState, run []PacketDigest) error {
 	return err
 }
 
+// checkShift sets the route-change check's sample: once a flow's path
+// has decoded, its decoder sees only the packets hash.Global.Checked puts
+// in a 1/S sample, S = 2^checkShift, under the query's own hash family,
+// and a rerouted flow's inconsistency counter climbs S times slower per
+// packet. A done decoder reads a packet only to count a nonzero residual
+// (coding.Decoder.Observe), and that check dominated a decoded flow's
+// recording. S = 8 cuts the check to an eighth; S = 16 would save a few
+// more ns a packet and double the route-change detection delay.
+const checkShift = 3
+
 // record runs one packet of fs's flow through the compiled program of its
 // query set: direct kind dispatch on precomputed ops, no Extracted
-// materialization, no type switches on interfaces. A packet claiming a
-// longer path than the flow's first (any exporter can send one) may elect
-// a hop past the flow's per-hop stores, and that per-hop sample is dropped
-// — the same packets always drop the same samples, so every replay of the
-// stream still agrees.
+// materialization, no type switches on interfaces. A path query's decoder
+// sees every packet until the path decodes, and then only the sampled
+// ones (checkShift); the sample is a function of the packet ID, so live
+// ingest, every replay and a flow imported by the hand-off skip the same
+// packets. A packet claiming a longer path than the flow's first (any
+// exporter can send one) may elect a hop past the flow's per-hop stores,
+// and that per-hop sample is dropped — the same packets always drop the
+// same samples, so every replay of the stream still agrees.
 func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 	e := r.engine
 	si := e.setIndexOf(pkt)
@@ -250,7 +263,9 @@ func (r *Recording) record(fs *flowState, pkt *PacketDigest) error {
 				return fmt.Errorf("core: flow %v: path length %d out of [1,%d] for path query %q", pkt.Flow, k, coding.MaxPathLen, op.path.Name())
 			}
 			fs.start(op.slot)
-			op.path.ObserveInto(&r.decs[pl.ord].dec, pkt.PktID, bits)
+			if dec := &r.decs[pl.ord].dec; !dec.Done() || op.path.enc.ActGlobal().Checked(pkt.PktID, checkShift) {
+				op.path.ObserveInto(dec, pkt.PktID, bits)
+			}
 		case opLatency:
 			fs.start(op.slot)
 			if hop := op.lat.Winner(pkt.PktID, pkt.PathLen); hop <= k {

@@ -13,6 +13,7 @@ type Global struct {
 	h    Seed // value hash h(value, pkt)
 	frag Seed // fragment-selection hash (§4.2, fragmentation)
 	lyr  Seed // layer-selection hash (Algorithm 1, line 1)
+	chk  Seed // route-check sampling hash (the sink's, §7)
 }
 
 // NewGlobal derives the full family from one master seed. Each member is
@@ -25,6 +26,7 @@ func NewGlobal(master Seed) Global {
 		h:    master.Derive(3),
 		frag: master.Derive(4),
 		lyr:  master.Derive(5),
+		chk:  master.Derive(6),
 	}
 }
 
@@ -38,6 +40,17 @@ func (g Global) QueryPoint(pktID uint64) float64 {
 // the Baseline layer (H < tau) and one of the XOR layers.
 func (g Global) LayerPoint(pktID uint64) float64 {
 	return Unit(g.lyr.Hash1(pktID))
+}
+
+// Checked reports whether pktID is in the 1/2^shift sample of packets
+// whose digests the sink checks against an already decoded path — §7's
+// route-change detector, run on a sample so a decoded flow's other
+// packets cost no decoding: the top shift bits of chk(pkt) are zero. It
+// depends on the packet ID alone, independently of layer selection and
+// of every act decision, so every replay of a stream checks the same
+// packets. No switch evaluates it.
+func (g *Global) Checked(pktID uint64, shift uint) bool {
+	return g.chk.Hash1(pktID)>>(64-shift) == 0
 }
 
 // Act reports whether the hop at 1-based position `hop` acts on packet

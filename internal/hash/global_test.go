@@ -186,3 +186,48 @@ func TestActMaskMatchesActBelow(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedSample: the route-check sample takes 1 packet in 2^shift,
+// every packet at shift 0, and falls independently of layer selection
+// and of the act decisions: among the packets on either side of the
+// layer point's median, and among those hop 1 acts on at p = 1/2, it
+// still takes about 1 in 2^shift.
+func TestCheckedSample(t *testing.T) {
+	g := NewGlobal(7)
+	const n = 1 << 17
+	for p := uint64(0); p < 1000; p++ {
+		if !g.Checked(p, 0) {
+			t.Fatal("shift 0 must check every packet")
+		}
+	}
+	for _, shift := range []uint{3, 4} {
+		var all, low, acted, nLow, nActed int
+		for p := uint64(0); p < n; p++ {
+			c := g.Checked(p, shift)
+			if c {
+				all++
+			}
+			if g.LayerPoint(p) < 0.5 {
+				nLow++
+				if c {
+					low++
+				}
+			}
+			if g.Act(p, 1, 0.5) {
+				nActed++
+				if c {
+					acted++
+				}
+			}
+		}
+		for _, r := range []struct {
+			what      string
+			hits, out int
+		}{{"all packets", all, n}, {"low layer points", low, nLow}, {"hop 1 acting", acted, nActed}} {
+			want := float64(r.out) / float64(uint(1)<<shift)
+			if math.Abs(float64(r.hits)-want) > want*0.07 {
+				t.Errorf("shift %d, %s: %d of %d checked, want %.0f +/- 7%%", shift, r.what, r.hits, r.out, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pipeline"
 )
@@ -112,6 +114,93 @@ func TestWriterErrorSticksAndDrains(t *testing.T) {
 		t.Fatal(err)
 	} else if rep.Blocks != 1 || rep.Packets != 4 {
 		t.Fatalf("recovered %d blocks, %d packets; want the 1 block, 4 packets before the failure", rep.Blocks, rep.Packets)
+	}
+}
+
+// TestSyncFsyncsWithoutTheLock holds a Sync inside its fsync and requires
+// a PersistIngest — another shard's lock holder logging a chunk — to
+// return meanwhile: Sync holds mu only to read the active segment's file.
+// That chunk outgrows the smallest segment (4 KiB), so its append seals
+// and closes the file the held Sync is about to fsync, and the Sync must
+// still succeed: the seal fsynced the file. Then a failed fsync sticks like a
+// failed append: Sync, every later append, Err and Close report it.
+func TestSyncFsyncsWithoutTheLock(t *testing.T) {
+	st, _, err := Open(t.TempDir(), Options{SegmentBytes: 4096, Now: testClock()}) // fsyncs
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.PersistIngest(testDigests(4, 1))
+	inFsync, release := make(chan struct{}), make(chan struct{})
+	var heldErr error
+	st.fsync = func(f *os.File) error {
+		close(inFsync)
+		<-release
+		heldErr = f.Sync()
+		return heldErr
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- st.Sync() }()
+	select {
+	case <-inFsync:
+	case err := <-synced:
+		t.Fatalf("Sync returned %v without an fsync", err)
+	}
+	persisted := make(chan struct{})
+	go func() {
+		st.PersistIngest(testDigests(1000, 2))
+		close(persisted)
+	}()
+	select {
+	case <-persisted:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("PersistIngest waited for an fsync held in Sync")
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(heldErr, os.ErrClosed) {
+		t.Fatalf("the held fsync returned %v: the rotation did not close its file", heldErr)
+	}
+	if got := collectBlocks(t, st, 0, ^uint64(0)); len(got) != 2 {
+		t.Fatalf("the log holds %d blocks, want 2", len(got))
+	}
+
+	failed := errors.New("injected fsync failure")
+	st.fsync = func(*os.File) error { return failed }
+	first := st.Sync()
+	if !errors.Is(first, failed) {
+		t.Fatalf("Sync returned %v, want the injected failure", first)
+	}
+	st.fsync = nil
+	if err := st.AppendDigests(testDigests(6, 3)); err != first {
+		t.Fatalf("append after a failed fsync: %v, want %v", err, first)
+	}
+	for what, err := range map[string]error{"Err": st.Err(), "Sync": st.Sync(), "Close": st.Close()} {
+		if err != first {
+			t.Fatalf("%s after a failed fsync: %v, want %v", what, err, first)
+		}
+	}
+}
+
+// TestSyncZeroAlloc: a checkpoint's fsync allocates nothing.
+func TestSyncZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations land in AllocsPerRun")
+	}
+	st, _, err := Open(t.TempDir(), Options{Now: testClock()}) // fsyncs
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.PersistIngest(testDigests(4, 1))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Sync: %v allocations, want 0", allocs)
 	}
 }
 

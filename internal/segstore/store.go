@@ -94,10 +94,12 @@ type segMeta struct {
 // records is in the file when the shard-lock hold that records it ends.
 // The lock order is a sink's shard lock, then mu, never the reverse; Scan,
 // Sync and the stats methods take only mu and are safe from any goroutine.
+// Sync holds mu only to read the active segment's file, not across its
+// fsync, so an append never waits for the disk behind it.
 //
-// The first failed append is kept (err): after it the store writes
-// nothing more, not even a seal, and every later append, Sync and Close
-// return it, so a failed write is never followed by more blocks.
+// The first failed append or Sync fsync is kept (err): after it the store
+// writes nothing more, not even a seal, and every later append, Sync and
+// Close return it, so a failed write is never followed by more blocks.
 type Store struct {
 	dir  string
 	opts Options
@@ -125,6 +127,10 @@ type Store struct {
 	scratch []byte
 	closed  bool
 	err     error
+
+	// fsync is what Sync calls on the active segment's file; nil is
+	// (*os.File).Sync. In-package tests set it to hold or fail an fsync.
+	fsync func(*os.File) error
 }
 
 // Open opens (creating if needed) the segment log in dir, recovers it —
@@ -752,20 +758,33 @@ func (s *Store) retainLocked() error {
 }
 
 // Sync fsyncs the active segment — the durability point a checkpoint
-// interval ends with.
+// interval ends with. It holds mu only to read the segment's file, not
+// across the fsync, so a shard-lock holder appending meanwhile does not
+// wait for the disk. A rotation or Close that seals and closes the file
+// meanwhile fsyncs it itself: an fsync already running finishes before
+// the descriptor is released, and one that starts after the close finds
+// it closed, which Sync does not count as a failure. A failed fsync is
+// kept like a failed append.
 func (s *Store) Sync() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	f, err, fsync := s.f, s.err, s.fsync
+	skip := err != nil || s.closed || s.opts.NoSync
+	s.mu.Unlock()
+	if skip {
+		return err
 	}
-	if s.closed || s.opts.NoSync {
+	if fsync == nil {
+		fsync = (*os.File).Sync
+	}
+	if err = fsync(f); err == nil {
 		return nil
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("segstore: %w", err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil && !errors.Is(err, os.ErrClosed) {
+		s.err = fmt.Errorf("segstore: %w", err)
 	}
-	return nil
+	return s.err
 }
 
 // Close seals the active segment and closes the store. After a failed
